@@ -532,6 +532,13 @@ type Health struct {
 	QueueCap       int    `json:"queue_cap"`
 	Ingested       uint64 `json:"ingested"`
 	Dropped        uint64 `json:"dropped"`
+	// Columnar sums the columnar history over all tables; TailRows is
+	// the sealer's backlog (rows committed but not yet in a segment).
+	Columnar struct {
+		Segments   int `json:"segments"`
+		SealedRows int `json:"sealed_rows"`
+		TailRows   int `json:"tail_rows"`
+	} `json:"columnar"`
 }
 
 // Health fetches and parses the server's health snapshot.

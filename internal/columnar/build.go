@@ -1,36 +1,38 @@
 package columnar
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
-	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
 
-// buildSegment seals rows (parallel slices, already in RowID order)
-// into an immutable segment. The row slices are not retained; every
-// value is re-encoded column-wise.
-func buildSegment(table string, schema *storage.Schema, ids []storage.RowID, lsns []uint64, rows []storage.Row) (*Segment, error) {
-	n := len(rows)
-	if n == 0 {
-		return nil, fmt.Errorf("columnar: empty segment for table %q", table)
+// encodeSegment seals rows [from, to) of a tail view into an immutable
+// segment, encoding each column straight from the view's raw vectors.
+// Nothing of the view is retained: every vector is re-encoded or
+// copied, so the tail's arrays can be collected once it moves on.
+func encodeSegment(view *Segment, from, to int) (*Segment, error) {
+	n := to - from
+	if n <= 0 {
+		return nil, fmt.Errorf("columnar: empty segment for table %q", view.table)
 	}
 	s := &Segment{
-		table:    table,
-		schema:   schema,
+		table:    view.table,
+		schema:   view.schema,
 		rows:     n,
-		ids:      append([]storage.RowID(nil), ids...),
-		lsns:     append([]uint64(nil), lsns...),
-		firstLSN: lsns[0],
-		lastLSN:  lsns[n-1],
-		cols:     make([]column, len(schema.Columns)),
+		ids:      append(view.ids[:0:0], view.ids[from:to]...),
+		lsns:     append(view.lsns[:0:0], view.lsns[from:to]...),
+		firstLSN: view.lsns[from],
+		lastLSN:  view.lsns[to-1],
+		cols:     make([]column, len(view.cols)),
 	}
-	for ci, sc := range schema.Columns {
-		col, err := buildColumn(sc.Kind, rows, ci)
+	for ci, c := range view.cols {
+		col, err := encodeColumn(&c.(*rawColumn).vec, from, to)
 		if err != nil {
-			return nil, fmt.Errorf("columnar: table %q column %q: %w", table, sc.Name, err)
+			return nil, fmt.Errorf("columnar: table %q column %q: %w", view.table, view.schema.Columns[ci].Name, err)
 		}
 		s.cols[ci] = col
 		s.bytes += col.memBytes()
@@ -39,26 +41,47 @@ func buildSegment(table string, schema *storage.Schema, ids []storage.RowID, lsn
 	return s, nil
 }
 
-func buildColumn(k val.Kind, rows []storage.Row, ci int) (column, error) {
-	switch k {
+func encodeColumn(v *Vector, from, to int) (column, error) {
+	null := v.Null[from:to]
+	nulls, z := packNulls(null)
+	switch v.Kind {
 	case val.KindInt, val.KindTime:
-		return buildIntColumn(k, rows, ci)
-	case val.KindFloat:
-		return buildFloatColumn(rows, ci)
+		return encodeInts(v.Kind, v.I64[from:to], null, nulls, z), nil
 	case val.KindBool:
-		return buildBoolColumn(rows, ci)
+		return encodeBools(v.I64[from:to], null, nulls, z), nil
+	case val.KindFloat:
+		return encodeFloats(v.F64[from:to], null, nulls, z), nil
 	case val.KindString:
-		return buildStrColumn(rows, ci)
+		return encodeStrings(v.Code[from:to], v.Dict, null, nulls, z), nil
 	case val.KindBytes:
-		return buildBytesColumn(rows, ci)
+		return encodeBytes(v.Bytes[from:to], null, nulls, z)
 	default:
-		return nil, fmt.Errorf("unsupported column kind %s", k)
+		return nil, fmt.Errorf("unsupported column kind %s", v.Kind)
 	}
 }
 
-// zoneTrack folds one non-null value into a zone map under
-// construction. NaN floats invalidate the zone (they defeat min/max
-// ordering, so a segment containing one is never pruned).
+// packNulls turns a null vector into a validity bitmap (bit set =
+// null; nil when there is none) and starts the column's zone map with
+// the null count.
+func packNulls(null []bool) ([]uint64, Zone) {
+	var bits []uint64
+	var z Zone
+	for i, isNull := range null {
+		if !isNull {
+			continue
+		}
+		if bits == nil {
+			bits = make([]uint64, (len(null)+63)/64)
+		}
+		bits[i/64] |= 1 << uint(i%64)
+		z.Nulls++
+	}
+	return bits, z
+}
+
+// zoneTrack folds values one at a time into a zone map: the running
+// zone of a tail column. NaN floats invalidate the zone (they defeat
+// min/max ordering, so a column containing one is never pruned).
 type zoneTrack struct {
 	z      Zone
 	broken bool
@@ -94,144 +117,139 @@ func (t *zoneTrack) done() Zone {
 	return t.z
 }
 
-// setNull marks row i null in a lazily allocated validity bitmap.
-func setNull(nulls *[]uint64, n, i int) {
-	if *nulls == nil {
-		*nulls = make([]uint64, (n+63)/64)
-	}
-	(*nulls)[i/64] |= 1 << uint(i%64)
-}
-
-func buildIntColumn(k val.Kind, rows []storage.Row, ci int) (column, error) {
-	c := &intColumn{k: k, rows: len(rows)}
-	var zt zoneTrack
-	var prev int64
-	var scratch [binary.MaxVarintLen64]byte
-	c.data = make([]byte, 0, len(rows)*2)
-	for i, r := range rows {
-		v := r[ci]
-		var cur int64
-		if v.IsNull() {
-			setNull(&c.nulls, len(rows), i)
-			zt.null()
-			cur = prev // delta 0 keeps the stream dense
-		} else {
-			switch v.Kind() {
-			case val.KindInt:
-				cur, _ = v.AsInt()
-			case val.KindTime:
-				t, _ := v.AsTime()
-				cur = t.UnixNano()
-			default:
-				return nil, fmt.Errorf("kind %s in %s column", v.Kind(), k)
-			}
-			zt.add(v)
+// encodeInts delta-encodes an int64-backed vector. A null row encodes
+// as delta 0, which keeps the stream dense.
+func encodeInts(k val.Kind, vals []int64, null []bool, nulls []uint64, z Zone) *intColumn {
+	c := &intColumn{k: k, rows: len(vals), nulls: nulls, data: make([]byte, 0, len(vals)*2)}
+	var prev, lo, hi int64
+	for i, cur := range vals {
+		if i%BatchSize == 0 {
+			c.marks = append(c.marks, intMark{off: len(c.data), prev: prev})
 		}
-		w := binary.PutVarint(scratch[:], cur-prev)
-		c.data = append(c.data, scratch[:w]...)
+		if null[i] {
+			cur = prev
+		} else {
+			if !z.OK || cur < lo {
+				lo = cur
+			}
+			if !z.OK || cur > hi {
+				hi = cur
+			}
+			z.OK = true
+		}
+		c.data = binary.AppendVarint(c.data, cur-prev)
 		prev = cur
 	}
-	c.z = zt.done()
-	return c, nil
-}
-
-func buildFloatColumn(rows []storage.Row, ci int) (column, error) {
-	c := &floatColumn{vals: make([]float64, len(rows))}
-	var zt zoneTrack
-	for i, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
-			setNull(&c.nulls, len(rows), i)
-			zt.null()
-			continue
+	if z.OK {
+		if k == val.KindTime {
+			z.Min, z.Max = val.Time(time.Unix(0, lo).UTC()), val.Time(time.Unix(0, hi).UTC())
+		} else {
+			z.Min, z.Max = val.Int(lo), val.Int(hi)
 		}
-		f, ok := v.AsFloat()
-		if !ok {
-			return nil, fmt.Errorf("kind %s in float column", v.Kind())
-		}
-		c.vals[i] = f
-		zt.add(val.Float(f))
 	}
-	c.z = zt.done()
-	return c, nil
+	c.z = z
+	return c
 }
 
-func buildBoolColumn(rows []storage.Row, ci int) (column, error) {
-	c := &boolColumn{bits: make([]uint64, (len(rows)+63)/64), rows: len(rows)}
-	var zt zoneTrack
-	for i, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
-			setNull(&c.nulls, len(rows), i)
-			zt.null()
-			continue
-		}
-		b, ok := v.AsBool()
-		if !ok {
-			return nil, fmt.Errorf("kind %s in bool column", v.Kind())
-		}
-		if b {
+func encodeBools(vals []int64, null []bool, nulls []uint64, z Zone) *boolColumn {
+	c := &boolColumn{bits: make([]uint64, (len(vals)+63)/64), rows: len(vals), nulls: nulls}
+	var anyTrue, anyFalse bool
+	for i, b := range vals {
+		switch {
+		case null[i]:
+		case b != 0:
 			c.bits[i/64] |= 1 << uint(i%64)
+			anyTrue = true
+		default:
+			anyFalse = true
 		}
-		zt.add(v)
 	}
-	c.z = zt.done()
-	return c, nil
+	if anyTrue || anyFalse {
+		z.Min, z.Max, z.OK = val.Bool(!anyFalse), val.Bool(anyTrue), true
+	}
+	c.z = z
+	return c
 }
 
-func buildStrColumn(rows []storage.Row, ci int) (column, error) {
-	c := &strColumn{codes: make([]uint32, len(rows))}
-	codeOf := make(map[string]uint32)
-	var zt zoneTrack
-	for i, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
-			setNull(&c.nulls, len(rows), i)
-			zt.null()
+func encodeFloats(vals []float64, null []bool, nulls []uint64, z Zone) *floatColumn {
+	c := &floatColumn{vals: append([]float64(nil), vals...), nulls: nulls}
+	var lo, hi float64
+	for i, f := range vals {
+		if null[i] {
 			continue
 		}
-		s, ok := v.AsString()
-		if !ok {
-			return nil, fmt.Errorf("kind %s in string column", v.Kind())
+		if math.IsNaN(f) {
+			c.z = Zone{Nulls: z.Nulls}
+			return c
 		}
-		code, seen := codeOf[s]
-		if !seen {
-			if len(c.dict) > math.MaxUint32 {
-				return nil, fmt.Errorf("dictionary overflow")
-			}
-			code = uint32(len(c.dict))
+		if !z.OK || f < lo {
+			lo = f
+		}
+		if !z.OK || f > hi {
+			hi = f
+		}
+		z.OK = true
+	}
+	if z.OK {
+		z.Min, z.Max = val.Float(lo), val.Float(hi)
+	}
+	c.z = z
+	return c
+}
+
+// encodeStrings re-codes the range against a dictionary of its own,
+// in first-appearance order: the tail's dictionary also covers rows
+// outside the range.
+func encodeStrings(codes []uint32, dict []string, null []bool, nulls []uint64, z Zone) *strColumn {
+	c := &strColumn{codes: make([]uint32, len(codes)), nulls: nulls}
+	recode := make([]int64, len(dict))
+	for i := range recode {
+		recode[i] = -1
+	}
+	for i, old := range codes {
+		if null[i] {
+			continue
+		}
+		if recode[old] < 0 {
+			recode[old] = int64(len(c.dict))
+			s := dict[old]
 			c.dict = append(c.dict, s)
-			codeOf[s] = code
+			if !z.OK {
+				z.Min, z.Max, z.OK = val.String(s), val.String(s), true
+			} else if lo, _ := z.Min.AsString(); s < lo {
+				z.Min = val.String(s)
+			} else if hi, _ := z.Max.AsString(); s > hi {
+				z.Max = val.String(s)
+			}
 		}
-		c.codes[i] = code
-		zt.add(v)
+		c.codes[i] = uint32(recode[old])
 	}
-	c.z = zt.done()
-	return c, nil
+	c.z = z
+	return c
 }
 
-func buildBytesColumn(rows []storage.Row, ci int) (column, error) {
-	c := &bytesColumn{offs: make([]uint32, len(rows)+1)}
-	var zt zoneTrack
-	for i, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
-			setNull(&c.nulls, len(rows), i)
-			zt.null()
-			c.offs[i+1] = c.offs[i]
-			continue
+func encodeBytes(vals [][]byte, null []bool, nulls []uint64, z Zone) (*bytesColumn, error) {
+	c := &bytesColumn{offs: make([]uint32, len(vals)+1), nulls: nulls}
+	var lo, hi []byte
+	for i, b := range vals {
+		if !null[i] {
+			if len(c.blob)+len(b) > math.MaxUint32 {
+				return nil, fmt.Errorf("blob overflow")
+			}
+			c.blob = append(c.blob, b...)
+			if !z.OK || bytes.Compare(b, lo) < 0 {
+				lo = b
+			}
+			if !z.OK || bytes.Compare(b, hi) > 0 {
+				hi = b
+			}
+			z.OK = true
 		}
-		b, ok := v.AsBytes()
-		if !ok {
-			return nil, fmt.Errorf("kind %s in bytes column", v.Kind())
-		}
-		if len(c.blob)+len(b) > math.MaxUint32 {
-			return nil, fmt.Errorf("blob overflow")
-		}
-		c.blob = append(c.blob, b...)
 		c.offs[i+1] = uint32(len(c.blob))
-		zt.add(v)
 	}
-	c.z = zt.done()
+	if z.OK {
+		z.Min, z.Max = val.Bytes(lo), val.Bytes(hi)
+	}
+	c.z = z
 	return c, nil
 }

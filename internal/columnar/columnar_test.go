@@ -581,6 +581,10 @@ func TestVolatileBootstrapSnapshots(t *testing.T) {
 	db := openVolatile(t)
 	fillEvents(t, db, 100, 11)
 	m := attach(t, db, Config{SealRows: 64})
+	tbl, _ := db.Table("events")
+	if m.Observed() != db.Seq() || tbl.LastCommit() != db.Seq() {
+		t.Fatalf("after attach: observed %d, table's last commit %d, database at %d", m.Observed(), tbl.LastCommit(), db.Seq())
+	}
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
@@ -593,6 +597,9 @@ func TestVolatileBootstrapSnapshots(t *testing.T) {
 		if _, err := db.Insert("events", randEvent(rng, i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if m.Observed() != db.Seq() || tbl.LastCommit() != db.Seq() {
+		t.Fatalf("after inserts: observed %d, table's last commit %d, database at %d", m.Observed(), tbl.LastCommit(), db.Seq())
 	}
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)

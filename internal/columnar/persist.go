@@ -26,11 +26,12 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 }
 
 // Segment files make restart cheap: instead of re-mining the whole
-// WAL into pending rows and re-sealing, Attach reloads sealed history
+// WAL into the tail and re-sealing, Attach reloads sealed history
 // directly. The file carries the raw row values (ids, LSNs, and each
 // value in the WAL's binary value encoding) plus a whole-file CRC;
-// loading rebuilds the column encodings in memory via buildSegment,
-// so the on-disk format can never drift from the in-memory one. A
+// loading appends them to a scratch tail and seals it with
+// encodeSegment, as a live seal does, so the on-disk format can never
+// drift from the in-memory one. A
 // file that fails any check — magic, CRC, schema fingerprint, LSN/ID
 // contiguity — is deleted and its rows are rebuilt from the WAL by
 // the normal bootstrap path. The WAL stays the source of truth;
@@ -96,89 +97,93 @@ func badSeg(format string, args ...any) error {
 }
 
 // decodeSegmentFile parses and validates a segment file, returning
-// the raw rows for rebuild. The schema fingerprint (column names and
-// kinds, in order) must match the live schema exactly.
-func decodeSegmentFile(data []byte, schema *storage.Schema) (table string, ids []storage.RowID, lsns []uint64, rows []storage.Row, err error) {
+// its rows as a tail ready to seal. The schema fingerprint (column
+// names and kinds, in order) must match the live schema exactly. With
+// a nil schema it only checks the file's integrity and returns the
+// table name, which is how the caller finds the schema.
+func decodeSegmentFile(data []byte, schema *storage.Schema) (table string, rows *tail, err error) {
 	if len(data) < len(segMagic)+4 || string(data[:len(segMagic)]) != segMagic {
-		return "", nil, nil, nil, badSeg("bad magic")
+		return "", nil, badSeg("bad magic")
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return "", nil, nil, nil, badSeg("crc mismatch")
+		return "", nil, badSeg("crc mismatch")
 	}
 	pos := len(segMagic)
 	table, pos, err = readStr(body, pos)
-	if err != nil {
-		return "", nil, nil, nil, err
+	if err != nil || schema == nil {
+		return table, nil, err
 	}
 	ncols, pos, err := readUvarint(body, pos)
 	if err != nil {
-		return "", nil, nil, nil, err
+		return "", nil, err
 	}
-	if schema != nil && ncols != uint64(len(schema.Columns)) {
-		return "", nil, nil, nil, badSeg("schema drift: %d columns, want %d", ncols, len(schema.Columns))
+	if ncols != uint64(len(schema.Columns)) {
+		return "", nil, badSeg("schema drift: %d columns, want %d", ncols, len(schema.Columns))
 	}
 	for i := uint64(0); i < ncols; i++ {
 		var name string
 		name, pos, err = readStr(body, pos)
 		if err != nil {
-			return "", nil, nil, nil, err
+			return "", nil, err
 		}
 		if pos >= len(body) {
-			return "", nil, nil, nil, badSeg("truncated column kinds")
+			return "", nil, badSeg("truncated column kinds")
 		}
 		kind := val.Kind(body[pos])
 		pos++
-		if schema != nil && (schema.Columns[i].Name != name || schema.Columns[i].Kind != kind) {
-			return "", nil, nil, nil, badSeg("schema drift on column %d (%s %s)", i, name, kind)
+		if schema.Columns[i].Name != name || schema.Columns[i].Kind != kind {
+			return "", nil, badSeg("schema drift on column %d (%s %s)", i, name, kind)
 		}
 	}
 	nrows, pos, err := readUvarint(body, pos)
 	if err != nil {
-		return "", nil, nil, nil, err
+		return "", nil, err
 	}
 	if nrows == 0 || nrows > uint64(len(body)) {
-		return "", nil, nil, nil, badSeg("implausible row count %d", nrows)
+		return "", nil, badSeg("implausible row count %d", nrows)
 	}
-	ids = make([]storage.RowID, nrows)
+	ids := make([]storage.RowID, nrows)
 	var prev uint64
 	for i := range ids {
 		var d uint64
 		d, pos, err = readUvarint(body, pos)
 		if err != nil {
-			return "", nil, nil, nil, err
+			return "", nil, err
 		}
 		prev += d
 		ids[i] = storage.RowID(prev)
 	}
-	lsns = make([]uint64, nrows)
+	lsns := make([]uint64, nrows)
 	prev = 0
 	for i := range lsns {
 		var d uint64
 		d, pos, err = readUvarint(body, pos)
 		if err != nil {
-			return "", nil, nil, nil, err
+			return "", nil, err
 		}
 		prev += d
 		lsns[i] = prev
 	}
-	rows = make([]storage.Row, nrows)
-	for i := range rows {
-		row := make(storage.Row, ncols)
-		for c := uint64(0); c < ncols; c++ {
+	rows = newTail(schema)
+	row := make(storage.Row, ncols)
+	for i := range ids {
+		for c := range row {
 			v, n, verr := val.DecodeBinary(body[pos:])
 			if verr != nil {
-				return "", nil, nil, nil, badSeg("row %d: %v", i, verr)
+				return "", nil, badSeg("row %d: %v", i, verr)
 			}
 			row[c] = v
 			pos += n
 		}
-		rows[i] = row
+		if err := rows.append(ids[i], lsns[i], lsns[i], row); err != nil {
+			return "", nil, badSeg("row %d: %v", i, err)
+		}
 	}
 	if pos != len(body) {
-		return "", nil, nil, nil, badSeg("%d trailing bytes", len(body)-pos)
+		return "", nil, badSeg("%d trailing bytes", len(body)-pos)
 	}
-	return table, ids, lsns, rows, nil
+	return table, rows, nil
 }
 
 func readStr(buf []byte, pos int) (string, int, error) {
@@ -276,7 +281,7 @@ func (m *Manager) loadSegments() error {
 		}
 		// First pass: peek at the table name with no schema check so
 		// we can look the schema up, then decode for real.
-		table, _, _, _, err := decodeSegmentFile(data, nil)
+		table, _, err := decodeSegmentFile(data, nil)
 		if err != nil {
 			drop(path, err)
 			continue
@@ -286,13 +291,12 @@ func (m *Manager) loadSegments() error {
 			drop(path, badSeg("unknown table %q", table))
 			continue
 		}
-		schema := tbl.Schema()
-		_, ids, lsns, rows, err := decodeSegmentFile(data, schema)
+		_, rows, err := decodeSegmentFile(data, tbl.Schema())
 		if err != nil {
 			drop(path, err)
 			continue
 		}
-		seg, err := buildSegment(table, schema, ids, lsns, rows)
+		seg, err := encodeSegment(rows.view(table), 0, rows.len())
 		if err != nil {
 			drop(path, err)
 			continue
@@ -326,7 +330,6 @@ func (m *Manager) loadSegments() error {
 			if seg.lastLSN > st.maxGrp {
 				st.maxGrp = seg.lastLSN
 			}
-			st.sealedTotal++
 			lastID = seg.ids[seg.rows-1]
 			lastLSN = seg.lastLSN
 		}

@@ -4,13 +4,13 @@
 // int64/timestamps, validity bitmaps — with per-segment zone maps
 // (min/max/null-count per column) for scan pruning.
 //
-// Hot recent data stays in the row store; a background sealer drains
-// committed row batches into segments (see store.go), the query
-// processor's filter+aggregate path vectorizes over them (filter.go,
+// Committed inserts land in an append-only columnar tail (tail.go): the
+// same typed vectors, unencoded, with a running zone map per column. A
+// background sealer encodes the tail's vectors into segments (see
+// store.go, build.go); the query processor runs one vectorized
+// filter+aggregate loop over segments and tail alike (filter.go,
 // internal/query), and journal mining serves sealed insert history
-// from segments instead of replaying the WAL. This is ROADMAP item 3:
-// "replay a week of events through a new CQ" becomes a seconds-scale
-// columnar scan instead of a row-map crawl.
+// from segments instead of replaying the WAL.
 package columnar
 
 import (
@@ -97,21 +97,7 @@ func (s *Segment) RowID(i int) storage.RowID { return s.ids[i] }
 func (s *Segment) LSN(i int) uint64 { return s.lsns[i] }
 
 // find returns the position of id in the segment, or -1.
-func (s *Segment) find(id storage.RowID) int {
-	lo, hi := 0, s.rows
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.rows && s.ids[lo] == id {
-		return lo
-	}
-	return -1
-}
+func (s *Segment) find(id storage.RowID) int { return findID(s.ids, id) }
 
 // markDead flags row position i as superseded. Caller holds the
 // TableStore lock.
@@ -138,21 +124,48 @@ func deadBit(bits []uint64, i int) bool {
 // Zone returns the zone map for schema column ci.
 func (s *Segment) Zone(ci int) Zone { return s.cols[ci].zone() }
 
-// column is one sealed column's encoded storage.
+// column is one column's storage: encoded in a sealed segment, raw in
+// a view of the tail.
 type column interface {
-	kind() val.Kind
 	zone() Zone
-	// newCursor returns a sequential decoder positioned at row 0.
-	newCursor() cursor
+	// newCursor returns a decoder over the column that fills dst,
+	// allocating whatever buffers dst needs.
+	newCursor(dst *Vector) cursor
 	// memBytes approximates the column's in-memory footprint.
 	memBytes() int
 }
 
-// cursor decodes a column front to back, BatchSize rows at a time.
+// cursor decodes a column one batch at a time.
 type cursor interface {
-	// next decodes the next n values into dst. n is at most BatchSize;
-	// dst's buffers are reused across calls.
-	next(dst *Vector, n int)
+	// read decodes the n values starting at row into dst. row is a
+	// multiple of BatchSize and n at most BatchSize; dst's buffers are
+	// reused across calls. Sequential batches are the fast case, but
+	// any batch may follow any other.
+	read(dst *Vector, row, n int)
+}
+
+// noNulls is the Null vector of every column without a null: shared
+// and never written.
+var noNulls [BatchSize]bool
+
+// nullBuffer returns the Null vector for a cursor over a column with
+// the given validity bitmap.
+func nullBuffer(nulls []uint64) []bool {
+	if nulls == nil {
+		return noNulls[:]
+	}
+	return make([]bool, BatchSize)
+}
+
+// fillNulls expands rows [row, row+n) of a validity bitmap into dst,
+// which came from nullBuffer(nulls).
+func fillNulls(dst []bool, nulls []uint64, row, n int) {
+	if nulls == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		dst[i] = deadBit(nulls, row+i)
+	}
 }
 
 // Vector is a decoded batch of one column. Exactly one payload slice
@@ -163,7 +176,8 @@ type cursor interface {
 //	string          → Code (+ Dict, the segment-wide dictionary)
 //	bytes           → Bytes (sub-slices of the segment blob; read-only)
 //
-// Null[i] reports row nullness and is always populated.
+// Null[i] reports row nullness and is always populated. Vectors are
+// read-only: a payload slice may alias the column's own storage.
 type Vector struct {
 	Kind  val.Kind
 	I64   []int64
@@ -210,42 +224,31 @@ type Batch struct {
 }
 
 // Reader streams a segment's rows as batches, decoding only the
-// requested columns. All buffers are allocated once at construction
-// and reused, so a full-segment scan costs a handful of allocations
-// total, none per row.
+// requested columns. Buffers are allocated once per column and reused,
+// so a full-segment scan costs a handful of allocations total, none
+// per row.
 type Reader struct {
 	seg     *Segment
-	cursors []cursor // per schema column, nil when not requested
+	eager   []int    // columns every Next decodes
+	cursors []cursor // per schema column, nil until first decoded
 	vecs    []Vector
 	pos     int
 }
 
-// NewReader creates a reader over the segment decoding the columns
-// where need[ci] is true (need == nil decodes every column).
+// NewReader creates a reader over the segment whose Next decodes the
+// columns where need[ci] is true (need == nil decodes every column).
+// Further columns can be decoded per batch with Fill.
 func (s *Segment) NewReader(need []bool) *Reader {
 	r := &Reader{
 		seg:     s,
+		eager:   make([]int, 0, len(s.cols)),
 		cursors: make([]cursor, len(s.cols)),
 		vecs:    make([]Vector, len(s.cols)),
 	}
 	for ci, c := range s.cols {
-		if need != nil && !need[ci] {
-			continue
-		}
-		r.cursors[ci] = c.newCursor()
-		v := &r.vecs[ci]
-		v.Kind = c.kind()
-		v.Null = make([]bool, BatchSize)
-		switch c.kind() {
-		case val.KindInt, val.KindTime, val.KindBool:
-			v.I64 = make([]int64, BatchSize)
-		case val.KindFloat:
-			v.F64 = make([]float64, BatchSize)
-		case val.KindString:
-			v.Code = make([]uint32, BatchSize)
-			v.Dict = c.(*strColumn).dict
-		case val.KindBytes:
-			v.Bytes = make([][]byte, BatchSize)
+		if need == nil || need[ci] {
+			r.cursors[ci] = c.newCursor(&r.vecs[ci])
+			r.eager = append(r.eager, ci)
 		}
 	}
 	return r
@@ -265,20 +268,35 @@ func (r *Reader) Next(b *Batch) bool {
 	if b.Vecs == nil {
 		b.Vecs = make([]*Vector, len(r.cursors))
 	}
-	for ci, cur := range r.cursors {
-		if cur == nil {
-			b.Vecs[ci] = nil
-			continue
-		}
-		v := &r.vecs[ci]
-		cur.next(v, n)
-		b.Vecs[ci] = v
+	for ci := range b.Vecs {
+		b.Vecs[ci] = nil
+	}
+	for _, ci := range r.eager {
+		r.cursors[ci].read(&r.vecs[ci], r.pos, n)
+		b.Vecs[ci] = &r.vecs[ci]
 	}
 	b.Seg = r.seg
 	b.Start = r.pos
 	b.Len = n
 	r.pos += n
 	return true
+}
+
+// Fill decodes into the current batch b the columns where cols[ci] is
+// true and that Next did not decode. A scan decodes its predicate
+// columns with Next and calls Fill only for batches with a matching
+// row, so the other columns of a batch without one are never decoded.
+func (r *Reader) Fill(b *Batch, cols []bool) {
+	for ci, want := range cols {
+		if !want || b.Vecs[ci] != nil {
+			continue
+		}
+		if r.cursors[ci] == nil {
+			r.cursors[ci] = r.seg.cols[ci].newCursor(&r.vecs[ci])
+		}
+		r.cursors[ci].read(&r.vecs[ci], b.Start, b.Len)
+		b.Vecs[ci] = &r.vecs[ci]
+	}
 }
 
 // MaterializeRow boxes batch row i into dst (a full-width
@@ -307,33 +325,50 @@ type intColumn struct {
 	rows  int
 	nulls []uint64 // validity bitmap (bit set = null); nil when none
 	z     Zone
+	// marks[b] is the decoder state at row b*BatchSize, so a cursor can
+	// start at any batch without decoding the ones before it.
+	marks []intMark
 }
 
-func (c *intColumn) kind() val.Kind { return c.k }
-func (c *intColumn) zone() Zone     { return c.z }
-func (c *intColumn) memBytes() int  { return len(c.data) + len(c.nulls)*8 }
-
-type intCursor struct {
-	c    *intColumn
+// intMark is an intColumn decoder state: the offset of a row's delta
+// in data and the value of the row before it.
+type intMark struct {
 	off  int
 	prev int64
-	row  int
 }
 
-func (c *intColumn) newCursor() cursor { return &intCursor{c: c} }
+func (c *intColumn) zone() Zone    { return c.z }
+func (c *intColumn) memBytes() int { return len(c.data) + len(c.nulls)*8 + len(c.marks)*16 }
 
-func (cur *intCursor) next(dst *Vector, n int) {
+type intCursor struct {
+	c   *intColumn
+	row int     // the next row in sequence
+	at  intMark // decoder state at row
+}
+
+func (c *intColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = c.k
+	dst.I64 = make([]int64, BatchSize)
+	dst.Null = nullBuffer(c.nulls)
+	return &intCursor{c: c}
+}
+
+func (cur *intCursor) read(dst *Vector, row, n int) {
+	if row != cur.row {
+		cur.at = cur.c.marks[row/BatchSize]
+	}
 	data := cur.c.data
 	out := dst.I64[:n]
-	nul := dst.Null[:n]
-	for i := 0; i < n; i++ {
-		d, w := binary.Varint(data[cur.off:])
-		cur.off += w
-		cur.prev += d
-		out[i] = cur.prev
-		nul[i] = deadBit(cur.c.nulls, cur.row)
-		cur.row++
+	off, prev := cur.at.off, cur.at.prev
+	for i := range out {
+		d, w := binary.Varint(data[off:])
+		off += w
+		prev += d
+		out[i] = prev
 	}
+	cur.at = intMark{off: off, prev: prev}
+	cur.row = row + n
+	fillNulls(dst.Null, cur.c.nulls, row, n)
 }
 
 // floatColumn stores float64 values raw (8 bytes each); deltas do not
@@ -344,24 +379,20 @@ type floatColumn struct {
 	z     Zone
 }
 
-func (c *floatColumn) kind() val.Kind { return val.KindFloat }
-func (c *floatColumn) zone() Zone     { return c.z }
-func (c *floatColumn) memBytes() int  { return len(c.vals)*8 + len(c.nulls)*8 }
+func (c *floatColumn) zone() Zone    { return c.z }
+func (c *floatColumn) memBytes() int { return len(c.vals)*8 + len(c.nulls)*8 }
 
-type floatCursor struct {
-	c   *floatColumn
-	row int
+func (c *floatColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = val.KindFloat
+	dst.Null = nullBuffer(c.nulls)
+	return c
 }
 
-func (c *floatColumn) newCursor() cursor { return &floatCursor{c: c} }
-
-func (cur *floatCursor) next(dst *Vector, n int) {
-	copy(dst.F64[:n], cur.c.vals[cur.row:cur.row+n])
-	nul := dst.Null[:n]
-	for i := 0; i < n; i++ {
-		nul[i] = deadBit(cur.c.nulls, cur.row+i)
-	}
-	cur.row += n
+// read hands out a sub-slice of the stored values: they are immutable
+// and already in vector form.
+func (c *floatColumn) read(dst *Vector, row, n int) {
+	dst.F64 = c.vals[row : row+n]
+	fillNulls(dst.Null, c.nulls, row, n)
 }
 
 // boolColumn stores values and validity as bitmaps: one bit per row
@@ -373,30 +404,26 @@ type boolColumn struct {
 	z     Zone
 }
 
-func (c *boolColumn) kind() val.Kind { return val.KindBool }
-func (c *boolColumn) zone() Zone     { return c.z }
-func (c *boolColumn) memBytes() int  { return len(c.bits)*8 + len(c.nulls)*8 }
+func (c *boolColumn) zone() Zone    { return c.z }
+func (c *boolColumn) memBytes() int { return len(c.bits)*8 + len(c.nulls)*8 }
 
-type boolCursor struct {
-	c   *boolColumn
-	row int
+func (c *boolColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = val.KindBool
+	dst.I64 = make([]int64, BatchSize)
+	dst.Null = nullBuffer(c.nulls)
+	return c
 }
 
-func (c *boolColumn) newCursor() cursor { return &boolCursor{c: c} }
-
-func (cur *boolCursor) next(dst *Vector, n int) {
+func (c *boolColumn) read(dst *Vector, row, n int) {
 	out := dst.I64[:n]
-	nul := dst.Null[:n]
-	for i := 0; i < n; i++ {
-		r := cur.row + i
-		if deadBit(cur.c.bits, r) {
+	for i := range out {
+		if deadBit(c.bits, row+i) {
 			out[i] = 1
 		} else {
 			out[i] = 0
 		}
-		nul[i] = deadBit(cur.c.nulls, r)
 	}
-	cur.row += n
+	fillNulls(dst.Null, c.nulls, row, n)
 }
 
 // strColumn dictionary-encodes strings: distinct values live once in
@@ -410,8 +437,7 @@ type strColumn struct {
 	z     Zone
 }
 
-func (c *strColumn) kind() val.Kind { return val.KindString }
-func (c *strColumn) zone() Zone     { return c.z }
+func (c *strColumn) zone() Zone { return c.z }
 func (c *strColumn) memBytes() int {
 	n := len(c.codes)*4 + len(c.nulls)*8
 	for _, s := range c.dict {
@@ -432,20 +458,16 @@ func (c *strColumn) code(s string) int {
 	return -1
 }
 
-type strCursor struct {
-	c   *strColumn
-	row int
+func (c *strColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = val.KindString
+	dst.Dict = c.dict
+	dst.Null = nullBuffer(c.nulls)
+	return c
 }
 
-func (c *strColumn) newCursor() cursor { return &strCursor{c: c} }
-
-func (cur *strCursor) next(dst *Vector, n int) {
-	copy(dst.Code[:n], cur.c.codes[cur.row:cur.row+n])
-	nul := dst.Null[:n]
-	for i := 0; i < n; i++ {
-		nul[i] = deadBit(cur.c.nulls, cur.row+i)
-	}
-	cur.row += n
+func (c *strColumn) read(dst *Vector, row, n int) {
+	dst.Code = c.codes[row : row+n]
+	fillNulls(dst.Null, c.nulls, row, n)
 }
 
 // bytesColumn stores variable-length blobs back to back with an
@@ -457,25 +479,57 @@ type bytesColumn struct {
 	z     Zone
 }
 
-func (c *bytesColumn) kind() val.Kind { return val.KindBytes }
-func (c *bytesColumn) zone() Zone     { return c.z }
-func (c *bytesColumn) memBytes() int  { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
+func (c *bytesColumn) zone() Zone    { return c.z }
+func (c *bytesColumn) memBytes() int { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
 
-type bytesCursor struct {
-	c   *bytesColumn
-	row int
+func (c *bytesColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = val.KindBytes
+	dst.Bytes = make([][]byte, BatchSize)
+	dst.Null = nullBuffer(c.nulls)
+	return c
 }
 
-func (c *bytesColumn) newCursor() cursor { return &bytesCursor{c: c} }
-
-func (cur *bytesCursor) next(dst *Vector, n int) {
-	nul := dst.Null[:n]
+func (c *bytesColumn) read(dst *Vector, row, n int) {
 	for i := 0; i < n; i++ {
-		r := cur.row + i
-		dst.Bytes[i] = cur.c.blob[cur.c.offs[r]:cur.c.offs[r+1]]
-		nul[i] = deadBit(cur.c.nulls, r)
+		dst.Bytes[i] = c.blob[c.offs[row+i]:c.offs[row+i+1]]
 	}
-	cur.row += n
+	fillNulls(dst.Null, c.nulls, row, n)
+}
+
+// rawColumn is an unencoded column: full-length vectors in exactly the
+// layout a Vector hands to the kernels, so reading a batch is slicing.
+// The tail stores its columns this way, and a snapshot's view of the
+// tail is a Segment of rawColumns (see tail.go).
+type rawColumn struct {
+	vec Vector
+	z   Zone
+}
+
+func (c *rawColumn) zone() Zone { return c.z }
+func (c *rawColumn) memBytes() int {
+	v := &c.vec
+	return len(v.I64)*8 + len(v.F64)*8 + len(v.Code)*4 + len(v.Bytes)*24 + len(v.Null)
+}
+
+func (c *rawColumn) newCursor(dst *Vector) cursor {
+	dst.Kind = c.vec.Kind
+	dst.Dict = c.vec.Dict
+	return c
+}
+
+func (c *rawColumn) read(dst *Vector, row, n int) {
+	v := &c.vec
+	switch v.Kind {
+	case val.KindInt, val.KindTime, val.KindBool:
+		dst.I64 = v.I64[row : row+n]
+	case val.KindFloat:
+		dst.F64 = v.F64[row : row+n]
+	case val.KindString:
+		dst.Code = v.Code[row : row+n]
+	case val.KindBytes:
+		dst.Bytes = v.Bytes[row : row+n]
+	}
+	dst.Null = v.Null[row : row+n]
 }
 
 // ---- zone-map pruning ----

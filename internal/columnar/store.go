@@ -2,8 +2,10 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eventdb/internal/storage"
@@ -13,8 +15,8 @@ import (
 
 // Config tunes a Manager.
 type Config struct {
-	// SealRows is the pending-row threshold at which the background
-	// sealer drains a table's row batch into a segment. Defaults to
+	// SealRows is the tail-row threshold at which the background
+	// sealer encodes a table's tail into a segment. Defaults to
 	// 8192. Seals always cut on whole-commit boundaries, so a segment
 	// may slightly exceed this.
 	SealRows int
@@ -71,6 +73,11 @@ type Manager struct {
 	mu     sync.RWMutex
 	stores map[string]*TableStore
 
+	// observed is the CommitInfo.Seq up to which every commit has been
+	// folded into the stores. The hook stream is serial, so it has one
+	// writer at a time.
+	observed atomic.Uint64
+
 	// Bootstrap buffering: commits that land while Attach is replaying
 	// the WAL are buffered and drained afterwards (with LSN/row dedup),
 	// so the hook can be registered before the replay without losing
@@ -89,18 +96,8 @@ type Manager struct {
 	closeOnce  sync.Once
 }
 
-// pendingRow is one committed insert not yet sealed.
-type pendingRow struct {
-	id   storage.RowID
-	lsn  uint64
-	grp  uint64 // seal-group key: LSN when durable, commit seq otherwise
-	row  storage.Row
-	dead bool // superseded by a later update/delete
-	gone bool // superseded specifically by a delete
-}
-
 // TableStore holds one table's columnar history: sealed segments plus
-// the pending tail.
+// the unsealed columnar tail.
 type TableStore struct {
 	table  string
 	schema *storage.Schema
@@ -110,16 +107,16 @@ type TableStore struct {
 	sealMu sync.Mutex
 	mu     sync.RWMutex
 
-	segs    []*Segment
-	pending []pendingRow
-	// modified marks sealed rows whose current version lives in the
-	// row store (they were updated after sealing), so scans read them
-	// from the table instead of the segment.
-	modified     map[storage.RowID]bool
+	segs []*Segment
+	tail *tail
+	// modified holds the rows whose current version lives only in the
+	// row store: they were updated after their insert reached the tail
+	// or a segment, where their position is marked dead. Scans fetch
+	// them from the table. An entry lasts until the row is deleted.
+	modified     map[storage.RowID]struct{}
 	maxSealedID  storage.RowID
 	maxSealedLSN uint64
 	maxGrp       uint64 // dedup guard: highest observed seal-group key
-	sealedTotal  uint64
 }
 
 // TableStats is the COMPACT/stats surface for one table.
@@ -154,6 +151,9 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 	if _, loaded := registry.LoadOrStore(db, m); loaded {
 		return nil, fmt.Errorf("columnar: database already has an attached manager")
 	}
+	// Commits up to here were applied before the hook went in, so the
+	// bootstrap below reads them from the WAL or the tables.
+	applied := db.Seq()
 	m.removeHook = db.OnCommit(m.onCommit)
 
 	if m.durable {
@@ -174,6 +174,7 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 
 	// Drain commits buffered during bootstrap, then go live.
 	m.bootMu.Lock()
+	m.observed.Store(applied)
 	for _, ci := range m.bootBuf {
 		m.observe(ci)
 	}
@@ -247,7 +248,8 @@ func (m *Manager) store(name string) *TableStore {
 	st = &TableStore{
 		table:    name,
 		schema:   tbl.Schema(),
-		modified: make(map[storage.RowID]bool),
+		tail:     newTail(tbl.Schema()),
+		modified: make(map[storage.RowID]struct{}),
 	}
 	m.stores[name] = st
 	return st
@@ -301,12 +303,15 @@ func (m *Manager) observe(ci *storage.CommitInfo) {
 		}
 		st.mu.Lock()
 		for _, i := range byTable[table] {
-			st.applyLocked(&ci.Changes[i], ci.LSN, grp)
+			m.setErr(st.applyLocked(&ci.Changes[i], ci.LSN, grp))
 		}
-		if len(st.pending) >= m.cfg.SealRows {
+		if st.tail.len() >= m.cfg.SealRows {
 			wantKick = true
 		}
 		st.mu.Unlock()
+	}
+	if ci.Seq > m.observed.Load() {
+		m.observed.Store(ci.Seq)
 	}
 	if wantKick {
 		select {
@@ -316,9 +321,17 @@ func (m *Manager) observe(ci *storage.CommitInfo) {
 	}
 }
 
-// applyLocked folds one change into the store; returns true if a
-// pending row was appended. Caller holds mu.
-func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) bool {
+// Observed returns the sequence number (storage.CommitInfo.Seq) of the
+// last commit folded into the stores. A commit is acknowledged to its
+// writer once it is applied to the row store, and its after-commit hook
+// — which feeds this history — runs later when another goroutine is
+// already delivering hooks. A reader that must see every acknowledged
+// write of a table serves it from a Snapshot only when Observed has
+// reached the table's LastCommit, read before the Snapshot is taken.
+func (m *Manager) Observed() uint64 { return m.observed.Load() }
+
+// applyLocked folds one change into the store. Caller holds mu.
+func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) error {
 	switch c.Kind {
 	case storage.Insert:
 		// Dedup against bootstrap: the WAL replay and the buffered
@@ -327,17 +340,17 @@ func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) bool {
 		// group check must be strict — a commit's inserts all share one
 		// group key; the row-ID checks below handle the equal case.
 		if grp != 0 && grp < st.maxGrp {
-			return false
+			return nil
 		}
-		if id := c.ID; id <= st.maxSealedID ||
-			(len(st.pending) > 0 && id <= st.pending[len(st.pending)-1].id) {
-			return false
+		if n := st.tail.len(); c.ID <= st.maxSealedID || (n > 0 && c.ID <= st.tail.ids[n-1]) {
+			return nil
 		}
-		st.pending = append(st.pending, pendingRow{id: c.ID, lsn: lsn, grp: grp, row: c.New})
+		if err := st.tail.append(c.ID, lsn, grp, c.New); err != nil {
+			return err
+		}
 		if grp > st.maxGrp {
 			st.maxGrp = grp
 		}
-		return true
 	case storage.Update:
 		// Re-observing an update (bootstrap replay overlap) is
 		// harmless: dead-marking is idempotent.
@@ -351,19 +364,26 @@ func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) bool {
 			st.maxGrp = grp
 		}
 	}
-	return false
+	return nil
 }
 
-// markDeadLocked marks a row (wherever it lives) as superseded.
-// Caller holds mu.
+// markDeadLocked marks a row's columnar copy — in the tail or in a
+// segment — as superseded. An updated row (gone=false) joins modified,
+// a deleted one leaves it. Caller holds mu.
 func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) {
-	if i := st.findPendingLocked(id); i >= 0 {
-		st.pending[i].dead = true
-		if gone {
-			st.pending[i].gone = true
-		}
-		return
+	if i := st.tail.find(id); i >= 0 {
+		st.tail.markDead(i)
+	} else if !st.markSealedDeadLocked(id) {
+		return // no columnar copy: the row predates the observed history
 	}
+	if gone {
+		delete(st.modified, id)
+	} else {
+		st.modified[id] = struct{}{}
+	}
+}
+
+func (st *TableStore) markSealedDeadLocked(id storage.RowID) bool {
 	for _, seg := range st.segs {
 		first, last, _, _ := seg.Bounds()
 		if id < first || id > last {
@@ -371,31 +391,10 @@ func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) {
 		}
 		if pos := seg.find(id); pos >= 0 {
 			seg.markDead(pos)
-			if gone {
-				delete(st.modified, id)
-			} else {
-				st.modified[id] = true
-			}
-			return
+			return true
 		}
 	}
-}
-
-// findPendingLocked binary-searches pending (sorted by id).
-func (st *TableStore) findPendingLocked(id storage.RowID) int {
-	lo, hi := 0, len(st.pending)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if st.pending[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(st.pending) && st.pending[lo].id == id {
-		return lo
-	}
-	return -1
+	return false
 }
 
 // ---- bootstrap ----
@@ -427,7 +426,7 @@ func (m *Manager) bootstrapWAL() error {
 			switch c.Kind {
 			case storage.Insert:
 				if r.LSN > st.maxSealedLSN {
-					st.pending = append(st.pending, pendingRow{id: c.ID, lsn: r.LSN, grp: r.LSN, row: c.New})
+					err = st.tail.append(c.ID, r.LSN, r.LSN, c.New)
 				}
 			case storage.Update:
 				st.markDeadLocked(c.ID, false)
@@ -438,6 +437,9 @@ func (m *Manager) bootstrapWAL() error {
 				st.maxGrp = r.LSN
 			}
 			st.mu.Unlock()
+			if err != nil {
+				return fmt.Errorf("columnar: bootstrap lsn=%d: %w", r.LSN, err)
+			}
 		}
 		return nil
 	})
@@ -466,7 +468,7 @@ func (m *Manager) bootstrapTables() {
 		}
 		st.mu.Lock()
 		for _, i := range idx {
-			st.pending = append(st.pending, pendingRow{id: ids[i], row: rows[i]})
+			m.setErr(st.tail.append(ids[i], 0, 0, rows[i]))
 		}
 		st.mu.Unlock()
 	}
@@ -486,96 +488,80 @@ func (m *Manager) sealLoop() {
 		case <-m.kick:
 		}
 		for _, st := range m.allStores() {
-			for st.pendingLen() >= m.cfg.SealRows {
-				if !m.sealOne(st, m.cfg.SealRows) {
-					break
-				}
+			if st.tailLen() >= m.cfg.SealRows {
+				m.seal(st, m.cfg.SealRows)
 			}
 		}
 	}
 }
 
-func (st *TableStore) pendingLen() int {
+func (st *TableStore) tailLen() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.pending)
+	return st.tail.len()
 }
 
-// sealCut returns how many pending rows to seal: up to target, then
-// extended so a commit's inserts are never split across a seal
-// boundary (journal mining resumes WAL replay at maxSealedLSN+1, so a
-// split commit would double- or under-deliver).
-func sealCut(pending []pendingRow, target int) int {
-	if len(pending) == 0 {
-		return 0
-	}
-	cut := target
-	if cut >= len(pending) {
-		return len(pending)
-	}
-	for cut < len(pending) && pending[cut].grp == pending[cut-1].grp {
-		cut++
-	}
-	return cut
-}
-
-// sealOne drains up to target pending rows (whole commits) into one
-// segment. The encode happens outside the store lock; dead marks that
-// land during the build are re-applied at install.
-func (m *Manager) sealOne(st *TableStore, target int) bool {
+// seal encodes the tail into segments of target rows each (whole
+// commits; see sealCuts) and leaves the rest as a fresh tail. The
+// encode happens outside the store lock, from a view of the tail; rows
+// and dead marks that land during it are picked up at install. It
+// reports whether any row was sealed.
+func (m *Manager) seal(st *TableStore, target int) bool {
 	st.sealMu.Lock()
 	defer st.sealMu.Unlock()
 
-	st.mu.Lock()
-	cut := sealCut(st.pending, target)
-	if cut == 0 {
-		st.mu.Unlock()
-		return false
-	}
-	ids := make([]storage.RowID, cut)
-	lsns := make([]uint64, cut)
-	rows := make([]storage.Row, cut)
-	for i := 0; i < cut; i++ {
-		p := &st.pending[i]
-		ids[i], lsns[i], rows[i] = p.id, p.lsn, p.row
-	}
-	schema := st.schema
-	st.mu.Unlock()
-
-	seg, err := buildSegment(st.table, schema, ids, lsns, rows)
-	if err != nil {
-		m.setErr(err)
+	st.mu.RLock()
+	cuts := st.tail.sealCuts(target)
+	view := st.tail.view(st.table)
+	st.mu.RUnlock()
+	if len(cuts) == 0 {
 		return false
 	}
 
+	segs := make([]*Segment, 0, len(cuts))
+	from := 0
+	for _, cut := range cuts {
+		seg, err := encodeSegment(view, from, cut)
+		if err != nil {
+			m.setErr(err)
+			return false
+		}
+		segs = append(segs, seg)
+		from = cut
+	}
+
+	// Only seals take rows out of the tail and sealMu admits one at a
+	// time, so the tail is still the one the view was cut from, grown.
 	st.mu.Lock()
-	for i := 0; i < cut; i++ {
-		p := &st.pending[i]
-		if p.dead {
-			seg.markDead(i)
-			if !p.gone {
-				st.modified[p.id] = true
+	t := st.tail
+	from = 0
+	for _, seg := range segs {
+		for i := 0; t.deadCount > 0 && i < seg.rows; i++ {
+			if t.isDead(from + i) {
+				seg.markDead(i)
 			}
 		}
+		from += seg.rows
+		st.segs = append(st.segs, seg)
+		st.maxSealedID = seg.ids[seg.rows-1]
+		if seg.lastLSN > st.maxSealedLSN {
+			st.maxSealedLSN = seg.lastLSN
+		}
 	}
-	st.segs = append(st.segs, seg)
-	st.maxSealedID = seg.ids[seg.rows-1]
-	if seg.lastLSN > st.maxSealedLSN {
-		st.maxSealedLSN = seg.lastLSN
-	}
-	st.pending = append(st.pending[:0:0], st.pending[cut:]...)
-	st.sealedTotal++
+	st.tail = t.suffix(from)
 	st.mu.Unlock()
 
 	if m.durable && m.cfg.Dir != "" {
-		if err := m.persistSegment(seg); err != nil {
-			m.setErr(err)
+		for _, seg := range segs {
+			if err := m.persistSegment(seg); err != nil {
+				m.setErr(err)
+			}
 		}
 	}
 	return true
 }
 
-// Compact force-seals every pending row of a table (all tables when
+// Compact force-seals every tail row of a table (all tables when
 // name is empty) and returns the resulting stats.
 func (m *Manager) Compact(name string) ([]TableStats, error) {
 	var stores []*TableStore
@@ -587,10 +573,9 @@ func (m *Manager) Compact(name string) ([]TableStats, error) {
 		return nil, fmt.Errorf("columnar: no history for table %q", name)
 	}
 	for _, st := range stores {
-		for st.pendingLen() > 0 {
-			if !m.sealOne(st, 1<<30) {
-				break
-			}
+		// One segment per pass; a pass seals what the tail held when it
+		// started, so loop until a pass finds it empty.
+		for m.seal(st, math.MaxInt) {
 		}
 	}
 	out := make([]TableStats, 0, len(stores))
@@ -620,7 +605,7 @@ func (st *TableStore) Stats() TableStats {
 	s := TableStats{
 		Table:       st.table,
 		Segments:    len(st.segs),
-		PendingRows: len(st.pending),
+		PendingRows: st.tail.len(),
 		LastLSN:     st.maxSealedLSN,
 	}
 	for _, seg := range st.segs {
@@ -633,50 +618,45 @@ func (st *TableStore) Stats() TableStats {
 
 // ---- scan snapshots ----
 
-// SegView is one segment plus the dead bitmap as of snapshot time.
+// SegView is one scannable run of rows — a sealed segment, or the tail
+// in segment form — plus its dead bitmap as of snapshot time.
 type SegView struct {
 	Seg  *Segment
 	dead []uint64
 }
 
-// IsDead reports whether segment row i was superseded as of the
-// snapshot.
+// IsDead reports whether row i was superseded as of the snapshot.
 func (sv SegView) IsDead(i int) bool { return deadBit(sv.dead, i) }
 
-// HasDead reports whether any row in this segment was dead as of the
+// HasDead reports whether any row of the view was dead as of the
 // snapshot, letting scans skip the per-row dead check entirely.
 func (sv SegView) HasDead() bool { return sv.dead != nil }
 
-// TailRow is one row whose current version lived in the row store as
-// of the snapshot: a pending (never-sealed) insert, or a sealed row
-// superseded by an update. Row is the insert-time value for live
-// pending rows; nil means the current version must be fetched from
-// the table (it was rewritten after this copy was taken).
-type TailRow struct {
-	ID  storage.RowID
-	Row storage.Row
-}
-
-// Snapshot is a point-in-time view of a table's sealed history for
-// one scan: the segment list, each segment's dead bitmap, and the
-// row-store tail.
+// Snapshot is a point-in-time view of a table's columnar history for
+// one scan. Every live row of the table is in exactly one place: a
+// non-dead position of a sealed segment, a non-dead position of the
+// tail, or the row store under an ID listed in Modified.
 type Snapshot struct {
 	Schema *storage.Schema
-	Segs   []SegView
-	// MaxSealedID is the highest sealed RowID: rows above it live only
-	// in the row store.
-	MaxSealedID storage.RowID
-	// Tail enumerates every row the row store must be consulted for,
-	// so scans touch O(tail) rows instead of iterating the whole table.
-	Tail     []TailRow
-	modified map[storage.RowID]bool
+	// Segs are the sealed segments, oldest first.
+	Segs []SegView
+	// Tail is the unsealed tail; Tail.Seg is nil when it is empty.
+	Tail SegView
+	// Modified lists the rows to fetch from the row store: their
+	// columnar copy is dead because an update rewrote them. A listed
+	// row may have been deleted since; the fetch then finds nothing.
+	Modified []storage.RowID
 }
 
-// InRowStore reports whether the current version of a row must be
-// read from the row store rather than a segment: either it was never
-// sealed, or it was updated after sealing.
+// InRowStore reports whether the current version of a row must be read
+// from the row store rather than its columnar copy.
 func (s *Snapshot) InRowStore(id storage.RowID) bool {
-	return id > s.MaxSealedID || s.modified[id]
+	for _, m := range s.Modified {
+		if m == id {
+			return true
+		}
+	}
+	return false
 }
 
 // SealedRows returns the total sealed row count in the snapshot.
@@ -688,21 +668,18 @@ func (s *Snapshot) SealedRows() int {
 	return n
 }
 
-// Snapshot captures the store's sealed state for one consistent scan,
-// or nil if nothing is sealed yet. Dead bitmaps are copied (they are
-// the one mutable part of a segment); segments themselves are shared
-// immutably.
+// Snapshot captures the store's state for one consistent scan.
+// Segments are shared immutably and the tail is captured as slice
+// headers over its append-only vectors, so the cost is independent of
+// the tail's length; only the dead bitmaps (the one part mutated in
+// place) and the modified set are copied.
 func (st *TableStore) Snapshot() *Snapshot {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if len(st.segs) == 0 {
-		return nil
-	}
 	snap := &Snapshot{
-		Schema:      st.schema,
-		Segs:        make([]SegView, len(st.segs)),
-		MaxSealedID: st.maxSealedID,
-		modified:    make(map[storage.RowID]bool, len(st.modified)),
+		Schema: st.schema,
+		Segs:   make([]SegView, len(st.segs)),
+		Tail:   SegView{Seg: st.tail.view(st.table), dead: st.tail.deadCopy()},
 	}
 	for i, seg := range st.segs {
 		sv := SegView{Seg: seg}
@@ -711,21 +688,11 @@ func (st *TableStore) Snapshot() *Snapshot {
 		}
 		snap.Segs[i] = sv
 	}
-	snap.Tail = make([]TailRow, 0, len(st.pending)+len(st.modified))
-	for i := range st.pending {
-		p := &st.pending[i]
-		if p.gone {
-			continue
+	if len(st.modified) > 0 {
+		snap.Modified = make([]storage.RowID, 0, len(st.modified))
+		for id := range st.modified {
+			snap.Modified = append(snap.Modified, id)
 		}
-		tr := TailRow{ID: p.id}
-		if !p.dead {
-			tr.Row = p.row // rows are immutable; safe to share
-		}
-		snap.Tail = append(snap.Tail, tr)
-	}
-	for id := range st.modified {
-		snap.modified[id] = true
-		snap.Tail = append(snap.Tail, TailRow{ID: id})
 	}
 	return snap
 }

@@ -81,6 +81,16 @@ type Health struct {
 	QueueCap    int
 	Ingested    uint64
 	Dropped     uint64
+	// Columnar sums the columnar history over all tables. TailRows is
+	// the sealer's backlog: rows committed but not yet in a segment.
+	Columnar ColumnarHealth
+}
+
+// ColumnarHealth is the columnar store's share of a Health snapshot.
+type ColumnarHealth struct {
+	Segments   int
+	SealedRows int
+	TailRows   int
 }
 
 // Health assembles the engine-level health snapshot. Server-level
@@ -102,6 +112,11 @@ func (e *Engine) Health() Health {
 	if w := e.DB.WAL(); w != nil {
 		h.LastApplied = e.DB.LastApplied()
 		h.NextLSN = w.NextLSN()
+	}
+	for _, ts := range e.SegmentStats() {
+		h.Columnar.Segments += ts.Segments
+		h.Columnar.SealedRows += ts.SealedRows
+		h.Columnar.TailRows += ts.PendingRows
 	}
 	return h
 }

@@ -391,6 +391,12 @@ func (g *Gateway) handleQStats(w http.ResponseWriter, r *http.Request) {
 // event JSON object per text message. Each subscriber gets a dedicated
 // backend connection: subscriptions are connection-scoped server-side,
 // and one slow browser must not interleave with another's stream.
+//
+// The backend subscription is registered before the upgrade is
+// answered, so it is live when the client sees the 101: an event
+// published right after the handshake returns is delivered. A refusal
+// (backend down, bad filter) is therefore a plain HTTP
+// status, mapped like every other endpoint's, not a WebSocket close.
 func (g *Gateway) handleSub(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
@@ -401,27 +407,26 @@ func (g *Gateway) handleSub(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad id or filter")
 		return
 	}
-	wc, err := ws.Accept(w, r)
-	if err != nil {
-		return // Accept already answered
+	if r.Method != http.MethodGet || !ws.IsUpgrade(r) {
+		ws.Accept(w, r) // not an upgrade: Accept answers with the reason
+		return
 	}
-	defer wc.Close()
 	bc, err := g.cfg.Dial()
 	if err != nil {
-		wc.WriteClose(ws.CloseInternalError, "backend unavailable")
+		httpError(w, http.StatusBadGateway, "backend unavailable: "+err.Error())
 		return
 	}
 	defer bc.Close()
 	sub, err := bc.Subscribe(id, filter, g.cfg.SubBuffer)
 	if err != nil {
-		reason := err.Error()
-		var serr *client.Error
-		if errors.As(err, &serr) {
-			reason = serr.Error()
-		}
-		wc.WriteClose(ws.ClosePolicyViolation, reason)
+		backendError(w, err)
 		return
 	}
+	wc, err := ws.Accept(w, r)
+	if err != nil {
+		return // Accept already answered
+	}
+	defer wc.Close()
 	// Reader goroutine: absorbs pings (answered inside ReadMessage) and
 	// detects the peer's close/disconnect, unblocking the pump below by
 	// closing the backend connection.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"eventdb/internal/core"
+	"eventdb/internal/event"
 	"eventdb/internal/server"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
@@ -20,6 +21,14 @@ import (
 // startStack spins up a real eventdb server plus a gateway in front of
 // it, returning the gateway's HTTP base URL.
 func startStack(t *testing.T, tokens []string) (*httptest.Server, *Gateway) {
+	t.Helper()
+	hs, gw, _ := startStackEngine(t, tokens)
+	return hs, gw
+}
+
+// startStackEngine is startStack for tests that also drive the engine
+// behind the server directly.
+func startStackEngine(t *testing.T, tokens []string) (*httptest.Server, *Gateway, *core.Engine) {
 	t.Helper()
 	eng, err := core.Open(core.Config{})
 	if err != nil {
@@ -35,7 +44,7 @@ func startStack(t *testing.T, tokens []string) (*httptest.Server, *Gateway) {
 	t.Cleanup(func() { gw.Close() })
 	hs := httptest.NewServer(gw)
 	t.Cleanup(hs.Close)
-	return hs, gw
+	return hs, gw, eng
 }
 
 func postJSON(t *testing.T, url, token, body string) (*http.Response, string) {
@@ -226,15 +235,45 @@ func TestWebSocketSubscription(t *testing.T) {
 func TestWebSocketBadFilter(t *testing.T) {
 	hs, _ := startStack(t, nil)
 	base := "ws" + strings.TrimPrefix(hs.URL, "http")
-	wc, err := ws.Dial(base+"/v1/sub?id=s1&filter="+escape("n >>> !"), nil)
+	// The subscription is registered before the upgrade is answered, so
+	// the backend's refusal is the HTTP status of the handshake.
+	_, err := ws.Dial(base+"/v1/sub?id=s1&filter="+escape("n >>> !"), nil)
+	if err == nil || !strings.Contains(err.Error(), " 400 ") {
+		t.Fatalf("bad filter: handshake error %v, want a 400 refusal", err)
+	}
+	// A request that is no upgrade at all never reaches the backend.
+	resp, err := http.Get(hs.URL + "/v1/sub?id=s1")
 	if err != nil {
-		t.Fatal(err) // upgrade succeeds; refusal arrives as a close frame
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("plain GET on /v1/sub: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestWebSocketSubscribedAtHandshake is the regression test for the
+// upgrade-before-subscribe race: the subscription must be live when the
+// handshake returns, so an event published the very next moment — here
+// straight into the engine, with no round trip to hide behind — is
+// pushed.
+func TestWebSocketSubscribedAtHandshake(t *testing.T) {
+	hs, _, eng := startStackEngine(t, nil)
+	wc, err := ws.Dial("ws"+strings.TrimPrefix(hs.URL, "http")+"/v1/sub?id=s1", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer wc.Close()
+	if err := eng.Ingest(event.New("tick", map[string]any{"n": 1})); err != nil {
+		t.Fatal(err)
+	}
 	wc.NetConn().SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, _, err = wc.ReadMessage()
-	if err == nil {
-		t.Fatal("bad filter produced no close")
+	_, p, err := wc.ReadMessage()
+	if err != nil {
+		t.Fatalf("event published right after the handshake was not pushed: %v", err)
+	}
+	if !strings.Contains(string(p), `"tick"`) {
+		t.Fatalf("pushed %s", p)
 	}
 }
 

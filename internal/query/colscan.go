@@ -7,218 +7,246 @@ import (
 	"eventdb/internal/val"
 )
 
-// Columnar execution: when a query would fall back to a full table
-// scan and the table has sealed history, the scan is served from
-// column vectors instead of the row map. The predicate runs as
-// compiled vector kernels over 1k-row batches (with whole segments
-// skipped by zone maps), only matching rows are materialized back
-// into boxed values, and ungrouped aggregates accumulate straight off
-// the vectors. The row store is then scanned only for the tail: rows
-// never sealed, plus sealed rows whose current version was rewritten
-// by a later update. Results are exactly what the row path produces —
-// pinned by the differential tests in colscan_test.go.
+// Columnar execution: a query that would otherwise scan the whole
+// table is served from the table's columnar history — its sealed
+// segments and its unsealed tail, which expose the same surface — by
+// one loop. A zone-map test skips a segment (or the tail) outright;
+// otherwise the predicate's columns are decoded a 1k-row batch at a
+// time and the predicate runs as compiled vector kernels into a
+// selection vector; only batches with a selected row have their other
+// columns decoded, and only selected rows are boxed, by the sink that
+// aggregates or projects them. The row store is consulted only for
+// rows an UPDATE rewrote after their insert was captured (the
+// snapshot's Modified list). Results are exactly what the row path
+// produces — pinned by the differential tests in colscan_test.go.
 
 type colStats struct {
-	segments int // segments in the snapshot
-	pruned   int // segments skipped entirely via zone maps
+	segments int // sealed segments in the snapshot
+	pruned   int // sealed segments skipped entirely via zone maps
 }
 
-// colExec attempts columnar execution of a full-table scan. ok=false
-// means "not servable columnar" (no manager/segments, uncompilable
-// filter, joins, forced row scan) and the caller must run the row
-// path; ok=true with err set means the query failed in a way the row
-// path would also fail.
-func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Schema, pred *expr.Predicate, selects []selectItem) (matched []expr.Resolver, agg *Result, stats colStats, ok bool, err error) {
+// colExec attempts columnar execution of a full-table scan into sink.
+// ok=false means "not servable columnar" (no manager or history,
+// uncompilable filter, joins, forced row scan, a history that is behind
+// the table): nothing was fed and the caller must run the row path.
+// ok=true with err set means the query failed in a way the row path
+// would also fail.
+func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Schema, pred *expr.Predicate, sink rowSink) (stats colStats, ok bool, err error) {
 	if q.join != nil || q.noColumnar {
-		return nil, nil, stats, false, nil
+		return stats, false, nil
 	}
 	mgr := columnar.Of(db)
 	if mgr == nil {
-		return nil, nil, stats, false, nil
+		return stats, false, nil
 	}
 	st := mgr.Table(q.table)
 	if st == nil {
-		return nil, nil, stats, false, nil
-	}
-	snap := st.Snapshot()
-	if snap == nil || snap.Schema != schema {
-		return nil, nil, stats, false, nil
+		return stats, false, nil
 	}
 	var prog *columnar.FilterProg
 	if pred != nil {
 		p, compilable := columnar.CompileFilter(pred.Root, schema)
 		if !compilable {
-			return nil, nil, stats, false, nil
+			return stats, false, nil
 		}
 		prog = p
 	}
+	// The history is fed by after-commit hooks, and a commit is
+	// acknowledged as soon as it is in the row store: when another
+	// goroutine is delivering hooks, this table's last commit — perhaps
+	// the caller's own — may not have reached the history yet. The row
+	// path reads the row store, which has it.
+	if tbl.LastCommit() > mgr.Observed() {
+		return stats, false, nil
+	}
+	snap := st.Snapshot()
+	if snap.Schema != schema {
+		return stats, false, nil
+	}
 	stats.segments = len(snap.Segs)
 
-	// Ungrouped aggregates skip materialization entirely and
-	// accumulate off the vectors.
-	fastAgg := len(q.groupBy) == 0 && len(q.aggs) > 0
-
-	// Decode only the columns the query actually reads. Columns left
-	// undecoded stay NULL in materialized rows, which is only safe
-	// because nothing downstream can reference them.
-	ncols := len(schema.Columns)
-	need := make([]bool, ncols)
+	// Decode only the columns the query reads: the predicate's for
+	// every batch, the sink's for batches with a selected row.
+	first, rest := sink.bind(schema), []bool(nil)
 	if prog != nil {
-		copy(need, prog.NeedCols())
-	}
-	markCol := func(name string) {
-		if ci := schema.ColIndex(name); ci >= 0 {
-			need[ci] = true
-		}
-	}
-	switch {
-	case fastAgg:
-		for _, a := range q.aggs {
-			if a.col != "" {
-				markCol(a.col)
-			}
-		}
-	case len(q.aggs) > 0 || len(selects) > 0:
-		for _, g := range q.groupBy {
-			markCol(g)
-		}
-		for _, a := range q.aggs {
-			if a.col != "" {
-				markCol(a.col)
-			}
-		}
-		for _, s := range selects {
-			for _, f := range expr.Fields(s.node) {
-				markCol(f)
-			}
-		}
-	default:
-		// SELECT * shaping reads every column.
-		for i := range need {
-			need[i] = true
-		}
-	}
-
-	var accs []*accumulator
-	aggCols := make([]int, len(q.aggs))
-	if fastAgg {
-		accs = make([]*accumulator, len(q.aggs))
-		for i, a := range q.aggs {
-			accs[i] = &accumulator{kind: a.kind}
-			aggCols[i] = -1
-			if a.col != "" {
-				aggCols[i] = schema.ColIndex(a.col)
-			}
-		}
+		first, rest = prog.NeedCols(), first
 	}
 
 	mask := make([]int8, columnar.BatchSize)
+	sel := make([]int32, 0, columnar.BatchSize)
+	scan := func(sv columnar.SegView) error {
+		rd := sv.Seg.NewReader(first)
+		var b columnar.Batch
+		for rd.Next(&b) {
+			sel = sel[:0]
+			if prog != nil {
+				prog.Eval(&b, mask)
+				for i := 0; i < b.Len; i++ {
+					if mask[i] == 1 {
+						sel = append(sel, int32(i))
+					}
+				}
+			} else {
+				for i := 0; i < b.Len; i++ {
+					sel = append(sel, int32(i))
+				}
+			}
+			if sv.HasDead() {
+				live := sel[:0]
+				for _, i := range sel {
+					if !sv.IsDead(b.Start + int(i)) {
+						live = append(live, i)
+					}
+				}
+				sel = live
+			}
+			if len(sel) == 0 {
+				continue
+			}
+			if rest != nil {
+				rd.Fill(&b, rest)
+			}
+			if err := sink.addBatch(&b, sel); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for _, sv := range snap.Segs {
 		if pred != nil && !sv.Seg.CanMatch(pred.EqPreds, pred.RangePreds) {
 			stats.pruned++
 			continue
 		}
-		rd := sv.Seg.NewReader(need)
-		var b columnar.Batch
-		for rd.Next(&b) {
-			if prog != nil {
-				prog.Eval(&b, mask)
-			} else {
-				for i := 0; i < b.Len; i++ {
-					mask[i] = 1
-				}
-			}
-			if sv.HasDead() {
-				for i := 0; i < b.Len; i++ {
-					if mask[i] == 1 && sv.IsDead(b.Start+i) {
-						mask[i] = 0
-					}
-				}
-			}
-			if fastAgg {
-				for ai := range q.aggs {
-					acc := accs[ai]
-					if q.aggs[ai].kind == Count && q.aggs[ai].col == "" {
-						for i := 0; i < b.Len; i++ {
-							if mask[i] == 1 {
-								acc.count++
-							}
-						}
-						continue
-					}
-					ci := aggCols[ai]
-					if ci < 0 {
-						continue // unknown column resolves NULL: skipped
-					}
-					if err := acc.addVec(b.Vecs[ci], mask, b.Len); err != nil {
-						return nil, nil, stats, true, err
-					}
-				}
-				continue
-			}
-			for i := 0; i < b.Len; i++ {
-				if mask[i] != 1 {
-					continue
-				}
-				row := make(storage.Row, ncols)
-				b.MaterializeRow(row, i)
-				matched = append(matched, storage.RowResolver{Schema: schema, Row: row})
-			}
+		if err := scan(sv); err != nil {
+			return stats, true, err
+		}
+	}
+	if t := snap.Tail; t.Seg != nil && (pred == nil || t.Seg.CanMatch(pred.EqPreds, pred.RangePreds)) {
+		if err := scan(t); err != nil {
+			return stats, true, err
 		}
 	}
 
-	// Row-store tail: rows above the sealed high-water mark, plus
-	// sealed rows superseded by updates. The snapshot enumerates them,
-	// so this touches O(tail) rows, not the whole table — the scan is
-	// point-in-time as of the snapshot; commits racing the query land
-	// in the next one.
-	for _, tr := range snap.Tail {
-		row := tr.Row
-		if row == nil {
-			cur, live := tbl.Get(tr.ID)
-			if !live {
-				continue
-			}
-			row = cur
+	// Rows rewritten since their insert was captured: their current
+	// version is in the row store, fetched as of now — the scan is
+	// point-in-time as of the snapshot, and commits racing the query
+	// land in the next one.
+	for _, id := range snap.Modified {
+		row, live := tbl.Get(id)
+		if !live {
+			continue
 		}
 		r := storage.RowResolver{Schema: schema, Row: row}
 		if pred != nil {
 			m, err := pred.Match(r)
 			if err != nil {
-				return nil, nil, stats, true, err
+				return stats, true, err
 			}
 			if !m {
 				continue
 			}
 		}
-		if fastAgg {
-			for ai := range q.aggs {
-				if q.aggs[ai].kind == Count && q.aggs[ai].col == "" {
-					accs[ai].count++
-					continue
-				}
-				v, _ := r.Get(q.aggs[ai].col)
-				if err := accs[ai].add(v); err != nil {
-					return nil, nil, stats, true, err
-				}
-			}
+		if err := sink.addRow(r); err != nil {
+			return stats, true, err
+		}
+	}
+	return stats, true, nil
+}
+
+// projector is the projection sink: it evaluates the select list (or
+// copies every column) for each row it is fed.
+type projector struct {
+	items []selectItem // empty: every column, by name
+	out   *Result
+
+	// For batches: the schema column an output column copies, or -1
+	// when it is an expression to evaluate against row.
+	from []int
+	row  batchResolver
+}
+
+func newProjector(items []selectItem, cols []string) *projector {
+	return &projector{items: items, out: &Result{Columns: cols}}
+}
+
+func (p *projector) bind(schema *storage.Schema) []bool {
+	need := make([]bool, len(schema.Columns))
+	p.row.schema = schema
+	p.from = make([]int, len(p.out.Columns))
+	for j, c := range p.out.Columns {
+		if len(p.items) == 0 { // SELECT *: every column, by name
+			p.from[j] = schema.ColIndex(c)
+			need[p.from[j]] = true
 			continue
 		}
-		matched = append(matched, r)
+		p.from[j] = -1
+		if f, isField := p.items[j].node.(*expr.Field); isField {
+			p.from[j] = schema.ColIndex(f.Name)
+		}
+		for _, f := range expr.Fields(p.items[j].node) {
+			if ci := schema.ColIndex(f); ci >= 0 {
+				need[ci] = true
+			}
+		}
 	}
+	return need
+}
 
-	if fastAgg {
-		cols := make([]string, 0, len(q.aggs))
-		for _, a := range q.aggs {
-			cols = append(cols, a.alias)
+func (p *projector) addRow(r expr.Resolver) error {
+	row := make([]val.Value, len(p.out.Columns))
+	for j, c := range p.out.Columns {
+		if len(p.items) == 0 {
+			row[j], _ = r.Get(c)
+			continue
 		}
-		out := &Result{Columns: cols}
-		row := make([]val.Value, 0, len(cols))
-		for _, acc := range accs {
-			row = append(row, acc.result())
+		v, err := expr.Eval(p.items[j].node, r)
+		if err != nil {
+			return err
 		}
-		out.Rows = append(out.Rows, row)
-		return nil, out, stats, true, nil
+		row[j] = v
 	}
-	return matched, nil, stats, true, nil
+	p.out.Rows = append(p.out.Rows, row)
+	return nil
+}
+
+// addBatch boxes the selected rows straight into output rows, which
+// share one allocation per batch.
+func (p *projector) addBatch(b *columnar.Batch, sel []int32) error {
+	nc := len(p.from)
+	flat := make([]val.Value, len(sel)*nc)
+	p.row.b = b
+	for k, i := range sel {
+		row := flat[k*nc : (k+1)*nc : (k+1)*nc]
+		for j, ci := range p.from {
+			if ci >= 0 {
+				row[j] = b.Vecs[ci].Value(int(i))
+				continue
+			}
+			p.row.i = int(i)
+			v, err := expr.Eval(p.items[j].node, &p.row)
+			if err != nil {
+				return err
+			}
+			row[j] = v
+		}
+		p.out.Rows = append(p.out.Rows, row)
+	}
+	return nil
+}
+
+func (p *projector) result() *Result { return p.out }
+
+// batchResolver resolves column names against one row of a batch.
+type batchResolver struct {
+	schema *storage.Schema
+	b      *columnar.Batch
+	i      int
+}
+
+func (r *batchResolver) Get(name string) (val.Value, bool) {
+	ci := r.schema.ColIndex(name)
+	if ci < 0 {
+		return val.Null, false
+	}
+	return r.b.Vecs[ci].Value(r.i), true
 }

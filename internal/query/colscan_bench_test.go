@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -127,3 +128,64 @@ func benchWindowedAgg(b *testing.B, columnarPath bool) {
 
 func BenchmarkE20RowWindowedAggregate(b *testing.B)      { benchWindowedAgg(b, false) }
 func BenchmarkE20ColumnarWindowedAggregate(b *testing.B) { benchWindowedAgg(b, true) }
+
+// The dbmix read shapes (ROADMAP item 3): 100k sealed rows in 8,192-row
+// segments plus an 8k-row unsealed tail whose seq values lie above
+// every sealed one, a grouped aggregate over the first 4,096 sealed
+// rows and a 2,000-row seq-range scan. Both queries address only
+// sealed rows, so the tail must cost a zone-map test, not a row walk.
+
+const (
+	tradesSealed = 100_000
+	tradesTail   = 8000
+)
+
+var (
+	tradesOnce  sync.Once
+	tradesBench *storage.DB
+)
+
+func e20TradesDB(b *testing.B) *storage.DB {
+	b.Helper()
+	tradesOnce.Do(func() {
+		db, _, err := newTradesDB(tradesSealed, 8192, tradesTail)
+		if err != nil {
+			panic(err)
+		}
+		tradesBench = db
+	})
+	return tradesBench
+}
+
+func BenchmarkE20ColumnarGroupedAggregate(b *testing.B) {
+	db := e20TradesDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := New("trades").Where("seq < 4096").GroupBy("sym").
+			Agg("total", Sum, "qty").Agg("n", Count, "").Run(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 50 {
+			b.Fatalf("groups = %d", len(res.Rows))
+		}
+	}
+}
+
+func BenchmarkE20TailScan(b *testing.B) {
+	db := e20TradesDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i * 7919) % (tradesSealed - 2000)
+		res, err := New("trades").
+			Where(fmt.Sprintf("seq >= %d AND seq < %d AND qty >= 900", lo, lo+2000)).Run(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}

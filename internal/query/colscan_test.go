@@ -14,8 +14,10 @@ import (
 // The differential tests pin the columnar scan to the row scan: every
 // query in the corpus runs once through each path and the results must
 // be identical, column for column and row for row. The fixture mixes
-// sealed segments, a row-store tail, and sealed rows that were later
-// updated or deleted, so the merge logic is always in play.
+// sealed segments, an unsealed tail, and sealed rows that were later
+// updated or deleted, so the merge logic is always in play; the layout
+// tests then hold the data fixed and move it between segments and tail
+// (tail ≡ segment ≡ row).
 
 var colSyms = []string{"ACME", "BETA", "GAMA", "DELT", "EPSI"}
 
@@ -25,7 +27,9 @@ func colEvent(rng *rand.Rand, i int) map[string]val.Value {
 		"ts": val.Time(time.Unix(1700000000+int64(i), 0).UTC()),
 	}
 	if rng.Intn(8) != 0 {
-		m["sym"] = val.String(colSyms[rng.Intn(len(colSyms))])
+		// The symbols in play shift every 200 rows, so segments (sealed
+		// every 64) have dictionaries that differ in content and order.
+		m["sym"] = val.String(colSyms[(i/200+rng.Intn(3))%len(colSyms)])
 	}
 	if rng.Intn(8) != 0 {
 		// Quarters are exactly representable, so float sums are the
@@ -39,7 +43,27 @@ func colEvent(rng *rand.Rand, i int) map[string]val.Value {
 	if rng.Intn(8) != 0 {
 		m["flag"] = val.Bool(rng.Intn(2) == 0)
 	}
+	if rng.Intn(8) != 0 {
+		m["blob"] = val.Bytes([]byte{0xB0, byte(rng.Intn(4))})
+	}
 	return m
+}
+
+func colSchema(t *testing.T) *storage.Schema {
+	t.Helper()
+	schema, err := storage.NewSchema("events", []storage.Column{
+		{Name: "id", Kind: val.KindInt, NotNull: true},
+		{Name: "ts", Kind: val.KindTime},
+		{Name: "sym", Kind: val.KindString},
+		{Name: "price", Kind: val.KindFloat},
+		{Name: "qty", Kind: val.KindInt},
+		{Name: "flag", Kind: val.KindBool},
+		{Name: "blob", Kind: val.KindBytes},
+	}, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return schema
 }
 
 // colDB builds an events table whose history is split across sealed
@@ -52,18 +76,7 @@ func colDB(t *testing.T, sealed, tail int) *storage.DB {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	schema, err := storage.NewSchema("events", []storage.Column{
-		{Name: "id", Kind: val.KindInt, NotNull: true},
-		{Name: "ts", Kind: val.KindTime},
-		{Name: "sym", Kind: val.KindString},
-		{Name: "price", Kind: val.KindFloat},
-		{Name: "qty", Kind: val.KindInt},
-		{Name: "flag", Kind: val.KindBool},
-	}, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateTable(schema); err != nil {
+	if err := db.CreateTable(colSchema(t)); err != nil {
 		t.Fatal(err)
 	}
 	m, err := columnar.Attach(db, columnar.Config{SealRows: 64, SealInterval: time.Hour})
@@ -193,6 +206,37 @@ func colQueries() map[string]func() *Query {
 		"group-agg-where": func() *Query {
 			return New("events").Where("qty >= -250").GroupBy("flag").Agg("n", Count, "").OrderBy("n", Desc)
 		},
+		// Grouped aggregates: one key of each kind (every nullable column
+		// has NULL keys), every aggregate, multi-column and unknown keys.
+		"group-string": func() *Query {
+			return New("events").GroupBy("sym").Agg("n", Count, "").Agg("s", Sum, "qty").
+				Agg("a", Avg, "price").Agg("lo", Min, "ts").Agg("hi", Max, "blob")
+		},
+		"group-int":   func() *Query { return New("events").Where("qty BETWEEN -5 AND 5").GroupBy("qty").Agg("n", Count, "") },
+		"group-time":  func() *Query { return New("events").Where("id < 40").GroupBy("ts").Agg("s", Sum, "qty") },
+		"group-bool":  func() *Query { return New("events").GroupBy("flag").Agg("c", Count, "sym").Agg("a", Avg, "qty") },
+		"group-float": func() *Query { return New("events").Where("id < 150").GroupBy("price").Agg("n", Count, "") },
+		"group-bytes": func() *Query {
+			return New("events").GroupBy("blob").Agg("n", Count, "").Agg("lo", Min, "sym").Agg("hi", Max, "sym")
+		},
+		"group-two": func() *Query {
+			return New("events").GroupBy("sym", "flag").Agg("n", Count, "").Agg("lo", Min, "price").Agg("hi", Max, "qty")
+		},
+		"group-int-bytes": func() *Query {
+			return New("events").Where("qty >= 0 AND qty < 3").GroupBy("qty", "blob").Agg("s", Sum, "price")
+		},
+		"group-unknown-key": func() *Query { return New("events").GroupBy("nosuch").Agg("n", Count, "").Agg("s", Sum, "nosuch") },
+		"group-empty":       func() *Query { return New("events").Where("sym = 'ZZZZ'").GroupBy("sym").Agg("n", Count, "") },
+		"group-modified":    func() *Query { return New("events").Where("price > 999").GroupBy("sym").Agg("n", Count, "") },
+		"group-like":        func() *Query { return New("events").Where("sym LIKE 'A%'").GroupBy("flag").Agg("s", Sum, "qty") },
+		"group-order-limit": func() *Query {
+			return New("events").GroupBy("sym").Agg("n", Count, "").Agg("s", Sum, "qty").
+				OrderBy("n", Desc).OrderBy("sym", Asc).Limit(3).Offset(1)
+		},
+		// Projections the batch resolver evaluates: expressions, an
+		// unknown column, a column repeated under an alias.
+		"project-expr":    func() *Query { return New("events").Select("id", "price * 2 AS dbl", "qty + 1").Where("qty > 400") },
+		"project-unknown": func() *Query { return New("events").Select("id", "nosuch", "id AS again").Where("id < 20") },
 	}
 }
 
@@ -214,6 +258,236 @@ func TestColumnarDifferential(t *testing.T) {
 	}
 }
 
+// The three places a table's history can be. Each layout holds the
+// same 930 logical rows with the same updates and deletes applied.
+const (
+	layoutSealed = "all sealed"
+	layoutTail   = "all in the tail"
+	// layoutSplit inserts in 150-row commits against a 64-row seal
+	// threshold, so every cut the background sealer picks lands inside
+	// a commit and must extend to its end; a run of single-row commits
+	// too short to seal stays in the tail.
+	layoutSplit = "split mid-commit-group"
+)
+
+func colDBLayout(t *testing.T, layout string) *storage.DB {
+	t.Helper()
+	const rows, singles = 930, 30
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateTable(colSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour} // sealer idle
+	if layout == layoutSplit {
+		cfg.SealRows = 64
+	}
+	m, err := columnar.Attach(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < rows-singles; {
+		txn := db.Begin()
+		for end := i + 150; i < end && i < rows-singles; i++ {
+			if err := txn.Insert("events", colEvent(rng, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if layout == layoutSplit {
+		// Every commit kicked the sealer; wait for it to drain the tail
+		// below its threshold before adding the rows that must stay.
+		for deadline := time.Now().Add(10 * time.Second); m.Stats()[0].PendingRows >= cfg.SealRows; {
+			if time.Now().After(deadline) {
+				t.Fatal("background sealer never caught up")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := rows - singles; i < rows; i++ {
+		if _, err := db.Insert("events", colEvent(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if layout == layoutSealed {
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := m.Stats()[0]
+	switch {
+	case layout == layoutSealed && (stats.PendingRows != 0 || stats.SealedRows != rows),
+		layout == layoutTail && (stats.PendingRows != rows || stats.Segments != 0),
+		layout == layoutSplit && (stats.PendingRows != singles || stats.SealedRows != rows-singles):
+		t.Fatalf("%s: stats %+v", layout, stats)
+	}
+
+	// The same rows are rewritten and removed in every layout, wherever
+	// their columnar copy happens to be.
+	tbl, _ := db.Table("events")
+	rowIDs, stored := tbl.ScanRows()
+	for k, row := range stored {
+		switch id, _ := row[0].AsInt(); {
+		case id%10 == 3:
+			err = db.UpdateRow("events", rowIDs[k], map[string]val.Value{"price": val.Float(999.5), "sym": val.String("MODX")})
+		case id%20 == 7:
+			err = db.DeleteRow("events", rowIDs[k])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestColumnarLayouts is tail ≡ segment ≡ row: the whole corpus, with
+// the data all sealed, all in the tail, and split between them by a
+// sealer cutting mid-commit-group, must give the one answer the row
+// path gives.
+func TestColumnarLayouts(t *testing.T) {
+	// A query that fails must fail the same way everywhere: errText is
+	// compared in place of the result.
+	type outcome struct {
+		res     *Result
+		errText string
+	}
+	run := func(q *Query, db *storage.DB) (outcome, Plan) {
+		res, plan, err := q.Explain(db)
+		if err != nil {
+			return outcome{errText: err.Error()}, plan
+		}
+		return outcome{res: res}, plan
+	}
+	same := func(label string, got, want outcome) {
+		t.Helper()
+		if got.errText != want.errText {
+			t.Fatalf("%s: error %q, want %q", label, got.errText, want.errText)
+		}
+		if want.res != nil {
+			resultEqual(t, label, got.res, want.res)
+		}
+	}
+	// LIKE and arithmetic predicates have no kernels, and an ordering of
+	// time against an int literal must surface an error, not a mask:
+	// those take the row path. Everything else is served columnar, with
+	// or without a sealed segment.
+	rowOnly := map[string]bool{"where-like": true, "where-arith": true, "group-like": true, "where-time": true}
+
+	want := make(map[string]outcome)
+	oracle := colDBLayout(t, layoutSealed)
+	for name, mk := range colQueries() {
+		want[name], _ = run(mk().NoColumnar(), oracle)
+	}
+	for _, layout := range []string{layoutSealed, layoutTail, layoutSplit} {
+		db := colDBLayout(t, layout)
+		for name, mk := range colQueries() {
+			label := layout + ", " + name
+			got, plan := run(mk(), db)
+			if wantAccess := map[bool]string{true: "scan", false: "columnar"}[rowOnly[name]]; plan.Access != wantAccess {
+				t.Fatalf("%s: access %q, want %q", label, plan.Access, wantAccess)
+			}
+			if layout == layoutTail && plan.Segments != 0 {
+				t.Fatalf("%s: plan counts %d sealed segments", label, plan.Segments)
+			}
+			same(label, got, want[name])
+			row, _ := run(mk().NoColumnar(), db)
+			same(label+" (row path)", row, want[name])
+		}
+	}
+}
+
+// TestModifiedRowsAnyOrder updates and deletes rows whose columnar copy
+// is in the tail and rows whose copy is sealed, with a seal before,
+// between and after, scanning and aggregating at every step: the
+// current version of a rewritten row comes from the row store exactly
+// once, wherever its stale copy sits.
+func TestModifiedRowsAnyOrder(t *testing.T) {
+	type step func(t *testing.T, db *storage.DB, m *columnar.Manager)
+	mutate := func(mod int64) step {
+		return func(t *testing.T, db *storage.DB, _ *columnar.Manager) {
+			tbl, _ := db.Table("events")
+			rowIDs, stored := tbl.ScanRows()
+			for k, row := range stored {
+				var err error
+				switch id, _ := row[0].AsInt(); id % 12 {
+				case mod:
+					err = db.UpdateRow("events", rowIDs[k], map[string]val.Value{"qty": val.Int(10_000 + id), "sym": val.String("MODX")})
+				case mod + 1:
+					err = db.DeleteRow("events", rowIDs[k])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	seal := func(t *testing.T, _ *storage.DB, m *columnar.Manager) {
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	insert := func(t *testing.T, db *storage.DB, _ *columnar.Manager) {
+		rng := rand.New(rand.NewSource(int64(next)))
+		for end := next + 200; next < end; next++ {
+			if _, err := db.Insert("events", colEvent(rng, next)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	orders := map[string][]step{
+		"mutate tail, seal, mutate sealed":      {insert, mutate(0), seal, mutate(2)},
+		"seal, mutate sealed, insert, mutate":   {insert, seal, mutate(0), insert, mutate(2)},
+		"mutate, insert, seal, mutate, seal":    {insert, mutate(0), insert, seal, mutate(2), seal},
+		"mutate twice in the tail, seal, again": {insert, mutate(0), mutate(0), seal, mutate(0)},
+	}
+	queries := []func() *Query{
+		func() *Query { return New("events") },
+		func() *Query { return New("events").Where("qty >= 10000").Select("id", "qty", "sym") },
+		func() *Query { return New("events").GroupBy("sym").Agg("n", Count, "").Agg("s", Sum, "qty") },
+		func() *Query { return New("events").Agg("n", Count, "").Agg("hi", Max, "qty") },
+	}
+	for name, steps := range orders {
+		next = 0
+		db, err := storage.Open(storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateTable(colSchema(t)); err != nil {
+			t.Fatal(err)
+		}
+		m, err := columnar.Attach(db, columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range steps {
+			s(t, db, m)
+			for qi, mk := range queries {
+				col, plan, err := mk().Explain(db)
+				if err != nil || plan.Access != "columnar" {
+					t.Fatalf("%s, step %d, query %d: access %q, err %v", name, i, qi, plan.Access, err)
+				}
+				row, err := mk().NoColumnar().Run(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultEqual(t, name, col, row)
+			}
+		}
+		m.Close()
+		db.Close()
+	}
+}
+
 // TestColumnarAggErrors pins that type errors surface identically on
 // both paths: same failure, same message.
 func TestColumnarAggErrors(t *testing.T) {
@@ -221,6 +495,9 @@ func TestColumnarAggErrors(t *testing.T) {
 	for _, mk := range []func() *Query{
 		func() *Query { return New("events").Agg("s", Sum, "sym") },
 		func() *Query { return New("events").Agg("a", Avg, "flag") },
+		func() *Query { return New("events").GroupBy("flag").Agg("n", Count, "").Agg("s", Sum, "sym") },
+		func() *Query { return New("events").GroupBy("sym", "qty").Agg("a", Avg, "ts") },
+		func() *Query { return New("events").Where("id > 100").GroupBy("qty").Agg("s", Sum, "blob") },
 	} {
 		_, colErr := mk().Run(db)
 		_, rowErr := mk().NoColumnar().Run(db)

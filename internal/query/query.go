@@ -146,7 +146,7 @@ func (q *Query) Offset(n int) *Query {
 }
 
 // NoColumnar forces row-at-a-time execution even when the table has
-// sealed columnar segments. Used by benchmarks and the row-vs-columnar
+// columnar history. Used by benchmarks and the row-vs-columnar
 // differential tests; results are identical either way.
 func (q *Query) NoColumnar() *Query {
 	q.noColumnar = true
@@ -198,8 +198,9 @@ type Plan struct {
 	Access    string // "scan", "columnar", "index-eq", "index-range"
 	IndexName string
 	Joined    bool
-	// Columnar scans only: segments considered and how many of those
-	// zone maps excluded outright.
+	// Columnar scans only: sealed segments considered and how many of
+	// those zone maps excluded outright. The unsealed tail is scanned
+	// (or excluded by its own zone map) too but counted in neither.
 	Segments       int
 	SegmentsPruned int
 }
@@ -243,8 +244,8 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 	}
 
 	// Access path: prefer an equality index, then a range index. A
-	// plain scan defers materialization — it may be served from the
-	// columnar store below.
+	// plain scan defers materialization — it is served from the
+	// columnar store below when it can be.
 	ids, rows, plan := q.access(tbl, pred)
 
 	var rightTbl *storage.Table
@@ -272,13 +273,38 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 		plan.Joined = true
 	}
 
-	// Filter (and join) pass. A full scan tries the columnar store
-	// first: sealed segments are filtered with vector kernels and only
-	// the row-store tail is considered row-by-row.
-	var matched []expr.Resolver
-	var colAgg *Result
+	// The sink shapes the output: aggregation, or projection of the
+	// select list (default: all base-table columns; a join adds the
+	// right table's, qualified).
+	var sink rowSink
+	switch {
+	case len(q.groupBy) > 0 || len(q.aggs) > 0:
+		sink = newGroupTable(q.groupBy, q.aggs)
+	case len(selects) > 0:
+		cols := make([]string, len(selects))
+		for i, s := range selects {
+			cols[i] = s.alias
+		}
+		sink = newProjector(selects, cols)
+	default:
+		cols := make([]string, 0, len(schema.Columns))
+		for _, c := range schema.Columns {
+			cols = append(cols, c.Name)
+		}
+		if q.join != nil {
+			for _, c := range rightTbl.Schema().Columns {
+				cols = append(cols, q.join.table+"."+c.Name)
+			}
+		}
+		sink = newProjector(nil, cols)
+	}
+
+	// Filter (and join) pass. A full scan tries the table's columnar
+	// history first: segments and tail are filtered with vector kernels
+	// and feed the sink batch-wise. Everything else — index access,
+	// joins, predicates the kernels cannot express — feeds it row by row.
 	if plan.Access == "scan" {
-		m, aggRes, cs, served, err := q.colExec(db, tbl, schema, pred, selects)
+		cs, served, err := q.colExec(db, tbl, schema, pred, sink)
 		if err != nil {
 			return nil, plan, err
 		}
@@ -286,8 +312,6 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 			plan.Access = "columnar"
 			plan.Segments = cs.segments
 			plan.SegmentsPruned = cs.pruned
-			matched = m
-			colAgg = aggRes
 		} else {
 			_, rows = tbl.ScanRows()
 		}
@@ -316,7 +340,9 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 						continue
 					}
 				}
-				matched = append(matched, r)
+				if err := sink.addRow(r); err != nil {
+					return err
+				}
 			}
 			return nil
 		}
@@ -330,8 +356,7 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 				return nil
 			}
 		}
-		matched = append(matched, r)
-		return nil
+		return sink.addRow(r)
 	}
 	if rows != nil {
 		for _, row := range rows {
@@ -350,58 +375,7 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 			}
 		}
 	}
-
-	// Output shaping.
-	var out *Result
-	switch {
-	case len(q.groupBy) > 0 || len(q.aggs) > 0:
-		if colAgg != nil {
-			out = colAgg
-			break
-		}
-		r, err := q.aggregate(matched)
-		if err != nil {
-			return nil, plan, err
-		}
-		out = r
-	case len(selects) > 0:
-		cols := make([]string, len(selects))
-		for i, s := range selects {
-			cols[i] = s.alias
-		}
-		out = &Result{Columns: cols}
-		for _, m := range matched {
-			row := make([]val.Value, len(selects))
-			for i, s := range selects {
-				v, err := expr.Eval(s.node, m)
-				if err != nil {
-					return nil, plan, err
-				}
-				row[i] = v
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	default:
-		// All base-table columns (join adds qualified right columns).
-		cols := make([]string, 0, len(schema.Columns))
-		for _, c := range schema.Columns {
-			cols = append(cols, c.Name)
-		}
-		if q.join != nil {
-			for _, c := range rightTbl.Schema().Columns {
-				cols = append(cols, q.join.table+"."+c.Name)
-			}
-		}
-		out = &Result{Columns: cols}
-		for _, m := range matched {
-			row := make([]val.Value, len(cols))
-			for i, c := range cols {
-				v, _ := m.Get(c)
-				row[i] = v
-			}
-			out.Rows = append(out.Rows, row)
-		}
-	}
+	out := sink.result()
 
 	// Order, offset, limit.
 	if len(q.orderBy) > 0 {

@@ -433,6 +433,12 @@ func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 			"consumer":   val.String(consumer),
 		})
 		if err != nil {
+			// The claim did not commit (storage degraded, say): the
+			// message is still ready in the table, so it goes back on
+			// the heap for the next Dequeue.
+			q.mu.Lock()
+			heap.Push(&q.ready, it)
+			q.mu.Unlock()
 			return nil, false, err
 		}
 		q.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"eventdb/internal/event"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
+	"eventdb/internal/vfs"
 )
 
 func TestReleaseReturnsDeliveryWithoutCountingAttempt(t *testing.T) {
@@ -277,5 +278,46 @@ func TestDecodeStagedInsert(t *testing.T) {
 	// Non-insert changes are refused.
 	if _, _, err := DecodeStagedInsert(&storage.Change{Kind: storage.Update}); err == nil {
 		t.Error("decode of an update succeeded")
+	}
+}
+
+// TestDequeueFailedClaimKeepsMessage: a Dequeue whose claim cannot
+// commit — the disk failed under it — reports the error and leaves the
+// message deliverable: once storage recovers, the next Dequeue hands it
+// out as a first attempt.
+func TestDequeueFailedClaimKeepsMessage(t *testing.T) {
+	fsys := vfs.NewFaulty(nil)
+	db, err := storage.Open(storage.Options{Dir: t.TempDir(), SyncEvery: 1, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	m := NewManager(db)
+	defer m.Close()
+	q, err := m.Create("in", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Enqueue(ev(1), EnqueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.FailSyncsAfter(0, errors.New("injected EIO"))
+	if msg, ok, err := q.Dequeue("c"); !errors.Is(err, storage.ErrDegraded) || ok {
+		t.Fatalf("dequeue on a failed disk = %v, %v, %v; want ErrDegraded", msg, ok, err)
+	}
+	fsys.Heal()
+	if err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	msg, ok, err := q.Dequeue("c")
+	if err != nil || !ok {
+		t.Fatalf("dequeue after recovery = %v, %v; the message is lost", ok, err)
+	}
+	if msg.Attempt != 1 {
+		t.Errorf("attempt = %d, want 1: the failed claim never committed", msg.Attempt)
+	}
+	if err := q.Ack(msg.Receipt); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,6 +59,49 @@ func TestHealthWire(t *testing.T) {
 	}
 }
 
+// TestHealthColumnar: HEALTH format=json shows the sealer's backlog —
+// rows sit in tail_rows until a seal moves them to sealed_rows — so an
+// operator can read sealer lag without forcing a seal; the text form
+// is frozen and carries none of it.
+func TestHealthColumnar(t *testing.T) {
+	_, srv := startServer(t, core.Config{}, Config{})
+	r := rawDial(t, srv)
+	health := func() client.Health {
+		t.Helper()
+		body, ok := strings.CutPrefix(r.ask("HEALTH format=json"), "OK ")
+		var h client.Health
+		if err := json.Unmarshal([]byte(body), &h); !ok || err != nil {
+			t.Fatalf("HEALTH json %q: %v", body, err)
+		}
+		return h
+	}
+	if !strings.HasSuffix(r.ask("HEALTH format=json"), `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0}}`) {
+		t.Fatalf("columnar must be the last JSON field: %q", r.ask("HEALTH format=json"))
+	}
+	for _, name := range []string{"a", "b"} {
+		if line := r.ask(`TABLE {"name":"` + name + `","columns":[{"name":"n","kind":"int","notnull":true}]}`); line != "OK" {
+			t.Fatalf("TABLE: %q", line)
+		}
+		for _, row := range []string{`{"n": 1}`, `{"n": 2}`, `{"n": 3}`} {
+			if line := r.ask("INSERT " + name + " " + row); !strings.HasPrefix(line, "OK") {
+				t.Fatalf("INSERT: %q", line)
+			}
+		}
+	}
+	if c := health().Columnar; c.TailRows != 6 || c.SealedRows != 0 || c.Segments != 0 {
+		t.Fatalf("before any seal: %+v, want 6 tail rows", c)
+	}
+	if line := r.ask("COMPACT a"); !strings.HasPrefix(line, "OK") {
+		t.Fatalf("COMPACT: %q", line)
+	}
+	if c := health().Columnar; c.TailRows != 3 || c.SealedRows != 3 || c.Segments != 1 {
+		t.Fatalf("after sealing one table: %+v, want 3 tail, 3 sealed, 1 segment", c)
+	}
+	if line := r.ask("HEALTH"); strings.Contains(line, "tail") || len(strings.Fields(line)) != 15 {
+		t.Fatalf("text HEALTH changed: %q", line)
+	}
+}
+
 // TestDegradedGatingAndRecover drives the wire half of the fail-stop
 // lifecycle: an injected fsync failure degrades the engine, every
 // mutating verb answers "ERR degraded" while reads keep serving, and

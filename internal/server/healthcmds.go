@@ -93,7 +93,8 @@ func b01(v bool) string {
 // order — role, degraded, overloaded, durable, conns, slow, evicted,
 // shed, panics, last_applied, next_lsn, wal_lag, queued, qcap — is part
 // of the wire contract (PROTOCOL.md §9); format=json returns the same
-// fields plus the human-readable degraded cause and overload reason.
+// fields plus the human-readable degraded cause and overload reason,
+// the ingest counters and the columnar store's totals.
 func handleHealth(c *conn, req *request) bool {
 	format, ok := statsFormat(c, req.tail)
 	if !ok {
@@ -111,10 +112,12 @@ func handleHealth(c *conn, req *request) bool {
 		}
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
-			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[%s],"queue_cap":%d,"ingested":%d,"dropped":%d}`,
+			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[%s],"queue_cap":%d,"ingested":%d,"dropped":%d,`+
+			`"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d}}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
-			h.LastApplied, h.NextLSN, h.walLag(), strings.Join(depths, ","), h.QueueCap, h.Ingested, h.Dropped))
+			h.LastApplied, h.NextLSN, h.walLag(), strings.Join(depths, ","), h.QueueCap, h.Ingested, h.Dropped,
+			h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=%d qcap=%d",

@@ -159,10 +159,9 @@ func (db *DB) recover() error {
 			if err != nil {
 				return fmt.Errorf("storage: recover commit lsn=%d: %w", r.LSN, err)
 			}
-			if err := db.applyChanges(changes); err != nil {
+			if err := db.applyChanges(changes, db.seq.Add(1)); err != nil {
 				return fmt.Errorf("storage: recover lsn=%d: %w", r.LSN, err)
 			}
-			db.seq.Add(1)
 		case recCreateTable:
 			s, err := decodeSchema(r.Data)
 			if err != nil {
@@ -189,8 +188,8 @@ func (db *DB) recover() error {
 // applyChanges applies already-committed changes to in-memory table
 // state, taking each table's lock per change. Shared by WAL recovery
 // and the replication apply path; validation already happened on the
-// side that logged the commit.
-func (db *DB) applyChanges(changes []Change) error {
+// side that logged the commit. seq is the commit's sequence number.
+func (db *DB) applyChanges(changes []Change, seq uint64) error {
 	for i := range changes {
 		c := &changes[i]
 		db.mu.RLock()
@@ -211,6 +210,7 @@ func (db *DB) applyChanges(changes []Change) error {
 			t.applyDelete(c.ID, old)
 		}
 		t.version++
+		t.lastCommit = seq
 		t.mu.Unlock()
 	}
 	return nil
@@ -389,7 +389,8 @@ func (db *DB) applyReplicatedLocked(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("storage: replicated commit lsn=%d: %w", r.LSN, err)
 		}
-		if err := db.applyChanges(changes); err != nil {
+		// commitMu is held: nothing else advances seq.
+		if err := db.applyChanges(changes, db.seq.Load()+1); err != nil {
 			return fmt.Errorf("storage: replicated apply lsn=%d: %w", r.LSN, err)
 		}
 		info := &CommitInfo{LSN: r.LSN, Changes: changes}
@@ -699,12 +700,12 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 	db.hookMu.RUnlock()
 
 	info := &CommitInfo{Changes: changes}
+	seq := db.seq.Load() + 1 // commitMu is held: nothing else advances seq
 	if db.log != nil {
 		if db.degraded.Load() {
 			unlock()
 			return nil, db.degradedError()
 		}
-		seq := db.seq.Load() + 1
 		lsn, err := db.log.Append(recCommit, encodeCommit(nil, seq, changes))
 		if err != nil {
 			unlock()
@@ -732,6 +733,7 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 	}
 	for _, t := range locked {
 		t.version++
+		t.lastCommit = seq
 	}
 	info.Seq = db.seq.Add(1)
 	unlock()

@@ -18,6 +18,9 @@ type Table struct {
 	pk      map[string]RowID // encoded primary key → row ID
 	indexes map[string]*Index
 	version uint64 // bumped on every commit touching this table
+	// lastCommit is the CommitInfo.Seq of the last commit that touched
+	// this table.
+	lastCommit uint64
 }
 
 func newTable(s *Schema) *Table {
@@ -49,6 +52,18 @@ func (t *Table) Version() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.version
+}
+
+// LastCommit returns the sequence number (CommitInfo.Seq) of the last
+// commit that touched the table, zero if none has. The commit is
+// applied — visible to Get and ScanRows — but its after-commit hooks
+// may not have run yet: an observer that derives state from the hook
+// stream compares this with the last Seq it was handed to learn whether
+// it is behind.
+func (t *Table) LastCommit() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.lastCommit
 }
 
 // Get returns the row with the given ID.
