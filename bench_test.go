@@ -1,10 +1,10 @@
-// Experiment benchmarks E1–E18. Each benchmark regenerates one row or
-// series of the experiment tables in EXPERIMENTS.md; cmd/edabench runs
-// curated sweeps of the same code and prints the tables.
+// Experiment benchmarks E1–E19, in process: one benchmark per row or
+// series of the experiments README.md lists. They are guards (ns/op,
+// allocs/op, does it still run), not headlines; end-to-end numbers come
+// from a real eventdbd under bench/ (E23, bench/README.md).
 //
 // The source paper is a tutorial with no quantitative evaluation, so
-// these experiments check the paper's *claims* (see DESIGN.md §3); the
-// shapes to verify are stated there.
+// these experiments check the paper's *claims*.
 package eventdb
 
 import (
@@ -396,8 +396,11 @@ func BenchmarkE7CEP(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := cep.NewMatcher(p)
-				m.MaxRuns = 512
+				m := cep.NewShared()
+				m.MaxInstances = 512
+				if err := m.Add(p); err != nil {
+					b.Fatal(err)
+				}
 				gen := workload.NewTrades(2, 4, 100)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

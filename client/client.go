@@ -482,18 +482,38 @@ func (c *Conn) roundTrip(send func() error) (string, error) {
 	if err := send(); err != nil {
 		c.sendMu.Unlock()
 		c.fail(fmt.Errorf("client: write: %w", err))
-		return "", err
+		return c.settle(waiter)
 	}
 	c.sendMu.Unlock()
 	select {
 	case line := <-waiter:
-		if msg, ok := strings.CutPrefix(line, "ERR "); ok {
-			return "", serverError(msg)
-		}
-		return strings.TrimPrefix(line, "OK "), nil
+		return reply(line)
 	case <-c.done:
-		return "", c.err
+		return c.settle(waiter)
 	}
+}
+
+// settle ends a round trip whose connection died under it. A line the
+// reader handed this waiter before it saw the close still wins — a
+// server that answers (or refuses: "ERR limit connection limit
+// reached") and hangs up at once leaves both the reply and the dead
+// connection ready, and a write can find the socket already closed by
+// the reader — and otherwise the first cause of death is the error.
+func (c *Conn) settle(waiter chan string) (string, error) {
+	select {
+	case line := <-waiter:
+		return reply(line)
+	default:
+		return "", c.Err()
+	}
+}
+
+// reply surfaces an "ERR" line as an error and strips the "OK " prefix.
+func reply(line string) (string, error) {
+	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
+		return "", serverError(msg)
+	}
+	return strings.TrimPrefix(line, "OK "), nil
 }
 
 // Role reports whether the server is a "leader" (accepts writes) or a

@@ -2,6 +2,9 @@ package client_test
 
 import (
 	"fmt"
+	"io"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,5 +213,40 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if st.Subs != 3 || st.CQs != 0 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestRefusalThenCloseReportsRefusal: a server that refuses a connection
+// the way eventdbd does over its limit — the ERR line on accept, then a
+// hang-up — races the caller's first request three ways (the line lands
+// before the request is queued, after it, or the write finds the socket
+// already closed); every one must report the refusal, not the close.
+func TestRefusalThenCloseReportsRefusal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			fmt.Fprint(nc, "ERR limit connection limit reached\n")
+			nc.(*net.TCPConn).CloseWrite()
+			io.Copy(io.Discard, nc)
+			nc.Close()
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		c, err := client.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err == nil || !strings.Contains(err.Error(), "connection limit") {
+			t.Fatalf("round %d: ping err = %v, want the server's refusal", i, err)
+		}
+		c.Close()
 	}
 }

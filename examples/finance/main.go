@@ -45,7 +45,10 @@ func main() {
 		Next("c", "trade", "sym = b.sym AND price > b.price").
 		Within(10 * time.Second).
 		MustBuild()
-	matcher := cep.NewMatcher(pattern)
+	matcher := cep.NewShared()
+	if err := matcher.Add(pattern); err != nil {
+		log.Fatal(err)
+	}
 
 	// Continuous query: sliding 100-trade average price per symbol.
 	avg, err := cq.New(cq.Def{

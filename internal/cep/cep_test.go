@@ -19,7 +19,7 @@ func mk(typ string, offsetSec int, attrs map[string]any) *event.Event {
 	return ev
 }
 
-func feedAll(m *Matcher, evs ...*event.Event) []*Match {
+func feedAll(m *oracle, evs ...*event.Event) []*Match {
 	var out []*Match
 	for _, ev := range evs {
 		out = append(out, m.Feed(ev)...)
@@ -27,172 +27,199 @@ func feedAll(m *Matcher, evs ...*event.Event) []*Match {
 	return out
 }
 
-func TestSimpleSequence(t *testing.T) {
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("A", 0, nil),
-		mk("X", 1, nil),
-		mk("B", 2, nil),
-	)
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	match := got[0]
-	if match.Bindings["a"].Type != "A" || match.Bindings["b"].Type != "B" {
-		t.Errorf("bindings = %v", match.Bindings)
-	}
-	if !match.Start.Equal(t0) || !match.End.Equal(t0.Add(2*time.Second)) {
-		t.Errorf("start/end = %v/%v", match.Start, match.End)
-	}
+// eachMatcher runs one pattern over one stream through the matcher that
+// ships (a one-pattern Shared) and through the oracle, and hands each
+// result to check: a semantic case passes only if both agree with it.
+func eachMatcher(t *testing.T, p *Pattern, evs []*event.Event, check func(t *testing.T, got []*Match)) {
+	t.Helper()
+	t.Run("shared", func(t *testing.T) {
+		s := NewShared()
+		if err := s.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		check(t, feedShared(s, evs...))
+	})
+	t.Run("oracle", func(t *testing.T) {
+		check(t, feedAll(newOracle(p), evs...))
+	})
 }
 
-func TestGuardsAcrossSteps(t *testing.T) {
-	// Price rises twice consecutively (by symbol guard).
-	p := NewPattern("rise").
-		Next("a", "trade", "sym = 'ACME'").
-		Next("b", "trade", "sym = 'ACME' AND price > a.price").
-		Next("c", "trade", "sym = 'ACME' AND price > b.price").
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("trade", 0, map[string]any{"sym": "ACME", "price": 10}),
-		mk("trade", 1, map[string]any{"sym": "OTHER", "price": 99}),
-		mk("trade", 2, map[string]any{"sym": "ACME", "price": 11}),
-		mk("trade", 3, map[string]any{"sym": "ACME", "price": 9}), // not a rise
-		mk("trade", 4, map[string]any{"sym": "ACME", "price": 12}),
-	)
-	// skip-till-next from (10,11): 9 ignored? No — skip-till-next only
-	// skips when the step doesn't match; 9 doesn't match (not > 11), so
-	// run survives; 12 completes (10,11,12).
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	prices := []int64{}
-	for _, alias := range []string{"a", "b", "c"} {
-		v, _ := got[0].Bindings[alias].Get("price")
-		n, _ := v.AsInt()
-		prices = append(prices, n)
-	}
-	if prices[0] != 10 || prices[1] != 11 || prices[2] != 12 {
-		t.Errorf("prices = %v", prices)
-	}
+func intAttr(ev *event.Event, name string) int64 {
+	v, _ := ev.Get(name)
+	n, _ := v.AsInt()
+	return n
 }
 
-func TestWithinWindow(t *testing.T) {
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		Within(5 * time.Second).
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("A", 0, nil),
-		mk("B", 10, nil), // too late for first A
-		mk("A", 11, nil),
-		mk("B", 14, nil), // within 5s of second A
-	)
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	if !got[0].Start.Equal(t0.Add(11 * time.Second)) {
-		t.Errorf("matched the expired run: start=%v", got[0].Start)
-	}
-}
-
-func TestStrictContiguity(t *testing.T) {
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		Strategy(Strict).
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("A", 0, nil),
-		mk("X", 1, nil), // breaks contiguity
-		mk("B", 2, nil),
-		mk("A", 3, nil),
-		mk("B", 4, nil), // contiguous: matches
-	)
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	if !got[0].Start.Equal(t0.Add(3 * time.Second)) {
-		t.Errorf("wrong run matched: %v", got[0].Start)
-	}
-}
-
-func TestSkipTillAnyForks(t *testing.T) {
-	// a then b: two A's and two B's → 4 combinations... but only pairs
-	// where A precedes B: a1(b1,b2), a2(b1? no, a2 after b1) — order:
-	// A1 A2 B1 B2 → matches: (A1,B1) (A2,B1) (A1,B2) (A2,B2) = 4.
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		Strategy(SkipTillAny).
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
+// TestSemantics is the table of hand-written cases for the pattern
+// language: every row states a pattern, a stream, how many matches it
+// must produce and, where it matters, which events they bind.
+func TestSemantics(t *testing.T) {
+	ab := func() *Builder { return NewPattern("ab").Next("a", "A", "").Next("b", "B", "") }
+	abab := []*event.Event{
 		mk("A", 0, map[string]any{"n": 1}),
 		mk("A", 1, map[string]any{"n": 2}),
 		mk("B", 2, map[string]any{"n": 3}),
 		mk("B", 3, map[string]any{"n": 4}),
-	)
-	if len(got) != 4 {
-		t.Fatalf("matches = %d, want 4", len(got))
 	}
-	// SkipTillNext yields only sequential non-overlapping starts:
-	// A1→B1 completes; A2→B1 also? each run independent: A1 and A2 both
-	// waiting for B; B1 completes both (single path each) = 2 matches.
-	m2 := NewMatcher(NewPattern("ab").
-		Next("a", "A", "").Next("b", "B", "").
-		Strategy(SkipTillNext).MustBuild())
-	got2 := feedAll(m2,
-		mk("A", 0, map[string]any{"n": 1}),
-		mk("A", 1, map[string]any{"n": 2}),
-		mk("B", 2, map[string]any{"n": 3}),
-		mk("B", 3, map[string]any{"n": 4}),
-	)
-	if len(got2) != 2 {
-		t.Fatalf("skip-till-next matches = %d, want 2", len(got2))
+	cases := []struct {
+		name    string
+		pattern *Pattern
+		events  []*event.Event
+		want    int
+		check   func(t *testing.T, m *Match) // on the first match; may be nil
+	}{
+		{
+			name:    "simple sequence",
+			pattern: ab().MustBuild(),
+			events:  []*event.Event{mk("A", 0, nil), mk("X", 1, nil), mk("B", 2, nil)},
+			want:    1,
+			check: func(t *testing.T, m *Match) {
+				if m.Pattern != "ab" || m.Bindings["a"].Type != "A" || m.Bindings["b"].Type != "B" {
+					t.Errorf("match = %+v", m)
+				}
+				if !m.Start.Equal(t0) || !m.End.Equal(t0.Add(2*time.Second)) {
+					t.Errorf("start/end = %v/%v", m.Start, m.End)
+				}
+			},
+		},
+		{
+			// Skip-till-next only skips an event the step rejects: 9 is not
+			// a rise over 11, so the run survives it and 12 completes
+			// (10, 11, 12).
+			name: "guards across steps",
+			pattern: NewPattern("rise").
+				Next("a", "trade", "sym = 'ACME'").
+				Next("b", "trade", "sym = 'ACME' AND price > a.price").
+				Next("c", "trade", "sym = 'ACME' AND price > b.price").
+				MustBuild(),
+			events: []*event.Event{
+				mk("trade", 0, map[string]any{"sym": "ACME", "price": 10}),
+				mk("trade", 1, map[string]any{"sym": "OTHER", "price": 99}),
+				mk("trade", 2, map[string]any{"sym": "ACME", "price": 11}),
+				mk("trade", 3, map[string]any{"sym": "ACME", "price": 9}),
+				mk("trade", 4, map[string]any{"sym": "ACME", "price": 12}),
+			},
+			want: 1,
+			check: func(t *testing.T, m *Match) {
+				a, b, c := intAttr(m.Bindings["a"], "price"), intAttr(m.Bindings["b"], "price"), intAttr(m.Bindings["c"], "price")
+				if a != 10 || b != 11 || c != 12 {
+					t.Errorf("prices = %d %d %d", a, b, c)
+				}
+			},
+		},
+		{
+			name:    "within window",
+			pattern: ab().Within(5 * time.Second).MustBuild(),
+			events: []*event.Event{
+				mk("A", 0, nil),
+				mk("B", 10, nil), // too late for the first A
+				mk("A", 11, nil),
+				mk("B", 14, nil), // within 5s of the second A
+			},
+			want: 1,
+			check: func(t *testing.T, m *Match) {
+				if !m.Start.Equal(t0.Add(11 * time.Second)) {
+					t.Errorf("matched the expired run: start=%v", m.Start)
+				}
+			},
+		},
+		{
+			name:    "strict contiguity",
+			pattern: ab().Strategy(Strict).MustBuild(),
+			events: []*event.Event{
+				mk("A", 0, nil),
+				mk("X", 1, nil), // breaks contiguity
+				mk("B", 2, nil),
+				mk("A", 3, nil),
+				mk("B", 4, nil), // contiguous: matches
+			},
+			want: 1,
+			check: func(t *testing.T, m *Match) {
+				if !m.Start.Equal(t0.Add(3 * time.Second)) {
+					t.Errorf("wrong run matched: %v", m.Start)
+				}
+			},
+		},
+		{
+			// A1 A2 B1 B2: every A before every B, (A1,B1) (A2,B1) (A1,B2)
+			// (A2,B2).
+			name:    "skip-till-any forks",
+			pattern: ab().Strategy(SkipTillAny).MustBuild(),
+			events:  abab,
+			want:    4,
+		},
+		{
+			// The same stream, single path: A1 and A2 both wait for a B, B1
+			// completes both and consumes them, B2 finds nothing waiting.
+			name:    "skip-till-next consumes",
+			pattern: ab().Strategy(SkipTillNext).MustBuild(),
+			events:  abab,
+			want:    2,
+		},
+		{
+			// order → shipped with no cancel of that order in between.
+			name: "negation",
+			pattern: NewPattern("fulfilled").
+				Next("o", "order", "").
+				Unless("c", "cancel", "c.oid = o.oid").
+				Next("s", "shipped", "s.oid = o.oid").
+				MustBuild(),
+			events: []*event.Event{
+				mk("order", 0, map[string]any{"oid": 1}),
+				mk("cancel", 1, map[string]any{"oid": 1}),
+				mk("shipped", 2, map[string]any{"oid": 1}), // cancelled: no match
+				mk("order", 3, map[string]any{"oid": 2}),
+				mk("cancel", 4, map[string]any{"oid": 99}), // another order's cancel
+				mk("shipped", 5, map[string]any{"oid": 2}), // match
+			},
+			want: 1,
+			check: func(t *testing.T, m *Match) {
+				if oid := intAttr(m.Bindings["o"], "oid"); oid != 2 {
+					t.Errorf("matched order %d", oid)
+				}
+			},
+		},
+		{
+			name:    "any-type step",
+			pattern: NewPattern("anything").Next("a", "", "v > 5").MustBuild(),
+			events: []*event.Event{
+				mk("X", 0, map[string]any{"v": 3}),
+				mk("Y", 1, map[string]any{"v": 7}),
+			},
+			want: 1,
+			check: func(t *testing.T, m *Match) {
+				if m.Bindings["a"].Type != "Y" {
+					t.Errorf("bound %s", m.Bindings["a"].Type)
+				}
+			},
+		},
+		{
+			name:    "single-step pattern matches every event",
+			pattern: NewPattern("one").Next("a", "A", "").MustBuild(),
+			events:  []*event.Event{mk("A", 0, nil), mk("A", 1, nil), mk("B", 2, nil)},
+			want:    2,
+		},
 	}
-}
-
-func TestNegation(t *testing.T) {
-	// order → shipped with no cancel in between.
-	p := NewPattern("fulfilled").
-		Next("o", "order", "").
-		Unless("c", "cancel", "c.oid = o.oid").
-		Next("s", "shipped", "s.oid = o.oid").
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("order", 0, map[string]any{"oid": 1}),
-		mk("cancel", 1, map[string]any{"oid": 1}),
-		mk("shipped", 2, map[string]any{"oid": 1}), // cancelled: no match
-		mk("order", 3, map[string]any{"oid": 2}),
-		mk("cancel", 4, map[string]any{"oid": 99}), // other order's cancel
-		mk("shipped", 5, map[string]any{"oid": 2}), // match
-	)
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	v, _ := got[0].Bindings["o"].Get("oid")
-	if !val.Equal(v, val.Int(2)) {
-		t.Errorf("matched order %v", v)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eachMatcher(t, tc.pattern, tc.events, func(t *testing.T, got []*Match) {
+				if len(got) != tc.want {
+					t.Fatalf("matches = %d, want %d", len(got), tc.want)
+				}
+				if tc.check != nil {
+					tc.check(t, got[0])
+				}
+			})
+		})
 	}
 }
 
 func TestMatchEventRendering(t *testing.T) {
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
+	s := NewShared()
+	if err := s.Add(NewPattern("ab").Next("a", "A", "").Next("b", "B", "").MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	got := feedShared(s,
 		mk("A", 0, map[string]any{"x": 1}),
 		mk("B", 1, map[string]any{"y": 2}),
 	)
@@ -235,26 +262,7 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-func TestMaxRunsBound(t *testing.T) {
-	p := NewPattern("ab").
-		Next("a", "A", "").
-		Next("b", "B", "").
-		Strategy(SkipTillAny).
-		MustBuild()
-	m := NewMatcher(p)
-	m.MaxRuns = 10
-	for i := 0; i < 100; i++ {
-		m.Feed(mk("A", i, nil))
-	}
-	if m.ActiveRuns() > 10 {
-		t.Errorf("runs = %d, exceeds cap", m.ActiveRuns())
-	}
-	if m.Dropped() == 0 {
-		t.Error("expected dropped runs")
-	}
-}
-
-// TestSkipTillAnyAgainstBruteForce cross-checks the NFA against a
+// TestSkipTillAnyAgainstBruteForce cross-checks both matchers against a
 // brute-force subsequence enumerator on random streams.
 func TestSkipTillAnyAgainstBruteForce(t *testing.T) {
 	p := NewPattern("abc").
@@ -272,27 +280,19 @@ func TestSkipTillAnyAgainstBruteForce(t *testing.T) {
 			typ := []string{"A", "B", "C"}[rng.Intn(3)]
 			evs = append(evs, mk(typ, i, map[string]any{"v": rng.Intn(6)}))
 		}
-		m := NewMatcher(p)
-		m.MaxRuns = 1 << 20
-		nfa := len(feedAll(m, evs...))
 
 		// Brute force: all index triples i<j<k.
 		brute := 0
-		getV := func(e *event.Event) int64 {
-			v, _ := e.Get("v")
-			n, _ := v.AsInt()
-			return n
-		}
 		for i := 0; i < len(evs); i++ {
 			if evs[i].Type != "A" {
 				continue
 			}
 			for j := i + 1; j < len(evs); j++ {
-				if evs[j].Type != "B" || getV(evs[j]) <= getV(evs[i]) {
+				if evs[j].Type != "B" || intAttr(evs[j], "v") <= intAttr(evs[i], "v") {
 					continue
 				}
 				for k := j + 1; k < len(evs); k++ {
-					if evs[k].Type != "C" || getV(evs[k]) <= getV(evs[j]) {
+					if evs[k].Type != "C" || intAttr(evs[k], "v") <= intAttr(evs[j], "v") {
 						continue
 					}
 					if evs[k].Time.Sub(evs[i].Time) <= 10*time.Second {
@@ -301,59 +301,42 @@ func TestSkipTillAnyAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if nfa != brute {
-			t.Errorf("seed %d: nfa=%d brute=%d", seed, nfa, brute)
-		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			eachMatcher(t, p, evs, func(t *testing.T, got []*Match) {
+				if len(got) != brute {
+					t.Errorf("nfa=%d brute=%d", len(got), brute)
+				}
+			})
+		})
 	}
 }
 
-func TestAnyEventTypeStep(t *testing.T) {
-	p := NewPattern("anything").
-		Next("a", "", "v > 5").
-		MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m,
-		mk("X", 0, map[string]any{"v": 3}),
-		mk("Y", 1, map[string]any{"v": 7}),
-	)
-	if len(got) != 1 || got[0].Bindings["a"].Type != "Y" {
-		t.Errorf("matches = %v", got)
-	}
-}
-
-func TestSingleStepPatternEveryMatch(t *testing.T) {
-	p := NewPattern("one").Next("a", "A", "").MustBuild()
-	m := NewMatcher(p)
-	got := feedAll(m, mk("A", 0, nil), mk("A", 1, nil), mk("B", 2, nil))
-	if len(got) != 2 {
-		t.Errorf("matches = %d, want 2", len(got))
-	}
-}
-
-func TestManyPatternsThroughput(t *testing.T) {
-	// Smoke test that a batch of matchers handles a burst without
-	// unbounded growth.
-	var ms []*Matcher
+// TestManyPatternsBounded: a burst through a batch of windowed patterns
+// must not grow partial matches beyond what the window can hold.
+func TestManyPatternsBounded(t *testing.T) {
+	s := NewShared()
 	for i := 0; i < 10; i++ {
 		p := NewPattern(fmt.Sprintf("p%d", i)).
 			Next("a", "trade", fmt.Sprintf("sym = 'S%d'", i)).
 			Next("b", "trade", fmt.Sprintf("sym = 'S%d' AND price > a.price", i)).
 			Within(time.Minute).
 			MustBuild()
-		ms = append(ms, NewMatcher(p))
+		if err := s.Add(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 1000; i++ {
-		ev := mk("trade", i, map[string]any{
+		s.Feed(mk("trade", i, map[string]any{
 			"sym":   fmt.Sprintf("S%d", i%10),
 			"price": i % 17,
-		})
-		for _, m := range ms {
-			m.Feed(ev)
+		}))
+		// One event a second, a one-minute window: at most 61 starts can
+		// still be alive.
+		if n := s.Stats().Instances; n > 61 {
+			t.Fatalf("event %d: %d live instances, window holds 61", i, n)
 		}
 	}
-	for _, m := range ms {
-		if m.ActiveRuns() > 4096 {
-			t.Errorf("runs grew unbounded: %d", m.ActiveRuns())
-		}
+	if st := s.Stats(); st.Matches == 0 || st.Pruned == 0 {
+		t.Errorf("stats = %+v, want matches and horizon pruning", st)
 	}
 }

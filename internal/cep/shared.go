@@ -1,5 +1,5 @@
 // Shared-automaton pattern matching: the whole registered pattern set
-// compiles into one NFA instead of one Matcher per pattern, so per-event
+// compiles into one NFA instead of one matcher per pattern, so per-event
 // cost scales with matching work rather than pattern count — the CEP
 // analog of the indexed flat-predicate matcher in internal/rules.
 //
@@ -25,9 +25,10 @@
 // The heap deadline is conservative (a shared node's horizon is the max
 // over its patterns); exact per-pattern WITHIN is enforced when a match
 // is emitted, which is what makes match output identical to independent
-// Matchers.
+// per-pattern matchers.
 //
-// Semantics relative to Matcher (pinned by the differential test):
+// Semantics relative to a matcher per pattern (the oracle in
+// oracle_test.go; pinned by the differential tests):
 //
 //   - SkipTillNext "consumes" a run when it advances: the shared form
 //     blocks the advanced edge on the parent instance, so other
@@ -39,7 +40,7 @@
 //     children, then the parent dies.
 //   - Patterns registered after an instance started cannot claim it
 //     (registration sequence gating), matching the fact that a fresh
-//     Matcher starts with no runs.
+//     per-pattern matcher starts with no runs.
 //
 // Zero-alloc feed. Instances and their binding slices are pooled,
 // per-feed scratch (candidate edges, wake-node list, index key buffer)
@@ -609,7 +610,7 @@ func (s *Shared) feedNode(n *node, ev *event.Event) {
 
 func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, negs []*edge, strict bool) {
 	// Negated steps first: killing an edge suppresses its advance on
-	// this same event, exactly as Matcher checks negation before the
+	// this same event, exactly as the oracle checks negation before the
 	// positive step.
 	for _, e := range negs {
 		if inst.isBlocked(e) {
@@ -779,9 +780,10 @@ func (s *Shared) guardOK(g *expr.Predicate, n *node, bindings []*event.Event, ev
 	return err == nil && ok
 }
 
-// sharedResolver mirrors guardResolver: "alias.attr" against bound
-// steps, bare names against the current event, unbound aliases falling
-// through to the current event.
+// sharedResolver resolves guard names: "alias.attr" against bound
+// steps, bare names (plus $-envelope fields) against the current event,
+// unbound aliases (a step's guard naming itself) falling through to the
+// current event.
 type sharedResolver struct {
 	aliases  []string
 	bindings []*event.Event

@@ -23,25 +23,6 @@ func feedShared(s *Shared, evs ...*event.Event) []*Match {
 	return out
 }
 
-func TestSharedSimpleSequence(t *testing.T) {
-	s := NewShared()
-	p := NewPattern("ab").Next("a", "A", "").Next("b", "B", "").MustBuild()
-	if err := s.Add(p); err != nil {
-		t.Fatal(err)
-	}
-	got := feedShared(s, mk("A", 0, nil), mk("X", 1, nil), mk("B", 2, nil))
-	if len(got) != 1 {
-		t.Fatalf("matches = %d, want 1", len(got))
-	}
-	m := got[0]
-	if m.Pattern != "ab" || m.Bindings["a"].Type != "A" || m.Bindings["b"].Type != "B" {
-		t.Errorf("match = %+v", m)
-	}
-	if !m.Start.Equal(t0) || !m.End.Equal(t0.Add(2*time.Second)) {
-		t.Errorf("start/end = %v/%v", m.Start, m.End)
-	}
-}
-
 // TestSharedPrefixSharing pins the whole point of the shared automaton:
 // many patterns with a common prefix cost one instance, not one each.
 func TestSharedPrefixSharing(t *testing.T) {
@@ -121,7 +102,7 @@ func TestSharedRemoveKeepsSharedPrefix(t *testing.T) {
 
 // TestSharedLateRegistration: a pattern registered mid-stream only sees
 // runs started after registration, exactly like attaching a fresh
-// Matcher mid-stream.
+// per-pattern matcher mid-stream.
 func TestSharedLateRegistration(t *testing.T) {
 	s := NewShared()
 	p1 := NewPattern("p1").Next("a", "A", "").Next("b", "B", "").MustBuild()
@@ -165,7 +146,7 @@ func TestSharedAdvanceHorizonGC(t *testing.T) {
 		t.Fatalf("pruned inside window = %d, want 0", n)
 	}
 	// Exactly at the boundary the run survives (<= semantics, matching
-	// Matcher's expiry), one nanosecond past it dies.
+	// the oracle's expiry), one nanosecond past it dies.
 	if n := s.Advance(t0.Add(10 * time.Second)); n != 0 {
 		t.Fatalf("pruned at boundary = %d, want 0", n)
 	}
@@ -188,9 +169,11 @@ func TestSharedAdvanceHorizonGC(t *testing.T) {
 	}
 }
 
-func TestMatcherAdvance(t *testing.T) {
+// TestOracleAdvance pins the reference's own horizon sweep, which
+// TestSharedDifferentialWithAdvance relies on.
+func TestOracleAdvance(t *testing.T) {
 	p := NewPattern("ab").Next("a", "A", "").Next("b", "B", "").Within(10 * time.Second).MustBuild()
-	m := NewMatcher(p)
+	m := newOracle(p)
 	m.Feed(mk("A", 0, nil))
 	if n := m.Advance(t0.Add(10 * time.Second)); n != 0 {
 		t.Fatalf("pruned at boundary = %d, want 0", n)
@@ -198,11 +181,11 @@ func TestMatcherAdvance(t *testing.T) {
 	if n := m.Advance(t0.Add(11 * time.Second)); n != 1 {
 		t.Fatalf("pruned past boundary = %d, want 1", n)
 	}
-	if m.ActiveRuns() != 0 {
-		t.Fatalf("runs = %d, want 0", m.ActiveRuns())
+	if len(m.runs) != 0 {
+		t.Fatalf("runs = %d, want 0", len(m.runs))
 	}
-	// Unbounded matcher: Advance is a no-op.
-	mu := NewMatcher(NewPattern("x").Next("a", "A", "").Next("b", "B", "").MustBuild())
+	// Unbounded pattern: Advance is a no-op.
+	mu := newOracle(NewPattern("x").Next("a", "A", "").Next("b", "B", "").MustBuild())
 	mu.Feed(mk("A", 0, nil))
 	if n := mu.Advance(t0.Add(1000 * time.Hour)); n != 0 {
 		t.Fatalf("unbounded Advance pruned %d", n)
@@ -289,22 +272,20 @@ func randomEvents(rng *rand.Rand, n int) []*event.Event {
 
 // TestSharedDifferential is the semantic pin: random pattern sets and
 // event streams must produce exactly the same match set through the
-// shared automaton as through one independent Matcher per pattern —
+// shared automaton as through one independent oracle per pattern —
 // including a mid-stream registration and removal.
 func TestSharedDifferential(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
 		nPat := 1 + rng.Intn(10)
 		shared := NewShared()
-		matchers := map[string]*Matcher{}
+		matchers := map[string]*oracle{}
 		addPattern := func(name string) {
 			p := randomPattern(rng, name)
 			if err := shared.Add(p); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			m := NewMatcher(p)
-			m.MaxRuns = 1 << 20 // differential compares uncapped behavior
-			matchers[name] = m
+			matchers[name] = newOracle(p)
 		}
 		for i := 0; i < nPat; i++ {
 			addPattern(fmt.Sprintf("p%d", i))
@@ -355,8 +336,7 @@ func TestSharedDifferentialWithAdvance(t *testing.T) {
 		if err := shared.Add(p); err != nil {
 			t.Fatal(err)
 		}
-		m := NewMatcher(p)
-		m.MaxRuns = 1 << 20
+		m := newOracle(p)
 		var want, got []string
 		for _, ev := range randomEvents(rng, 200) {
 			if rng.Intn(3) == 0 {

@@ -158,65 +158,6 @@ func (e *Event) String() string {
 	return s + "}"
 }
 
-// Field describes one attribute in an event schema.
-type Field struct {
-	Name     string
-	Kind     val.Kind
-	Required bool
-}
-
-// Schema validates that events of a given type carry the declared
-// attributes. Undeclared attributes are permitted (events are
-// open-content); declared attributes must match kinds, and required
-// attributes must be present.
-type Schema struct {
-	Type   string
-	Fields []Field
-	byName map[string]int
-}
-
-// NewSchema builds a schema for the given event type.
-func NewSchema(typ string, fields ...Field) (*Schema, error) {
-	s := &Schema{Type: typ, Fields: fields, byName: make(map[string]int, len(fields))}
-	for i, f := range fields {
-		if f.Name == "" {
-			return nil, fmt.Errorf("event: schema %q: empty field name", typ)
-		}
-		if _, dup := s.byName[f.Name]; dup {
-			return nil, fmt.Errorf("event: schema %q: duplicate field %q", typ, f.Name)
-		}
-		s.byName[f.Name] = i
-	}
-	return s, nil
-}
-
-// Validate checks ev against the schema.
-func (s *Schema) Validate(ev *Event) error {
-	if ev.Type != s.Type {
-		return fmt.Errorf("event: schema %q: wrong event type %q", s.Type, ev.Type)
-	}
-	for _, f := range s.Fields {
-		v, ok := ev.Attrs[f.Name]
-		if !ok {
-			if f.Required {
-				return fmt.Errorf("event: schema %q: missing required attribute %q", s.Type, f.Name)
-			}
-			continue
-		}
-		if v.IsNull() {
-			if f.Required {
-				return fmt.Errorf("event: schema %q: required attribute %q is null", s.Type, f.Name)
-			}
-			continue
-		}
-		if v.Kind() != f.Kind && !(v.IsNumeric() && (f.Kind == val.KindInt || f.Kind == val.KindFloat)) {
-			return fmt.Errorf("event: schema %q: attribute %q has kind %s, want %s",
-				s.Type, f.Name, v.Kind(), f.Kind)
-		}
-	}
-	return nil
-}
-
 // Encode serializes the event to the engine's binary format.
 func Encode(dst []byte, e *Event) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.ID))

@@ -82,56 +82,6 @@ func TestStringDeterministic(t *testing.T) {
 	}
 }
 
-func TestSchemaValidate(t *testing.T) {
-	s, err := NewSchema("reading",
-		Field{Name: "meter", Kind: val.KindString, Required: true},
-		Field{Name: "kwh", Kind: val.KindFloat, Required: true},
-		Field{Name: "note", Kind: val.KindString},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := New("reading", map[string]any{"meter": "m1", "kwh": 1.5})
-	if err := s.Validate(ok); err != nil {
-		t.Errorf("valid event rejected: %v", err)
-	}
-	// Int satisfies a float field (numeric coercion).
-	okInt := New("reading", map[string]any{"meter": "m1", "kwh": 2})
-	if err := s.Validate(okInt); err != nil {
-		t.Errorf("numeric coercion rejected: %v", err)
-	}
-	missing := New("reading", map[string]any{"meter": "m1"})
-	if err := s.Validate(missing); err == nil {
-		t.Error("missing required attribute accepted")
-	}
-	wrongKind := New("reading", map[string]any{"meter": 7, "kwh": 1.0})
-	if err := s.Validate(wrongKind); err == nil {
-		t.Error("wrong kind accepted")
-	}
-	wrongType := New("other", map[string]any{"meter": "m1", "kwh": 1.0})
-	if err := s.Validate(wrongType); err == nil {
-		t.Error("wrong event type accepted")
-	}
-	nullReq := New("reading", map[string]any{"meter": nil, "kwh": 1.0})
-	if err := s.Validate(nullReq); err == nil {
-		t.Error("null required attribute accepted")
-	}
-	// Optional fields may be absent or null.
-	withNote := New("reading", map[string]any{"meter": "m", "kwh": 1.0, "note": nil})
-	if err := s.Validate(withNote); err != nil {
-		t.Errorf("null optional rejected: %v", err)
-	}
-}
-
-func TestSchemaConstructionErrors(t *testing.T) {
-	if _, err := NewSchema("x", Field{Name: ""}); err == nil {
-		t.Error("empty field name accepted")
-	}
-	if _, err := NewSchema("x", Field{Name: "a"}, Field{Name: "a"}); err == nil {
-		t.Error("duplicate field accepted")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e := &Event{
 		ID:     42,

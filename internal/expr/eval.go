@@ -311,9 +311,3 @@ func (p *Predicate) Match(r Resolver) (bool, error) {
 	b, ok := v.AsBool()
 	return ok && b, nil
 }
-
-// EvalValue evaluates the expression as a value-producing expression
-// (for projections and derived attributes).
-func (p *Predicate) EvalValue(r Resolver) (val.Value, error) {
-	return Eval(p.Root, r)
-}

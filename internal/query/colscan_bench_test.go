@@ -14,8 +14,8 @@ import (
 
 // E20 benchmarks: the same filtered scan and windowed aggregate
 // through the row path and the vectorized columnar path, over the
-// same sealed history. `edabench e20` runs the full sweep; these keep
-// the comparison one `go test -bench` away.
+// same sealed history: the in-process guard for the kernels whose
+// end-to-end effect bench/ (E23) reports on its dbmix workload.
 
 const benchRows = 100_000
 

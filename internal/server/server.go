@@ -134,6 +134,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"runtime"
@@ -265,6 +266,8 @@ type Server struct {
 	wg     sync.WaitGroup
 	done   chan struct{} // closed by Close; wakes backoff waits
 
+	lingering chan struct{} // semaphore: refused connections being drained
+
 	nextConn atomic.Uint64
 
 	// pubtSeqs is the PUBT idempotency ledger: highest ingested sequence
@@ -313,12 +316,13 @@ func serve(eng *core.Engine, ln net.Listener, cfg Config) *Server {
 		cfg.DrainTimeout = defaultDrainTimeout
 	}
 	s := &Server{
-		eng:      eng,
-		cfg:      cfg,
-		ln:       ln,
-		conns:    make(map[*conn]struct{}),
-		done:     make(chan struct{}),
-		pubtSeqs: make(map[string]uint64),
+		eng:       eng,
+		cfg:       cfg,
+		ln:        ln,
+		conns:     make(map[*conn]struct{}),
+		done:      make(chan struct{}),
+		lingering: make(chan struct{}, maxLingering),
+		pubtSeqs:  make(map[string]uint64),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -402,6 +406,44 @@ func (s *Server) goGo(f func()) bool {
 	return true
 }
 
+const (
+	// refuseLinger bounds how long a refused connection is kept open so
+	// that its refusal line can be read; maxLingering bounds how many
+	// are kept at once.
+	refuseLinger = 250 * time.Millisecond
+	maxLingering = 64
+)
+
+// refuse tells an over-limit peer why and hangs up. Refusals happen
+// before any HELLO, so they are always text. Closing straight after the
+// write can lose the line: the peer's first command is usually in
+// flight, closing with it unread makes the kernel answer RST, and an
+// RST discards what the peer has not read yet. So the write side is
+// shut (a FIN behind the line) and whatever the peer sends is read off
+// on a tracked goroutine until it hangs up or refuseLinger passes. In a
+// flood, refusals beyond maxLingering at once get the plain close.
+func (s *Server) refuse(nc net.Conn) {
+	_, err := fmt.Fprintf(nc, "ERR %s connection limit reached\n", codeLimit)
+	hc, canHalfClose := nc.(interface{ CloseWrite() error })
+	if err == nil && canHalfClose {
+		select {
+		case s.lingering <- struct{}{}:
+			if s.goGo(func() {
+				defer func() { <-s.lingering }()
+				defer nc.Close()
+				if nc.SetReadDeadline(time.Now().Add(refuseLinger)) == nil && hc.CloseWrite() == nil {
+					io.Copy(io.Discard, nc) // ends at the peer's close or the deadline
+				}
+			}) {
+				return
+			}
+			<-s.lingering
+		default:
+		}
+	}
+	nc.Close()
+}
+
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	backoff := 5 * time.Millisecond
@@ -443,9 +485,7 @@ func (s *Server) acceptLoop() {
 		if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
 			s.eng.Metrics.Counter("server.refused").Inc()
-			// Refusals happen before any HELLO, so they are always text.
-			fmt.Fprintf(nc, "ERR %s connection limit reached\n", codeLimit)
-			nc.Close()
+			s.refuse(nc)
 			continue
 		}
 		c := &conn{
