@@ -27,11 +27,18 @@
 // is its polling counterpart and QueueStats its introspection.
 //
 // One goroutine owns the socket's read side and demultiplexes; any
-// number of goroutines may issue requests concurrently. If a pushed
-// event arrives for a subscription whose channel is full, the event is
-// dropped client-side and counted (Subscription.Dropped) — a slow
-// consumer loses pushes rather than stalling every subscription on the
-// connection. Size the channel (or drain faster) to taste.
+// number of goroutines may issue requests concurrently. The server
+// pushes one event to N matching subscriptions of a connection as N
+// messages with the same body, and the read loop decodes that body
+// once: the *Event a subscription (or a Delivery) hands out may be the
+// very one its sibling subscriptions on the same Conn received, so
+// treat it as read-only and Clone it before changing anything.
+//
+// If a pushed event arrives for a subscription whose channel is full,
+// the event is dropped client-side and counted (Subscription.Dropped)
+// — a slow consumer loses pushes rather than stalling every
+// subscription on the connection. Size the channel (or drain faster) to
+// taste.
 //
 // # Wire modes
 //
@@ -383,11 +390,43 @@ func (c *Conn) fail(cause error) {
 	c.nc.Close()
 }
 
+// bodyMemo is the read loop's one-entry decode cache: the last pushed
+// event body and the event it decoded to. A server renders an event
+// once and pushes the same bytes to every subscription it matched
+// (PROTOCOL.md §2.2), so the N consecutive pushes of one event to N
+// subscriptions of this connection cost one decode and N-1 compares
+// that fail on the first differing byte — and, as in-process
+// subscribers of the engine already do, all N receive the same *Event.
+type bodyMemo struct {
+	body []byte
+	ev   *Event
+}
+
+// maxMemoBody bounds the bytes a memo keeps, so that one huge event is
+// not pinned for the life of the connection.
+const maxMemoBody = 64 << 10
+
+// decode returns the event body decodes to, nil when it is malformed
+// (a malformed push is skipped, never fatal).
+func (m *bodyMemo) decode(body []byte) *Event {
+	if m.ev != nil && bytes.Equal(body, m.body) {
+		return m.ev
+	}
+	ev, err := event.UnmarshalJSONEvent(body)
+	if err != nil || len(body) > maxMemoBody {
+		m.ev = nil
+		return ev
+	}
+	m.body, m.ev = append(m.body[:0], body...), ev
+	return ev
+}
+
 // readLoop owns the socket's read side: the transport decodes inbound
 // traffic into wire messages, pushes route to subscription channels,
 // and replies resolve the oldest pending waiter (the server replies in
 // request order).
 func (c *Conn) readLoop() {
+	var memo bodyMemo
 	for {
 		m, err := c.tr.recv()
 		if err != nil {
@@ -399,8 +438,8 @@ func (c *Conn) readLoop() {
 			// A malformed push must not kill the connection.
 			continue
 		case wEvt:
-			ev, err := event.UnmarshalJSONEvent(m.body)
-			if err != nil {
+			ev := memo.decode(m.body)
+			if ev == nil {
 				continue
 			}
 			c.mu.Lock()
@@ -414,8 +453,8 @@ func (c *Conn) readLoop() {
 			c.mu.Unlock()
 			continue
 		case wQEvt:
-			ev, err := event.UnmarshalJSONEvent(m.body)
-			if err != nil {
+			ev := memo.decode(m.body)
+			if ev == nil {
 				continue
 			}
 			d := Delivery{Event: ev, Attempt: m.attempt, queue: m.queue, token: m.token, c: c}
@@ -744,7 +783,9 @@ func (c *Conn) Match(ev *Event) ([]string, error) {
 // channel closes when the subscription or connection closes.
 type Subscription struct {
 	// C delivers pushed events (matched events for Subscribe, updated
-	// results for ContinuousQuery).
+	// results for ContinuousQuery). An event may be shared with other
+	// subscriptions of the same Conn that it also matched: it is
+	// read-only (Event.Clone gives a private copy).
 	C <-chan *Event
 
 	id      string

@@ -14,7 +14,8 @@ import (
 // that is neither settled nor held by a live connection goes back to
 // the queue for redelivery — at-least-once, never silent loss.
 type Delivery struct {
-	// Event is the originally published event.
+	// Event is the originally published event. Like a Subscription's,
+	// it may be shared with other receivers on the same Conn: read-only.
 	Event *Event
 	// Attempt is 1 for a first delivery, higher for redeliveries of
 	// messages that were nacked or timed out unacknowledged. 0 for

@@ -61,7 +61,7 @@ func (e *Event) EncodedJSON() ([]byte, error) {
 	if p := e.enc.Load(); p != nil {
 		return *p, nil
 	}
-	data, err := AppendJSONEvent(nil, e)
+	data, err := MarshalJSONEvent(e)
 	if err != nil {
 		return nil, err
 	}

@@ -406,6 +406,23 @@ func TestAppendJSONEventRejectsNaN(t *testing.T) {
 	}
 }
 
+// TestAllocsMarshalJSONEvent pins the encoder's cost: the result and
+// nothing else — no chain of grown-and-abandoned buffers behind it.
+func TestAllocsMarshalJSONEvent(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	e := New("trade", map[string]any{"sym": "ACME", "price": 1.5, "qty": 10, "pad": strings.Repeat("x", 100)})
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := MarshalJSONEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("MarshalJSONEvent allocates %v per call, want 1", allocs)
+	}
+}
+
 // TestAllocsEncodedJSONSteadyState pins the encode-once contract: after
 // the first call the cached payload is returned with zero allocations.
 func TestAllocsEncodedJSONSteadyState(t *testing.T) {

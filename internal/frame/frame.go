@@ -13,8 +13,8 @@
 // re-encoding between the encode-once cache and the socket.
 //
 // The Append* builders write complete frames into caller-supplied
-// buffers (the server's per-connection free lists), so a cached
-// payload's frame header costs zero allocations — guarded by
+// buffers (the server appends straight into a connection's outbound
+// buffer), so a frame costs zero allocations — guarded by
 // TestAllocsFrameAppend in CI.
 package frame
 
@@ -109,47 +109,31 @@ func AppendFrameString(dst []byte, t Type, payload string) []byte {
 	return append(dst, payload...)
 }
 
-// AppendEvtHeader appends an Evt frame's header — everything up to but
-// not including the event JSON, whose length is declared as jsonLen.
-// Because the frame is length-prefixed (unlike a newline-terminated
-// text line, which needs its terminator after the payload), a sender
-// can emit this header and then the shared encode-once payload bytes
-// directly: fan-out to M sinks builds M tiny headers but copies the
-// payload zero times before the socket buffer.
-func AppendEvtHeader(dst []byte, id string, jsonLen int) []byte {
-	sub := uvarintLen(uint64(len(id))) + len(id) + jsonLen
-	dst = append(dst, byte(Evt))
-	dst = binary.AppendUvarint(dst, uint64(sub))
-	dst = binary.AppendUvarint(dst, uint64(len(id)))
-	return append(dst, id...)
-}
-
 // AppendEvt appends a complete Evt frame: the subscription id and the
 // event JSON (the cached encode-once bytes, copied verbatim).
 func AppendEvt(dst []byte, id string, json []byte) []byte {
-	return append(AppendEvtHeader(dst, id, len(json)), json...)
+	sub := uvarintLen(uint64(len(id))) + len(id) + len(json)
+	dst = append(dst, byte(Evt))
+	dst = binary.AppendUvarint(dst, uint64(sub))
+	dst = binary.AppendUvarint(dst, uint64(len(id)))
+	dst = append(dst, id...)
+	return append(dst, json...)
 }
 
-// AppendQEvtHeader appends a QEvt frame's header, declaring (but not
-// writing) a jsonLen-byte event payload — the zero-copy counterpart of
-// AppendQEvt, same contract as AppendEvtHeader.
-func AppendQEvtHeader(dst []byte, queue, token string, attempt, jsonLen int) []byte {
+// AppendQEvt appends a complete QEvt frame: queue name, receipt token,
+// delivery attempt, and the event JSON verbatim.
+func AppendQEvt(dst []byte, queue, token string, attempt int, json []byte) []byte {
 	sub := uvarintLen(uint64(len(queue))) + len(queue) +
 		uvarintLen(uint64(len(token))) + len(token) +
-		uvarintLen(uint64(attempt)) + jsonLen
+		uvarintLen(uint64(attempt)) + len(json)
 	dst = append(dst, byte(QEvt))
 	dst = binary.AppendUvarint(dst, uint64(sub))
 	dst = binary.AppendUvarint(dst, uint64(len(queue)))
 	dst = append(dst, queue...)
 	dst = binary.AppendUvarint(dst, uint64(len(token)))
 	dst = append(dst, token...)
-	return binary.AppendUvarint(dst, uint64(attempt))
-}
-
-// AppendQEvt appends a complete QEvt frame: queue name, receipt token,
-// delivery attempt, and the event JSON verbatim.
-func AppendQEvt(dst []byte, queue, token string, attempt int, json []byte) []byte {
-	return append(AppendQEvtHeader(dst, queue, token, attempt, len(json)), json...)
+	dst = binary.AppendUvarint(dst, uint64(attempt))
+	return append(dst, json...)
 }
 
 // cutString reads one uvarint-length-prefixed string from payload,

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,89 +45,81 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // LatencyHistogram records durations into exponential buckets
 // (1µs·2^i), supporting approximate percentiles without storing
-// samples. Safe for concurrent use.
+// samples. Safe for concurrent use; the zero value is ready. Observe
+// takes no lock and allocates nothing — it sits on the per-push path —
+// so a reader racing observers may see a count one ahead of a bucket;
+// every accessor tolerates that.
 type LatencyHistogram struct {
-	mu      sync.Mutex
-	buckets [40]uint64 // 1µs .. ~1.1e6s
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
+	buckets [latencyBuckets]atomic.Uint64 // 1µs .. ~1.1e6s
+	count   atomic.Uint64
+	sum     atomic.Int64 // nanoseconds
+	min     atomic.Int64 // smallest observation + 1; 0 = none yet
+	max     atomic.Int64
 }
+
+const latencyBuckets = 40
 
 func bucketFor(d time.Duration) int {
 	us := d.Microseconds()
 	if us < 1 {
 		return 0
 	}
-	b := int(math.Log2(float64(us))) + 1
-	if b >= 40 {
-		b = 39
-	}
-	return b
+	// bits.Len64 is floor(log2(us)) + 1, exactly.
+	return min(bits.Len64(uint64(us)), latencyBuckets-1)
 }
 
-// Observe records one duration.
+// Observe records one duration (negative ones count as zero).
 func (h *LatencyHistogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketFor(d)]++
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
-		h.min = d
+	d = max(d, 0)
+	h.buckets[bucketFor(d)].Add(1)
+	h.sum.Add(int64(d))
+	for cur := h.min.Load(); cur == 0 || int64(d) < cur-1; cur = h.min.Load() {
+		if h.min.CompareAndSwap(cur, int64(d)+1) {
+			break
+		}
 	}
-	if d > h.max {
-		h.max = d
+	for cur := h.max.Load(); int64(d) > cur; cur = h.max.Load() {
+		if h.max.CompareAndSwap(cur, int64(d)) {
+			break
+		}
 	}
+	h.count.Add(1)
 }
 
 // Count returns the number of observations.
-func (h *LatencyHistogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *LatencyHistogram) Count() uint64 { return h.count.Load() }
 
 // Mean returns the average duration.
 func (h *LatencyHistogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	return time.Duration(h.sum.Load()) / time.Duration(n)
 }
 
 // Min returns the smallest observation.
 func (h *LatencyHistogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
+	return time.Duration(max(h.min.Load()-1, 0))
 }
 
 // Max returns the largest observation.
-func (h *LatencyHistogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *LatencyHistogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Percentile returns an upper bound for the p-th percentile (bucket
 // resolution: a factor of 2).
 func (h *LatencyHistogram) Percentile(p float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	n := h.count.Load()
+	if n == 0 {
 		return 0
 	}
-	target := uint64(math.Ceil(p / 100 * float64(h.count)))
+	target := uint64(math.Ceil(p / 100 * float64(n)))
 	if target < 1 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
 		if cum >= target {
 			if i == 0 {
 				return time.Microsecond
@@ -134,7 +127,7 @@ func (h *LatencyHistogram) Percentile(p float64) time.Duration {
 			return time.Duration(1<<uint(i)) * time.Microsecond
 		}
 	}
-	return h.max
+	return h.Max()
 }
 
 // String summarizes the distribution.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -130,5 +131,67 @@ func TestGaugeConcurrent(t *testing.T) {
 	wg.Wait()
 	if g.Value() != 0 {
 		t.Errorf("value = %d after balanced adds", g.Value())
+	}
+}
+
+// TestHistogramBuckets: bits.Len64 puts every duration in the bucket
+// the former math.Log2 formula named, at each power of two, just
+// beside it and at the clamp.
+func TestHistogramBuckets(t *testing.T) {
+	old := func(d time.Duration) int {
+		us := d.Microseconds()
+		if us < 1 {
+			return 0
+		}
+		b := int(math.Log2(float64(us))) + 1
+		if b >= 40 {
+			b = 39
+		}
+		return b
+	}
+	durs := []time.Duration{-time.Second, 0, 999 * time.Nanosecond, 3 * time.Microsecond, 1000 * time.Microsecond}
+	for k := 0; k < 43; k++ {
+		us := time.Duration(1) << k * time.Microsecond
+		durs = append(durs, us-time.Microsecond, us, us+time.Microsecond)
+	}
+	for _, d := range durs {
+		if got, want := bucketFor(d), old(d); got != want {
+			t.Errorf("bucketFor(%v) = %d, the Log2 formula says %d", d, got, want)
+		}
+	}
+}
+
+// TestHistogramConcurrentObserve: Observe takes no lock, so the totals
+// must still add up when several goroutines record at once.
+func TestHistogramConcurrentObserve(t *testing.T) {
+	var h LatencyHistogram
+	var wg sync.WaitGroup
+	const workers, each = 8, 2000
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				h.Observe(time.Duration(w*each+i) * time.Microsecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	const n = workers * each
+	if h.Count() != n || h.Min() != time.Microsecond || h.Max() != n*time.Microsecond {
+		t.Errorf("n=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	}
+	if want := time.Duration(n+1) * time.Microsecond / 2; h.Mean() != want {
+		t.Errorf("mean = %v, want %v", h.Mean(), want)
+	}
+	if p := h.Percentile(100); p < h.Max() {
+		t.Errorf("p100 = %v below max %v", p, h.Max())
+	}
+}
+
+func TestAllocsHistogramObserve(t *testing.T) {
+	var h LatencyHistogram
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(137 * time.Microsecond) }); allocs != 0 {
+		t.Errorf("Observe allocates %v, want 0", allocs)
 	}
 }

@@ -93,7 +93,12 @@ func (d *Differ) tablesVersion() (uint64, bool) {
 // Poll runs the query and returns the deltas since the previous Poll.
 // The first Poll reports every row as Added.
 func (d *Differ) Poll() ([]Delta, error) {
-	if v, ok := d.tablesVersion(); ok && d.haveVersion && d.havePrev && v == d.lastVersion {
+	// The version is read before the query runs and is the one kept: a
+	// commit that lands while the query runs must leave the next Poll a
+	// version it has not seen (read afterwards, it would be remembered
+	// beside a result that predates it, and never polled again).
+	version, versioned := d.tablesVersion()
+	if versioned && d.haveVersion && d.havePrev && version == d.lastVersion {
 		return nil, nil // nothing changed since last poll
 	}
 	res, err := d.q.Run(d.db)
@@ -135,10 +140,7 @@ func (d *Differ) Poll() ([]Delta, error) {
 	}
 	d.prev = cur
 	d.havePrev = true
-	if v, ok := d.tablesVersion(); ok {
-		d.lastVersion = v
-		d.haveVersion = true
-	}
+	d.lastVersion, d.haveVersion = version, versioned
 	return deltas, nil
 }
 

@@ -223,12 +223,12 @@ func handleStats(c *conn, req *request) bool {
 	c.mu.Unlock()
 	if format == "json" {
 		c.reply(fmt.Sprintf(`OK {"sent":%d,"dropped":%d,"queued":%d,"subs":%d,"cqs":%d,"qsubs":%d,"latency":%s,"patterns":%s}`,
-			c.sent.Load(), c.dropped.Load(), len(c.out), subs, cqs, qsubs, latencyJSON(&c.lat),
+			c.sent.Load(), c.dropped.Load(), c.queuedNow(), subs, cqs, qsubs, latencyJSON(&c.lat),
 			patternsJSON(c.srv.eng.PatternStats())))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK sent=%d dropped=%d queued=%d subs=%d cqs=%d qsubs=%d",
-		c.sent.Load(), c.dropped.Load(), len(c.out), subs, cqs, qsubs))
+		c.sent.Load(), c.dropped.Load(), c.queuedNow(), subs, cqs, qsubs))
 	return true
 }
 

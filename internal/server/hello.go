@@ -96,7 +96,8 @@ func handlePubFrame(c *conn, payload []byte) {
 		return
 	}
 	// UnmarshalJSONEvent copies everything out of payload, so reusing
-	// the frame reader's buffer for the next frame is safe.
+	// the frame reader's buffer for the next frame is safe
+	// (TestUnmarshalJSONEventCopiesInput holds the scanner to that).
 	ev, err := event.UnmarshalJSONEvent(payload)
 	if err != nil {
 		c.errf(codeBadJSON, "%v", err)

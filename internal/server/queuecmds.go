@@ -111,18 +111,6 @@ func (c *conn) queueFail(err error) {
 	c.errf(codeInternal, "%v", err)
 }
 
-// appendQEVT renders one durable delivery into a line buffer.
-func appendQEVT(dst []byte, name, token string, attempt int, data []byte) []byte {
-	dst = append(dst, "QEVT "...)
-	dst = append(dst, name...)
-	dst = append(dst, ' ')
-	dst = append(dst, token...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendInt(dst, int64(attempt), 10)
-	dst = append(dst, ' ')
-	return append(dst, data...)
-}
-
 // receiptToken renders the wire receipt for one delivery attempt.
 func receiptToken(id int64, attempt int) string {
 	return strconv.FormatInt(id, 10) + "-" + strconv.Itoa(attempt)
@@ -147,20 +135,21 @@ func handleConsume(c *conn, req *request) bool {
 		return true
 	}
 	consumer := fmt.Sprintf("conn%d", c.id)
-	var lines []outMsg
-	var tokens []string
-	for len(lines) < max {
+	type pulled struct {
+		token   string
+		attempt int
+		data    []byte
+	}
+	var msgs []pulled
+	for len(msgs) < max {
 		msg, ok, err := q.Dequeue(consumer)
 		if err != nil {
 			// Hand back what this command already claimed: the client
 			// gets only ERR and has no tokens to settle with.
-			for _, tok := range tokens {
-				if r, ok := c.takeReceipt(name, tok); ok {
+			for _, m := range msgs {
+				if r, ok := c.takeReceipt(name, m.token); ok {
 					q.Release(r)
 				}
-			}
-			for _, line := range lines {
-				c.recycle(line.b)
 			}
 			c.errf(codeInternal, "%v", err)
 			return true
@@ -179,15 +168,14 @@ func handleConsume(c *conn, req *request) bool {
 		}
 		token := receiptToken(msg.Receipt.ID, msg.Attempt)
 		c.trackReceipt(name, token, msg.Receipt, nil)
-		tokens = append(tokens, token)
-		lines = append(lines, c.qevtWire(name, token, msg.Attempt, data))
+		msgs = append(msgs, pulled{token, msg.Attempt, data})
 	}
 	// Reply first, then the batch: both flow through the outbound
 	// queue in order, so the client sees "OK <n>" followed by exactly
 	// n QEVT lines (interleaved pushes for other sinks aside).
-	c.reply(fmt.Sprintf("OK %d", len(lines)))
-	for _, line := range lines {
-		c.replyBuf(line)
+	c.reply(fmt.Sprintf("OK %d", len(msgs)))
+	for _, m := range msgs {
+		c.queueQEvt(nil, name, m.token, m.attempt, m.data)
 	}
 	return true
 }
@@ -283,7 +271,7 @@ func handleReplay(c *conn, req *request) bool {
 		if err != nil {
 			return err
 		}
-		c.replyBuf(c.qevtWire(name, "h"+strconv.FormatUint(lsn, 10), 0, data))
+		c.queueQEvt(nil, name, "h"+strconv.FormatUint(lsn, 10), 0, data)
 		return nil
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"eventdb/internal/frame"
 	"eventdb/internal/repl"
 	"eventdb/internal/storage"
 	"eventdb/internal/wal"
@@ -61,23 +62,24 @@ func (s *replSink) detach() {
 // backpressure.
 func (s *replSink) run() {
 	defer close(s.done)
+	var rec []byte // one record's line, rebuilt in place
 	for {
 		_, err := s.tailer.Next(func(r wal.Record) error {
-			b, err := repl.AppendRecord(s.c.lineBuf(), r)
-			if err != nil {
+			var err error
+			if rec, err = repl.AppendRecord(rec[:0], r); err != nil {
 				return err
 			}
-			// finishLine wraps the record for the negotiated mode (a
-			// REPLY frame when the follower spoke HELLO 2).
-			b = s.c.finishLine(b)
-			select {
-			case s.c.out <- outMsg{b: b}:
-				s.c.wakeWriter()
-				return nil
-			case <-s.stop:
-				s.c.recycle(b)
+			if !s.c.begin(s.stop, true) {
 				return errReplStopped
 			}
+			// A REPLY frame when the follower spoke HELLO 2.
+			if s.c.binary {
+				s.c.pending = frame.AppendFrame(s.c.pending, frame.Reply, rec)
+			} else {
+				s.c.pending = append(append(s.c.pending, rec...), '\n')
+			}
+			s.c.commit()
+			return nil
 		})
 		if err != nil {
 			if !errors.Is(err, errReplStopped) {

@@ -119,15 +119,17 @@
 //
 // # Backpressure
 //
-// Every outbound line passes through a per-connection bounded queue
-// drained to the socket by an on-demand writer, so one slow consumer
-// cannot stall the engine or other connections — the same
-// bounded-buffer discipline as the engine's shard pipeline. Command
-// replies always block until queued (they are bounded by request
-// rate); pushed EVT lines follow the configured Overflow policy:
-// BlockOnFull propagates pressure to the publishing goroutine,
-// DropOnFull drops the push and counts it in the connection's drop
-// counter (surfaced by STATS).
+// Every outbound message — reply, push, durable delivery, replication
+// record — is appended in its wire form to one per-connection buffer,
+// under a mutex, and an on-demand writer takes the whole buffer and
+// puts it on the socket with one write. The buffer is bounded in
+// messages (Config.SubBuffer), so one slow consumer cannot stall the
+// engine or other connections — the same bounded-buffer discipline as
+// the engine's shard pipeline. Command replies always block until
+// queued (they are bounded by request rate); pushed EVT lines follow
+// the configured Overflow policy: BlockOnFull propagates pressure to
+// the publishing goroutine, DropOnFull drops the push and counts it in
+// the connection's drop counter (surfaced by STATS).
 package server
 
 import (
@@ -139,6 +141,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,8 +182,8 @@ type Config struct {
 	// are refused with "ERR limit connection limit reached". 0 =
 	// unlimited.
 	MaxConns int
-	// SubBuffer is each connection's outbound queue capacity in lines
-	// (default 256).
+	// SubBuffer is each connection's outbound queue capacity in messages
+	// — replies, pushes, deliveries — not in bytes (default 256).
 	SubBuffer int
 	// Overflow picks the full-queue policy for pushed EVT lines.
 	// Durable QEVT lines always block: the staging queue is their
@@ -493,8 +496,6 @@ func (s *Server) acceptLoop() {
 			id:       s.nextConn.Add(1),
 			nc:       nc,
 			fd:       -1,
-			out:      make(chan outMsg, s.cfg.SubBuffer),
-			free:     make(chan []byte, s.cfg.SubBuffer),
 			stop:     make(chan struct{}),
 			sinks:    make(map[string]sink),
 			receipts: make(map[string]map[string]trackedReceipt),
@@ -519,28 +520,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// outMsg is one queued socket write: an owned buffer b (built in a
-// recycled line buffer, returned to the free list after the write)
-// optionally followed by tail, a shared immutable payload written
-// verbatim after b and never recycled. Binary pushes use tail to ship
-// the encode-once event JSON with no per-sink copy: the frame header
-// declares the payload length up front, so header and cached payload
-// can go to the socket as two slices. Text lines cannot split this
-// way (their '\n' terminator follows the payload), so they always
-// travel fully built in b.
-type outMsg struct {
-	b    []byte
-	tail []byte
-}
-
 // Writer states: the outbound queue is drained by at most one burst
-// goroutine at a time, spawned on demand by whoever enqueues into an
-// idle queue and exiting when the queue runs dry — an idle connection
-// holds no writer goroutine at all.
+// goroutine at a time, spawned on demand by whoever queues into an
+// idle connection and exiting when the queue runs dry — an idle
+// connection holds no writer goroutine at all.
 const (
-	wIdle    int32 = iota // no burst running; next enqueue spawns one
-	wRunning              // a burst goroutine owns the socket
-	wClosed               // teardown owns the socket; no bursts ever again
+	wIdle    = iota // no burst running; the next commit spawns one
+	wRunning        // a burst goroutine owns the socket
+	wClosed         // teardown owns the socket; nothing is queued ever again
 )
 
 // conn is one client connection. A reader goroutine parses commands
@@ -549,12 +536,13 @@ const (
 // bursts. It is the per-connection session state threaded through
 // every handler.
 //
-// Outbound lines are []byte buffers recycled through the free list:
-// a producer takes a buffer with lineBuf, builds the complete wire
-// form (text line + '\n', or a binary frame), and hands ownership to
-// the writer via out; the writer returns it to free after the socket
-// write. Steady-state fan-out therefore allocates no line buffers at
-// all.
+// The outbound queue is a byte buffer, not a queue of messages: a
+// producer calls begin, appends its message's complete wire form (text
+// line + '\n', or a binary frame) to pending, and calls commit; the
+// writer swaps pending for the buffer it wrote last and issues one
+// Write. A message therefore costs its producer one append under omu
+// — no per-message buffer, channel operation or clock read — and
+// steady-state fan-out allocates nothing.
 type conn struct {
 	srv  *Server
 	id   uint64
@@ -562,9 +550,19 @@ type conn struct {
 	fd   int           // raw socket fd for epoll parking; -1 if unavailable
 	br   *bufio.Reader // owned by the reader goroutine
 	fr   *frame.Reader // binary-mode decoder over br (reader goroutine)
-	out  chan outMsg
-	free chan []byte   // recycled line buffers
 	stop chan struct{} // closed at teardown; unblocks producers
+
+	omu     sync.Mutex
+	pending []byte        // wire bytes of the queued messages, back to back
+	queued  int           // messages in pending, at most Config.SubBuffer
+	room    chan struct{} // made by a producer that found the queue full; closed when the writer empties it
+	wstate  int           // wIdle/wRunning/wClosed burst ownership
+	latEv   *event.Event  // the event whose push delay was observed last
+
+	// spare and wfail belong to whoever owns the socket (the running
+	// burst, or teardown once it holds wClosed).
+	spare []byte // the buffer written last, pending's next backing store
+	wfail bool   // a socket write failed; bursts keep draining, not writing
 
 	// binary, parkOK, and lowprio are written only by the reader
 	// goroutine while handling HELLO, which is refused once any sink
@@ -575,17 +573,13 @@ type conn struct {
 	parkOK  bool
 	lowprio bool // sheddable under overload (HELLO flag "lowprio")
 
-	wstate atomic.Int32 // wIdle/wRunning/wClosed burst ownership
-	bw     *bufio.Writer
-	wfail  bool // socket write failed; bursts keep draining, not writing
-	torn   atomic.Bool
-
+	torn       atomic.Bool // teardown has begun (it runs once)
 	pmu        sync.Mutex
 	parked     bool // reader released; the poller owns wake-up
 	closing    bool // interrupt ran; never park or respawn again
 	readerDead bool // reader exited for good (not parked)
 
-	sent       atomic.Uint64 // wire writes completed (lines or frames)
+	sent       atomic.Uint64 // messages handed to the socket (lines or frames)
 	dropped    atomic.Uint64 // EVT pushes lost to DropOnFull
 	replCursor atomic.Uint64 // latest RACKed cursor from a REPLICATE peer
 
@@ -613,87 +607,119 @@ func (c *conn) brokerID(localID string) string {
 	return fmt.Sprintf("wire.%d.%s", c.id, localID)
 }
 
-// maxRecycledLine caps the capacity of buffers kept on the free list,
-// so one huge payload cannot pin its footprint for the connection's
-// lifetime.
+// maxRecycledLine is the most an outbound buffer may have carried and
+// still be kept for the next write, so one huge payload (or one deep
+// backlog) cannot pin its footprint for the connection's lifetime. The
+// test is on what was written, not on the capacity: append's growth
+// step overshoots, and a buffer dropped for that would be regrown from
+// nothing on every burst that fills the queue.
 const maxRecycledLine = 64 << 10
 
-// lineBuf returns an empty outbound line buffer, recycled from the
-// free list when one is available.
-func (c *conn) lineBuf() []byte {
-	select {
-	case b := <-c.free:
-		return b[:0]
-	default:
-		return make([]byte, 0, 256)
+// begin locks the outbound queue with room for one more message. When
+// the queue is full it waits — if wait is set — until the writer
+// empties it, stop fires (a sink detaching; nil for none) or the
+// connection tears down. On true the caller appends one message's wire
+// form to c.pending and calls commit; on false nothing is held and the
+// message was not queued.
+func (c *conn) begin(stop <-chan struct{}, wait bool) bool {
+	c.omu.Lock()
+	for c.wstate != wClosed {
+		if c.queued < c.srv.cfg.SubBuffer {
+			return true
+		}
+		if !wait {
+			break
+		}
+		if c.room == nil {
+			c.room = make(chan struct{})
+		}
+		room := c.room
+		c.omu.Unlock()
+		select {
+		case <-room:
+		case <-stop:
+			return false
+		case <-c.stop:
+			return false
+		}
+		c.omu.Lock()
+	}
+	c.omu.Unlock()
+	return false
+}
+
+// commit counts the message appended since begin, releases the queue,
+// and makes sure a writer burst is running to drain it.
+func (c *conn) commit() {
+	c.queued++
+	spawn := c.wstate == wIdle
+	if spawn {
+		c.wstate = wRunning
+	}
+	c.omu.Unlock()
+	if spawn {
+		// Deliberately untracked by the server WaitGroup: once teardown
+		// takes wClosed no burst can start, and teardown waits out the
+		// one that may be running.
+		go c.burst()
 	}
 }
 
-// recycle returns a line buffer to the free list (dropped when the
-// list is full or the buffer grew oversized).
-func (c *conn) recycle(b []byte) {
-	if cap(b) > maxRecycledLine {
+// reply queues a command reply in the negotiated wire form. Replies are
+// never dropped: they are bounded by request rate, and the protocol's
+// request/reply ordering depends on every one arriving.
+func (c *conn) reply(line string) {
+	if !c.begin(nil, true) {
 		return
 	}
-	select {
-	case c.free <- b:
-	default:
-	}
-}
-
-// reply queues a command reply in the connection's negotiated wire
-// form. Replies are never dropped: they are bounded by request rate,
-// and the protocol's request/reply ordering depends on every one
-// arriving.
-func (c *conn) reply(line string) {
-	b := c.lineBuf()
 	if c.binary {
-		b = frame.AppendFrameString(b, frame.Reply, line)
+		c.pending = frame.AppendFrameString(c.pending, frame.Reply, line)
 	} else {
-		b = append(b, line...)
-		b = append(b, '\n')
+		c.pending = append(append(c.pending, line...), '\n')
 	}
-	c.replyBuf(outMsg{b: b})
+	c.commit()
 }
 
-// replyBuf queues an already-built, wire-ready reply; ownership of the
-// owned buffer passes to the writer (or back to the free list if the
-// connection is tearing down).
-func (c *conn) replyBuf(m outMsg) {
-	select {
-	case c.out <- m:
-		c.wakeWriter()
-	case <-c.stop:
-		c.recycle(m.b)
+// queueQEvt queues one durable delivery in the negotiated wire form,
+// blocking until there is room or stop fires, and reports whether it
+// was queued: a QEVT is never dropped, the staging queue is its
+// backpressure.
+func (c *conn) queueQEvt(stop <-chan struct{}, name, token string, attempt int, data []byte) bool {
+	if !c.begin(stop, true) {
+		return false
 	}
+	if c.binary {
+		c.pending = frame.AppendQEvt(c.pending, name, token, attempt, data)
+	} else {
+		c.pending = append(c.pending, "QEVT "...)
+		c.pending = append(c.pending, name...)
+		c.pending = append(c.pending, ' ')
+		c.pending = append(c.pending, token...)
+		c.pending = append(c.pending, ' ')
+		c.pending = strconv.AppendInt(c.pending, int64(attempt), 10)
+		c.pending = append(c.pending, ' ')
+		c.pending = append(append(c.pending, data...), '\n')
+	}
+	c.commit()
+	return true
 }
 
-// finishLine converts a bare text line built in a recycled buffer into
-// its wire form: text mode appends the newline in place; binary mode
-// wraps it in a REPLY frame (one copy — only cold paths like the
-// replication stream use this).
-func (c *conn) finishLine(b []byte) []byte {
-	if !c.binary {
-		return append(b, '\n')
+// pushEvent queues one pushed event for a subscription or continuous
+// query under the configured overflow policy. The payload comes from
+// the event's encode-once cache: an event fanned out to M sinks across
+// any number of connections is marshaled exactly once, and each sink
+// pays a header and a copy into its connection's outbound buffer.
+// (Derived events — WithAttr, Clone — carry fresh caches, so a cached
+// payload can never go stale.)
+func (c *conn) pushEvent(localID string, ev *event.Event) {
+	data, err := ev.EncodedJSON()
+	if err != nil {
+		c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
+		return
 	}
-	fb := frame.AppendFrame(c.lineBuf(), frame.Reply, b)
-	c.recycle(b)
-	return fb
-}
-
-// push queues an asynchronous EVT push under the configured overflow
-// policy. Buffer ownership passes to the writer; dropped lines return
-// to the free list.
-func (c *conn) push(m outMsg) {
-	if c.srv.cfg.Overflow == DropOnFull {
-		select {
-		case c.out <- m:
-			if c.srv.cfg.EvictAfterDrops > 0 {
-				c.consecDrops.Store(0)
-			}
-			c.wakeWriter()
-		default:
-			c.recycle(m.b)
+	drop := c.srv.cfg.Overflow == DropOnFull
+	if !c.begin(nil, !drop) {
+		if drop && !c.torn.Load() {
 			c.dropped.Add(1)
 			c.srv.eng.Metrics.Counter("server.push.dropped").Inc()
 			// Sustained overflow with no drain in between is a consumer
@@ -706,143 +732,90 @@ func (c *conn) push(m outMsg) {
 		}
 		return
 	}
-	select {
-	case c.out <- m:
-		c.wakeWriter()
-	case <-c.stop:
-		c.recycle(m.b)
-	}
-}
-
-// evtWire renders one subscription push in the negotiated wire form.
-// Text builds the full "EVT <id> <json>\n" line in a recycled buffer
-// (one payload copy per sink); binary builds only the frame header and
-// carries the cached JSON as the shared tail — zero payload copies per
-// sink, the frame layout's whole point.
-func (c *conn) evtWire(localID string, data []byte) outMsg {
-	b := c.lineBuf()
 	if c.binary {
-		return outMsg{b: frame.AppendEvtHeader(b, localID, len(data)), tail: data}
+		c.pending = frame.AppendEvt(c.pending, localID, data)
+	} else {
+		c.pending = append(c.pending, "EVT "...)
+		c.pending = append(c.pending, localID...)
+		c.pending = append(c.pending, ' ')
+		c.pending = append(append(c.pending, data...), '\n')
 	}
-	b = append(b, "EVT "...)
-	b = append(b, localID...)
-	b = append(b, ' ')
-	b = append(b, data...)
-	return outMsg{b: append(b, '\n')}
-}
-
-// qevtWire renders one durable delivery in the negotiated wire form,
-// with the same text-copies/binary-shares split as evtWire.
-func (c *conn) qevtWire(name, token string, attempt int, data []byte) outMsg {
-	b := c.lineBuf()
-	if c.binary {
-		return outMsg{b: frame.AppendQEvtHeader(b, name, token, attempt, len(data)), tail: data}
-	}
-	b = appendQEVT(b, name, token, attempt, data)
-	return outMsg{b: append(b, '\n')}
-}
-
-// pushEvent queues one pushed event for a subscription or continuous
-// query. The payload comes from the event's encode-once cache: an
-// event fanned out to M sinks across any number of connections is
-// marshaled exactly once, and each sink pays only a header build and a
-// copy into its recycled line buffer. (Derived events — WithAttr,
-// Clone — carry fresh caches, so a cached payload can never go stale.)
-func (c *conn) pushEvent(localID string, ev *event.Event) {
-	data, err := ev.EncodedJSON()
-	if err != nil {
-		c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
-		return
+	// One clock read per (connection, event), not per sink: the sinks of
+	// one connection see an event back to back.
+	first := c.latEv != ev
+	c.latEv = ev
+	c.commit()
+	if drop && c.srv.cfg.EvictAfterDrops > 0 {
+		c.consecDrops.Store(0)
 	}
 	// Delivery latency: event timestamp to push. Events carrying no
 	// timestamp, a future one, or one older than an hour (historical
 	// REPLAY backfill) would only distort the histogram.
-	if !ev.Time.IsZero() {
+	if first && !ev.Time.IsZero() {
 		if d := time.Since(ev.Time); d >= 0 && d <= time.Hour {
 			c.lat.Observe(d)
 		}
 	}
-	c.push(c.evtWire(localID, data))
 }
 
-// wakeWriter ensures a writer burst is running (or already scheduled)
-// to drain the enqueued buffer. Producers always enqueue first, then
-// wake: if the CAS loses, some burst is already committed to a
-// post-drain re-check that will see the buffer.
-func (c *conn) wakeWriter() {
-	if c.wstate.CompareAndSwap(wIdle, wRunning) {
-		// Deliberately untracked by the server WaitGroup: once teardown
-		// takes wClosed no burst can restart, and a racing burst past
-		// its final Store touches only conn-local state.
-		go c.writeBurst()
+// queuedNow reports the outbound queue's depth in messages (STATS).
+func (c *conn) queuedNow() int {
+	c.omu.Lock()
+	defer c.omu.Unlock()
+	return c.queued
+}
+
+// take empties the outbound queue into the hands of the caller, who
+// holds omu and owns the socket, and wakes the producers waiting for
+// room.
+func (c *conn) take() (buf []byte, n int) {
+	buf, n = c.pending, c.queued
+	c.pending, c.queued, c.spare = c.spare[:0], 0, nil
+	if c.room != nil {
+		close(c.room)
+		c.room = nil
 	}
+	return buf, n
 }
 
-// write puts one wire-ready message on the socket (through bw) and
-// recycles its owned buffer; a shared tail is written verbatim and
-// never recycled. After a failure it keeps consuming buffers without
-// writing, so producers drain instead of deadlocking.
-func (c *conn) write(m outMsg) {
-	if !c.wfail {
-		_, err := c.bw.Write(m.b)
-		if err == nil && len(m.tail) > 0 {
-			_, err = c.bw.Write(m.tail)
-		}
-		if err != nil {
+// write puts one taken buffer of n messages on the socket, in one
+// Write, and keeps the buffer for the next take. After a failure it
+// closes the socket (forcing the reader to tear down) and from then on
+// discards, so producers drain instead of deadlocking.
+func (c *conn) write(buf []byte, n int) {
+	if !c.wfail && n > 0 {
+		// Counted on the way in: a client that has read a message must
+		// find it in the next STATS.
+		c.sent.Add(uint64(n))
+		if _, err := c.nc.Write(buf); err != nil {
 			c.wfail = true
 			c.nc.Close()
-		} else {
-			c.sent.Add(1)
 		}
 	}
-	c.recycle(m.b)
-}
-
-func (c *conn) flush() {
-	if c.wfail {
-		return
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.wfail = true
-		c.nc.Close()
+	if len(buf) <= maxRecycledLine {
+		c.spare = buf
 	}
 }
 
-// writeBurst drains the outbound queue to the socket, coalescing: it
-// writes every immediately-available buffer, then flushes once, so a
-// fan-out burst pays one syscall instead of one per line. When the
-// queue runs dry it releases the writer slot and exits — the
-// steady-state of an idle connection is zero writer goroutines. On a
-// write error it closes the socket (forcing the reader to tear down)
-// and keeps consuming so blocked producers are released.
-func (c *conn) writeBurst() {
-	if c.bw == nil {
-		c.bw = bufio.NewWriterSize(c.nc, 1<<16)
-	}
+// burst drains the outbound queue to the socket, coalescing: whatever
+// accumulated while the last write was in flight goes out in the next
+// one, so a fan-out burst pays one syscall instead of one per message.
+// When the queue runs dry it releases the writer slot and exits — the
+// steady state of an idle connection is zero writer goroutines.
+func (c *conn) burst() {
 	for {
+		c.omu.Lock()
+		if c.queued == 0 {
+			c.wstate = wIdle
+			c.omu.Unlock()
+			return
+		}
+		buf, n := c.take()
+		c.omu.Unlock()
 		if wt := c.srv.cfg.WriteTimeout; wt > 0 && !c.wfail {
 			c.nc.SetWriteDeadline(time.Now().Add(wt))
 		}
-		for {
-			select {
-			case b := <-c.out:
-				c.write(b)
-				continue
-			default:
-			}
-			break
-		}
-		c.flush()
-		// Release the slot, then re-check: a producer that enqueued
-		// after the drain either wins the wake CAS itself or loses it
-		// to this re-check — never both, never neither.
-		c.wstate.Store(wIdle)
-		if len(c.out) == 0 {
-			return
-		}
-		if !c.wstate.CompareAndSwap(wIdle, wRunning) {
-			return
-		}
+		c.write(buf, n)
 	}
 }
 
@@ -1152,26 +1125,21 @@ func (c *conn) teardown() {
 	// Receipts left by CONSUME on queues no sink covered.
 	c.releaseAllReceipts()
 	close(c.stop)
-	// Take exclusive socket ownership: once wClosed is in, no burst can
-	// start, and the spin ends as soon as the last burst parks. Bursts
-	// terminate promptly — producers are released, the queue is
-	// bounded, and the write deadline above caps socket time.
-	for !c.wstate.CompareAndSwap(wIdle, wClosed) {
+	// Take exclusive socket ownership: once wClosed is in, nothing can
+	// be queued and no burst can start, and the spin ends as soon as the
+	// last burst exits. Bursts terminate promptly — producers are
+	// released, the queue is bounded, and the write deadline above caps
+	// socket time.
+	c.omu.Lock()
+	for c.wstate != wIdle {
+		c.omu.Unlock()
 		runtime.Gosched()
+		c.omu.Lock()
 	}
-	if c.bw == nil {
-		c.bw = bufio.NewWriterSize(c.nc, 1<<16)
-	}
-	for {
-		select {
-		case b := <-c.out:
-			c.write(b)
-			continue
-		default:
-		}
-		break
-	}
-	c.flush()
+	c.wstate = wClosed
+	buf, n := c.take()
+	c.omu.Unlock()
+	c.write(buf, n)
 	c.nc.Close()
 	c.srv.mu.Lock()
 	delete(c.srv.conns, c)

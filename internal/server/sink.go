@@ -143,8 +143,8 @@ func (s *queueSink) run() {
 // push blocks until queued or the sink detaches — a durable delivery
 // is never silently dropped. (Dequeue decodes a fresh Event per
 // delivery, so EncodedJSON here is a cold encode, not a shared cache
-// hit — the durable path's win is the recycled line buffer and the
-// coalesced writer, not cross-sink payload sharing.)
+// hit — the durable path's win is the coalesced writer, not cross-sink
+// payload sharing.)
 func (s *queueSink) deliver(msg *queue.Msg) {
 	data, err := msg.Event.EncodedJSON()
 	if err != nil {
@@ -172,20 +172,14 @@ func (s *queueSink) deliver(msg *queue.Msg) {
 		token = receiptToken(msg.Receipt.ID, msg.Attempt)
 		s.c.trackReceipt(s.name, token, msg.Receipt, s)
 	}
-	line := s.c.qevtWire(s.name, token, msg.Attempt, data)
-	select {
-	case s.c.out <- line:
-		s.c.wakeWriter()
+	if s.c.queueQEvt(s.stop, s.name, token, msg.Attempt, data) {
 		s.c.srv.eng.Metrics.Counter("server.qsub.delivered").Inc()
-	case <-s.stop:
+	} else if !s.autoAck {
 		// Tearing down: the line was never queued. Hand a manual-ack
 		// message back so the next consumer gets it immediately; an
 		// auto-ack message was already consumed (at-most-once loss).
-		s.c.recycle(line.b)
-		if !s.autoAck {
-			s.c.takeReceipt(s.name, token)
-			s.q.Release(msg.Receipt)
-		}
+		s.c.takeReceipt(s.name, token)
+		s.q.Release(msg.Receipt)
 	}
 }
 

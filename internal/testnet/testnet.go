@@ -46,7 +46,7 @@ type Conn struct {
 	readKill   func(line []byte) bool
 	writeKill  func(line []byte) bool
 	readBuf    []byte // scanned complete-line bytes ready for delivery
-	lineBuf    []byte // read-side partial-line accumulator
+	partial    []byte // read-side partial-line accumulator
 	wLineBuf   []byte // write-side partial-line accumulator
 	killed     bool
 }
@@ -215,23 +215,23 @@ func (c *Conn) scanRead(b []byte) {
 		c.mu.Unlock()
 		return
 	}
-	c.lineBuf = append(c.lineBuf, b...)
+	c.partial = append(c.partial, b...)
 	for {
-		i := bytes.IndexByte(c.lineBuf, '\n')
+		i := bytes.IndexByte(c.partial, '\n')
 		if i < 0 {
 			c.mu.Unlock()
 			return
 		}
-		line := c.lineBuf[:i+1]
+		line := c.partial[:i+1]
 		if c.readKill != nil && c.readKill(line) {
 			c.killed = true
-			c.lineBuf = nil
+			c.partial = nil
 			c.mu.Unlock()
 			c.inner.Close()
 			return
 		}
 		c.readBuf = append(c.readBuf, line...)
-		c.lineBuf = append(c.lineBuf[:0], c.lineBuf[i+1:]...)
+		c.partial = append(c.partial[:0], c.partial[i+1:]...)
 	}
 }
 

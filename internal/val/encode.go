@@ -33,8 +33,8 @@ func AppendBinary(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
 	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-		dst = append(dst, v.b...)
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+		dst = append(dst, v.s...)
 	}
 	return dst
 }
@@ -127,7 +127,7 @@ func AppendKey(dst []byte, v Value) []byte {
 	case KindString:
 		dst = appendEscaped(dst, []byte(v.s))
 	case KindBytes:
-		dst = appendEscaped(dst, v.b)
+		dst = appendEscaped(dst, v.bytes())
 	}
 	return dst
 }

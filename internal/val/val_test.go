@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -381,5 +382,32 @@ func TestCompareQuickSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueIs32Bytes pins the size a map[string]Value slot is built
+// from: a fourth word (the slice header Bytes once had to itself) turns
+// the 416-byte eight-slot group behind every decoded event into 640.
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("sizeof(Value) = %d, want 32", got)
+	}
+}
+
+// TestBytesIsAView checks the bytes payload is the caller's memory, not
+// a copy, whatever its length, and that empty payloads stay harmless.
+func TestBytesIsAView(t *testing.T) {
+	src := []byte{1, 2, 3}
+	got, ok := Bytes(src).AsBytes()
+	if !ok || len(got) != 3 || &got[0] != &src[0] {
+		t.Errorf("AsBytes = %v (ok %v), want a view of the source slice", got, ok)
+	}
+	for _, empty := range [][]byte{nil, {}} {
+		if b, ok := Bytes(empty).AsBytes(); !ok || len(b) != 0 {
+			t.Errorf("Bytes(%#v).AsBytes() = %v, %v", empty, b, ok)
+		}
+	}
+	if String("ab").Kind() == Bytes([]byte("ab")).Kind() {
+		t.Error("a bytes value must not be mistaken for a string")
 	}
 }
