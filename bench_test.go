@@ -239,14 +239,11 @@ func BenchmarkE2TransactionalBatch(b *testing.B) {
 
 // --- E3: pub/sub subscription matching (expressions as data) --------
 
-func setupBroker(b *testing.B, indexed bool, n int) *pubsub.Broker {
+// The naive arm — every subscription's predicate evaluated per match —
+// is BenchmarkE3MatchNaive in internal/pubsub, next to the oracle.
+func setupBroker(b *testing.B, n int) *pubsub.Broker {
 	b.Helper()
-	var br *pubsub.Broker
-	if indexed {
-		br = pubsub.NewBroker()
-	} else {
-		br = pubsub.NewBrokerNaive()
-	}
+	br := pubsub.NewBroker()
 	for i := 0; i < n; i++ {
 		filter := fmt.Sprintf("sym = 'S%d' AND price > %d", i%1000, i%500)
 		if err := br.Subscribe(fmt.Sprintf("s%d", i), "x", filter, func(pubsub.Delivery) {}); err != nil {
@@ -258,29 +255,26 @@ func setupBroker(b *testing.B, indexed bool, n int) *pubsub.Broker {
 
 func BenchmarkE3Match(b *testing.B) {
 	for _, n := range []int{100, 10000, 100000} {
-		for _, mode := range []string{"indexed", "naive"} {
-			if mode == "naive" && n > 10000 {
-				continue // naive at 100k takes too long per op for CI
-			}
-			b.Run(fmt.Sprintf("%s/subs=%d", mode, n), func(b *testing.B) {
-				br := setupBroker(b, mode == "indexed", n)
-				ev := event.New("trade", map[string]any{"sym": "S7", "price": 600})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := br.MatchOnly(ev); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("indexed/subs=%d", n), func(b *testing.B) {
+			br := setupBroker(b, n)
+			ev := event.New("trade", map[string]any{"sym": "S7", "price": 600})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := br.MatchOnly(ev); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // --- E4: large rule sets ---------------------------------------------
 
-func setupRules(b *testing.B, indexed bool, n int) *rules.Engine {
+// The naive arm — every rule evaluated per match — is
+// BenchmarkE4RulesNaive in internal/rules, next to the oracle.
+func setupRules(b *testing.B, n int) *rules.Engine {
 	b.Helper()
-	e := rules.NewEngine(rules.Options{Indexed: indexed})
+	e := rules.NewEngine()
 	for i := 0; i < n; i++ {
 		cond := fmt.Sprintf("site = 'site%d' AND level >= %d", i%1000, i%10)
 		if _, err := e.Add(fmt.Sprintf("r%d", i), cond, i%3, nil); err != nil {
@@ -292,21 +286,16 @@ func setupRules(b *testing.B, indexed bool, n int) *rules.Engine {
 
 func BenchmarkE4Rules(b *testing.B) {
 	for _, n := range []int{100, 10000, 100000} {
-		for _, mode := range []string{"indexed", "naive"} {
-			if mode == "naive" && n > 10000 {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/rules=%d", mode, n), func(b *testing.B) {
-				e := setupRules(b, mode == "indexed", n)
-				ev := event.New("sensor", map[string]any{"site": "site7", "level": 5})
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Match(ev); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("indexed/rules=%d", n), func(b *testing.B) {
+			e := setupRules(b, n)
+			ev := event.New("sensor", map[string]any{"site": "site7", "level": 5})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Match(ev); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -315,7 +304,7 @@ func BenchmarkE4Rules(b *testing.B) {
 func BenchmarkE5RuleChurn(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("base=%d", n), func(b *testing.B) {
-			e := setupRules(b, true, n)
+			e := setupRules(b, n)
 			ev := event.New("sensor", map[string]any{"site": "site7", "level": 5})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -334,41 +323,37 @@ func BenchmarkE5RuleChurn(b *testing.B) {
 	}
 }
 
-// --- E6: continuous queries, incremental vs recompute ----------------
+// --- E6: continuous queries, incremental maintenance -----------------
 
+// The recompute arm — results rescanned from the window per event — is
+// BenchmarkE6CQRecompute in internal/cq, next to the oracle.
 func BenchmarkE6CQ(b *testing.B) {
 	for _, w := range []int{1024, 16384, 65536} {
-		for _, mode := range []string{"incremental", "recompute"} {
-			if mode == "recompute" && w > 16384 {
-				continue
+		b.Run(fmt.Sprintf("incremental/window=%d", w), func(b *testing.B) {
+			q, err := cq.New(cq.Def{
+				Name:    "bench",
+				GroupBy: []string{"sym"},
+				Aggs: []cq.AggDef{
+					{Alias: "n", Kind: cq.Count},
+					{Alias: "avg", Kind: cq.Avg, Attr: "price"},
+				},
+				Window: cq.Window{Kind: cq.CountWindow, Size: w},
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/window=%d", mode, w), func(b *testing.B) {
-				q, err := cq.New(cq.Def{
-					Name:    "bench",
-					GroupBy: []string{"sym"},
-					Aggs: []cq.AggDef{
-						{Alias: "n", Kind: cq.Count},
-						{Alias: "avg", Kind: cq.Avg, Attr: "price"},
-					},
-					Window:    cq.Window{Kind: cq.CountWindow, Size: w},
-					Recompute: mode == "recompute",
-				})
-				if err != nil {
+			gen := workload.NewTrades(1, 8, 100)
+			// Pre-fill the window.
+			for i := 0; i < w; i++ {
+				q.Feed(gen.Next())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.Feed(gen.Next()); err != nil {
 					b.Fatal(err)
 				}
-				gen := workload.NewTrades(1, 8, 100)
-				// Pre-fill the window.
-				for i := 0; i < w; i++ {
-					q.Feed(gen.Next())
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := q.Feed(gen.Next()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -56,11 +56,7 @@
 //
 // Dial is configured with functional options of type Option
 // (WithFallbacks, RequireLeader, WithNetDial, WithBinary, WithPark,
-// WithSubBuffer). Code written against the older DialOption name needs
-// no changes — DialOption is now an alias of Option and every option
-// constructor returns a value usable as either — but new code should
-// spell the type Option; DialOption is deprecated and kept only for
-// compatibility.
+// WithSubBuffer).
 package client
 
 import (
@@ -183,15 +179,8 @@ type Conn struct {
 }
 
 // Option customizes Dial: candidate fallbacks, leader routing, wire
-// mode, buffer defaults. This is the canonical option type; the
-// deprecated DialOption alias keeps older code compiling unchanged.
+// mode, buffer defaults.
 type Option func(*dialConfig)
-
-// DialOption is the former name of Option.
-//
-// Deprecated: use Option. The alias is identical in every way and will
-// be kept for compatibility, but new code should not spell it.
-type DialOption = Option
 
 type dialConfig struct {
 	fallbacks     []string
@@ -652,6 +641,12 @@ func (c *Conn) Publish(ev *Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return c.publishJSON(data)
+}
+
+// publishJSON sends one single-line JSON event as a PUB and returns the
+// delivery count the server answers with.
+func (c *Conn) publishJSON(data []byte) (int, error) {
 	resp, err := c.roundTrip(func() error { return c.tr.sendEvent(data) })
 	if err != nil {
 		return 0, err
@@ -673,15 +668,7 @@ func (c *Conn) PublishRaw(data []byte) (int, error) {
 	if err := json.Compact(&buf, data); err != nil {
 		return 0, fmt.Errorf("client: bad event json: %w", err)
 	}
-	resp, err := c.roundTrip(func() error { return c.tr.sendEvent(buf.Bytes()) })
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(resp)
-	if err != nil {
-		return 0, fmt.Errorf("client: bad PUB reply %q", resp)
-	}
-	return n, nil
+	return c.publishJSON(buf.Bytes())
 }
 
 // PublishT publishes one event under an idempotency token: a session
@@ -719,9 +706,8 @@ func (c *Conn) PublishT(session string, seq uint64, ev *Event) (delivered int, d
 const maxBatch = 65536
 
 // PublishBatch sends a batch of events in one round-trip (one per
-// 65536-event chunk for oversized batches); the server ingests them
-// through its sharded batch pipeline. Returns the number of events
-// accepted.
+// 65536-event chunk for oversized batches); the server ingests each
+// chunk as one batch. Returns the number of events accepted.
 func (c *Conn) PublishBatch(evs []*Event) (int, error) {
 	total := 0
 	for len(evs) > 0 {

@@ -33,7 +33,7 @@
 //     sharded pipeline: events are hash-partitioned by event type (or
 //     a custom Config.ShardKey) across N workers, each draining a
 //     bounded buffer (Config.ShardBuffer, default 1024) through the
-//     rules→pub/sub flow. Config.Backpressure picks the full-buffer
+//     rules→pub/sub→patterns pass. Config.Backpressure picks the full-buffer
 //     policy: BlockOnFull (lossless, default) or DropOnFull (lossy,
 //     counted per shard). Events sharing a shard key keep their
 //     arrival order; Engine.Flush waits for the backlog and

@@ -149,7 +149,7 @@ func main() {
 	if ids, _, err := regionalQ.DeadLetters(); err == nil && len(ids) > 0 {
 		fmt.Printf("redriving %d dead letters after uplink repair...\n", len(ids))
 		for _, id := range ids {
-			regionalQ.Redrive(id)
+			regionalQ.Requeue(id)
 		}
 	}
 }

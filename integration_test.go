@@ -173,7 +173,7 @@ func TestPipelinePoisonMessage(t *testing.T) {
 		fixed = true
 		return nil
 	})
-	if err := q.Redrive(ids[0]); err != nil {
+	if err := q.Requeue(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	d2.DrainOnce()

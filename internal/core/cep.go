@@ -5,21 +5,21 @@
 // continuous queries, durable queues, and triggers all see them like
 // any other event.
 //
-// On a synchronous engine the automaton feeds inline on the ingesting
-// goroutine. On a sharded engine each worker hands its evaluated events
-// to a per-shard bounded queue and a single feeder goroutine merges
-// them — draining every queue, then sorting the sweep by (time, id) —
-// so the automaton sees one nondecreasing-time stream without the
-// shards contending on its lock. A clock goroutine advances the WITHIN
+// The automaton is single-threaded, so it feeds inline under one mutex
+// on whichever goroutine evaluated the event — the publisher's on a
+// synchronous engine, a shard worker's on a sharded one, where a busy
+// automaton back-pressures the shards rather than losing pattern input.
+// Shards feed in the order they evaluate: events sharing a shard key
+// arrive in order, events on different shards can arrive skewed — the
+// same cross-key reordering the sharded pipeline itself permits,
+// absorbed by WITHIN windows. A clock goroutine advances the WITHIN
 // horizon on quiet streams so dead partial matches don't pin memory
 // until the next event happens to arrive.
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,10 +39,7 @@ var (
 	ErrNoPattern     = errors.New("core: no such pattern")
 )
 
-const (
-	defaultCEPBuffer     = 4096
-	defaultCEPGCInterval = 500 * time.Millisecond
-)
+const defaultCEPGCInterval = 500 * time.Millisecond
 
 // PatternStats is a snapshot of the pattern registry's counters.
 type PatternStats struct {
@@ -53,7 +50,7 @@ type PatternStats struct {
 	Dropped    uint64 // partials evicted by the instance cap
 }
 
-// cepRegistry owns the shared automaton and its feed plumbing.
+// cepRegistry owns the shared automaton and its horizon clock.
 type cepRegistry struct {
 	e *Engine
 
@@ -64,19 +61,12 @@ type cepRegistry struct {
 
 	// active gates the per-event observe hook: the common case of an
 	// engine with no patterns costs one atomic load per event.
-	active  atomic.Int64
-	stopped atomic.Bool
-
-	// Sharded-feed plumbing (nil/unused on synchronous engines).
-	qs      []chan *event.Event
-	pending atomic.Int64
-	notify  chan struct{}
+	active atomic.Int64
 
 	started    bool
 	quit       chan struct{}
 	wg         sync.WaitGroup
 	gcInterval time.Duration
-	now        func() time.Time // injectable for horizon-GC tests
 }
 
 func newCEPRegistry(e *Engine, cfg Config) *cepRegistry {
@@ -85,7 +75,6 @@ func newCEPRegistry(e *Engine, cfg Config) *cepRegistry {
 		nfa:        cep.NewShared(),
 		specs:      make(map[string][]byte),
 		gcInterval: cfg.CEPAdvanceInterval,
-		now:        time.Now,
 	}
 	if c.gcInterval <= 0 {
 		c.gcInterval = defaultCEPGCInterval
@@ -93,22 +82,11 @@ func newCEPRegistry(e *Engine, cfg Config) *cepRegistry {
 	if cfg.CEPMaxInstances > 0 {
 		c.nfa.MaxInstances = cfg.CEPMaxInstances
 	}
-	if e.pipeline != nil {
-		buf := cfg.CEPBuffer
-		if buf <= 0 {
-			buf = defaultCEPBuffer
-		}
-		c.qs = make([]chan *event.Event, len(e.pipeline.shards))
-		for i := range c.qs {
-			c.qs[i] = make(chan *event.Event, buf)
-		}
-		c.notify = make(chan struct{}, 1)
-	}
 	return c
 }
 
-// ensureStarted launches the feeder and horizon-GC goroutines on first
-// registration, so engines that never use patterns never pay for them.
+// ensureStarted launches the horizon-GC goroutine on first
+// registration, so engines that never use patterns never pay for it.
 // Caller holds c.mu.
 func (c *cepRegistry) ensureStarted() {
 	if c.started {
@@ -116,16 +94,11 @@ func (c *cepRegistry) ensureStarted() {
 	}
 	c.started = true
 	c.quit = make(chan struct{})
-	if c.qs != nil {
-		c.wg.Add(1)
-		go c.runFeeder()
-	}
 	c.wg.Add(1)
 	go c.runGC()
 }
 
 func (c *cepRegistry) close() {
-	c.stopped.Store(true)
 	c.mu.Lock()
 	started := c.started
 	c.started = false
@@ -136,122 +109,26 @@ func (c *cepRegistry) close() {
 	}
 }
 
-// cepObserve hands one evaluated event to the pattern automaton.
-// shardIdx is the evaluating pipeline shard, or -1 for the synchronous
-// and inline-capture paths. Composite "cep." events are not re-fed —
+// observe feeds one evaluated event to the pattern automaton, on the
+// goroutine that evaluated it. Composite "cep." events are not re-fed —
 // patterns over raw events only, so a pattern can never feed itself.
-func (e *Engine) cepObserve(shardIdx int, ev *event.Event) {
-	c := e.cep
-	if c.active.Load() == 0 || c.stopped.Load() {
+// Matches materialize into events under the lock — the automaton reuses
+// its match slice — and re-enter ingest after it is released, so a
+// match's own cascade can re-enter observe safely.
+func (c *cepRegistry) observe(ev *event.Event) {
+	if c.active.Load() == 0 || strings.HasPrefix(ev.Type, "cep.") {
 		return
 	}
-	if strings.HasPrefix(ev.Type, "cep.") {
-		return
-	}
-	if c.qs == nil {
-		c.feedInline(ev)
-		return
-	}
-	if shardIdx < 0 {
-		shardIdx = 0 // inline capture fallback on a sharded engine
-	}
-	c.pending.Add(1)
-	select {
-	case c.qs[shardIdx] <- ev:
-		select {
-		case c.notify <- struct{}{}:
-		default:
-		}
-	default:
-		// Never block an ingest worker on the pattern plane: a full
-		// feed queue drops the event for pattern purposes only.
-		c.pending.Add(-1)
-		e.Metrics.Counter("cep.feed.drops").Inc()
-	}
-}
-
-// feedInline runs the automaton on the caller's goroutine (synchronous
-// engines). Matches materialize into events under the lock — the
-// automaton reuses its match slice — and re-enter ingest after it is
-// released, so a match's own cascade can re-enter cepObserve safely.
-func (c *cepRegistry) feedInline(ev *event.Event) {
 	var outs []*event.Event
 	c.mu.Lock()
 	for _, m := range c.nfa.Feed(ev) {
 		outs = append(outs, m.Event())
 	}
 	c.mu.Unlock()
-	c.emit(outs)
-}
-
-func (c *cepRegistry) emit(outs []*event.Event) {
 	for _, out := range outs {
 		if err := c.e.ingestCapture(out); err != nil {
 			c.e.Metrics.Counter("ingest.errors").Inc()
 		}
-	}
-}
-
-// runFeeder is the sharded engines' single automaton feeder: woken by
-// observers, it sweeps every shard queue, merges the sweep into
-// nondecreasing (time, id) order, and feeds the batch under one lock
-// acquisition. Per-shard arrival order is preserved by the stable sort.
-// Cross-shard order is best-effort: the sort repairs skew between
-// events captured in the same sweep, but a shard whose worker lags a
-// sweep entirely delivers late — the same cross-key reordering the
-// sharded pipeline itself permits, absorbed by WITHIN windows.
-func (c *cepRegistry) runFeeder() {
-	defer c.wg.Done()
-	var batch []*event.Event
-	for {
-		select {
-		case <-c.notify:
-			batch = c.drainFeed(batch)
-		case <-c.quit:
-			// Final drain: events the closing pipeline evaluated after
-			// our last sweep still reach the automaton.
-			c.drainFeed(batch)
-			return
-		}
-	}
-}
-
-func (c *cepRegistry) drainFeed(batch []*event.Event) []*event.Event {
-	for {
-		batch = batch[:0]
-		for _, q := range c.qs {
-		queue:
-			for {
-				select {
-				case ev := <-q:
-					batch = append(batch, ev)
-				default:
-					break queue
-				}
-			}
-		}
-		if len(batch) == 0 {
-			return batch
-		}
-		slices.SortStableFunc(batch, func(a, b *event.Event) int {
-			if a.Time.Before(b.Time) {
-				return -1
-			}
-			if a.Time.After(b.Time) {
-				return 1
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		var outs []*event.Event
-		c.mu.Lock()
-		for _, ev := range batch {
-			for _, m := range c.nfa.Feed(ev) {
-				outs = append(outs, m.Event())
-			}
-		}
-		c.mu.Unlock()
-		c.emit(outs)
-		c.pending.Add(-int64(len(batch)))
 	}
 }
 
@@ -266,7 +143,7 @@ func (c *cepRegistry) runGC() {
 		case <-c.quit:
 			return
 		case <-t.C:
-			c.e.AdvancePatternHorizon(c.now())
+			c.e.AdvancePatternHorizon(time.Now())
 		}
 	}
 }
@@ -384,21 +261,6 @@ func (e *Engine) AdvancePatternHorizon(now time.Time) int {
 	n := c.nfa.Advance(now)
 	c.mu.Unlock()
 	return n
-}
-
-// FlushPatterns blocks until every event handed to the pattern feeder
-// so far has been fed through the automaton. Matches it emitted may
-// still be in the ingest pipeline; compose with Flush for end-to-end
-// settling. A no-op on synchronous engines, where feeding is inline.
-func (e *Engine) FlushPatterns() {
-	c := e.cep
-	wait := 50 * time.Microsecond
-	for c.pending.Load() > 0 {
-		time.Sleep(wait)
-		if wait < 5*time.Millisecond {
-			wait *= 2
-		}
-	}
 }
 
 // PatternsTableSchema returns the schema used to persist pattern

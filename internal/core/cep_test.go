@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -106,45 +107,62 @@ func TestRegisterPatternErrors(t *testing.T) {
 	}
 }
 
+// TestShardedPatternFeed holds a sharded engine to a synchronous one:
+// for an input settled phase by phase, the shard workers feeding the
+// automaton inline emit exactly the composites the publisher's own
+// goroutine would, and Flush alone settles them — the pipeline, the
+// automaton, and the composites it sent back into the pipeline.
 func TestShardedPatternFeed(t *testing.T) {
-	e := open(t, Config{Shards: 4})
-	if err := e.RegisterPattern("fraud", fraudSpec); err != nil {
-		t.Fatal(err)
+	// login and wire hash to different shards (the shard key is the
+	// event type), and shards feed in the order they evaluate, so each
+	// phase settles before the next: interleaved, a wire could
+	// legitimately feed before its login.
+	users := []string{"ann", "bob", "cy", "dee", "eve", "zed"}
+	var logins, wires []*event.Event
+	for i := 0; i < 60; i++ {
+		logins = append(logins, cepEvent("login", users[i%5], 0)) // zed never logs in
 	}
-	var got collector
-	if err := e.Subscribe("s", "ops", `$type = 'cep.fraud'`, got.handler); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 60; i++ {
+		// Every third wire is under the guard's amount.
+		wires = append(wires, cepEvent("wire", users[i%6], 9000+1000*(i%3)))
 	}
-	// login and wire hash to different shards (shard key is the event
-	// type), so this exercises the cross-shard merge feeder. Feed order
-	// across shards follows arrival — the sort only orders each sweep —
-	// so settle the logins before the wires: interleaved ingest could
-	// legitimately feed a wire before its login.
-	const n = 50
-	for i := 0; i < n; i++ {
-		e.Ingest(cepEvent("login", "u", 0))
-	}
-	e.Flush()
-	e.FlushPatterns()
-	for i := 0; i < n; i++ {
-		e.Ingest(cepEvent("wire", "u", 50000))
-	}
-	// Settle: pipeline → pattern feeder → emitted matches → pipeline.
-	for i := 0; i < 3; i++ {
-		e.Flush()
-		e.FlushPatterns()
-	}
-	evs := got.events()
-	if len(evs) == 0 {
-		t.Fatal("no composite events on sharded engine")
-	}
-	for _, ev := range evs {
-		if ev.Type != "cep.fraud" {
-			t.Fatalf("unexpected event %s", ev.Type)
+	// composites runs the two phases through an engine and returns the
+	// (login id, wire id) pair of every composite delivered.
+	composites := func(cfg Config) map[[2]int64]int {
+		e := open(t, cfg)
+		if err := e.RegisterPattern("fraud", fraudSpec); err != nil {
+			t.Fatal(err)
 		}
+		var got collector
+		if err := e.Subscribe("s", "ops", `$type = 'cep.fraud'`, got.handler); err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range [][]*event.Event{logins, wires} {
+			if err := e.IngestBatch(phase); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+		}
+		pairs := map[[2]int64]int{}
+		for _, ev := range got.events() {
+			a, _ := ev.Get("a_id")
+			b, _ := ev.Get("b_id")
+			ai, _ := a.AsInt()
+			bi, _ := b.AsInt()
+			pairs[[2]int64{ai, bi}]++
+		}
+		if st := e.PatternStats(); st.Matches != uint64(len(got.events())) {
+			t.Errorf("%+v: stats.Matches = %d, delivered %d", cfg, st.Matches, len(got.events()))
+		}
+		return pairs
 	}
-	if st := e.PatternStats(); st.Matches != uint64(len(evs)) {
-		t.Errorf("stats.Matches = %d, delivered %d", st.Matches, len(evs))
+	want := composites(Config{})
+	got := composites(Config{Shards: 4})
+	if len(want) == 0 {
+		t.Fatal("the synchronous engine emitted no composites")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sharded engine emitted %d distinct composites, synchronous %d\n got: %v\nwant: %v", len(got), len(want), got, want)
 	}
 }
 

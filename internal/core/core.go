@@ -63,7 +63,7 @@ type Config struct {
 
 	// Shards enables the asynchronous sharded ingest pipeline: events
 	// are hash-partitioned by shard key across this many workers, each
-	// draining a bounded buffer through the rules→pub/sub flow. Events
+	// draining a bounded buffer through the same evaluation pass. Events
 	// sharing a key process in arrival order on a single shard. 0 (the
 	// default) keeps Ingest fully synchronous on the caller's
 	// goroutine, as before. With shards, rule actions and subscription
@@ -95,10 +95,6 @@ type Config struct {
 	// (default 200ms).
 	ColumnarSealInterval time.Duration
 
-	// CEPBuffer is each shard's pattern-feed queue capacity on a
-	// sharded engine (default 4096). A full queue drops events for
-	// pattern purposes only, counted in cep.feed.drops.
-	CEPBuffer int
 	// CEPAdvanceInterval is the cadence of the clock that expires
 	// partial pattern matches on quiet streams (default 500ms).
 	CEPAdvanceInterval time.Duration
@@ -128,7 +124,7 @@ type Engine struct {
 	pipeline *pipeline
 	// cep is the shared-automaton pattern registry (see cep.go).
 	cep *cepRegistry
-	// scratch pools (matcher, publisher) pairs for IngestBatch callers.
+	// scratch pools the (matcher, publisher) pairs evaluation runs with.
 	scratch sync.Pool
 
 	// watches is the scheduled watched-query registry (see watch.go).
@@ -155,7 +151,7 @@ func Open(cfg Config) (*Engine, error) {
 		Queues:        queue.NewManager(db),
 		Miner:         journal.NewMiner(db),
 		Broker:        pubsub.NewBroker(),
-		Rules:         rules.NewEngine(rules.Options{Indexed: true}),
+		Rules:         rules.NewEngine(),
 		Metrics:       metrics.NewRegistry(),
 		Guard:         security.NewGuard(),
 	}
@@ -205,8 +201,9 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// batchScratch is a pooled (matcher, publisher) pair so repeated
-// IngestBatch calls allocate no per-batch match state.
+var errNilEvent = errors.New("core: nil event")
+
+// batchScratch is the (matcher, publisher) pair an evaluation pass uses.
 type batchScratch struct {
 	m   *rules.Matcher
 	pub *pubsub.Publisher
@@ -228,9 +225,9 @@ func (e *Engine) Close() error {
 	if e.pipeline != nil {
 		e.pipeline.close()
 	}
-	// The pattern feeder drains after the pipeline: events the closing
-	// shards evaluated still reach the automaton, and its final matches
-	// evaluate inline while triggers are still attached.
+	// The draining shards fed the automaton themselves, and its last
+	// matches evaluated inline while triggers were still attached; what
+	// is left to stop is the horizon clock.
 	e.cep.close()
 	e.Triggers.Close()
 	e.Queues.Close()
@@ -260,8 +257,9 @@ func (e *Engine) SegmentStats() []columnar.TableStats {
 }
 
 // Ingest pushes one event through the evaluation layer: rules fire
-// first (highest priority first), then pub/sub delivers to subscribers.
-// This is the paper's core flow — events in, valuable information out.
+// first (highest priority first), then pub/sub delivers to subscribers,
+// then the pattern automaton observes it. This is the paper's core flow
+// — events in, valuable information out.
 //
 // On a synchronous engine (Config.Shards == 0) evaluation completes
 // before Ingest returns. With shards, Ingest enqueues to the event's
@@ -272,12 +270,9 @@ func (e *Engine) Ingest(ev *event.Event) error {
 	return err
 }
 
-// IngestSync runs the full rules→pub/sub pass on the caller's
-// goroutine regardless of pipeline mode.
+// IngestSync runs the full evaluation pass on the caller's goroutine
+// regardless of pipeline mode.
 func (e *Engine) IngestSync(ev *event.Event) error {
-	if ev == nil {
-		return errors.New("core: nil event")
-	}
 	if e.closed.Load() {
 		return ErrClosed
 	}
@@ -290,32 +285,14 @@ func (e *Engine) IngestSync(ev *event.Event) error {
 // delivery count so callers that answer for one event (the wire
 // protocol's PUB) don't have to infer it from shared counters.
 func (e *Engine) ingestSync(ev *event.Event) (int, error) {
-	start := time.Now()
-	e.ingestCount.Add(1)
-	e.Metrics.Counter("events.in").Inc()
-	// Borrow pooled match/publish scratch: the single-event path then
-	// evaluates as allocation-free as the batch path. Re-entrant
-	// ingestion (a rule action capturing back into the engine) simply
-	// borrows another scratch pair.
-	sc := e.scratch.Get().(*batchScratch)
-	n, err := e.evalEvent(ev, sc.m, sc.pub)
-	e.scratch.Put(sc)
-	if err != nil {
-		return 0, err
-	}
-	e.cepObserve(-1, ev)
-	e.Metrics.Counter("events.delivered").Add(uint64(n))
-	e.Metrics.Histogram("ingest.latency").Observe(time.Since(start))
-	return n, nil
+	one := [1]*event.Event{ev}
+	return e.evaluateBatch(one[:], true, "ingest.latency")
 }
 
 // IngestCount is Ingest returning this event's exact delivery count.
 // On an async engine the event is only enqueued, evaluation happens
 // later on a shard goroutine, and the count is reported as 0.
 func (e *Engine) IngestCount(ev *event.Event) (int, error) {
-	if ev == nil {
-		return 0, errors.New("core: nil event")
-	}
 	if e.pipeline != nil {
 		return 0, e.pipeline.enqueue(ev)
 	}
@@ -334,126 +311,98 @@ func (e *Engine) IngestBatch(evs []*event.Event) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if e.pipeline != nil {
-		for _, ev := range evs {
-			if ev == nil {
-				return errors.New("core: nil event")
-			}
-			if err := e.pipeline.enqueue(ev); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.ingestBatchSync(evs, true)
+	return e.ingestBatch(evs, true)
 }
 
-// ingestBatchSync is the shared synchronous batch loop. With
-// stopOnError, processing aborts at the first failure and returns it
-// (IngestBatch's contract); otherwise failures are counted in
-// ingest.errors and the rest of the batch proceeds (the capture
-// paths' contract — one bad event must not discard a burst).
-func (e *Engine) ingestBatchSync(evs []*event.Event, stopOnError bool) error {
-	sc := e.scratch.Get().(*batchScratch)
-	defer e.scratch.Put(sc)
-	start := time.Now()
-	var attempted, delivered uint64
-	var firstErr error
-	for _, ev := range evs {
-		if ev == nil {
-			if stopOnError {
-				firstErr = errors.New("core: nil event")
-				break
-			}
-			e.Metrics.Counter("ingest.errors").Inc()
-			continue
-		}
-		attempted++
-		n, err := e.evalEvent(ev, sc.m, sc.pub)
-		if err != nil {
-			if stopOnError {
-				firstErr = err
-				break
-			}
-			e.Metrics.Counter("ingest.errors").Inc()
-			continue
-		}
-		e.cepObserve(-1, ev)
-		delivered += uint64(n)
+// ingestBatch hands a batch to the shards, or evaluates it here on a
+// synchronous engine. With stopOnError the first failure ends the batch
+// and is returned (IngestBatch's contract); without, failures are
+// counted in ingest.errors and the rest proceeds (the capture paths'
+// contract — one bad event must not discard a burst).
+func (e *Engine) ingestBatch(evs []*event.Event, stopOnError bool) error {
+	if e.pipeline == nil {
+		_, err := e.evaluateBatch(evs, stopOnError, "ingest.batch.latency")
+		return err
 	}
-	// One shared-counter update per batch, not per event — on a
-	// many-shard box these atomics are the contended cache lines.
-	e.ingestCount.Add(attempted)
-	e.Metrics.Counter("events.in").Add(attempted)
-	e.Metrics.Counter("events.delivered").Add(delivered)
-	e.Metrics.Histogram("ingest.batch.latency").Observe(time.Since(start))
-	return firstErr
+	for _, ev := range evs {
+		if err := e.pipeline.enqueue(ev); err != nil {
+			if stopOnError {
+				return err
+			}
+			e.Metrics.Counter("ingest.errors").Inc()
+		}
+	}
+	return nil
 }
 
 // ingestCapture is the ingest variant used by the engine's own capture
-// callbacks (triggers, watched queries): like Ingest, but on an async
-// engine it never blocks — if the target shard's buffer is full the
-// event is evaluated inline on the capturing goroutine instead. That
-// keeps re-entrant capture (a rule action writing to a captured table
-// from a shard goroutine) deadlock-free at the cost of shard-ordering
-// for the overflow event.
+// callbacks (triggers, watched queries, pattern matches): like Ingest,
+// but on an async engine it never blocks — if the target shard's buffer
+// is full the event is evaluated inline on the capturing goroutine
+// instead. That keeps re-entrant capture (a rule action writing to a
+// captured table from a shard goroutine) deadlock-free at the cost of
+// shard-ordering for the overflow event.
 func (e *Engine) ingestCapture(ev *event.Event) error {
-	if ev == nil {
-		return errors.New("core: nil event")
+	if e.pipeline != nil && e.pipeline.tryEnqueue(ev) {
+		return nil
 	}
-	if e.pipeline != nil {
-		if enqueued, _ := e.pipeline.tryEnqueue(ev); enqueued {
-			return nil
-		}
-		// Full buffer or closed pipeline: evaluate inline. The closed
-		// case is Close's drain — a draining event's rule action can
-		// still capture-cascade, and those derived events must not be
-		// lost for "Close drains in-flight events" to hold.
-	}
+	// No pipeline, a full buffer or a closed pipeline: evaluate inline.
+	// The closed case is Close's drain — a draining event's rule action
+	// can still capture-cascade, and those derived events must not be
+	// lost for "Close drains in-flight events" to hold.
 	_, err := e.ingestSync(ev)
 	return err
 }
 
-// ingestBatchLossy evaluates a batch, continuing past per-event
-// evaluation errors (each counted in ingest.errors) instead of
-// aborting — the capture paths use it so one bad event in a burst
-// doesn't discard the rest.
-func (e *Engine) ingestBatchLossy(evs []*event.Event) {
-	if e.pipeline != nil {
-		for _, ev := range evs {
-			if err := e.pipeline.enqueue(ev); err != nil {
-				e.Metrics.Counter("ingest.errors").Inc()
-			}
+// evaluateBatch is the accounting around evaluate, for a publisher's
+// goroutine and a shard worker alike: it runs the batch in order with a
+// pooled scratch pair (re-entrant ingestion — a rule action capturing
+// back into the engine — borrows another), settles the shared counters
+// once, those atomics being the contended cache lines on a many-shard
+// box, and returns the deliveries made.
+func (e *Engine) evaluateBatch(evs []*event.Event, stopOnError bool, latency string) (int, error) {
+	sc := e.scratch.Get().(*batchScratch)
+	defer e.scratch.Put(sc)
+	start := time.Now()
+	var attempted, delivered int
+	var firstErr error
+	for _, ev := range evs {
+		err := errNilEvent
+		if ev != nil {
+			attempted++
+			var n int
+			n, err = e.evaluate(ev, sc)
+			delivered += n
 		}
-		return
+		if err == nil {
+			continue
+		}
+		if stopOnError {
+			firstErr = err
+			break
+		}
+		e.Metrics.Counter("ingest.errors").Inc()
 	}
-	e.ingestBatchSync(evs, false)
+	e.ingestCount.Add(uint64(attempted))
+	e.Metrics.Counter("events.in").Add(uint64(attempted))
+	e.Metrics.Counter("events.delivered").Add(uint64(delivered))
+	e.Metrics.Histogram(latency).Observe(time.Since(start))
+	return delivered, firstErr
 }
 
-// evalEvent is the evaluation core shared by the sync, batch, and
-// shard-worker paths: rules fire, then pub/sub delivers, returning the
-// delivery count. m and pub are optional reusable scratch; when nil
-// the engine's allocating entry points are used. Metric accounting is
-// left to callers so batch paths can amortize it.
-func (e *Engine) evalEvent(ev *event.Event, m *rules.Matcher, pub *pubsub.Publisher) (int, error) {
-	var err error
-	if m != nil {
-		_, err = m.Eval(ev)
-	} else {
-		_, err = e.Rules.Eval(ev)
-	}
-	if err != nil {
+// evaluate is the paper's internal evaluation step (§2.2.c), written
+// once: rules fire, pub/sub delivers, and the pattern automaton
+// observes the event — in that order whichever goroutine runs it, the
+// publisher's or a shard worker's. It returns the delivery count.
+func (e *Engine) evaluate(ev *event.Event, sc *batchScratch) (int, error) {
+	if _, err := sc.m.Eval(ev); err != nil {
 		return 0, fmt.Errorf("core: rules: %w", err)
 	}
-	var n int
-	if pub != nil {
-		n, err = pub.Publish(ev)
-	} else {
-		n, err = e.Broker.Publish(ev)
-	}
+	n, err := sc.pub.Publish(ev)
 	if err != nil {
 		return 0, fmt.Errorf("core: publish: %w", err)
 	}
+	e.cep.observe(ev)
 	return n, nil
 }
 
@@ -517,7 +466,7 @@ func (e *Engine) TailJournal(f journal.Filter, buffer int) (stop func()) {
 					return
 				}
 				batch = drainInto(sub.C, append(batch[:0], ev))
-				e.ingestBatchLossy(batch)
+				e.ingestBatch(batch, false)
 			case <-done:
 				return
 			}

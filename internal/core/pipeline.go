@@ -6,8 +6,8 @@
 // that idea applied to the engine's own front door. Events are
 // hash-partitioned by a shard key (event type by default) across N
 // worker shards; each shard drains a bounded buffer and runs the
-// rules→pub/sub flow with per-shard match scratch, so throughput
-// scales with cores while events that share a key keep their order.
+// engine's one evaluation pass (Engine.evaluate), so throughput scales
+// with cores while events that share a key keep their order.
 //
 //	Ingest/IngestBatch
 //	        │ fnv32a(shardKey) % N
@@ -16,7 +16,7 @@
 //	[shard 0]  [shard 1] … [shard N-1]   bounded chans (block|drop)
 //	   │          │          │
 //	   ▼          ▼          ▼
-//	rules→pub/sub per shard, micro-batched, scratch reused
+//	evaluate per shard, micro-batched
 package core
 
 import (
@@ -76,13 +76,12 @@ type pipeline struct {
 // shard is one worker: a bounded buffer, its drain goroutine, and its
 // operational metrics.
 type shard struct {
-	idx     int
-	ch      chan *event.Event
-	pending atomic.Int64 // accepted but not yet processed
+	ch       chan *event.Event
+	accepted atomic.Uint64 // events taken into ch, ever
 
 	depth     *metrics.Gauge   // current buffer occupancy
 	drops     *metrics.Counter // events lost to DropOnFull
-	processed *metrics.Counter // events fully evaluated
+	processed *metrics.Counter // events fully evaluated, ever
 }
 
 func newPipeline(e *Engine, cfg Config) *pipeline {
@@ -97,7 +96,6 @@ func newPipeline(e *Engine, cfg Config) *pipeline {
 	p := &pipeline{eng: e, keyFn: keyFn, policy: cfg.Backpressure}
 	for i := 0; i < cfg.Shards; i++ {
 		s := &shard{
-			idx:       i,
 			ch:        make(chan *event.Event, buf),
 			depth:     e.Metrics.Gauge(fmt.Sprintf("pipeline.shard%d.depth", i)),
 			drops:     e.Metrics.Counter(fmt.Sprintf("pipeline.shard%d.drops", i)),
@@ -122,31 +120,37 @@ func (p *pipeline) shardFor(ev *event.Event) *shard {
 	return p.shards[h%uint32(len(p.shards))]
 }
 
-// tryEnqueue is a non-blocking enqueue: it reports whether the event
-// was accepted, never waiting on a full buffer regardless of policy.
-// The capture paths use it to stay deadlock-free when re-entered from
-// a shard goroutine.
-func (p *pipeline) tryEnqueue(ev *event.Event) (bool, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false, ErrClosed
-	}
-	s := p.shardFor(ev)
+// offer is a non-blocking send into the shard's buffer; it reports
+// whether there was room.
+func (s *shard) offer(ev *event.Event) bool {
 	select {
 	case s.ch <- ev:
-		s.pending.Add(1)
+		s.accepted.Add(1)
 		s.depth.Set(int64(len(s.ch)))
-		return true, nil
+		return true
 	default:
-		return false, nil
+		return false
 	}
+}
+
+// tryEnqueue is a non-blocking enqueue: it reports whether the event
+// was accepted, never waiting on a full buffer regardless of policy
+// (false too for a nil event, or once the pipeline is closed). The
+// capture paths use it to stay deadlock-free when re-entered from a
+// shard goroutine.
+func (p *pipeline) tryEnqueue(ev *event.Event) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return ev != nil && !p.closed && p.shardFor(ev).offer(ev)
 }
 
 // enqueue hands one event to its shard, applying the backpressure
 // policy. A nil error means the event was accepted (or, under
 // DropOnFull, counted as dropped).
 func (p *pipeline) enqueue(ev *event.Event) error {
+	if ev == nil {
+		return errNilEvent
+	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.closed {
@@ -154,11 +158,7 @@ func (p *pipeline) enqueue(ev *event.Event) error {
 	}
 	s := p.shardFor(ev)
 	if p.policy == DropOnFull {
-		select {
-		case s.ch <- ev:
-			s.pending.Add(1)
-			s.depth.Set(int64(len(s.ch)))
-		default:
+		if !s.offer(ev) {
 			s.drops.Inc()
 			p.eng.Metrics.Counter("pipeline.drops").Inc()
 		}
@@ -168,44 +168,27 @@ func (p *pipeline) enqueue(ev *event.Event) error {
 	// shard keeps draining until its channel is closed — which close()
 	// can only do after every sender releases that lock — so shutdown
 	// cannot deadlock against backpressure.
-	s.pending.Add(1)
+	s.accepted.Add(1)
 	s.ch <- ev
 	s.depth.Set(int64(len(s.ch)))
 	return nil
 }
 
 // run is a shard's drain loop: blocking receive, opportunistic drain
-// into a micro-batch, then one evaluation pass with reused scratch.
-// The loop exits when the channel is closed and fully drained, so
-// close() doubles as a lossless flush.
+// into a micro-batch, then one evaluation pass. The loop exits when the
+// channel is closed and fully drained, so close() doubles as a lossless
+// flush.
 func (p *pipeline) run(s *shard) {
 	defer p.wg.Done()
-	matcher := p.eng.Rules.NewMatcher()
-	pub := p.eng.Broker.NewPublisher()
 	batch := make([]*event.Event, 0, shardBatch)
 	for ev := range s.ch {
 		batch = drainInto(s.ch, append(batch[:0], ev))
 		s.depth.Set(int64(len(s.ch)))
-		start := time.Now()
-		var delivered uint64
-		for _, ev := range batch {
-			n, err := p.eng.evalEvent(ev, matcher, pub)
-			if err != nil {
-				p.eng.Metrics.Counter("ingest.errors").Inc()
-				continue
-			}
-			p.eng.cepObserve(s.idx, ev)
-			delivered += uint64(n)
-		}
-		// Amortize the shared counters across the micro-batch; pending
-		// is released last so Flush observes the counts already applied.
-		nb := uint64(len(batch))
-		p.eng.ingestCount.Add(nb)
-		p.eng.Metrics.Counter("events.in").Add(nb)
-		p.eng.Metrics.Counter("events.delivered").Add(delivered)
-		s.processed.Add(nb)
-		p.eng.Metrics.Histogram("pipeline.batch.latency").Observe(time.Since(start))
-		s.pending.Add(-int64(nb))
+		p.eng.evaluateBatch(batch, false, "pipeline.batch.latency")
+		// Counted last: flush reads accepted-processed as the backlog, so
+		// by then everything the batch did — its counters, and whatever
+		// it cascaded into other shards — is already visible.
+		s.processed.Add(uint64(len(batch)))
 	}
 }
 
@@ -227,20 +210,38 @@ func drainInto(ch <-chan *event.Event, batch []*event.Event) []*event.Event {
 	return batch
 }
 
-// flush blocks until every event accepted before the call has been
-// processed. Concurrent producers can keep shards busy past the
-// snapshot; flush only guarantees the backlog it observed. Polling
-// backs off exponentially so a deep backlog doesn't burn a core.
+// flush blocks until the pipeline is idle: every accepted event has
+// been evaluated, and so has everything those evaluations cascaded back
+// in — a pattern's composite, a captured row change — wherever it
+// landed. A pass waits out each shard's backlog in turn; a cascade can
+// land in a shard the pass has already left, so a pass only counts if
+// no shard accepted anything while it ran (the counters only grow, so
+// equal sums mean that, and that every backlog seen empty stayed so).
+// Producers that keep publishing keep flush waiting. Polling backs off
+// exponentially so a deep backlog doesn't burn a core.
 func (p *pipeline) flush() {
-	for _, s := range p.shards {
-		wait := 50 * time.Microsecond
-		for s.pending.Load() > 0 {
-			time.Sleep(wait)
-			if wait < 5*time.Millisecond {
-				wait *= 2
+	for {
+		before := p.accepted()
+		for _, s := range p.shards {
+			wait := 50 * time.Microsecond
+			for int64(s.accepted.Load()-s.processed.Value()) > 0 {
+				time.Sleep(wait)
+				if wait < 5*time.Millisecond {
+					wait *= 2
+				}
 			}
 		}
+		if p.accepted() == before {
+			return
+		}
 	}
+}
+
+func (p *pipeline) accepted() (n uint64) {
+	for _, s := range p.shards {
+		n += s.accepted.Load()
+	}
+	return n
 }
 
 // close stops intake, drains every shard's in-flight events, and waits
@@ -262,8 +263,9 @@ func (p *pipeline) close() {
 	}
 }
 
-// Flush waits until all events accepted by the async pipeline so far
-// have been fully evaluated. A no-op for synchronous engines.
+// Flush waits until the async pipeline is idle: all events accepted so
+// far have been fully evaluated, pattern matching included, and so
+// have the events they derived. A no-op for synchronous engines.
 func (e *Engine) Flush() {
 	if e.pipeline != nil {
 		e.pipeline.flush()

@@ -2,10 +2,10 @@
 // (§2.2.c.i.3): standing filtered, grouped, windowed aggregations that
 // emit an updated result whenever the stream changes it.
 //
-// Two evaluation modes exist so the cost claim is checkable: incremental
-// (the default — each event updates per-group accumulators in O(1) plus
-// evictions) and recompute (rescans the whole window per event, the
-// naive baseline). Results are identical; only cost differs.
+// Evaluation is incremental: each event updates per-group accumulators
+// in O(1) plus evictions. The naive baseline — rescan the whole window
+// per event — lives in the tests, as the oracle the accumulators are
+// held to and as the other arm of the cost comparison.
 package cq
 
 import (
@@ -81,8 +81,6 @@ type Def struct {
 	GroupBy []string
 	Aggs    []AggDef
 	Window  Window
-	// Recompute disables incremental maintenance (naive baseline).
-	Recompute bool
 }
 
 // CQ is a running continuous query. Not safe for concurrent use.
@@ -208,9 +206,7 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 		q.groups[en.key] = gs
 	}
 	gs.n++
-	if !q.def.Recompute {
-		q.applyAdd(gs, en.vals)
-	}
+	q.applyAdd(gs, en.vals)
 
 	// Emit one result event per dirty group.
 	var out []*event.Event
@@ -219,7 +215,7 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 		if !ok {
 			continue
 		}
-		out = append(out, q.resultEvent(ev.Time, key, gs))
+		out = append(out, q.resultEvent(ev.Time, gs))
 	}
 	return out, nil
 }
@@ -234,9 +230,7 @@ func (q *CQ) evictOldest(dirty map[string]bool) {
 		delete(q.groups, old.key)
 		return
 	}
-	if !q.def.Recompute {
-		q.applyRemove(gs, old)
-	}
+	q.applyRemove(gs, old)
 }
 
 func (q *CQ) applyAdd(gs *groupState, vals []val.Value) {
@@ -319,18 +313,14 @@ func (q *CQ) recomputeExtreme(key string, aggIdx int, wantMin bool) val.Value {
 }
 
 // resultEvent renders a group's current aggregates.
-func (q *CQ) resultEvent(t time.Time, key string, gs *groupState) *event.Event {
+func (q *CQ) resultEvent(t time.Time, gs *groupState) *event.Event {
 	attrs := make(map[string]val.Value, len(q.def.GroupBy)+len(q.def.Aggs)+1)
 	for i, g := range q.def.GroupBy {
 		attrs[g] = gs.keyVs[i]
 	}
 	attrs["window_len"] = val.Int(int64(gs.n))
-	if q.def.Recompute {
-		q.fillRecomputed(key, attrs)
-	} else {
-		for i, a := range q.def.Aggs {
-			attrs[a.Alias] = q.aggValue(gs, i, a.Kind)
-		}
+	for i, a := range q.def.Aggs {
+		attrs[a.Alias] = q.aggValue(gs, i, a.Kind)
 	}
 	return &event.Event{
 		ID:     event.NextID(),
@@ -361,50 +351,4 @@ func (q *CQ) aggValue(gs *groupState, i int, kind AggKind) val.Value {
 		return gs.maxV[i]
 	}
 	return val.Null
-}
-
-// fillRecomputed computes every aggregate by scanning the window — the
-// naive baseline for the incremental-vs-recompute benchmark.
-func (q *CQ) fillRecomputed(key string, attrs map[string]val.Value) {
-	for i, a := range q.def.Aggs {
-		var count int64
-		var sum float64
-		best := val.Null
-		for _, en := range q.entries {
-			if en.key != key {
-				continue
-			}
-			v := en.vals[i]
-			if v.IsNull() {
-				continue
-			}
-			count++
-			if f, ok := v.AsFloat(); ok {
-				sum += f
-			}
-			if best.IsNull() ||
-				(a.Kind == Min && val.Less(v, best)) ||
-				(a.Kind == Max && val.Less(best, v)) {
-				best = v
-			}
-		}
-		switch a.Kind {
-		case Count:
-			attrs[a.Alias] = val.Int(count)
-		case Sum:
-			if count == 0 {
-				attrs[a.Alias] = val.Null
-			} else {
-				attrs[a.Alias] = val.Float(sum)
-			}
-		case Avg:
-			if count == 0 {
-				attrs[a.Alias] = val.Null
-			} else {
-				attrs[a.Alias] = val.Float(sum / float64(count))
-			}
-		case Min, Max:
-			attrs[a.Alias] = best
-		}
-	}
 }

@@ -2,7 +2,6 @@ package cq
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -170,72 +169,6 @@ func TestFilter(t *testing.T) {
 	})
 	if _, err := qb.Feed(mk(0, map[string]any{"v": 5})); err == nil {
 		t.Error("filter type error not propagated")
-	}
-}
-
-func TestIncrementalMatchesRecompute(t *testing.T) {
-	defInc := Def{
-		Name:    "inc",
-		GroupBy: []string{"g"},
-		Aggs: []AggDef{
-			{Alias: "n", Kind: Count},
-			{Alias: "s", Kind: Sum, Attr: "v"},
-			{Alias: "a", Kind: Avg, Attr: "v"},
-			{Alias: "lo", Kind: Min, Attr: "v"},
-			{Alias: "hi", Kind: Max, Attr: "v"},
-		},
-		Window: Window{Kind: CountWindow, Size: 16},
-	}
-	defRec := defInc
-	defRec.Name = "rec"
-	defRec.Recompute = true
-	qi, _ := New(defInc)
-	qr, _ := New(defRec)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		attrs := map[string]any{
-			"g": []string{"x", "y", "z"}[rng.Intn(3)],
-			"v": float64(rng.Intn(100)),
-		}
-		oi, err1 := qi.Feed(mk(i, attrs))
-		or, err2 := qr.Feed(mk(i, attrs))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if len(oi) != len(or) {
-			t.Fatalf("step %d: %d vs %d result events", i, len(oi), len(or))
-		}
-		// Index results by group for comparison.
-		byGroup := func(evs []*event.Event) map[string]*event.Event {
-			m := map[string]*event.Event{}
-			for _, e := range evs {
-				v, _ := e.Get("g")
-				s, _ := v.AsString()
-				m[s] = e
-			}
-			return m
-		}
-		mi, mr := byGroup(oi), byGroup(or)
-		for g, ei := range mi {
-			er, ok := mr[g]
-			if !ok {
-				t.Fatalf("step %d: group %q missing in recompute", i, g)
-			}
-			for _, a := range []string{"n", "s", "a", "lo", "hi"} {
-				vi, _ := ei.Get(a)
-				vr, _ := er.Get(a)
-				if vi.IsNull() != vr.IsNull() {
-					t.Fatalf("step %d group %q agg %q: %v vs %v", i, g, a, vi, vr)
-				}
-				if !vi.IsNull() {
-					fi, _ := vi.AsFloat()
-					fr, _ := vr.AsFloat()
-					if math.Abs(fi-fr) > 1e-6 {
-						t.Fatalf("step %d group %q agg %q: %v vs %v", i, g, a, fi, fr)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -13,11 +13,13 @@ import (
 )
 
 type jsonSpec struct {
-	Filter    string     `json:"filter,omitempty"`
-	GroupBy   []string   `json:"group_by,omitempty"`
-	Aggs      []jsonAgg  `json:"aggs"`
-	Window    jsonWindow `json:"window"`
-	Recompute bool       `json:"recompute,omitempty"`
+	Filter  string     `json:"filter,omitempty"`
+	GroupBy []string   `json:"group_by,omitempty"`
+	Aggs    []jsonAgg  `json:"aggs"`
+	Window  jsonWindow `json:"window"`
+	// Recompute is accepted and ignored: it once selected the naive
+	// evaluation mode, and a spec that carries it must keep parsing.
+	Recompute bool `json:"recompute,omitempty"`
 }
 
 type jsonAgg struct {
@@ -49,10 +51,9 @@ func ParseSpec(name string, data []byte) (Def, error) {
 		return Def{}, fmt.Errorf("cq: spec: %w", err)
 	}
 	def := Def{
-		Name:      name,
-		Filter:    js.Filter,
-		GroupBy:   js.GroupBy,
-		Recompute: js.Recompute,
+		Name:    name,
+		Filter:  js.Filter,
+		GroupBy: js.GroupBy,
 	}
 	for i, a := range js.Aggs {
 		kind, ok := aggKindByName(a.Kind)
@@ -87,9 +88,8 @@ func ParseSpec(name string, data []byte) (Def, error) {
 // name is not part of the spec (see ParseSpec).
 func MarshalSpec(def Def) ([]byte, error) {
 	js := jsonSpec{
-		Filter:    def.Filter,
-		GroupBy:   def.GroupBy,
-		Recompute: def.Recompute,
+		Filter:  def.Filter,
+		GroupBy: def.GroupBy,
 	}
 	for _, a := range def.Aggs {
 		js.Aggs = append(js.Aggs, jsonAgg{Alias: a.Alias, Kind: a.Kind.String(), Attr: a.Attr})

@@ -61,18 +61,8 @@ type subscription struct {
 
 // NewBroker creates a broker with an indexed matching engine.
 func NewBroker() *Broker {
-	return newBroker(rules.Options{Indexed: true})
-}
-
-// NewBrokerNaive creates a broker that evaluates every subscription per
-// publish — the baseline the paper's indexing claim is measured against.
-func NewBrokerNaive() *Broker {
-	return newBroker(rules.Options{Indexed: false})
-}
-
-func newBroker(opts rules.Options) *Broker {
 	b := &Broker{
-		engine: rules.NewEngine(opts),
+		engine: rules.NewEngine(),
 		subs:   make(map[string]*subscription),
 	}
 	b.scratchPool.New = func() any { return new(deliverScratch) }

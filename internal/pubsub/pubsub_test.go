@@ -2,10 +2,13 @@ package pubsub
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"eventdb/internal/event"
+	"eventdb/internal/expr"
 	"eventdb/internal/queue"
 	"eventdb/internal/raceflag"
 	"eventdb/internal/storage"
@@ -146,26 +149,87 @@ func TestMatchOnly(t *testing.T) {
 	}
 }
 
+// naiveMatchOnly is the evaluate-every-subscription baseline the
+// paper's indexing claim is measured against, and the oracle MatchOnly
+// is held to: it compiles each subscription's filter afresh and asks
+// it, going nowhere near the broker's rules engine.
+func naiveMatchOnly(b *Broker, ev *event.Event) ([]string, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var ids []string
+	for id, s := range b.subs {
+		cond := s.filter
+		if cond == "" {
+			cond = "true"
+		}
+		pred, err := expr.Compile(cond)
+		if err != nil {
+			return nil, err
+		}
+		ok, err := pred.Match(ev)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids, nil
+}
+
 func TestIndexedAndNaiveAgree(t *testing.T) {
-	bi, bn := NewBroker(), NewBrokerNaive()
+	b := NewBroker()
 	for i := 0; i < 100; i++ {
 		filter := fmt.Sprintf("sym = 'S%d'", i%10)
 		if i%3 == 0 {
 			filter = fmt.Sprintf("price >= %d AND price < %d", i, i+10)
 		}
-		bi.Subscribe(fmt.Sprintf("s%d", i), "x", filter, func(Delivery) {})
-		bn.Subscribe(fmt.Sprintf("s%d", i), "x", filter, func(Delivery) {})
+		b.Subscribe(fmt.Sprintf("s%d", i), "x", filter, func(Delivery) {})
 	}
 	for p := 0; p < 120; p += 7 {
 		ev := trade(fmt.Sprintf("S%d", p%10), float64(p))
-		a, err1 := bi.MatchOnly(ev)
-		b, err2 := bn.MatchOnly(ev)
+		got, err1 := b.MatchOnly(ev)
+		want, err2 := naiveMatchOnly(b, ev)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("p=%d: indexed %v vs naive %v", p, a, b)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: indexed %v vs naive %v", p, got, want)
 		}
+	}
+}
+
+// BenchmarkE3MatchNaive is the naive arm of the root package's
+// BenchmarkE3Match (same subscriptions, same event): what a match costs
+// when every subscription's predicate is evaluated. The filters are
+// compiled once, outside the loop, as a naive broker would hold them.
+func BenchmarkE3MatchNaive(b *testing.B) {
+	for _, n := range []int{100, 10000} { // 100k takes too long per op for CI
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			preds := make([]*expr.Predicate, n)
+			for i := range preds {
+				preds[i] = expr.MustCompile(fmt.Sprintf("sym = 'S%d' AND price > %d", i%1000, i%500))
+			}
+			ev := event.New("trade", map[string]any{"sym": "S7", "price": 600})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matched := 0
+				for _, p := range preds {
+					ok, err := p.Match(ev)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if ok {
+						matched++
+					}
+				}
+				if matched == 0 {
+					b.Fatal("no subscription matched")
+				}
+			}
+		})
 	}
 }
 

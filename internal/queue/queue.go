@@ -175,7 +175,7 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 			toRecover = append(toRecover, rid)
 			restoreReady = append(restoreReady, readyItem{id: id, pri: pri})
 		case stateDead:
-			// stays parked until Redrive
+			// stays parked until Requeue
 		}
 		return true
 	})
@@ -762,9 +762,6 @@ func (q *Queue) Requeue(id int64) error {
 	q.wake()
 	return nil
 }
-
-// Redrive is the historical name for Requeue.
-func (q *Queue) Redrive(id int64) error { return q.Requeue(id) }
 
 // RequeueDeadLetters returns every dead-lettered message to service in
 // a single transaction (all of them become deliverable, or none do on

@@ -182,8 +182,8 @@ func TestNackAndDeadLetter(t *testing.T) {
 	if v, _ := evs[0].Get("n"); !val.Equal(v, val.Int(42)) {
 		t.Errorf("dead letter payload = %v", v)
 	}
-	// Redrive restores delivery with a fresh budget.
-	if err := q.Redrive(ids[0]); err != nil {
+	// Requeue restores delivery with a fresh budget.
+	if err := q.Requeue(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	m3, ok, _ := q.Dequeue("c")
@@ -191,7 +191,7 @@ func TestNackAndDeadLetter(t *testing.T) {
 		t.Fatalf("redriven delivery: ok=%v attempt=%d", ok, m3.Attempt)
 	}
 	q.Ack(m3.Receipt)
-	if err := q.Redrive(999); err == nil {
+	if err := q.Requeue(999); err == nil {
 		t.Error("redrive of missing message accepted")
 	}
 }

@@ -44,17 +44,8 @@ type Rule struct {
 // Condition returns the compiled predicate source.
 func (r *Rule) Condition() string { return r.Source }
 
-// Options configure an Engine.
-type Options struct {
-	// Indexed enables predicate indexing. Disabled gives the naive
-	// evaluate-every-rule baseline (for comparison benchmarks).
-	Indexed bool
-}
-
 // Engine holds a mutable rule set and matches events against it.
 type Engine struct {
-	opts Options
-
 	mu    sync.RWMutex
 	rules map[string]*Rule
 	// eqIndex: field → encoded literal → rules requiring that equality.
@@ -71,9 +62,8 @@ type Engine struct {
 }
 
 // NewEngine creates a rules engine.
-func NewEngine(opts Options) *Engine {
+func NewEngine() *Engine {
 	e := &Engine{
-		opts:       opts,
 		rules:      make(map[string]*Rule),
 		eqIndex:    make(map[string]map[string][]*Rule),
 		rangeIndex: make(map[string]*intervalIndex),
@@ -175,10 +165,6 @@ func sortRules(rs []*Rule) {
 // predicate evaluation checks the ranges. The interval index serves
 // rules whose only indexable conjuncts are ranges.
 func (e *Engine) indexLocked(r *Rule) {
-	if !e.opts.Indexed {
-		e.residual[r.Name] = r
-		return
-	}
 	n := 0
 	if len(r.pred.EqPreds) > 0 {
 		for _, eq := range r.pred.EqPreds {
@@ -219,7 +205,7 @@ func (e *Engine) indexLocked(r *Rule) {
 // indexLocked).
 func (e *Engine) unindexLocked(r *Rule) {
 	delete(e.residual, r.Name)
-	if !e.opts.Indexed || r.nIndexed == 0 {
+	if r.nIndexed == 0 {
 		return
 	}
 	if len(r.pred.EqPreds) > 0 {
@@ -288,16 +274,6 @@ func (e *Engine) matchInto(r expr.Resolver, m *Matcher, out []*Rule) ([]*Rule, e
 		}
 		return nil
 	}
-	if !e.opts.Indexed {
-		for _, rule := range e.rules {
-			if err := confirm(rule); err != nil {
-				return nil, err
-			}
-		}
-		sortRules(out)
-		return out, nil
-	}
-
 	m.epoch++
 	m.cands = m.cands[:0]
 	// Stale-entry bound: rules removed from the engine stay in the
@@ -356,21 +332,6 @@ func (e *Engine) matchInto(r expr.Resolver, m *Matcher, out []*Rule) ([]*Rule, e
 	}
 	sortRules(out)
 	return out, nil
-}
-
-// Eval matches the event and runs each matching rule's action in
-// priority order, returning how many rules fired.
-func (e *Engine) Eval(ev *event.Event) (int, error) {
-	matched, err := e.Match(ev)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range matched {
-		if r.Action != nil {
-			r.Action(ev, r)
-		}
-	}
-	return len(matched), nil
 }
 
 // hitCount is one epoch-stamped candidate counter: n is meaningful

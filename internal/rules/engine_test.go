@@ -15,30 +15,35 @@ func mkEvent(attrs map[string]any) *event.Event {
 }
 
 func TestMatchBasic(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		e := NewEngine(Options{Indexed: indexed})
-		e.Add("hot", "temp > 30", 0, nil)
-		e.Add("acme", "sym = 'ACME'", 0, nil)
-		e.Add("both", "sym = 'ACME' AND temp > 30", 0, nil)
+	e := NewEngine()
+	e.Add("hot", "temp > 30", 0, nil)
+	e.Add("acme", "sym = 'ACME'", 0, nil)
+	e.Add("both", "sym = 'ACME' AND temp > 30", 0, nil)
 
-		got, err := e.Match(mkEvent(map[string]any{"sym": "ACME", "temp": 35}))
+	// Through the index and through the evaluate-every-rule oracle.
+	matchers := map[string]func(*event.Event) ([]*Rule, error){
+		"indexed": func(ev *event.Event) ([]*Rule, error) { return e.Match(ev) },
+		"naive":   func(ev *event.Event) ([]*Rule, error) { return naiveMatch(e, ev) },
+	}
+	for mode, match := range matchers {
+		got, err := match(mkEvent(map[string]any{"sym": "ACME", "temp": 35}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 3 {
-			t.Errorf("indexed=%v: matched %d, want 3", indexed, len(got))
+			t.Errorf("%s: matched %d, want 3", mode, len(got))
 		}
-		got, _ = e.Match(mkEvent(map[string]any{"sym": "X", "temp": 35}))
+		got, _ = match(mkEvent(map[string]any{"sym": "X", "temp": 35}))
 		if len(got) != 1 || got[0].Name != "hot" {
-			t.Errorf("indexed=%v: matched %v", indexed, names(got))
+			t.Errorf("%s: matched %v", mode, names(got))
 		}
-		got, _ = e.Match(mkEvent(map[string]any{"sym": "ACME", "temp": 10}))
+		got, _ = match(mkEvent(map[string]any{"sym": "ACME", "temp": 10}))
 		if len(got) != 1 || got[0].Name != "acme" {
-			t.Errorf("indexed=%v: matched %v", indexed, names(got))
+			t.Errorf("%s: matched %v", mode, names(got))
 		}
-		got, _ = e.Match(mkEvent(map[string]any{"other": 1}))
+		got, _ = match(mkEvent(map[string]any{"other": 1}))
 		if len(got) != 0 {
-			t.Errorf("indexed=%v: matched %v on unrelated event", indexed, names(got))
+			t.Errorf("%s: matched %v on unrelated event", mode, names(got))
 		}
 	}
 }
@@ -52,7 +57,7 @@ func names(rs []*Rule) []string {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	e.Add("low", "x = 1", 1, nil)
 	e.Add("high", "x = 1", 10, nil)
 	e.Add("mid-b", "x = 1", 5, nil)
@@ -67,12 +72,12 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestEvalRunsActions(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	var fired []string
 	act := func(ev *event.Event, r *Rule) { fired = append(fired, r.Name) }
 	e.Add("a", "x >= 1", 2, act)
 	e.Add("b", "x >= 2", 1, act)
-	n, err := e.Eval(mkEvent(map[string]any{"x": 5}))
+	n, err := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 5}))
 	if err != nil || n != 2 {
 		t.Fatalf("Eval = %d, %v", n, err)
 	}
@@ -82,7 +87,7 @@ func TestEvalRunsActions(t *testing.T) {
 }
 
 func TestAddRemoveReplace(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	if _, err := e.Add("r", "x = 1", 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestAddRemoveReplace(t *testing.T) {
 }
 
 func TestRangeIndexedRules(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	e.Add("band1", "price >= 10 AND price < 20", 0, nil)
 	e.Add("band2", "price >= 20 AND price < 30", 0, nil)
 	e.Add("open", "price > 100", 0, nil)
@@ -160,7 +165,7 @@ func TestRangeIndexedRules(t *testing.T) {
 }
 
 func TestResidualRulesAlwaysEvaluated(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	// No indexable conjunct: disjunction and function call.
 	e.Add("or", "sym = 'A' OR sym = 'B'", 0, nil)
 	e.Add("fn", "lower(sym) = 'c'", 0, nil)
@@ -175,12 +180,11 @@ func TestResidualRulesAlwaysEvaluated(t *testing.T) {
 }
 
 func TestIndexIsPureOptimizationQuick(t *testing.T) {
-	// Random rule sets + random events: indexed and naive engines must
-	// agree exactly.
+	// Random rule sets + random events: the index and the
+	// evaluate-every-rule oracle must agree exactly.
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		indexed := NewEngine(Options{Indexed: true})
-		naive := NewEngine(Options{Indexed: false})
+		e := NewEngine()
 		syms := []string{"A", "B", "C", "D"}
 		for i := 0; i < 50; i++ {
 			var cond string
@@ -196,10 +200,7 @@ func TestIndexIsPureOptimizationQuick(t *testing.T) {
 				cond = fmt.Sprintf("sym = '%s' OR price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
 			}
 			name := fmt.Sprintf("r%d", i)
-			if _, err := indexed.Add(name, cond, rng.Intn(3), nil); err != nil {
-				return false
-			}
-			if _, err := naive.Add(name, cond, rng.Intn(3), nil); err != nil {
+			if _, err := e.Add(name, cond, rng.Intn(3), nil); err != nil {
 				return false
 			}
 		}
@@ -208,8 +209,8 @@ func TestIndexIsPureOptimizationQuick(t *testing.T) {
 				"sym":   syms[rng.Intn(len(syms))],
 				"price": rng.Intn(80),
 			})
-			a, err1 := indexed.Match(ev)
-			b, err2 := naive.Match(ev)
+			a, err1 := e.Match(ev)
+			b, err2 := naiveMatch(e, ev)
 			if (err1 == nil) != (err2 == nil) {
 				return false
 			}
@@ -235,7 +236,7 @@ func TestIndexIsPureOptimizationQuick(t *testing.T) {
 }
 
 func TestChurnKeepsIndexConsistent(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	// Interleave add/remove with matching; every state must be correct.
 	for round := 0; round < 100; round++ {
 		name := fmt.Sprintf("r%d", round%10)
@@ -270,7 +271,7 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 }
 
 func TestErrorsPropagateFromConditions(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	// Residual rule with a type error against this event.
 	e.Add("bad", "lower(x) = 'a'", 0, nil)
 	if _, err := e.Match(mkEvent(map[string]any{"x": 5})); err == nil {
@@ -279,7 +280,7 @@ func TestErrorsPropagateFromConditions(t *testing.T) {
 }
 
 func TestMatcherAgreesWithMatch(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	for i := 0; i < 50; i++ {
 		e.Add(fmt.Sprintf("eq%d", i), fmt.Sprintf("site = 'site%d'", i%10), i%3, nil)
 		e.Add(fmt.Sprintf("rng%d", i), fmt.Sprintf("level > %d", i%7), 0, nil)
@@ -308,7 +309,7 @@ func TestMatcherAgreesWithMatch(t *testing.T) {
 }
 
 func TestMatcherEvalRunsActions(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	fired := 0
 	e.Add("hot", "temp > 30", 0, func(*event.Event, *Rule) { fired++ })
 	m := e.NewMatcher()
@@ -330,7 +331,7 @@ func TestMatcherEvalRunsActions(t *testing.T) {
 }
 
 func TestMatcherSeesRuleChurn(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	m := e.NewMatcher()
 	ev := mkEvent(map[string]any{"x": 1})
 	if got, _ := m.Match(ev); len(got) != 0 {
@@ -351,7 +352,7 @@ func TestMatcherSeesRuleChurn(t *testing.T) {
 // partially satisfy different multi-conjunct rules must never
 // accumulate across matches into a false positive.
 func TestMatcherEpochIsolation(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	// Two equality conjuncts each: an event carrying only one of them
 	// leaves a partial count that a later event must not complete.
 	if _, err := e.Add("ab", "a = 1 AND b = 2", 0, nil); err != nil {
@@ -388,7 +389,7 @@ func TestMatcherEpochIsolation(t *testing.T) {
 // results (and without the counts map pinning every dead rule, though
 // that is only observable as memory).
 func TestMatcherSurvivesHeavyChurn(t *testing.T) {
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	if _, err := e.Add("keep", "site = 'site1'", 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +427,7 @@ func TestAllocsMatchSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	for i := 0; i < 1000; i++ {
 		cond := fmt.Sprintf("site = 'site%d' AND level >= %d", i%100, i%10)
 		if _, err := e.Add(fmt.Sprintf("r%d", i), cond, i%3, nil); err != nil {

@@ -18,7 +18,7 @@ func storeFixture(t *testing.T) (*storage.DB, *Store, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, s, NewEngine(Options{Indexed: true})
+	return db, s, NewEngine()
 }
 
 func TestStoreSaveLoad(t *testing.T) {
@@ -38,7 +38,7 @@ func TestStoreSaveLoad(t *testing.T) {
 	if e.Len() != 2 {
 		t.Fatalf("engine rules = %d", e.Len())
 	}
-	n, err := e.Eval(mkEvent(map[string]any{"temp": 40}))
+	n, err := e.NewMatcher().Eval(mkEvent(map[string]any{"temp": 40}))
 	if err != nil || n != 1 || fired != 1 {
 		t.Errorf("eval: n=%d fired=%d err=%v", n, fired, err)
 	}
@@ -47,7 +47,7 @@ func TestStoreSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.LoadInto(e)
-	n, _ = e.Eval(mkEvent(map[string]any{"temp": 40}))
+	n, _ = e.NewMatcher().Eval(mkEvent(map[string]any{"temp": 40}))
 	if n != 0 {
 		t.Errorf("updated condition not applied: n=%d", n)
 	}
@@ -64,7 +64,7 @@ func TestStoreUnknownAction(t *testing.T) {
 		t.Errorf("unknown = %v", unknown)
 	}
 	// Rule still matches (no-op action).
-	n, _ := e.Eval(mkEvent(map[string]any{"a": 1}))
+	n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"a": 1}))
 	if n != 1 {
 		t.Errorf("n = %d", n)
 	}
@@ -101,37 +101,37 @@ func TestStoreSyncLiveReload(t *testing.T) {
 
 	// Insert through the store → engine picks it up via commit hook.
 	s.Save("live", "x = 7", 0, "nop")
-	n, err := e.Eval(mkEvent(map[string]any{"x": 7}))
+	n, err := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 7}))
 	if err != nil || n != 1 {
 		t.Fatalf("live rule not applied: n=%d err=%v", n, err)
 	}
 	// Update.
 	s.Save("live", "x = 8", 0, "nop")
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 7})); n != 0 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 7})); n != 0 {
 		t.Error("stale condition still active")
 	}
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 8})); n != 1 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 8})); n != 1 {
 		t.Error("updated condition not active")
 	}
 	// Disable removes from engine.
 	s.SetEnabled("live", false)
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 8})); n != 0 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 8})); n != 0 {
 		t.Error("disabled rule still active")
 	}
 	// Re-enable restores.
 	s.SetEnabled("live", true)
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 8})); n != 1 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 8})); n != 1 {
 		t.Error("re-enabled rule not active")
 	}
 	// Delete removes.
 	s.Delete("live")
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 8})); n != 0 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 8})); n != 0 {
 		t.Error("deleted rule still active")
 	}
 	// Detach stops syncing.
 	detach()
 	s.Save("late", "x = 9", 0, "nop")
-	if n, _ := e.Eval(mkEvent(map[string]any{"x": 9})); n != 0 {
+	if n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 9})); n != 0 {
 		t.Error("rule added after detach became active")
 	}
 }
@@ -158,7 +158,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(Options{Indexed: true})
+	e := NewEngine()
 	s2.RegisterAction("nop", func(*event.Event, *Rule) {})
 	if _, err := s2.LoadInto(e); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestStoreDurableRoundTrip(t *testing.T) {
 	if e.Len() != 1 {
 		t.Errorf("recovered rules = %d", e.Len())
 	}
-	n, _ := e.Eval(mkEvent(map[string]any{"x": 5}))
+	n, _ := e.NewMatcher().Eval(mkEvent(map[string]any{"x": 5}))
 	if n != 1 {
 		t.Errorf("recovered rule does not match")
 	}

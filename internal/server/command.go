@@ -62,10 +62,13 @@ type cmdSpec struct {
 	// sheds marks ingest verbs that may be refused with "ERR limit" for
 	// a low-priority connection (HELLO flag "lowprio") while an overload
 	// watermark is exceeded — load shedding before blocking backpressure
-	// turns into collapse. Only set on verbs whose whole request is on
-	// the command line; body-consuming verbs (PUBB) shed inside their
-	// handler after the bodies are consumed, so framing survives.
+	// turns into collapse.
 	sheds bool
+	// bodies marks a verb whose request continues past the command line
+	// in body units (PUBB). dispatch leaves its gates to the handler,
+	// which applies them once the bodies are read: a refusal sent ahead
+	// of them would leave the client's events to be parsed as commands.
+	bodies bool
 	// handle runs the command.
 	handle handler
 }
@@ -127,7 +130,7 @@ func init() {
 	// Publish/match: the message-store front door. Publishing mutates
 	// (rule actions, queue staging); MATCH is evaluation only.
 	register("PUB", cmdSpec{tail: requiredTail, usage: "PUB <json-event>", mutating: true, sheds: true, handle: handlePub})
-	register("PUBB", cmdSpec{tail: requiredTail, usage: "PUBB <n>", mutating: true, handle: handlePubBatch})
+	register("PUBB", cmdSpec{tail: requiredTail, usage: "PUBB <n>", mutating: true, sheds: true, bodies: true, handle: handlePubBatch})
 	register("PUBT", cmdSpec{args: 2, tail: requiredTail, usage: "PUBT <session> <seq> <json-event>", mutating: true, sheds: true, handle: handlePubT})
 	register("MATCH", cmdSpec{tail: requiredTail, usage: "MATCH <json-event>", handle: handleMatch})
 
@@ -177,7 +180,8 @@ func init() {
 // here is verb lookup; everything verb-specific lives in the handlers.
 func dispatch(c *conn, line string) bool {
 	verb, rest, _ := strings.Cut(line, " ")
-	spec, ok := commands[strings.ToUpper(verb)]
+	name := strings.ToUpper(verb)
+	spec, ok := commands[name]
 	if !ok {
 		c.errf(codeUnknown, "unknown command %q", verb)
 		return true
@@ -187,18 +191,35 @@ func dispatch(c *conn, line string) bool {
 		c.errf(codeBadArgs, "%s (usage: %s)", problem, spec.usage)
 		return true
 	}
-	if spec.mutating {
-		if c.srv.eng.ReadOnly() {
-			c.errf(codeReadonly, "%s refused: this node is a read-only follower (PROMOTE to enable writes)", strings.ToUpper(verb))
-			return true
-		}
-		if deg, cause := c.srv.eng.Degraded(); deg {
-			c.errf(codeDegraded, "%s refused: storage fail-stopped (%s); RECOVER to resume", strings.ToUpper(verb), cause)
-			return true
-		}
-	}
-	if spec.sheds && c.lowprio && shed(c, strings.ToUpper(verb)) {
+	if !spec.bodies && !admit(c, spec, name) {
 		return true
 	}
 	return spec.handle(c, req)
+}
+
+// admit applies a verb's gates — the read-only follower, the degraded
+// engine, the shed low-priority publisher — replying with the refusal
+// and reporting false when one of them turns the request away. Every
+// request passes it exactly once: in dispatch, in publishFrame for the
+// Pub frame (under PUB's spec), or in publish for a verb with bodies.
+func admit(c *conn, spec *cmdSpec, verb string) bool {
+	eng := c.srv.eng
+	if spec.mutating {
+		if eng.ReadOnly() {
+			c.errf(codeReadonly, "%s refused: this node is a read-only follower (PROMOTE to enable writes)", verb)
+			return false
+		}
+		if deg, cause := eng.Degraded(); deg {
+			c.errf(codeDegraded, "%s refused: storage fail-stopped (%s); RECOVER to resume", verb, cause)
+			return false
+		}
+	}
+	if spec.sheds && c.lowprio {
+		if over, reason := eng.Overloaded(); over {
+			eng.Metrics.Counter("server.shed").Inc()
+			c.errf(codeLimit, "%s shed: %s (low-priority ingest refused under overload)", verb, reason)
+			return false
+		}
+	}
+	return true
 }

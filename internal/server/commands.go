@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"eventdb/internal/core"
@@ -12,85 +11,10 @@ import (
 	"eventdb/internal/pubsub"
 )
 
-// Handlers for the message plane: publishing, matching, ephemeral push
-// sinks (SUB/CQ), and connection introspection. Each is a registry
-// entry (see command.go); none is reachable except through dispatch.
-
-func handlePub(c *conn, req *request) bool {
-	ev, err := event.UnmarshalJSONEvent([]byte(req.tail))
-	if err != nil {
-		c.errf(codeBadJSON, "%v", err)
-		return true
-	}
-	// Exact per-event delivery count on a synchronous engine; 0 on an
-	// async engine, where evaluation happens after the reply.
-	delivered, err := c.srv.eng.IngestCount(ev)
-	if err != nil {
-		c.errf(codeInternal, "%v", err)
-		return true
-	}
-	c.reply(fmt.Sprintf("OK %d", delivered))
-	return true
-}
-
-// handlePubBatch reads the n event bodies of a PUBB — lines in text
-// mode, DATA frames in binary mode — and ingests them as one batch
-// through the engine's sharded pipeline. All n bodies are consumed
-// even on error, keeping the protocol in sync; it returns false only
-// when framing is lost (unreadable count, unreadable body) or the
-// connection itself failed.
-func handlePubBatch(c *conn, req *request) bool {
-	n, err := strconv.Atoi(strings.TrimSpace(req.tail))
-	if err != nil {
-		// Unreadable count: the following bodies can't be framed, so the
-		// connection must drop rather than misread events as commands.
-		c.errf(codeBadArgs, "bad batch size %q", req.tail)
-		return false
-	}
-	if n <= 0 || n > maxBatch {
-		// The count is known, so stay in sync by consuming the batch.
-		for i := 0; i < n; i++ {
-			if _, ok := c.readBody(); !ok {
-				return false
-			}
-		}
-		c.errf(codeTooBig, "batch size %d out of range (want 1..%d)", n, maxBatch)
-		return true
-	}
-	evs := make([]*event.Event, 0, n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		body, ok := c.readBody()
-		if !ok {
-			return false
-		}
-		// UnmarshalJSONEvent copies its input, so the body buffer may be
-		// reused by the next read.
-		ev, err := event.UnmarshalJSONEvent(body)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("event %d: %w", i, err)
-			}
-			continue
-		}
-		evs = append(evs, ev)
-	}
-	if firstErr != nil {
-		c.errf(codeBadJSON, "%v", firstErr)
-		return true
-	}
-	// Shed here rather than in dispatch: the n bodies had to be consumed
-	// first or the line framing would be lost.
-	if c.lowprio && shed(c, "PUBB") {
-		return true
-	}
-	if err := c.srv.eng.IngestBatch(evs); err != nil {
-		c.errf(codeInternal, "%v", err)
-		return true
-	}
-	c.reply(fmt.Sprintf("OK %d", len(evs)))
-	return true
-}
+// Handlers for the message plane: matching, ephemeral push sinks
+// (SUB/CQ), and connection introspection (publishing is publish.go).
+// Each is a registry entry (see command.go); none is reachable except
+// through dispatch.
 
 func handleMatch(c *conn, req *request) bool {
 	ev, err := event.UnmarshalJSONEvent([]byte(req.tail))

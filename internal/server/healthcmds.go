@@ -6,40 +6,17 @@ import (
 	"strings"
 
 	"eventdb/internal/core"
-	"eventdb/internal/event"
 )
 
 // Handlers for the health plane: operator and load-balancer visibility
-// (HEALTH), the degraded-mode exit (RECOVER), and idempotent publish
-// (PUBT) for retrying clients.
+// (HEALTH) and the degraded-mode exit (RECOVER). Its third verb,
+// idempotent publish (PUBT) for retrying clients, is in publish.go.
 //
 //	HEALTH [format=json] → one-line operational snapshot (role, degraded
 //	                       flag, overload state, WAL positions, queue
 //	                       depths, slow-consumer counts)
 //	RECOVER              → "OK"; re-verifies the WAL tail and resumes
 //	                       mutations after a fail-stop. No-op when healthy.
-//	PUBT <session> <seq> <json-event>
-//	                     → "OK <deliveries>", or "OK 0 dup" when <seq>
-//	                       was already ingested for <session> — the
-//	                       server-side half of exactly-once republish
-//	                       across client reconnects.
-
-// maxPubTSessions bounds the publish-session dedupe map so clients
-// cannot grow server memory without bound by inventing session tokens.
-const maxPubTSessions = 4096
-
-// shed refuses one ingest request from a low-priority connection while
-// an overload watermark is exceeded. It replies (ERR limit) and reports
-// true when the request was shed.
-func shed(c *conn, verb string) bool {
-	over, reason := c.srv.eng.Overloaded()
-	if !over {
-		return false
-	}
-	c.srv.eng.Metrics.Counter("server.shed").Inc()
-	c.errf(codeLimit, "%s shed: %s (low-priority ingest refused under overload)", verb, reason)
-	return true
-}
 
 // healthSnapshot layers the server-level view (role, connection and
 // slow-consumer counts, isolation counters) over the engine's health
@@ -138,49 +115,5 @@ func handleRecover(c *conn, _ *request) bool {
 		return true
 	}
 	c.reply("OK")
-	return true
-}
-
-// handlePubT is PUB with an idempotency token: the client names a
-// session and a strictly increasing sequence number, and a retry of an
-// already-ingested sequence answers "OK 0 dup" instead of publishing
-// twice. The sequence is recorded only after a successful ingest, so a
-// failed attempt stays retryable.
-func handlePubT(c *conn, req *request) bool {
-	session := req.args[0]
-	seq, err := strconv.ParseUint(req.args[1], 10, 64)
-	if err != nil || seq == 0 {
-		c.errf(codeBadArgs, "PUBT needs a sequence >= 1, got %q", req.args[1])
-		return true
-	}
-	s := c.srv
-	s.pubtMu.Lock()
-	last, known := s.pubtSeqs[session]
-	if !known && len(s.pubtSeqs) >= maxPubTSessions {
-		s.pubtMu.Unlock()
-		c.errf(codeLimit, "too many publish sessions (max %d)", maxPubTSessions)
-		return true
-	}
-	s.pubtMu.Unlock()
-	if known && seq <= last {
-		c.reply("OK 0 dup")
-		return true
-	}
-	ev, err := event.UnmarshalJSONEvent([]byte(req.tail))
-	if err != nil {
-		c.errf(codeBadJSON, "%v", err)
-		return true
-	}
-	delivered, err := s.eng.IngestCount(ev)
-	if err != nil {
-		c.errf(codeInternal, "%v", err)
-		return true
-	}
-	s.pubtMu.Lock()
-	if cur, ok := s.pubtSeqs[session]; !ok || seq > cur {
-		s.pubtSeqs[session] = seq
-	}
-	s.pubtMu.Unlock()
-	c.reply(fmt.Sprintf("OK %d", delivered))
 	return true
 }

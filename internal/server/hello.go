@@ -3,8 +3,6 @@ package server
 import (
 	"strconv"
 	"strings"
-
-	"eventdb/internal/event"
 )
 
 // HELLO — wire-mode negotiation (PROTOCOL.md §3).
@@ -77,36 +75,4 @@ func handleHello(c *conn, req *request) bool {
 		c.fr = newFrameReader(c)
 	}
 	return true
-}
-
-// handlePubFrame is the binary publish fast path: the frame payload is
-// the JSON event itself — no verb, no line scan. Semantics match PUB
-// exactly, including the readonly/degraded/shed gates dispatch would
-// have applied.
-func handlePubFrame(c *conn, payload []byte) {
-	if c.srv.eng.ReadOnly() {
-		c.errf(codeReadonly, "PUB refused: this node is a read-only follower (PROMOTE to enable writes)")
-		return
-	}
-	if deg, cause := c.srv.eng.Degraded(); deg {
-		c.errf(codeDegraded, "PUB refused: storage fail-stopped (%s); RECOVER to resume", cause)
-		return
-	}
-	if c.lowprio && shed(c, "PUB") {
-		return
-	}
-	// UnmarshalJSONEvent copies everything out of payload, so reusing
-	// the frame reader's buffer for the next frame is safe
-	// (TestUnmarshalJSONEventCopiesInput holds the scanner to that).
-	ev, err := event.UnmarshalJSONEvent(payload)
-	if err != nil {
-		c.errf(codeBadJSON, "%v", err)
-		return
-	}
-	delivered, err := c.srv.eng.IngestCount(ev)
-	if err != nil {
-		c.errf(codeInternal, "%v", err)
-		return
-	}
-	c.reply("OK " + strconv.Itoa(delivered))
 }

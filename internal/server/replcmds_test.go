@@ -215,7 +215,9 @@ func TestReadOnlyFollowerGating(t *testing.T) {
 	rc := rawDial(t, srv)
 	mutating := []string{
 		`PUB {"type":"x","attrs":{}}`,
-		"PUBB 1",
+		// A refused PUBB still takes its bodies off the wire: the event
+		// must not come back as an unknown command.
+		"PUBB 1\n" + `{"type":"x","attrs":{}}`,
 		"QSUB q auto",
 		"CONSUME q 1",
 		"ACK q 1-1",

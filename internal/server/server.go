@@ -36,8 +36,8 @@
 // spaces):
 //
 //	PUB <json-event>    → "OK <deliveries>" after rules+pubsub evaluation
-//	PUBB <n>            → next n lines are JSON events, batch-ingested
-//	                      through the sharded pipeline; one "OK <n>" reply
+//	PUBB <n>            → next n lines are JSON events, ingested as one
+//	                      batch; one "OK <n>" reply
 //	MATCH <json-event>  → "OK <sub,sub,...>" — match only, no delivery
 //	SUB <id> <filter>   → "OK"; pushes "EVT <id> <json-event>" on match
 //	CQ <id> <json-spec> → "OK"; attaches a continuous query (see
@@ -273,11 +273,7 @@ type Server struct {
 
 	nextConn atomic.Uint64
 
-	// pubtSeqs is the PUBT idempotency ledger: highest ingested sequence
-	// per publish session, shared across connections so a client can
-	// republish after a reconnect without duplication.
-	pubtMu   sync.Mutex
-	pubtSeqs map[string]uint64
+	pubt pubtLedger // PUBT idempotency ledger (publish.go)
 }
 
 // Start listens on addr ("127.0.0.1:0" picks a free port) with default
@@ -325,7 +321,7 @@ func serve(eng *core.Engine, ln net.Listener, cfg Config) *Server {
 		conns:     make(map[*conn]struct{}),
 		done:      make(chan struct{}),
 		lingering: make(chan struct{}, maxLingering),
-		pubtSeqs:  make(map[string]uint64),
+		pubt:      pubtLedger{sessions: make(map[string]*pubtSession)},
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -968,7 +964,7 @@ func (c *conn) binaryStep() step {
 				return stepClose
 			}
 		case frame.Pub:
-			handlePubFrame(c, payload)
+			publishFrame(c, payload)
 		case frame.Data:
 			// A body frame outside a body-consuming command: framing is
 			// intact (the length was honored) but the stream is
