@@ -361,11 +361,19 @@ func (e *Engine) ingestCapture(ev *event.Event) error {
 // once, those atomics being the contended cache lines on a many-shard
 // box, and returns the deliveries made.
 func (e *Engine) evaluateBatch(evs []*event.Event, stopOnError bool, latency string) (int, error) {
+	// The scratch goes back only on the way out of a whole pass: one a
+	// panicking rule action left mid-batch is dropped with what it holds.
 	sc := e.scratch.Get().(*batchScratch)
-	defer e.scratch.Put(sc)
 	start := time.Now()
 	var attempted, delivered int
 	var firstErr error
+	// The queue stagings of a multi-event batch share transactions (a
+	// PUBB is one staging commit); a batch of one commits inside its
+	// Publish, and its count is exact when that returns.
+	batch := len(evs) > 1
+	if batch {
+		sc.pub.BeginBatch()
+	}
 	for _, ev := range evs {
 		err := errNilEvent
 		if ev != nil {
@@ -383,10 +391,24 @@ func (e *Engine) evaluateBatch(evs []*event.Event, stopOnError bool, latency str
 		}
 		e.Metrics.Counter("ingest.errors").Inc()
 	}
+	if batch {
+		// Also after an error: the events before it were evaluated, and
+		// their queue deliveries are still only buffered.
+		n, err := sc.pub.EndBatch()
+		delivered += n
+		if err != nil {
+			if !stopOnError {
+				e.Metrics.Counter("ingest.errors").Inc()
+			} else if firstErr == nil {
+				firstErr = fmt.Errorf("core: publish: %w", err)
+			}
+		}
+	}
 	e.ingestCount.Add(uint64(attempted))
 	e.Metrics.Counter("events.in").Add(uint64(attempted))
 	e.Metrics.Counter("events.delivered").Add(uint64(delivered))
 	e.Metrics.Histogram(latency).Observe(time.Since(start))
+	e.scratch.Put(sc)
 	return delivered, firstErr
 }
 

@@ -159,6 +159,72 @@ func TestQueueSubscriptionEndToEnd(t *testing.T) {
 	}
 }
 
+// TestIngestBatchStagesOnce: the queue stagings of a multi-event batch
+// share one commit, a batch of one commits as it always did, and a
+// batch whose shared commit one queue's BEFORE hook vetoes still gives
+// the healthy queue every event and reports what a single Ingest of
+// the first event reports.
+func TestIngestBatchStagesOnce(t *testing.T) {
+	e := open(t, Config{})
+	for _, name := range []string{"good", "bad"} {
+		if _, err := e.CreateQueue(name, queue.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SubscribeQueue("s"+name, "ops", "", name, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(n int) []*event.Event {
+		evs := make([]*event.Event, n)
+		for i := range evs {
+			evs[i] = event.New("alarm", map[string]any{"i": i})
+		}
+		return evs
+	}
+	good, _ := e.Queues.Get("good")
+	bad, _ := e.Queues.Get("bad")
+
+	seq0, delivered0 := e.DB.Seq(), e.Metrics.Counter("events.delivered").Value()
+	if err := e.IngestBatch(batch(64)); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.DB.Seq() - seq0; got != 1 {
+		t.Errorf("a 64-event batch into two queues took %d commits, want 1", got)
+	}
+	if got := e.Metrics.Counter("events.delivered").Value() - delivered0; got != 128 {
+		t.Errorf("events.delivered rose by %d, want 128", got)
+	}
+	seq0 = e.DB.Seq()
+	if n, err := e.IngestCount(event.New("alarm", nil)); err != nil || n != 2 {
+		t.Fatalf("IngestCount = %d, %v; want 2 exactly", n, err)
+	}
+	if got := e.DB.Seq() - seq0; got != 1 {
+		t.Errorf("one event took %d commits", got)
+	}
+	if st := bad.Stats(); st.Ready != 65 {
+		t.Fatalf("second queue holds %+v, want 65 ready", st)
+	}
+
+	remove := e.DB.OnBefore(queue.TableName("bad"), func(*storage.Change) error {
+		return errors.New("queue full")
+	})
+	defer remove()
+	alone := e.Ingest(event.New("alarm", nil))
+	if alone == nil {
+		t.Fatal("expected an error for the vetoed queue")
+	}
+	err := e.IngestBatch(batch(10))
+	if err == nil || err.Error() != alone.Error() {
+		t.Fatalf("batch error = %v, want the single event's: %v", err, alone)
+	}
+	if st := good.Stats(); st.Ready != 65+1+10 {
+		t.Errorf("healthy queue holds %+v, want %d ready", st, 65+1+10)
+	}
+	if st := bad.Stats(); st.Ready != 65 {
+		t.Errorf("vetoed queue holds %+v, want the 65 from before the veto", st)
+	}
+}
+
 func TestSecurityAndAudit(t *testing.T) {
 	e := open(t, Config{Secure: true, AuditTable: "audit"})
 	// Deny by default.

@@ -236,14 +236,38 @@ func (b *Broker) Publish(ev *event.Event) (int, error) {
 // so the steady-state delivery path allocates nothing.
 type deliverScratch struct {
 	subs    []*subscription
+	qsubs   []*subscription // the queue-backed ones among subs
 	targets []queue.Target
+
+	// Between Publisher.BeginBatch and EndBatch the queue deliveries of
+	// successive events are buffered in group and share its commit.
+	// staged and stagedSubs remember what group holds, so that a failed
+	// commit can be replayed event by event.
+	batching   bool
+	group      queue.Group
+	staged     []stagedEvent
+	stagedSubs []*subscription // the staged events' queue subscriptions, back to back
 }
+
+// stagedEvent is one event buffered in a deliverScratch's group, with
+// how many entries of stagedSubs are its.
+type stagedEvent struct {
+	ev   *event.Event
+	subs int
+}
+
+// maxStaged bounds the queue stagings that share one commit record; a
+// batch with more commits in several.
+const maxStaged = 256
 
 // deliver routes one matched event to every matching subscription:
 // callback handlers run inline in match order, and queue-backed
 // deliveries for the event are staged together through
 // queue.EnqueueGroup — one transaction, one WAL append, one fsync,
-// payload encoded once — instead of one commit per queue.
+// payload encoded once — instead of one commit per queue. In a batch
+// (see Publisher.BeginBatch) the transaction is the batch's, and the
+// queue deliveries are counted and their errors reported when it
+// commits, not here.
 //
 // Delivery is best-effort: an enqueue failure never stops the
 // remaining deliveries. If the group transaction fails (one vetoed or
@@ -261,6 +285,7 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 	// happens to overwrite them.
 	defer func() {
 		clear(sc.subs)
+		clear(sc.qsubs)
 		clear(sc.targets)
 	}()
 	// Snapshot the matched subscriptions under a single RLock — not one
@@ -276,30 +301,50 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 	sc.subs = subs
 
 	delivered := 0
-	targets := sc.targets[:0]
+	qsubs := sc.qsubs[:0]
 	for _, s := range subs {
 		if s.queue != nil {
-			targets = append(targets, queue.Target{Queue: s.queue, Opts: queue.EnqueueOptions{Priority: s.priority}})
+			qsubs = append(qsubs, s)
 			continue
 		}
 		s.handler(Delivery{SubID: s.id, Subscriber: s.subscriber, Event: ev})
 		delivered++
 	}
-	sc.targets = targets
-	if len(targets) == 0 {
+	sc.qsubs = qsubs
+	if len(qsubs) == 0 {
 		return delivered, nil
 	}
-	if err := queue.EnqueueGroup(ev, targets); err == nil {
-		return delivered + len(targets), nil
+	var n int
+	var err error
+	if sc.batching {
+		n, err = sc.stage(ev, qsubs)
+	} else {
+		n, err = sc.enqueue(ev, qsubs)
+	}
+	return delivered + n, err
+}
+
+// targetsOf lists the queues of qsubs in sc.targets.
+func (sc *deliverScratch) targetsOf(qsubs []*subscription) []queue.Target {
+	sc.targets = sc.targets[:0]
+	for _, s := range qsubs {
+		sc.targets = append(sc.targets, queue.Target{Queue: s.queue, Opts: queue.EnqueueOptions{Priority: s.priority}})
+	}
+	return sc.targets
+}
+
+// enqueue stages one event into the queues of qsubs in a transaction of
+// its own and returns how many of them have it.
+func (sc *deliverScratch) enqueue(ev *event.Event, qsubs []*subscription) (int, error) {
+	if err := queue.EnqueueGroup(ev, sc.targetsOf(qsubs)); err == nil {
+		return len(qsubs), nil
 	}
 	// Group staging failed — the shared transaction rolled back, so
 	// nothing was staged anywhere. Retry each queue individually,
 	// collecting failures, so one full queue cannot starve the rest.
+	delivered := 0
 	var errs []error
-	for _, s := range subs {
-		if s.queue == nil {
-			continue
-		}
+	for _, s := range qsubs {
 		if _, err := s.queue.Enqueue(ev, queue.EnqueueOptions{Priority: s.priority}); err != nil {
 			errs = append(errs, fmt.Errorf("pubsub: enqueue for %q: %w", s.id, err))
 			continue
@@ -307,6 +352,72 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 		delivered++
 	}
 	return delivered, errors.Join(errs...)
+}
+
+// stage buffers one event's queue deliveries in the batch's group,
+// committing first what the group holds when this event would take it
+// past maxStaged. It returns what such a commit landed.
+func (sc *deliverScratch) stage(ev *event.Event, qsubs []*subscription) (landed int, err error) {
+	if rows := sc.group.Rows(); rows > 0 && rows+len(qsubs) > maxStaged {
+		landed, err = sc.flush()
+	}
+	sc.staged = append(sc.staged, stagedEvent{ev: ev, subs: len(qsubs)})
+	sc.stagedSubs = append(sc.stagedSubs, qsubs...)
+	if aerr := sc.group.Add(ev, sc.targetsOf(qsubs)); aerr != nil {
+		// The group holds part of this event: give it up and stage
+		// everything it held, this event included, the slow way.
+		sc.group.Rollback()
+		n, uerr := sc.unstage()
+		if err == nil {
+			err = uerr
+		}
+		return landed + n, err
+	}
+	return landed, err
+}
+
+// flush commits the batch's group and returns how many queue deliveries
+// landed. If the commit fails nothing of it was staged, and every event
+// it held is staged again on its own (see enqueue), so one vetoed queue
+// costs the batch its shared commit and not its healthy deliveries.
+func (sc *deliverScratch) flush() (int, error) {
+	if len(sc.staged) == 0 {
+		return 0, nil
+	}
+	rows := sc.group.Rows()
+	if err := sc.group.Commit(); err != nil {
+		return sc.unstage()
+	}
+	sc.forget()
+	return rows, nil
+}
+
+// unstage stages each remembered event on its own, after the group
+// that held them was lost. Every event is tried; the error is the
+// first failing event's, which is what publishing them one by one and
+// stopping at the first failure would have reported.
+func (sc *deliverScratch) unstage() (int, error) {
+	delivered := 0
+	var first error
+	subs := sc.stagedSubs
+	for _, e := range sc.staged {
+		n, err := sc.enqueue(e.ev, subs[:e.subs])
+		subs = subs[e.subs:]
+		delivered += n
+		if first == nil {
+			first = err
+		}
+	}
+	sc.forget()
+	return delivered, first
+}
+
+// forget drops the record of what the group held, keeping the scratch
+// from pinning events and subscriptions.
+func (sc *deliverScratch) forget() {
+	clear(sc.staged)
+	clear(sc.stagedSubs)
+	sc.staged, sc.stagedSubs = sc.staged[:0], sc.stagedSubs[:0]
 }
 
 // Publisher carries reusable match and delivery scratch for a hot
@@ -332,6 +443,22 @@ func (p *Publisher) Publish(ev *event.Event) (int, error) {
 		return 0, err
 	}
 	return p.b.deliver(matched, ev, &p.sc)
+}
+
+// BeginBatch makes the Publish calls up to EndBatch share their queue
+// stagings' transactions: the events' queue deliveries are buffered and
+// land together, at most maxStaged to a commit, instead of one commit
+// per event. Callback deliveries still run inside each Publish, which
+// counts only them; queue deliveries are counted, and their failures
+// reported, by whichever later call commits them — a Publish that finds
+// the buffer full, or EndBatch.
+func (p *Publisher) BeginBatch() { p.sc.batching = true }
+
+// EndBatch commits the queue deliveries still buffered since BeginBatch
+// and returns how many landed, with their aggregated failures.
+func (p *Publisher) EndBatch() (int, error) {
+	p.sc.batching = false
+	return p.sc.flush()
 }
 
 // MatchOnly returns the subscription IDs that would receive the event,

@@ -542,6 +542,131 @@ func TestDeliverBestEffortOnQueueFailure(t *testing.T) {
 	}
 }
 
+// TestBatchStagingSharesCommits: between BeginBatch and EndBatch the
+// queue deliveries of successive events land in shared transactions —
+// one for a PUBB-sized batch, at most maxStaged stagings each for a
+// longer one — in publish order, and are counted when they land.
+func TestBatchStagingSharesCommits(t *testing.T) {
+	db, _ := storage.Open(storage.Options{})
+	qm := queue.NewManager(db)
+	b := NewBroker()
+	qa, _ := qm.Create("a", queue.Config{})
+	qb, _ := qm.Create("b", queue.Config{})
+	if err := b.SubscribeQueue("sa", "x", "", qa, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SubscribeQueue("sb", "x", "price > 1000", qb, 0); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	if err := b.Subscribe("cb", "x", "", func(Delivery) { calls++ }); err != nil {
+		t.Fatal(err)
+	}
+	p := b.NewPublisher()
+
+	run := func(events int, wantCommits uint64) {
+		t.Helper()
+		seq0, calls0 := db.Seq(), calls
+		p.BeginBatch()
+		inline := 0
+		for i := 0; i < events; i++ {
+			n, err := p.Publish(trade("ACME", float64(2000+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline += n
+		}
+		landed, err := p.EndBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls-calls0 != events {
+			t.Fatalf("callback ran %d times for %d events", calls-calls0, events)
+		}
+		if inline+landed != 3*events {
+			t.Fatalf("%d events: counted %d deliveries (%d at EndBatch), want %d", events, inline+landed, landed, 3*events)
+		}
+		if got := db.Seq() - seq0; got != wantCommits {
+			t.Fatalf("%d events into two queues took %d commits, want %d", events, got, wantCommits)
+		}
+		for _, q := range []*queue.Queue{qa, qb} {
+			for i := 0; i < events; i++ {
+				msg, ok, err := q.Dequeue("c")
+				if err != nil || !ok {
+					t.Fatalf("queue %s: message %d of %d missing (%v)", q.Name(), i, events, err)
+				}
+				if price, _ := msg.Event.Get("price"); !val.Equal(price, val.Float(float64(2000+i))) {
+					t.Fatalf("queue %s: message %d carries price %v", q.Name(), i, price)
+				}
+				q.Ack(msg.Receipt)
+			}
+			if _, ok, _ := q.Dequeue("c"); ok {
+				t.Fatalf("queue %s holds more than was published", q.Name())
+			}
+		}
+	}
+	run(64, 1)  // a PUBB: one staging commit
+	run(300, 3) // 600 stagings: 256 + 256 + 88
+	// Outside a batch a publish commits by itself again.
+	seq0 := db.Seq()
+	if n, err := p.Publish(trade("ACME", 5000)); err != nil || n != 3 {
+		t.Fatalf("publish after the batch = %d, %v", n, err)
+	}
+	if got := db.Seq() - seq0; got != 1 {
+		t.Fatalf("a publish outside a batch took %d commits", got)
+	}
+}
+
+// TestBatchStagingBestEffortOnQueueFailure: a vetoed queue costs a
+// batch its shared commit, not its healthy deliveries — every event
+// still reaches the healthy queue and the callbacks, nothing reaches
+// the vetoed one, and the error is the one publishing the first event
+// by itself reports.
+func TestBatchStagingBestEffortOnQueueFailure(t *testing.T) {
+	db, _ := storage.Open(storage.Options{})
+	qm := queue.NewManager(db)
+	b := NewBroker()
+	good, _ := qm.Create("good", queue.Config{})
+	bad, _ := qm.Create("bad", queue.Config{})
+	remove := db.OnBefore(queue.TableName("bad"), func(c *storage.Change) error {
+		return fmt.Errorf("queue full")
+	})
+	defer remove()
+	calls := 0
+	b.Subscribe("cb", "x", "", func(Delivery) { calls++ })
+	b.SubscribeQueue("qgood", "x", "", good, 0)
+	b.SubscribeQueue("qbad", "x", "", bad, 0)
+	p := b.NewPublisher()
+
+	_, alone := p.Publish(trade("ACME", 1))
+	if alone == nil {
+		t.Fatal("expected an error for the vetoed queue")
+	}
+	const events = 20
+	p.BeginBatch()
+	delivered := 0
+	for i := 0; i < events; i++ {
+		n, err := p.Publish(trade("ACME", float64(100+i)))
+		if err != nil {
+			t.Fatalf("event %d failed inside the batch: %v", i, err)
+		}
+		delivered += n
+	}
+	landed, err := p.EndBatch()
+	if err == nil || err.Error() != alone.Error() {
+		t.Fatalf("batch error = %v, want what one event reports: %v", err, alone)
+	}
+	if delivered+landed != 2*events || calls != 1+events {
+		t.Fatalf("delivered %d (+%d at EndBatch), callbacks %d; want %d deliveries, %d callbacks", delivered, landed, calls, 2*events, 1+events)
+	}
+	if st := good.Stats(); st.Ready != 1+events {
+		t.Fatalf("healthy queue holds %+v, want %d ready", st, 1+events)
+	}
+	if st := bad.Stats(); st.Ready != 0 || st.Inflight != 0 {
+		t.Fatalf("vetoed queue has contents: %+v", st)
+	}
+}
+
 // TestAllocsPublishSteadyState is the acceptance guard for the
 // allocation-free hot path: steady-state match+publish of one event to
 // callback subscriptions through a warm Publisher must stay within 2

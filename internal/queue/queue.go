@@ -16,12 +16,18 @@
 // redelivered (attempts capped, then dead-lettered). Receipts carry the
 // delivery attempt so a stale receipt (from before a redelivery) cannot
 // acknowledge the message.
+//
+// Both directions batch: Group stages any number of events into any
+// number of queues under one transaction (EnqueueGroup is its one-event
+// case), and DequeueBatch claims up to 256 messages under one (Dequeue
+// is its one-message case), so a burst costs one commit record.
 package queue
 
 import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -145,13 +151,15 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	q := &Queue{
-		name:     name,
-		db:       m.db,
-		table:    tbl,
-		cfg:      cfg.withDefaults(),
-		rowIDs:   make(map[int64]storage.RowID),
-		inflight: make(map[int64]*inflightInfo),
-		notify:   make(chan struct{}, 1),
+		name:      name,
+		tableName: TableName(name),
+		db:        m.db,
+		table:     tbl,
+		cfg:       cfg.withDefaults(),
+		rowIDs:    make(map[int64]storage.RowID),
+		inflight:  make(map[int64]*inflightInfo),
+		reapAfter: math.MaxInt64,
+		notify:    make(chan struct{}, 1),
 	}
 	// Rebuild in-memory state from the authoritative table. Inflight
 	// messages from a previous incarnation are redelivered immediately:
@@ -180,7 +188,7 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 		return true
 	})
 	for _, rid := range toRecover {
-		if err := m.db.UpdateRow(TableName(name), rid, map[string]val.Value{
+		if err := m.db.UpdateRow(q.tableName, rid, map[string]val.Value{
 			"state": val.String(stateReady), "visible_at": val.Int(0),
 		}); err != nil {
 			return nil, fmt.Errorf("queue: recover inflight: %w", err)
@@ -195,19 +203,23 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 
 	// Inserts into the backing table become deliverable messages at
 	// commit time, whoever wrote them.
-	tableName := TableName(name)
 	q.removeHook = m.db.OnCommit(func(ci *storage.CommitInfo) {
-		woke := false
+		// One hold of q.mu per commit, taken at the first staged row: a
+		// batch's inserts register together.
+		locked, woke := false, false
 		for i := range ci.Changes {
 			c := &ci.Changes[i]
-			if c.Table != tableName || c.Kind != storage.Insert {
+			if c.Table != q.tableName || c.Kind != storage.Insert {
 				continue
 			}
 			id, _ := c.New[0].AsInt()
 			pri, _ := c.New[1].AsInt()
 			vis, _ := c.New[2].AsInt()
 			state, _ := c.New[4].AsString()
-			q.mu.Lock()
+			if !locked {
+				q.mu.Lock()
+				locked = true
+			}
 			q.rowIDs[id] = c.ID
 			if id >= q.nextID {
 				q.nextID = id + 1
@@ -216,6 +228,8 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 				q.push(readyItem{id: id, pri: pri, visibleAt: vis})
 				woke = true
 			}
+		}
+		if locked {
 			q.mu.Unlock()
 		}
 		if woke {
@@ -228,10 +242,11 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 
 // Queue is one staging area. Safe for concurrent use.
 type Queue struct {
-	name  string
-	db    *storage.DB
-	table *storage.Table
-	cfg   Config
+	name      string
+	tableName string // TableName(name), the backing table
+	db        *storage.DB
+	table     *storage.Table
+	cfg       Config
 
 	mu      sync.Mutex
 	nextID  int64
@@ -240,6 +255,11 @@ type Queue struct {
 	rowIDs  map[int64]storage.RowID
 	// inflight tracks deadline and attempt per delivered message.
 	inflight map[int64]*inflightInfo
+	// reapAfter is a lower bound on the earliest in-flight deadline:
+	// while the clock is below it reapExpired has nothing to find and
+	// does not look. Settling a delivery leaves it stale (still a lower
+	// bound); the scans that do run make it exact again.
+	reapAfter int64
 
 	notify     chan struct{}
 	removeHook func()
@@ -301,7 +321,7 @@ func (q *Queue) enqueuePayloadTx(txn *storage.Txn, payload []byte, opts EnqueueO
 	if opts.Delay > 0 {
 		visibleAt = now + opts.Delay.Nanoseconds()
 	}
-	err := txn.Insert(TableName(q.name), map[string]val.Value{
+	err := txn.Insert(q.tableName, map[string]val.Value{
 		"id":          val.Int(id),
 		"pri":         val.Int(int64(opts.Priority)),
 		"visible_at":  val.Int(visibleAt),
@@ -354,28 +374,71 @@ type Target struct {
 // N. All targets must share one database; the staging is atomic — on
 // error nothing is enqueued anywhere.
 func EnqueueGroup(ev *event.Event, targets []Target) error {
+	var g Group
+	if err := g.Add(ev, targets); err != nil {
+		g.Rollback()
+		return err
+	}
+	return g.Commit()
+}
+
+// Group is EnqueueGroup over several events: each Add buffers one
+// event's stagings and Commit lands them all — a PUBB's worth of
+// messages in one commit record. The zero value is an empty group, and
+// a group is empty again after Commit or Rollback. Not safe for
+// concurrent use.
+type Group struct {
+	db   *storage.DB
+	txn  *storage.Txn
+	rows int
+}
+
+// Add buffers the staging of one event into targets. After an error
+// the group holds part of the event and must be rolled back.
+func (g *Group) Add(ev *event.Event, targets []Target) error {
 	if len(targets) == 0 {
 		return nil
 	}
 	if ev == nil {
 		return errors.New("queue: nil event")
 	}
-	db := targets[0].Queue.db
-	for _, t := range targets[1:] {
-		if t.Queue.db != db {
-			return errors.New("queue: EnqueueGroup targets span databases")
-		}
+	if g.txn == nil {
+		g.db = targets[0].Queue.db
+		g.txn = g.db.Begin()
 	}
 	payload := event.Encode(nil, ev)
-	txn := db.Begin()
 	for _, t := range targets {
-		if _, err := t.Queue.enqueuePayloadTx(txn, payload, t.Opts); err != nil {
-			txn.Rollback()
+		if t.Queue.db != g.db {
+			return errors.New("queue: EnqueueGroup targets span databases")
+		}
+		if _, err := t.Queue.enqueuePayloadTx(g.txn, payload, t.Opts); err != nil {
 			return err
 		}
 	}
+	g.rows += len(targets)
+	return nil
+}
+
+// Rows reports how many stagings the group holds.
+func (g *Group) Rows() int { return g.rows }
+
+// Commit lands every buffered staging atomically, or none of them.
+func (g *Group) Commit() error {
+	txn := g.txn
+	*g = Group{}
+	if txn == nil {
+		return nil
+	}
 	_, err := txn.Commit()
 	return err
+}
+
+// Rollback discards the buffered stagings.
+func (g *Group) Rollback() {
+	if g.txn != nil {
+		g.txn.Rollback()
+	}
+	*g = Group{}
 }
 
 // Msg is a delivered message.
@@ -397,17 +460,47 @@ type Receipt struct {
 	attempt int64
 }
 
+// maxClaim bounds how many messages one claim transaction takes, and
+// with it the size of one commit record.
+const maxClaim = 256
+
 // Dequeue delivers the next visible message, or ok=false if none is
 // ready. consumer is recorded in the queue table for tracking.
 func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
+	msgs, err := q.DequeueBatch(consumer, 1)
+	if len(msgs) == 0 {
+		return nil, false, err
+	}
+	return msgs[0], true, nil
+}
+
+// DequeueBatch delivers up to n (at most maxClaim) visible messages, in
+// the order n calls of Dequeue would — priority descending, then ID
+// ascending — and claims them in one transaction: one commit record
+// and one WAL append for the batch. If the claim does not commit, every
+// message stays ready and none is returned. A message whose payload
+// does not decode is claimed but left out of the result, with an error
+// beside the messages that did decode: it stays in flight until its
+// visibility timeout, so its attempts burn down to the dead letter.
+func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 	now := timeNow().UnixNano()
 	q.reapExpired(now)
-	for {
+	type claim struct {
+		it      readyItem
+		row     storage.Row
+		attempt int64
+	}
+	var one [1]claim // the n = 1 case claims without allocating
+	claims := one[:0]
+	deadline := now + q.cfg.VisibilityTimeout.Nanoseconds()
+	var txn *storage.Txn
+	n = min(n, maxClaim)
+	for len(claims) < n {
 		q.mu.Lock()
 		q.promoteDueLocked(now)
 		if q.ready.Len() == 0 {
 			q.mu.Unlock()
-			return nil, false, nil
+			break
 		}
 		it := heap.Pop(&q.ready).(readyItem)
 		rid, tracked := q.rowIDs[it.id]
@@ -419,47 +512,63 @@ func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 		if !ok {
 			continue
 		}
-		state, _ := row[4].AsString()
-		if state != stateReady {
+		if state, _ := row[4].AsString(); state != stateReady {
 			continue
 		}
 		attempts, _ := row[3].AsInt()
-		attempt := attempts + 1
-		deadline := now + q.cfg.VisibilityTimeout.Nanoseconds()
-		err := q.db.UpdateRow(TableName(q.name), rid, map[string]val.Value{
+		if txn == nil {
+			txn = q.db.Begin()
+		}
+		// Update refuses only a finished transaction; this one is open.
+		_ = txn.Update(q.tableName, rid, map[string]val.Value{
 			"state":      val.String(stateInflight),
-			"attempts":   val.Int(attempt),
+			"attempts":   val.Int(attempts + 1),
 			"visible_at": val.Int(deadline),
 			"consumer":   val.String(consumer),
 		})
-		if err != nil {
-			// The claim did not commit (storage degraded, say): the
-			// message is still ready in the table, so it goes back on
-			// the heap for the next Dequeue.
-			q.mu.Lock()
-			heap.Push(&q.ready, it)
-			q.mu.Unlock()
-			return nil, false, err
-		}
+		claims = append(claims, claim{it: it, row: row, attempt: attempts + 1})
+	}
+	if len(claims) == 0 {
+		return nil, nil
+	}
+	if _, err := txn.Commit(); err != nil {
+		// The claim did not commit (storage degraded, say): the
+		// messages are still ready in the table, so they go back on the
+		// heap for the next Dequeue.
 		q.mu.Lock()
-		q.inflight[it.id] = &inflightInfo{deadline: deadline, attempt: attempt}
+		for _, c := range claims {
+			heap.Push(&q.ready, c.it)
+		}
 		q.mu.Unlock()
+		return nil, err
+	}
+	q.mu.Lock()
+	for _, c := range claims {
+		q.inflight[c.it.id] = &inflightInfo{deadline: deadline, attempt: c.attempt}
+	}
+	q.reapAfter = min(q.reapAfter, deadline)
+	q.mu.Unlock()
 
-		payload, _ := row[7].AsBytes()
+	msgs := make([]*Msg, 0, len(claims))
+	var errs []error
+	for _, c := range claims {
+		payload, _ := c.row[7].AsBytes()
 		ev, _, err := event.Decode(payload)
 		if err != nil {
-			return nil, false, fmt.Errorf("queue: corrupt payload for msg %d: %w", it.id, err)
+			errs = append(errs, fmt.Errorf("queue: corrupt payload for msg %d: %w", c.it.id, err))
+			continue
 		}
-		enq, _ := row[5].AsInt()
-		pri, _ := row[1].AsInt()
-		return &Msg{
-			Receipt:    Receipt{Queue: q.name, ID: it.id, attempt: attempt},
+		enq, _ := c.row[5].AsInt()
+		pri, _ := c.row[1].AsInt()
+		msgs = append(msgs, &Msg{
+			Receipt:    Receipt{Queue: q.name, ID: c.it.id, attempt: c.attempt},
 			Event:      ev,
-			Attempt:    int(attempt),
+			Attempt:    int(c.attempt),
 			EnqueuedAt: time.Unix(0, enq).UTC(),
 			Priority:   int(pri),
-		}, true, nil
+		})
 	}
+	return msgs, errors.Join(errs...)
 }
 
 // ErrStaleReceipt guards acks from superseded deliveries.
@@ -500,7 +609,7 @@ func (q *Queue) Ack(r Receipt) error {
 	delete(q.inflight, r.ID)
 	delete(q.rowIDs, r.ID)
 	q.mu.Unlock()
-	return q.db.DeleteRow(TableName(q.name), rid)
+	return q.db.DeleteRow(q.tableName, rid)
 }
 
 // Nack returns a delivery to the queue after delay; after MaxAttempts
@@ -518,7 +627,7 @@ func (q *Queue) Nack(r Receipt, delay time.Duration) error {
 	q.mu.Unlock()
 
 	if attempt >= int64(q.cfg.MaxAttempts) {
-		return q.db.UpdateRow(TableName(q.name), rid, map[string]val.Value{
+		return q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
 			"state": val.String(stateDead),
 		})
 	}
@@ -527,7 +636,7 @@ func (q *Queue) Nack(r Receipt, delay time.Duration) error {
 	if delay > 0 {
 		visibleAt = now + delay.Nanoseconds()
 	}
-	err := q.db.UpdateRow(TableName(q.name), rid, map[string]val.Value{
+	err := q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
 		"state":      val.String(stateReady),
 		"visible_at": val.Int(visibleAt),
 	})
@@ -561,7 +670,7 @@ func (q *Queue) Release(r Receipt) error {
 	delete(q.inflight, r.ID)
 	attempt := info.attempt
 	q.mu.Unlock()
-	err := q.db.UpdateRow(TableName(q.name), rid, map[string]val.Value{
+	err := q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
 		"state":      val.String(stateReady),
 		"visible_at": val.Int(0),
 		"attempts":   val.Int(attempt - 1),
@@ -590,6 +699,8 @@ func (q *Queue) promoteDueLocked(now int64) {
 
 // reapExpired requeues inflight messages whose visibility timeout passed
 // (consumer crashed or stalled); exhausted messages are dead-lettered.
+// It runs on every Dequeue, so it looks at the in-flight set only once
+// the clock has reached reapAfter.
 func (q *Queue) reapExpired(now int64) {
 	type expired struct {
 		id       int64
@@ -599,8 +710,14 @@ func (q *Queue) reapExpired(now int64) {
 	}
 	var exp []expired
 	q.mu.Lock()
+	if now < q.reapAfter {
+		q.mu.Unlock()
+		return
+	}
+	q.reapAfter = math.MaxInt64
 	for id, info := range q.inflight {
 		if info.deadline > now {
+			q.reapAfter = min(q.reapAfter, info.deadline)
 			continue
 		}
 		delete(q.inflight, id)
@@ -619,12 +736,12 @@ func (q *Queue) reapExpired(now int64) {
 	q.mu.Unlock()
 	for _, e := range exp {
 		if e.attempts >= int64(q.cfg.MaxAttempts) {
-			_ = q.db.UpdateRow(TableName(q.name), e.rid, map[string]val.Value{
+			_ = q.db.UpdateRow(q.tableName, e.rid, map[string]val.Value{
 				"state": val.String(stateDead),
 			})
 			continue
 		}
-		err := q.db.UpdateRow(TableName(q.name), e.rid, map[string]val.Value{
+		err := q.db.UpdateRow(q.tableName, e.rid, map[string]val.Value{
 			"state": val.String(stateReady), "visible_at": val.Int(0),
 		})
 		if err != nil {
@@ -656,15 +773,27 @@ func (q *Queue) wake() {
 // WaitDequeue blocks until a message is available, the timeout elapses,
 // or the done channel closes.
 func (q *Queue) WaitDequeue(consumer string, timeout time.Duration, done <-chan struct{}) (*Msg, bool, error) {
+	msgs, err := q.WaitDequeueBatch(consumer, 1, timeout, done)
+	if len(msgs) == 0 {
+		return nil, false, err
+	}
+	return msgs[0], true, nil
+}
+
+// WaitDequeueBatch is DequeueBatch that blocks while nothing is ready,
+// until the timeout elapses or the done channel closes. It returns as
+// soon as at least one message is claimed, with as many as were ready
+// (up to n): it does not wait for a batch to fill.
+func (q *Queue) WaitDequeueBatch(consumer string, n int, timeout time.Duration, done <-chan struct{}) ([]*Msg, error) {
 	deadline := timeNow().Add(timeout)
 	for {
-		msg, ok, err := q.Dequeue(consumer)
-		if err != nil || ok {
-			return msg, ok, err
+		msgs, err := q.DequeueBatch(consumer, n)
+		if err != nil || len(msgs) > 0 {
+			return msgs, err
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, false, nil
+			return nil, nil
 		}
 		wait := 5 * time.Millisecond
 		if remaining < wait {
@@ -677,7 +806,7 @@ func (q *Queue) WaitDequeue(consumer string, timeout time.Duration, done <-chan 
 		case <-timer.C:
 		case <-done:
 			timer.Stop()
-			return nil, false, nil
+			return nil, nil
 		}
 	}
 }
@@ -749,7 +878,7 @@ func (q *Queue) Requeue(id int64) error {
 	if state, _ := row[4].AsString(); state != stateDead {
 		return fmt.Errorf("queue: message %d is not dead-lettered", id)
 	}
-	err := q.db.UpdateRow(TableName(q.name), rid, map[string]val.Value{
+	err := q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
 		"state": val.String(stateReady), "visible_at": val.Int(0), "attempts": val.Int(0),
 	})
 	if err != nil {
@@ -786,7 +915,7 @@ func (q *Queue) RequeueDeadLetters() (int, error) {
 	}
 	txn := q.db.Begin()
 	for _, d := range deads {
-		err := txn.Update(TableName(q.name), d.rid, map[string]val.Value{
+		err := txn.Update(q.tableName, d.rid, map[string]val.Value{
 			"state": val.String(stateReady), "visible_at": val.Int(0), "attempts": val.Int(0),
 		})
 		if err != nil {

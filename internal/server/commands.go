@@ -146,9 +146,9 @@ func handleStats(c *conn, req *request) bool {
 	}
 	c.mu.Unlock()
 	if format == "json" {
-		c.reply(fmt.Sprintf(`OK {"sent":%d,"dropped":%d,"queued":%d,"subs":%d,"cqs":%d,"qsubs":%d,"latency":%s,"patterns":%s}`,
+		c.reply(fmt.Sprintf(`OK {"sent":%d,"dropped":%d,"queued":%d,"subs":%d,"cqs":%d,"qsubs":%d,"latency":%s,"patterns":%s,"qsub":%s}`,
 			c.sent.Load(), c.dropped.Load(), c.queuedNow(), subs, cqs, qsubs, latencyJSON(&c.lat),
-			patternsJSON(c.srv.eng.PatternStats())))
+			patternsJSON(c.srv.eng.PatternStats()), qsubJSON(c.srv.eng.Metrics)))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK sent=%d dropped=%d queued=%d subs=%d cqs=%d qsubs=%d",
@@ -163,6 +163,17 @@ func handleStats(c *conn, req *request) bool {
 func patternsJSON(st core.PatternStats) string {
 	return fmt.Sprintf(`{"registered":%d,"instances":%d,"matches":%d,"pruned":%d,"dropped":%d}`,
 		st.Registered, st.Instances, st.Matches, st.Pruned, st.Dropped)
+}
+
+// qsubJSON renders the engine-wide durable-consumer counters for the
+// json stats replies: QEVTs pushed to QSUB consumers, the bursts they
+// were queued in (delivered / bursts messages share a write) and the
+// claim transactions behind them (delivered / claim_commits share a
+// commit record).
+func qsubJSON(m *metrics.Registry) string {
+	return fmt.Sprintf(`{"delivered":%d,"bursts":%d,"claim_commits":%d}`,
+		m.Counter("server.qsub.delivered").Value(), m.Counter("server.qsub.bursts").Value(),
+		m.Counter("queue.claim.commits").Value())
 }
 
 // latencyJSON renders a delivery-latency histogram as a JSON object

@@ -92,6 +92,9 @@ func handleInsert(c *conn, req *request) bool {
 		dmlFail(c, err)
 		return true
 	}
+	if !c.flushed() {
+		return true
+	}
 	c.reply(fmt.Sprintf("OK %d", id))
 	return true
 }
@@ -124,6 +127,9 @@ func handleUpdate(c *conn, req *request) bool {
 		dmlFail(c, err)
 		return true
 	}
+	if !c.flushed() {
+		return true
+	}
 	c.reply(fmt.Sprintf("OK %d", n))
 	return true
 }
@@ -138,6 +144,9 @@ func handleDelete(c *conn, req *request) bool {
 	n, err := wiredb.DeleteWhere(c.srv.eng.DB, req.args[0], spec.Where)
 	if err != nil {
 		dmlFail(c, err)
+		return true
+	}
+	if !c.flushed() {
 		return true
 	}
 	c.reply(fmt.Sprintf("OK %d", n))

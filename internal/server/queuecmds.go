@@ -53,6 +53,10 @@ func handleQSub(c *conn, req *request) bool {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		ackWake:  make(chan struct{}, 1),
+
+		delivered: c.srv.eng.Metrics.Counter("server.qsub.delivered"),
+		bursts:    c.srv.eng.Metrics.Counter("server.qsub.bursts"),
+		claims:    c.srv.eng.Metrics.Counter("queue.claim.commits"),
 	}
 	if !c.addSink(name, qs) {
 		c.errf(codeDup, "id %q already in use", name)
@@ -135,48 +139,43 @@ func handleConsume(c *conn, req *request) bool {
 		return true
 	}
 	consumer := fmt.Sprintf("conn%d", c.id)
-	type pulled struct {
-		token   string
-		attempt int
-		data    []byte
-	}
-	var msgs []pulled
-	for len(msgs) < max {
-		msg, ok, err := q.Dequeue(consumer)
+	var evts []qline
+	for len(evts) < max {
+		msgs, err := q.DequeueBatch(consumer, max-len(evts))
+		claimed := len(evts)
+		for _, msg := range msgs {
+			data, err := msg.Event.EncodedJSON()
+			if err != nil {
+				// Poison message: Nack so attempts burn down to the dead
+				// letter instead of Release looping it back to the head of
+				// the queue forever.
+				c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
+				q.Nack(msg.Receipt, 0)
+				continue
+			}
+			evts = append(evts, qline{receiptToken(msg.Receipt.ID, msg.Attempt), msg.Attempt, data, msg.Receipt})
+		}
+		c.trackReceipts(name, evts[claimed:], nil)
 		if err != nil {
 			// Hand back what this command already claimed: the client
 			// gets only ERR and has no tokens to settle with.
-			for _, m := range msgs {
-				if r, ok := c.takeReceipt(name, m.token); ok {
+			for _, e := range evts {
+				if r, ok := c.takeReceipt(name, e.token); ok {
 					q.Release(r)
 				}
 			}
 			c.errf(codeInternal, "%v", err)
 			return true
 		}
-		if !ok {
+		if len(msgs) == 0 {
 			break
 		}
-		data, err := msg.Event.EncodedJSON()
-		if err != nil {
-			// Poison message: Nack so attempts burn down to the dead
-			// letter instead of Release looping it back to the head of
-			// the queue forever.
-			c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
-			q.Nack(msg.Receipt, 0)
-			continue
-		}
-		token := receiptToken(msg.Receipt.ID, msg.Attempt)
-		c.trackReceipt(name, token, msg.Receipt, nil)
-		msgs = append(msgs, pulled{token, msg.Attempt, data})
 	}
 	// Reply first, then the batch: both flow through the outbound
 	// queue in order, so the client sees "OK <n>" followed by exactly
 	// n QEVT lines (interleaved pushes for other sinks aside).
-	c.reply(fmt.Sprintf("OK %d", len(msgs)))
-	for _, m := range msgs {
-		c.queueQEvt(nil, name, m.token, m.attempt, m.data)
-	}
+	c.reply(fmt.Sprintf("OK %d", len(evts)))
+	c.queueQEvts(nil, name, evts)
 	return true
 }
 
@@ -271,7 +270,7 @@ func handleReplay(c *conn, req *request) bool {
 		if err != nil {
 			return err
 		}
-		c.queueQEvt(nil, name, "h"+strconv.FormatUint(lsn, 10), 0, data)
+		c.queueQEvts(nil, name, []qline{{token: "h" + strconv.FormatUint(lsn, 10), data: data}})
 		return nil
 	})
 	if err != nil {

@@ -78,7 +78,7 @@ func (s *replSink) run() {
 			} else {
 				s.c.pending = append(append(s.c.pending, rec...), '\n')
 			}
-			s.c.commit()
+			s.c.commit(1)
 			return nil
 		})
 		if err != nil {

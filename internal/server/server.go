@@ -86,7 +86,10 @@
 //	                      delivery: each message arrives as
 //	                      "QEVT <name> <receipt> <attempt> <json-event>".
 //	                      manual: at-least-once, the client must ACK or
-//	                      NACK each receipt. auto: the server acks on
+//	                      NACK each receipt; at most QueuePrefetch are
+//	                      outstanding, and a consumer at that limit
+//	                      resumes once half of them are settled, in
+//	                      bursts (see queueSink). auto: the server acks on
 //	                      push (receipt "-"). A fresh QSUB (after UNSUB,
 //	                      a reconnect, or from another connection) with
 //	                      a new filter rebinds the queue; while a QSUB
@@ -644,10 +647,12 @@ func (c *conn) begin(stop <-chan struct{}, wait bool) bool {
 	return false
 }
 
-// commit counts the message appended since begin, releases the queue,
-// and makes sure a writer burst is running to drain it.
-func (c *conn) commit() {
-	c.queued++
+// commit counts the n messages appended since begin (begin promises
+// room for one; a caller appending more checks c.queued against
+// SubBuffer itself), releases the queue, and makes sure a writer burst
+// is running to drain it.
+func (c *conn) commit(n int) {
+	c.queued += n
 	spawn := c.wstate == wIdle
 	if spawn {
 		c.wstate = wRunning
@@ -673,31 +678,45 @@ func (c *conn) reply(line string) {
 	} else {
 		c.pending = append(append(c.pending, line...), '\n')
 	}
-	c.commit()
+	c.commit(1)
 }
 
-// queueQEvt queues one durable delivery in the negotiated wire form,
-// blocking until there is room or stop fires, and reports whether it
-// was queued: a QEVT is never dropped, the staging queue is its
-// backpressure.
-func (c *conn) queueQEvt(stop <-chan struct{}, name, token string, attempt int, data []byte) bool {
-	if !c.begin(stop, true) {
-		return false
+// qline is one durable delivery on its way to the outbound queue.
+type qline struct {
+	token   string
+	attempt int
+	data    []byte        // the event's JSON form
+	r       queue.Receipt // what an ACK of token settles (unset for "-" and REPLAY's "h<lsn>")
+}
+
+// queueQEvts queues durable deliveries in the negotiated wire form, as
+// many under one hold of the outbound queue as it has room for — a
+// consumer's burst leaves in one write — blocking while it is full, and
+// returns how many it queued: all of them, unless stop fired or the
+// connection tore down first. A QEVT is never dropped, the staging
+// queue is its backpressure.
+func (c *conn) queueQEvts(stop <-chan struct{}, name string, evts []qline) int {
+	queued := 0
+	for queued < len(evts) && c.begin(stop, true) {
+		n := min(len(evts)-queued, c.srv.cfg.SubBuffer-c.queued)
+		for _, e := range evts[queued : queued+n] {
+			if c.binary {
+				c.pending = frame.AppendQEvt(c.pending, name, e.token, e.attempt, e.data)
+				continue
+			}
+			c.pending = append(c.pending, "QEVT "...)
+			c.pending = append(c.pending, name...)
+			c.pending = append(c.pending, ' ')
+			c.pending = append(c.pending, e.token...)
+			c.pending = append(c.pending, ' ')
+			c.pending = strconv.AppendInt(c.pending, int64(e.attempt), 10)
+			c.pending = append(c.pending, ' ')
+			c.pending = append(append(c.pending, e.data...), '\n')
+		}
+		c.commit(n)
+		queued += n
 	}
-	if c.binary {
-		c.pending = frame.AppendQEvt(c.pending, name, token, attempt, data)
-	} else {
-		c.pending = append(c.pending, "QEVT "...)
-		c.pending = append(c.pending, name...)
-		c.pending = append(c.pending, ' ')
-		c.pending = append(c.pending, token...)
-		c.pending = append(c.pending, ' ')
-		c.pending = strconv.AppendInt(c.pending, int64(attempt), 10)
-		c.pending = append(c.pending, ' ')
-		c.pending = append(append(c.pending, data...), '\n')
-	}
-	c.commit()
-	return true
+	return queued
 }
 
 // pushEvent queues one pushed event for a subscription or continuous
@@ -740,7 +759,7 @@ func (c *conn) pushEvent(localID string, ev *event.Event) {
 	// one connection see an event back to back.
 	first := c.latEv != ev
 	c.latEv = ev
-	c.commit()
+	c.commit(1)
 	if drop && c.srv.cfg.EvictAfterDrops > 0 {
 		c.consecDrops.Store(0)
 	}

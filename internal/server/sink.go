@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eventdb/internal/cq"
+	"eventdb/internal/metrics"
 	"eventdb/internal/queue"
 )
 
@@ -49,7 +50,8 @@ func (s *cqSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 
 // queueSink is a durable consumer: a named staging queue
 // (internal/queue, a WAL-recovered table) buffers matched events, and a
-// per-consumer goroutine drives WaitDequeue, pushing each delivery as a
+// per-consumer goroutine drives WaitDequeueBatch, pushing each delivery
+// as a
 //
 //	QEVT <name> <receipt> <attempt> <json-event>
 //
@@ -59,6 +61,15 @@ func (s *cqSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 // perspective). Unlike ephemeral pushes, QEVT lines are never dropped
 // under DropOnFull — the queue itself is the backpressure, and
 // prefetch bounds how far delivery runs ahead of acknowledgment.
+//
+// A manual-ack consumer takes what has accumulated, not one message:
+// it claims as many ready messages as its prefetch window has free
+// slots in one transaction and queues their QEVTs under one hold of the
+// connection's outbound queue, so they leave in one write. Below the
+// limit that is one message at a time, as it arrives. At the limit it
+// pauses until half the window is free (signalAck), so a client that
+// acknowledges one message at a time gets its deliveries in bursts of
+// half a window for one claim, one wake-up and one write each.
 type queueSink struct {
 	c        *conn
 	name     string
@@ -68,6 +79,9 @@ type queueSink struct {
 	stop     chan struct{} // closed by detach; halts the consumer
 	done     chan struct{} // closed when the consumer goroutine exits
 	ackWake  chan struct{} // signals this consumer out of a prefetch pause
+
+	// Resolved once: the registry lookup is a map access under a lock.
+	delivered, bursts, claims *metrics.Counter
 }
 
 func (s *queueSink) kind() string { return "qsub" }
@@ -89,7 +103,7 @@ func (s *queueSink) detach() {
 	}
 }
 
-// waitQuantum bounds one WaitDequeue call so the consumer loop
+// waitQuantum bounds one WaitDequeueBatch call so the consumer loop
 // re-checks stop and prefetch at a steady cadence even on an idle
 // queue.
 const waitQuantum = 250 * time.Millisecond
@@ -98,88 +112,136 @@ const waitQuantum = 250 * time.Millisecond
 func (s *queueSink) run() {
 	defer close(s.done)
 	consumer := fmt.Sprintf("conn%d", s.c.id)
+	// One timer for every pause of the consumer's life.
+	pause := time.NewTimer(waitQuantum)
+	defer pause.Stop()
 	for {
 		select {
 		case <-s.stop:
 			return
 		default:
 		}
-		if !s.autoAck && s.c.outstanding(s.name) >= s.prefetch {
-			// Flow control: the client owes acks. Pause until one
-			// arrives rather than piling up inflight deliveries that
-			// would all redeliver if the connection died. The periodic
-			// sweep evicts receipts the client can no longer settle
-			// (deliveries it dropped, now past their visibility
-			// deadline) — without it each dropped delivery would leak a
-			// prefetch slot and eventually park this consumer forever.
-			select {
-			case <-s.ackWake:
-			case <-time.After(waitQuantum):
-				s.c.evictStaleReceipts(s.name, s.q)
-			case <-s.stop:
+		// An auto-ack consumer acknowledges before each push, so it
+		// claims one message at a time.
+		room := 1
+		if !s.autoAck {
+			room = s.prefetch - s.c.outstanding(s.name)
+		}
+		if room <= 0 {
+			// Flow control: the client owes acks. Pause until it has
+			// settled half the window (signalAck) rather than piling up
+			// inflight deliveries that would all redeliver if the
+			// connection died. The periodic sweep evicts receipts the
+			// client can no longer settle (deliveries it dropped, now
+			// past their visibility deadline) — without it each dropped
+			// delivery would leak a prefetch slot and eventually park
+			// this consumer forever. After a sweep any free slot will
+			// do: the half-window rule paces acknowledgments, not
+			// evictions.
+			switch s.wait(pause) {
+			case wokeStop:
 				return
+			case wokeTimer:
+				s.c.evictStaleReceipts(s.name, s.q)
 			}
 			continue
 		}
-		msg, ok, err := s.q.WaitDequeue(consumer, waitQuantum, s.stop)
+		msgs, err := s.q.WaitDequeueBatch(consumer, room, waitQuantum, s.stop)
+		if len(msgs) > 0 {
+			s.claims.Inc()
+			s.deliver(msgs)
+		}
 		if err != nil {
 			s.c.srv.eng.Metrics.Counter("server.qsub.errors").Inc()
-			select {
-			case <-s.stop:
+			if s.wait(pause) == wokeStop {
 				return
-			case <-time.After(waitQuantum):
 			}
-			continue
 		}
-		if !ok {
-			continue
-		}
-		s.deliver(msg)
 	}
 }
 
-// deliver pushes one dequeued message as a QEVT line, tracking its
-// receipt (manual mode) or acknowledging it up front (auto mode). The
-// push blocks until queued or the sink detaches — a durable delivery
-// is never silently dropped. (Dequeue decodes a fresh Event per
-// delivery, so EncodedJSON here is a cold encode, not a shared cache
-// hit — the durable path's win is the coalesced writer, not cross-sink
-// payload sharing.)
-func (s *queueSink) deliver(msg *queue.Msg) {
-	data, err := msg.Event.EncodedJSON()
-	if err != nil {
-		// Poison message: it can never cross the wire. Nack — not
-		// Release — so the attempts budget burns down and the message
-		// dead-letters instead of looping back to the head forever.
-		s.c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
-		s.q.Nack(msg.Receipt, waitQuantum)
-		return
-	}
-	token := "-"
-	if s.autoAck {
-		// Acknowledge before pushing: true at-most-once. Acking after a
-		// push that blocked past the visibility timeout would go stale
-		// while the redelivered copy also ships — duplicates forever on
-		// a slow consumer. The cost is the documented one: a message
-		// pushed at a dying connection is consumed, not redelivered.
-		if err := s.q.Ack(msg.Receipt); err != nil {
-			// Visibility expired between dequeue and ack; the message
-			// is already due for redelivery — pushing would duplicate.
-			s.c.srv.eng.Metrics.Counter("server.qsub.errors").Inc()
-			return
+// What ended a consumer's wait.
+const (
+	wokeAck   = iota // signalAck: the client settled half its window
+	wokeTimer        // waitQuantum passed
+	wokeStop         // the sink was detached
+)
+
+// wait parks the consumer until an acknowledgment wakes it, waitQuantum
+// passes or the sink is detached, and reports which.
+func (s *queueSink) wait(pause *time.Timer) int {
+	if !pause.Stop() {
+		select {
+		case <-pause.C:
+		default:
 		}
-	} else {
-		token = receiptToken(msg.Receipt.ID, msg.Attempt)
-		s.c.trackReceipt(s.name, token, msg.Receipt, s)
 	}
-	if s.c.queueQEvt(s.stop, s.name, token, msg.Attempt, data) {
-		s.c.srv.eng.Metrics.Counter("server.qsub.delivered").Inc()
-	} else if !s.autoAck {
-		// Tearing down: the line was never queued. Hand a manual-ack
-		// message back so the next consumer gets it immediately; an
+	pause.Reset(waitQuantum)
+	select {
+	case <-s.ackWake:
+		return wokeAck
+	case <-pause.C:
+		return wokeTimer
+	case <-s.stop:
+		return wokeStop
+	}
+}
+
+// deliver pushes one claimed batch as QEVT lines under one hold of the
+// outbound queue, tracking the receipts (manual mode) or acknowledging
+// up front (auto mode). The push blocks until queued or the sink
+// detaches — a durable delivery is never silently dropped. (Dequeue
+// decodes a fresh Event per delivery, so EncodedJSON here is a cold
+// encode, not a shared cache hit — the durable path's win is the
+// coalesced writer, not cross-sink payload sharing.)
+func (s *queueSink) deliver(msgs []*queue.Msg) {
+	evts := make([]qline, 0, len(msgs))
+	for _, msg := range msgs {
+		data, err := msg.Event.EncodedJSON()
+		if err != nil {
+			// Poison message: it can never cross the wire. Nack — not
+			// Release — so the attempts budget burns down and the message
+			// dead-letters instead of looping back to the head forever.
+			s.c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
+			s.q.Nack(msg.Receipt, waitQuantum)
+			continue
+		}
+		token := "-"
+		if s.autoAck {
+			// Acknowledge before pushing: true at-most-once. Acking after a
+			// push that blocked past the visibility timeout would go stale
+			// while the redelivered copy also ships — duplicates forever on
+			// a slow consumer. The cost is the documented one: a message
+			// pushed at a dying connection is consumed, not redelivered.
+			if err := s.q.Ack(msg.Receipt); err != nil {
+				// Visibility expired between dequeue and ack; the message
+				// is already due for redelivery — pushing would duplicate.
+				s.c.srv.eng.Metrics.Counter("server.qsub.errors").Inc()
+				continue
+			}
+		} else {
+			token = receiptToken(msg.Receipt.ID, msg.Attempt)
+		}
+		evts = append(evts, qline{token, msg.Attempt, data, msg.Receipt})
+	}
+	if !s.autoAck {
+		// Before the first line can reach the client: an ACK must find
+		// its receipt.
+		s.c.trackReceipts(s.name, evts, s)
+	}
+	queued := s.c.queueQEvts(s.stop, s.name, evts)
+	if queued > 0 {
+		s.delivered.Add(uint64(queued))
+		s.bursts.Inc()
+	}
+	if !s.autoAck {
+		// Tearing down: these lines were never queued. Hand manual-ack
+		// messages back so the next consumer gets them immediately; an
 		// auto-ack message was already consumed (at-most-once loss).
-		s.c.takeReceipt(s.name, token)
-		s.q.Release(msg.Receipt)
+		for _, e := range evts[queued:] {
+			s.c.takeReceipt(s.name, e.token)
+			s.q.Release(e.r)
+		}
 	}
 }
 
@@ -193,8 +255,13 @@ type trackedReceipt struct {
 	owner *queueSink
 }
 
-// trackReceipt records an outstanding delivery awaiting ACK/NACK.
-func (c *conn) trackReceipt(queueName, token string, r queue.Receipt, owner *queueSink) {
+// trackReceipts records outstanding deliveries awaiting ACK/NACK — a
+// sink's burst, or a CONSUME's pull (owner nil) — under one hold of the
+// ledger.
+func (c *conn) trackReceipts(queueName string, evts []qline, owner *queueSink) {
+	if len(evts) == 0 {
+		return
+	}
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	m := c.receipts[queueName]
@@ -202,7 +269,9 @@ func (c *conn) trackReceipt(queueName, token string, r queue.Receipt, owner *que
 		m = make(map[string]trackedReceipt)
 		c.receipts[queueName] = m
 	}
-	m[token] = trackedReceipt{r: r, owner: owner}
+	for _, e := range evts {
+		m[e.token] = trackedReceipt{r: e.r, owner: owner}
+	}
 }
 
 // takeReceipt removes and returns an outstanding receipt.
@@ -277,16 +346,18 @@ func (c *conn) releaseAllReceipts() {
 }
 
 // signalAck wakes the named queue's consumer (if this connection has
-// one) out of a prefetch pause. Per-sink wakes, not a shared channel:
-// with several paused consumers on one connection, a shared token
-// could be eaten by a sink whose own queue was not the one acked,
-// leaving the right one parked forever.
+// one) out of a prefetch pause, once the client has settled half its
+// window: a consumer woken at the first free slot would claim, wake and
+// write once per message, with hundreds ready. Per-sink wakes, not a
+// shared channel: with several paused consumers on one connection, a
+// shared token could be eaten by a sink whose own queue was not the one
+// acked, leaving the right one parked forever.
 func (c *conn) signalAck(queueName string) {
 	c.mu.Lock()
 	s := c.sinks[queueName]
 	c.mu.Unlock()
 	qs, ok := s.(*queueSink)
-	if !ok {
+	if !ok || c.outstanding(queueName) > qs.prefetch/2 {
 		return
 	}
 	select {

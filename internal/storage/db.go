@@ -85,6 +85,11 @@ type DB struct {
 	seq    atomic.Uint64
 
 	commitMu sync.Mutex // serializes commit execution
+	// commitBuf is the commit record under construction, reused from
+	// one commit to the next (commitMu held; the WAL copies what it is
+	// handed): a batch's record runs to hundreds of KB, and growing one
+	// from nothing per commit is that much garbage again.
+	commitBuf []byte
 
 	// Observer delivery: commits append their CommitInfo to pending in
 	// commit order (under commitMu), and hooks are drained outside the
@@ -229,6 +234,25 @@ func (db *DB) Seq() uint64 { return db.seq.Load() }
 func (db *DB) Close() error {
 	if db.log != nil {
 		return db.log.Close()
+	}
+	return nil
+}
+
+// Flush hands the WAL's buffered records to the OS, so that every
+// commit made before it survives the death of this process. It is a
+// write, not an fsync: surviving the machine takes Sync. A volatile
+// database has nothing to flush. A failure fail-stops the database into
+// degraded mode like any append failure.
+func (db *DB) Flush() error {
+	if db.log == nil {
+		return nil
+	}
+	if db.degraded.Load() {
+		return db.degradedError()
+	}
+	if err := db.log.Flush(); err != nil {
+		db.failStop(err)
+		return db.degradedError()
 	}
 	return nil
 }
@@ -572,6 +596,10 @@ func (db *DB) OnCommit(fn CommitHook) (remove func()) {
 	}
 }
 
+// maxCommitBuf is the largest commit-record buffer kept between
+// commits, so one huge transaction cannot pin its footprint.
+const maxCommitBuf = 1 << 20
+
 // ErrAborted wraps a BEFORE-hook veto.
 var ErrAborted = errors.New("storage: transaction aborted by before-hook")
 
@@ -706,7 +734,11 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 			unlock()
 			return nil, db.degradedError()
 		}
-		lsn, err := db.log.Append(recCommit, encodeCommit(nil, seq, changes))
+		db.commitBuf = encodeCommit(db.commitBuf[:0], seq, changes)
+		lsn, err := db.log.Append(recCommit, db.commitBuf)
+		if cap(db.commitBuf) > maxCommitBuf {
+			db.commitBuf = nil
+		}
 		if err != nil {
 			unlock()
 			// The log's on-disk state is now unknown: fail-stop. The

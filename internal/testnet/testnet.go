@@ -45,6 +45,7 @@ type Conn struct {
 	writeOff   int64          // bytes accepted for writing so far
 	readKill   func(line []byte) bool
 	writeKill  func(line []byte) bool
+	writeSeen  func(p []byte)
 	readBuf    []byte // scanned complete-line bytes ready for delivery
 	partial    []byte // read-side partial-line accumulator
 	wLineBuf   []byte // write-side partial-line accumulator
@@ -138,6 +139,15 @@ func lineLSNAtLeast(verb string, lsn uint64) func([]byte) bool {
 		}
 		return n >= lsn
 	}
+}
+
+// OnWrite has fn observe the bytes of every Write call, one call per
+// Write and before any fault applies — what a test needs to count how
+// many messages the peer put in one write. fn must not retain p.
+func (c *Conn) OnWrite(fn func(p []byte)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writeSeen = fn
 }
 
 // Kill severs the connection now: the underlying conn is closed and
@@ -241,10 +251,13 @@ func (c *Conn) scanRead(b []byte) {
 // ErrKilled.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Lock()
-	delay, chunk, pred, killed := c.writeDelay, c.writeChunk, c.writeKill, c.killed
+	delay, chunk, pred, killed, seen := c.writeDelay, c.writeChunk, c.writeKill, c.killed, c.writeSeen
 	c.mu.Unlock()
 	if killed {
 		return 0, ErrKilled
+	}
+	if seen != nil {
+		seen(p)
 	}
 	if delay > 0 {
 		time.Sleep(delay)
