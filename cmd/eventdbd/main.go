@@ -39,7 +39,10 @@
 // ingest pipeline instead of evaluating on the connection handler's
 // goroutine: PUB returns as soon as the event is accepted (its reply
 // reports 0 deliveries, since evaluation happens later on a shard),
-// and throughput scales with cores. -shard-buffer sizes each shard's bounded queue and
+// and throughput scales with cores. The shard key is the event type:
+// above -shards 1 a SUB/QSUB filter or PATTERN that spans event types
+// loses its delivery order (PROTOCOL.md §2.2), and the daemon says so
+// at start-up. -shard-buffer sizes each shard's bounded queue and
 // -drop-on-full trades loss for bounded latency under overload — for
 // both the ingest shards and each connection's outbound push queue,
 // whose capacity -sub-buffer sets. -max-conns caps concurrent client
@@ -59,8 +62,9 @@
 // storage layer into degraded read-only mode (mutating verbs answer
 // "ERR degraded" until an operator RECOVER); HEALTH — and the
 // gateway's /healthz and /readyz — report role, degraded state, WAL
-// lag, and queue depths for load balancers. -shed-high-water and
-// -shed-memory-bytes arm overload shedding: past either watermark,
+// lag, and queue depths for load balancers. -shed-high-water (ingest
+// shard queue fill; requires -shards) and -shed-memory-bytes arm
+// overload shedding: past either watermark,
 // publishers that negotiated the lowprio HELLO flag get "ERR limit"
 // while normal traffic proceeds. -evict-after-drops disconnects a
 // slow consumer after that many consecutive dropped pushes (requires
@@ -69,6 +73,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -95,10 +100,24 @@ func (r *ruleFlags) Set(v string) error {
 	return nil
 }
 
+// validate refuses flag combinations the daemon would accept and then
+// never act on: each names a mechanism that only another flag turns on.
+func validate(dir, follow string, shards int, dropOnFull bool, evictAfterDrops int, shedHighWater float64) error {
+	switch {
+	case follow != "" && dir == "":
+		return errors.New("-follow requires -dir: replication ships the WAL, so the follower must be durable")
+	case shedHighWater > 0 && shards == 0:
+		return errors.New("-shed-high-water requires -shards: the watermark is on ingest shard queue fill, and a synchronous engine has no shard queues (-shed-memory-bytes works at any width)")
+	case evictAfterDrops > 0 && !dropOnFull:
+		return errors.New("-evict-after-drops requires -drop-on-full: a blocking push queue never drops, so the count never advances")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
-	shards := flag.Int("shards", 0, "async ingest pipeline width (0 = synchronous)")
+	shards := flag.Int("shards", 0, "async ingest pipeline width (0 = synchronous); the shard key is the event type, so above 1 a SUB/QSUB filter or PATTERN spanning types loses per-subscription order")
 	shardBuffer := flag.Int("shard-buffer", 1024, "per-shard bounded queue capacity")
 	dropOnFull := flag.Bool("drop-on-full", false, "drop instead of blocking when a shard buffer or connection push queue is full")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent client connections (0 = unlimited)")
@@ -120,6 +139,9 @@ func main() {
 	var ruleDefs ruleFlags
 	flag.Var(&ruleDefs, "rule", "rule as name=condition (repeatable); matches are logged")
 	flag.Parse()
+	if err := validate(*dir, *follow, *shards, *dropOnFull, *evictAfterDrops, *shedHighWater); err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := core.Config{
 		Dir: *dir, Shards: *shards, ShardBuffer: *shardBuffer,
@@ -158,6 +180,9 @@ func main() {
 		log.Printf("ingest pipeline: %d shards, buffer %d, policy %s",
 			eng.Shards(), *shardBuffer, cfg.Backpressure)
 	}
+	if *shards > 1 {
+		log.Printf("warning: -shards %d partitions events by type: a SUB/QSUB filter or PATTERN that spans event types can see them missing, reordered or duplicated (PROTOCOL.md, delivery order); per-type order holds, and -shards 1 keeps every order", *shards)
+	}
 
 	for _, def := range ruleDefs {
 		name, cond, ok := strings.Cut(def, "=")
@@ -190,9 +215,6 @@ func main() {
 	}
 	var follower *repl.Follower
 	if *follow != "" {
-		if *dir == "" {
-			log.Fatal("-follow requires -dir: replication ships the WAL, so the follower must be durable")
-		}
 		follower, err = repl.Start(repl.Config{
 			Addr:             *follow,
 			Engine:           eng,

@@ -15,7 +15,6 @@ import (
 	"eventdb/internal/core"
 	"eventdb/internal/queue"
 	"eventdb/internal/server"
-	"eventdb/internal/workload"
 )
 
 // startDurableStack boots the eventdbd arrangement: a durable engine
@@ -66,10 +65,10 @@ func TestDurableSubscriptionSurvivesReconnectAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := workload.NewTrades(11, 8, 1000)
+	next := tradeStream(11, 8)
 	published := map[uint64]bool{}
 	for len(published) < 10 {
-		ev := gen.Next()
+		ev := next()
 		if _, err := pub.Publish(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,7 @@ func TestDurableSubscriptionSurvivesReconnectAndRestart(t *testing.T) {
 	// Phase 2: while the consumer is away, more matching events arrive
 	// and stage durably.
 	for len(published) < 14 {
-		ev := gen.Next()
+		ev := next()
 		if _, err := pub.Publish(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +138,7 @@ func TestDurableSubscriptionSurvivesReconnectAndRestart(t *testing.T) {
 	}
 	defer pub2.Close()
 	for len(published) < 17 {
-		ev := gen.Next()
+		ev := next()
 		if _, err := pub2.Publish(ev); err != nil {
 			t.Fatal(err)
 		}

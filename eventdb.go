@@ -5,10 +5,9 @@
 // Events are captured from database state by triggers, journal (WAL)
 // mining, or query-result diffing; staged in transactional queues that
 // are themselves database tables; evaluated against indexed rule sets,
-// stored subscriptions, CEP patterns, continuous queries and
-// expectation models; and consumed locally or forwarded to other
-// staging areas and external services — with access control and
-// auditing throughout.
+// stored subscriptions, CEP patterns and continuous queries; and
+// consumed by handlers in process, from staging queues, or over the
+// wire (cmd/eventdbd, package client).
 //
 // Quick start:
 //
@@ -39,7 +38,12 @@
 //     arrival order; Engine.Flush waits for the backlog and
 //     Engine.Close drains in-flight events before shutdown. In this
 //     mode rule actions and subscription handlers run on shard
-//     goroutines and must be safe for concurrent use.
+//     goroutines and must be safe for concurrent use. Order is per
+//     shard key only: at N > 1 a subscription, queue binding or
+//     pattern whose filter spans event types sees deliveries missing,
+//     reordered and duplicated until events carry an admission
+//     sequence (ROADMAP item 2) — use 0 or 1, or a ShardKey that
+//     keeps together what each consumer reads.
 //
 //     eng, _ := eventdb.Open(eventdb.Config{Shards: 4})
 //     eng.IngestBatch(batch) // partitioned across 4 workers

@@ -15,26 +15,77 @@ import (
 	"log"
 
 	"eventdb"
+	"eventdb/examples/internal/audit"
+	"eventdb/examples/internal/security"
+	"eventdb/examples/internal/workload"
 	"eventdb/internal/queue"
-	"eventdb/internal/security"
-	"eventdb/internal/workload"
 )
 
+// secured puts a deny-by-default ACL guard in front of an engine and an
+// audit trail, a table in the engine's own database, behind it. The
+// engine knows neither: both are composed here over its public API.
+type secured struct {
+	*eventdb.Engine
+	guard *security.Guard
+	trail *audit.Trail
+}
+
+func secure(eng *eventdb.Engine, auditTable string) (*secured, error) {
+	trail, err := audit.NewTrail(eng.DB, auditTable)
+	if err != nil {
+		return nil, err
+	}
+	return &secured{Engine: eng, guard: security.NewGuard(), trail: trail}, nil
+}
+
+// authorize makes one access decision and records it: a denial as
+// "<action>.denied" with deniedDetail, an allowance as "<action>" with
+// detail. A denial is returned even if recording it fails.
+func (s *secured) authorize(principal string, action security.Action, resource, detail, deniedDetail string) error {
+	if err := s.guard.Check(principal, action, resource); err != nil {
+		s.trail.Record(principal, string(action)+".denied", resource, deniedDetail)
+		return err
+	}
+	return s.trail.Record(principal, string(action), resource, detail)
+}
+
+// ingestAs is Ingest gated by ActPublish on "events/<type>".
+func (s *secured) ingestAs(principal string, ev *eventdb.Event) error {
+	if err := s.authorize(principal, security.ActPublish, "events/"+ev.Type, ev.String(), ""); err != nil {
+		return err
+	}
+	return s.Ingest(ev)
+}
+
+// subscribeAs is Subscribe gated by ActSubscribe on "subscriptions".
+func (s *secured) subscribeAs(principal, subID, filter string, h func(eventdb.Delivery)) error {
+	if err := s.authorize(principal, security.ActSubscribe, "subscriptions", subID+" "+filter, subID); err != nil {
+		return err
+	}
+	return s.Subscribe(subID, principal, filter, h)
+}
+
 func main() {
-	eng, err := eventdb.Open(eventdb.Config{Secure: true, AuditTable: "audit"})
+	base, err := eventdb.Open(eventdb.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
+	defer base.Close()
+	eng, err := secure(base, "audit")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Authorization: chem responders handle chem; rad responders rad.
 	// Carol (logistics) is not authorized for any hazard subscriptions.
-	eng.Guard.Grant("alice-chem", security.ActSubscribe, "subscriptions")
-	eng.Guard.Grant("bob-rad", security.ActSubscribe, "subscriptions")
+	// The sensor network may publish readings and nothing else.
+	eng.guard.Grant("alice-chem", security.ActSubscribe, "subscriptions")
+	eng.guard.Grant("bob-rad", security.ActSubscribe, "subscriptions")
+	eng.guard.Grant("sensor-net", security.ActPublish, "events/sensor.reading")
 
 	deliveries := map[string]int{}
 	subscribe := func(principal, filter string) {
-		err := eng.SubscribeAs(principal, "sub-"+principal, filter,
+		err := eng.subscribeAs(principal, "sub-"+principal, filter,
 			func(d eventdb.Delivery) { deliveries[principal]++ })
 		if err != nil {
 			fmt.Printf("DENIED subscribe for %s: %v\n", principal, err)
@@ -78,7 +129,7 @@ func main() {
 		if inBurst {
 			hazards++
 		}
-		if err := eng.Ingest(ev); err != nil {
+		if err := eng.ingestAs("sensor-net", ev); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -92,7 +143,7 @@ func main() {
 	fmt.Printf("escalation queue backlog:     %d\n", st.Ready)
 
 	// The audit trail shows who was allowed and who was denied.
-	entries, err := eng.Trail.Entries("", "subscriptions")
+	entries, err := eng.trail.Entries("", "subscriptions")
 	if err != nil {
 		log.Fatal(err)
 	}

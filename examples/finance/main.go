@@ -18,11 +18,11 @@ import (
 	"time"
 
 	"eventdb"
+	"eventdb/examples/internal/dispatch"
+	"eventdb/examples/internal/workload"
 	"eventdb/internal/cep"
 	"eventdb/internal/cq"
-	"eventdb/internal/dispatch"
 	"eventdb/internal/queue"
-	"eventdb/internal/workload"
 )
 
 func main() {

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"time"
 
-	"eventdb/internal/analytics"
+	"eventdb/examples/internal/analytics"
 	"eventdb/internal/event"
 	"eventdb/internal/val"
 )

@@ -1,8 +1,9 @@
 // Package security implements the access-control operational
 // characteristic (§2.2.b/c/d "security"): principals, actions and
-// resource ACLs, used by the engine facade to gate queue access,
-// subscription changes and rule changes — and wired to the audit trail
-// so denials are recorded. The paper's ChemSecure/SensorNet use cases
+// resource ACLs. The engine does not consult it: a caller puts a Guard
+// in front of the operations it wants gated and records the decisions
+// in an audit trail, as examples/chemsecure does around publishing and
+// subscribing. The paper's ChemSecure/SensorNet use cases
 // hinge on exactly this: information goes only to responders who are
 // authorized.
 package security

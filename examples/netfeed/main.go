@@ -16,9 +16,9 @@ import (
 	"sync"
 
 	"eventdb/client"
+	"eventdb/examples/internal/workload"
 	"eventdb/internal/core"
 	"eventdb/internal/server"
-	"eventdb/internal/workload"
 )
 
 func main() {

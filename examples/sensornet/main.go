@@ -17,10 +17,10 @@ import (
 	"time"
 
 	"eventdb"
-	"eventdb/internal/dispatch"
+	"eventdb/examples/internal/dispatch"
+	"eventdb/examples/internal/workload"
 	"eventdb/internal/queue"
 	"eventdb/internal/val"
-	"eventdb/internal/workload"
 )
 
 func main() {

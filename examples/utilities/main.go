@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"eventdb"
-	"eventdb/internal/model"
-	"eventdb/internal/workload"
+	"eventdb/examples/internal/model"
+	"eventdb/examples/internal/workload"
 )
 
 func main() {

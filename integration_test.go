@@ -5,78 +5,15 @@ package eventdb
 // API, including crash/recovery and failure injection.
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
-	"eventdb/internal/dispatch"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
 	"eventdb/internal/rules"
 	"eventdb/internal/val"
 )
-
-// TestPipelineTriggerToDispatch runs the full flow: table insert →
-// trigger capture → rule → alert queue → dispatcher handler, and checks
-// lineage of counts at each stage.
-func TestPipelineTriggerToDispatch(t *testing.T) {
-	eng, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	schema, _ := NewSchema("orders", []Column{
-		{Name: "id", Kind: val.KindInt, NotNull: true},
-		{Name: "amount", Kind: val.KindFloat, NotNull: true},
-	}, "id")
-	if err := eng.DB.CreateTable(schema); err != nil {
-		t.Fatal(err)
-	}
-	alerts, err := eng.CreateQueue("alerts", QueueConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rule: big orders captured from the trigger stream go to the queue.
-	err = eng.AddRule("big-order", "$type = 'db.orders.insert' AND new_amount >= 1000", 5,
-		func(ev *Event, _ *Rule) {
-			if _, err := alerts.Enqueue(ev, queue.EnqueueOptions{Priority: 1}); err != nil {
-				t.Error(err)
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.CaptureTable("orders"); err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 1; i <= 20; i++ {
-		amount := float64(i * 100) // 1000+ for i >= 10
-		if _, err := eng.DB.Insert("orders", map[string]val.Value{
-			"id": val.Int(int64(i)), "amount": val.Float(amount),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	handled := 0
-	d := dispatch.NewDispatcher(alerts)
-	d.Handle("db.orders.insert", func(ev *Event) error {
-		handled++
-		return nil
-	})
-	if _, err := d.DrainOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if handled != 11 { // orders 10..20
-		t.Errorf("handled = %d, want 11", handled)
-	}
-	if eng.Ingested() != 20 {
-		t.Errorf("ingested = %d", eng.Ingested())
-	}
-}
 
 // TestPipelineCrashRecovery builds a durable pipeline, "crashes" it with
 // messages staged and inflight, reopens, and verifies nothing was lost.
@@ -135,9 +72,9 @@ func TestPipelineCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestPipelinePoisonMessage injects a handler that always fails and
-// verifies the message dead-letters instead of looping forever, then
-// redrives it after the "fix".
+// TestPipelinePoisonMessage has a consumer that fails every delivery
+// and verifies the message dead-letters instead of looping forever,
+// then redrives it after the "fix".
 func TestPipelinePoisonMessage(t *testing.T) {
 	eng, err := Open(Config{})
 	if err != nil {
@@ -151,13 +88,18 @@ func TestPipelinePoisonMessage(t *testing.T) {
 	q.Enqueue(NewEvent("job", map[string]any{"poison": true}), queue.EnqueueOptions{})
 
 	attempts := 0
-	d := dispatch.NewDispatcher(q)
-	d.Handle("*", func(ev *Event) error {
-		attempts++
-		return errors.New("cannot process")
-	})
-	for i := 0; i < 5; i++ { // more drains than MaxAttempts
-		d.DrainOnce()
+	for i := 0; i < 5; i++ { // more polls than MaxAttempts
+		msg, ok, err := q.Dequeue("worker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		attempts++ // cannot process
+		if err := q.Nack(msg.Receipt, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if attempts != 3 {
 		t.Errorf("attempts = %d, want exactly MaxAttempts=3", attempts)
@@ -166,19 +108,19 @@ func TestPipelinePoisonMessage(t *testing.T) {
 	if err != nil || len(ids) != 1 {
 		t.Fatalf("dead letters = %v, %v", ids, err)
 	}
-	// Fix the handler, redrive, message processes.
-	fixed := false
-	d2 := dispatch.NewDispatcher(q)
-	d2.Handle("*", func(ev *Event) error {
-		fixed = true
-		return nil
-	})
+	// Fix the consumer, redrive, message processes.
 	if err := q.Requeue(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	d2.DrainOnce()
-	if !fixed {
-		t.Error("redriven message not processed")
+	msg, ok, err := q.Dequeue("worker")
+	if err != nil || !ok {
+		t.Fatalf("redriven message not delivered: %v, %v", ok, err)
+	}
+	if err := q.Ack(msg.Receipt); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Ready != 0 || st.Inflight != 0 {
+		t.Errorf("queue not empty after the redriven message was acked: %+v", st)
 	}
 }
 

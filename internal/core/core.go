@@ -1,8 +1,8 @@
 // Package core wires the substrates into the paper's event-driven
 // architecture: capture (triggers, journal mining, query differs) →
 // staging (queues) → evaluation (rules, pub/sub, CEP, continuous
-// queries, analytics/models) → consumption (dispatch, forwarding,
-// external services), with security and auditing across every stage.
+// queries) → consumption (subscriptions, staging queues, forwarding to
+// external services).
 //
 // The Engine is the deliverable a downstream user adopts; the root
 // package eventdb re-exports it as the public API.
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eventdb/internal/audit"
 	"eventdb/internal/columnar"
 	"eventdb/internal/event"
 	"eventdb/internal/journal"
@@ -25,7 +24,6 @@ import (
 	"eventdb/internal/query"
 	"eventdb/internal/queue"
 	"eventdb/internal/rules"
-	"eventdb/internal/security"
 	"eventdb/internal/storage"
 	"eventdb/internal/trigger"
 	"eventdb/internal/vfs"
@@ -38,12 +36,6 @@ type Config struct {
 	Dir string
 	// SyncEvery controls WAL fsync cadence (0 = batched by the OS).
 	SyncEvery int
-	// Secure installs a deny-by-default ACL guard; when false, all
-	// principal-checked operations are allowed.
-	Secure bool
-	// AuditTable, when non-empty, records engine operations to an audit
-	// trail table of this name.
-	AuditTable string
 	// FS is the filesystem every durability path (WAL, columnar
 	// segments) writes through. Nil means the real one; tests inject
 	// vfs.Faulty to drive disk-failure scenarios.
@@ -64,9 +56,13 @@ type Config struct {
 	// Shards enables the asynchronous sharded ingest pipeline: events
 	// are hash-partitioned by shard key across this many workers, each
 	// draining a bounded buffer through the same evaluation pass. Events
-	// sharing a key process in arrival order on a single shard. 0 (the
+	// sharing a key process in arrival order on a single shard, and
+	// nothing else is ordered: the default key is the event type, so
+	// above 1 a subscription filter, queue binding or pattern spanning
+	// types sees deliveries missing, reordered and duplicated until
+	// events carry an admission sequence (ROADMAP item 2). 0 (the
 	// default) keeps Ingest fully synchronous on the caller's
-	// goroutine, as before. With shards, rule actions and subscription
+	// goroutine. With shards, rule actions and subscription
 	// handlers run on shard goroutines and must be safe for concurrent
 	// use across shards; a handler that re-ingests directly should use
 	// IngestSync (or DropOnFull) — under BlockOnFull, a blocking
@@ -112,8 +108,6 @@ type Engine struct {
 	Broker   *pubsub.Broker
 	Rules    *rules.Engine
 	Metrics  *metrics.Registry
-	Guard    *security.Guard
-	Trail    *audit.Trail
 	// History is the columnar history store (nil when disabled).
 	History *columnar.Manager
 
@@ -153,18 +147,6 @@ func Open(cfg Config) (*Engine, error) {
 		Broker:        pubsub.NewBroker(),
 		Rules:         rules.NewEngine(),
 		Metrics:       metrics.NewRegistry(),
-		Guard:         security.NewGuard(),
-	}
-	if !cfg.Secure {
-		e.Guard.DefaultAllow = true
-	}
-	if cfg.AuditTable != "" {
-		tr, err := audit.NewTrail(db, cfg.AuditTable)
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		e.Trail = tr
 	}
 	if !cfg.ColumnarDisabled {
 		ccfg := columnar.Config{
@@ -428,24 +410,6 @@ func (e *Engine) evaluate(ev *event.Event, sc *batchScratch) (int, error) {
 	return n, nil
 }
 
-// IngestAs is Ingest gated by the ACL guard (ActPublish on
-// "events/<type>") and audited.
-func (e *Engine) IngestAs(principal string, ev *event.Event) error {
-	resource := "events/" + ev.Type
-	if err := e.Guard.Check(principal, security.ActPublish, resource); err != nil {
-		if e.Trail != nil {
-			e.Trail.Record(principal, "publish.denied", resource, "")
-		}
-		return err
-	}
-	if e.Trail != nil {
-		if err := e.Trail.Record(principal, "publish", resource, ev.String()); err != nil {
-			return err
-		}
-	}
-	return e.Ingest(ev)
-}
-
 // Ingested reports the number of events pushed through Ingest.
 func (e *Engine) Ingested() uint64 { return e.ingestCount.Load() }
 
@@ -593,22 +557,6 @@ func (e *Engine) SubscribeQueue(subID, subscriber, filter, queueName string, pri
 // Subscribe routes matching events to a callback.
 func (e *Engine) Subscribe(subID, subscriber, filter string, h pubsub.Handler) error {
 	return e.Broker.Subscribe(subID, subscriber, filter, h)
-}
-
-// SubscribeAs is Subscribe gated by the ACL guard and audited.
-func (e *Engine) SubscribeAs(principal, subID, filter string, h pubsub.Handler) error {
-	if err := e.Guard.Check(principal, security.ActSubscribe, "subscriptions"); err != nil {
-		if e.Trail != nil {
-			e.Trail.Record(principal, "subscribe.denied", "subscriptions", subID)
-		}
-		return err
-	}
-	if e.Trail != nil {
-		if err := e.Trail.Record(principal, "subscribe", "subscriptions", subID+" "+filter); err != nil {
-			return err
-		}
-	}
-	return e.Broker.Subscribe(subID, principal, filter, h)
 }
 
 // AddRule installs a rule in the engine's indexed rule set.

@@ -225,40 +225,6 @@ func TestIngestBatchStagesOnce(t *testing.T) {
 	}
 }
 
-func TestSecurityAndAudit(t *testing.T) {
-	e := open(t, Config{Secure: true, AuditTable: "audit"})
-	// Deny by default.
-	ev := event.New("alarm", map[string]any{"sev": 1})
-	if err := e.IngestAs("mallory", ev); err == nil {
-		t.Fatal("unauthorized ingest accepted")
-	}
-	if err := e.SubscribeAs("mallory", "s", "", func(pubsub.Delivery) {}); err == nil {
-		t.Fatal("unauthorized subscribe accepted")
-	}
-	// Grant and retry.
-	e.Guard.Grant("alice", "publish", "events/alarm")
-	e.Guard.Grant("alice", "subscribe", "subscriptions")
-	if err := e.SubscribeAs("alice", "s", "", func(pubsub.Delivery) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.IngestAs("alice", ev); err != nil {
-		t.Fatal(err)
-	}
-	// Audit trail recorded both denials and grants.
-	entries, err := e.Trail.Entries("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	actions := map[string]int{}
-	for _, en := range entries {
-		actions[en.Action]++
-	}
-	if actions["publish.denied"] != 1 || actions["subscribe.denied"] != 1 ||
-		actions["publish"] != 1 || actions["subscribe"] != 1 {
-		t.Errorf("audit actions = %v", actions)
-	}
-}
-
 func TestEngineDurability(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{Dir: dir})

@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"eventdb/internal/event"
 	"eventdb/internal/val"
-	"eventdb/internal/workload"
 )
 
 // recomputed is the naive baseline for continuous queries: every
@@ -144,13 +144,17 @@ func BenchmarkE6CQRecompute(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gen := workload.NewTrades(1, 8, 100)
+			rng := rand.New(rand.NewSource(1))
+			next := func() *event.Event { // a seeded feed: 8 symbols, prices around 100
+				return event.New("trade", map[string]any{
+					"sym": fmt.Sprintf("SYM%03d", rng.Intn(8)), "price": 100 + rng.NormFloat64()})
+			}
 			for i := 0; i < w; i++ {
-				q.Feed(gen.Next())
+				q.Feed(next())
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := q.Feed(gen.Next()); err != nil {
+				if _, err := q.Feed(next()); err != nil {
 					b.Fatal(err)
 				}
 				// One event dirties its own group and the evicted entry's.

@@ -21,7 +21,6 @@ import (
 	"eventdb/internal/repl"
 	"eventdb/internal/server"
 	"eventdb/internal/testnet"
-	"eventdb/internal/workload"
 )
 
 func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
@@ -96,10 +95,10 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := workload.NewTrades(23, 8, 1000)
+	next := tradeStream(23, 8)
 	published := map[uint64]bool{}
 	for len(published) < 20 {
-		ev := gen.Next()
+		ev := next()
 		if _, err := pub.Publish(ev); err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +203,7 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 	}
 	defer pub2.Close()
 	for len(published) < 24 {
-		ev := gen.Next()
+		ev := next()
 		if _, err := pub2.Publish(ev); err != nil {
 			t.Fatal(err)
 		}
