@@ -581,11 +581,14 @@ type Health struct {
 	Ingested       uint64 `json:"ingested"`
 	Dropped        uint64 `json:"dropped"`
 	// Columnar sums the columnar history over all tables; TailRows is
-	// the sealer's backlog (rows committed but not yet in a segment).
+	// the sealer's backlog (rows committed but not yet in a segment),
+	// ResidentSegments the sealed segments still in the server's memory
+	// (those with a live row) out of the Segments ever sealed.
 	Columnar struct {
-		Segments   int `json:"segments"`
-		SealedRows int `json:"sealed_rows"`
-		TailRows   int `json:"tail_rows"`
+		Segments         int `json:"segments"`
+		SealedRows       int `json:"sealed_rows"`
+		TailRows         int `json:"tail_rows"`
+		ResidentSegments int `json:"resident_segments"`
 	} `json:"columnar"`
 }
 

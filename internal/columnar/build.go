@@ -7,30 +7,33 @@ import (
 	"math"
 	"time"
 
+	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
 
-// encodeSegment seals rows [from, to) of a tail view into an immutable
-// segment, encoding each column straight from the view's raw vectors.
-// Nothing of the view is retained: every vector is re-encoded or
-// copied, so the tail's arrays can be collected once it moves on.
-func encodeSegment(view *Segment, from, to int) (*Segment, error) {
-	n := to - from
+// encodeSegment seals the rows of a tail view (or of a slice of one)
+// into an immutable segment, encoding each column straight from the
+// view's raw vectors. Nothing of the view is retained: every vector is
+// re-encoded or copied, so the tail's arrays can be collected once it
+// moves on.
+func encodeSegment(view *Segment) (*Segment, error) {
+	n := view.rows
 	if n <= 0 {
 		return nil, fmt.Errorf("columnar: empty segment for table %q", view.table)
 	}
 	s := &Segment{
-		table:    view.table,
-		schema:   view.schema,
-		rows:     n,
-		ids:      append(view.ids[:0:0], view.ids[from:to]...),
-		lsns:     append(view.lsns[:0:0], view.lsns[from:to]...),
-		firstLSN: view.lsns[from],
-		lastLSN:  view.lsns[to-1],
-		cols:     make([]column, len(view.cols)),
+		table:      view.table,
+		schema:     view.schema,
+		rows:       n,
+		sealedRows: n,
+		ids:        append(view.ids[:0:0], view.ids...),
+		lsns:       append(view.lsns[:0:0], view.lsns...),
+		firstLSN:   view.lsns[0],
+		lastLSN:    view.lsns[n-1],
+		cols:       make([]column, len(view.cols)),
 	}
 	for ci, c := range view.cols {
-		col, err := encodeColumn(&c.(*rawColumn).vec, from, to)
+		col, err := encodeColumn(&c.(*rawColumn).vec)
 		if err != nil {
 			return nil, fmt.Errorf("columnar: table %q column %q: %w", view.table, view.schema.Columns[ci].Name, err)
 		}
@@ -41,20 +44,46 @@ func encodeSegment(view *Segment, from, to int) (*Segment, error) {
 	return s, nil
 }
 
-func encodeColumn(v *Vector, from, to int) (column, error) {
-	null := v.Null[from:to]
-	nulls, z := packNulls(null)
+// liveOnly returns the segment as it would have been sealed from its
+// live rows alone: the same row ids, LSNs and LSN bounds, zones
+// recomputed, nothing shared with s. What it leaves out stays in the
+// segment's file, which sealedRows still counts.
+func (s *Segment) liveOnly() (*Segment, error) {
+	live := newTail(s.schema)
+	r := s.NewReader(nil)
+	var b Batch
+	row := make(storage.Row, len(s.cols))
+	for r.Next(&b) {
+		for i := 0; i < b.Len; i++ {
+			if p := b.Start + i; !deadBit(s.dead, p) {
+				b.MaterializeRow(row, i)
+				if err := live.append(s.ids[p], s.lsns[p], 0, row); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	out, err := encodeSegment(live.view(s.table))
+	if err != nil {
+		return nil, err
+	}
+	out.firstLSN, out.lastLSN, out.sealedRows = s.firstLSN, s.lastLSN, s.sealedRows
+	return out, nil
+}
+
+func encodeColumn(v *Vector) (column, error) {
+	nulls, z := packNulls(v.Null)
 	switch v.Kind {
 	case val.KindInt, val.KindTime:
-		return encodeInts(v.Kind, v.I64[from:to], null, nulls, z), nil
+		return encodeInts(v.Kind, v.I64, v.Null, nulls, z), nil
 	case val.KindBool:
-		return encodeBools(v.I64[from:to], null, nulls, z), nil
+		return encodeBools(v.I64, v.Null, nulls, z), nil
 	case val.KindFloat:
-		return encodeFloats(v.F64[from:to], null, nulls, z), nil
+		return encodeFloats(v.F64, v.Null, nulls, z), nil
 	case val.KindString:
-		return encodeStrings(v.Code[from:to], v.Dict, null, nulls, z), nil
+		return encodeStrings(v.Code, v.Dict, v.Null, nulls, z), nil
 	case val.KindBytes:
-		return encodeBytes(v.Bytes[from:to], null, nulls, z)
+		return encodeBytes(v.Bytes, v.Null, nulls, z)
 	default:
 		return nil, fmt.Errorf("unsupported column kind %s", v.Kind)
 	}

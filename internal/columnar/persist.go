@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -33,9 +34,11 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 // encodeSegment, as a live seal does, so the on-disk format can never
 // drift from the in-memory one. A
 // file that fails any check — magic, CRC, schema fingerprint, LSN/ID
-// contiguity — is deleted and its rows are rebuilt from the WAL by
-// the normal bootstrap path. The WAL stays the source of truth;
-// segment files are a cache.
+// contiguity, an LSN the WAL has not reached — is deleted and its rows
+// are rebuilt from the WAL by the normal bootstrap path. The WAL stays
+// the source of truth. For live rows a file is a cache of it; for dead
+// ones, which memory does not keep, it is the copy MineInserts reads
+// (readSegment), the WAL the fallback.
 
 const segMagic = "EDBSEG1\n"
 
@@ -44,12 +47,17 @@ func segFileName(table string, firstLSN uint64) string {
 	return fmt.Sprintf("%x-%016x.seg", table, firstLSN)
 }
 
-// encodeSegmentFile serializes a sealed segment. Layout:
+// writeSegmentFile serializes a sealed segment to w. Layout:
 //
 //	magic | table | ncols (name, kind)* | nrows | id deltas |
 //	lsn deltas | row values | crc32(everything before)
-func encodeSegmentFile(seg *Segment) ([]byte, error) {
-	buf := []byte(segMagic)
+//
+// It streams: the file is never whole in memory, so writing one costs a
+// write buffer, not a copy of the segment.
+func writeSegmentFile(w io.Writer, seg *Segment) error {
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
+	buf := []byte(segMagic) // scratch: handed to bw piece by piece
 	buf = appendStr(buf, seg.table)
 	buf = binary.AppendUvarint(buf, uint64(len(seg.schema.Columns)))
 	for _, c := range seg.schema.Columns {
@@ -66,7 +74,8 @@ func encodeSegmentFile(seg *Segment) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, lsn-prevLSN)
 		prevLSN = lsn
 	}
-	// Row values, decoded back out of the columns. One reusable row
+	bw.Write(buf) // bw keeps the first error for Flush to report
+	// Row values, read back out of the columns. One reusable row
 	// buffer: AppendBinary copies what it needs.
 	r := seg.NewReader(nil)
 	var b Batch
@@ -74,13 +83,18 @@ func encodeSegmentFile(seg *Segment) ([]byte, error) {
 	for r.Next(&b) {
 		for i := 0; i < b.Len; i++ {
 			b.MaterializeRow(row, i)
+			buf = buf[:0]
 			for _, v := range row {
 				buf = val.AppendBinary(buf, v)
 			}
+			bw.Write(buf)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(buf[:0], crc.Sum32()))
+	return err
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -208,10 +222,11 @@ func readUvarint(buf []byte, pos int) (uint64, int, error) {
 // persistSegment writes a sealed segment to disk: temp file, fsync,
 // atomic rename. A crash at any point leaves either no file or a
 // complete one; partial temp files fail the CRC or magic check and
-// are deleted at the next load.
+// are deleted at the next load. The WAL is flushed first: the commit
+// records of the segment's rows may still be in its user-space buffer,
+// and a file must never be ahead of the log that makes it recoverable.
 func (m *Manager) persistSegment(seg *Segment) error {
-	data, err := encodeSegmentFile(seg)
-	if err != nil {
+	if err := m.db.Flush(); err != nil {
 		return err
 	}
 	final := filepath.Join(m.cfg.Dir, segFileName(seg.table, seg.firstLSN))
@@ -221,27 +236,43 @@ func (m *Manager) persistSegment(seg *Segment) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	err = writeSegmentFile(f, seg)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		fsys.Remove(tmp)
 		return err
 	}
 	return fsys.Rename(tmp, final)
 }
 
+// readSegment decodes the file of the sealed segment covering span into
+// scannable form, every row of it, dead or not.
+func (m *Manager) readSegment(st *TableStore, span lsnSpan) (*Segment, error) {
+	path := filepath.Join(m.cfg.Dir, segFileName(st.table, span.first))
+	data, err := readFile(m.cfg.FS, path)
+	if err != nil {
+		return nil, err
+	}
+	table, rows, err := decodeSegmentFile(data, st.schema)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	seg := rows.view(table)
+	if table != st.table || seg.firstLSN != span.first || seg.lastLSN != span.last {
+		return nil, badSeg("%s: holds %q lsn %d-%d, want %q lsn %d-%d", path, table, seg.firstLSN, seg.lastLSN, st.table, span.first, span.last)
+	}
+	return seg, nil
+}
+
 // loadSegments reloads persisted segments at attach time. Invalid
-// files (partial writes, CRC mismatches, schema drift) and any file
-// breaking per-table LSN/ID contiguity are deleted; their rows come
-// back through the WAL bootstrap instead.
+// files (partial writes, CRC mismatches, schema drift), files ahead of
+// the WAL and any file breaking per-table LSN/ID contiguity are
+// deleted; their rows come back through the WAL bootstrap instead.
 func (m *Manager) loadSegments() error {
 	fsys := m.cfg.FS
 	if err := fsys.MkdirAll(m.cfg.Dir, 0o755); err != nil {
@@ -256,6 +287,7 @@ func (m *Manager) loadSegments() error {
 		seg  *Segment
 	}
 	byTable := make(map[string][]loaded)
+	nextLSN := m.db.WAL().NextLSN()
 	var firstErr error
 	drop := func(path string, err error) {
 		if firstErr == nil && err != nil {
@@ -296,7 +328,14 @@ func (m *Manager) loadSegments() error {
 			drop(path, err)
 			continue
 		}
-		seg, err := encodeSegment(rows.view(table), 0, rows.len())
+		if last := rows.lsns[rows.len()-1]; last >= nextLSN {
+			// Written before its rows' commit records reached the log (a
+			// crash between the two, or a directory copied mid-write):
+			// the WAL will hand these LSNs and row ids out again.
+			drop(path, badSeg("%s ends at lsn %d, the WAL at %d", path, last, nextLSN-1))
+			continue
+		}
+		seg, err := encodeSegment(rows.view(table))
 		if err != nil {
 			drop(path, err)
 			continue
@@ -314,9 +353,11 @@ func (m *Manager) loadSegments() error {
 		var lastLSN uint64
 		for i, l := range segs {
 			seg := l.seg
-			if seg.ids[0] <= lastID || (i > 0 && seg.firstLSN <= lastLSN) {
-				// Contiguity broken: drop this and everything after;
-				// the WAL bootstrap recovers the rows.
+			if seg.ids[0] != lastID+1 || (i > 0 && seg.firstLSN <= lastLSN) {
+				// Contiguity broken — a table's row ids are handed out
+				// without gaps, so a missing file shows here: drop this
+				// and everything after; the WAL bootstrap recovers the
+				// rows.
 				for _, rest := range segs[i:] {
 					drop(rest.path, badSeg("non-contiguous segment %s", rest.path))
 				}

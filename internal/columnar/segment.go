@@ -10,7 +10,9 @@
 // store.go, build.go); the query processor runs one vectorized
 // filter+aggregate loop over segments and tail alike (filter.go,
 // internal/query), and journal mining serves sealed insert history
-// from segments instead of replaying the WAL.
+// from segments instead of replaying the WAL. Memory holds what a scan
+// can return: a segment whose rows are all dead leaves it and lives on
+// as its file, which only mining reads (store.go, persist.go).
 package columnar
 
 import (
@@ -49,6 +51,10 @@ type Segment struct {
 	table  string
 	schema *storage.Schema
 	rows   int
+	// sealedRows is how many rows were sealed over the segment's LSN
+	// span — what its file holds. It exceeds rows once the dead ones
+	// have been dropped from memory (liveOnly).
+	sealedRows int
 
 	// ids holds each row's RowID, strictly increasing (IDs are
 	// allocated monotonically and commits deliver in order), so row
@@ -73,9 +79,6 @@ type Segment struct {
 	bytes int // approximate in-memory footprint
 }
 
-// Table returns the table this segment holds history for.
-func (s *Segment) Table() string { return s.table }
-
 // Rows returns the number of rows sealed in the segment.
 func (s *Segment) Rows() int { return s.rows }
 
@@ -84,17 +87,8 @@ func (s *Segment) Bounds() (firstID, lastID storage.RowID, firstLSN, lastLSN uin
 	return s.ids[0], s.ids[s.rows-1], s.firstLSN, s.lastLSN
 }
 
-// DeadRows returns how many sealed rows have been superseded.
-func (s *Segment) DeadRows() int { return s.deadCount }
-
-// MemBytes returns the approximate in-memory size of the segment.
-func (s *Segment) MemBytes() int { return s.bytes }
-
 // RowID returns the RowID of row i.
 func (s *Segment) RowID(i int) storage.RowID { return s.ids[i] }
-
-// LSN returns the commit LSN of row i.
-func (s *Segment) LSN(i int) uint64 { return s.lsns[i] }
 
 // find returns the position of id in the segment, or -1.
 func (s *Segment) find(id storage.RowID) int { return findID(s.ids, id) }

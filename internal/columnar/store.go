@@ -1,8 +1,10 @@
 package columnar
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,10 +24,11 @@ type Config struct {
 	SealRows int
 	// SealInterval is the sealer's wake-up cadence. Defaults to 200ms.
 	SealInterval time.Duration
-	// Dir, when non-empty, persists sealed segments as files so a
-	// restart reloads them instead of re-mining the WAL. Segments that
-	// fail validation (partial write, CRC mismatch, schema drift) are
-	// discarded and rebuilt from the WAL.
+	// Dir, when non-empty, persists sealed segments as files: a restart
+	// reloads them instead of re-mining the WAL, and MineInserts reads
+	// from them the history memory no longer holds. Files that fail
+	// validation (partial write, CRC mismatch, schema drift, ahead of
+	// the WAL) are discarded and their rows rebuilt from the WAL.
 	Dir string
 	// FS is the filesystem segment files are written through. Nil means
 	// the real one. Segment files are a rebuildable cache of the WAL,
@@ -107,27 +110,46 @@ type TableStore struct {
 	sealMu sync.Mutex
 	mu     sync.RWMutex
 
+	// segs are the resident sealed segments, oldest first (row ids and
+	// LSNs ascend). Memory holds what a scan can return: a segment stays
+	// here only while it has a live row (see resident).
 	segs []*Segment
+	// released are the LSN spans of the segments that left memory, in
+	// release order, and releasedSegs/releasedRows count them. Spans are
+	// kept only on a durable database (durable), where MineInserts reads
+	// them back from the segment file or the WAL.
+	released                   []lsnSpan
+	releasedSegs, releasedRows int
+	durable                    bool
+
 	tail *tail
 	// modified holds the rows whose current version lives only in the
-	// row store: they were updated after their insert reached the tail
-	// or a segment, where their position is marked dead. Scans fetch
-	// them from the table. An entry lasts until the row is deleted.
+	// row store: they were updated after their insert was observed, so
+	// any columnar copy of them is dead. Scans fetch them from the
+	// table. An entry lasts until the row is deleted.
 	modified     map[storage.RowID]struct{}
 	maxSealedID  storage.RowID
 	maxSealedLSN uint64
 	maxGrp       uint64 // dedup guard: highest observed seal-group key
 }
 
-// TableStats is the COMPACT/stats surface for one table.
+// lsnSpan is the WAL span a sealed segment covers.
+type lsnSpan struct{ first, last uint64 }
+
+// TableStats is the COMPACT/stats surface for one table. Segments,
+// SealedRows and DeadRows count the sealed history, in memory or not;
+// ResidentSegments and MemBytes are what memory holds, and ReleasedRows
+// the sealed rows it no longer does (all of them dead).
 type TableStats struct {
-	Table       string `json:"table"`
-	Segments    int    `json:"segments"`
-	SealedRows  int    `json:"sealed_rows"`
-	DeadRows    int    `json:"dead_rows"`
-	PendingRows int    `json:"pending_rows"`
-	MemBytes    int    `json:"bytes"`
-	LastLSN     uint64 `json:"last_lsn"`
+	Table            string `json:"table"`
+	Segments         int    `json:"segments"`
+	SealedRows       int    `json:"sealed_rows"`
+	DeadRows         int    `json:"dead_rows"`
+	PendingRows      int    `json:"pending_rows"`
+	MemBytes         int    `json:"bytes"`
+	LastLSN          uint64 `json:"last_lsn"`
+	ResidentSegments int    `json:"resident_segments"`
+	ReleasedRows     int    `json:"released_rows"`
 }
 
 // Attach creates a Manager over db and registers it in the package
@@ -250,6 +272,7 @@ func (m *Manager) store(name string) *TableStore {
 		schema:   tbl.Schema(),
 		tail:     newTail(tbl.Schema()),
 		modified: make(map[storage.RowID]struct{}),
+		durable:  m.durable,
 	}
 	m.stores[name] = st
 	return st
@@ -286,39 +309,48 @@ func (m *Manager) observe(ci *storage.CommitInfo) {
 	if m.durable {
 		grp = ci.LSN
 	}
-	byTable := make(map[string][]int)
-	var tables []string
+	// Nearly every commit names one table (a queue makes one per ACK),
+	// and then nothing is built: more holds the other tables of a commit
+	// that names several, in order of first appearance.
+	var more []string
 	for i := range ci.Changes {
-		t := ci.Changes[i].Table
-		if _, seen := byTable[t]; !seen {
-			tables = append(tables, t)
+		if t := ci.Changes[i].Table; t != ci.Changes[0].Table && !slices.Contains(more, t) {
+			more = append(more, t)
 		}
-		byTable[t] = append(byTable[t], i)
 	}
-	var wantKick bool
-	for _, table := range tables {
-		st := m.store(table)
-		if st == nil {
-			continue
-		}
-		st.mu.Lock()
-		for _, i := range byTable[table] {
-			m.setErr(st.applyLocked(&ci.Changes[i], ci.LSN, grp))
-		}
-		if st.tail.len() >= m.cfg.SealRows {
-			wantKick = true
-		}
-		st.mu.Unlock()
+	var sealDue bool
+	if len(ci.Changes) > 0 {
+		sealDue = m.applyTable(ci, ci.Changes[0].Table, grp)
+	}
+	for _, t := range more {
+		sealDue = m.applyTable(ci, t, grp) || sealDue
 	}
 	if ci.Seq > m.observed.Load() {
 		m.observed.Store(ci.Seq)
 	}
-	if wantKick {
+	if sealDue {
 		select {
 		case m.kick <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// applyTable applies the commit's changes to one table under its
+// store's lock and reports whether the tail has grown enough to seal.
+func (m *Manager) applyTable(ci *storage.CommitInfo, table string, grp uint64) (sealDue bool) {
+	st := m.store(table)
+	if st == nil {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i := range ci.Changes {
+		if c := &ci.Changes[i]; c.Table == table {
+			m.setErr(st.applyLocked(c, ci.LSN, grp))
+		}
+	}
+	return st.tail.len() >= m.cfg.SealRows
 }
 
 // Observed returns the sequence number (storage.CommitInfo.Seq) of the
@@ -351,50 +383,106 @@ func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) error {
 		if grp > st.maxGrp {
 			st.maxGrp = grp
 		}
-	case storage.Update:
-		// Re-observing an update (bootstrap replay overlap) is
-		// harmless: dead-marking is idempotent.
-		st.markDeadLocked(c.ID, false)
+	case storage.Update, storage.Delete:
+		// Re-observing one (bootstrap replay overlap) is harmless:
+		// dead-marking is idempotent.
 		if grp > st.maxGrp {
 			st.maxGrp = grp
 		}
-	case storage.Delete:
-		st.markDeadLocked(c.ID, true)
-		if grp > st.maxGrp {
-			st.maxGrp = grp
-		}
+		return st.markDeadLocked(c.ID, c.Kind == storage.Delete)
 	}
 	return nil
 }
 
-// markDeadLocked marks a row's columnar copy — in the tail or in a
-// segment — as superseded. An updated row (gone=false) joins modified,
-// a deleted one leaves it. Caller holds mu.
-func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) {
-	if i := st.tail.find(id); i >= 0 {
-		st.tail.markDead(i)
-	} else if !st.markSealedDeadLocked(id) {
-		return // no columnar copy: the row predates the observed history
-	}
+// markDeadLocked records that a row was rewritten (gone=false: it joins
+// modified) or deleted (it leaves), and marks its columnar copy — in
+// the tail or in a resident segment — as superseded. modified is
+// settled first: the copy of a row claimed long ago may have left
+// memory with its segment, and its delete must still take the id out.
+// Caller holds mu.
+func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) error {
 	if gone {
 		delete(st.modified, id)
 	} else {
 		st.modified[id] = struct{}{}
 	}
+	if i := st.tail.find(id); i >= 0 {
+		st.tail.markDead(i)
+		return nil
+	}
+	// Resident segments ascend by row id: the first one ending at or
+	// after id is the only one that can hold it.
+	lo := sort.Search(len(st.segs), func(i int) bool {
+		seg := st.segs[i]
+		return seg.ids[seg.rows-1] >= id
+	})
+	if lo == len(st.segs) {
+		return nil
+	}
+	seg := st.segs[lo]
+	pos := seg.find(id)
+	if pos < 0 {
+		return nil
+	}
+	seg.markDead(pos)
+	keep, err := st.resident(seg)
+	if keep == nil {
+		copy(st.segs[lo:], st.segs[lo+1:])
+		st.segs[len(st.segs)-1] = nil // or the slot pins the last segment
+		st.segs = st.segs[:len(st.segs)-1]
+	} else {
+		st.segs[lo] = keep
+	}
+	return err
 }
 
-func (st *TableStore) markSealedDeadLocked(id storage.RowID) bool {
-	for _, seg := range st.segs {
-		first, last, _, _ := seg.Bounds()
-		if id < first || id > last {
-			continue
-		}
-		if pos := seg.find(id); pos >= 0 {
-			seg.markDead(pos)
-			return true
-		}
+// sparseDiv sets when a resident segment is rewritten without its dead
+// rows: once they outnumber the live ones sparseDiv-1 to one. Each
+// rewrite costs a quarter of the rows the last one kept, so all of a
+// segment's rewrites together cost less than sealing it did. It is a
+// constant because no workload wants another value: a smaller one keeps
+// more dead rows in memory, a larger one re-encodes more often.
+const sparseDiv = 4
+
+// settled is the residency rule — memory holds what a scan can return,
+// files hold what happened — applied to one sealed segment, or to rows
+// about to become one: nil when no row is live, a copy without the dead
+// rows when the live ones are down to 1/sparseDiv, else s. s itself is
+// never modified: a Snapshot may be scanning it.
+func (s *Segment) settled() (*Segment, error) {
+	live := s.rows - s.deadCount
+	if live == 0 {
+		return nil, nil
 	}
-	return false
+	if live*sparseDiv > s.rows {
+		return s, nil
+	}
+	return s.liveOnly()
+}
+
+// resident returns what st.segs should hold for a sealed segment whose
+// dead count has changed (see settled), counting the release of one
+// with no live row. Caller holds mu.
+func (st *TableStore) resident(seg *Segment) (*Segment, error) {
+	keep, err := seg.settled()
+	if err != nil {
+		return seg, err
+	}
+	if keep == nil {
+		st.release(seg.sealedRows, lsnSpan{seg.firstLSN, seg.lastLSN})
+	}
+	return keep, nil
+}
+
+// release counts sealed rows that left memory, or never entered it; on
+// a durable database their LSN span is kept for MineInserts. Caller
+// holds mu.
+func (st *TableStore) release(rows int, span lsnSpan) {
+	st.releasedSegs++
+	st.releasedRows += rows
+	if st.durable {
+		st.released = append(st.released, span)
+	}
 }
 
 // ---- bootstrap ----
@@ -402,7 +490,9 @@ func (st *TableStore) markSealedDeadLocked(id storage.RowID) bool {
 // bootstrapWAL replays the full WAL into the stores. Inserts already
 // covered by reloaded segment files are skipped by LSN; updates and
 // deletes always re-apply their dead marks (segment files do not
-// persist dead bits).
+// persist dead bits) — and with them the residency rule, so a reloaded
+// segment whose rows have all died since is out of memory again before
+// Attach returns.
 func (m *Manager) bootstrapWAL() error {
 	log := m.db.WAL()
 	if log == nil {
@@ -428,10 +518,8 @@ func (m *Manager) bootstrapWAL() error {
 				if r.LSN > st.maxSealedLSN {
 					err = st.tail.append(c.ID, r.LSN, r.LSN, c.New)
 				}
-			case storage.Update:
-				st.markDeadLocked(c.ID, false)
-			case storage.Delete:
-				st.markDeadLocked(c.ID, true)
+			case storage.Update, storage.Delete:
+				m.setErr(st.markDeadLocked(c.ID, c.Kind == storage.Delete))
 			}
 			if r.LSN > st.maxGrp {
 				st.maxGrp = r.LSN
@@ -501,11 +589,14 @@ func (st *TableStore) tailLen() int {
 	return st.tail.len()
 }
 
-// seal encodes the tail into segments of target rows each (whole
-// commits; see sealCuts) and leaves the rest as a fresh tail. The
-// encode happens outside the store lock, from a view of the tail; rows
-// and dead marks that land during it are picked up at install. It
-// reports whether any row was sealed.
+// seal turns the tail into segments of target rows each (whole
+// commits; see sealCuts) and leaves the rest as a fresh tail. Outside
+// the store lock, from a view of the tail, each cut's file is written
+// from the raw vectors — the complete history — and the residency rule
+// picks what is encoded for memory: every row, the live ones, or none
+// (a queue's rows are mostly claimed before they are sealed). Rows and
+// dead marks that land meanwhile are picked up at install, where the
+// rule is applied again. It reports whether any row was sealed.
 func (m *Manager) seal(st *TableStore, target int) bool {
 	st.sealMu.Lock()
 	defer st.sealMu.Unlock()
@@ -513,51 +604,65 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 	st.mu.RLock()
 	cuts := st.tail.sealCuts(target)
 	view := st.tail.view(st.table)
+	dead := st.tail.deadCopy()
 	st.mu.RUnlock()
 	if len(cuts) == 0 {
 		return false
 	}
 
-	segs := make([]*Segment, 0, len(cuts))
+	segs := make([]*Segment, len(cuts)) // nil: no row of the cut is live
 	from := 0
-	for _, cut := range cuts {
-		seg, err := encodeSegment(view, from, cut)
+	for i, cut := range cuts {
+		rows := view.slice(from, cut, dead)
+		if m.durable && m.cfg.Dir != "" {
+			// Before install: once a segment can be released, its file
+			// is the copy MineInserts reads.
+			m.setErr(m.persistSegment(rows))
+		}
+		seg, err := rows.settled()
+		if seg == rows {
+			if seg, err = encodeSegment(rows); err == nil {
+				seg.dead, seg.deadCount = rows.dead, rows.deadCount
+			}
+		}
 		if err != nil {
 			m.setErr(err)
 			return false
 		}
-		segs = append(segs, seg)
+		segs[i] = seg
 		from = cut
 	}
 
 	// Only seals take rows out of the tail and sealMu admits one at a
 	// time, so the tail is still the one the view was cut from, grown.
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	t := st.tail
 	from = 0
-	for _, seg := range segs {
-		for i := 0; t.deadCount > 0 && i < seg.rows; i++ {
-			if t.isDead(from + i) {
-				seg.markDead(i)
+	for i, cut := range cuts {
+		if seg := segs[i]; seg == nil {
+			st.release(cut-from, lsnSpan{t.lsns[from], t.lsns[cut-1]})
+		} else {
+			for p := from; p < cut; p++ {
+				if t.isDead(p) && !deadBit(dead, p) { // died since the view
+					if pos := seg.find(t.ids[p]); pos >= 0 {
+						seg.markDead(pos)
+					}
+				}
+			}
+			keep, err := st.resident(seg)
+			m.setErr(err)
+			if keep != nil {
+				st.segs = append(st.segs, keep)
 			}
 		}
-		from += seg.rows
-		st.segs = append(st.segs, seg)
-		st.maxSealedID = seg.ids[seg.rows-1]
-		if seg.lastLSN > st.maxSealedLSN {
-			st.maxSealedLSN = seg.lastLSN
+		st.maxSealedID = t.ids[cut-1]
+		if lsn := t.lsns[cut-1]; lsn > st.maxSealedLSN {
+			st.maxSealedLSN = lsn
 		}
+		from = cut
 	}
 	st.tail = t.suffix(from)
-	st.mu.Unlock()
-
-	if m.durable && m.cfg.Dir != "" {
-		for _, seg := range segs {
-			if err := m.persistSegment(seg); err != nil {
-				m.setErr(err)
-			}
-		}
-	}
 	return true
 }
 
@@ -603,16 +708,21 @@ func (st *TableStore) Stats() TableStats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := TableStats{
-		Table:       st.table,
-		Segments:    len(st.segs),
-		PendingRows: st.tail.len(),
-		LastLSN:     st.maxSealedLSN,
+		Table:            st.table,
+		Segments:         st.releasedSegs + len(st.segs),
+		SealedRows:       st.releasedRows,
+		ReleasedRows:     st.releasedRows,
+		PendingRows:      st.tail.len(),
+		LastLSN:          st.maxSealedLSN,
+		ResidentSegments: len(st.segs),
 	}
 	for _, seg := range st.segs {
-		s.SealedRows += seg.rows
+		s.SealedRows += seg.sealedRows
+		s.ReleasedRows += seg.sealedRows - seg.rows
 		s.DeadRows += seg.deadCount
 		s.MemBytes += seg.bytes
 	}
+	s.DeadRows += s.ReleasedRows
 	return s
 }
 
@@ -702,42 +812,111 @@ func (st *TableStore) Snapshot() *Snapshot {
 // MineInserts replays the sealed insert history of one table in LSN
 // order, including rows later updated or deleted (the insert happened
 // regardless of the row's later fate — exactly what REPLAY wants).
-// It returns the LSN after the sealed prefix, from which the caller
-// should continue with a WAL replay; fromLSN is returned unchanged
-// when segments cover nothing at or after it.
+// Dead rows are not kept in memory, so it is the one reader of segment
+// files after start-up: a span whose rows are not all resident is
+// decoded from its file, one file at a time, and replayed from the WAL
+// — the source of truth — when the file is missing or invalid (Err
+// then says so). It returns the LSN after the sealed prefix, from which
+// the caller should continue with a WAL replay; fromLSN is returned
+// unchanged when segments cover nothing at or after it.
 func (m *Manager) MineInserts(table string, fromLSN uint64, fn func(lsn uint64, c *storage.Change) error) (nextLSN uint64, err error) {
 	st := m.Table(table)
 	if st == nil {
 		return fromLSN, nil
 	}
+	type part struct {
+		lsnSpan
+		seg *Segment // nil, or short of rows, when the file has to serve
+	}
 	st.mu.RLock()
-	segs := append([]*Segment(nil), st.segs...)
+	var parts []part // the spans reaching fromLSN
+	for _, seg := range st.segs {
+		if seg.lastLSN >= fromLSN {
+			parts = append(parts, part{lsnSpan{seg.firstLSN, seg.lastLSN}, seg})
+		}
+	}
+	for _, span := range st.released {
+		if span.last >= fromLSN {
+			parts = append(parts, part{lsnSpan: span})
+		}
+	}
 	maxSealedLSN := st.maxSealedLSN
 	st.mu.RUnlock()
 	if maxSealedLSN == 0 || maxSealedLSN < fromLSN {
 		return fromLSN, nil
 	}
-	width := len(st.schema.Columns)
-	for _, seg := range segs {
-		if seg.lastLSN < fromLSN {
-			continue
-		}
-		r := seg.NewReader(nil)
-		var b Batch
-		for r.Next(&b) {
-			for i := 0; i < b.Len; i++ {
-				lsn := seg.lsns[b.Start+i]
-				if lsn < fromLSN {
-					continue
-				}
-				row := make(storage.Row, width)
-				b.MaterializeRow(row, i)
-				c := storage.Change{Table: table, Kind: storage.Insert, ID: seg.ids[b.Start+i], New: row}
-				if err := fn(lsn, &c); err != nil {
-					return 0, err
+	sort.Slice(parts, func(a, b int) bool { return parts[a].first < parts[b].first })
+	for _, p := range parts {
+		seg := p.seg
+		if seg == nil || seg.rows < seg.sealedRows {
+			seg = nil
+			if m.cfg.Dir != "" {
+				var ferr error
+				if seg, ferr = m.readSegment(st, p.lsnSpan); ferr != nil {
+					m.setErr(ferr)
 				}
 			}
 		}
+		if seg == nil {
+			if err := m.mineWAL(table, max(fromLSN, p.first), p.last, fn); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		if err := mineSegment(seg, fromLSN, fn); err != nil {
+			return 0, err
+		}
 	}
 	return maxSealedLSN + 1, nil
+}
+
+// mineSegment hands fn every row of seg at or after fromLSN as the
+// insert it was.
+func mineSegment(seg *Segment, fromLSN uint64, fn func(lsn uint64, c *storage.Change) error) error {
+	r := seg.NewReader(nil)
+	var b Batch
+	for r.Next(&b) {
+		for i := 0; i < b.Len; i++ {
+			lsn := seg.lsns[b.Start+i]
+			if lsn < fromLSN {
+				continue
+			}
+			row := make(storage.Row, len(seg.cols))
+			b.MaterializeRow(row, i)
+			c := storage.Change{Table: seg.table, Kind: storage.Insert, ID: seg.ids[b.Start+i], New: row}
+			if err := fn(lsn, &c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// errPastSpan ends mineWAL's replay at the end of its span.
+var errPastSpan = errors.New("columnar: past the span")
+
+// mineWAL hands fn the table's inserts committed at LSNs [from, last],
+// read from the WAL.
+func (m *Manager) mineWAL(table string, from, last uint64, fn func(lsn uint64, c *storage.Change) error) error {
+	err := m.db.WAL().Replay(from, func(r wal.Record) error {
+		if r.LSN > last {
+			return errPastSpan
+		}
+		changes, ok, err := storage.DecodeCommitRecord(r)
+		if err != nil || !ok {
+			return err
+		}
+		for i := range changes {
+			if c := &changes[i]; c.Table == table && c.Kind == storage.Insert {
+				if err := fn(r.LSN, c); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if errors.Is(err, errPastSpan) {
+		return nil
+	}
+	return err
 }

@@ -202,6 +202,38 @@ func (t *tail) view(table string) *Segment {
 	return s
 }
 
+// slice returns rows [from, to) of a tail view as a Segment of their
+// own, dead where the bitmap over the view's rows says so (nil: none):
+// what a seal is about to turn into a file and a sealed segment. The
+// zones stay the whole view's; nothing that reads a slice prunes by
+// them.
+func (v *Segment) slice(from, to int, dead []uint64) *Segment {
+	s := &Segment{
+		table:      v.table,
+		schema:     v.schema,
+		rows:       to - from,
+		sealedRows: to - from,
+		ids:        v.ids[from:to],
+		lsns:       v.lsns[from:to],
+		firstLSN:   v.lsns[from],
+		lastLSN:    v.lsns[to-1],
+		cols:       make([]column, len(v.cols)),
+	}
+	for ci, c := range v.cols {
+		whole := c.(*rawColumn)
+		part := &rawColumn{z: whole.z}
+		whole.newCursor(&part.vec)
+		whole.read(&part.vec, from, to-from) // a raw column reads by slicing
+		s.cols[ci] = part
+	}
+	for p := from; dead != nil && p < to; p++ {
+		if deadBit(dead, p) {
+			s.markDead(p - from)
+		}
+	}
+	return s
+}
+
 // sealCuts returns the ends of the row ranges to seal, in order: each
 // takes target rows, extended so a commit's inserts are never split
 // across a seal boundary (journal mining resumes WAL replay at

@@ -19,7 +19,7 @@ func buildSegment(table string, schema *storage.Schema, ids []storage.RowID, lsn
 			return nil, err
 		}
 	}
-	return encodeSegment(t.view(table), 0, t.len())
+	return encodeSegment(t.view(table))
 }
 
 // viewRows materializes every row of a segment or tail view, dead or

@@ -411,3 +411,88 @@ func TestReplayQueueNotDurable(t *testing.T) {
 		t.Errorf("err = %v, want ErrNotDurable", err)
 	}
 }
+
+// TestRestartLeavesDeadHistoryOnDisk: reopening an engine after
+// publish/ack churn does not bring the acknowledged history back into
+// memory. Before the first commit of the new process the segments
+// reloaded from their files have been released again — resident bytes
+// are those of the few messages still queued — while the history itself
+// (sealed rows, REPLAY) is whole.
+func TestRestartLeavesDeadHistoryOnDisk(t *testing.T) {
+	const sealRows, msgs, left = 64, 20 * 64, 10
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, ColumnarSealRows: sealRows, ColumnarSealInterval: time.Hour}
+	eng, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := eng.EnsureQueue("orders", queue.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < msgs; i++ {
+		if _, err := q.Enqueue(event.New("order", map[string]any{"i": i, "note": "a payload of some size to make rows cost bytes"}), queue.EnqueueOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if i < left {
+			continue // the first few are never consumed: one segment stays
+		}
+		if i%sealRows == 0 {
+			if _, err := eng.Compact(queue.TableName("orders")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < msgs; i++ {
+		msg, ok, err := q.Dequeue("c")
+		if err != nil || !ok {
+			t.Fatalf("dequeue %d: %v %v", i, ok, err)
+		}
+		if i < left {
+			if err := q.Release(msg.Receipt); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := q.Ack(msg.Receipt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	find := func(e *Engine) (s struct{ Segments, Resident, Sealed, ResidentRows, Bytes int }) {
+		for _, ts := range e.SegmentStats() {
+			if ts.Table == queue.TableName("orders") {
+				s.Segments, s.Resident, s.Sealed, s.Bytes = ts.Segments, ts.ResidentSegments, ts.SealedRows, ts.MemBytes
+				s.ResidentRows = ts.SealedRows - ts.ReleasedRows
+			}
+		}
+		return s
+	}
+	// A resident segment keeps fewer than four rows per live one (the
+	// sparse rule), and a message here costs well under 400 bytes.
+	bounded := func(s struct{ Segments, Resident, Sealed, ResidentRows, Bytes int }) bool {
+		return s.Sealed == msgs && s.Resident == 1 && s.ResidentRows < 4*left && s.Bytes <= 400*s.ResidentRows
+	}
+	before := find(eng)
+	if !bounded(before) || before.Segments < msgs/sealRows {
+		t.Fatalf("before the restart: %+v", before)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng = open(t, cfg)
+	after := find(eng) // before any commit of the new process
+	if !bounded(after) || after.Segments != before.Segments {
+		t.Errorf("after the restart: %+v, before it: %+v", after, before)
+	}
+	if err := eng.History.Err(); err != nil {
+		t.Error(err)
+	}
+	_, n, err := eng.ReplayQueue("orders", 0, func(*event.Event, uint64, int64) error { return nil })
+	if err != nil || n != msgs {
+		t.Errorf("REPLAY after the restart: %d messages, err %v, want %d", n, err, msgs)
+	}
+}

@@ -82,15 +82,18 @@ type Health struct {
 	Ingested    uint64
 	Dropped     uint64
 	// Columnar sums the columnar history over all tables. TailRows is
-	// the sealer's backlog: rows committed but not yet in a segment.
+	// the sealer's backlog: rows committed but not yet in a segment;
+	// ResidentSegments are the sealed segments memory still holds (the
+	// ones with a live row), of the Segments ever sealed.
 	Columnar ColumnarHealth
 }
 
 // ColumnarHealth is the columnar store's share of a Health snapshot.
 type ColumnarHealth struct {
-	Segments   int
-	SealedRows int
-	TailRows   int
+	Segments         int
+	SealedRows       int
+	TailRows         int
+	ResidentSegments int
 }
 
 // Health assembles the engine-level health snapshot. Server-level
@@ -117,6 +120,7 @@ func (e *Engine) Health() Health {
 		h.Columnar.Segments += ts.Segments
 		h.Columnar.SealedRows += ts.SealedRows
 		h.Columnar.TailRows += ts.PendingRows
+		h.Columnar.ResidentSegments += ts.ResidentSegments
 	}
 	return h
 }

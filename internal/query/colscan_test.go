@@ -3,6 +3,8 @@ package query
 import (
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -258,8 +260,8 @@ func TestColumnarDifferential(t *testing.T) {
 	}
 }
 
-// The three places a table's history can be. Each layout holds the
-// same 930 logical rows with the same updates and deletes applied.
+// The places a table's history can be. Each layout holds the same 930
+// logical rows with the same updates and deletes applied.
 const (
 	layoutSealed = "all sealed"
 	layoutTail   = "all in the tail"
@@ -268,6 +270,12 @@ const (
 	// a commit and must extend to its end; a run of single-row commits
 	// too short to seal stays in the tail.
 	layoutSplit = "split mid-commit-group"
+	// layoutReleased seals every 150-row commit on its own, then rewrites
+	// every row of the first two segments and four in five of the
+	// third with the values they had: the first two hold no live row
+	// and have left memory, the third was re-encoded from its live
+	// rows, and the rewritten rows are served from the row store.
+	layoutReleased = "sealed, two segments released and one sparse"
 )
 
 func colDBLayout(t *testing.T, layout string) *storage.DB {
@@ -302,6 +310,11 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 		if _, err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
+		if layout == layoutReleased { // one segment per 150-row commit
+			if _, err := m.Compact(""); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if layout == layoutSplit {
 		// Every commit kicked the sealer; wait for it to drain the tail
@@ -318,14 +331,26 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 			t.Fatal(err)
 		}
 	}
-	if layout == layoutSealed {
+	if layout == layoutSealed || layout == layoutReleased {
 		if _, err := m.Compact(""); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if layout == layoutReleased {
+		tbl, _ := db.Table("events")
+		rowIDs, stored := tbl.ScanRows()
+		for k, row := range stored {
+			if id, _ := row[0].AsInt(); id < 300 || (id < 450 && id%5 != 0) {
+				if err := db.UpdateRow("events", rowIDs[k], map[string]val.Value{"id": row[0]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	stats := m.Stats()[0]
 	switch {
-	case layout == layoutSealed && (stats.PendingRows != 0 || stats.SealedRows != rows),
+	case layout == layoutReleased && (stats.Segments-stats.ResidentSegments != 2 || stats.ReleasedRows <= 300 || stats.SealedRows != rows),
+		layout == layoutSealed && (stats.PendingRows != 0 || stats.SealedRows != rows),
 		layout == layoutTail && (stats.PendingRows != rows || stats.Segments != 0),
 		layout == layoutSplit && (stats.PendingRows != singles || stats.SealedRows != rows-singles):
 		t.Fatalf("%s: stats %+v", layout, stats)
@@ -350,9 +375,9 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 }
 
 // TestColumnarLayouts is tail ≡ segment ≡ row: the whole corpus, with
-// the data all sealed, all in the tail, and split between them by a
-// sealer cutting mid-commit-group, must give the one answer the row
-// path gives.
+// the data all sealed, all in the tail, split between them by a sealer
+// cutting mid-commit-group, and sealed with the dead segments out of
+// memory, must give the one answer the row path gives.
 func TestColumnarLayouts(t *testing.T) {
 	// A query that fails must fail the same way everywhere: errText is
 	// compared in place of the result.
@@ -387,7 +412,7 @@ func TestColumnarLayouts(t *testing.T) {
 	for name, mk := range colQueries() {
 		want[name], _ = run(mk().NoColumnar(), oracle)
 	}
-	for _, layout := range []string{layoutSealed, layoutTail, layoutSplit} {
+	for _, layout := range []string{layoutSealed, layoutTail, layoutSplit, layoutReleased} {
 		db := colDBLayout(t, layout)
 		for name, mk := range colQueries() {
 			label := layout + ", " + name
@@ -602,4 +627,102 @@ func TestColumnarSealMidTransaction(t *testing.T) {
 		t.Fatalf("columnar rows = %d, want 151", len(col.Rows))
 	}
 	resultEqual(t, "seal-mid-txn", col, row)
+}
+
+// TestColumnarScanDuringRelease races scans against the residency rule.
+// A writer commits groups of four rows and, in the same transaction,
+// deletes the group that has aged out of a window, so behind it segments
+// are rewritten sparse and then released while the background sealer
+// cuts new ones; scans that took their snapshot before a release keep
+// reading the segments it dropped. Whatever they overlap, they see whole
+// commits — a multiple of four rows, groups intact, every value of every
+// row there — and never a segment without its body.
+func TestColumnarScanDuringRelease(t *testing.T) {
+	const groups, window = 1500, 40
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable(colSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := columnar.Attach(db, columnar.Config{SealRows: 64, SealInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	var columnarScans atomic.Int64
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res, plan, err := New("events").Explain(db)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if plan.Access == "columnar" {
+					columnarScans.Add(1)
+				}
+				perGroup := make(map[int64]int)
+				for _, row := range res.Rows {
+					id, _ := row[0].AsInt()
+					perGroup[id/4]++
+					if ts, ok := row[1].AsTime(); !ok || ts.Unix() != 1700000000+id {
+						t.Errorf("row %d: ts %v", id, row[1])
+						return
+					}
+				}
+				for g, n := range perGroup {
+					if n != 4 {
+						t.Errorf("group %d seen with %d of its 4 rows (%d rows in all, access %s)", g, n, len(res.Rows), plan.Access)
+						return
+					}
+				}
+				if len(perGroup) > window+1 {
+					t.Errorf("%d groups visible, the window is %d", len(perGroup), window)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for g := 0; g < groups; g++ {
+		txn := db.Begin()
+		for k := 0; k < 4; k++ {
+			if err := txn.Insert("events", colEvent(rng, 4*g+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Row ids are handed out in insert order from 1.
+		for k := 0; g >= window && k < 4; k++ {
+			if err := txn.Delete("events", storage.RowID(4*(g-window)+k+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if columnarScans.Load() == 0 {
+		t.Error("no scan was served from the columnar history")
+	}
+	if _, err := m.Compact(""); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Stats()[0]; s.SealedRows != 4*groups || s.ResidentSegments > 4*window/64+2 || s.Segments < groups/64 {
+		t.Errorf("after the churn: %+v", s)
+	}
 }

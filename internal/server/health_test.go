@@ -75,7 +75,7 @@ func TestHealthColumnar(t *testing.T) {
 		}
 		return h
 	}
-	if !strings.HasSuffix(r.ask("HEALTH format=json"), `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0}}`) {
+	if !strings.HasSuffix(r.ask("HEALTH format=json"), `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0,"resident_segments":0}}`) {
 		t.Fatalf("columnar must be the last JSON field: %q", r.ask("HEALTH format=json"))
 	}
 	for _, name := range []string{"a", "b"} {

@@ -90,11 +90,11 @@ func handleHealth(c *conn, req *request) bool {
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
 			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[%s],"queue_cap":%d,"ingested":%d,"dropped":%d,`+
-			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d}}`,
+			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d}}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
 			h.LastApplied, h.NextLSN, h.walLag(), strings.Join(depths, ","), h.QueueCap, h.Ingested, h.Dropped,
-			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows))
+			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=%d qcap=%d",
