@@ -590,6 +590,19 @@ type Health struct {
 		TailRows         int `json:"tail_rows"`
 		ResidentSegments int `json:"resident_segments"`
 	} `json:"columnar"`
+	// Runtime is the server process's Go runtime: allocation and
+	// collector work since start (divide by an op count for per-op
+	// figures), the heap the last collection left live and the goal of
+	// the next one, and the goroutine count.
+	Runtime struct {
+		AllocBytes    uint64  `json:"alloc_bytes"`
+		AllocObjects  uint64  `json:"alloc_objects"`
+		GCCycles      uint64  `json:"gc_cycles"`
+		GCCPUSeconds  float64 `json:"gc_cpu_seconds"`
+		HeapLiveBytes uint64  `json:"heap_live_bytes"`
+		HeapGoalBytes uint64  `json:"heap_goal_bytes"`
+		Goroutines    uint64  `json:"goroutines"`
+	} `json:"runtime"`
 }
 
 // Health fetches and parses the server's health snapshot.

@@ -35,17 +35,17 @@
 // from the WAL. -visibility and -queue-max-attempts tune redelivery;
 // -queue-prefetch caps unacknowledged deliveries per consumer.
 //
-// With -shards N, published events enter the asynchronous sharded
-// ingest pipeline instead of evaluating on the connection handler's
+// With -shards 1, published events enter the asynchronous ingest
+// pipeline instead of evaluating on the connection handler's
 // goroutine: PUB returns as soon as the event is accepted (its reply
-// reports 0 deliveries, since evaluation happens later on a shard),
-// and throughput scales with cores. The shard key is the event type:
-// above -shards 1 a SUB/QSUB filter or PATTERN that spans event types
-// loses its delivery order (PROTOCOL.md §2.2), and the daemon says so
-// at start-up. -shard-buffer sizes each shard's bounded queue and
-// -drop-on-full trades loss for bounded latency under overload — for
-// both the ingest shards and each connection's outbound push queue,
-// whose capacity -sub-buffer sets. -max-conns caps concurrent client
+// reports 0 deliveries, since evaluation happens later on the shard).
+// A wider pipeline is refused at start-up: its shard key is the event
+// type, so a SUB/QSUB filter or PATTERN that spans event types would
+// lose its delivery order (PROTOCOL.md §2.2). -shard-buffer sizes the
+// shard's bounded queue and -drop-on-full trades loss for bounded
+// latency under overload — for both the ingest shard and each
+// connection's outbound push queue, whose capacity -sub-buffer sets.
+// -max-conns caps concurrent client
 // connections; excess connections are refused at the protocol level.
 //
 // With -follow the process starts as a read-only replication follower:
@@ -101,9 +101,12 @@ func (r *ruleFlags) Set(v string) error {
 }
 
 // validate refuses flag combinations the daemon would accept and then
-// never act on: each names a mechanism that only another flag turns on.
+// never act on — each names a mechanism that only another flag turns on
+// — and a width that would break the delivery order it documents.
 func validate(dir, follow string, shards int, dropOnFull bool, evictAfterDrops int, shedHighWater float64) error {
 	switch {
+	case shards > 1:
+		return fmt.Errorf("-shards %d is refused: the shard key is the event type, so a SUB/QSUB filter or PATTERN spanning types would see deliveries missing, reordered or duplicated (PROTOCOL.md, \"Delivery order\"); -shards 1 keeps every order", shards)
 	case follow != "" && dir == "":
 		return errors.New("-follow requires -dir: replication ships the WAL, so the follower must be durable")
 	case shedHighWater > 0 && shards == 0:
@@ -117,7 +120,7 @@ func validate(dir, follow string, shards int, dropOnFull bool, evictAfterDrops i
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
-	shards := flag.Int("shards", 0, "async ingest pipeline width (0 = synchronous); the shard key is the event type, so above 1 a SUB/QSUB filter or PATTERN spanning types loses per-subscription order")
+	shards := flag.Int("shards", 0, "async ingest pipeline: 0 = synchronous, 1 = evaluation behind the reader; wider is refused, since the shard key is the event type and a SUB/QSUB filter or PATTERN spanning types would lose per-subscription order")
 	shardBuffer := flag.Int("shard-buffer", 1024, "per-shard bounded queue capacity")
 	dropOnFull := flag.Bool("drop-on-full", false, "drop instead of blocking when a shard buffer or connection push queue is full")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent client connections (0 = unlimited)")
@@ -179,9 +182,6 @@ func main() {
 	if *shards > 0 {
 		log.Printf("ingest pipeline: %d shards, buffer %d, policy %s",
 			eng.Shards(), *shardBuffer, cfg.Backpressure)
-	}
-	if *shards > 1 {
-		log.Printf("warning: -shards %d partitions events by type: a SUB/QSUB filter or PATTERN that spans event types can see them missing, reordered or duplicated (PROTOCOL.md, delivery order); per-type order holds, and -shards 1 keeps every order", *shards)
 	}
 
 	for _, def := range ruleDefs {

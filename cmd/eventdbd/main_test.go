@@ -18,7 +18,9 @@ func TestValidate(t *testing.T) {
 		{"queue watermark without shards", validate("", "", 0, false, 0, 0.8), "-shed-high-water requires -shards"},
 		{"eviction under drop-on-full", validate("", "", 0, true, 8, 0), ""},
 		{"eviction while blocking", validate("", "", 0, false, 8, 0), "-evict-after-drops requires -drop-on-full"},
-		{"drop-on-full alone", validate("", "", 4, true, 0, 0), ""},
+		{"drop-on-full alone", validate("", "", 1, true, 0, 0), ""},
+		{"-shards 1 accepted", validate("", "", 1, false, 0, 0), ""},
+		{"-shards 2 refused", validate("", "", 2, false, 0, 0), "-shards 1 keeps every order"},
 	} {
 		switch {
 		case tc.want == "" && tc.err != nil:

@@ -312,8 +312,18 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 			plan.Access = "columnar"
 			plan.Segments = cs.segments
 			plan.SegmentsPruned = cs.pruned
-		} else {
+		} else if pred == nil || q.join != nil {
 			_, rows = tbl.ScanRows()
+		} else {
+			// Only the rows the predicate accepts leave the table, and
+			// they need not be tested again below.
+			_, rows, err = tbl.ScanRowsWhere(func(r storage.Row) (bool, error) {
+				return pred.Match(storage.RowResolver{Schema: schema, Row: r})
+			})
+			if err != nil {
+				return nil, plan, err
+			}
+			pred = nil
 		}
 	}
 	lci := -1

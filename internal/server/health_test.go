@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -75,8 +77,15 @@ func TestHealthColumnar(t *testing.T) {
 		}
 		return h
 	}
-	if !strings.HasSuffix(r.ask("HEALTH format=json"), `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0,"resident_segments":0}}`) {
-		t.Fatalf("columnar must be the last JSON field: %q", r.ask("HEALTH format=json"))
+	line := r.ask("HEALTH format=json")
+	if !strings.Contains(line, `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0,"resident_segments":0},"runtime":{"alloc_bytes":`) ||
+		!regexp.MustCompile(`,"goroutines":\d+}}$`).MatchString(line) {
+		t.Fatalf("columnar then runtime must be the last JSON fields: %q", line)
+	}
+	runtime.GC() // the live heap is measured by a collection
+	if rt := health().Runtime; rt.AllocBytes == 0 || rt.AllocObjects == 0 || rt.GCCycles == 0 ||
+		rt.HeapLiveBytes == 0 || rt.HeapGoalBytes == 0 || rt.Goroutines == 0 {
+		t.Fatalf("runtime = %+v, want every counter set after a collection", rt)
 	}
 	for _, name := range []string{"a", "b"} {
 		if line := r.ask(`TABLE {"name":"` + name + `","columns":[{"name":"n","kind":"int","notnull":true}]}`); line != "OK" {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 
@@ -71,7 +72,8 @@ func b01(v bool) string {
 // shed, panics, last_applied, next_lsn, wal_lag, queued, qcap — is part
 // of the wire contract (PROTOCOL.md §9); format=json returns the same
 // fields plus the human-readable degraded cause and overload reason,
-// the ingest counters and the columnar store's totals.
+// the ingest counters, the columnar store's totals and the Go runtime's
+// allocation, collector and heap figures.
 func handleHealth(c *conn, req *request) bool {
 	format, ok := statsFormat(c, req.tail)
 	if !ok {
@@ -90,17 +92,42 @@ func handleHealth(c *conn, req *request) bool {
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
 			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[%s],"queue_cap":%d,"ingested":%d,"dropped":%d,`+
-			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d}}`,
+			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d},`+
+			`"runtime":%s}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
 			h.LastApplied, h.NextLSN, h.walLag(), strings.Join(depths, ","), h.QueueCap, h.Ingested, h.Dropped,
-			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments))
+			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments,
+			runtimeJSON()))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=%d qcap=%d",
 		h.role, b01(h.Degraded), b01(h.Overloaded), b01(h.Durable), h.conns, h.slow,
 		h.evicted, h.shed, h.panics, h.LastApplied, h.NextLSN, h.walLag(), depth, h.QueueCap))
 	return true
+}
+
+// runtimeJSON renders HEALTH's "runtime" object from one
+// runtime/metrics reading, which unlike runtime.ReadMemStats does not
+// stop the world. Allocation and collector work are cumulative; the
+// heap figures are as the last collection left them.
+func runtimeJSON() string {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/heap/live:bytes"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/sched/goroutines:goroutines"}}
+	metrics.Read(s)
+	u := func(i int) uint64 { // 0 for a metric this Go release lacks
+		if s[i].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return s[i].Value.Uint64()
+	}
+	gcCPU := 0.0
+	if s[3].Value.Kind() == metrics.KindFloat64 {
+		gcCPU = s[3].Value.Float64()
+	}
+	return fmt.Sprintf(`{"alloc_bytes":%d,"alloc_objects":%d,"gc_cycles":%d,"gc_cpu_seconds":%g,"heap_live_bytes":%d,"heap_goal_bytes":%d,"goroutines":%d}`,
+		u(0), u(1), u(2), gcCPU, u(4), u(5), u(6))
 }
 
 // handleRecover exits degraded mode: the engine re-verifies the WAL

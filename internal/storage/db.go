@@ -208,10 +208,10 @@ func (db *DB) applyChanges(changes []Change, seq uint64) error {
 		case Insert:
 			t.applyInsert(c.ID, c.New)
 		case Update:
-			old := t.rows[c.ID]
+			old, _ := t.row(c.ID)
 			t.applyUpdate(c.ID, old, c.New)
 		case Delete:
-			old := t.rows[c.ID]
+			old, _ := t.row(c.ID)
 			t.applyDelete(c.ID, old)
 		}
 		t.version++
@@ -523,8 +523,8 @@ func (t *Table) buildIndex(name string, kind IndexKind, unique bool, cols []stri
 		return fmt.Errorf("storage: table %q: index %q has no columns", t.schema.Name, name)
 	}
 	ix := newIndex(name, kind, unique, positions)
-	for id, r := range t.rows {
-		key := ix.keyFor(r)
+	for id, img := range t.rows {
+		key := ix.keyFor(t.unpack(img))
 		if err := ix.checkUnique(key, id); err != nil {
 			return err
 		}
@@ -845,7 +845,7 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			nextIDs[op.table] = id + 1
 			changes = append(changes, Change{Table: op.table, Kind: Insert, ID: id, New: row})
 		case Update:
-			old, ok := t.rows[op.id]
+			old, ok := t.row(op.id)
 			if !ok {
 				return nil, fmt.Errorf("storage: table %q: update of missing row %d", s.Name, op.id)
 			}
@@ -890,7 +890,7 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			}
 			changes = append(changes, Change{Table: op.table, Kind: Update, ID: op.id, Old: old, New: row})
 		case Delete:
-			old, ok := t.rows[op.id]
+			old, ok := t.row(op.id)
 			if !ok {
 				return nil, fmt.Errorf("storage: table %q: delete of missing row %d", s.Name, op.id)
 			}

@@ -98,12 +98,11 @@ func TestDegradedFailStopAndRecover(t *testing.T) {
 		t.Fatal("table missing after reopen")
 	}
 	seen := map[string]bool{}
-	tbl2.mu.RLock()
-	for _, r := range tbl2.rows {
+	tbl2.Scan(func(_ RowID, r Row) bool {
 		s, _ := r[1].AsString()
 		seen[s] = true
-	}
-	tbl2.mu.RUnlock()
+		return true
+	})
 	if len(seen) != 2 || !seen["acked"] || !seen["resumed"] || seen["doomed"] {
 		t.Fatalf("rows after reopen = %v", seen)
 	}

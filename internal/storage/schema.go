@@ -79,8 +79,9 @@ func (s *Schema) ColIndex(name string) int {
 // HasPrimaryKey reports whether a primary key is declared.
 func (s *Schema) HasPrimaryKey() bool { return len(s.pkCols) > 0 }
 
-// Row is one table row; values are positional per Schema.Columns. Rows
-// are immutable once stored: updates replace the slice wholesale.
+// Row is one table row; values are positional per Schema.Columns. A
+// table stores rows packed and hands out fresh copies, so a Row never
+// changes under its holder: an update replaces the stored row wholesale.
 type Row []val.Value
 
 // RowID addresses a row within its table.

@@ -10,10 +10,17 @@ import (
 
 // Table holds rows and indexes for one schema. All exported methods are
 // safe for concurrent use; mutation happens only through transactions.
+//
+// A stored row is one packed string: its values' val.AppendBinary
+// encodings back to back, the WAL's row encoding without the count (the
+// schema fixes it), so a row costs its encoded size, not 32 bytes per
+// column. Every read unpacks into a fresh Row whose string and bytes
+// values alias the immutable image: a reader may keep or modify it.
 type Table struct {
 	mu      sync.RWMutex
 	schema  *Schema
-	rows    map[RowID]Row
+	rows    map[RowID]string
+	pack    []byte // packing scratch; t.mu held for writing
 	nextID  RowID
 	pk      map[string]RowID // encoded primary key → row ID
 	indexes map[string]*Index
@@ -26,7 +33,7 @@ type Table struct {
 func newTable(s *Schema) *Table {
 	t := &Table{
 		schema:  s,
-		rows:    make(map[RowID]Row),
+		rows:    make(map[RowID]string),
 		nextID:  1,
 		indexes: make(map[string]*Index),
 	}
@@ -69,9 +76,12 @@ func (t *Table) LastCommit() uint64 {
 // Get returns the row with the given ID.
 func (t *Table) Get(id RowID) (Row, bool) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	r, ok := t.rows[id]
-	return r, ok
+	img, ok := t.rows[id]
+	t.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	return t.unpack(img), true
 }
 
 // GetByPK returns the row whose primary key equals the given values.
@@ -85,17 +95,17 @@ func (t *Table) GetByPK(keyVals ...val.Value) (Row, RowID, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	return t.rows[id], id, true
+	return t.unpack(t.rows[id]), id, true
 }
 
 // Scan calls fn for every row until fn returns false. The snapshot is
-// consistent: the table read lock is held for the duration, and rows are
-// immutable, so fn may retain them.
+// consistent: the table read lock is held for the duration, and every
+// row is a fresh copy, so fn may retain it.
 func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for id, r := range t.rows {
-		if !fn(id, r) {
+	for id, img := range t.rows {
+		if !fn(id, t.unpack(img)) {
 			return
 		}
 	}
@@ -103,15 +113,79 @@ func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 
 // ScanRows returns all rows with their IDs (a stable snapshot copy).
 func (t *Table) ScanRows() ([]RowID, []Row) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]RowID, 0, len(t.rows))
-	rows := make([]Row, 0, len(t.rows))
-	for id, r := range t.rows {
-		ids = append(ids, id)
-		rows = append(rows, r)
-	}
+	ids, rows, _ := t.ScanRowsWhere(nil)
 	return ids, rows
+}
+
+// ScanRowsWhere is ScanRows restricted to the rows keep accepts (every
+// row if keep is nil). keep is handed a scratch row that the next row
+// overwrites, so only accepted rows are copied out of the table; its
+// first error ends the scan. The table lock covers the snapshot only.
+func (t *Table) ScanRowsWhere(keep func(Row) (bool, error)) ([]RowID, []Row, error) {
+	t.mu.RLock()
+	ids := make([]RowID, 0, len(t.rows))
+	imgs := make([]string, 0, len(t.rows))
+	for id, img := range t.rows {
+		ids = append(ids, id)
+		imgs = append(imgs, img)
+	}
+	t.mu.RUnlock()
+	var rows []Row
+	scratch := make(Row, len(t.schema.Columns))
+	for i, img := range imgs {
+		t.unpackInto(scratch, img)
+		if keep != nil {
+			ok, err := keep(scratch)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		ids[len(rows)] = ids[i]
+		rows = append(rows, append(Row(nil), scratch...))
+	}
+	return ids[:len(rows)], rows, nil
+}
+
+// row returns the stored row id, unpacked. Caller holds t.mu.
+func (t *Table) row(id RowID) (Row, bool) {
+	img, ok := t.rows[id]
+	if !ok {
+		return nil, false
+	}
+	return t.unpack(img), true
+}
+
+// unpack decodes a row image into a fresh Row: one allocation, since
+// string and bytes values alias the image instead of copying out of it.
+func (t *Table) unpack(img string) Row {
+	return t.unpackInto(make(Row, len(t.schema.Columns)), img)
+}
+
+// unpackInto decodes a row image into r, which has the schema's width.
+func (t *Table) unpackInto(r Row, img string) Row {
+	for i := range r {
+		v, n, err := val.DecodeBinary(img)
+		if err != nil {
+			panic(fmt.Sprintf("storage: table %q: corrupt row image: %v", t.schema.Name, err))
+		}
+		r[i], img = v, img[n:]
+	}
+	return r
+}
+
+// packRow encodes r as a row image. Caller holds t.mu for writing.
+func (t *Table) packRow(r Row) string {
+	buf := t.pack[:0]
+	for _, v := range r {
+		buf = val.AppendBinary(buf, v)
+	}
+	if cap(buf) <= maxCommitBuf { // one huge row must not pin its size
+		t.pack = buf
+	}
+	return string(buf)
 }
 
 // LookupEq uses the named index for an equality lookup. Numeric probe
@@ -223,7 +297,7 @@ func (t *Table) IndexOn(col string, ranged bool) string {
 // applyInsert stores the row (already validated), maintaining indexes.
 // Caller holds t.mu.
 func (t *Table) applyInsert(id RowID, r Row) {
-	t.rows[id] = r
+	t.rows[id] = t.packRow(r)
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
@@ -237,7 +311,7 @@ func (t *Table) applyInsert(id RowID, r Row) {
 
 // applyUpdate replaces row id with newRow. Caller holds t.mu.
 func (t *Table) applyUpdate(id RowID, old, newRow Row) {
-	t.rows[id] = newRow
+	t.rows[id] = t.packRow(newRow)
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))
 		t.pk[t.schema.pkKey(newRow)] = id

@@ -40,8 +40,10 @@ func AppendBinary(dst []byte, v Value) []byte {
 }
 
 // DecodeBinary decodes one value from buf, returning the value and the
-// number of bytes consumed.
-func DecodeBinary(buf []byte) (Value, int, error) {
+// number of bytes consumed. Decoding a []byte copies a string or bytes
+// payload out of buf; decoding a string aliases it, since a string is
+// immutable — the value is a substring of buf and costs no allocation.
+func DecodeBinary[B string | []byte](buf B) (Value, int, error) {
 	if len(buf) == 0 {
 		return Null, 0, fmt.Errorf("val: empty buffer")
 	}
@@ -59,19 +61,26 @@ func DecodeBinary(buf []byte) (Value, int, error) {
 		}
 		return Bool(buf[1] != 0), 2, nil
 	case KindInt, KindTime:
-		n, sz := binary.Varint(buf[pos:])
+		ux, sz := uvarint(buf[pos:])
 		if sz <= 0 {
 			return Null, 0, fmt.Errorf("val: bad varint")
+		}
+		n := int64(ux >> 1) // zig-zag, as binary.Varint
+		if ux&1 != 0 {
+			n = ^n
 		}
 		return Value{kind: k, n: n}, pos + sz, nil
 	case KindFloat:
 		if len(buf) < pos+8 {
 			return Null, 0, fmt.Errorf("val: short float")
 		}
-		bits := binary.BigEndian.Uint64(buf[pos:])
+		var bits uint64 // big-endian, as binary.BigEndian.Uint64
+		for i := pos; i < pos+8; i++ {
+			bits = bits<<8 | uint64(buf[i])
+		}
 		return Float(math.Float64frombits(bits)), pos + 8, nil
 	case KindString, KindBytes:
-		n, sz := binary.Uvarint(buf[pos:])
+		n, sz := uvarint(buf[pos:])
 		if sz <= 0 {
 			return Null, 0, fmt.Errorf("val: bad length")
 		}
@@ -79,16 +88,32 @@ func DecodeBinary(buf []byte) (Value, int, error) {
 		if uint64(len(buf)-pos) < n {
 			return Null, 0, fmt.Errorf("val: short payload: want %d have %d", n, len(buf)-pos)
 		}
-		payload := buf[pos : pos+int(n)]
-		pos += int(n)
-		if k == KindString {
-			return String(string(payload)), pos, nil
-		}
-		cp := make([]byte, len(payload))
-		copy(cp, payload)
-		return Bytes(cp), pos, nil
+		payload := string(buf[pos : pos+int(n)])
+		return Value{kind: k, s: payload}, pos + int(n), nil
 	}
 	return Null, 0, fmt.Errorf("val: unreachable kind %d", k)
+}
+
+// uvarint is binary.Uvarint over either representation: the value and
+// the bytes read, 0 if buf is too short, negative on overflow.
+func uvarint[B string | []byte](buf B) (uint64, int) {
+	var x uint64
+	var s uint
+	for i := 0; i < len(buf); i++ {
+		if i == binary.MaxVarintLen64 {
+			return 0, -(i + 1)
+		}
+		b := buf[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -(i + 1)
+			}
+			return x | uint64(b)<<s, i + 1
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, 0
 }
 
 // AppendKey appends an order-preserving key encoding of v to dst:

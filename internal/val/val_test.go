@@ -1,6 +1,7 @@
 package val
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -291,6 +292,91 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if pos != len(buf) {
 		t.Errorf("decoded %d of %d bytes", pos, len(buf))
 	}
+}
+
+// TestPackedRoundTrip packs values back to back, as a stored table row
+// is, and unpacks them from the string with DecodeBinary: every kind
+// and edge comes back bit for bit, and a string or bytes payload is a
+// view of the packed string rather than a copy.
+func TestPackedRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    Value
+	}{
+		{"null", Null},
+		{"true", Bool(true)},
+		{"false", Bool(false)},
+		{"min int", Int(math.MinInt64)},
+		{"max int", Int(math.MaxInt64)},
+		{"zero int", Int(0)},
+		{"negative zero", Float(math.Copysign(0, -1))},
+		{"NaN", Float(math.NaN())},
+		{"+Inf", Float(math.Inf(1))},
+		{"-Inf", Float(math.Inf(-1))},
+		{"time with nanoseconds", Time(time.Date(2026, 1, 2, 3, 4, 5, 678901234, time.UTC))},
+		{"empty string", String("")},
+		{"multi-byte string", String("héllo, 世界")},
+		{"invalid UTF-8 string", String("a\xff\xfeb")},
+		{"empty bytes", Bytes([]byte{})},
+		{"nil bytes", Bytes(nil)},
+		{"bytes", Bytes([]byte{0, 1, 255})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A neighbour on each side, so the value is unpacked from the
+			// middle of a row image.
+			packed := string(AppendBinary(AppendBinary(AppendBinary(nil, Int(7)), tc.v), String("tail")))
+			_, n, err := DecodeBinary(packed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, m, err := DecodeBinary(packed[n:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.v {
+				t.Errorf("unpacked %v (%#v), want %v (%#v)", got, got, tc.v, tc.v)
+			}
+			if want := len(AppendBinary(nil, tc.v)); m != want {
+				t.Errorf("consumed %d bytes, want %d", m, want)
+			}
+			if last, _, err := DecodeBinary(packed[n+m:]); err != nil || last != String("tail") {
+				t.Errorf("next value = %v, %v", last, err)
+			}
+			if len(got.s) > 0 {
+				start := uintptr(unsafe.Pointer(unsafe.StringData(packed)))
+				p := uintptr(unsafe.Pointer(unsafe.StringData(got.s)))
+				if p < start || p >= start+uintptr(len(packed)) {
+					t.Error("payload was copied out of the packed string")
+				}
+			}
+		})
+	}
+}
+
+// FuzzDecodeBinaryString holds DecodeBinary's string instantiation to
+// its []byte one: the same inputs are accepted, with the same value and
+// the same length consumed. Its varint reader is held to encoding/binary.
+func FuzzDecodeBinaryString(f *testing.F) {
+	for _, v := range []Value{Null, Bool(true), Int(-1), Int(math.MaxInt64), Float(math.NaN()),
+		String("héllo"), Time(time.Unix(1, 2)), Bytes([]byte{0, 255})} {
+		f.Add(AppendBinary(nil, v))
+	}
+	f.Add([]byte{byte(KindInt), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})
+	f.Add([]byte{byte(KindString), 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bv, bn, berr := DecodeBinary(data)
+		sv, sn, serr := DecodeBinary(string(data))
+		if (berr == nil) != (serr == nil) {
+			t.Fatalf("[]byte err %v, string err %v", berr, serr)
+		}
+		if bv != sv || bn != sn {
+			t.Fatalf("[]byte %#v/%d, string %#v/%d", bv, bn, sv, sn)
+		}
+		wx, wn := binary.Uvarint(data)
+		if x, n := uvarint(string(data)); x != wx || n != wn {
+			t.Fatalf("uvarint = %d/%d, encoding/binary %d/%d", x, n, wx, wn)
+		}
+	})
 }
 
 func TestDecodeBinaryErrors(t *testing.T) {
