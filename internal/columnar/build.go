@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
@@ -146,35 +145,45 @@ func (t *zoneTrack) done() Zone {
 	return t.z
 }
 
-// encodeInts delta-encodes an int64-backed vector. A null row encodes
-// as delta 0, which keeps the stream dense.
+// encodeInts frames an int64-backed vector batch by batch (see
+// intColumn): a pass for each batch's bounds, which size the data
+// exactly, then one for the offsets.
 func encodeInts(k val.Kind, vals []int64, null []bool, nulls []uint64, z Zone) *intColumn {
-	c := &intColumn{k: k, rows: len(vals), nulls: nulls, data: make([]byte, 0, len(vals)*2)}
-	var prev, lo, hi int64
-	for i, cur := range vals {
-		if i%BatchSize == 0 {
-			c.marks = append(c.marks, intMark{off: len(c.data), prev: prev})
+	c := &intColumn{k: k, rows: len(vals), nulls: nulls, frames: make([]intFrame, 0, (len(vals)+BatchSize-1)/BatchSize)}
+	var lo, hi int64
+	size := 0
+	for start := 0; start < len(vals); start += BatchSize {
+		end := min(start+BatchSize, len(vals))
+		f, seen := intFrame{}, false
+		for i, v := range vals[start:end] {
+			if !null[start+i] {
+				if !seen {
+					f, seen = intFrame{v, v}, true
+				}
+				f = intFrame{min(f.lo, v), max(f.hi, v)}
+			}
 		}
+		if seen {
+			if !z.OK {
+				lo, hi, z.OK = f.lo, f.hi, true
+			}
+			lo, hi = min(lo, f.lo), max(hi, f.hi)
+		}
+		c.frames = append(c.frames, f)
+		size += f.width() * (end - start)
+	}
+	c.data = make([]byte, 0, size)
+	var word [8]byte
+	for i, v := range vals {
+		f := c.frames[i/BatchSize]
 		if null[i] {
-			cur = prev
-		} else {
-			if !z.OK || cur < lo {
-				lo = cur
-			}
-			if !z.OK || cur > hi {
-				hi = cur
-			}
-			z.OK = true
+			v = f.lo
 		}
-		c.data = binary.AppendVarint(c.data, cur-prev)
-		prev = cur
+		binary.LittleEndian.PutUint64(word[:], uint64(v)-uint64(f.lo))
+		c.data = append(c.data, word[:f.width()]...)
 	}
 	if z.OK {
-		if k == val.KindTime {
-			z.Min, z.Max = val.Time(time.Unix(0, lo).UTC()), val.Time(time.Unix(0, hi).UTC())
-		} else {
-			z.Min, z.Max = val.Int(lo), val.Int(hi)
-		}
+		z.Min, z.Max = c.value(lo), c.value(hi)
 	}
 	c.z = z
 	return c

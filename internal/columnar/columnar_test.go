@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -211,6 +212,43 @@ func TestZoneMaps(t *testing.T) {
 	}
 	if probe("qty BETWEEN 100 AND 200") {
 		t.Error("out-of-range BETWEEN should prune")
+	}
+}
+
+// TestBatchZonesPrune: a reader told a conjunct skips exactly the
+// batches whose zones exclude it and still yields every row that
+// satisfies it — here a time range, which the query language has no
+// literal for, ending on a batch boundary.
+func TestBatchZonesPrune(t *testing.T) {
+	schema := eventsSchema(t)
+	rng := rand.New(rand.NewSource(23))
+	n := 4*BatchSize + 100
+	rows, ids, lsns := make([]storage.Row, n), make([]storage.RowID, n), make([]uint64, n)
+	for i := range rows {
+		r, err := schema.RowFromMap(randEvent(rng, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i], ids[i], lsns[i] = r, storage.RowID(i+1), uint64(i+1)
+	}
+	seg, err := buildSegment("events", schema, ids, lsns, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := func(i int) val.Value { return val.Time(time.Unix(1700000000+int64(i), 0).UTC()) }
+	rd := seg.NewReader(nil)
+	rd.Prune(nil, []expr.RangePred{{Field: "ts", Lo: ts(1100), Hi: ts(2*BatchSize - 1)}})
+	var b Batch
+	got := 0
+	for rd.Next(&b) {
+		for i := 0; i < b.Len; i++ {
+			if at, _ := b.Vecs[1].Value(i).AsTime(); at.Unix()-1700000000 >= 1100 && at.Unix()-1700000000 < 2*BatchSize {
+				got++
+			}
+		}
+	}
+	if entered, pruned := rd.Batches(); entered != 5 || pruned != 4 || got != 2*BatchSize-1100 {
+		t.Fatalf("entered %d batches, pruned %d, found %d rows in range; want 5, 4, %d", entered, pruned, got, 2*BatchSize-1100)
 	}
 }
 
@@ -725,6 +763,93 @@ func TestAllocsFilterScan(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("segment scan allocates %v/pass, want 0", a)
 	}
+}
+
+// FuzzIntColumn round-trips int and time vectors through encodeInts:
+// every batch read whole, and again at a random selection into buffers
+// an earlier batch left dirty, gives back the input at the rows read,
+// and each batch's zone is exactly the min, max and null count of its
+// rows. Each input byte picks a row's shape — NULL, an int64 extreme, a
+// repeat of the row before (constant batches), or a value of some bit
+// width — cycling over the rows; n sets the row count, one to three
+// batches and a part.
+func FuzzIntColumn(f *testing.F) {
+	f.Add([]byte{3}, uint16(5000), false)                    // one value throughout: width 0
+	f.Add([]byte{1, 2, 3, 3}, uint16(2100), false)           // MinInt64 and MaxInt64 in each batch: width 8
+	f.Add([]byte{0, 0, 5, 0}, uint16(1500), true)            // mostly NULL
+	f.Add([]byte{0}, uint16(1024), false)                    // all NULL
+	f.Add([]byte{4, 9, 200, 77, 13}, uint16(0), true)        // one row
+	f.Add([]byte{250, 4, 101, 66, 3, 7}, uint16(3100), true) // mixed widths, a partial last batch
+	f.Add([]byte{7}, uint16(1500), false)                    // spans of 57 bits: a byte past a boundary
+	f.Add([]byte{15, 7}, uint16(2100), true)                 // 49 bits, then 57
+	f.Fuzz(func(t *testing.T, data []byte, n uint16, isTime bool) {
+		if len(data) == 0 {
+			return
+		}
+		kind := val.KindInt
+		if isTime {
+			kind = val.KindTime
+		}
+		rows := int(n)%(3*BatchSize+200) + 1
+		vals, null := make([]int64, rows), make([]bool, rows)
+		for i := range vals {
+			switch c := data[i%len(data)]; {
+			case c%8 == 0:
+				null[i] = true
+			case c%8 == 1:
+				vals[i] = math.MinInt64
+			case c%8 == 2:
+				vals[i] = math.MaxInt64
+			case c%8 == 3 && i > 0:
+				vals[i] = vals[i-1]
+			default:
+				vals[i] = int64(uint64(c)*0x9E3779B97F4A7C15*uint64(i+1)) >> (c % 64)
+			}
+		}
+		nulls, z := packNulls(null)
+		c := encodeInts(kind, vals, null, nulls, z)
+		rng := rand.New(rand.NewSource(int64(rows)))
+		var whole, own, picked, pickedOwn Vector
+		for b := 0; b*BatchSize < rows; b++ {
+			start, n := b*BatchSize, min(BatchSize, rows-b*BatchSize)
+			var sel []int32
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			c.read(&whole, &own, start, n, allRows[:n])
+			c.read(&picked, &pickedOwn, start, n, sel)
+			check := func(v *Vector, at []int32) {
+				for _, i := range at {
+					p := start + int(i)
+					if v.Null[i] != null[p] || !null[p] && v.I64[i] != vals[p] {
+						t.Fatalf("row %d: read %d (null %v), want %d (null %v)", p, v.I64[i], v.Null[i], vals[p], null[p])
+					}
+				}
+			}
+			check(&whole, allRows[:n])
+			check(&picked, sel)
+
+			want := Zone{}
+			var lo, hi int64
+			for p := start; p < start+n; p++ {
+				switch {
+				case null[p]:
+					want.Nulls++
+				case !want.OK:
+					lo, hi, want.OK = vals[p], vals[p], true
+				default:
+					lo, hi = min(lo, vals[p]), max(hi, vals[p])
+				}
+			}
+			got, gotRows := c.batchZone(b)
+			if gotRows != n || got.Nulls != want.Nulls || got.OK != want.OK ||
+				want.OK && (!val.Equal(got.Min, c.value(lo)) || !val.Equal(got.Max, c.value(hi)) || got.Min.Kind() != kind) {
+				t.Fatalf("batch %d zone %+v over %d rows, want %d rows, %d nulls, [%d, %d]", b, got, gotRows, n, want.Nulls, lo, hi)
+			}
+		}
+	})
 }
 
 func TestSegmentFileNameStability(t *testing.T) {

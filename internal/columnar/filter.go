@@ -725,26 +725,5 @@ func compileCmp(field string, op expr.BinaryOp, lit val.Value, schema *storage.S
 // single column. Conservative by construction — the conjuncts are
 // necessary conditions of the full predicate.
 func (s *Segment) CanMatch(eqs []expr.EqPred, ranges []expr.RangePred) bool {
-	for i := range eqs {
-		ci := s.schema.ColIndex(eqs[i].Field)
-		if ci < 0 {
-			// Unknown field: the conjunct evaluates NULL for every
-			// row, so nothing in this segment (or anywhere) matches.
-			return false
-		}
-		if zoneExcludesEq(s.cols[ci].zone(), s.rows, eqs[i].Value) {
-			return false
-		}
-	}
-	for i := range ranges {
-		r := &ranges[i]
-		ci := s.schema.ColIndex(r.Field)
-		if ci < 0 {
-			return false
-		}
-		if zoneExcludesRange(s.cols[ci].zone(), s.rows, r.Lo, r.Hi, r.LoOpen, r.HiOpen, r.LoUnbounded, r.HiUnbounded) {
-			return false
-		}
-	}
-	return true
+	return s.admits(-1, eqs, ranges)
 }

@@ -1,8 +1,9 @@
 // Package columnar implements the engine's columnar event-history
 // store: immutable sealed segments holding table history as typed
-// column vectors — dictionary-encoded strings, delta-encoded
+// column vectors — dictionary-encoded strings, frame-of-reference
 // int64/timestamps, validity bitmaps — with per-segment zone maps
-// (min/max/null-count per column) for scan pruning.
+// (min/max/null-count per column) for scan pruning, and per-batch ones
+// on int and time columns, whose frames are their zones.
 //
 // Committed inserts land in an append-only columnar tail (tail.go): the
 // same typed vectors, unencoded, with a running zone map per column. A
@@ -18,8 +19,10 @@ package columnar
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"time"
 
+	"eventdb/internal/expr"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -122,44 +125,47 @@ func (s *Segment) Zone(ci int) Zone { return s.cols[ci].zone() }
 // a view of the tail.
 type column interface {
 	zone() Zone
-	// newCursor returns a decoder over the column that fills dst,
-	// allocating whatever buffers dst needs.
-	newCursor(dst *Vector) cursor
+	// read decodes rows [row, row+n) of one batch into dst: at least
+	// the values and nulls at the positions sel lists (a column already
+	// in vector form hands out all n). What has to be decoded goes into
+	// own's buffers, which the caller keeps from batch to batch and
+	// segment to segment; what need not be may alias the column.
+	read(dst, own *Vector, row, n int, sel []int32)
 	// memBytes approximates the column's in-memory footprint.
 	memBytes() int
-}
-
-// cursor decodes a column one batch at a time.
-type cursor interface {
-	// read decodes the n values starting at row into dst. row is a
-	// multiple of BatchSize and n at most BatchSize; dst's buffers are
-	// reused across calls. Sequential batches are the fast case, but
-	// any batch may follow any other.
-	read(dst *Vector, row, n int)
 }
 
 // noNulls is the Null vector of every column without a null: shared
 // and never written.
 var noNulls [BatchSize]bool
 
-// nullBuffer returns the Null vector for a cursor over a column with
-// the given validity bitmap.
-func nullBuffer(nulls []uint64) []bool {
-	if nulls == nil {
-		return noNulls[:]
+// allRows selects every row of a batch.
+var allRows = func() (sel [BatchSize]int32) {
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	return make([]bool, BatchSize)
+	return sel
+}()
+
+// grow returns *buf, a decode buffer of BatchSize, made on first use.
+func grow[T any](buf *[]T) []T {
+	if *buf == nil {
+		*buf = make([]T, BatchSize)
+	}
+	return *buf
 }
 
-// fillNulls expands rows [row, row+n) of a validity bitmap into dst,
-// which came from nullBuffer(nulls).
-func fillNulls(dst []bool, nulls []uint64, row, n int) {
+// nullsOf expands rows [row, row+n) of a validity bitmap, at sel, into
+// a Null vector: the shared all-false one when there is no null.
+func nullsOf(own *Vector, nulls []uint64, row, n int, sel []int32) []bool {
 	if nulls == nil {
-		return
+		return noNulls[:n]
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = deadBit(nulls, row+i)
+	out := grow(&own.Null)[:n]
+	for _, i := range sel {
+		out[i] = deadBit(nulls, row+int(i))
 	}
+	return out
 }
 
 // Vector is a decoded batch of one column. Exactly one payload slice
@@ -170,8 +176,10 @@ func fillNulls(dst []bool, nulls []uint64, row, n int) {
 //	string          → Code (+ Dict, the segment-wide dictionary)
 //	bytes           → Bytes (sub-slices of the segment blob; read-only)
 //
-// Null[i] reports row nullness and is always populated. Vectors are
-// read-only: a payload slice may alias the column's own storage.
+// Null[i] reports row nullness. Values and nulls are populated at the
+// rows the batch was decoded for (see Reader.Fill); elsewhere they are
+// left over from an earlier batch. Vectors are read-only: a payload
+// slice may alias the column's own storage.
 type Vector struct {
 	Kind  val.Kind
 	I64   []int64
@@ -217,79 +225,90 @@ type Batch struct {
 	Vecs  []*Vector
 }
 
-// Reader streams a segment's rows as batches, decoding only the
-// requested columns. Buffers are allocated once per column and reused,
-// so a full-segment scan costs a handful of allocations total, none
-// per row.
+// Reader streams batches of rows, decoding only the requested columns
+// into buffers it owns. One reader serves a whole scan — Reset points
+// it at the next segment of the table and keeps the buffers — so a
+// query allocates them once, not per segment, and none per row.
 type Reader struct {
-	seg     *Segment
-	eager   []int    // columns every Next decodes
-	cursors []cursor // per schema column, nil until first decoded
-	vecs    []Vector
-	pos     int
+	seg  *Segment
+	need []bool   // columns every Next decodes; nil: all
+	vecs []Vector // what a batch's vectors point at
+	own  []Vector // per column, the decode buffers behind vecs
+	pos  int
+
+	// Conjuncts every batch's zones must admit (Prune), and the batches
+	// entered and skipped so far.
+	eqs             []expr.EqPred
+	ranges          []expr.RangePred
+	batches, pruned int
 }
 
 // NewReader creates a reader over the segment whose Next decodes the
 // columns where need[ci] is true (need == nil decodes every column).
 // Further columns can be decoded per batch with Fill.
 func (s *Segment) NewReader(need []bool) *Reader {
-	r := &Reader{
-		seg:     s,
-		eager:   make([]int, 0, len(s.cols)),
-		cursors: make([]cursor, len(s.cols)),
-		vecs:    make([]Vector, len(s.cols)),
+	r := &Reader{need: need, vecs: make([]Vector, len(s.cols)), own: make([]Vector, len(s.cols))}
+	for ci, c := range s.schema.Columns {
+		r.vecs[ci].Kind = c.Kind
 	}
-	for ci, c := range s.cols {
-		if need == nil || need[ci] {
-			r.cursors[ci] = c.newCursor(&r.vecs[ci])
-			r.eager = append(r.eager, ci)
-		}
-	}
+	r.Reset(s)
 	return r
 }
 
-// Next decodes the next batch into b, returning false at end of
-// segment. b's vector pointers alias the reader's reusable buffers
-// and are only valid until the following Next call.
+// Reset points the reader at the first batch of s, a segment of the
+// same table.
+func (r *Reader) Reset(s *Segment) { r.seg, r.pos = s, 0 }
+
+// Prune makes Next skip every batch whose zones exclude one of the
+// conjuncts — the test CanMatch applies to a whole segment.
+func (r *Reader) Prune(eqs []expr.EqPred, ranges []expr.RangePred) {
+	r.eqs, r.ranges = eqs, ranges
+}
+
+// Batches reports how many batches the reader has entered, and how
+// many of those Prune's conjuncts let it skip.
+func (r *Reader) Batches() (entered, pruned int) { return r.batches, r.pruned }
+
+// Next decodes the next batch the zones admit into b, returning false
+// at end of segment. b's vector pointers alias the reader's reusable
+// buffers and are only valid until the following Next call.
 func (r *Reader) Next(b *Batch) bool {
-	if r.pos >= r.seg.rows {
-		return false
+	for r.pos < r.seg.rows {
+		start, n := r.pos, min(r.seg.rows-r.pos, BatchSize)
+		r.pos += n
+		r.batches++
+		if !r.seg.admits(start/BatchSize, r.eqs, r.ranges) {
+			r.pruned++
+			continue
+		}
+		if b.Vecs == nil {
+			b.Vecs = make([]*Vector, len(r.vecs))
+		}
+		clear(b.Vecs)
+		b.Seg, b.Start, b.Len = r.seg, start, n
+		r.Fill(b, r.need, nil)
+		return true
 	}
-	n := r.seg.rows - r.pos
-	if n > BatchSize {
-		n = BatchSize
-	}
-	if b.Vecs == nil {
-		b.Vecs = make([]*Vector, len(r.cursors))
-	}
-	for ci := range b.Vecs {
-		b.Vecs[ci] = nil
-	}
-	for _, ci := range r.eager {
-		r.cursors[ci].read(&r.vecs[ci], r.pos, n)
-		b.Vecs[ci] = &r.vecs[ci]
-	}
-	b.Seg = r.seg
-	b.Start = r.pos
-	b.Len = n
-	r.pos += n
-	return true
+	return false
 }
 
 // Fill decodes into the current batch b the columns where cols[ci] is
-// true and that Next did not decode. A scan decodes its predicate
-// columns with Next and calls Fill only for batches with a matching
-// row, so the other columns of a batch without one are never decoded.
-func (r *Reader) Fill(b *Batch, cols []bool) {
-	for ci, want := range cols {
-		if !want || b.Vecs[ci] != nil {
-			continue
+// true (cols == nil: all) and that Next did not decode, at the rows sel
+// lists (nil: every row). A scan decodes its predicate columns with Next and fills the
+// others at its selection, so a batch without a selected row has them
+// never decoded, and an int or time column is decoded at the selected
+// rows only. Its other positions hold whatever an earlier batch left:
+// the sinks (the query package's projector and group table) read a
+// batch at its selection alone.
+func (r *Reader) Fill(b *Batch, cols []bool, sel []int32) {
+	if sel == nil {
+		sel = allRows[:b.Len]
+	}
+	for ci := range r.vecs {
+		if (cols == nil || cols[ci]) && b.Vecs[ci] == nil {
+			r.seg.cols[ci].read(&r.vecs[ci], &r.own[ci], b.Start, b.Len, sel)
+			b.Vecs[ci] = &r.vecs[ci]
 		}
-		if r.cursors[ci] == nil {
-			r.cursors[ci] = r.seg.cols[ci].newCursor(&r.vecs[ci])
-		}
-		r.cursors[ci].read(&r.vecs[ci], b.Start, b.Len)
-		b.Vecs[ci] = &r.vecs[ci]
 	}
 }
 
@@ -308,61 +327,79 @@ func (b *Batch) MaterializeRow(dst storage.Row, i int) {
 
 // ---- column implementations ----
 
-// intColumn stores int64-backed kinds (int, time-as-nanos) as a
-// zigzag-varint delta stream: each value is encoded as the delta from
-// its predecessor, which collapses timestamps and monotone counters
-// to one or two bytes per row. Nulls encode as delta 0 with the
-// validity bit cleared.
+// intColumn stores int64-backed kinds (int, time as Unix nanoseconds)
+// frame-of-reference per batch: each batch keeps the minimum and
+// maximum of its non-null rows, and each row its offset from that
+// minimum in as few little-endian bytes as the batch's span needs —
+// none for a constant batch, eight for one spanning all of int64. A
+// null row stores offset 0, its validity bit set. Any row is one load
+// and a mask, so there is no decoder state to carry from row to row or
+// batch to batch, and a batch's frame is its zone map (batchZone).
 type intColumn struct {
-	k     val.Kind
-	data  []byte
-	rows  int
-	nulls []uint64 // validity bitmap (bit set = null); nil when none
-	z     Zone
-	// marks[b] is the decoder state at row b*BatchSize, so a cursor can
-	// start at any batch without decoding the ones before it.
-	marks []intMark
+	k      val.Kind
+	frames []intFrame // per batch
+	data   []byte     // the batches' offsets, back to back
+	rows   int
+	nulls  []uint64 // validity bitmap (bit set = null); nil when none
+	z      Zone
 }
 
-// intMark is an intColumn decoder state: the offset of a row's delta
-// in data and the value of the row before it.
-type intMark struct {
-	off  int
-	prev int64
-}
+// intFrame bounds one batch's non-null values; both are 0 in a batch
+// of nulls.
+type intFrame struct{ lo, hi int64 }
+
+// width is how many bytes each row offset of the batch takes.
+func (f intFrame) width() int { return (bits.Len64(uint64(f.hi)-uint64(f.lo)) + 7) / 8 }
 
 func (c *intColumn) zone() Zone    { return c.z }
-func (c *intColumn) memBytes() int { return len(c.data) + len(c.nulls)*8 + len(c.marks)*16 }
+func (c *intColumn) memBytes() int { return len(c.data) + len(c.nulls)*8 + len(c.frames)*16 }
 
-type intCursor struct {
-	c   *intColumn
-	row int     // the next row in sequence
-	at  intMark // decoder state at row
+func (c *intColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	b := row / BatchSize
+	f, data := c.frames[b], c.data
+	for _, g := range c.frames[:b] {
+		data = data[g.width()*BatchSize:]
+	}
+	w := f.width()
+	mask := uint64(1)<<(8*w) - 1 // all ones at w = 8: the shift gives 0
+	out := grow(&own.I64)[:n]
+	rest := sel
+	if len(sel) == n && n*w+8 <= len(data) { // every row, none near the end
+		for i := range out {
+			out[i] = f.lo + int64(binary.LittleEndian.Uint64(data[i*w:])&mask)
+		}
+		rest = nil
+	}
+	for _, i := range rest { // a selection, or a batch at the column's end
+		var word [8]byte
+		copy(word[:], data[int(i)*w:])
+		out[i] = f.lo + int64(binary.LittleEndian.Uint64(word[:])&mask)
+	}
+	dst.I64, dst.Null = out, nullsOf(own, c.nulls, row, n, sel)
 }
 
-func (c *intColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = c.k
-	dst.I64 = make([]int64, BatchSize)
-	dst.Null = nullBuffer(c.nulls)
-	return &intCursor{c: c}
+// batchZone returns the zone of batch b and how many rows it holds.
+func (c *intColumn) batchZone(b int) (Zone, int) {
+	start := b * BatchSize
+	n := min(BatchSize, c.rows-start)
+	z := Zone{}
+	if c.nulls != nil { // start is word-aligned, and no bit past the rows is set
+		for _, word := range c.nulls[start/64 : (start+n+63)/64] {
+			z.Nulls += bits.OnesCount64(word)
+		}
+	}
+	if z.Nulls < n {
+		z.Min, z.Max, z.OK = c.value(c.frames[b].lo), c.value(c.frames[b].hi), true
+	}
+	return z, n
 }
 
-func (cur *intCursor) read(dst *Vector, row, n int) {
-	if row != cur.row {
-		cur.at = cur.c.marks[row/BatchSize]
+// value boxes one of the column's int64s.
+func (c *intColumn) value(x int64) val.Value {
+	if c.k == val.KindTime {
+		return val.Time(time.Unix(0, x).UTC())
 	}
-	data := cur.c.data
-	out := dst.I64[:n]
-	off, prev := cur.at.off, cur.at.prev
-	for i := range out {
-		d, w := binary.Varint(data[off:])
-		off += w
-		prev += d
-		out[i] = prev
-	}
-	cur.at = intMark{off: off, prev: prev}
-	cur.row = row + n
-	fillNulls(dst.Null, cur.c.nulls, row, n)
+	return val.Int(x)
 }
 
 // floatColumn stores float64 values raw (8 bytes each); deltas do not
@@ -376,17 +413,10 @@ type floatColumn struct {
 func (c *floatColumn) zone() Zone    { return c.z }
 func (c *floatColumn) memBytes() int { return len(c.vals)*8 + len(c.nulls)*8 }
 
-func (c *floatColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = val.KindFloat
-	dst.Null = nullBuffer(c.nulls)
-	return c
-}
-
 // read hands out a sub-slice of the stored values: they are immutable
 // and already in vector form.
-func (c *floatColumn) read(dst *Vector, row, n int) {
-	dst.F64 = c.vals[row : row+n]
-	fillNulls(dst.Null, c.nulls, row, n)
+func (c *floatColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	dst.F64, dst.Null = c.vals[row:row+n], nullsOf(own, c.nulls, row, n, sel)
 }
 
 // boolColumn stores values and validity as bitmaps: one bit per row
@@ -401,23 +431,15 @@ type boolColumn struct {
 func (c *boolColumn) zone() Zone    { return c.z }
 func (c *boolColumn) memBytes() int { return len(c.bits)*8 + len(c.nulls)*8 }
 
-func (c *boolColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = val.KindBool
-	dst.I64 = make([]int64, BatchSize)
-	dst.Null = nullBuffer(c.nulls)
-	return c
-}
-
-func (c *boolColumn) read(dst *Vector, row, n int) {
-	out := dst.I64[:n]
-	for i := range out {
-		if deadBit(c.bits, row+i) {
+func (c *boolColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	out := grow(&own.I64)[:n]
+	for _, i := range sel {
+		out[i] = 0
+		if deadBit(c.bits, row+int(i)) {
 			out[i] = 1
-		} else {
-			out[i] = 0
 		}
 	}
-	fillNulls(dst.Null, c.nulls, row, n)
+	dst.I64, dst.Null = out, nullsOf(own, c.nulls, row, n, sel)
 }
 
 // strColumn dictionary-encodes strings: distinct values live once in
@@ -452,16 +474,8 @@ func (c *strColumn) code(s string) int {
 	return -1
 }
 
-func (c *strColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = val.KindString
-	dst.Dict = c.dict
-	dst.Null = nullBuffer(c.nulls)
-	return c
-}
-
-func (c *strColumn) read(dst *Vector, row, n int) {
-	dst.Code = c.codes[row : row+n]
-	fillNulls(dst.Null, c.nulls, row, n)
+func (c *strColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	dst.Dict, dst.Code, dst.Null = c.dict, c.codes[row:row+n], nullsOf(own, c.nulls, row, n, sel)
 }
 
 // bytesColumn stores variable-length blobs back to back with an
@@ -476,18 +490,13 @@ type bytesColumn struct {
 func (c *bytesColumn) zone() Zone    { return c.z }
 func (c *bytesColumn) memBytes() int { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
 
-func (c *bytesColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = val.KindBytes
-	dst.Bytes = make([][]byte, BatchSize)
-	dst.Null = nullBuffer(c.nulls)
-	return c
-}
-
-func (c *bytesColumn) read(dst *Vector, row, n int) {
-	for i := 0; i < n; i++ {
-		dst.Bytes[i] = c.blob[c.offs[row+i]:c.offs[row+i+1]]
+func (c *bytesColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	out := grow(&own.Bytes)[:n]
+	for _, i := range sel {
+		p := row + int(i)
+		out[i] = c.blob[c.offs[p]:c.offs[p+1]]
 	}
-	fillNulls(dst.Null, c.nulls, row, n)
+	dst.Bytes, dst.Null = out, nullsOf(own, c.nulls, row, n, sel)
 }
 
 // rawColumn is an unencoded column: full-length vectors in exactly the
@@ -505,28 +514,60 @@ func (c *rawColumn) memBytes() int {
 	return len(v.I64)*8 + len(v.F64)*8 + len(v.Code)*4 + len(v.Bytes)*24 + len(v.Null)
 }
 
-func (c *rawColumn) newCursor(dst *Vector) cursor {
-	dst.Kind = c.vec.Kind
-	dst.Dict = c.vec.Dict
-	return c
+func (c *rawColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	*dst = c.vec.window(row, row+n)
 }
 
-func (c *rawColumn) read(dst *Vector, row, n int) {
-	v := &c.vec
+// window returns rows [from, to) of a full-length vector.
+func (v *Vector) window(from, to int) Vector {
+	w := Vector{Kind: v.Kind, Dict: v.Dict, Null: v.Null[from:to]}
 	switch v.Kind {
 	case val.KindInt, val.KindTime, val.KindBool:
-		dst.I64 = v.I64[row : row+n]
+		w.I64 = v.I64[from:to]
 	case val.KindFloat:
-		dst.F64 = v.F64[row : row+n]
+		w.F64 = v.F64[from:to]
 	case val.KindString:
-		dst.Code = v.Code[row : row+n]
+		w.Code = v.Code[from:to]
 	case val.KindBytes:
-		dst.Bytes = v.Bytes[row : row+n]
+		w.Bytes = v.Bytes[from:to]
 	}
-	dst.Null = v.Null[row : row+n]
+	return w
 }
 
 // ---- zone-map pruning ----
+
+// admits reports whether the zones of a run of rows — batch b, or the
+// whole segment when b < 0 — leave every equality and range conjunct
+// satisfiable: the one test behind CanMatch and a Reader's skipping of
+// batches. Only int and time columns keep batch zones; for the others
+// the segment's zone stands in for each of its batches.
+func (s *Segment) admits(b int, eqs []expr.EqPred, ranges []expr.RangePred) bool {
+	zoneOf := func(field string) (Zone, int, bool) {
+		ci := s.schema.ColIndex(field)
+		if ci < 0 {
+			// Unknown field: the conjunct evaluates NULL for every row,
+			// so nothing here (or anywhere) matches.
+			return Zone{}, 0, false
+		}
+		if c, ok := s.cols[ci].(*intColumn); ok && b >= 0 {
+			z, n := c.batchZone(b)
+			return z, n, true
+		}
+		return s.cols[ci].zone(), s.rows, true
+	}
+	for i := range eqs {
+		if z, n, ok := zoneOf(eqs[i].Field); !ok || zoneExcludesEq(z, n, eqs[i].Value) {
+			return false
+		}
+	}
+	for i := range ranges {
+		r := &ranges[i]
+		if z, n, ok := zoneOf(r.Field); !ok || zoneExcludesRange(z, n, r.Lo, r.Hi, r.LoOpen, r.HiOpen, r.LoUnbounded, r.HiUnbounded) {
+			return false
+		}
+	}
+	return true
+}
 
 // zoneExcludesEq reports whether the zone map proves no row of the
 // column can equal v.

@@ -221,10 +221,7 @@ func (v *Segment) slice(from, to int, dead []uint64) *Segment {
 	}
 	for ci, c := range v.cols {
 		whole := c.(*rawColumn)
-		part := &rawColumn{z: whole.z}
-		whole.newCursor(&part.vec)
-		whole.read(&part.vec, from, to-from) // a raw column reads by slicing
-		s.cols[ci] = part
+		s.cols[ci] = &rawColumn{vec: whole.vec.window(from, to), z: whole.z}
 	}
 	for p := from; dead != nil && p < to; p++ {
 		if deadBit(dead, p) {

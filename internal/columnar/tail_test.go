@@ -288,8 +288,9 @@ func TestModifiedSpansTailAndSegments(t *testing.T) {
 
 // TestReaderFillMatchesEager: a column decoded late, for only some
 // batches and starting past the first, reads the same values as one
-// decoded by every Next. This is what lets a scan skip the non-predicate
-// columns of batches with no selected row.
+// decoded by every Next — whole, or at a selection only. This is what
+// lets a scan skip the non-predicate columns of batches with no
+// selected row, and decode the rest at the rows it selected.
 func TestReaderFillMatchesEager(t *testing.T) {
 	schema := eventsSchema(t)
 	rng := rand.New(rand.NewSource(17))
@@ -314,18 +315,29 @@ func TestReaderFillMatchesEager(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	rd := seg.NewReader(first)
-	var b Batch
-	for batch := 0; rd.Next(&b); batch++ {
-		if batch == 0 || batch == 2 {
-			continue // never filled: the cursors must not depend on it
-		}
-		rd.Fill(&b, all)
-		got := make(storage.Row, len(schema.Columns))
-		for i := 0; i < b.Len; i++ {
-			b.MaterializeRow(got, i)
-			if !rowsEqual(got, rows[b.Start+i]) {
-				t.Fatalf("row %d filled late = %v, want %v", b.Start+i, got, rows[b.Start+i])
+	got := make(storage.Row, len(schema.Columns))
+	for _, selective := range []bool{false, true} {
+		rd := seg.NewReader(first)
+		var b Batch
+		for batch := 0; rd.Next(&b); batch++ {
+			if batch == 0 || batch == 2 {
+				continue // never filled: no later batch may depend on it
+			}
+			var sel []int32
+			for i := 0; selective && i < b.Len; i++ {
+				if rng.Intn(7) == 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+			rd.Fill(&b, all, sel)
+			if !selective {
+				sel = allRows[:b.Len]
+			}
+			for _, i := range sel {
+				b.MaterializeRow(got, int(i))
+				if want := rows[b.Start+int(i)]; !rowsEqual(got, want) {
+					t.Fatalf("row %d filled late (selective %v) = %v, want %v", b.Start+int(i), selective, got, want)
+				}
 			}
 		}
 	}

@@ -12,10 +12,11 @@ import (
 // segments and its unsealed tail, which expose the same surface — by
 // one loop. A zone-map test skips a segment (or the tail) outright;
 // otherwise the predicate's columns are decoded a 1k-row batch at a
-// time and the predicate runs as compiled vector kernels into a
-// selection vector; only batches with a selected row have their other
-// columns decoded, and only selected rows are boxed, by the sink that
-// aggregates or projects them. The row store is consulted only for
+// time — a batch whose own zones exclude the predicate is skipped —
+// and the predicate runs as compiled vector kernels into a selection
+// vector; only batches with a selected row have their other columns
+// decoded, at the selected rows, and only those rows are boxed, by the
+// sink that aggregates or projects them. The row store is consulted only for
 // rows an UPDATE rewrote after their insert was captured (the
 // snapshot's Modified list). Results are exactly what the row path
 // produces — pinned by the differential tests in colscan_test.go.
@@ -23,6 +24,9 @@ import (
 type colStats struct {
 	segments int // sealed segments in the snapshot
 	pruned   int // sealed segments skipped entirely via zone maps
+	// Batches of the sealed segments scanned, and those skipped by their
+	// own zones.
+	batches, batchesPruned int
 }
 
 // colExec attempts columnar execution of a full-table scan into sink.
@@ -74,9 +78,16 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 
 	mask := make([]int8, columnar.BatchSize)
 	sel := make([]int32, 0, columnar.BatchSize)
+	var rd *columnar.Reader // one for the whole scan
+	var b columnar.Batch
 	scan := func(sv columnar.SegView) error {
-		rd := sv.Seg.NewReader(first)
-		var b columnar.Batch
+		if rd == nil {
+			rd = sv.Seg.NewReader(first)
+			if pred != nil {
+				rd.Prune(pred.EqPreds, pred.RangePreds)
+			}
+		}
+		rd.Reset(sv.Seg)
 		for rd.Next(&b) {
 			sel = sel[:0]
 			if prog != nil {
@@ -104,7 +115,7 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 				continue
 			}
 			if rest != nil {
-				rd.Fill(&b, rest)
+				rd.Fill(&b, rest, sel)
 			}
 			if err := sink.addBatch(&b, sel); err != nil {
 				return err
@@ -120,6 +131,9 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 		if err := scan(sv); err != nil {
 			return stats, true, err
 		}
+	}
+	if rd != nil { // the tail, scanned next, keeps no batch zones
+		stats.batches, stats.batchesPruned = rd.Batches()
 	}
 	if t := snap.Tail; t.Seg != nil && (pred == nil || t.Seg.CanMatch(pred.EqPreds, pred.RangePreds)) {
 		if err := scan(t); err != nil {

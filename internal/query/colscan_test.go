@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -242,21 +243,115 @@ func colQueries() map[string]func() *Query {
 	}
 }
 
-func TestColumnarDifferential(t *testing.T) {
-	db := colDB(t, 900, 60)
-	for name, mk := range colQueries() {
-		col, colErr := mk().Run(db)
-		row, rowErr := mk().NoColumnar().Run(db)
-		if (colErr == nil) != (rowErr == nil) {
-			t.Fatalf("%s: columnar err %v vs row err %v", name, colErr, rowErr)
+// batchZoneDB seals rows 0..8191 as two segments of four batches each
+// under an 800-row tail, then rewrites and deletes rows in every batch.
+// Row id i sits at position i%4096 of its segment; qty is NULL
+// throughout batch 1 and 6000 at row 4000 alone, so the first
+// segment's zones admit predicates that most of its batches' exclude.
+func batchZoneDB(t *testing.T) *storage.DB {
+	t.Helper()
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateTable(colSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := columnar.Attach(db, columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 9000; i++ {
+		ev := colEvent(rng, i)
+		switch {
+		case i >= 1024 && i < 2048:
+			delete(ev, "qty")
+		case i == 4000:
+			ev["qty"] = val.Int(6000)
 		}
-		if colErr != nil {
-			if colErr.Error() != rowErr.Error() {
-				t.Fatalf("%s: error text %q vs %q", name, colErr, rowErr)
+		if _, err := db.Insert("events", ev); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 == 4096 || i+1 == 8192 {
+			if _, err := m.Compact(""); err != nil {
+				t.Fatal(err)
 			}
-			continue
 		}
-		resultEqual(t, name, col, row)
+	}
+	tbl, _ := db.Table("events")
+	rowIDs, stored := tbl.ScanRows()
+	for k, row := range stored {
+		switch id, _ := row[0].AsInt(); id % 50 {
+		case 7: // now matches the qty ranges below, from the row store
+			err = db.UpdateRow("events", rowIDs[k], map[string]val.Value{"qty": val.Int(5000 + id), "sym": val.String("MODX")})
+		case 9:
+			err = db.DeleteRow("events", rowIDs[k])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// batchQueries are the cases batch zones prune (over batchZoneDB): a
+// range inside one batch, int equality, ranges ending on batch
+// boundaries, a batch of NULLs, and rows a skipped batch holds dead
+// copies of that the row store now says match.
+func batchQueries() map[string]func() *Query {
+	where := func(src string) func() *Query { return func() *Query { return New("events").Where(src) } }
+	return map[string]func() *Query{
+		"batch-inside":   where("id >= 1100 AND id < 1900"),
+		"batch-int-eq":   where("id = 2500"),
+		"batch-ends":     where("id < 1024"),
+		"batch-bounds":   where("id > 1023 AND id <= 2047"),
+		"batch-last":     where("id >= 3072 AND id < 4096"),
+		"batch-nulls":    where("qty > -1000"),
+		"batch-nulls-eq": where("qty = 7"),
+		"batch-modified": where("qty >= 5000"),
+		"batch-project": func() *Query {
+			return New("events").Select("id", "ts", "qty", "blob").Where("id >= 2000 AND id < 2100 AND qty > 0")
+		},
+		"batch-group": func() *Query {
+			return New("events").Where("id >= 1100 AND id < 1900").GroupBy("sym").Agg("n", Count, "").Agg("s", Sum, "qty").Agg("hi", Max, "ts")
+		},
+	}
+}
+
+func TestColumnarDifferential(t *testing.T) {
+	for _, fx := range []struct {
+		name  string
+		db    *storage.DB
+		batch map[string]func() *Query
+	}{
+		{"segments of one batch", colDB(t, 900, 60), nil},
+		{"segments of four batches", batchZoneDB(t), batchQueries()},
+	} {
+		queries := colQueries()
+		for name, mk := range fx.batch {
+			queries[name] = mk
+		}
+		for name, mk := range queries {
+			label := fx.name + ", " + name
+			col, plan, colErr := mk().Explain(fx.db)
+			row, rowErr := mk().NoColumnar().Run(fx.db)
+			if (colErr == nil) != (rowErr == nil) {
+				t.Fatalf("%s: columnar err %v vs row err %v", label, colErr, rowErr)
+			}
+			if colErr != nil {
+				if colErr.Error() != rowErr.Error() {
+					t.Fatalf("%s: error text %q vs %q", label, colErr, rowErr)
+				}
+				continue
+			}
+			if fx.batch[name] != nil && (plan.Access != "columnar" || plan.BatchesPruned == 0) {
+				t.Fatalf("%s: plan %+v prunes no batch", label, plan)
+			}
+			resultEqual(t, label, col, row)
+		}
 	}
 }
 
@@ -565,6 +660,29 @@ func TestColumnarPlan(t *testing.T) {
 	}
 	if plan.Access != "scan" {
 		t.Fatalf("NoColumnar plan access = %q, want scan", plan.Access)
+	}
+
+	// The dbmix read shapes: batch zones leave a 2,000-row seq range at
+	// most three batches of each 8-batch segment it enters, and the
+	// aggregate over seq < 4096 the first half of the first segment.
+	trades, m, err := newTradesDB(100_000, 8192, 8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { m.Close(); trades.Close() }()
+	for _, lo := range []int{0, 1000, 8000, 8191, 40_000, 96_304} {
+		src := fmt.Sprintf("seq >= %d AND seq < %d AND qty >= 900", lo, lo+2000)
+		res, plan, err := New("trades").Where(src).Explain(trades)
+		if err != nil || len(res.Rows) == 0 {
+			t.Fatalf("%s: %d rows, err %v", src, len(res.Rows), err)
+		}
+		if plan.Batches == 0 || plan.Batches%8 != 0 || 8*plan.BatchesPruned < 5*plan.Batches {
+			t.Errorf("%s: plan %+v, want at least 5 of every 8 batches pruned", src, plan)
+		}
+	}
+	_, plan, err = New("trades").Where("seq < 4096").GroupBy("sym").Agg("total", Sum, "qty").Agg("n", Count, "").Explain(trades)
+	if err != nil || plan.Batches != 8 || plan.BatchesPruned < 4 {
+		t.Fatalf("grouped aggregate: plan %+v, err %v, want 4 of its segment's 8 batches pruned", plan, err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"eventdb/internal/event"
-	"eventdb/internal/expr"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -194,74 +193,4 @@ func (d *Differ) PollEvents() ([]*event.Event, error) {
 		evs[i] = d.Event(delta)
 	}
 	return evs, nil
-}
-
-// PatternQuery detects patterns across the previous and current states
-// ("if queries reference the current and previous states the occurrence
-// of a specified pattern is an event", §2.2.a.iii.2): a predicate over
-// old./new. images of changed result rows.
-type PatternQuery struct {
-	differ *Differ
-	pred   *expr.Predicate
-}
-
-// NewPatternQuery wraps a differ with a pattern predicate over "old.col"
-// and "new.col" fields.
-func NewPatternQuery(d *Differ, patternSrc string) (*PatternQuery, error) {
-	p, err := expr.Compile(patternSrc)
-	if err != nil {
-		return nil, err
-	}
-	return &PatternQuery{differ: d, pred: p}, nil
-}
-
-// Poll returns the deltas whose old/new images satisfy the pattern.
-func (pq *PatternQuery) Poll() ([]Delta, error) {
-	deltas, err := pq.differ.Poll()
-	if err != nil {
-		return nil, err
-	}
-	var out []Delta
-	for _, delta := range deltas {
-		r := deltaResolver{cols: pq.differ.cols, delta: delta}
-		ok, err := pq.pred.Match(r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, delta)
-		}
-	}
-	return out, nil
-}
-
-type deltaResolver struct {
-	cols  []string
-	delta Delta
-}
-
-func (r deltaResolver) Get(name string) (val.Value, bool) {
-	var row []val.Value
-	switch {
-	case len(name) > 4 && name[:4] == "old.":
-		row, name = r.delta.Old, name[4:]
-	case len(name) > 4 && name[:4] == "new.":
-		row, name = r.delta.New, name[4:]
-	case name == "$kind":
-		return val.String(r.delta.Kind.String()), true
-	default:
-		row = r.delta.New
-		if row == nil {
-			row = r.delta.Old
-		}
-	}
-	if row == nil {
-		return val.Null, true
-	}
-	for i, c := range r.cols {
-		if c == name {
-			return row[i], true
-		}
-	}
-	return val.Null, false
 }

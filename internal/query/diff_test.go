@@ -163,37 +163,3 @@ func TestDifferAggregateQuery(t *testing.T) {
 		t.Errorf("new total = %v", deltas[0].New[1])
 	}
 }
-
-func TestPatternQuery(t *testing.T) {
-	db := positionsDB(t)
-	id := insPos(t, db, "a1", "ACME", 100)
-	q := New("positions").Select("acct", "sym", "qty")
-	d := NewDiffer("pos", q, db, "acct", "sym")
-	// Pattern across states: quantity doubled.
-	pq, err := NewPatternQuery(d, "$kind = 'changed' AND new.qty >= old.qty * 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.Poll(); err != nil { // baseline: Added doesn't match pattern
-		t.Fatal(err)
-	}
-	db.UpdateRow("positions", id, map[string]val.Value{"qty": val.Int(120)})
-	got, err := pq.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("+20%% matched doubling pattern: %+v", got)
-	}
-	db.UpdateRow("positions", id, map[string]val.Value{"qty": val.Int(400)})
-	got, err = pq.Poll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("doubling not detected: %+v", got)
-	}
-	if _, err := NewPatternQuery(d, "(("); err == nil {
-		t.Error("bad pattern accepted")
-	}
-}

@@ -4,9 +4,9 @@
 //
 // It also implements the paper's third capture mechanism (§2.2.a.iii
 // "capturing events using queries"): a Differ runs a query repeatedly
-// and turns result-set changes into events; with both the previous and
-// current result in hand, pattern predicates over old./new. images
-// detect patterns across states.
+// and turns result-set changes into events. A changed row's event
+// carries both states as old_*/new_* attributes, so a pattern across
+// states (§2.2.a.iii.2) is a subscription filter over them.
 package query
 
 import (
@@ -199,10 +199,14 @@ type Plan struct {
 	IndexName string
 	Joined    bool
 	// Columnar scans only: sealed segments considered and how many of
-	// those zone maps excluded outright. The unsealed tail is scanned
-	// (or excluded by its own zone map) too but counted in neither.
+	// those zone maps excluded outright; then the batches of the
+	// segments scanned, and how many of those their own zone maps
+	// excluded. The unsealed tail is scanned (or excluded by its own
+	// zone map) too but counted in none.
 	Segments       int
 	SegmentsPruned int
+	Batches        int
+	BatchesPruned  int
 }
 
 // Run executes the query.
@@ -310,8 +314,8 @@ func (q *Query) run(db *storage.DB) (*Result, Plan, error) {
 		}
 		if served {
 			plan.Access = "columnar"
-			plan.Segments = cs.segments
-			plan.SegmentsPruned = cs.pruned
+			plan.Segments, plan.SegmentsPruned = cs.segments, cs.pruned
+			plan.Batches, plan.BatchesPruned = cs.batches, cs.batchesPruned
 		} else if pred == nil || q.join != nil {
 			_, rows = tbl.ScanRows()
 		} else {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
 
 	"eventdb/internal/core"
 	"eventdb/internal/storage"
@@ -175,12 +176,14 @@ func handleSelect(c *conn, req *request) bool {
 		c.errf(codeBadSpec, "%v", err)
 		return true
 	}
-	data, err := wiredb.MarshalResult(res)
+	line, err := wiredb.AppendResult([]byte("OK "), res)
 	if err != nil {
 		c.errf(codeInternal, "%v", err)
 		return true
 	}
-	c.reply("OK " + string(data))
+	// reply copies the line out, and nothing else holds or writes it:
+	// viewing it as a string saves a second copy of a large reply.
+	c.reply(unsafe.String(unsafe.SliceData(line), len(line)))
 	return true
 }
 

@@ -128,6 +128,53 @@ func TestWireDatabaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWatchPatternAcrossStates: a pattern across states is an event
+// (§2.2.a.iii.2) over the wire — a SUB filter over a WATCH's changed
+// events, whose old_* and new_* attributes carry both states. A +20%
+// update matches nothing; a doubling matches exactly once.
+func TestWatchPatternAcrossStates(t *testing.T) {
+	_, srv := startServer(t, core.Config{}, Config{WatchInterval: 5 * time.Millisecond})
+	c := dial(t, srv)
+	if err := c.CreateTable(client.TableSpec{Name: "positions", Key: []string{"acct"}, Columns: []client.ColumnSpec{
+		{Name: "acct", Kind: "string", NotNull: true}, {Name: "qty", Kind: "int", NotNull: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert("positions", map[string]any{"acct": "a1", "qty": 100}); err != nil {
+		t.Fatal(err)
+	}
+	doubled, err := c.Subscribe("doubled", "$type = 'query.w.changed' AND new_qty >= old_qty * 2", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every event of the watch, so each update waits for its poll.
+	all, err := c.Subscribe("all", "query = 'w'", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Watch("w", client.WatchSpec{Query: client.QuerySpec{Table: "positions"}, Key: []string{"acct"}}); err != nil {
+		t.Fatal(err)
+	}
+	if ev := recv(t, all); ev.Type != "query.w.added" {
+		t.Fatalf("baseline event %q", ev.Type)
+	}
+	for _, qty := range []int64{120, 400, 480} { // +20%, doubled, +20%
+		if _, err := c.Update("positions", "", map[string]any{"qty": qty}); err != nil {
+			t.Fatal(err)
+		}
+		if ev := recv(t, all); ev.Type != "query.w.changed" || attrInt(ev, "new_qty") != qty {
+			t.Fatalf("after the update to %d: %s %v", qty, ev.Type, ev.Attrs)
+		}
+	}
+	ev := recv(t, doubled)
+	if attrInt(ev, "old_qty") != 120 || attrInt(ev, "new_qty") != 400 {
+		t.Fatalf("pattern matched %v", ev.Attrs)
+	}
+	if n := len(doubled.C); n != 0 {
+		t.Fatalf("%d more pattern events, want none", n)
+	}
+}
+
 // TestWireTriggerWhenGuards exercises trigger WHEN predicates over the
 // wire: an UPDATE guard comparing old./new. images fires only on the
 // qualifying transition, a BEFORE veto surfaces as a client error with

@@ -20,7 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"eventdb/internal/expr"
 	"eventdb/internal/query"
@@ -469,24 +473,143 @@ type Result struct {
 	Rows    [][]any  `json:"rows"`
 }
 
-// MarshalResult renders a query result as a single JSON line.
-func MarshalResult(res *query.Result) ([]byte, error) {
-	out := Result{Columns: res.Columns, Rows: make([][]any, len(res.Rows))}
-	for i, row := range res.Rows {
-		jr := make([]any, len(row))
-		for j, v := range row {
-			a := v.Any()
-			switch x := a.(type) {
-			case time.Time:
-				a = x.Format(time.RFC3339Nano)
-			case []byte:
-				a = base64.StdEncoding.EncodeToString(x)
-			}
-			jr[j] = a
-		}
-		out.Rows[i] = jr
+// MarshalResult renders a query result as a single JSON line: the bytes
+// encoding/json's Marshal gives for its Result.
+func MarshalResult(res *query.Result) ([]byte, error) { return AppendResult(nil, res) }
+
+// AppendResult appends MarshalResult's line to dst. The values are
+// encoded straight from the rows — no intermediate Result, no
+// reflection — into dst grown once, to a size estimated from them.
+func AppendResult(dst []byte, res *query.Result) ([]byte, error) {
+	size := 32
+	for _, c := range res.Columns {
+		size += len(c) + 3
 	}
-	return json.Marshal(out)
+	for _, row := range res.Rows {
+		for _, v := range row {
+			size += jsonSize[v.Kind()]
+			if s, ok := v.AsString(); ok {
+				size += len(s)
+			} else if b, ok := v.AsBytes(); ok {
+				size += len(b) * 4 / 3
+			}
+		}
+		size += 3
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"columns":`...)
+	if res.Columns == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range res.Columns {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"rows":[`...)
+	for i, row := range res.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j, v := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = appendJSONValue(dst, v); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}"...), nil
+}
+
+// jsonSize bounds the encoding of a value of each kind and its comma,
+// but for the payload of a string or bytes and a string's escapes.
+var jsonSize = [...]int{val.KindNull: 5, val.KindBool: 6, val.KindInt: 21, val.KindFloat: 25,
+	val.KindString: 3, val.KindTime: len(`"2006-01-02T15:04:05.999999999Z",`), val.KindBytes: 7}
+
+// appendJSONValue appends one value as encoding/json renders its Go
+// form: times as RFC 3339 strings, bytes as base64 strings, floats in
+// the 'f' format unless tiny or huge (then 'e', without a leading zero
+// in the exponent), and NaN or an infinity as Marshal's error.
+func appendJSONValue(dst []byte, v val.Value) ([]byte, error) {
+	switch v.Kind() {
+	case val.KindBool:
+		b, _ := v.AsBool()
+		return strconv.AppendBool(dst, b), nil
+	case val.KindInt:
+		n, _ := v.AsInt()
+		return strconv.AppendInt(dst, n, 10), nil
+	case val.KindFloat:
+		f, _ := v.AsFloat()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		dst = strconv.AppendFloat(dst, f, format, -1, 64)
+		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1] // e-07 → e-7
+			dst = dst[:n-1]
+		}
+		return dst, nil
+	case val.KindString:
+		s, _ := v.AsString()
+		return appendJSONString(dst, s), nil
+	case val.KindTime:
+		t, _ := v.AsTime()
+		return append(t.AppendFormat(append(dst, '"'), time.RFC3339Nano), '"'), nil
+	case val.KindBytes:
+		b, _ := v.AsBytes()
+		n := len(dst) + 1
+		dst = append(dst, make([]byte, base64.StdEncoding.EncodedLen(len(b))+2)...)
+		base64.StdEncoding.Encode(dst[n:], b)
+		dst[n-1], dst[len(dst)-1] = '"', '"'
+		return dst, nil
+	}
+	return append(dst, "null"...), nil
+}
+
+// appendJSONString appends s quoted as encoding/json's Marshal quotes
+// it: '"', '\\' and control characters escaped (\b, \f, \n, \r and \t
+// by name), '<', '>' and '&' too, U+2028 and U+2029 as \u escapes, and
+// each byte of invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' &&
+			c != '\u2028' && c != '\u2029' && (c != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch k := strings.IndexRune("\"\\\b\f\n\r\t", c); {
+		case k >= 0:
+			dst = append(dst, '\\', "\"\\bfnrt"[k])
+		case c == utf8.RuneError:
+			dst = append(dst, "\\ufffd"...)
+		default:
+			dst = append(dst, '\\', 'u', hex[c>>12], hex[c>>8&0xF], hex[c>>4&0xF], hex[c&0xF])
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // ParseResult decodes a SELECT reply. Integral numbers come back as

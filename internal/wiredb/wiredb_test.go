@@ -1,11 +1,18 @@
 package wiredb
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"eventdb/internal/query"
+	"eventdb/internal/raceflag"
 	"eventdb/internal/storage"
 	"eventdb/internal/trigger"
 	"eventdb/internal/val"
@@ -233,4 +240,113 @@ func TestWatchSpecValidation(t *testing.T) {
 			t.Errorf("accepted %s", bad)
 		}
 	}
+}
+
+// marshalResultOracle is the encoder MarshalResult replaced: the rows
+// rebuilt as [][]any and handed to encoding/json.
+func marshalResultOracle(res *query.Result) ([]byte, error) {
+	out := Result{Columns: res.Columns, Rows: make([][]any, len(res.Rows))}
+	for i, row := range res.Rows {
+		jr := make([]any, len(row))
+		for j, v := range row {
+			a := v.Any()
+			switch x := a.(type) {
+			case time.Time:
+				a = x.Format(time.RFC3339Nano)
+			case []byte:
+				a = base64.StdEncoding.EncodeToString(x)
+			}
+			jr[j] = a
+		}
+		out.Rows[i] = jr
+	}
+	return json.Marshal(out)
+}
+
+// FuzzMarshalResult holds MarshalResult to the oracle byte for byte,
+// errors included, over every kind: s is a column name and a string
+// value, b a bytes value, f a float, n an int and a time, and shape
+// picks the rows — none, a nil and an empty one, or rows of every kind
+// in some order — and whether the columns are nil.
+func FuzzMarshalResult(f *testing.F) {
+	f.Add("plain", []byte("blob"), 1.5, int64(42), uint8(2))
+	f.Add(`<a href="x">&amp;</a>`, []byte{}, 1e21, int64(-1), uint8(3))
+	f.Add("\x00\x01\b\f\n\r\t\x1f\\\"\x7f", []byte{0xff, 0}, 1e-7, int64(1700000000123456789), uint8(6))
+	f.Add("line\u2028sep\u2029para", []byte(nil), 123456789.125, int64(1700000000000000000), uint8(1))
+	f.Add("bad \xff\xfe utf8 \xe2\x82 \xed\xa0\x80", []byte(nil), math.NaN(), int64(0), uint8(2))
+	f.Add("", []byte(nil), math.Inf(-1), int64(math.MinInt64), uint8(7))
+	f.Add("\u00e9\u4e2d\U0001f600\ufffd", []byte(nil), 5e-324, int64(math.MaxInt64), uint8(0))
+	f.Add("x", []byte(nil), -1e-300, int64(1), uint8(4))
+	f.Add("y", []byte(nil), math.Inf(1), int64(2), uint8(5))
+	f.Fuzz(func(t *testing.T, s string, b []byte, fl float64, n int64, shape uint8) {
+		values := []val.Value{val.Null, val.Bool(n%2 == 0), val.Int(n), val.Float(fl),
+			val.String(s), val.Time(time.Unix(0, n)), val.Bytes(b)}
+		res := &query.Result{Columns: []string{"id", s}}
+		switch shape % 4 {
+		case 1:
+			res.Rows = [][]val.Value{nil, {}}
+		case 2, 3:
+			for k := 0; k < int(shape%4); k++ {
+				row := make([]val.Value, len(values))
+				for j := range row {
+					row[j] = values[(j+k+int(shape/8))%len(values)]
+				}
+				res.Rows = append(res.Rows, row)
+			}
+		}
+		if shape&4 != 0 {
+			res.Columns = nil
+		}
+		want, wantErr := marshalResultOracle(res)
+		got, err := MarshalResult(res)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || !bytes.Equal(got, want) {
+			t.Fatalf("MarshalResult = %q, %v\nencoding/json  %q, %v", got, err, want, wantErr)
+		}
+		if got, err := AppendResult([]byte("OK "), res); err == nil && string(got) != "OK "+string(want) {
+			t.Fatalf("AppendResult after a prefix = %q, want %q", got, "OK "+string(want))
+		}
+	})
+}
+
+// scanResult is a reply of the dbmix scan's shape: n rows of seq, ts,
+// sym, qty and px.
+func scanResult(n int) *query.Result {
+	res := &query.Result{Columns: []string{"seq", "ts", "sym", "qty", "px"}}
+	for i := 0; i < n; i++ {
+		res.Rows = append(res.Rows, []val.Value{val.Int(int64(40_000 + i)),
+			val.Time(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(40_000+i) * time.Second)),
+			val.String(fmt.Sprintf("S%02d", i%50)), val.Int(int64(900 + i%100)), val.Int(int64(i * 31 % 10000))})
+	}
+	return res
+}
+
+// TestAllocsMarshalResult: a reply is one allocation however many rows
+// it has — no per-row or per-value garbage, no regrowth.
+func TestAllocsMarshalResult(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	measure := func(rows int) float64 {
+		res := scanResult(rows)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := MarshalResult(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := measure(20), measure(2000); few != many || many > 2 {
+		t.Errorf("MarshalResult allocates %v at 20 rows and %v at 2,000, want the same and at most 2", few, many)
+	}
+}
+
+// BenchmarkMarshalResult encodes a reply of the dbmix scan's shape.
+func BenchmarkMarshalResult(b *testing.B) {
+	res := scanResult(200)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := MarshalResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(res.Rows)), "ns/row")
 }
