@@ -146,9 +146,10 @@ func handleStats(c *conn, req *request) bool {
 	}
 	c.mu.Unlock()
 	if format == "json" {
-		c.reply(fmt.Sprintf(`OK {"sent":%d,"dropped":%d,"queued":%d,"subs":%d,"cqs":%d,"qsubs":%d,"latency":%s,"patterns":%s,"qsub":%s}`,
+		c.reply(fmt.Sprintf(`OK {"sent":%d,"dropped":%d,"queued":%d,"subs":%d,"cqs":%d,"qsubs":%d,"latency":%s,"patterns":%s,"qsub":%s,"writes":{"calls":%d,"writer_starts":%d}}`,
 			c.sent.Load(), c.dropped.Load(), c.queuedNow(), subs, cqs, qsubs, latencyJSON(&c.lat),
-			patternsJSON(c.srv.eng.PatternStats()), qsubJSON(c.srv.eng.Metrics)))
+			patternsJSON(c.srv.eng.PatternStats()), qsubJSON(c.srv.eng.Metrics),
+			c.writeCalls.Load(), c.writerStarts.Load()))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK sent=%d dropped=%d queued=%d subs=%d cqs=%d qsubs=%d",

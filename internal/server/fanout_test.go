@@ -355,6 +355,60 @@ func TestAllocsPush(t *testing.T) {
 	}
 }
 
+// TestAllocsReply: a reply to a connection whose writer is idle, with
+// no input buffered behind the command, is written by the replying
+// goroutine and allocates nothing in either wire mode — no burst to
+// start, and no closure to start it with. The test goroutine stands in
+// for the reader, which is blocked in a read of a socket the peer never
+// writes to.
+func TestAllocsReply(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, binary := range []bool{false, true} {
+		c, _ := pushConn(t, binary, Config{})
+		reply := func() { c.reply("PONG") }
+		for i := 0; i < 100; i++ { // grow the outbound buffers to their working size
+			reply()
+		}
+		// The peer can read the last SUB reply before the reader's write of
+		// it returns, and a reply queued behind that write goes to a burst:
+		// measure from an idle writer.
+		for {
+			c.omu.Lock()
+			idle := c.wstate == wIdle
+			c.omu.Unlock()
+			if idle {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		starts := c.writerStarts.Load()
+		if allocs := testing.AllocsPerRun(500, reply); allocs != 0 {
+			t.Errorf("binary=%v: a reply to an idle connection allocates %v, want 0", binary, allocs)
+		}
+		if n := c.writerStarts.Load() - starts; n != 0 {
+			t.Errorf("binary=%v: %d bursts started for replies to an idle connection", binary, n)
+		}
+	}
+}
+
+// BenchmarkConnReply reports the cost of one reply to a connection whose
+// writer is idle: the append, and the replying goroutine's own write to
+// a loopback peer that discards. A guard, not a headline.
+func BenchmarkConnReply(b *testing.B) {
+	for _, binary := range []bool{false, true} {
+		b.Run(fmt.Sprintf("binary=%v", binary), func(b *testing.B) {
+			c, _ := pushConn(b, binary, Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.reply("PONG")
+			}
+		})
+	}
+}
+
 // BenchmarkConnPush reports the cost of one pushed frame through the
 // default 256-message queue to a loopback peer that discards: the
 // append under the lock, the writer's wake-up and its share of a

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -69,24 +70,18 @@ func (s *replSink) run() {
 			if rec, err = repl.AppendRecord(rec[:0], r); err != nil {
 				return err
 			}
-			if !s.c.begin(s.stop, true) {
+			if !s.send(rec) {
 				return errReplStopped
 			}
-			// A REPLY frame when the follower spoke HELLO 2.
-			if s.c.binary {
-				s.c.pending = frame.AppendFrame(s.c.pending, frame.Reply, rec)
-			} else {
-				s.c.pending = append(append(s.c.pending, rec...), '\n')
-			}
-			s.c.commit(1)
 			return nil
 		})
 		if err != nil {
 			if !errors.Is(err, errReplStopped) {
 				// Truncated position or on-disk corruption: the stream
 				// cannot continue; tell the follower why before it sees
-				// the silence.
-				s.c.errf(codeInternal, "replication stream failed: %v", err)
+				// the silence. Through the stream's own path, not reply:
+				// only the reader replies.
+				s.send(fmt.Appendf(rec[:0], "ERR %s replication stream failed: %v", codeInternal, err))
 			}
 			return
 		}
@@ -97,6 +92,21 @@ func (s *replSink) run() {
 		case <-time.After(replPollQuantum):
 		}
 	}
+}
+
+// send queues one stream line — a REPLY frame when the follower spoke
+// HELLO 2 — and reports false if the sink detached first.
+func (s *replSink) send(line []byte) bool {
+	if !s.c.begin(s.stop, true) {
+		return false
+	}
+	if s.c.binary {
+		s.c.pending = frame.AppendFrame(s.c.pending, frame.Reply, line)
+	} else {
+		s.c.pending = append(append(s.c.pending, line...), '\n')
+	}
+	s.c.commit(1)
+	return true
 }
 
 func handleReplicate(c *conn, req *request) bool {

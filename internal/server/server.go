@@ -125,14 +125,16 @@
 // Every outbound message — reply, push, durable delivery, replication
 // record — is appended in its wire form to one per-connection buffer,
 // under a mutex, and an on-demand writer takes the whole buffer and
-// puts it on the socket with one write. The buffer is bounded in
-// messages (Config.SubBuffer), so one slow consumer cannot stall the
-// engine or other connections — the same bounded-buffer discipline as
-// the engine's shard pipeline. Command replies always block until
-// queued (they are bounded by request rate); pushed EVT lines follow
-// the configured Overflow policy: BlockOnFull propagates pressure to
-// the publishing goroutine, DropOnFull drops the push and counts it in
-// the connection's drop counter (surfaced by STATS).
+// puts it on the socket with one write: the reader goroutine itself for
+// a reply the client is waiting on, else a short-lived burst goroutine.
+// The buffer is bounded in messages (Config.SubBuffer), so one slow
+// consumer cannot stall the engine or other connections — the same
+// bounded-buffer discipline as the engine's shard pipeline. Command
+// replies always block until queued (they are bounded by request
+// rate); pushed EVT lines follow the configured Overflow policy:
+// BlockOnFull propagates pressure to the publishing goroutine,
+// DropOnFull drops the push and counts it in the connection's drop
+// counter (surfaced by STATS).
 package server
 
 import (
@@ -519,21 +521,23 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Writer states: the outbound queue is drained by at most one burst
-// goroutine at a time, spawned on demand by whoever queues into an
-// idle connection and exiting when the queue runs dry — an idle
-// connection holds no writer goroutine at all.
+// Writer states: one writer at a time owns the socket and drains the
+// outbound queue. The reader takes the slot for the one write of a
+// reply its client is waiting on (reply); every other producer that
+// queues into an idle connection spawns a burst goroutine, which exits
+// when the queue runs dry — an idle connection holds no writer
+// goroutine at all.
 const (
-	wIdle    = iota // no burst running; the next commit spawns one
-	wRunning        // a burst goroutine owns the socket
+	wIdle    = iota // nobody writes; the next commit spawns a burst
+	wRunning        // a burst goroutine, or the reader writing its reply, owns the socket
 	wClosed         // teardown owns the socket; nothing is queued ever again
 )
 
 // conn is one client connection. A reader goroutine parses commands
 // (and may be parked away entirely while the connection idles, see
-// park_linux.go); outbound traffic drains through on-demand writer
-// bursts. It is the per-connection session state threaded through
-// every handler.
+// park_linux.go) and writes the replies its client is waiting on;
+// everything else drains through on-demand writer bursts. It is the
+// per-connection session state threaded through every handler.
 //
 // The outbound queue is a byte buffer, not a queue of messages: a
 // producer calls begin, appends its message's complete wire form (text
@@ -578,9 +582,11 @@ type conn struct {
 	closing    bool // interrupt ran; never park or respawn again
 	readerDead bool // reader exited for good (not parked)
 
-	sent       atomic.Uint64 // messages handed to the socket (lines or frames)
-	dropped    atomic.Uint64 // EVT pushes lost to DropOnFull
-	replCursor atomic.Uint64 // latest RACKed cursor from a REPLICATE peer
+	sent         atomic.Uint64 // messages handed to the socket (lines or frames)
+	writeCalls   atomic.Uint64 // write(2) calls that carried them
+	writerStarts atomic.Uint64 // burst goroutines started
+	dropped      atomic.Uint64 // EVT pushes lost to DropOnFull
+	replCursor   atomic.Uint64 // latest RACKed cursor from a REPLICATE peer
 
 	// consecDrops counts pushes dropped since the last successful
 	// enqueue; at Config.EvictAfterDrops the connection is evicted. Both
@@ -659,16 +665,31 @@ func (c *conn) commit(n int) {
 	}
 	c.omu.Unlock()
 	if spawn {
-		// Deliberately untracked by the server WaitGroup: once teardown
-		// takes wClosed no burst can start, and teardown waits out the
-		// one that may be running.
-		go c.burst()
+		c.startBurst()
 	}
+}
+
+// startBurst hands the writer slot, already taken, to a new burst.
+// Deliberately untracked by the server WaitGroup: once teardown takes
+// wClosed no burst can start, and teardown waits out the one that may
+// be running.
+func (c *conn) startBurst() {
+	c.writerStarts.Add(1)
+	go c.burst()
 }
 
 // reply queues a command reply in the negotiated wire form. Replies are
 // never dropped: they are bounded by request rate, and the protocol's
 // request/reply ordering depends on every one arriving.
+//
+// Only the reader goroutine replies. When the writer is idle and no
+// more input is buffered, the client is waiting for this reply alone,
+// and the reader writes it itself: no goroutine to start and wake for
+// one write. Pushes queued during that write go to a burst, so the
+// reader never turns into a writer for someone else's traffic. With
+// input buffered the client is pipelining, and the reply goes to a
+// burst as well: it writes while the reader parses the next command,
+// coalescing the replies that follow.
 func (c *conn) reply(line string) {
 	if !c.begin(nil, true) {
 		return
@@ -678,7 +699,15 @@ func (c *conn) reply(line string) {
 	} else {
 		c.pending = append(append(c.pending, line...), '\n')
 	}
-	c.commit(1)
+	if c.wstate != wIdle || c.br.Buffered() > 0 {
+		c.commit(1)
+		return
+	}
+	c.queued++
+	c.wstate = wRunning
+	if c.flush() {
+		c.startBurst()
+	}
 }
 
 // qline is one durable delivery on its way to the outbound queue.
@@ -802,6 +831,7 @@ func (c *conn) write(buf []byte, n int) {
 		// Counted on the way in: a client that has read a message must
 		// find it in the next STATS.
 		c.sent.Add(uint64(n))
+		c.writeCalls.Add(1)
 		if _, err := c.nc.Write(buf); err != nil {
 			c.wfail = true
 			c.nc.Close()
@@ -812,6 +842,27 @@ func (c *conn) write(buf []byte, n int) {
 	}
 }
 
+// flush is the one step of whoever holds the writer slot, a burst or a
+// replying reader: called with omu held, it takes the queue, writes it
+// under WriteTimeout, and releases the slot unless more was queued
+// during the write. It returns with omu released, reporting whether
+// more is queued — the caller then still holds the slot.
+func (c *conn) flush() (more bool) {
+	buf, n := c.take()
+	c.omu.Unlock()
+	if wt := c.srv.cfg.WriteTimeout; wt > 0 && !c.wfail {
+		c.nc.SetWriteDeadline(time.Now().Add(wt))
+	}
+	c.write(buf, n)
+	c.omu.Lock()
+	more = c.queued > 0
+	if !more {
+		c.wstate = wIdle
+	}
+	c.omu.Unlock()
+	return more
+}
+
 // burst drains the outbound queue to the socket, coalescing: whatever
 // accumulated while the last write was in flight goes out in the next
 // one, so a fan-out burst pays one syscall instead of one per message.
@@ -820,17 +871,9 @@ func (c *conn) write(buf []byte, n int) {
 func (c *conn) burst() {
 	for {
 		c.omu.Lock()
-		if c.queued == 0 {
-			c.wstate = wIdle
-			c.omu.Unlock()
+		if !c.flush() {
 			return
 		}
-		buf, n := c.take()
-		c.omu.Unlock()
-		if wt := c.srv.cfg.WriteTimeout; wt > 0 && !c.wfail {
-			c.nc.SetWriteDeadline(time.Now().Add(wt))
-		}
-		c.write(buf, n)
 	}
 }
 
