@@ -535,14 +535,13 @@ func BenchmarkE11ExternalEval(b *testing.B) {
 	}
 }
 
-// --- E13: sharded batch-ingest pipeline --------------------------------
+// --- E13: batch ingest ------------------------------------------------
 
 // e13Engine builds an engine with 1000 indexed rules and one selective
-// subscription — the same realistic match cost as E11 — in either
-// synchronous (shards == 0) or sharded-async mode.
-func e13Engine(b *testing.B, shards int) *core.Engine {
+// subscription — the same realistic match cost as E11.
+func e13Engine(b *testing.B) *core.Engine {
 	b.Helper()
-	eng, err := core.Open(core.Config{Shards: shards, ShardBuffer: 4096})
+	eng, err := core.Open(core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -561,8 +560,8 @@ func e13Engine(b *testing.B, shards int) *core.Engine {
 	return eng
 }
 
-// e13Events pre-generates events with 61 types (spreads over the
-// default by-type shard key) and 1000 symbols (exercises the index).
+// e13Events pre-generates events with 61 types and 1000 symbols
+// (exercises the index).
 func e13Events(n int) []*event.Event {
 	evs := make([]*event.Event, n)
 	for i := range evs {
@@ -574,10 +573,10 @@ func e13Events(n int) []*event.Event {
 	return evs
 }
 
-// BenchmarkE13IngestSingleThreaded is the baseline the pipeline is
-// measured against: one goroutine, one event per call, synchronous.
+// BenchmarkE13IngestSingleThreaded is the baseline batching is measured
+// against: one goroutine, one event per call.
 func BenchmarkE13IngestSingleThreaded(b *testing.B) {
-	eng := e13Engine(b, 0)
+	eng := e13Engine(b)
 	evs := e13Events(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -587,12 +586,12 @@ func BenchmarkE13IngestSingleThreaded(b *testing.B) {
 	}
 }
 
-// BenchmarkE13IngestBatch measures synchronous batching: amortized
-// match scratch on a single goroutine.
+// BenchmarkE13IngestBatch measures batching: amortized match scratch on
+// a single goroutine.
 func BenchmarkE13IngestBatch(b *testing.B) {
 	for _, batch := range []int{16, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			eng := e13Engine(b, 0)
+			eng := e13Engine(b)
 			evs := e13Events(batch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i += batch {
@@ -601,56 +600,6 @@ func BenchmarkE13IngestBatch(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-		})
-	}
-}
-
-// BenchmarkE13ShardedIngest drives the async pipeline from parallel
-// producers. ns/op is per event end to end (Flush included), so
-// ops/sec here versus BenchmarkE13IngestSingleThreaded is the
-// pipeline's speedup.
-func BenchmarkE13ShardedIngest(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng := e13Engine(b, shards)
-			evs := e13Events(4096)
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1)
-					if err := eng.Ingest(evs[int(i)%len(evs)]); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			eng.Flush()
-			b.StopTimer()
-		})
-	}
-}
-
-// BenchmarkE13ShardedIngestBatch combines both levers: parallel
-// producers submitting batches into the sharded pipeline.
-func BenchmarkE13ShardedIngestBatch(b *testing.B) {
-	const batch = 256
-	for _, shards := range []int{4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng := e13Engine(b, shards)
-			evs := e13Events(batch)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if err := eng.IngestBatch(evs); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			eng.Flush()
-			b.StopTimer()
-			b.ReportMetric(batch, "events/op")
 		})
 	}
 }

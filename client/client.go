@@ -650,8 +650,7 @@ func (c *Conn) Ping() error {
 }
 
 // Publish sends one event for full evaluation, returning the number of
-// deliveries it caused (0 when the server ingests through an async
-// pipeline, where evaluation happens after the reply).
+// deliveries it caused.
 func (c *Conn) Publish(ev *Event) (int, error) {
 	data, err := event.MarshalJSONEvent(ev)
 	if err != nil {

@@ -2,14 +2,14 @@
 //
 // Usage:
 //
-//	eventdbd [-addr host:port] [-dir path] [-shards n] [-shard-buffer n]
+//	eventdbd [-addr host:port] [-dir path]
 //	         [-drop-on-full] [-max-conns n] [-sub-buffer n]
 //	         [-read-timeout d] [-write-timeout d] [-park-after d]
 //	         [-visibility d] [-queue-max-attempts n] [-queue-prefetch n]
 //	         [-watch-interval d] [-rule name=condition]...
 //	         [-follow leader-addr] [-rack-every n] [-promote-after d]
 //	         [-drain-timeout d] [-evict-after-drops n]
-//	         [-shed-high-water f] [-shed-memory-bytes n]
+//	         [-shed-memory-bytes n]
 //
 // Foreign systems speak the streaming line protocol documented in
 // internal/server: they publish JSON events (PUB, and PUBB for
@@ -35,18 +35,12 @@
 // from the WAL. -visibility and -queue-max-attempts tune redelivery;
 // -queue-prefetch caps unacknowledged deliveries per consumer.
 //
-// With -shards 1, published events enter the asynchronous ingest
-// pipeline instead of evaluating on the connection handler's
-// goroutine: PUB returns as soon as the event is accepted (its reply
-// reports 0 deliveries, since evaluation happens later on the shard).
-// A wider pipeline is refused at start-up: its shard key is the event
-// type, so a SUB/QSUB filter or PATTERN that spans event types would
-// lose its delivery order (PROTOCOL.md §2.2). -shard-buffer sizes the
-// shard's bounded queue and -drop-on-full trades loss for bounded
-// latency under overload — for both the ingest shard and each
-// connection's outbound push queue, whose capacity -sub-buffer sets.
-// -max-conns caps concurrent client
-// connections; excess connections are refused at the protocol level.
+// A published event is evaluated on the goroutine of the connection
+// that sent it, before its reply: PUB's OK carries the event's exact
+// delivery count. -drop-on-full trades loss for bounded latency under
+// overload on each connection's outbound push queue, whose capacity
+// -sub-buffer sets. -max-conns caps concurrent client connections;
+// excess connections are refused at the protocol level.
 //
 // With -follow the process starts as a read-only replication follower:
 // it tails the named leader's WAL over the wire (REPLICATE), applies
@@ -61,15 +55,14 @@
 // The self-protection plane: a write or fsync failure fail-stops the
 // storage layer into degraded read-only mode (mutating verbs answer
 // "ERR degraded" until an operator RECOVER); HEALTH — and the
-// gateway's /healthz and /readyz — report role, degraded state, WAL
-// lag, and queue depths for load balancers. -shed-high-water (ingest
-// shard queue fill; requires -shards) and -shed-memory-bytes arm
-// overload shedding: past either watermark,
-// publishers that negotiated the lowprio HELLO flag get "ERR limit"
-// while normal traffic proceeds. -evict-after-drops disconnects a
-// slow consumer after that many consecutive dropped pushes (requires
-// -drop-on-full), and -drain-timeout bounds how long shutdown waits
-// for each connection's outbound queue to flush.
+// gateway's /healthz and /readyz — report role, degraded state and WAL
+// lag for load balancers. -shed-memory-bytes arms overload shedding:
+// past that heap watermark, publishers that negotiated the lowprio
+// HELLO flag get "ERR limit" while normal traffic proceeds.
+// -evict-after-drops disconnects a slow consumer after that many
+// consecutive dropped pushes (requires -drop-on-full), and
+// -drain-timeout bounds how long shutdown waits for each connection's
+// outbound queue to flush.
 package main
 
 import (
@@ -101,16 +94,11 @@ func (r *ruleFlags) Set(v string) error {
 }
 
 // validate refuses flag combinations the daemon would accept and then
-// never act on — each names a mechanism that only another flag turns on
-// — and a width that would break the delivery order it documents.
-func validate(dir, follow string, shards int, dropOnFull bool, evictAfterDrops int, shedHighWater float64) error {
+// never act on — each names a mechanism that only another flag turns on.
+func validate(dir, follow string, dropOnFull bool, evictAfterDrops int) error {
 	switch {
-	case shards > 1:
-		return fmt.Errorf("-shards %d is refused: the shard key is the event type, so a SUB/QSUB filter or PATTERN spanning types would see deliveries missing, reordered or duplicated (PROTOCOL.md, \"Delivery order\"); -shards 1 keeps every order", shards)
 	case follow != "" && dir == "":
 		return errors.New("-follow requires -dir: replication ships the WAL, so the follower must be durable")
-	case shedHighWater > 0 && shards == 0:
-		return errors.New("-shed-high-water requires -shards: the watermark is on ingest shard queue fill, and a synchronous engine has no shard queues (-shed-memory-bytes works at any width)")
 	case evictAfterDrops > 0 && !dropOnFull:
 		return errors.New("-evict-after-drops requires -drop-on-full: a blocking push queue never drops, so the count never advances")
 	}
@@ -120,9 +108,7 @@ func validate(dir, follow string, shards int, dropOnFull bool, evictAfterDrops i
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
-	shards := flag.Int("shards", 0, "async ingest pipeline: 0 = synchronous, 1 = evaluation behind the reader; wider is refused, since the shard key is the event type and a SUB/QSUB filter or PATTERN spanning types would lose per-subscription order")
-	shardBuffer := flag.Int("shard-buffer", 1024, "per-shard bounded queue capacity")
-	dropOnFull := flag.Bool("drop-on-full", false, "drop instead of blocking when a shard buffer or connection push queue is full")
+	dropOnFull := flag.Bool("drop-on-full", false, "drop a push instead of blocking the publisher when a connection's push queue is full")
 	maxConns := flag.Int("max-conns", 0, "maximum concurrent client connections (0 = unlimited)")
 	subBuffer := flag.Int("sub-buffer", 256, "per-connection outbound push queue capacity in lines")
 	readTimeout := flag.Duration("read-timeout", 0, "time a client may take to finish sending a started command; idle connections are never killed (0 = unbounded)")
@@ -137,24 +123,16 @@ func main() {
 	promoteAfter := flag.Duration("promote-after", 0, "follower: self-promote to leader after this much leader silence (0 = manual PROMOTE only)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Second, "bound on flushing each connection's outbound queue at shutdown")
 	evictAfterDrops := flag.Int("evict-after-drops", 0, "disconnect a consumer after this many consecutive dropped pushes under -drop-on-full (0 = never)")
-	shedHighWater := flag.Float64("shed-high-water", 0, "shard queue fill fraction (0..1] past which low-priority publishers are shed (0 = off)")
 	shedMemoryBytes := flag.Uint64("shed-memory-bytes", 0, "heap bytes past which low-priority publishers are shed (0 = off)")
 	var ruleDefs ruleFlags
 	flag.Var(&ruleDefs, "rule", "rule as name=condition (repeatable); matches are logged")
 	flag.Parse()
-	if err := validate(*dir, *follow, *shards, *dropOnFull, *evictAfterDrops, *shedHighWater); err != nil {
+	if err := validate(*dir, *follow, *dropOnFull, *evictAfterDrops); err != nil {
 		log.Fatal(err)
 	}
 
-	cfg := core.Config{
-		Dir: *dir, Shards: *shards, ShardBuffer: *shardBuffer,
-		ShedHighWater: *shedHighWater, ShedMemoryBytes: *shedMemoryBytes,
-	}
-	if *dropOnFull {
-		cfg.Backpressure = core.DropOnFull
-	}
 	qcfg := queue.Config{VisibilityTimeout: *visibility, MaxAttempts: *queueMaxAttempts}
-	eng, err := core.Open(cfg)
+	eng, err := core.Open(core.Config{Dir: *dir, ShedMemoryBytes: *shedMemoryBytes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -178,10 +156,6 @@ func main() {
 	}
 	if *dir != "" && *follow == "" {
 		attachDurableSubs()
-	}
-	if *shards > 0 {
-		log.Printf("ingest pipeline: %d shards, buffer %d, policy %s",
-			eng.Shards(), *shardBuffer, cfg.Backpressure)
 	}
 
 	for _, def := range ruleDefs {
@@ -244,8 +218,5 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if d := eng.Dropped(); d > 0 {
-		log.Printf("dropped %d events under backpressure", d)
-	}
 	log.Println("shutting down (draining in-flight events)")
 }

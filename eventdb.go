@@ -20,34 +20,15 @@
 //	})
 //	eng.Ingest(eventdb.NewEvent("reading", map[string]any{"temp": 35}))
 //
-// # Scaling ingestion
+// # Ingestion
 //
-// By default Ingest evaluates synchronously on the caller's goroutine.
-// Two mechanisms scale it up:
-//
-//   - Engine.IngestBatch evaluates a slice of events with shared match
-//     scratch, amortizing per-event overhead.
-//
-//   - Config{Shards: N} turns the front door into an asynchronous
-//     sharded pipeline: events are hash-partitioned by event type (or
-//     a custom Config.ShardKey) across N workers, each draining a
-//     bounded buffer (Config.ShardBuffer, default 1024) through the
-//     rules→pub/sub→patterns pass. Config.Backpressure picks the full-buffer
-//     policy: BlockOnFull (lossless, default) or DropOnFull (lossy,
-//     counted per shard). Events sharing a shard key keep their
-//     arrival order; Engine.Flush waits for the backlog and
-//     Engine.Close drains in-flight events before shutdown. In this
-//     mode rule actions and subscription handlers run on shard
-//     goroutines and must be safe for concurrent use. Order is per
-//     shard key only: at N > 1 a subscription, queue binding or
-//     pattern whose filter spans event types sees deliveries missing,
-//     reordered and duplicated until events carry an admission
-//     sequence (ROADMAP item 2) — use 0 or 1, or a ShardKey that
-//     keeps together what each consumer reads.
-//
-//     eng, _ := eventdb.Open(eventdb.Config{Shards: 4})
-//     eng.IngestBatch(batch) // partitioned across 4 workers
-//     eng.Flush()
+// Ingest evaluates on the caller's goroutine — rules, then pub/sub,
+// then patterns — and returns once the event and what it cascaded into
+// have been evaluated (see Engine.Ingest). Ingest is safe from many
+// goroutines; rule actions and subscription handlers then run on each
+// of them and must be safe for concurrent use.
+// Engine.IngestBatch evaluates a slice of events in order with shared
+// match scratch, amortizing per-event overhead.
 //
 // The subpackages under internal/ implement each subsystem; this package
 // re-exports the surface a downstream application needs.
@@ -73,17 +54,6 @@ type Engine = core.Engine
 
 // Open assembles an engine from a configuration.
 func Open(cfg Config) (*Engine, error) { return core.Open(cfg) }
-
-// Backpressure selects the async pipeline's policy when a shard buffer
-// is full. See core.Backpressure.
-type Backpressure = core.Backpressure
-
-const (
-	// BlockOnFull blocks publishers until the shard drains (lossless).
-	BlockOnFull = core.BlockOnFull
-	// DropOnFull drops overflow events and counts them per shard.
-	DropOnFull = core.DropOnFull
-)
 
 // ErrClosed is returned by ingestion after Engine.Close.
 var ErrClosed = core.ErrClosed

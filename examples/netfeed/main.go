@@ -24,7 +24,7 @@ import (
 func main() {
 	// The "database": an engine with a streaming front door. A real
 	// deployment runs cmd/eventdbd; everything below it is unchanged.
-	eng, err := core.Open(core.Config{Shards: 2, ShardBuffer: 1024})
+	eng, err := core.Open(core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +102,8 @@ func main() {
 	}()
 
 	// The publisher: a foreign system pumping trades over its own
-	// connection in batches that ride the engine's sharded pipeline.
+	// connection in batches; each PublishBatch returns once the server
+	// has evaluated the batch and queued every push it caused.
 	pubConn, err := client.Dial(srv.Addr())
 	if err != nil {
 		log.Fatal(err)
@@ -119,7 +120,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	eng.Flush() // drain the sharded pipeline so every push is queued
 
 	// Ask the server how each consumer connection fared.
 	for name, c := range map[string]*client.Conn{"subscriber": subConn, "cq": cqConn} {

@@ -24,24 +24,10 @@ import (
 )
 
 func main() {
-	// Durable engine: the edge site must survive crashes. Shards turn
-	// the ingest path into the async pipeline — journal-captured
-	// readings are batch-ingested and hash-partitioned across 4
-	// workers by site (the custom shard key), so readings from one
-	// site keep their order while sites evaluate in parallel. The
-	// "danger" rule below therefore runs on shard goroutines; queue
-	// enqueues are safe there.
-	eng, err := eventdb.Open(eventdb.Config{
-		Dir:    mustTempDir(),
-		Shards: 4,
-		ShardKey: func(ev *eventdb.Event) string {
-			if site, ok := ev.Get("new_site"); ok {
-				s, _ := site.AsString()
-				return s
-			}
-			return ev.Type
-		},
-	})
+	// Durable engine: the edge site must survive crashes. Journal-
+	// captured readings are batch-ingested in commit order on the
+	// journal tail's goroutine, so the "danger" rule below runs there.
+	eng, err := eventdb.Open(eventdb.Config{Dir: mustTempDir()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,10 +113,8 @@ func main() {
 			pump(edgeToRegional, bridge)
 		}
 	}
-	// Final drains: journal tail is async, so settle, flush the shard
-	// pipeline's backlog, then pump.
+	// Final drains: journal tail is async, so settle, then pump.
 	settle(eng, 20000)
-	eng.Flush()
 	for i := 0; i < 8; i++ {
 		pump(edgeToRegional, bridge)
 	}

@@ -1,20 +1,15 @@
 // Engine-level pattern registry: the shared CEP automaton wired into
-// the ingest pipeline. Every evaluated event is observed by the
-// automaton; completed matches re-enter the engine as "cep.<pattern>"
-// composite events through the capture path, so subscriptions,
-// continuous queries, durable queues, and triggers all see them like
-// any other event.
+// the ingest path. Every evaluated event is observed by the automaton;
+// completed matches re-enter the engine as "cep.<pattern>" composite
+// events through the capture path, so subscriptions, continuous
+// queries, durable queues, and triggers all see them like any other
+// event.
 //
 // The automaton is single-threaded, so it feeds inline under one mutex
-// on whichever goroutine evaluated the event — the publisher's on a
-// synchronous engine, a shard worker's on a sharded one, where a busy
-// automaton back-pressures the shards rather than losing pattern input.
-// Shards feed in the order they evaluate: events sharing a shard key
-// arrive in order, events on different shards can arrive skewed — the
-// same cross-key reordering the sharded pipeline itself permits,
-// absorbed by WITHIN windows. A clock goroutine advances the WITHIN
-// horizon on quiet streams so dead partial matches don't pin memory
-// until the next event happens to arrive.
+// on the goroutine that evaluated the event: the publisher's, or a
+// capture path's. A clock goroutine advances the WITHIN horizon on
+// quiet streams so dead partial matches don't pin memory until the next
+// event happens to arrive.
 package core
 
 import (
@@ -126,7 +121,7 @@ func (c *cepRegistry) observe(ev *event.Event) {
 	}
 	c.mu.Unlock()
 	for _, out := range outs {
-		if err := c.e.ingestCapture(out); err != nil {
+		if _, err := c.e.ingestSync(out); err != nil {
 			c.e.Metrics.Counter("ingest.errors").Inc()
 		}
 	}

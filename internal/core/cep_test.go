@@ -21,7 +21,7 @@ func cepEvent(typ, user string, amount int) *event.Event {
 	return event.New(typ, map[string]any{"user": user, "amount": amount})
 }
 
-// collector gathers delivered events across shard goroutines.
+// collector gathers delivered events from any goroutine.
 type collector struct {
 	mu  sync.Mutex
 	evs []*event.Event
@@ -107,16 +107,10 @@ func TestRegisterPatternErrors(t *testing.T) {
 	}
 }
 
-// TestShardedPatternFeed holds a sharded engine to a synchronous one:
-// for an input settled phase by phase, the shard workers feeding the
-// automaton inline emit exactly the composites the publisher's own
-// goroutine would, and Flush alone settles them — the pipeline, the
-// automaton, and the composites it sent back into the pipeline.
-func TestShardedPatternFeed(t *testing.T) {
-	// login and wire hash to different shards (the shard key is the
-	// event type), and shards feed in the order they evaluate, so each
-	// phase settles before the next: interleaved, a wire could
-	// legitimately feed before its login.
+// TestBatchedPatternFeed holds IngestBatch to Ingest: the automaton fed
+// from inside a batch emits exactly the composites it emits fed one
+// event per call, and both are settled when the call returns.
+func TestBatchedPatternFeed(t *testing.T) {
 	users := []string{"ann", "bob", "cy", "dee", "eve", "zed"}
 	var logins, wires []*event.Event
 	for i := 0; i < 60; i++ {
@@ -126,10 +120,10 @@ func TestShardedPatternFeed(t *testing.T) {
 		// Every third wire is under the guard's amount.
 		wires = append(wires, cepEvent("wire", users[i%6], 9000+1000*(i%3)))
 	}
-	// composites runs the two phases through an engine and returns the
-	// (login id, wire id) pair of every composite delivered.
-	composites := func(cfg Config) map[[2]int64]int {
-		e := open(t, cfg)
+	// composites runs the logins, then the wires, through an engine and
+	// returns the (login id, wire id) pair of every composite delivered.
+	composites := func(batched bool) map[[2]int64]int {
+		e := open(t, Config{})
 		if err := e.RegisterPattern("fraud", fraudSpec); err != nil {
 			t.Fatal(err)
 		}
@@ -138,10 +132,17 @@ func TestShardedPatternFeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, phase := range [][]*event.Event{logins, wires} {
-			if err := e.IngestBatch(phase); err != nil {
-				t.Fatal(err)
+			if batched {
+				if err := e.IngestBatch(phase); err != nil {
+					t.Fatal(err)
+				}
+				continue
 			}
-			e.Flush()
+			for _, ev := range phase {
+				if err := e.Ingest(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		pairs := map[[2]int64]int{}
 		for _, ev := range got.events() {
@@ -152,17 +153,17 @@ func TestShardedPatternFeed(t *testing.T) {
 			pairs[[2]int64{ai, bi}]++
 		}
 		if st := e.PatternStats(); st.Matches != uint64(len(got.events())) {
-			t.Errorf("%+v: stats.Matches = %d, delivered %d", cfg, st.Matches, len(got.events()))
+			t.Errorf("batched=%v: stats.Matches = %d, delivered %d", batched, st.Matches, len(got.events()))
 		}
 		return pairs
 	}
-	want := composites(Config{})
-	got := composites(Config{Shards: 4})
+	want := composites(false)
+	got := composites(true)
 	if len(want) == 0 {
-		t.Fatal("the synchronous engine emitted no composites")
+		t.Fatal("Ingest emitted no composites")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sharded engine emitted %d distinct composites, synchronous %d\n got: %v\nwant: %v", len(got), len(want), got, want)
+		t.Errorf("IngestBatch emitted %d distinct composites, Ingest %d\n got: %v\nwant: %v", len(got), len(want), got, want)
 	}
 }
 

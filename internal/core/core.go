@@ -41,44 +41,12 @@ type Config struct {
 	// vfs.Faulty to drive disk-failure scenarios.
 	FS vfs.FS
 
-	// ShedHighWater arms queue-depth overload shedding on a sharded
-	// engine: when aggregate shard occupancy exceeds this fraction of
-	// total capacity (0 < f <= 1), Overloaded reports true and the
-	// server sheds low-priority publishers with an error instead of
-	// blocking them. 0 disables.
-	ShedHighWater float64
 	// ShedMemoryBytes arms memory overload shedding: when the Go heap
-	// in use exceeds this many bytes, Overloaded reports true. The heap
+	// in use exceeds this many bytes, Overloaded reports true and the
+	// server sheds low-priority publishers with an error. The heap
 	// probe is cached for ~250ms so checking is cheap on the hot path.
 	// 0 disables.
 	ShedMemoryBytes uint64
-
-	// Shards enables the asynchronous sharded ingest pipeline: events
-	// are hash-partitioned by shard key across this many workers, each
-	// draining a bounded buffer through the same evaluation pass. Events
-	// sharing a key process in arrival order on a single shard, and
-	// nothing else is ordered: the default key is the event type, so
-	// above 1 a subscription filter, queue binding or pattern spanning
-	// types sees deliveries missing, reordered and duplicated until
-	// events carry an admission sequence (ROADMAP item 2). 0 (the
-	// default) keeps Ingest fully synchronous on the caller's
-	// goroutine. With shards, rule actions and subscription
-	// handlers run on shard goroutines and must be safe for concurrent
-	// use across shards; a handler that re-ingests directly should use
-	// IngestSync (or DropOnFull) — under BlockOnFull, a blocking
-	// Ingest from a shard goroutine into its own full shard would
-	// deadlock. The engine's own capture paths (triggers, watched
-	// queries, journal tail) are re-entrancy-safe.
-	Shards int
-	// ShardBuffer is each shard's bounded queue capacity (default 1024).
-	ShardBuffer int
-	// Backpressure selects what a full shard buffer does to publishers:
-	// BlockOnFull (default) blocks until the shard drains; DropOnFull
-	// drops the event and counts it in pipeline.shard<N>.drops.
-	Backpressure Backpressure
-	// ShardKey derives the partition key from an event; nil partitions
-	// by event type.
-	ShardKey func(*event.Event) string
 
 	// ColumnarDisabled turns off the columnar history store. By default
 	// every engine seals committed table history into immutable column
@@ -114,8 +82,6 @@ type Engine struct {
 	ingestCount atomic.Uint64
 	closed      atomic.Bool
 
-	// pipeline is the async sharded front door (nil when Shards == 0).
-	pipeline *pipeline
 	// cep is the shared-automaton pattern registry (see cep.go).
 	cep *cepRegistry
 	// scratch pools the (matcher, publisher) pairs evaluation runs with.
@@ -125,11 +91,10 @@ type Engine struct {
 	watchMu sync.Mutex
 	watches map[string]*watchEntry
 
-	// Overload watermarks (see health.go).
-	shedHighWater float64
-	shedMemBytes  uint64
-	memCheckedAt  atomic.Int64  // unix nanos of the last heap probe
-	memHeapInUse  atomic.Uint64 // cached heap-in-use from that probe
+	// Overload watermark (see health.go).
+	shedMemBytes uint64
+	memCheckedAt atomic.Int64  // unix nanos of the last heap probe
+	memHeapInUse atomic.Uint64 // cached heap-in-use from that probe
 }
 
 // Open assembles an engine.
@@ -139,14 +104,13 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		shedHighWater: cfg.ShedHighWater,
-		shedMemBytes:  cfg.ShedMemoryBytes,
-		DB:            db,
-		Queues:        queue.NewManager(db),
-		Miner:         journal.NewMiner(db),
-		Broker:        pubsub.NewBroker(),
-		Rules:         rules.NewEngine(),
-		Metrics:       metrics.NewRegistry(),
+		shedMemBytes: cfg.ShedMemoryBytes,
+		DB:           db,
+		Queues:       queue.NewManager(db),
+		Miner:        journal.NewMiner(db),
+		Broker:       pubsub.NewBroker(),
+		Rules:        rules.NewEngine(),
+		Metrics:      metrics.NewRegistry(),
 	}
 	if !cfg.ColumnarDisabled {
 		ccfg := columnar.Config{
@@ -167,16 +131,12 @@ func Open(cfg Config) (*Engine, error) {
 	e.scratch.New = func() any {
 		return &batchScratch{m: e.Rules.NewMatcher(), pub: e.Broker.NewPublisher()}
 	}
-	if cfg.Shards > 0 {
-		e.pipeline = newPipeline(e, cfg)
-	}
 	e.cep = newCEPRegistry(e, cfg)
-	// Trigger-captured events flow into the ingest path. The capture
-	// variant never blocks: a trigger can fire on a shard goroutine (a
-	// rule action writing to a captured table), where a blocking send
-	// into that worker's own full buffer would deadlock the pipeline.
+	// Trigger-captured events evaluate inline on the goroutine that
+	// delivers the commit: the committer's own, unless another
+	// goroutine is already delivering commits in commit order.
 	e.Triggers = trigger.NewManager(db, func(ev *event.Event) {
-		if err := e.ingestCapture(ev); err != nil {
+		if _, err := e.ingestSync(ev); err != nil {
 			e.Metrics.Counter("ingest.errors").Inc()
 		}
 	})
@@ -185,31 +145,23 @@ func Open(cfg Config) (*Engine, error) {
 
 var errNilEvent = errors.New("core: nil event")
 
+// ErrClosed is returned by ingestion after Close.
+var ErrClosed = errors.New("core: engine closed")
+
 // batchScratch is the (matcher, publisher) pair an evaluation pass uses.
 type batchScratch struct {
 	m   *rules.Matcher
 	pub *pubsub.Publisher
 }
 
-// Close shuts the engine down: stops capture, drains the async
-// pipeline's in-flight events, then flushes the WAL.
+// Close shuts the engine down: stops capture, then flushes the WAL.
 func (e *Engine) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Watches first: they generate fresh capture events, and everything
-	// they produce before the pipeline drain below still evaluates.
+	// Watches first: a poll in flight still evaluates what it captured,
+	// and its cascades are captured, while triggers are attached.
 	e.stopAllWatches()
-	// Drain the pipeline before detaching trigger capture: draining
-	// events' rule actions can still write to captured tables, and
-	// those cascades must be captured (they evaluate inline via
-	// ingestCapture once intake is closed).
-	if e.pipeline != nil {
-		e.pipeline.close()
-	}
-	// The draining shards fed the automaton themselves, and its last
-	// matches evaluated inline while triggers were still attached; what
-	// is left to stop is the horizon clock.
 	e.cep.close()
 	e.Triggers.Close()
 	e.Queues.Close()
@@ -243,105 +195,53 @@ func (e *Engine) SegmentStats() []columnar.TableStats {
 // then the pattern automaton observes it. This is the paper's core flow
 // — events in, valuable information out.
 //
-// On a synchronous engine (Config.Shards == 0) evaluation completes
-// before Ingest returns. With shards, Ingest enqueues to the event's
-// shard and returns once accepted; evaluation errors are counted in
-// the ingest.errors metric, and Flush/Close drain the backlog.
+// Evaluation runs on the caller's goroutine and completes before Ingest
+// returns, cascades included — a pattern's composite, and a rule
+// action's write to a captured table unless another goroutine is
+// delivering commits at the time (it then evaluates the capture, in
+// commit order). Ingest is safe from many goroutines.
 func (e *Engine) Ingest(ev *event.Event) error {
 	_, err := e.IngestCount(ev)
 	return err
 }
 
-// IngestSync runs the full evaluation pass on the caller's goroutine
-// regardless of pipeline mode.
-func (e *Engine) IngestSync(ev *event.Event) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	_, err := e.ingestSync(ev)
-	return err
-}
-
-// ingestSync is IngestSync without the closed check, so capture
-// cascades during Close's drain still evaluate. It returns the
-// delivery count so callers that answer for one event (the wire
-// protocol's PUB) don't have to infer it from shared counters.
+// ingestSync is IngestCount without the closed check: the engine's own
+// capture paths (triggers, watched queries, pattern matches) call it,
+// so a cascade already under way still evaluates while Close runs.
 func (e *Engine) ingestSync(ev *event.Event) (int, error) {
 	one := [1]*event.Event{ev}
 	return e.evaluateBatch(one[:], true, "ingest.latency")
 }
 
-// IngestCount is Ingest returning this event's exact delivery count.
-// On an async engine the event is only enqueued, evaluation happens
-// later on a shard goroutine, and the count is reported as 0.
+// IngestCount is Ingest returning this event's exact delivery count, so
+// callers that answer for one event (the wire protocol's PUB) don't
+// have to infer it from shared counters.
 func (e *Engine) IngestCount(ev *event.Event) (int, error) {
-	if e.pipeline != nil {
-		return 0, e.pipeline.enqueue(ev)
-	}
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
 	return e.ingestSync(ev)
 }
 
-// IngestBatch pushes a batch through the evaluation layer, amortizing
-// match scratch and metric updates across the batch. With shards, the
-// batch is partitioned across workers and events sharing a shard key
-// keep their relative order; otherwise the batch evaluates in order on
-// the caller's goroutine. Processing stops at the first error.
+// IngestBatch pushes a batch through the evaluation layer in order on
+// the caller's goroutine, amortizing match scratch and metric updates
+// across the batch. Processing stops at the first error.
 func (e *Engine) IngestBatch(evs []*event.Event) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	return e.ingestBatch(evs, true)
-}
-
-// ingestBatch hands a batch to the shards, or evaluates it here on a
-// synchronous engine. With stopOnError the first failure ends the batch
-// and is returned (IngestBatch's contract); without, failures are
-// counted in ingest.errors and the rest proceeds (the capture paths'
-// contract — one bad event must not discard a burst).
-func (e *Engine) ingestBatch(evs []*event.Event, stopOnError bool) error {
-	if e.pipeline == nil {
-		_, err := e.evaluateBatch(evs, stopOnError, "ingest.batch.latency")
-		return err
-	}
-	for _, ev := range evs {
-		if err := e.pipeline.enqueue(ev); err != nil {
-			if stopOnError {
-				return err
-			}
-			e.Metrics.Counter("ingest.errors").Inc()
-		}
-	}
-	return nil
-}
-
-// ingestCapture is the ingest variant used by the engine's own capture
-// callbacks (triggers, watched queries, pattern matches): like Ingest,
-// but on an async engine it never blocks — if the target shard's buffer
-// is full the event is evaluated inline on the capturing goroutine
-// instead. That keeps re-entrant capture (a rule action writing to a
-// captured table from a shard goroutine) deadlock-free at the cost of
-// shard-ordering for the overflow event.
-func (e *Engine) ingestCapture(ev *event.Event) error {
-	if e.pipeline != nil && e.pipeline.tryEnqueue(ev) {
-		return nil
-	}
-	// No pipeline, a full buffer or a closed pipeline: evaluate inline.
-	// The closed case is Close's drain — a draining event's rule action
-	// can still capture-cascade, and those derived events must not be
-	// lost for "Close drains in-flight events" to hold.
-	_, err := e.ingestSync(ev)
+	_, err := e.evaluateBatch(evs, true, "ingest.batch.latency")
 	return err
 }
 
-// evaluateBatch is the accounting around evaluate, for a publisher's
-// goroutine and a shard worker alike: it runs the batch in order with a
-// pooled scratch pair (re-entrant ingestion — a rule action capturing
-// back into the engine — borrows another), settles the shared counters
-// once, those atomics being the contended cache lines on a many-shard
-// box, and returns the deliveries made.
+// evaluateBatch is the accounting around evaluate: it runs the batch in
+// order with a pooled scratch pair (re-entrant ingestion — a rule
+// action capturing back into the engine — borrows another), settles the
+// shared counters once per batch, and returns the deliveries made. With
+// stopOnError the first failure ends the batch and is returned
+// (IngestBatch's contract); without, failures are counted in
+// ingest.errors and the rest proceeds (the journal tail's contract —
+// one bad event must not discard a burst).
 func (e *Engine) evaluateBatch(evs []*event.Event, stopOnError bool, latency string) (int, error) {
 	// The scratch goes back only on the way out of a whole pass: one a
 	// panicking rule action left mid-batch is dropped with what it holds.
@@ -396,8 +296,7 @@ func (e *Engine) evaluateBatch(evs []*event.Event, stopOnError bool, latency str
 
 // evaluate is the paper's internal evaluation step (§2.2.c), written
 // once: rules fire, pub/sub delivers, and the pattern automaton
-// observes the event — in that order whichever goroutine runs it, the
-// publisher's or a shard worker's. It returns the delivery count.
+// observes the event, in that order. It returns the delivery count.
 func (e *Engine) evaluate(ev *event.Event, sc *batchScratch) (int, error) {
 	if _, err := sc.m.Eval(ev); err != nil {
 		return 0, fmt.Errorf("core: rules: %w", err)
@@ -436,8 +335,9 @@ func (e *Engine) CaptureTable(table string) error {
 
 // TailJournal starts live journal capture (capture path 2) into the
 // ingest path, returning a stop function. Journal events go through the
-// same pipeline as trigger capture, so downstream logic is agnostic to
-// the capture mechanism.
+// same evaluation pass as trigger capture, so downstream logic is
+// agnostic to the capture mechanism; they evaluate on the tail's own
+// goroutine.
 func (e *Engine) TailJournal(f journal.Filter, buffer int) (stop func()) {
 	sub := e.Miner.Tail(f, buffer)
 	done := make(chan struct{})
@@ -452,7 +352,7 @@ func (e *Engine) TailJournal(f journal.Filter, buffer int) (stop func()) {
 					return
 				}
 				batch = drainInto(sub.C, append(batch[:0], ev))
-				e.ingestBatch(batch, false)
+				e.evaluateBatch(batch, false, "ingest.batch.latency")
 			case <-done:
 				return
 			}
@@ -462,6 +362,23 @@ func (e *Engine) TailJournal(f journal.Filter, buffer int) (stop func()) {
 		close(done)
 		sub.Cancel()
 	}
+}
+
+// drainInto appends immediately available events from ch to batch —
+// up to its capacity, never blocking — and returns the grown batch.
+func drainInto(ch <-chan *event.Event, batch []*event.Event) []*event.Event {
+	for len(batch) < cap(batch) {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, ev)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // WatchedQuery is a query differ bound to the ingest path (capture
@@ -478,16 +395,15 @@ func (e *Engine) WatchQuery(name string, q *query.Query, keyCols ...string) *Wat
 }
 
 // Poll evaluates the query and ingests any result-set change events,
-// returning how many were produced. Like the other capture paths it
-// never blocks on a full shard buffer, so it is safe to call from rule
-// actions and handlers on an async engine.
+// returning how many were produced. The events evaluate on the caller's
+// goroutine before Poll returns.
 func (w *WatchedQuery) Poll() (int, error) {
 	evs, err := w.differ.PollEvents()
 	if err != nil {
 		return 0, err
 	}
 	for _, ev := range evs {
-		if err := w.engine.ingestCapture(ev); err != nil {
+		if _, err := w.engine.ingestSync(ev); err != nil {
 			return 0, err
 		}
 	}

@@ -22,21 +22,11 @@ func (e *Engine) Recover() error { return e.DB.Recover() }
 // runtime.ReadMemStats; between probes the cached value is used.
 const memProbeInterval = 250 * time.Millisecond
 
-// Overloaded reports whether an armed ingest watermark is exceeded —
-// the signal the server uses to shed low-priority publishers before
-// blocking backpressure turns into collapse. Always false when no
-// watermark is configured.
+// Overloaded reports whether the armed heap watermark
+// (Config.ShedMemoryBytes) is exceeded — the signal the server uses to
+// shed low-priority publishers before memory pressure turns into
+// collapse. Always false when no watermark is configured.
 func (e *Engine) Overloaded() (bool, string) {
-	if e.shedHighWater > 0 && e.pipeline != nil {
-		depth, capacity := 0, 0
-		for _, s := range e.pipeline.shards {
-			depth += len(s.ch)
-			capacity += cap(s.ch)
-		}
-		if capacity > 0 && float64(depth) > e.shedHighWater*float64(capacity) {
-			return true, fmt.Sprintf("shard queues %d/%d over high water %.2f", depth, capacity, e.shedHighWater)
-		}
-	}
 	if e.shedMemBytes > 0 {
 		if heap := e.heapInUse(); heap > e.shedMemBytes {
 			return true, fmt.Sprintf("heap %d bytes over limit %d", heap, e.shedMemBytes)
@@ -75,12 +65,7 @@ type Health struct {
 	// the next LSN the log will assign. Both 0 when volatile.
 	LastApplied uint64
 	NextLSN     uint64
-	// QueueDepths is per-shard ingest buffer occupancy (nil when the
-	// engine is synchronous); QueueCap is the per-shard capacity.
-	QueueDepths []int
-	QueueCap    int
 	Ingested    uint64
-	Dropped     uint64
 	// Columnar sums the columnar history over all tables. TailRows is
 	// the sealer's backlog: rows committed but not yet in a segment;
 	// ResidentSegments are the sealed segments memory still holds (the
@@ -101,17 +86,12 @@ type ColumnarHealth struct {
 // wire handler.
 func (e *Engine) Health() Health {
 	h := Health{
-		ReadOnly:    e.ReadOnly(),
-		Durable:     e.DB.Durable(),
-		QueueDepths: e.QueueDepths(),
-		Ingested:    e.Ingested(),
-		Dropped:     e.Dropped(),
+		ReadOnly: e.ReadOnly(),
+		Durable:  e.DB.Durable(),
+		Ingested: e.Ingested(),
 	}
 	h.Degraded, h.DegradedCause = e.Degraded()
 	h.Overloaded, h.OverloadReason = e.Overloaded()
-	if e.pipeline != nil && len(e.pipeline.shards) > 0 {
-		h.QueueCap = cap(e.pipeline.shards[0].ch)
-	}
 	if w := e.DB.WAL(); w != nil {
 		h.LastApplied = e.DB.LastApplied()
 		h.NextLSN = w.NextLSN()

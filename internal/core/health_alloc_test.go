@@ -10,16 +10,14 @@ import (
 // checks that sit on the per-command dispatch path: every mutating verb
 // consults Degraded(), and every low-priority publish consults
 // Overloaded(). Both must allocate nothing in the common (healthy, not
-// overloaded) case, with both watermarks armed so the real probe code
-// runs — otherwise the health plane itself would tax the ingest path it
-// protects.
+// overloaded) case, with the heap watermark armed so the real probe
+// code runs — otherwise the health plane itself would tax the ingest
+// path it protects.
 func TestAllocsHealthGates(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	eng, err := Open(Config{
-		Shards:          2,
-		ShedHighWater:   0.99,
 		ShedMemoryBytes: 1 << 62, // armed, never exceeded
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func (c *Counter) Add(n uint64) { c.n.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
 
-// Gauge is an instantaneous level (queue depth, shard backlog) that can
+// Gauge is an instantaneous level (queue depth, backlog) that can
 // move in both directions. Safe for concurrent use.
 type Gauge struct {
 	v atomic.Int64

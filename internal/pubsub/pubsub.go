@@ -279,7 +279,7 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 	if len(matched) == 0 {
 		return 0, nil
 	}
-	// The scratch outlives this publish (pool, shard-worker Publisher);
+	// The scratch outlives this publish (pool, pooled Publisher);
 	// zero the retained slots on the way out so it cannot pin
 	// since-unsubscribed handlers and queues until some later fan-out
 	// happens to overwrite them.
@@ -421,9 +421,8 @@ func (sc *deliverScratch) forget() {
 }
 
 // Publisher carries reusable match and delivery scratch for a hot
-// publish loop (the sharded ingest pipeline gives each shard worker
-// one). Not safe for concurrent use; the broker itself remains safe to
-// share.
+// publish loop (the engine pools one per evaluating goroutine). Not
+// safe for concurrent use; the broker itself remains safe to share.
 type Publisher struct {
 	b  *Broker
 	m  *rules.Matcher

@@ -75,8 +75,8 @@ func handleCQ(c *conn, req *request) bool {
 	// maintains windows only over relevant events.
 	err = c.srv.eng.Broker.Subscribe(wq.brokerID, fmt.Sprintf("conn%d", c.id), def.Filter,
 		func(d pubsub.Delivery) {
-			// The lock covers the pushes too: on a sharded engine two
-			// workers can feed this CQ back to back, and releasing
+			// The lock covers the pushes too: two publishing connections
+			// can feed this CQ back to back, and releasing
 			// between Feed and push would let a newer aggregate be
 			// enqueued before an older one, leaving the client with a
 			// stale "latest" result.

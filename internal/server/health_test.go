@@ -59,6 +59,24 @@ func TestHealthWire(t *testing.T) {
 	if line := r.ask("HEALTH format=xml"); !strings.HasPrefix(line, "ERR badargs") {
 		t.Errorf("bad format reply %q", line)
 	}
+
+	// queued, qcap and their JSON twins hold their places with zeros,
+	// even on a durable server whose queue holds unconsumed messages.
+	_, dsrv := startServer(t, core.Config{Dir: t.TempDir()}, Config{})
+	backlog(t, dsrv, "q", 5)
+	dr := rawDial(t, dsrv)
+	if line := dr.ask("QSTATS q"); !strings.HasPrefix(line, "OK ready=5 ") {
+		t.Fatalf("QSTATS q = %q, want 5 ready", line)
+	}
+	if line := dr.ask("HEALTH"); !strings.Contains(line, " durable=1 ") || !strings.HasSuffix(line, " queued=0 qcap=0") {
+		t.Errorf("durable HEALTH = %q, want queued=0 qcap=0", line)
+	}
+	line = dr.ask("HEALTH format=json")
+	for _, zero := range []string{`"queue_depths":[],`, `"queue_cap":0,`, `"dropped":0,`} {
+		if !strings.Contains(line, zero) {
+			t.Errorf("durable HEALTH json lacks %s: %q", zero, line)
+		}
+	}
 }
 
 // TestHealthColumnar: HEALTH format=json shows the sealer's backlog —

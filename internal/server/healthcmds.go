@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"runtime/metrics"
-	"strconv"
-	"strings"
 
 	"eventdb/internal/core"
 )
@@ -14,8 +12,8 @@ import (
 // idempotent publish (PUBT) for retrying clients, is in publish.go.
 //
 //	HEALTH [format=json] → one-line operational snapshot (role, degraded
-//	                       flag, overload state, WAL positions, queue
-//	                       depths, slow-consumer counts)
+//	                       flag, overload state, WAL positions,
+//	                       slow-consumer counts)
 //	RECOVER              → "OK"; re-verifies the WAL tail and resumes
 //	                       mutations after a fail-stop. No-op when healthy.
 
@@ -73,37 +71,31 @@ func b01(v bool) string {
 // of the wire contract (PROTOCOL.md §9); format=json returns the same
 // fields plus the human-readable degraded cause and overload reason,
 // the ingest counters, the columnar store's totals and the Go runtime's
-// allocation, collector and heap figures.
+// allocation, collector and heap figures. queued, qcap, queue_depths,
+// queue_cap and dropped are always 0 (or []): the engine has no ingest
+// buffer to report, and the fields stay only to keep the order.
 func handleHealth(c *conn, req *request) bool {
 	format, ok := statsFormat(c, req.tail)
 	if !ok {
 		return true
 	}
 	h := c.srv.healthSnapshot()
-	depth := 0
-	for _, d := range h.QueueDepths {
-		depth += d
-	}
 	if format == "json" {
-		depths := make([]string, len(h.QueueDepths))
-		for i, d := range h.QueueDepths {
-			depths[i] = strconv.Itoa(d)
-		}
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
-			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[%s],"queue_cap":%d,"ingested":%d,"dropped":%d,`+
+			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[],"queue_cap":0,"ingested":%d,"dropped":0,`+
 			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d},`+
 			`"runtime":%s}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
-			h.LastApplied, h.NextLSN, h.walLag(), strings.Join(depths, ","), h.QueueCap, h.Ingested, h.Dropped,
+			h.LastApplied, h.NextLSN, h.walLag(), h.Ingested,
 			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments,
 			runtimeJSON()))
 		return true
 	}
-	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=%d qcap=%d",
+	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=0 qcap=0",
 		h.role, b01(h.Degraded), b01(h.Overloaded), b01(h.Durable), h.conns, h.slow,
-		h.evicted, h.shed, h.panics, h.LastApplied, h.NextLSN, h.walLag(), depth, h.QueueCap))
+		h.evicted, h.shed, h.panics, h.LastApplied, h.NextLSN, h.walLag()))
 	return true
 }
 

@@ -64,8 +64,7 @@ func publish(c *conn, body []byte, bodies int, commit func()) bool {
 		c.errf(codeBadJSON, "%v", bad)
 		return true
 	}
-	// One event answers with its exact delivery count (0 on an async
-	// engine, where evaluation happens after the reply); a batch answers
+	// One event answers with its exact delivery count; a batch answers
 	// with the number of events accepted.
 	var n int
 	var err error

@@ -120,7 +120,7 @@
 // line granularity — clients demultiplex on the line prefix (text
 // mode) or the frame type (binary mode).
 //
-// # Backpressure
+// # Push-queue overflow
 //
 // Every outbound message — reply, push, durable delivery, replication
 // record — is appended in its wire form to one per-connection buffer,
@@ -128,8 +128,7 @@
 // puts it on the socket with one write: the reader goroutine itself for
 // a reply the client is waiting on, else a short-lived burst goroutine.
 // The buffer is bounded in messages (Config.SubBuffer), so one slow
-// consumer cannot stall the engine or other connections — the same
-// bounded-buffer discipline as the engine's shard pipeline. Command
+// consumer cannot stall the engine or other connections. Command
 // replies always block until queued (they are bounded by request
 // rate); pushed EVT lines follow the configured Overflow policy:
 // BlockOnFull propagates pressure to the publishing goroutine,

@@ -141,7 +141,7 @@ func TestStreamingPush(t *testing.T) {
 }
 
 func TestPublishBatchOverWire(t *testing.T) {
-	eng, srv := startServer(t, core.Config{Shards: 2, ShardBuffer: 128}, Config{})
+	eng, srv := startServer(t, core.Config{}, Config{})
 	c := dial(t, srv)
 	evs := make([]*client.Event, 100)
 	for i := range evs {
@@ -151,7 +151,6 @@ func TestPublishBatchOverWire(t *testing.T) {
 	if err != nil || n != 100 {
 		t.Fatalf("batch: n=%d err=%v", n, err)
 	}
-	eng.Flush()
 	if got := eng.Ingested(); got != 100 {
 		t.Errorf("ingested = %d", got)
 	}
@@ -583,25 +582,33 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestShardedEnginePush: pushes work when handlers run on shard
-// goroutines (the async pipeline), exercising concurrent pushEvent.
-func TestShardedEnginePush(t *testing.T) {
-	eng, srv := startServer(t, core.Config{Shards: 4, ShardBuffer: 256}, Config{})
+// TestConcurrentPublishersPush: four publishing connections evaluate on
+// their own goroutines, so one subscriber's pushEvent runs concurrently
+// from all of them, and every event still arrives.
+func TestConcurrentPublishersPush(t *testing.T) {
+	_, srv := startServer(t, core.Config{}, Config{})
 	subConn := dial(t, srv)
 	sub, err := subConn.Subscribe("all", "", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub := dial(t, srv)
-	const total = 1000
-	evs := make([]*client.Event, total)
-	for i := range evs {
-		evs[i] = event.New(fmt.Sprintf("t%d", i%16), map[string]any{"i": i})
+	const publishers, total = 4, 1000
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pub := dial(t, srv)
+		evs := make([]*client.Event, total/publishers)
+		for i := range evs {
+			evs[i] = event.New(fmt.Sprintf("t%d", i%16), map[string]any{"p": p, "i": i})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pub.PublishBatch(evs); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if _, err := pub.PublishBatch(evs); err != nil {
-		t.Fatal(err)
-	}
-	eng.Flush()
+	wg.Wait()
 	got := 0
 	timeout := time.After(10 * time.Second)
 	for got < total {
@@ -617,15 +624,15 @@ func TestShardedEnginePush(t *testing.T) {
 	}
 }
 
-// TestFanoutSharedPayloadByteIdentical publishes through a sharded
-// engine (concurrent shard goroutines race on each event's first
-// encode) while many connections subscribe to everything, then asserts
+// TestFanoutSharedPayloadByteIdentical publishes from four connections
+// at once (their goroutines evaluate and encode concurrently) while
+// many connections subscribe to everything, then asserts
 // every connection received byte-identical JSON for every event — the
 // encode-once cache is written once and never mutated, and no sink
 // ever observes a torn or divergent payload. Run with -race this also
 // pins the cache's publication safety.
 func TestFanoutSharedPayloadByteIdentical(t *testing.T) {
-	_, srv := startServer(t, core.Config{Shards: 4, ShardBuffer: 256}, Config{SubBuffer: 2048})
+	_, srv := startServer(t, core.Config{}, Config{SubBuffer: 2048})
 	const conns = 6
 	const events = 40
 
@@ -649,22 +656,32 @@ func TestFanoutSharedPayloadByteIdentical(t *testing.T) {
 		subs[i] = &subConn{nc: nc, br: br}
 	}
 
-	pub, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// Four publishing connections each PUBB a quarter of the events;
+	// explicit ids key the cross-connection comparison.
+	const publishers = 4
+	var pubs sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		pub, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pub.Close() })
+		pubs.Add(1)
+		go func(p int) {
+			defer pubs.Done()
+			var b strings.Builder
+			fmt.Fprintf(&b, "PUBB %d\n", events/publishers)
+			for i := p; i < events; i += publishers {
+				fmt.Fprintf(&b, `{"id":%d,"type":"t%d","attrs":{"n":%d,"s":"msg-%d","f":1.5}}`+"\n",
+					100000+i, i%4, i, i)
+			}
+			pub.Write([]byte(b.String()))
+			if line, err := bufio.NewReader(pub).ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK") {
+				t.Errorf("PUBB reply %q err %v", line, err)
+			}
+		}(p)
 	}
-	t.Cleanup(func() { pub.Close() })
-	pbr := bufio.NewReader(pub)
-	fmt.Fprintf(pub, "PUBB %d\n", events)
-	for i := 0; i < events; i++ {
-		// Distinct types spread events across shards so first encodes
-		// race; explicit ids key the cross-connection comparison.
-		fmt.Fprintf(pub, `{"id":%d,"type":"t%d","attrs":{"n":%d,"s":"msg-%d","f":1.5}}`+"\n",
-			100000+i, i%4, i, i)
-	}
-	if line, err := pbr.ReadString('\n'); err != nil || !strings.HasPrefix(line, "OK") {
-		t.Fatalf("PUBB reply %q err %v", line, err)
-	}
+	pubs.Wait()
 
 	// Collect per-connection payloads keyed by event id.
 	payloads := make([]map[string]string, conns)

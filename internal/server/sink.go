@@ -36,8 +36,8 @@ func (s *subSink) kind() string { return "sub" }
 func (s *subSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 
 // cqSink is a continuous query attached over the wire. Engine handlers
-// may run concurrently (shard goroutines), and cq.CQ is not safe for
-// concurrent use, so feeds serialize on mu.
+// run concurrently, one per publishing connection, and cq.CQ is not
+// safe for concurrent use, so feeds serialize on mu.
 type cqSink struct {
 	c        *conn
 	brokerID string
