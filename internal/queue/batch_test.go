@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"eventdb/internal/event"
 	"eventdb/internal/storage"
 	"eventdb/internal/vfs"
 )
@@ -18,6 +17,20 @@ func fakeClock(t *testing.T) *time.Time {
 	timeNow = func() time.Time { return now }
 	t.Cleanup(func() { timeNow = func() time.Time { return time.Now().UTC() } })
 	return &now
+}
+
+// stage enqueues n events numbered from 0, in one transaction.
+func stage(t testing.TB, q *Queue, n int) {
+	t.Helper()
+	var g Group
+	for i := 0; i < n; i++ {
+		if err := g.Add(ev(i), []Target{{Queue: q}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Commit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func msgN(t *testing.T, m *Msg) int64 {
@@ -139,13 +152,7 @@ func TestDequeueBatchMatchesDequeue(t *testing.T) {
 // nothing when asked for nothing.
 func TestDequeueBatchBounds(t *testing.T) {
 	_, q := newQueue(t, Config{})
-	evs := make([]*event.Event, 0, maxClaim+50)
-	for i := 0; i < maxClaim+50; i++ {
-		evs = append(evs, ev(i))
-	}
-	if _, err := q.EnqueueBatch(evs, EnqueueOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	stage(t, q, maxClaim+50)
 	if msgs, err := q.DequeueBatch("c", 0); err != nil || len(msgs) != 0 {
 		t.Fatalf("DequeueBatch(0) = %d messages, %v", len(msgs), err)
 	}
@@ -158,10 +165,10 @@ func TestDequeueBatchBounds(t *testing.T) {
 	}
 }
 
-// TestDequeueBatchFailedClaimKeepsEveryMessage: a batch claim whose
-// commit the disk refuses claims nothing — every popped message goes
-// back, and once storage recovers the whole batch is handed out, in
-// order, as first attempts.
+// TestDequeueBatchFailedClaimKeepsEveryMessage: a batch claim on a
+// database that a failed write has degraded claims nothing, and once
+// storage recovers the whole batch is handed out, in order, as first
+// attempts.
 func TestDequeueBatchFailedClaimKeepsEveryMessage(t *testing.T) {
 	fsys := vfs.NewFaulty(nil)
 	db, err := storage.Open(storage.Options{Dir: t.TempDir(), SyncEvery: 1, FS: fsys})
@@ -182,9 +189,9 @@ func TestDequeueBatchFailedClaimKeepsEveryMessage(t *testing.T) {
 		}
 	}
 
-	fsys.FailSyncsAfter(0, errors.New("injected EIO"))
+	degrade(t, fsys, q)
 	if msgs, err := q.DequeueBatch("c", n); !errors.Is(err, storage.ErrDegraded) || len(msgs) != 0 {
-		t.Fatalf("batch claim on a failed disk = %d messages, %v; want none and ErrDegraded", len(msgs), err)
+		t.Fatalf("batch claim on a degraded database = %d messages, %v; want none and ErrDegraded", len(msgs), err)
 	}
 	if st := q.Stats(); st.Ready != n || st.Inflight != 0 {
 		t.Fatalf("after the failed claim: %+v, want all %d ready", st, n)
@@ -199,7 +206,7 @@ func TestDequeueBatchFailedClaimKeepsEveryMessage(t *testing.T) {
 	}
 	for i, m := range msgs {
 		if m.Attempt != 1 {
-			t.Errorf("message %d: attempt %d, want 1: the failed claim never committed", m.Receipt.ID, m.Attempt)
+			t.Errorf("message %d: attempt %d, want 1: the refused claim never happened", m.Receipt.ID, m.Attempt)
 		}
 		if i > 0 {
 			p := msgs[i-1]
@@ -267,15 +274,7 @@ func BenchmarkDequeueInflight256(b *testing.B) {
 		b.Fatal(err)
 	}
 	const inflight = 256
-	evs := make([]*event.Event, b.N+inflight)
-	for i := range evs {
-		evs[i] = ev(i)
-	}
-	for lo := 0; lo < len(evs); lo += 1024 {
-		if _, err := q.EnqueueBatch(evs[lo:min(lo+1024, len(evs))], EnqueueOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	stage(b, q, b.N+inflight)
 	ring := make([]Receipt, inflight)
 	for i := range ring {
 		msg, ok, err := q.Dequeue("c")

@@ -1,10 +1,15 @@
 // Package queue implements message storage — the paper's "staging areas"
 // (§2.2.b). A queue is a database table: enqueue is an (extended) INSERT,
-// dequeue/ack are updates, so messages inherit the engine's transactional
-// support, recoverability and auditability. Internally created messages
-// ride an in-memory ready/delayed structure for speed — the paper's
-// "significant opportunities for optimization" for internal messages —
-// while the table remains the authoritative, recoverable source.
+// so messages inherit the engine's transactional support, recoverability
+// and auditability. Internally created messages ride an in-memory
+// ready/delayed structure for speed — the paper's "significant
+// opportunities for optimization" for internal messages — while the
+// table remains the authoritative, recoverable source.
+//
+// A message's row is written when its fate changes, not each time it is
+// handed out: staged (INSERT), NACKed, timed out or dead-lettered
+// (UPDATE), acknowledged (DELETE, batched by Settle). A claim is a lock
+// in memory, so a restart redelivers with the same attempt number.
 //
 // Because registration happens in a commit hook on the backing table,
 // any INSERT into the queue table — from this API, from a foreign
@@ -19,8 +24,8 @@
 //
 // Both directions batch: Group stages any number of events into any
 // number of queues under one transaction (EnqueueGroup is its one-event
-// case), and DequeueBatch claims up to 256 messages under one (Dequeue
-// is its one-message case), so a burst costs one commit record.
+// case), and DequeueBatch claims up to 256 messages (Dequeue is its
+// one-message case) after one Settle of those acknowledged meanwhile.
 package queue
 
 import (
@@ -37,7 +42,7 @@ import (
 	"eventdb/internal/val"
 )
 
-// Message states stored in the queue table.
+// Message states stored in the queue table (stateInflight: older daemons).
 const (
 	stateReady    = "ready"
 	stateInflight = "inflight"
@@ -49,8 +54,8 @@ type Config struct {
 	// VisibilityTimeout is how long a dequeued message stays invisible
 	// before redelivery. Default 30s.
 	VisibilityTimeout time.Duration
-	// MaxAttempts dead-letters a message after this many deliveries.
-	// Default 5. Values < 1 are treated as 1.
+	// MaxAttempts dead-letters a message when its delivery with this
+	// attempt number fails. Default 5. Values < 1 are treated as 1.
 	MaxAttempts int
 }
 
@@ -127,11 +132,12 @@ func (m *Manager) Get(name string) (*Queue, bool) {
 	return q, ok
 }
 
-// Close detaches all queues' commit hooks.
+// Close settles every queue and detaches its commit hook.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for name, q := range m.queues {
+		q.Settle()
 		if q.removeHook != nil {
 			q.removeHook()
 			q.removeHook = nil
@@ -157,16 +163,15 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 		table:     tbl,
 		cfg:       cfg.withDefaults(),
 		rowIDs:    make(map[int64]storage.RowID),
-		inflight:  make(map[int64]*inflightInfo),
+		inflight:  make(map[int64]inflightInfo),
 		reapAfter: math.MaxInt64,
 		notify:    make(chan struct{}, 1),
 	}
-	// Rebuild in-memory state from the authoritative table. Inflight
-	// messages from a previous incarnation are redelivered immediately:
-	// their consumers are gone with the old process.
+	// Rebuild in-memory state from the authoritative table. Claims were
+	// never written, so messages in flight in a previous incarnation
+	// read as ready and are redelivered.
 	var maxID int64
 	var restoreReady []readyItem
-	var toRecover []storage.RowID
 	tbl.Scan(func(rid storage.RowID, r storage.Row) bool {
 		id, _ := r[0].AsInt()
 		if id > maxID {
@@ -177,23 +182,17 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 		pri, _ := r[1].AsInt()
 		vis, _ := r[2].AsInt()
 		switch state {
-		case stateReady:
-			restoreReady = append(restoreReady, readyItem{id: id, pri: pri, visibleAt: vis})
-		case stateInflight:
-			toRecover = append(toRecover, rid)
-			restoreReady = append(restoreReady, readyItem{id: id, pri: pri})
 		case stateDead:
-			// stays parked until Requeue
+			q.dead++ // stays parked until Requeue
+		case stateInflight:
+			// Claimed by an older daemon: its consumer is gone, so the
+			// message is ready at once. The row is not rewritten.
+			restoreReady = append(restoreReady, readyItem{id: id, pri: pri})
+		default:
+			restoreReady = append(restoreReady, readyItem{id: id, pri: pri, visibleAt: vis})
 		}
 		return true
 	})
-	for _, rid := range toRecover {
-		if err := m.db.UpdateRow(q.tableName, rid, map[string]val.Value{
-			"state": val.String(stateReady), "visible_at": val.Int(0),
-		}); err != nil {
-			return nil, fmt.Errorf("queue: recover inflight: %w", err)
-		}
-	}
 	q.mu.Lock()
 	for _, it := range restoreReady {
 		q.push(it)
@@ -224,7 +223,9 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 			if id >= q.nextID {
 				q.nextID = id + 1
 			}
-			if state == stateReady {
+			if state == stateDead {
+				q.dead++
+			} else {
 				q.push(readyItem{id: id, pri: pri, visibleAt: vis})
 				woke = true
 			}
@@ -252,9 +253,14 @@ type Queue struct {
 	nextID  int64
 	ready   readyHeap   // visible messages, by (pri desc, id asc)
 	delayed delayedHeap // future-visible messages, by visible_at
-	rowIDs  map[int64]storage.RowID
-	// inflight tracks deadline and attempt per delivered message.
-	inflight map[int64]*inflightInfo
+	// rowIDs holds every message but the acknowledged ones whose rows
+	// wait in settle for their delete; dead of them are dead letters.
+	rowIDs map[int64]storage.RowID
+	settle []storage.RowID
+	dead   int
+	// inflight is the claim on each delivered message, held only here.
+	inflight map[int64]inflightInfo
+	settleMu sync.Mutex // one Settle at a time; taken before mu
 	// reapAfter is a lower bound on the earliest in-flight deadline:
 	// while the clock is below it reapExpired has nothing to find and
 	// does not look. Settling a delivery leaves it stale (still a lower
@@ -267,7 +273,8 @@ type Queue struct {
 
 type inflightInfo struct {
 	deadline int64 // unix nanos
-	attempt  int64
+	attempt  int64 // the persisted attempts + 1
+	pri      int64
 }
 
 // Name returns the queue name.
@@ -334,30 +341,6 @@ func (q *Queue) enqueuePayloadTx(txn *storage.Txn, payload []byte, opts EnqueueO
 		return 0, err
 	}
 	return id, nil
-}
-
-// EnqueueBatch stages a batch of events under a single transaction:
-// one commit, one WAL append, one fsync — group commit. All messages
-// become deliverable together (or none do, on error). Returns the
-// staged message IDs in batch order.
-func (q *Queue) EnqueueBatch(evs []*event.Event, opts EnqueueOptions) ([]int64, error) {
-	if len(evs) == 0 {
-		return nil, nil
-	}
-	txn := q.db.Begin()
-	ids := make([]int64, 0, len(evs))
-	for _, ev := range evs {
-		id, err := q.EnqueueTx(txn, ev, opts)
-		if err != nil {
-			txn.Rollback()
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	if _, err := txn.Commit(); err != nil {
-		return nil, err
-	}
-	return ids, nil
 }
 
 // Target pairs a queue with enqueue options for EnqueueGroup.
@@ -445,7 +428,8 @@ func (g *Group) Rollback() {
 type Msg struct {
 	Receipt Receipt
 	Event   *event.Event
-	// Attempt is 1 for first delivery.
+	// Attempt is 1 for first delivery, and one more for each earlier
+	// delivery that was NACKed or timed out.
 	Attempt int
 	// EnqueuedAt is the original enqueue time.
 	EnqueuedAt time.Time
@@ -460,12 +444,11 @@ type Receipt struct {
 	attempt int64
 }
 
-// maxClaim bounds how many messages one claim transaction takes, and
-// with it the size of one commit record.
+// maxClaim bounds how many messages one claim takes.
 const maxClaim = 256
 
 // Dequeue delivers the next visible message, or ok=false if none is
-// ready. consumer is recorded in the queue table for tracking.
+// ready. consumer names the caller; it is not recorded.
 func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 	msgs, err := q.DequeueBatch(consumer, 1)
 	if len(msgs) == 0 {
@@ -476,24 +459,28 @@ func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 
 // DequeueBatch delivers up to n (at most maxClaim) visible messages, in
 // the order n calls of Dequeue would — priority descending, then ID
-// ascending — and claims them in one transaction: one commit record
-// and one WAL append for the batch. If the claim does not commit, every
-// message stays ready and none is returned. A message whose payload
-// does not decode is claimed but left out of the result, with an error
-// beside the messages that did decode: it stays in flight until its
-// visibility timeout, so its attempts burn down to the dead letter.
+// ascending. It settles first, then locks each message in memory until
+// its visibility timeout, writing nothing; the attempt is the persisted
+// attempts + 1. On a degraded database it claims nothing and returns
+// storage.ErrDegraded. A message whose payload does not decode is
+// claimed but left out of the result, with an error beside the
+// messages that did decode: it stays in flight until its visibility
+// timeout, so its attempts burn down to the dead letter.
 func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
+	q.Settle() // a failure keeps its rows for the next one
+	if bad, cause := q.db.Degraded(); bad {
+		return nil, fmt.Errorf("%w: %s", storage.ErrDegraded, cause)
+	}
 	now := timeNow().UnixNano()
 	q.reapExpired(now)
 	type claim struct {
-		it      readyItem
+		id      int64
 		row     storage.Row
 		attempt int64
 	}
 	var one [1]claim // the n = 1 case claims without allocating
 	claims := one[:0]
 	deadline := now + q.cfg.VisibilityTimeout.Nanoseconds()
-	var txn *storage.Txn
 	n = min(n, maxClaim)
 	for len(claims) < n {
 		q.mu.Lock()
@@ -504,47 +491,28 @@ func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 		}
 		it := heap.Pop(&q.ready).(readyItem)
 		rid, tracked := q.rowIDs[it.id]
+		_, busy := q.inflight[it.id]
 		q.mu.Unlock()
-		if !tracked {
-			continue // acked/raced away; skip
+		if !tracked || busy {
+			continue // acked or claimed meanwhile; skip
 		}
 		row, ok := q.table.Get(rid)
 		if !ok {
 			continue
 		}
-		if state, _ := row[4].AsString(); state != stateReady {
+		if state, _ := row[4].AsString(); state == stateDead {
 			continue
 		}
 		attempts, _ := row[3].AsInt()
-		if txn == nil {
-			txn = q.db.Begin()
-		}
-		// Update refuses only a finished transaction; this one is open.
-		_ = txn.Update(q.tableName, rid, map[string]val.Value{
-			"state":      val.String(stateInflight),
-			"attempts":   val.Int(attempts + 1),
-			"visible_at": val.Int(deadline),
-			"consumer":   val.String(consumer),
-		})
-		claims = append(claims, claim{it: it, row: row, attempt: attempts + 1})
+		claims = append(claims, claim{id: it.id, row: row, attempt: attempts + 1})
 	}
 	if len(claims) == 0 {
 		return nil, nil
 	}
-	if _, err := txn.Commit(); err != nil {
-		// The claim did not commit (storage degraded, say): the
-		// messages are still ready in the table, so they go back on the
-		// heap for the next Dequeue.
-		q.mu.Lock()
-		for _, c := range claims {
-			heap.Push(&q.ready, c.it)
-		}
-		q.mu.Unlock()
-		return nil, err
-	}
 	q.mu.Lock()
 	for _, c := range claims {
-		q.inflight[c.it.id] = &inflightInfo{deadline: deadline, attempt: c.attempt}
+		pri, _ := c.row[1].AsInt()
+		q.inflight[c.id] = inflightInfo{deadline: deadline, attempt: c.attempt, pri: pri}
 	}
 	q.reapAfter = min(q.reapAfter, deadline)
 	q.mu.Unlock()
@@ -555,13 +523,13 @@ func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 		payload, _ := c.row[7].AsBytes()
 		ev, _, err := event.Decode(payload)
 		if err != nil {
-			errs = append(errs, fmt.Errorf("queue: corrupt payload for msg %d: %w", c.it.id, err))
+			errs = append(errs, fmt.Errorf("queue: corrupt payload for msg %d: %w", c.id, err))
 			continue
 		}
 		enq, _ := c.row[5].AsInt()
 		pri, _ := c.row[1].AsInt()
 		msgs = append(msgs, &Msg{
-			Receipt:    Receipt{Queue: q.name, ID: c.it.id, attempt: c.attempt},
+			Receipt:    Receipt{Queue: q.name, ID: c.id, attempt: c.attempt},
 			Event:      ev,
 			Attempt:    int(c.attempt),
 			EnqueuedAt: time.Unix(0, enq).UTC(),
@@ -588,16 +556,21 @@ func (q *Queue) ReceiptCurrent(r Receipt) bool {
 	return ok && info.attempt == r.attempt
 }
 
-// Reap immediately requeues (or dead-letters) inflight messages whose
-// visibility timeout has passed. Dequeue does this on every call, so
+// Reap settles, then requeues (or dead-letters) inflight messages whose
+// visibility timeout has passed. Dequeue does both on every call, so
 // active consumers never need Reap; it exists for idle ones — e.g. a
 // delivery loop parked on a flow-control limit, which must expire the
 // deliveries it is waiting on to ever unpark.
 func (q *Queue) Reap() {
+	q.Settle()
 	q.reapExpired(timeNow().UnixNano())
 }
 
-// Ack acknowledges a delivery, deleting the message.
+// Ack acknowledges a delivery. The message is settled in memory at once
+// — no later claim, Stats or Ack sees it — and its row is deleted by
+// the next Settle. When it was the queue's last message in flight, Ack
+// settles before it returns, so a fully acknowledged queue's table is
+// empty. A failed settle keeps its rows for the next one.
 func (q *Queue) Ack(r Receipt) error {
 	q.mu.Lock()
 	info, ok := q.inflight[r.ID]
@@ -605,15 +578,55 @@ func (q *Queue) Ack(r Receipt) error {
 		q.mu.Unlock()
 		return ErrStaleReceipt
 	}
-	rid := q.rowIDs[r.ID]
+	q.settle = append(q.settle, q.rowIDs[r.ID])
 	delete(q.inflight, r.ID)
 	delete(q.rowIDs, r.ID)
+	last := len(q.inflight) == 0
 	q.mu.Unlock()
-	return q.db.DeleteRow(q.tableName, rid)
+	if last {
+		q.Settle()
+	}
+	return nil
 }
 
-// Nack returns a delivery to the queue after delay; after MaxAttempts
-// deliveries the message is dead-lettered instead.
+// Settle deletes the rows of the messages acknowledged since the last
+// Settle in one transaction. On failure they stay for the next Settle,
+// less any that someone else deleted meanwhile, whose delete would
+// refuse every later batch. DequeueBatch, Reap and Manager.Close settle,
+// and so does an Ack of the last message in flight.
+func (q *Queue) Settle() error {
+	q.settleMu.Lock()
+	defer q.settleMu.Unlock()
+	q.mu.Lock()
+	rows := q.settle
+	q.settle = nil
+	q.mu.Unlock()
+	if len(rows) == 0 {
+		return nil
+	}
+	txn := q.db.Begin()
+	for _, rid := range rows {
+		txn.Delete(q.tableName, rid) // refuses only a finished transaction
+	}
+	_, err := txn.Commit()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err == nil {
+		if q.settle == nil {
+			q.settle = rows[:0] // keep the list's storage for the next window
+		}
+		return nil
+	}
+	for _, rid := range rows {
+		if _, ok := q.table.Get(rid); ok {
+			q.settle = append(q.settle, rid)
+		}
+	}
+	return err
+}
+
+// Nack returns a delivery to the queue after delay, writing its attempt;
+// once that reaches MaxAttempts the message is dead-lettered instead.
 func (q *Queue) Nack(r Receipt, delay time.Duration) error {
 	q.mu.Lock()
 	info, ok := q.inflight[r.ID]
@@ -623,42 +636,47 @@ func (q *Queue) Nack(r Receipt, delay time.Duration) error {
 	}
 	rid := q.rowIDs[r.ID]
 	delete(q.inflight, r.ID)
-	attempt := info.attempt
 	q.mu.Unlock()
-
-	if attempt >= int64(q.cfg.MaxAttempts) {
-		return q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
-			"state": val.String(stateDead),
-		})
-	}
-	now := timeNow().UnixNano()
 	visibleAt := int64(0)
 	if delay > 0 {
-		visibleAt = now + delay.Nanoseconds()
+		visibleAt = timeNow().UnixNano() + delay.Nanoseconds()
+	}
+	return q.fail(r.ID, rid, info, visibleAt)
+}
+
+// fail writes the verdict on a delivery that was NACKed or timed out:
+// the message's attempts become the delivery's, and it is dead-lettered
+// once they reach MaxAttempts, or else ready again from visibleAt.
+func (q *Queue) fail(id int64, rid storage.RowID, info inflightInfo, visibleAt int64) error {
+	state := stateReady
+	if info.attempt >= int64(q.cfg.MaxAttempts) {
+		state = stateDead
 	}
 	err := q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
-		"state":      val.String(stateReady),
-		"visible_at": val.Int(visibleAt),
+		"attempts": val.Int(info.attempt), "state": val.String(state), "visible_at": val.Int(visibleAt),
 	})
 	if err != nil {
 		return err
 	}
-	row, _ := q.table.Get(rid)
-	pri, _ := row[1].AsInt()
 	q.mu.Lock()
-	q.push(readyItem{id: r.ID, pri: pri, visibleAt: visibleAt})
+	if state == stateDead {
+		q.dead++
+	} else {
+		q.push(readyItem{id: id, pri: info.pri, visibleAt: visibleAt})
+	}
 	q.mu.Unlock()
 	q.wake()
 	return nil
 }
 
 // Release returns an unacknowledged delivery to the queue immediately
-// and does not count the delivery against MaxAttempts (attempts is
-// rolled back by one). It is the teardown path for consumers that
-// vanish — a dropped wire connection, a shutting-down worker — where
-// the delivery was never a processing failure: the message becomes
-// visible to other consumers right away instead of waiting out the
-// visibility timeout, and repeated reconnects cannot dead-letter it.
+// and writes nothing, so the delivery does not count against
+// MaxAttempts: the next one carries the same attempt number. It is the
+// teardown path for consumers that vanish — a dropped wire connection,
+// a shutting-down worker — where the delivery was never a processing
+// failure: the message becomes visible to other consumers right away
+// instead of waiting out the visibility timeout, and repeated
+// reconnects cannot dead-letter it.
 func (q *Queue) Release(r Receipt) error {
 	q.mu.Lock()
 	info, ok := q.inflight[r.ID]
@@ -666,22 +684,8 @@ func (q *Queue) Release(r Receipt) error {
 		q.mu.Unlock()
 		return ErrStaleReceipt
 	}
-	rid := q.rowIDs[r.ID]
 	delete(q.inflight, r.ID)
-	attempt := info.attempt
-	q.mu.Unlock()
-	err := q.db.UpdateRow(q.tableName, rid, map[string]val.Value{
-		"state":      val.String(stateReady),
-		"visible_at": val.Int(0),
-		"attempts":   val.Int(attempt - 1),
-	})
-	if err != nil {
-		return err
-	}
-	row, _ := q.table.Get(rid)
-	pri, _ := row[1].AsInt()
-	q.mu.Lock()
-	q.push(readyItem{id: r.ID, pri: pri})
+	q.push(readyItem{id: r.ID, pri: info.pri})
 	q.mu.Unlock()
 	q.wake()
 	return nil
@@ -703,10 +707,9 @@ func (q *Queue) promoteDueLocked(now int64) {
 // the clock has reached reapAfter.
 func (q *Queue) reapExpired(now int64) {
 	type expired struct {
-		id       int64
-		rid      storage.RowID
-		attempts int64
-		pri      int64
+		id   int64
+		rid  storage.RowID
+		info inflightInfo
 	}
 	var exp []expired
 	q.mu.Lock()
@@ -721,35 +724,13 @@ func (q *Queue) reapExpired(now int64) {
 			continue
 		}
 		delete(q.inflight, id)
-		rid, ok := q.rowIDs[id]
-		if !ok {
-			continue
+		if rid, ok := q.rowIDs[id]; ok {
+			exp = append(exp, expired{id: id, rid: rid, info: info})
 		}
-		row, ok := q.table.Get(rid)
-		if !ok {
-			continue
-		}
-		attempts, _ := row[3].AsInt()
-		pri, _ := row[1].AsInt()
-		exp = append(exp, expired{id: id, rid: rid, attempts: attempts, pri: pri})
 	}
 	q.mu.Unlock()
 	for _, e := range exp {
-		if e.attempts >= int64(q.cfg.MaxAttempts) {
-			_ = q.db.UpdateRow(q.tableName, e.rid, map[string]val.Value{
-				"state": val.String(stateDead),
-			})
-			continue
-		}
-		err := q.db.UpdateRow(q.tableName, e.rid, map[string]val.Value{
-			"state": val.String(stateReady), "visible_at": val.Int(0),
-		})
-		if err != nil {
-			continue
-		}
-		q.mu.Lock()
-		q.push(readyItem{id: e.id, pri: e.pri})
-		q.mu.Unlock()
+		q.fail(e.id, e.rid, e.info, 0)
 	}
 }
 
@@ -818,21 +799,13 @@ type Stats struct {
 	Dead     int
 }
 
-// Stats scans the backing table for current counts.
+// Stats counts the queue's messages from memory: in flight are the
+// claimed ones, ready the rest of those neither dead nor acknowledged.
 func (q *Queue) Stats() Stats {
-	var s Stats
-	q.table.Scan(func(_ storage.RowID, r storage.Row) bool {
-		state, _ := r[4].AsString()
-		switch state {
-		case stateReady:
-			s.Ready++
-		case stateInflight:
-			s.Inflight++
-		case stateDead:
-			s.Dead++
-		}
-		return true
-	})
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	s := Stats{Inflight: len(q.inflight), Dead: q.dead}
+	s.Ready = len(q.rowIDs) - s.Inflight - s.Dead
 	return s
 }
 
@@ -886,6 +859,7 @@ func (q *Queue) Requeue(id int64) error {
 	}
 	pri, _ := row[1].AsInt()
 	q.mu.Lock()
+	q.dead--
 	q.push(readyItem{id: id, pri: pri})
 	q.mu.Unlock()
 	q.wake()
@@ -927,6 +901,7 @@ func (q *Queue) RequeueDeadLetters() (int, error) {
 		return 0, err
 	}
 	q.mu.Lock()
+	q.dead -= len(deads)
 	for _, d := range deads {
 		q.push(readyItem{id: d.id, pri: d.pri})
 	}

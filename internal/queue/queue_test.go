@@ -447,75 +447,7 @@ func TestNilEventRejected(t *testing.T) {
 	}
 }
 
-// --- batched staging (group commit) -------------------------------------
-
-func TestEnqueueBatchSingleCommit(t *testing.T) {
-	db, q := newQueue(t, Config{})
-	evs := make([]*event.Event, 16)
-	for i := range evs {
-		evs[i] = ev(i)
-	}
-	seq0 := db.Seq()
-	ids, err := q.EnqueueBatch(evs, EnqueueOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != len(evs) {
-		t.Fatalf("staged %d ids, want %d", len(ids), len(evs))
-	}
-	if got := db.Seq() - seq0; got != 1 {
-		t.Errorf("batch of %d took %d commits, want 1", len(evs), got)
-	}
-	for i := range ids {
-		if i > 0 && ids[i] != ids[i-1]+1 {
-			t.Errorf("ids not sequential: %v", ids)
-			break
-		}
-	}
-	for i := 0; i < len(evs); i++ {
-		msg, ok, err := q.Dequeue("c")
-		if err != nil || !ok {
-			t.Fatalf("dequeue %d: ok=%v err=%v", i, ok, err)
-		}
-		if err := q.Ack(msg.Receipt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok, _ := q.Dequeue("c"); ok {
-		t.Error("extra message staged")
-	}
-}
-
-func TestEnqueueBatchAtomicOnError(t *testing.T) {
-	db, q := newQueue(t, Config{})
-	calls := 0
-	remove := db.OnBefore(TableName("in"), func(*storage.Change) error {
-		calls++
-		if calls == 3 {
-			return fmt.Errorf("boom")
-		}
-		return nil
-	})
-	defer remove()
-	evs := []*event.Event{ev(1), ev(2), ev(3), ev(4)}
-	if _, err := q.EnqueueBatch(evs, EnqueueOptions{}); err == nil {
-		t.Fatal("vetoed batch should fail")
-	}
-	if st := q.Stats(); st.Ready != 0 {
-		t.Errorf("failed batch left %d staged messages", st.Ready)
-	}
-	if _, ok, _ := q.Dequeue("c"); ok {
-		t.Error("failed batch delivered a message")
-	}
-}
-
-func TestEnqueueBatchEmpty(t *testing.T) {
-	_, q := newQueue(t, Config{})
-	ids, err := q.EnqueueBatch(nil, EnqueueOptions{})
-	if err != nil || ids != nil {
-		t.Errorf("empty batch: ids=%v err=%v", ids, err)
-	}
-}
+// --- group staging (group commit) ---------------------------------------
 
 func TestEnqueueGroupSingleCommitSharedPayload(t *testing.T) {
 	db, err := storage.Open(storage.Options{})

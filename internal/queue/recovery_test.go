@@ -24,7 +24,7 @@ func TestReleaseReturnsDeliveryWithoutCountingAttempt(t *testing.T) {
 			t.Fatalf("cycle %d: dequeue: %v %v", i, ok, err)
 		}
 		if msg.Attempt != 1 {
-			t.Fatalf("cycle %d: attempt = %d, want 1 (release rolled back)", i, msg.Attempt)
+			t.Fatalf("cycle %d: attempt = %d, want 1 (a release does not count)", i, msg.Attempt)
 		}
 		if err := q.Release(msg.Receipt); err != nil {
 			t.Fatalf("cycle %d: release: %v", i, err)
@@ -145,8 +145,10 @@ func TestRequeueDeadLettersBulk(t *testing.T) {
 
 // TestCrashRecoveryRedeliversUnacked is the WAL crash-recovery
 // contract end to end: messages dequeued but never acknowledged before
-// the process dies must be redelivered after reopening the database,
-// and receipts minted before the restart must be rejected as stale.
+// the process dies are redelivered after reopening the database. A
+// claim is never written, so the redelivery carries the same attempt
+// number as the delivery the crash cut short — and a delivery that was
+// NACKed before the crash still counts.
 func TestCrashRecoveryRedeliversUnacked(t *testing.T) {
 	dir := t.TempDir()
 	db, err := storage.Open(storage.Options{Dir: dir})
@@ -164,9 +166,9 @@ func TestCrashRecoveryRedeliversUnacked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Consume half: ack the first message, leave two inflight without
-	// acking — the crash window.
-	var stale []Receipt
+	// Ack the first message, NACK the second once and take it again,
+	// and leave it and one more in flight without acking: the crash
+	// window.
 	first, ok, err := q.Dequeue("c")
 	if err != nil || !ok {
 		t.Fatalf("dequeue: %v %v", ok, err)
@@ -174,15 +176,22 @@ func TestCrashRecoveryRedeliversUnacked(t *testing.T) {
 	if err := q.Ack(first.Receipt); err != nil {
 		t.Fatal(err)
 	}
+	nacked, _, _ := q.Dequeue("c")
+	if err := q.Nack(nacked.Receipt, 0); err != nil {
+		t.Fatal(err)
+	}
+	wantAttempt := map[int64]int{}
 	for i := 0; i < 2; i++ {
 		msg, ok, err := q.Dequeue("c")
 		if err != nil || !ok {
 			t.Fatalf("dequeue: %v %v", ok, err)
 		}
-		stale = append(stale, msg.Receipt)
+		wantAttempt[msg.Receipt.ID] = msg.Attempt
 	}
-	// "Crash": close without acking. Close flushes the WAL, which is
-	// exactly what a kill -9 after the dequeues' commits would leave.
+	if wantAttempt[nacked.Receipt.ID] != 2 {
+		t.Fatalf("the NACKed message's second delivery = %v, want attempt 2", wantAttempt)
+	}
+	// "Crash": close without acking; nothing the claims did is on disk.
 	m.Close()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -199,45 +208,98 @@ func TestCrashRecoveryRedeliversUnacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The acked message is gone; the two inflight ones came back as
-	// ready (their consumer died with the old process) alongside the
-	// three never delivered.
+	// The acked message is gone; the two in flight came back as ready
+	// alongside the three never delivered.
 	if st := q2.Stats(); st.Ready != n-1 || st.Inflight != 0 || st.Dead != 0 {
 		t.Fatalf("stats after recovery = %+v, want %d ready", st, n-1)
 	}
-	redelivered := map[int64]bool{}
 	for i := 0; i < n-1; i++ {
 		msg, ok, err := q2.Dequeue("c2")
 		if err != nil || !ok {
 			t.Fatalf("post-recovery dequeue %d: %v %v", i, ok, err)
 		}
-		redelivered[msg.Receipt.ID] = true
-		if msg.Receipt.ID == stale[0].ID || msg.Receipt.ID == stale[1].ID {
-			// Redelivery of a pre-crash inflight message counts the
-			// attempt: the first delivery really happened.
-			if msg.Attempt != 2 {
-				t.Errorf("msg %d attempt = %d, want 2", msg.Receipt.ID, msg.Attempt)
-			}
+		if msg.Receipt.ID == first.Receipt.ID {
+			t.Error("acked message redelivered after recovery")
+		}
+		want, wasInflight := wantAttempt[msg.Receipt.ID]
+		if !wasInflight {
+			want = 1
+		}
+		if msg.Attempt != want {
+			t.Errorf("msg %d attempt = %d, want %d", msg.Receipt.ID, msg.Attempt, want)
 		}
 		if err := q2.Ack(msg.Receipt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if redelivered[first.Receipt.ID] {
-		t.Error("acked message redelivered after recovery")
-	}
-	// Receipts minted before the crash are stale in the new
-	// incarnation: the redeliveries superseded them.
-	for _, r := range stale {
-		if err := q2.Ack(r); !errors.Is(err, ErrStaleReceipt) {
-			t.Errorf("pre-crash ack = %v, want ErrStaleReceipt", err)
-		}
-		if err := q2.Nack(r, 0); !errors.Is(err, ErrStaleReceipt) {
-			t.Errorf("pre-crash nack = %v, want ErrStaleReceipt", err)
-		}
-	}
 	if st := q2.Stats(); st.Ready != 0 || st.Inflight != 0 || st.Dead != 0 {
 		t.Errorf("final stats = %+v, want empty", st)
+	}
+}
+
+// TestOlderDaemonInflightRowRecoversReady: a daemon that logged its
+// claims left rows in state "inflight", with the claim's attempt and
+// deadline written. Such a row is ready at once after a restart, with
+// the next attempt, and attaching does not rewrite it.
+func TestOlderDaemonInflightRowRecoversReady(t *testing.T) {
+	dir := t.TempDir()
+	db, err := storage.Open(storage.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(db)
+	q, err := m.Create("orders", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := q.Enqueue(ev(1), EnqueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table(TableName("orders"))
+	_, rid, _ := tbl.GetByPK(val.Int(id))
+	err = db.UpdateRow(TableName("orders"), rid, map[string]val.Value{
+		"state": val.String(stateInflight), "attempts": val.Int(1),
+		"visible_at": val.Int(timeNow().Add(time.Hour).UnixNano()), "consumer": val.String("conn1"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := storage.Open(storage.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	seq := db2.Seq()
+	m2 := NewManager(db2)
+	t.Cleanup(m2.Close)
+	q2, err := m2.Open("orders", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db2.Seq() != seq {
+		t.Error("attaching rewrote the older daemon's row")
+	}
+	if st := q2.Stats(); st.Ready != 1 || st.Inflight != 0 {
+		t.Fatalf("stats after recovery = %+v, want 1 ready", st)
+	}
+	msg, ok, err := q2.Dequeue("c")
+	if err != nil || !ok {
+		t.Fatalf("dequeue after recovery: %v %v", ok, err)
+	}
+	if msg.Receipt.ID != id || msg.Attempt != 2 {
+		t.Errorf("redelivery = message %d attempt %d, want message %d attempt 2", msg.Receipt.ID, msg.Attempt, id)
+	}
+	if err := q2.Ack(msg.Receipt); err != nil {
+		t.Fatal(err)
+	}
+	if tbl2, _ := db2.Table(TableName("orders")); tbl2.Len() != 0 {
+		t.Errorf("the acknowledged row is still in the table")
 	}
 }
 
@@ -281,10 +343,10 @@ func TestDecodeStagedInsert(t *testing.T) {
 	}
 }
 
-// TestDequeueFailedClaimKeepsMessage: a Dequeue whose claim cannot
-// commit — the disk failed under it — reports the error and leaves the
-// message deliverable: once storage recovers, the next Dequeue hands it
-// out as a first attempt.
+// TestDequeueFailedClaimKeepsMessage: a Dequeue on a database that a
+// failed write has degraded reports ErrDegraded and claims nothing; once
+// storage recovers, the next Dequeue hands the message out as a first
+// attempt.
 func TestDequeueFailedClaimKeepsMessage(t *testing.T) {
 	fsys := vfs.NewFaulty(nil)
 	db, err := storage.Open(storage.Options{Dir: t.TempDir(), SyncEvery: 1, FS: fsys})
@@ -302,9 +364,12 @@ func TestDequeueFailedClaimKeepsMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsys.FailSyncsAfter(0, errors.New("injected EIO"))
+	degrade(t, fsys, q)
 	if msg, ok, err := q.Dequeue("c"); !errors.Is(err, storage.ErrDegraded) || ok {
-		t.Fatalf("dequeue on a failed disk = %v, %v, %v; want ErrDegraded", msg, ok, err)
+		t.Fatalf("dequeue on a degraded database = %v, %v, %v; want ErrDegraded", msg, ok, err)
+	}
+	if st := q.Stats(); st.Ready != 1 || st.Inflight != 0 {
+		t.Fatalf("after the refused claim: %+v, want 1 ready", st)
 	}
 	fsys.Heal()
 	if err := db.Recover(); err != nil {
@@ -315,9 +380,22 @@ func TestDequeueFailedClaimKeepsMessage(t *testing.T) {
 		t.Fatalf("dequeue after recovery = %v, %v; the message is lost", ok, err)
 	}
 	if msg.Attempt != 1 {
-		t.Errorf("attempt = %d, want 1: the failed claim never committed", msg.Attempt)
+		t.Errorf("attempt = %d, want 1: the refused claim never happened", msg.Attempt)
 	}
 	if err := q.Ack(msg.Receipt); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// degrade fail-stops q's database the way a disk does: a write whose
+// sync fails.
+func degrade(t *testing.T, fsys *vfs.Faulty, q *Queue) {
+	t.Helper()
+	fsys.FailSyncsAfter(0, errors.New("injected EIO"))
+	if _, err := q.Enqueue(ev(-1), EnqueueOptions{}); err == nil {
+		t.Fatal("an enqueue on a failing disk committed")
+	}
+	if bad, _ := q.db.Degraded(); !bad {
+		t.Fatal("the failed write did not degrade the database")
 	}
 }

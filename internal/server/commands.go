@@ -169,8 +169,8 @@ func patternsJSON(st core.PatternStats) string {
 // qsubJSON renders the engine-wide durable-consumer counters for the
 // json stats replies: QEVTs pushed to QSUB consumers, the bursts they
 // were queued in (delivered / bursts messages share a write) and the
-// claim transactions behind them (delivered / claim_commits share a
-// commit record).
+// claims behind them (delivered / claim_commits messages share a claim;
+// the name is older than claims that write nothing).
 func qsubJSON(m *metrics.Registry) string {
 	return fmt.Sprintf(`{"delivered":%d,"bursts":%d,"claim_commits":%d}`,
 		m.Counter("server.qsub.delivered").Value(), m.Counter("server.qsub.bursts").Value(),

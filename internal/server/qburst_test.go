@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"eventdb/client"
+	"eventdb/internal/columnar"
 	"eventdb/internal/core"
+	"eventdb/internal/storage"
 	"eventdb/internal/testnet"
 )
 
@@ -230,5 +232,123 @@ func TestAckedPublishSurvivesProcessKill(t *testing.T) {
 	tbl, ok := eng.DB.Table("t")
 	if !ok || tbl.Len() != 1 {
 		t.Fatalf("the acknowledged INSERT is not in the copy")
+	}
+}
+
+// TestAckSettlesPrefetchWindow: a consumer that acknowledges a backlog
+// one message at a time gets its ACKs answered before their deletes are
+// logged, and the claims that refill its window delete what it
+// acknowledged in one transaction each — at least 32 rows to a commit.
+// The last ACK leaves nothing in flight, so it settles before its OK:
+// QSTATS reads all zeros and the table's history is all dead.
+func TestAckSettlesPrefetchWindow(t *testing.T) {
+	eng, srv := startServer(t, core.Config{}, Config{})
+	var mu sync.Mutex
+	var perCommit []int // deletes in each commit that deleted queue rows
+	remove := eng.DB.OnCommit(func(ci *storage.CommitInfo) {
+		n := 0
+		for i := range ci.Changes {
+			if c := &ci.Changes[i]; c.Kind == storage.Delete && c.Table == "q_jobs" {
+				n++
+			}
+		}
+		if n > 0 {
+			mu.Lock()
+			perCommit = append(perCommit, n)
+			mu.Unlock()
+		}
+	})
+	defer remove()
+
+	const total = 1024
+	backlog(t, srv, "jobs", total)
+	sub := rawDial(t, srv)
+	sub.mustOK("QSUB jobs manual ")
+	for i := 0; i < total; i++ {
+		d := sub.nextQEVT()
+		if got := attrN(t, d.ev); got != i || d.attempt != 1 {
+			t.Fatalf("delivery %d carries n=%d attempt=%d", i, got, d.attempt)
+		}
+		sub.mustOK("ACK jobs " + d.token)
+	}
+	if tbl, _ := eng.DB.Table("q_jobs"); tbl.Len() != 0 {
+		t.Errorf("after the last ACK's OK the queue table holds %d rows", tbl.Len())
+	}
+	if got := sub.ask("QSTATS jobs"); got != "OK ready=0 inflight=0 dead=0 outstanding=0" {
+		t.Errorf("QSTATS after the last ACK = %q", got)
+	}
+	var stats []columnar.TableStats
+	if err := json.Unmarshal([]byte(sub.mustOK("COMPACT q_jobs format=json")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].SealedRows != total || stats[0].DeadRows != total {
+		t.Errorf("COMPACT q_jobs = %+v, want all %d rows sealed and dead", stats, total)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	deleted, most := 0, 0
+	for _, n := range perCommit {
+		deleted, most = deleted+n, max(most, n)
+	}
+	t.Logf("deletes per commit: %v", perCommit)
+	if deleted != total || most < 32 {
+		t.Errorf("%d deletes in %d commits, at most %d in one; want %d, and a settlement of at least 32", deleted, len(perCommit), most, total)
+	}
+}
+
+// TestAckedBeforeSettleRedeliversAfterKill: an ACK is answered before
+// its delete is logged, so a process killed in between redelivers the
+// acknowledged message — at-least-once — and loses none of the others.
+// The copy of the directory taken between the ACK and its settlement is
+// what a SIGKILL leaves (see TestAckedPublishSurvivesProcessKill).
+func TestAckedBeforeSettleRedeliversAfterKill(t *testing.T) {
+	dir := t.TempDir()
+	_, srv := startServer(t, core.Config{Dir: dir}, Config{})
+	const n = 8
+	backlog(t, srv, "jobs", n)
+	c := rawDial(t, srv)
+	if got := c.mustOK(fmt.Sprintf("CONSUME jobs %d", n)); got != fmt.Sprint(n) {
+		t.Fatalf("CONSUME → %q", got)
+	}
+	tokens := make([]string, n)
+	for i := range tokens {
+		tokens[i] = c.nextQEVT().token
+	}
+	// Pulled messages settle at the next claim, Reap or Close, or when
+	// the last one in flight is acknowledged: no pull follows, so the
+	// first ACK's delete waits.
+	c.mustOK("ACK jobs " + tokens[0])
+
+	killed := t.TempDir()
+	copyDir(t, dir, killed)
+	eng, err := core.Open(core.Config{Dir: killed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q, err := eng.EnsureQueue("jobs", srv.cfg.Queue)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Ready != n {
+		t.Fatalf("the copy holds %+v, want all %d messages ready", st, n)
+	}
+	for i := 0; i < n; i++ {
+		msg, ok, err := q.Dequeue("c")
+		if err != nil || !ok {
+			t.Fatalf("message %d of the copy: %v, %v", i, ok, err)
+		}
+		if got := attrN(t, msg.Event); got != i || msg.Attempt != 1 {
+			t.Fatalf("message %d of the copy carries n=%d attempt %d", i, got, msg.Attempt)
+		}
+	}
+
+	// On the live server the rest of the ACKs settle everything.
+	for _, tok := range tokens[1:] {
+		c.mustOK("ACK jobs " + tok)
+	}
+	if got := c.ask("QSTATS jobs"); got != "OK ready=0 inflight=0 dead=0 outstanding=0" {
+		t.Errorf("QSTATS after the last ACK = %q", got)
 	}
 }

@@ -64,12 +64,13 @@ func (s *cqSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 //
 // A manual-ack consumer takes what has accumulated, not one message:
 // it claims as many ready messages as its prefetch window has free
-// slots in one transaction and queues their QEVTs under one hold of the
+// slots at once and queues their QEVTs under one hold of the
 // connection's outbound queue, so they leave in one write. Below the
 // limit that is one message at a time, as it arrives. At the limit it
 // pauses until half the window is free (signalAck), so a client that
 // acknowledges one message at a time gets its deliveries in bursts of
-// half a window for one claim, one wake-up and one write each.
+// half a window for one claim, one wake-up and one write each — and the
+// claim deletes the half window it acknowledged in one transaction.
 type queueSink struct {
 	c        *conn
 	name     string
@@ -100,6 +101,11 @@ func (s *queueSink) detach() {
 		if err := s.q.Release(r); err != nil {
 			s.c.srv.eng.Metrics.Counter("server.qsub.release_errors").Inc()
 		}
+	}
+	// The consumer's claims settled its acknowledged messages; with the
+	// consumer gone, delete what it acknowledged since its last claim.
+	if err := s.q.Settle(); err != nil {
+		s.c.srv.eng.Metrics.Counter("server.qsub.errors").Inc()
 	}
 }
 

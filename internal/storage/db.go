@@ -656,17 +656,23 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 
-	// Resolve and lock tables in sorted name order.
-	names := map[string]bool{}
-	for _, op := range ops {
-		names[op.table] = true
+	// Resolve and lock tables in sorted name order; a one-op transaction
+	// builds no name set.
+	var buf [4]string
+	sorted := append(buf[:0], ops[0].table)
+	if len(ops) > 1 {
+		names := map[string]bool{}
+		for _, op := range ops {
+			names[op.table] = true
+		}
+		sorted = sorted[:0]
+		for n := range names {
+			sorted = append(sorted, n)
+		}
+		sort.Strings(sorted)
 	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	locked := make([]*Table, 0, len(sorted))
+	var lockedBuf [4]*Table
+	locked := lockedBuf[:0]
 	tables := make(map[string]*Table, len(sorted))
 	db.mu.RLock()
 	for _, n := range sorted {
@@ -783,9 +789,14 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 	changes := make([]Change, 0, len(ops))
 	// Track uniqueness within the batch: table → index name ("" = PK) →
-	// key → true.
+	// key → true. A one-op transaction cannot collide with itself, and
+	// fills none of the batch's maps.
+	multi := len(ops) > 1
 	batchKeys := map[string]map[string]map[string]bool{}
 	claim := func(table, index, key string) bool {
+		if !multi {
+			return true
+		}
 		ti, ok := batchKeys[table]
 		if !ok {
 			ti = map[string]map[string]bool{}
@@ -894,7 +905,7 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			if !ok {
 				return nil, fmt.Errorf("storage: table %q: delete of missing row %d", s.Name, op.id)
 			}
-			if t.pk != nil {
+			if multi && t.pk != nil {
 				key := s.pkKey(old)
 				if freedPK[op.table] == nil {
 					freedPK[op.table] = map[string]bool{}

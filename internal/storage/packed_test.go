@@ -340,3 +340,51 @@ func fillRowStore(b *testing.B, withPK bool) *DB {
 	}
 	return db
 }
+
+// TestAllocsOneOpCommit pins what a one-row transaction on a
+// primary-key table allocates: its primary key is encoded into a stack
+// buffer, and it fills none of the batch's uniqueness maps and builds no
+// table-name set, which only a transaction of more than one op needs.
+func TestAllocsOneOpCommit(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	db := openVolatile(t)
+	if err := db.CreateTable(packedSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	key := int64(0)
+	row := func() Row {
+		key++
+		return Row{val.Int(key), val.String("s"), val.Bytes(nil), val.Float(1), val.Time(time.Unix(1, 0)), val.Bool(true)}
+	}
+	ids := make([]RowID, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		id, err := db.InsertRow("p", row())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	del := testing.AllocsPerRun(runs, func() {
+		if err := db.DeleteRow("p", ids[len(ids)-1]); err != nil {
+			t.Fatal(err)
+		}
+		ids = ids[:len(ids)-1]
+	})
+	rows := make([]Row, runs+1)
+	for i := range rows {
+		rows[i] = row()
+	}
+	ins := testing.AllocsPerRun(runs, func() {
+		if _, err := db.InsertRow("p", rows[0]); err != nil {
+			t.Fatal(err)
+		}
+		rows = rows[1:]
+	})
+	// Before the stack key and the one-op path: 16 and 20.
+	if del > 10 || ins > 14 {
+		t.Errorf("a one-row DeleteRow allocates %.0f times (want at most 10), InsertRow %.0f (want at most 14)", del, ins)
+	}
+}

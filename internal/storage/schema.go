@@ -135,9 +135,12 @@ func (s *Schema) RowFromMap(m map[string]val.Value) (Row, error) {
 	return r, nil
 }
 
-// pkKey computes the encoded primary-key bytes for a row.
+// pkKey computes the encoded primary-key bytes for a row. A key of up to
+// 64 bytes (three numeric columns) is built on the stack, so the string
+// is the one allocation.
 func (s *Schema) pkKey(r Row) string {
-	var buf []byte
+	var arr [64]byte
+	buf := arr[:0]
 	for _, ci := range s.pkCols {
 		buf = val.AppendKey(buf, r[ci])
 	}
