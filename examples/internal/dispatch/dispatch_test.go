@@ -122,7 +122,9 @@ func TestForwarderMultiHop(t *testing.T) {
 	q3, _ := qm.Create("out", queue.Config{})
 	f1 := &Forwarder{Src: q1, Dst: q2}
 	f2 := &Forwarder{Src: q2, Dst: q3, Transform: func(ev *event.Event) *event.Event {
-		return ev.WithAttr("hop", val.Int(2))
+		cp := ev.Clone()
+		cp.Attrs["hop"] = val.Int(2)
+		return cp
 	}}
 	for i := 0; i < 10; i++ {
 		q1.Enqueue(event.New("e", map[string]any{"i": i}), queue.EnqueueOptions{})
@@ -154,7 +156,7 @@ func TestForwarderDropViaTransform(t *testing.T) {
 	_, qm, q1 := fixture(t)
 	q2, _ := qm.Create("dst", queue.Config{})
 	f := &Forwarder{Src: q1, Dst: q2, Transform: func(ev *event.Event) *event.Event {
-		if v, _ := ev.Get("keep"); v.Truthy() {
+		if v, _ := ev.Get("keep"); val.Equal(v, val.Bool(true)) {
 			return ev
 		}
 		return nil

@@ -11,7 +11,6 @@ import (
 
 	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
-	"eventdb/internal/rules"
 	"eventdb/internal/val"
 )
 
@@ -237,43 +236,6 @@ func TestPipelineSlowConsumerRedelivery(t *testing.T) {
 			t.Fatal("message never redelivered")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestPipelineDurableRulesSurviveRestart stores rules in a table, kills
-// the engine, reopens, reloads, and verifies evaluation resumes.
-func TestPipelineDurableRulesSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	eng, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := rules.NewStore(eng.DB, "rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save("hot", "temp > 30", 0, "notify"); err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-
-	eng2, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	store2, err := rules.NewStore(eng2.DB, "rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	store2.RegisterAction("notify", func(*Event, *Rule) { fired++ })
-	if _, err := store2.LoadInto(eng2.Rules); err != nil {
-		t.Fatal(err)
-	}
-	eng2.Ingest(NewEvent("reading", map[string]any{"temp": 40}))
-	if fired != 1 {
-		t.Errorf("recovered rule fired %d times", fired)
 	}
 }
 

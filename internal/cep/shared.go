@@ -134,12 +134,6 @@ func (s *Shared) Stats() SharedStats {
 	}
 }
 
-// Has reports whether a pattern name is registered.
-func (s *Shared) Has(name string) bool {
-	_, ok := s.patterns[name]
-	return ok
-}
-
 // node is one trie state: the set of (strategy, step-prefix) classes a
 // partial match can be in.
 type node struct {

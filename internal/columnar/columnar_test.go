@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -398,10 +399,10 @@ func TestDeadMarkingAndModified(t *testing.T) {
 	}
 	st := m.Table("events")
 	snap := st.Snapshot()
-	if !snap.InRowStore(upID) {
+	if !slices.Contains(snap.Modified, upID) {
 		t.Error("updated sealed row must read from the row store")
 	}
-	if snap.InRowStore(delID) {
+	if slices.Contains(snap.Modified, delID) {
 		t.Error("deleted row is not in the row store")
 	}
 	live := segRows(t, st)

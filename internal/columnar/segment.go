@@ -85,11 +85,6 @@ type Segment struct {
 // Rows returns the number of rows sealed in the segment.
 func (s *Segment) Rows() int { return s.rows }
 
-// Bounds returns the segment's RowID and LSN coverage.
-func (s *Segment) Bounds() (firstID, lastID storage.RowID, firstLSN, lastLSN uint64) {
-	return s.ids[0], s.ids[s.rows-1], s.firstLSN, s.lastLSN
-}
-
 // RowID returns the RowID of row i.
 func (s *Segment) RowID(i int) storage.RowID { return s.ids[i] }
 

@@ -758,17 +758,6 @@ type Snapshot struct {
 	Modified []storage.RowID
 }
 
-// InRowStore reports whether the current version of a row must be read
-// from the row store rather than its columnar copy.
-func (s *Snapshot) InRowStore(id storage.RowID) bool {
-	for _, m := range s.Modified {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
 // SealedRows returns the total sealed row count in the snapshot.
 func (s *Snapshot) SealedRows() int {
 	n := 0

@@ -3,6 +3,7 @@ package columnar
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -158,7 +159,7 @@ func TestSealCutsWholeCommitsAndKeepsSuffix(t *testing.T) {
 	if z := tail.Seg.Zone(0); !z.OK || !val.Equal(z.Min, val.Int(200)) || !val.Equal(z.Max, val.Int(229)) {
 		t.Errorf("suffix id zone = %+v, want [200, 229]", z)
 	}
-	if first, _, _, _ := tail.Seg.Bounds(); first != snap.Segs[1].Seg.RowID(99)+1 {
+	if first := tail.Seg.RowID(0); first != snap.Segs[1].Seg.RowID(99)+1 {
 		t.Errorf("tail starts at row id %d, right after the sealed rows is %d", first, snap.Segs[1].Seg.RowID(99)+1)
 	}
 }
@@ -252,7 +253,7 @@ func TestModifiedSpansTailAndSegments(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		snap := st.Snapshot()
-		if len(snap.Modified) != 1 || !snap.InRowStore(upTail) {
+		if len(snap.Modified) != 1 || !slices.Contains(snap.Modified, upTail) {
 			t.Fatalf("%s: modified = %v, want exactly [%d]", when, snap.Modified, upTail)
 		}
 		live := segRows(t, st) // sealed rows, then the tail's

@@ -142,9 +142,6 @@ func New(def Def) (*CQ, error) {
 // Name returns the query name.
 func (q *CQ) Name() string { return q.def.Name }
 
-// WindowLen returns the number of events currently in the window.
-func (q *CQ) WindowLen() int { return len(q.entries) }
-
 // Feed processes one event. If it passes the filter, the window advances
 // and an updated-result event ("cq.<name>") for the affected group is
 // returned (plus one per group whose values changed by eviction).

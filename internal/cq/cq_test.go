@@ -53,8 +53,8 @@ func TestCountWindowSlidingAvg(t *testing.T) {
 			t.Errorf("step %d: avg = %v, want %v", i, got, wantAvg[i])
 		}
 	}
-	if q.WindowLen() != 3 {
-		t.Errorf("window len = %d", q.WindowLen())
+	if len(q.entries) != 3 {
+		t.Errorf("window len = %d", len(q.entries))
 	}
 }
 

@@ -34,8 +34,8 @@ func NextID() ID { return ID(idCounter.Add(1)) }
 // Events are shared by pointer across every evaluation and delivery
 // layer, so the struct also carries the encode-once cache used by the
 // fan-out hot path (see EncodedJSON). The cache makes Event
-// non-copyable; derive modified events with WithAttr or Clone instead
-// of copying the struct.
+// non-copyable; derive modified events with Clone instead of copying
+// the struct.
 type Event struct {
 	ID     ID
 	Type   string
@@ -45,8 +45,7 @@ type Event struct {
 
 	// enc atomically publishes the cached JSON wire form. Nil until the
 	// first EncodedJSON call; never reset (events are immutable once
-	// shared — WithAttr and Clone return fresh events with empty
-	// caches).
+	// shared — Clone returns a fresh event with an empty cache).
 	enc atomic.Pointer[[]byte]
 }
 
@@ -119,18 +118,9 @@ func (e *Event) Get(name string) (val.Value, bool) {
 	return v, ok
 }
 
-// WithAttr returns a shallow copy of the event with one attribute
-// replaced. The original is not modified. The copy starts with an
-// empty encode cache — sharing the original's would serve stale JSON
-// for the changed attribute.
-func (e *Event) WithAttr(name string, v val.Value) *Event {
-	cp := e.Clone()
-	cp.Attrs[name] = v
-	return cp
-}
-
 // Clone returns a deep copy of the event (attribute map is copied; the
-// immutable values are shared). The copy's encode cache starts empty.
+// immutable values are shared). The copy's encode cache starts empty:
+// sharing the original's would serve stale JSON once the copy changes.
 func (e *Event) Clone() *Event {
 	cp := &Event{ID: e.ID, Type: e.Type, Source: e.Source, Time: e.Time,
 		Attrs: make(map[string]val.Value, len(e.Attrs)+1)}

@@ -58,19 +58,17 @@ func TestNewCheckedRejectsBadTypes(t *testing.T) {
 	New("x", map[string]any{"bad": make(chan int)})
 }
 
+// TestWithAttrAndClone: an event derived with one attribute replaced —
+// Clone, then set — leaves the original alone.
 func TestWithAttrAndClone(t *testing.T) {
 	e := New("a", map[string]any{"k": 1})
-	e2 := e.WithAttr("k", val.Int(2))
-	if v, _ := e.Get("k"); !val.Equal(v, val.Int(1)) {
-		t.Error("WithAttr mutated original")
-	}
-	if v, _ := e2.Get("k"); !val.Equal(v, val.Int(2)) {
-		t.Error("WithAttr did not set value")
-	}
 	c := e.Clone()
 	c.Attrs["k"] = val.Int(99)
 	if v, _ := e.Get("k"); !val.Equal(v, val.Int(1)) {
 		t.Error("Clone shares attribute map")
+	}
+	if v, _ := c.Get("k"); !val.Equal(v, val.Int(99)) {
+		t.Error("derived event lost its attribute")
 	}
 }
 
@@ -301,14 +299,6 @@ func TestEncodedJSONNotInheritedByDerivedEvents(t *testing.T) {
 	}
 	origCopy := string(orig)
 
-	w := e.WithAttr("k", val.Int(2))
-	wj, err := w.EncodedJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wj) == origCopy {
-		t.Error("WithAttr copy served the stale parent cache")
-	}
 	c := e.Clone()
 	c.Attrs["k"] = val.Int(3)
 	cj, err := c.EncodedJSON()
@@ -345,7 +335,7 @@ func TestAppendJSONEventAgainstEncodingJSON(t *testing.T) {
 			"":        val.String("empty key"),
 		},
 	}
-	data, err := AppendJSONEvent(nil, e)
+	data, err := appendJSONEvent(nil, e, new(encodeScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +362,7 @@ func TestAppendJSONEventAgainstEncodingJSON(t *testing.T) {
 		t.Errorf("bytes should round-trip as base64 string, got %v", v)
 	}
 	// Appending to a non-empty prefix must not corrupt either part.
-	withPrefix, err := AppendJSONEvent([]byte("EVT id "), e)
+	withPrefix, err := appendJSONEvent([]byte("EVT id "), e, new(encodeScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +373,12 @@ func TestAppendJSONEventAgainstEncodingJSON(t *testing.T) {
 
 func TestAppendJSONEventDeterministic(t *testing.T) {
 	e := New("t", map[string]any{"b": 2, "a": 1, "c": 3, "d": "x"})
-	first, err := AppendJSONEvent(nil, e)
+	first, err := appendJSONEvent(nil, e, new(encodeScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		again, err := AppendJSONEvent(nil, e)
+		again, err := appendJSONEvent(nil, e, new(encodeScratch))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +391,7 @@ func TestAppendJSONEventDeterministic(t *testing.T) {
 func TestAppendJSONEventRejectsNaN(t *testing.T) {
 	e := New("t", nil)
 	e.Attrs = map[string]val.Value{"f": val.Float(math.NaN())}
-	if _, err := AppendJSONEvent(nil, e); err == nil {
+	if _, err := appendJSONEvent(nil, e, new(encodeScratch)); err == nil {
 		t.Error("NaN should not encode")
 	}
 }

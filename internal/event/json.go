@@ -71,17 +71,10 @@ func MarshalJSONEvent(e *Event) ([]byte, error) {
 // one huge event does not pin its size in the pool.
 const maxPooledEncode = 64 << 10
 
-// AppendJSONEvent appends the event's JSON wire form to dst and returns
-// the extended slice. Attribute keys are emitted in sorted order, so
-// the encoding is deterministic for a given event.
-func AppendJSONEvent(dst []byte, e *Event) ([]byte, error) {
-	sc := encodePool.Get().(*encodeScratch)
-	dst, err := appendJSONEvent(dst, e, sc)
-	encodePool.Put(sc)
-	return dst, err
-}
-
-// appendJSONEvent is AppendJSONEvent with the caller's scratch.
+// appendJSONEvent appends the event's JSON wire form to dst and returns
+// the extended slice, using the caller's scratch. Attribute keys are
+// emitted in sorted order, so the encoding is deterministic for a given
+// event.
 func appendJSONEvent(dst []byte, e *Event, sc *encodeScratch) ([]byte, error) {
 	dst = append(dst, '{')
 	if e.ID != 0 {

@@ -330,7 +330,7 @@ func randomValue(r *rand.Rand) val.Value {
 	return val.Null
 }
 
-// TestJSONRoundTripProperty: Unmarshal(AppendJSONEvent(e)) ≡ e over
+// TestJSONRoundTripProperty: Unmarshal(appendJSONEvent(e)) ≡ e over
 // every val kind, where ≡ is what the JSON form can carry — a time or
 // bytes attribute comes back as the string it was rendered as, an
 // integral float below 2^53 as an int, and an int at or beyond 2^53 as
@@ -350,7 +350,7 @@ func TestJSONRoundTripProperty(t *testing.T) {
 			}
 			e.Attrs[fmt.Sprintf("k%d\"%d", n, r.Intn(3))] = v
 		}
-		data, err := AppendJSONEvent(nil, e)
+		data, err := appendJSONEvent(nil, e, new(encodeScratch))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,15 +24,6 @@ func Parse(src string) (Node, error) {
 	return n, nil
 }
 
-// MustParse is Parse that panics on error, for tests and literals.
-func MustParse(src string) Node {
-	n, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 type parser struct {
 	toks []token
 	pos  int

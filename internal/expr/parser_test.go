@@ -195,3 +195,12 @@ func TestDeepNesting(t *testing.T) {
 		t.Errorf("deep nesting rejected: %v", err)
 	}
 }
+
+// MustParse is Parse that panics on error, for tests and literals.
+func MustParse(src string) Node {
+	n, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}

@@ -156,9 +156,9 @@ func (a *accumulator) addVec(v *columnar.Vector, sel []int32) error {
 }
 
 // rowSink consumes the rows a query selects and shapes its result.
-// Rows arrive one at a time from the row path (index access, joins,
-// NoColumnar) and from the row store side of a columnar scan, and as
-// column vectors plus a selection from segments and the tail; a sink
+// Rows arrive one at a time from the row path (joins, NoColumnar) and
+// from the row store side of a columnar scan, and as column vectors
+// plus a selection from segments and the tail; a sink
 // gives the same result whichever way a row reaches it.
 type rowSink interface {
 	addRow(r expr.Resolver) error

@@ -344,7 +344,10 @@ func TestColumnarConcurrentPrefix(t *testing.T) {
 // columnar path more than momentarily, writers to the same table may.
 func TestColumnarReadYourWrites(t *testing.T) {
 	// With writers on t every scan reads all they have inserted so far,
-	// so the test's cost grows with the square of its length.
+	// so the test's cost grows with the square of its length. The
+	// writers insert at most perRound rows per reader round, so that
+	// length does not depend on how the goroutines are scheduled.
+	const perRound = 8
 	rounds := 1500
 	if testing.Short() || raceflag.Enabled {
 		rounds = 400
@@ -378,6 +381,7 @@ func TestColumnarReadYourWrites(t *testing.T) {
 
 			const mine = 1 << 32 // the reader's ids start here, the writers' stay below
 			done := make(chan struct{})
+			budget := make(chan struct{}, perRound) // one token per writer insert
 			var wg sync.WaitGroup
 			for w := 0; w < 3; w++ {
 				wg.Add(1)
@@ -387,7 +391,7 @@ func TestColumnarReadYourWrites(t *testing.T) {
 						select {
 						case <-done:
 							return
-						default:
+						case <-budget:
 						}
 						if _, err := db.Insert(busy, map[string]val.Value{"id": val.Int(int64(id))}); err != nil {
 							t.Error(err)
@@ -398,6 +402,14 @@ func TestColumnarReadYourWrites(t *testing.T) {
 			}
 			columnarRuns := 0
 			for i := 1; i <= rounds && !t.Failed(); i++ {
+				// Top the writers' budget up to perRound; tokens they have
+				// not spent yet carry over rather than add up.
+				for k := 0; k < perRound; k++ {
+					select {
+					case budget <- struct{}{}:
+					default:
+					}
+				}
 				if _, err := db.Insert("t", map[string]val.Value{"id": val.Int(int64(mine + i)), "qty": val.Int(1)}); err != nil {
 					t.Fatal(err)
 				}

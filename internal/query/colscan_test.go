@@ -844,3 +844,11 @@ func TestColumnarScanDuringRelease(t *testing.T) {
 		t.Errorf("after the churn: %+v", s)
 	}
 }
+
+// NoColumnar forces row-at-a-time execution even when the table has
+// columnar history. Used by benchmarks and the row-vs-columnar
+// differential tests; results are identical either way.
+func (q *Query) NoColumnar() *Query {
+	q.noColumnar = true
+	return q
+}

@@ -145,14 +145,6 @@ func (q *Query) Offset(n int) *Query {
 	return q
 }
 
-// NoColumnar forces row-at-a-time execution even when the table has
-// columnar history. Used by benchmarks and the row-vs-columnar
-// differential tests; results are identical either way.
-func (q *Query) NoColumnar() *Query {
-	q.noColumnar = true
-	return q
-}
-
 // Join performs an inner equi-join with another table on
 // left.leftCol = right.rightCol. Columns of the joined row are addressed
 // bare (left first) or qualified as "table.col".
@@ -195,9 +187,8 @@ func (r *Result) Get(i int, col string) (val.Value, bool) {
 // Plan describes how Run will execute, for tests and EXPLAIN-style
 // diagnostics.
 type Plan struct {
-	Access    string // "scan", "columnar", "index-eq", "index-range"
-	IndexName string
-	Joined    bool
+	Access string // "scan" or "columnar"
+	Joined bool
 	// Columnar scans only: sealed segments considered and how many of
 	// those zone maps excluded outright; then the batches of the
 	// segments scanned, and how many of those their own zone maps
@@ -261,11 +252,6 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 		selects = append(selects, item)
 	}
 
-	// Access path: prefer an equality index, then a range index. A
-	// plain scan defers materialization — it is served from the
-	// columnar store below when it can be.
-	ids, rows, plan := q.access(tbl, pred)
-
 	var rightTbl *storage.Table
 	var rightRows map[string][]storage.Row
 	if q.join != nil {
@@ -325,32 +311,32 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 	}
 	sc.cols = cols
 
-	// Filter (and join) pass. A full scan tries the table's columnar
+	// Filter (and join) pass. The scan tries the table's columnar
 	// history first: segments and tail are filtered with vector kernels
-	// and feed the sink batch-wise. Everything else — index access,
-	// joins, predicates the kernels cannot express — feeds it row by row.
-	if plan.Access == "scan" {
-		cs, served, err := q.colExec(db, tbl, schema, pred, sink, sc)
+	// and feed the sink batch-wise. Everything else — joins, predicates
+	// the kernels cannot express — feeds it row by row.
+	plan.Access = "scan"
+	var rows []storage.Row
+	cs, served, err := q.colExec(db, tbl, schema, pred, sink, sc)
+	switch {
+	case err != nil:
+		return nil, plan, err
+	case served:
+		plan.Access = "columnar"
+		plan.Segments, plan.SegmentsPruned = cs.segments, cs.pruned
+		plan.Batches, plan.BatchesPruned = cs.batches, cs.batchesPruned
+	case pred == nil || q.join != nil:
+		_, rows = tbl.ScanRows()
+	default:
+		// Only the rows the predicate accepts leave the table, and
+		// they need not be tested again below.
+		_, rows, err = tbl.ScanRowsWhere(func(r storage.Row) (bool, error) {
+			return pred.Match(storage.RowResolver{Schema: schema, Row: r})
+		})
 		if err != nil {
 			return nil, plan, err
 		}
-		if served {
-			plan.Access = "columnar"
-			plan.Segments, plan.SegmentsPruned = cs.segments, cs.pruned
-			plan.Batches, plan.BatchesPruned = cs.batches, cs.batchesPruned
-		} else if pred == nil || q.join != nil {
-			_, rows = tbl.ScanRows()
-		} else {
-			// Only the rows the predicate accepts leave the table, and
-			// they need not be tested again below.
-			_, rows, err = tbl.ScanRowsWhere(func(r storage.Row) (bool, error) {
-				return pred.Match(storage.RowResolver{Schema: schema, Row: r})
-			})
-			if err != nil {
-				return nil, plan, err
-			}
-			pred = nil
-		}
+		pred = nil
 	}
 	lci := -1
 	if q.join != nil {
@@ -394,21 +380,9 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 		}
 		return sink.addRow(r)
 	}
-	if rows != nil {
-		for _, row := range rows {
-			if err := consider(row); err != nil {
-				return nil, plan, err
-			}
-		}
-	} else {
-		for _, id := range ids {
-			row, ok := tbl.Get(id)
-			if !ok {
-				continue
-			}
-			if err := consider(row); err != nil {
-				return nil, plan, err
-			}
+	for _, row := range rows {
+		if err := consider(row); err != nil {
+			return nil, plan, err
 		}
 	}
 	sink.finish()
@@ -451,41 +425,6 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 		out.Rows = out.Rows[:q.limit]
 	}
 	return out, plan, nil
-}
-
-// access picks the cheapest access path for the base table given the
-// predicate's indexable conjuncts.
-func (q *Query) access(tbl *storage.Table, pred *expr.Predicate) ([]storage.RowID, []storage.Row, Plan) {
-	if pred != nil {
-		for _, eq := range pred.EqPreds {
-			if name := tbl.IndexOn(eq.Field, false); name != "" {
-				ids, err := tbl.LookupEq(name, eq.Value)
-				if err == nil {
-					return ids, nil, Plan{Access: "index-eq", IndexName: name}
-				}
-			}
-		}
-		for _, rp := range pred.RangePreds {
-			if name := tbl.IndexOn(rp.Field, true); name != "" {
-				var lo, hi *val.Value
-				if !rp.LoUnbounded {
-					v := rp.Lo
-					lo = &v
-				}
-				if !rp.HiUnbounded {
-					v := rp.Hi
-					hi = &v
-				}
-				ids, err := tbl.LookupRange(name, lo, hi, rp.LoOpen, rp.HiOpen)
-				if err == nil {
-					return ids, nil, Plan{Access: "index-range", IndexName: name}
-				}
-			}
-		}
-	}
-	// Scans are left unmaterialized; run() decides between the
-	// columnar store and tbl.ScanRows.
-	return nil, nil, Plan{Access: "scan"}
 }
 
 // parseSelect parses "expr" or "expr AS alias".

@@ -230,39 +230,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestIndexedAccessPlans(t *testing.T) {
-	db := testDB(t)
-	db.CreateIndex("trades", "by_sym", []string{"sym"}, storage.HashIndex, false)
-	db.CreateIndex("trades", "by_price", []string{"price"}, storage.OrderedIndex, false)
-
-	_, plan, err := New("trades").Where("sym = 'ACME'").Explain(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != "index-eq" || plan.IndexName != "by_sym" {
-		t.Errorf("plan = %+v, want index-eq via by_sym", plan)
-	}
-	res, plan, err := New("trades").Where("price >= 10 AND price <= 12").Explain(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Access != "index-range" || plan.IndexName != "by_price" {
-		t.Errorf("plan = %+v, want index-range via by_price", plan)
-	}
-	if len(res.Rows) != 3 {
-		t.Errorf("range rows = %d, want 3", len(res.Rows))
-	}
-	_, plan, _ = New("trades").Where("qty > 100").Explain(db)
-	if plan.Access != "scan" {
-		t.Errorf("plan = %+v, want scan", plan)
-	}
-	// Index path and scan path agree.
-	r1, _ := New("trades").Where("sym = 'ACME' AND qty > 150").Run(db)
-	if len(r1.Rows) != 2 {
-		t.Errorf("indexed+residual rows = %d, want 2", len(r1.Rows))
-	}
-}
-
 func TestQueryErrors(t *testing.T) {
 	db := testDB(t)
 	if _, err := New("nope").Run(db); err == nil {

@@ -866,50 +866,6 @@ func (q *Queue) Requeue(id int64) error {
 	return nil
 }
 
-// RequeueDeadLetters returns every dead-lettered message to service in
-// a single transaction (all of them become deliverable, or none do on
-// error) and reports how many were requeued.
-func (q *Queue) RequeueDeadLetters() (int, error) {
-	type dead struct {
-		id, pri int64
-		rid     storage.RowID
-	}
-	var deads []dead
-	q.table.Scan(func(rid storage.RowID, r storage.Row) bool {
-		if state, _ := r[4].AsString(); state != stateDead {
-			return true
-		}
-		id, _ := r[0].AsInt()
-		pri, _ := r[1].AsInt()
-		deads = append(deads, dead{id: id, pri: pri, rid: rid})
-		return true
-	})
-	if len(deads) == 0 {
-		return 0, nil
-	}
-	txn := q.db.Begin()
-	for _, d := range deads {
-		err := txn.Update(q.tableName, d.rid, map[string]val.Value{
-			"state": val.String(stateReady), "visible_at": val.Int(0), "attempts": val.Int(0),
-		})
-		if err != nil {
-			txn.Rollback()
-			return 0, err
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		return 0, err
-	}
-	q.mu.Lock()
-	q.dead -= len(deads)
-	for _, d := range deads {
-		q.push(readyItem{id: d.id, pri: d.pri})
-	}
-	q.mu.Unlock()
-	q.wake()
-	return len(deads), nil
-}
-
 // DecodeStagedInsert decodes a committed INSERT into a queue's backing
 // table back into the staged message's id and original event. It is
 // the journal-backfill path: mining the WAL for q_<name> inserts

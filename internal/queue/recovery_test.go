@@ -81,68 +81,6 @@ func TestRequeueReturnsDeadLetterToService(t *testing.T) {
 	}
 }
 
-func TestRequeueDeadLettersBulk(t *testing.T) {
-	db, q := newQueue(t, Config{MaxAttempts: 1})
-	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := q.Enqueue(ev(i), EnqueueOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		msg, ok, err := q.Dequeue("c")
-		if err != nil || !ok {
-			t.Fatalf("dequeue %d: %v %v", i, ok, err)
-		}
-		if err := q.Nack(msg.Receipt, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := q.Stats(); st.Dead != n {
-		t.Fatalf("stats = %+v, want %d dead", st, n)
-	}
-	// The bulk reset is one transaction: a single commit carries all n
-	// state updates.
-	commits := 0
-	remove := db.OnCommit(func(ci *storage.CommitInfo) {
-		if len(ci.Changes) > 0 {
-			commits++
-		}
-	})
-	got, err := q.RequeueDeadLetters()
-	remove()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != n {
-		t.Errorf("requeued %d, want %d", got, n)
-	}
-	if commits != 1 {
-		t.Errorf("bulk requeue used %d commits, want 1", commits)
-	}
-	seen := map[int64]bool{}
-	for i := 0; i < n; i++ {
-		msg, ok, err := q.Dequeue("c")
-		if err != nil || !ok {
-			t.Fatalf("dequeue after bulk requeue %d: %v %v", i, ok, err)
-		}
-		if msg.Attempt != 1 {
-			t.Errorf("attempt = %d, want fresh budget", msg.Attempt)
-		}
-		seen[msg.Receipt.ID] = true
-	}
-	if len(seen) != n {
-		t.Errorf("redelivered %d distinct messages, want %d", len(seen), n)
-	}
-	// Nothing left dead, and an empty pass is a no-op.
-	if st := q.Stats(); st.Dead != 0 {
-		t.Errorf("stats = %+v, want 0 dead", st)
-	}
-	if got, err := q.RequeueDeadLetters(); err != nil || got != 0 {
-		t.Errorf("empty requeue = %d, %v", got, err)
-	}
-}
-
 // TestCrashRecoveryRedeliversUnacked is the WAL crash-recovery
 // contract end to end: messages dequeued but never acknowledged before
 // the process dies are redelivered after reopening the database. A

@@ -117,9 +117,6 @@ func Start(cfg Config) (*Follower, error) {
 // every record below it is applied and locally durable.
 func (f *Follower) Cursor() uint64 { return f.cursor.Load() }
 
-// Applied returns how many records this process has applied.
-func (f *Follower) Applied() uint64 { return f.applied.Load() }
-
 // WaitCursor polls until the cursor reaches target or the timeout
 // expires, reporting success. A test convenience.
 func (f *Follower) WaitCursor(target uint64, timeout time.Duration) bool {
@@ -354,13 +351,6 @@ func (f *Follower) Promote() (string, error) {
 	<-f.done
 	f.finishPromote()
 	return "leader", nil
-}
-
-// Promoted reports whether the node has been promoted to leader.
-func (f *Follower) Promoted() bool {
-	f.promoteMu.Lock()
-	defer f.promoteMu.Unlock()
-	return f.promoted
 }
 
 // Close stops replication without promoting. The engine stays

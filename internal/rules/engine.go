@@ -41,9 +41,6 @@ type Rule struct {
 	nIndexed int
 }
 
-// Condition returns the compiled predicate source.
-func (r *Rule) Condition() string { return r.Source }
-
 // Engine holds a mutable rule set and matches events against it.
 type Engine struct {
 	mu    sync.RWMutex
@@ -81,7 +78,7 @@ func (e *Engine) Len() int {
 }
 
 // Add compiles and installs a rule. Adding an existing name is an error;
-// use Replace for in-place updates.
+// Remove it first.
 func (e *Engine) Add(name, condition string, priority int, action Action) (*Rule, error) {
 	pred, err := expr.Compile(condition)
 	if err != nil {
@@ -109,23 +106,6 @@ func (e *Engine) Remove(name string) error {
 	delete(e.rules, name)
 	e.unindexLocked(r)
 	return nil
-}
-
-// Replace atomically swaps a rule's condition/priority/action.
-func (e *Engine) Replace(name, condition string, priority int, action Action) (*Rule, error) {
-	pred, err := expr.Compile(condition)
-	if err != nil {
-		return nil, fmt.Errorf("rules: %q: %w", name, err)
-	}
-	nr := &Rule{Name: name, Priority: priority, Source: condition, Action: action, pred: pred}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if old, ok := e.rules[name]; ok {
-		e.unindexLocked(old)
-	}
-	e.rules[name] = nr
-	e.indexLocked(nr)
-	return nr, nil
 }
 
 // Rules returns rule names sorted by (priority desc, name).

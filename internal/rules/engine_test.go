@@ -101,7 +101,10 @@ func TestAddRemoveReplace(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("match before replace = %v", names(got))
 	}
-	if _, err := e.Replace("r", "x = 2", 0, nil); err != nil {
+	if err := e.Remove("r"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Add("r", "x = 2", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = e.Match(mkEvent(map[string]any{"x": 1}))
@@ -241,7 +244,8 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		name := fmt.Sprintf("r%d", round%10)
 		if round%2 == 0 {
-			e.Replace(name, fmt.Sprintf("x = %d", round%5), 0, nil)
+			_ = e.Remove(name)
+			e.Add(name, fmt.Sprintf("x = %d", round%5), 0, nil)
 		} else {
 			_ = e.Remove(name)
 		}

@@ -336,29 +336,6 @@ func serve(eng *core.Engine, ln net.Listener, cfg Config) *Server {
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// ConnCount reports the number of live client connections.
-func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
-// ReplicaCursors reports the latest RACKed cursor of every live
-// replication stream, keyed by connection id. A cursor is the next
-// LSN the follower expects: everything below it is applied and
-// durable on that replica (the input to Checkpoint decisions).
-func (s *Server) ReplicaCursors() map[uint64]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[uint64]uint64)
-	for c := range s.conns {
-		if c.hasSink(replSinkID) {
-			out[c.id] = c.replCursor.Load()
-		}
-	}
-	return out
-}
-
 // Close stops accepting, then closes live client connections and waits
 // for every tracked goroutine to finish, so callers can safely tear
 // down the engine afterwards without leaking goroutines.
@@ -759,8 +736,8 @@ func (c *conn) queueQEvts(stop <-chan struct{}, name string, evts []qline) int {
 // the event's encode-once cache: an event fanned out to M sinks across
 // any number of connections is marshaled exactly once, and each sink
 // pays a header and a copy into its connection's outbound buffer.
-// (Derived events — WithAttr, Clone — carry fresh caches, so a cached
-// payload can never go stale.)
+// (A derived event — Clone — carries a fresh cache, so a cached payload
+// can never go stale.)
 func (c *conn) pushEvent(localID string, ev *event.Event) {
 	data, err := ev.EncodedJSON()
 	if err != nil {

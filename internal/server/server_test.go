@@ -729,3 +729,26 @@ func TestFanoutSharedPayloadByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// ConnCount reports the number of live client connections.
+func (s *Server) ConnCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// ReplicaCursors reports the latest RACKed cursor of every live
+// replication stream, keyed by connection id. A cursor is the next
+// LSN the follower expects: everything below it is applied and
+// durable on that replica (the input to Checkpoint decisions).
+func (s *Server) ReplicaCursors() map[uint64]uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[uint64]uint64)
+	for c := range s.conns {
+		if c.hasSink(replSinkID) {
+			out[c.id] = c.replCursor.Load()
+		}
+	}
+	return out
+}

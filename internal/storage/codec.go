@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"eventdb/internal/val"
@@ -12,8 +13,14 @@ import (
 const (
 	recCommit      uint8 = 1
 	recCreateTable uint8 = 2
+	// recCreateIndex was a secondary-index definition. No daemon ever
+	// wrote one; the kind stays reserved, and a log that holds one is
+	// refused rather than replayed without its UNIQUE constraint.
 	recCreateIndex uint8 = 3
 )
+
+// errIndexRecord refuses a WAL record of the reserved kind 3.
+var errIndexRecord = errors.New("storage: WAL record kind 3 (secondary index) is not supported")
 
 // DecodeCommitRecord decodes a WAL record if it is a commit; ok is false
 // for DDL and foreign record types. Used by journal mining.
@@ -213,59 +220,4 @@ func decodeSchema(buf []byte) (*Schema, error) {
 		pks = append(pks, pk)
 	}
 	return NewSchema(name, cols, pks...)
-}
-
-// encodeIndexDef serializes an index definition for the WAL.
-func encodeIndexDef(dst []byte, table, name string, kind IndexKind, unique bool, cols []string) []byte {
-	dst = appendString(dst, table)
-	dst = appendString(dst, name)
-	dst = append(dst, byte(kind))
-	if unique {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(cols)))
-	for _, c := range cols {
-		dst = appendString(dst, c)
-	}
-	return dst
-}
-
-func decodeIndexDef(buf []byte) (table, name string, kind IndexKind, unique bool, cols []string, err error) {
-	pos := 0
-	table, n, err := decodeString(buf)
-	if err != nil {
-		return
-	}
-	pos += n
-	name, n, err = decodeString(buf[pos:])
-	if err != nil {
-		return
-	}
-	pos += n
-	if pos+2 > len(buf) {
-		err = fmt.Errorf("truncated index def")
-		return
-	}
-	kind = IndexKind(buf[pos])
-	pos++
-	unique = buf[pos] == 1
-	pos++
-	cnt, n := binary.Uvarint(buf[pos:])
-	if n <= 0 {
-		err = fmt.Errorf("bad index column count")
-		return
-	}
-	pos += n
-	for i := uint64(0); i < cnt; i++ {
-		var c string
-		c, n, err = decodeString(buf[pos:])
-		if err != nil {
-			return
-		}
-		pos += n
-		cols = append(cols, c)
-	}
-	return
 }

@@ -133,7 +133,7 @@ type commitEntry struct {
 }
 
 // Open creates a database. With Options.Dir set, existing WAL contents
-// are replayed to rebuild tables, indexes and rows.
+// are replayed to rebuild tables and rows.
 func Open(opts Options) (*DB, error) {
 	db := &DB{
 		tables:      make(map[string]*Table),
@@ -174,17 +174,7 @@ func (db *DB) recover() error {
 			}
 			db.tables[s.Name] = newTable(s)
 		case recCreateIndex:
-			tbl, name, kind, unique, cols, err := decodeIndexDef(r.Data)
-			if err != nil {
-				return fmt.Errorf("storage: recover index lsn=%d: %w", r.LSN, err)
-			}
-			t, ok := db.tables[tbl]
-			if !ok {
-				return fmt.Errorf("storage: recover: index on unknown table %q", tbl)
-			}
-			if err := t.buildIndex(name, kind, unique, cols); err != nil {
-				return err
-			}
+			return fmt.Errorf("storage: recover lsn=%d: %w", r.LSN, errIndexRecord)
 		}
 		return nil
 	})
@@ -398,6 +388,9 @@ func (db *DB) applyReplicatedLocked(r wal.Record) error {
 	if db.degraded.Load() {
 		return db.degradedError()
 	}
+	if r.Type == recCreateIndex {
+		return fmt.Errorf("storage: replicated record lsn=%d: %w", r.LSN, errIndexRecord)
+	}
 	lsn, err := db.log.Append(r.Type, r.Data)
 	if err != nil {
 		db.failStop(err)
@@ -434,20 +427,6 @@ func (db *DB) applyReplicatedLocked(r wal.Record) error {
 		}
 		db.tables[s.Name] = newTable(s)
 		db.mu.Unlock()
-	case recCreateIndex:
-		tbl, name, kind, unique, cols, err := decodeIndexDef(r.Data)
-		if err != nil {
-			return fmt.Errorf("storage: replicated index lsn=%d: %w", r.LSN, err)
-		}
-		db.mu.RLock()
-		t, ok := db.tables[tbl]
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("storage: replicated index on unknown table %q", tbl)
-		}
-		if err := t.buildIndex(name, kind, unique, cols); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("storage: replicated record lsn=%d has unknown type %d", r.LSN, r.Type)
 	}
@@ -476,61 +455,6 @@ func (db *DB) CreateTable(s *Schema) error {
 		db.noteApplied(lsn)
 	}
 	db.tables[s.Name] = newTable(s)
-	return nil
-}
-
-// CreateIndex builds a secondary index over existing rows.
-func (db *DB) CreateIndex(table, name string, cols []string, kind IndexKind, unique bool) error {
-	if db.readonly.Load() {
-		return ErrReadOnly
-	}
-	db.mu.RLock()
-	t, ok := db.tables[table]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: no table %q", table)
-	}
-	if db.log != nil {
-		if db.degraded.Load() {
-			return db.degradedError()
-		}
-		lsn, err := db.log.Append(recCreateIndex, encodeIndexDef(nil, table, name, kind, unique, cols))
-		if err != nil {
-			db.failStop(err)
-			return db.degradedError()
-		}
-		db.noteApplied(lsn)
-	}
-	return t.buildIndex(name, kind, unique, cols)
-}
-
-// buildIndex validates, creates and backfills an index.
-func (t *Table) buildIndex(name string, kind IndexKind, unique bool, cols []string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, exists := t.indexes[name]; exists {
-		return fmt.Errorf("storage: table %q: index %q already exists", t.schema.Name, name)
-	}
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		ci := t.schema.ColIndex(c)
-		if ci < 0 {
-			return fmt.Errorf("storage: table %q: no column %q", t.schema.Name, c)
-		}
-		positions[i] = ci
-	}
-	if len(positions) == 0 {
-		return fmt.Errorf("storage: table %q: index %q has no columns", t.schema.Name, name)
-	}
-	ix := newIndex(name, kind, unique, positions)
-	for id, img := range t.rows {
-		key := ix.keyFor(t.unpack(img))
-		if err := ix.checkUnique(key, id); err != nil {
-			return err
-		}
-		ix.insert(key, id)
-	}
-	t.indexes[name] = ix
 	return nil
 }
 
@@ -788,24 +712,19 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 // returning the concrete change list. Caller holds all table locks.
 func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 	changes := make([]Change, 0, len(ops))
-	// Track uniqueness within the batch: table → index name ("" = PK) →
-	// key → true. A one-op transaction cannot collide with itself, and
-	// fills none of the batch's maps.
+	// Track primary-key uniqueness within the batch: table → key →
+	// true. A one-op transaction cannot collide with itself, and fills
+	// none of the batch's maps.
 	multi := len(ops) > 1
-	batchKeys := map[string]map[string]map[string]bool{}
-	claim := func(table, index, key string) bool {
+	batchKeys := map[string]map[string]bool{}
+	claim := func(table, key string) bool {
 		if !multi {
 			return true
 		}
-		ti, ok := batchKeys[table]
-		if !ok {
-			ti = map[string]map[string]bool{}
-			batchKeys[table] = ti
-		}
-		ki, ok := ti[index]
+		ki, ok := batchKeys[table]
 		if !ok {
 			ki = map[string]bool{}
-			ti[index] = ki
+			batchKeys[table] = ki
 		}
 		if ki[key] {
 			return false
@@ -829,24 +748,11 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			}
 			if t.pk != nil {
 				key := s.pkKey(row)
-				if existing, dup := t.pk[key]; dup && !(freedPK[op.table] != nil && freedPK[op.table][key]) {
-					_ = existing
+				if _, dup := t.pk[key]; dup && !(freedPK[op.table] != nil && freedPK[op.table][key]) {
 					return nil, fmt.Errorf("storage: table %q: duplicate primary key", s.Name)
 				}
-				if !claim(op.table, "", key) {
+				if !claim(op.table, key) {
 					return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
-				}
-			}
-			for _, ix := range t.indexes {
-				if !ix.Unique {
-					continue
-				}
-				key := ix.keyFor(row)
-				if err := ix.checkUnique(key, 0); err != nil {
-					return nil, err
-				}
-				if !claim(op.table, ix.Name, key) {
-					return nil, fmt.Errorf("storage: unique index %q violated within transaction", ix.Name)
 				}
 			}
 			id, ok := nextIDs[op.table]
@@ -879,24 +785,9 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 					if _, dup := t.pk[newKey]; dup {
 						return nil, fmt.Errorf("storage: table %q: update causes duplicate primary key", s.Name)
 					}
-					if !claim(op.table, "", newKey) {
+					if !claim(op.table, newKey) {
 						return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
 					}
-				}
-			}
-			for _, ix := range t.indexes {
-				if !ix.Unique {
-					continue
-				}
-				key := ix.keyFor(row)
-				if key == ix.keyFor(old) {
-					continue
-				}
-				if err := ix.checkUnique(key, op.id); err != nil {
-					return nil, err
-				}
-				if !claim(op.table, ix.Name, key) {
-					return nil, fmt.Errorf("storage: unique index %q violated within transaction", ix.Name)
 				}
 			}
 			changes = append(changes, Change{Table: op.table, Kind: Update, ID: op.id, Old: old, New: row})

@@ -53,8 +53,8 @@ func TestDegradedFailStopAndRecover(t *testing.T) {
 	if _, err := db.InsertRow("items", Row{val.Int(3), val.String("also-refused")}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("second insert: %v, want ErrDegraded", err)
 	}
-	if err := db.CreateIndex("items", "by_name", []string{"name"}, HashIndex, false); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("create index: %v, want ErrDegraded", err)
+	if err := db.CreateTable(mustSchema(t, "other", []Column{{Name: "id", Kind: val.KindInt}})); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("create table: %v, want ErrDegraded", err)
 	}
 	// Reads keep working.
 	tbl, ok := db.Table("items")

@@ -15,7 +15,6 @@ func TestDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CreateTable(tradesSchema(t))
-	db.CreateIndex("trades", "by_sym", []string{"sym"}, HashIndex, false)
 	var id2 RowID
 	for i := 1; i <= 20; i++ {
 		sym := "A"
@@ -36,7 +35,7 @@ func TestDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: everything must come back, including index contents.
+	// Reopen: everything must come back.
 	db2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +57,6 @@ func TestDurableRecovery(t *testing.T) {
 	}
 	if _, _, ok := tbl.GetByPK(val.Int(3)); ok {
 		t.Error("deleted row resurrected")
-	}
-	ids, err := tbl.LookupEq("by_sym", val.String("B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// i=3,6,9,12,15,18 are B; i=3 was deleted → 5 remain.
-	if len(ids) != 5 {
-		t.Errorf("recovered index rows = %d, want 5", len(ids))
 	}
 	// New inserts continue with non-conflicting row IDs.
 	rid, err := db2.Insert("trades", vmap("id", 100, "sym", "C", "price", 1.0))
@@ -243,14 +234,6 @@ func TestCodecRoundTrips(t *testing.T) {
 	if !val.Equal(dec[1].New[1], val.String("y")) {
 		t.Error("update new row wrong")
 	}
-
-	table, name, kind, unique, cols, err := decodeIndexDef(encodeIndexDef(nil, "t", "ix", OrderedIndex, true, []string{"a", "b"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table != "t" || name != "ix" || kind != OrderedIndex || !unique || len(cols) != 2 {
-		t.Errorf("index def round-trip: %v %v %v %v %v", table, name, kind, unique, cols)
-	}
 }
 
 func TestDecodeErrorsOnGarbage(t *testing.T) {
@@ -259,8 +242,5 @@ func TestDecodeErrorsOnGarbage(t *testing.T) {
 	}
 	if _, err := decodeSchema([]byte{0x02, 'a'}); err == nil {
 		t.Error("garbage schema accepted")
-	}
-	if _, _, _, _, _, err := decodeIndexDef([]byte{0x01}); err == nil {
-		t.Error("garbage index def accepted")
 	}
 }

@@ -29,9 +29,6 @@ func TestReadOnlyGatesMutations(t *testing.T) {
 	if err := db.CreateTable(mustSchema(t, "other", []Column{{Name: "a", Kind: val.KindInt}})); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("CreateTable on read-only db = %v, want ErrReadOnly", err)
 	}
-	if err := db.CreateIndex("trades", "by_sym", []string{"sym"}, HashIndex, false); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("CreateIndex on read-only db = %v, want ErrReadOnly", err)
-	}
 	// Reads stay open.
 	if _, ok := db.Table("trades"); !ok {
 		t.Fatal("read lost under read-only gate")
@@ -44,7 +41,7 @@ func TestReadOnlyGatesMutations(t *testing.T) {
 
 // TestApplyReplicatedMirrorsLeader replays one durable database's WAL
 // into a second, record by record — the follower's apply path — and
-// verifies the follower converges to the same tables, rows, indexes,
+// verifies the follower converges to the same tables, rows,
 // sequence numbers, and LSN space, with commit hooks firing per commit.
 func TestApplyReplicatedMirrorsLeader(t *testing.T) {
 	leader, err := Open(Options{Dir: t.TempDir()})
@@ -69,9 +66,6 @@ func TestApplyReplicatedMirrorsLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := leader.DeleteRow("trades", id2+1); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.CreateIndex("trades", "by_sym", []string{"sym"}, HashIndex, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,13 +111,6 @@ func TestApplyReplicatedMirrorsLeader(t *testing.T) {
 	if _, _, ok := tbl.GetByPK(val.Int(3)); ok {
 		t.Fatal("replicated delete lost")
 	}
-	ids, err := tbl.LookupEq("by_sym", val.String("A"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 8 {
-		t.Fatalf("replicated index rows = %d, want 8", len(ids))
-	}
 	if follower.Seq() != leader.Seq() {
 		t.Fatalf("follower seq = %d, leader = %d", follower.Seq(), leader.Seq())
 	}
@@ -133,6 +120,57 @@ func TestApplyReplicatedMirrorsLeader(t *testing.T) {
 	// Read-only stayed on the whole time: direct writes still refused.
 	if _, err := follower.Insert("trades", vmap("id", 99, "sym", "Z", "price", 0.0)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Insert on follower = %v, want ErrReadOnly", err)
+	}
+}
+
+// TestIndexRecordRefused holds the reserved WAL record kind 3 (a
+// secondary-index definition) to a refusal: recovery fails on it and a
+// follower will not log it, rather than either dropping its UNIQUE
+// constraint without a word.
+func TestIndexRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(tradesSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := wal.Record{Type: recCreateIndex, Data: []byte("\x06trades\x06by_sym\x00\x01\x01\x03sym")}
+	if rec.LSN, err = w.Append(rec.Type, rec.Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Dir: dir}); !errors.Is(err, errIndexRecord) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open over a kind-3 record = %v, want %v", err, errIndexRecord)
+	}
+
+	follower, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.ApplyReplicated(wal.Record{LSN: 1, Type: recCreateTable, Data: encodeSchema(nil, tradesSchema(t))}); err != nil {
+		t.Fatal(err)
+	}
+	rec.LSN = 2
+	if err := follower.ApplyReplicated(rec); !errors.Is(err, errIndexRecord) {
+		t.Fatalf("ApplyReplicated(kind 3) = %v, want %v", err, errIndexRecord)
+	}
+	if next := follower.WAL().NextLSN(); next != 2 {
+		t.Fatalf("follower NextLSN = %d after the refusal, want 2: the record must not be logged", next)
 	}
 }
 

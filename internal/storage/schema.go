@@ -1,8 +1,8 @@
 // Package storage implements the embedded database engine at the base of
-// eventdb: schemaful tables with typed rows, primary keys, secondary
-// (hash and ordered) indexes, atomic multi-table transactions, a
-// write-ahead log for crash recovery, and commit hooks that feed the
-// capture layer (triggers and journal mining, paper §2.2.a).
+// eventdb: schemaful tables with typed rows, primary keys, atomic
+// multi-table transactions, a write-ahead log for crash recovery, and
+// commit hooks that feed the capture layer (triggers and journal
+// mining, paper §2.2.a).
 //
 // Concurrency model: commits are serialized by a single commit mutex
 // (single-writer); readers take per-table read locks and never block
@@ -143,6 +143,16 @@ func (s *Schema) pkKey(r Row) string {
 	buf := arr[:0]
 	for _, ci := range s.pkCols {
 		buf = val.AppendKey(buf, r[ci])
+	}
+	return string(buf)
+}
+
+// keyForValues encodes primary-key lookup values the way pkKey encodes
+// a row's key columns.
+func keyForValues(vals []val.Value) string {
+	var buf []byte
+	for _, v := range vals {
+		buf = val.AppendKey(buf, v)
 	}
 	return string(buf)
 }

@@ -229,119 +229,6 @@ func TestTxnLifecycle(t *testing.T) {
 	}
 }
 
-func TestSecondaryIndexes(t *testing.T) {
-	db := openVolatile(t)
-	db.CreateTable(tradesSchema(t))
-	for i := 1; i <= 10; i++ {
-		sym := "A"
-		if i%2 == 0 {
-			sym = "B"
-		}
-		db.Insert("trades", vmap("id", i, "sym", sym, "price", float64(i), "qty", i*10))
-	}
-	if err := db.CreateIndex("trades", "by_sym", []string{"sym"}, HashIndex, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateIndex("trades", "by_price", []string{"price"}, OrderedIndex, false); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Table("trades")
-	ids, err := tbl.LookupEq("by_sym", val.String("B"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 5 {
-		t.Errorf("by_sym B = %d rows, want 5", len(ids))
-	}
-	lo, hi := val.Float(3), val.Float(7)
-	ids, err = tbl.LookupRange("by_price", &lo, &hi, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 5 { // 3,4,5,6,7
-		t.Errorf("range [3,7] = %d rows, want 5", len(ids))
-	}
-	ids, _ = tbl.LookupRange("by_price", &lo, &hi, true, true)
-	if len(ids) != 3 { // 4,5,6
-		t.Errorf("range (3,7) = %d rows, want 3", len(ids))
-	}
-	ids, _ = tbl.LookupRange("by_price", &lo, nil, false, false)
-	if len(ids) != 8 { // 3..10
-		t.Errorf("range [3,∞) = %d rows, want 8", len(ids))
-	}
-	// Index maintenance across update/delete.
-	rid, _ := tbl.LookupEq("by_sym", val.String("A"))
-	db.UpdateRow("trades", rid[0], vmap("sym", "Z"))
-	ids, _ = tbl.LookupEq("by_sym", val.String("Z"))
-	if len(ids) != 1 {
-		t.Errorf("post-update Z rows = %d", len(ids))
-	}
-	db.DeleteRow("trades", ids[0])
-	ids, _ = tbl.LookupEq("by_sym", val.String("Z"))
-	if len(ids) != 0 {
-		t.Errorf("post-delete Z rows = %d", len(ids))
-	}
-	// IndexOn discovery.
-	if name := tbl.IndexOn("price", true); name != "by_price" {
-		t.Errorf("IndexOn(price, ranged) = %q", name)
-	}
-	if name := tbl.IndexOn("sym", false); name != "by_sym" {
-		t.Errorf("IndexOn(sym) = %q", name)
-	}
-	if name := tbl.IndexOn("sym", true); name != "" {
-		t.Errorf("IndexOn(sym, ranged) = %q, want none", name)
-	}
-	// Errors.
-	if _, err := tbl.LookupEq("nope", val.Int(1)); err == nil {
-		t.Error("lookup on missing index accepted")
-	}
-	if _, err := tbl.LookupEq("by_sym"); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if _, err := tbl.LookupRange("by_sym", nil, nil, false, false); err == nil {
-		t.Error("range on hash index accepted")
-	}
-	if err := db.CreateIndex("trades", "by_sym", []string{"sym"}, HashIndex, false); err == nil {
-		t.Error("duplicate index name accepted")
-	}
-	if err := db.CreateIndex("trades", "bad", []string{"nope"}, HashIndex, false); err == nil {
-		t.Error("index on missing column accepted")
-	}
-	if err := db.CreateIndex("nope", "bad", []string{"x"}, HashIndex, false); err == nil {
-		t.Error("index on missing table accepted")
-	}
-}
-
-func TestUniqueIndex(t *testing.T) {
-	db := openVolatile(t)
-	db.CreateTable(tradesSchema(t))
-	db.Insert("trades", vmap("id", 1, "sym", "A", "price", 1.0))
-	if err := db.CreateIndex("trades", "uniq_sym", []string{"sym"}, HashIndex, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Insert("trades", vmap("id", 2, "sym", "A", "price", 2.0)); err == nil {
-		t.Error("unique violation accepted")
-	}
-	if _, err := db.Insert("trades", vmap("id", 2, "sym", "B", "price", 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	// Backfill over duplicate data must fail.
-	db2 := openVolatile(t)
-	db2.CreateTable(tradesSchema(t))
-	db2.Insert("trades", vmap("id", 1, "sym", "A", "price", 1.0))
-	db2.Insert("trades", vmap("id", 2, "sym", "A", "price", 2.0))
-	if err := db2.CreateIndex("trades", "uniq_sym", []string{"sym"}, HashIndex, true); err == nil {
-		t.Error("unique backfill over duplicates accepted")
-	}
-	// Intra-txn unique violation.
-	txn := db.Begin()
-	txn.Insert("trades", vmap("id", 30, "sym", "C", "price", 1.0))
-	txn.Insert("trades", vmap("id", 31, "sym", "C", "price", 1.0))
-	if _, err := txn.Commit(); err == nil {
-		t.Error("intra-txn unique violation accepted")
-	}
-}
-
 func TestBeforeHooks(t *testing.T) {
 	db := openVolatile(t)
 	db.CreateTable(tradesSchema(t))

@@ -2,14 +2,14 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"eventdb/internal/val"
 )
 
-// Table holds rows and indexes for one schema. All exported methods are
-// safe for concurrent use; mutation happens only through transactions.
+// Table holds the rows of one schema and their primary-key index. All
+// exported methods are safe for concurrent use; mutation happens only
+// through transactions.
 //
 // A stored row is one packed string: its values' val.AppendBinary
 // encodings back to back, the WAL's row encoding without the count (the
@@ -23,8 +23,7 @@ type Table struct {
 	pack    []byte // packing scratch; t.mu held for writing
 	nextID  RowID
 	pk      map[string]RowID // encoded primary key → row ID
-	indexes map[string]*Index
-	version uint64 // bumped on every commit touching this table
+	version uint64           // bumped on every commit touching this table
 	// lastCommit is the CommitInfo.Seq of the last commit that touched
 	// this table.
 	lastCommit uint64
@@ -32,10 +31,9 @@ type Table struct {
 
 func newTable(s *Schema) *Table {
 	t := &Table{
-		schema:  s,
-		rows:    make(map[RowID]string),
-		nextID:  1,
-		indexes: make(map[string]*Index),
+		schema: s,
+		rows:   make(map[RowID]string),
+		nextID: 1,
 	}
 	if s.HasPrimaryKey() {
 		t.pk = make(map[string]RowID)
@@ -188,113 +186,8 @@ func (t *Table) packRow(r Row) string {
 	return string(buf)
 }
 
-// LookupEq uses the named index for an equality lookup. Numeric probe
-// values are normalized to the indexed column's kind so that e.g. an
-// integer literal finds rows in a float column.
-func (t *Table) LookupEq(indexName string, vals ...val.Value) ([]RowID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[indexName]
-	if !ok {
-		return nil, fmt.Errorf("storage: table %q: no index %q", t.schema.Name, indexName)
-	}
-	if len(vals) != len(ix.cols) {
-		return nil, fmt.Errorf("storage: index %q: %d lookup values, want %d", indexName, len(vals), len(ix.cols))
-	}
-	probe := make([]val.Value, len(vals))
-	for i, v := range vals {
-		nv, exact := normalizeProbe(t.schema.Columns[ix.cols[i]].Kind, v)
-		if !exact {
-			return nil, nil // e.g. 10.5 can never equal an int column
-		}
-		probe[i] = nv
-	}
-	return ix.lookupEq(probe), nil
-}
-
-// LookupRange uses a single-column ordered index for a range scan.
-// Nil bounds are unbounded; open flags make bounds strict. Numeric
-// bounds are normalized to the column kind (10.5 over an int column
-// becomes the tightest enclosing integer bound).
-func (t *Table) LookupRange(indexName string, lo, hi *val.Value, loOpen, hiOpen bool) ([]RowID, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix, ok := t.indexes[indexName]
-	if !ok {
-		return nil, fmt.Errorf("storage: table %q: no index %q", t.schema.Name, indexName)
-	}
-	if ix.Kind != OrderedIndex {
-		return nil, fmt.Errorf("storage: index %q does not support range scans", indexName)
-	}
-	colKind := t.schema.Columns[ix.cols[0]].Kind
-	if lo != nil {
-		nv, exact := normalizeProbe(colKind, *lo)
-		if !exact {
-			// Non-integral float bound over an int column: tighten to
-			// the next integer and close the bound.
-			f, _ := (*lo).AsFloat()
-			nv = val.Int(int64(math.Ceil(f)))
-			loOpen = false
-		}
-		lo = &nv
-	}
-	if hi != nil {
-		nv, exact := normalizeProbe(colKind, *hi)
-		if !exact {
-			f, _ := (*hi).AsFloat()
-			nv = val.Int(int64(math.Floor(f)))
-			hiOpen = false
-		}
-		hi = &nv
-	}
-	return ix.lookupRange(lo, hi, loOpen, hiOpen)
-}
-
-// normalizeProbe converts a lookup value to the column's kind where that
-// preserves equality semantics. exact=false means the value can never
-// exactly equal a stored value of that kind (non-integral float vs int).
-func normalizeProbe(colKind val.Kind, v val.Value) (_ val.Value, exact bool) {
-	if v.IsNull() || v.Kind() == colKind {
-		return v, true
-	}
-	switch {
-	case colKind == val.KindFloat && v.Kind() == val.KindInt:
-		f, _ := v.AsFloat()
-		return val.Float(f), true
-	case colKind == val.KindInt && v.Kind() == val.KindFloat:
-		f, _ := v.AsFloat()
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			return val.Int(int64(f)), true
-		}
-		return v, false
-	}
-	return v, true
-}
-
-// IndexOn returns the name of an index whose first column is the given
-// column (preferring ordered for ranged=true), or "".
-func (t *Table) IndexOn(col string, ranged bool) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return ""
-	}
-	best := ""
-	for name, ix := range t.indexes {
-		if len(ix.cols) >= 1 && ix.cols[0] == ci && len(ix.cols) == 1 {
-			if ranged && ix.Kind != OrderedIndex {
-				continue
-			}
-			if best == "" || name < best {
-				best = name
-			}
-		}
-	}
-	return best
-}
-
-// applyInsert stores the row (already validated), maintaining indexes.
+// applyInsert stores the row (already validated), maintaining the
+// primary-key index.
 // Caller holds t.mu.
 func (t *Table) applyInsert(id RowID, r Row) {
 	t.rows[id] = t.packRow(r)
@@ -303,9 +196,6 @@ func (t *Table) applyInsert(id RowID, r Row) {
 	}
 	if t.pk != nil {
 		t.pk[t.schema.pkKey(r)] = id
-	}
-	for _, ix := range t.indexes {
-		ix.insert(ix.keyFor(r), id)
 	}
 }
 
@@ -316,13 +206,6 @@ func (t *Table) applyUpdate(id RowID, old, newRow Row) {
 		delete(t.pk, t.schema.pkKey(old))
 		t.pk[t.schema.pkKey(newRow)] = id
 	}
-	for _, ix := range t.indexes {
-		ok, nk := ix.keyFor(old), ix.keyFor(newRow)
-		if ok != nk {
-			ix.remove(ok, id)
-			ix.insert(nk, id)
-		}
-	}
 }
 
 // applyDelete removes row id. Caller holds t.mu.
@@ -330,8 +213,5 @@ func (t *Table) applyDelete(id RowID, old Row) {
 	delete(t.rows, id)
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))
-	}
-	for _, ix := range t.indexes {
-		ix.remove(ix.keyFor(old), id)
 	}
 }

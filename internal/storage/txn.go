@@ -81,9 +81,6 @@ func (t *Txn) Delete(table string, id RowID) error {
 	return nil
 }
 
-// Pending returns the number of buffered operations.
-func (t *Txn) Pending() int { return len(t.ops) }
-
 // Commit atomically validates and applies all buffered operations. On
 // any error nothing is applied.
 func (t *Txn) Commit() (*CommitInfo, error) {

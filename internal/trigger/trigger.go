@@ -86,7 +86,6 @@ type Manager struct {
 	mu       sync.RWMutex
 	triggers map[string]*Trigger
 	removers map[string]func()
-	onError  func(trigger string, err error)
 
 	removeCommitHook func()
 }
@@ -99,21 +98,9 @@ func NewManager(db *storage.DB, sink func(*event.Event)) *Manager {
 		sink:     sink,
 		triggers: make(map[string]*Trigger),
 		removers: make(map[string]func()),
-		onError:  func(string, error) {},
 	}
 	m.removeCommitHook = db.OnCommit(m.afterCommit)
 	return m
-}
-
-// OnError installs a handler for AFTER-trigger action errors (which
-// cannot veto — the transaction is already committed).
-func (m *Manager) OnError(fn func(trigger string, err error)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if fn == nil {
-		fn = func(string, error) {}
-	}
-	m.onError = fn
 }
 
 // Close detaches the manager from the database.
@@ -229,7 +216,6 @@ func (m *Manager) afterCommit(ci *storage.CommitInfo) {
 			fired = append(fired, tr)
 		}
 	}
-	onError := m.onError
 	m.mu.RUnlock()
 	if len(fired) == 0 {
 		return
@@ -249,18 +235,15 @@ func (m *Manager) afterCommit(ci *storage.CommitInfo) {
 			}
 			schema := tbl.Schema()
 			if tr.when != nil {
-				match, err := tr.when.Match(changeResolver{schema: schema, change: c})
-				if err != nil {
-					onError(tr.Name, err)
-					continue
-				}
-				if !match {
+				// An AFTER trigger cannot veto a committed transaction,
+				// and nothing reads its errors: a WHEN that fails to
+				// evaluate skips the action, and a failed action is
+				// dropped.
+				if match, err := tr.when.Match(changeResolver{schema: schema, change: c}); err != nil || !match {
 					continue
 				}
 			}
-			if err := tr.Action(&Context{Trigger: tr, Change: c, Schema: schema, Emit: m.emit}); err != nil {
-				onError(tr.Name, err)
-			}
+			_ = tr.Action(&Context{Trigger: tr, Change: c, Schema: schema, Emit: m.emit})
 		}
 	}
 }

@@ -211,22 +211,23 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 }
 
+// TestAfterTriggerErrorHandler: an AFTER trigger's errors have no
+// handler. They are dropped, and the commit that fired it stands.
 func TestAfterTriggerErrorHandler(t *testing.T) {
 	db, m, _ := setup(t)
-	var reported []string
-	m.OnError(func(name string, err error) { reported = append(reported, name) })
+	ran := 0
 	m.Register(Def{Name: "boom", Table: "readings", Timing: After,
-		Action: func(*Context) error { return fmt.Errorf("kaboom") }})
-	ins(t, db, "m1", 1) // commit succeeds; error reported out of band
-	if len(reported) != 1 || reported[0] != "boom" {
-		t.Errorf("reported = %v", reported)
+		Action: func(*Context) error { ran++; return fmt.Errorf("kaboom") }})
+	ins(t, db, "m1", 1) // the commit succeeds; the action's error is dropped
+	if ran != 1 {
+		t.Errorf("AFTER action ran %d times, want 1", ran)
 	}
-	// WHEN evaluation errors are reported too.
+	// A WHEN that fails to evaluate does not veto either.
 	m.Register(Def{Name: "badwhen", Table: "readings", Timing: After,
 		When: "new.meter > 5"}) // string > int → eval error
 	ins(t, db, "m2", 1)
-	if len(reported) < 2 {
-		t.Errorf("WHEN error not reported: %v", reported)
+	if tbl, _ := db.Table("readings"); tbl.Len() != 2 {
+		t.Errorf("rows = %d, want 2: an AFTER error must not veto the commit", tbl.Len())
 	}
 }
 

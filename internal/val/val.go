@@ -271,29 +271,6 @@ func (v Value) Any() any {
 // IsNumeric reports whether the value participates in numeric coercion.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// Truthy reports whether the value counts as true in a boolean context:
-// true booleans, non-zero numbers, non-empty strings/bytes, non-zero
-// times. Null is falsy.
-func (v Value) Truthy() bool {
-	switch v.kind {
-	case KindBool:
-		return v.n != 0
-	case KindInt:
-		return v.n != 0
-	case KindFloat:
-		f := math.Float64frombits(uint64(v.n))
-		return f != 0 && !math.IsNaN(f)
-	case KindString:
-		return v.s != ""
-	case KindBytes:
-		return len(v.s) > 0
-	case KindTime:
-		return v.n != 0
-	default:
-		return false
-	}
-}
-
 // String renders the value for humans: strings are quoted, times are
 // RFC 3339, bytes are hex.
 func (v Value) String() string {

@@ -122,21 +122,6 @@ func TestFromAnyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTruthy(t *testing.T) {
-	truthy := []Value{Bool(true), Int(1), Float(-0.5), String("x"), Bytes([]byte{0}), Time(time.Now())}
-	falsy := []Value{Null, Bool(false), Int(0), Float(0), Float(math.NaN()), String(""), Bytes(nil)}
-	for _, v := range truthy {
-		if !v.Truthy() {
-			t.Errorf("%v should be truthy", v)
-		}
-	}
-	for _, v := range falsy {
-		if v.Truthy() {
-			t.Errorf("%v should be falsy", v)
-		}
-	}
-}
-
 func TestCompare(t *testing.T) {
 	for _, tc := range []struct {
 		a, b Value

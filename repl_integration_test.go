@@ -128,7 +128,17 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 	}
 
 	// The follower must fully mirror the leader — including the acks —
-	// before the leader is allowed to die.
+	// before the leader is allowed to die. An ACK settles in memory and
+	// its delete is written at the queue's next Settle, which no claim
+	// triggers here while half the window stays unacked: settle now, so
+	// that the target covers every ack.
+	q, ok := leng.Queues.Get("big-orders")
+	if !ok {
+		t.Fatal("leader has no queue big-orders")
+	}
+	if err := q.Settle(); err != nil {
+		t.Fatal(err)
+	}
 	target := leng.DB.WAL().NextLSN()
 	if !f.WaitCursor(target, 15*time.Second) {
 		t.Fatalf("follower cursor %d never reached leader end %d", f.Cursor(), target)
