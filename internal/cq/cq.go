@@ -11,6 +11,7 @@ package cq
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"eventdb/internal/event"
@@ -93,10 +94,9 @@ type CQ struct {
 }
 
 type entry struct {
-	t     time.Time
-	key   string
-	keyVs []val.Value
-	vals  []val.Value // one per agg (the referenced attr's value)
+	t    time.Time
+	key  string
+	vals []val.Value // one per agg (the referenced attr's value)
 }
 
 type groupState struct {
@@ -159,9 +159,10 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 	// Build the entry.
 	en := entry{t: ev.Time}
 	var kb []byte
+	var keyVs []val.Value
 	for _, g := range q.def.GroupBy {
 		v, _ := ev.Get(g)
-		en.keyVs = append(en.keyVs, v)
+		keyVs = append(keyVs, v)
 		kb = val.AppendKey(kb, v)
 	}
 	en.key = string(kb)
@@ -193,8 +194,16 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 	q.entries = append(q.entries, en)
 	gs, ok := q.groups[en.key]
 	if !ok {
+		// A group outlives the event that opened it, so its key strings
+		// are copied out of the event: a decoded event's strings are parts
+		// of its whole JSON input.
+		for i, v := range keyVs {
+			if s, ok := v.AsString(); ok {
+				keyVs[i] = val.String(strings.Clone(s))
+			}
+		}
 		gs = &groupState{
-			keyVs: en.keyVs,
+			keyVs: keyVs,
 			count: make([]int64, len(q.def.Aggs)),
 			sum:   make([]float64, len(q.def.Aggs)),
 			minV:  make([]val.Value, len(q.def.Aggs)),

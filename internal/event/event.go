@@ -44,9 +44,13 @@ type Event struct {
 	Attrs  map[string]val.Value
 
 	// enc atomically publishes the cached JSON wire form. Nil until the
-	// first EncodedJSON call; never reset (events are immutable once
-	// shared — Clone returns a fresh event with an empty cache).
+	// first EncodedJSON call, unless UnmarshalJSONEvent pointed it at
+	// kept; never reset (events are immutable once shared — Clone
+	// returns a fresh event with an empty cache).
 	enc atomic.Pointer[[]byte]
+	// kept is the canonical input UnmarshalJSONEvent decoded the event
+	// from, held here so that publishing it costs no allocation.
+	kept []byte
 }
 
 // EncodedJSON returns the event's JSON wire form (see

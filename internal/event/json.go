@@ -13,6 +13,7 @@ import (
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"eventdb/internal/val"
 )
@@ -217,10 +218,23 @@ func appendJSONString(dst []byte, s string) []byte {
 // A repeated key behaves as it would for encoding/json: the last
 // scalar wins, a null leaves the field as it was (except that it
 // empties attrs), and repeated attrs objects merge.
+//
+// data is copied once, and the copy is never written: the type, the
+// source and every key and string value without escapes are substrings
+// of it, not allocations of their own. When data is already what
+// MarshalJSONEvent would write for the event (see canonical), the copy
+// also becomes the event's EncodedJSON, so an event published in that
+// form is pushed in the bytes it arrived in and never encoded again.
 func UnmarshalJSONEvent(data []byte) (*Event, error) {
 	var scratch [128]byte // keeps short escaped strings off the heap
-	s := jsonScanner{data: data, buf: scratch[:0]}
-	return s.event()
+	own := bytes.Clone(data)
+	s := jsonScanner{data: own, buf: scratch[:0], canonical: true}
+	e, err := s.event(own)
+	if err == nil && s.canonical {
+		e.kept = own
+		e.enc.Store(&e.kept)
+	}
+	return e, err
 }
 
 // ScanObject reads data, a JSON object of scalars such as an INSERT
@@ -246,7 +260,7 @@ func ScanObject(data []byte, member func(key []byte, v val.Value, err error)) er
 			if c := s.peek(); c == '{' || c == '[' {
 				err = s.skipValue(1)
 				member(key, val.Null, ErrNotScalar)
-			} else if v, verr := s.scalar(); verr == nil {
+			} else if v, verr := s.scalar(nil); verr == nil {
 				member(key, v, nil)
 			} else if errors.Is(verr, ErrSyntax) {
 				err = verr
@@ -290,6 +304,14 @@ type jsonScanner struct {
 	// error about well-formed content.
 	numbers bool
 	late    error
+	// strAt is where in data the string str last read starts, -1 when
+	// that string had escapes and was unescaped into buf.
+	strAt int
+	// canonical stays true while everything read so far is as
+	// appendJSONEvent writes it: no white space, no escapes, envelope
+	// keys in its order and each once, attribute keys strictly
+	// ascending, numbers only as it renders them (see event).
+	canonical bool
 }
 
 // maxJSONDepth is encoding/json's nesting limit, kept so that the two
@@ -305,6 +327,7 @@ func (s *jsonScanner) skipSpace() {
 		switch s.data[s.pos] {
 		case ' ', '\t', '\r', '\n':
 			s.pos++
+			s.canonical = false
 		default:
 			return
 		}
@@ -358,12 +381,26 @@ func (s *jsonScanner) member(first bool) (key []byte, more bool, err error) {
 	return key, true, nil
 }
 
-func (s *jsonScanner) event() (*Event, error) {
+// The envelope keys as bits, in the order appendJSONEvent writes them.
+const (
+	seenID = 1 << iota
+	seenType
+	seenSource
+	seenTime
+	seenAttrs
+)
+
+// event reads the event object; own is as for text. Beside the grammar
+// it checks what canonical needs of the envelope: the keys id, type,
+// optional source, time and attrs in that order, each once and none
+// null; a non-zero id, a non-empty source and a time as it is rendered.
+func (s *jsonScanner) event(own []byte) (*Event, error) {
 	if s.peek() != '{' {
 		return nil, s.errf("want an event object")
 	}
 	e := &Event{}
 	haveTime, timeErr := false, error(nil)
+	seen := 0
 	for first := true; ; first = false {
 		key, more, err := s.member(first)
 		if err != nil {
@@ -372,11 +409,36 @@ func (s *jsonScanner) event() (*Event, error) {
 		if !more {
 			break
 		}
+		bit := 0
 		switch string(key) {
 		case "id":
-			if s.literal("null") {
-				continue
+			bit = seenID
+		case "type":
+			bit = seenType
+		case "source":
+			bit = seenSource
+		case "time":
+			bit = seenTime
+		case "attrs":
+			bit = seenAttrs
+		}
+		// A null leaves the field as it was, except attrs. A key seen
+		// already is one the encoder writes before this one, or this one.
+		null := bit != 0 && s.literal("null")
+		if bit == 0 || seen >= bit || null {
+			s.canonical = false
+		}
+		seen |= bit
+		switch {
+		case null:
+			if bit == seenAttrs {
+				e.Attrs = nil
 			}
+		case bit == 0:
+			if err := s.skipValue(1); err != nil {
+				return nil, err
+			}
+		case bit == seenID:
 			lit, plain, err := s.number()
 			if err != nil {
 				return nil, err
@@ -386,47 +448,34 @@ func (s *jsonScanner) event() (*Event, error) {
 				return nil, fmt.Errorf("event: id %s is not an unsigned 64-bit integer", string(lit))
 			}
 			e.ID = ID(id)
-		case "type":
-			if b, err := s.optString("type"); err != nil {
+		case bit == seenAttrs:
+			if err := s.attrs(e, own); err != nil {
 				return nil, err
-			} else if b != nil {
-				e.Type = string(b)
 			}
-		case "source":
-			if b, err := s.optString("source"); err != nil {
-				return nil, err
-			} else if b != nil {
-				e.Source = string(b)
+		default: // type, source or time: a string
+			if s.peek() != '"' {
+				return nil, fmt.Errorf("event: %s must be a string", string(key))
 			}
-		case "time":
-			b, err := s.optString("time")
+			b, err := s.str()
 			if err != nil {
 				return nil, err
 			}
-			if b == nil {
-				continue
-			}
-			// Only the last "time" counts: a later good one (or an empty
-			// one, which means now) forgives an earlier bad one.
-			haveTime, timeErr = len(b) > 0, nil
-			if haveTime {
-				t, err := time.Parse(time.RFC3339Nano, string(b))
-				if err != nil {
-					timeErr = fmt.Errorf("event: bad time %q: %w", string(b), err)
+			switch bit {
+			case seenType:
+				e.Type = s.text(own, b)
+			case seenSource:
+				e.Source = s.text(own, b)
+			default:
+				// Only the last "time" counts: a later good one (or an
+				// empty one, which means now) forgives an earlier bad one.
+				haveTime, timeErr = len(b) > 0, nil
+				canonical := false
+				if haveTime {
+					if e.Time, canonical, err = parseTime(b); err != nil {
+						timeErr = fmt.Errorf("event: bad time %q: %w", string(b), err)
+					}
 				}
-				e.Time = t.UTC()
-			}
-		case "attrs":
-			if s.literal("null") {
-				e.Attrs = nil
-				continue
-			}
-			if err := s.attrs(e); err != nil {
-				return nil, err
-			}
-		default:
-			if err := s.skipValue(1); err != nil {
-				return nil, err
+				s.canonical = s.canonical && canonical
 			}
 		}
 	}
@@ -438,6 +487,9 @@ func (s *jsonScanner) event() (*Event, error) {
 		return nil, timeErr
 	case e.Type == "":
 		return nil, fmt.Errorf("event: JSON event missing type")
+	}
+	if seen&^seenSource != seenID|seenType|seenTime|seenAttrs || e.ID == 0 || seen&seenSource != 0 && e.Source == "" {
+		s.canonical = false
 	}
 	if e.ID == 0 {
 		e.ID = NextID()
@@ -452,8 +504,8 @@ func (s *jsonScanner) event() (*Event, error) {
 }
 
 // attrs reads an attrs object into e.Attrs, on top of what an earlier
-// attrs object put there.
-func (s *jsonScanner) attrs(e *Event) error {
+// attrs object put there. Keys not strictly ascending are not canonical.
+func (s *jsonScanner) attrs(e *Event, own []byte) error {
 	if s.peek() != '{' {
 		return fmt.Errorf("event: attrs must be an object")
 	}
@@ -462,13 +514,18 @@ func (s *jsonScanner) attrs(e *Event) error {
 		// one, and capped so that garbage cannot size the map.
 		e.Attrs = make(map[string]val.Value, min(bytes.Count(s.data[s.pos:], []byte{','})+1, 64))
 	}
+	prev := ""
 	for first := true; ; first = false {
 		key, more, err := s.member(first)
 		if err != nil || !more {
 			return err
 		}
-		name := string(key)
-		v, err := s.scalar()
+		name := s.text(own, key)
+		if !first && name <= prev {
+			s.canonical = false
+		}
+		prev = name
+		v, err := s.scalar(own)
 		if err != nil {
 			return fmt.Errorf("event: attr %q: %w", name, err)
 		}
@@ -476,38 +533,77 @@ func (s *jsonScanner) attrs(e *Event) error {
 	}
 }
 
+// text returns b, the string str last read: its bytes in own, the
+// decoder's copy of its input, when it had no escapes, else a copy. It
+// never converts b itself, so that the scratch b may be in stays put.
+func (s *jsonScanner) text(own, b []byte) string {
+	if own == nil || s.strAt < 0 || len(b) == 0 {
+		return string(b)
+	}
+	return unsafe.String(&own[s.strAt], len(b))
+}
+
+// parseTime reads an RFC 3339 time, in UTC, as time.Parse would, and
+// reports whether b is its RFC3339Nano rendering. The form the encoder
+// writes, YYYY-MM-DDTHH:MM:SS, a fraction of up to nine digits and a Z,
+// is read in one pass; anything else is not canonical and is left to
+// time.Parse.
+func parseTime(b []byte) (t time.Time, canonical bool, err error) {
+	n := len(b)
+	if (n == 20 || 22 <= n && n <= 30 && b[19] == '.') && b[n-1] == 'Z' &&
+		b[4] == '-' && b[7] == '-' && b[10] == 'T' && b[13] == ':' && b[16] == ':' {
+		var f [7]int // year, month, day, hour, minute, second, nanosecond
+		i, ok := 0, true
+		for at, c := range b[:n-1] {
+			if d := c - '0'; d <= 9 {
+				f[i] = f[i]*10 + int(d)
+			} else if at == 4 || at == 7 || at == 10 || at == 13 || at == 16 || at == 19 {
+				i++
+			} else {
+				ok = false
+			}
+		}
+		for ; n < 30; n++ { // pad the fraction to nine digits
+			f[6] *= 10
+		}
+		if ok && 1 <= f[1] && f[1] <= 12 && 1 <= f[2] && f[2] <= daysIn(f[1], f[0]) && f[3] < 24 && f[4] < 60 && f[5] < 60 {
+			// The encoder drops a trailing zero of the fraction.
+			return time.Date(f[0], time.Month(f[1]), f[2], f[3], f[4], f[5], f[6], time.UTC), len(b) == 20 || b[len(b)-2] != '0', nil
+		}
+	}
+	t, err = time.Parse(time.RFC3339Nano, string(b))
+	return t.UTC(), false, err
+}
+
+// daysIn is the number of days of the month in the year.
+func daysIn(month, year int) int {
+	if month == 2 && year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+		return 29
+	}
+	return 28 + int("\x03\x00\x03\x02\x03\x02\x03\x03\x02\x03\x02\x03"[month-1])
+}
+
 // literal consumes word ("null", "true", "false") if it is next.
 func (s *jsonScanner) literal(word string) bool {
-	if len(s.data)-s.pos >= len(word) && string(s.data[s.pos:s.pos+len(word)]) == word {
+	if len(s.data)-s.pos >= len(word) && s.data[s.pos] == word[0] && string(s.data[s.pos:s.pos+len(word)]) == word {
 		s.pos += len(word)
 		return true
 	}
 	return false
 }
 
-// optString reads an envelope field that must be a string or null; a
-// null (which leaves the field as it was) returns nil, a string its
-// non-nil bytes.
-func (s *jsonScanner) optString(field string) ([]byte, error) {
-	if s.literal("null") {
-		return nil, nil
-	}
-	if s.peek() != '"' {
-		return nil, fmt.Errorf("event: %s must be a string", field)
-	}
-	return s.str()
-}
-
-// scalar reads one attribute value. Arrays and objects are refused: an
-// attribute is a scalar.
-func (s *jsonScanner) scalar() (val.Value, error) {
+// scalar reads one attribute value; own is as for text. Arrays and
+// objects are refused: an attribute is a scalar. Only a number the
+// encoder would render the same way, an integer of at most 15
+// characters that is not -0, is canonical.
+func (s *jsonScanner) scalar(own []byte) (val.Value, error) {
 	switch c := s.peek(); {
 	case c == '"':
 		b, err := s.str()
 		if err != nil {
 			return val.Null, err
 		}
-		return val.String(string(b)), nil
+		return val.String(s.text(own, b)), nil
 	case c == '-' || '0' <= c && c <= '9':
 		lit, plain, err := s.number()
 		if err != nil {
@@ -526,9 +622,13 @@ func (s *jsonScanner) scalar() (val.Value, error) {
 			}
 			if neg {
 				n = -n
+				if n == 0 {
+					s.canonical = false
+				}
 			}
 			return val.Int(n), nil
 		}
+		s.canonical = false
 		f, err := strconv.ParseFloat(string(lit), 64)
 		if err != nil {
 			return val.Null, err
@@ -640,9 +740,10 @@ func (s *jsonScanner) number() (lit []byte, plain bool, err error) {
 
 // str reads the string whose opening quote is next and returns it
 // unquoted: a slice of the input when that is already the answer (no
-// escapes, valid UTF-8), else of the scratch buffer — either way valid
-// only until the next str. Invalid UTF-8 and unpaired surrogate
-// escapes become U+FFFD, as encoding/json has them.
+// escapes, valid UTF-8; strAt is then where it starts), else of the
+// scratch buffer — either way valid only until the next str. Invalid
+// UTF-8 and unpaired surrogate escapes become U+FFFD, as encoding/json
+// has them.
 func (s *jsonScanner) str() ([]byte, error) {
 	start := s.pos + 1
 	i, ascii := start, true
@@ -664,7 +765,7 @@ func (s *jsonScanner) str() ([]byte, error) {
 				i = start
 				break
 			}
-			s.pos = i + 1
+			s.pos, s.strAt = i+1, start
 			return s.data[start:i], nil
 		}
 		if c == '\\' || c < 0x20 {
@@ -678,6 +779,7 @@ func (s *jsonScanner) str() ([]byte, error) {
 	}
 	// The scratch is not grown in place (a store through s would move
 	// the whole scanner to the heap): a long escaped string allocates.
+	s.strAt, s.canonical = -1, false
 	buf := append(s.buf[:0], s.data[start:i]...)
 	for i < len(s.data) {
 		c := s.data[i]

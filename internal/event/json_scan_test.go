@@ -1,6 +1,7 @@
 package event
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -39,18 +40,40 @@ func caseFoldedEnvelopeKey(data []byte) bool {
 
 // explicit reports which of the two fields a decoder otherwise invents
 // (a fresh id, the current time) the input pins, so that the
-// differential compares them only then.
-func explicit(data []byte) (id, tm bool) {
+// differential compares them only then; tm is the time string pinned.
+func explicit(data []byte) (id bool, tm string) {
 	var je jsonEvent
 	if json.Unmarshal(data, &je) != nil {
-		return false, false
+		return false, ""
 	}
-	return je.ID != 0, je.Time != ""
+	return je.ID != 0, je.Time
+}
+
+// sameTime holds parseTime to time.Parse on one string: both fail or
+// both give the same instant, in UTC, and the string is canonical
+// exactly when it is that instant's RFC3339Nano rendering.
+func sameTime(t *testing.T, s string) {
+	t.Helper()
+	got, canonical, err := parseTime([]byte(s))
+	want, wantErr := time.Parse(time.RFC3339Nano, s)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("time %q: parseTime err = %v, time.Parse err = %v", s, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !got.Equal(want) || got.Location() != time.UTC {
+		t.Errorf("time %q: parseTime = %v, time.Parse %v", s, got, want)
+	}
+	if rendered := want.UTC().Format(time.RFC3339Nano); canonical != (rendered == s) {
+		t.Errorf("time %q: canonical = %v, but it renders as %q", s, canonical, rendered)
+	}
 }
 
 // sameDecode holds the scanner to the oracle on one input.
 func sameDecode(t *testing.T, data []byte) {
 	t.Helper()
+	sameTime(t, string(data))
 	if caseFoldedEnvelopeKey(data) {
 		return
 	}
@@ -62,7 +85,11 @@ func sameDecode(t *testing.T, data []byte) {
 	if wantErr != nil {
 		return
 	}
-	hasID, hasTime := explicit(data)
+	hasID, timeStr := explicit(data)
+	hasTime := timeStr != ""
+	if hasTime {
+		sameTime(t, timeStr)
+	}
 	if hasID && got.ID != want.ID {
 		t.Errorf("%q: id = %d, oracle %d", data, got.ID, want.ID)
 	}
@@ -88,6 +115,15 @@ func sameDecode(t *testing.T, data []byte) {
 		g, ok := got.Attrs[k]
 		if !ok || g.Kind() != w.Kind() || !val.Equal(g, w) {
 			t.Errorf("%q: attr %q = %v (%s, present %v), oracle %v (%s)", data, k, g, g.Kind(), ok, w, w.Kind())
+		}
+	}
+	// An input kept as the event's JSON must be what the encoder writes.
+	if p := got.enc.Load(); p != nil {
+		if !bytes.Equal(*p, data) {
+			t.Errorf("%q: kept %q as its JSON", data, *p)
+		}
+		if enc, err := MarshalJSONEvent(got.Clone()); err != nil || !bytes.Equal(enc, data) {
+			t.Errorf("%q: kept as its JSON, but the encoder writes %q (%v)", data, enc, err)
 		}
 	}
 }
@@ -167,6 +203,19 @@ var decodeSeeds = []string{
 	`{"type":"a","time":"2024-05-01T12:00:00Z","time":null}`,
 	`{"type":"a","time":"2024-05-01T14:00:00.123456789+02:00"}`,
 	`{"type":"a","time":"0001-01-01T00:00:00Z"}`,
+	// Times beside the form the encoder writes.
+	`{"type":"a","time":"2024-02-29T23:59:59.999999999Z"}`,
+	`{"type":"a","time":"2023-02-29T00:00:00Z"}`,
+	`{"type":"a","time":"2024-04-31T00:00:00Z"}`,
+	`{"type":"a","time":"2024-05-01T24:00:00Z"}`,
+	`{"type":"a","time":"2024-05-01T12:00:60Z"}`,
+	`{"type":"a","time":"2024-05-01t12:00:00z"}`,
+	`{"type":"a","time":"2024-05-01T12:00:00.Z"}`,
+	`{"type":"a","time":"2024-05-01T12:00:00.1234567891Z"}`,
+	`{"type":"a","time":"2024-05-01T12:00:00.000Z"}`,
+	`{"type":"a","time":"0000-01-01T00:00:00Z"}`,
+	`{"type":"a","time":"2024-5-01T12:00:00Z"}`,
+	`{"type":"a","time":"2024-05-01T12:00:00-00:00"}`,
 	`{"type":"a","time":17}`,
 	`{"type":"a","attrs":null}`,
 	`{"type":"a","attrs":{"a":1},"attrs":null}`,
@@ -250,6 +299,9 @@ func FuzzUnmarshalJSONEvent(f *testing.F) {
 	}
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
+	}
+	for _, c := range keepCases {
+		f.Add([]byte(c.in))
 	}
 	f.Add(tickJSON(f))
 	f.Fuzz(func(t *testing.T, data []byte) { sameDecode(t, data) })
@@ -384,10 +436,97 @@ func TestJSONRoundTripProperty(t *testing.T) {
 	}
 }
 
+// keepCases are the inputs UnmarshalJSONEvent keeps as their event's
+// JSON, and one input it does not keep per rule of canonical: each of
+// those still decodes, and is a seed of FuzzUnmarshalJSONEvent.
+var keepCases = []struct {
+	name, in string
+	kept     bool
+}{
+	{"the tick", "", true}, // tickJSON, filled in by the test
+	{"a source", `{"id":7,"type":"t","source":"probe","time":"2024-05-01T12:00:00Z","attrs":{"a":1}}`, true},
+	{"no attributes", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}`, true},
+	{"bool and null attributes", `{"id":7,"type":"t","time":"2024-05-01T12:00:00.5Z","attrs":{"a":true,"b":false,"c":null}}`, true},
+	{"negative and non-ASCII", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"n":-5,"s":"é€","z":0}}`, true},
+
+	{"leading white space", ` {"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"trailing white space", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}` + "\n", false},
+	{"inner white space", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a": 1}}`, false},
+	{"escaped slash", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a":"x\/y"}}`, false},
+	{"unicode escape", `{"id":7,"type":"\u0041","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"invalid UTF-8", "{\"id\":7,\"type\":\"t\",\"time\":\"2024-05-01T12:00:00Z\",\"attrs\":{\"a\":\"\xff\"}}", false},
+	{"attribute key repeated", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a":1,"a":1}}`, false},
+	{"attribute keys out of order", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"b":1,"a":1}}`, false},
+	{"envelope keys out of order", `{"type":"t","id":7,"time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"envelope key repeated", `{"id":7,"type":"t","type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"unknown key", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","x":1,"attrs":{}}`, false},
+	{"null envelope key", `{"id":7,"type":"t","source":null,"time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"no id", `{"type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"zero id", `{"id":0,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"no time", `{"id":7,"type":"t","attrs":{}}`, false},
+	{"empty time", `{"id":7,"type":"t","time":"","attrs":{}}`, false},
+	{"offset time", `{"id":7,"type":"t","time":"2024-05-01T12:00:00+00:00","attrs":{}}`, false},
+	{"fraction with a trailing zero", `{"id":7,"type":"t","time":"2024-05-01T12:00:00.50Z","attrs":{}}`, false},
+	{"no attrs", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z"}`, false},
+	{"empty source", `{"id":7,"type":"t","source":"","time":"2024-05-01T12:00:00Z","attrs":{}}`, false},
+	{"minus zero", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a":-0}}`, false},
+	{"a fraction", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a":1.5}}`, false},
+	{"a 16-digit integer", `{"id":7,"type":"t","time":"2024-05-01T12:00:00Z","attrs":{"a":1234567890123456}}`, false},
+}
+
+// TestDecodeKeepsOnlyCanonicalInput: an input is kept as its event's
+// JSON, the payload EncodedJSON returns, exactly when it is what the
+// encoder writes for that event — and the payload is the decoder's
+// copy, never the caller's buffer.
+func TestDecodeKeepsOnlyCanonicalInput(t *testing.T) {
+	for _, c := range keepCases {
+		in := []byte(c.in)
+		if c.in == "" {
+			in = tickJSON(t)
+		}
+		e, err := UnmarshalJSONEvent(in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if kept := e.enc.Load() != nil; kept != c.kept {
+			t.Errorf("%s: kept = %v, want %v", c.name, kept, c.kept)
+		}
+		enc, err := e.EncodedJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.kept && (!bytes.Equal(enc, in) || &enc[0] == &in[0]) {
+			t.Errorf("%s: EncodedJSON = %q, want a copy of the input", c.name, enc)
+		}
+		sameDecode(t, in)
+	}
+}
+
 // TestAllocsUnmarshalJSONEvent bounds the scanner's allocations on the
 // E23 tick by what the decoded event itself is made of: the Event, its
-// map, and one string per key, per string value and for the type.
+// map header and its one table of slots, and the copy of the input that
+// its strings are parts of and that is kept as its EncodedJSON. An
+// escaped string would add its own; the scratch the scanner unescapes
+// into stays on the stack.
 func TestAllocsUnmarshalJSONEvent(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	data := tickJSON(t)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := UnmarshalJSONEvent(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("UnmarshalJSONEvent allocates %v per tick, want at most 4", allocs)
+	}
+}
+
+// TestAllocsEncodedJSONAfterDecode: a decoded tick is pushed in the
+// bytes it arrived in — EncodedJSON encodes nothing, allocates nothing
+// and returns the same slice on every call.
+func TestAllocsEncodedJSONAfterDecode(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
@@ -396,20 +535,17 @@ func TestAllocsUnmarshalJSONEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strs := 1 + len(e.Attrs) // type + keys
-	for _, v := range e.Attrs {
-		if v.Kind() == val.KindString {
-			strs++
-		}
+	first, err := e.EncodedJSON()
+	if err != nil || !bytes.Equal(first, data) {
+		t.Fatalf("EncodedJSON = %q, %v; want the input", first, err)
 	}
-	const eventAndMap = 3 // the Event, the map header, its one table of slots
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := UnmarshalJSONEvent(data); err != nil {
-			t.Fatal(err)
+		if got, _ := e.EncodedJSON(); &got[0] != &first[0] {
+			t.Fatal("EncodedJSON returned another slice")
 		}
 	})
-	if limit := float64(eventAndMap + strs); allocs > limit {
-		t.Errorf("UnmarshalJSONEvent allocates %v per tick, want at most %v", allocs, limit)
+	if allocs != 0 {
+		t.Errorf("EncodedJSON of a decoded tick allocates %v per call, want 0", allocs)
 	}
 }
 

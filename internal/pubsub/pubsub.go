@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
@@ -50,13 +51,18 @@ type Broker struct {
 	scratchPool sync.Pool
 }
 
+// subscription is one registered subscription; the engine's rule for it
+// carries it as its handle, so delivery needs no lookup by name.
 type subscription struct {
 	id         string
 	subscriber string
-	filter     string
+	filter     string // guarded by Broker.mu
 	handler    Handler
 	queue      *queue.Queue
 	priority   int
+	// gone is set by Unsubscribe before it returns: a match taken before
+	// then may still hold the rule, and must deliver nothing once it is.
+	gone atomic.Bool
 }
 
 // NewBroker creates a broker with an indexed matching engine.
@@ -131,13 +137,14 @@ func (b *Broker) subscribe(s *subscription) error {
 	if _, dup := b.subs[s.id]; dup {
 		return fmt.Errorf("pubsub: subscription %q already exists", s.id)
 	}
-	if _, err := b.engine.Add(s.id, cond, 0, nil); err != nil {
+	if err := b.addRule(s, cond); err != nil {
 		return err
 	}
 	b.subs[s.id] = s
 	if b.store != nil && (s.queue != nil || !b.persistQueueOnly) {
 		if err := b.persist(s); err != nil {
 			// Roll back the in-memory registration.
+			s.gone.Store(true)
 			b.engine.Remove(s.id)
 			delete(b.subs, s.id)
 			return err
@@ -184,27 +191,38 @@ func (b *Broker) Rebind(id, filter string) error {
 		}
 	}
 	b.engine.Remove(id)
-	if _, err := b.engine.Add(id, cond, 0, nil); err != nil {
+	if err := b.addRule(s, cond); err != nil {
 		// Unreachable after the compile check above; restore the old
 		// rule defensively rather than leave the binding missing.
 		oldCond := s.filter
 		if oldCond == "" {
 			oldCond = "true"
 		}
-		b.engine.Add(id, oldCond, 0, nil)
+		b.addRule(s, oldCond)
 		return err
 	}
 	s.filter = filter
 	return nil
 }
 
+// addRule installs the rule that stands for s, with s as its handle.
+func (b *Broker) addRule(s *subscription, cond string) error {
+	r, err := b.engine.Add(s.id, cond, 0, nil)
+	if err == nil {
+		r.SetHandle(s)
+	}
+	return err
+}
+
 // Unsubscribe removes a subscription.
 func (b *Broker) Unsubscribe(id string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.subs[id]; !ok {
+	s, ok := b.subs[id]
+	if !ok {
 		return fmt.Errorf("pubsub: no subscription %q", id)
 	}
+	s.gone.Store(true)
 	delete(b.subs, id)
 	b.engine.Remove(id)
 	if b.store != nil {
@@ -231,12 +249,11 @@ func (b *Broker) Publish(ev *event.Event) (int, error) {
 	return n, err
 }
 
-// deliverScratch is the reusable fan-out working set: the subscription
-// snapshot and the queue-staging target list, reused across publishes
-// so the steady-state delivery path allocates nothing.
+// deliverScratch is the reusable fan-out working set: the matched
+// queue-backed subscriptions and their staging targets, reused across
+// publishes so the steady-state delivery path allocates nothing.
 type deliverScratch struct {
-	subs    []*subscription
-	qsubs   []*subscription // the queue-backed ones among subs
+	qsubs   []*subscription
 	targets []queue.Target
 
 	// Between Publisher.BeginBatch and EndBatch the queue deliveries of
@@ -276,44 +293,32 @@ const maxStaged = 256
 // and the per-subscription failures come back as one aggregated error
 // alongside the count of deliveries that did land.
 func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScratch) (int, error) {
-	if len(matched) == 0 {
-		return 0, nil
-	}
-	// The scratch outlives this publish (pool, pooled Publisher);
-	// zero the retained slots on the way out so it cannot pin
-	// since-unsubscribed handlers and queues until some later fan-out
-	// happens to overwrite them.
-	defer func() {
-		clear(sc.subs)
-		clear(sc.qsubs)
-		clear(sc.targets)
-	}()
-	// Snapshot the matched subscriptions under a single RLock — not one
-	// lock round trip per matched rule.
-	subs := sc.subs[:0]
-	b.mu.RLock()
-	for _, r := range matched {
-		if s, ok := b.subs[r.Name]; ok {
-			subs = append(subs, s)
-		}
-	}
-	b.mu.RUnlock()
-	sc.subs = subs
-
+	// Each matched rule carries its subscription. One unsubscribed since
+	// the match was taken, or whose handle is not set yet (a match racing
+	// its Subscribe), receives nothing.
 	delivered := 0
 	qsubs := sc.qsubs[:0]
-	for _, s := range subs {
-		if s.queue != nil {
+	for _, r := range matched {
+		switch s, _ := r.Handle().(*subscription); {
+		case s == nil || s.gone.Load():
+		case s.queue != nil:
 			qsubs = append(qsubs, s)
-			continue
+		default:
+			s.handler(Delivery{SubID: s.id, Subscriber: s.subscriber, Event: ev})
+			delivered++
 		}
-		s.handler(Delivery{SubID: s.id, Subscriber: s.subscriber, Event: ev})
-		delivered++
 	}
-	sc.qsubs = qsubs
 	if len(qsubs) == 0 {
 		return delivered, nil
 	}
+	// The scratch outlives this publish (pool, pooled Publisher); zero
+	// the retained slots on the way out so it cannot pin since-
+	// unsubscribed queues until some later fan-out overwrites them.
+	sc.qsubs = qsubs
+	defer func() {
+		clear(qsubs)
+		clear(sc.targets)
+	}()
 	var n int
 	var err error
 	if sc.batching {
@@ -536,7 +541,7 @@ func (b *Broker) AttachStore(db *storage.DB, table string, qm *queue.Manager, qc
 			if cond == "" {
 				cond = "true"
 			}
-			if _, err := b.engine.Add(id, cond, 0, nil); err != nil {
+			if err := b.addRule(s, cond); err != nil {
 				loadErr = err
 				b.mu.Unlock()
 				return false

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eventdb/internal/event"
@@ -682,6 +684,12 @@ func TestAllocsPublishSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// And fanout's sixteen match-all subscriptions.
+	for i := 0; i < 16; i++ {
+		if err := b.Subscribe(fmt.Sprintf("all%d", i), "x", "", func(Delivery) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p := b.NewPublisher()
 	ev := trade("S7", 600)
 	for i := 0; i < 3; i++ {
@@ -694,11 +702,140 @@ func TestAllocsPublishSteadyState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == 0 {
+		if n <= 16 {
 			t.Fatal("event stopped matching")
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("steady-state publish allocates %v per event, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("steady-state publish allocates %v per event, want 0", allocs)
+	}
+}
+
+// --- the subscription a matched rule carries ----------------------------
+
+// TestUnsubscribedReceivesNothing: once Unsubscribe returns, nothing
+// delivers to the subscription — not a later Publish, not a Publisher
+// whose scratch held it, and not a match taken before the Unsubscribe,
+// which reaches neither it nor a new subscription under its id.
+func TestUnsubscribedReceivesNothing(t *testing.T) {
+	b := NewBroker()
+	counts := map[string]int{}
+	count := func(key string) Handler { return func(Delivery) { counts[key]++ } }
+	for _, id := range []string{"gone", "stays"} {
+		if err := b.Subscribe(id, "x", "", count(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := b.NewPublisher()
+	ev := trade("A", 1)
+	p.Publish(ev)
+	b.Publish(ev)
+	stale, err := b.engine.Match(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Unsubscribe("gone"); err != nil {
+		t.Fatal(err)
+	}
+	p.Publish(ev)
+	b.Publish(ev)
+	if n, _ := b.deliver(stale, ev, new(deliverScratch)); n != 1 {
+		t.Errorf("a match taken before Unsubscribe delivered %d times, want 1 (to stays)", n)
+	}
+	if err := b.Subscribe("gone", "x", "", count("again")); err != nil {
+		t.Fatal(err)
+	}
+	b.deliver(stale, ev, &p.sc)
+	if counts["gone"] != 2 || counts["again"] != 0 {
+		t.Errorf("deliveries after Unsubscribe: old %d (want 2, from before), new %d (want 0)", counts["gone"], counts["again"])
+	}
+	p.Publish(ev)
+	if counts["again"] != 1 || counts["stays"] != 7 {
+		t.Errorf("new subscription got %d (want 1), stays %d (want 7)", counts["again"], counts["stays"])
+	}
+}
+
+// TestRebindDeliversOncePerMatch: after Rebind the subscription receives
+// exactly one delivery per event its new filter matches, through a
+// Publisher made before the rebind as through Publish.
+func TestRebindDeliversOncePerMatch(t *testing.T) {
+	b := NewBroker()
+	var got []string
+	if err := b.Subscribe("s", "x", "price > 100", func(d Delivery) { got = append(got, d.SubID) }); err != nil {
+		t.Fatal(err)
+	}
+	p := b.NewPublisher()
+	p.Publish(trade("A", 150))
+	for _, filter := range []string{"price > 10", "", "price > 10"} {
+		if err := b.Rebind("s", filter); err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		for _, price := range []float64{5, 50, 150} {
+			if _, err := p.Publish(trade("A", price)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Publish(trade("A", price)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := []string{"s", "s", "s", "s"} // 50 and 150, twice each
+		if filter == "" {
+			want = append(want, "s", "s")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("filter %q: deliveries %v, want %v", filter, got, want)
+		}
+	}
+}
+
+// TestDeliverRacesSubscriptionChurn: publishers through Publisher and
+// Publish while subscriptions come, rebind and go — under -race this
+// holds the handle and its gone mark to their memory model.
+func TestDeliverRacesSubscriptionChurn(t *testing.T) {
+	b := NewBroker()
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := b.NewPublisher()
+			for i := 0; !stop.Load(); i++ {
+				ev := trade("A", float64(i%200))
+				if w == 0 {
+					p.Publish(ev)
+				} else {
+					b.Publish(ev)
+				}
+			}
+		}(w)
+	}
+	var delivered atomic.Int64
+	for i := 0; i < 300; i++ {
+		id := fmt.Sprintf("s%d", i%7)
+		if _, ok := b.FilterOf(id); !ok {
+			if err := b.Subscribe(id, "x", "price > 50", func(Delivery) { delivered.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Rebind(id, fmt.Sprintf("price > %d", i%100)); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 > 0 {
+			if err := b.Unsubscribe(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	for i := 0; i < 7; i++ {
+		b.Unsubscribe(fmt.Sprintf("s%d", i))
+	}
+	before := delivered.Load()
+	b.Publish(trade("A", 150))
+	if delivered.Load() != before || b.Len() != 0 {
+		t.Errorf("a publish after every Unsubscribe delivered %d", delivered.Load()-before)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
@@ -39,7 +40,16 @@ type Rule struct {
 
 	pred     *expr.Predicate
 	nIndexed int
+	handle   atomic.Value
 }
+
+// SetHandle gives the rule its installer's own value, reachable from a
+// match with no lookup (pubsub's is the subscription). Set it right
+// after Add: until then a match may return the rule with a nil Handle.
+func (r *Rule) SetHandle(h any) { r.handle.Store(h) }
+
+// Handle returns the value SetHandle gave the rule, nil before that.
+func (r *Rule) Handle() any { return r.handle.Load() }
 
 // Engine holds a mutable rule set and matches events against it.
 type Engine struct {
@@ -49,8 +59,10 @@ type Engine struct {
 	eqIndex map[string]map[string][]*Rule
 	// rangeIndex: field → interval structure over numeric range conjuncts.
 	rangeIndex map[string]*intervalIndex
-	// residual: rules with no indexable conjunct; always fully evaluated.
-	residual map[string]*Rule
+	// residual: rules with no indexable conjunct, always fully evaluated,
+	// held in (priority desc, name) order so that their matches need no
+	// sort.
+	residual []*Rule
 
 	// matcherPool recycles match scratch for the one-shot Match entry
 	// point, so callers without a dedicated Matcher still match
@@ -64,7 +76,6 @@ func NewEngine() *Engine {
 		rules:      make(map[string]*Rule),
 		eqIndex:    make(map[string]map[string][]*Rule),
 		rangeIndex: make(map[string]*intervalIndex),
-		residual:   make(map[string]*Rule),
 	}
 	e.matcherPool.New = func() any { return e.NewMatcher() }
 	return e
@@ -125,15 +136,17 @@ func (e *Engine) Rules() []string {
 }
 
 // sortRules orders by (priority desc, name). slices.SortFunc, not
-// sort.Slice: the former is allocation-free, and this runs once per
-// matched event on the publish hot path.
-func sortRules(rs []*Rule) {
-	slices.SortFunc(rs, func(a, b *Rule) int {
-		if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Name, b.Name)
-	})
+// sort.Slice: the former is allocation-free, and this runs on the
+// publish hot path whenever several indexed rules match one event.
+func sortRules(rs []*Rule) { slices.SortFunc(rs, compareRules) }
+
+// compareRules is the (priority desc, name) order; names are unique, so
+// no two rules of an engine compare equal.
+func compareRules(a, b *Rule) int {
+	if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Name, b.Name)
 }
 
 // indexLocked adds a rule's indexable conjuncts to the indexes.
@@ -165,27 +178,27 @@ func (e *Engine) indexLocked(r *Rule) {
 			}
 			ix, exists := e.rangeIndex[rp.Field]
 			if !exists {
-				ix = newIntervalIndex()
+				ix = &intervalIndex{}
 				e.rangeIndex[rp.Field] = ix
 			}
 			ix.insert(interval{lo: lo, hi: hi, loOpen: rp.LoOpen, hiOpen: rp.HiOpen, rule: r})
-			if len(ix.staged) >= 64 {
-				ix.compact()
-			}
 			n++
 		}
 	}
 	r.nIndexed = n
 	if n == 0 {
-		e.residual[r.Name] = r
+		i, _ := slices.BinarySearchFunc(e.residual, r, compareRules)
+		e.residual = slices.Insert(e.residual, i, r)
 	}
 }
 
 // unindexLocked removes a rule's index entries (mirroring the policy in
 // indexLocked).
 func (e *Engine) unindexLocked(r *Rule) {
-	delete(e.residual, r.Name)
 	if r.nIndexed == 0 {
+		if i, ok := slices.BinarySearchFunc(e.residual, r, compareRules); ok {
+			e.residual = slices.Delete(e.residual, i, i+1)
+		}
 		return
 	}
 	if len(r.pred.EqPreds) > 0 {
@@ -305,12 +318,17 @@ func (e *Engine) matchInto(r expr.Resolver, m *Matcher, out []*Rule) ([]*Rule, e
 			}
 		}
 	}
+	indexed := len(out)
 	for _, rule := range e.residual {
 		if err := confirm(rule); err != nil {
 			return nil, err
 		}
 	}
-	sortRules(out)
+	// The residual matches arrive in order; only several indexed ones, or
+	// indexed and residual ones together, need sorting.
+	if indexed > 1 || indexed == 1 && len(out) > 1 {
+		sortRules(out)
+	}
 	return out, nil
 }
 

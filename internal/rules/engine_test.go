@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,94 +183,137 @@ func TestResidualRulesAlwaysEvaluated(t *testing.T) {
 	}
 }
 
+// randomCondition draws a condition of one of the kinds the engine
+// treats differently: an equality, a range, an equality anchoring a
+// range, a residual disjunction, and the residual match-all.
+func randomCondition(rng *rand.Rand) string {
+	syms := []string{"A", "B", "C", "D"}
+	switch rng.Intn(5) {
+	case 0:
+		return fmt.Sprintf("sym = '%s'", syms[rng.Intn(len(syms))])
+	case 1:
+		lo := rng.Intn(50)
+		return fmt.Sprintf("price >= %d AND price < %d", lo, lo+rng.Intn(20)+1)
+	case 2:
+		return fmt.Sprintf("sym = '%s' AND price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
+	case 3:
+		return fmt.Sprintf("sym = '%s' OR price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
+	}
+	return "true"
+}
+
+// sameMatch holds Match to naiveMatch on one event: the same rules in
+// the same order.
+func sameMatch(t *testing.T, e *Engine, ev *event.Event) {
+	t.Helper()
+	got, err := e.Match(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := naiveMatch(e, ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(names(got)) != fmt.Sprint(names(want)) {
+		t.Fatalf("%v: Match = %v, the evaluate-every-rule oracle %v", ev, names(got), names(want))
+	}
+}
+
 func TestIndexIsPureOptimizationQuick(t *testing.T) {
-	// Random rule sets + random events: the index and the
-	// evaluate-every-rule oracle must agree exactly.
+	// Random rule sets of mixed priorities + random events: the index
+	// and the evaluate-every-rule oracle must agree exactly, order
+	// included.
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		syms := []string{"A", "B", "C", "D"}
 		for i := 0; i < 50; i++ {
-			var cond string
-			switch rng.Intn(4) {
-			case 0:
-				cond = fmt.Sprintf("sym = '%s'", syms[rng.Intn(len(syms))])
-			case 1:
-				lo := rng.Intn(50)
-				cond = fmt.Sprintf("price >= %d AND price < %d", lo, lo+rng.Intn(20)+1)
-			case 2:
-				cond = fmt.Sprintf("sym = '%s' AND price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
-			case 3:
-				cond = fmt.Sprintf("sym = '%s' OR price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
-			}
-			name := fmt.Sprintf("r%d", i)
-			if _, err := e.Add(name, cond, rng.Intn(3), nil); err != nil {
-				return false
+			if _, err := e.Add(fmt.Sprintf("r%d", i), randomCondition(rng), rng.Intn(3), nil); err != nil {
+				t.Fatal(err)
 			}
 		}
 		for j := 0; j < 50; j++ {
-			ev := mkEvent(map[string]any{
-				"sym":   syms[rng.Intn(len(syms))],
+			sameMatch(t, e, mkEvent(map[string]any{
+				"sym":   []string{"A", "B", "C", "D"}[rng.Intn(4)],
 				"price": rng.Intn(80),
-			})
-			a, err1 := e.Match(ev)
-			b, err2 := naiveMatch(e, ev)
-			if (err1 == nil) != (err2 == nil) {
-				return false
-			}
-			if len(a) != len(b) {
-				return false
-			}
-			an, bn := names(a), names(b)
-			seen := map[string]bool{}
-			for _, n := range an {
-				seen[n] = true
-			}
-			for _, n := range bn {
-				if !seen[n] {
-					return false
-				}
-			}
+			}))
 		}
-		return true
+		return !t.Failed()
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestChurnKeepsIndexConsistent interleaves adds and removes — of
+// residual rules from the middle of their order, and of names added
+// again with another condition and priority — with matching; in every
+// state Match agrees with the oracle, order included, and Rules lists
+// the live rules in (priority desc, name) order.
 func TestChurnKeepsIndexConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
 	e := NewEngine()
-	// Interleave add/remove with matching; every state must be correct.
-	for round := 0; round < 100; round++ {
-		name := fmt.Sprintf("r%d", round%10)
-		if round%2 == 0 {
-			_ = e.Remove(name)
-			e.Add(name, fmt.Sprintf("x = %d", round%5), 0, nil)
-		} else {
-			_ = e.Remove(name)
+	live := map[string]int{} // name → priority
+	middle, again := 0, 0    // residual rules removed from the middle, names added again
+	remove := func(name string) {
+		if i := slices.Index(e.residual, e.rules[name]); i > 0 && i < len(e.residual)-1 {
+			middle++
 		}
-		for x := 0; x < 5; x++ {
-			got, err := e.Match(mkEvent(map[string]any{"x": x}))
-			if err != nil {
+		if err := e.Remove(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 1500; round++ {
+		name := fmt.Sprintf("r%d", rng.Intn(64))
+		if _, ok := live[name]; ok && rng.Intn(3) > 0 {
+			remove(name)
+			delete(live, name)
+		} else {
+			if ok {
+				remove(name)
+				again++
+			}
+			pri := rng.Intn(3)
+			if _, err := e.Add(name, randomCondition(rng), pri, nil); err != nil {
 				t.Fatal(err)
 			}
-			// Verify against ground truth: every present rule with
-			// matching literal.
-			want := 0
-			for _, rn := range e.Rules() {
-				var rx int
-				fmt.Sscanf(rn, "r%d", &rx)
-				// Reconstruct the condition's literal by re-matching: we
-				// just trust the engine's Rules+Match agreement below.
-				_ = rx
-			}
-			_ = want
-			for _, r := range got {
-				if r.Source != fmt.Sprintf("x = %d", x) {
-					t.Fatalf("round %d: rule %q (%s) matched x=%d", round, r.Name, r.Source, x)
-				}
-			}
+			live[name] = pri
+		}
+		for x := 0; x < 4; x++ {
+			sameMatch(t, e, mkEvent(map[string]any{
+				"sym":   []string{"A", "B", "C", "D"}[x],
+				"price": rng.Intn(80),
+			}))
+		}
+		want := make([]*Rule, 0, len(live))
+		for n, pri := range live {
+			want = append(want, &Rule{Name: n, Priority: pri})
+		}
+		sortRules(want)
+		if got := e.Rules(); fmt.Sprint(got) != fmt.Sprint(names(want)) {
+			t.Fatalf("round %d: Rules = %v, want %v", round, got, names(want))
+		}
+	}
+	if middle == 0 || again == 0 {
+		t.Errorf("the churn removed %d residual rules from the middle and added %d names again, want both", middle, again)
+	}
+}
+
+// TestRemoveKeepsRangeIndexExact: removing a range rule from the sorted
+// interval structure (64 of them on one field are sorted, not staged)
+// must not hide the ones after it from a stab.
+func TestRemoveKeepsRangeIndexExact(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 70; i++ {
+		if _, err := e.Add(fmt.Sprintf("r%d", i), fmt.Sprintf("price >= %d AND price <= %d", i, i+1), i%2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{5, 0, 40, 69} {
+		if err := e.Remove(fmt.Sprintf("r%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		for price := -1.0; price < 72; price += 0.5 {
+			sameMatch(t, e, mkEvent(map[string]any{"price": price}))
 		}
 	}
 }
@@ -435,6 +479,12 @@ func TestAllocsMatchSteadyState(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		cond := fmt.Sprintf("site = 'site%d' AND level >= %d", i%100, i%10)
 		if _, err := e.Add(fmt.Sprintf("r%d", i), cond, i%3, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// And what fanout subscribes: match-all rules, held in order.
+	for i := 0; i < 16; i++ {
+		if _, err := e.Add(fmt.Sprintf("all%d", i), "true", 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,89 +27,59 @@ func (iv interval) contains(v float64) bool {
 // Implementation: intervals sorted by lo with a running maximum of hi;
 // a stab binary-searches the last lo <= v and walks backwards, stopping
 // as soon as the prefix maximum of hi falls below v. For typical rule
-// sets (narrow, scattered ranges) the walk is short; the structure is
-// rebuilt lazily after mutations, keeping add/remove O(1) amortized —
-// which is what "frequently changing rule sets" need.
+// sets (narrow, scattered ranges) the walk is short. Inserts are staged
+// and sorted in 64 at a time, keeping add O(1) amortized — which is what
+// "frequently changing rule sets" need. The engine calls insert and
+// remove under its write lock and stab under its read lock.
 type intervalIndex struct {
 	ivs    []interval
-	maxHi  []float64 // prefix max of ivs[i].hi
-	dirty  bool
+	maxHi  []float64  // prefix max of ivs[i].hi
 	staged []interval // pending inserts since last rebuild
 }
 
-func newIntervalIndex() *intervalIndex { return &intervalIndex{} }
-
 func (ix *intervalIndex) insert(iv interval) {
-	ix.staged = append(ix.staged, iv)
-	ix.dirty = true
+	if ix.staged = append(ix.staged, iv); len(ix.staged) >= 64 {
+		ix.ivs = append(ix.ivs, ix.staged...)
+		ix.staged = nil
+		sort.Slice(ix.ivs, func(i, j int) bool { return ix.ivs[i].lo < ix.ivs[j].lo })
+		ix.prefixMax()
+	}
 }
 
+// remove drops r's intervals. The prefix maxima are recomputed: a stab
+// stops at the first one below its value, so one a removal left stale
+// would hide the intervals after it.
 func (ix *intervalIndex) remove(r *Rule) {
-	for i := 0; i < len(ix.staged); i++ {
-		if ix.staged[i].rule == r {
-			ix.staged = append(ix.staged[:i], ix.staged[i+1:]...)
-			i--
-		}
-	}
-	for i := 0; i < len(ix.ivs); i++ {
-		if ix.ivs[i].rule == r {
-			ix.ivs = append(ix.ivs[:i], ix.ivs[i+1:]...)
-			i--
-			ix.dirty = true
-		}
+	gone := func(iv interval) bool { return iv.rule == r }
+	ix.staged = slices.DeleteFunc(ix.staged, gone)
+	if ivs := slices.DeleteFunc(ix.ivs, gone); len(ivs) < len(ix.ivs) {
+		ix.ivs = ivs
+		ix.prefixMax()
 	}
 }
 
-func (ix *intervalIndex) rebuild() {
-	ix.ivs = append(ix.ivs, ix.staged...)
-	ix.staged = nil
-	sort.Slice(ix.ivs, func(i, j int) bool { return ix.ivs[i].lo < ix.ivs[j].lo })
+func (ix *intervalIndex) prefixMax() {
 	ix.maxHi = ix.maxHi[:0]
-	running := negInf
+	running := math.Inf(-1)
 	for _, iv := range ix.ivs {
-		if iv.hi > running {
-			running = iv.hi
-		}
+		running = max(running, iv.hi)
 		ix.maxHi = append(ix.maxHi, running)
 	}
-	ix.dirty = false
 }
 
-var negInf = math.Inf(-1)
-
 // stab calls fn for every interval containing v.
-//
-// stab is called with the engine's read lock held; rebuilds mutate the
-// structure, so the engine upgrades via its own synchronization — here
-// we rely on the caller serializing mutation (Engine holds mu for
-// writes, and match-time rebuild is guarded by the engine's write path
-// flushing staged entries; see Engine.Match).
 func (ix *intervalIndex) stab(v float64, fn func(*Rule)) {
-	// Staged (not yet rebuilt) intervals are scanned linearly.
+	// Staged (not yet sorted) intervals are scanned linearly.
 	for _, iv := range ix.staged {
 		if iv.contains(v) {
 			fn(iv.rule)
 		}
 	}
-	if len(ix.ivs) == 0 {
-		return
-	}
 	// Last index with lo <= v.
 	i := sort.Search(len(ix.ivs), func(i int) bool { return ix.ivs[i].lo > v }) - 1
-	for ; i >= 0; i-- {
-		if ix.maxHi[i] < v {
-			break
-		}
+	for ; i >= 0 && ix.maxHi[i] >= v; i-- {
 		if ix.ivs[i].contains(v) {
 			fn(ix.ivs[i].rule)
 		}
-	}
-}
-
-// compact flushes staged entries into the sorted structure. Callers must
-// hold the engine write lock.
-func (ix *intervalIndex) compact() {
-	if ix.dirty || len(ix.staged) > 0 {
-		ix.rebuild()
 	}
 }

@@ -184,9 +184,9 @@ func TestPublishDoorsAgree(t *testing.T) {
 }
 
 // TestAllocsPubFrame: a Pub frame through publish — decode, match, 16
-// pushes, the reply — allocates what it did through its own handler
-// before the publish verbs shared one path (13: the event's 11, the
-// encode-once payload, the reply line).
+// pushes, the reply — allocates the event's four and nothing else (see
+// TestAllocsUnmarshalJSONEvent): the payload the 16 pushes share is the
+// frame's own bytes, kept by the decoder, and is never encoded again.
 func TestAllocsPubFrame(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -200,8 +200,8 @@ func TestAllocsPubFrame(t *testing.T) {
 	for i := 0; i < 100; i++ { // grow the outbound buffers to their working size
 		pub()
 	}
-	if allocs := testing.AllocsPerRun(500, pub); allocs > 13 {
-		t.Errorf("a Pub frame to %d sinks allocates %v, want <= 13", fanSubs, allocs)
+	if allocs := testing.AllocsPerRun(500, pub); allocs > 4 {
+		t.Errorf("a Pub frame to %d sinks allocates %v, want <= 4", fanSubs, allocs)
 	}
 }
 
