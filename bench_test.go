@@ -1311,16 +1311,15 @@ func reportEventsPerSec(b *testing.B, events int) {
 
 // --- E18: WAL-shipping replication ---
 
-// e18Leader boots a durable leader with persisted wire subscriptions,
-// served over TCP, plus a trades table to commit into.
+// e18Leader boots a durable leader with its durable registrations
+// restored, served over TCP, plus a trades table to commit into.
 func e18Leader(b *testing.B) (*core.Engine, *server.Server) {
 	b.Helper()
 	eng, err := core.Open(core.Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.Broker.PersistOnlyQueueSubs(true)
-	if err := eng.Broker.AttachStore(eng.DB, "wire_subs", eng.Queues, queue.Config{}, nil); err != nil {
+	if err := eng.RestoreRegistrations(queue.Config{}); err != nil {
 		b.Fatal(err)
 	}
 	tradeTable(b, eng.DB)
@@ -1387,8 +1386,7 @@ func BenchmarkE18FailoverResume(b *testing.B) {
 		f, err := repl.Start(repl.Config{
 			Addr: lsrv.Addr(), Engine: feng,
 			OnPromote: func() {
-				feng.Broker.PersistOnlyQueueSubs(true)
-				if err := feng.Broker.AttachStore(feng.DB, "wire_subs", feng.Queues, queue.Config{}, nil); err != nil {
+				if err := feng.RestoreRegistrations(queue.Config{}); err != nil {
 					b.Error(err)
 				}
 			},

@@ -29,11 +29,12 @@
 // Durable subscriptions (QSUB/CONSUME/ACK/NACK/QSTATS/REPLAY) stage
 // matches in named queues backed by database tables. With -dir set
 // they are fully durable: queue contents, in-flight deliveries, and
-// the filter bindings themselves (persisted in the wire_subs table)
-// all survive a server restart, so a bound queue keeps accumulating
-// matches while its consumer is away and REPLAY can backfill history
-// from the WAL. -visibility and -queue-max-attempts tune redelivery;
-// -queue-prefetch caps unacknowledged deliveries per consumer.
+// the filter bindings themselves (rows of the engine's registration
+// catalogue, which holds PATTERNs too) all survive a server restart, so
+// a bound queue keeps accumulating matches while its consumer is away
+// and REPLAY can backfill history from the WAL. -visibility and
+// -queue-max-attempts tune redelivery; -queue-prefetch caps
+// unacknowledged deliveries per consumer.
 //
 // A published event is evaluated on the goroutine of the connection
 // that sent it, before its reply: PUB's OK carries the event's exact
@@ -47,8 +48,8 @@
 // every record to its own durable engine, and serves reads
 // (SELECT/SUB/MATCH/CQ/REPLAY) while refusing writes with "ERR
 // readonly". PROMOTE (or leader silence longer than -promote-after)
-// flips it into a leader: replication stops, writes open up, and
-// durable queue subscriptions re-attach. -rack-every tunes how often
+// flips it into a leader: replication stops, writes open up, and the
+// durable registrations come back. -rack-every tunes how often
 // the follower reports its cursor back to the leader. -follow requires
 // -dir: replication is WAL shipping, so both ends must be durable.
 //
@@ -137,25 +138,19 @@ func main() {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	// Durable wire subscriptions: QSUB filter bindings persist in the
-	// wire_subs table and rebind their queues on restart, so a bound
+	// Durable registrations: QSUB filter bindings and PATTERNs come back
+	// from the engine's catalogue, their queues reopened, so a bound
 	// queue keeps accumulating matches before its consumer reconnects.
-	// Ephemeral SUB/CQ registrations stay out of the store — their
-	// handlers die with their connections. On a follower this attach is
-	// deferred to promotion: attaching mutates queue state, and the
-	// leader's own staging replicates over the wire anyway.
-	attachDurableSubs := func() {
-		eng.Broker.PersistOnlyQueueSubs(true)
-		if err := eng.Broker.AttachStore(eng.DB, "wire_subs", eng.Queues, qcfg, nil); err != nil {
-			log.Fatal(err)
-		}
-		// PATTERN registrations persist alongside, in wire_patterns.
-		if err := eng.AttachPatternStore("wire_patterns"); err != nil {
+	// SUB and CQ stay out of it: they die with their connections. On a
+	// follower this waits for promotion: restoring mutates queue state,
+	// and the leader's own staging replicates over the wire anyway.
+	restore := func() {
+		if err := eng.RestoreRegistrations(qcfg); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if *dir != "" && *follow == "" {
-		attachDurableSubs()
+		restore()
 	}
 
 	for _, def := range ruleDefs {
@@ -196,7 +191,7 @@ func main() {
 			AutoPromoteAfter: *promoteAfter,
 			OnPromote: func() {
 				log.Printf("promoted to leader (was following %s)", *follow)
-				attachDurableSubs()
+				restore()
 			},
 			Logf: log.Printf,
 		})

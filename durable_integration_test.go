@@ -5,7 +5,7 @@ package eventdb
 // events, drops its connection without acking, reconnects with
 // DurableSubscribe and gets every unacked event back — and the same
 // holds across a full server+engine restart on the same -dir, with
-// the filter binding itself reloaded from the wire_subs store.
+// the filter binding itself restored from the engine's catalogue.
 
 import (
 	"testing"
@@ -18,15 +18,14 @@ import (
 )
 
 // startDurableStack boots the eventdbd arrangement: a durable engine
-// with persisted wire subscriptions, served over TCP.
+// with its durable registrations restored, served over TCP.
 func startDurableStack(t *testing.T, dir string) (*core.Engine, *server.Server) {
 	t.Helper()
 	eng, err := core.Open(core.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Broker.PersistOnlyQueueSubs(true)
-	if err := eng.Broker.AttachStore(eng.DB, "wire_subs", eng.Queues, queue.Config{}, nil); err != nil {
+	if err := eng.RestoreRegistrations(queue.Config{}); err != nil {
 		eng.Close()
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestDurableSubscriptionSurvivesReconnectAndRestart(t *testing.T) {
 
 	// Phase 3: full restart — server down, engine down, reopen from
 	// the same dir. Queue contents AND the filter binding must come
-	// back (wire_subs store), with pre-restart inflight deliveries
+	// back (the catalogue), with pre-restart inflight deliveries
 	// recovered as ready.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -23,15 +23,14 @@ import (
 	"eventdb/internal/server"
 )
 
-// boot starts the eventdbd arrangement: durable engine, persisted wire
-// subscriptions, TCP server.
+// boot starts the eventdbd arrangement: durable engine, its durable
+// registrations (QSUB bindings, PATTERNs) restored, TCP server.
 func boot(dir string) (*core.Engine, *server.Server) {
 	eng, err := core.Open(core.Config{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.Broker.PersistOnlyQueueSubs(true)
-	if err := eng.Broker.AttachStore(eng.DB, "wire_subs", eng.Queues, queue.Config{}, nil); err != nil {
+	if err := eng.RestoreRegistrations(queue.Config{}); err != nil {
 		log.Fatal(err)
 	}
 	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})

@@ -23,8 +23,6 @@ import (
 
 	"eventdb/internal/cep"
 	"eventdb/internal/event"
-	"eventdb/internal/storage"
-	"eventdb/internal/val"
 )
 
 // Pattern registry errors, distinguished so the wire layer can answer
@@ -49,10 +47,9 @@ type PatternStats struct {
 type cepRegistry struct {
 	e *Engine
 
-	mu    sync.Mutex // guards nfa, specs, table, started
+	mu    sync.Mutex // guards nfa, specs, started
 	nfa   *cep.Shared
 	specs map[string][]byte
-	table string // persistence table; "" until AttachPatternStore
 
 	// active gates the per-event observe hook: the common case of an
 	// engine with no patterns costs one atomic load per event.
@@ -144,68 +141,64 @@ func (c *cepRegistry) runGC() {
 }
 
 // RegisterPattern compiles a JSON pattern spec (see cep.ParseSpec) and
-// registers it in the shared automaton. The binding persists in the
-// pattern store when one is attached, surviving restarts. Returns
+// registers it in the shared automaton, and in the catalogue once
+// RestoreRegistrations has run, so it survives restarts. Returns
 // ErrPatternExists for duplicate names.
 func (e *Engine) RegisterPattern(name string, spec []byte) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	return e.registerPattern(name, spec)
+}
+
+// registerPattern is RegisterPattern under regMu. The catalogue row is
+// written before c.mu is taken: a commit can deliver trigger-captured
+// events inline, and those reach observe, which takes c.mu.
+func (e *Engine) registerPattern(name string, spec []byte) error {
 	p, err := cep.ParseSpec(name, spec)
 	if err != nil {
 		return err
 	}
-	c := e.cep
-	c.mu.Lock()
-	if _, dup := c.specs[name]; dup {
-		c.mu.Unlock()
+	if _, dup := e.PatternSpec(name); dup {
 		return fmt.Errorf("%w: %q", ErrPatternExists, name)
 	}
+	if err := e.putRegistration(kindPattern, name, string(spec)); err != nil {
+		return err
+	}
+	c := e.cep
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Cannot fail: ParseSpec built p, and regMu holds the name free.
 	if err := c.nfa.Add(p); err != nil {
-		c.mu.Unlock()
 		return err
 	}
 	c.specs[name] = append([]byte(nil), spec...)
 	c.active.Add(1)
 	c.ensureStarted()
-	table := c.table
-	c.mu.Unlock()
-	if table != "" {
-		if err := c.persist(name, spec); err != nil {
-			// Roll the in-memory registration back: a binding that
-			// claimed durability but would vanish on restart is worse
-			// than a clean failure.
-			c.mu.Lock()
-			c.nfa.Remove(name)
-			delete(c.specs, name)
-			c.active.Add(-1)
-			c.mu.Unlock()
-			return err
-		}
-	}
 	return nil
 }
 
-// UnregisterPattern removes a registered pattern and its persisted
-// binding. Returns ErrNoPattern for unknown names.
+// UnregisterPattern removes a registered pattern and its catalogue row.
+// Returns ErrNoPattern for unknown names.
 func (e *Engine) UnregisterPattern(name string) error {
-	c := e.cep
-	c.mu.Lock()
-	if _, ok := c.specs[name]; !ok {
-		c.mu.Unlock()
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	if _, ok := e.PatternSpec(name); !ok {
 		return fmt.Errorf("%w: %q", ErrNoPattern, name)
 	}
+	if err := e.dropRegistration(kindPattern, name); err != nil {
+		return err
+	}
+	c := e.cep
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err := c.nfa.Remove(name); err != nil {
-		c.mu.Unlock()
 		return err
 	}
 	delete(c.specs, name)
 	c.active.Add(-1)
-	table := c.table
-	c.mu.Unlock()
-	if table != "" {
-		return c.unpersist(name)
-	}
 	return nil
 }
 
@@ -256,81 +249,4 @@ func (e *Engine) AdvancePatternHorizon(now time.Time) int {
 	n := c.nfa.Advance(now)
 	c.mu.Unlock()
 	return n
-}
-
-// PatternsTableSchema returns the schema used to persist pattern
-// bindings: one row per pattern, the spec as it arrived on the wire.
-func PatternsTableSchema(table string) (*storage.Schema, error) {
-	return storage.NewSchema(table, []storage.Column{
-		{Name: "name", Kind: val.KindString, NotNull: true},
-		{Name: "spec", Kind: val.KindString, NotNull: true},
-	}, "name")
-}
-
-// AttachPatternStore persists pattern bindings in a database table
-// (expressions as data, like the broker's subscription store) and
-// reloads existing rows, re-registering each pattern. Reload skips
-// names already registered, so attach-after-register is safe.
-func (e *Engine) AttachPatternStore(table string) error {
-	if _, ok := e.DB.Table(table); !ok {
-		schema, err := PatternsTableSchema(table)
-		if err != nil {
-			return err
-		}
-		if err := e.DB.CreateTable(schema); err != nil {
-			return err
-		}
-	}
-	c := e.cep
-	tbl, _ := e.DB.Table(table)
-	var loadErr error
-	tbl.Scan(func(_ storage.RowID, r storage.Row) bool {
-		name, _ := r[0].AsString()
-		spec, _ := r[1].AsString()
-		c.mu.Lock()
-		if _, dup := c.specs[name]; dup {
-			c.mu.Unlock()
-			return true
-		}
-		p, err := cep.ParseSpec(name, []byte(spec))
-		if err == nil {
-			err = c.nfa.Add(p)
-		}
-		if err != nil {
-			loadErr = fmt.Errorf("core: pattern %q: %w", name, err)
-			c.mu.Unlock()
-			return false
-		}
-		c.specs[name] = []byte(spec)
-		c.active.Add(1)
-		c.ensureStarted()
-		c.mu.Unlock()
-		return true
-	})
-	if loadErr != nil {
-		return loadErr
-	}
-	c.mu.Lock()
-	c.table = table
-	c.mu.Unlock()
-	return nil
-}
-
-func (c *cepRegistry) persist(name string, spec []byte) error {
-	_, err := c.e.DB.Insert(c.table, map[string]val.Value{
-		"name": val.String(name),
-		"spec": val.String(string(spec)),
-	})
-	return err
-}
-
-func (c *cepRegistry) unpersist(name string) error {
-	tbl, ok := c.e.DB.Table(c.table)
-	if !ok {
-		return nil
-	}
-	if _, rid, ok := tbl.GetByPK(val.String(name)); ok {
-		return c.e.DB.DeleteRow(c.table, rid)
-	}
-	return nil
 }

@@ -215,52 +215,6 @@ func TestPatternHorizonTicker(t *testing.T) {
 	}
 }
 
-func TestPatternStorePersistsAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AttachPatternStore("wire_patterns"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterPattern("fraud", fraudSpec); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.RegisterPattern("gone", fraudSpec); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UnregisterPattern("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if err := e2.AttachPatternStore("wire_patterns"); err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.Patterns(); len(got) != 1 || got[0] != "fraud" {
-		t.Fatalf("reloaded patterns = %v, want [fraud]", got)
-	}
-	if spec, ok := e2.PatternSpec("fraud"); !ok || string(spec) != string(fraudSpec) {
-		t.Fatalf("reloaded spec = %q, %v", spec, ok)
-	}
-	// The reloaded pattern matches.
-	var got collector
-	e2.Subscribe("s", "ops", `$type = 'cep.fraud'`, got.handler)
-	e2.Ingest(cepEvent("login", "u", 0))
-	e2.Ingest(cepEvent("wire", "u", 20000))
-	if evs := got.events(); len(evs) != 1 {
-		t.Fatalf("composite events after restart = %d, want 1", len(evs))
-	}
-}
-
 // TestPatternOnCapturedChanges closes the loop with the paper's capture
 // paths: a temporal pattern over db.<table>.insert events produced by a
 // captured table.

@@ -82,6 +82,13 @@ type Engine struct {
 	ingestCount atomic.Uint64
 	closed      atomic.Bool
 
+	// regMu serialises the durable registrations — QSUB bindings and
+	// patterns — so that a catalogue row and the registration it stands
+	// for change together; catalogue is nil until RestoreRegistrations
+	// (see registrations.go).
+	regMu     sync.Mutex
+	catalogue *storage.Table
+
 	// cep is the shared-automaton pattern registry (see cep.go).
 	cep *cepRegistry
 	// scratch pools the (matcher, publisher) pairs evaluation runs with.

@@ -19,8 +19,6 @@ import (
 	"eventdb/internal/expr"
 	"eventdb/internal/queue"
 	"eventdb/internal/rules"
-	"eventdb/internal/storage"
-	"eventdb/internal/val"
 )
 
 // Delivery is one matched (subscription, event) pair.
@@ -39,12 +37,6 @@ type Broker struct {
 
 	mu   sync.RWMutex
 	subs map[string]*subscription
-
-	store      *storage.DB
-	storeTable string
-	// persistQueueOnly restricts AttachStore persistence to queue-backed
-	// subscriptions (see PersistOnlyQueueSubs).
-	persistQueueOnly bool
 
 	// scratchPool recycles fan-out scratch for the plain Publish entry
 	// point (hot loops hold a Publisher, which carries its own).
@@ -73,18 +65,6 @@ func NewBroker() *Broker {
 	}
 	b.scratchPool.New = func() any { return new(deliverScratch) }
 	return b
-}
-
-// PersistOnlyQueueSubs limits AttachStore persistence to queue-backed
-// subscriptions. Callback subscriptions are process-bound — their
-// handlers are function values that cannot outlive the process — so a
-// server registering short-lived wire subscriptions alongside durable
-// queue bindings sets this to keep the store from accumulating rows
-// that could only ever reload as no-op handlers.
-func (b *Broker) PersistOnlyQueueSubs(on bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.persistQueueOnly = on
 }
 
 // FilterOf reports the filter of an active subscription.
@@ -141,23 +121,14 @@ func (b *Broker) subscribe(s *subscription) error {
 		return err
 	}
 	b.subs[s.id] = s
-	if b.store != nil && (s.queue != nil || !b.persistQueueOnly) {
-		if err := b.persist(s); err != nil {
-			// Roll back the in-memory registration.
-			s.gone.Store(true)
-			b.engine.Remove(s.id)
-			delete(b.subs, s.id)
-			return err
-		}
-	}
 	return nil
 }
 
 // Rebind atomically replaces a subscription's filter under the broker
 // lock: the subscription is never absent from the index between the
-// old and new filter, and a filter that fails to compile or persist
-// leaves the existing binding untouched in both memory and store — an
-// error means the rebind did not happen, everywhere.
+// old and new filter, and a filter that fails to compile leaves the
+// existing binding untouched — an error means the rebind did not
+// happen.
 func (b *Broker) Rebind(id, filter string) error {
 	cond := filter
 	if cond == "" {
@@ -175,20 +146,6 @@ func (b *Broker) Rebind(id, filter string) error {
 	}
 	if s.filter == filter {
 		return nil
-	}
-	// Persist first: if the store write fails, live matching has not
-	// changed, so memory and store agree (on the old filter). The
-	// reverse order would leave a rebind that silently undoes itself
-	// at the next restart.
-	if b.store != nil && (s.queue != nil || !b.persistQueueOnly) {
-		tbl, _ := b.store.Table(b.storeTable)
-		if _, rid, ok := tbl.GetByPK(val.String(id)); ok {
-			if err := b.store.UpdateRow(b.storeTable, rid, map[string]val.Value{
-				"filter": val.String(filter),
-			}); err != nil {
-				return err
-			}
-		}
 	}
 	b.engine.Remove(id)
 	if err := b.addRule(s, cond); err != nil {
@@ -225,12 +182,6 @@ func (b *Broker) Unsubscribe(id string) error {
 	s.gone.Store(true)
 	delete(b.subs, id)
 	b.engine.Remove(id)
-	if b.store != nil {
-		tbl, _ := b.store.Table(b.storeTable)
-		if _, rid, ok := tbl.GetByPK(val.String(id)); ok {
-			return b.store.DeleteRow(b.storeTable, rid)
-		}
-	}
 	return nil
 }
 
@@ -478,94 +429,4 @@ func (b *Broker) MatchOnly(ev *event.Event) ([]string, error) {
 		out[i] = r.Name
 	}
 	return out, nil
-}
-
-// SubsTableSchema returns the schema used to persist subscriptions.
-func SubsTableSchema(table string) (*storage.Schema, error) {
-	return storage.NewSchema(table, []storage.Column{
-		{Name: "id", Kind: val.KindString, NotNull: true},
-		{Name: "subscriber", Kind: val.KindString, NotNull: true},
-		{Name: "filter", Kind: val.KindString, NotNull: true},
-		{Name: "queue", Kind: val.KindString, Default: val.String("")},
-		{Name: "priority", Kind: val.KindInt, Default: val.Int(0)},
-	}, "id")
-}
-
-// AttachStore persists subscriptions in a database table (expressions as
-// data) and reloads existing rows: queue subscriptions rebind through
-// qm (reopened queues take qcfg); callback rows rebind through handlers
-// (by subscriber name), falling back to a drop handler when absent.
-func (b *Broker) AttachStore(db *storage.DB, table string, qm *queue.Manager, qcfg queue.Config, handlers map[string]Handler) error {
-	if _, ok := db.Table(table); !ok {
-		schema, err := SubsTableSchema(table)
-		if err != nil {
-			return err
-		}
-		if err := db.CreateTable(schema); err != nil {
-			return err
-		}
-	}
-	b.mu.Lock()
-	b.store = db
-	b.storeTable = table
-	b.mu.Unlock()
-
-	tbl, _ := db.Table(table)
-	var loadErr error
-	tbl.Scan(func(_ storage.RowID, r storage.Row) bool {
-		id, _ := r[0].AsString()
-		subscriber, _ := r[1].AsString()
-		filter, _ := r[2].AsString()
-		qname, _ := r[3].AsString()
-		pri, _ := r[4].AsInt()
-		s := &subscription{id: id, subscriber: subscriber, filter: filter, priority: int(pri)}
-		if qname != "" {
-			q, ok := qm.Get(qname)
-			if !ok {
-				var err error
-				q, err = qm.Open(qname, qcfg)
-				if err != nil {
-					loadErr = fmt.Errorf("pubsub: subscription %q: %w", id, err)
-					return false
-				}
-			}
-			s.queue = q
-		} else if h, ok := handlers[subscriber]; ok {
-			s.handler = h
-		} else {
-			s.handler = func(Delivery) {}
-		}
-		b.mu.Lock()
-		if _, dup := b.subs[id]; !dup {
-			cond := filter
-			if cond == "" {
-				cond = "true"
-			}
-			if err := b.addRule(s, cond); err != nil {
-				loadErr = err
-				b.mu.Unlock()
-				return false
-			}
-			b.subs[id] = s
-		}
-		b.mu.Unlock()
-		return true
-	})
-	return loadErr
-}
-
-// persist writes a subscription row. Caller holds b.mu.
-func (b *Broker) persist(s *subscription) error {
-	qname := ""
-	if s.queue != nil {
-		qname = s.queue.Name()
-	}
-	_, err := b.store.Insert(b.storeTable, map[string]val.Value{
-		"id":         val.String(s.id),
-		"subscriber": val.String(s.subscriber),
-		"filter":     val.String(s.filter),
-		"queue":      val.String(qname),
-		"priority":   val.Int(int64(s.priority)),
-	})
-	return err
 }

@@ -235,61 +235,6 @@ func BenchmarkE3MatchNaive(b *testing.B) {
 	}
 }
 
-func TestStorePersistsAndReloads(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qm := queue.NewManager(db)
-	q, _ := qm.Create("alerts", queue.Config{})
-	b := NewBroker()
-	if err := b.AttachStore(db, "subs", qm, queue.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	var count int
-	b.Subscribe("cb", "bob", "price > 5", func(Delivery) { count++ })
-	b.SubscribeQueue("qd", "ops", "price > 100", q, 0)
-	db.Close()
-
-	// Restart: subscriptions reload from the table.
-	db2, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	qm2 := queue.NewManager(db2)
-	defer qm2.Close()
-	var count2 int
-	b2 := NewBroker()
-	handlers := map[string]Handler{"bob": func(Delivery) { count2++ }}
-	if err := b2.AttachStore(db2, "subs", qm2, queue.Config{}, handlers); err != nil {
-		t.Fatal(err)
-	}
-	if b2.Len() != 2 {
-		t.Fatalf("reloaded subs = %d", b2.Len())
-	}
-	n, err := b2.Publish(trade("A", 150))
-	if err != nil || n != 2 {
-		t.Fatalf("publish after reload: n=%d err=%v", n, err)
-	}
-	if count2 != 1 {
-		t.Errorf("callback deliveries = %d", count2)
-	}
-	q2, _ := qm2.Get("alerts")
-	if _, ok, _ := q2.Dequeue("ops"); !ok {
-		t.Error("queue delivery lost after reload")
-	}
-	// Unsubscribe removes the row.
-	if err := b2.Unsubscribe("cb"); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db2.Table("subs")
-	if tbl.Len() != 1 {
-		t.Errorf("rows after unsubscribe = %d", tbl.Len())
-	}
-}
-
 func TestPublishTypeErrorPropagates(t *testing.T) {
 	b := NewBroker()
 	b.Subscribe("bad", "x", "lower(price) = 'a'", func(Delivery) {})
@@ -340,61 +285,10 @@ func TestFilterOf(t *testing.T) {
 	}
 }
 
-func TestPersistOnlyQueueSubs(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qm := queue.NewManager(db)
-	q, _ := qm.Create("alerts", queue.Config{})
-	b := NewBroker()
-	b.PersistOnlyQueueSubs(true)
-	if err := b.AttachStore(db, "subs", qm, queue.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// A connection-bound callback subscription must not be persisted; a
-	// durable queue binding must.
-	b.Subscribe("wire.1.hot", "conn1", "price > 5", func(Delivery) {})
-	b.SubscribeQueue("qsub.orders", "wire", "price > 100", q, 0)
-	// Unsubscribing the unpersisted one must not error on the store.
-	if err := b.Unsubscribe("wire.1.hot"); err != nil {
-		t.Fatal(err)
-	}
-	qm.Close()
-	db.Close()
-
-	db2, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	qm2 := queue.NewManager(db2)
-	defer qm2.Close()
-	b2 := NewBroker()
-	if err := b2.AttachStore(db2, "subs", qm2, queue.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b2.Len() != 1 {
-		t.Fatalf("reloaded %d subscriptions, want only the queue binding", b2.Len())
-	}
-	if f, ok := b2.FilterOf("qsub.orders"); !ok || f != "price > 100" {
-		t.Errorf("reloaded binding filter = %q, %v", f, ok)
-	}
-}
-
 func TestRebindAtomicFilterReplace(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qm := queue.NewManager(db)
-	q, _ := qm.Create("alerts", queue.Config{})
+	db, _ := storage.Open(storage.Options{})
+	q, _ := queue.NewManager(db).Create("alerts", queue.Config{})
 	b := NewBroker()
-	if err := b.AttachStore(db, "subs", qm, queue.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
 	if err := b.SubscribeQueue("qd", "ops", "price > 100", q, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +302,7 @@ func TestRebindAtomicFilterReplace(t *testing.T) {
 	if n, err := b.Publish(trade("A", 150)); err != nil || n != 1 {
 		t.Fatalf("publish after failed rebind: n=%d err=%v", n, err)
 	}
-	// A valid rebind switches matching and persists.
+	// A valid rebind switches matching.
 	if err := b.Rebind("qd", "price > 1000"); err != nil {
 		t.Fatal(err)
 	}
@@ -420,24 +314,6 @@ func TestRebindAtomicFilterReplace(t *testing.T) {
 	}
 	if err := b.Rebind("nope", "x > 1"); err == nil {
 		t.Fatal("rebind of a missing subscription succeeded")
-	}
-	qm.Close()
-	db.Close()
-
-	// The persisted row carries the new filter across restart.
-	db2, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	qm2 := queue.NewManager(db2)
-	defer qm2.Close()
-	b2 := NewBroker()
-	if err := b2.AttachStore(db2, "subs", qm2, queue.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := b2.FilterOf("qd"); !ok || f != "price > 1000" {
-		t.Fatalf("reloaded filter = %q, %v; want the rebound filter", f, ok)
 	}
 }
 

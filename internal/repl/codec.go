@@ -12,8 +12,8 @@
 // Idempotence falls out of LSN arithmetic: the follower skips records
 // below its cursor (reconnect overlap) and refuses records above it
 // (a gap — it reconnects from the cursor instead). Promotion flips
-// the engine's read-only gate off and re-attaches durable queue
-// subscriptions, after which the node serves writes as a leader.
+// the engine's read-only gate off and restores its durable
+// registrations, after which the node serves writes as a leader.
 package repl
 
 import (

@@ -38,14 +38,9 @@ type Config struct {
 	// unreachable for this long. 0 disables auto-promotion.
 	AutoPromoteAfter time.Duration
 	// OnPromote runs exactly once during promotion, after the engine's
-	// read-only gate is lifted — the place to re-attach durable queue
-	// subscriptions (pubsub.AttachStore).
+	// read-only gate is lifted — the place to restore durable
+	// registrations (core.Engine.RestoreRegistrations).
 	OnPromote func()
-	// SkipEventTables lists tables whose replicated changes are not
-	// re-published as "db.<table>.<op>" events (internal bookkeeping
-	// tables). Queue staging tables are always skipped. Defaults to
-	// ["wire_subs"].
-	SkipEventTables []string
 	// Logf receives diagnostic messages. Nil discards them.
 	Logf func(format string, a ...any)
 }
@@ -53,8 +48,7 @@ type Config struct {
 // Follower tails a leader's WAL and applies it locally. The local
 // engine is read-only from Start until Promote.
 type Follower struct {
-	cfg  Config
-	skip map[string]bool
+	cfg Config
 
 	cursor      atomic.Uint64 // next LSN expected from the leader
 	applied     atomic.Uint64 // records applied this process
@@ -94,17 +88,10 @@ func Start(cfg Config) (*Follower, error) {
 	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = 2 * time.Second
 	}
-	if cfg.SkipEventTables == nil {
-		cfg.SkipEventTables = []string{"wire_subs"}
-	}
 	f := &Follower{
 		cfg:  cfg,
-		skip: make(map[string]bool, len(cfg.SkipEventTables)),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	for _, t := range cfg.SkipEventTables {
-		f.skip[t] = true
 	}
 	cfg.Engine.SetReadOnly(true)
 	f.cursor.Store(cfg.Engine.DB.WAL().NextLSN())
@@ -289,9 +276,9 @@ func (f *Follower) apply(rec wal.Record) error {
 // fanOut re-publishes a replicated commit's changes as database
 // change events through the local broker, so follower-side SUB/MATCH
 // subscribers observe the same "db.<table>.<op>" stream the leader's
-// trigger capture produces. Queue staging tables and configured
-// bookkeeping tables are skipped: their contents replicate as rows,
-// and the follower has no queue bindings to double-stage into.
+// trigger capture produces. Queue staging tables and registration
+// tables are skipped: their contents replicate as rows, and the
+// follower has no queue bindings to double-stage into.
 func (f *Follower) fanOut(rec wal.Record) {
 	changes, ok, err := storage.DecodeCommitRecord(rec)
 	if err != nil || !ok {
@@ -299,7 +286,7 @@ func (f *Follower) fanOut(rec wal.Record) {
 	}
 	for i := range changes {
 		c := &changes[i]
-		if queue.IsQueueTable(c.Table) || f.skip[c.Table] {
+		if queue.IsQueueTable(c.Table) || core.IsRegistrationTable(c.Table) {
 			continue
 		}
 		tbl, ok := f.cfg.Engine.DB.Table(c.Table)
@@ -329,7 +316,7 @@ func (f *Follower) beginShutdown() {
 }
 
 // finishPromote performs the one-shot leader transition: writes come
-// back on, then OnPromote re-attaches durable machinery.
+// back on, then OnPromote restores durable registrations.
 func (f *Follower) finishPromote() {
 	f.promoteMu.Lock()
 	defer f.promoteMu.Unlock()

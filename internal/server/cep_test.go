@@ -8,6 +8,7 @@ import (
 	"eventdb/client"
 	"eventdb/internal/core"
 	"eventdb/internal/event"
+	"eventdb/internal/queue"
 )
 
 // Wire tests for PATTERN/UNPATTERN: the error taxonomy, composite
@@ -116,7 +117,7 @@ func TestPatternSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.AttachPatternStore("wire_patterns"); err != nil {
+		if err := eng.RestoreRegistrations(queue.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		srv, err := StartConfig(eng, "127.0.0.1:0", Config{})

@@ -2,8 +2,9 @@
 // automaton. A pattern is engine-global, like a trigger or a queue
 // binding: the registering connection can drop and the automaton keeps
 // matching, emitting "cep.<name>" composite events into normal fan-out
-// where SUB/CQ/QSUB filters pick them up. With a pattern store attached
-// (leader default), registrations persist across restarts.
+// where SUB/CQ/QSUB filters pick them up. Once the engine's durable
+// registrations are restored (a durable leader, or a follower at its
+// promotion), a pattern persists across restarts.
 package server
 
 import (

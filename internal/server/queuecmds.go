@@ -14,12 +14,6 @@ import (
 // Handlers for the durable queue plane: QSUB push consumers, CONSUME
 // pulls, receipt settlement, introspection, and journal replay.
 
-// qsubBindID names the global broker binding that routes matches into
-// a durable queue. It is queue-scoped, not connection-scoped: the
-// binding (and the staged events behind it) outlives any one
-// connection — that is what makes the subscription durable.
-func qsubBindID(name string) string { return "qsub." + name }
-
 func handleQSub(c *conn, req *request) bool {
 	name, mode, filter := req.args[0], req.args[1], req.tail
 	var autoAck bool
@@ -35,13 +29,13 @@ func handleQSub(c *conn, req *request) bool {
 		c.errf(codeDup, "id %q already in use", name)
 		return true
 	}
-	q, err := c.srv.eng.EnsureQueue(name, c.srv.cfg.Queue)
+	q, err := c.srv.eng.BindQueue(name, filter, c.srv.cfg.Queue)
 	if err != nil {
-		c.errf(codeInternal, "%v", err)
-		return true
-	}
-	if err := c.bindQueue(name, filter); err != nil {
-		c.errf(codeBadSpec, "%v", err)
+		code := codeInternal // the queue could not be opened
+		if q != nil {
+			code = codeBadSpec // its filter, or its catalogue row, was refused
+		}
+		c.errf(code, "%v", err)
 		return true
 	}
 	qs := &queueSink{
@@ -65,28 +59,6 @@ func handleQSub(c *conn, req *request) bool {
 	go qs.run()
 	c.reply("OK")
 	return true
-}
-
-// bindQueue ensures the broker routes filter-matching events into the
-// named queue. A matching binding is reused (reconnect, competing
-// consumers); a different filter rebinds atomically — the binding is
-// never absent mid-rebind, and a broken filter leaves it untouched.
-func (c *conn) bindQueue(name, filter string) error {
-	bid := qsubBindID(name)
-	broker := c.srv.eng.Broker
-	if _, ok := broker.FilterOf(bid); ok {
-		return broker.Rebind(bid, filter)
-	}
-	err := c.srv.eng.SubscribeQueue(bid, "wire", filter, name, 0)
-	if err != nil {
-		// Lost a bind race with another connection: fine if it
-		// installed the same filter.
-		if f, ok := broker.FilterOf(bid); ok && f == filter {
-			return nil
-		}
-		return err
-	}
-	return nil
 }
 
 // lookupQueue finds an attached queue, or attaches to its recovered

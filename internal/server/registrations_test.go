@@ -13,7 +13,7 @@ import (
 // registrations a -dir daemon keeps across a restart — the table in
 // PROTOCOL.md, "Who owns a registration". SUB and CQ belong to their
 // connection and leave with it; QSUB bindings and PATTERNs are durable
-// (wire_subs, wire_patterns); TRIG and WATCH are engine-scoped and
+// (rows of the engine's catalogue); TRIG and WATCH are engine-scoped and
 // volatile: the tables they watch come back from the WAL, the capture
 // they set up does not. That last pair is the bug ROADMAP item 11
 // fixes, and its two assertions are the lines that flip when it does.
@@ -26,11 +26,7 @@ func TestRegistrationsAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Broker.PersistOnlyQueueSubs(true)
-		if err := eng.Broker.AttachStore(eng.DB, "wire_subs", eng.Queues, queue.Config{}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.AttachPatternStore("wire_patterns"); err != nil {
+		if err := eng.RestoreRegistrations(queue.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		srv, err := StartConfig(eng, "127.0.0.1:0", Config{})
@@ -78,7 +74,7 @@ func TestRegistrationsAcrossRestart(t *testing.T) {
 		t.Errorf("TABLE after restart = %q: the table must come back from the WAL", got)
 	}
 	// Durable: the QSUB binding and the PATTERN.
-	if f, ok := eng.Broker.FilterOf(qsubBindID("q1")); !ok || f != "$type = 'x'" {
+	if f, ok := eng.Broker.FilterOf("qsub.q1"); !ok || f != "$type = 'x'" {
 		t.Errorf("QSUB q1 binding after restart = %q, %v; want it back", f, ok)
 	}
 	if got := eng.Patterns(); len(got) != 1 || got[0] != "p1" {

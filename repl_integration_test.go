@@ -11,16 +11,20 @@ package eventdb
 
 import (
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"eventdb/client"
 	"eventdb/internal/core"
+	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
 	"eventdb/internal/repl"
 	"eventdb/internal/server"
+	"eventdb/internal/storage"
 	"eventdb/internal/testnet"
+	"eventdb/internal/val"
 )
 
 func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
@@ -29,8 +33,7 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leng.Broker.PersistOnlyQueueSubs(true)
-	if err := leng.Broker.AttachStore(leng.DB, "wire_subs", leng.Queues, queue.Config{}, nil); err != nil {
+	if err := leng.RestoreRegistrations(queue.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	lsrv, err := server.StartConfig(leng, "127.0.0.1:0", server.Config{})
@@ -58,9 +61,8 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 		Engine: feng,
 		Logf:   t.Logf,
 		OnPromote: func() {
-			feng.Broker.PersistOnlyQueueSubs(true)
-			if err := feng.Broker.AttachStore(feng.DB, "wire_subs", feng.Queues, queue.Config{}, nil); err != nil {
-				t.Errorf("re-attach on promote: %v", err)
+			if err := feng.RestoreRegistrations(queue.Config{}); err != nil {
+				t.Errorf("restore on promote: %v", err)
 			}
 		},
 		Dial: func(addr string) (net.Conn, error) {
@@ -222,5 +224,102 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 				published[uint64(ev.ID)] = true
 			}
 		}
+	}
+}
+
+// TestFollowerPublishesNoRegistrationEvents pins that a follower's
+// fan-out republishes data, not bookkeeping: while the leader binds,
+// rebinds, registers and unregisters, a follower subscriber matching
+// everything sees nothing; a row in an ordinary table then reaches it.
+// Promoted, the follower has the leader's registrations.
+func TestFollowerPublishesNoRegistrationEvents(t *testing.T) {
+	leng, err := core.Open(core.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leng.Close()
+	if err := leng.RestoreRegistrations(queue.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	lsrv, err := server.StartConfig(leng, "127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lsrv.Close()
+	feng, err := core.Open(core.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer feng.Close()
+	f, err := repl.Start(repl.Config{
+		Addr: lsrv.Addr(), Engine: feng, Logf: t.Logf,
+		OnPromote: func() {
+			if err := feng.RestoreRegistrations(queue.Config{}); err != nil {
+				t.Errorf("restore on promote: %v", err)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var mu sync.Mutex
+	var seen []string
+	if err := feng.Subscribe("all", "probe", "", func(d pubsub.Delivery) {
+		mu.Lock()
+		seen = append(seen, d.Event.Type)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	caughtUp := func() []string {
+		t.Helper()
+		if !f.WaitCursor(leng.DB.WAL().NextLSN(), 10*time.Second) {
+			t.Fatalf("follower cursor %d never reached the leader's end", f.Cursor())
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), seen...)
+	}
+
+	for _, filter := range []string{"qty >= 500", "qty >= 900"} {
+		if _, err := leng.BindQueue("big-orders", filter, queue.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"pair", "gone"} {
+		if err := leng.RegisterPattern(name, []byte(`{"steps":[{"alias":"a","type":"x"},{"alias":"b","type":"y"}]}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leng.UnregisterPattern("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if got := caughtUp(); len(got) != 0 {
+		t.Fatalf("follower published %v for registrations", got)
+	}
+
+	schema, err := storage.NewSchema("orders", []storage.Column{{Name: "id", Kind: val.KindInt, NotNull: true}}, "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leng.DB.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leng.DB.Insert("orders", map[string]val.Value{"id": val.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := caughtUp(); len(got) != 1 || got[0] != "db.orders.insert" {
+		t.Fatalf("follower published %v, want [db.orders.insert]", got)
+	}
+
+	if _, err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := feng.Broker.FilterOf("qsub.big-orders"); !ok || f != "qty >= 900" {
+		t.Errorf("binding after promotion = %q, %v; want the leader's", f, ok)
+	}
+	if got := feng.Patterns(); len(got) != 1 || got[0] != "pair" {
+		t.Errorf("patterns after promotion = %v, want [pair]", got)
 	}
 }
