@@ -108,25 +108,35 @@ func BenchmarkE1CaptureTrigger(b *testing.B) {
 }
 
 func BenchmarkE1CaptureJournalTail(b *testing.B) {
-	db := benchDB(b, "")
+	db := benchDB(b, b.TempDir())
 	tradeTable(b, db)
 	miner := journal.NewMiner(db)
-	sub := miner.Tail(journal.Filter{Tables: []string{"trades"}}, b.N+1024)
-	defer sub.Cancel()
+	var captured atomic.Int64
+	from := db.WAL().NextLSN()
+	quit := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- miner.Tail(from, journal.Filter{Tables: []string{"trades"}}, quit, func(evs []*event.Event) error {
+			captured.Add(int64(len(evs)))
+			return nil
+		})
+	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Insert("trades", tradeRow(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	// Drain to verify capture kept up.
-	got := 0
-	for len(sub.C) > 0 {
-		<-sub.C
-		got++
+	// The tail reads the log behind the inserts: wait for it to catch up.
+	for deadline := time.Now().Add(10 * time.Second); captured.Load() < int64(b.N) && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
 	}
-	if got+int(sub.Overflow()) != b.N {
+	b.StopTimer()
+	close(quit)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	if got := captured.Load(); got != int64(b.N) {
 		b.Fatalf("captured %d of %d", got, b.N)
 	}
 }

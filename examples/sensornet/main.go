@@ -53,7 +53,10 @@ func main() {
 
 	// Journal capture: committed readings become events; a rule filters
 	// the dangerous ones into the edge staging area.
-	stop := eng.TailJournal(eventdb.JournalFilter{Tables: []string{"readings"}}, 4096)
+	stop, err := eng.TailJournal(eventdb.JournalFilter{Tables: []string{"readings"}})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer stop()
 	err = eng.AddRule("danger", "$type = 'journal.readings.insert' AND new_level >= 8", 5,
 		func(ev *eventdb.Event, _ *eventdb.Rule) {

@@ -341,51 +341,31 @@ func (e *Engine) CaptureTable(table string) error {
 }
 
 // TailJournal starts live journal capture (capture path 2) into the
-// ingest path, returning a stop function. Journal events go through the
-// same evaluation pass as trigger capture, so downstream logic is
-// agnostic to the capture mechanism; they evaluate on the tail's own
-// goroutine.
-func (e *Engine) TailJournal(f journal.Filter, buffer int) (stop func()) {
-	sub := e.Miner.Tail(f, buffer)
-	done := make(chan struct{})
+// ingest path: changes committed from now on are read back from the WAL
+// and go through the same evaluation as trigger capture, so downstream
+// logic is agnostic to the capture mechanism. They evaluate on the
+// tail's own goroutine, one batch per pass over the log; a slow handler
+// delays capture and loses nothing. stop ends capture once the pass in
+// flight has evaluated and returns what ended it early, if anything. A
+// volatile engine has no log to tail: it gets journal.ErrNotDurable and
+// captures with CaptureTable.
+func (e *Engine) TailJournal(f journal.Filter) (stop func() error, err error) {
+	if !e.DB.Durable() {
+		return nil, journal.ErrNotDurable
+	}
+	from := e.DB.WAL().NextLSN()
+	quit := make(chan struct{})
+	done := make(chan error, 1)
 	go func() {
-		// Drain opportunistically into batches so a burst of journal
-		// records pays per-event overhead once per batch, not per event.
-		batch := make([]*event.Event, 0, 64)
-		for {
-			select {
-			case ev, ok := <-sub.C:
-				if !ok {
-					return
-				}
-				batch = drainInto(sub.C, append(batch[:0], ev))
-				e.evaluateBatch(batch, false, "ingest.batch.latency")
-			case <-done:
-				return
-			}
-		}
+		done <- e.Miner.Tail(from, f, quit, func(evs []*event.Event) error {
+			e.evaluateBatch(evs, false, "ingest.batch.latency")
+			return nil
+		})
 	}()
-	return func() {
-		close(done)
-		sub.Cancel()
-	}
-}
-
-// drainInto appends immediately available events from ch to batch —
-// up to its capacity, never blocking — and returns the grown batch.
-func drainInto(ch <-chan *event.Event, batch []*event.Event) []*event.Event {
-	for len(batch) < cap(batch) {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, ev)
-		default:
-			return batch
-		}
-	}
-	return batch
+	return func() error {
+		close(quit)
+		return <-done
+	}, nil
 }
 
 // WatchedQuery is a query differ bound to the ingest path (capture

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,7 +94,10 @@ func TestJournalCapturePath(t *testing.T) {
 	e.Subscribe("cap", "x", "$type LIKE 'journal.readings.%'", func(pubsub.Delivery) {
 		captured.Add(1)
 	})
-	stop := e.TailJournal(journal.Filter{Tables: []string{"readings"}}, 64)
+	stop, err := e.TailJournal(journal.Filter{Tables: []string{"readings"}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stop()
 	e.DB.Insert("readings", map[string]val.Value{
 		"meter": val.String("m1"), "kwh": val.Float(5),
@@ -105,6 +109,61 @@ func TestJournalCapturePath(t *testing.T) {
 			t.Fatal("journal capture timed out")
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestJournalTailSlowConsumerLosesNothing blocks the subscriber that
+// evaluates journal events while 10,000 inserts commit, then releases
+// it: the tail falls behind by LSN instead of dropping changes, and
+// every insert arrives once, in LSN order.
+func TestJournalTailSlowConsumerLosesNothing(t *testing.T) {
+	e := open(t, Config{Dir: t.TempDir()})
+	if err := e.DB.CreateTable(readingsSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var got atomic.Int64
+	var last int64
+	outOfOrder := ""
+	e.Subscribe("cap", "x", "$type = 'journal.readings.insert'", func(d pubsub.Delivery) {
+		<-release
+		v, _ := d.Event.Get("lsn")
+		lsn, _ := v.AsInt()
+		if lsn <= last && outOfOrder == "" {
+			outOfOrder = fmt.Sprintf("lsn %d after %d", lsn, last)
+		}
+		last = lsn
+		got.Add(1)
+	})
+	stop, err := e.TailJournal(journal.Filter{Tables: []string{"readings"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	for i := 0; i < n; i++ {
+		if _, err := e.DB.Insert("readings", map[string]val.Value{
+			"meter": val.String("m"), "kwh": val.Float(float64(i)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for got.Load() < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("tail ended with %v", err)
+	}
+	if got.Load() != n || outOfOrder != "" {
+		t.Fatalf("captured %d of %d inserts (order: %q)", got.Load(), n, outOfOrder)
+	}
+}
+
+func TestTailJournalOnVolatileEngineIsNotDurable(t *testing.T) {
+	e := open(t, Config{})
+	if _, err := e.TailJournal(journal.Filter{}); !errors.Is(err, journal.ErrNotDurable) {
+		t.Fatalf("TailJournal on a volatile engine = %v, want journal.ErrNotDurable", err)
 	}
 }
 

@@ -4,18 +4,19 @@
 // read from the write-ahead log — decoupled from the transaction path —
 // and converted to events.
 //
-// Two modes are offered:
+// Both modes read the log through one wal.Cursor:
 //
-//   - Mine: batch-replay a LSN range from the persisted WAL, e.g. for
+//   - Mine: one pass over an LSN range of the persisted WAL, e.g. for
 //     catch-up after downtime or retrospective analysis.
-//   - Tail: live capture; an in-process commit hook streams changes as
-//     they commit, after an initial catch-up pass over the WAL.
+//   - Tail: live capture; storage.DB.Follow keeps reading as commits
+//     land, and a slow consumer falls behind by LSN instead of losing
+//     changes.
 package journal
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"eventdb/internal/columnar"
 	"eventdb/internal/event"
@@ -25,9 +26,6 @@ import (
 	"eventdb/internal/wal"
 )
 
-// eventLSN renders an LSN as an event attribute value.
-func eventLSN(lsn uint64) val.Value { return val.Int(int64(lsn)) }
-
 // Filter restricts which changes are mined. Zero value passes everything.
 type Filter struct {
 	// Tables restricts capture to these tables (nil = all).
@@ -36,30 +34,10 @@ type Filter struct {
 	Ops []storage.ChangeKind
 }
 
-func (f Filter) compile() func(*storage.Change) bool {
-	var tables map[string]bool
-	if len(f.Tables) > 0 {
-		tables = make(map[string]bool, len(f.Tables))
-		for _, t := range f.Tables {
-			tables[t] = true
-		}
-	}
-	var ops map[storage.ChangeKind]bool
-	if len(f.Ops) > 0 {
-		ops = make(map[storage.ChangeKind]bool, len(f.Ops))
-		for _, o := range f.Ops {
-			ops[o] = true
-		}
-	}
-	return func(c *storage.Change) bool {
-		if tables != nil && !tables[c.Table] {
-			return false
-		}
-		if ops != nil && !ops[c.Kind] {
-			return false
-		}
-		return true
-	}
+// admits reports whether f passes c.
+func (f Filter) admits(c *storage.Change) bool {
+	return (len(f.Tables) == 0 || slices.Contains(f.Tables, c.Table)) &&
+		(len(f.Ops) == 0 || slices.Contains(f.Ops, c.Kind))
 }
 
 // Miner converts committed changes into events.
@@ -67,11 +45,11 @@ type Miner struct {
 	db *storage.DB
 }
 
-// NewMiner creates a miner over a database. Batch mining requires the
-// database to be durable (WAL-backed); live tailing works either way.
+// NewMiner creates a miner over a database. Both modes require the
+// database to be durable (WAL-backed).
 func NewMiner(db *storage.DB) *Miner { return &Miner{db: db} }
 
-// ErrNotDurable is returned by Mine on a volatile database.
+// ErrNotDurable is returned by Mine and Tail on a volatile database.
 var ErrNotDurable = errors.New("journal: database has no WAL to mine")
 
 // Mine replays committed changes with LSN >= fromLSN from the WAL,
@@ -79,14 +57,23 @@ var ErrNotDurable = errors.New("journal: database has no WAL to mine")
 // resume from.
 func (m *Miner) Mine(fromLSN uint64, f Filter, fn func(*event.Event) error) (nextLSN uint64, err error) {
 	return m.MineChanges(fromLSN, f, func(lsn uint64, c *storage.Change) error {
-		tbl, ok := m.db.Table(c.Table)
-		if !ok {
-			return nil // table dropped or filtered during recovery
+		if ev := m.event(lsn, c); ev != nil {
+			return fn(ev)
 		}
-		ev := trigger.ChangeToEvent(tbl.Schema(), c, "journal")
-		ev.Attrs["lsn"] = eventLSN(lsn)
-		return fn(ev)
+		return nil
 	})
+}
+
+// event converts one mined change; nil when its table is gone (dropped
+// or filtered during recovery).
+func (m *Miner) event(lsn uint64, c *storage.Change) *event.Event {
+	tbl, ok := m.db.Table(c.Table)
+	if !ok {
+		return nil
+	}
+	ev := trigger.ChangeToEvent(tbl.Schema(), c, "journal")
+	ev.Attrs["lsn"] = val.Int(int64(lsn))
+	return ev
 }
 
 // MineChanges is Mine at change granularity: matching committed changes
@@ -106,7 +93,6 @@ func (m *Miner) MineChanges(fromLSN uint64, f Filter, fn func(lsn uint64, c *sto
 	if log == nil {
 		return 0, ErrNotDurable
 	}
-	pass := f.compile()
 	nextLSN = fromLSN
 	if len(f.Tables) == 1 && len(f.Ops) == 1 && f.Ops[0] == storage.Insert {
 		if cm := columnar.Of(m.db); cm != nil {
@@ -122,97 +108,55 @@ func (m *Miner) MineChanges(fromLSN uint64, f Filter, fn func(lsn uint64, c *sto
 	}
 	err = log.Replay(fromLSN, func(r wal.Record) error {
 		nextLSN = r.LSN + 1
-		changes, ok, err := storage.DecodeCommitRecord(r)
-		if err != nil {
-			return fmt.Errorf("journal: lsn %d: %w", r.LSN, err)
-		}
-		if !ok {
-			return nil // DDL or foreign record
-		}
-		for i := range changes {
-			c := &changes[i]
-			if !pass(c) {
-				continue
-			}
-			if err := fn(r.LSN, c); err != nil {
-				return err
-			}
-		}
-		return nil
+		return eachChange(r, f, fn)
 	})
 	return nextLSN, err
 }
 
-// Subscription is a live change feed.
-type Subscription struct {
-	// C delivers change events in commit order.
-	C <-chan *event.Event
-
-	cancel   func()
-	mu       sync.Mutex
-	overflow uint64
-	closed   bool
-}
-
-// Overflow reports how many events were dropped because the subscriber
-// fell behind (buffer full). Zero in healthy operation.
-func (s *Subscription) Overflow() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.overflow
-}
-
-// Cancel detaches the subscription and closes C.
-func (s *Subscription) Cancel() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// eachChange hands fn the changes of one commit record that f admits;
+// DDL and foreign records carry none.
+func eachChange(r wal.Record, f Filter, fn func(lsn uint64, c *storage.Change) error) error {
+	changes, _, err := storage.DecodeCommitRecord(r)
+	if err != nil {
+		return fmt.Errorf("journal: lsn %d: %w", r.LSN, err)
 	}
-	s.closed = true
-	s.mu.Unlock()
-	s.cancel()
-}
-
-// Tail starts live capture: commits that happen after the call are
-// streamed to the returned subscription's channel. buffer bounds the
-// channel; when full, events are dropped and counted in Overflow (a
-// real deployment would back-pressure; counting keeps tests honest).
-func (m *Miner) Tail(f Filter, buffer int) *Subscription {
-	if buffer <= 0 {
-		buffer = 1024
-	}
-	ch := make(chan *event.Event, buffer)
-	sub := &Subscription{C: ch}
-	pass := f.compile()
-	remove := m.db.OnCommit(func(ci *storage.CommitInfo) {
-		sub.mu.Lock()
-		if sub.closed {
-			sub.mu.Unlock()
-			return
-		}
-		for i := range ci.Changes {
-			c := &ci.Changes[i]
-			if !pass(c) {
-				continue
-			}
-			tbl, ok := m.db.Table(c.Table)
-			if !ok {
-				continue
-			}
-			ev := trigger.ChangeToEvent(tbl.Schema(), c, "journal")
-			ev.Attrs["lsn"] = eventLSN(ci.LSN)
-			select {
-			case ch <- ev:
-			default:
-				sub.overflow++
+	for i := range changes {
+		if c := &changes[i]; f.admits(c) {
+			if err := fn(r.LSN, c); err != nil {
+				return err
 			}
 		}
-		sub.mu.Unlock()
+	}
+	return nil
+}
+
+// Tail is live capture: it hands fn the events of committed changes
+// with LSN >= fromLSN that f admits, one batch per pass of
+// storage.DB.Follow, until stop closes (it then returns nil). A slow fn
+// falls behind by LSN and loses nothing. Tail returns the first error
+// from reading the log or from fn, and ErrNotDurable on a volatile
+// database, which has no log to follow.
+func (m *Miner) Tail(fromLSN uint64, f Filter, stop <-chan struct{}, fn func([]*event.Event) error) error {
+	if m.db.WAL() == nil {
+		return ErrNotDurable
+	}
+	var evs []*event.Event
+	collect := func(lsn uint64, c *storage.Change) error {
+		if ev := m.event(lsn, c); ev != nil {
+			evs = append(evs, ev)
+		}
+		return nil
+	}
+	return m.db.Follow(fromLSN, stop, func(recs []wal.Record) error {
+		evs = evs[:0]
+		for _, r := range recs {
+			if err := eachChange(r, f, collect); err != nil {
+				return err
+			}
+		}
+		if len(evs) == 0 {
+			return nil
+		}
+		return fn(evs)
 	})
-	sub.cancel = func() {
-		remove()
-		close(ch)
-	}
-	return sub
 }

@@ -139,11 +139,32 @@ func TestMineSurvivesRestart(t *testing.T) {
 	}
 }
 
+// tail runs m.Tail from fromLSN on its own goroutine, forwarding each
+// event to the returned channel; stop ends it and returns its error.
+func tail(t *testing.T, m *Miner, fromLSN uint64, f Filter) (<-chan *event.Event, func() error) {
+	t.Helper()
+	ch := make(chan *event.Event, 1024)
+	quit := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Tail(fromLSN, f, quit, func(evs []*event.Event) error {
+			for _, ev := range evs {
+				ch <- ev
+			}
+			return nil
+		})
+	}()
+	return ch, func() error {
+		close(quit)
+		return <-done
+	}
+}
+
 func TestTailLiveCapture(t *testing.T) {
 	db := durableDB(t)
 	m := NewMiner(db)
-	sub := m.Tail(Filter{Tables: []string{"acct"}}, 16)
-	defer sub.Cancel()
+	ch, stop := tail(t, m, db.WAL().NextLSN(), Filter{Tables: []string{"acct"}})
+	defer stop()
 
 	db.Insert("acct", map[string]val.Value{"id": val.Int(1), "balance": val.Float(10)})
 	db.Insert("other", map[string]val.Value{"x": val.Int(1)}) // filtered out
@@ -153,7 +174,7 @@ func TestTailLiveCapture(t *testing.T) {
 	timeout := time.After(2 * time.Second)
 	for len(got) < 2 {
 		select {
-		case ev := <-sub.C:
+		case ev := <-ch:
 			got = append(got, ev)
 		case <-timeout:
 			t.Fatalf("timed out with %d events", len(got))
@@ -165,52 +186,47 @@ func TestTailLiveCapture(t *testing.T) {
 	if v, _ := got[1].Get("new_id"); !val.Equal(v, val.Int(2)) {
 		t.Errorf("second event new_id = %v", v)
 	}
-	if sub.Overflow() != 0 {
-		t.Errorf("overflow = %d", sub.Overflow())
-	}
-}
-
-func TestTailOverflowCounts(t *testing.T) {
-	db := durableDB(t)
-	m := NewMiner(db)
-	sub := m.Tail(Filter{}, 1) // tiny buffer, no consumer
-	defer sub.Cancel()
-	for i := 0; i < 5; i++ {
-		db.Insert("acct", map[string]val.Value{"id": val.Int(int64(i)), "balance": val.Float(1)})
-	}
-	if sub.Overflow() != 4 {
-		t.Errorf("overflow = %d, want 4", sub.Overflow())
+	select {
+	case ev := <-ch:
+		t.Errorf("filtered change captured: %v", ev)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
 func TestTailCancelStops(t *testing.T) {
 	db := durableDB(t)
-	m := NewMiner(db)
-	sub := m.Tail(Filter{}, 4)
-	sub.Cancel()
-	sub.Cancel() // idempotent
+	ch, stop := tail(t, NewMiner(db), db.WAL().NextLSN(), Filter{})
+	if err := stop(); err != nil {
+		t.Fatalf("stopped tail returned %v", err)
+	}
 	db.Insert("acct", map[string]val.Value{"id": val.Int(1), "balance": val.Float(1)})
-	// Channel is closed; no event should arrive.
-	if ev, ok := <-sub.C; ok {
-		t.Errorf("received %v after cancel", ev)
+	select {
+	case ev := <-ch:
+		t.Errorf("received %v after stop", ev)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
-func TestTailWorksOnVolatileDB(t *testing.T) {
-	db, _ := storage.Open(storage.Options{})
-	defer db.Close()
-	schema, _ := storage.NewSchema("t", []storage.Column{{Name: "x", Kind: val.KindInt}})
-	db.CreateTable(schema)
-	m := NewMiner(db)
-	sub := m.Tail(Filter{}, 4)
-	defer sub.Cancel()
-	db.Insert("t", map[string]val.Value{"x": val.Int(1)})
-	select {
-	case ev := <-sub.C:
-		if v, _ := ev.Get("lsn"); !val.Equal(v, val.Int(0)) {
-			t.Errorf("volatile tail lsn = %v, want 0", v)
+// TestJournalTailCatchesUpFromLSN starts a tail behind the log's end:
+// it mines the committed history first, then follows new commits, each
+// change once and in LSN order.
+func TestJournalTailCatchesUpFromLSN(t *testing.T) {
+	db := durableDB(t)
+	from := db.WAL().NextLSN()
+	for i := 1; i <= 3; i++ {
+		db.Insert("acct", map[string]val.Value{"id": val.Int(int64(i)), "balance": val.Float(1)})
+	}
+	ch, stop := tail(t, NewMiner(db), from, Filter{Tables: []string{"acct"}})
+	defer stop()
+	db.Insert("acct", map[string]val.Value{"id": val.Int(4), "balance": val.Float(1)})
+	for want := int64(1); want <= 4; want++ {
+		select {
+		case ev := <-ch:
+			if v, _ := ev.Get("new_id"); !val.Equal(v, val.Int(want)) {
+				t.Fatalf("event %d has new_id %v", want, v)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("timed out waiting for insert %d", want)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event from volatile tail")
 	}
 }

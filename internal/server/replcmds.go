@@ -1,14 +1,11 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"eventdb/internal/frame"
 	"eventdb/internal/repl"
-	"eventdb/internal/storage"
 	"eventdb/internal/wal"
 )
 
@@ -29,69 +26,55 @@ import (
 // "UNSUB repl" detaches it like any other sink.
 const replSinkID = "repl"
 
-// replPollQuantum bounds how stale a replication stream can go when
-// the commit wake hook misses (DDL appends bypass commit hooks).
-const replPollQuantum = 250 * time.Millisecond
-
-// errReplStopped aborts a tailer pass when the sink is detaching.
-var errReplStopped = errors.New("server: replication sink stopped")
-
-// replSink streams WAL records to one follower connection. It is
-// driven by an after-commit wake (so records ship with commit
-// latency, not poll latency) plus a slow poll for appends that do not
-// run commit hooks.
+// replSink streams WAL records to one follower connection through
+// storage.DB.Follow, so records ship with commit latency, not poll
+// latency.
 type replSink struct {
-	c      *conn
-	tailer *wal.Tailer
-	wake   chan struct{} // 1-buffered commit signal
-	unhook func()        // removes the OnCommit wake
-	stop   chan struct{}
-	done   chan struct{}
+	c    *conn
+	from uint64
+	stop chan struct{}
+	done chan struct{}
 }
 
 func (s *replSink) kind() string { return "repl" }
 
 func (s *replSink) detach() {
-	s.unhook()
 	close(s.stop)
 	<-s.done
 }
 
-// run ships every tailable record, then sleeps until the next commit
-// or poll tick. Stream lines use the blocking path: replication
-// tolerates no silent drops, and the TCP window is the follower's
-// backpressure.
+// run ships every record from s.from on until the sink detaches.
+// Stream lines use the blocking path: replication tolerates no silent
+// drops, and the TCP window is the follower's backpressure.
 func (s *replSink) run() {
 	defer close(s.done)
 	var rec []byte // one record's line, rebuilt in place
-	for {
-		_, err := s.tailer.Next(func(r wal.Record) error {
+	err := s.c.srv.eng.DB.Follow(s.from, s.stop, func(recs []wal.Record) error {
+		for _, r := range recs {
 			var err error
 			if rec, err = repl.AppendRecord(rec[:0], r); err != nil {
 				return err
 			}
 			if !s.send(rec) {
-				return errReplStopped
+				return nil // detaching: Follow sees stop and returns
 			}
-			return nil
-		})
-		if err != nil {
-			if !errors.Is(err, errReplStopped) {
-				// Truncated position or on-disk corruption: the stream
-				// cannot continue; tell the follower why before it sees
-				// the silence. Through the stream's own path, not reply:
-				// only the reader replies.
-				s.send(fmt.Appendf(rec[:0], "ERR %s replication stream failed: %v", codeInternal, err))
-			}
-			return
 		}
-		select {
-		case <-s.wake:
-		case <-s.stop:
-			return
-		case <-time.After(replPollQuantum):
-		}
+		return nil
+	})
+	if err == nil {
+		return
 	}
+	// Truncated position or on-disk corruption: the stream cannot
+	// continue; tell the follower why before it sees the silence.
+	// Through the stream's own path, not reply: only the reader
+	// replies. Then leave the connection's sinks, unless a detach
+	// already took this one out.
+	s.send(fmt.Appendf(rec[:0], "ERR %s replication stream failed: %v", codeInternal, err))
+	s.c.mu.Lock()
+	if s.c.sinks[replSinkID] == sink(s) {
+		delete(s.c.sinks, replSinkID)
+	}
+	s.c.mu.Unlock()
 }
 
 // send queues one stream line — a REPLY frame when the follower spoke
@@ -125,21 +108,8 @@ func handleReplicate(c *conn, req *request) bool {
 		c.errf(codeConflict, "from-lsn %d is beyond the log end (next lsn %d)", fromLSN, next)
 		return true
 	}
-	rs := &replSink{
-		c:      c,
-		tailer: eng.DB.WAL().NewTailer(fromLSN),
-		wake:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	rs.unhook = eng.DB.OnCommit(func(*storage.CommitInfo) {
-		select {
-		case rs.wake <- struct{}{}:
-		default:
-		}
-	})
+	rs := &replSink{c: c, from: fromLSN, stop: make(chan struct{}), done: make(chan struct{})}
 	if !c.addSink(replSinkID, rs) {
-		rs.unhook()
 		c.errf(codeDup, "a replication stream is already active on this connection")
 		return true
 	}

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"errors"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +12,7 @@ import (
 	"eventdb/internal/core"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
+	"eventdb/internal/vfs"
 )
 
 func durableServer(t *testing.T) (*core.Engine, *Server) {
@@ -191,6 +195,48 @@ func TestReplicateRefusals(t *testing.T) {
 			break
 		}
 	})
+}
+
+// segOpenFault is the real filesystem, except that once armed its Open
+// of a WAL segment fails.
+type segOpenFault struct {
+	vfs.OS
+	armed atomic.Bool
+}
+
+func (f *segOpenFault) Open(name string) (vfs.File, error) {
+	base := filepath.Base(name)
+	if f.armed.Load() && strings.HasPrefix(base, "wal-") && strings.HasSuffix(base, ".seg") {
+		return nil, errors.New("injected open fault")
+	}
+	return f.OS.Open(name)
+}
+
+// TestReplicateStreamFailsOnSegmentOpenFault reads the stream's
+// segments through the engine's FS: when opening one fails, the stream
+// ends with an ERR line and its sink leaves the connection.
+func TestReplicateStreamFailsOnSegmentOpenFault(t *testing.T) {
+	fsys := &segOpenFault{}
+	eng, srv := startServer(t, core.Config{Dir: t.TempDir(), FS: fsys}, Config{})
+	mkTrades(t, eng)
+	insertN(t, eng, 1, 3)
+	fsys.armed.Store(true)
+	rc := rawDial(t, srv)
+	rc.send("REPLICATE 1")
+	if reply := rc.readLine(); !strings.HasPrefix(reply, "OK ") {
+		t.Fatalf("REPLICATE 1 → %q", reply)
+	}
+	line := rc.readLine()
+	if !strings.HasPrefix(line, "ERR internal") || !strings.Contains(line, "replication stream failed") {
+		t.Fatalf("stream line under a failing Open = %q, want ERR internal … replication stream failed", line)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(srv.ReplicaCursors()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("failed replication stream kept its sink")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func asClientError(err error, target **client.Error) bool {

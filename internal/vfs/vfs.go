@@ -14,6 +14,7 @@ import (
 // File is the subset of *os.File the engine's durability paths need.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync commits the file's contents to stable storage (fsync).

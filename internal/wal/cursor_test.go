@@ -9,7 +9,7 @@ import (
 )
 
 // collect drains one Next pass into a slice of LSNs.
-func collect(t *testing.T, tl *Tailer) []uint64 {
+func collect(t *testing.T, tl *Cursor) []uint64 {
 	t.Helper()
 	var got []uint64
 	n, err := tl.Next(func(r Record) error {
@@ -25,14 +25,14 @@ func collect(t *testing.T, tl *Tailer) []uint64 {
 	return got
 }
 
-func TestTailerDeliversAndResumes(t *testing.T) {
+func TestCursorDeliversAndResumes(t *testing.T) {
 	w := openTemp(t, Options{})
 	for i := 0; i < 5; i++ {
 		if _, err := w.Append(1, []byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tl := w.NewTailer(0)
+	tl := w.Cursor(0)
 	if got := collect(t, tl); len(got) != 5 || got[0] != 1 || got[4] != 5 {
 		t.Fatalf("first pass = %v, want 1..5", got)
 	}
@@ -51,21 +51,21 @@ func TestTailerDeliversAndResumes(t *testing.T) {
 	}
 }
 
-func TestTailerFromLSN(t *testing.T) {
+func TestCursorFromLSN(t *testing.T) {
 	w := openTemp(t, Options{})
 	for i := 0; i < 10; i++ {
 		w.Append(0, []byte("x"))
 	}
-	got := collect(t, w.NewTailer(7))
+	got := collect(t, w.Cursor(7))
 	if len(got) != 4 || got[0] != 7 || got[3] != 10 {
-		t.Fatalf("NewTailer(7) = %v, want 7..10", got)
+		t.Fatalf("Cursor(7) = %v, want 7..10", got)
 	}
 }
 
-func TestTailerAcrossSegmentRolls(t *testing.T) {
+func TestCursorAcrossSegmentRolls(t *testing.T) {
 	w := openTemp(t, Options{SegmentBytes: 256})
 	payload := make([]byte, 64)
-	tl := w.NewTailer(0)
+	tl := w.Cursor(0)
 	var all []uint64
 	for i := 0; i < 50; i++ {
 		w.Append(0, payload)
@@ -87,7 +87,7 @@ func TestTailerAcrossSegmentRolls(t *testing.T) {
 	}
 }
 
-func TestTailerCheckpointedAway(t *testing.T) {
+func TestCursorCheckpointedAway(t *testing.T) {
 	w := openTemp(t, Options{SegmentBytes: 256})
 	payload := make([]byte, 64)
 	var last uint64
@@ -97,22 +97,22 @@ func TestTailerCheckpointedAway(t *testing.T) {
 	if err := w.Checkpoint(last); err != nil {
 		t.Fatal(err)
 	}
-	_, err := w.NewTailer(1).Next(func(Record) error { return nil })
+	_, err := w.Cursor(1).Next(func(Record) error { return nil })
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("tail of checkpointed position = %v, want ErrTruncated", err)
 	}
 	// A position still retained tails fine after the checkpoint.
-	got := collect(t, w.NewTailer(last))
+	got := collect(t, w.Cursor(last))
 	if len(got) == 0 || got[len(got)-1] != last {
 		t.Fatalf("tail of retained position = %v, want it to end at %d", got, last)
 	}
 }
 
-func TestTailerFnErrorRedelivers(t *testing.T) {
+func TestCursorFnErrorRedelivers(t *testing.T) {
 	w := openTemp(t, Options{})
 	w.Append(0, []byte("a"))
 	w.Append(0, []byte("b"))
-	tl := w.NewTailer(0)
+	tl := w.Cursor(0)
 	boom := errors.New("boom")
 	n, err := tl.Next(func(r Record) error {
 		if r.LSN == 2 {
@@ -139,17 +139,17 @@ func lastSegPath(t *testing.T, w *WAL) string {
 	return filepath.Join(w.dir, segName(segs[len(segs)-1]))
 }
 
-func TestTailerPartialRecordWaits(t *testing.T) {
+func TestCursorPartialRecordWaits(t *testing.T) {
 	w := openTemp(t, Options{})
 	for i := 0; i < 3; i++ {
 		w.Append(0, []byte("whole"))
 	}
-	tl := w.NewTailer(0)
+	tl := w.Cursor(0)
 	if got := collect(t, tl); len(got) != 3 {
 		t.Fatalf("first pass = %v", got)
 	}
 	// Simulate an append caught mid-flush: a partial record header at
-	// the tail. (w's own buffered writer is empty after the tailer's
+	// the tail. (w's own buffered writer is empty after the cursor's
 	// flush, and O_APPEND keeps future appends ordered after it.)
 	w.Flush()
 	f, err := os.OpenFile(lastSegPath(t, w), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -168,13 +168,13 @@ func TestTailerPartialRecordWaits(t *testing.T) {
 	}
 }
 
-func TestTailerChecksumMismatchIsTorn(t *testing.T) {
+func TestCursorChecksumMismatchIsTorn(t *testing.T) {
 	w := openTemp(t, Options{})
 	for i := 0; i < 3; i++ {
 		w.Append(0, []byte("payload-payload"))
 	}
 	w.Flush()
-	tl := w.NewTailer(0)
+	tl := w.Cursor(0)
 	// Corrupt the last record's payload in place: its bytes are fully
 	// present, so this is real corruption, not an in-progress append.
 	path := lastSegPath(t, w)
@@ -195,6 +195,47 @@ func TestTailerChecksumMismatchIsTorn(t *testing.T) {
 	}
 	if n != 2 {
 		t.Fatalf("delivered %d intact records before corruption, want 2", n)
+	}
+}
+
+// TestCursorShortRecordInSealedSegment cuts the first of three
+// segments mid-record. The writer has rolled past it, so the missing
+// bytes will never arrive: every read of the log reports a
+// *TornTailError instead of waiting for them.
+func TestCursorShortRecordInSealedSegment(t *testing.T) {
+	w := openTemp(t, Options{SegmentBytes: 256})
+	payload := make([]byte, 64)
+	for i := 0; i < 9; i++ {
+		if _, err := w.Append(0, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	segs, err := w.segments()
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("segments = %v (%v), want three", segs, err)
+	}
+	path := filepath.Join(w.dir, segName(segs[0]))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	var torn *TornTailError
+	tl := w.Cursor(0)
+	for pass := 0; pass < 2; pass++ {
+		n, err := tl.Next(func(Record) error { return nil })
+		if !errors.As(err, &torn) {
+			t.Fatalf("pass %d over a cut sealed segment = (%d, %v), want *TornTailError", pass, n, err)
+		}
+	}
+	if tl.next != 3 {
+		t.Fatalf("cursor stopped before lsn %d, want 3", tl.next)
+	}
+	if err := w.Replay(0, func(Record) error { return nil }); !errors.As(err, &torn) {
+		t.Fatalf("Replay over a cut sealed segment = %v, want *TornTailError", err)
 	}
 }
 

@@ -70,6 +70,59 @@ func TestTornWriteSweep(t *testing.T) {
 	}
 }
 
+// TestCursorTornWriteSweep follows a live log through the torn write
+// of TestTornWriteSweep: record 2 cut at every byte offset. The cursor
+// delivers record 1, passes over the torn bytes without error (a cut at
+// the end of the newest segment may be a write in flight), and after
+// RecoverTail and a new Append delivers the new record 2 exactly once.
+func TestCursorTornWriteSweep(t *testing.T) {
+	second := []byte("second-commit-torn!!")
+	for delta := 0; delta < recHeaderSize+len(second); delta++ {
+		fsys := vfs.NewFaulty(nil)
+		w, err := Open(Options{Dir: t.TempDir(), SyncEvery: 1, FS: fsys})
+		if err != nil {
+			t.Fatalf("delta=%d open: %v", delta, err)
+		}
+		c := w.Cursor(0)
+		var got []Record
+		next := func() (int, error) {
+			return c.Next(func(r Record) error {
+				got = append(got, r)
+				return nil
+			})
+		}
+		if _, err := w.Append(1, []byte("first-commit-payload")); err != nil {
+			t.Fatalf("delta=%d first append: %v", delta, err)
+		}
+		if n, err := next(); n != 1 || err != nil || got[0].LSN != 1 {
+			t.Fatalf("delta=%d first pass = (%d, %v), want record 1", delta, n, err)
+		}
+		fsys.FailWritesAt(fsys.BytesWritten()+int64(delta), errors.New("injected ENOSPC"))
+		if _, err := w.Append(1, second); err == nil {
+			t.Fatalf("delta=%d torn append unexpectedly succeeded", delta)
+		}
+		if n, err := next(); n != 0 || err != nil {
+			t.Fatalf("delta=%d pass over the torn bytes = (%d, %v), want (0, nil)", delta, n, err)
+		}
+		fsys.Heal()
+		if err := w.RecoverTail(1); err != nil {
+			t.Fatalf("delta=%d RecoverTail: %v", delta, err)
+		}
+		if _, err := w.Append(1, []byte("after-recover")); err != nil {
+			t.Fatalf("delta=%d post-recover append: %v", delta, err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if _, err := next(); err != nil {
+				t.Fatalf("delta=%d pass after recovery: %v", delta, err)
+			}
+		}
+		if len(got) != 2 || got[1].LSN != 2 || string(got[1].Data) != "after-recover" {
+			t.Fatalf("delta=%d delivered %d records, want record 1 then the new record 2 once", delta, len(got))
+		}
+		w.Close()
+	}
+}
+
 // TestRecoverTailFsyncStillFailing keeps the device broken through the
 // recovery attempt: RecoverTail must fail (the caller stays degraded)
 // and succeed once the fault clears.

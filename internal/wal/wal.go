@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"eventdb/internal/vfs"
 )
@@ -70,7 +71,7 @@ type WAL struct {
 	f        vfs.File
 	w        *bufio.Writer
 	curSize  int64
-	segStart uint64
+	segStart atomic.Uint64 // start LSN of the active segment; read without mu by cursors
 	nextLSN  uint64
 	unsync   int
 
@@ -116,41 +117,12 @@ func Open(opts Options) (*WAL, error) {
 		}
 		return w, nil
 	}
-	// Recover: scan the last segment to find its end and the next LSN.
-	last := segs[len(segs)-1]
-	goodSize, lastLSN, err := scanSegment(w.fs, filepath.Join(w.dir, segName(last)), func(Record) error { return nil })
+	// Recover: find the end of the newest segment and the next LSN.
+	c, err := w.reopenNewest(segs[len(segs)-1], func(Record) error { return nil })
 	if err != nil {
-		var torn *TornTailError
-		if !errors.As(err, &torn) {
-			return nil, err
-		}
-		// Torn tail in the newest segment: recover the intact prefix.
+		return nil, err
 	}
-	path := filepath.Join(w.dir, segName(last))
-	fi, err := w.fs.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: stat: %w", err)
-	}
-	if fi.Size() > goodSize {
-		// Torn tail: truncate to the last intact record boundary.
-		if err := w.fs.Truncate(path, goodSize); err != nil {
-			return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-		}
-	}
-	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open segment: %w", err)
-	}
-	w.f = f
-	w.w = bufio.NewWriter(f)
-	w.curSize = goodSize
-	w.segStart = last
-	if lastLSN >= w.nextLSN {
-		w.nextLSN = lastLSN + 1
-	}
-	if last >= w.nextLSN {
-		w.nextLSN = last
-	}
+	w.nextLSN = c.next
 	return w, nil
 }
 
@@ -209,7 +181,7 @@ func (w *WAL) rollLocked(startLSN uint64) error {
 	w.f = f
 	w.w = bufio.NewWriterSize(f, 64<<10)
 	w.curSize = int64(segHeaderSize)
-	w.segStart = startLSN
+	w.segStart.Store(startLSN)
 	return nil
 }
 
@@ -233,10 +205,7 @@ func (w *WAL) Append(typ uint8, data []byte) (uint64, error) {
 	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(data)))
 	binary.BigEndian.PutUint64(hdr[8:16], lsn)
 	hdr[16] = typ
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(data)
-	binary.BigEndian.PutUint32(hdr[0:4], crc.Sum32())
+	binary.BigEndian.PutUint32(hdr[0:4], recordCRC(hdr[:], data))
 	if _, err := w.w.Write(hdr[:]); err != nil {
 		w.mu.Unlock()
 		return 0, err
@@ -341,6 +310,23 @@ func (w *WAL) NextLSN() uint64 {
 	return w.nextLSN
 }
 
+// segmentAfter returns the start LSN of the segment after seg, or 0
+// when seg is the newest. It takes no lock: Open and RecoverTail read
+// through cursors while holding mu.
+func (w *WAL) segmentAfter(seg uint64) (uint64, error) {
+	if seg == w.segStart.Load() {
+		return 0, nil
+	}
+	segs, err := w.segments()
+	if err != nil {
+		return 0, err
+	}
+	if i := sort.Search(len(segs), func(i int) bool { return segs[i] > seg }); i < len(segs) {
+		return segs[i], nil
+	}
+	return 0, nil
+}
+
 // Close flushes, syncs and closes the log.
 func (w *WAL) Close() error {
 	w.mu.Lock()
@@ -359,45 +345,12 @@ func (w *WAL) Close() error {
 }
 
 // Replay invokes fn for every intact record with LSN >= fromLSN, in LSN
-// order across all segments. A torn tail in the newest segment ends
-// replay without error; corruption elsewhere is reported.
+// order across all segments: one pass of a Cursor. A record cut short at
+// the end of the newest segment ends replay without error; corruption,
+// and a cut anywhere else, is reported as a *TornTailError.
 func (w *WAL) Replay(fromLSN uint64, fn func(Record) error) error {
-	w.mu.Lock()
-	// Flush so readers observe everything appended so far.
-	if w.w != nil {
-		if err := w.w.Flush(); err != nil {
-			w.mu.Unlock()
-			return err
-		}
-	}
-	segs, err := w.segments()
-	dir := w.dir
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for i, start := range segs {
-		// Skip segments entirely before fromLSN: a segment can be
-		// skipped only if the NEXT segment starts at or before fromLSN.
-		if i+1 < len(segs) && segs[i+1] <= fromLSN {
-			continue
-		}
-		isLast := i == len(segs)-1
-		_, _, err := scanSegment(w.fs, filepath.Join(dir, segName(start)), func(r Record) error {
-			if r.LSN < fromLSN {
-				return nil
-			}
-			return fn(r)
-		})
-		if err != nil {
-			var torn *TornTailError
-			if errors.As(err, &torn) && isLast {
-				return nil // torn tail at the end is expected after crash
-			}
-			return err
-		}
-	}
-	return nil
+	_, err := w.Cursor(fromLSN).Next(fn)
+	return err
 }
 
 // Checkpoint removes whole segments that contain only records with
@@ -413,7 +366,7 @@ func (w *WAL) Checkpoint(keepLSN uint64) error {
 		// Removable if the next segment starts at or below keepLSN
 		// (meaning every record here is < keepLSN) and it is not the
 		// active segment.
-		if i+1 >= len(segs) || segs[i+1] > keepLSN || start == w.segStart {
+		if i+1 >= len(segs) || segs[i+1] > keepLSN || start == w.segStart.Load() {
 			continue
 		}
 		if err := w.fs.Remove(filepath.Join(w.dir, segName(start))); err != nil {
@@ -423,7 +376,7 @@ func (w *WAL) Checkpoint(keepLSN uint64) error {
 	return nil
 }
 
-// errStopScan ends a segment scan early without reporting corruption.
+// errStopScan ends a scan of the newest segment at the applied horizon.
 var errStopScan = errors.New("wal: stop scan")
 
 // RecoverTail re-verifies the tail of the log after a write or fsync
@@ -463,60 +416,65 @@ func (w *WAL) RecoverTail(lastApplied uint64) error {
 		}
 		segs = segs[:len(segs)-1]
 	}
-	last := segs[len(segs)-1]
-	path := filepath.Join(w.dir, segName(last))
-	good, lastLSN, err := scanSegment(w.fs, path, func(r Record) error {
+	c, err := w.reopenNewest(segs[len(segs)-1], func(r Record) error {
 		if r.LSN > lastApplied {
 			return errStopScan
 		}
 		return nil
 	})
-	if err != nil && !errors.Is(err, errStopScan) {
-		var torn *TornTailError
-		if !errors.As(err, &torn) {
-			return err
-		}
-	}
-	fi, err := w.fs.Stat(path)
 	if err != nil {
-		return fmt.Errorf("wal: recover stat: %w", err)
-	}
-	if fi.Size() > good {
-		if err := w.fs.Truncate(path, good); err != nil {
-			return fmt.Errorf("wal: recover truncate: %w", err)
-		}
-	}
-	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: recover reopen: %w", err)
+		return err
 	}
 	// Prove the device accepts durability again before resuming.
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := w.f.Sync(); err != nil {
+		w.f.Close()
+		w.f, w.w = nil, nil
 		return fmt.Errorf("wal: recover fsync: %w", err)
-	}
-	w.f = f
-	w.w = bufio.NewWriterSize(f, 64<<10)
-	w.curSize = good
-	w.segStart = last
-	w.nextLSN = lastLSN + 1
-	if last >= w.nextLSN {
-		w.nextLSN = last
 	}
 	// Never reissue an LSN the caller already applied: with a sync
 	// cadence > 1 an applied record can be lost with the poisoned write
 	// buffer, leaving a gap in the log — a gap is harmless to replay,
 	// but LSN reuse would corrupt journal mining and replication.
-	if lastApplied+1 > w.nextLSN {
-		w.nextLSN = lastApplied + 1
-	}
+	w.nextLSN = max(c.next, lastApplied+1)
 	w.unsync = 0
 	w.syncMu.Lock()
 	// The fsync above re-established durability through the verified
 	// tail; nothing past it exists any more.
-	w.syncedLSN = lastLSN
+	w.syncedLSN = c.next - 1
 	w.syncMu.Unlock()
 	return nil
+}
+
+// reopenNewest makes the newest segment, last, the append target: a
+// cursor reads it until keep refuses a record or the intact records
+// end, the file is cut back to that point, and appends resume there.
+// The returned cursor's next LSN follows the kept records. A segment
+// whose header never reached the file is started afresh.
+func (w *WAL) reopenNewest(last uint64, keep func(Record) error) (*Cursor, error) {
+	c := w.Cursor(last)
+	var torn *TornTailError
+	if _, err := c.read(keep); err != nil && !errors.Is(err, errStopScan) && !errors.As(err, &torn) {
+		return nil, err
+	}
+	path := filepath.Join(w.dir, segName(last))
+	if c.off == 0 {
+		if err := w.fs.Remove(path); err != nil {
+			return nil, fmt.Errorf("wal: remove headerless segment: %w", err)
+		}
+		return c, w.rollLocked(last)
+	}
+	if err := w.fs.Truncate(path, c.off); err != nil {
+		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
+	}
+	f, err := w.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open segment: %w", err)
+	}
+	w.f = f
+	w.w = bufio.NewWriterSize(f, 64<<10)
+	w.curSize = c.off
+	w.segStart.Store(last)
+	return c, nil
 }
 
 // TornTailError reports a record that failed validation, most likely a
@@ -524,59 +482,45 @@ func (w *WAL) RecoverTail(lastApplied uint64) error {
 type TornTailError struct {
 	Offset int64
 	Reason string
+	// cut marks a record whose bytes end early: at the end of the
+	// newest segment that is a write still in flight, not corruption.
+	cut bool
 }
 
 func (e *TornTailError) Error() string {
 	return fmt.Sprintf("wal: torn/corrupt record at offset %d: %s", e.Offset, e.Reason)
 }
 
-// scanSegment reads records sequentially, calling fn for each; it
-// returns the byte offset just past the last intact record and the last
-// LSN seen. Validation failure returns a *TornTailError.
-func scanSegment(fsys vfs.FS, path string, fn func(Record) error) (goodSize int64, lastLSN uint64, err error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: open for scan: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 256<<10)
-	hdr := make([]byte, segHeaderSize)
+// recordCRC is the checksum a record header carries: over the rest of
+// the header and the payload.
+func recordCRC(hdr, data []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[4:recHeaderSize]), crc32.IEEETable, data)
+}
+
+// readRecord parses the record at off, the reader's position. It
+// returns io.EOF when the reader ends exactly there, and a
+// *TornTailError for a record cut short or failing validation. hdr is
+// scratch of recHeaderSize bytes.
+func readRecord(br *bufio.Reader, off int64, hdr []byte) (Record, error) {
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, 0, &TornTailError{Offset: 0, Reason: "short segment header"}
+		if err != io.ErrUnexpectedEOF {
+			return Record{}, err // io.EOF: the reader ends on a record boundary
+		}
+		return Record{}, &TornTailError{Offset: off, Reason: "short record header", cut: true}
 	}
-	if string(hdr[:len(segMagic)]) != segMagic {
-		return 0, 0, fmt.Errorf("wal: bad segment magic in %s", path)
+	length := binary.BigEndian.Uint32(hdr[4:8])
+	if length > 1<<30 {
+		return Record{}, &TornTailError{Offset: off, Reason: "implausible record length"}
 	}
-	offset := int64(segHeaderSize)
-	rec := make([]byte, recHeaderSize)
-	for {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			if err == io.EOF {
-				return offset, lastLSN, nil
-			}
-			return offset, lastLSN, &TornTailError{Offset: offset, Reason: "short record header"}
+	data := make([]byte, length)
+	if _, err := io.ReadFull(br, data); err != nil {
+		if err != io.EOF && err != io.ErrUnexpectedEOF {
+			return Record{}, err
 		}
-		wantCRC := binary.BigEndian.Uint32(rec[0:4])
-		length := binary.BigEndian.Uint32(rec[4:8])
-		lsn := binary.BigEndian.Uint64(rec[8:16])
-		typ := rec[16]
-		if length > 1<<30 {
-			return offset, lastLSN, &TornTailError{Offset: offset, Reason: "implausible record length"}
-		}
-		data := make([]byte, length)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return offset, lastLSN, &TornTailError{Offset: offset, Reason: "short record payload"}
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(rec[4:])
-		crc.Write(data)
-		if crc.Sum32() != wantCRC {
-			return offset, lastLSN, &TornTailError{Offset: offset, Reason: "checksum mismatch"}
-		}
-		if err := fn(Record{LSN: lsn, Type: typ, Data: data}); err != nil {
-			return offset, lastLSN, err
-		}
-		offset += int64(recHeaderSize) + int64(length)
-		lastLSN = lsn
+		return Record{}, &TornTailError{Offset: off, Reason: "short record payload", cut: true}
 	}
+	if recordCRC(hdr, data) != binary.BigEndian.Uint32(hdr[0:4]) {
+		return Record{}, &TornTailError{Offset: off, Reason: "checksum mismatch"}
+	}
+	return Record{LSN: binary.BigEndian.Uint64(hdr[8:16]), Type: hdr[16], Data: data}, nil
 }

@@ -382,3 +382,37 @@ func TestSyncToOnClosedWAL(t *testing.T) {
 		t.Error("SyncTo past the end of a closed WAL should fail")
 	}
 }
+
+// TestOpenRestartsHeaderlessSegment leaves the newest segment as a
+// crash mid-roll does, created but with its header cut short: Open
+// starts that segment afresh, and its records replay after a restart.
+func TestOpenRestartsHeaderlessSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.Append(0, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	if err := os.WriteFile(filepath.Join(dir, segName(4)), []byte(segMagic[:5]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		w, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("round %d open: %v", round, err)
+		}
+		if lsn, err := w.Append(0, []byte("y")); err != nil || lsn != uint64(4+round) {
+			t.Fatalf("round %d append = (%d, %v), want lsn %d", round, lsn, err, 4+round)
+		}
+		count := 0
+		if err := w.Replay(0, func(Record) error { count++; return nil }); err != nil || count != 4+round {
+			t.Fatalf("round %d replay = (%d, %v), want %d records", round, count, err, 4+round)
+		}
+		w.Close()
+	}
+}

@@ -21,7 +21,6 @@ var unreachedAllowed = map[string]string{
 	"expr.MustCompile":         "a helper of other packages' tests",
 	"val.MustFromAny":          "a helper of other packages' tests",
 	"val.Value.Any":            "the oracle of FuzzMarshalResult",
-	"repl.Follower.Cursor":     "a probe of the root package's replication tests",
 	"repl.Follower.WaitCursor": "a probe of the root package's replication tests",
 	"journal.Miner.Mine":       "used by the root bench_test.go experiment",
 	"core.Engine.Watches":      "a probe of TestRegistrationsAcrossRestart (ROADMAP item 11)",
