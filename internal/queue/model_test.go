@@ -15,8 +15,9 @@ type modelMsg struct {
 	pri      int
 	attempts int // persisted: deliveries that ended in a NACK or a timeout
 	state    string
-	attempt  int   // the live delivery's attempt, while state is inflight
-	deadline int64 // the live delivery's visibility deadline
+	attempt  int    // the live delivery's attempt, while state is inflight
+	deadline int64  // the live delivery's visibility deadline
+	holder   string // the live delivery's consumer
 }
 
 // Model states beside the table's: acked is settled in memory with its
@@ -38,6 +39,17 @@ func (m *queueModel) count(state string) int {
 	n := 0
 	for _, mm := range m.msgs {
 		if mm.state == state {
+			n++
+		}
+	}
+	return n
+}
+
+// held counts the deliveries one consumer holds.
+func (m *queueModel) held(consumer string) int {
+	n := 0
+	for _, mm := range m.msgs {
+		if mm.state == stateInflight && mm.holder == consumer {
 			n++
 		}
 	}
@@ -71,9 +83,9 @@ func (m *queueModel) reap(now int64) {
 	}
 }
 
-// claim is DequeueBatch: settle, reap, then the n ready messages by
-// priority descending and id ascending.
-func (m *queueModel) claim(n int, now, deadline int64) []int64 {
+// claim is DequeueBatch by consumer: settle, reap, then the n ready
+// messages by priority descending and id ascending.
+func (m *queueModel) claim(consumer string, n int, now, deadline int64) []int64 {
 	m.settle()
 	m.reap(now)
 	var ready []int64
@@ -92,15 +104,16 @@ func (m *queueModel) claim(n int, now, deadline int64) []int64 {
 	ready = ready[:min(n, len(ready))]
 	for _, id := range ready {
 		mm := m.msgs[id]
-		mm.state, mm.attempt, mm.deadline = stateInflight, mm.attempts+1, deadline
+		mm.state, mm.attempt, mm.deadline, mm.holder = stateInflight, mm.attempts+1, deadline, consumer
 	}
 	return ready
 }
 
-// live reports whether a receipt is the message's current delivery.
+// live reports whether a receipt is the message's current delivery: its
+// holder's, at its attempt.
 func (m *queueModel) live(r Receipt) (*modelMsg, bool) {
 	mm := m.msgs[r.ID]
-	return mm, mm != nil && mm.state == stateInflight && int64(mm.attempt) == r.attempt
+	return mm, mm != nil && mm.state == stateInflight && int64(mm.attempt) == r.attempt && mm.holder == r.Consumer
 }
 
 // restart is a reopen: what is in flight is ready again with its
@@ -117,17 +130,21 @@ func (m *queueModel) restart(closed bool) {
 	}
 }
 
-// TestQueueMatchesModel runs seeded scripts of enqueues, claims, ACKs,
-// NACKs, Releases, Reaps, clock jumps past the visibility timeout and
-// restarts — a clean Close and a crash — against a durable queue and
-// the model above. Every claim must hand out the model's messages with
-// its attempt numbers, every settlement must succeed or go stale as the
-// model says, and Stats and the dead letters must agree after every
-// step.
+// TestQueueMatchesModel runs seeded scripts of enqueues, claims by two
+// consumers, ACKs, NACKs, Releases, releases of all one consumer
+// holds, Reaps, clock jumps past the visibility timeout and restarts —
+// a clean Close and a crash — against a durable queue and the model
+// above. Every claim must hand out the model's messages with its
+// attempt numbers, every settlement must succeed or go stale as the
+// model says — a receipt kept past its settlement comes back, so one
+// whose message another consumer now holds at the same attempt is
+// tried too — and Stats, each consumer's held count and the dead
+// letters must agree after every step.
 func TestQueueMatchesModel(t *testing.T) {
 	const vt = 10 * time.Second
 	cfg := Config{VisibilityTimeout: vt, MaxAttempts: 3}
-	var redelivered, dead, crashBack int // the scripts must reach each
+	consumers := []string{"c", "d"}
+	var redelivered, dead, crashBack, foreign int // the scripts must reach each
 	for seed := int64(1); seed <= 20; seed++ {
 		now := fakeClock(t)
 		rng := rand.New(rand.NewSource(seed))
@@ -154,7 +171,7 @@ func TestQueueMatchesModel(t *testing.T) {
 		model := &queueModel{msgs: map[int64]*modelMsg{}, maxAttempts: cfg.MaxAttempts}
 		var held []Receipt
 		for step := 0; step < 250; step++ {
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(21); {
 			case op < 4: // enqueue
 				pri := rng.Intn(3)
 				id, err := q.Enqueue(ev(step), EnqueueOptions{Priority: pri})
@@ -164,9 +181,10 @@ func TestQueueMatchesModel(t *testing.T) {
 				model.msgs[id] = &modelMsg{pri: pri, state: stateReady}
 			case op < 8: // claim
 				n := 1 + rng.Intn(5)
+				consumer := consumers[rng.Intn(2)]
 				nowNS := now.UnixNano()
-				want := model.claim(n, nowNS, nowNS+vt.Nanoseconds())
-				got, err := q.DequeueBatch("c", n)
+				want := model.claim(consumer, n, nowNS, nowNS+vt.Nanoseconds())
+				got, err := q.DequeueBatch(consumer, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,8 +207,13 @@ func TestQueueMatchesModel(t *testing.T) {
 				}
 				i := rng.Intn(len(held))
 				r := held[i]
-				held = append(held[:i], held[i+1:]...)
+				if rng.Intn(4) > 0 { // else kept, to come back stale
+					held = append(held[:i], held[i+1:]...)
+				}
 				mm, live := model.live(r)
+				if !live && mm != nil && mm.state == stateInflight && int64(mm.attempt) == r.attempt {
+					foreign++
+				}
 				var err error
 				switch rng.Intn(4) {
 				case 0, 1:
@@ -213,8 +236,8 @@ func TestQueueMatchesModel(t *testing.T) {
 					}
 				}
 				if live != (err == nil) || (!live && !errors.Is(err, ErrStaleReceipt)) {
-					t.Fatalf("seed %d step %d: settling message %d attempt %d gave %v; the model says live=%v",
-						seed, step, r.ID, r.attempt, err, live)
+					t.Fatalf("seed %d step %d: settling %s's message %d attempt %d gave %v; the model says live=%v",
+						seed, step, r.Consumer, r.ID, r.attempt, err, live)
 				}
 			case op < 16: // the clock passes the visibility timeout, or most of it
 				*now = now.Add(time.Duration(rng.Int63n(int64(vt) * 3 / 2)))
@@ -222,6 +245,14 @@ func TestQueueMatchesModel(t *testing.T) {
 				q.Reap()
 				model.settle()
 				model.reap(now.UnixNano())
+			case op < 18: // release all one consumer holds
+				consumer := consumers[rng.Intn(2)]
+				q.ReleaseHeld(consumer)
+				for _, mm := range model.msgs {
+					if mm.state == stateInflight && mm.holder == consumer {
+						mm.state = stateReady
+					}
+				}
 			default: // restart: a clean Close, or a crash that skips it
 				closed := rng.Intn(2) == 0
 				if closed {
@@ -240,6 +271,11 @@ func TestQueueMatchesModel(t *testing.T) {
 			if want := (Stats{Ready: model.count(stateReady), Inflight: model.count(stateInflight), Dead: model.count(stateDead)}); st != want {
 				t.Fatalf("seed %d step %d: Stats = %+v, the model's %+v", seed, step, st, want)
 			}
+			for _, c := range consumers {
+				if got, want := q.Held(c), model.held(c); got != want {
+					t.Fatalf("seed %d step %d: %s holds %d, in the model %d", seed, step, c, got, want)
+				}
+			}
 		}
 		ids, _, err := q.DeadLetters()
 		if err != nil {
@@ -257,8 +293,8 @@ func TestQueueMatchesModel(t *testing.T) {
 		mgr.Close()
 		db.Close()
 	}
-	if redelivered == 0 || dead == 0 || crashBack == 0 {
-		t.Fatalf("the scripts produced %d redeliveries, %d dead letters and %d acknowledged messages a crash gave back; each must occur",
-			redelivered, dead, crashBack)
+	if redelivered == 0 || dead == 0 || crashBack == 0 || foreign == 0 {
+		t.Fatalf("the scripts produced %d redeliveries, %d dead letters, %d acknowledged messages a crash gave back and %d receipts whose message another consumer held at their attempt; each must occur",
+			redelivered, dead, crashBack, foreign)
 	}
 }

@@ -18,9 +18,10 @@
 //
 // Delivery semantics: at-least-once. A dequeued message is invisible for
 // the queue's visibility timeout; if not acknowledged in time it is
-// redelivered (attempts capped, then dead-lettered). Receipts carry the
-// delivery attempt so a stale receipt (from before a redelivery) cannot
-// acknowledge the message.
+// redelivered (attempts capped, then dead-lettered). A receipt settles
+// only its holder's claim at its attempt, so a stale one (from before a
+// redelivery, or a release to another consumer) cannot; the queue is
+// the only record of claims, counted and released per holder.
 //
 // Both directions batch: Group stages any number of events into any
 // number of queues under one transaction (EnqueueGroup is its one-event
@@ -33,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -124,6 +126,16 @@ func (m *Manager) Open(name string, cfg Config) (*Queue, error) {
 	return m.attach(name, cfg)
 }
 
+// ReleaseHeld releases every claim consumer holds in any attached
+// queue.
+func (m *Manager) ReleaseHeld(consumer string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, q := range m.queues {
+		q.ReleaseHeld(consumer)
+	}
+}
+
 // Get returns an already attached queue.
 func (m *Manager) Get(name string) (*Queue, bool) {
 	m.mu.Lock()
@@ -164,6 +176,7 @@ func (m *Manager) attach(name string, cfg Config) (*Queue, error) {
 		cfg:       cfg.withDefaults(),
 		rowIDs:    make(map[int64]storage.RowID),
 		inflight:  make(map[int64]inflightInfo),
+		held:      make(map[string]int),
 		reapAfter: math.MaxInt64,
 		notify:    make(chan struct{}, 1),
 	}
@@ -260,7 +273,8 @@ type Queue struct {
 	dead   int
 	// inflight is the claim on each delivered message, held only here.
 	inflight map[int64]inflightInfo
-	settleMu sync.Mutex // one Settle at a time; taken before mu
+	held     map[string]int // inflight's claims counted by holder
+	settleMu sync.Mutex     // one Settle at a time; taken before mu
 	// reapAfter is a lower bound on the earliest in-flight deadline:
 	// while the clock is below it reapExpired has nothing to find and
 	// does not look. Settling a delivery leaves it stale (still a lower
@@ -275,6 +289,7 @@ type inflightInfo struct {
 	deadline int64 // unix nanos
 	attempt  int64 // the persisted attempts + 1
 	pri      int64
+	holder   string // the consumer that dequeued it
 }
 
 // Name returns the queue name.
@@ -439,16 +454,23 @@ type Msg struct {
 
 // Receipt identifies one delivery for Ack/Nack.
 type Receipt struct {
-	Queue   string
-	ID      int64
-	attempt int64
+	Queue    string
+	ID       int64
+	Consumer string // the claim's holder
+	attempt  int64
+}
+
+// Token renders the receipt as text, "<id>-<attempt>": the form a wire
+// consumer is handed and Claim reads back.
+func (r Receipt) Token() string {
+	return strconv.FormatInt(r.ID, 10) + "-" + strconv.FormatInt(r.attempt, 10)
 }
 
 // maxClaim bounds how many messages one claim takes.
 const maxClaim = 256
 
 // Dequeue delivers the next visible message, or ok=false if none is
-// ready. consumer names the caller; it is not recorded.
+// ready. consumer names the caller, who holds the claim.
 func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 	msgs, err := q.DequeueBatch(consumer, 1)
 	if len(msgs) == 0 {
@@ -460,12 +482,13 @@ func (q *Queue) Dequeue(consumer string) (*Msg, bool, error) {
 // DequeueBatch delivers up to n (at most maxClaim) visible messages, in
 // the order n calls of Dequeue would — priority descending, then ID
 // ascending. It settles first, then locks each message in memory until
-// its visibility timeout, writing nothing; the attempt is the persisted
-// attempts + 1. On a degraded database it claims nothing and returns
-// storage.ErrDegraded. A message whose payload does not decode is
-// claimed but left out of the result, with an error beside the
-// messages that did decode: it stays in flight until its visibility
-// timeout, so its attempts burn down to the dead letter.
+// its visibility timeout as consumer's claim, writing nothing; the
+// attempt is the persisted attempts + 1. On a degraded database it
+// claims nothing and returns storage.ErrDegraded. A message whose
+// payload does not decode is claimed but left out of the result, with
+// an error beside the messages that did decode: it stays in flight
+// until its visibility timeout, so its attempts burn down to the dead
+// letter.
 func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 	q.Settle() // a failure keeps its rows for the next one
 	if bad, cause := q.db.Degraded(); bad {
@@ -512,8 +535,9 @@ func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 	q.mu.Lock()
 	for _, c := range claims {
 		pri, _ := c.row[1].AsInt()
-		q.inflight[c.id] = inflightInfo{deadline: deadline, attempt: c.attempt, pri: pri}
+		q.inflight[c.id] = inflightInfo{deadline: deadline, attempt: c.attempt, pri: pri, holder: consumer}
 	}
+	q.held[consumer] += len(claims)
 	q.reapAfter = min(q.reapAfter, deadline)
 	q.mu.Unlock()
 
@@ -529,7 +553,7 @@ func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 		enq, _ := c.row[5].AsInt()
 		pri, _ := c.row[1].AsInt()
 		msgs = append(msgs, &Msg{
-			Receipt:    Receipt{Queue: q.name, ID: c.id, attempt: c.attempt},
+			Receipt:    Receipt{Queue: q.name, ID: c.id, Consumer: consumer, attempt: c.attempt},
 			Event:      ev,
 			Attempt:    int(c.attempt),
 			EnqueuedAt: time.Unix(0, enq).UTC(),
@@ -542,18 +566,55 @@ func (q *Queue) DequeueBatch(consumer string, n int) ([]*Msg, error) {
 // ErrStaleReceipt guards acks from superseded deliveries.
 var ErrStaleReceipt = errors.New("queue: stale receipt (message was redelivered)")
 
-// ReceiptCurrent reports whether a receipt still refers to its
-// message's live delivery attempt — i.e. whether an Ack with it would
-// still succeed. A receipt goes stale when the message is settled,
-// redelivered, or reaped after its visibility timeout. Lets delivery
-// ledgers evict receipts whose acknowledgments can never arrive; pair
-// with Reap so deadline-expired deliveries actually go stale even
-// while no consumer is dequeuing.
-func (q *Queue) ReceiptCurrent(r Receipt) bool {
+// Claim reads a receipt token and returns the receipt of the live claim
+// on the message it names, whoever holds it, and whether the token
+// names that claim's attempt. ok is false when Token would not render
+// the token so or the message is not in flight.
+func (q *Queue) Claim(token string) (live Receipt, current, ok bool) {
+	idText, attemptText, _ := strings.Cut(token, "-")
+	id, err := strconv.ParseInt(idText, 10, 64)
+	attempt, err2 := strconv.ParseInt(attemptText, 10, 64)
+	if err != nil || err2 != nil || (Receipt{ID: id, attempt: attempt}).Token() != token {
+		return Receipt{}, false, false
+	}
+	q.mu.Lock()
+	info, ok := q.inflight[id]
+	q.mu.Unlock()
+	if !ok {
+		return Receipt{}, false, false
+	}
+	return Receipt{Queue: q.name, ID: id, Consumer: info.holder, attempt: info.attempt}, info.attempt == attempt, true
+}
+
+// Held counts the claims the named consumers hold, expired ones that no
+// reap has returned yet included.
+func (q *Queue) Held(consumers ...string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	n := 0
+	for _, c := range consumers {
+		n += q.held[c]
+	}
+	return n
+}
+
+// unclaimLocked ends the live claim a receipt names — its holder's at
+// its attempt — and returns it. Caller holds q.mu.
+func (q *Queue) unclaimLocked(r Receipt) (inflightInfo, bool) {
 	info, ok := q.inflight[r.ID]
-	return ok && info.attempt == r.attempt
+	if !ok || info.attempt != r.attempt || info.holder != r.Consumer {
+		return inflightInfo{}, false
+	}
+	q.dropClaimLocked(r.ID, info)
+	return info, true
+}
+
+// dropClaimLocked forgets one claim. Caller holds q.mu.
+func (q *Queue) dropClaimLocked(id int64, info inflightInfo) {
+	delete(q.inflight, id)
+	if q.held[info.holder]--; q.held[info.holder] == 0 {
+		delete(q.held, info.holder)
+	}
 }
 
 // Reap settles, then requeues (or dead-letters) inflight messages whose
@@ -573,13 +634,11 @@ func (q *Queue) Reap() {
 // empty. A failed settle keeps its rows for the next one.
 func (q *Queue) Ack(r Receipt) error {
 	q.mu.Lock()
-	info, ok := q.inflight[r.ID]
-	if !ok || info.attempt != r.attempt {
+	if _, ok := q.unclaimLocked(r); !ok {
 		q.mu.Unlock()
 		return ErrStaleReceipt
 	}
 	q.settle = append(q.settle, q.rowIDs[r.ID])
-	delete(q.inflight, r.ID)
 	delete(q.rowIDs, r.ID)
 	last := len(q.inflight) == 0
 	q.mu.Unlock()
@@ -629,13 +688,12 @@ func (q *Queue) Settle() error {
 // once that reaches MaxAttempts the message is dead-lettered instead.
 func (q *Queue) Nack(r Receipt, delay time.Duration) error {
 	q.mu.Lock()
-	info, ok := q.inflight[r.ID]
-	if !ok || info.attempt != r.attempt {
+	info, ok := q.unclaimLocked(r)
+	if !ok {
 		q.mu.Unlock()
 		return ErrStaleReceipt
 	}
 	rid := q.rowIDs[r.ID]
-	delete(q.inflight, r.ID)
 	q.mu.Unlock()
 	visibleAt := int64(0)
 	if delay > 0 {
@@ -671,24 +729,42 @@ func (q *Queue) fail(id int64, rid storage.RowID, info inflightInfo, visibleAt i
 
 // Release returns an unacknowledged delivery to the queue immediately
 // and writes nothing, so the delivery does not count against
-// MaxAttempts: the next one carries the same attempt number. It is the
-// teardown path for consumers that vanish — a dropped wire connection,
-// a shutting-down worker — where the delivery was never a processing
-// failure: the message becomes visible to other consumers right away
-// instead of waiting out the visibility timeout, and repeated
-// reconnects cannot dead-letter it.
+// MaxAttempts: the next one carries the same attempt number, and only
+// the next holder's receipt settles it. It is the teardown path for
+// consumers that vanish — a dropped wire connection, a shutting-down
+// worker — where the delivery was never a processing failure: the
+// message becomes visible to other consumers right away instead of
+// waiting out the visibility timeout, and repeated reconnects cannot
+// dead-letter it.
 func (q *Queue) Release(r Receipt) error {
 	q.mu.Lock()
-	info, ok := q.inflight[r.ID]
-	if !ok || info.attempt != r.attempt {
+	info, ok := q.unclaimLocked(r)
+	if !ok {
 		q.mu.Unlock()
 		return ErrStaleReceipt
 	}
-	delete(q.inflight, r.ID)
 	q.push(readyItem{id: r.ID, pri: info.pri})
 	q.mu.Unlock()
 	q.wake()
 	return nil
+}
+
+// ReleaseHeld releases every claim consumer holds, as Release would
+// each: a detached push consumer's, or a closed connection's.
+func (q *Queue) ReleaseHeld(consumer string) {
+	q.mu.Lock()
+	if q.held[consumer] == 0 {
+		q.mu.Unlock()
+		return
+	}
+	for id, info := range q.inflight {
+		if info.holder == consumer {
+			q.dropClaimLocked(id, info)
+			q.push(readyItem{id: id, pri: info.pri})
+		}
+	}
+	q.mu.Unlock()
+	q.wake()
 }
 
 // promoteDueLocked moves due delayed messages to the ready heap.
@@ -723,7 +799,7 @@ func (q *Queue) reapExpired(now int64) {
 			q.reapAfter = min(q.reapAfter, info.deadline)
 			continue
 		}
-		delete(q.inflight, id)
+		q.dropClaimLocked(id, info)
 		if rid, ok := q.rowIDs[id]; ok {
 			exp = append(exp, expired{id: id, rid: rid, info: info})
 		}

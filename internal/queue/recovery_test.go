@@ -44,6 +44,79 @@ func TestReleaseReturnsDeliveryWithoutCountingAttempt(t *testing.T) {
 	}
 }
 
+// TestReleasedReceiptCannotSettleNextHolder: a release hands the message
+// on with the same attempt number, so only the holder tells the two
+// claims apart — the receipt from before the release must settle
+// nothing of the next consumer's.
+func TestReleasedReceiptCannotSettleNextHolder(t *testing.T) {
+	_, q := newQueue(t, Config{})
+	if _, err := q.Enqueue(ev(1), EnqueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	a, _, _ := q.Dequeue("a")
+	if err := q.Release(a.Receipt); err != nil {
+		t.Fatal(err)
+	}
+	b, ok, err := q.Dequeue("b")
+	if err != nil || !ok || b.Receipt.ID != a.Receipt.ID || b.Attempt != 1 {
+		t.Fatalf("b's claim = %+v, %v, %v; want a's message again at attempt 1", b, ok, err)
+	}
+	for name, settle := range map[string]func(Receipt) error{
+		"Ack":     q.Ack,
+		"Nack":    func(r Receipt) error { return q.Nack(r, 0) },
+		"Release": q.Release,
+	} {
+		if err := settle(a.Receipt); !errors.Is(err, ErrStaleReceipt) {
+			t.Errorf("%s with a's receipt = %v, want ErrStaleReceipt", name, err)
+		}
+		if st := q.Stats(); st.Inflight != 1 || q.Held("b") != 1 {
+			t.Fatalf("after %s with a's receipt: stats %+v, b holds %d; want b's claim in flight", name, st, q.Held("b"))
+		}
+	}
+	if err := q.Ack(b.Receipt); err != nil {
+		t.Fatalf("b's own ack: %v", err)
+	}
+	if st := q.Stats(); st != (Stats{}) {
+		t.Fatalf("stats after b's ack = %+v, want empty", st)
+	}
+}
+
+// TestClaimReadsToken: Claim reads back exactly what Token renders, and
+// names the live claim whoever holds it.
+func TestClaimReadsToken(t *testing.T) {
+	_, q := newQueue(t, Config{})
+	if _, err := q.Enqueue(ev(1), EnqueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	m, _, _ := q.Dequeue("a")
+	if tok := m.Receipt.Token(); tok != "1-1" {
+		t.Fatalf("Token() = %q, want 1-1", tok)
+	}
+	for _, tc := range []struct {
+		token       string
+		current, ok bool
+	}{
+		{"1-1", true, true},
+		{"1-2", false, true},
+		{"2-1", false, false}, // not in flight
+		{"01-1", false, false},
+		{"+1-1", false, false},
+		{"1-", false, false},
+		{"1", false, false},
+		{"h7", false, false},
+		{"-", false, false},
+		{"", false, false},
+	} {
+		live, current, ok := q.Claim(tc.token)
+		if current != tc.current || ok != tc.ok {
+			t.Errorf("Claim(%q) = current %v, ok %v; want %v, %v", tc.token, current, ok, tc.current, tc.ok)
+		}
+		if ok && live != m.Receipt {
+			t.Errorf("Claim(%q) = %+v, want the live claim %+v", tc.token, live, m.Receipt)
+		}
+	}
+}
+
 func TestRequeueReturnsDeadLetterToService(t *testing.T) {
 	_, q := newQueue(t, Config{MaxAttempts: 1})
 	id, err := q.Enqueue(ev(1), EnqueueOptions{})

@@ -87,11 +87,6 @@ func (c *conn) queueFail(err error) {
 	c.errf(codeInternal, "%v", err)
 }
 
-// receiptToken renders the wire receipt for one delivery attempt.
-func receiptToken(id int64, attempt int) string {
-	return strconv.FormatInt(id, 10) + "-" + strconv.Itoa(attempt)
-}
-
 func handleConsume(c *conn, req *request) bool {
 	name := req.args[0]
 	max, ok := req.int1(1)
@@ -110,11 +105,9 @@ func handleConsume(c *conn, req *request) bool {
 		c.queueFail(err)
 		return true
 	}
-	consumer := fmt.Sprintf("conn%d", c.id)
 	var evts []qline
 	for len(evts) < max {
-		msgs, err := q.DequeueBatch(consumer, max-len(evts))
-		claimed := len(evts)
+		msgs, err := q.DequeueBatch(c.pull, max-len(evts))
 		for _, msg := range msgs {
 			data, err := msg.Event.EncodedJSON()
 			if err != nil {
@@ -125,16 +118,13 @@ func handleConsume(c *conn, req *request) bool {
 				q.Nack(msg.Receipt, 0)
 				continue
 			}
-			evts = append(evts, qline{receiptToken(msg.Receipt.ID, msg.Attempt), msg.Attempt, data, msg.Receipt})
+			evts = append(evts, qline{msg.Receipt.Token(), msg.Attempt, data, msg.Receipt})
 		}
-		c.trackReceipts(name, evts[claimed:], nil)
 		if err != nil {
 			// Hand back what this command already claimed: the client
 			// gets only ERR and has no tokens to settle with.
 			for _, e := range evts {
-				if r, ok := c.takeReceipt(name, e.token); ok {
-					q.Release(r)
-				}
+				q.Release(e.r)
 			}
 			c.errf(codeInternal, "%v", err)
 			return true
@@ -151,49 +141,57 @@ func handleConsume(c *conn, req *request) bool {
 	return true
 }
 
-func handleAck(c *conn, req *request) bool {
-	name, token := req.args[0], req.args[1]
-	r, ok := c.takeReceipt(name, token)
-	if !ok {
-		c.errf(codeNoReceipt, "no outstanding delivery %q on queue %q", token, name)
-		return true
-	}
+// claimOf resolves an ACK or NACK token to the claim it settles: this
+// connection's, at the token's attempt. Otherwise it replies conflict
+// when the connection holds the message at another attempt, and
+// noreceipt for any other token.
+func (c *conn) claimOf(name, token string) (*queue.Queue, queue.Receipt, bool) {
 	q, ok := c.srv.eng.Queues.Get(name)
+	var r queue.Receipt
+	current := false
+	if ok {
+		r, current, ok = q.Claim(token)
+	}
+	switch {
+	case !ok || (r.Consumer != c.pull && r.Consumer != c.push):
+		c.errf(codeNoReceipt, "no outstanding delivery %q on queue %q", token, name)
+	case !current:
+		c.errf(codeConflict, "%v", queue.ErrStaleReceipt)
+	default:
+		return q, r, true
+	}
+	return nil, r, false
+}
+
+func handleAck(c *conn, req *request) bool {
+	q, r, ok := c.claimOf(req.args[0], req.args[1])
 	if !ok {
-		c.errf(codeNoQueue, "no queue %q", name)
 		return true
 	}
 	if err := q.Ack(r); err != nil {
 		c.errf(codeConflict, "%v", err)
 		return true
 	}
-	c.signalAck(name)
+	c.signalAck(q)
 	c.reply("OK")
 	return true
 }
 
 func handleNack(c *conn, req *request) bool {
-	name, token := req.args[0], req.args[1]
 	delayMS, ok := req.int1(2)
 	if !ok {
 		c.errf(codeBadArgs, "NACK needs a non-negative delay in milliseconds, got %q", req.args[2])
 		return true
 	}
-	r, found := c.takeReceipt(name, token)
-	if !found {
-		c.errf(codeNoReceipt, "no outstanding delivery %q on queue %q", token, name)
-		return true
-	}
-	q, found := c.srv.eng.Queues.Get(name)
-	if !found {
-		c.errf(codeNoQueue, "no queue %q", name)
+	q, r, ok := c.claimOf(req.args[0], req.args[1])
+	if !ok {
 		return true
 	}
 	if err := q.Nack(r, time.Duration(delayMS)*time.Millisecond); err != nil {
 		c.errf(codeConflict, "%v", err)
 		return true
 	}
-	c.signalAck(name)
+	c.signalAck(q)
 	c.reply("OK")
 	return true
 }
@@ -216,12 +214,12 @@ func handleQStats(c *conn, req *request) bool {
 	st := q.Stats()
 	if format == "json" {
 		c.reply(fmt.Sprintf(`OK {"ready":%d,"inflight":%d,"dead":%d,"outstanding":%d,"patterns":%s}`,
-			st.Ready, st.Inflight, st.Dead, c.outstanding(name),
+			st.Ready, st.Inflight, st.Dead, c.outstanding(q),
 			patternsJSON(c.srv.eng.PatternStats())))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK ready=%d inflight=%d dead=%d outstanding=%d",
-		st.Ready, st.Inflight, st.Dead, c.outstanding(name)))
+		st.Ready, st.Inflight, st.Dead, c.outstanding(q)))
 	return true
 }
 

@@ -469,15 +469,17 @@ func (s *Server) acceptLoop() {
 			s.refuse(nc)
 			continue
 		}
+		id := s.nextConn.Add(1)
 		c := &conn{
-			srv:      s,
-			id:       s.nextConn.Add(1),
-			nc:       nc,
-			fd:       -1,
-			stop:     make(chan struct{}),
-			sinks:    make(map[string]sink),
-			receipts: make(map[string]map[string]trackedReceipt),
+			srv:   s,
+			id:    id,
+			nc:    nc,
+			fd:    -1,
+			stop:  make(chan struct{}),
+			sinks: make(map[string]sink),
+			pull:  fmt.Sprintf("conn%d", id),
 		}
+		c.push = c.pull + "/qsub"
 		// Capture the raw fd for the parking poller. Holding the integer
 		// past the Control callback is safe here: it is only ever used
 		// to arm epoll while the conn is registered, and a stale arm on
@@ -579,8 +581,9 @@ type conn struct {
 	sinks    map[string]sink // local id → registered delivery sink
 	everSink bool            // a sink was registered at least once (locks HELLO)
 
-	rmu      sync.Mutex
-	receipts map[string]map[string]trackedReceipt // queue → token → outstanding delivery
+	// The holders of its queue claims: pull for CONSUMEs, push for its
+	// QSUB sinks' deliveries, so an UNSUB releases only what it pushed.
+	pull, push string
 
 	// The reader goroutine's own: the working memory of this connection's
 	// SELECTs (made by the first), and the buffer its longer replies are
@@ -698,7 +701,7 @@ type qline struct {
 	token   string
 	attempt int
 	data    []byte        // the event's JSON form
-	r       queue.Receipt // what an ACK of token settles (unset for "-" and REPLAY's "h<lsn>")
+	r       queue.Receipt // the claim token names (unset for "-" and REPLAY's "h<lsn>")
 }
 
 // queueQEvts queues durable deliveries in the negotiated wire form, as
@@ -1163,8 +1166,8 @@ func (c *conn) teardown() {
 	for _, s := range sinks {
 		s.detach()
 	}
-	// Receipts left by CONSUME on queues no sink covered.
-	c.releaseAllReceipts()
+	// The claims its CONSUMEs left, in every queue.
+	c.srv.eng.Queues.ReleaseHeld(c.pull)
 	close(c.stop)
 	// Take exclusive socket ownership: once wClosed is in, nothing can
 	// be queued and no burst can start, and the spin ends as soon as the

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -94,14 +93,10 @@ func (s *queueSink) detach() {
 	// now; release them so other consumers get them immediately instead
 	// of after the visibility timeout. Release does not count the
 	// attempt: a vanished consumer is not a processing failure. Only
-	// this sink's own receipts — CONSUME receipts on the same queue
-	// belong to the (possibly still live) connection, which settles
-	// them itself or releases them at teardown.
-	for _, r := range s.c.dropReceipts(s.name, s) {
-		if err := s.q.Release(r); err != nil {
-			s.c.srv.eng.Metrics.Counter("server.qsub.release_errors").Inc()
-		}
-	}
+	// this sink's own claims — CONSUME claims on the same queue belong
+	// to the (possibly still live) connection, which settles them itself
+	// or releases them at teardown.
+	s.q.ReleaseHeld(s.c.push)
 	// The consumer's claims settled its acknowledged messages; with the
 	// consumer gone, delete what it acknowledged since its last claim.
 	if err := s.q.Settle(); err != nil {
@@ -117,7 +112,6 @@ const waitQuantum = 250 * time.Millisecond
 // run is the per-consumer delivery goroutine.
 func (s *queueSink) run() {
 	defer close(s.done)
-	consumer := fmt.Sprintf("conn%d", s.c.id)
 	// One timer for every pause of the consumer's life.
 	pause := time.NewTimer(waitQuantum)
 	defer pause.Stop()
@@ -131,28 +125,27 @@ func (s *queueSink) run() {
 		// claims one message at a time.
 		room := 1
 		if !s.autoAck {
-			room = s.prefetch - s.c.outstanding(s.name)
+			room = s.prefetch - s.c.outstanding(s.q)
 		}
 		if room <= 0 {
 			// Flow control: the client owes acks. Pause until it has
 			// settled half the window (signalAck) rather than piling up
 			// inflight deliveries that would all redeliver if the
-			// connection died. The periodic sweep evicts receipts the
-			// client can no longer settle (deliveries it dropped, now
-			// past their visibility deadline) — without it each dropped
-			// delivery would leak a prefetch slot and eventually park
-			// this consumer forever. After a sweep any free slot will
-			// do: the half-window rule paces acknowledgments, not
-			// evictions.
+			// connection died. The periodic reap returns deliveries the
+			// client dropped once past their visibility deadline, and
+			// with them their prefetch slots — without it no one might
+			// dequeue to expire them, and this consumer would park
+			// forever. After a reap any free slot will do: the
+			// half-window rule paces acknowledgments, not expiries.
 			switch s.wait(pause) {
 			case wokeStop:
 				return
 			case wokeTimer:
-				s.c.evictStaleReceipts(s.name, s.q)
+				s.q.Reap()
 			}
 			continue
 		}
-		msgs, err := s.q.WaitDequeueBatch(consumer, room, waitQuantum, s.stop)
+		msgs, err := s.q.WaitDequeueBatch(s.c.push, room, waitQuantum, s.stop)
 		if len(msgs) > 0 {
 			s.claims.Inc()
 			s.deliver(msgs)
@@ -194,9 +187,10 @@ func (s *queueSink) wait(pause *time.Timer) int {
 }
 
 // deliver pushes one claimed batch as QEVT lines under one hold of the
-// outbound queue, tracking the receipts (manual mode) or acknowledging
-// up front (auto mode). The push blocks until queued or the sink
-// detaches — a durable delivery is never silently dropped. (Dequeue
+// outbound queue, acknowledging up front in auto mode. The push blocks
+// until queued or the sink detaches — a durable delivery is never
+// silently dropped; a manual-ack line it never queued is released with
+// the sink's other claims when it detaches. (Dequeue
 // decodes a fresh Event per delivery, so EncodedJSON here is a cold
 // encode, not a shared cache hit — the durable path's win is the
 // coalesced writer, not cross-sink payload sharing.)
@@ -226,130 +220,19 @@ func (s *queueSink) deliver(msgs []*queue.Msg) {
 				continue
 			}
 		} else {
-			token = receiptToken(msg.Receipt.ID, msg.Attempt)
+			token = msg.Receipt.Token()
 		}
 		evts = append(evts, qline{token, msg.Attempt, data, msg.Receipt})
 	}
-	if !s.autoAck {
-		// Before the first line can reach the client: an ACK must find
-		// its receipt.
-		s.c.trackReceipts(s.name, evts, s)
-	}
-	queued := s.c.queueQEvts(s.stop, s.name, evts)
-	if queued > 0 {
+	if queued := s.c.queueQEvts(s.stop, s.name, evts); queued > 0 {
 		s.delivered.Add(uint64(queued))
 		s.bursts.Inc()
 	}
-	if !s.autoAck {
-		// Tearing down: these lines were never queued. Hand manual-ack
-		// messages back so the next consumer gets them immediately; an
-		// auto-ack message was already consumed (at-most-once loss).
-		for _, e := range evts[queued:] {
-			s.c.takeReceipt(s.name, e.token)
-			s.q.Release(e.r)
-		}
-	}
 }
 
-// --- connection-level receipt ledger -----------------------------------
-
-// trackedReceipt is one ledger entry: the receipt plus the sink that
-// delivered it (nil for CONSUME pulls, which the connection owns
-// directly).
-type trackedReceipt struct {
-	r     queue.Receipt
-	owner *queueSink
-}
-
-// trackReceipts records outstanding deliveries awaiting ACK/NACK — a
-// sink's burst, or a CONSUME's pull (owner nil) — under one hold of the
-// ledger.
-func (c *conn) trackReceipts(queueName string, evts []qline, owner *queueSink) {
-	if len(evts) == 0 {
-		return
-	}
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	m := c.receipts[queueName]
-	if m == nil {
-		m = make(map[string]trackedReceipt)
-		c.receipts[queueName] = m
-	}
-	for _, e := range evts {
-		m[e.token] = trackedReceipt{r: e.r, owner: owner}
-	}
-}
-
-// takeReceipt removes and returns an outstanding receipt.
-func (c *conn) takeReceipt(queueName, token string) (queue.Receipt, bool) {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	tr, ok := c.receipts[queueName][token]
-	if ok {
-		delete(c.receipts[queueName], token)
-	}
-	return tr.r, ok
-}
-
-// outstanding counts this connection's unacknowledged deliveries for a
-// queue.
-func (c *conn) outstanding(queueName string) int {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	return len(c.receipts[queueName])
-}
-
-// dropReceipts removes and returns the outstanding receipts one sink
-// delivered on a queue (its detach path).
-func (c *conn) dropReceipts(queueName string, owner *queueSink) []queue.Receipt {
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	var out []queue.Receipt
-	for tok, tr := range c.receipts[queueName] {
-		if tr.owner == owner {
-			delete(c.receipts[queueName], tok)
-			out = append(out, tr.r)
-		}
-	}
-	return out
-}
-
-// evictStaleReceipts reaps the queue's expired deliveries, then drops
-// ledger entries whose acknowledgments can never arrive — deliveries
-// the client discarded, now settled, redelivered, or expired.
-func (c *conn) evictStaleReceipts(queueName string, q *queue.Queue) {
-	// Reap first: an expired-but-unreaped delivery still answers as
-	// current, and no one else may be dequeuing to trigger the reap.
-	q.Reap()
-	c.rmu.Lock()
-	defer c.rmu.Unlock()
-	for tok, tr := range c.receipts[queueName] {
-		if !q.ReceiptCurrent(tr.r) {
-			delete(c.receipts[queueName], tok)
-		}
-	}
-}
-
-// releaseAllReceipts releases every outstanding receipt on the
-// connection — the connection teardown path, covering CONSUME pulls
-// and any sink receipts not already handled by a detach.
-func (c *conn) releaseAllReceipts() {
-	c.rmu.Lock()
-	byQueue := c.receipts
-	c.receipts = make(map[string]map[string]trackedReceipt)
-	c.rmu.Unlock()
-	for qname, m := range byQueue {
-		q, ok := c.srv.eng.Queues.Get(qname)
-		if !ok {
-			continue
-		}
-		for _, tr := range m {
-			if err := q.Release(tr.r); err != nil {
-				c.srv.eng.Metrics.Counter("server.qsub.release_errors").Inc()
-			}
-		}
-	}
-}
+// outstanding counts this connection's unacknowledged deliveries from a
+// queue: its CONSUME pulls' and its QSUB sink's.
+func (c *conn) outstanding(q *queue.Queue) int { return q.Held(c.pull, c.push) }
 
 // signalAck wakes the named queue's consumer (if this connection has
 // one) out of a prefetch pause, once the client has settled half its
@@ -358,12 +241,12 @@ func (c *conn) releaseAllReceipts() {
 // shared channel: with several paused consumers on one connection, a
 // shared token could be eaten by a sink whose own queue was not the one
 // acked, leaving the right one parked forever.
-func (c *conn) signalAck(queueName string) {
+func (c *conn) signalAck(q *queue.Queue) {
 	c.mu.Lock()
-	s := c.sinks[queueName]
+	s := c.sinks[q.Name()]
 	c.mu.Unlock()
 	qs, ok := s.(*queueSink)
-	if !ok || c.outstanding(queueName) > qs.prefetch/2 {
+	if !ok || c.outstanding(q) > qs.prefetch/2 {
 		return
 	}
 	select {
