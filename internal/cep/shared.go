@@ -12,12 +12,13 @@
 // whose path passes through that node, so a prefix shared by a thousand
 // patterns is tracked once, not a thousand times.
 //
-// Indexing. Each node indexes its outgoing edges by event type, and
-// within a type by the guard's first `field = literal` conjunct (the
-// same analysis internal/rules uses), so an event only touches edges
-// its type and attributes could actually advance. Nodes holding live
-// instances register in a wake index keyed by the event types relevant
-// to them; all other nodes are never visited.
+// Indexing. Each node files its outgoing edges by event type, and within
+// a type in a rules.Index (the rules engine's and pub/sub's) under the
+// guard's atoms over the current event's own fields — never `a.x = 1`,
+// which names a binding — so an event only touches edges its type and
+// attributes could advance. Nodes holding live instances register in a
+// wake index keyed by the event types relevant to them; all other nodes
+// are never visited.
 //
 // Expiry. Every instance carries a deadline — its start time plus the
 // largest WITHIN among patterns reachable from its node — kept in a
@@ -43,8 +44,8 @@
 //     per-pattern matcher starts with no runs.
 //
 // Zero-alloc feed. Instances and their binding slices are pooled,
-// per-feed scratch (candidate edges, wake-node list, index key buffer)
-// is reused, and new instances are epoch-stamped so the creating event
+// per-feed scratch (candidate edges, wake-node list, index probe) is
+// reused, and new instances are epoch-stamped so the creating event
 // never re-feeds them. An event that advances nothing allocates
 // nothing; CI pins this with AllocsPerRun.
 package cep
@@ -53,11 +54,13 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
+	"eventdb/internal/rules"
 	"eventdb/internal/val"
 )
 
@@ -96,7 +99,7 @@ type Shared struct {
 	nodeScratch []*node
 	candScratch []*edge
 	negScratch  []*edge
-	keyBuf      []byte
+	probe       rules.Probe[*edge]
 	res         sharedResolver
 
 	matchCount uint64
@@ -108,6 +111,7 @@ type Shared struct {
 func NewShared() *Shared {
 	return &Shared{
 		MaxInstances: defaultMaxInstances,
+		roots:        [3]*node{{strategy: SkipTillNext}, {strategy: SkipTillAny}, {strategy: Strict}},
 		patterns:     make(map[string]*patEntry),
 		wake:         make(map[string]map[*node]struct{}),
 		wakeAny:      make(map[*node]struct{}),
@@ -138,13 +142,12 @@ func (s *Shared) Stats() SharedStats {
 // partial match can be in.
 type node struct {
 	strategy Strategy
-	depth    int      // positive steps bound on arrival
 	aliases  []string // positive aliases along the path, in order
 
 	edges    []*edge
 	bySig    map[string]*edge
-	byType   map[string]*bucket // positive-step type → candidate edges
-	anyEdges []*edge            // type-wildcard steps, always candidates
+	byType   map[string]*bucket // positive-step type ("" for any) → candidate edges
+	anyType  *bucket            // byType[""], kept to spare each feed its lookup
 	negEdges []*edge            // edges carrying negated steps
 
 	accepts []*patEntry // patterns completed on arrival here
@@ -169,29 +172,21 @@ type edge struct {
 	eventType string // "" matches any type
 	alias     string
 	guard     *expr.Predicate
-	negs      []negStep
+	negs      []Step
 }
 
-type negStep struct {
-	eventType string
-	guard     *expr.Predicate
-}
-
-// bucket indexes one (node, event type)'s candidate edges: guards with
-// a `field = literal` conjunct hang off an equality index keyed like
-// internal/rules; the rest are scanned.
+// bucket indexes one (node, event type)'s candidate edges: the index
+// holds those with a filed guard atom, scan the rest.
 type bucket struct {
-	scan     []*edge
-	eqFields []string
-	eq       map[string]map[string][]*edge
+	ix   rules.Index[*edge]
+	scan []*edge
 }
 
 // patEntry is one registered pattern's place in the trie.
 type patEntry struct {
 	p     *Pattern
 	seq   uint64
-	nodes []*node // path, one per positive step (root excluded)
-	edges []*edge
+	edges []*edge // path, one per positive step; edges[i].to is its node
 }
 
 // instance is one live partial match, standing in for a partial run of
@@ -210,15 +205,6 @@ type instance struct {
 	gprev, gnext *instance // global age list
 }
 
-func (i *instance) isBlocked(e *edge) bool {
-	for _, b := range i.blocked {
-		if b == e {
-			return true
-		}
-	}
-	return false
-}
-
 // Add registers a built pattern, sharing trie prefixes with already
 // registered patterns of the same strategy.
 func (s *Shared) Add(p *Pattern) error {
@@ -230,7 +216,7 @@ func (s *Shared) Add(p *Pattern) error {
 	}
 	s.seq++
 	ent := &patEntry{p: p, seq: s.seq}
-	n := s.root(p.Strategy)
+	n := s.roots[p.Strategy]
 	for k, si := range p.positive {
 		lo := 0
 		if k > 0 {
@@ -241,9 +227,7 @@ func (s *Shared) Add(p *Pattern) error {
 		e := n.bySig[sig]
 		if e == nil {
 			e = newEdge(n, seg, sig)
-			n.edges = append(n.edges, e)
-			n.bySig[sig] = e
-			n.indexEdge(e)
+			n.linkEdge(e)
 			s.refreshWake(n)
 		}
 		n = e.to
@@ -253,7 +237,6 @@ func (s *Shared) Add(p *Pattern) error {
 		} else if p.Within > n.maxWithin {
 			n.maxWithin = p.Within
 		}
-		ent.nodes = append(ent.nodes, n)
 		ent.edges = append(ent.edges, e)
 	}
 	n.accepts = append(n.accepts, ent)
@@ -269,15 +252,10 @@ func (s *Shared) Remove(name string) error {
 		return fmt.Errorf("cep: no pattern %q", name)
 	}
 	delete(s.patterns, name)
-	term := ent.nodes[len(ent.nodes)-1]
-	for i, pe := range term.accepts {
-		if pe == ent {
-			term.accepts = append(term.accepts[:i], term.accepts[i+1:]...)
-			break
-		}
-	}
-	for i := len(ent.nodes) - 1; i >= 0; i-- {
-		n := ent.nodes[i]
+	term := ent.edges[len(ent.edges)-1].to
+	term.accepts = slices.DeleteFunc(term.accepts, func(pe *patEntry) bool { return pe == ent })
+	for i := len(ent.edges) - 1; i >= 0; i-- {
+		n := ent.edges[i].to
 		n.npat--
 		if ent.p.Within <= 0 {
 			n.unbounded--
@@ -292,17 +270,6 @@ func (s *Shared) Remove(name string) error {
 		}
 	}
 	return nil
-}
-
-func (s *Shared) root(st Strategy) *node {
-	if s.roots[st] == nil {
-		s.roots[st] = &node{
-			strategy: st,
-			bySig:    make(map[string]*edge),
-			byType:   make(map[string]*bucket),
-		}
-	}
-	return s.roots[st]
 }
 
 // segmentSig renders one trie-edge signature: the negated steps then the
@@ -327,98 +294,63 @@ func segmentSig(steps []Step) string {
 
 func newEdge(from *node, seg []Step, sig string) *edge {
 	pos := seg[len(seg)-1]
-	e := &edge{sig: sig, from: from, eventType: pos.EventType, alias: pos.Alias, guard: pos.guard}
-	for i := range seg[:len(seg)-1] {
-		e.negs = append(e.negs, negStep{eventType: seg[i].EventType, guard: seg[i].guard})
-	}
+	e := &edge{sig: sig, from: from, eventType: pos.EventType, alias: pos.Alias, guard: pos.guard,
+		negs: slices.Clone(seg[:len(seg)-1])}
 	aliases := make([]string, 0, len(from.aliases)+1)
 	aliases = append(append(aliases, from.aliases...), pos.Alias)
-	e.to = &node{
-		strategy: from.strategy,
-		depth:    from.depth + 1,
-		aliases:  aliases,
-		bySig:    make(map[string]*edge),
-		byType:   make(map[string]*bucket),
-	}
+	e.to = &node{strategy: from.strategy, aliases: aliases}
 	return e
 }
 
-// indexEdge files an edge under its node's type/predicate index.
-func (n *node) indexEdge(e *edge) {
+// linkEdge adds an edge to its node and files it under the node's
+// type/predicate index.
+func (n *node) linkEdge(e *edge) {
+	if n.bySig == nil {
+		n.bySig = make(map[string]*edge)
+		n.byType = make(map[string]*bucket)
+	}
+	n.edges = append(n.edges, e)
+	n.bySig[e.sig] = e
 	if len(e.negs) > 0 {
 		n.negEdges = append(n.negEdges, e)
 	}
-	if e.eventType == "" {
-		n.anyEdges = append(n.anyEdges, e)
-		return
-	}
 	b := n.byType[e.eventType]
 	if b == nil {
-		b = &bucket{}
+		b = &bucket{ix: rules.Index[*edge]{BareFields: true}}
 		n.byType[e.eventType] = b
+		n.anyType = n.byType[""]
 	}
-	if e.guard != nil {
-		// Anchor on the first equality conjunct over a bare (current-
-		// event) field: guard ⇒ field = literal, so a mismatched anchor
-		// means the guard is false and the edge can be skipped unseen.
-		for _, eq := range e.guard.EqPreds {
-			if strings.IndexByte(eq.Field, '.') >= 0 {
-				continue // references an earlier binding, not this event
-			}
-			if b.eq == nil {
-				b.eq = make(map[string]map[string][]*edge)
-			}
-			m := b.eq[eq.Field]
-			if m == nil {
-				m = make(map[string][]*edge)
-				b.eq[eq.Field] = m
-				b.eqFields = append(b.eqFields, eq.Field)
-			}
-			key := string(val.AppendKey(nil, eq.Value))
-			m[key] = append(m[key], e)
-			return
-		}
+	if b.ix.Add(e, e.guard) == 0 {
+		b.scan = append(b.scan, e)
 	}
-	b.scan = append(b.scan, e)
 }
 
 // unlinkEdge removes an edge (whose subtree is pattern-free) from its
-// parent, rebuilding the parent's index and purging stale blocked refs.
+// parent's edges and index, and purges stale blocked refs.
 func (s *Shared) unlinkEdge(e *edge) {
 	n := e.from
-	for i, x := range n.edges {
-		if x == e {
-			n.edges = append(n.edges[:i], n.edges[i+1:]...)
-			break
+	is := func(x *edge) bool { return x == e }
+	n.edges = slices.DeleteFunc(n.edges, is)
+	delete(n.bySig, e.sig)
+	n.negEdges = slices.DeleteFunc(n.negEdges, is)
+	if b := n.byType[e.eventType]; b != nil {
+		if b.ix.Remove(e, e.guard) == 0 {
+			b.scan = slices.DeleteFunc(b.scan, is)
+		}
+		if b.ix.Len() == 0 && len(b.scan) == 0 {
+			delete(n.byType, e.eventType)
+			n.anyType = n.byType[""]
 		}
 	}
-	delete(n.bySig, e.sig)
-	n.reindex()
 	s.refreshWake(n)
 	inst := n.head
 	for inst != nil {
 		next := inst.next
-		for i, b := range inst.blocked {
-			if b == e {
-				inst.blocked = append(inst.blocked[:i], inst.blocked[i+1:]...)
-				break
-			}
-		}
+		inst.blocked = slices.DeleteFunc(inst.blocked, is)
 		if len(inst.blocked) == len(n.edges) {
 			s.freeInstance(inst) // nothing left it could ever advance
 		}
 		inst = next
-	}
-}
-
-func (n *node) reindex() {
-	n.anyEdges = n.anyEdges[:0]
-	n.negEdges = n.negEdges[:0]
-	for t := range n.byType {
-		delete(n.byType, t)
-	}
-	for _, e := range n.edges {
-		n.indexEdge(e)
 	}
 }
 
@@ -443,7 +375,7 @@ func (s *Shared) addWake(n *node) {
 		}
 		n.noteWakeType(e.eventType)
 		for _, ng := range e.negs {
-			n.noteWakeType(ng.eventType)
+			n.noteWakeType(ng.EventType)
 		}
 	}
 	if n.wakeAnyReg {
@@ -488,18 +420,9 @@ func (n *node) noteWakeType(t string) {
 		n.wakeKeys = n.wakeKeys[:0]
 		return
 	}
-	if !containsStr(n.wakeKeys, t) {
+	if !slices.Contains(n.wakeKeys, t) {
 		n.wakeKeys = append(n.wakeKeys, t)
 	}
-}
-
-func containsStr(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Advance prunes instances whose conservative WITHIN horizon has passed
@@ -539,7 +462,7 @@ func (s *Shared) Feed(ev *event.Event) []*Match {
 		}
 	}
 	for _, r := range s.roots {
-		if r != nil {
+		if len(r.edges) > 0 {
 			s.startRuns(r, ev)
 		}
 	}
@@ -554,21 +477,18 @@ func (s *Shared) Feed(ev *event.Event) []*Match {
 }
 
 // candidates collects the edges of n that ev's type and indexed
-// attributes could advance, into the reused candScratch.
+// attributes could advance, into the reused candScratch: those of the
+// bucket of its type, then those of the any-type bucket.
 func (s *Shared) candidates(n *node, ev *event.Event) []*edge {
 	cands := s.candScratch[:0]
-	if b := n.byType[ev.Type]; b != nil {
-		for _, f := range b.eqFields {
-			v, ok := ev.Get(f)
-			if !ok {
-				continue
-			}
-			s.keyBuf = val.AppendKey(s.keyBuf[:0], v)
-			cands = append(cands, b.eq[f][string(s.keyBuf)]...)
+	for _, b := range [2]*bucket{n.byType[ev.Type], n.anyType} {
+		if b != nil {
+			cands = append(b.ix.Match(ev, &s.probe, cands), b.scan...)
 		}
-		cands = append(cands, b.scan...)
+		if ev.Type == "" {
+			break // its own bucket was the any-type one
+		}
 	}
-	cands = append(cands, n.anyEdges...)
 	s.candScratch = cands
 	return cands
 }
@@ -581,7 +501,7 @@ func (s *Shared) feedNode(n *node, ev *event.Event) {
 	negs := s.negScratch[:0]
 	for _, e := range n.negEdges {
 		for _, ng := range e.negs {
-			if ng.eventType == "" || ng.eventType == ev.Type {
+			if ng.EventType == "" || ng.EventType == ev.Type {
 				negs = append(negs, e)
 				break
 			}
@@ -607,11 +527,11 @@ func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, n
 	// this same event, exactly as the oracle checks negation before the
 	// positive step.
 	for _, e := range negs {
-		if inst.isBlocked(e) {
+		if slices.Contains(inst.blocked, e) {
 			continue
 		}
 		for _, ng := range e.negs {
-			if ng.eventType != "" && ng.eventType != ev.Type {
+			if ng.EventType != "" && ng.EventType != ev.Type {
 				continue
 			}
 			if ng.guard != nil && !s.guardOK(ng.guard, n, inst.bindings, ev) {
@@ -622,7 +542,7 @@ func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, n
 		}
 	}
 	for _, e := range cands {
-		if inst.isBlocked(e) {
+		if slices.Contains(inst.blocked, e) {
 			continue
 		}
 		if e.guard != nil && !s.guardOK(e.guard, n, inst.bindings, ev) {
@@ -754,13 +674,9 @@ func (s *Shared) freeInstance(inst *instance) {
 	}
 	inst.node = nil
 	inst.prev, inst.next, inst.gprev, inst.gnext = nil, nil, nil, nil
-	for i := range inst.bindings {
-		inst.bindings[i] = nil // don't pin events from the pool
-	}
+	clear(inst.bindings) // don't pin events from the pool
 	inst.bindings = inst.bindings[:0]
-	for i := range inst.blocked {
-		inst.blocked[i] = nil
-	}
+	clear(inst.blocked)
 	inst.blocked = inst.blocked[:0]
 	inst.heapIdx = -1
 	s.pool = append(s.pool, inst)

@@ -226,10 +226,13 @@ func matchKey(m *Match) string {
 
 // randomPattern draws steps from a small vocabulary so independent
 // patterns share prefixes often, exercising both trie sharing and the
-// type/equality indexes.
+// type/predicate index: guards filed under one equality, two counted
+// equalities, a range, an integral float, or nothing (`a.x = 1` names
+// a binding, so it must not be filed).
 func randomPattern(rng *rand.Rand, name string) *Pattern {
 	types := []string{"A", "B", "C", "D", "E"}
-	guards := []string{"", "", "x = 1", "x > 2", "y = 0", "x = a.x", "y < a.y"}
+	guards := []string{"", "", "x = 1", "x > 2", "y = 0", "x = a.x", "y < a.y",
+		"x = 1 AND y = 0", "x >= 1 AND x < 3", "a.x = 1", "x = 1.0"}
 	b := NewPattern(name)
 	nPos := 1 + rng.Intn(4)
 	aliases := []string{"a", "b", "c", "d"}

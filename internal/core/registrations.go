@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"eventdb/internal/expr"
+	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
@@ -171,24 +171,17 @@ func (e *Engine) bindQueue(name, filter string, qcfg queue.Config) (*queue.Queue
 		return nil, err
 	}
 	id := "qsub." + name
-	old, bound := e.Broker.FilterOf(id)
-	if bound && old == filter {
+	if old, bound := e.Broker.FilterOf(id); bound && old == filter {
 		return q, nil
 	}
-	cond := filter
-	if cond == "" {
-		cond = "true"
-	}
-	if _, err := expr.Compile(cond); err != nil {
+	f, err := pubsub.Compile(filter)
+	if err != nil {
 		return q, err
 	}
 	if err := e.putRegistration(kindQSub, name, filter); err != nil {
 		return q, err
 	}
-	// Neither call can fail now: the filter compiles, and regMu keeps
-	// every other binder of the id out.
-	if bound {
-		return q, e.Broker.Rebind(id, filter)
-	}
-	return q, e.Broker.SubscribeQueue(id, "wire", filter, q, 0)
+	// This cannot fail now: the filter compiles, and regMu keeps every
+	// other binder of the id out.
+	return q, e.Broker.Bind(id, "wire", f, q)
 }

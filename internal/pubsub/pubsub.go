@@ -4,6 +4,10 @@
 // that publishing an event costs far less than evaluating every
 // subscription.
 //
+// A subscription is one rule of the broker's rules.Engine, the rule's
+// handle is the subscription, and the engine is the only registry: a
+// lookup, a Rebind and an Unsubscribe are each one engine operation.
+//
 // Deliveries go either to a callback or to a staging queue (the usual
 // production arrangement: matching is fast and synchronous, consumption
 // is asynchronous from the queue).
@@ -13,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
@@ -35,64 +38,60 @@ type Handler func(Delivery)
 type Broker struct {
 	engine *rules.Engine
 
-	mu   sync.RWMutex
-	subs map[string]*subscription
-
 	// scratchPool recycles fan-out scratch for the plain Publish entry
 	// point (hot loops hold a Publisher, which carries its own).
 	scratchPool sync.Pool
 }
 
-// subscription is one registered subscription; the engine's rule for it
-// carries it as its handle, so delivery needs no lookup by name.
+// subscription is one registered subscription, the handle of the
+// engine's rule for it, so delivery needs no lookup by name.
 type subscription struct {
 	id         string
 	subscriber string
-	filter     string // guarded by Broker.mu
 	handler    Handler
 	queue      *queue.Queue
 	priority   int
-	// gone is set by Unsubscribe before it returns: a match taken before
-	// then may still hold the rule, and must deliver nothing once it is.
-	gone atomic.Bool
 }
 
 // NewBroker creates a broker with an indexed matching engine.
 func NewBroker() *Broker {
-	b := &Broker{
-		engine: rules.NewEngine(),
-		subs:   make(map[string]*subscription),
-	}
+	b := &Broker{engine: rules.NewEngine()}
 	b.scratchPool.New = func() any { return new(deliverScratch) }
 	return b
 }
 
+// matchAll is the compiled empty filter.
+var matchAll = func() *expr.Predicate {
+	p := expr.MustCompile("true")
+	p.Source = ""
+	return p
+}()
+
+// Compile compiles a filter: a predicate over event attributes
+// (including $type/$source envelope fields). The empty filter matches
+// everything.
+func Compile(filter string) (*expr.Predicate, error) {
+	if filter == "" {
+		return matchAll, nil
+	}
+	return expr.Compile(filter)
+}
+
 // FilterOf reports the filter of an active subscription.
 func (b *Broker) FilterOf(id string) (filter string, ok bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	s, ok := b.subs[id]
-	if !ok {
-		return "", false
-	}
-	return s.filter, true
+	return b.engine.Condition(id)
 }
 
 // Len returns the number of active subscriptions.
-func (b *Broker) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs)
-}
+func (b *Broker) Len() int { return b.engine.Len() }
 
-// Subscribe registers a callback subscription. filter is a predicate
-// over event attributes (including $type/$source envelope fields); the
-// empty filter matches everything.
+// Subscribe registers a callback subscription under a filter (see
+// Compile).
 func (b *Broker) Subscribe(id, subscriber, filter string, h Handler) error {
 	if h == nil {
 		return errors.New("pubsub: nil handler")
 	}
-	return b.subscribe(&subscription{id: id, subscriber: subscriber, filter: filter, handler: h})
+	return b.subscribe(&subscription{id: id, subscriber: subscriber, handler: h}, filter)
 }
 
 // SubscribeQueue registers a subscription delivering into a staging
@@ -101,89 +100,42 @@ func (b *Broker) SubscribeQueue(id, subscriber, filter string, q *queue.Queue, p
 	if q == nil {
 		return errors.New("pubsub: nil queue")
 	}
-	return b.subscribe(&subscription{id: id, subscriber: subscriber, filter: filter, queue: q, priority: priority})
+	return b.subscribe(&subscription{id: id, subscriber: subscriber, queue: q, priority: priority}, filter)
 }
 
-func (b *Broker) subscribe(s *subscription) error {
-	if s.id == "" {
-		return errors.New("pubsub: empty subscription id")
-	}
-	cond := s.filter
-	if cond == "" {
-		cond = "true"
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, dup := b.subs[s.id]; dup {
-		return fmt.Errorf("pubsub: subscription %q already exists", s.id)
-	}
-	if err := b.addRule(s, cond); err != nil {
+func (b *Broker) subscribe(s *subscription, filter string) error {
+	f, err := Compile(filter)
+	if err != nil {
 		return err
 	}
-	b.subs[s.id] = s
-	return nil
+	return b.engine.Install(s.id, f, s)
 }
 
-// Rebind atomically replaces a subscription's filter under the broker
-// lock: the subscription is never absent from the index between the
-// old and new filter, and a filter that fails to compile leaves the
-// existing binding untouched — an error means the rebind did not
-// happen.
+// Bind routes events matching the compiled filter f into q under id:
+// it subscribes q if id is free, and otherwise replaces id's filter as
+// Rebind does.
+func (b *Broker) Bind(id, subscriber string, f *expr.Predicate, q *queue.Queue) error {
+	if _, bound := b.FilterOf(id); bound {
+		return b.engine.Replace(id, f)
+	}
+	return b.engine.Install(id, f, &subscription{id: id, subscriber: subscriber, queue: q})
+}
+
+// Rebind replaces a subscription's filter in one engine operation: each
+// event meets either the old filter or the new one, and a filter that
+// fails to compile leaves the binding untouched — an error means the
+// rebind did not happen.
 func (b *Broker) Rebind(id, filter string) error {
-	cond := filter
-	if cond == "" {
-		cond = "true"
-	}
-	// Validate before touching anything.
-	if _, err := expr.Compile(cond); err != nil {
+	f, err := Compile(filter)
+	if err != nil {
 		return err
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s, ok := b.subs[id]
-	if !ok {
-		return fmt.Errorf("pubsub: no subscription %q", id)
-	}
-	if s.filter == filter {
-		return nil
-	}
-	b.engine.Remove(id)
-	if err := b.addRule(s, cond); err != nil {
-		// Unreachable after the compile check above; restore the old
-		// rule defensively rather than leave the binding missing.
-		oldCond := s.filter
-		if oldCond == "" {
-			oldCond = "true"
-		}
-		b.addRule(s, oldCond)
-		return err
-	}
-	s.filter = filter
-	return nil
+	return b.engine.Replace(id, f)
 }
 
-// addRule installs the rule that stands for s, with s as its handle.
-func (b *Broker) addRule(s *subscription, cond string) error {
-	r, err := b.engine.Add(s.id, cond, 0, nil)
-	if err == nil {
-		r.SetHandle(s)
-	}
-	return err
-}
-
-// Unsubscribe removes a subscription.
-func (b *Broker) Unsubscribe(id string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s, ok := b.subs[id]
-	if !ok {
-		return fmt.Errorf("pubsub: no subscription %q", id)
-	}
-	s.gone.Store(true)
-	delete(b.subs, id)
-	b.engine.Remove(id)
-	return nil
-}
+// Unsubscribe removes a subscription. Once it returns, a match taken
+// before it delivers nothing (see rules.Rule.Handle).
+func (b *Broker) Unsubscribe(id string) error { return b.engine.Remove(id) }
 
 // Publish matches the event against all subscriptions and delivers to
 // each match, returning the number of deliveries. Callback handlers run
@@ -244,14 +196,13 @@ const maxStaged = 256
 // and the per-subscription failures come back as one aggregated error
 // alongside the count of deliveries that did land.
 func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScratch) (int, error) {
-	// Each matched rule carries its subscription. One unsubscribed since
-	// the match was taken, or whose handle is not set yet (a match racing
-	// its Subscribe), receives nothing.
+	// Each matched rule carries its subscription; one unsubscribed since
+	// the match was taken carries none and receives nothing.
 	delivered := 0
 	qsubs := sc.qsubs[:0]
 	for _, r := range matched {
 		switch s, _ := r.Handle().(*subscription); {
-		case s == nil || s.gone.Load():
+		case s == nil:
 		case s.queue != nil:
 			qsubs = append(qsubs, s)
 		default:

@@ -154,17 +154,12 @@ func TestMatchOnly(t *testing.T) {
 // naiveMatchOnly is the evaluate-every-subscription baseline the
 // paper's indexing claim is measured against, and the oracle MatchOnly
 // is held to: it compiles each subscription's filter afresh and asks
-// it, going nowhere near the broker's rules engine.
+// it, going nowhere near the rules engine's index.
 func naiveMatchOnly(b *Broker, ev *event.Event) ([]string, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	var ids []string
-	for id, s := range b.subs {
-		cond := s.filter
-		if cond == "" {
-			cond = "true"
-		}
-		pred, err := expr.Compile(cond)
+	for _, id := range b.engine.Rules() {
+		filter, _ := b.FilterOf(id)
+		pred, err := Compile(filter)
 		if err != nil {
 			return nil, err
 		}
@@ -667,7 +662,7 @@ func TestRebindDeliversOncePerMatch(t *testing.T) {
 
 // TestDeliverRacesSubscriptionChurn: publishers through Publisher and
 // Publish while subscriptions come, rebind and go — under -race this
-// holds the handle and its gone mark to their memory model.
+// holds the handle and the rule's removed mark to their memory model.
 func TestDeliverRacesSubscriptionChurn(t *testing.T) {
 	b := NewBroker()
 	var wg sync.WaitGroup
@@ -713,5 +708,46 @@ func TestDeliverRacesSubscriptionChurn(t *testing.T) {
 	b.Publish(trade("A", 150))
 	if delivered.Load() != before || b.Len() != 0 {
 		t.Errorf("a publish after every Unsubscribe delivered %d", delivered.Load()-before)
+	}
+}
+
+// TestRebindNeverDropsAMatch: while one goroutine rebinds a
+// subscription back and forth between two filters, every event that
+// meets both is delivered exactly once — a publish never finds the
+// subscription between its old filter and its new one.
+func TestRebindNeverDropsAMatch(t *testing.T) {
+	const events = 200000
+	b := NewBroker()
+	delivered := 0 // handlers run on the publishing goroutine
+	if err := b.Subscribe("s", "x", "price > 10", func(Delivery) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	rebinds := make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-done:
+				rebinds <- n
+				return
+			default:
+			}
+			if err := b.Rebind("s", []string{"price > 20", "price > 10"}[n%2]); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	p := b.NewPublisher()
+	ev := trade("A", 50)
+	for i := 0; i < events; i++ {
+		if _, err := p.Publish(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	n := <-rebinds
+	if delivered != events {
+		t.Errorf("%d of %d events delivered across %d rebinds", delivered, events, n)
 	}
 }

@@ -3,21 +3,23 @@
 //
 // The engine treats rule conditions as data (§2.2.c.i.2): each
 // condition's indexable conjuncts (field = literal, field ranges) are
-// extracted into attribute indexes, so matching an event costs roughly
+// filed in an attribute Index, so matching an event costs roughly
 // O(attributes + candidates) instead of O(rules). This is the mechanism
 // behind the paper's scalability claims for "large rule sets" and
-// "frequently changing rules sets": adding or removing a rule touches
-// only that rule's index entries.
+// "frequently changing rules sets": adding, removing or replacing a
+// rule touches only that rule's index entries. Index is the one index
+// of standing conditions: pubsub's subscriptions are rules of an
+// Engine, and cep files its automaton's edges in it too.
 //
-// Matching uses the classic counting algorithm: an event satisfies a
-// rule's index entry set when every indexed conjunct matched; those
-// candidates (plus rules with no indexable conjunct) are then confirmed
-// by full predicate evaluation, so indexing is a pure optimization and
-// never changes results.
+// Matching uses the classic counting algorithm; its candidates (plus
+// rules with no indexable conjunct) are confirmed by full predicate
+// evaluation, so indexing is a pure optimization and never changes
+// results.
 package rules
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -25,7 +27,6 @@ import (
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
-	"eventdb/internal/val"
 )
 
 // Action runs when a rule matches an event.
@@ -35,30 +36,30 @@ type Action func(ev *event.Event, r *Rule)
 type Rule struct {
 	Name     string
 	Priority int // higher runs first
-	Source   string
 	Action   Action
 
-	pred     *expr.Predicate
-	nIndexed int
-	handle   atomic.Value
+	pred    *expr.Predicate // guarded by the engine's lock: Replace swaps it
+	handle  any
+	removed atomic.Bool
 }
 
-// SetHandle gives the rule its installer's own value, reachable from a
-// match with no lookup (pubsub's is the subscription). Set it right
-// after Add: until then a match may return the rule with a nil Handle.
-func (r *Rule) SetHandle(h any) { r.handle.Store(h) }
+// Handle returns the value Install gave the rule: nil for a rule made by
+// Add, and nil again once the rule is removed, so that a match taken
+// before a Remove reaches nothing through it after.
+func (r *Rule) Handle() any {
+	if r.removed.Load() {
+		return nil
+	}
+	return r.handle
+}
 
-// Handle returns the value SetHandle gave the rule, nil before that.
-func (r *Rule) Handle() any { return r.handle.Load() }
-
-// Engine holds a mutable rule set and matches events against it.
+// Engine holds a mutable rule set and matches events against it: its
+// name map, one Index over the rules' conditions, and the residual
+// rules the index cannot file.
 type Engine struct {
 	mu    sync.RWMutex
 	rules map[string]*Rule
-	// eqIndex: field → encoded literal → rules requiring that equality.
-	eqIndex map[string]map[string][]*Rule
-	// rangeIndex: field → interval structure over numeric range conjuncts.
-	rangeIndex map[string]*intervalIndex
+	index Index[*Rule]
 	// residual: rules with no indexable conjunct, always fully evaluated,
 	// held in (priority desc, name) order so that their matches need no
 	// sort.
@@ -72,11 +73,7 @@ type Engine struct {
 
 // NewEngine creates a rules engine.
 func NewEngine() *Engine {
-	e := &Engine{
-		rules:      make(map[string]*Rule),
-		eqIndex:    make(map[string]map[string][]*Rule),
-		rangeIndex: make(map[string]*intervalIndex),
-	}
+	e := &Engine{rules: make(map[string]*Rule)}
 	e.matcherPool.New = func() any { return e.NewMatcher() }
 	return e
 }
@@ -89,24 +86,69 @@ func (e *Engine) Len() int {
 }
 
 // Add compiles and installs a rule. Adding an existing name is an error;
-// Remove it first.
+// Remove it first, or Replace its condition.
 func (e *Engine) Add(name, condition string, priority int, action Action) (*Rule, error) {
 	pred, err := expr.Compile(condition)
 	if err != nil {
 		return nil, fmt.Errorf("rules: %q: %w", name, err)
 	}
-	r := &Rule{Name: name, Priority: priority, Source: condition, Action: action, pred: pred}
+	return e.add(&Rule{Name: name, Priority: priority, Action: action}, pred)
+}
+
+// Install adds a rule with a compiled condition, no action and priority
+// 0, carrying handle: its installer's own value, which a match hands
+// back with no lookup by name (pubsub's is the subscription).
+func (e *Engine) Install(name string, cond *expr.Predicate, handle any) error {
+	_, err := e.add(&Rule{Name: name, handle: handle}, cond)
+	return err
+}
+
+func (e *Engine) add(r *Rule, pred *expr.Predicate) (*Rule, error) {
+	if r.Name == "" {
+		return nil, errors.New("rules: empty rule name")
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.rules[name]; dup {
-		return nil, fmt.Errorf("rules: %q already exists", name)
+	if _, dup := e.rules[r.Name]; dup {
+		return nil, fmt.Errorf("rules: %q already exists", r.Name)
 	}
-	e.rules[name] = r
-	e.indexLocked(r)
+	e.rules[r.Name] = r
+	r.pred = pred
+	e.fileLocked(r)
 	return r, nil
 }
 
-// Remove uninstalls a rule.
+// Replace swaps a rule's condition in one step: a match sees the old
+// condition or the new one, never neither, and the rule keeps its
+// identity and handle.
+func (e *Engine) Replace(name string, cond *expr.Predicate) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r, ok := e.rules[name]
+	if !ok {
+		return fmt.Errorf("rules: no rule %q", name)
+	}
+	if r.pred.Source == cond.Source {
+		return nil
+	}
+	e.unfileLocked(r)
+	r.pred = cond
+	e.fileLocked(r)
+	return nil
+}
+
+// Condition returns the source of a rule's condition.
+func (e *Engine) Condition(name string) (string, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	r, ok := e.rules[name]
+	if !ok {
+		return "", false
+	}
+	return r.pred.Source, true
+}
+
+// Remove uninstalls a rule; from then on its Handle is nil.
 func (e *Engine) Remove(name string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -115,7 +157,8 @@ func (e *Engine) Remove(name string) error {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
 	delete(e.rules, name)
-	e.unindexLocked(r)
+	e.unfileLocked(r)
+	r.removed.Store(true)
 	return nil
 }
 
@@ -149,85 +192,22 @@ func compareRules(a, b *Rule) int {
 	return cmp.Compare(a.Name, b.Name)
 }
 
-// indexLocked adds a rule's indexable conjuncts to the indexes.
-//
-// Selectivity policy: equality conjuncts are far more selective than
-// ranges (a range like "price > x" can admit most of the value space,
-// making the counting pass O(rules)). So a rule with any equality
-// conjunct is anchored on its equalities only — the confirm step's full
-// predicate evaluation checks the ranges. The interval index serves
-// rules whose only indexable conjuncts are ranges.
-func (e *Engine) indexLocked(r *Rule) {
-	n := 0
-	if len(r.pred.EqPreds) > 0 {
-		for _, eq := range r.pred.EqPreds {
-			key := string(val.AppendKey(nil, eq.Value))
-			byVal, ok := e.eqIndex[eq.Field]
-			if !ok {
-				byVal = make(map[string][]*Rule)
-				e.eqIndex[eq.Field] = byVal
-			}
-			byVal[key] = append(byVal[key], r)
-			n++
-		}
-	} else {
-		for _, rp := range r.pred.RangePreds {
-			lo, hi, ok := rp.NumericBounds()
-			if !ok {
-				continue // non-numeric range: leave to full evaluation
-			}
-			ix, exists := e.rangeIndex[rp.Field]
-			if !exists {
-				ix = &intervalIndex{}
-				e.rangeIndex[rp.Field] = ix
-			}
-			ix.insert(interval{lo: lo, hi: hi, loOpen: rp.LoOpen, hiOpen: rp.HiOpen, rule: r})
-			n++
-		}
-	}
-	r.nIndexed = n
-	if n == 0 {
+// fileLocked files a rule in the index, or among the residual rules if
+// the index files none of its conjuncts.
+func (e *Engine) fileLocked(r *Rule) {
+	if e.index.Add(r, r.pred) == 0 {
 		i, _ := slices.BinarySearchFunc(e.residual, r, compareRules)
 		e.residual = slices.Insert(e.residual, i, r)
 	}
 }
 
-// unindexLocked removes a rule's index entries (mirroring the policy in
-// indexLocked).
-func (e *Engine) unindexLocked(r *Rule) {
-	if r.nIndexed == 0 {
-		if i, ok := slices.BinarySearchFunc(e.residual, r, compareRules); ok {
-			e.residual = slices.Delete(e.residual, i, i+1)
-		}
+// unfileLocked undoes fileLocked.
+func (e *Engine) unfileLocked(r *Rule) {
+	if e.index.Remove(r, r.pred) > 0 {
 		return
 	}
-	if len(r.pred.EqPreds) > 0 {
-		for _, eq := range r.pred.EqPreds {
-			key := string(val.AppendKey(nil, eq.Value))
-			byVal := e.eqIndex[eq.Field]
-			rules := byVal[key]
-			for i, x := range rules {
-				if x == r {
-					rules[i] = rules[len(rules)-1]
-					rules = rules[:len(rules)-1]
-					break
-				}
-			}
-			if len(rules) == 0 {
-				delete(byVal, key)
-			} else {
-				byVal[key] = rules
-			}
-		}
-		return
-	}
-	for _, rp := range r.pred.RangePreds {
-		if _, _, ok := rp.NumericBounds(); !ok {
-			continue
-		}
-		if ix, exists := e.rangeIndex[rp.Field]; exists {
-			ix.remove(r)
-		}
+	if i, ok := slices.BinarySearchFunc(e.residual, r, compareRules); ok {
+		e.residual = slices.Delete(e.residual, i, i+1)
 	}
 }
 
@@ -238,135 +218,68 @@ func (e *Engine) unindexLocked(r *Rule) {
 // calls.
 func (e *Engine) Match(r expr.Resolver) ([]*Rule, error) {
 	m := e.matcherPool.Get().(*Matcher)
-	scratch, err := m.Match(r)
-	var out []*Rule
-	if len(scratch) > 0 {
-		out = append(out, scratch...)
-	}
-	e.matcherPool.Put(m)
-	return out, err
+	defer e.matcherPool.Put(m)
+	out, err := m.Match(r)
+	return slices.Clone(out), err
 }
 
-// matchInto is the matching core shared by Match and Matcher. m carries
-// the caller-owned scratch (candidate counters, key buffer); matched
-// rules are appended to out and returned.
+// holds evaluates the rule's whole condition against r.
+func (rule *Rule) holds(r expr.Resolver) (bool, error) {
+	ok, err := rule.pred.Match(r)
+	if err != nil {
+		return false, fmt.Errorf("rules: %q: %w", rule.Name, err)
+	}
+	return ok, nil
+}
+
+// Matcher carries reusable scratch (the index probe and the result
+// slice) for repeated matching, so a hot ingest loop amortizes its
+// per-event allocations to zero. A Matcher is not safe for concurrent
+// use; create one per goroutine — the engine itself remains safe to
+// share.
+type Matcher struct {
+	e     *Engine
+	probe Probe[*Rule]
+	out   []*Rule
+}
+
+// NewMatcher creates a Matcher bound to the engine's live rule set.
+func (e *Engine) NewMatcher() *Matcher { return &Matcher{e: e} }
+
+// Match is Engine.Match with scratch reuse. The returned slice is
+// owned by the Matcher and only valid until the next Match/Eval call.
 //
-// Candidate counting is epoch-stamped: each Match bumps m.epoch, and a
-// counter from an earlier epoch reads as zero, so the counts map is
-// never cleared — the per-event cost is O(candidates), not O(map).
-func (e *Engine) matchInto(r expr.Resolver, m *Matcher, out []*Rule) ([]*Rule, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	confirm := func(rule *Rule) error {
-		ok, err := rule.pred.Match(r)
-		if err != nil {
-			return fmt.Errorf("rules: %q: %w", rule.Name, err)
+// The index's candidates, then the residual rules, are confirmed by
+// full predicate evaluation; the residual ones arrive in order, so only
+// several indexed matches, or indexed and residual ones together, need
+// sorting.
+func (m *Matcher) Match(r expr.Resolver) ([]*Rule, error) {
+	m.e.mu.RLock()
+	defer m.e.mu.RUnlock()
+	out := m.e.index.Match(r, &m.probe, m.out[:0])
+	indexed := 0
+	for _, rule := range out {
+		if ok, err := rule.holds(r); err != nil {
+			return nil, err
+		} else if ok {
+			out[indexed] = rule
+			indexed++
 		}
-		if ok {
+	}
+	clear(out[indexed:]) // the scratch must not pin rules it rejected
+	out = out[:indexed]
+	for _, rule := range m.e.residual {
+		if ok, err := rule.holds(r); err != nil {
+			return nil, err
+		} else if ok {
 			out = append(out, rule)
 		}
-		return nil
 	}
-	m.epoch++
-	m.cands = m.cands[:0]
-	// Stale-entry bound: rules removed from the engine stay in the
-	// counts map as inert epoch-stamped entries. Under heavy rule churn
-	// that would pin dead rules and grow without limit, so reset the
-	// map when it clearly outnumbers the live set.
-	if len(m.counts) > 2*len(e.rules)+64 {
-		clear(m.counts)
-	}
-	bump := func(rule *Rule) {
-		h := m.counts[rule]
-		if h.epoch != m.epoch {
-			h = hitCount{epoch: m.epoch}
-			m.cands = append(m.cands, rule)
-		}
-		h.n++
-		m.counts[rule] = h
-	}
-	// Equality probes: for every indexed field, the event's value picks
-	// up the rules anchored on it. The key encodes into the matcher's
-	// reused buffer; the string conversion inside the map index does
-	// not allocate.
-	for field, byVal := range e.eqIndex {
-		v, ok := r.Get(field)
-		if !ok || v.IsNull() {
-			continue
-		}
-		m.keyBuf = val.AppendKey(m.keyBuf[:0], v)
-		for _, rule := range byVal[string(m.keyBuf)] {
-			bump(rule)
-		}
-	}
-	// Range probes.
-	for field, ix := range e.rangeIndex {
-		v, ok := r.Get(field)
-		if !ok {
-			continue
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			continue
-		}
-		ix.stab(f, bump)
-	}
-	for _, rule := range m.cands {
-		if m.counts[rule].n == rule.nIndexed {
-			if err := confirm(rule); err != nil {
-				return nil, err
-			}
-		}
-	}
-	indexed := len(out)
-	for _, rule := range e.residual {
-		if err := confirm(rule); err != nil {
-			return nil, err
-		}
-	}
-	// The residual matches arrive in order; only several indexed ones, or
-	// indexed and residual ones together, need sorting.
+	m.out = out
 	if indexed > 1 || indexed == 1 && len(out) > 1 {
 		sortRules(out)
 	}
 	return out, nil
-}
-
-// hitCount is one epoch-stamped candidate counter: n is meaningful
-// only when epoch matches the matcher's current epoch, which is how
-// the per-event path avoids clearing the map.
-type hitCount struct {
-	epoch uint64
-	n     int
-}
-
-// Matcher carries reusable scratch (epoch-stamped candidate counters,
-// key-encoding buffer, candidate and result slices) for repeated
-// matching, so a hot ingest loop amortizes its per-event allocations
-// to zero. A Matcher is not safe for concurrent use; create one per
-// goroutine — the engine itself remains safe to share.
-type Matcher struct {
-	e      *Engine
-	epoch  uint64
-	counts map[*Rule]hitCount
-	cands  []*Rule
-	keyBuf []byte
-	out    []*Rule
-}
-
-// NewMatcher creates a Matcher bound to the engine's live rule set.
-func (e *Engine) NewMatcher() *Matcher {
-	return &Matcher{e: e, counts: make(map[*Rule]hitCount)}
-}
-
-// Match is Engine.Match with scratch reuse. The returned slice is
-// owned by the Matcher and only valid until the next Match/Eval call.
-func (m *Matcher) Match(r expr.Resolver) ([]*Rule, error) {
-	out, err := m.e.matchInto(r, m, m.out[:0])
-	if out != nil {
-		m.out = out
-	}
-	return out, err
 }
 
 // Eval matches the event and runs each matching rule's action in

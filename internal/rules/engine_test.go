@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -185,10 +186,11 @@ func TestResidualRulesAlwaysEvaluated(t *testing.T) {
 
 // randomCondition draws a condition of one of the kinds the engine
 // treats differently: an equality, a range, an equality anchoring a
-// range, a residual disjunction, and the residual match-all.
+// range, a residual disjunction, an equality to an integral float, and
+// the residual match-all.
 func randomCondition(rng *rand.Rand) string {
 	syms := []string{"A", "B", "C", "D"}
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return fmt.Sprintf("sym = '%s'", syms[rng.Intn(len(syms))])
 	case 1:
@@ -198,6 +200,8 @@ func randomCondition(rng *rand.Rand) string {
 		return fmt.Sprintf("sym = '%s' AND price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
 	case 3:
 		return fmt.Sprintf("sym = '%s' OR price > %d", syms[rng.Intn(len(syms))], rng.Intn(60))
+	case 4:
+		return fmt.Sprintf("price = %d.0", rng.Intn(80))
 	}
 	return "true"
 }
@@ -232,15 +236,34 @@ func TestIndexIsPureOptimizationQuick(t *testing.T) {
 			}
 		}
 		for j := 0; j < 50; j++ {
+			var price any = rng.Intn(80)
+			if j%2 == 1 {
+				price = float64(price.(int))
+			}
 			sameMatch(t, e, mkEvent(map[string]any{
 				"sym":   []string{"A", "B", "C", "D"}[rng.Intn(4)],
-				"price": rng.Intn(80),
+				"price": price,
 			}))
 		}
 		return !t.Failed()
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEqualNumericsShareAKey: the index keys numerics by value, so an
+// equality matches every value expr's `=` calls equal to its literal —
+// an int, an integral float, and −0 for 0.
+func TestEqualNumericsShareAKey(t *testing.T) {
+	e := NewEngine()
+	for _, cond := range []string{"x = 1", "x = 1.0", "x = 0", "x = 0.0"} {
+		if _, err := e.Add(cond, cond, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, x := range []any{1, 1.0, 0, 0.0, math.Copysign(0, -1), 2, 0.5} {
+		sameMatch(t, e, mkEvent(map[string]any{"x": x}))
 	}
 }
 

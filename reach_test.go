@@ -18,7 +18,6 @@ import (
 var unreachedAllowed = map[string]string{
 	"vfs.Faulty":               "the disk fault seam of seven packages' tests",
 	"server.ServeListener":     "testnet's connection seam",
-	"expr.MustCompile":         "a helper of other packages' tests",
 	"val.MustFromAny":          "a helper of other packages' tests",
 	"val.Value.Any":            "the oracle of FuzzMarshalResult",
 	"repl.Follower.WaitCursor": "a probe of the root package's replication tests",
@@ -27,6 +26,7 @@ var unreachedAllowed = map[string]string{
 	"ws.Conn.NetConn":          "used by the gateway's tests",
 	"wal.WAL.Checkpoint":       "ROADMAP item 10 wires it",
 	"server.BlockOnFull":       "the named zero value of Overflow",
+	"pubsub.Broker.Rebind":     "the string form of Bind's filter swap, which the rebind tests pin",
 }
 
 // testHarnesses are the internal/ packages that exist for tests alone;
