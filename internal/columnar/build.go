@@ -26,7 +26,6 @@ func encodeSegment(view *Segment) (*Segment, error) {
 		rows:       n,
 		sealedRows: n,
 		ids:        append(view.ids[:0:0], view.ids...),
-		lsns:       append(view.lsns[:0:0], view.lsns...),
 		firstLSN:   view.lsns[0],
 		lastLSN:    view.lsns[n-1],
 		cols:       make([]column, len(view.cols)),
@@ -39,12 +38,12 @@ func encodeSegment(view *Segment) (*Segment, error) {
 		s.cols[ci] = col
 		s.bytes += col.memBytes()
 	}
-	s.bytes += n * (8 + 8) // ids + lsns
+	s.bytes += n * 8 // ids
 	return s, nil
 }
 
 // liveOnly returns the segment as it would have been sealed from its
-// live rows alone: the same row ids, LSNs and LSN bounds, zones
+// live rows alone: the same row ids and LSN bounds, zones
 // recomputed, nothing shared with s. What it leaves out stays in the
 // segment's file, which sealedRows still counts.
 func (s *Segment) liveOnly() (*Segment, error) {
@@ -56,7 +55,7 @@ func (s *Segment) liveOnly() (*Segment, error) {
 		for i := 0; i < b.Len; i++ {
 			if p := b.Start + i; !deadBit(s.dead, p) {
 				b.MaterializeRow(row, i)
-				if err := live.append(s.ids[p], s.lsns[p], 0, row); err != nil {
+				if err := live.append(s.ids[p], 0, 0, row); err != nil {
 					return nil, err
 				}
 			}

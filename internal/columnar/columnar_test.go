@@ -452,69 +452,6 @@ func TestWholeCommitSealing(t *testing.T) {
 	}
 }
 
-func TestMineInsertsMatchesHistory(t *testing.T) {
-	dir := t.TempDir()
-	db, err := storage.Open(storage.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.CreateTable(eventsSchema(t)); err != nil {
-		t.Fatal(err)
-	}
-	fillEvents(t, db, 150, 5)
-	tbl, _ := db.Table("events")
-	ids, _ := tbl.ScanRows()
-	// Update and delete a few rows so the history includes superseded
-	// inserts — MineInserts must still replay the original inserts.
-	db.UpdateRow("events", ids[3], map[string]val.Value{"qty": val.Int(1)})
-	db.DeleteRow("events", ids[4])
-
-	m := attach(t, db, Config{SealRows: 64, Dir: filepath.Join(dir, "segments")})
-	if _, err := m.Compact("events"); err != nil {
-		t.Fatal(err)
-	}
-	var lsns []uint64
-	var mineIDs []storage.RowID
-	next, err := m.MineInserts("events", 0, func(lsn uint64, c *storage.Change) error {
-		lsns = append(lsns, lsn)
-		mineIDs = append(mineIDs, c.ID)
-		if c.Kind != storage.Insert || c.Table != "events" || len(c.New) == 0 {
-			t.Fatalf("bad change: %+v", c)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mineIDs) != 150 {
-		t.Fatalf("mined %d inserts, want 150 (deletes must not erase history)", len(mineIDs))
-	}
-	for i := 1; i < len(lsns); i++ {
-		if lsns[i] < lsns[i-1] {
-			t.Fatal("mined LSNs out of order")
-		}
-	}
-	if next != lsns[len(lsns)-1]+1 {
-		t.Fatalf("next = %d, want %d", next, lsns[len(lsns)-1]+1)
-	}
-	// Mining from the middle yields a suffix.
-	mid := lsns[75]
-	count := 0
-	if _, err := m.MineInserts("events", mid, func(lsn uint64, c *storage.Change) error {
-		if lsn < mid {
-			t.Fatalf("lsn %d < from %d", lsn, mid)
-		}
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 150-75 {
-		t.Fatalf("suffix mine = %d rows, want %d", count, 150-75)
-	}
-}
-
 func TestPersistReloadAndCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	segDir := filepath.Join(dir, "segments")

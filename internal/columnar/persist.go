@@ -36,9 +36,7 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 // file that fails any check — magic, CRC, schema fingerprint, LSN/ID
 // contiguity, an LSN the WAL has not reached — is deleted and its rows
 // are rebuilt from the WAL by the normal bootstrap path. The WAL stays
-// the source of truth. For live rows a file is a cache of it; for dead
-// ones, which memory does not keep, it is the copy MineInserts reads
-// (readSegment), the WAL the fallback.
+// the source of truth, and a file is read only at restart.
 
 const segMagic = "EDBSEG1\n"
 
@@ -248,25 +246,6 @@ func (m *Manager) persistSegment(seg *Segment) error {
 		return err
 	}
 	return fsys.Rename(tmp, final)
-}
-
-// readSegment decodes the file of the sealed segment covering span into
-// scannable form, every row of it, dead or not.
-func (m *Manager) readSegment(st *TableStore, span lsnSpan) (*Segment, error) {
-	path := filepath.Join(m.cfg.Dir, segFileName(st.table, span.first))
-	data, err := readFile(m.cfg.FS, path)
-	if err != nil {
-		return nil, err
-	}
-	table, rows, err := decodeSegmentFile(data, st.schema)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	seg := rows.view(table)
-	if table != st.table || seg.firstLSN != span.first || seg.lastLSN != span.last {
-		return nil, badSeg("%s: holds %q lsn %d-%d, want %q lsn %d-%d", path, table, seg.firstLSN, seg.lastLSN, st.table, span.first, span.last)
-	}
-	return seg, nil
 }
 
 // loadSegments reloads persisted segments at attach time. Invalid

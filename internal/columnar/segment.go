@@ -10,10 +10,9 @@
 // background sealer encodes the tail's vectors into segments (see
 // store.go, build.go); the query processor runs one vectorized
 // filter+aggregate loop over segments and tail alike (filter.go,
-// internal/query), and journal mining serves sealed insert history
-// from segments instead of replaying the WAL. Memory holds what a scan
-// can return: a segment whose rows are all dead leaves it and lives on
-// as its file, which only mining reads (store.go, persist.go).
+// internal/query). Memory holds what a scan can return: a segment whose
+// rows are all dead leaves it, and its file stays for restart
+// (store.go, persist.go). History is the WAL's: REPLAY reads the log.
 package columnar
 
 import (
@@ -63,8 +62,9 @@ type Segment struct {
 	// allocated monotonically and commits deliver in order), so row
 	// position is a binary search away.
 	ids []storage.RowID
-	// lsns holds each row's commit LSN, non-decreasing. Zero throughout
-	// on a volatile database.
+	// lsns holds each row's commit LSN, non-decreasing (zero throughout
+	// on a volatile database): what a segment file records. Only a tail
+	// view and its slices carry it; a sealed segment keeps the bounds.
 	lsns []uint64
 
 	firstLSN, lastLSN uint64
@@ -73,9 +73,7 @@ type Segment struct {
 
 	// dead marks rows superseded after sealing (updated or deleted in
 	// the row store). Guarded by the owning TableStore's mutex; nil
-	// until the first mark. Scans skip dead rows; history mining
-	// (REPLAY) deliberately ignores the bitmap — the insert happened
-	// regardless of the row's later fate.
+	// until the first mark. Scans skip dead rows.
 	dead      []uint64
 	deadCount int
 

@@ -1,7 +1,6 @@
 package columnar
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -25,8 +24,7 @@ type Config struct {
 	// SealInterval is the sealer's wake-up cadence. Defaults to 200ms.
 	SealInterval time.Duration
 	// Dir, when non-empty, persists sealed segments as files: a restart
-	// reloads them instead of re-mining the WAL, and MineInserts reads
-	// from them the history memory no longer holds. Files that fail
+	// reloads them instead of re-mining the WAL. Files that fail
 	// validation (partial write, CRC mismatch, schema drift, ahead of
 	// the WAL) are discarded and their rows rebuilt from the WAL.
 	Dir string
@@ -51,10 +49,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// registry maps a *storage.DB to its attached Manager so that layers
-// that only hold a DB handle (query planner, journal miner) can find
-// the columnar history without threading a manager through every call
-// site.
+// registry maps a *storage.DB to its attached Manager so that the
+// query planner, which holds only a DB handle, can find the columnar
+// history without threading a manager through every call site.
 var registry sync.Map // *storage.DB → *Manager
 
 // Of returns the Manager attached to db, or nil.
@@ -114,13 +111,9 @@ type TableStore struct {
 	// LSNs ascend). Memory holds what a scan can return: a segment stays
 	// here only while it has a live row (see resident).
 	segs []*Segment
-	// released are the LSN spans of the segments that left memory, in
-	// release order, and releasedSegs/releasedRows count them. Spans are
-	// kept only on a durable database (durable), where MineInserts reads
-	// them back from the segment file or the WAL.
-	released                   []lsnSpan
+	// releasedSegs and releasedRows count the sealed segments, and
+	// their rows, that left memory.
 	releasedSegs, releasedRows int
-	durable                    bool
 
 	tail *tail
 	// modified holds the rows whose current version lives only in the
@@ -132,9 +125,6 @@ type TableStore struct {
 	maxSealedLSN uint64
 	maxGrp       uint64 // dedup guard: highest observed seal-group key
 }
-
-// lsnSpan is the WAL span a sealed segment covers.
-type lsnSpan struct{ first, last uint64 }
 
 // TableStats is the COMPACT/stats surface for one table. Segments,
 // SealedRows and DeadRows count the sealed history, in memory or not;
@@ -272,7 +262,6 @@ func (m *Manager) store(name string) *TableStore {
 		schema:   tbl.Schema(),
 		tail:     newTail(tbl.Schema()),
 		modified: make(map[storage.RowID]struct{}),
-		durable:  m.durable,
 	}
 	m.stores[name] = st
 	return st
@@ -445,7 +434,7 @@ func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) error {
 const sparseDiv = 4
 
 // settled is the residency rule — memory holds what a scan can return,
-// files hold what happened — applied to one sealed segment, or to rows
+// the WAL holds what happened — applied to one sealed segment, or to rows
 // about to become one: nil when no row is live, a copy without the dead
 // rows when the live ones are down to 1/sparseDiv, else s. s itself is
 // never modified: a Snapshot may be scanning it.
@@ -469,20 +458,16 @@ func (st *TableStore) resident(seg *Segment) (*Segment, error) {
 		return seg, err
 	}
 	if keep == nil {
-		st.release(seg.sealedRows, lsnSpan{seg.firstLSN, seg.lastLSN})
+		st.release(seg.sealedRows)
 	}
 	return keep, nil
 }
 
-// release counts sealed rows that left memory, or never entered it; on
-// a durable database their LSN span is kept for MineInserts. Caller
-// holds mu.
-func (st *TableStore) release(rows int, span lsnSpan) {
+// release counts sealed rows that left memory, or never entered it.
+// Caller holds mu.
+func (st *TableStore) release(rows int) {
 	st.releasedSegs++
 	st.releasedRows += rows
-	if st.durable {
-		st.released = append(st.released, span)
-	}
 }
 
 // ---- bootstrap ----
@@ -615,8 +600,8 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 	for i, cut := range cuts {
 		rows := view.slice(from, cut, dead)
 		if m.durable && m.cfg.Dir != "" {
-			// Before install: once a segment can be released, its file
-			// is the copy MineInserts reads.
+			// The file serves restart only: Attach reloads it instead
+			// of re-sealing its rows from the WAL.
 			m.setErr(m.persistSegment(rows))
 		}
 		seg, err := rows.settled()
@@ -641,7 +626,7 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 	from = 0
 	for i, cut := range cuts {
 		if seg := segs[i]; seg == nil {
-			st.release(cut-from, lsnSpan{t.lsns[from], t.lsns[cut-1]})
+			st.release(cut - from)
 		} else {
 			for p := from; p < cut; p++ {
 				if t.isDead(p) && !deadBit(dead, p) { // died since the view
@@ -794,118 +779,4 @@ func (st *TableStore) Snapshot() *Snapshot {
 		}
 	}
 	return snap
-}
-
-// ---- history mining ----
-
-// MineInserts replays the sealed insert history of one table in LSN
-// order, including rows later updated or deleted (the insert happened
-// regardless of the row's later fate — exactly what REPLAY wants).
-// Dead rows are not kept in memory, so it is the one reader of segment
-// files after start-up: a span whose rows are not all resident is
-// decoded from its file, one file at a time, and replayed from the WAL
-// — the source of truth — when the file is missing or invalid (Err
-// then says so). It returns the LSN after the sealed prefix, from which
-// the caller should continue with a WAL replay; fromLSN is returned
-// unchanged when segments cover nothing at or after it.
-func (m *Manager) MineInserts(table string, fromLSN uint64, fn func(lsn uint64, c *storage.Change) error) (nextLSN uint64, err error) {
-	st := m.Table(table)
-	if st == nil {
-		return fromLSN, nil
-	}
-	type part struct {
-		lsnSpan
-		seg *Segment // nil, or short of rows, when the file has to serve
-	}
-	st.mu.RLock()
-	var parts []part // the spans reaching fromLSN
-	for _, seg := range st.segs {
-		if seg.lastLSN >= fromLSN {
-			parts = append(parts, part{lsnSpan{seg.firstLSN, seg.lastLSN}, seg})
-		}
-	}
-	for _, span := range st.released {
-		if span.last >= fromLSN {
-			parts = append(parts, part{lsnSpan: span})
-		}
-	}
-	maxSealedLSN := st.maxSealedLSN
-	st.mu.RUnlock()
-	if maxSealedLSN == 0 || maxSealedLSN < fromLSN {
-		return fromLSN, nil
-	}
-	sort.Slice(parts, func(a, b int) bool { return parts[a].first < parts[b].first })
-	for _, p := range parts {
-		seg := p.seg
-		if seg == nil || seg.rows < seg.sealedRows {
-			seg = nil
-			if m.cfg.Dir != "" {
-				var ferr error
-				if seg, ferr = m.readSegment(st, p.lsnSpan); ferr != nil {
-					m.setErr(ferr)
-				}
-			}
-		}
-		if seg == nil {
-			if err := m.mineWAL(table, max(fromLSN, p.first), p.last, fn); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if err := mineSegment(seg, fromLSN, fn); err != nil {
-			return 0, err
-		}
-	}
-	return maxSealedLSN + 1, nil
-}
-
-// mineSegment hands fn every row of seg at or after fromLSN as the
-// insert it was.
-func mineSegment(seg *Segment, fromLSN uint64, fn func(lsn uint64, c *storage.Change) error) error {
-	r := seg.NewReader(nil)
-	var b Batch
-	for r.Next(&b) {
-		for i := 0; i < b.Len; i++ {
-			lsn := seg.lsns[b.Start+i]
-			if lsn < fromLSN {
-				continue
-			}
-			row := make(storage.Row, len(seg.cols))
-			b.MaterializeRow(row, i)
-			c := storage.Change{Table: seg.table, Kind: storage.Insert, ID: seg.ids[b.Start+i], New: row}
-			if err := fn(lsn, &c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// errPastSpan ends mineWAL's replay at the end of its span.
-var errPastSpan = errors.New("columnar: past the span")
-
-// mineWAL hands fn the table's inserts committed at LSNs [from, last],
-// read from the WAL.
-func (m *Manager) mineWAL(table string, from, last uint64, fn func(lsn uint64, c *storage.Change) error) error {
-	err := m.db.WAL().Replay(from, func(r wal.Record) error {
-		if r.LSN > last {
-			return errPastSpan
-		}
-		changes, ok, err := storage.DecodeCommitRecord(r)
-		if err != nil || !ok {
-			return err
-		}
-		for i := range changes {
-			if c := &changes[i]; c.Table == table && c.Kind == storage.Insert {
-				if err := fn(r.LSN, c); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if errors.Is(err, errPastSpan) {
-		return nil
-	}
-	return err
 }

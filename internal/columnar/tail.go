@@ -233,8 +233,9 @@ func (v *Segment) slice(from, to int, dead []uint64) *Segment {
 
 // sealCuts returns the ends of the row ranges to seal, in order: each
 // takes target rows, extended so a commit's inserts are never split
-// across a seal boundary (journal mining resumes WAL replay at
-// maxSealedLSN+1, so a split commit would double- or under-deliver),
+// across a seal boundary (a restart skips the WAL's inserts up to
+// maxSealedLSN, so a commit split by a lost file would lose its later
+// rows; and a scan snapshot finds a commit's inserts in one segment),
 // and further ranges follow while at least target rows remain. A tail
 // shorter than target is sealed whole.
 func (t *tail) sealCuts(target int) []int {

@@ -50,7 +50,7 @@ type Config struct {
 
 	// ColumnarDisabled turns off the columnar history store. By default
 	// every engine seals committed table history into immutable column
-	// segments that serve full-scan queries and REPLAY backfill.
+	// segments that serve full-scan queries.
 	ColumnarDisabled bool
 	// ColumnarSealRows overrides the pending-row threshold at which a
 	// table's history is sealed into a segment (default 8192).
@@ -427,10 +427,11 @@ func (e *Engine) EnsureQueue(name string, cfg queue.Config) (*queue.Queue, error
 // ReplayQueue mines the WAL journal for messages staged into a queue
 // and decodes each back into its original event — including messages
 // long since acknowledged and deleted, because the redo log remembers
-// every INSERT. This is the paper's hybrid historical+live consumption
-// (§2.2.a.ii): a durable subscriber backfills from a log position,
-// then goes live on the queue. Returns the next LSN to resume from and
-// how many messages were replayed. Requires a durable engine
+// every INSERT: one pass of the WAL's cursor reads them, columnar store
+// or not. This is the paper's hybrid historical+live consumption
+// (§2.2.a.ii): a durable subscriber backfills from a log position, then
+// goes live on the queue. Returns the next LSN to resume from and how
+// many messages were replayed. Requires a durable engine
 // (journal.ErrNotDurable otherwise).
 func (e *Engine) ReplayQueue(name string, fromLSN uint64, fn func(ev *event.Event, lsn uint64, msgID int64) error) (nextLSN uint64, replayed int, err error) {
 	f := journal.Filter{

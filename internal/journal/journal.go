@@ -4,10 +4,12 @@
 // read from the write-ahead log — decoupled from the transaction path —
 // and converted to events.
 //
-// Both modes read the log through one wal.Cursor:
+// The WAL is the only source of mined history; the columnar store's
+// copy of it serves scans. Both modes read the log through one
+// wal.Cursor:
 //
 //   - Mine: one pass over an LSN range of the persisted WAL, e.g. for
-//     catch-up after downtime or retrospective analysis.
+//     catch-up after downtime or retrospective analysis (REPLAY).
 //   - Tail: live capture; storage.DB.Follow keeps reading as commits
 //     land, and a slow consumer falls behind by LSN instead of losing
 //     changes.
@@ -18,7 +20,6 @@ import (
 	"fmt"
 	"slices"
 
-	"eventdb/internal/columnar"
 	"eventdb/internal/event"
 	"eventdb/internal/storage"
 	"eventdb/internal/trigger"
@@ -81,31 +82,15 @@ func (m *Miner) event(lsn uint64, c *storage.Change) *event.Event {
 // know the table's shape (e.g. queue-payload backfill) can decode row
 // values directly instead of going through attribute maps. Changes to
 // tables that no longer exist are still delivered — the WAL remembers
-// them even if the schema registry does not.
-//
-// When the mined shape is one table's inserts and the database has a
-// columnar store attached, the sealed prefix of the history is served
-// from segments (no WAL decode, no per-record filtering) and only the
-// unsealed tail replays from the WAL. Output is identical either way:
-// the same inserts, in LSN order.
+// them even if the schema registry does not. It is one pass of the
+// WAL's cursor (wal.Replay), so the changes come in LSN order, the
+// inserts of rows later updated or deleted included.
 func (m *Miner) MineChanges(fromLSN uint64, f Filter, fn func(lsn uint64, c *storage.Change) error) (nextLSN uint64, err error) {
 	log := m.db.WAL()
 	if log == nil {
 		return 0, ErrNotDurable
 	}
 	nextLSN = fromLSN
-	if len(f.Tables) == 1 && len(f.Ops) == 1 && f.Ops[0] == storage.Insert {
-		if cm := columnar.Of(m.db); cm != nil {
-			next, err := cm.MineInserts(f.Tables[0], fromLSN, fn)
-			if err != nil {
-				return next, err
-			}
-			if next > fromLSN {
-				fromLSN = next
-				nextLSN = next
-			}
-		}
-	}
 	err = log.Replay(fromLSN, func(r wal.Record) error {
 		nextLSN = r.LSN + 1
 		return eachChange(r, f, fn)

@@ -16,7 +16,7 @@ import (
 // all of it. Three seal thresholds of messages are published, delivered
 // and ACKed; after COMPACT the HEALTH snapshot shows segments sealed and
 // none resident, and REPLAY from LSN 0 gives every message in LSN order
-// — from the segment files — on this server and after a restart, line
+// — from the WAL — on this server and after a restart, line
 // for line what a server without the columnar store (the WAL alone)
 // replays from the same directory.
 func TestReplayAcknowledgedHistory(t *testing.T) {
