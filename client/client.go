@@ -74,6 +74,7 @@ import (
 	"eventdb/internal/cq"
 	"eventdb/internal/event"
 	"eventdb/internal/frame"
+	"eventdb/internal/query"
 )
 
 // Event is the event record exchanged with the server (an alias of the
@@ -96,11 +97,11 @@ type CQWindow = cq.Window
 
 // Aggregate kinds for CQAgg.Kind.
 const (
-	Count = cq.Count
-	Sum   = cq.Sum
-	Avg   = cq.Avg
-	Min   = cq.Min
-	Max   = cq.Max
+	Count = query.Count
+	Sum   = query.Sum
+	Avg   = query.Avg
+	Min   = query.Min
+	Max   = query.Max
 )
 
 // Window kinds for CQWindow.Kind.

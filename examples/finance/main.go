@@ -22,6 +22,7 @@ import (
 	"eventdb/examples/internal/workload"
 	"eventdb/internal/cep"
 	"eventdb/internal/cq"
+	"eventdb/internal/query"
 	"eventdb/internal/queue"
 )
 
@@ -55,8 +56,8 @@ func main() {
 		Name:    "avgprice",
 		GroupBy: []string{"sym"},
 		Aggs: []cq.AggDef{
-			{Alias: "trades", Kind: cq.Count},
-			{Alias: "avg_price", Kind: cq.Avg, Attr: "price"},
+			{Alias: "trades", Kind: query.Count},
+			{Alias: "avg_price", Kind: query.Avg, Attr: "price"},
 		},
 		Window: cq.Window{Kind: cq.CountWindow, Size: 100},
 	})
@@ -111,11 +112,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		updates, err := avg.Feed(ev)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cqUpdates += len(updates)
+		cqUpdates += len(avg.Feed(ev))
 	}
 	if _, err := d.DrainOnce(); err != nil {
 		log.Fatal(err)

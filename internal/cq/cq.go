@@ -1,11 +1,19 @@
 // Package cq implements continuous queries over event streams
-// (§2.2.c.i.3): standing filtered, grouped, windowed aggregations that
-// emit an updated result whenever the stream changes it.
+// (§2.2.c.i.3): standing grouped, windowed aggregations that emit an
+// updated result whenever the stream changes it. A continuous query is
+// SELECT's aggregation kept registered: each group folds its window into
+// query.Accumulators, the ones a SELECT folds a table into, so the
+// aggregate rules are SELECT's:
 //
-// Evaluation is incremental: each event updates per-group accumulators
-// in O(1) plus evictions. The naive baseline — rescan the whole window
-// per event — lives in the tests, as the oracle the accumulators are
-// held to and as the other arm of the cost comparison.
+//   - count counts events and ignores attr;
+//   - sum and avg leave out nulls and non-numbers;
+//   - min and max order values by val.Less.
+//
+// Evaluation is incremental: an event is folded in once and taken back
+// with Accumulator.Remove when it leaves the window; only a min or max
+// losing its extreme refolds its group. The naive baseline — rescan the
+// whole window per event — lives in the tests, as the oracle the
+// accumulators are held to and as the other arm of the cost comparison.
 package cq
 
 import (
@@ -15,45 +23,15 @@ import (
 	"time"
 
 	"eventdb/internal/event"
-	"eventdb/internal/expr"
+	"eventdb/internal/query"
 	"eventdb/internal/val"
 )
-
-// AggKind enumerates streaming aggregate functions.
-type AggKind int
-
-// Streaming aggregates.
-const (
-	Count AggKind = iota
-	Sum
-	Avg
-	Min
-	Max
-)
-
-// String returns the aggregate name.
-func (k AggKind) String() string {
-	switch k {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Avg:
-		return "avg"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	default:
-		return fmt.Sprintf("agg(%d)", int(k))
-	}
-}
 
 // AggDef is one aggregate output.
 type AggDef struct {
 	Alias string
-	Kind  AggKind
-	Attr  string // ignored for Count
+	Kind  query.AggKind
+	Attr  string // ignored for query.Count
 }
 
 // WindowKind selects how the window bounds the stream.
@@ -77,8 +55,11 @@ type Window struct {
 
 // Def declares a continuous query.
 type Def struct {
-	Name    string
-	Filter  string // predicate over event attributes; "" = all
+	Name string
+	// Filter is a predicate over event attributes ("" = all). The
+	// subscription that feeds the query applies it, not Feed: on the
+	// wire, the CQ's broker subscription is registered with it.
+	Filter  string
 	GroupBy []string
 	Aggs    []AggDef
 	Window  Window
@@ -86,9 +67,7 @@ type Def struct {
 
 // CQ is a running continuous query. Not safe for concurrent use.
 type CQ struct {
-	def    Def
-	filter *expr.Predicate
-
+	def     Def
 	entries []entry // window contents, oldest first (ring not needed: slices amortize)
 	groups  map[string]*groupState
 }
@@ -96,16 +75,13 @@ type CQ struct {
 type entry struct {
 	t    time.Time
 	key  string
-	vals []val.Value // one per agg (the referenced attr's value)
+	vals []val.Value // one per agg: what it folded (null: nothing)
 }
 
 type groupState struct {
 	keyVs []val.Value
 	n     int // live entries in window for this group
-	count []int64
-	sum   []float64
-	// min/max maintained lazily: recomputed on eviction of an extreme.
-	minV, maxV []val.Value
+	accs  []query.Accumulator
 }
 
 // New compiles a continuous query.
@@ -128,34 +104,17 @@ func New(def Def) (*CQ, error) {
 	default:
 		return nil, fmt.Errorf("cq: unknown window kind %d", def.Window.Kind)
 	}
-	q := &CQ{def: def, groups: make(map[string]*groupState)}
-	if def.Filter != "" {
-		p, err := expr.Compile(def.Filter)
-		if err != nil {
-			return nil, fmt.Errorf("cq: %q: %w", def.Name, err)
-		}
-		q.filter = p
-	}
-	return q, nil
+	return &CQ{def: def, groups: make(map[string]*groupState)}, nil
 }
 
 // Name returns the query name.
 func (q *CQ) Name() string { return q.def.Name }
 
-// Feed processes one event. If it passes the filter, the window advances
-// and an updated-result event ("cq.<name>") for the affected group is
-// returned (plus one per group whose values changed by eviction).
-// Events must arrive in nondecreasing time order for time windows.
-func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
-	if q.filter != nil {
-		ok, err := q.filter.Match(ev)
-		if err != nil {
-			return nil, fmt.Errorf("cq: %q: %w", q.def.Name, err)
-		}
-		if !ok {
-			return nil, nil
-		}
-	}
+// Feed processes one event: the window advances and an updated-result
+// event ("cq.<name>") is returned for the event's group, plus one per
+// group whose values changed by eviction. Events must arrive in
+// nondecreasing time order for time windows.
+func (q *CQ) Feed(ev *event.Event) []*event.Event {
 	// Build the entry.
 	en := entry{t: ev.Time}
 	var kb []byte
@@ -167,11 +126,10 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 	}
 	en.key = string(kb)
 	for _, a := range q.def.Aggs {
-		if a.Kind == Count {
-			en.vals = append(en.vals, val.Int(1))
-			continue
+		v := val.Int(1) // count counts events
+		if a.Kind != query.Count {
+			v, _ = ev.Get(a.Attr)
 		}
-		v, _ := ev.Get(a.Attr)
 		en.vals = append(en.vals, v)
 	}
 
@@ -191,7 +149,6 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 	}
 
 	// Admit.
-	q.entries = append(q.entries, en)
 	gs, ok := q.groups[en.key]
 	if !ok {
 		// A group outlives the event that opened it, so its key strings
@@ -202,17 +159,19 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 				keyVs[i] = val.String(strings.Clone(s))
 			}
 		}
-		gs = &groupState{
-			keyVs: keyVs,
-			count: make([]int64, len(q.def.Aggs)),
-			sum:   make([]float64, len(q.def.Aggs)),
-			minV:  make([]val.Value, len(q.def.Aggs)),
-			maxV:  make([]val.Value, len(q.def.Aggs)),
+		gs = &groupState{keyVs: keyVs, accs: make([]query.Accumulator, len(q.def.Aggs))}
+		for i, a := range q.def.Aggs {
+			gs.accs[i].Kind = a.Kind
 		}
 		q.groups[en.key] = gs
 	}
 	gs.n++
-	q.applyAdd(gs, en.vals)
+	for i := range gs.accs {
+		if gs.accs[i].Add(en.vals[i]) != nil {
+			en.vals[i] = val.Null // a non-number: never folded, never taken back
+		}
+	}
+	q.entries = append(q.entries, en)
 
 	// Emit one result event per dirty group.
 	var out []*event.Event
@@ -223,7 +182,7 @@ func (q *CQ) Feed(ev *event.Event) ([]*event.Event, error) {
 		}
 		out = append(out, q.resultEvent(ev.Time, gs))
 	}
-	return out, nil
+	return out
 }
 
 func (q *CQ) evictOldest(dirty map[string]bool) {
@@ -236,86 +195,19 @@ func (q *CQ) evictOldest(dirty map[string]bool) {
 		delete(q.groups, old.key)
 		return
 	}
-	q.applyRemove(gs, old)
-}
-
-func (q *CQ) applyAdd(gs *groupState, vals []val.Value) {
-	for i, a := range q.def.Aggs {
-		v := vals[i]
-		if v.IsNull() {
+	for i := range gs.accs {
+		if gs.accs[i].Remove(old.vals[i]) {
 			continue
 		}
-		switch a.Kind {
-		case Count:
-			gs.count[i]++
-		case Sum, Avg:
-			f, ok := v.AsFloat()
-			if !ok {
-				continue
-			}
-			gs.count[i]++
-			gs.sum[i] += f
-		case Min:
-			if gs.minV[i].IsNull() || val.Less(v, gs.minV[i]) {
-				gs.minV[i] = v
-			}
-			gs.count[i]++
-		case Max:
-			if gs.maxV[i].IsNull() || val.Less(gs.maxV[i], v) {
-				gs.maxV[i] = v
-			}
-			gs.count[i]++
-		}
-	}
-}
-
-func (q *CQ) applyRemove(gs *groupState, old entry) {
-	for i, a := range q.def.Aggs {
-		v := old.vals[i]
-		if v.IsNull() {
-			continue
-		}
-		switch a.Kind {
-		case Count:
-			gs.count[i]--
-		case Sum, Avg:
-			f, ok := v.AsFloat()
-			if !ok {
-				continue
-			}
-			gs.count[i]--
-			gs.sum[i] -= f
-		case Min:
-			gs.count[i]--
-			if val.Equal(v, gs.minV[i]) {
-				gs.minV[i] = q.recomputeExtreme(old.key, i, true)
-			}
-		case Max:
-			gs.count[i]--
-			if val.Equal(v, gs.maxV[i]) {
-				gs.maxV[i] = q.recomputeExtreme(old.key, i, false)
+		// The evicted value may have been a min's or max's extreme:
+		// refold what the group has left in the window.
+		gs.accs[i] = query.Accumulator{Kind: gs.accs[i].Kind}
+		for _, en := range q.entries {
+			if en.key == old.key {
+				_ = gs.accs[i].Add(en.vals[i]) // fails on nothing Feed stored
 			}
 		}
 	}
-}
-
-// recomputeExtreme rescans the live window for a group's min or max —
-// the amortized cost of exact extremes under eviction.
-func (q *CQ) recomputeExtreme(key string, aggIdx int, wantMin bool) val.Value {
-	best := val.Null
-	for _, en := range q.entries {
-		if en.key != key {
-			continue
-		}
-		v := en.vals[aggIdx]
-		if v.IsNull() {
-			continue
-		}
-		if best.IsNull() || (wantMin && val.Less(v, best)) || (!wantMin && val.Less(best, v)) {
-			best = v
-		}
-	}
-	return best
 }
 
 // resultEvent renders a group's current aggregates.
@@ -326,7 +218,7 @@ func (q *CQ) resultEvent(t time.Time, gs *groupState) *event.Event {
 	}
 	attrs["window_len"] = val.Int(int64(gs.n))
 	for i, a := range q.def.Aggs {
-		attrs[a.Alias] = q.aggValue(gs, i, a.Kind)
+		attrs[a.Alias] = gs.accs[i].Result()
 	}
 	return &event.Event{
 		ID:     event.NextID(),
@@ -335,26 +227,4 @@ func (q *CQ) resultEvent(t time.Time, gs *groupState) *event.Event {
 		Time:   t,
 		Attrs:  attrs,
 	}
-}
-
-func (q *CQ) aggValue(gs *groupState, i int, kind AggKind) val.Value {
-	switch kind {
-	case Count:
-		return val.Int(gs.count[i])
-	case Sum:
-		if gs.count[i] == 0 {
-			return val.Null
-		}
-		return val.Float(gs.sum[i])
-	case Avg:
-		if gs.count[i] == 0 {
-			return val.Null
-		}
-		return val.Float(gs.sum[i] / float64(gs.count[i]))
-	case Min:
-		return gs.minV[i]
-	case Max:
-		return gs.maxV[i]
-	}
-	return val.Null
 }

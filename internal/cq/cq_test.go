@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"eventdb/internal/event"
+	"eventdb/internal/query"
 	"eventdb/internal/val"
 )
 
@@ -33,7 +34,7 @@ func getF(t *testing.T, ev *event.Event, name string) float64 {
 func TestCountWindowSlidingAvg(t *testing.T) {
 	q, err := New(Def{
 		Name:   "avg3",
-		Aggs:   []AggDef{{Alias: "m", Kind: Avg, Attr: "v"}},
+		Aggs:   []AggDef{{Alias: "m", Kind: query.Avg, Attr: "v"}},
 		Window: Window{Kind: CountWindow, Size: 3},
 	})
 	if err != nil {
@@ -42,10 +43,7 @@ func TestCountWindowSlidingAvg(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	wantAvg := []float64{1, 1.5, 2, 3, 4}
 	for i, v := range vals {
-		out, err := q.Feed(mk(i, map[string]any{"v": v}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := q.Feed(mk(i, map[string]any{"v": v}))
 		if len(out) != 1 {
 			t.Fatalf("step %d: %d result events", i, len(out))
 		}
@@ -61,16 +59,16 @@ func TestCountWindowSlidingAvg(t *testing.T) {
 func TestTimeWindow(t *testing.T) {
 	q, _ := New(Def{
 		Name:   "sum10s",
-		Aggs:   []AggDef{{Alias: "s", Kind: Sum, Attr: "v"}},
+		Aggs:   []AggDef{{Alias: "s", Kind: query.Sum, Attr: "v"}},
 		Window: Window{Kind: TimeWindow, Duration: 10 * time.Second},
 	})
 	q.Feed(mk(0, map[string]any{"v": 1}))
 	q.Feed(mk(5, map[string]any{"v": 2}))
-	out, _ := q.Feed(mk(12, map[string]any{"v": 4})) // evicts t=0 (12-10=2 cutoff)
+	out := q.Feed(mk(12, map[string]any{"v": 4})) // evicts t=0 (12-10=2 cutoff)
 	if got := getF(t, out[0], "s"); got != 6 {
 		t.Errorf("sum = %v, want 6 (2+4)", got)
 	}
-	out, _ = q.Feed(mk(30, map[string]any{"v": 8})) // everything else evicted
+	out = q.Feed(mk(30, map[string]any{"v": 8})) // everything else evicted
 	if got := getF(t, out[0], "s"); got != 8 {
 		t.Errorf("sum = %v, want 8", got)
 	}
@@ -80,12 +78,12 @@ func TestGroupBy(t *testing.T) {
 	q, _ := New(Def{
 		Name:    "bysym",
 		GroupBy: []string{"sym"},
-		Aggs:    []AggDef{{Alias: "n", Kind: Count}, {Alias: "avg", Kind: Avg, Attr: "v"}},
+		Aggs:    []AggDef{{Alias: "n", Kind: query.Count}, {Alias: "avg", Kind: query.Avg, Attr: "v"}},
 		Window:  Window{Kind: CountWindow, Size: 4},
 	})
 	q.Feed(mk(0, map[string]any{"sym": "A", "v": 10}))
 	q.Feed(mk(1, map[string]any{"sym": "B", "v": 100}))
-	out, _ := q.Feed(mk(2, map[string]any{"sym": "A", "v": 20}))
+	out := q.Feed(mk(2, map[string]any{"sym": "A", "v": 20}))
 	if len(out) != 1 {
 		t.Fatalf("results = %d", len(out))
 	}
@@ -100,7 +98,7 @@ func TestGroupBy(t *testing.T) {
 	}
 	// Eviction of one group's entry dirties that group too.
 	q.Feed(mk(3, map[string]any{"sym": "B", "v": 200}))
-	out, _ = q.Feed(mk(4, map[string]any{"sym": "B", "v": 300})) // evicts A@0
+	out = q.Feed(mk(4, map[string]any{"sym": "B", "v": 300})) // evicts A@0
 	groups := map[string]bool{}
 	for _, ev := range out {
 		v, _ := ev.Get("sym")
@@ -115,14 +113,11 @@ func TestGroupBy(t *testing.T) {
 func TestMinMaxWithEviction(t *testing.T) {
 	q, _ := New(Def{
 		Name:   "minmax",
-		Aggs:   []AggDef{{Alias: "lo", Kind: Min, Attr: "v"}, {Alias: "hi", Kind: Max, Attr: "v"}},
+		Aggs:   []AggDef{{Alias: "lo", Kind: query.Min, Attr: "v"}, {Alias: "hi", Kind: query.Max, Attr: "v"}},
 		Window: Window{Kind: CountWindow, Size: 3},
 	})
 	feed := func(v float64) *event.Event {
-		out, err := q.Feed(mk(int(v), map[string]any{"v": v}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := q.Feed(mk(int(v), map[string]any{"v": v}))
 		return out[0]
 	}
 	feed(5)
@@ -145,35 +140,8 @@ func TestMinMaxWithEviction(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	q, _ := New(Def{
-		Name:   "hot",
-		Filter: "v > 10",
-		Aggs:   []AggDef{{Alias: "n", Kind: Count}},
-		Window: Window{Kind: CountWindow, Size: 10},
-	})
-	out, err := q.Feed(mk(0, map[string]any{"v": 5}))
-	if err != nil || out != nil {
-		t.Errorf("filtered event produced output: %v %v", out, err)
-	}
-	out, _ = q.Feed(mk(1, map[string]any{"v": 15}))
-	if len(out) != 1 || getF(t, out[0], "n") != 1 {
-		t.Errorf("unfiltered event: %v", out)
-	}
-	// Filter type errors propagate.
-	qb, _ := New(Def{
-		Name:   "bad",
-		Filter: "lower(v) = 'x'",
-		Aggs:   []AggDef{{Alias: "n", Kind: Count}},
-		Window: Window{Kind: CountWindow, Size: 2},
-	})
-	if _, err := qb.Feed(mk(0, map[string]any{"v": 5})); err == nil {
-		t.Error("filter type error not propagated")
-	}
-}
-
 func TestDefValidation(t *testing.T) {
-	base := Def{Name: "x", Aggs: []AggDef{{Alias: "n", Kind: Count}},
+	base := Def{Name: "x", Aggs: []AggDef{{Alias: "n", Kind: query.Count}},
 		Window: Window{Kind: CountWindow, Size: 1}}
 	ok := base
 	if _, err := New(ok); err != nil {
@@ -200,11 +168,6 @@ func TestDefValidation(t *testing.T) {
 		t.Error("zero duration accepted")
 	}
 	bad = base
-	bad.Filter = "(("
-	if _, err := New(bad); err == nil {
-		t.Error("bad filter accepted")
-	}
-	bad = base
 	bad.Window = Window{Kind: WindowKind(9), Size: 1}
 	if _, err := New(bad); err == nil {
 		t.Error("unknown window kind accepted")
@@ -214,16 +177,40 @@ func TestDefValidation(t *testing.T) {
 func TestNullValuesSkipped(t *testing.T) {
 	q, _ := New(Def{
 		Name:   "nulls",
-		Aggs:   []AggDef{{Alias: "s", Kind: Sum, Attr: "v"}, {Alias: "n", Kind: Count}},
+		Aggs:   []AggDef{{Alias: "s", Kind: query.Sum, Attr: "v"}, {Alias: "n", Kind: query.Count}},
 		Window: Window{Kind: CountWindow, Size: 10},
 	})
 	q.Feed(mk(0, map[string]any{"v": 1}))
-	out, _ := q.Feed(mk(1, map[string]any{"other": 9})) // v missing → null
+	out := q.Feed(mk(1, map[string]any{"other": 9})) // v missing → null
 	if got := getF(t, out[0], "s"); got != 1 {
 		t.Errorf("sum with null = %v", got)
 	}
 	// Count(*) counts all events regardless.
 	if got := getF(t, out[0], "n"); got != 2 {
 		t.Errorf("count = %v", got)
+	}
+}
+
+// TestNonNumbersSkipped: a sum or avg leaves out a value that is not a
+// number, on the way in and on the way out of the window, while count
+// still counts the event.
+func TestNonNumbersSkipped(t *testing.T) {
+	q, _ := New(Def{
+		Name: "mixed",
+		Aggs: []AggDef{
+			{Alias: "s", Kind: query.Sum, Attr: "v"},
+			{Alias: "a", Kind: query.Avg, Attr: "v"},
+			{Alias: "n", Kind: query.Count},
+		},
+		Window: Window{Kind: CountWindow, Size: 2},
+	})
+	q.Feed(mk(0, map[string]any{"v": "high"}))
+	out := q.Feed(mk(1, map[string]any{"v": 4}))
+	if s, a, n := getF(t, out[0], "s"), getF(t, out[0], "a"), getF(t, out[0], "n"); s != 4 || a != 4 || n != 2 {
+		t.Errorf("with a string in the window: sum %v avg %v count %v, want 4 4 2", s, a, n)
+	}
+	out = q.Feed(mk(2, map[string]any{"v": 6})) // evicts the string
+	if s, a := getF(t, out[0], "s"), getF(t, out[0], "a"); s != 10 || a != 5 {
+		t.Errorf("after the string left: sum %v avg %v, want 10 5", s, a)
 	}
 }

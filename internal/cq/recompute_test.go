@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"eventdb/internal/event"
+	"eventdb/internal/query"
 	"eventdb/internal/val"
 )
 
@@ -34,27 +35,27 @@ func recomputed(q *CQ, key string) map[string]val.Value {
 				sum += f
 			}
 			if best.IsNull() ||
-				(a.Kind == Min && val.Less(v, best)) ||
-				(a.Kind == Max && val.Less(best, v)) {
+				(a.Kind == query.Min && val.Less(v, best)) ||
+				(a.Kind == query.Max && val.Less(best, v)) {
 				best = v
 			}
 		}
 		switch a.Kind {
-		case Count:
+		case query.Count:
 			attrs[a.Alias] = val.Int(count)
-		case Sum:
+		case query.Sum:
 			if count == 0 {
 				attrs[a.Alias] = val.Null
 			} else {
 				attrs[a.Alias] = val.Float(sum)
 			}
-		case Avg:
+		case query.Avg:
 			if count == 0 {
 				attrs[a.Alias] = val.Null
 			} else {
 				attrs[a.Alias] = val.Float(sum / float64(count))
 			}
-		case Min, Max:
+		case query.Min, query.Max:
 			attrs[a.Alias] = best
 		}
 	}
@@ -80,11 +81,11 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 		Name:    "inc",
 		GroupBy: []string{"g"},
 		Aggs: []AggDef{
-			{Alias: "n", Kind: Count},
-			{Alias: "s", Kind: Sum, Attr: "v"},
-			{Alias: "a", Kind: Avg, Attr: "v"},
-			{Alias: "lo", Kind: Min, Attr: "v"},
-			{Alias: "hi", Kind: Max, Attr: "v"},
+			{Alias: "n", Kind: query.Count},
+			{Alias: "s", Kind: query.Sum, Attr: "v"},
+			{Alias: "a", Kind: query.Avg, Attr: "v"},
+			{Alias: "lo", Kind: query.Min, Attr: "v"},
+			{Alias: "hi", Kind: query.Max, Attr: "v"},
 		},
 		Window: Window{Kind: CountWindow, Size: 16},
 	})
@@ -93,13 +94,10 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 500; step++ {
-		outs, err := q.Feed(mk(step, map[string]any{
+		outs := q.Feed(mk(step, map[string]any{
 			"g": []string{"x", "y", "z"}[rng.Intn(3)],
 			"v": float64(rng.Intn(100)),
 		}))
-		if err != nil {
-			t.Fatal(err)
-		}
 		emitted := map[string]map[string]val.Value{}
 		for _, ev := range outs {
 			g, _ := ev.Get("g")
@@ -110,7 +108,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 			name, _ := gs.keyVs[0].AsString()
 			want := recomputed(q, key)
 			for i, a := range q.def.Aggs {
-				if got := q.aggValue(gs, i, a.Kind); !sameAgg(got, want[a.Alias]) {
+				if got := gs.accs[i].Result(); !sameAgg(got, want[a.Alias]) {
 					t.Fatalf("step %d group %q agg %q: accumulator %v, window scan %v", step, name, a.Alias, got, want[a.Alias])
 				}
 				if attrs, ok := emitted[name]; ok && !sameAgg(attrs[a.Alias], want[a.Alias]) {
@@ -136,8 +134,8 @@ func BenchmarkE6CQRecompute(b *testing.B) {
 				Name:    "bench",
 				GroupBy: []string{"sym"},
 				Aggs: []AggDef{
-					{Alias: "n", Kind: Count},
-					{Alias: "avg", Kind: Avg, Attr: "price"},
+					{Alias: "n", Kind: query.Count},
+					{Alias: "avg", Kind: query.Avg, Attr: "price"},
 				},
 				Window: Window{Kind: CountWindow, Size: w},
 			})
@@ -154,9 +152,7 @@ func BenchmarkE6CQRecompute(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := q.Feed(next()); err != nil {
-					b.Fatal(err)
-				}
+				q.Feed(next())
 				// One event dirties its own group and the evicted entry's.
 				last := q.entries[len(q.entries)-1]
 				recomputed(q, last.key)

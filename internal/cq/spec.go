@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"eventdb/internal/query"
 )
 
 type jsonSpec struct {
@@ -36,7 +38,11 @@ type jsonWindow struct {
 
 // ParseSpec decodes a JSON continuous-query spec into a Def. The name
 // is supplied by the caller (on the wire it is the subscription id),
-// not the spec, so one spec can be attached under many names.
+// not the spec, so one spec can be attached under many names. An
+// aggregate's kind is a SELECT aggregate name (query.ParseAggKind),
+// folded by the rules of the package doc; every kind but count needs an
+// attr. The filter is only carried: the subscription feeding the query
+// applies it (see Def.Filter).
 //
 // Example:
 //
@@ -56,11 +62,11 @@ func ParseSpec(name string, data []byte) (Def, error) {
 		GroupBy: js.GroupBy,
 	}
 	for i, a := range js.Aggs {
-		kind, ok := aggKindByName(a.Kind)
+		kind, ok := query.ParseAggKind(a.Kind)
 		if !ok {
 			return Def{}, fmt.Errorf("cq: spec: agg %d: unknown kind %q", i, a.Kind)
 		}
-		if kind != Count && a.Attr == "" {
+		if kind != query.Count && a.Attr == "" {
 			return Def{}, fmt.Errorf("cq: spec: agg %d: %s needs an attr", i, a.Kind)
 		}
 		alias := a.Alias
@@ -103,20 +109,4 @@ func MarshalSpec(def Def) ([]byte, error) {
 		return nil, fmt.Errorf("cq: spec: unknown window kind %d", def.Window.Kind)
 	}
 	return json.Marshal(js)
-}
-
-func aggKindByName(name string) (AggKind, bool) {
-	switch name {
-	case "count":
-		return Count, true
-	case "sum":
-		return Sum, true
-	case "avg":
-		return Avg, true
-	case "min":
-		return Min, true
-	case "max":
-		return Max, true
-	}
-	return 0, false
 }

@@ -27,12 +27,13 @@ func minedInserts(t *testing.T, m *Miner, table string, fromLSN uint64) []string
 	return append(out, fmt.Sprintf("next=%d", next))
 }
 
-// TestMineInsertsSegmentEquivalence pins the segment-backed fast path
-// of MineChanges to the WAL replay it replaces: the same database is
-// mined before any columnar manager exists (pure WAL) and again after
-// sealing its history into segments; the traces must be identical,
-// from LSN zero and from a mid-stream resume point.
-func TestMineInsertsSegmentEquivalence(t *testing.T) {
+// TestMineUnchangedBySealing: MineChanges reads the WAL and nothing
+// else, so a columnar store sealing the table's history into segments
+// changes nothing it returns. The same database is mined before any
+// columnar manager exists and again after its history is sealed; the
+// traces must be identical, from LSN zero and from a mid-stream resume
+// point.
+func TestMineUnchangedBySealing(t *testing.T) {
 	dir := t.TempDir()
 	db, err := storage.Open(storage.Options{Dir: dir})
 	if err != nil {
@@ -92,18 +93,17 @@ func TestMineInsertsSegmentEquivalence(t *testing.T) {
 		sealed += s.SealedRows
 	}
 	if sealed == 0 {
-		t.Fatal("no rows sealed; the fast path is not being exercised")
+		t.Fatal("no rows sealed; mining is not being tried beside segments")
 	}
-	// A row-store tail after sealing: mined from the WAL on both paths.
+	// An insert after sealing, beside the sealed history.
 	if _, err := db.Insert("acct", map[string]val.Value{"id": val.Int(999), "balance": val.Float(9)}); err != nil {
 		t.Fatal(err)
 	}
 	tailAll := minedInserts(t, NewMiner(db), "acct", 0)
 	tailMid := minedInserts(t, NewMiner(db), "acct", resume)
 
-	// The baselines predate the tail insert: compare prefixes, then
-	// check the tail rows and final cursor agree with a fresh WAL-only
-	// mine of the same span.
+	// The baselines predate the last insert: compare prefixes, then the
+	// two mines' final cursors.
 	checkPrefix := func(label string, baseline, got []string) {
 		t.Helper()
 		if len(got) < len(baseline) {
@@ -111,7 +111,7 @@ func TestMineInsertsSegmentEquivalence(t *testing.T) {
 		}
 		for i := range baseline[:len(baseline)-1] { // last entry is the cursor
 			if got[i] != baseline[i] {
-				t.Fatalf("%s: entry %d:\n  segment path: %s\n  wal path:     %s", label, i, got[i], baseline[i])
+				t.Fatalf("%s: entry %d:\n  sealed: %s\n  before: %s", label, i, got[i], baseline[i])
 			}
 		}
 	}
@@ -122,10 +122,10 @@ func TestMineInsertsSegmentEquivalence(t *testing.T) {
 	}
 }
 
-// TestMineInsertsResumeInsideSegment resumes mining from an LSN that
-// lands strictly inside a sealed segment's range; only inserts at or
-// after that LSN may be emitted.
-func TestMineInsertsResumeInsideSegment(t *testing.T) {
+// TestMineResumeInsideSealedRange resumes mining from an LSN that lands
+// strictly inside a sealed segment's range: sealing changes nothing
+// mined, and only inserts at or after that LSN are emitted.
+func TestMineResumeInsideSealedRange(t *testing.T) {
 	dir := t.TempDir()
 	db, err := storage.Open(storage.Options{Dir: dir})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestMineInsertsResumeInsideSegment(t *testing.T) {
 	}
 	for i := range baseline {
 		if got[i] != baseline[i] {
-			t.Fatalf("entry %d:\n  segment path: %s\n  wal path:     %s", i, got[i], baseline[i])
+			t.Fatalf("entry %d:\n  sealed: %s\n  before: %s", i, got[i], baseline[i])
 		}
 	}
 }

@@ -13,52 +13,80 @@ import (
 	"eventdb/internal/val"
 )
 
-// accumulator maintains one aggregate's running state.
-type accumulator struct {
-	kind  AggKind
+// Accumulator is one aggregate's running state, and the only one: a
+// SELECT folds each group's rows into one, and a continuous query
+// (internal/cq) folds its window into one and takes back what leaves it
+// with Remove. Nulls are skipped, SUM and AVG refuse a non-number, and
+// MIN and MAX order values by val.Less.
+type Accumulator struct {
+	Kind  AggKind
 	count int64
 	sum   float64
 	best  val.Value // min/max
 	seen  bool
 }
 
-func (a *accumulator) add(v val.Value) error {
+// Add folds v in. It fails only for a SUM or AVG of a non-number, which
+// it leaves out.
+func (a *Accumulator) Add(v val.Value) error {
 	if v.IsNull() {
 		return nil // SQL aggregates skip nulls
 	}
-	switch a.kind {
+	switch a.Kind {
 	case Count:
 		a.count++
 	case Sum, Avg:
 		f, ok := v.AsFloat()
 		if !ok {
-			return nonNumericError(a.kind, v.Kind())
+			return nonNumericError(a.Kind, v.Kind())
 		}
 		a.sum += f
 		a.count++
 	case Min, Max:
-		if !a.seen {
+		if !a.seen || a.before(v, a.best) {
 			a.best = v
 			a.seen = true
-			return nil
-		}
-		c, err := val.Compare(v, a.best)
-		if err != nil {
-			return fmt.Errorf("query: %s over mixed kinds: %w", a.kind, err)
-		}
-		if (a.kind == Min && c < 0) || (a.kind == Max && c > 0) {
-			a.best = v
 		}
 	}
 	return nil
+}
+
+// Remove takes back a value Add accepted. It reports false when v may
+// have been the MIN's or MAX's extreme: the accumulator is then stale,
+// and the caller refolds the values that are left into a fresh one.
+func (a *Accumulator) Remove(v val.Value) bool {
+	if v.IsNull() {
+		return true
+	}
+	switch a.Kind {
+	case Count:
+		a.count--
+	case Sum, Avg:
+		f, _ := v.AsFloat()
+		a.sum -= f
+		a.count--
+	case Min, Max:
+		return a.before(a.best, v)
+	}
+	return true
+}
+
+// before reports whether x is a strictly better MIN or MAX than y.
+func (a *Accumulator) before(x, y val.Value) bool {
+	if a.Kind == Min {
+		return val.Less(x, y)
+	}
+	return val.Less(y, x)
 }
 
 func nonNumericError(kind AggKind, of val.Kind) error {
 	return fmt.Errorf("query: %s over non-numeric value %s", kind, of)
 }
 
-func (a *accumulator) result() val.Value {
-	switch a.kind {
+// Result is the aggregate of what has been folded in: NULL for a SUM,
+// AVG, MIN or MAX of nothing.
+func (a *Accumulator) Result() val.Value {
+	switch a.Kind {
 	case Count:
 		return val.Int(a.count)
 	case Sum:
@@ -82,12 +110,12 @@ func (a *accumulator) result() val.Value {
 
 // addVec folds a vector's selected rows into the accumulator without
 // boxing: numeric sums run straight over the raw slices, and min/max
-// find the batch extremum unboxed before a single add() call.
-// Semantics — null skipping, NaN ordering — match per-row add()
+// find the batch extremum unboxed before a single Add call.
+// Semantics — null skipping, NaN ordering — match per-row Add
 // exactly. A sum over a non-numeric vector adds nothing: the caller
 // has already reported it (vecGrouper.firstError).
-func (a *accumulator) addVec(v *columnar.Vector, sel []int32) error {
-	switch a.kind {
+func (a *Accumulator) addVec(v *columnar.Vector, sel []int32) error {
+	switch a.Kind {
 	case Count:
 		for _, i := range sel {
 			if !v.Null[i] {
@@ -144,12 +172,12 @@ func (a *accumulator) addVec(v *columnar.Vector, sel []int32) error {
 			case val.KindBytes:
 				c = bytes.Compare(v.Bytes[i], v.Bytes[best])
 			}
-			if (a.kind == Min && c < 0) || (a.kind == Max && c > 0) {
+			if (a.Kind == Min && c < 0) || (a.Kind == Max && c > 0) {
 				best = i
 			}
 		}
 		if best >= 0 {
-			return a.add(v.Value(int(best)))
+			return a.Add(v.Value(int(best)))
 		}
 	}
 	return nil
@@ -185,7 +213,7 @@ type groupTable struct {
 	slots   map[string]int32 // key bytes → slot
 	keys    []string         // slot → key bytes
 	keyVals []val.Value      // slot*len(groupBy)+i: key values, from the group's first row
-	accs    []accumulator    // slot*len(aggs)+i
+	accs    []Accumulator    // slot*len(aggs)+i
 	// arena backs keys: a new group appends its key bytes and views them
 	// as a string, so it costs no allocation of its own. The bytes under
 	// a key are written again only after reset has emptied slots and
@@ -223,7 +251,7 @@ func (g *groupTable) reserve(n int) {
 	nk, na := len(g.groupBy), len(g.aggs)
 	g.keys = append(make([]string, 0, have+n), g.keys...)
 	g.keyVals = append(make([]val.Value, 0, (have+n)*nk), g.keyVals...)
-	g.accs = append(make([]accumulator, 0, (have+n)*na), g.accs...)
+	g.accs = append(make([]Accumulator, 0, (have+n)*na), g.accs...)
 }
 
 // slot returns the slot of the group with the given key bytes, adding
@@ -245,7 +273,7 @@ func (g *groupTable) slot(key []byte) (slot int32, isNew bool) {
 		g.keyVals = append(g.keyVals, val.Null)
 	}
 	for _, a := range g.aggs {
-		g.accs = append(g.accs, accumulator{kind: a.kind})
+		g.accs = append(g.accs, Accumulator{Kind: a.kind})
 	}
 	return slot, true
 }
@@ -271,7 +299,7 @@ func (g *groupTable) addRow(r expr.Resolver) error {
 			continue
 		}
 		v, _ := r.Get(a.col)
-		if err := acc.add(v); err != nil {
+		if err := acc.Add(v); err != nil {
 			return err
 		}
 	}
@@ -302,7 +330,7 @@ func (g *groupTable) finish() {
 		row := g.rows.row(nk + na)
 		copy(row, g.keyVals[s*nk:(s+1)*nk])
 		for i := range g.aggs {
-			row[nk+i] = g.accs[s*na+i].result()
+			row[nk+i] = g.accs[s*na+i].Result()
 		}
 	}
 }
@@ -406,7 +434,7 @@ func (f *vecGrouper) addBatch(b *columnar.Batch, sel []int32) error {
 		for ai, ci := range f.aggCols {
 			acc := &g.accs[int(slot)*na+ai]
 			switch {
-			case g.aggs[ai].col == "" && acc.kind == Count:
+			case g.aggs[ai].col == "" && acc.Kind == Count:
 				acc.count += int64(len(sel))
 			case ci >= 0:
 				if err := acc.addVec(b.Vecs[ci], sel); err != nil {
@@ -443,7 +471,7 @@ func (f *vecGrouper) addBatch(b *columnar.Batch, sel []int32) error {
 				if v.Null[i] {
 					continue
 				}
-				if err := g.accs[int(slots[k])*na+ai].add(v.Value(int(i))); err != nil {
+				if err := g.accs[int(slots[k])*na+ai].Add(v.Value(int(i))); err != nil {
 					return err
 				}
 			}

@@ -58,6 +58,17 @@ func (k AggKind) String() string {
 	}
 }
 
+// ParseAggKind returns the kind an aggregate name (its String) stands
+// for.
+func ParseAggKind(name string) (AggKind, bool) {
+	for k := Count; k <= Max; k++ {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 type selectItem struct {
 	alias string
 	node  expr.Node

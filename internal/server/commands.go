@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"eventdb/internal/core"
 	"eventdb/internal/cq"
@@ -32,76 +33,64 @@ func handleMatch(c *conn, req *request) bool {
 }
 
 func handleSub(c *conn, req *request) bool {
-	localID, filter := req.args[0], req.tail
-	if c.hasSink(localID) {
-		c.errf(codeDup, "id %q already in use", localID)
-		return true
-	}
-	bid := c.brokerID(localID)
-	err := c.srv.eng.Broker.Subscribe(bid, fmt.Sprintf("conn%d", c.id), filter,
-		func(d pubsub.Delivery) { c.pushEvent(localID, d.Event) })
-	if err != nil {
-		c.errf(codeBadSpec, "%v", err)
-		return true
-	}
-	if !c.addSink(localID, &subSink{c: c, brokerID: bid}) {
-		c.srv.eng.Broker.Unsubscribe(bid)
-		c.errf(codeDup, "id %q already in use", localID)
-		return true
-	}
-	c.reply("OK")
+	c.subscribe(req.args[0], req.tail, nil)
 	return true
 }
 
 func handleCQ(c *conn, req *request) bool {
-	localID, spec := req.args[0], req.tail
+	localID := req.args[0]
+	def, err := cq.ParseSpec(localID, []byte(req.tail))
+	var q *cq.CQ
+	if err == nil {
+		q, err = cq.New(def)
+	}
+	if err != nil {
+		c.errf(codeBadSpec, "%v", err)
+		return true
+	}
+	// The broker subscription is the CQ's only filter: its indexed
+	// match picks the events the CQ folds, and Feed filters nothing.
+	c.subscribe(localID, def.Filter, q)
+	return true
+}
+
+// subscribe registers a broker subscription under localID and replies
+// to the command that asked for it: a SUB's (q nil), which pushes each
+// event that matches filter, or a CQ's, which pushes what q folds the
+// event into.
+func (c *conn) subscribe(localID, filter string, q *cq.CQ) {
 	if c.hasSink(localID) {
 		c.errf(codeDup, "id %q already in use", localID)
-		return true
+		return
 	}
-	def, err := cq.ParseSpec(localID, []byte(spec))
-	if err != nil {
-		c.errf(codeBadSpec, "%v", err)
-		return true
-	}
-	q, err := cq.New(def)
-	if err != nil {
-		c.errf(codeBadSpec, "%v", err)
-		return true
-	}
-	wq := &cqSink{c: c, q: q, brokerID: c.brokerID(localID)}
-	// The broker pre-filters with the CQ's own predicate, so the
-	// indexed subscription match does the heavy lifting and the CQ
-	// maintains windows only over relevant events.
-	err = c.srv.eng.Broker.Subscribe(wq.brokerID, fmt.Sprintf("conn%d", c.id), def.Filter,
-		func(d pubsub.Delivery) {
-			// The lock covers the pushes too: two publishing connections
-			// can feed this CQ back to back, and releasing
-			// between Feed and push would let a newer aggregate be
-			// enqueued before an older one, leaving the client with a
-			// stale "latest" result.
-			wq.mu.Lock()
-			defer wq.mu.Unlock()
-			outs, err := wq.q.Feed(d.Event)
-			if err != nil {
-				c.srv.eng.Metrics.Counter("server.cq.errors").Inc()
-				return
-			}
-			for _, out := range outs {
+	s := &brokerSink{c: c, brokerID: c.brokerID(localID), q: q}
+	deliver := func(d pubsub.Delivery) { c.pushEvent(localID, d.Event) }
+	if q != nil {
+		// Engine handlers run concurrently, one per publishing
+		// connection, and a cq.CQ is not safe for concurrent use. The
+		// lock covers the pushes too: two publishing connections can
+		// feed this CQ back to back, and releasing between Feed and push
+		// would let a newer aggregate be enqueued before an older one,
+		// leaving the client with a stale "latest" result.
+		var mu sync.Mutex
+		deliver = func(d pubsub.Delivery) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, out := range q.Feed(d.Event) {
 				c.pushEvent(localID, out)
 			}
-		})
-	if err != nil {
-		c.errf(codeBadSpec, "%v", err)
-		return true
+		}
 	}
-	if !c.addSink(localID, wq) {
-		c.srv.eng.Broker.Unsubscribe(wq.brokerID)
+	if err := c.srv.eng.Broker.Subscribe(s.brokerID, fmt.Sprintf("conn%d", c.id), filter, deliver); err != nil {
+		c.errf(codeBadSpec, "%v", err)
+		return
+	}
+	if !c.addSink(localID, s) {
+		c.srv.eng.Broker.Unsubscribe(s.brokerID)
 		c.errf(codeDup, "id %q already in use", localID)
-		return true
+		return
 	}
 	c.reply("OK")
-	return true
 }
 
 func handleUnsub(c *conn, req *request) bool {

@@ -307,6 +307,7 @@ func TestRawProtocolErrors(t *testing.T) {
 		"UNTRIG nope":     "ERR notrig ",
 		"UNWATCH nope":    "ERR nowatch ",
 		"PING":            "PONG",
+		`CQ x {"filter":"((","aggs":[{"kind":"count"}],"window":{"kind":"count","size":1}}`: "ERR badspec ",
 	} {
 		if got := ask(req); !strings.HasPrefix(got, wantPrefix) {
 			t.Errorf("%s → %q, want prefix %q", req, got, wantPrefix)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"eventdb/internal/cq"
@@ -10,8 +9,8 @@ import (
 )
 
 // sink is one delivery target registered under a connection-local id.
-// Ephemeral push subscriptions (SUB), continuous queries (CQ) and
-// durable queue consumers (QSUB) are three implementations of the same
+// Ephemeral push subscriptions (SUB) and continuous queries (CQ), both
+// a brokerSink, and durable queue consumers (QSUB) share one
 // registration/push/teardown lifecycle: a command registers the sink,
 // matched events flow out through the connection's bounded outbound
 // queue, and UNSUB or connection teardown detaches it exactly once.
@@ -24,28 +23,23 @@ type sink interface {
 	detach()
 }
 
-// subSink is an ephemeral predicate subscription: broker matches are
-// pushed as they happen and die with the connection.
-type subSink struct {
+// brokerSink is an ephemeral broker subscription: a SUB pushes its
+// matches as they happen, a CQ pushes what q folds them into, and both
+// die with the connection.
+type brokerSink struct {
 	c        *conn
 	brokerID string
+	q        *cq.CQ // nil for a SUB
 }
 
-func (s *subSink) kind() string { return "sub" }
-func (s *subSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
-
-// cqSink is a continuous query attached over the wire. Engine handlers
-// run concurrently, one per publishing connection, and cq.CQ is not
-// safe for concurrent use, so feeds serialize on mu.
-type cqSink struct {
-	c        *conn
-	brokerID string
-	mu       sync.Mutex
-	q        *cq.CQ
+func (s *brokerSink) kind() string {
+	if s.q != nil {
+		return "cq"
+	}
+	return "sub"
 }
 
-func (s *cqSink) kind() string { return "cq" }
-func (s *cqSink) detach()      { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
+func (s *brokerSink) detach() { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 
 // queueSink is a durable consumer: a named staging queue
 // (internal/queue, a WAL-recovered table) buffers matched events, and a

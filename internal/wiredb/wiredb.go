@@ -151,7 +151,7 @@ func (s QuerySpec) Build() (*query.Query, error) {
 		q.GroupBy(s.Group...)
 	}
 	for _, a := range s.Aggs {
-		kind, ok := aggKindByName(a.Kind)
+		kind, ok := query.ParseAggKind(a.Kind)
 		if !ok {
 			return nil, fmt.Errorf("wiredb: unknown aggregate kind %q", a.Kind)
 		}
@@ -178,22 +178,6 @@ func (s QuerySpec) Build() (*query.Query, error) {
 		q.Join(s.Join.Table, s.Join.Left, s.Join.Right)
 	}
 	return q, nil
-}
-
-func aggKindByName(name string) (query.AggKind, bool) {
-	switch name {
-	case "count":
-		return query.Count, true
-	case "sum":
-		return query.Sum, true
-	case "avg":
-		return query.Avg, true
-	case "min":
-		return query.Min, true
-	case "max":
-		return query.Max, true
-	}
-	return 0, false
 }
 
 // TriggerSpec is the JSON payload of the TRIG command.
