@@ -122,7 +122,7 @@ func (b *Builder) addStep(s Step) {
 			b.err = fmt.Errorf("cep: step %q: %w", s.Alias, err)
 			return
 		}
-		s.guard = g
+		s.guard = g.Standing()
 	}
 	b.p.Steps = append(b.p.Steps, s)
 }

@@ -5,15 +5,18 @@ import (
 	"time"
 
 	"eventdb/internal/event"
+	"eventdb/internal/expr"
 	"eventdb/internal/val"
 )
 
 // The differential oracle: one independent matcher per pattern, the
 // direct reading of the semantics in the package comment (a slice of
 // partial runs swept on every event). It shares nothing with Shared but
-// the Pattern it is given, which is what makes TestSharedDifferential*
-// and the table in cep_test.go meaningful; it is test-only because its
-// cost is O(patterns x runs) per event.
+// the Pattern it is given, and it evaluates each guard's parse tree,
+// compiled from its source, where Shared keeps the standing form, which
+// is what makes TestSharedDifferential* and the table in cep_test.go
+// meaningful; it is test-only because its cost is O(patterns x runs)
+// per event.
 
 // run is a partial match.
 type run struct {
@@ -25,11 +28,20 @@ type run struct {
 // oracle feeds a stream through one pattern, with no cap on partial
 // runs: the differential compares uncapped behaviour.
 type oracle struct {
-	p    *Pattern
-	runs []*run
+	p      *Pattern
+	guards []*expr.Predicate // per step; nil for an unconditional one
+	runs   []*run
 }
 
-func newOracle(p *Pattern) *oracle { return &oracle{p: p} }
+func newOracle(p *Pattern) *oracle {
+	m := &oracle{p: p, guards: make([]*expr.Predicate, len(p.Steps))}
+	for i, s := range p.Steps {
+		if s.Guard != "" {
+			m.guards[i] = expr.MustCompile(s.Guard)
+		}
+	}
+	return m
+}
 
 // Advance expires partial runs whose WITHIN window has passed as of
 // now, returning how many were pruned. Feed performs the same sweep
@@ -76,12 +88,12 @@ func (m *oracle) Feed(ev *event.Event) []*Match {
 		if s.EventType != "" && s.EventType != ev.Type {
 			return false
 		}
-		if s.guard != nil {
+		if g := m.guards[si]; g != nil {
 			var bindings []*event.Event
 			if r != nil {
 				bindings = r.bindings
 			}
-			ok, err := s.guard.Match(&guardResolver{p: p, bindings: bindings, current: ev})
+			ok, err := g.Match(&guardResolver{p: p, bindings: bindings, current: ev})
 			if err != nil || !ok {
 				return false
 			}

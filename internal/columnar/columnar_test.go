@@ -194,7 +194,7 @@ func TestZoneMaps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
-		return seg.CanMatch(p.EqPreds, p.RangePreds)
+		return seg.CanMatch(p.Indexable())
 	}
 	if probe("qty > 9") {
 		t.Error("qty > 9 should prune")
@@ -270,7 +270,7 @@ func TestNaNPoisonsZone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seg.CanMatch(p.EqPreds, p.RangePreds) {
+	if !seg.CanMatch(p.Indexable()) {
 		t.Fatal("broken zone must never prune")
 	}
 }
@@ -666,9 +666,10 @@ func TestAllocsFilterScan(t *testing.T) {
 	if !ok {
 		t.Fatal("filter should compile")
 	}
+	eqs, ranges := pred.Indexable()
 
 	if a := testing.AllocsPerRun(100, func() {
-		if !seg.CanMatch(pred.EqPreds, pred.RangePreds) {
+		if !seg.CanMatch(eqs, ranges) {
 			t.Fatal("segment should survive the zone probe")
 		}
 	}); a != 0 {

@@ -2,25 +2,53 @@ package expr
 
 import (
 	"math"
+	"slices"
 
 	"eventdb/internal/val"
 )
 
-// Predicate analysis: extract indexable conjuncts so that large
-// collections of stored expressions (subscriptions, rules) can be
-// pre-filtered by attribute indexes instead of evaluated one by one.
-// This is the mechanism behind the paper's claim that databases can
-// "significantly extend traditional publish/subscribe technology" by
-// treating expressions as data (§2.2.c.i.2).
+// Predicate analysis: a predicate's atoms are its top-level conjuncts
+// that compare a bare field with literals. Stored expressions (rules,
+// subscriptions, pattern guards) are pre-filtered by attribute indexes
+// over their atoms, and one made only of atoms keeps only them
+// (Standing): expressions as data, the paper's way to "significantly
+// extend traditional publish/subscribe technology" (§2.2.c.i.2).
 
-// EqPred is a top-level conjunct of the form field = literal.
+// Atom is one top-level conjunct of the form `field op literal` or
+// `literal op field`, op one of = < <= > >=, or a non-negated
+// `field BETWEEN literal AND literal`.
+type Atom struct {
+	Field    string
+	Op       BinaryOp   // read as field Op Lit: flipped for `literal op field`, OpGe for BETWEEN
+	Lit      val.Value  // BETWEEN's low bound
+	Hi       *val.Value // BETWEEN's high bound; nil for a comparison
+	LitFirst bool       // written `literal op field`: compared in that order, as errors name it
+}
+
+// eval evaluates the atom against r exactly as Eval evaluates the
+// conjunct it came from.
+func (a *Atom) eval(r Resolver) (val.Value, error) {
+	v, ok := r.Get(a.Field)
+	if !ok {
+		v = val.Null
+	}
+	switch {
+	case a.Hi != nil:
+		return between(v, a.Lit, *a.Hi, false)
+	case a.LitFirst:
+		return compare(flip(a.Op), a.Lit, v)
+	}
+	return compare(a.Op, v, a.Lit)
+}
+
+// EqPred is an equality atom: field = literal.
 type EqPred struct {
 	Field string
 	Value val.Value
 }
 
-// RangePred is a top-level conjunct constraining field to an interval.
-// Unbounded ends are ±Inf for numerics, or have Unbounded set.
+// RangePred constrains field to an interval. Unbounded ends are ±Inf
+// for numerics, or have Unbounded set.
 type RangePred struct {
 	Field          string
 	Lo, Hi         val.Value
@@ -29,79 +57,78 @@ type RangePred struct {
 	HiUnbounded    bool
 }
 
-// analyze walks the top-level AND conjuncts and extracts equality and
-// range predicates over bare fields with literal operands. The full
-// expression remains the source of truth: the index is only a
-// pre-filter, so extraction is conservative (anything uncertain is
-// simply not extracted).
-func analyze(root Node) ([]EqPred, []RangePred) {
-	var eqs []EqPred
-	ranges := map[string]*RangePred{}
-	for _, c := range Conjuncts(root) {
+// atoms extracts the top-level conjuncts of root that are atoms, in
+// source order. The full expression remains the source of truth
+// wherever an atom is missing: extraction is conservative (anything
+// uncertain is simply not extracted).
+func atoms(root Node) []Atom {
+	cs := Conjuncts(root)
+	out := make([]Atom, 0, len(cs))
+	for _, c := range cs {
 		switch x := c.(type) {
 		case *Binary:
-			f, lit, op, ok := fieldLiteralCmp(x)
-			if !ok {
-				continue
-			}
-			switch op {
-			case OpEq:
-				eqs = append(eqs, EqPred{Field: f, Value: lit})
-			case OpLt, OpLe:
-				r := getRange(ranges, f)
-				r.Hi, r.HiOpen, r.HiUnbounded = lit, op == OpLt, false
-			case OpGt, OpGe:
-				r := getRange(ranges, f)
-				r.Lo, r.LoOpen, r.LoUnbounded = lit, op == OpGt, false
+			if a, ok := cmpAtom(x); ok {
+				out = append(out, a)
 			}
 		case *Between:
-			if x.Negate {
-				continue
-			}
 			f, okF := x.X.(*Field)
 			lo, okLo := x.Lo.(*Literal)
 			hi, okHi := x.Hi.(*Literal)
-			if !okF || !okLo || !okHi {
-				continue
+			if okF && okLo && okHi && !x.Negate {
+				out = append(out, Atom{Field: f.Name, Op: OpGe, Lit: lo.Val, Hi: &hi.Val})
 			}
-			r := getRange(ranges, f.Name)
-			r.Lo, r.LoOpen, r.LoUnbounded = lo.Val, false, false
-			r.Hi, r.HiOpen, r.HiUnbounded = hi.Val, false, false
 		}
 	}
+	return out
+}
+
+// Indexable derives the predicate's index views from its atoms: the
+// equalities in source order, and one range per field, merged over its
+// range atoms in first-appearance order (a later bound replaces an
+// earlier one on the same side: each must hold, so either pre-filters).
+func (p *Predicate) Indexable() ([]EqPred, []RangePred) {
+	var eqs []EqPred
 	var rs []RangePred
-	for _, r := range ranges {
-		rs = append(rs, *r)
+	for i := range p.Atoms {
+		a := &p.Atoms[i]
+		if a.Op == OpEq {
+			eqs = append(eqs, EqPred{Field: a.Field, Value: a.Lit})
+			continue
+		}
+		j := slices.IndexFunc(rs, func(r RangePred) bool { return r.Field == a.Field })
+		if j < 0 {
+			j, rs = len(rs), append(rs, RangePred{Field: a.Field, LoUnbounded: true, HiUnbounded: true})
+		}
+		r := &rs[j]
+		if a.Op == OpLt || a.Op == OpLe {
+			r.Hi, r.HiOpen, r.HiUnbounded = a.Lit, a.Op == OpLt, false
+		} else { // >, >= and BETWEEN's low bound
+			r.Lo, r.LoOpen, r.LoUnbounded = a.Lit, a.Op == OpGt, false
+		}
+		if a.Hi != nil {
+			r.Hi, r.HiOpen, r.HiUnbounded = *a.Hi, false, false
+		}
 	}
 	return eqs, rs
 }
 
-func getRange(m map[string]*RangePred, field string) *RangePred {
-	r, ok := m[field]
-	if !ok {
-		r = &RangePred{Field: field, LoUnbounded: true, HiUnbounded: true}
-		m[field] = r
-	}
-	return r
-}
-
-// fieldLiteralCmp recognizes field OP literal and literal OP field
-// (flipping the operator), for comparison operators.
-func fieldLiteralCmp(b *Binary) (field string, lit val.Value, op BinaryOp, ok bool) {
-	if !b.Op.IsComparison() {
-		return "", val.Null, 0, false
+// cmpAtom recognizes field OP literal and literal OP field (flipping
+// the operator) for the atom operators.
+func cmpAtom(b *Binary) (Atom, bool) {
+	if !b.Op.IsComparison() || b.Op == OpNe {
+		return Atom{}, false
 	}
 	if f, okF := b.L.(*Field); okF {
 		if l, okL := b.R.(*Literal); okL {
-			return f.Name, l.Val, b.Op, true
+			return Atom{Field: f.Name, Op: b.Op, Lit: l.Val}, true
 		}
 	}
 	if l, okL := b.L.(*Literal); okL {
 		if f, okF := b.R.(*Field); okF {
-			return f.Name, l.Val, flip(b.Op), true
+			return Atom{Field: f.Name, Op: flip(b.Op), Lit: l.Val, LitFirst: true}, true
 		}
 	}
-	return "", val.Null, 0, false
+	return Atom{}, false
 }
 
 func flip(op BinaryOp) BinaryOp {
@@ -125,27 +152,6 @@ func Conjuncts(n Node) []Node {
 		return append(Conjuncts(b.L), Conjuncts(b.R)...)
 	}
 	return []Node{n}
-}
-
-// Contains reports whether the interval admits v. Incomparable values
-// are rejected.
-func (r *RangePred) Contains(v val.Value) bool {
-	if v.IsNull() {
-		return false
-	}
-	if !r.LoUnbounded {
-		c, err := val.Compare(v, r.Lo)
-		if err != nil || c < 0 || (c == 0 && r.LoOpen) {
-			return false
-		}
-	}
-	if !r.HiUnbounded {
-		c, err := val.Compare(v, r.Hi)
-		if err != nil || c > 0 || (c == 0 && r.HiOpen) {
-			return false
-		}
-	}
-	return true
 }
 
 // NumericBounds returns the interval as float64 bounds for use in

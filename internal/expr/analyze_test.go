@@ -1,18 +1,19 @@
 package expr
 
 import (
+	"slices"
 	"testing"
 
 	"eventdb/internal/val"
 )
 
 func TestAnalyzeEqualityExtraction(t *testing.T) {
-	p := MustCompile("sym = 'ACME' AND price > 100 AND venue = 'NYSE'")
-	if len(p.EqPreds) != 2 {
-		t.Fatalf("EqPreds = %v, want 2", p.EqPreds)
+	eqs, _ := MustCompile("sym = 'ACME' AND price > 100 AND venue = 'NYSE'").Indexable()
+	if len(eqs) != 2 {
+		t.Fatalf("eqs = %v, want 2", eqs)
 	}
 	found := map[string]val.Value{}
-	for _, e := range p.EqPreds {
+	for _, e := range eqs {
 		found[e.Field] = e.Value
 	}
 	if v, ok := found["sym"]; !ok || !val.Equal(v, val.String("ACME")) {
@@ -24,14 +25,14 @@ func TestAnalyzeEqualityExtraction(t *testing.T) {
 }
 
 func TestAnalyzeLiteralOnLeft(t *testing.T) {
-	p := MustCompile("'ACME' = sym AND 100 < price")
-	if len(p.EqPreds) != 1 || p.EqPreds[0].Field != "sym" {
-		t.Fatalf("EqPreds = %v", p.EqPreds)
+	eqs, rs := MustCompile("'ACME' = sym AND 100 < price").Indexable()
+	if len(eqs) != 1 || eqs[0].Field != "sym" {
+		t.Fatalf("eqs = %v", eqs)
 	}
-	if len(p.RangePreds) != 1 {
-		t.Fatalf("RangePreds = %v", p.RangePreds)
+	if len(rs) != 1 {
+		t.Fatalf("ranges = %v", rs)
 	}
-	r := p.RangePreds[0]
+	r := rs[0]
 	if r.Field != "price" || r.LoUnbounded || !r.LoOpen {
 		t.Errorf("flipped range pred wrong: %+v", r)
 	}
@@ -41,19 +42,13 @@ func TestAnalyzeLiteralOnLeft(t *testing.T) {
 }
 
 func TestAnalyzeRangeMerging(t *testing.T) {
-	p := MustCompile("price >= 10 AND price < 20")
-	if len(p.RangePreds) != 1 {
-		t.Fatalf("RangePreds = %+v, want merged single", p.RangePreds)
+	_, rs := MustCompile("price >= 10 AND price < 20").Indexable()
+	if len(rs) != 1 {
+		t.Fatalf("ranges = %+v, want merged single", rs)
 	}
-	r := p.RangePreds[0]
+	r := rs[0]
 	if r.LoOpen || !r.HiOpen {
 		t.Errorf("openness wrong: %+v", r)
-	}
-	if !r.Contains(val.Int(10)) || !r.Contains(val.Float(19.99)) {
-		t.Error("contains endpoints wrong")
-	}
-	if r.Contains(val.Int(20)) || r.Contains(val.Int(9)) {
-		t.Error("excludes wrong")
 	}
 	lo, hi, ok := r.NumericBounds()
 	if !ok || lo != 10 || hi != 20 {
@@ -62,18 +57,17 @@ func TestAnalyzeRangeMerging(t *testing.T) {
 }
 
 func TestAnalyzeBetween(t *testing.T) {
-	p := MustCompile("x BETWEEN 1 AND 5")
-	if len(p.RangePreds) != 1 {
-		t.Fatalf("RangePreds = %+v", p.RangePreds)
+	_, rs := MustCompile("x BETWEEN 1 AND 5").Indexable()
+	if len(rs) != 1 {
+		t.Fatalf("ranges = %+v", rs)
 	}
-	r := p.RangePreds[0]
-	if !r.Contains(val.Int(1)) || !r.Contains(val.Int(5)) || r.Contains(val.Int(6)) {
-		t.Error("between bounds wrong")
+	r := rs[0]
+	if lo, hi, ok := r.NumericBounds(); !ok || lo != 1 || hi != 5 || r.LoOpen || r.HiOpen {
+		t.Errorf("between bounds wrong: %+v", r)
 	}
 	// NOT BETWEEN must not be extracted.
-	p2 := MustCompile("x NOT BETWEEN 1 AND 5")
-	if len(p2.RangePreds) != 0 {
-		t.Errorf("NOT BETWEEN extracted: %+v", p2.RangePreds)
+	if p2 := MustCompile("x NOT BETWEEN 1 AND 5"); len(p2.Atoms) != 0 {
+		t.Errorf("NOT BETWEEN extracted: %+v", p2.Atoms)
 	}
 }
 
@@ -87,12 +81,8 @@ func TestAnalyzeConservative(t *testing.T) {
 		"NOT (sym = 'A')",
 		"sym != 'A'",
 	} {
-		p := MustCompile(src)
-		if len(p.EqPreds) != 0 {
-			t.Errorf("%q: extracted EqPreds %v", src, p.EqPreds)
-		}
-		if len(p.RangePreds) != 0 {
-			t.Errorf("%q: extracted RangePreds %v", src, p.RangePreds)
+		if p := MustCompile(src); len(p.Atoms) != 0 {
+			t.Errorf("%q: extracted atoms %v", src, p.Atoms)
 		}
 	}
 }
@@ -101,8 +91,11 @@ func TestAnalyzeMixedConjunction(t *testing.T) {
 	// Indexable and non-indexable conjuncts mix; extraction keeps only
 	// the indexable ones and the full predicate still works.
 	p := MustCompile("sym = 'A' AND lower(venue) = 'nyse' AND price >= 5")
-	if len(p.EqPreds) != 1 || len(p.RangePreds) != 1 {
-		t.Fatalf("extraction = %v / %v", p.EqPreds, p.RangePreds)
+	if eqs, rs := p.Indexable(); len(eqs) != 1 || len(rs) != 1 {
+		t.Fatalf("extraction = %v / %v", eqs, rs)
+	}
+	if p.Standing() != p {
+		t.Error("a predicate with a conjunct that is no atom must keep its tree")
 	}
 	ok, err := p.Match(ctx("sym", "A", "venue", "NYSE", "price", 7))
 	if err != nil || !ok {
@@ -122,28 +115,17 @@ func TestConjuncts(t *testing.T) {
 	}
 }
 
-func TestRangeContainsNullAndIncomparable(t *testing.T) {
-	p := MustCompile("x >= 10")
-	r := p.RangePreds[0]
-	if r.Contains(val.Null) {
-		t.Error("null should not be contained")
-	}
-	if r.Contains(val.String("zzz")) {
-		t.Error("incomparable value should not be contained")
-	}
-}
-
 func TestNumericBoundsNonNumeric(t *testing.T) {
-	p := MustCompile("x >= 'a'")
-	r := p.RangePreds[0]
+	_, rs := MustCompile("x >= 'a'").Indexable()
+	r := rs[0]
 	if _, _, ok := r.NumericBounds(); ok {
 		t.Error("string bounds should not be numeric")
 	}
 }
 
-func TestFieldNamesOnPredicate(t *testing.T) {
-	p := MustCompile("a = 1 AND b > 2 AND contains(c, 'x')")
-	if len(p.FieldNames) != 3 {
-		t.Errorf("FieldNames = %v", p.FieldNames)
+func TestFieldsInFirstAppearanceOrder(t *testing.T) {
+	got := Fields(MustParse("a = 1 AND b > 2 AND contains(c, 'x') AND a < 9"))
+	if !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Errorf("Fields = %v", got)
 	}
 }

@@ -76,22 +76,7 @@ func Eval(n Node, r Resolver) (val.Value, error) {
 		if err != nil {
 			return val.Null, err
 		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return val.Null, nil
-		}
-		c1, err := val.Compare(v, lo)
-		if err != nil {
-			return val.Null, err
-		}
-		c2, err := val.Compare(v, hi)
-		if err != nil {
-			return val.Null, err
-		}
-		res := c1 >= 0 && c2 <= 0
-		if x.Negate {
-			res = !res
-		}
-		return val.Bool(res), nil
+		return between(v, lo, hi, x.Negate)
 	case *In:
 		v, err := Eval(x.X, r)
 		if err != nil {
@@ -226,34 +211,7 @@ func evalBinary(x *Binary, r Resolver) (val.Value, error) {
 		return val.Null, err
 	}
 	if x.Op.IsComparison() {
-		if l.IsNull() || rv.IsNull() {
-			return val.Null, nil
-		}
-		c, err := val.Compare(l, rv)
-		if err != nil {
-			// Incomparable kinds: equality is false, ordering is an error.
-			if x.Op == OpEq {
-				return val.Bool(false), nil
-			}
-			if x.Op == OpNe {
-				return val.Bool(true), nil
-			}
-			return val.Null, err
-		}
-		switch x.Op {
-		case OpEq:
-			return val.Bool(c == 0), nil
-		case OpNe:
-			return val.Bool(c != 0), nil
-		case OpLt:
-			return val.Bool(c < 0), nil
-		case OpLe:
-			return val.Bool(c <= 0), nil
-		case OpGt:
-			return val.Bool(c > 0), nil
-		case OpGe:
-			return val.Bool(c >= 0), nil
-		}
+		return compare(x.Op, l, rv)
 	}
 	switch x.Op {
 	case OpAdd:
@@ -270,15 +228,66 @@ func evalBinary(x *Binary, r Resolver) (val.Value, error) {
 	return val.Null, fmt.Errorf("expr: unknown operator %v", x.Op)
 }
 
+// compare applies the comparison operator op to l and r: NULL when
+// either is NULL; for incomparable kinds equality is false, inequality
+// true and an ordering an error.
+func compare(op BinaryOp, l, r val.Value) (val.Value, error) {
+	if l.IsNull() || r.IsNull() {
+		return val.Null, nil
+	}
+	c, err := val.Compare(l, r)
+	if err != nil {
+		switch op {
+		case OpEq:
+			return val.Bool(false), nil
+		case OpNe:
+			return val.Bool(true), nil
+		}
+		return val.Null, err
+	}
+	switch op {
+	case OpEq:
+		return val.Bool(c == 0), nil
+	case OpNe:
+		return val.Bool(c != 0), nil
+	case OpLt:
+		return val.Bool(c < 0), nil
+	case OpLe:
+		return val.Bool(c <= 0), nil
+	case OpGt:
+		return val.Bool(c > 0), nil
+	}
+	return val.Bool(c >= 0), nil // OpGe
+}
+
+// between is v [NOT] BETWEEN lo AND hi: NULL when any operand is NULL,
+// and both bounds compared even when the first already decides.
+func between(v, lo, hi val.Value, negate bool) (val.Value, error) {
+	if v.IsNull() || lo.IsNull() || hi.IsNull() {
+		return val.Null, nil
+	}
+	ge, err := compare(OpGe, v, lo)
+	if err != nil {
+		return val.Null, err
+	}
+	le, err := compare(OpLe, v, hi)
+	if err != nil {
+		return val.Null, err
+	}
+	g, _ := ge.AsBool()
+	l, _ := le.AsBool()
+	return val.Bool((g && l) != negate), nil
+}
+
 // Predicate is a compiled boolean expression ready for repeated
-// evaluation, together with its indexable analysis (see analyze.go).
+// evaluation: its source, its parse tree, and its atoms (see
+// analyze.go), the top-level conjuncts that compare a bare field with
+// literals. A standing copy (Standing) keeps the atoms alone when they
+// are every conjunct, and its Root is nil.
 type Predicate struct {
 	Source string
 	Root   Node
-	// Analysis for predicate indexing ("expressions as data").
-	EqPreds    []EqPred
-	RangePreds []RangePred
-	FieldNames []string
+	Atoms  []Atom
 }
 
 // Compile parses and analyzes a predicate expression.
@@ -287,9 +296,7 @@ func Compile(src string) (*Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Predicate{Source: src, Root: root, FieldNames: Fields(root)}
-	p.EqPreds, p.RangePreds = analyze(root)
-	return p, nil
+	return &Predicate{Source: src, Root: root, Atoms: atoms(root)}, nil
 }
 
 // MustCompile is Compile that panics on error.
@@ -301,13 +308,34 @@ func MustCompile(src string) *Predicate {
 	return p
 }
 
-// Match evaluates the predicate; only a definite boolean true matches
-// (NULL and false both reject, as in SQL WHERE).
-func (p *Predicate) Match(r Resolver) (bool, error) {
-	v, err := Eval(p.Root, r)
-	if err != nil {
-		return false, err
+// Standing returns the form of p to store as a standing condition: its
+// source and atoms with no tree when the atoms are every top-level
+// conjunct, and p itself otherwise. Both match exactly alike.
+func (p *Predicate) Standing() *Predicate {
+	if p.Root == nil || len(p.Atoms) < len(Conjuncts(p.Root)) {
+		return p
 	}
-	b, ok := v.AsBool()
-	return ok && b, nil
+	return &Predicate{Source: p.Source, Atoms: p.Atoms}
+}
+
+// Match evaluates the predicate; only a definite boolean true matches
+// (NULL and false both reject, as in SQL WHERE). Without a tree it
+// evaluates the atoms in source order as Eval does their conjunction:
+// the first false or error decides, and a NULL rejects unless a later
+// atom does first.
+func (p *Predicate) Match(r Resolver) (bool, error) {
+	if p.Root != nil {
+		v, err := Eval(p.Root, r)
+		b, _ := v.AsBool()
+		return b && err == nil, err
+	}
+	match := true
+	for i := range p.Atoms {
+		v, err := p.Atoms[i].eval(r)
+		if b, _ := v.AsBool(); err != nil || !b && !v.IsNull() {
+			return false, err
+		}
+		match = match && !v.IsNull()
+	}
+	return match, nil
 }

@@ -113,6 +113,7 @@ func TestEvalThreeValuedLogic(t *testing.T) {
 		"n > 1",
 		"n + 1 = 2",
 		"n BETWEEN 0 AND 2",
+		"x BETWEEN NULL AND 'z'", // a NULL bound decides before the other compares
 		"n LIKE 'a%'",
 		"NOT (n = 1)",
 		"n = 1 AND x = 1", // NULL AND TRUE = NULL

@@ -3,8 +3,9 @@
 // predicates, rule conditions, continuous-query filters and CEP guards.
 //
 // Expressions are "data" in the paper's sense (§2.2.c.i.2): they are
-// parsed from strings, stored in tables, analyzed for indexable
-// predicates, and evaluated against anything that implements Resolver.
+// parsed from strings, stored in tables, analyzed into atoms for
+// indexing (a standing condition made only of atoms keeps no parse
+// tree), and evaluated against anything that implements Resolver.
 //
 // Grammar (precedence low→high):
 //

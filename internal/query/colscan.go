@@ -48,12 +48,15 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 		return stats, false, nil
 	}
 	var prog *columnar.FilterProg
+	var eqs []expr.EqPred // the zone maps' views of the predicate
+	var ranges []expr.RangePred
 	if pred != nil {
 		p, compilable := columnar.CompileFilter(pred.Root, schema)
 		if !compilable {
 			return stats, false, nil
 		}
 		prog = p
+		eqs, ranges = pred.Indexable()
 	}
 	// The history is fed by after-commit hooks, and a commit is
 	// acknowledged as soon as it is in the row store: when another
@@ -86,9 +89,7 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 	scan := func(sv columnar.SegView) error {
 		if !started {
 			rd.Reuse(sv.Seg, first)
-			if pred != nil {
-				rd.Prune(pred.EqPreds, pred.RangePreds)
-			}
+			rd.Prune(eqs, ranges)
 			started = true
 		}
 		rd.Reset(sv.Seg)
@@ -128,7 +129,7 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 		return nil
 	}
 	for _, sv := range snap.Segs {
-		if pred != nil && !sv.Seg.CanMatch(pred.EqPreds, pred.RangePreds) {
+		if !sv.Seg.CanMatch(eqs, ranges) {
 			stats.pruned++
 			continue
 		}
@@ -139,7 +140,7 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 	if started { // the tail, scanned next, keeps no batch zones
 		stats.batches, stats.batchesPruned = rd.Batches()
 	}
-	if t := snap.Tail; t.Seg != nil && (pred == nil || t.Seg.CanMatch(pred.EqPreds, pred.RangePreds)) {
+	if t := snap.Tail; t.Seg != nil && t.Seg.CanMatch(eqs, ranges) {
 		if err := scan(t); err != nil {
 			return stats, true, err
 		}

@@ -2,8 +2,8 @@
 // condition→action rules evaluated against every event.
 //
 // The engine treats rule conditions as data (§2.2.c.i.2): each
-// condition's indexable conjuncts (field = literal, field ranges) are
-// filed in an attribute Index, so matching an event costs roughly
+// condition's atoms (field = literal, field ranges) are filed in an
+// attribute Index, so matching an event costs roughly
 // O(attributes + candidates) instead of O(rules). This is the mechanism
 // behind the paper's scalability claims for "large rule sets" and
 // "frequently changing rules sets": adding, removing or replacing a
@@ -11,10 +11,12 @@
 // of standing conditions: pubsub's subscriptions are rules of an
 // Engine, and cep files its automaton's edges in it too.
 //
+// A rule stores its condition's standing form (expr.Predicate.Standing).
 // Matching uses the classic counting algorithm; its candidates (plus
-// rules with no indexable conjunct) are confirmed by full predicate
-// evaluation, so indexing is a pure optimization and never changes
-// results.
+// rules with no indexable conjunct) are confirmed against the
+// condition's atoms, or its tree where atoms do not decide it, so
+// indexing is a pure optimization and never changes results, but for a
+// NaN event value (TestNaNIsAnIndexMiss).
 package rules
 
 import (
@@ -38,7 +40,7 @@ type Rule struct {
 	Priority int // higher runs first
 	Action   Action
 
-	pred    *expr.Predicate // guarded by the engine's lock: Replace swaps it
+	pred    *expr.Predicate // standing form; guarded by the engine's lock: Replace swaps it
 	handle  any
 	removed atomic.Bool
 }
@@ -113,7 +115,7 @@ func (e *Engine) add(r *Rule, pred *expr.Predicate) (*Rule, error) {
 		return nil, fmt.Errorf("rules: %q already exists", r.Name)
 	}
 	e.rules[r.Name] = r
-	r.pred = pred
+	r.pred = pred.Standing()
 	e.fileLocked(r)
 	return r, nil
 }
@@ -132,7 +134,7 @@ func (e *Engine) Replace(name string, cond *expr.Predicate) error {
 		return nil
 	}
 	e.unfileLocked(r)
-	r.pred = cond
+	r.pred = cond.Standing()
 	e.fileLocked(r)
 	return nil
 }

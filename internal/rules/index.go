@@ -17,7 +17,7 @@ import (
 // event reaches the conditions it could satisfy through its own
 // attribute values. It is a pre-filter: Match returns the entries all of
 // whose filed atoms hold, and the caller confirms each against its
-// whole condition.
+// condition.
 //
 // Selectivity policy: equalities are far more selective than ranges (a
 // range like `price > x` can admit most of the value space), so an
@@ -65,8 +65,9 @@ func (ix *Index[T]) atoms(cond *expr.Predicate) []atom {
 		return nil
 	}
 	filed := func(field string) bool { return !ix.BareFields || !strings.Contains(field, ".") }
+	eqs, ranges := cond.Indexable()
 	var out []atom
-	for _, eq := range cond.EqPreds {
+	for _, eq := range eqs {
 		if filed(eq.Field) {
 			out = append(out, atom{field: eq.Field, eq: eq.Value})
 		}
@@ -74,8 +75,8 @@ func (ix *Index[T]) atoms(cond *expr.Predicate) []atom {
 	if len(out) > 0 {
 		return out
 	}
-	for i := range cond.RangePreds {
-		rp := &cond.RangePreds[i]
+	for i := range ranges {
+		rp := &ranges[i]
 		if _, _, ok := rp.NumericBounds(); ok && filed(rp.Field) {
 			out = append(out, atom{field: rp.Field, rp: rp})
 		}

@@ -135,7 +135,7 @@ func (m *Manager) Register(def Def) (*Trigger, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trigger %q: %w", def.Name, err)
 		}
-		tr.when = p
+		tr.when = p.Standing()
 	}
 	if len(def.Ops) > 0 {
 		tr.ops = make(map[storage.ChangeKind]bool, len(def.Ops))
