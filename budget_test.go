@@ -2,19 +2,26 @@ package eventdb
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"eventdb/internal/core"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/raceflag"
+	"eventdb/internal/storage"
+	"eventdb/internal/val"
 )
 
-// Registration budgets (ROADMAP item 24): the live heap one standing
-// condition costs, registered in process through core at the shapes of
-// E23's selective workload (bench/selective.go). Each ceiling is the
-// measured cost plus 5%; a change that lowers a cost lowers its ceiling
-// with it, and raising one is a check change with its reason.
+// Live-heap budgets (ROADMAP item 24): what one standing condition
+// costs, registered in process through core at the shapes of E23's
+// selective workload (bench/selective.go), and what one sealed row of
+// E23 dbmix's table costs (152 B while the row store kept a copy of
+// every sealed row, 86 B since it hands them to their segments). Each
+// ceiling is the measured cost plus 5%; a change that lowers a cost
+// lowers its ceiling with it, and raising one is a check change with
+// its reason.
 func TestBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap sizes are inflated under -race")
@@ -58,6 +65,57 @@ func TestBudget(t *testing.T) {
 			t.Errorf("%s costs %.0f B each, over its ceiling of %.0f", tc.name, per, tc.ceiling)
 		}
 	}
+
+	// A row of E23 dbmix's table (bench/dbmix.go) once its history is
+	// sealed: what the row store, the primary key and the columnar
+	// segment keep of it together.
+	const rowCeiling = 90
+	per := dbmixRowHeap(t)
+	t.Logf("dbmix row: %.0f B each (ceiling %.0f)", per, float64(rowCeiling))
+	if per > rowCeiling {
+		t.Errorf("a sealed dbmix row costs %.0f B, over its ceiling of %d", per, rowCeiling)
+	}
+}
+
+// dbmixRowHeap inserts 100 k rows of dbmix's shape through core, 1,000
+// per commit, compacts the table, and returns the live heap per row.
+func dbmixRowHeap(t *testing.T) float64 {
+	const rows = 100_000
+	e, err := core.Open(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before := liveHeap()
+	s, err := storage.NewSchema("trades", []storage.Column{
+		{Name: "seq", Kind: val.KindInt}, {Name: "ts", Kind: val.KindTime},
+		{Name: "sym", Kind: val.KindString}, {Name: "qty", Kind: val.KindInt},
+		{Name: "px", Kind: val.KindInt},
+	}, "seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DB.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewSource(1))
+	for start := 0; start < rows; start += 1000 {
+		txn := e.DB.Begin()
+		for seq := start; seq < start+1000; seq++ {
+			txn.InsertRow("trades", storage.Row{val.Int(int64(seq)), val.Time(epoch.Add(time.Duration(seq) * time.Second)),
+				val.String(fmt.Sprintf("S%02d", rng.Intn(50))), val.Int(rng.Int63n(1000)), val.Int(rng.Int63n(10000))})
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Compact("trades"); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(liveHeap()-before) / rows
+	runtime.KeepAlive(e)
+	return per
 }
 
 // liveHeap is the heap in use after a full collection.

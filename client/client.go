@@ -584,12 +584,14 @@ type Health struct {
 	// Columnar sums the columnar history over all tables; TailRows is
 	// the sealer's backlog (rows committed but not yet in a segment),
 	// ResidentSegments the sealed segments still in the server's memory
-	// (those with a live row) out of the Segments ever sealed.
+	// (those with a live row) out of the Segments ever sealed, and
+	// ColdRows the rows whose one copy in that memory is their segment.
 	Columnar struct {
 		Segments         int `json:"segments"`
 		SealedRows       int `json:"sealed_rows"`
 		TailRows         int `json:"tail_rows"`
 		ResidentSegments int `json:"resident_segments"`
+		ColdRows         int `json:"cold_rows"`
 	} `json:"columnar"`
 	// Runtime is the server process's Go runtime: allocation and
 	// collector work since start (divide by an op count for per-op

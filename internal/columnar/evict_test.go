@@ -1,0 +1,413 @@
+package columnar
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"eventdb/internal/raceflag"
+	"eventdb/internal/storage"
+	"eventdb/internal/val"
+)
+
+// evictSchema covers every kind a column can have, each nullable but
+// the key.
+func evictSchema(t *testing.T) *storage.Schema {
+	t.Helper()
+	s, err := storage.NewSchema("t", []storage.Column{
+		{Name: "k", Kind: val.KindInt, NotNull: true},
+		{Name: "n", Kind: val.KindInt},
+		{Name: "f", Kind: val.KindFloat},
+		{Name: "s", Kind: val.KindString},
+		{Name: "b", Kind: val.KindBytes},
+		{Name: "ok", Kind: val.KindBool},
+		{Name: "ts", Kind: val.KindTime},
+	}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// randValue draws column ci's value from a small domain, so that an
+// update often rewrites a row to what it already held; one in six is
+// NULL.
+func randValue(rng *rand.Rand, ci int) val.Value {
+	if rng.Intn(6) == 0 {
+		return val.Null
+	}
+	switch ci {
+	case 1:
+		return val.Int(int64(rng.Intn(5) - 2))
+	case 2:
+		return val.Float([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -3e300}[rng.Intn(5)])
+	case 3:
+		return val.String([]string{"", "a", "bb", "ccc"}[rng.Intn(4)])
+	case 4:
+		return val.Bytes([][]byte{{}, {0}, {1, 2, 3}}[rng.Intn(3)])
+	case 5:
+		return val.Bool(rng.Intn(2) == 0)
+	default:
+		return val.Time(time.Unix(int64(rng.Intn(3))*86400, int64(rng.Intn(2))).UTC())
+	}
+}
+
+// enc is a row's exact binary image: NaN payloads and the sign of zero
+// count.
+func enc(r storage.Row) string {
+	var b []byte
+	for _, v := range r {
+		b = val.AppendBinary(b, v)
+	}
+	return string(b)
+}
+
+// evictSide is one database of the differential with the change images
+// its hooks saw.
+type evictSide struct {
+	db   *storage.DB
+	m    *Manager // nil: the oracle, with no columnar history
+	seen []string
+}
+
+func (s *evictSide) open(t *testing.T, dir string, create bool) {
+	t.Helper()
+	opts := storage.Options{}
+	if dir != "" {
+		opts.Dir = filepath.Join(dir, "wal")
+	}
+	db, err := storage.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if create {
+		if err := db.CreateTable(evictSchema(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	note := func(stage string, c *storage.Change) {
+		s.seen = append(s.seen, fmt.Sprintf("%s %s %d %q %q", stage, c.Kind, c.ID, enc(c.Old), enc(c.New)))
+	}
+	db.OnBefore("t", func(c *storage.Change) error { note("before", c); return nil })
+	db.OnCommit(func(ci *storage.CommitInfo) {
+		for i := range ci.Changes {
+			note("commit", &ci.Changes[i])
+		}
+	})
+	s.db = db
+}
+
+func (s *evictSide) close() {
+	if s.m != nil {
+		s.m.Close()
+	}
+	s.db.Close()
+}
+
+func (s *evictSide) table() *storage.Table {
+	tbl, _ := s.db.Table("t")
+	return tbl
+}
+
+// TestEvictedMatchesHot is the differential of sealed rows leaving the
+// row store: a seeded stream of INSERT, UPDATE and DELETE transactions
+// goes into a database whose history seals every 64 rows, in the
+// background and by Compact at random points, and into one with no
+// columnar history at all. After every transaction Get, GetByPK, Len,
+// Scan, ScanRows and ScanRowsWhere answer the same on both, and the
+// BEFORE and commit hooks were handed the same old and new images. The
+// durable run reopens the database from its WAL and segment files on
+// the way. The stream must have evicted rows and then updated and
+// deleted evicted rows, or the test proves nothing.
+func TestEvictedMatchesHot(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { evictDifferential(t, durable) })
+	}
+}
+
+func evictDifferential(t *testing.T, durable bool) {
+	const ops = 500
+	rng := rand.New(rand.NewSource(49))
+	dir := ""
+	if durable {
+		dir = t.TempDir()
+	}
+	cfg := Config{SealRows: 64, SealInterval: time.Hour}
+	if durable {
+		cfg.Dir = filepath.Join(dir, "segments")
+	}
+	var hot, cold evictSide
+	hot.open(t, "", true)
+	cold.open(t, dir, true)
+	attachCold := func() {
+		m, err := Attach(cold.db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold.m = m
+	}
+	attachCold()
+	defer func() { hot.close(); cold.close() }()
+
+	live := map[storage.RowID]int64{} // row → its key
+	nextKey := int64(0)
+	maxCold, coldTouched := 0, 0
+	for op := 0; op < ops; op++ {
+		type change struct {
+			kind storage.ChangeKind
+			id   storage.RowID
+			row  storage.Row
+			set  map[string]val.Value
+		}
+		var txn []change
+		ids := make([]storage.RowID, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		// A transaction touches a row once: the row store applies a
+		// second update or delete of one row against the first's image.
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		pick := func() storage.RowID {
+			id := ids[0]
+			ids = ids[1:]
+			return id
+		}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			switch r := rng.Intn(10); {
+			case r < 5 || len(ids) == 0:
+				nextKey++
+				row := storage.Row{val.Int(nextKey)}
+				for ci := 1; ci < 7; ci++ {
+					row = append(row, randValue(rng, ci))
+				}
+				txn = append(txn, change{kind: storage.Insert, row: row})
+			case r < 8:
+				set := map[string]val.Value{}
+				for ci, c := range evictSchema(t).Columns[1:] {
+					if rng.Intn(3) == 0 {
+						set[c.Name] = randValue(rng, ci+1)
+					}
+				}
+				if rng.Intn(8) == 0 {
+					nextKey++
+					set["k"] = val.Int(nextKey)
+				}
+				txn = append(txn, change{kind: storage.Update, id: pick(), set: set})
+			default:
+				txn = append(txn, change{kind: storage.Delete, id: pick()})
+			}
+		}
+		coldBefore := cold.table().ColdRows()
+		var infos [2]*storage.CommitInfo
+		var errs [2]error
+		for i, side := range []*evictSide{&hot, &cold} {
+			tx := side.db.Begin()
+			for _, c := range txn {
+				switch c.kind {
+				case storage.Insert:
+					tx.InsertRow("t", c.row)
+				case storage.Update:
+					tx.Update("t", c.id, c.set)
+				case storage.Delete:
+					tx.Delete("t", c.id)
+				}
+			}
+			infos[i], errs[i] = tx.Commit()
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("op %d: commit errors differ: %v / %v", op, errs[0], errs[1])
+		}
+		if errs[0] == nil {
+			for _, c := range infos[0].Changes {
+				switch c.Kind {
+				case storage.Insert:
+					k, _ := c.New[0].AsInt()
+					live[c.ID] = k
+				case storage.Update:
+					k, _ := c.New[0].AsInt()
+					live[c.ID] = k
+				case storage.Delete:
+					delete(live, c.ID)
+				}
+			}
+			if cold.table().ColdRows() < coldBefore {
+				coldTouched++
+			}
+		}
+		switch {
+		case rng.Intn(40) == 0:
+			if _, err := cold.m.Compact("t"); err != nil {
+				t.Fatal(err)
+			}
+		case durable && rng.Intn(150) == 0:
+			cold.close()
+			cold.open(t, dir, false)
+			attachCold()
+		}
+		maxCold = max(maxCold, cold.table().ColdRows())
+		compareTables(t, op, hot.table(), cold.table(), live)
+		if !slices.Equal(hot.seen, cold.seen) {
+			t.Fatalf("op %d: hooks saw\n%q\nwith no history, and\n%q\nwith it", op, hot.seen, cold.seen)
+		}
+		hot.seen, cold.seen = hot.seen[:0], cold.seen[:0]
+	}
+	if maxCold == 0 || coldTouched == 0 {
+		t.Fatalf("at most %d rows evicted, %d commits took one back: the differential proved nothing", maxCold, coldTouched)
+	}
+	t.Logf("at most %d rows evicted; %d commits took an evicted row back", maxCold, coldTouched)
+}
+
+// compareTables holds every read of b, whose sealed rows may have left
+// its row store, to a, which has no history: live maps each row to its
+// key.
+func compareTables(t *testing.T, op int, a, b *storage.Table, live map[storage.RowID]int64) {
+	t.Helper()
+	if a.Len() != len(live) || b.Len() != len(live) {
+		t.Fatalf("op %d: Len %d with no history, %d with it, want %d", op, a.Len(), b.Len(), len(live))
+	}
+	for id, k := range live {
+		ra, okA := a.Get(id)
+		rb, okB := b.Get(id)
+		if !okA || !okB || enc(ra) != enc(rb) {
+			t.Fatalf("op %d: Get(%d) = %v %v with no history, %v %v with it", op, id, ra, okA, rb, okB)
+		}
+		pa, ida, okA := a.GetByPK(val.Int(k))
+		pb, idb, okB := b.GetByPK(val.Int(k))
+		if !okA || !okB || ida != id || idb != id || enc(pa) != enc(ra) || enc(pb) != enc(ra) {
+			t.Fatalf("op %d: GetByPK(%d) = %d %v with no history, %d %v with it, want %d", op, k, ida, pa, idb, pb, id)
+		}
+		if _, ok := b.Get(id + 1); !ok {
+			if _, ok := live[id+1]; ok {
+				t.Fatalf("op %d: row %d missing with history", op, id+1)
+			}
+		} else if _, ok := live[id+1]; !ok {
+			t.Fatalf("op %d: deleted row %d still read with history", op, id+1)
+		}
+	}
+	scan := func(tbl *storage.Table) []string {
+		var out []string
+		tbl.Scan(func(id storage.RowID, r storage.Row) bool {
+			out = append(out, fmt.Sprintf("%d %q", id, enc(r)))
+			return true
+		})
+		sort.Strings(out)
+		return out
+	}
+	rows := func(ids []storage.RowID, rows []storage.Row) []string {
+		out := make([]string, len(ids))
+		for i := range ids {
+			out[i] = fmt.Sprintf("%d %q", ids[i], enc(rows[i]))
+		}
+		sort.Strings(out)
+		return out
+	}
+	where := func(tbl *storage.Table) []string {
+		ids, rs, err := tbl.ScanRowsWhere(func(r storage.Row) (bool, error) {
+			b, _ := r[4].AsBytes()
+			return r[3].IsNull() || bytes.Equal(b, []byte{0}), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows(ids, rs)
+	}
+	want := scan(a)
+	if got := scan(b); !slices.Equal(got, want) {
+		t.Fatalf("op %d: Scan with history\n%q\nwant\n%q", op, got, want)
+	}
+	if got := rows(b.ScanRows()); !slices.Equal(got, want) {
+		t.Fatalf("op %d: ScanRows with history\n%q\nwant\n%q", op, got, want)
+	}
+	if got, want := where(b), where(a); !slices.Equal(got, want) {
+		t.Fatalf("op %d: ScanRowsWhere with history\n%q\nwant\n%q", op, got, want)
+	}
+}
+
+// TestSealedPreloadLeavesNoImage inserts 100 k rows of E23 dbmix's shape
+// (seq, ts, sym, qty, px; seq the key), 1,000 per commit, with the
+// background sealer running, then compacts: every row then lives in its
+// segment alone, and is read back from it.
+func TestSealedPreloadLeavesNoImage(t *testing.T) {
+	const rows = 100_000
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := storage.NewSchema("trades", []storage.Column{
+		{Name: "seq", Kind: val.KindInt}, {Name: "ts", Kind: val.KindTime},
+		{Name: "sym", Kind: val.KindString}, {Name: "qty", Kind: val.KindInt},
+		{Name: "px", Kind: val.KindInt},
+	}, "seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	m := attach(t, db, Config{})
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	row := func(seq int) storage.Row {
+		return storage.Row{val.Int(int64(seq)), val.Time(epoch.Add(time.Duration(seq) * time.Second)),
+			val.String(fmt.Sprintf("S%02d", seq%50)), val.Int(int64(seq % 1000)), val.Int(int64(seq % 10000))}
+	}
+	for start := 0; start < rows; start += 1000 {
+		txn := db.Begin()
+		for seq := start; seq < start+1000; seq++ {
+			txn.InsertRow("trades", row(seq))
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Compact("trades"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("trades")
+	if n, c := tbl.Len(), tbl.ColdRows(); n != rows || c != rows {
+		t.Fatalf("after Compact: %d rows, %d of them in their segment alone; want %d of %d", n, c, rows, rows)
+	}
+	if st := m.Stats()[0]; st.ColdRows != rows {
+		t.Errorf("Stats().ColdRows = %d, want %d", st.ColdRows, rows)
+	}
+	for _, seq := range []int{0, 1, 8191, 8192, 54321, rows - 1} {
+		got, _, ok := tbl.GetByPK(val.Int(int64(seq)))
+		if !ok || enc(got) != enc(row(seq)) {
+			t.Errorf("GetByPK(%d) = %v %v, want %v", seq, got, ok, row(seq))
+		}
+	}
+}
+
+// TestAllocsColdGet pins a point read of a row that lives in its
+// segment alone at one allocation, the Row, as a hot one is: the read
+// sets up no batch, and its string and bytes values alias the segment.
+func TestAllocsColdGet(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	db := openVolatile(t)
+	m := attach(t, db, Config{})
+	fillEvents(t, db, 3000, 7)
+	if _, err := m.Compact("events"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("events")
+	if c := tbl.ColdRows(); c != 3000 {
+		t.Fatalf("%d rows evicted, want 3000", c)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if r, ok := tbl.Get(2048); !ok || len(r) != 7 {
+			t.Fatal("row missing")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a cold Get allocates %.1f times, want 1", allocs)
+	}
+}

@@ -115,8 +115,8 @@ func TestDeadHistoryBounded(t *testing.T) {
 			// The rows in flight were rewritten, so their current version
 			// is in the row store: the only live copies are those of the
 			// rows never claimed, and a resident segment keeps fewer than
-			// sparseDiv rows per live one.
-			maxRows := sparseDiv * kept
+			// storage.SparseDiv rows per live one.
+			maxRows := storage.SparseDiv * kept
 			if got := s.SealedRows - s.ReleasedRows; got > maxRows {
 				t.Errorf("%d sealed rows resident for %d live ones, want at most %d: %+v", got, kept, maxRows, s)
 			}

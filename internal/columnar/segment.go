@@ -10,8 +10,11 @@
 // background sealer encodes the tail's vectors into segments (see
 // store.go, build.go); the query processor runs one vectorized
 // filter+aggregate loop over segments and tail alike (filter.go,
-// internal/query). Memory holds what a scan can return: a segment whose
-// rows are all dead leaves it, and its file stays for restart
+// internal/query). A sealed row lives once: an installed segment is
+// handed to its storage.Table, which drops the rows the segment holds
+// from its row store and serves them from the segment (Segment.DecodeRow,
+// Segment.DecodeRows). Memory holds what a scan can return: a segment
+// whose rows are all dead leaves it, and its file stays for restart
 // (store.go, persist.go). History is the WAL's: REPLAY reads the log.
 package columnar
 
@@ -118,6 +121,9 @@ func (s *Segment) Zone(ci int) Zone { return s.cols[ci].zone() }
 // a view of the tail.
 type column interface {
 	zone() Zone
+	// at boxes row i, read where the column keeps it: no batch is set
+	// up.
+	at(i int) val.Value
 	// read decodes rows [row, row+n) of one batch into dst: at least
 	// the values and nulls at the positions sel lists (a column already
 	// in vector form hands out all n). What has to be decoded goes into
@@ -315,6 +321,46 @@ func (r *Reader) Fill(b *Batch, cols []bool, sel []int32) {
 	}
 }
 
+// DecodeRow decodes row i into dst, a full-width storage.Row, one value
+// per column read where the column keeps it: a point read sets up no
+// batch. String and bytes values alias the segment.
+func (s *Segment) DecodeRow(dst storage.Row, i int) {
+	for ci, c := range s.cols {
+		dst[ci] = c.at(i)
+	}
+}
+
+// DecodeRows decodes the rows whose bit is set in want (nil: every
+// row), in order, through one batch reader: a batch without a wanted
+// row is skipped, and the others are decoded at the wanted rows alone.
+// fn is handed each row's position and a row the next call overwrites,
+// until it returns false; DecodeRows reports whether it never did.
+func (s *Segment) DecodeRows(want []uint64, fn func(i int, r storage.Row) bool) bool {
+	r := s.NewReader(make([]bool, len(s.cols)))
+	var b Batch
+	row := make(storage.Row, len(s.cols))
+	sel := make([]int32, 0, BatchSize)
+	for r.Next(&b) {
+		sel = sel[:0]
+		for i := 0; i < b.Len; i++ {
+			if want == nil || deadBit(want, b.Start+i) {
+				sel = append(sel, int32(i))
+			}
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		r.Fill(&b, nil, sel)
+		for _, i := range sel {
+			b.MaterializeRow(row, int(i))
+			if !fn(b.Start+int(i), row) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // MaterializeRow boxes batch row i into dst (a full-width
 // storage.Row); columns that were not decoded stay Null. dst must
 // have len == schema width.
@@ -357,12 +403,34 @@ func (f intFrame) width() int { return (bits.Len64(uint64(f.hi)-uint64(f.lo)) + 
 func (c *intColumn) zone() Zone    { return c.z }
 func (c *intColumn) memBytes() int { return len(c.data) + len(c.nulls)*8 + len(c.frames)*16 }
 
-func (c *intColumn) read(dst, own *Vector, row, n int, sel []int32) {
-	b := row / BatchSize
-	f, data := c.frames[b], c.data
+// batch returns batch b's frame and the offsets from it onwards.
+func (c *intColumn) batch(b int) (intFrame, []byte) {
+	data := c.data
 	for _, g := range c.frames[:b] {
 		data = data[g.width()*BatchSize:]
 	}
+	return c.frames[b], data
+}
+
+// at reads row j of a batch framed by f, whose offsets data starts
+// with, near the column's end or not.
+func (f intFrame) at(data []byte, j int) int64 {
+	w := f.width()
+	var word [8]byte
+	copy(word[:], data[j*w:])
+	return f.lo + int64(binary.LittleEndian.Uint64(word[:])&(uint64(1)<<(8*w)-1))
+}
+
+func (c *intColumn) at(i int) val.Value {
+	if deadBit(c.nulls, i) {
+		return val.Null
+	}
+	f, data := c.batch(i / BatchSize)
+	return c.value(f.at(data, i%BatchSize))
+}
+
+func (c *intColumn) read(dst, own *Vector, row, n int, sel []int32) {
+	f, data := c.batch(row / BatchSize)
 	w := f.width()
 	mask := uint64(1)<<(8*w) - 1 // all ones at w = 8: the shift gives 0
 	out := grow(&own.I64)[:n]
@@ -374,9 +442,7 @@ func (c *intColumn) read(dst, own *Vector, row, n int, sel []int32) {
 		rest = nil
 	}
 	for _, i := range rest { // a selection, or a batch at the column's end
-		var word [8]byte
-		copy(word[:], data[int(i)*w:])
-		out[i] = f.lo + int64(binary.LittleEndian.Uint64(word[:])&mask)
+		out[i] = f.at(data, int(i))
 	}
 	dst.I64, dst.Null = out, nullsOf(own, c.nulls, row, n, sel)
 }
@@ -416,6 +482,13 @@ type floatColumn struct {
 func (c *floatColumn) zone() Zone    { return c.z }
 func (c *floatColumn) memBytes() int { return len(c.vals)*8 + len(c.nulls)*8 }
 
+func (c *floatColumn) at(i int) val.Value {
+	if deadBit(c.nulls, i) {
+		return val.Null
+	}
+	return val.Float(c.vals[i])
+}
+
 // read hands out a sub-slice of the stored values: they are immutable
 // and already in vector form.
 func (c *floatColumn) read(dst, own *Vector, row, n int, sel []int32) {
@@ -433,6 +506,13 @@ type boolColumn struct {
 
 func (c *boolColumn) zone() Zone    { return c.z }
 func (c *boolColumn) memBytes() int { return len(c.bits)*8 + len(c.nulls)*8 }
+
+func (c *boolColumn) at(i int) val.Value {
+	if deadBit(c.nulls, i) {
+		return val.Null
+	}
+	return val.Bool(deadBit(c.bits, i))
+}
 
 func (c *boolColumn) read(dst, own *Vector, row, n int, sel []int32) {
 	out := grow(&own.I64)[:n]
@@ -477,6 +557,13 @@ func (c *strColumn) code(s string) int {
 	return -1
 }
 
+func (c *strColumn) at(i int) val.Value {
+	if deadBit(c.nulls, i) {
+		return val.Null
+	}
+	return val.String(c.dict[c.codes[i]])
+}
+
 func (c *strColumn) read(dst, own *Vector, row, n int, sel []int32) {
 	dst.Dict, dst.Code, dst.Null = c.dict, c.codes[row:row+n], nullsOf(own, c.nulls, row, n, sel)
 }
@@ -492,6 +579,13 @@ type bytesColumn struct {
 
 func (c *bytesColumn) zone() Zone    { return c.z }
 func (c *bytesColumn) memBytes() int { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
+
+func (c *bytesColumn) at(i int) val.Value {
+	if deadBit(c.nulls, i) {
+		return val.Null
+	}
+	return val.Bytes(c.blob[c.offs[i]:c.offs[i+1]])
+}
 
 func (c *bytesColumn) read(dst, own *Vector, row, n int, sel []int32) {
 	out := grow(&own.Bytes)[:n]
@@ -516,6 +610,8 @@ func (c *rawColumn) memBytes() int {
 	v := &c.vec
 	return len(v.I64)*8 + len(v.F64)*8 + len(v.Code)*4 + len(v.Bytes)*24 + len(v.Null)
 }
+
+func (c *rawColumn) at(i int) val.Value { return c.vec.Value(i) }
 
 func (c *rawColumn) read(dst, own *Vector, row, n int, sel []int32) {
 	*dst = c.vec.window(row, row+n)

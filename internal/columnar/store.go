@@ -101,6 +101,9 @@ type Manager struct {
 type TableStore struct {
 	table  string
 	schema *storage.Schema
+	// tbl is the row store's table, which hands the rows of every
+	// installed segment over to it (storage.Table.Evict).
+	tbl *storage.Table
 
 	// sealMu serializes seal operations (background sealer vs forced
 	// Compact); mu guards all mutable state below.
@@ -128,8 +131,9 @@ type TableStore struct {
 
 // TableStats is the COMPACT/stats surface for one table. Segments,
 // SealedRows and DeadRows count the sealed history, in memory or not;
-// ResidentSegments and MemBytes are what memory holds, and ReleasedRows
-// the sealed rows it no longer does (all of them dead).
+// ResidentSegments and MemBytes are what memory holds, ReleasedRows
+// the sealed rows it no longer does (all of them dead), and ColdRows
+// the table's rows whose one copy in memory is their segment.
 type TableStats struct {
 	Table            string `json:"table"`
 	Segments         int    `json:"segments"`
@@ -140,6 +144,7 @@ type TableStats struct {
 	LastLSN          uint64 `json:"last_lsn"`
 	ResidentSegments int    `json:"resident_segments"`
 	ReleasedRows     int    `json:"released_rows"`
+	ColdRows         int    `json:"cold_rows"`
 }
 
 // Attach creates a Manager over db and registers it in the package
@@ -182,6 +187,17 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 		}
 	} else {
 		m.bootstrapTables()
+	}
+
+	// The reloaded segments take over their rows from the row store,
+	// which the WAL replay filled.
+	for _, st := range m.allStores() {
+		st.mu.RLock()
+		segs := slices.Clone(st.segs)
+		st.mu.RUnlock()
+		for _, seg := range segs {
+			st.tbl.Evict(seg)
+		}
 	}
 
 	// Drain commits buffered during bootstrap, then go live.
@@ -260,6 +276,7 @@ func (m *Manager) store(name string) *TableStore {
 	st = &TableStore{
 		table:    name,
 		schema:   tbl.Schema(),
+		tbl:      tbl,
 		tail:     newTail(tbl.Schema()),
 		modified: make(map[storage.RowID]struct{}),
 	}
@@ -425,25 +442,19 @@ func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) error {
 	return err
 }
 
-// sparseDiv sets when a resident segment is rewritten without its dead
-// rows: once they outnumber the live ones sparseDiv-1 to one. Each
-// rewrite costs a quarter of the rows the last one kept, so all of a
-// segment's rewrites together cost less than sealing it did. It is a
-// constant because no workload wants another value: a smaller one keeps
-// more dead rows in memory, a larger one re-encodes more often.
-const sparseDiv = 4
-
 // settled is the residency rule — memory holds what a scan can return,
 // the WAL holds what happened — applied to one sealed segment, or to rows
 // about to become one: nil when no row is live, a copy without the dead
-// rows when the live ones are down to 1/sparseDiv, else s. s itself is
+// rows when the live ones are down to 1/storage.SparseDiv, else s. Each
+// rewrite costs a quarter of the rows the last one kept, so all of a
+// segment's rewrites together cost less than sealing it did. s itself is
 // never modified: a Snapshot may be scanning it.
 func (s *Segment) settled() (*Segment, error) {
 	live := s.rows - s.deadCount
 	if live == 0 {
 		return nil, nil
 	}
-	if live*sparseDiv > s.rows {
+	if live*storage.SparseDiv > s.rows {
 		return s, nil
 	}
 	return s.liveOnly()
@@ -581,7 +592,9 @@ func (st *TableStore) tailLen() int {
 // picks what is encoded for memory: every row, the live ones, or none
 // (a queue's rows are mostly claimed before they are sealed). Rows and
 // dead marks that land meanwhile are picked up at install, where the
-// rule is applied again. It reports whether any row was sealed.
+// rule is applied again. Once the store lock is released, the table
+// hands each installed segment the rows it holds. It reports whether
+// any row was sealed.
 func (m *Manager) seal(st *TableStore, target int) bool {
 	st.sealMu.Lock()
 	defer st.sealMu.Unlock()
@@ -621,8 +634,8 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 	// Only seals take rows out of the tail and sealMu admits one at a
 	// time, so the tail is still the one the view was cut from, grown.
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	t := st.tail
+	var installed []*Segment
 	from = 0
 	for i, cut := range cuts {
 		if seg := segs[i]; seg == nil {
@@ -639,6 +652,7 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 			m.setErr(err)
 			if keep != nil {
 				st.segs = append(st.segs, keep)
+				installed = append(installed, keep)
 			}
 		}
 		st.maxSealedID = t.ids[cut-1]
@@ -648,6 +662,10 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 		from = cut
 	}
 	st.tail = t.suffix(from)
+	st.mu.Unlock()
+	for _, seg := range installed {
+		st.tbl.Evict(seg)
+	}
 	return true
 }
 
@@ -690,9 +708,11 @@ func (m *Manager) Stats() []TableStats {
 
 // Stats summarizes the store.
 func (st *TableStore) Stats() TableStats {
+	cold := st.tbl.ColdRows()
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	s := TableStats{
+		ColdRows:         cold,
 		Table:            st.table,
 		Segments:         st.releasedSegs + len(st.segs),
 		SealedRows:       st.releasedRows,

@@ -69,7 +69,8 @@ type Health struct {
 	// Columnar sums the columnar history over all tables. TailRows is
 	// the sealer's backlog: rows committed but not yet in a segment;
 	// ResidentSegments are the sealed segments memory still holds (the
-	// ones with a live row), of the Segments ever sealed.
+	// ones with a live row), of the Segments ever sealed; ColdRows the
+	// rows whose one copy in memory is their segment.
 	Columnar ColumnarHealth
 }
 
@@ -79,6 +80,7 @@ type ColumnarHealth struct {
 	SealedRows       int
 	TailRows         int
 	ResidentSegments int
+	ColdRows         int
 }
 
 // Health assembles the engine-level health snapshot. Server-level
@@ -101,6 +103,7 @@ func (e *Engine) Health() Health {
 		h.Columnar.SealedRows += ts.SealedRows
 		h.Columnar.TailRows += ts.PendingRows
 		h.Columnar.ResidentSegments += ts.ResidentSegments
+		h.Columnar.ColdRows += ts.ColdRows
 	}
 	return h
 }

@@ -96,7 +96,7 @@ func TestHealthColumnar(t *testing.T) {
 		return h
 	}
 	line := r.ask("HEALTH format=json")
-	if !strings.Contains(line, `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0,"resident_segments":0},"runtime":{"alloc_bytes":`) ||
+	if !strings.Contains(line, `"columnar":{"segments":0,"sealed_rows":0,"tail_rows":0,"resident_segments":0,"cold_rows":0},"runtime":{"alloc_bytes":`) ||
 		!regexp.MustCompile(`,"goroutines":\d+}}$`).MatchString(line) {
 		t.Fatalf("columnar then runtime must be the last JSON fields: %q", line)
 	}

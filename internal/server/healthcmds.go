@@ -84,13 +84,13 @@ func handleHealth(c *conn, req *request) bool {
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
 			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[],"queue_cap":0,"ingested":%d,"dropped":0,`+
-			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d},`+
+			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d,"cold_rows":%d},`+
 			`"runtime":%s}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
 			h.LastApplied, h.NextLSN, h.walLag(), h.Ingested,
 			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments,
-			runtimeJSON()))
+			h.Columnar.ColdRows, runtimeJSON()))
 		return true
 	}
 	c.reply(fmt.Sprintf("OK role=%s degraded=%s overloaded=%s durable=%s conns=%d slow=%d evicted=%d shed=%d panics=%d last_applied=%d next_lsn=%d wal_lag=%d queued=0 qcap=0",

@@ -372,3 +372,58 @@ func TestAllocsOneOpCommit(t *testing.T) {
 		t.Errorf("a one-row DeleteRow allocates %.0f times (want at most 10), InsertRow %.0f (want at most 14)", del, ins)
 	}
 }
+
+// TestTableGivesBackMemory fills a table with 100 k rows (an int key
+// and 100 bytes each) and deletes them all, as a drained queue backlog
+// does: the table must then hold about what an empty one does. A Go
+// map never shrinks, so the row and key maps are rebuilt as they empty.
+func TestTableGivesBackMemory(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap sizes are inflated under -race")
+	}
+	const rows, batch = 100_000, 1000
+	db := openVolatile(t)
+	s, err := NewSchema("q", []Column{{Name: "k", Kind: val.KindInt}, {Name: "b", Kind: val.KindBytes}}, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	empty := liveHeap()
+	payload := make([]byte, 100)
+	var ids []RowID
+	for start := 0; start < rows; start += batch {
+		txn := db.Begin()
+		for k := start; k < start+batch; k++ {
+			txn.InsertRow("q", Row{val.Int(int64(k)), val.Bytes(payload)})
+		}
+		info, err := txn.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range info.Changes {
+			ids = append(ids, c.ID)
+		}
+	}
+	full := liveHeap() - empty
+	for start := 0; start < rows; start += batch {
+		txn := db.Begin()
+		for _, id := range ids[start : start+batch] {
+			txn.Delete("q", id)
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids = nil
+	tbl, _ := db.Table("q")
+	if n := tbl.Len(); n != 0 {
+		t.Fatalf("%d rows left", n)
+	}
+	left := liveHeap() - empty
+	t.Logf("%d rows held %.1f MB; deleted, %.2f MB", rows, float64(full)/(1<<20), float64(left)/(1<<20))
+	if left > 512<<10 {
+		t.Errorf("an emptied table holds %.2f MB more than an empty one, want at most 0.5", float64(left)/(1<<20))
+	}
+}

@@ -1,0 +1,162 @@
+package storage
+
+import (
+	"slices"
+	"sort"
+
+	"eventdb/internal/val"
+)
+
+// Sealed is an immutable run of a table's rows kept outside the row
+// store: a sealed columnar segment. A table hands a run the rows it
+// holds (Evict) and serves them from it from then on, so a sealed row
+// lives once, in its segment.
+type Sealed interface {
+	// Rows is how many rows the run holds; RowID(i), strictly ascending
+	// in i, names row i.
+	Rows() int
+	RowID(i int) RowID
+	// DecodeRow decodes row i into dst, a row of the schema's width,
+	// without setting up a batch. Its string and bytes values alias the
+	// run, as an unpacked image's alias the image.
+	DecodeRow(dst Row, i int)
+	// DecodeRows decodes the rows whose bit is set in want (nil: every
+	// row), in order and batch by batch, handing fn each one's position
+	// and a row the next call overwrites, until fn returns false. It
+	// reports whether fn never did.
+	DecodeRows(want []uint64, fn func(i int, r Row) bool) bool
+}
+
+// SparseDiv is the residency ratio of sealed history: a sealed run is
+// kept as a run while more than 1/SparseDiv of its rows are live. Past
+// it the columnar store rewrites a segment without its dead rows, and a
+// table takes its evicted rows back from a run, so that a row nobody
+// deletes — a never-claimed queue message — pins no segment of dead
+// ones. It is a constant because no workload wants another value: a
+// smaller one keeps more dead rows in memory, a larger one re-encodes
+// more often.
+const SparseDiv = 4
+
+// coldRun is a sealed run some of whose rows the table has evicted:
+// bit i of live is set while row i of seg is a row of the table, held
+// nowhere else in memory.
+type coldRun struct {
+	seg         Sealed
+	first, last RowID
+	live        []uint64
+	n           int // bits set in live
+}
+
+func (r *coldRun) isLive(i int) bool { return r.live[i/64]&(1<<uint(i%64)) != 0 }
+
+// Evict hands seg the table's rows that it holds: each row whose stored
+// image equals seg's copy, re-packed, leaves the row store, and reads
+// serve it from seg until an update or a delete takes it back. A row
+// whose image differs — rewritten by a commit seg's maker has not seen
+// yet — stays, so any cut of the table's history is safe to hand over.
+// It returns how many rows left the row store: none when no more than
+// 1/SparseDiv of seg's rows would (the run would be given back at
+// once), or when seg's rows overlap a run already handed over.
+func (t *Table) Evict(seg Sealed) int {
+	n := seg.Rows()
+	// Rows are compared one at a time under the read lock, so neither a
+	// packed copy of seg nor a long write lock is needed: a match keeps
+	// the image it matched, and the write lock below evicts the row only
+	// if that image is still the stored one. No image is empty.
+	matched := make([]string, n)
+	count := 0
+	var img []byte
+	seg.DecodeRows(nil, func(i int, r Row) bool {
+		img = img[:0]
+		for _, v := range r {
+			img = val.AppendBinary(img, v)
+		}
+		t.mu.RLock()
+		cur, ok := t.rows[seg.RowID(i)]
+		t.mu.RUnlock()
+		if ok && cur == string(img) {
+			matched[i] = cur
+			count++
+		}
+		return true
+	})
+	if count*SparseDiv <= n {
+		return 0
+	}
+	run := &coldRun{seg: seg, first: seg.RowID(0), last: seg.RowID(n - 1), live: make([]uint64, (n+63)/64)}
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	at := sort.Search(len(t.runs), func(k int) bool { return t.runs[k].last >= run.first })
+	if at < len(t.runs) && t.runs[at].first <= run.last {
+		return 0
+	}
+	for i, img := range matched {
+		if img != "" && t.rows[seg.RowID(i)] == img {
+			run.live[i/64] |= 1 << uint(i%64)
+			run.n++
+		}
+	}
+	if run.n*SparseDiv <= n {
+		return 0
+	}
+	for i := 0; i < n; i++ {
+		if run.isLive(i) {
+			delete(t.rows, seg.RowID(i))
+		}
+	}
+	t.runs = slices.Insert(t.runs, at, run)
+	t.cold += run.n
+	t.shrink()
+	return run.n
+}
+
+// ColdRows returns how many of the table's rows live in a sealed run
+// only.
+func (t *Table) ColdRows() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.cold
+}
+
+// coldAt returns the run holding the evicted row id and its position
+// there, or nil. Caller holds t.mu.
+func (t *Table) coldAt(id RowID) (*coldRun, int) {
+	if t.cold == 0 {
+		return nil, 0
+	}
+	k := sort.Search(len(t.runs), func(k int) bool { return t.runs[k].last >= id })
+	if k == len(t.runs) || t.runs[k].first > id {
+		return nil, 0
+	}
+	run := t.runs[k]
+	i := sort.Search(run.seg.Rows(), func(i int) bool { return run.seg.RowID(i) >= id })
+	if i == run.seg.Rows() || run.seg.RowID(i) != id || !run.isLive(i) {
+		return nil, 0
+	}
+	return run, i
+}
+
+// unevict takes row id out of its sealed run, if it is in one: an
+// update or a delete is about to replace or remove it. Once the run's
+// live rows are down to 1/SparseDiv of it, the rest come back to the
+// row store and the run goes. Caller holds t.mu for writing.
+func (t *Table) unevict(id RowID) {
+	run, i := t.coldAt(id)
+	if run == nil {
+		return
+	}
+	run.live[i/64] &^= 1 << uint(i%64)
+	run.n--
+	t.cold--
+	if run.n*SparseDiv > run.seg.Rows() {
+		return
+	}
+	run.seg.DecodeRows(run.live, func(i int, r Row) bool {
+		t.rows[run.seg.RowID(i)] = t.packRow(r)
+		return true
+	})
+	t.rowsMax = max(t.rowsMax, len(t.rows))
+	t.cold -= run.n
+	t.runs = slices.DeleteFunc(t.runs, func(r *coldRun) bool { return r == run })
+}

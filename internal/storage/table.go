@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"eventdb/internal/val"
@@ -11,19 +12,32 @@ import (
 // exported methods are safe for concurrent use; mutation happens only
 // through transactions.
 //
-// A stored row is one packed string: its values' val.AppendBinary
-// encodings back to back, the WAL's row encoding without the count (the
-// schema fixes it), so a row costs its encoded size, not 32 bytes per
-// column. Every read unpacks into a fresh Row whose string and bytes
-// values alias the immutable image: a reader may keep or modify it.
+// A row lives in one of two places. A hot row is one packed string in
+// rows: its values' val.AppendBinary encodings back to back, the WAL's
+// row encoding without the count (the schema fixes it), so a row costs
+// its encoded size, not 32 bytes per column. A sealed row lives in its
+// columnar segment: once a segment is installed the table hands it the
+// rows it holds (Evict), and serves them from it until an update or a
+// delete takes one back (see sealed.go). Every read — Get, GetByPK,
+// Scan, ScanRows, ScanRowsWhere, Len and the old images a commit hands
+// to hooks and the WAL — sees both alike, and unpacks into a fresh Row
+// whose string and bytes values alias the immutable image or segment: a
+// reader may keep or modify it.
 type Table struct {
-	mu      sync.RWMutex
-	schema  *Schema
-	rows    map[RowID]string
-	pack    []byte // packing scratch; t.mu held for writing
-	nextID  RowID
-	pk      map[string]RowID // encoded primary key → row ID
-	version uint64           // bumped on every commit touching this table
+	mu     sync.RWMutex
+	schema *Schema
+	rows   map[RowID]string // the hot rows' images
+	pack   []byte           // packing scratch; t.mu held for writing
+	nextID RowID
+	pk     map[string]RowID // encoded primary key → row ID
+	// runs are the sealed runs holding evicted rows, ascending and
+	// disjoint by row id; cold counts the rows they hold.
+	runs []*coldRun
+	cold int
+	// rowsMax and pkMax are the most entries rows and pk have held
+	// since they were built (see shrink).
+	rowsMax, pkMax int
+	version        uint64 // bumped on every commit touching this table
 	// lastCommit is the CommitInfo.Seq of the last commit that touched
 	// this table.
 	lastCommit uint64
@@ -48,7 +62,7 @@ func (t *Table) Schema() *Schema { return t.schema }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.rows) + t.cold
 }
 
 // Version returns the commit version; it changes whenever the table's
@@ -74,12 +88,8 @@ func (t *Table) LastCommit() uint64 {
 // Get returns the row with the given ID.
 func (t *Table) Get(id RowID) (Row, bool) {
 	t.mu.RLock()
-	img, ok := t.rows[id]
-	t.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return t.unpack(img), true
+	defer t.mu.RUnlock()
+	return t.row(id)
 }
 
 // GetByPK returns the row whose primary key equals the given values.
@@ -93,7 +103,11 @@ func (t *Table) GetByPK(keyVals ...val.Value) (Row, RowID, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	return t.unpack(t.rows[id]), id, true
+	r, ok := t.row(id)
+	if !ok {
+		return nil, 0, false
+	}
+	return r, id, true
 }
 
 // Scan calls fn for every row until fn returns false. The snapshot is
@@ -104,6 +118,13 @@ func (t *Table) Scan(fn func(id RowID, r Row) bool) {
 	defer t.mu.RUnlock()
 	for id, img := range t.rows {
 		if !fn(id, t.unpack(img)) {
+			return
+		}
+	}
+	for _, run := range t.runs {
+		if !run.seg.DecodeRows(run.live, func(i int, r Row) bool {
+			return fn(run.seg.RowID(i), slices.Clone(r))
+		}) {
 			return
 		}
 	}
@@ -118,42 +139,62 @@ func (t *Table) ScanRows() ([]RowID, []Row) {
 // ScanRowsWhere is ScanRows restricted to the rows keep accepts (every
 // row if keep is nil). keep is handed a scratch row that the next row
 // overwrites, so only accepted rows are copied out of the table; its
-// first error ends the scan. The table lock covers the snapshot only.
+// first error ends the scan. The table lock covers the snapshot only:
+// the hot images and each sealed run's live bits.
 func (t *Table) ScanRowsWhere(keep func(Row) (bool, error)) ([]RowID, []Row, error) {
 	t.mu.RLock()
-	ids := make([]RowID, 0, len(t.rows))
+	// ids has room for every row, the hot ones first; the kept ones are
+	// compacted to its front as the scan goes, which never overtakes it.
+	ids := make([]RowID, len(t.rows)+t.cold)
 	imgs := make([]string, 0, len(t.rows))
 	for id, img := range t.rows {
-		ids = append(ids, id)
+		ids[len(imgs)] = id
 		imgs = append(imgs, img)
+	}
+	runs := make([]coldRun, len(t.runs))
+	for i, run := range t.runs {
+		runs[i] = coldRun{seg: run.seg, live: slices.Clone(run.live)}
 	}
 	t.mu.RUnlock()
 	var rows []Row
-	scratch := make(Row, len(t.schema.Columns))
-	for i, img := range imgs {
-		t.unpackInto(scratch, img)
+	var err error
+	take := func(id RowID, r Row) bool {
 		if keep != nil {
-			ok, err := keep(scratch)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
+			var ok bool
+			if ok, err = keep(r); err != nil || !ok {
+				return err == nil
 			}
 		}
-		ids[len(rows)] = ids[i]
-		rows = append(rows, append(Row(nil), scratch...))
+		ids[len(rows)] = id
+		rows = append(rows, slices.Clone(r))
+		return true
+	}
+	scratch := make(Row, len(t.schema.Columns))
+	for i, img := range imgs {
+		if !take(ids[i], t.unpackInto(scratch, img)) {
+			return nil, nil, err
+		}
+	}
+	for _, run := range runs {
+		if !run.seg.DecodeRows(run.live, func(i int, r Row) bool { return take(run.seg.RowID(i), r) }) {
+			return nil, nil, err
+		}
 	}
 	return ids[:len(rows)], rows, nil
 }
 
-// row returns the stored row id, unpacked. Caller holds t.mu.
+// row returns row id, unpacked from its image or decoded from its
+// sealed run. Caller holds t.mu.
 func (t *Table) row(id RowID) (Row, bool) {
-	img, ok := t.rows[id]
-	if !ok {
-		return nil, false
+	if img, ok := t.rows[id]; ok {
+		return t.unpack(img), true
 	}
-	return t.unpack(img), true
+	if run, i := t.coldAt(id); run != nil {
+		r := make(Row, len(t.schema.Columns))
+		run.seg.DecodeRow(r, i)
+		return r, true
+	}
+	return nil, false
 }
 
 // unpack decodes a row image into a fresh Row: one allocation, since
@@ -191,27 +232,72 @@ func (t *Table) packRow(r Row) string {
 // Caller holds t.mu.
 func (t *Table) applyInsert(id RowID, r Row) {
 	t.rows[id] = t.packRow(r)
+	t.rowsMax = max(t.rowsMax, len(t.rows))
 	if id >= t.nextID {
 		t.nextID = id + 1
 	}
 	if t.pk != nil {
 		t.pk[t.schema.pkKey(r)] = id
+		t.pkMax = max(t.pkMax, len(t.pk))
 	}
 }
 
-// applyUpdate replaces row id with newRow. Caller holds t.mu.
+// applyUpdate replaces row id with newRow, which is stored hot: an
+// evicted row leaves its sealed run. Caller holds t.mu.
 func (t *Table) applyUpdate(id RowID, old, newRow Row) {
+	if t.cold > 0 {
+		if _, hot := t.rows[id]; !hot {
+			t.unevict(id)
+		}
+	}
 	t.rows[id] = t.packRow(newRow)
+	t.rowsMax = max(t.rowsMax, len(t.rows))
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))
 		t.pk[t.schema.pkKey(newRow)] = id
 	}
 }
 
-// applyDelete removes row id. Caller holds t.mu.
+// applyDelete removes row id, hot or evicted. Caller holds t.mu.
 func (t *Table) applyDelete(id RowID, old Row) {
+	n := len(t.rows)
 	delete(t.rows, id)
+	if len(t.rows) == n {
+		t.unevict(id)
+	}
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))
 	}
+	t.shrink()
+}
+
+// shrink rebuilds rows and pk at their length once it has fallen to a
+// quarter of the most they held since they were built: a Go map never
+// gives memory back, so a drained queue table would otherwise keep its
+// backlog's, and a table whose rows left for their segments the
+// preload's. Caller holds t.mu for writing.
+func (t *Table) shrink() {
+	t.rows, t.rowsMax = shrunk(t.rows, t.rowsMax)
+	if t.pk != nil {
+		t.pk, t.pkMax = shrunk(t.pk, t.pkMax)
+	}
+}
+
+// minShrink is the fewest entries a map must once have held to be
+// rebuilt: a smaller one costs little, and a table churning a handful
+// of rows would rebuild it on every delete.
+const minShrink = 256
+
+// shrunk returns m, or a copy of it built for its length when that is
+// down to a quarter of most, the most it has held; and the most the
+// returned map has held.
+func shrunk[K comparable, V any](m map[K]V, most int) (map[K]V, int) {
+	if most < minShrink || len(m)*4 > most {
+		return m, most
+	}
+	out := make(map[K]V, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out, len(m)
 }
