@@ -583,9 +583,9 @@ type Health struct {
 	Dropped        uint64 `json:"dropped"`
 	// Columnar sums the columnar history over all tables; TailRows is
 	// the sealer's backlog (rows committed but not yet in a segment),
-	// ResidentSegments the sealed segments still in the server's memory
-	// (those with a live row) out of the Segments ever sealed, and
-	// ColdRows the rows whose one copy in that memory is their segment.
+	// ResidentSegments the sealed segments the tables still hold in the
+	// server's memory out of the Segments ever sealed, and ColdRows the
+	// rows whose one copy in that memory is their segment.
 	Columnar struct {
 		Segments         int `json:"segments"`
 		SealedRows       int `json:"sealed_rows"`

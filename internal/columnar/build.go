@@ -21,14 +21,13 @@ func encodeSegment(view *Segment) (*Segment, error) {
 		return nil, fmt.Errorf("columnar: empty segment for table %q", view.table)
 	}
 	s := &Segment{
-		table:      view.table,
-		schema:     view.schema,
-		rows:       n,
-		sealedRows: n,
-		ids:        append(view.ids[:0:0], view.ids...),
-		firstLSN:   view.lsns[0],
-		lastLSN:    view.lsns[n-1],
-		cols:       make([]column, len(view.cols)),
+		table:    view.table,
+		schema:   view.schema,
+		rows:     n,
+		ids:      append(view.ids[:0:0], view.ids...),
+		firstLSN: view.lsns[0],
+		lastLSN:  view.lsns[n-1],
+		cols:     make([]column, len(view.cols)),
 	}
 	for ci, c := range view.cols {
 		col, err := encodeColumn(&c.(*rawColumn).vec)
@@ -40,33 +39,6 @@ func encodeSegment(view *Segment) (*Segment, error) {
 	}
 	s.bytes += n * 8 // ids
 	return s, nil
-}
-
-// liveOnly returns the segment as it would have been sealed from its
-// live rows alone: the same row ids and LSN bounds, zones
-// recomputed, nothing shared with s. What it leaves out stays in the
-// segment's file, which sealedRows still counts.
-func (s *Segment) liveOnly() (*Segment, error) {
-	live := newTail(s.schema)
-	r := s.NewReader(nil)
-	var b Batch
-	row := make(storage.Row, len(s.cols))
-	for r.Next(&b) {
-		for i := 0; i < b.Len; i++ {
-			if p := b.Start + i; !deadBit(s.dead, p) {
-				b.MaterializeRow(row, i)
-				if err := live.append(s.ids[p], 0, 0, row); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	out, err := encodeSegment(live.view(s.table))
-	if err != nil {
-		return nil, err
-	}
-	out.firstLSN, out.lastLSN, out.sealedRows = s.firstLSN, s.lastLSN, s.sealedRows
-	return out, nil
 }
 
 func encodeColumn(v *Vector) (column, error) {
@@ -90,9 +62,9 @@ func encodeColumn(v *Vector) (column, error) {
 // packNulls turns a null vector into a validity bitmap (bit set =
 // null; nil when there is none) and starts the column's zone map with
 // the null count.
-func packNulls(null []bool) ([]uint64, Zone) {
+func packNulls(null []bool) ([]uint64, storage.Zone) {
 	var bits []uint64
-	var z Zone
+	var z storage.Zone
 	for i, isNull := range null {
 		if !isNull {
 			continue
@@ -106,48 +78,10 @@ func packNulls(null []bool) ([]uint64, Zone) {
 	return bits, z
 }
 
-// zoneTrack folds values one at a time into a zone map: the running
-// zone of a tail column. NaN floats invalidate the zone (they defeat
-// min/max ordering, so a column containing one is never pruned).
-type zoneTrack struct {
-	z      Zone
-	broken bool
-}
-
-func (t *zoneTrack) null() { t.z.Nulls++ }
-
-func (t *zoneTrack) add(v val.Value) {
-	if t.broken {
-		return
-	}
-	if isNaN(v) {
-		t.broken = true
-		t.z.OK = false
-		return
-	}
-	if !t.z.OK {
-		t.z.Min, t.z.Max, t.z.OK = v, v, true
-		return
-	}
-	if c, err := val.Compare(v, t.z.Min); err == nil && c < 0 {
-		t.z.Min = v
-	}
-	if c, err := val.Compare(v, t.z.Max); err == nil && c > 0 {
-		t.z.Max = v
-	}
-}
-
-func (t *zoneTrack) done() Zone {
-	if t.broken {
-		return Zone{Nulls: t.z.Nulls}
-	}
-	return t.z
-}
-
 // encodeInts frames an int64-backed vector batch by batch (see
 // intColumn): a pass for each batch's bounds, which size the data
 // exactly, then one for the offsets.
-func encodeInts(k val.Kind, vals []int64, null []bool, nulls []uint64, z Zone) *intColumn {
+func encodeInts(k val.Kind, vals []int64, null []bool, nulls []uint64, z storage.Zone) *intColumn {
 	c := &intColumn{k: k, rows: len(vals), nulls: nulls, frames: make([]intFrame, 0, (len(vals)+BatchSize-1)/BatchSize)}
 	var lo, hi int64
 	size := 0
@@ -188,7 +122,7 @@ func encodeInts(k val.Kind, vals []int64, null []bool, nulls []uint64, z Zone) *
 	return c
 }
 
-func encodeBools(vals []int64, null []bool, nulls []uint64, z Zone) *boolColumn {
+func encodeBools(vals []int64, null []bool, nulls []uint64, z storage.Zone) *boolColumn {
 	c := &boolColumn{bits: make([]uint64, (len(vals)+63)/64), rows: len(vals), nulls: nulls}
 	var anyTrue, anyFalse bool
 	for i, b := range vals {
@@ -208,7 +142,7 @@ func encodeBools(vals []int64, null []bool, nulls []uint64, z Zone) *boolColumn 
 	return c
 }
 
-func encodeFloats(vals []float64, null []bool, nulls []uint64, z Zone) *floatColumn {
+func encodeFloats(vals []float64, null []bool, nulls []uint64, z storage.Zone) *floatColumn {
 	c := &floatColumn{vals: append([]float64(nil), vals...), nulls: nulls}
 	var lo, hi float64
 	for i, f := range vals {
@@ -216,7 +150,7 @@ func encodeFloats(vals []float64, null []bool, nulls []uint64, z Zone) *floatCol
 			continue
 		}
 		if math.IsNaN(f) {
-			c.z = Zone{Nulls: z.Nulls}
+			c.z = storage.Zone{Nulls: z.Nulls}
 			return c
 		}
 		if !z.OK || f < lo {
@@ -237,7 +171,7 @@ func encodeFloats(vals []float64, null []bool, nulls []uint64, z Zone) *floatCol
 // encodeStrings re-codes the range against a dictionary of its own,
 // in first-appearance order: the tail's dictionary also covers rows
 // outside the range.
-func encodeStrings(codes []uint32, dict []string, null []bool, nulls []uint64, z Zone) *strColumn {
+func encodeStrings(codes []uint32, dict []string, null []bool, nulls []uint64, z storage.Zone) *strColumn {
 	c := &strColumn{codes: make([]uint32, len(codes)), nulls: nulls}
 	recode := make([]int64, len(dict))
 	for i := range recode {
@@ -265,7 +199,7 @@ func encodeStrings(codes []uint32, dict []string, null []bool, nulls []uint64, z
 	return c
 }
 
-func encodeBytes(vals [][]byte, null []bool, nulls []uint64, z Zone) (*bytesColumn, error) {
+func encodeBytes(vals [][]byte, null []bool, nulls []uint64, z storage.Zone) (*bytesColumn, error) {
 	c := &bytesColumn{offs: make([]uint32, len(vals)+1), nulls: nulls}
 	var lo, hi []byte
 	for i, b := range vals {

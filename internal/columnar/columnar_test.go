@@ -94,30 +94,50 @@ func attach(t *testing.T, db *storage.DB, cfg Config) *Manager {
 	return m
 }
 
-// segRows re-materializes every live sealed row of a table, keyed by
-// RowID.
+// segRows re-materializes every row of a table that lives in one of
+// its sealed runs, keyed by RowID.
 func segRows(t *testing.T, st *TableStore) map[storage.RowID]storage.Row {
 	t.Helper()
 	out := make(map[storage.RowID]storage.Row)
-	snap := st.Snapshot()
-	if snap == nil {
-		return out
-	}
-	for _, sv := range snap.Segs {
-		r := sv.Seg.NewReader(nil)
-		var b Batch
-		for r.Next(&b) {
-			for i := 0; i < b.Len; i++ {
-				if sv.IsDead(b.Start + i) {
-					continue
-				}
-				row := make(storage.Row, len(snap.Schema.Columns))
-				b.MaterializeRow(row, i)
-				out[sv.Seg.RowID(b.Start+i)] = row
-			}
-		}
+	for _, run := range st.tbl.View(nil).Runs {
+		run.Seg.DecodeRows(run.Live, func(i int, r storage.Row) bool {
+			out[run.Seg.RowID(i)] = slices.Clone(r)
+			return true
+		})
 	}
 	return out
+}
+
+// hotIDs returns the ids of a table's hot rows, ascending.
+func hotIDs(tbl *storage.Table) []storage.RowID {
+	var ids []storage.RowID
+	tbl.View(nil).Hot(func(id storage.RowID, _ storage.Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids
+}
+
+// runs returns the segments a table holds as sealed runs.
+func runs(tbl *storage.Table) []*Segment {
+	held, _ := tbl.Runs()
+	out := make([]*Segment, len(held))
+	for i, r := range held {
+		out[i] = r.(*Segment)
+	}
+	return out
+}
+
+// coldRows returns how many of a table's rows live in a sealed run only.
+func coldRows(tbl *storage.Table) int {
+	_, cold := tbl.Runs()
+	return cold
+}
+
+// canMatch is the zone test a scan applies to a whole segment.
+func canMatch(seg *Segment, p *expr.Predicate) bool {
+	eqs, ranges := p.Indexable()
+	return Admits(seg.schema, seg, seg.rows, eqs, ranges)
 }
 
 func rowsEqual(a, b storage.Row) bool {
@@ -158,8 +178,8 @@ func TestSealRoundtripAllKinds(t *testing.T) {
 			t.Fatalf("row %d mismatch:\nseg %v\ntbl %v", id, sr, rows[i])
 		}
 	}
-	if st.Snapshot().SealedRows() != 500 {
-		t.Fatalf("sealed rows = %d", st.Snapshot().SealedRows())
+	if n := st.Stats().SealedRows; n != 500 {
+		t.Fatalf("sealed rows = %d", n)
 	}
 }
 
@@ -194,7 +214,7 @@ func TestZoneMaps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile %q: %v", src, err)
 		}
-		return seg.CanMatch(p.Indexable())
+		return canMatch(seg, p)
 	}
 	if probe("qty > 9") {
 		t.Error("qty > 9 should prune")
@@ -270,7 +290,7 @@ func TestNaNPoisonsZone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seg.CanMatch(p.Indexable()) {
+	if !canMatch(seg, p) {
 		t.Fatal("broken zone must never prune")
 	}
 }
@@ -381,6 +401,9 @@ func TestFilterDifferential(t *testing.T) {
 	}
 }
 
+// TestDeadMarkingAndModified: a sealed row that is updated leaves its
+// run for the hot rows, a deleted one leaves the table, and the stats
+// count both as dead rows of the segment.
 func TestDeadMarkingAndModified(t *testing.T) {
 	db := openVolatile(t)
 	fillEvents(t, db, 200, 3)
@@ -398,12 +421,8 @@ func TestDeadMarkingAndModified(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Table("events")
-	snap := st.Snapshot()
-	if !slices.Contains(snap.Modified, upID) {
-		t.Error("updated sealed row must read from the row store")
-	}
-	if slices.Contains(snap.Modified, delID) {
-		t.Error("deleted row is not in the row store")
+	if hot := hotIDs(tbl); !slices.Equal(hot, []storage.RowID{upID}) {
+		t.Errorf("hot rows %v: the updated sealed row alone must read from the row store", hot)
 	}
 	live := segRows(t, st)
 	if _, ok := live[upID]; ok {
@@ -414,7 +433,7 @@ func TestDeadMarkingAndModified(t *testing.T) {
 	}
 	// 200 sealed inserts remain sealed history; 2 are dead.
 	stats := st.Stats()
-	if stats.SealedRows != 200 || stats.DeadRows != 2 {
+	if stats.SealedRows != 200 || stats.DeadRows != 2 || stats.ColdRows != 198 {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
@@ -441,14 +460,13 @@ func TestWholeCommitSealing(t *testing.T) {
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Table("events")
-	snap := st.Snapshot()
-	first := snap.Segs[0].Seg
+	tbl, _ := db.Table("events")
+	first := runs(tbl)[0]
 	if first.Rows() < 100 {
 		t.Fatalf("first segment has %d rows; the 100-row commit was split", first.Rows())
 	}
-	if snap.SealedRows() != 120 {
-		t.Fatalf("sealed rows = %d", snap.SealedRows())
+	if n := m.Table("events").Stats().SealedRows; n != 120 {
+		t.Fatalf("sealed rows = %d", n)
 	}
 }
 
@@ -475,7 +493,7 @@ func TestPersistReloadAndCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := segRows(t, m.Table("events"))
-	segsBefore := len(m.Table("events").Snapshot().Segs)
+	segsBefore := m.Table("events").Stats().ResidentSegments
 	m.Close()
 	db.Close()
 
@@ -490,7 +508,7 @@ func TestPersistReloadAndCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.Table("events").Snapshot().Segs); got != segsBefore {
+	if got := m.Table("events").Stats().ResidentSegments; got != segsBefore {
 		t.Fatalf("reloaded %d segments, want %d", got, segsBefore)
 	}
 	got := segRows(t, m.Table("events"))
@@ -557,14 +575,13 @@ func TestVolatileBootstrapSnapshots(t *testing.T) {
 	db := openVolatile(t)
 	fillEvents(t, db, 100, 11)
 	m := attach(t, db, Config{SealRows: 64})
-	tbl, _ := db.Table("events")
-	if m.Observed() != db.Seq() || tbl.LastCommit() != db.Seq() {
-		t.Fatalf("after attach: observed %d, table's last commit %d, database at %d", m.Observed(), tbl.LastCommit(), db.Seq())
+	if n := m.Table("events").Stats().PendingRows; n != 100 {
+		t.Fatalf("after attach: %d rows staged, want the 100 inserted before it", n)
 	}
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Table("events").Snapshot().SealedRows(); n != 100 {
+	if n := m.Table("events").Stats().SealedRows; n != 100 {
 		t.Fatalf("sealed %d rows from pre-attach state, want 100", n)
 	}
 	// Post-attach inserts keep flowing through the hook.
@@ -574,13 +591,13 @@ func TestVolatileBootstrapSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Observed() != db.Seq() || tbl.LastCommit() != db.Seq() {
-		t.Fatalf("after inserts: observed %d, table's last commit %d, database at %d", m.Observed(), tbl.LastCommit(), db.Seq())
+	if n := m.Table("events").Stats().PendingRows; n != 50 {
+		t.Fatalf("after inserts: %d rows staged, want 50", n)
 	}
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Table("events").Snapshot().SealedRows(); n != 150 {
+	if n := m.Table("events").Stats().SealedRows; n != 150 {
 		t.Fatalf("sealed %d rows, want 150", n)
 	}
 }
@@ -591,11 +608,8 @@ func TestBackgroundSealer(t *testing.T) {
 	fillEvents(t, db, 200, 13)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := m.Table("events")
-		if st != nil {
-			if snap := st.Snapshot(); snap != nil && snap.SealedRows() >= 64 {
-				return
-			}
+		if st := m.Table("events"); st != nil && st.Stats().SealedRows >= 64 {
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("sealer never sealed")
@@ -669,7 +683,7 @@ func TestAllocsFilterScan(t *testing.T) {
 	eqs, ranges := pred.Indexable()
 
 	if a := testing.AllocsPerRun(100, func() {
-		if !seg.CanMatch(eqs, ranges) {
+		if !Admits(schema, seg, seg.rows, eqs, ranges) {
 			t.Fatal("segment should survive the zone probe")
 		}
 	}); a != 0 {
@@ -770,7 +784,7 @@ func FuzzIntColumn(f *testing.F) {
 			check(&whole, allRows[:n])
 			check(&picked, sel)
 
-			want := Zone{}
+			want := storage.Zone{}
 			var lo, hi int64
 			for p := start; p < start+n; p++ {
 				switch {

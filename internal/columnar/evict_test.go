@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -124,7 +125,9 @@ func (s *evictSide) table() *storage.Table {
 // BEFORE and commit hooks were handed the same old and new images. The
 // durable run reopens the database from its WAL and segment files on
 // the way. The stream must have evicted rows and then updated and
-// deleted evicted rows, or the test proves nothing.
+// deleted evicted rows, and touched a row twice in one transaction,
+// which both sides refuse with storage.ErrRowTouched, or the test
+// proves nothing.
 func TestEvictedMatchesHot(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { evictDifferential(t, durable) })
@@ -157,7 +160,7 @@ func evictDifferential(t *testing.T, durable bool) {
 
 	live := map[storage.RowID]int64{} // row → its key
 	nextKey := int64(0)
-	maxCold, coldTouched := 0, 0
+	maxCold, coldTouched, refused := 0, 0, 0
 	for op := 0; op < ops; op++ {
 		type change struct {
 			kind storage.ChangeKind
@@ -171,12 +174,19 @@ func evictDifferential(t *testing.T, durable bool) {
 			ids = append(ids, id)
 		}
 		slices.Sort(ids)
-		// A transaction touches a row once: the row store applies a
-		// second update or delete of one row against the first's image.
+		// A transaction touches a row at most once: one that picks a
+		// row again is refused whole, on both sides.
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		var picked []storage.RowID
+		again := false
 		pick := func() storage.RowID {
+			if len(picked) > 0 && rng.Intn(8) == 0 {
+				again = true
+				return picked[rng.Intn(len(picked))]
+			}
 			id := ids[0]
 			ids = ids[1:]
+			picked = append(picked, id)
 			return id
 		}
 		for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -204,7 +214,7 @@ func evictDifferential(t *testing.T, durable bool) {
 				txn = append(txn, change{kind: storage.Delete, id: pick()})
 			}
 		}
-		coldBefore := cold.table().ColdRows()
+		coldBefore := coldRows(cold.table())
 		var infos [2]*storage.CommitInfo
 		var errs [2]error
 		for i, side := range []*evictSide{&hot, &cold} {
@@ -224,6 +234,12 @@ func evictDifferential(t *testing.T, durable bool) {
 		if (errs[0] == nil) != (errs[1] == nil) {
 			t.Fatalf("op %d: commit errors differ: %v / %v", op, errs[0], errs[1])
 		}
+		if again && (!errors.Is(errs[0], storage.ErrRowTouched) || !errors.Is(errs[1], storage.ErrRowTouched)) {
+			t.Fatalf("op %d: a transaction touching a row twice committed: %v / %v", op, errs[0], errs[1])
+		}
+		if again {
+			refused++
+		}
 		if errs[0] == nil {
 			for _, c := range infos[0].Changes {
 				switch c.Kind {
@@ -237,7 +253,7 @@ func evictDifferential(t *testing.T, durable bool) {
 					delete(live, c.ID)
 				}
 			}
-			if cold.table().ColdRows() < coldBefore {
+			if coldRows(cold.table()) < coldBefore {
 				coldTouched++
 			}
 		}
@@ -251,17 +267,17 @@ func evictDifferential(t *testing.T, durable bool) {
 			cold.open(t, dir, false)
 			attachCold()
 		}
-		maxCold = max(maxCold, cold.table().ColdRows())
+		maxCold = max(maxCold, coldRows(cold.table()))
 		compareTables(t, op, hot.table(), cold.table(), live)
 		if !slices.Equal(hot.seen, cold.seen) {
 			t.Fatalf("op %d: hooks saw\n%q\nwith no history, and\n%q\nwith it", op, hot.seen, cold.seen)
 		}
 		hot.seen, cold.seen = hot.seen[:0], cold.seen[:0]
 	}
-	if maxCold == 0 || coldTouched == 0 {
-		t.Fatalf("at most %d rows evicted, %d commits took one back: the differential proved nothing", maxCold, coldTouched)
+	if maxCold == 0 || coldTouched == 0 || refused == 0 {
+		t.Fatalf("at most %d rows evicted, %d commits took one back, %d touched a row twice: the differential proved nothing", maxCold, coldTouched, refused)
 	}
-	t.Logf("at most %d rows evicted; %d commits took an evicted row back", maxCold, coldTouched)
+	t.Logf("at most %d rows evicted; %d commits took an evicted row back; %d touched a row twice", maxCold, coldTouched, refused)
 }
 
 // compareTables holds every read of b, whose sealed rows may have left
@@ -371,7 +387,7 @@ func TestSealedPreloadLeavesNoImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.Table("trades")
-	if n, c := tbl.Len(), tbl.ColdRows(); n != rows || c != rows {
+	if n, c := tbl.Len(), coldRows(tbl); n != rows || c != rows {
 		t.Fatalf("after Compact: %d rows, %d of them in their segment alone; want %d of %d", n, c, rows, rows)
 	}
 	if st := m.Stats()[0]; st.ColdRows != rows {
@@ -399,7 +415,7 @@ func TestAllocsColdGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := db.Table("events")
-	if c := tbl.ColdRows(); c != 3000 {
+	if c := coldRows(tbl); c != 3000 {
 		t.Fatalf("%d rows evicted, want 3000", c)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {

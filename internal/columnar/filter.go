@@ -718,12 +718,3 @@ func compileCmp(field string, op expr.BinaryOp, lit val.Value, schema *storage.S
 	}
 	return nil, false
 }
-
-// CanMatch consults the segment's zone maps against a predicate's
-// extracted conjuncts: if any equality or range conjunct provably
-// excludes every row, the whole segment is pruned without decoding a
-// single column. Conservative by construction — the conjuncts are
-// necessary conditions of the full predicate.
-func (s *Segment) CanMatch(eqs []expr.EqPred, ranges []expr.RangePred) bool {
-	return s.admits(-1, eqs, ranges)
-}

@@ -248,10 +248,13 @@ func (m *Manager) persistSegment(seg *Segment) error {
 	return fsys.Rename(tmp, final)
 }
 
-// loadSegments reloads persisted segments at attach time. Invalid
-// files (partial writes, CRC mismatches, schema drift), files ahead of
-// the WAL and any file breaking per-table LSN/ID contiguity are
-// deleted; their rows come back through the WAL bootstrap instead.
+// loadSegments reloads persisted segments at attach time and hands each
+// to its table, which the WAL replay filled (storage.Table.Evict): the
+// table takes the rows still live, or declines the segment, which is
+// then dropped. Invalid files (partial writes, CRC mismatches, schema
+// drift), files ahead of the WAL and any file breaking per-table
+// LSN/ID contiguity are deleted; their rows come back through the WAL
+// bootstrap instead.
 func (m *Manager) loadSegments() error {
 	fsys := m.cfg.FS
 	if err := fsys.MkdirAll(m.cfg.Dir, 0o755); err != nil {
@@ -330,6 +333,7 @@ func (m *Manager) loadSegments() error {
 		st.mu.Lock()
 		var lastID storage.RowID
 		var lastLSN uint64
+		kept := segs[:0]
 		for i, l := range segs {
 			seg := l.seg
 			if seg.ids[0] != lastID+1 || (i > 0 && seg.firstLSN <= lastLSN) {
@@ -342,18 +346,19 @@ func (m *Manager) loadSegments() error {
 				}
 				break
 			}
-			st.segs = append(st.segs, seg)
+			kept = append(kept, l)
+			st.segments++
+			st.sealedRows += seg.rows
 			st.maxSealedID = seg.ids[seg.rows-1]
-			if seg.lastLSN > st.maxSealedLSN {
-				st.maxSealedLSN = seg.lastLSN
-			}
-			if seg.lastLSN > st.maxGrp {
-				st.maxGrp = seg.lastLSN
-			}
+			st.maxSealedLSN = max(st.maxSealedLSN, seg.lastLSN)
+			st.maxGrp = max(st.maxGrp, seg.lastLSN)
 			lastID = seg.ids[seg.rows-1]
 			lastLSN = seg.lastLSN
 		}
 		st.mu.Unlock()
+		for _, l := range kept {
+			st.tbl.Evict(l.seg)
+		}
 	}
 	return firstErr
 }

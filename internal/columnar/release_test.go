@@ -49,7 +49,7 @@ func churn(t *testing.T, db *storage.DB, rows, window, keepEvery int, seed int64
 // TestDeadHistoryBounded is the soak: memory holds what a scan can
 // return. After 64 seal thresholds' worth of insert → update → delete
 // with 512 rows in flight, the resident segments, their bytes and the
-// modified set are those of the in-flight window — not of the rows ever
+// hot rows are those of the in-flight window — not of the rows ever
 // processed — with and without a segment directory; and rows that are
 // never claimed pin their own bytes, not their dead neighbours'.
 func TestDeadHistoryBounded(t *testing.T) {
@@ -113,9 +113,9 @@ func TestDeadHistoryBounded(t *testing.T) {
 				t.Fatalf("sealed history must still count every row: %+v", s)
 			}
 			// The rows in flight were rewritten, so their current version
-			// is in the row store: the only live copies are those of the
-			// rows never claimed, and a resident segment keeps fewer than
-			// storage.SparseDiv rows per live one.
+			// is in the row store: the only rows a segment serves are
+			// some of those never claimed, and a resident segment keeps
+			// fewer than storage.SparseDiv rows per live one.
 			maxRows := storage.SparseDiv * kept
 			if got := s.SealedRows - s.ReleasedRows; got > maxRows {
 				t.Errorf("%d sealed rows resident for %d live ones, want at most %d: %+v", got, kept, maxRows, s)
@@ -126,16 +126,14 @@ func TestDeadHistoryBounded(t *testing.T) {
 			if s.ResidentSegments > kept || s.Segments < rows/(2*sealRows) {
 				t.Errorf("%d of %d segments resident, want at most one per live row (%d)", s.ResidentSegments, s.Segments, kept)
 			}
-			st.mu.RLock()
-			modified := len(st.modified)
-			st.mu.RUnlock()
-			if modified != inFlight {
-				t.Errorf("modified holds %d ids, want the %d rows in flight", modified, inFlight)
+			tbl, _ := db.Table("events")
+			if hot := tbl.Len() - s.ColdRows; tbl.Len() != kept+inFlight || hot < inFlight || s.ColdRows > kept {
+				t.Errorf("%d rows, %d hot and %d in segments alone; want the %d in flight hot and the %d never claimed",
+					tbl.Len(), hot, s.ColdRows, inFlight, kept)
 			}
-			// Every live row is still served: the never-claimed ones from
-			// their segments.
-			if live := len(segRows(t, st)); live != kept {
-				t.Errorf("segments serve %d live rows, want %d", live, kept)
+			// Every row a segment serves is a never-claimed one.
+			if live := len(segRows(t, st)); live != s.ColdRows {
+				t.Errorf("segments serve %d live rows, want %d", live, s.ColdRows)
 			}
 			if tc.durable {
 				files, _ := filepath.Glob(filepath.Join(cfg.Dir, "*.seg"))
@@ -272,10 +270,10 @@ func TestAllocsObserve(t *testing.T) {
 	m := idleManager(t, db)
 	fillEvents(t, db, 600, 51)
 	m.seal(m.Table("events"), 200)
-	if n := len(m.Table("events").segs); n != 3 {
+	tbl, _ := db.Table("events")
+	if n := len(runs(tbl)); n != 3 {
 		t.Fatalf("want 3 resident segments, have %d", n)
 	}
-	tbl, _ := db.Table("events")
 	ids, _ := tbl.ScanRows()
 	id := ids[0]
 	for _, other := range ids {

@@ -5,22 +5,22 @@
 // (min/max/null-count per column) for scan pruning, and per-batch ones
 // on int and time columns, whose frames are their zones.
 //
-// Committed inserts land in an append-only columnar tail (tail.go): the
-// same typed vectors, unencoded, with a running zone map per column. A
-// background sealer encodes the tail's vectors into segments (see
-// store.go, build.go); the query processor runs one vectorized
-// filter+aggregate loop over segments and tail alike (filter.go,
-// internal/query). A sealed row lives once: an installed segment is
-// handed to its storage.Table, which drops the rows the segment holds
-// from its row store and serves them from the segment (Segment.DecodeRow,
-// Segment.DecodeRows). Memory holds what a scan can return: a segment
-// whose rows are all dead leaves it, and its file stays for restart
-// (store.go, persist.go). History is the WAL's: REPLAY reads the log.
+// Committed inserts are staged in an append-only columnar tail
+// (tail.go): the same typed vectors, unencoded. A background sealer
+// encodes them into segments (store.go, build.go) and hands each to its
+// storage.Table, which takes the rows the segment holds out of its row
+// store and serves them from it (Segment.DecodeRow, Segment.DecodeRows):
+// the segment becomes one of the table's sealed runs, with the table's
+// liveness bits. A SELECT reads the table (storage.Table.View): the
+// query processor runs its vectorized filter+aggregate loop over the
+// runs (filter.go, internal/query), and the table's hot rows through the
+// row predicate. A run whose rows are mostly dead goes back to the
+// table, and its file stays for restart (persist.go). History is the
+// WAL's: REPLAY reads the log.
 package columnar
 
 import (
 	"encoding/binary"
-	"math"
 	"math/bits"
 	"time"
 
@@ -35,31 +35,14 @@ import (
 // nanoseconds.
 const BatchSize = 1024
 
-// Zone is a column's zone map: the segment-level summary consulted
-// before any row of the column is decoded.
-type Zone struct {
-	// Min and Max bound the column's non-null values. Only meaningful
-	// when OK; a column of all nulls (or containing NaN, which defeats
-	// ordering) has OK=false and is never used for pruning.
-	Min, Max val.Value
-	OK       bool
-	// Nulls counts null rows in the column.
-	Nulls int
-}
-
 // Segment is one immutable sealed batch of table history: rows
 // [FirstID..LastID] committed at LSNs [FirstLSN..LastLSN], stored
-// column-wise. All fields are frozen at seal time except the dead
-// bitmap, which the owning TableStore maintains under its lock as
-// later commits update or delete sealed rows.
+// column-wise. Which of its rows are still live is its table's to know
+// (storage.Table.Evict).
 type Segment struct {
 	table  string
 	schema *storage.Schema
 	rows   int
-	// sealedRows is how many rows were sealed over the segment's LSN
-	// span — what its file holds. It exceeds rows once the dead ones
-	// have been dropped from memory (liveOnly).
-	sealedRows int
 
 	// ids holds each row's RowID, strictly increasing (IDs are
 	// allocated monotonically and commits deliver in order), so row
@@ -74,12 +57,6 @@ type Segment struct {
 
 	cols []column
 
-	// dead marks rows superseded after sealing (updated or deleted in
-	// the row store). Guarded by the owning TableStore's mutex; nil
-	// until the first mark. Scans skip dead rows.
-	dead      []uint64
-	deadCount int
-
 	bytes int // approximate in-memory footprint
 }
 
@@ -89,25 +66,8 @@ func (s *Segment) Rows() int { return s.rows }
 // RowID returns the RowID of row i.
 func (s *Segment) RowID(i int) storage.RowID { return s.ids[i] }
 
-// find returns the position of id in the segment, or -1.
-func (s *Segment) find(id storage.RowID) int { return findID(s.ids, id) }
-
-// markDead flags row position i as superseded. Caller holds the
-// TableStore lock.
-func (s *Segment) markDead(i int) {
-	if s.dead == nil {
-		s.dead = make([]uint64, (s.rows+63)/64)
-	}
-	w, b := i/64, uint(i%64)
-	if s.dead[w]&(1<<b) == 0 {
-		s.dead[w] |= 1 << b
-		s.deadCount++
-	}
-}
-
-// deadBit reports whether row i is marked dead in the given bitmap
-// (nil = nothing dead).
-func deadBit(bits []uint64, i int) bool {
+// bitSet reports whether bit i of a bitmap is set (nil: none is).
+func bitSet(bits []uint64, i int) bool {
 	if bits == nil {
 		return false
 	}
@@ -115,12 +75,12 @@ func deadBit(bits []uint64, i int) bool {
 }
 
 // Zone returns the zone map for schema column ci.
-func (s *Segment) Zone(ci int) Zone { return s.cols[ci].zone() }
+func (s *Segment) Zone(ci int) storage.Zone { return s.cols[ci].zone() }
 
 // column is one column's storage: encoded in a sealed segment, raw in
 // a view of the tail.
 type column interface {
-	zone() Zone
+	zone() storage.Zone
 	// at boxes row i, read where the column keeps it: no batch is set
 	// up.
 	at(i int) val.Value
@@ -162,7 +122,7 @@ func nullsOf(own *Vector, nulls []uint64, row, n int, sel []int32) []bool {
 	}
 	out := grow(&own.Null)[:n]
 	for _, i := range sel {
-		out[i] = deadBit(nulls, row+int(i))
+		out[i] = bitSet(nulls, row+int(i))
 	}
 	return out
 }
@@ -272,7 +232,7 @@ func (r *Reader) Reuse(s *Segment, need []bool) {
 func (r *Reader) Reset(s *Segment) { r.seg, r.pos = s, 0 }
 
 // Prune makes Next skip every batch whose zones exclude one of the
-// conjuncts — the test CanMatch applies to a whole segment.
+// conjuncts — the test Admits applies to a whole run.
 func (r *Reader) Prune(eqs []expr.EqPred, ranges []expr.RangePred) {
 	r.eqs, r.ranges = eqs, ranges
 }
@@ -343,7 +303,7 @@ func (s *Segment) DecodeRows(want []uint64, fn func(i int, r storage.Row) bool) 
 	for r.Next(&b) {
 		sel = sel[:0]
 		for i := 0; i < b.Len; i++ {
-			if want == nil || deadBit(want, b.Start+i) {
+			if want == nil || bitSet(want, b.Start+i) {
 				sel = append(sel, int32(i))
 			}
 		}
@@ -390,7 +350,7 @@ type intColumn struct {
 	data   []byte     // the batches' offsets, back to back
 	rows   int
 	nulls  []uint64 // validity bitmap (bit set = null); nil when none
-	z      Zone
+	z      storage.Zone
 }
 
 // intFrame bounds one batch's non-null values; both are 0 in a batch
@@ -400,8 +360,8 @@ type intFrame struct{ lo, hi int64 }
 // width is how many bytes each row offset of the batch takes.
 func (f intFrame) width() int { return (bits.Len64(uint64(f.hi)-uint64(f.lo)) + 7) / 8 }
 
-func (c *intColumn) zone() Zone    { return c.z }
-func (c *intColumn) memBytes() int { return len(c.data) + len(c.nulls)*8 + len(c.frames)*16 }
+func (c *intColumn) zone() storage.Zone { return c.z }
+func (c *intColumn) memBytes() int      { return len(c.data) + len(c.nulls)*8 + len(c.frames)*16 }
 
 // batch returns batch b's frame and the offsets from it onwards.
 func (c *intColumn) batch(b int) (intFrame, []byte) {
@@ -422,7 +382,7 @@ func (f intFrame) at(data []byte, j int) int64 {
 }
 
 func (c *intColumn) at(i int) val.Value {
-	if deadBit(c.nulls, i) {
+	if bitSet(c.nulls, i) {
 		return val.Null
 	}
 	f, data := c.batch(i / BatchSize)
@@ -448,10 +408,10 @@ func (c *intColumn) read(dst, own *Vector, row, n int, sel []int32) {
 }
 
 // batchZone returns the zone of batch b and how many rows it holds.
-func (c *intColumn) batchZone(b int) (Zone, int) {
+func (c *intColumn) batchZone(b int) (storage.Zone, int) {
 	start := b * BatchSize
 	n := min(BatchSize, c.rows-start)
-	z := Zone{}
+	z := storage.Zone{}
 	if c.nulls != nil { // start is word-aligned, and no bit past the rows is set
 		for _, word := range c.nulls[start/64 : (start+n+63)/64] {
 			z.Nulls += bits.OnesCount64(word)
@@ -476,14 +436,14 @@ func (c *intColumn) value(x int64) val.Value {
 type floatColumn struct {
 	vals  []float64
 	nulls []uint64
-	z     Zone
+	z     storage.Zone
 }
 
-func (c *floatColumn) zone() Zone    { return c.z }
-func (c *floatColumn) memBytes() int { return len(c.vals)*8 + len(c.nulls)*8 }
+func (c *floatColumn) zone() storage.Zone { return c.z }
+func (c *floatColumn) memBytes() int      { return len(c.vals)*8 + len(c.nulls)*8 }
 
 func (c *floatColumn) at(i int) val.Value {
-	if deadBit(c.nulls, i) {
+	if bitSet(c.nulls, i) {
 		return val.Null
 	}
 	return val.Float(c.vals[i])
@@ -501,24 +461,24 @@ type boolColumn struct {
 	bits  []uint64
 	rows  int
 	nulls []uint64
-	z     Zone
+	z     storage.Zone
 }
 
-func (c *boolColumn) zone() Zone    { return c.z }
-func (c *boolColumn) memBytes() int { return len(c.bits)*8 + len(c.nulls)*8 }
+func (c *boolColumn) zone() storage.Zone { return c.z }
+func (c *boolColumn) memBytes() int      { return len(c.bits)*8 + len(c.nulls)*8 }
 
 func (c *boolColumn) at(i int) val.Value {
-	if deadBit(c.nulls, i) {
+	if bitSet(c.nulls, i) {
 		return val.Null
 	}
-	return val.Bool(deadBit(c.bits, i))
+	return val.Bool(bitSet(c.bits, i))
 }
 
 func (c *boolColumn) read(dst, own *Vector, row, n int, sel []int32) {
 	out := grow(&own.I64)[:n]
 	for _, i := range sel {
 		out[i] = 0
-		if deadBit(c.bits, row+int(i)) {
+		if bitSet(c.bits, row+int(i)) {
 			out[i] = 1
 		}
 	}
@@ -533,10 +493,10 @@ type strColumn struct {
 	dict  []string
 	codes []uint32
 	nulls []uint64
-	z     Zone
+	z     storage.Zone
 }
 
-func (c *strColumn) zone() Zone { return c.z }
+func (c *strColumn) zone() storage.Zone { return c.z }
 func (c *strColumn) memBytes() int {
 	n := len(c.codes)*4 + len(c.nulls)*8
 	for _, s := range c.dict {
@@ -558,7 +518,7 @@ func (c *strColumn) code(s string) int {
 }
 
 func (c *strColumn) at(i int) val.Value {
-	if deadBit(c.nulls, i) {
+	if bitSet(c.nulls, i) {
 		return val.Null
 	}
 	return val.String(c.dict[c.codes[i]])
@@ -574,14 +534,14 @@ type bytesColumn struct {
 	offs  []uint32 // len rows+1
 	blob  []byte
 	nulls []uint64
-	z     Zone
+	z     storage.Zone
 }
 
-func (c *bytesColumn) zone() Zone    { return c.z }
-func (c *bytesColumn) memBytes() int { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
+func (c *bytesColumn) zone() storage.Zone { return c.z }
+func (c *bytesColumn) memBytes() int      { return len(c.offs)*4 + len(c.blob) + len(c.nulls)*8 }
 
 func (c *bytesColumn) at(i int) val.Value {
-	if deadBit(c.nulls, i) {
+	if bitSet(c.nulls, i) {
 		return val.Null
 	}
 	return val.Bytes(c.blob[c.offs[i]:c.offs[i+1]])
@@ -598,14 +558,11 @@ func (c *bytesColumn) read(dst, own *Vector, row, n int, sel []int32) {
 
 // rawColumn is an unencoded column: full-length vectors in exactly the
 // layout a Vector hands to the kernels, so reading a batch is slicing.
-// The tail stores its columns this way, and a snapshot's view of the
-// tail is a Segment of rawColumns (see tail.go).
-type rawColumn struct {
-	vec Vector
-	z   Zone
-}
+// The tail stores its columns this way, and the sealer's view of the
+// tail is a Segment of rawColumns (see tail.go). It keeps no zone.
+type rawColumn struct{ vec Vector }
 
-func (c *rawColumn) zone() Zone { return c.z }
+func (c *rawColumn) zone() storage.Zone { return storage.Zone{} }
 func (c *rawColumn) memBytes() int {
 	v := &c.vec
 	return len(v.I64)*8 + len(v.F64)*8 + len(v.Code)*4 + len(v.Bytes)*24 + len(v.Null)
@@ -635,33 +592,49 @@ func (v *Vector) window(from, to int) Vector {
 
 // ---- zone-map pruning ----
 
-// admits reports whether the zones of a run of rows — batch b, or the
-// whole segment when b < 0 — leave every equality and range conjunct
-// satisfiable: the one test behind CanMatch and a Reader's skipping of
-// batches. Only int and time columns keep batch zones; for the others
-// the segment's zone stands in for each of its batches.
+// Admits reports whether zones over rows rows, one per column of
+// schema, leave every equality and range conjunct satisfiable: the test
+// that skips a sealed run, or a table's hot rows, before any row is
+// read. The conjuncts are necessary conditions of the full predicate,
+// so a run it refuses holds no row the predicate accepts.
+func Admits(schema *storage.Schema, zones storage.Zones, rows int, eqs []expr.EqPred, ranges []expr.RangePred) bool {
+	return admits(schema, eqs, ranges, func(ci int) (storage.Zone, int) { return zones.Zone(ci), rows })
+}
+
+// admits is Admits of the batch b's zones (b < 0: the segment's), the
+// test behind a Reader's skipping of batches. Only int and time columns
+// keep batch zones; for the others the segment's zone stands in for
+// each of its batches.
 func (s *Segment) admits(b int, eqs []expr.EqPred, ranges []expr.RangePred) bool {
-	zoneOf := func(field string) (Zone, int, bool) {
-		ci := s.schema.ColIndex(field)
-		if ci < 0 {
-			// Unknown field: the conjunct evaluates NULL for every row,
-			// so nothing here (or anywhere) matches.
-			return Zone{}, 0, false
-		}
+	return admits(s.schema, eqs, ranges, func(ci int) (storage.Zone, int) {
 		if c, ok := s.cols[ci].(*intColumn); ok && b >= 0 {
-			z, n := c.batchZone(b)
-			return z, n, true
+			return c.batchZone(b)
 		}
-		return s.cols[ci].zone(), s.rows, true
-	}
+		return s.cols[ci].zone(), s.rows
+	})
+}
+
+// admits runs the conjuncts against the zone and row count zoneOf
+// gives a column.
+func admits(schema *storage.Schema, eqs []expr.EqPred, ranges []expr.RangePred, zoneOf func(ci int) (storage.Zone, int)) bool {
 	for i := range eqs {
-		if z, n, ok := zoneOf(eqs[i].Field); !ok || zoneExcludesEq(z, n, eqs[i].Value) {
+		// An unknown field evaluates NULL for every row, so nothing
+		// here (or anywhere) matches it.
+		ci := schema.ColIndex(eqs[i].Field)
+		if ci < 0 {
+			return false
+		}
+		if z, n := zoneOf(ci); zoneExcludesEq(z, n, eqs[i].Value) {
 			return false
 		}
 	}
 	for i := range ranges {
 		r := &ranges[i]
-		if z, n, ok := zoneOf(r.Field); !ok || zoneExcludesRange(z, n, r.Lo, r.Hi, r.LoOpen, r.HiOpen, r.LoUnbounded, r.HiUnbounded) {
+		ci := schema.ColIndex(r.Field)
+		if ci < 0 {
+			return false
+		}
+		if z, n := zoneOf(ci); zoneExcludesRange(z, n, r.Lo, r.Hi, r.LoOpen, r.HiOpen, r.LoUnbounded, r.HiUnbounded) {
 			return false
 		}
 	}
@@ -670,7 +643,7 @@ func (s *Segment) admits(b int, eqs []expr.EqPred, ranges []expr.RangePred) bool
 
 // zoneExcludesEq reports whether the zone map proves no row of the
 // column can equal v.
-func zoneExcludesEq(z Zone, rows int, v val.Value) bool {
+func zoneExcludesEq(z storage.Zone, rows int, v val.Value) bool {
 	if v.IsNull() {
 		// field = NULL never matches any row (SQL), but that is the
 		// filter's job; the zone map only prunes on values.
@@ -694,7 +667,7 @@ func zoneExcludesEq(z Zone, rows int, v val.Value) bool {
 // zoneExcludesRange reports whether the zone map proves no row can
 // fall in [lo, hi] (either bound may be unbounded; open flags make a
 // bound strict).
-func zoneExcludesRange(z Zone, rows int, lo, hi val.Value, loOpen, hiOpen, loUnbounded, hiUnbounded bool) bool {
+func zoneExcludesRange(z storage.Zone, rows int, lo, hi val.Value, loOpen, hiOpen, loUnbounded, hiUnbounded bool) bool {
 	if z.Nulls == rows {
 		return true
 	}
@@ -712,14 +685,4 @@ func zoneExcludesRange(z Zone, rows int, lo, hi val.Value, loOpen, hiOpen, loUnb
 		}
 	}
 	return false
-}
-
-// isNaN reports whether v is a floating NaN (which defeats min/max
-// ordering and therefore poisons a zone map).
-func isNaN(v val.Value) bool {
-	if v.Kind() != val.KindFloat {
-		return false
-	}
-	f, _ := v.AsFloat()
-	return math.IsNaN(f)
 }

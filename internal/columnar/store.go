@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eventdb/internal/storage"
@@ -49,22 +48,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// registry maps a *storage.DB to its attached Manager so that the
-// query planner, which holds only a DB handle, can find the columnar
-// history without threading a manager through every call site.
-var registry sync.Map // *storage.DB → *Manager
-
-// Of returns the Manager attached to db, or nil.
-func Of(db *storage.DB) *Manager {
-	if m, ok := registry.Load(db); ok {
-		return m.(*Manager)
-	}
-	return nil
-}
-
-// Manager owns the columnar history of one database: a TableStore per
-// table, fed by the commit-hook stream, drained by a background
-// sealer.
+// Manager seals the history of one database: a TableStore per table
+// stages its committed inserts, fed by the commit-hook stream, and a
+// background sealer cuts them into segments that it hands to the table
+// (storage.Table.Evict).
 type Manager struct {
 	db      *storage.DB
 	cfg     Config
@@ -72,11 +59,6 @@ type Manager struct {
 
 	mu     sync.RWMutex
 	stores map[string]*TableStore
-
-	// observed is the CommitInfo.Seq up to which every commit has been
-	// folded into the stores. The hook stream is serial, so it has one
-	// writer at a time.
-	observed atomic.Uint64
 
 	// Bootstrap buffering: commits that land while Attach is replaying
 	// the WAL are buffered and drained afterwards (with LSN/row dedup),
@@ -96,13 +78,13 @@ type Manager struct {
 	closeOnce  sync.Once
 }
 
-// TableStore holds one table's columnar history: sealed segments plus
-// the unsealed columnar tail.
+// TableStore stages one table's unsealed inserts for the sealer. The
+// segments it seals are the table's (storage.Table.Runs), not its own.
 type TableStore struct {
 	table  string
 	schema *storage.Schema
-	// tbl is the row store's table, which hands the rows of every
-	// installed segment over to it (storage.Table.Evict).
+	// tbl is the row store's table, which every sealed segment is
+	// handed to (storage.Table.Evict).
 	tbl *storage.Table
 
 	// sealMu serializes seal operations (background sealer vs forced
@@ -110,30 +92,23 @@ type TableStore struct {
 	sealMu sync.Mutex
 	mu     sync.RWMutex
 
-	// segs are the resident sealed segments, oldest first (row ids and
-	// LSNs ascend). Memory holds what a scan can return: a segment stays
-	// here only while it has a live row (see resident).
-	segs []*Segment
-	// releasedSegs and releasedRows count the sealed segments, and
-	// their rows, that left memory.
-	releasedSegs, releasedRows int
-
 	tail *tail
-	// modified holds the rows whose current version lives only in the
-	// row store: they were updated after their insert was observed, so
-	// any columnar copy of them is dead. Scans fetch them from the
-	// table. An entry lasts until the row is deleted.
-	modified     map[storage.RowID]struct{}
-	maxSealedID  storage.RowID
-	maxSealedLSN uint64
-	maxGrp       uint64 // dedup guard: highest observed seal-group key
+	// segments and sealedRows count the segments sealed or reloaded,
+	// and their rows.
+	segments, sealedRows int
+	maxSealedID          storage.RowID
+	maxSealedLSN         uint64
+	maxGrp               uint64 // dedup guard: highest observed seal-group key
 }
 
-// TableStats is the COMPACT/stats surface for one table. Segments,
-// SealedRows and DeadRows count the sealed history, in memory or not;
-// ResidentSegments and MemBytes are what memory holds, ReleasedRows
-// the sealed rows it no longer does (all of them dead), and ColdRows
-// the table's rows whose one copy in memory is their segment.
+// TableStats is the COMPACT/stats surface for one table. Segments and
+// SealedRows count what was sealed (or reloaded), in memory or not, and
+// PendingRows the inserts not sealed yet. ResidentSegments are the
+// segments the table holds as sealed runs, and MemBytes their size;
+// ColdRows are the rows that live in one of them only, and DeadRows the
+// other sealed rows, whose sealed copy serves no read (updated, deleted,
+// or taken back hot). ReleasedRows are the sealed rows that no resident
+// segment holds: the table declined their segment or gave it back.
 type TableStats struct {
 	Table            string `json:"table"`
 	Segments         int    `json:"segments"`
@@ -147,8 +122,8 @@ type TableStats struct {
 	ColdRows         int    `json:"cold_rows"`
 }
 
-// Attach creates a Manager over db and registers it in the package
-// registry. For durable databases the WAL is replayed (and persisted
+// Attach creates a Manager over db, the only one it may have. For
+// durable databases the WAL is replayed (and persisted
 // segments reloaded) so history predating the attach is covered; for
 // volatile databases current table contents are snapshotted. Attach
 // should run before the database takes concurrent write traffic —
@@ -165,12 +140,11 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 		done:    make(chan struct{}),
 		booting: true,
 	}
-	if _, loaded := registry.LoadOrStore(db, m); loaded {
+	if !db.OwnHistory(true) {
 		return nil, fmt.Errorf("columnar: database already has an attached manager")
 	}
 	// Commits up to here were applied before the hook went in, so the
 	// bootstrap below reads them from the WAL or the tables.
-	applied := db.Seq()
 	m.removeHook = db.OnCommit(m.onCommit)
 
 	if m.durable {
@@ -189,20 +163,8 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 		m.bootstrapTables()
 	}
 
-	// The reloaded segments take over their rows from the row store,
-	// which the WAL replay filled.
-	for _, st := range m.allStores() {
-		st.mu.RLock()
-		segs := slices.Clone(st.segs)
-		st.mu.RUnlock()
-		for _, seg := range segs {
-			st.tbl.Evict(seg)
-		}
-	}
-
 	// Drain commits buffered during bootstrap, then go live.
 	m.bootMu.Lock()
-	m.observed.Store(applied)
 	for _, ci := range m.bootBuf {
 		m.observe(ci)
 	}
@@ -217,12 +179,11 @@ func Attach(db *storage.DB, cfg Config) (*Manager, error) {
 
 func (m *Manager) detach() {
 	m.removeHook()
-	registry.CompareAndDelete(m.db, m)
+	m.db.OwnHistory(false)
 }
 
-// Close stops the sealer and detaches from the database. Sealed
-// in-memory state is dropped; durable databases rebuild it on the
-// next Attach from segment files and the WAL.
+// Close stops the sealer and detaches from the database. The segments
+// the tables hold stay theirs; the staged inserts are dropped.
 func (m *Manager) Close() {
 	m.closeOnce.Do(func() {
 		close(m.done)
@@ -249,8 +210,8 @@ func (m *Manager) setErr(err error) {
 	m.errMu.Unlock()
 }
 
-// Table returns the store for a table, or nil if the table has no
-// observed history.
+// Table returns the store for a table, or nil if none of its commits
+// has been observed.
 func (m *Manager) Table(name string) *TableStore {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -274,11 +235,10 @@ func (m *Manager) store(name string) *TableStore {
 		return st
 	}
 	st = &TableStore{
-		table:    name,
-		schema:   tbl.Schema(),
-		tbl:      tbl,
-		tail:     newTail(tbl.Schema()),
-		modified: make(map[storage.RowID]struct{}),
+		table:  name,
+		schema: tbl.Schema(),
+		tbl:    tbl,
+		tail:   newTail(tbl.Schema()),
 	}
 	m.stores[name] = st
 	return st
@@ -331,9 +291,6 @@ func (m *Manager) observe(ci *storage.CommitInfo) {
 	for _, t := range more {
 		sealDue = m.applyTable(ci, t, grp) || sealDue
 	}
-	if ci.Seq > m.observed.Load() {
-		m.observed.Store(ci.Seq)
-	}
 	if sealDue {
 		select {
 		case m.kick <- struct{}{}:
@@ -359,136 +316,28 @@ func (m *Manager) applyTable(ci *storage.CommitInfo, table string, grp uint64) (
 	return st.tail.len() >= m.cfg.SealRows
 }
 
-// Observed returns the sequence number (storage.CommitInfo.Seq) of the
-// last commit folded into the stores. A commit is acknowledged to its
-// writer once it is applied to the row store, and its after-commit hook
-// — which feeds this history — runs later when another goroutine is
-// already delivering hooks. A reader that must see every acknowledged
-// write of a table serves it from a Snapshot only when Observed has
-// reached the table's LastCommit, read before the Snapshot is taken.
-func (m *Manager) Observed() uint64 { return m.observed.Load() }
-
-// applyLocked folds one change into the store. Caller holds mu.
+// applyLocked folds one change into the tail: an insert is appended
+// unless the bootstrap already did (the WAL replay and the buffered
+// hook stream can both deliver a commit, and group key and row id are
+// each monotonic, so a replay is cheap to recognize), and every change
+// advances the group key. The group check must be strict: a commit's
+// inserts all share one group key, and the row-id checks handle the
+// equal case. Caller holds mu.
 func (st *TableStore) applyLocked(c *storage.Change, lsn, grp uint64) error {
-	switch c.Kind {
-	case storage.Insert:
-		// Dedup against bootstrap: the WAL replay and the buffered
-		// hook stream can both deliver a commit; group key and row ID
-		// are each monotonic, so replays are cheap to recognize. The
-		// group check must be strict — a commit's inserts all share one
-		// group key; the row-ID checks below handle the equal case.
-		if grp != 0 && grp < st.maxGrp {
-			return nil
-		}
-		if n := st.tail.len(); c.ID <= st.maxSealedID || (n > 0 && c.ID <= st.tail.ids[n-1]) {
-			return nil
-		}
-		if err := st.tail.append(c.ID, lsn, grp, c.New); err != nil {
-			return err
-		}
-		if grp > st.maxGrp {
-			st.maxGrp = grp
-		}
-	case storage.Update, storage.Delete:
-		// Re-observing one (bootstrap replay overlap) is harmless:
-		// dead-marking is idempotent.
-		if grp > st.maxGrp {
-			st.maxGrp = grp
-		}
-		return st.markDeadLocked(c.ID, c.Kind == storage.Delete)
+	var err error
+	if n := st.tail.len(); c.Kind == storage.Insert && (grp == 0 || grp >= st.maxGrp) &&
+		c.ID > st.maxSealedID && (n == 0 || c.ID > st.tail.ids[n-1]) {
+		err = st.tail.append(c.ID, lsn, grp, c.New)
 	}
-	return nil
-}
-
-// markDeadLocked records that a row was rewritten (gone=false: it joins
-// modified) or deleted (it leaves), and marks its columnar copy — in
-// the tail or in a resident segment — as superseded. modified is
-// settled first: the copy of a row claimed long ago may have left
-// memory with its segment, and its delete must still take the id out.
-// Caller holds mu.
-func (st *TableStore) markDeadLocked(id storage.RowID, gone bool) error {
-	if gone {
-		delete(st.modified, id)
-	} else {
-		st.modified[id] = struct{}{}
-	}
-	if i := st.tail.find(id); i >= 0 {
-		st.tail.markDead(i)
-		return nil
-	}
-	// Resident segments ascend by row id: the first one ending at or
-	// after id is the only one that can hold it.
-	lo := sort.Search(len(st.segs), func(i int) bool {
-		seg := st.segs[i]
-		return seg.ids[seg.rows-1] >= id
-	})
-	if lo == len(st.segs) {
-		return nil
-	}
-	seg := st.segs[lo]
-	pos := seg.find(id)
-	if pos < 0 {
-		return nil
-	}
-	seg.markDead(pos)
-	keep, err := st.resident(seg)
-	if keep == nil {
-		copy(st.segs[lo:], st.segs[lo+1:])
-		st.segs[len(st.segs)-1] = nil // or the slot pins the last segment
-		st.segs = st.segs[:len(st.segs)-1]
-	} else {
-		st.segs[lo] = keep
-	}
+	st.maxGrp = max(st.maxGrp, grp)
 	return err
-}
-
-// settled is the residency rule — memory holds what a scan can return,
-// the WAL holds what happened — applied to one sealed segment, or to rows
-// about to become one: nil when no row is live, a copy without the dead
-// rows when the live ones are down to 1/storage.SparseDiv, else s. Each
-// rewrite costs a quarter of the rows the last one kept, so all of a
-// segment's rewrites together cost less than sealing it did. s itself is
-// never modified: a Snapshot may be scanning it.
-func (s *Segment) settled() (*Segment, error) {
-	live := s.rows - s.deadCount
-	if live == 0 {
-		return nil, nil
-	}
-	if live*storage.SparseDiv > s.rows {
-		return s, nil
-	}
-	return s.liveOnly()
-}
-
-// resident returns what st.segs should hold for a sealed segment whose
-// dead count has changed (see settled), counting the release of one
-// with no live row. Caller holds mu.
-func (st *TableStore) resident(seg *Segment) (*Segment, error) {
-	keep, err := seg.settled()
-	if err != nil {
-		return seg, err
-	}
-	if keep == nil {
-		st.release(seg.sealedRows)
-	}
-	return keep, nil
-}
-
-// release counts sealed rows that left memory, or never entered it.
-// Caller holds mu.
-func (st *TableStore) release(rows int) {
-	st.releasedSegs++
-	st.releasedRows += rows
 }
 
 // ---- bootstrap ----
 
-// bootstrapWAL replays the full WAL into the stores. Inserts already
-// covered by reloaded segment files are skipped by LSN; updates and
-// deletes always re-apply their dead marks (segment files do not
-// persist dead bits) — and with them the residency rule, so a reloaded
-// segment whose rows have all died since is out of memory again before
-// Attach returns.
+// bootstrapWAL replays the WAL's inserts into the tails, but for those
+// that reloaded segment files already hold (skipped by LSN). Which of
+// the rows are still live is the table's to know.
 func (m *Manager) bootstrapWAL() error {
 	log := m.db.WAL()
 	if log == nil {
@@ -509,17 +358,10 @@ func (m *Manager) bootstrapWAL() error {
 				continue
 			}
 			st.mu.Lock()
-			switch c.Kind {
-			case storage.Insert:
-				if r.LSN > st.maxSealedLSN {
-					err = st.tail.append(c.ID, r.LSN, r.LSN, c.New)
-				}
-			case storage.Update, storage.Delete:
-				m.setErr(st.markDeadLocked(c.ID, c.Kind == storage.Delete))
+			if c.Kind == storage.Insert && r.LSN > st.maxSealedLSN {
+				err = st.tail.append(c.ID, r.LSN, r.LSN, c.New)
 			}
-			if r.LSN > st.maxGrp {
-				st.maxGrp = r.LSN
-			}
+			st.maxGrp = max(st.maxGrp, r.LSN)
 			st.mu.Unlock()
 			if err != nil {
 				return fmt.Errorf("columnar: bootstrap lsn=%d: %w", r.LSN, err)
@@ -588,13 +430,13 @@ func (st *TableStore) tailLen() int {
 // seal turns the tail into segments of target rows each (whole
 // commits; see sealCuts) and leaves the rest as a fresh tail. Outside
 // the store lock, from a view of the tail, each cut's file is written
-// from the raw vectors — the complete history — and the residency rule
-// picks what is encoded for memory: every row, the live ones, or none
-// (a queue's rows are mostly claimed before they are sealed). Rows and
-// dead marks that land meanwhile are picked up at install, where the
-// rule is applied again. Once the store lock is released, the table
-// hands each installed segment the rows it holds. It reports whether
-// any row was sealed.
+// and its segment encoded from the raw vectors. Each segment is then
+// handed to the table, which takes the rows it holds that are still
+// live (storage.Table.Evict); a segment it declines is dropped, and its
+// rows stay hot. A cut the table would decline is not even encoded: on
+// a queue table most rows are claimed before they are sealed. No reader
+// waits on any of it: every row is the table's throughout. It reports
+// whether any row was sealed.
 func (m *Manager) seal(st *TableStore, target int) bool {
 	st.sealMu.Lock()
 	defer st.sealMu.Unlock()
@@ -602,68 +444,43 @@ func (m *Manager) seal(st *TableStore, target int) bool {
 	st.mu.RLock()
 	cuts := st.tail.sealCuts(target)
 	view := st.tail.view(st.table)
-	dead := st.tail.deadCopy()
 	st.mu.RUnlock()
 	if len(cuts) == 0 {
 		return false
 	}
 
-	segs := make([]*Segment, len(cuts)) // nil: no row of the cut is live
+	var segs []*Segment
 	from := 0
-	for i, cut := range cuts {
-		rows := view.slice(from, cut, dead)
+	for _, cut := range cuts {
+		rows := view.slice(from, cut)
+		from = cut
 		if m.durable && m.cfg.Dir != "" {
 			// The file serves restart only: Attach reloads it instead
 			// of re-sealing its rows from the WAL.
 			m.setErr(m.persistSegment(rows))
 		}
-		seg, err := rows.settled()
-		if seg == rows {
-			if seg, err = encodeSegment(rows); err == nil {
-				seg.dead, seg.deadCount = rows.dead, rows.deadCount
-			}
+		if st.tbl.Holds(rows.ids)*storage.SparseDiv <= rows.rows {
+			continue
 		}
+		seg, err := encodeSegment(rows)
 		if err != nil {
 			m.setErr(err)
 			return false
 		}
-		segs[i] = seg
-		from = cut
+		segs = append(segs, seg)
 	}
 
 	// Only seals take rows out of the tail and sealMu admits one at a
 	// time, so the tail is still the one the view was cut from, grown.
 	st.mu.Lock()
 	t := st.tail
-	var installed []*Segment
-	from = 0
-	for i, cut := range cuts {
-		if seg := segs[i]; seg == nil {
-			st.release(cut - from)
-		} else {
-			for p := from; p < cut; p++ {
-				if t.isDead(p) && !deadBit(dead, p) { // died since the view
-					if pos := seg.find(t.ids[p]); pos >= 0 {
-						seg.markDead(pos)
-					}
-				}
-			}
-			keep, err := st.resident(seg)
-			m.setErr(err)
-			if keep != nil {
-				st.segs = append(st.segs, keep)
-				installed = append(installed, keep)
-			}
-		}
-		st.maxSealedID = t.ids[cut-1]
-		if lsn := t.lsns[cut-1]; lsn > st.maxSealedLSN {
-			st.maxSealedLSN = lsn
-		}
-		from = cut
-	}
+	st.segments += len(cuts)
+	st.sealedRows += from
+	st.maxSealedID = t.ids[from-1]
+	st.maxSealedLSN = max(st.maxSealedLSN, t.lsns[from-1])
 	st.tail = t.suffix(from)
 	st.mu.Unlock()
-	for _, seg := range installed {
+	for _, seg := range segs {
 		st.tbl.Evict(seg)
 	}
 	return true
@@ -706,97 +523,27 @@ func (m *Manager) Stats() []TableStats {
 	return out
 }
 
-// Stats summarizes the store.
+// Stats summarizes the store and the segments its table holds.
 func (st *TableStore) Stats() TableStats {
-	cold := st.tbl.ColdRows()
+	runs, cold := st.tbl.Runs()
 	st.mu.RLock()
-	defer st.mu.RUnlock()
 	s := TableStats{
-		ColdRows:         cold,
 		Table:            st.table,
-		Segments:         st.releasedSegs + len(st.segs),
-		SealedRows:       st.releasedRows,
-		ReleasedRows:     st.releasedRows,
+		Segments:         st.segments,
+		SealedRows:       st.sealedRows,
 		PendingRows:      st.tail.len(),
 		LastLSN:          st.maxSealedLSN,
-		ResidentSegments: len(st.segs),
+		ResidentSegments: len(runs),
+		ColdRows:         cold,
 	}
-	for _, seg := range st.segs {
-		s.SealedRows += seg.sealedRows
-		s.ReleasedRows += seg.sealedRows - seg.rows
-		s.DeadRows += seg.deadCount
+	st.mu.RUnlock()
+	resident := 0
+	for _, run := range runs {
+		seg := run.(*Segment)
+		resident += seg.rows
 		s.MemBytes += seg.bytes
 	}
-	s.DeadRows += s.ReleasedRows
+	s.DeadRows = s.SealedRows - cold
+	s.ReleasedRows = s.SealedRows - resident
 	return s
-}
-
-// ---- scan snapshots ----
-
-// SegView is one scannable run of rows — a sealed segment, or the tail
-// in segment form — plus its dead bitmap as of snapshot time.
-type SegView struct {
-	Seg  *Segment
-	dead []uint64
-}
-
-// IsDead reports whether row i was superseded as of the snapshot.
-func (sv SegView) IsDead(i int) bool { return deadBit(sv.dead, i) }
-
-// HasDead reports whether any row of the view was dead as of the
-// snapshot, letting scans skip the per-row dead check entirely.
-func (sv SegView) HasDead() bool { return sv.dead != nil }
-
-// Snapshot is a point-in-time view of a table's columnar history for
-// one scan. Every live row of the table is in exactly one place: a
-// non-dead position of a sealed segment, a non-dead position of the
-// tail, or the row store under an ID listed in Modified.
-type Snapshot struct {
-	Schema *storage.Schema
-	// Segs are the sealed segments, oldest first.
-	Segs []SegView
-	// Tail is the unsealed tail; Tail.Seg is nil when it is empty.
-	Tail SegView
-	// Modified lists the rows to fetch from the row store: their
-	// columnar copy is dead because an update rewrote them. A listed
-	// row may have been deleted since; the fetch then finds nothing.
-	Modified []storage.RowID
-}
-
-// SealedRows returns the total sealed row count in the snapshot.
-func (s *Snapshot) SealedRows() int {
-	n := 0
-	for _, sv := range s.Segs {
-		n += sv.Seg.rows
-	}
-	return n
-}
-
-// Snapshot captures the store's state for one consistent scan.
-// Segments are shared immutably and the tail is captured as slice
-// headers over its append-only vectors, so the cost is independent of
-// the tail's length; only the dead bitmaps (the one part mutated in
-// place) and the modified set are copied.
-func (st *TableStore) Snapshot() *Snapshot {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	snap := &Snapshot{
-		Schema: st.schema,
-		Segs:   make([]SegView, len(st.segs)),
-		Tail:   SegView{Seg: st.tail.view(st.table), dead: st.tail.deadCopy()},
-	}
-	for i, seg := range st.segs {
-		sv := SegView{Seg: seg}
-		if seg.deadCount > 0 {
-			sv.dead = append([]uint64(nil), seg.dead...)
-		}
-		snap.Segs[i] = sv
-	}
-	if len(st.modified) > 0 {
-		snap.Modified = make([]storage.RowID, 0, len(st.modified))
-		for id := range st.modified {
-			snap.Modified = append(snap.Modified, id)
-		}
-	}
-	return snap
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eventdb/internal/expr"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -46,30 +47,51 @@ func idleManager(t *testing.T, db *storage.DB) *Manager {
 }
 
 // TestTailServedWithoutSegments: a table that has never been sealed is
-// still scannable in columnar form — the snapshot's tail holds its
-// rows, with zone maps that prune like a segment's.
+// read whole from its hot rows, behind one zone per column that prunes
+// like a segment's, and its inserts are staged for the sealer.
 func TestTailServedWithoutSegments(t *testing.T) {
 	db := openVolatile(t)
 	m := idleManager(t, db)
 	fillEvents(t, db, 300, 4)
-	snap := m.Table("events").Snapshot()
-	if len(snap.Segs) != 0 || snap.Tail.Seg == nil || snap.Tail.Seg.Rows() != 300 {
-		t.Fatalf("snapshot: %d segments, tail %+v", len(snap.Segs), snap.Tail.Seg)
-	}
 	tbl, _ := db.Table("events")
+	var zone storage.Zone
+	v := tbl.View(func(z storage.Zones, rows int) bool {
+		zone = z.Zone(0)
+		return rows == 300
+	})
+	if len(v.Runs) != 0 || v.Pruned != 0 {
+		t.Fatalf("view: %d runs, %d pruned", len(v.Runs), v.Pruned)
+	}
 	ids, rows := tbl.ScanRows()
 	byID := make(map[storage.RowID]storage.Row, len(ids))
 	for i, id := range ids {
 		byID[id] = rows[i]
 	}
-	for i, row := range viewRows(snap.Tail.Seg) {
-		if want := byID[snap.Tail.Seg.RowID(i)]; !rowsEqual(row, want) {
-			t.Fatalf("tail row %d = %v, table has %v", i, row, want)
+	n := 0
+	v.Hot(func(id storage.RowID, row storage.Row) bool {
+		if want := byID[id]; !rowsEqual(row, want) {
+			t.Fatalf("hot row %d = %v, table has %v", id, row, want)
 		}
+		n++
+		return true
+	})
+	if n != 300 {
+		t.Fatalf("view holds %d hot rows, want 300", n)
 	}
-	z := snap.Tail.Seg.Zone(0)
-	if !z.OK || !val.Equal(z.Min, val.Int(0)) || !val.Equal(z.Max, val.Int(299)) {
-		t.Fatalf("running id zone = %+v", z)
+	if !zone.OK || !val.Equal(zone.Min, val.Int(0)) || !val.Equal(zone.Max, val.Int(299)) {
+		t.Fatalf("hot id zone = %+v", zone)
+	}
+	pruned := 0
+	tbl.View(func(z storage.Zones, rows int) bool {
+		p, err := expr.Compile("id > 299")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eqs, ranges := p.Indexable()
+		return Admits(tbl.Schema(), z, rows, eqs, ranges)
+	}).Hot(func(storage.RowID, storage.Row) bool { pruned++; return true })
+	if pruned != 0 {
+		t.Fatalf("id > 299 read %d hot rows, want the zone to exclude all", pruned)
 	}
 	if got := m.Stats()[0]; got.PendingRows != 300 || got.Segments != 0 {
 		t.Fatalf("stats = %+v", got)
@@ -77,15 +99,28 @@ func TestTailServedWithoutSegments(t *testing.T) {
 }
 
 // TestTailSnapshotIsStable: appends — including ones that reallocate
-// every vector — dead marks and a seal after a snapshot change nothing
-// the snapshot shows.
+// every vector — a delete and a seal after a view was taken change
+// nothing the view shows: neither a table's View nor the sealer's view
+// of its tail.
 func TestTailSnapshotIsStable(t *testing.T) {
 	db := openVolatile(t)
 	m := idleManager(t, db)
 	fillEvents(t, db, 100, 6)
 	st := m.Table("events")
-	snap := st.Snapshot()
-	before := viewRows(snap.Tail.Seg)
+	tbl, _ := db.Table("events")
+	hot := func(v *storage.View) (ids []storage.RowID, rows []storage.Row) {
+		v.Hot(func(id storage.RowID, r storage.Row) bool {
+			ids, rows = append(ids, id), append(rows, slices.Clone(r))
+			return true
+		})
+		return ids, rows
+	}
+	v := tbl.View(nil)
+	ids, before := hot(v)
+	st.mu.RLock()
+	staged := st.tail.view(st.table)
+	st.mu.RUnlock()
+	stagedBefore := viewRows(staged)
 
 	rng := rand.New(rand.NewSource(8))
 	for i := 100; i < 5000; i++ {
@@ -93,30 +128,39 @@ func TestTailSnapshotIsStable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.DeleteRow("events", snap.Tail.Seg.RowID(7)); err != nil {
+	if err := db.DeleteRow("events", ids[7]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
 
-	if snap.Tail.Seg.Rows() != 100 || snap.Tail.HasDead() {
-		t.Fatalf("snapshot changed: %d rows, dead=%v", snap.Tail.Seg.Rows(), snap.Tail.HasDead())
-	}
-	for i, row := range viewRows(snap.Tail.Seg) {
-		if !rowsEqual(row, before[i]) {
-			t.Fatalf("row %d changed under the snapshot: %v, was %v", i, row, before[i])
+	if gotIDs, got := hot(v); !slices.Equal(gotIDs, ids) || len(got) != 100 {
+		t.Fatalf("view changed: %d hot rows", len(got))
+	} else {
+		for i, row := range got {
+			if !rowsEqual(row, before[i]) {
+				t.Fatalf("row %d changed under the view: %v, was %v", ids[i], row, before[i])
+			}
 		}
 	}
-	if now := st.Snapshot(); now.Tail.Seg != nil || now.SealedRows() != 5000 {
-		t.Fatalf("after compact: tail %v, %d sealed", now.Tail.Seg, now.SealedRows())
+	if staged.Rows() != 100 {
+		t.Fatalf("staged view changed: %d rows", staged.Rows())
+	}
+	for i, row := range viewRows(staged) {
+		if !rowsEqual(row, stagedBefore[i]) {
+			t.Fatalf("staged row %d changed under the view: %v, was %v", i, row, stagedBefore[i])
+		}
+	}
+	if s := st.Stats(); s.PendingRows != 0 || s.SealedRows != 5000 || s.ColdRows != 4999 || len(hotIDs(tbl)) != 0 {
+		t.Fatalf("after compact: %+v, %d hot rows", s, len(hotIDs(tbl)))
 	}
 }
 
 // TestSealCutsWholeCommitsAndKeepsSuffix drives the sealer by hand: a
 // target that lands inside a commit extends to its end, several
 // segments come out of one pass, and what stays in the tail keeps its
-// rows, its dead marks and its zone maps.
+// rows.
 func TestSealCutsWholeCommitsAndKeepsSuffix(t *testing.T) {
 	db := openVolatile(t)
 	m := idleManager(t, db)
@@ -137,37 +181,32 @@ func TestSealCutsWholeCommitsAndKeepsSuffix(t *testing.T) {
 	commit(100) // ids 100..199
 	commit(30)  // ids 200..229
 	st := m.Table("events")
-	lastID := st.Snapshot().Tail.Seg.RowID(229)
-	if err := db.DeleteRow("events", lastID); err != nil {
-		t.Fatal(err)
-	}
 
 	if !m.seal(st, 64) {
 		t.Fatal("nothing sealed")
 	}
-	snap := st.Snapshot()
-	if len(snap.Segs) != 2 || snap.Segs[0].Seg.Rows() != 100 || snap.Segs[1].Seg.Rows() != 100 {
-		t.Fatalf("want two whole-commit segments of 100 rows, got %d segments (%d sealed rows)", len(snap.Segs), snap.SealedRows())
+	tbl, _ := db.Table("events")
+	segs := runs(tbl)
+	if len(segs) != 2 || segs[0].Rows() != 100 || segs[1].Rows() != 100 {
+		t.Fatalf("want two whole-commit segments of 100 rows, got %d segments (%d sealed rows)", len(segs), st.Stats().SealedRows)
 	}
-	tail := snap.Tail
-	if tail.Seg == nil || tail.Seg.Rows() != 30 {
-		t.Fatalf("tail after seal = %+v, want the 30-row commit", tail.Seg)
+	if n := st.tail.len(); n != 30 {
+		t.Fatalf("tail after seal holds %d rows, want the 30-row commit", n)
 	}
-	if !tail.IsDead(29) || tail.IsDead(0) {
-		t.Error("the delete's dead mark did not move with its row")
+	if first := st.tail.ids[0]; first != segs[1].RowID(99)+1 {
+		t.Errorf("tail starts at row id %d, right after the sealed rows is %d", first, segs[1].RowID(99)+1)
 	}
-	if z := tail.Seg.Zone(0); !z.OK || !val.Equal(z.Min, val.Int(200)) || !val.Equal(z.Max, val.Int(229)) {
-		t.Errorf("suffix id zone = %+v, want [200, 229]", z)
-	}
-	if first := tail.Seg.RowID(0); first != snap.Segs[1].Seg.RowID(99)+1 {
-		t.Errorf("tail starts at row id %d, right after the sealed rows is %d", first, snap.Segs[1].Seg.RowID(99)+1)
+	for i, row := range viewRows(st.tail.view(st.table)) {
+		if id, _ := row[0].AsInt(); id != int64(200+i) {
+			t.Fatalf("tail row %d has id %d, want %d", i, id, 200+i)
+		}
 	}
 }
 
 // TestSuffixMatchesAppends: the suffix a seal leaves behind is copied
 // as vector ranges; it must be the tail that appending the same rows
-// one by one builds — vectors, dictionary, zones, dead marks — for
-// every kind, with NULLs, and from any cut.
+// one by one builds — vectors and dictionary — for every kind, with
+// NULLs, and from any cut.
 func TestSuffixMatchesAppends(t *testing.T) {
 	schema := eventsSchema(t)
 	rng := rand.New(rand.NewSource(11))
@@ -186,18 +225,12 @@ func TestSuffixMatchesAppends(t *testing.T) {
 		if err := full.append(storage.RowID(i+1), uint64(i/7+1), uint64(i/7+1), rows[i]); err != nil {
 			t.Fatal(err)
 		}
-		if i%13 == 0 {
-			full.markDead(i)
-		}
 	}
 	for _, from := range []int{0, 1, 250, 300, 340, n - 1, n} {
 		want := newTail(schema)
 		for i := from; i < n; i++ {
 			if err := want.append(storage.RowID(i+1), uint64(i/7+1), uint64(i/7+1), rows[i]); err != nil {
 				t.Fatal(err)
-			}
-			if i%13 == 0 {
-				want.markDead(i - from)
 			}
 		}
 		if got := full.suffix(from); !reflect.DeepEqual(got, want) {
@@ -210,32 +243,19 @@ func TestSuffixMatchesAppends(t *testing.T) {
 		}
 	}
 
-	// A NaN anywhere in the range leaves the column unprunable.
-	nan := newTail(schema)
-	for i, f := range []float64{1, 2, mathNaN(), 4} {
-		row := storage.Row{val.Int(int64(i)), val.Null, val.Null, val.Float(f), val.Null, val.Null, val.Null}
-		if err := nan.append(storage.RowID(i+1), 0, 0, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if z := nan.suffix(1).cols[3].zone.done(); z.OK {
-		t.Errorf("zone over a NaN = %+v, want not OK", z)
-	}
-	if z := nan.suffix(3).cols[3].zone.done(); !z.OK || !val.Equal(z.Min, val.Float(4)) {
-		t.Errorf("zone past the NaN = %+v, want [4, 4]", z)
-	}
 }
 
-// TestModifiedSpansTailAndSegments: an updated row is in the modified
-// set and dead in its columnar copy whether that copy is in the tail
-// or sealed, the entry survives the seal, and a delete removes it.
+// TestModifiedSpansTailAndSegments: an updated row is hot, and no
+// segment serves it, whether its insert was sealed before the update or
+// after; a delete removes it.
 func TestModifiedSpansTailAndSegments(t *testing.T) {
 	db := openVolatile(t)
 	m := idleManager(t, db)
 	fillEvents(t, db, 100, 5)
 	st := m.Table("events")
-	tail := st.Snapshot().Tail.Seg
-	upTail, delTail, upThenDel := tail.RowID(10), tail.RowID(20), tail.RowID(30)
+	tbl, _ := db.Table("events")
+	staged := st.tail.ids
+	upTail, delTail, upThenDel := staged[10], staged[20], staged[30]
 	update := func(id storage.RowID) {
 		t.Helper()
 		if err := db.UpdateRow("events", id, map[string]val.Value{"qty": val.Int(9999)}); err != nil {
@@ -250,40 +270,35 @@ func TestModifiedSpansTailAndSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check := func(when string) {
+	check := func(when string, hot int) {
 		t.Helper()
-		snap := st.Snapshot()
-		if len(snap.Modified) != 1 || !slices.Contains(snap.Modified, upTail) {
-			t.Fatalf("%s: modified = %v, want exactly [%d]", when, snap.Modified, upTail)
+		ids := hotIDs(tbl)
+		if len(ids) != hot || !slices.Contains(ids, upTail) {
+			t.Fatalf("%s: %d hot rows, want %d with %d among them", when, len(ids), hot, upTail)
 		}
-		live := segRows(t, st) // sealed rows, then the tail's
-		for i := 0; snap.Tail.Seg != nil && i < snap.Tail.Seg.Rows(); i++ {
-			if !snap.Tail.IsDead(i) {
-				live[snap.Tail.Seg.RowID(i)] = nil
-			}
-		}
+		live := segRows(t, st)
 		for _, id := range []storage.RowID{upTail, delTail, upThenDel} {
 			if _, ok := live[id]; ok {
-				t.Fatalf("%s: row %d still live in its columnar copy", when, id)
+				t.Fatalf("%s: row %d still served by a segment", when, id)
 			}
 		}
-		if len(live) != 97 {
-			t.Fatalf("%s: %d live columnar rows, want 97", when, len(live))
+		if len(live)+len(ids) != 98 {
+			t.Fatalf("%s: %d rows in segments and %d hot, want 98 in all", when, len(live), len(ids))
 		}
 	}
-	check("in the tail")
+	check("unsealed", 98)
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
-	check("after the seal")
+	check("after the seal", 1)
 	if got := st.Stats(); got.DeadRows != 3 || got.SealedRows != 100 {
 		t.Fatalf("stats after seal = %+v", got)
 	}
 	if err := db.DeleteRow("events", upTail); err != nil {
 		t.Fatal(err)
 	}
-	if snap := st.Snapshot(); len(snap.Modified) != 0 {
-		t.Fatalf("deleting the updated row left modified = %v", snap.Modified)
+	if ids := hotIDs(tbl); len(ids) != 0 {
+		t.Fatalf("deleting the updated row left hot rows %v", ids)
 	}
 }
 

@@ -68,9 +68,9 @@ type Health struct {
 	Ingested    uint64
 	// Columnar sums the columnar history over all tables. TailRows is
 	// the sealer's backlog: rows committed but not yet in a segment;
-	// ResidentSegments are the sealed segments memory still holds (the
-	// ones with a live row), of the Segments ever sealed; ColdRows the
-	// rows whose one copy in memory is their segment.
+	// ResidentSegments are the sealed segments the tables still hold, of
+	// the Segments ever sealed; ColdRows the rows whose one copy in
+	// memory is their segment.
 	Columnar ColumnarHealth
 }
 

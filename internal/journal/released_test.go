@@ -64,8 +64,8 @@ func TestMineReleasedSegments(t *testing.T) {
 
 	// A queue's life — stage, claim, ack — sealed every 64 rows, with
 	// commits to another table in between, one multi-row commit, and one
-	// row in 150 never claimed (so some segments stay resident, rewritten
-	// sparse).
+	// row in 150 never claimed (so some rows outlive their segment, hot
+	// again once the table gives it back).
 	cm := attach()
 	ids := make([]storage.RowID, 0, rows)
 	for i := 0; len(ids) < rows; i++ {
@@ -113,7 +113,7 @@ func TestMineReleasedSegments(t *testing.T) {
 		}
 	}
 	s := stats(cm)
-	if s.SealedRows != rows || s.ResidentSegments == 0 || s.ResidentSegments*2 > s.Segments || s.ReleasedRows < rows/2 {
+	if s.SealedRows != rows || s.ResidentSegments*2 > s.Segments || s.ReleasedRows < rows/2 {
 		t.Fatalf("the churn should have released most of the history and kept some: %+v", s)
 	}
 	// A row-store tail after the last seal: the WAL hand-off.

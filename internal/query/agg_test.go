@@ -110,8 +110,8 @@ func tradesDB(t *testing.T, sealed, tail int) *storage.DB {
 	return db
 }
 
-// TestAllocsGroupedAggregate: a grouped aggregate over segment and
-// tail allocates a fixed, small number of objects — none per row and
+// TestAllocsGroupedAggregate: a grouped aggregate over sealed and hot
+// rows allocates a fixed, small number of objects — none per row and
 // none per group — so twice the rows cost exactly as many.
 func TestAllocsGroupedAggregate(t *testing.T) {
 	if raceflag.Enabled {
@@ -137,15 +137,17 @@ func TestAllocsGroupedAggregate(t *testing.T) {
 	}
 }
 
-// TestAllocsTailPruned: a range predicate the tail's running zone map
-// excludes costs the tail nothing — the same allocations however long
-// the tail is.
+// TestAllocsTailPruned: a range predicate the hot rows' zone excludes
+// costs the hot rows nothing — the same allocations, and the same bytes,
+// however many rows are hot. (Counting objects alone would miss a scan
+// that copies every hot image and only then prunes: the copy is one
+// object at any length.)
 func TestAllocsTailPruned(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
-	measure := func(tail int) float64 {
-		db := tradesDB(t, 4096, tail)
+	measure := func(hot int) (objects float64, bytes int64) {
+		db := tradesDB(t, 4096, hot)
 		query := func() {
 			res, err := New("trades").Where("seq >= 100 AND seq < 200 AND qty >= 500").Run(db)
 			if err != nil || len(res.Rows) == 0 {
@@ -153,10 +155,21 @@ func TestAllocsTailPruned(t *testing.T) {
 			}
 		}
 		query()
-		return testing.AllocsPerRun(20, query)
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				query()
+			}
+		})
+		return testing.AllocsPerRun(20, query), r.AllocedBytesPerOp()
 	}
-	if short, long := measure(1000), measure(8000); short != long {
-		t.Errorf("allocations grow with a pruned tail: %v at 1000 rows, %v at 8000", short, long)
+	shortObjects, shortBytes := measure(1000)
+	longObjects, longBytes := measure(8000)
+	if shortObjects != longObjects {
+		t.Errorf("allocations grow with pruned hot rows: %v at 1000 rows, %v at 8000", shortObjects, longObjects)
+	}
+	if longBytes > shortBytes+256 {
+		t.Errorf("bytes grow with pruned hot rows: %d B at 1000 rows, %d B at 8000", shortBytes, longBytes)
 	}
 }
 
@@ -353,10 +366,9 @@ func TestColumnarConcurrentPrefix(t *testing.T) {
 // TestColumnarReadYourWrites: a scan that follows an acknowledged write
 // sees it, whatever other goroutines are committing. A commit returns
 // before its own after-commit hook has run when another goroutine is
-// already delivering hooks, so the columnar history can be behind the
-// row store at that moment; the scan must notice and read the row
-// store. Writers to another table must not cost the reader its
-// columnar path more than momentarily, writers to the same table may.
+// already delivering hooks, so the sealer's staging can be behind the
+// table at that moment; a scan reads the table, under the lock the
+// commit applied under, so it never falls back to the row path for it.
 func TestColumnarReadYourWrites(t *testing.T) {
 	// With writers on t every scan reads all they have inserted so far,
 	// so the test's cost grows with the square of its length. The
@@ -386,8 +398,7 @@ func TestColumnarReadYourWrites(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// t is never sealed: before the tail was columnar, such a
-			// table was read from the row store and had this guarantee.
+			// t is never sealed: every row a scan counts is hot.
 			m, err := columnar.Attach(db, columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour})
 			if err != nil {
 				t.Fatal(err)
@@ -441,8 +452,8 @@ func TestColumnarReadYourWrites(t *testing.T) {
 			}
 			close(done)
 			wg.Wait()
-			if columnarRuns == 0 {
-				t.Error("no scan ran columnar")
+			if columnarRuns != rounds {
+				t.Errorf("%d of %d scans ran columnar, want every one", columnarRuns, rounds)
 			}
 			t.Logf("%d of %d scans ran columnar", columnarRuns, rounds)
 		})

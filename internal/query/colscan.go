@@ -8,48 +8,41 @@ import (
 )
 
 // Columnar execution: a query that would otherwise scan the whole
-// table is served from the table's columnar history — its sealed
-// segments and its unsealed tail, which expose the same surface — by
-// one loop. A zone-map test skips a segment (or the tail) outright;
-// otherwise the predicate's columns are decoded a 1k-row batch at a
-// time — a batch whose own zones exclude the predicate is skipped —
-// and the predicate runs as compiled vector kernels into a selection
-// vector; only batches with a selected row have their other columns
-// decoded, at the selected rows, and only those rows are boxed, by the
-// sink that aggregates or projects them. The row store is consulted only for
-// rows an UPDATE rewrote after their insert was captured (the
-// snapshot's Modified list). Results are exactly what the row path
-// produces — pinned by the differential tests in colscan_test.go.
+// table reads what the table holds, taken at one instant under its read
+// lock (storage.Table.View). Its sealed runs are columnar segments: a
+// zone-map test skips a run outright; otherwise the predicate's columns
+// are decoded a 1k-row batch at a time — a batch whose own zones
+// exclude the predicate is skipped — and the predicate runs as compiled
+// vector kernels into a selection vector, less the rows the table no
+// longer holds in the run (its live bits); only batches with a selected
+// row have their other columns decoded, at the selected rows, and only
+// those rows are boxed, by the sink that aggregates or projects them.
+// The hot rows sit behind one zone test of their own, and go through
+// the row predicate when it admits them. Results are exactly what the
+// row path produces — pinned by the differential tests in
+// colscan_test.go.
 
 type colStats struct {
-	segments int // sealed segments in the snapshot
-	pruned   int // sealed segments skipped entirely via zone maps
-	// Batches of the sealed segments scanned, and those skipped by their
+	segments int // sealed runs of the table
+	pruned   int // sealed runs skipped entirely via zone maps
+	// Batches of the sealed runs scanned, and those skipped by their
 	// own zones.
 	batches, batchesPruned int
 }
 
 // colExec attempts columnar execution of a full-table scan into sink.
-// ok=false means "not servable columnar" (no manager or history,
-// uncompilable filter, joins, forced row scan, a history that is behind
-// the table): nothing was fed and the caller must run the row path.
-// ok=true with err set means the query failed in a way the row path
-// would also fail.
-func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Schema, pred *expr.Predicate, sink rowSink, sc *Scratch) (stats colStats, ok bool, err error) {
+// ok=false means "not servable columnar" (uncompilable filter, joins,
+// forced row scan): nothing was fed and the caller must run the row
+// path. ok=true with err set means the query failed in a way the row
+// path would also fail.
+func (q *Query) colExec(tbl *storage.Table, schema *storage.Schema, pred *expr.Predicate, sink rowSink, sc *Scratch) (stats colStats, ok bool, err error) {
 	if q.join != nil || q.noColumnar {
-		return stats, false, nil
-	}
-	mgr := columnar.Of(db)
-	if mgr == nil {
-		return stats, false, nil
-	}
-	st := mgr.Table(q.table)
-	if st == nil {
 		return stats, false, nil
 	}
 	var prog *columnar.FilterProg
 	var eqs []expr.EqPred // the zone maps' views of the predicate
 	var ranges []expr.RangePred
+	var admits func(storage.Zones, int) bool
 	if pred != nil {
 		p, compilable := columnar.CompileFilter(pred.Root, schema)
 		if !compilable {
@@ -57,20 +50,10 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 		}
 		prog = p
 		eqs, ranges = pred.Indexable()
+		admits = func(z storage.Zones, rows int) bool { return columnar.Admits(schema, z, rows, eqs, ranges) }
 	}
-	// The history is fed by after-commit hooks, and a commit is
-	// acknowledged as soon as it is in the row store: when another
-	// goroutine is delivering hooks, this table's last commit — perhaps
-	// the caller's own — may not have reached the history yet. The row
-	// path reads the row store, which has it.
-	if tbl.LastCommit() > mgr.Observed() {
-		return stats, false, nil
-	}
-	snap := st.Snapshot()
-	if snap.Schema != schema {
-		return stats, false, nil
-	}
-	stats.segments = len(snap.Segs)
+	view := tbl.View(admits)
+	stats.segments, stats.pruned = len(view.Runs)+view.Pruned, view.Pruned
 
 	// Decode only the columns the query reads: the predicate's for
 	// every batch, the sink's for batches with a selected row.
@@ -85,14 +68,13 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 	}
 	mask, sel := sc.mask, sc.sel
 	rd, b := &sc.rd, &sc.b // one reader for the whole scan
-	started := false
-	scan := func(sv columnar.SegView) error {
-		if !started {
-			rd.Reuse(sv.Seg, first)
+	for k, run := range view.Runs {
+		seg := run.Seg.(*columnar.Segment)
+		if k == 0 {
+			rd.Reuse(seg, first)
 			rd.Prune(eqs, ranges)
-			started = true
 		}
-		rd.Reset(sv.Seg)
+		rd.Reset(seg)
 		for rd.Next(b) {
 			sel = sel[:0]
 			if prog != nil {
@@ -107,10 +89,10 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 					sel = append(sel, int32(i))
 				}
 			}
-			if sv.HasDead() {
+			if run.Live != nil {
 				live := sel[:0]
 				for _, i := range sel {
-					if !sv.IsDead(b.Start + int(i)) {
+					if p := b.Start + int(i); run.Live[p/64]&(1<<uint(p%64)) != 0 {
 						live = append(live, i)
 					}
 				}
@@ -123,53 +105,29 @@ func (q *Query) colExec(db *storage.DB, tbl *storage.Table, schema *storage.Sche
 				rd.Fill(b, rest, sel)
 			}
 			if err := sink.addBatch(b, sel); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, sv := range snap.Segs {
-		if !sv.Seg.CanMatch(eqs, ranges) {
-			stats.pruned++
-			continue
-		}
-		if err := scan(sv); err != nil {
-			return stats, true, err
-		}
-	}
-	if started { // the tail, scanned next, keeps no batch zones
-		stats.batches, stats.batchesPruned = rd.Batches()
-	}
-	if t := snap.Tail; t.Seg != nil && t.Seg.CanMatch(eqs, ranges) {
-		if err := scan(t); err != nil {
-			return stats, true, err
-		}
-	}
-
-	// Rows rewritten since their insert was captured: their current
-	// version is in the row store, fetched as of now — the scan is
-	// point-in-time as of the snapshot, and commits racing the query
-	// land in the next one.
-	for _, id := range snap.Modified {
-		row, live := tbl.Get(id)
-		if !live {
-			continue
-		}
-		r := storage.RowResolver{Schema: schema, Row: row}
-		if pred != nil {
-			m, err := pred.Match(r)
-			if err != nil {
 				return stats, true, err
 			}
-			if !m {
-				continue
-			}
-		}
-		if err := sink.addRow(r); err != nil {
-			return stats, true, err
 		}
 	}
-	return stats, true, nil
+	if len(view.Runs) > 0 {
+		stats.batches, stats.batchesPruned = rd.Batches()
+	}
+
+	// The hot rows the zone test let through, as the row path reads
+	// them.
+	r := &storage.RowResolver{Schema: schema}
+	view.Hot(func(_ storage.RowID, row storage.Row) bool {
+		r.Row = row
+		if pred != nil {
+			var m bool
+			if m, err = pred.Match(r); err != nil || !m {
+				return err == nil
+			}
+		}
+		err = sink.addRow(r)
+		return err == nil
+	})
+	return stats, true, err
 }
 
 // projector is the projection sink: it evaluates the select list (or

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"eventdb/internal/columnar"
+	"eventdb/internal/expr"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -17,10 +19,10 @@ import (
 // The differential tests pin the columnar scan to the row scan: every
 // query in the corpus runs once through each path and the results must
 // be identical, column for column and row for row. The fixture mixes
-// sealed segments, an unsealed tail, and sealed rows that were later
-// updated or deleted, so the merge logic is always in play; the layout
-// tests then hold the data fixed and move it between segments and tail
-// (tail ≡ segment ≡ row).
+// sealed runs, hot rows, and sealed rows that were later updated or
+// deleted, so the merge logic is always in play; the layout tests then
+// hold the data fixed and move it between sealed runs and hot rows
+// (hot ≡ sealed ≡ row).
 
 var colSyms = []string{"ACME", "BETA", "GAMA", "DELT", "EPSI"}
 
@@ -69,10 +71,17 @@ func colSchema(t *testing.T) *storage.Schema {
 	return schema
 }
 
-// colDB builds an events table whose history is split across sealed
-// segments (with some rows updated or deleted after sealing) and a
-// fresh row-store tail.
+// colDB builds an events table whose rows are split across sealed
+// segments (with some rows updated or deleted after sealing) and fresh
+// hot rows.
 func colDB(t *testing.T, sealed, tail int) *storage.DB {
+	t.Helper()
+	db, _ := colDBWith(t, sealed, tail)
+	return db
+}
+
+// colDBWith is colDB, with the manager that seals its history.
+func colDBWith(t *testing.T, sealed, tail int) (*storage.DB, *columnar.Manager) {
 	t.Helper()
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
@@ -119,7 +128,7 @@ func colDB(t *testing.T, sealed, tail int) *storage.DB {
 			t.Fatal(err)
 		}
 	}
-	return db
+	return db, m
 }
 
 // resultEqual compares two results exactly: same columns, same rows,
@@ -326,13 +335,30 @@ func TestColumnarDifferential(t *testing.T) {
 		name  string
 		db    *storage.DB
 		batch map[string]func() *Query
+		// The fixture's own corpus, in place of colQueries, and the
+		// predicates whose hot rows its zone must exclude.
+		own      map[string]func() *Query
+		excluded []string
 	}{
-		{"segments of one batch", colDB(t, 900, 60), nil},
-		{"segments of four batches", batchZoneDB(t), batchQueries()},
+		{name: "segments of one batch", db: colDB(t, 900, 60)},
+		{name: "segments of four batches", db: batchZoneDB(t), batch: batchQueries()},
+		{name: "hot rows below sealed runs", db: hotEdgeDB(t), own: hotEdgeQueries(),
+			excluded: []string{"qty > 100000", "id < 0", "sym = 'ZZZZ'", "qty BETWEEN -9000 AND -1000"}},
 	} {
 		queries := colQueries()
+		if fx.own != nil {
+			queries = fx.own
+		}
 		for name, mk := range fx.batch {
 			queries[name] = mk
+		}
+		for _, src := range fx.excluded {
+			if n := hotRead(t, fx.db, src); n != 0 {
+				t.Fatalf("%s: %q reads %d hot rows, want its zone to exclude them", fx.name, src, n)
+			}
+		}
+		if fx.own != nil && hotRead(t, fx.db, "qty >= 7000") == 0 {
+			t.Fatalf("%s: the hot zone excludes the rows updated to qty >= 7000", fx.name)
 		}
 		for name, mk := range queries {
 			label := fx.name + ", " + name
@@ -355,6 +381,136 @@ func TestColumnarDifferential(t *testing.T) {
 	}
 }
 
+// hotRead returns how many hot rows of the events table a scan under
+// src reads: none when their zone excludes it.
+func hotRead(t *testing.T, db *storage.DB, src string) int {
+	t.Helper()
+	tbl, _ := db.Table("events")
+	p, err := expr.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eqs, ranges := p.Indexable()
+	n := 0
+	tbl.View(func(z storage.Zones, rows int) bool {
+		return columnar.Admits(tbl.Schema(), z, rows, eqs, ranges)
+	}).Hot(func(storage.RowID, storage.Row) bool { n++; return true })
+	return n
+}
+
+// hotEdgeDB puts hot rows beside and below sealed runs in every way
+// they get there: cold rows updated out of every range the table had, a
+// run given back by the storage.SparseDiv rule, a segment Evict
+// declined, hot rows updated in place, and NaN, −0 and NULL values.
+func hotEdgeDB(t *testing.T) *storage.DB {
+	t.Helper()
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateTable(colSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := columnar.Attach(db, columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	rng := rand.New(rand.NewSource(5))
+	next := 0
+	insert := func(n int, edit func(map[string]val.Value)) []storage.RowID {
+		var ids []storage.RowID
+		for end := next + n; next < end; next++ {
+			ev := colEvent(rng, next)
+			if edit != nil {
+				edit(ev)
+			}
+			id, err := db.Insert("events", ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	update := func(id storage.RowID, set map[string]val.Value) {
+		if err := db.UpdateRow("events", id, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compact := func() {
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := insert(300, nil)
+	compact()
+	b := insert(300, nil)
+	compact()
+	// Rewritten before their seal: their segment holds 30 live rows of
+	// 150, and the table declines it.
+	for _, id := range insert(150, nil)[:120] {
+		update(id, map[string]val.Value{"price": val.Float(0.5)})
+	}
+	compact()
+	// 230 of run b's 300 rows go: the other 70 are taken back hot.
+	for _, id := range b[:230] {
+		if err := db.DeleteRow("events", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, id := range a[:20] {
+		update(id, map[string]val.Value{"qty": val.Int(int64(7000 + k)), "sym": val.String("ZZZA")})
+	}
+	edges := []func(map[string]val.Value){
+		func(ev map[string]val.Value) { ev["price"] = val.Float(math.NaN()) },
+		func(ev map[string]val.Value) { ev["price"] = val.Float(math.Copysign(0, -1)) },
+		func(ev map[string]val.Value) { ev["price"] = val.Float(0) },
+		func(ev map[string]val.Value) { delete(ev, "price"); delete(ev, "qty"); delete(ev, "sym") },
+	}
+	for k := 0; k < 40; k++ {
+		hot := insert(1, edges[k%len(edges)])
+		if k == 7 {
+			update(hot[0], map[string]val.Value{"qty": val.Int(9000)})
+		}
+	}
+	stats := m.Stats()[0]
+	if tbl, _ := db.Table("events"); stats.ResidentSegments != 1 || stats.Segments != 3 || tbl.Len()-stats.ColdRows != 150+70+20+40 {
+		t.Fatalf("hot edges: stats %+v, %d rows", stats, tbl.Len())
+	}
+	return db
+}
+
+// hotEdgeQueries is hotEdgeDB's corpus: predicates its hot zone admits
+// and ones it excludes, over NaN, −0 and NULL. It has no MIN or MAX of
+// price, whose answer over a NaN depends on the order rows are folded
+// in.
+func hotEdgeQueries() map[string]func() *Query {
+	where := func(src string) func() *Query { return func() *Query { return New("events").Where(src) } }
+	return map[string]func() *Query{
+		"edge-all":         func() *Query { return New("events") },
+		"edge-updated":     where("qty >= 7000"),
+		"edge-updated-hot": where("qty >= 9000"),
+		"edge-beyond":      where("qty > 100000"),
+		"edge-below":       where("id < 0"),
+		"edge-string":      where("sym = 'ZZZZ'"),
+		"edge-string-hot":  where("sym = 'ZZZA'"),
+		"edge-between":     where("qty BETWEEN -9000 AND -1000"),
+		"edge-nan-range":   where("price > 2000"),
+		"edge-zero":        where("price = 0"),
+		"edge-neg-zero":    where("price <= 0 AND price >= 0"),
+		"edge-null":        where("price IS NULL AND qty IS NULL"),
+		"edge-declined":    where("price = 0.5"),
+		"edge-group": func() *Query {
+			return New("events").Where("qty >= 0").GroupBy("sym").Agg("n", Count, "").Agg("s", Sum, "qty")
+		},
+		"edge-agg": func() *Query {
+			return New("events").Agg("n", Count, "").Agg("np", Count, "price").Agg("lo", Min, "qty").Agg("hi", Max, "qty")
+		},
+	}
+}
+
 // The places a table's history can be. Each layout holds the same 930
 // logical rows with the same updates and deletes applied.
 const (
@@ -367,10 +523,14 @@ const (
 	layoutSplit = "split mid-commit-group"
 	// layoutReleased seals every 150-row commit on its own, then rewrites
 	// every row of the first two segments and four in five of the
-	// third with the values they had: the first two hold no live row
-	// and have left memory, the third was re-encoded from its live
-	// rows, and the rewritten rows are served from the row store.
-	layoutReleased = "sealed, two segments released and one sparse"
+	// third with the values they had: none of the three keeps more than
+	// a quarter of its rows, so the table gives all three back and
+	// serves their rows hot.
+	layoutReleased = "sealed, three segments given back"
+	// layoutDeclined moves four rows in five to another key before the
+	// one seal and back after it: the table declines the segment, whose
+	// rows no longer match, and every row stays hot.
+	layoutDeclined = "sealed, the segment declined"
 )
 
 func colDBLayout(t *testing.T, layout string) *storage.DB {
@@ -426,25 +586,39 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 			t.Fatal(err)
 		}
 	}
-	if layout == layoutSealed || layout == layoutReleased {
-		if _, err := m.Compact(""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if layout == layoutReleased {
+	// rekey moves the rows pick picks by shift on their key.
+	rekey := func(pick func(id int64) bool, shift int64) {
 		tbl, _ := db.Table("events")
 		rowIDs, stored := tbl.ScanRows()
 		for k, row := range stored {
-			if id, _ := row[0].AsInt(); id < 300 || (id < 450 && id%5 != 0) {
-				if err := db.UpdateRow("events", rowIDs[k], map[string]val.Value{"id": row[0]}); err != nil {
+			if id, _ := row[0].AsInt(); pick(id) {
+				if err := db.UpdateRow("events", rowIDs[k], map[string]val.Value{"id": val.Int(id + shift)}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	switch layout {
+	case layoutSealed:
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+	case layoutReleased:
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+		rekey(func(id int64) bool { return id < 300 || (id < 450 && id%5 != 0) }, 0)
+	case layoutDeclined:
+		rekey(func(id int64) bool { return id%5 != 0 }, 1_000_000)
+		if _, err := m.Compact(""); err != nil {
+			t.Fatal(err)
+		}
+		rekey(func(id int64) bool { return id >= 1_000_000 }, -1_000_000)
+	}
 	stats := m.Stats()[0]
 	switch {
-	case layout == layoutReleased && (stats.Segments-stats.ResidentSegments != 2 || stats.ReleasedRows <= 300 || stats.SealedRows != rows),
+	case layout == layoutReleased && (stats.Segments-stats.ResidentSegments != 3 || stats.ReleasedRows != 450 || stats.SealedRows != rows),
+		layout == layoutDeclined && (stats.Segments != 1 || stats.ResidentSegments != 0 || stats.ReleasedRows != rows),
 		layout == layoutSealed && (stats.PendingRows != 0 || stats.SealedRows != rows),
 		layout == layoutTail && (stats.PendingRows != rows || stats.Segments != 0),
 		layout == layoutSplit && (stats.PendingRows != singles || stats.SealedRows != rows-singles):
@@ -469,10 +643,11 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 	return db
 }
 
-// TestColumnarLayouts is tail ≡ segment ≡ row: the whole corpus, with
-// the data all sealed, all in the tail, split between them by a sealer
-// cutting mid-commit-group, and sealed with the dead segments out of
-// memory, must give the one answer the row path gives.
+// TestColumnarLayouts is hot ≡ sealed ≡ row: the whole corpus, with
+// the data all sealed, all hot, split between them by a sealer cutting
+// mid-commit-group, sealed with three segments given back, and sealed
+// into a segment the table declined, must give the one answer the row
+// path gives.
 func TestColumnarLayouts(t *testing.T) {
 	// A query that fails must fail the same way everywhere: errText is
 	// compared in place of the result.
@@ -507,7 +682,7 @@ func TestColumnarLayouts(t *testing.T) {
 	for name, mk := range colQueries() {
 		want[name], _ = run(mk().NoColumnar(), oracle)
 	}
-	for _, layout := range []string{layoutSealed, layoutTail, layoutSplit, layoutReleased} {
+	for _, layout := range []string{layoutSealed, layoutTail, layoutSplit, layoutReleased, layoutDeclined} {
 		db := colDBLayout(t, layout)
 		for name, mk := range colQueries() {
 			label := layout + ", " + name
@@ -525,11 +700,10 @@ func TestColumnarLayouts(t *testing.T) {
 	}
 }
 
-// TestModifiedRowsAnyOrder updates and deletes rows whose columnar copy
-// is in the tail and rows whose copy is sealed, with a seal before,
-// between and after, scanning and aggregating at every step: the
-// current version of a rewritten row comes from the row store exactly
-// once, wherever its stale copy sits.
+// TestModifiedRowsAnyOrder updates and deletes rows that are hot and
+// rows that are sealed, with a seal before, between and after, scanning
+// and aggregating at every step: the current version of a rewritten row
+// comes from the hot rows exactly once, wherever its stale copy sits.
 func TestModifiedRowsAnyOrder(t *testing.T) {
 	type step func(t *testing.T, db *storage.DB, m *columnar.Manager)
 	mutate := func(mod int64) step {
@@ -749,10 +923,10 @@ func TestColumnarSealMidTransaction(t *testing.T) {
 
 // TestColumnarScanDuringRelease races scans against the residency rule.
 // A writer commits groups of four rows and, in the same transaction,
-// deletes the group that has aged out of a window, so behind it segments
-// are rewritten sparse and then released while the background sealer
-// cuts new ones; scans that took their snapshot before a release keep
-// reading the segments it dropped. Whatever they overlap, they see whole
+// deletes the group that has aged out of a window, so behind it runs
+// go back to the table sparse while the background sealer cuts new
+// ones; scans that took their view before a release keep reading the
+// segments it dropped. Whatever they overlap, they see whole
 // commits — a multiple of four rows, groups intact, every value of every
 // row there — and never a segment without its body.
 func TestColumnarScanDuringRelease(t *testing.T) {

@@ -200,11 +200,11 @@ func (r *Result) Get(i int, col string) (val.Value, bool) {
 type Plan struct {
 	Access string // "scan" or "columnar"
 	Joined bool
-	// Columnar scans only: sealed segments considered and how many of
-	// those zone maps excluded outright; then the batches of the
-	// segments scanned, and how many of those their own zone maps
-	// excluded. The unsealed tail is scanned (or excluded by its own
-	// zone map) too but counted in none.
+	// Columnar scans only: the table's sealed runs and how many of
+	// those zone maps excluded outright; then the batches of the runs
+	// scanned, and how many of those their own zone maps excluded. The
+	// table's hot rows are read (or excluded by their own zone map) too
+	// but counted in none.
 	Segments       int
 	SegmentsPruned int
 	Batches        int
@@ -322,13 +322,13 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 	}
 	sc.cols = cols
 
-	// Filter (and join) pass. The scan tries the table's columnar
-	// history first: segments and tail are filtered with vector kernels
-	// and feed the sink batch-wise. Everything else — joins, predicates
-	// the kernels cannot express — feeds it row by row.
+	// Filter (and join) pass. The scan tries the columnar path first:
+	// the table's sealed runs are filtered with vector kernels and feed
+	// the sink batch-wise, its hot rows row by row. Everything else —
+	// joins, predicates the kernels cannot express — takes the row path.
 	plan.Access = "scan"
 	var rows []storage.Row
-	cs, served, err := q.colExec(db, tbl, schema, pred, sink, sc)
+	cs, served, err := q.colExec(tbl, schema, pred, sink, sc)
 	switch {
 	case err != nil:
 		return nil, plan, err

@@ -7,18 +7,17 @@ import (
 	"sort"
 	"testing"
 
-	"eventdb/internal/columnar"
 	"eventdb/internal/raceflag"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
 
 // scratchDB is colDB's events table — sealed segments with rewritten and
-// deleted rows under a tail — beside a narrower table of its own kinds,
+// deleted rows beside hot ones — beside a narrower table of its own kinds,
 // so that a scratch moves between schemas of different widths.
 func scratchDB(t *testing.T) *storage.DB {
 	t.Helper()
-	db := colDB(t, 900, 60)
+	db, m := colDBWith(t, 900, 60)
 	schema, err := storage.NewSchema("small", []storage.Column{
 		{Name: "id", Kind: val.KindInt, NotNull: true},
 		{Name: "name", Kind: val.KindString},
@@ -39,7 +38,7 @@ func scratchDB(t *testing.T) *storage.DB {
 			t.Fatal(err)
 		}
 		if i == 200 {
-			if _, err := columnar.Of(db).Compact("small"); err != nil {
+			if _, err := m.Compact("small"); err != nil {
 				t.Fatal(err)
 			}
 		}

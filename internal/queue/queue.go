@@ -663,6 +663,10 @@ func (q *Queue) Settle() error {
 	if len(rows) == 0 {
 		return nil
 	}
+	// The ids are distinct, as a transaction's must be
+	// (storage.ErrRowTouched): an Ack appends a message's row once, as it
+	// ends the message's live claim and drops its row id, so that no
+	// later claim or Ack can name it again (TestQueueMatchesModel).
 	txn := q.db.Begin()
 	for _, rid := range rows {
 		txn.Delete(q.tableName, rid) // refuses only a finished transaction

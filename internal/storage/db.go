@@ -120,6 +120,10 @@ type DB struct {
 	degradedMu    sync.Mutex // guards degradedCause and serializes Recover
 	degradedCause error
 	lastApplied   atomic.Uint64
+
+	// historyOwned is set while a sealer owns the tables' sealed
+	// history (OwnHistory).
+	historyOwned atomic.Bool
 }
 
 type beforeEntry struct {
@@ -164,7 +168,8 @@ func (db *DB) recover() error {
 			if err != nil {
 				return fmt.Errorf("storage: recover commit lsn=%d: %w", r.LSN, err)
 			}
-			if err := db.applyChanges(changes, db.seq.Add(1)); err != nil {
+			db.seq.Add(1)
+			if err := db.applyChanges(changes); err != nil {
 				return fmt.Errorf("storage: recover lsn=%d: %w", r.LSN, err)
 			}
 		case recCreateTable:
@@ -183,8 +188,11 @@ func (db *DB) recover() error {
 // applyChanges applies already-committed changes to in-memory table
 // state, taking each table's lock per change. Shared by WAL recovery
 // and the replication apply path; validation already happened on the
-// side that logged the commit. seq is the commit's sequence number.
-func (db *DB) applyChanges(changes []Change, seq uint64) error {
+// side that logged the commit. An update or delete of a row the table
+// does not hold is a corrupt record (a transaction that touched a row
+// twice, logged before prepare refused it): it is refused, with the
+// changes before it applied, and the caller names its LSN.
+func (db *DB) applyChanges(changes []Change) error {
 	for i := range changes {
 		c := &changes[i]
 		db.mu.RLock()
@@ -194,22 +202,31 @@ func (db *DB) applyChanges(changes []Change, seq uint64) error {
 			return fmt.Errorf("storage: apply: unknown table %q", c.Table)
 		}
 		t.mu.Lock()
+		var old Row
+		if c.Kind != Insert {
+			if old, ok = t.row(c.ID); !ok {
+				t.mu.Unlock()
+				return fmt.Errorf("storage: apply: table %q: %s of missing row %d: corrupt commit record", c.Table, c.Kind, c.ID)
+			}
+		}
 		switch c.Kind {
 		case Insert:
 			t.applyInsert(c.ID, c.New)
 		case Update:
-			old, _ := t.row(c.ID)
 			t.applyUpdate(c.ID, old, c.New)
 		case Delete:
-			old, _ := t.row(c.ID)
 			t.applyDelete(c.ID, old)
 		}
 		t.version++
-		t.lastCommit = seq
 		t.mu.Unlock()
 	}
 	return nil
 }
+
+// OwnHistory takes (own) or gives back (!own) the one right to seal
+// the database's tables, reporting false when it was already taken or
+// not held.
+func (db *DB) OwnHistory(own bool) bool { return db.historyOwned.CompareAndSwap(!own, own) }
 
 // Durable reports whether the database is WAL-backed.
 func (db *DB) Durable() bool { return db.log != nil }
@@ -406,8 +423,7 @@ func (db *DB) applyReplicatedLocked(r wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("storage: replicated commit lsn=%d: %w", r.LSN, err)
 		}
-		// commitMu is held: nothing else advances seq.
-		if err := db.applyChanges(changes, db.seq.Load()+1); err != nil {
+		if err := db.applyChanges(changes); err != nil {
 			return fmt.Errorf("storage: replicated apply lsn=%d: %w", r.LSN, err)
 		}
 		info := &CommitInfo{LSN: r.LSN, Changes: changes}
@@ -695,7 +711,6 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 	}
 	for _, t := range locked {
 		t.version++
-		t.lastCommit = seq
 	}
 	info.Seq = db.seq.Add(1)
 	unlock()
@@ -708,38 +723,45 @@ func (db *DB) commitLocked(ops []txnOp) (*CommitInfo, error) {
 	return info, nil
 }
 
-// prepare validates ops against current table state and assigns row IDs,
-// returning the concrete change list. Caller holds all table locks.
+// ErrRowTouched refuses a transaction that updates or deletes a row
+// one of its earlier ops inserted, updated or deleted: a transaction
+// touches a row at most once. Nothing of it is applied.
+var ErrRowTouched = errors.New("storage: transaction touches a row twice")
+
+// batch is what a transaction's ops so far did to one table: the rows
+// they touched and the primary keys they took and freed.
+type batch struct {
+	touched     map[RowID]bool
+	took, freed map[string]bool
+}
+
+// prepare validates ops against current table state, as changed by the
+// ops before each, and assigns row IDs, returning the concrete change
+// list. Caller holds all table locks.
 func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 	changes := make([]Change, 0, len(ops))
-	// Track primary-key uniqueness within the batch: table → key →
-	// true. A one-op transaction cannot collide with itself, and fills
-	// none of the batch's maps.
+	// A one-op transaction cannot meet itself, and fills no batch.
 	multi := len(ops) > 1
-	batchKeys := map[string]map[string]bool{}
-	claim := func(table, key string) bool {
-		if !multi {
-			return true
-		}
-		ki, ok := batchKeys[table]
-		if !ok {
-			ki = map[string]bool{}
-			batchKeys[table] = ki
-		}
-		if ki[key] {
-			return false
-		}
-		ki[key] = true
-		return true
-	}
+	var none batch
+	batches := map[string]*batch{}
 	nextIDs := map[string]RowID{}
-	// Rows logically deleted earlier in this batch (so a later insert
-	// may reuse their PK).
-	freedPK := map[string]map[string]bool{}
-
 	for _, op := range ops {
-		t := tables[op.table]
+		t, b := tables[op.table], &none
+		if multi {
+			if b = batches[op.table]; b == nil {
+				b = &batch{touched: map[RowID]bool{}, took: map[string]bool{}, freed: map[string]bool{}}
+				batches[op.table] = b
+			}
+		}
 		s := t.schema
+		if op.kind != Insert && b.touched[op.id] {
+			return nil, fmt.Errorf("%w: table %q row %d", ErrRowTouched, s.Name, op.id)
+		}
+		// taken reports whether a live row has key, as of the ops so far.
+		taken := func(key string) bool {
+			_, committed := t.pk[key]
+			return b.took[key] || committed && !b.freed[key]
+		}
 		switch op.kind {
 		case Insert:
 			row, err := s.validateRow(op.row)
@@ -748,18 +770,17 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 			}
 			if t.pk != nil {
 				key := s.pkKey(row)
-				if _, dup := t.pk[key]; dup && !(freedPK[op.table] != nil && freedPK[op.table][key]) {
+				if taken(key) {
 					return nil, fmt.Errorf("storage: table %q: duplicate primary key", s.Name)
 				}
-				if !claim(op.table, key) {
-					return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
-				}
+				b.take(key, "")
 			}
 			id, ok := nextIDs[op.table]
 			if !ok {
 				id = t.nextID
 			}
 			nextIDs[op.table] = id + 1
+			b.touch(id)
 			changes = append(changes, Change{Table: op.table, Kind: Insert, ID: id, New: row})
 		case Update:
 			old, ok := t.row(op.id)
@@ -780,33 +801,48 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 				return nil, err
 			}
 			if t.pk != nil {
-				newKey := s.pkKey(row)
-				if newKey != s.pkKey(old) {
-					if _, dup := t.pk[newKey]; dup {
+				if oldKey, newKey := s.pkKey(old), s.pkKey(row); newKey != oldKey {
+					if taken(newKey) {
 						return nil, fmt.Errorf("storage: table %q: update causes duplicate primary key", s.Name)
 					}
-					if !claim(op.table, newKey) {
-						return nil, fmt.Errorf("storage: table %q: duplicate primary key within transaction", s.Name)
-					}
+					b.take(newKey, oldKey)
 				}
 			}
+			b.touch(op.id)
 			changes = append(changes, Change{Table: op.table, Kind: Update, ID: op.id, Old: old, New: row})
 		case Delete:
 			old, ok := t.row(op.id)
 			if !ok {
 				return nil, fmt.Errorf("storage: table %q: delete of missing row %d", s.Name, op.id)
 			}
-			if multi && t.pk != nil {
-				key := s.pkKey(old)
-				if freedPK[op.table] == nil {
-					freedPK[op.table] = map[string]bool{}
-				}
-				freedPK[op.table][key] = true
+			if t.pk != nil {
+				b.take("", s.pkKey(old))
 			}
+			b.touch(op.id)
 			changes = append(changes, Change{Table: op.table, Kind: Delete, ID: op.id, Old: old})
 		default:
 			return nil, fmt.Errorf("storage: unknown op kind %d", op.kind)
 		}
 	}
 	return changes, nil
+}
+
+// touch and take record an op in a multi-op transaction's batch: the
+// row it touched, and the key it took and the key it freed ("": none).
+func (b *batch) touch(id RowID) {
+	if b.touched != nil {
+		b.touched[id] = true
+	}
+}
+
+func (b *batch) take(key, freed string) {
+	if b.took == nil {
+		return
+	}
+	if key != "" {
+		b.took[key] = true
+	}
+	if freed != "" {
+		b.freed[freed] = true
+	}
 }

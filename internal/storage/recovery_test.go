@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +67,52 @@ func TestDurableRecovery(t *testing.T) {
 	}
 	if _, ok := tbl.Get(rid); !ok {
 		t.Error("post-recovery insert lost")
+	}
+}
+
+// TestTouchedTwiceRecordRefusesOpen: a directory whose log holds a
+// commit that deletes one row twice — what a transaction could commit
+// before prepare refused a second touch — does not open: replay
+// returns an error that names the record's LSN and table instead of
+// panicking on the missing row, and applies nothing of the record after
+// the change it refused. A follower applying the record gets the same
+// error.
+func TestTouchedTwiceRecordRefusesOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CreateTable(tradesSchema(t))
+	id, err := db.Insert("trades", vmap("id", 1, "sym", "A", "price", 1.0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("trades")
+	old, _ := tbl.Get(id)
+	twice := []Change{{Table: "trades", Kind: Delete, ID: id, Old: old}, {Table: "trades", Kind: Delete, ID: id, Old: old}}
+	lsn, err := db.log.Append(recCommit, encodeCommit(nil, db.Seq()+1, twice))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), fmt.Sprintf("lsn=%d", lsn)) && strings.Contains(err.Error(), `table "trades"`)
+	}
+
+	follower, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := db.WAL().Replay(0, follower.ApplyReplicated); !names(err) {
+		t.Fatalf("a follower applying the double delete: %v, want an error naming lsn=%d and the table", err, lsn)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = Open(Options{Dir: dir}); !names(err) {
+		t.Fatalf("Open of a log holding a double delete: %v, want an error naming lsn=%d and the table", err, lsn)
 	}
 }
 

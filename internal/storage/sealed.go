@@ -12,6 +12,8 @@ import (
 // holds (Evict) and serves them from it from then on, so a sealed row
 // lives once, in its segment.
 type Sealed interface {
+	// Zones are the run's zone maps, over every row it holds.
+	Zones
 	// Rows is how many rows the run holds; RowID(i), strictly ascending
 	// in i, names row i.
 	Rows() int
@@ -28,13 +30,13 @@ type Sealed interface {
 }
 
 // SparseDiv is the residency ratio of sealed history: a sealed run is
-// kept as a run while more than 1/SparseDiv of its rows are live. Past
-// it the columnar store rewrites a segment without its dead rows, and a
-// table takes its evicted rows back from a run, so that a row nobody
+// kept as a run while more than 1/SparseDiv of its rows are live. A
+// table declines a run with no more (Evict), and takes its rows back
+// from a run once it has no more (unevict), so that a row nobody
 // deletes — a never-claimed queue message — pins no segment of dead
 // ones. It is a constant because no workload wants another value: a
-// smaller one keeps more dead rows in memory, a larger one re-encodes
-// more often.
+// smaller one keeps more dead rows in memory, a larger one gives runs
+// back more often.
 const SparseDiv = 4
 
 // coldRun is a sealed run some of whose rows the table has evicted:
@@ -56,7 +58,8 @@ func (r *coldRun) isLive(i int) bool { return r.live[i/64]&(1<<uint(i%64)) != 0 
 // yet — stays, so any cut of the table's history is safe to hand over.
 // It returns how many rows left the row store: none when no more than
 // 1/SparseDiv of seg's rows would (the run would be given back at
-// once), or when seg's rows overlap a run already handed over.
+// once), or when seg's rows overlap a run already handed over. The hot
+// zones are then recomputed over the rows left hot.
 func (t *Table) Evict(seg Sealed) int {
 	n := seg.Rows()
 	// Rows are compared one at a time under the read lock, so neither a
@@ -108,15 +111,35 @@ func (t *Table) Evict(seg Sealed) int {
 	t.runs = slices.Insert(t.runs, at, run)
 	t.cold += run.n
 	t.shrink()
+	t.rezone()
 	return run.n
 }
 
-// ColdRows returns how many of the table's rows live in a sealed run
-// only.
-func (t *Table) ColdRows() int {
+// Holds returns how many of ids are hot rows of the table: no fewer
+// than Evict would take from a run of them, so a run of ids of which it
+// finds no more than 1/SparseDiv is one Evict would decline.
+func (t *Table) Holds(ids []RowID) int {
+	n := 0
+	for _, id := range ids {
+		t.mu.RLock()
+		_, hot := t.rows[id]
+		t.mu.RUnlock()
+		if hot {
+			n++
+		}
+	}
+	return n
+}
+
+// Runs returns the table's sealed runs, ascending by row id, and how
+// many of their rows are the table's: the rows that live in a run only.
+func (t *Table) Runs() (runs []Sealed, cold int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.cold
+	for _, run := range t.runs {
+		runs = append(runs, run.seg)
+	}
+	return runs, t.cold
 }
 
 // coldAt returns the run holding the evicted row id and its position
@@ -154,6 +177,7 @@ func (t *Table) unevict(id RowID) {
 	}
 	run.seg.DecodeRows(run.live, func(i int, r Row) bool {
 		t.rows[run.seg.RowID(i)] = t.packRow(r)
+		t.hot.widen(r)
 		return true
 	})
 	t.rowsMax = max(t.rowsMax, len(t.rows))

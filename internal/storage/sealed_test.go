@@ -17,6 +17,7 @@ type fakeRun struct {
 func (f *fakeRun) Rows() int                { return len(f.rows) }
 func (f *fakeRun) RowID(i int) RowID        { return f.ids[i] }
 func (f *fakeRun) DecodeRow(dst Row, i int) { copy(dst, f.rows[i]) }
+func (f *fakeRun) Zone(int) Zone            { return Zone{} }
 
 func (f *fakeRun) DecodeRows(want []uint64, fn func(i int, r Row) bool) bool {
 	for i, r := range f.rows {
@@ -61,7 +62,7 @@ func TestEvictKeepsARowRewrittenMeanwhile(t *testing.T) {
 	if n := tbl.Evict(run); n != 3 {
 		t.Fatalf("Evict = %d, want 3", n)
 	}
-	if n, c := tbl.Len(), tbl.ColdRows(); n != 4 || c != 3 {
+	if n, c := tbl.Len(), tbl.cold; n != 4 || c != 3 {
 		t.Fatalf("Len %d, ColdRows %d; want 4 and 3", n, c)
 	}
 	for i, id := range run.ids {
@@ -103,11 +104,11 @@ func TestSparseRunGoesBack(t *testing.T) {
 		if err := db.DeleteRow("e", id); err != nil {
 			t.Fatal(err)
 		}
-		if cold, want := tbl.ColdRows(), 7-i; i < 5 && cold != want {
+		if cold, want := tbl.cold, 7-i; i < 5 && cold != want {
 			t.Fatalf("after %d deletes ColdRows = %d, want %d", i+1, cold, want)
 		}
 	}
-	if n, c := tbl.Len(), tbl.ColdRows(); n != 2 || c != 0 || len(tbl.runs) != 0 {
+	if n, c := tbl.Len(), tbl.cold; n != 2 || c != 0 || len(tbl.runs) != 0 {
 		t.Fatalf("Len %d, ColdRows %d, %d runs; want 2, 0 and none", n, c, len(tbl.runs))
 	}
 	for _, id := range run.ids[6:] {

@@ -22,7 +22,9 @@ import (
 // Scan, ScanRows, ScanRowsWhere, Len and the old images a commit hands
 // to hooks and the WAL — sees both alike, and unpacks into a fresh Row
 // whose string and bytes values alias the immutable image or segment: a
-// reader may keep or modify it.
+// reader may keep or modify it. A SELECT reads the table through one
+// View (zone.go): the sealed runs whose zones admit its predicate, and
+// the hot rows when their zone does.
 type Table struct {
 	mu     sync.RWMutex
 	schema *Schema
@@ -34,13 +36,12 @@ type Table struct {
 	// disjoint by row id; cold counts the rows they hold.
 	runs []*coldRun
 	cold int
+	// hot covers the hot rows' values (see hotZones).
+	hot hotZones
 	// rowsMax and pkMax are the most entries rows and pk have held
 	// since they were built (see shrink).
 	rowsMax, pkMax int
 	version        uint64 // bumped on every commit touching this table
-	// lastCommit is the CommitInfo.Seq of the last commit that touched
-	// this table.
-	lastCommit uint64
 }
 
 func newTable(s *Schema) *Table {
@@ -48,6 +49,7 @@ func newTable(s *Schema) *Table {
 		schema: s,
 		rows:   make(map[RowID]string),
 		nextID: 1,
+		hot:    make(hotZones, len(s.Columns)),
 	}
 	if s.HasPrimaryKey() {
 		t.pk = make(map[string]RowID)
@@ -71,18 +73,6 @@ func (t *Table) Version() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.version
-}
-
-// LastCommit returns the sequence number (CommitInfo.Seq) of the last
-// commit that touched the table, zero if none has. The commit is
-// applied — visible to Get and ScanRows — but its after-commit hooks
-// may not have run yet: an observer that derives state from the hook
-// stream compares this with the last Seq it was handed to learn whether
-// it is behind.
-func (t *Table) LastCommit() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lastCommit
 }
 
 // Get returns the row with the given ID.
@@ -139,23 +129,10 @@ func (t *Table) ScanRows() ([]RowID, []Row) {
 // ScanRowsWhere is ScanRows restricted to the rows keep accepts (every
 // row if keep is nil). keep is handed a scratch row that the next row
 // overwrites, so only accepted rows are copied out of the table; its
-// first error ends the scan. The table lock covers the snapshot only:
-// the hot images and each sealed run's live bits.
+// first error ends the scan. The table lock covers the View only.
 func (t *Table) ScanRowsWhere(keep func(Row) (bool, error)) ([]RowID, []Row, error) {
-	t.mu.RLock()
-	// ids has room for every row, the hot ones first; the kept ones are
-	// compacted to its front as the scan goes, which never overtakes it.
-	ids := make([]RowID, len(t.rows)+t.cold)
-	imgs := make([]string, 0, len(t.rows))
-	for id, img := range t.rows {
-		ids[len(imgs)] = id
-		imgs = append(imgs, img)
-	}
-	runs := make([]coldRun, len(t.runs))
-	for i, run := range t.runs {
-		runs[i] = coldRun{seg: run.seg, live: slices.Clone(run.live)}
-	}
-	t.mu.RUnlock()
+	v := t.View(nil)
+	var ids []RowID
 	var rows []Row
 	var err error
 	take := func(id RowID, r Row) bool {
@@ -165,22 +142,19 @@ func (t *Table) ScanRowsWhere(keep func(Row) (bool, error)) ([]RowID, []Row, err
 				return err == nil
 			}
 		}
-		ids[len(rows)] = id
+		ids = append(ids, id)
 		rows = append(rows, slices.Clone(r))
 		return true
 	}
-	scratch := make(Row, len(t.schema.Columns))
-	for i, img := range imgs {
-		if !take(ids[i], t.unpackInto(scratch, img)) {
+	if !v.Hot(take) {
+		return nil, nil, err
+	}
+	for _, run := range v.Runs {
+		if !run.Seg.DecodeRows(run.Live, func(i int, r Row) bool { return take(run.Seg.RowID(i), r) }) {
 			return nil, nil, err
 		}
 	}
-	for _, run := range runs {
-		if !run.seg.DecodeRows(run.live, func(i int, r Row) bool { return take(run.seg.RowID(i), r) }) {
-			return nil, nil, err
-		}
-	}
-	return ids[:len(rows)], rows, nil
+	return ids, rows, nil
 }
 
 // row returns row id, unpacked from its image or decoded from its
@@ -232,6 +206,7 @@ func (t *Table) packRow(r Row) string {
 // Caller holds t.mu.
 func (t *Table) applyInsert(id RowID, r Row) {
 	t.rows[id] = t.packRow(r)
+	t.hot.widen(r)
 	t.rowsMax = max(t.rowsMax, len(t.rows))
 	if id >= t.nextID {
 		t.nextID = id + 1
@@ -251,6 +226,7 @@ func (t *Table) applyUpdate(id RowID, old, newRow Row) {
 		}
 	}
 	t.rows[id] = t.packRow(newRow)
+	t.hot.widen(newRow)
 	t.rowsMax = max(t.rowsMax, len(t.rows))
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))

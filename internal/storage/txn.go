@@ -18,9 +18,12 @@ type txnOp struct {
 // Txn buffers mutations and applies them atomically on Commit.
 //
 // Reads during a transaction see committed state only: buffered writes
-// become visible at commit. Updating or deleting a row inserted by the
-// same transaction is therefore not supported; structure multi-step
-// logic as separate transactions or compute the final row up front.
+// become visible at commit. Each op is checked against the state the
+// ops before it leave (a key an earlier op freed can be taken again),
+// and a transaction touches a row at most once: an update or delete of
+// a row an earlier op inserted, updated or deleted refuses the whole
+// commit with ErrRowTouched. Structure multi-step logic as separate
+// transactions or compute the final row up front.
 type Txn struct {
 	db   *DB
 	ops  []txnOp
