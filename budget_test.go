@@ -18,7 +18,10 @@ import (
 // costs, registered in process through core at the shapes of E23's
 // selective workload (bench/selective.go), and what one sealed row of
 // E23 dbmix's table costs (152 B while the row store kept a copy of
-// every sealed row, 86 B since it hands them to their segments). Each
+// every sealed row; 86 B once it handed them to their segments but kept
+// their primary-key entries; 19 B since a run of ascending int keys is
+// its rows' key index and a segment of contiguous row ids keeps no id
+// vector). Each
 // ceiling is the measured cost plus 5%; a change that lowers a cost
 // lowers its ceiling with it, and raising one is a check change with
 // its reason.
@@ -68,8 +71,9 @@ func TestBudget(t *testing.T) {
 
 	// A row of E23 dbmix's table (bench/dbmix.go) once its history is
 	// sealed: what the row store, the primary key and the columnar
-	// segment keep of it together.
-	const rowCeiling = 90
+	// segment keep of it together — its segment's columns alone, as its
+	// key is its run's key column and its id the run's position.
+	const rowCeiling = 20
 	per := dbmixRowHeap(t)
 	t.Logf("dbmix row: %.0f B each (ceiling %.0f)", per, float64(rowCeiling))
 	if per > rowCeiling {

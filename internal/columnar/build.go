@@ -24,7 +24,6 @@ func encodeSegment(view *Segment) (*Segment, error) {
 		table:    view.table,
 		schema:   view.schema,
 		rows:     n,
-		ids:      append(view.ids[:0:0], view.ids...),
 		firstLSN: view.lsns[0],
 		lastLSN:  view.lsns[n-1],
 		cols:     make([]column, len(view.cols)),
@@ -37,7 +36,10 @@ func encodeSegment(view *Segment) (*Segment, error) {
 		s.cols[ci] = col
 		s.bytes += col.memBytes()
 	}
-	s.bytes += n * 8 // ids
+	if s.first = view.ids[0]; view.ids[n-1]-s.first != storage.RowID(n-1) {
+		s.ids = append(view.ids[:0:0], view.ids...)
+		s.bytes += n * 8
+	}
 	return s, nil
 }
 

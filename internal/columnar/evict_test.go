@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,12 +19,12 @@ import (
 	"eventdb/internal/val"
 )
 
-// evictSchema covers every kind a column can have, each nullable but
-// the key.
+// evictSchema covers every kind a column can have, each nullable, the
+// key too.
 func evictSchema(t *testing.T) *storage.Schema {
 	t.Helper()
 	s, err := storage.NewSchema("t", []storage.Column{
-		{Name: "k", Kind: val.KindInt, NotNull: true},
+		{Name: "k", Kind: val.KindInt},
 		{Name: "n", Kind: val.KindInt},
 		{Name: "f", Kind: val.KindFloat},
 		{Name: "s", Kind: val.KindString},
@@ -124,17 +126,40 @@ func (s *evictSide) table() *storage.Table {
 // Scan, ScanRows and ScanRowsWhere answer the same on both, and the
 // BEFORE and commit hooks were handed the same old and new images. The
 // durable run reopens the database from its WAL and segment files on
-// the way. The stream must have evicted rows and then updated and
-// deleted evicted rows, and touched a row twice in one transaction,
-// which both sides refuse with storage.ErrRowTouched, or the test
-// proves nothing.
+// the way.
+//
+// A sealed run's key column stands for its rows' primary-key entries,
+// which leave the table's key map: searched in place when the keys
+// ascend, and through the run's key order when they do not. Those keys
+// are now and then NULL, and a run holding a NULL key keeps its
+// entries. The stream must have evicted rows, updated and deleted
+// evicted rows, had runs given back, touched a row twice in one
+// transaction and inserted an evicted row's key (both sides refuse
+// both), and moved a key off an evicted row and onto another row in one
+// transaction; evicted rows must have left the key map, and with keys
+// that do not ascend some must have kept their entries. Otherwise the
+// test proves nothing.
 func TestEvictedMatchesHot(t *testing.T) {
 	for _, durable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) { evictDifferential(t, durable) })
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			for _, ascending := range []bool{true, false} {
+				t.Run(fmt.Sprintf("ascending=%v", ascending), func(t *testing.T) { evictDifferential(t, durable, ascending) })
+			}
+		})
 	}
 }
 
-func evictDifferential(t *testing.T, durable bool) {
+// keyless returns how many of a table's rows have no entry in its
+// primary-key map: the live rows of the runs whose key column stands in
+// for them. Only a commit or a seal writes the map, and sealMu holds
+// seals off, so the read races neither.
+func keyless(st *TableStore) int {
+	st.sealMu.Lock()
+	defer st.sealMu.Unlock()
+	return st.tbl.Len() - reflect.ValueOf(st.tbl).Elem().FieldByName("pk").Len()
+}
+
+func evictDifferential(t *testing.T, durable, ascending bool) {
 	const ops = 500
 	rng := rand.New(rand.NewSource(49))
 	dir := ""
@@ -158,9 +183,20 @@ func evictDifferential(t *testing.T, durable bool) {
 	attachCold()
 	defer func() { hot.close(); cold.close() }()
 
-	live := map[storage.RowID]int64{} // row → its key
+	live := map[storage.RowID]val.Value{} // row → its key
+	dead := map[int64]bool{}              // keys no live row has any more
 	nextKey := int64(0)
-	maxCold, coldTouched, refused := 0, 0, 0
+	fresh := func() val.Value {
+		nextKey++
+		if !ascending && nextKey%2 == 1 {
+			return val.Int(-nextKey)
+		}
+		return val.Int(nextKey)
+	}
+	// maxKeyless and maxKeyed are the most evicted rows without and with
+	// an entry in the key map.
+	maxCold, maxKeyless, maxKeyed := 0, 0, 0
+	coldTouched, refused, collided, movedKeys, gaveBack := 0, 0, 0, 0, 0
 	for op := 0; op < ops; op++ {
 		type change struct {
 			kind storage.ChangeKind
@@ -189,16 +225,35 @@ func evictDifferential(t *testing.T, durable bool) {
 			picked = append(picked, id)
 			return id
 		}
+		insert := func(key val.Value) {
+			row := storage.Row{key}
+			for ci := 1; ci < 7; ci++ {
+				row = append(row, randValue(rng, ci))
+			}
+			txn = append(txn, change{kind: storage.Insert, row: row})
+		}
+		// collide is a row whose key an insert takes, moved one whose
+		// key an update takes once it moved off it.
+		var collide, moved storage.RowID
 		for n := 1 + rng.Intn(3); n > 0; n-- {
-			switch r := rng.Intn(10); {
-			case r < 5 || len(ids) == 0:
-				nextKey++
-				row := storage.Row{val.Int(nextKey)}
-				for ci := 1; ci < 7; ci++ {
-					row = append(row, randValue(rng, ci))
+			switch r := rng.Intn(12); {
+			case !ascending && r == 0 && !slices.ContainsFunc(txn, func(c change) bool { return c.kind == storage.Insert && c.row[0].IsNull() }):
+				insert(val.Null) // refused while a live row's key is NULL
+			case r < 5 || len(ids) < 2:
+				insert(fresh())
+			case r == 5 && (len(dead) == 0 || rng.Intn(6) > 0):
+				// The key of a live row, as of the transaction's start.
+				collide = ids[rng.Intn(len(ids))]
+				insert(live[collide])
+			case r == 5:
+				// A key that was given up: deleted or moved off.
+				freed := make([]int64, 0, len(dead))
+				for k := range dead {
+					freed = append(freed, k)
 				}
-				txn = append(txn, change{kind: storage.Insert, row: row})
-			case r < 8:
+				slices.Sort(freed)
+				insert(val.Int(freed[rng.Intn(len(freed))]))
+			case r < 9:
 				set := map[string]val.Value{}
 				for ci, c := range evictSchema(t).Columns[1:] {
 					if rng.Intn(3) == 0 {
@@ -206,15 +261,24 @@ func evictDifferential(t *testing.T, durable bool) {
 					}
 				}
 				if rng.Intn(8) == 0 {
-					nextKey++
-					set["k"] = val.Int(nextKey)
+					set["k"] = fresh()
 				}
 				txn = append(txn, change{kind: storage.Update, id: pick(), set: set})
-			default:
+			case r < 11:
 				txn = append(txn, change{kind: storage.Delete, id: pick()})
+			default:
+				// One row moves to a fresh key, and another takes the
+				// key it freed.
+				moved = pick()
+				txn = append(txn,
+					change{kind: storage.Update, id: moved, set: map[string]val.Value{"k": fresh()}},
+					change{kind: storage.Update, id: pick(), set: map[string]val.Value{"k": live[moved]}})
 			}
 		}
-		coldBefore := coldRows(cold.table())
+		coldBefore, runsBefore := coldRows(cold.table()), len(runs(cold.table()))
+		hotBefore := hotIDs(cold.table())
+		collideCold := collide != 0 && !slices.Contains(hotBefore, collide)
+		movedCold := moved != 0 && !slices.Contains(hotBefore, moved)
 		var infos [2]*storage.CommitInfo
 		var errs [2]error
 		for i, side := range []*evictSide{&hot, &cold} {
@@ -231,30 +295,44 @@ func evictDifferential(t *testing.T, durable bool) {
 			}
 			infos[i], errs[i] = tx.Commit()
 		}
-		if (errs[0] == nil) != (errs[1] == nil) {
+		if (errs[0] == nil) != (errs[1] == nil) || errs[0] != nil && errs[0].Error() != errs[1].Error() {
 			t.Fatalf("op %d: commit errors differ: %v / %v", op, errs[0], errs[1])
 		}
-		if again && (!errors.Is(errs[0], storage.ErrRowTouched) || !errors.Is(errs[1], storage.ErrRowTouched)) {
-			t.Fatalf("op %d: a transaction touching a row twice committed: %v / %v", op, errs[0], errs[1])
-		}
-		if again {
+		switch {
+		case (again || collide != 0) && errs[0] == nil:
+			t.Fatalf("op %d: a transaction touching a row twice or inserting a live key committed", op)
+		case errors.Is(errs[0], storage.ErrRowTouched):
 			refused++
+		case errs[0] != nil && strings.Contains(errs[0].Error(), "duplicate primary key"):
+			if collideCold {
+				collided++
+			}
+		case errs[0] != nil:
+			t.Fatalf("op %d: commit refused: %v", op, errs[0])
 		}
 		if errs[0] == nil {
 			for _, c := range infos[0].Changes {
-				switch c.Kind {
-				case storage.Insert:
-					k, _ := c.New[0].AsInt()
-					live[c.ID] = k
-				case storage.Update:
-					k, _ := c.New[0].AsInt()
-					live[c.ID] = k
-				case storage.Delete:
+				if c.Old != nil && !c.Old[0].IsNull() {
+					k, _ := c.Old[0].AsInt()
+					dead[k] = true
+				}
+				if c.New == nil {
 					delete(live, c.ID)
+					continue
+				}
+				live[c.ID] = c.New[0]
+				if k, ok := c.New[0].AsInt(); ok {
+					delete(dead, k)
 				}
 			}
 			if coldRows(cold.table()) < coldBefore {
 				coldTouched++
+			}
+			if len(runs(cold.table())) < runsBefore {
+				gaveBack++
+			}
+			if movedCold {
+				movedKeys++
 			}
 		}
 		switch {
@@ -267,24 +345,34 @@ func evictDifferential(t *testing.T, durable bool) {
 			cold.open(t, dir, false)
 			attachCold()
 		}
-		maxCold = max(maxCold, coldRows(cold.table()))
-		compareTables(t, op, hot.table(), cold.table(), live)
+		n, c := keyless(cold.m.Table("t")), coldRows(cold.table())
+		maxCold, maxKeyless, maxKeyed = max(maxCold, c), max(maxKeyless, n), max(maxKeyed, c-n)
+		compareTables(t, op, hot.table(), cold.table(), live, dead)
 		if !slices.Equal(hot.seen, cold.seen) {
 			t.Fatalf("op %d: hooks saw\n%q\nwith no history, and\n%q\nwith it", op, hot.seen, cold.seen)
 		}
 		hot.seen, cold.seen = hot.seen[:0], cold.seen[:0]
 	}
-	if maxCold == 0 || coldTouched == 0 || refused == 0 {
-		t.Fatalf("at most %d rows evicted, %d commits took one back, %d touched a row twice: the differential proved nothing", maxCold, coldTouched, refused)
+	const report = "at most %d rows evicted, %d without a key entry and %d with one; %d commits took one back, %d gave a run back, %d moved an evicted row's key; %d touched a row twice, %d inserted an evicted row's key"
+	args := []any{maxCold, maxKeyless, maxKeyed, coldTouched, gaveBack, movedKeys, refused, collided}
+	if coldTouched == 0 || gaveBack == 0 || refused == 0 || collided == 0 || movedKeys == 0 || maxKeyless == 0 || !ascending && maxKeyed == 0 {
+		t.Fatalf(report+": the differential proved nothing", args...)
 	}
-	t.Logf("at most %d rows evicted; %d commits took an evicted row back; %d touched a row twice", maxCold, coldTouched, refused)
+	t.Logf(report, args...)
 }
 
 // compareTables holds every read of b, whose sealed rows may have left
 // its row store, to a, which has no history: live maps each row to its
-// key.
-func compareTables(t *testing.T, op int, a, b *storage.Table, live map[storage.RowID]int64) {
+// key, and no row has a key in dead.
+func compareTables(t *testing.T, op int, a, b *storage.Table, live map[storage.RowID]val.Value, dead map[int64]bool) {
 	t.Helper()
+	for k := range dead {
+		_, ida, okA := a.GetByPK(val.Int(k))
+		_, idb, okB := b.GetByPK(val.Int(k))
+		if okA || okB {
+			t.Fatalf("op %d: GetByPK(%d) of a freed key = %d %v with no history, %d %v with it", op, k, ida, okA, idb, okB)
+		}
+	}
 	if a.Len() != len(live) || b.Len() != len(live) {
 		t.Fatalf("op %d: Len %d with no history, %d with it, want %d", op, a.Len(), b.Len(), len(live))
 	}
@@ -294,10 +382,10 @@ func compareTables(t *testing.T, op int, a, b *storage.Table, live map[storage.R
 		if !okA || !okB || enc(ra) != enc(rb) {
 			t.Fatalf("op %d: Get(%d) = %v %v with no history, %v %v with it", op, id, ra, okA, rb, okB)
 		}
-		pa, ida, okA := a.GetByPK(val.Int(k))
-		pb, idb, okB := b.GetByPK(val.Int(k))
+		pa, ida, okA := a.GetByPK(k)
+		pb, idb, okB := b.GetByPK(k)
 		if !okA || !okB || ida != id || idb != id || enc(pa) != enc(ra) || enc(pb) != enc(ra) {
-			t.Fatalf("op %d: GetByPK(%d) = %d %v with no history, %d %v with it, want %d", op, k, ida, pa, idb, pb, id)
+			t.Fatalf("op %d: GetByPK(%v) = %d %v with no history, %d %v with it, want %d", op, k, ida, pa, idb, pb, id)
 		}
 		if _, ok := b.Get(id + 1); !ok {
 			if _, ok := live[id+1]; ok {
@@ -404,6 +492,8 @@ func TestSealedPreloadLeavesNoImage(t *testing.T) {
 // TestAllocsColdGet pins a point read of a row that lives in its
 // segment alone at one allocation, the Row, as a hot one is: the read
 // sets up no batch, and its string and bytes values alias the segment.
+// A read by key is one allocation too: the key is encoded on the stack,
+// and the segment's key column is searched in place.
 func TestAllocsColdGet(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -425,5 +515,13 @@ func TestAllocsColdGet(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("a cold Get allocates %.1f times, want 1", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		if r, id, ok := tbl.GetByPK(val.Int(2047)); !ok || id != 2048 || len(r) != 7 {
+			t.Fatal("key missing")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a cold GetByPK allocates %.1f times, want 1", allocs)
 	}
 }

@@ -64,9 +64,10 @@ func writeSegmentFile(w io.Writer, seg *Segment) error {
 	}
 	buf = binary.AppendUvarint(buf, uint64(seg.rows))
 	var prevID, prevLSN uint64
-	for _, id := range seg.ids {
-		buf = binary.AppendUvarint(buf, uint64(id)-prevID)
-		prevID = uint64(id)
+	for i := 0; i < seg.rows; i++ {
+		id := uint64(seg.RowID(i))
+		buf = binary.AppendUvarint(buf, id-prevID)
+		prevID = id
 	}
 	for _, lsn := range seg.lsns {
 		buf = binary.AppendUvarint(buf, lsn-prevLSN)
@@ -336,7 +337,7 @@ func (m *Manager) loadSegments() error {
 		kept := segs[:0]
 		for i, l := range segs {
 			seg := l.seg
-			if seg.ids[0] != lastID+1 || (i > 0 && seg.firstLSN <= lastLSN) {
+			if seg.RowID(0) != lastID+1 || (i > 0 && seg.firstLSN <= lastLSN) {
 				// Contiguity broken — a table's row ids are handed out
 				// without gaps, so a missing file shows here: drop this
 				// and everything after; the WAL bootstrap recovers the
@@ -349,10 +350,10 @@ func (m *Manager) loadSegments() error {
 			kept = append(kept, l)
 			st.segments++
 			st.sealedRows += seg.rows
-			st.maxSealedID = seg.ids[seg.rows-1]
+			st.maxSealedID = seg.RowID(seg.rows - 1)
 			st.maxSealedLSN = max(st.maxSealedLSN, seg.lastLSN)
 			st.maxGrp = max(st.maxGrp, seg.lastLSN)
-			lastID = seg.ids[seg.rows-1]
+			lastID = seg.RowID(seg.rows - 1)
 			lastLSN = seg.lastLSN
 		}
 		st.mu.Unlock()

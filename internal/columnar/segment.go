@@ -9,7 +9,7 @@
 // (tail.go): the same typed vectors, unencoded. A background sealer
 // encodes them into segments (store.go, build.go) and hands each to its
 // storage.Table, which takes the rows the segment holds out of its row
-// store and serves them from it (Segment.DecodeRow, Segment.DecodeRows):
+// store and serves them from it (Segment.At, Segment.DecodeRows):
 // the segment becomes one of the table's sealed runs, with the table's
 // liveness bits. A SELECT reads the table (storage.Table.View): the
 // query processor runs its vectorized filter+aggregate loop over the
@@ -46,8 +46,10 @@ type Segment struct {
 
 	// ids holds each row's RowID, strictly increasing (IDs are
 	// allocated monotonically and commits deliver in order), so row
-	// position is a binary search away.
-	ids []storage.RowID
+	// position is a binary search away. A sealed segment whose ids are
+	// first … first+rows-1 keeps first alone, and ids is nil.
+	ids   []storage.RowID
+	first storage.RowID
 	// lsns holds each row's commit LSN, non-decreasing (zero throughout
 	// on a volatile database): what a segment file records. Only a tail
 	// view and its slices carry it; a sealed segment keeps the bounds.
@@ -64,7 +66,12 @@ type Segment struct {
 func (s *Segment) Rows() int { return s.rows }
 
 // RowID returns the RowID of row i.
-func (s *Segment) RowID(i int) storage.RowID { return s.ids[i] }
+func (s *Segment) RowID(i int) storage.RowID {
+	if s.ids == nil {
+		return s.first + storage.RowID(i)
+	}
+	return s.ids[i]
+}
 
 // bitSet reports whether bit i of a bitmap is set (nil: none is).
 func bitSet(bits []uint64, i int) bool {
@@ -281,14 +288,10 @@ func (r *Reader) Fill(b *Batch, cols []bool, sel []int32) {
 	}
 }
 
-// DecodeRow decodes row i into dst, a full-width storage.Row, one value
-// per column read where the column keeps it: a point read sets up no
-// batch. String and bytes values alias the segment.
-func (s *Segment) DecodeRow(dst storage.Row, i int) {
-	for ci, c := range s.cols {
-		dst[ci] = c.at(i)
-	}
-}
+// At returns row i's value of column ci, read where the column keeps
+// it: a point read sets up no batch. String and bytes values alias the
+// segment.
+func (s *Segment) At(ci, i int) val.Value { return s.cols[ci].at(i) }
 
 // DecodeRows decodes the rows whose bit is set in want (nil: every
 // row), in order, through one batch reader: a batch without a wanted

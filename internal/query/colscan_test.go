@@ -521,11 +521,12 @@ const (
 	// a commit and must extend to its end; a run of single-row commits
 	// too short to seal stays in the tail.
 	layoutSplit = "split mid-commit-group"
-	// layoutReleased seals every 150-row commit on its own, then rewrites
+	// layoutReleased seals every 150-row commit on its own, then moves
 	// every row of the first two segments and four in five of the
-	// third with the values they had: none of the three keeps more than
+	// third to another key and back: none of the three keeps more than
 	// a quarter of its rows, so the table gives all three back and
-	// serves their rows hot.
+	// serves their rows hot. (A rewrite to the values a row had would
+	// leave it in its segment.)
 	layoutReleased = "sealed, three segments given back"
 	// layoutDeclined moves four rows in five to another key before the
 	// one seal and back after it: the table declines the segment, whose
@@ -607,7 +608,8 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 		if _, err := m.Compact(""); err != nil {
 			t.Fatal(err)
 		}
-		rekey(func(id int64) bool { return id < 300 || (id < 450 && id%5 != 0) }, 0)
+		rekey(func(id int64) bool { return id < 300 || (id < 450 && id%5 != 0) }, 1_000_000)
+		rekey(func(id int64) bool { return id >= 1_000_000 }, -1_000_000)
 	case layoutDeclined:
 		rekey(func(id int64) bool { return id%5 != 0 }, 1_000_000)
 		if _, err := m.Compact(""); err != nil {

@@ -759,8 +759,11 @@ func (db *DB) prepare(tables map[string]*Table, ops []txnOp) ([]Change, error) {
 		}
 		// taken reports whether a live row has key, as of the ops so far.
 		taken := func(key string) bool {
-			_, committed := t.pk[key]
-			return b.took[key] || committed && !b.freed[key]
+			if b.took[key] || b.freed[key] {
+				return b.took[key]
+			}
+			_, committed := t.lookup(key)
+			return committed
 		}
 		switch op.kind {
 		case Insert:

@@ -329,6 +329,9 @@ func fillRowStore(b *testing.B, withPK bool) *DB {
 // primary-key table allocates: its primary key is encoded into a stack
 // buffer, and it fills none of the batch's uniqueness maps and builds no
 // table-name set, which only a transaction of more than one op needs.
+// A keyed run whose key zone admits every key is present, its keys out
+// of order, so each key probe also searches it in key order, and
+// allocates nothing there either.
 func TestAllocsOneOpCommit(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -339,9 +342,21 @@ func TestAllocsOneOpCommit(t *testing.T) {
 	}
 	const runs = 1000
 	key := int64(0)
-	row := func() Row {
-		key++
-		return Row{val.Int(key), val.String("s"), val.Bytes(nil), val.Float(1), val.Time(time.Unix(1, 0)), val.Bool(true)}
+	rowOf := func(k int64) Row {
+		return Row{val.Int(k), val.String("s"), val.Bytes(nil), val.Float(1), val.Time(time.Unix(1, 0)), val.Bool(true)}
+	}
+	row := func() Row { key++; return rowOf(key) }
+	keyed := &fakeRun{rows: []Row{rowOf(1 << 40), rowOf(0)}}
+	for _, r := range keyed.rows {
+		id, err := db.InsertRow("p", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyed.ids = append(keyed.ids, id)
+	}
+	tbl, _ := db.Table("p")
+	if n := tbl.Evict(keyed); n != 2 || tbl.runs[0].order == nil {
+		t.Fatalf("Evict = %d, key order %v; want 2 rows and a run keyed out of order", n, tbl.runs[0].order)
 	}
 	ids := make([]RowID, 0, runs+1)
 	for i := 0; i <= runs; i++ {

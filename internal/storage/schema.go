@@ -147,16 +147,6 @@ func (s *Schema) pkKey(r Row) string {
 	return string(buf)
 }
 
-// keyForValues encodes primary-key lookup values the way pkKey encodes
-// a row's key columns.
-func keyForValues(vals []val.Value) string {
-	var buf []byte
-	for _, v := range vals {
-		buf = val.AppendKey(buf, v)
-	}
-	return string(buf)
-}
-
 // RowResolver adapts a row to expr.Resolver, optionally with a name
 // prefix (e.g. "new." for trigger predicates).
 type RowResolver struct {

@@ -8,7 +8,7 @@ import (
 	"eventdb/internal/val"
 )
 
-// Table holds the rows of one schema and their primary-key index. All
+// Table holds the rows of one schema and their primary keys. All
 // exported methods are safe for concurrent use; mutation happens only
 // through transactions.
 //
@@ -18,7 +18,8 @@ import (
 // its encoded size, not 32 bytes per column. A sealed row lives in its
 // columnar segment: once a segment is installed the table hands it the
 // rows it holds (Evict), and serves them from it until an update or a
-// delete takes one back (see sealed.go). Every read — Get, GetByPK,
+// delete takes one back (see sealed.go); a run of an int key is its
+// rows' key index too, which lookup searches. Every read — Get, GetByPK,
 // Scan, ScanRows, ScanRowsWhere, Len and the old images a commit hands
 // to hooks and the WAL — sees both alike, and unpacks into a fresh Row
 // whose string and bytes values alias the immutable image or segment: a
@@ -31,7 +32,7 @@ type Table struct {
 	rows   map[RowID]string // the hot rows' images
 	pack   []byte           // packing scratch; t.mu held for writing
 	nextID RowID
-	pk     map[string]RowID // encoded primary key → row ID
+	pk     map[string]RowID // encoded primary key → row ID, but for keyed runs
 	// runs are the sealed runs holding evicted rows, ascending and
 	// disjoint by row id; cold counts the rows they hold.
 	runs []*coldRun
@@ -84,12 +85,17 @@ func (t *Table) Get(id RowID) (Row, bool) {
 
 // GetByPK returns the row whose primary key equals the given values.
 func (t *Table) GetByPK(keyVals ...val.Value) (Row, RowID, bool) {
+	var arr [64]byte
+	key := arr[:0]
+	for _, v := range keyVals {
+		key = val.AppendKey(key, v)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.pk == nil {
 		return nil, 0, false
 	}
-	id, ok := t.pk[keyForValues(keyVals)]
+	id, ok := t.lookup(string(key))
 	if !ok {
 		return nil, 0, false
 	}
@@ -165,7 +171,9 @@ func (t *Table) row(id RowID) (Row, bool) {
 	}
 	if run, i := t.coldAt(id); run != nil {
 		r := make(Row, len(t.schema.Columns))
-		run.seg.DecodeRow(r, i)
+		for ci := range r {
+			r[ci] = run.seg.At(ci, i)
+		}
 		return r, true
 	}
 	return nil, false
@@ -218,10 +226,14 @@ func (t *Table) applyInsert(id RowID, r Row) {
 }
 
 // applyUpdate replaces row id with newRow, which is stored hot: an
-// evicted row leaves its sealed run. Caller holds t.mu.
+// evicted row leaves its sealed run, unless newRow is the row it holds
+// there (equal values pack to equal images). Caller holds t.mu.
 func (t *Table) applyUpdate(id RowID, old, newRow Row) {
 	if t.cold > 0 {
 		if _, hot := t.rows[id]; !hot {
+			if slices.Equal(old, newRow) {
+				return
+			}
 			t.unevict(id)
 		}
 	}
