@@ -1,8 +1,11 @@
 package eventdb
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -10,59 +13,68 @@ import (
 	"eventdb/internal/core"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/raceflag"
+	"eventdb/internal/server"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
 
 // Live-heap budgets (ROADMAP item 24): what one standing condition
-// costs, registered in process through core at the shapes of E23's
-// selective workload (bench/selective.go), and what one sealed row of
-// E23 dbmix's table costs (152 B while the row store kept a copy of
-// every sealed row; 86 B once it handed them to their segments but kept
-// their primary-key entries; 19 B since a run of ascending int keys is
-// its rows' key index and a segment of contiguous row ids keeps no id
-// vector). Each
-// ceiling is the measured cost plus 5%; a change that lowers a cost
-// lowers its ceiling with it, and raising one is a check change with
-// its reason.
+// costs at the shapes of E23's selective workload (bench/selective.go),
+// registered in process through core and sent as wire lines to a
+// server, and what one sealed row of E23 dbmix's table costs (152 B
+// while the row store kept a copy of every sealed row; 86 B once it
+// handed them to their segments but kept their primary-key entries;
+// 19 B since a run of ascending int keys is its rows' key index and a
+// segment of contiguous row ids keeps no id vector). A registration
+// cost 496 B (equality SUB), 472 B (range SUB), 2,409 B (PATTERN),
+// 643 B (wire SUB) and 2,531 B (wire PATTERN) while a SUB was six
+// records and a one-edge CEP state kept an index; 392, 375, 1,110, 447
+// and 1,100 B since a SUB is one rule record whose handle is its target
+// and a state indexes its edges from its second one. Each ceiling is
+// the measured cost plus 5%; a change that lowers a cost lowers its
+// ceiling with it, and raising one is a check change with its reason.
 func TestBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap sizes are inflated under -race")
 	}
 	const n = 3000
 	nop := func(pubsub.Delivery) {}
+	subFilter := func(i int) string {
+		if i%10 == 9 { // selective files one range SUB to nine equality ones
+			return fmt.Sprintf("qty >= %d AND qty < %d", 1000+i, 1001+i)
+		}
+		return fmt.Sprintf("sym = 'SYM%04d' AND qty >= %d", i/3, i%3*400)
+	}
+	patternSpec := func(i int) string {
+		return fmt.Sprintf(`{"steps":[{"alias":"a","type":"order","guard":"desk = %d"},`+
+			`{"alias":"b","type":"fill","guard":"cid = a.cid"}],"within":"1s"}`, i)
+	}
 	for _, tc := range []struct {
 		name    string
 		ceiling float64 // bytes per registration
 		add     func(e *core.Engine, i int) error
+		line    func(i int) string // sent over the wire instead, when set
 	}{
-		{"equality SUB", 520, func(e *core.Engine, i int) error {
+		{"equality SUB", 412, func(e *core.Engine, i int) error {
 			return e.Subscribe(fmt.Sprintf("s%d", i), "conn1",
 				fmt.Sprintf("sym = 'SYM%04d' AND qty >= %d", i/3, i%3*400), nop)
-		}},
-		{"range SUB", 495, func(e *core.Engine, i int) error {
+		}, nil},
+		{"range SUB", 394, func(e *core.Engine, i int) error {
 			return e.Subscribe(fmt.Sprintf("s%d", i), "conn1",
 				fmt.Sprintf("qty >= %d AND qty < %d", 1000+i, 1001+i), nop)
-		}},
-		{"PATTERN", 2530, func(e *core.Engine, i int) error {
-			spec := fmt.Sprintf(`{"steps":[{"alias":"a","type":"order","guard":"desk = %d"},`+
-				`{"alias":"b","type":"fill","guard":"cid = a.cid"}],"within":"1s"}`, i)
-			return e.RegisterPattern(fmt.Sprintf("p%d", i), []byte(spec))
-		}},
+		}, nil},
+		{"PATTERN", 1170, func(e *core.Engine, i int) error {
+			return e.RegisterPattern(fmt.Sprintf("p%d", i), []byte(patternSpec(i)))
+		}, nil},
+		{"wire SUB", 470, nil, func(i int) string { return fmt.Sprintf("SUB s%d %s", i, subFilter(i)) }},
+		{"wire PATTERN", 1160, nil, func(i int) string { return fmt.Sprintf("PATTERN p%d %s", i, patternSpec(i)) }},
 	} {
-		e, err := core.Open(core.Config{ColumnarDisabled: true})
-		if err != nil {
-			t.Fatal(err)
+		var per float64
+		if tc.line != nil {
+			per = wireHeap(t, n, tc.line)
+		} else {
+			per = coreHeap(t, n, tc.add)
 		}
-		before := liveHeap()
-		for i := 0; i < n; i++ {
-			if err := tc.add(e, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		per := float64(liveHeap()-before) / n
-		runtime.KeepAlive(e)
-		e.Close()
 		t.Logf("%s: %.0f B each (ceiling %.0f)", tc.name, per, tc.ceiling)
 		if per > tc.ceiling {
 			t.Errorf("%s costs %.0f B each, over its ceiling of %.0f", tc.name, per, tc.ceiling)
@@ -79,6 +91,64 @@ func TestBudget(t *testing.T) {
 	if per > rowCeiling {
 		t.Errorf("a sealed dbmix row costs %.0f B, over its ceiling of %d", per, rowCeiling)
 	}
+}
+
+// coreHeap registers n standing conditions through core and returns the
+// live heap each costs.
+func coreHeap(t *testing.T, n int, add func(e *core.Engine, i int) error) float64 {
+	e, err := core.Open(core.Config{ColumnarDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		if err := add(e, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := float64(liveHeap()-before) / float64(n)
+	runtime.KeepAlive(e)
+	return per
+}
+
+// wireHeap sends n registration lines to an in-process server over a raw
+// socket, one at a time, each answered OK, and returns the live heap
+// each costs: the server's share (its sinks, names and what a kept
+// string pins) with the engine's, and no client library's.
+func wireHeap(t *testing.T, n int, line func(i int) string) float64 {
+	e, err := core.Open(core.Config{ColumnarDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	srv, err := server.Start(e, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	send := func(l, want string) {
+		if _, err := io.WriteString(nc, l+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := br.ReadString('\n'); err != nil || got != want+"\n" {
+			t.Fatalf("%.40s: reply %q (%v), want %s", l, got, err, want)
+		}
+	}
+	send("PING", "PONG")
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		send(line(i), "OK")
+	}
+	per := float64(liveHeap()-before) / float64(n)
+	runtime.KeepAlive(srv)
+	return per
 }
 
 // dbmixRowHeap inserts 100 k rows of dbmix's shape through core, 1,000

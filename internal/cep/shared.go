@@ -12,13 +12,16 @@
 // whose path passes through that node, so a prefix shared by a thousand
 // patterns is tracked once, not a thousand times.
 //
-// Indexing. Each node files its outgoing edges by event type, and within
-// a type in a rules.Index (the rules engine's and pub/sub's) under the
-// guard's atoms over the current event's own fields — never `a.x = 1`,
-// which names a binding — so an event only touches edges its type and
-// attributes could advance. Nodes holding live instances register in a
-// wake index keyed by the event types relevant to them; all other nodes
-// are never visited.
+// Indexing. A node with two or more outgoing edges files them by event
+// type, and within a type in a rules.Index (the rules engine's and
+// pub/sub's) under the guard's atoms over the current event's own
+// fields — never `a.x = 1`, which names a binding — so an event only
+// touches edges its type and attributes could advance; a node with one
+// keeps no index, and its edge is a candidate when its type fits. Nodes
+// holding live instances register in a wake index keyed by the event
+// types relevant to them; all other nodes are never visited. Edges and
+// nodes are windows on the Steps of the pattern that made them, and a
+// guard that keeps its parse tree (`cid = a.cid`) is shared by source.
 //
 // Expiry. Every instance carries a deadline — its start time plus the
 // largest WITHIN among patterns reachable from its node — kept in a
@@ -77,8 +80,9 @@ type Shared struct {
 
 	roots    [3]*node // one prefix trie per strategy
 	patterns map[string]*patEntry
-	seq      uint64 // registration sequence, gates new patterns off old instances
-	epoch    uint64 // feed sequence, keeps the creating event off new instances
+	guards   map[string]sharedGuard // the guards that keep their tree, by source
+	seq      uint64                 // registration sequence, gates new patterns off old instances
+	epoch    uint64                 // feed sequence, keeps the creating event off new instances
 
 	// wake maps an event type to the nodes holding instances that type
 	// could advance or kill; wakeAny holds nodes relevant to every type
@@ -113,6 +117,7 @@ func NewShared() *Shared {
 		MaxInstances: defaultMaxInstances,
 		roots:        [3]*node{{strategy: SkipTillNext}, {strategy: SkipTillAny}, {strategy: Strict}},
 		patterns:     make(map[string]*patEntry),
+		guards:       make(map[string]sharedGuard),
 		wake:         make(map[string]map[*node]struct{}),
 		wakeAny:      make(map[*node]struct{}),
 	}
@@ -138,17 +143,35 @@ func (s *Shared) Stats() SharedStats {
 	}
 }
 
+// Pattern returns the registered pattern of that name.
+func (s *Shared) Pattern(name string) (*Pattern, bool) {
+	ent, ok := s.patterns[name]
+	if !ok {
+		return nil, false
+	}
+	return ent.p, true
+}
+
+// Names returns the registered patterns' names, sorted.
+func (s *Shared) Names() []string {
+	names := make([]string, 0, len(s.patterns))
+	for name := range s.patterns {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
 // node is one trie state: the set of (strategy, step-prefix) classes a
 // partial match can be in.
 type node struct {
 	strategy Strategy
-	aliases  []string // positive aliases along the path, in order
+	// path is the steps on the way here, a window on the Steps of the
+	// pattern that made the node: its positive steps name the bindings.
+	path []Step
 
-	edges    []*edge
-	bySig    map[string]*edge
-	byType   map[string]*bucket // positive-step type ("" for any) → candidate edges
-	anyType  *bucket            // byType[""], kept to spare each feed its lookup
-	negEdges []*edge            // edges carrying negated steps
+	edges []*edge
+	ix    *nodeIndex // nil below two edges
 
 	accepts []*patEntry // patterns completed on arrival here
 
@@ -164,15 +187,31 @@ type node struct {
 	wakeKeys   []string
 }
 
+// nodeIndex files the edges of a node that has two or more.
+type nodeIndex struct {
+	bySig    map[string]*edge
+	byType   map[string]*bucket // positive-step type ("" for any) → candidate edges
+	anyType  *bucket            // byType[""], kept to spare each feed its lookup
+	negEdges []*edge            // edges carrying negated steps
+}
+
 // edge is one trie transition: a positive step plus the negated steps
 // that guard the wait for it.
 type edge struct {
-	sig       string
-	from, to  *node
-	eventType string // "" matches any type
-	alias     string
-	guard     *expr.Predicate
-	negs      []Step
+	from, to *node
+	seg      []Step // negated steps, then the positive one: a window as path is
+
+}
+
+// step and negs are the edge's positive step and its negated ones.
+func (e *edge) step() *Step  { return &e.seg[len(e.seg)-1] }
+func (e *edge) negs() []Step { return e.seg[:len(e.seg)-1] }
+
+// sharedGuard is one compilation of a guard that keeps its parse tree,
+// and how many registered steps use it.
+type sharedGuard struct {
+	p    *expr.Predicate
+	refs int
 }
 
 // bucket indexes one (node, event type)'s candidate edges: the index
@@ -215,18 +254,18 @@ func (s *Shared) Add(p *Pattern) error {
 		return fmt.Errorf("cep: pattern %q already registered", p.Name)
 	}
 	s.seq++
-	ent := &patEntry{p: p, seq: s.seq}
+	ent := &patEntry{p: p, seq: s.seq, edges: make([]*edge, 0, len(p.positive))}
+	s.shareGuards(p, 1)
 	n := s.roots[p.Strategy]
 	for k, si := range p.positive {
 		lo := 0
 		if k > 0 {
 			lo = p.positive[k-1] + 1
 		}
-		seg := p.Steps[lo : si+1]
-		sig := segmentSig(seg)
-		e := n.bySig[sig]
+		seg := p.Steps[lo : si+1 : si+1]
+		e := n.edgeFor(seg)
 		if e == nil {
-			e = newEdge(n, seg, sig)
+			e = &edge{from: n, seg: seg, to: &node{strategy: n.strategy, path: p.Steps[: si+1 : si+1]}}
 			n.linkEdge(e)
 			s.refreshWake(n)
 		}
@@ -252,6 +291,7 @@ func (s *Shared) Remove(name string) error {
 		return fmt.Errorf("cep: no pattern %q", name)
 	}
 	delete(s.patterns, name)
+	s.shareGuards(ent.p, -1)
 	term := ent.edges[len(ent.edges)-1].to
 	term.accepts = slices.DeleteFunc(term.accepts, func(pe *patEntry) bool { return pe == ent })
 	for i := len(ent.edges) - 1; i >= 0; i-- {
@@ -292,55 +332,94 @@ func segmentSig(steps []Step) string {
 	return b.String()
 }
 
-func newEdge(from *node, seg []Step, sig string) *edge {
-	pos := seg[len(seg)-1]
-	e := &edge{sig: sig, from: from, eventType: pos.EventType, alias: pos.Alias, guard: pos.guard,
-		negs: slices.Clone(seg[:len(seg)-1])}
-	aliases := make([]string, 0, len(from.aliases)+1)
-	aliases = append(append(aliases, from.aliases...), pos.Alias)
-	e.to = &node{strategy: from.strategy, aliases: aliases}
-	return e
+// shareGuards points each step of an added pattern (d = 1) whose guard
+// keeps its parse tree at the automaton's one compilation of its source,
+// and lets a removed one's go (d = -1).
+func (s *Shared) shareGuards(p *Pattern, d int) {
+	for i := range p.Steps {
+		if st := &p.Steps[i]; st.guard != nil && st.guard.Root != nil {
+			g, ok := s.guards[st.Guard]
+			if !ok {
+				g.p = st.guard
+			}
+			if st.guard, g.refs = g.p, g.refs+d; g.refs == 0 {
+				delete(s.guards, st.Guard)
+			} else {
+				s.guards[st.Guard] = g
+			}
+		}
+	}
 }
 
-// linkEdge adds an edge to its node and files it under the node's
-// type/predicate index.
+// edgeFor returns the edge of n whose signature seg has, if any.
+func (n *node) edgeFor(seg []Step) *edge {
+	if n.ix != nil {
+		return n.ix.bySig[segmentSig(seg)]
+	}
+	if len(n.edges) == 1 && segmentSig(n.edges[0].seg) == segmentSig(seg) {
+		return n.edges[0]
+	}
+	return nil
+}
+
+// linkEdge adds an edge to its node, building the node's index at its
+// second edge.
 func (n *node) linkEdge(e *edge) {
-	if n.bySig == nil {
-		n.bySig = make(map[string]*edge)
-		n.byType = make(map[string]*bucket)
+	if n.edges = append(n.edges, e); len(n.edges) == 2 {
+		n.ix = &nodeIndex{bySig: make(map[string]*edge), byType: make(map[string]*bucket)}
+		n.ix.file(n.edges[0])
 	}
-	n.edges = append(n.edges, e)
-	n.bySig[e.sig] = e
-	if len(e.negs) > 0 {
-		n.negEdges = append(n.negEdges, e)
+	if n.ix != nil {
+		n.ix.file(e)
 	}
-	b := n.byType[e.eventType]
+}
+
+// file files an edge under the index's type/predicate buckets.
+func (ix *nodeIndex) file(e *edge) {
+	ix.bySig[segmentSig(e.seg)] = e
+	if len(e.seg) > 1 {
+		ix.negEdges = append(ix.negEdges, e)
+	}
+	t := e.step().EventType
+	b := ix.byType[t]
 	if b == nil {
 		b = &bucket{ix: rules.Index[*edge]{BareFields: true}}
-		n.byType[e.eventType] = b
-		n.anyType = n.byType[""]
+		ix.byType[t] = b
+		ix.anyType = ix.byType[""]
 	}
-	if b.ix.Add(e, e.guard) == 0 {
+	if b.ix.Add(e, e.step().guard) == 0 {
 		b.scan = append(b.scan, e)
 	}
 }
 
+// unfile undoes file.
+func (ix *nodeIndex) unfile(e *edge) {
+	is := func(x *edge) bool { return x == e }
+	delete(ix.bySig, segmentSig(e.seg))
+	ix.negEdges = slices.DeleteFunc(ix.negEdges, is)
+	t := e.step().EventType
+	if b := ix.byType[t]; b != nil {
+		if b.ix.Remove(e, e.step().guard) == 0 {
+			b.scan = slices.DeleteFunc(b.scan, is)
+		}
+		if b.ix.Len() == 0 && len(b.scan) == 0 {
+			delete(ix.byType, t)
+			ix.anyType = ix.byType[""]
+		}
+	}
+}
+
 // unlinkEdge removes an edge (whose subtree is pattern-free) from its
-// parent's edges and index, and purges stale blocked refs.
+// parent's edges and index, dropping the index when one edge is left,
+// and purges stale blocked refs.
 func (s *Shared) unlinkEdge(e *edge) {
 	n := e.from
 	is := func(x *edge) bool { return x == e }
 	n.edges = slices.DeleteFunc(n.edges, is)
-	delete(n.bySig, e.sig)
-	n.negEdges = slices.DeleteFunc(n.negEdges, is)
-	if b := n.byType[e.eventType]; b != nil {
-		if b.ix.Remove(e, e.guard) == 0 {
-			b.scan = slices.DeleteFunc(b.scan, is)
-		}
-		if b.ix.Len() == 0 && len(b.scan) == 0 {
-			delete(n.byType, e.eventType)
-			n.anyType = n.byType[""]
-		}
+	if len(n.edges) < 2 {
+		n.ix = nil
+	} else {
+		n.ix.unfile(e)
 	}
 	s.refreshWake(n)
 	inst := n.head
@@ -373,8 +452,8 @@ func (s *Shared) addWake(n *node) {
 		if n.wakeAnyReg {
 			break
 		}
-		n.noteWakeType(e.eventType)
-		for _, ng := range e.negs {
+		n.noteWakeType(e.step().EventType)
+		for _, ng := range e.negs() {
 			n.noteWakeType(ng.EventType)
 		}
 	}
@@ -477,11 +556,21 @@ func (s *Shared) Feed(ev *event.Event) []*Match {
 }
 
 // candidates collects the edges of n that ev's type and indexed
-// attributes could advance, into the reused candScratch: those of the
-// bucket of its type, then those of the any-type bucket.
+// attributes could advance, into the reused candScratch: a one-edge
+// node's edge if its type fits, else those of the bucket of its type,
+// then those of the any-type bucket.
 func (s *Shared) candidates(n *node, ev *event.Event) []*edge {
 	cands := s.candScratch[:0]
-	for _, b := range [2]*bucket{n.byType[ev.Type], n.anyType} {
+	if n.ix == nil {
+		for _, e := range n.edges {
+			if t := e.step().EventType; t == "" || t == ev.Type {
+				cands = append(cands, e)
+			}
+		}
+		s.candScratch = cands
+		return cands
+	}
+	for _, b := range [2]*bucket{n.ix.byType[ev.Type], n.ix.anyType} {
 		if b != nil {
 			cands = append(b.ix.Match(ev, &s.probe, cands), b.scan...)
 		}
@@ -499,8 +588,12 @@ func (s *Shared) feedNode(n *node, ev *event.Event) {
 	}
 	cands := s.candidates(n, ev)
 	negs := s.negScratch[:0]
-	for _, e := range n.negEdges {
-		for _, ng := range e.negs {
+	negEdges := n.edges // one at most, and an edge with no negated step adds none
+	if n.ix != nil {
+		negEdges = n.ix.negEdges
+	}
+	for _, e := range negEdges {
+		for _, ng := range e.negs() {
 			if ng.EventType == "" || ng.EventType == ev.Type {
 				negs = append(negs, e)
 				break
@@ -530,7 +623,7 @@ func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, n
 		if slices.Contains(inst.blocked, e) {
 			continue
 		}
-		for _, ng := range e.negs {
+		for _, ng := range e.negs() {
 			if ng.EventType != "" && ng.EventType != ev.Type {
 				continue
 			}
@@ -545,7 +638,7 @@ func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, n
 		if slices.Contains(inst.blocked, e) {
 			continue
 		}
-		if e.guard != nil && !s.guardOK(e.guard, n, inst.bindings, ev) {
+		if g := e.step().guard; g != nil && !s.guardOK(g, n, inst.bindings, ev) {
 			continue
 		}
 		s.spawn(e, inst.bindings, inst.start, inst.seq, ev)
@@ -570,7 +663,7 @@ func (s *Shared) feedInstance(n *node, inst *instance, ev *event.Event, cands, n
 // per matching first step.
 func (s *Shared) startRuns(root *node, ev *event.Event) {
 	for _, e := range s.candidates(root, ev) {
-		if e.guard != nil && !s.guardOK(e.guard, root, nil, ev) {
+		if g := e.step().guard; g != nil && !s.guardOK(g, root, nil, ev) {
 			continue
 		}
 		s.spawn(e, nil, ev.Time, s.seq, ev)
@@ -589,12 +682,16 @@ func (s *Shared) spawn(e *edge, parent []*event.Event, start time.Time, seq uint
 		if pe.p.Within > 0 && ev.Time.Sub(start) > pe.p.Within {
 			continue
 		}
-		b := make(map[string]*event.Event, len(to.aliases))
-		for i, al := range to.aliases {
-			if i < len(parent) {
-				b[al] = parent[i]
-			} else {
-				b[al] = ev
+		b := make(map[string]*event.Event, len(parent)+1)
+		i := 0
+		for k := range to.path {
+			if st := &to.path[k]; !st.Negated {
+				if i < len(parent) {
+					b[st.Alias] = parent[i]
+				} else {
+					b[st.Alias] = ev
+				}
+				i++
 			}
 		}
 		s.matches = append(s.matches, &Match{Pattern: pe.p.Name, Bindings: b, Start: start, End: ev.Time})
@@ -683,7 +780,7 @@ func (s *Shared) freeInstance(inst *instance) {
 }
 
 func (s *Shared) guardOK(g *expr.Predicate, n *node, bindings []*event.Event, ev *event.Event) bool {
-	s.res.aliases = n.aliases
+	s.res.path = n.path
 	s.res.bindings = bindings
 	s.res.current = ev
 	ok, err := g.Match(&s.res)
@@ -695,7 +792,7 @@ func (s *Shared) guardOK(g *expr.Predicate, n *node, bindings []*event.Event, ev
 // unbound aliases (a step's guard naming itself) falling through to the
 // current event.
 type sharedResolver struct {
-	aliases  []string
+	path     []Step // the node's: its positive steps' aliases name bindings
 	bindings []*event.Event
 	current  *event.Event
 }
@@ -703,13 +800,19 @@ type sharedResolver struct {
 func (r *sharedResolver) Get(name string) (val.Value, bool) {
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		alias, attr := name[:i], name[i+1:]
-		for bi, al := range r.aliases {
+		bi := 0
+		for k := range r.path {
+			st := &r.path[k]
+			if st.Negated {
+				continue
+			}
 			if bi >= len(r.bindings) {
 				break
 			}
-			if al == alias {
+			if st.Alias == alias {
 				return r.bindings[bi].Get(attr)
 			}
+			bi++
 		}
 		return r.current.Get(attr)
 	}

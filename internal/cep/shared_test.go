@@ -429,14 +429,20 @@ func TestAllocsSharedFeedSteadyState(t *testing.T) {
 	}
 }
 
-func TestSpecRoundTrip(t *testing.T) {
-	p := NewPattern("fraud").
+// roundTripPattern is TestSpecRoundTrip's pattern, a seed of
+// FuzzPatternSpec.
+func roundTripPattern() *Pattern {
+	return NewPattern("fraud").
 		Next("a", "login", "").
 		Unless("n", "logout", "user = a.user").
 		Next("b", "wire", "user = a.user AND amount > 10000").
 		Within(30 * time.Second).
 		Strategy(SkipTillAny).
 		MustBuild()
+}
+
+func TestSpecRoundTrip(t *testing.T) {
+	p := roundTripPattern()
 	data, err := MarshalSpec(p)
 	if err != nil {
 		t.Fatal(err)
@@ -453,22 +459,25 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs are the specs TestSpecErrors wants refused, seeds of
+// FuzzPatternSpec.
+var badSpecs = []struct{ name, spec string }{
+	{"empty", `{}`},
+	{"no steps", `{"steps":[]}`},
+	{"unknown field", `{"steps":[{"alias":"a"}],"bogus":1}`},
+	{"missing alias", `{"steps":[{"type":"A"}]}`},
+	{"bad guard", `{"steps":[{"alias":"a","guard":"((("}]}`},
+	{"bad within", `{"steps":[{"alias":"a"}],"within":"soon"}`},
+	{"negative within", `{"steps":[{"alias":"a"}],"within":"-5s"}`},
+	{"bad strategy", `{"steps":[{"alias":"a"}],"strategy":"eager"}`},
+	{"starts negated", `{"steps":[{"alias":"a","negated":true},{"alias":"b"}]}`},
+	{"ends negated", `{"steps":[{"alias":"a"},{"alias":"b","negated":true}]}`},
+	{"dup alias", `{"steps":[{"alias":"a"},{"alias":"a"}]}`},
+	{"not json", `{"steps":`},
+}
+
 func TestSpecErrors(t *testing.T) {
-	cases := []struct{ name, spec string }{
-		{"empty", `{}`},
-		{"no steps", `{"steps":[]}`},
-		{"unknown field", `{"steps":[{"alias":"a"}],"bogus":1}`},
-		{"missing alias", `{"steps":[{"type":"A"}]}`},
-		{"bad guard", `{"steps":[{"alias":"a","guard":"((("}]}`},
-		{"bad within", `{"steps":[{"alias":"a"}],"within":"soon"}`},
-		{"negative within", `{"steps":[{"alias":"a"}],"within":"-5s"}`},
-		{"bad strategy", `{"steps":[{"alias":"a"}],"strategy":"eager"}`},
-		{"starts negated", `{"steps":[{"alias":"a","negated":true},{"alias":"b"}]}`},
-		{"ends negated", `{"steps":[{"alias":"a"},{"alias":"b","negated":true}]}`},
-		{"dup alias", `{"steps":[{"alias":"a"},{"alias":"a"}]}`},
-		{"not json", `{"steps":`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSpecs {
 		if _, err := ParseSpec("x", []byte(tc.spec)); err == nil {
 			t.Errorf("%s: ParseSpec accepted %s", tc.name, tc.spec)
 		}

@@ -120,7 +120,7 @@ func hotIDs(tbl *storage.Table) []storage.RowID {
 
 // runs returns the segments a table holds as sealed runs.
 func runs(tbl *storage.Table) []*Segment {
-	held, _ := tbl.Runs()
+	held, _, _ := tbl.Runs()
 	out := make([]*Segment, len(held))
 	for i, r := range held {
 		out[i] = r.(*Segment)
@@ -130,7 +130,7 @@ func runs(tbl *storage.Table) []*Segment {
 
 // coldRows returns how many of a table's rows live in a sealed run only.
 func coldRows(tbl *storage.Table) int {
-	_, cold := tbl.Runs()
+	_, cold, _ := tbl.Runs()
 	return cold
 }
 
@@ -811,4 +811,68 @@ func TestSegmentFileNameStability(t *testing.T) {
 	if got != want {
 		t.Fatalf("segFileName = %q, want %q", got, want)
 	}
+}
+
+// TestStatsCountRunSideBytes pins a table's bytes (COMPACT's "bytes") as
+// everything the table keeps per sealed row: its runs' segments, each
+// run's live bitmap, and, its int keys arriving shuffled as concurrent
+// writers' do, each run's key order.
+func TestStatsCountRunSideBytes(t *testing.T) {
+	const rows = 100_000
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	schema, err := storage.NewSchema("trades", []storage.Column{
+		{Name: "seq", Kind: val.KindInt}, {Name: "ts", Kind: val.KindTime},
+		{Name: "sym", Kind: val.KindString}, {Name: "qty", Kind: val.KindInt},
+		{Name: "px", Kind: val.KindInt},
+	}, "seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	m := attach(t, db, Config{})
+	rng := rand.New(rand.NewSource(1))
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	perm := rng.Perm(rows)
+	for start := 0; start < rows; start += 1000 {
+		txn := db.Begin()
+		for _, seq := range perm[start : start+1000] {
+			txn.InsertRow("trades", storage.Row{val.Int(int64(seq)), val.Time(epoch.Add(time.Duration(seq) * time.Second)),
+				val.String(fmt.Sprintf("S%02d", rng.Intn(50))), val.Int(rng.Int63n(1000)), val.Int(rng.Int63n(10000))})
+		}
+		if _, err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := m.Compact("trades")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := db.Table("trades")
+	segBytes, sealed, want := 0, 0, 0
+	for _, seg := range runs(tbl) {
+		segBytes += seg.bytes
+		sealed += seg.rows
+		want += seg.bytes + 8*((seg.rows+63)/64) + 4*seg.rows
+	}
+	if sealed != rows || coldRows(tbl) != rows {
+		t.Fatalf("runs hold %d rows, %d of them cold; want all %d", sealed, coldRows(tbl), rows)
+	}
+	for _, st := range stats {
+		if st.Table != "trades" {
+			continue
+		}
+		if st.MemBytes != want {
+			t.Fatalf("bytes = %d, want %d: segments %d, bitmaps and key orders %d", st.MemBytes, want, segBytes, want-segBytes)
+		}
+		t.Logf("%.1f B a row: segments %.1f, bitmaps and key orders %.1f",
+			float64(st.MemBytes)/rows, float64(segBytes)/rows, float64(want-segBytes)/rows)
+		return
+	}
+	t.Fatalf("no stats for trades in %+v", stats)
 }

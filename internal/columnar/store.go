@@ -104,7 +104,8 @@ type TableStore struct {
 // TableStats is the COMPACT/stats surface for one table. Segments and
 // SealedRows count what was sealed (or reloaded), in memory or not, and
 // PendingRows the inserts not sealed yet. ResidentSegments are the
-// segments the table holds as sealed runs, and MemBytes their size;
+// segments the table holds as sealed runs, and MemBytes their size with
+// what the table keeps per run beside them (storage.Table.Runs);
 // ColdRows are the rows that live in one of them only, and DeadRows the
 // other sealed rows, whose sealed copy serves no read (updated, deleted,
 // or taken back hot). ReleasedRows are the sealed rows that no resident
@@ -525,7 +526,7 @@ func (m *Manager) Stats() []TableStats {
 
 // Stats summarizes the store and the segments its table holds.
 func (st *TableStore) Stats() TableStats {
-	runs, cold := st.tbl.Runs()
+	runs, cold, side := st.tbl.Runs()
 	st.mu.RLock()
 	s := TableStats{
 		Table:            st.table,
@@ -535,6 +536,7 @@ func (st *TableStore) Stats() TableStats {
 		LastLSN:          st.maxSealedLSN,
 		ResidentSegments: len(runs),
 		ColdRows:         cold,
+		MemBytes:         side,
 	}
 	st.mu.RUnlock()
 	resident := 0

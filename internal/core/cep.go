@@ -15,7 +15,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,9 +46,8 @@ type PatternStats struct {
 type cepRegistry struct {
 	e *Engine
 
-	mu    sync.Mutex // guards nfa, specs, started
-	nfa   *cep.Shared
-	specs map[string][]byte
+	mu  sync.Mutex  // guards nfa, started
+	nfa *cep.Shared // its patterns are the registry: names and specs
 
 	// active gates the per-event observe hook: the common case of an
 	// engine with no patterns costs one atomic load per event.
@@ -65,7 +63,6 @@ func newCEPRegistry(e *Engine, cfg Config) *cepRegistry {
 	c := &cepRegistry{
 		e:          e,
 		nfa:        cep.NewShared(),
-		specs:      make(map[string][]byte),
 		gcInterval: cfg.CEPAdvanceInterval,
 	}
 	if c.gcInterval <= 0 {
@@ -153,15 +150,16 @@ func (e *Engine) RegisterPattern(name string, spec []byte) error {
 	return e.registerPattern(name, spec)
 }
 
-// registerPattern is RegisterPattern under regMu. The catalogue row is
+// registerPattern is RegisterPattern under regMu. The name is copied,
+// so the pattern keeps no caller's buffer alive. The catalogue row is
 // written before c.mu is taken: a commit can deliver trigger-captured
 // events inline, and those reach observe, which takes c.mu.
 func (e *Engine) registerPattern(name string, spec []byte) error {
-	p, err := cep.ParseSpec(name, spec)
+	p, err := cep.ParseSpec(strings.Clone(name), spec)
 	if err != nil {
 		return err
 	}
-	if _, dup := e.PatternSpec(name); dup {
+	if e.hasPattern(name) {
 		return fmt.Errorf("%w: %q", ErrPatternExists, name)
 	}
 	if err := e.putRegistration(kindPattern, name, string(spec)); err != nil {
@@ -174,7 +172,6 @@ func (e *Engine) registerPattern(name string, spec []byte) error {
 	if err := c.nfa.Add(p); err != nil {
 		return err
 	}
-	c.specs[name] = append([]byte(nil), spec...)
 	c.active.Add(1)
 	c.ensureStarted()
 	return nil
@@ -185,7 +182,7 @@ func (e *Engine) registerPattern(name string, spec []byte) error {
 func (e *Engine) UnregisterPattern(name string) error {
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
-	if _, ok := e.PatternSpec(name); !ok {
+	if !e.hasPattern(name) {
 		return fmt.Errorf("%w: %q", ErrNoPattern, name)
 	}
 	if err := e.dropRegistration(kindPattern, name); err != nil {
@@ -197,7 +194,6 @@ func (e *Engine) UnregisterPattern(name string) error {
 	if err := c.nfa.Remove(name); err != nil {
 		return err
 	}
-	delete(c.specs, name)
 	c.active.Add(-1)
 	return nil
 }
@@ -206,22 +202,17 @@ func (e *Engine) UnregisterPattern(name string) error {
 func (e *Engine) Patterns() []string {
 	c := e.cep
 	c.mu.Lock()
-	names := make([]string, 0, len(c.specs))
-	for name := range c.specs {
-		names = append(names, name)
-	}
-	c.mu.Unlock()
-	sort.Strings(names)
-	return names
+	defer c.mu.Unlock()
+	return c.nfa.Names()
 }
 
-// PatternSpec returns a registered pattern's JSON spec.
-func (e *Engine) PatternSpec(name string) ([]byte, bool) {
+// hasPattern reports whether a pattern of that name is registered.
+func (e *Engine) hasPattern(name string) bool {
 	c := e.cep
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	spec, ok := c.specs[name]
-	return spec, ok
+	_, ok := c.nfa.Pattern(name)
+	return ok
 }
 
 // PatternStats snapshots the registry's counters (for STATS).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
@@ -73,7 +74,7 @@ func (e *Engine) RestoreRegistrations(qcfg queue.Config) error {
 			var err error
 			if kind == kindQSub {
 				_, err = e.bindQueue(name, spec, qcfg)
-			} else if _, dup := e.PatternSpec(name); !dup {
+			} else if !e.hasPattern(name) {
 				err = e.registerPattern(name, []byte(spec))
 			}
 			if err != nil {
@@ -174,7 +175,7 @@ func (e *Engine) bindQueue(name, filter string, qcfg queue.Config) (*queue.Queue
 	if old, bound := e.Broker.FilterOf(id); bound && old == filter {
 		return q, nil
 	}
-	f, err := pubsub.Compile(filter)
+	f, err := pubsub.Compile(strings.Clone(filter)) // the rule keeps a copy of its own
 	if err != nil {
 		return q, err
 	}
@@ -183,5 +184,5 @@ func (e *Engine) bindQueue(name, filter string, qcfg queue.Config) (*queue.Queue
 	}
 	// This cannot fail now: the filter compiles, and regMu keeps every
 	// other binder of the id out.
-	return q, e.Broker.Bind(id, "wire", f, q)
+	return q, e.Broker.Bind(id, f, q)
 }

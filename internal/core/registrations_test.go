@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"eventdb/internal/cep"
 	"eventdb/internal/event"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
@@ -170,8 +171,18 @@ func TestRegistrationCatalogue(t *testing.T) {
 	if got := e2.Patterns(); len(got) != 1 || got[0] != "fraud" {
 		t.Fatalf("patterns after restart = %v, want [fraud]", got)
 	}
-	if spec, ok := e2.PatternSpec("fraud"); !ok || string(spec) != string(fraudSpec) {
-		t.Fatalf("spec after restart = %q, %v", spec, ok)
+	// The automaton holds the one in-memory copy of a spec, as the
+	// pattern it compiled to: compare renderings.
+	parsed, _ := cep.ParseSpec("fraud", fraudSpec)
+	wantSpec, _ := cep.MarshalSpec(parsed)
+	e2.cep.mu.Lock()
+	p, ok := e2.cep.nfa.Pattern("fraud")
+	e2.cep.mu.Unlock()
+	if !ok {
+		t.Fatal("no pattern fraud after restart")
+	}
+	if spec, _ := cep.MarshalSpec(p); string(spec) != string(wantSpec) {
+		t.Fatalf("spec after restart = %s, want %s", spec, wantSpec)
 	}
 	// Both registrations work again.
 	if n, err := e2.IngestCount(event.New("trade", map[string]any{"price": 1500})); err != nil || n != 1 {
@@ -203,7 +214,7 @@ func TestRegistrationRaceAgreesWithCatalogue(t *testing.T) {
 		go func() { defer wg.Done(); e.RegisterPattern("p", spec) }()
 		go func() { defer wg.Done(); e.UnregisterPattern("p") }()
 		wg.Wait()
-		_, registered := e.PatternSpec("p")
+		registered := e.hasPattern("p")
 		if _, stored := catalogueRow(t, e, kindPattern, "p"); registered != stored {
 			t.Fatalf("pair %d: registered %v, catalogue row %v", i, registered, stored)
 		}

@@ -15,26 +15,28 @@ import (
 // extend traditional publish/subscribe technology" (§2.2.c.i.2).
 
 // Atom is one top-level conjunct of the form `field op literal` or
-// `literal op field`, op one of = < <= > >=, or a non-negated
-// `field BETWEEN literal AND literal`.
+// `literal op field`, op one of = < <= > >=; a non-negated `field
+// BETWEEN literal AND literal` is two atoms, `field >= lo` marked as a
+// BETWEEN's low bound, then `field <= hi`, which evaluate as one.
 type Atom struct {
 	Field    string
-	Op       BinaryOp   // read as field Op Lit: flipped for `literal op field`, OpGe for BETWEEN
-	Lit      val.Value  // BETWEEN's low bound
-	Hi       *val.Value // BETWEEN's high bound; nil for a comparison
-	LitFirst bool       // written `literal op field`: compared in that order, as errors name it
+	Lit      val.Value
+	Op       BinaryOp // read as field Op Lit: flipped for `literal op field`
+	LitFirst bool     // written `literal op field`: compared in that order, as errors name it
+	between  bool     // a BETWEEN's low bound: the next atom holds its high bound
 }
 
 // eval evaluates the atom against r exactly as Eval evaluates the
-// conjunct it came from.
-func (a *Atom) eval(r Resolver) (val.Value, error) {
+// conjunct it came from; hi is the high bound of a BETWEEN's low-bound
+// atom, and nil otherwise.
+func (a *Atom) eval(r Resolver, hi *Atom) (val.Value, error) {
 	v, ok := r.Get(a.Field)
 	if !ok {
 		v = val.Null
 	}
 	switch {
-	case a.Hi != nil:
-		return between(v, a.Lit, *a.Hi, false)
+	case hi != nil:
+		return between(v, a.Lit, hi.Lit, false)
 	case a.LitFirst:
 		return compare(flip(a.Op), a.Lit, v)
 	}
@@ -58,13 +60,14 @@ type RangePred struct {
 }
 
 // atoms extracts the top-level conjuncts of root that are atoms, in
-// source order. The full expression remains the source of truth
-// wherever an atom is missing: extraction is conservative (anything
-// uncertain is simply not extracted).
+// source order, into a slice of their own length (nil for none). The
+// full expression remains the source of truth wherever an atom is
+// missing: extraction is conservative (anything uncertain is simply not
+// extracted).
 func atoms(root Node) []Atom {
-	cs := Conjuncts(root)
-	out := make([]Atom, 0, len(cs))
-	for _, c := range cs {
+	var buf [8]Atom
+	out := buf[:0]
+	for _, c := range Conjuncts(root) {
 		switch x := c.(type) {
 		case *Binary:
 			if a, ok := cmpAtom(x); ok {
@@ -75,11 +78,15 @@ func atoms(root Node) []Atom {
 			lo, okLo := x.Lo.(*Literal)
 			hi, okHi := x.Hi.(*Literal)
 			if okF && okLo && okHi && !x.Negate {
-				out = append(out, Atom{Field: f.Name, Op: OpGe, Lit: lo.Val, Hi: &hi.Val})
+				out = append(out, Atom{Field: f.Name, Lit: lo.Val, Op: OpGe, between: true},
+					Atom{Field: f.Name, Lit: hi.Val, Op: OpLe})
 			}
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
 
 // Indexable derives the predicate's index views from its atoms: the
@@ -104,9 +111,6 @@ func (p *Predicate) Indexable() ([]EqPred, []RangePred) {
 			r.Hi, r.HiOpen, r.HiUnbounded = a.Lit, a.Op == OpLt, false
 		} else { // >, >= and BETWEEN's low bound
 			r.Lo, r.LoOpen, r.LoUnbounded = a.Lit, a.Op == OpGt, false
-		}
-		if a.Hi != nil {
-			r.Hi, r.HiOpen, r.HiUnbounded = *a.Hi, false, false
 		}
 	}
 	return eqs, rs

@@ -33,8 +33,8 @@ type Field struct {
 
 func (n *Field) String() string { return n.Name }
 
-// BinaryOp enumerates binary operators.
-type BinaryOp int
+// BinaryOp enumerates binary operators; one byte keeps an Atom at 56 B.
+type BinaryOp uint8
 
 // Binary operators in the language.
 const (

@@ -312,7 +312,13 @@ func MustCompile(src string) *Predicate {
 // source and atoms with no tree when the atoms are every top-level
 // conjunct, and p itself otherwise. Both match exactly alike.
 func (p *Predicate) Standing() *Predicate {
-	if p.Root == nil || len(p.Atoms) < len(Conjuncts(p.Root)) {
+	conjuncts := len(p.Atoms) // a BETWEEN is two atoms
+	for i := range p.Atoms {
+		if p.Atoms[i].between {
+			conjuncts--
+		}
+	}
+	if p.Root == nil || conjuncts < len(Conjuncts(p.Root)) {
 		return p
 	}
 	return &Predicate{Source: p.Source, Atoms: p.Atoms}
@@ -330,8 +336,13 @@ func (p *Predicate) Match(r Resolver) (bool, error) {
 		return b && err == nil, err
 	}
 	match := true
-	for i := range p.Atoms {
-		v, err := p.Atoms[i].eval(r)
+	for i := 0; i < len(p.Atoms); i++ {
+		a, hi := &p.Atoms[i], (*Atom)(nil)
+		if a.between {
+			i++
+			hi = &p.Atoms[i]
+		}
+		v, err := a.eval(r, hi)
 		if b, _ := v.AsBool(); err != nil || !b && !v.IsNull() {
 			return false, err
 		}

@@ -170,16 +170,24 @@ func (l *lexer) lexString() error {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
+	escaped := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
 				sb.WriteByte('\'') // '' escape
 				l.pos += 2
+				escaped = true
 				continue
 			}
+			// Unescaped, the text is part of the source: a standing
+			// condition's literals cost no bytes of their own.
+			text := l.src[start+1 : l.pos]
+			if escaped {
+				text = sb.String()
+			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
+			l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
 			return nil
 		}
 		sb.WriteByte(c)
@@ -208,7 +216,7 @@ func (l *lexer) lexOp() error {
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',':
 		l.pos++
-		l.toks = append(l.toks, token{kind: tokOp, text: string(c), pos: start})
+		l.toks = append(l.toks, token{kind: tokOp, text: l.src[start:l.pos], pos: start})
 		return nil
 	}
 	return fmt.Errorf("expr: unexpected character %q at %d", string(c), start)

@@ -5,12 +5,13 @@
 // subscription.
 //
 // A subscription is one rule of the broker's rules.Engine, the rule's
-// handle is the subscription, and the engine is the only registry: a
-// lookup, a Rebind and an Unsubscribe are each one engine operation.
+// handle is where its matches go, and the engine is the only registry:
+// a lookup, a Rebind and an Unsubscribe are each one engine operation,
+// and a subscription is one record.
 //
-// Deliveries go either to a callback or to a staging queue (the usual
-// production arrangement: matching is fast and synchronous, consumption
-// is asynchronous from the queue).
+// Deliveries go either to a Target (a callback) or to a staging queue
+// (the usual production arrangement: matching is fast and synchronous,
+// consumption is asynchronous from the queue).
 package pubsub
 
 import (
@@ -43,14 +44,33 @@ type Broker struct {
 	scratchPool sync.Pool
 }
 
-// subscription is one registered subscription, the handle of the
-// engine's rule for it, so delivery needs no lookup by name.
-type subscription struct {
-	id         string
+// Target receives the matches of a callback subscription, on the
+// publishing goroutine; id is the subscription's. It is the handle of
+// the subscription's rule, so delivery needs no lookup by name.
+type Target interface {
+	Deliver(id string, ev *event.Event)
+}
+
+// handlerTarget is the Target of a subscription made by Subscribe.
+type handlerTarget struct {
 	subscriber string
-	handler    Handler
-	queue      *queue.Queue
-	priority   int
+	h          Handler
+}
+
+func (t *handlerTarget) Deliver(id string, ev *event.Event) {
+	t.h(Delivery{SubID: id, Subscriber: t.subscriber, Event: ev})
+}
+
+// queueSub is the handle of a subscription that stages into a queue.
+type queueSub struct {
+	queue    *queue.Queue
+	priority int
+}
+
+// queueMatch is one matched queue subscription, by its id.
+type queueMatch struct {
+	id string
+	*queueSub
 }
 
 // NewBroker creates a broker with an indexed matching engine.
@@ -86,39 +106,46 @@ func (b *Broker) FilterOf(id string) (filter string, ok bool) {
 func (b *Broker) Len() int { return b.engine.Len() }
 
 // Subscribe registers a callback subscription under a filter (see
-// Compile).
+// Compile): h receives each match as a Delivery naming subscriber.
 func (b *Broker) Subscribe(id, subscriber, filter string, h Handler) error {
 	if h == nil {
 		return errors.New("pubsub: nil handler")
 	}
-	return b.subscribe(&subscription{id: id, subscriber: subscriber, handler: h}, filter)
+	return b.subscribe(id, filter, &handlerTarget{subscriber: subscriber, h: h})
+}
+
+// SubscribeTarget registers a subscription under a filter (see Compile)
+// whose matches go to t.
+func (b *Broker) SubscribeTarget(id, filter string, t Target) error {
+	return b.subscribe(id, filter, t)
 }
 
 // SubscribeQueue registers a subscription delivering into a staging
-// queue with the given enqueue priority.
+// queue with the given enqueue priority. A queue delivery is no
+// Delivery, so the subscriber is not kept.
 func (b *Broker) SubscribeQueue(id, subscriber, filter string, q *queue.Queue, priority int) error {
 	if q == nil {
 		return errors.New("pubsub: nil queue")
 	}
-	return b.subscribe(&subscription{id: id, subscriber: subscriber, queue: q, priority: priority}, filter)
+	return b.subscribe(id, filter, &queueSub{queue: q, priority: priority})
 }
 
-func (b *Broker) subscribe(s *subscription, filter string) error {
+func (b *Broker) subscribe(id, filter string, handle any) error {
 	f, err := Compile(filter)
 	if err != nil {
 		return err
 	}
-	return b.engine.Install(s.id, f, s)
+	return b.engine.Install(id, f, handle)
 }
 
 // Bind routes events matching the compiled filter f into q under id:
 // it subscribes q if id is free, and otherwise replaces id's filter as
 // Rebind does.
-func (b *Broker) Bind(id, subscriber string, f *expr.Predicate, q *queue.Queue) error {
+func (b *Broker) Bind(id string, f *expr.Predicate, q *queue.Queue) error {
 	if _, bound := b.FilterOf(id); bound {
 		return b.engine.Replace(id, f)
 	}
-	return b.engine.Install(id, f, &subscription{id: id, subscriber: subscriber, queue: q})
+	return b.engine.Install(id, f, &queueSub{queue: q})
 }
 
 // Rebind replaces a subscription's filter in one engine operation: each
@@ -156,7 +183,7 @@ func (b *Broker) Publish(ev *event.Event) (int, error) {
 // queue-backed subscriptions and their staging targets, reused across
 // publishes so the steady-state delivery path allocates nothing.
 type deliverScratch struct {
-	qsubs   []*subscription
+	qsubs   []queueMatch
 	targets []queue.Target
 
 	// Between Publisher.BeginBatch and EndBatch the queue deliveries of
@@ -166,7 +193,7 @@ type deliverScratch struct {
 	batching   bool
 	group      queue.Group
 	staged     []stagedEvent
-	stagedSubs []*subscription // the staged events' queue subscriptions, back to back
+	stagedSubs []queueMatch // the staged events' queue subscriptions, back to back
 }
 
 // stagedEvent is one event buffered in a deliverScratch's group, with
@@ -196,17 +223,16 @@ const maxStaged = 256
 // and the per-subscription failures come back as one aggregated error
 // alongside the count of deliveries that did land.
 func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScratch) (int, error) {
-	// Each matched rule carries its subscription; one unsubscribed since
-	// the match was taken carries none and receives nothing.
+	// Each matched rule carries its target; one unsubscribed since the
+	// match was taken carries none and receives nothing.
 	delivered := 0
 	qsubs := sc.qsubs[:0]
 	for _, r := range matched {
-		switch s, _ := r.Handle().(*subscription); {
-		case s == nil:
-		case s.queue != nil:
-			qsubs = append(qsubs, s)
-		default:
-			s.handler(Delivery{SubID: s.id, Subscriber: s.subscriber, Event: ev})
+		switch h := r.Handle().(type) {
+		case *queueSub:
+			qsubs = append(qsubs, queueMatch{r.Name, h})
+		case Target:
+			h.Deliver(r.Name, ev)
 			delivered++
 		}
 	}
@@ -232,7 +258,7 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 }
 
 // targetsOf lists the queues of qsubs in sc.targets.
-func (sc *deliverScratch) targetsOf(qsubs []*subscription) []queue.Target {
+func (sc *deliverScratch) targetsOf(qsubs []queueMatch) []queue.Target {
 	sc.targets = sc.targets[:0]
 	for _, s := range qsubs {
 		sc.targets = append(sc.targets, queue.Target{Queue: s.queue, Opts: queue.EnqueueOptions{Priority: s.priority}})
@@ -242,7 +268,7 @@ func (sc *deliverScratch) targetsOf(qsubs []*subscription) []queue.Target {
 
 // enqueue stages one event into the queues of qsubs in a transaction of
 // its own and returns how many of them have it.
-func (sc *deliverScratch) enqueue(ev *event.Event, qsubs []*subscription) (int, error) {
+func (sc *deliverScratch) enqueue(ev *event.Event, qsubs []queueMatch) (int, error) {
 	if err := queue.EnqueueGroup(ev, sc.targetsOf(qsubs)); err == nil {
 		return len(qsubs), nil
 	}
@@ -264,7 +290,7 @@ func (sc *deliverScratch) enqueue(ev *event.Event, qsubs []*subscription) (int, 
 // stage buffers one event's queue deliveries in the batch's group,
 // committing first what the group holds when this event would take it
 // past maxStaged. It returns what such a commit landed.
-func (sc *deliverScratch) stage(ev *event.Event, qsubs []*subscription) (landed int, err error) {
+func (sc *deliverScratch) stage(ev *event.Event, qsubs []queueMatch) (landed int, err error) {
 	if rows := sc.group.Rows(); rows > 0 && rows+len(qsubs) > maxStaged {
 		landed, err = sc.flush()
 	}

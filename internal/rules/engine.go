@@ -40,7 +40,7 @@ type Rule struct {
 	Priority int // higher runs first
 	Action   Action
 
-	pred    *expr.Predicate // standing form; guarded by the engine's lock: Replace swaps it
+	pred    expr.Predicate // standing form, held by value; guarded by the engine's lock: Replace swaps it
 	handle  any
 	removed atomic.Bool
 }
@@ -99,7 +99,7 @@ func (e *Engine) Add(name, condition string, priority int, action Action) (*Rule
 
 // Install adds a rule with a compiled condition, no action and priority
 // 0, carrying handle: its installer's own value, which a match hands
-// back with no lookup by name (pubsub's is the subscription).
+// back with no lookup by name (pubsub's is where the match goes).
 func (e *Engine) Install(name string, cond *expr.Predicate, handle any) error {
 	_, err := e.add(&Rule{Name: name, handle: handle}, cond)
 	return err
@@ -115,7 +115,7 @@ func (e *Engine) add(r *Rule, pred *expr.Predicate) (*Rule, error) {
 		return nil, fmt.Errorf("rules: %q already exists", r.Name)
 	}
 	e.rules[r.Name] = r
-	r.pred = pred.Standing()
+	r.pred = *pred.Standing()
 	e.fileLocked(r)
 	return r, nil
 }
@@ -134,7 +134,7 @@ func (e *Engine) Replace(name string, cond *expr.Predicate) error {
 		return nil
 	}
 	e.unfileLocked(r)
-	r.pred = cond.Standing()
+	r.pred = *cond.Standing()
 	e.fileLocked(r)
 	return nil
 }
@@ -197,7 +197,7 @@ func compareRules(a, b *Rule) int {
 // fileLocked files a rule in the index, or among the residual rules if
 // the index files none of its conjuncts.
 func (e *Engine) fileLocked(r *Rule) {
-	if e.index.Add(r, r.pred) == 0 {
+	if e.index.Add(r, &r.pred) == 0 {
 		i, _ := slices.BinarySearchFunc(e.residual, r, compareRules)
 		e.residual = slices.Insert(e.residual, i, r)
 	}
@@ -205,7 +205,7 @@ func (e *Engine) fileLocked(r *Rule) {
 
 // unfileLocked undoes fileLocked.
 func (e *Engine) unfileLocked(r *Rule) {
-	if e.index.Remove(r, r.pred) > 0 {
+	if e.index.Remove(r, &r.pred) > 0 {
 		return
 	}
 	if i, ok := slices.BinarySearchFunc(e.residual, r, compareRules); ok {

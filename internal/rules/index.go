@@ -102,7 +102,7 @@ func (ix *Index[T]) Add(v T, cond *expr.Predicate) int {
 		ps := posting[T]{v: v, need: len(atoms)}
 		if at.rp != nil {
 			lo, hi, _ := at.rp.NumericBounds()
-			a.rng.insert(interval[T]{lo: lo, hi: hi, loOpen: at.rp.LoOpen, hiOpen: at.rp.HiOpen, p: ps})
+			a.rng.insert(interval[T]{lo: lo, hi: hi, v: v, need: int32(ps.need), loOpen: at.rp.LoOpen, hiOpen: at.rp.HiOpen})
 		} else {
 			key := string(appendKey(nil, at.eq))
 			a.eq[key] = append(a.eq[key], ps)
@@ -236,9 +236,12 @@ type Probe[T comparable] struct {
 // interval is one numeric range atom.
 type interval[T comparable] struct {
 	lo, hi         float64 // ±Inf when unbounded
+	v              T
+	need           int32 // the posting's, flattened so the flags pack beside it
 	loOpen, hiOpen bool
-	p              posting[T]
 }
+
+func (iv *interval[T]) posting() posting[T] { return posting[T]{v: iv.v, need: int(iv.need)} }
 
 func (iv interval[T]) contains(v float64) bool {
 	return (v > iv.lo || v == iv.lo && !iv.loOpen) && (v < iv.hi || v == iv.hi && !iv.hiOpen)
@@ -270,7 +273,7 @@ func (ix *intervalIndex[T]) insert(iv interval[T]) {
 // stops at the first one below its value, so one a removal left stale
 // would hide the intervals after it.
 func (ix *intervalIndex[T]) remove(v T) {
-	gone := func(iv interval[T]) bool { return iv.p.v == v }
+	gone := func(iv interval[T]) bool { return iv.v == v }
 	ix.staged = slices.DeleteFunc(ix.staged, gone)
 	if ivs := slices.DeleteFunc(ix.ivs, gone); len(ivs) < len(ix.ivs) {
 		ix.ivs = ivs
@@ -292,14 +295,14 @@ func (ix *intervalIndex[T]) stab(v float64, fn func(posting[T])) {
 	// Staged (not yet sorted) intervals are scanned linearly.
 	for _, iv := range ix.staged {
 		if iv.contains(v) {
-			fn(iv.p)
+			fn(iv.posting())
 		}
 	}
 	// Last index with lo <= v.
 	i := sort.Search(len(ix.ivs), func(i int) bool { return ix.ivs[i].lo > v }) - 1
 	for ; i >= 0 && ix.maxHi[i] >= v; i-- {
 		if ix.ivs[i].contains(v) {
-			fn(ix.ivs[i].p)
+			fn(ix.ivs[i].posting())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"eventdb/internal/core"
 	"eventdb/internal/cq"
@@ -32,13 +31,15 @@ func handleMatch(c *conn, req *request) bool {
 	return true
 }
 
+// The handlers copy what a registration keeps of its command line (a
+// SUB's filter, a CQ's id), so that it does not keep the line alive.
 func handleSub(c *conn, req *request) bool {
-	c.subscribe(req.args[0], req.tail, nil)
+	c.subscribe(req.args[0], strings.Clone(req.tail), nil)
 	return true
 }
 
 func handleCQ(c *conn, req *request) bool {
-	localID := req.args[0]
+	localID := strings.Clone(req.args[0])
 	def, err := cq.ParseSpec(localID, []byte(req.tail))
 	var q *cq.CQ
 	if err == nil {
@@ -63,30 +64,22 @@ func (c *conn) subscribe(localID, filter string, q *cq.CQ) {
 		c.errf(codeDup, "id %q already in use", localID)
 		return
 	}
-	s := &brokerSink{c: c, brokerID: c.brokerID(localID), q: q}
-	deliver := func(d pubsub.Delivery) { c.pushEvent(localID, d.Event) }
-	if q != nil {
-		// Engine handlers run concurrently, one per publishing
-		// connection, and a cq.CQ is not safe for concurrent use. The
-		// lock covers the pushes too: two publishing connections can
-		// feed this CQ back to back, and releasing between Feed and push
-		// would let a newer aggregate be enqueued before an older one,
-		// leaving the client with a stale "latest" result.
-		var mu sync.Mutex
-		deliver = func(d pubsub.Delivery) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, out := range q.Feed(d.Event) {
-				c.pushEvent(localID, out)
-			}
-		}
+	name := c.subs + localID
+	var s interface {
+		sink
+		pubsub.Target
 	}
-	if err := c.srv.eng.Broker.Subscribe(s.brokerID, fmt.Sprintf("conn%d", c.id), filter, deliver); err != nil {
+	if q == nil {
+		s = &brokerSink{c: c, name: name}
+	} else {
+		s = &cqSink{brokerSink: brokerSink{c: c, name: name}, q: q}
+	}
+	if err := c.srv.eng.Broker.SubscribeTarget(name, filter, s); err != nil {
 		c.errf(codeBadSpec, "%v", err)
 		return
 	}
-	if !c.addSink(localID, s) {
-		c.srv.eng.Broker.Unsubscribe(s.brokerID)
+	if !c.addSink(name[len(c.subs):], s) {
+		c.srv.eng.Broker.Unsubscribe(name)
 		c.errf(codeDup, "id %q already in use", localID)
 		return
 	}

@@ -478,6 +478,7 @@ func (s *Server) acceptLoop() {
 			stop:  make(chan struct{}),
 			sinks: make(map[string]sink),
 			pull:  fmt.Sprintf("conn%d", id),
+			subs:  fmt.Sprintf("wire.%d.", id),
 		}
 		c.push = c.pull + "/qsub"
 		// Capture the raw fd for the parking poller. Holding the integer
@@ -584,18 +585,15 @@ type conn struct {
 	// The holders of its queue claims: pull for CONSUMEs, push for its
 	// QSUB sinks' deliveries, so an UNSUB releases only what it pushed.
 	pull, push string
+	// subs prefixes the broker name of each of its SUBs and CQs, so
+	// concurrent connections cannot collide in the shared broker.
+	subs string
 
 	// The reader goroutine's own: the working memory of this connection's
 	// SELECTs (made by the first), and the buffer its longer replies are
 	// built in.
 	qs   *query.Scratch
 	rbuf []byte
-}
-
-// brokerID namespaces a connection-local subscription id so concurrent
-// connections cannot collide in the shared broker.
-func (c *conn) brokerID(localID string) string {
-	return fmt.Sprintf("wire.%d.%s", c.id, localID)
 }
 
 // maxRecycledLine is the most an outbound buffer may have carried and

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"eventdb/internal/cq"
+	"eventdb/internal/event"
 	"eventdb/internal/metrics"
 	"eventdb/internal/queue"
 )
@@ -23,23 +25,48 @@ type sink interface {
 	detach()
 }
 
-// brokerSink is an ephemeral broker subscription: a SUB pushes its
-// matches as they happen, a CQ pushes what q folds them into, and both
-// die with the connection.
+// brokerSink is a SUB: an ephemeral broker subscription that pushes
+// its matches as they happen and dies with the connection. It is the
+// Target of its broker rule, so the rule, its condition and this are
+// the whole subscription.
 type brokerSink struct {
-	c        *conn
-	brokerID string
-	q        *cq.CQ // nil for a SUB
+	c    *conn
+	name string // the broker rule's: the connection's prefix, then the local id
 }
 
-func (s *brokerSink) kind() string {
-	if s.q != nil {
-		return "cq"
+func (s *brokerSink) kind() string { return "sub" }
+
+func (s *brokerSink) detach() { s.c.srv.eng.Broker.Unsubscribe(s.name) }
+
+// localID is the id the client gave the subscription, the tail of its
+// broker name.
+func (s *brokerSink) localID() string { return s.name[len(s.c.subs):] }
+
+func (s *brokerSink) Deliver(_ string, ev *event.Event) { s.c.pushEvent(s.localID(), ev) }
+
+// cqSink is a CQ: a brokerSink that pushes what q folds its matches
+// into.
+type cqSink struct {
+	brokerSink
+	// Engine handlers run concurrently, one per publishing connection,
+	// and a cq.CQ is not safe for concurrent use. The lock covers the
+	// pushes too: two publishing connections can feed this CQ back to
+	// back, and releasing between Feed and push would let a newer
+	// aggregate be enqueued before an older one, leaving the client
+	// with a stale "latest" result.
+	mu sync.Mutex
+	q  *cq.CQ
+}
+
+func (s *cqSink) kind() string { return "cq" }
+
+func (s *cqSink) Deliver(_ string, ev *event.Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, out := range s.q.Feed(ev) {
+		s.c.pushEvent(s.localID(), out)
 	}
-	return "sub"
 }
-
-func (s *brokerSink) detach() { s.c.srv.eng.Broker.Unsubscribe(s.brokerID) }
 
 // queueSink is a durable consumer: a named staging queue
 // (internal/queue, a WAL-recovered table) buffers matched events, and a

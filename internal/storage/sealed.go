@@ -225,15 +225,18 @@ func (t *Table) Holds(ids []RowID) int {
 	return n
 }
 
-// Runs returns the table's sealed runs, ascending by row id, and how
-// many of their rows are the table's: the rows that live in a run only.
-func (t *Table) Runs() (runs []Sealed, cold int) {
+// Runs returns the table's sealed runs, ascending by row id, how many
+// of their rows are the table's (the rows that live in a run only), and
+// the bytes the table keeps per run beside its segment: its live bitmap
+// and its key order.
+func (t *Table) Runs() (runs []Sealed, cold, bytes int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, run := range t.runs {
 		runs = append(runs, run.seg)
+		bytes += 8*cap(run.live) + 4*cap(run.order)
 	}
-	return runs, t.cold
+	return runs, t.cold, bytes
 }
 
 // coldAt returns the run holding the evicted row id and its position
