@@ -524,7 +524,7 @@ func BenchmarkE11InternalEval(b *testing.B) {
 
 func BenchmarkE11ExternalEval(b *testing.B) {
 	eng := e11Engine(b)
-	srv, err := server.Start(eng, "127.0.0.1:0")
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -671,7 +671,7 @@ func BenchmarkE14StreamingPush(b *testing.B) {
 // PUBB batches feeding Engine.IngestBatch, no subscribers attached.
 func BenchmarkE14WirePublishBatch(b *testing.B) {
 	eng := e11Engine(b)
-	srv, err := server.Start(eng, "127.0.0.1:0")
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func wireHeap(t *testing.T, n int, line func(i int) string) float64 {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	srv, err := server.Start(e, "127.0.0.1:0")
+	srv, err := server.StartConfig(e, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func startServer(t *testing.T) *server.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv, err := server.Start(eng, "127.0.0.1:0")
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestServerShutdownClosesChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := server.Start(eng, "127.0.0.1:0")
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ type TriggerSpec = wiredb.TriggerSpec
 type WatchSpec = wiredb.WatchSpec
 
 // Result is a materialized Select result. Values are JSON scalars with
-// integral numbers folded to int64; times arrive as RFC 3339 strings
-// and bytes base64, as encoded by the wire.
+// integral numbers below 2^53 folded to int64; times arrive as RFC 3339
+// strings and bytes base64, as encoded by the wire. Select refuses an
+// array or object cell, and skips a "Rows" like any unknown key.
 type Result = wiredb.Result
 
 // checkName rejects tokens that would break line framing.
@@ -148,7 +149,7 @@ func (c *Conn) Select(spec QuerySpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wiredb.ParseResult([]byte(resp))
+	return wiredb.ParseResult(resp)
 }
 
 // SelectRaw runs a one-shot query from its raw JSON spec and returns

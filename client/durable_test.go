@@ -16,7 +16,7 @@ func startDurableServer(t *testing.T, dir string) *server.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv, err := server.Start(eng, "127.0.0.1:0")
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -443,7 +443,7 @@ func roundTripPattern() *Pattern {
 
 func TestSpecRoundTrip(t *testing.T) {
 	p := roundTripPattern()
-	data, err := MarshalSpec(p)
+	data, err := marshalSpec(p)
 	if err != nil {
 		t.Fatal(err)
 	}

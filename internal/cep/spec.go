@@ -85,19 +85,3 @@ func (sp *Spec) Compile(name string) (*Pattern, error) {
 	}
 	return b.Build()
 }
-
-// MarshalSpec renders a pattern as the JSON spec ParseSpec accepts.
-// The name is not part of the spec (see ParseSpec).
-func MarshalSpec(p *Pattern) ([]byte, error) {
-	sp := Spec{}
-	for _, st := range p.Steps {
-		sp.Steps = append(sp.Steps, StepSpec{Alias: st.Alias, Type: st.EventType, Guard: st.Guard, Negated: st.Negated})
-	}
-	if p.Within > 0 {
-		sp.Within = p.Within.String()
-	}
-	if p.Strategy != SkipTillNext {
-		sp.Strategy = p.Strategy.String()
-	}
-	return json.Marshal(sp)
-}

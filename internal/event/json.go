@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -283,6 +284,90 @@ func ScanObject(data []byte, member func(key []byte, v val.Value, err error)) er
 	return s.late
 }
 
+// ScanResult reads reply, a SELECT reply {"columns":[…],"rows":[[…],…]},
+// in the same single pass and returns its column names and rows, each
+// cell a scalar by the attribute rules, as val.Value.Any gives it. It
+// decodes as encoding/json decodes into struct{Columns []string; Rows
+// [][]any}, but for two refusals: keys match exactly, so a "Rows" is an
+// unknown key, checked and skipped; and an array or object cell is an
+// ErrNotScalar. Strings without escapes are substrings of reply, and the
+// rows share one array of cells. On an error, columns and rows are
+// not to be used.
+func ScanResult(reply string) (columns []string, rows [][]any, err error) {
+	var scratch [128]byte
+	s := jsonScanner{data: unsafe.Slice(unsafe.StringData(reply), len(reply)), buf: scratch[:0]} // only read
+	switch c := s.peek(); {
+	case c == '{':
+		for first := true; err == nil; first = false {
+			key, more, kerr := s.member(first)
+			if err = kerr; err != nil || !more {
+				break
+			}
+			switch string(key) {
+			case "columns":
+				columns, err = s.names(columns)
+			case "rows":
+				rows, err = s.rows()
+			default:
+				err = s.skipValue(1)
+			}
+		}
+	case !s.literal("null"):
+		err = errNotObject
+	}
+	if s.skipSpace(); err == nil && s.pos < len(s.data) {
+		err = s.errf("data after the reply")
+	}
+	return columns, rows, err
+}
+
+// names reads a columns array into the array of cols, as encoding/json
+// decodes into a []string: a null keeps the name there.
+func (s *jsonScanner) names(cols []string) ([]string, error) {
+	n := 0
+	null, err := s.array(func() error {
+		n++
+		cols = slices.Grow(cols[:n-1], 1)[:n]
+		if s.literal("null") {
+			return nil
+		} else if s.peek() != '"' {
+			return errNotString
+		}
+		b, err := s.str()
+		cols[n-1] = s.text(s.data, b)
+		return err
+	})
+	if null {
+		return nil, nil
+	} else if n == 0 {
+		return []string{}, err
+	}
+	return cols, err
+}
+
+// rows reads a rows array into one array of rows and one of cells, each
+// sized by the '[' or ',' left in the input.
+func (s *jsonScanner) rows() ([][]any, error) {
+	rows := make([][]any, 0, bytes.Count(s.data[s.pos:], []byte{'['}))
+	cells := make([]any, 0, bytes.Count(s.data[s.pos:], []byte{','})+1)
+	null, err := s.array(func() error {
+		start := len(cells)
+		null, err := s.array(func() error {
+			v, err := s.scalar(s.data)
+			cells = append(cells, v.Any())
+			return err
+		})
+		if rows = append(rows, cells[start:len(cells):len(cells)]); null {
+			rows[len(rows)-1] = nil
+		}
+		return err
+	})
+	if null {
+		return nil, nil
+	}
+	return rows, err
+}
+
 var (
 	// ErrSyntax marks input that is not JSON.
 	ErrSyntax = errors.New("event: invalid JSON")
@@ -290,11 +375,13 @@ var (
 	// an object.
 	ErrNotScalar = errors.New("unsupported JSON value (nested objects/arrays are not scalar)")
 	errNotObject = errors.New("event: want a JSON object")
+	errNotArray  = errors.New("event: want a JSON array")
+	errNotString = errors.New("event: want a JSON string")
 )
 
-// jsonScanner is the single forward pass behind UnmarshalJSONEvent and
-// ScanObject: it checks the JSON grammar and fills the Event (or hands
-// out the members) as it goes, with no intermediate tree.
+// jsonScanner is the single forward pass behind UnmarshalJSONEvent,
+// ScanObject and ScanResult: it checks the JSON grammar and builds what
+// it reads as it goes, with no intermediate tree.
 type jsonScanner struct {
 	data []byte
 	pos  int
@@ -678,27 +765,33 @@ func (s *jsonScanner) skipValue(depth int) error {
 				}
 			}
 		}
-		s.pos++ // '['
-		if s.peek() == ']' {
-			s.pos++
-			return nil
-		}
-		for {
-			if err := s.skipValue(depth); err != nil {
-				return err
-			}
-			switch s.peek() {
-			case ',':
-				s.pos++
-			case ']':
-				s.pos++
-				return nil
-			default:
-				return s.errf("want ',' or ']' after an array element")
-			}
-		}
+		_, err := s.array(func() error { return s.skipValue(depth) })
+		return err
 	}
 	return s.errf("want a value")
+}
+
+// array reads an array, calling elem with the scanner on each element,
+// or a null, and reports which. Any other value is an errNotArray.
+func (s *jsonScanner) array(elem func() error) (null bool, err error) {
+	if s.literal("null") {
+		return true, nil
+	} else if s.peek() != '[' {
+		return false, errNotArray
+	}
+	s.pos++
+	for more := s.peek() != ']'; more; {
+		if err := elem(); err != nil {
+			return false, err
+		}
+		if c := s.peek(); c != ',' && c != ']' {
+			return false, s.errf("want ',' or ']' after an array element")
+		} else if more = c == ','; more {
+			s.pos++
+		}
+	}
+	s.pos++ // ']'
+	return false, nil
 }
 
 // number reads one number literal; plain reports digits with at most a

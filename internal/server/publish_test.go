@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"regexp"
 	"strings"
@@ -244,5 +246,74 @@ func TestPubTLedgerEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if n := len(srv.pubt.sessions); n != maxPubTSessions {
 		t.Errorf("ledger holds %d sessions, want %d", n, maxPubTSessions)
+	}
+}
+
+// TestLongTextLines: a command line and a PUBB body line longer than
+// the reader's 64 KiB buffer are put together whole, and the events
+// they carry are pushed back byte for byte.
+func TestLongTextLines(t *testing.T) {
+	_, srv := startServer(t, core.Config{}, Config{})
+	r := rawDial(t, srv)
+	if got := r.ask("SUB all"); got != "OK" {
+		t.Fatalf("SUB → %q", got)
+	}
+	big := func(typ string) string {
+		ev := event.New(typ, map[string]any{"pad": strings.Repeat("0123456789", 20_000)})
+		data, err := ev.EncodedJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	line, body := big("line"), big("body")
+	if got := r.ask("PUB " + line); got != "OK 1" {
+		t.Fatalf("a %d-byte PUB line → %q", len(line), got)
+	}
+	r.send("PUBB 2")
+	r.send(body)
+	if got := r.ask(`{"type":"short","attrs":{}}`); got != "OK 2" {
+		t.Fatalf("a PUBB with a %d-byte body → %q", len(body), got)
+	}
+	if len(r.pushes) != 3 || r.pushes[0] != "EVT all "+line || r.pushes[1] != "EVT all "+body {
+		t.Fatalf("pushed %d lines, want the two long events back as sent and the short one", len(r.pushes))
+	}
+}
+
+// TestAllocsTextPubBatch: a text PUBB of 64 events, from its command
+// line to its reply, allocates the events (four each, see
+// TestAllocsUnmarshalJSONEvent), the batch, the command line and the
+// reply, and nothing per body line for reading it: the lines are read
+// in place.
+func TestAllocsTextPubBatch(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	_, srv := startServer(t, core.Config{}, Config{})
+	r := rawDial(t, srv)
+	payload, err := tick().EncodedJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []byte("PUBB 64\n")
+	for i := 0; i < 64; i++ {
+		batch = append(append(batch, payload...), '\n')
+	}
+	want := []byte("OK 64\n")
+	got := make([]byte, len(want))
+	pub := func() {
+		if _, err := r.nc.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r.br, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("PUBB 64 → %q, %v", got, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pub()
+	}
+	// 259; 389 while each line was read into a string and copied.
+	if allocs, want := testing.AllocsPerRun(100, pub), 64*4+3; allocs > float64(want) {
+		t.Errorf("a text PUBB of 64 events allocates %v, want <= %d", allocs, want)
 	}
 }

@@ -81,7 +81,7 @@ func TestConcurrentSelects(t *testing.T) {
 		if !strings.HasPrefix(line, "OK ") {
 			return fmt.Errorf("%s → %q", q, line)
 		}
-		res, err := wiredb.ParseResult([]byte(line[3:]))
+		res, err := wiredb.ParseResult(line[3:])
 		if err != nil {
 			return err
 		}

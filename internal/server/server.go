@@ -138,6 +138,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -146,7 +147,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,13 +281,8 @@ type Server struct {
 	pubt pubtLedger // PUBT idempotency ledger (publish.go)
 }
 
-// Start listens on addr ("127.0.0.1:0" picks a free port) with default
-// configuration.
-func Start(eng *core.Engine, addr string) (*Server, error) {
-	return StartConfig(eng, addr, Config{})
-}
-
-// StartConfig is Start with explicit tuning.
+// StartConfig listens on addr ("127.0.0.1:0" picks a free port) and
+// serves eng with the given tuning.
 func StartConfig(eng *core.Engine, addr string, cfg Config) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -950,7 +945,7 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// textStep reads and dispatches one text command line.
+// textStep reads and dispatches one text command line, as one string.
 func (c *conn) textStep() step {
 	var partial []byte
 	for {
@@ -961,8 +956,7 @@ func (c *conn) textStep() step {
 				c.armBody()
 			}
 		}
-		chunk, err := c.br.ReadString('\n')
-		partial = append(partial, chunk...)
+		line, err := c.readLine(&partial)
 		if err != nil {
 			if isTimeout(err) {
 				if len(partial) == 0 {
@@ -978,10 +972,30 @@ func (c *conn) textStep() step {
 			}
 			return stepClose
 		}
-		if !dispatch(c, strings.TrimRight(string(partial), "\r\n")) {
+		if !dispatch(c, string(line)) {
 			return stepClose
 		}
 		return stepContinue
+	}
+}
+
+// readLine reads the next line, without its "\r\n", in place in the
+// reader's buffer: it is valid until the next read. Only a line longer
+// than the buffer, or one an error cut short (a read deadline), is put
+// together in *partial, which holds what was read before the error.
+func (c *conn) readLine(partial *[]byte) ([]byte, error) {
+	for {
+		chunk, err := c.br.ReadSlice('\n')
+		if err == nil {
+			if len(*partial) > 0 {
+				chunk = append(*partial, chunk...)
+			}
+			return bytes.TrimRight(chunk, "\r\n"), nil
+		}
+		*partial = append(*partial, chunk...)
+		if err != bufio.ErrBufferFull {
+			return nil, err
+		}
 	}
 }
 
@@ -1048,11 +1062,8 @@ func (c *conn) readBody() ([]byte, bool) {
 		}
 		return payload, true
 	}
-	line, err := c.br.ReadString('\n')
-	if err != nil {
-		return nil, false
-	}
-	return []byte(strings.TrimRight(line, "\r\n")), true
+	line, err := c.readLine(new([]byte))
+	return line, err == nil
 }
 
 // interrupt begins shutdown of one connection from outside its reader

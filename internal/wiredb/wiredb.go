@@ -676,21 +676,16 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(append(dst, s[start:]...), '"')
 }
 
-// ParseResult decodes a SELECT reply. Integral numbers come back as
-// int64, everything else as the natural JSON scalar.
-func ParseResult(data []byte) (*Result, error) {
-	var res Result
-	if err := json.Unmarshal(data, &res); err != nil {
+// ParseResult decodes a SELECT reply in event.ScanResult's one pass, as
+// encoding/json into a Result with integral numbers below 2^53 folded to
+// int64, but for two refusals: an array or object cell is an error
+// (event.ErrNotScalar), and a "Rows" is an unknown key, skipped.
+func ParseResult(reply string) (*Result, error) {
+	cols, rows, err := event.ScanResult(reply)
+	if err != nil {
 		return nil, fmt.Errorf("wiredb: result: %w", err)
 	}
-	for _, row := range res.Rows {
-		for j, raw := range row {
-			if f, ok := raw.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1<<53 {
-				row[j] = int64(f)
-			}
-		}
-	}
-	return &res, nil
+	return &Result{Columns: cols, Rows: rows}, nil
 }
 
 func decodeStrict(data []byte, into any) error {

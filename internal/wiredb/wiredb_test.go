@@ -165,7 +165,7 @@ func TestQuerySpecAndResultRoundTrip(t *testing.T) {
 	if strings.ContainsRune(string(data), '\n') {
 		t.Fatal("result not single-line")
 	}
-	back, err := ParseResult(data)
+	back, err := ParseResult(string(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,6 @@ const (
 // magicGUID is the fixed handshake GUID from RFC 6455 §1.3.
 const magicGUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
-// ErrClosed is returned after a close frame has been exchanged or the
-// connection is torn down.
-var ErrClosed = errors.New("ws: connection closed")
-
 // ErrTooBig is returned when an inbound message exceeds the read limit.
 var ErrTooBig = errors.New("ws: message exceeds read limit")
 

@@ -19,11 +19,11 @@ var unreachedAllowed = map[string]string{
 	"vfs.Faulty":               "the disk fault seam of seven packages' tests",
 	"server.ServeListener":     "testnet's connection seam",
 	"val.MustFromAny":          "a helper of other packages' tests",
-	"val.Value.Any":            "the oracle of FuzzMarshalResult",
 	"repl.Follower.WaitCursor": "a probe of the root package's replication tests",
 	"journal.Miner.Mine":       "used by the root bench_test.go experiment",
 	"core.Engine.Watches":      "a probe of TestRegistrationsAcrossRestart (ROADMAP item 11)",
 	"ws.Conn.NetConn":          "used by the gateway's tests",
+	"ws.Dial":                  "the client side of the gateway's and ws's own WebSocket tests",
 	"wal.WAL.Checkpoint":       "ROADMAP item 10 wires it",
 	"server.BlockOnFull":       "the named zero value of Overflow",
 	"pubsub.Broker.Rebind":     "the string form of Bind's filter swap, which the rebind tests pin",
@@ -39,26 +39,38 @@ var testHarnesses = map[string]bool{
 
 // exportedDecl is one exported declaration under internal/.
 type exportedDecl struct {
-	key   string     // pkg.Name or pkg.Type.Method
-	name  string     // the identifier a caller would write
-	typ   string     // the receiver type, or for a type its own name
-	ident *ast.Ident // the declaring identifier
-	pos   token.Position
+	key    string     // pkg.Name or pkg.Type.Method
+	name   string     // the identifier a caller would write
+	typ    string     // the receiver type, or for a type its own name
+	method bool       // a method, matched by name
+	dir    string     // its package's directory, as "internal/x"
+	ident  *ast.Ident // the declaring identifier
+	pos    token.Position
 }
 
 // TestProductReachBySymbol fails on any exported top-level func, var,
 // const or type, or exported method of an exported type, declared in a
-// non-test file under internal/ (test harnesses aside), whose name is
-// an identifier in no non-test .go file of the module other than at its
-// own declaration. examples/ and bench/ count as callers: the root
-// package re-exports the embedded API for a downstream application.
-// The match is by name, so it can miss dead code, and what it reports
-// nothing names outside tests.
+// non-test file under internal/ (test harnesses aside), that no
+// non-test .go file of the module uses. A package-level declaration is
+// used through a selector on an import of its own package (x.Name), or
+// by its bare name in a file of that package; a method by its name
+// anywhere. examples/ and bench/ count as callers: the root package
+// re-exports the embedded API for a downstream application. The check
+// is syntactic: a method is matched by name, and an import's name by
+// its spelling, so it can miss dead code, and what it reports nothing
+// reaches outside tests. Type-checking the module instead (go/types
+// with go/importer's source importer) takes over ten seconds, too slow
+// for the tier-1 suite.
 func TestProductReachBySymbol(t *testing.T) {
 	fset := token.NewFileSet()
-	var files []*ast.File
+	type file struct {
+		ast *ast.File
+		dir string
+	}
+	var files []file
 	var decls []exportedDecl
 	declared := make(map[*ast.Ident]bool) // a declaration is not a use
+	pkgName := make(map[string]string)    // directory → package name
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -76,9 +88,11 @@ func TestProductReachBySymbol(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files = append(files, f)
-		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
-			for _, d := range exportedDecls(fset, f) {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files = append(files, file{f, dir})
+		pkgName[dir] = f.Name.Name
+		if strings.HasPrefix(dir, "internal/") {
+			for _, d := range exportedDecls(fset, f, dir) {
 				declared[d.ident] = true
 				if !testHarnesses[dir] {
 					decls = append(decls, d)
@@ -94,20 +108,47 @@ func TestProductReachBySymbol(t *testing.T) {
 		t.Fatal("found no exported declarations under internal/")
 	}
 
-	used := make(map[string]bool)
+	named := make(map[string]bool) // every identifier, for methods
+	used := make(map[string]bool)  // "internal/x.Name" for the rest
 	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+		imports := make(map[string]string) // local name → directory
+		for _, imp := range f.ast.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "eventdb/")
+			if !ok {
+				continue
+			}
+			name := pkgName[dir]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr: // x.Sel is a field or a method, or a name of an import
+				named[x.Sel.Name] = true
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					used[imports[id.Name]+"."+x.Sel.Name] = true
+				} else {
+					ast.Inspect(x.X, visit)
+				}
+				return false
+			case *ast.Ident:
+				if !declared[x] {
+					named[x.Name] = true
+					used[f.dir+"."+x.Name] = true
+				}
 			}
 			return true
-		})
+		}
+		ast.Inspect(f.ast, visit)
 	}
 
 	allowUsed := make(map[string]bool)
 	var unreached []string
 	for _, d := range decls {
-		if used[d.name] {
+		if d.method && named[d.name] || !d.method && used[d.dir+"."+d.name] {
 			continue
 		}
 		if key := allowKey(d); key != "" {
@@ -139,12 +180,13 @@ func allowKey(d exportedDecl) string {
 }
 
 // exportedDecls lists f's exported top-level declarations and the
-// exported methods of its exported types.
-func exportedDecls(fset *token.FileSet, f *ast.File) []exportedDecl {
+// exported methods of its exported types; dir is f's directory.
+func exportedDecls(fset *token.FileSet, f *ast.File, dir string) []exportedDecl {
 	pkg := f.Name.Name
 	var out []exportedDecl
 	add := func(id *ast.Ident, key, typ string) {
-		out = append(out, exportedDecl{key: key, name: id.Name, typ: typ, ident: id, pos: fset.Position(id.Pos())})
+		out = append(out, exportedDecl{key: key, name: id.Name, typ: typ, method: strings.Count(key, ".") == 2,
+			dir: dir, ident: id, pos: fset.Position(id.Pos())})
 	}
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
