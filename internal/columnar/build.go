@@ -5,39 +5,125 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
 
-// encodeSegment seals the rows of a tail view (or of a slice of one)
-// into an immutable segment, encoding each column straight from the
-// view's raw vectors. Nothing of the view is retained: every vector is
-// re-encoded or copied, so the tail's arrays can be collected once it
-// moves on.
-func encodeSegment(view *Segment) (*Segment, error) {
-	n := view.rows
-	if n <= 0 {
-		return nil, fmt.Errorf("columnar: empty segment for table %q", view.table)
+// colBuilder gathers one column of a cut's rows in the raw vector a
+// Vector hands to the kernels, for encodeColumn.
+type colBuilder struct {
+	vec    Vector            // Dict is the column's own dictionary
+	codeOf map[string]uint32 // string columns: value → dictionary code
+}
+
+// newColBuilder returns a builder for rows values of kind k.
+func newColBuilder(k val.Kind, rows int) colBuilder {
+	c := colBuilder{vec: Vector{Kind: k, Null: make([]bool, 0, rows)}}
+	switch k {
+	case val.KindFloat:
+		c.vec.F64 = make([]float64, 0, rows)
+	case val.KindString:
+		c.vec.Code = make([]uint32, 0, rows)
+		c.codeOf = make(map[string]uint32)
+	case val.KindBytes:
+		c.vec.Bytes = make([][]byte, 0, rows)
+	default:
+		c.vec.I64 = make([]int64, 0, rows)
 	}
-	s := &Segment{
-		table:    view.table,
-		schema:   view.schema,
-		rows:     n,
-		firstLSN: view.lsns[0],
-		lastLSN:  view.lsns[n-1],
-		cols:     make([]column, len(view.cols)),
+	return c
+}
+
+// add appends one value of the column's kind, or NULL. A string is
+// copied into the dictionary: it is part of an image.
+func (c *colBuilder) add(v val.Value) {
+	vec := &c.vec
+	null := v.IsNull()
+	vec.Null = append(vec.Null, null)
+	switch vec.Kind {
+	case val.KindInt:
+		n, _ := v.AsInt()
+		vec.I64 = append(vec.I64, n)
+	case val.KindTime:
+		var n int64
+		if !null {
+			ts, _ := v.AsTime()
+			n = ts.UnixNano()
+		}
+		vec.I64 = append(vec.I64, n)
+	case val.KindBool:
+		var n int64
+		if b, _ := v.AsBool(); b {
+			n = 1
+		}
+		vec.I64 = append(vec.I64, n)
+	case val.KindFloat:
+		f, _ := v.AsFloat()
+		vec.F64 = append(vec.F64, f)
+	case val.KindString:
+		var code uint32
+		if !null {
+			s, _ := v.AsString()
+			var seen bool
+			if code, seen = c.codeOf[s]; !seen {
+				s = strings.Clone(s)
+				code = uint32(len(vec.Dict))
+				vec.Dict = append(vec.Dict, s)
+				c.codeOf[s] = code
+			}
+		}
+		vec.Code = append(vec.Code, code)
+	case val.KindBytes:
+		b, _ := v.AsBytes()
+		vec.Bytes = append(vec.Bytes, b) // encodeBytes copies it
 	}
-	for ci, c := range view.cols {
-		col, err := encodeColumn(&c.(*rawColumn).vec)
+}
+
+// encodeSegment seals the rows of ids (ascending), one packed image
+// each, into an immutable segment of table's history. The images are
+// decoded straight into one raw vector per column, so no row is ever
+// boxed, and the segment keeps nothing of them: a string enters its
+// column's dictionary as a copy, so that a segment pins none of the
+// images it was built from, which its table lets go of once it takes
+// the segment. (The row store holds valid rows; the checks are for
+// images read from files.)
+func encodeSegment(table string, schema *storage.Schema, ids []storage.RowID, imgs []string) (*Segment, error) {
+	n := len(ids)
+	if n == 0 {
+		return nil, fmt.Errorf("columnar: empty segment for table %q", table)
+	}
+	b := make([]colBuilder, len(schema.Columns))
+	for ci, sc := range schema.Columns {
+		b[ci] = newColBuilder(sc.Kind, n)
+	}
+	for i, img := range imgs {
+		for ci, sc := range schema.Columns {
+			v, w, err := val.DecodeBinary(img)
+			if k := v.Kind(); err == nil && k != val.KindNull && k != sc.Kind {
+				err = fmt.Errorf("kind %s in %s column", k, sc.Kind)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("columnar: table %q row %d column %q: %w", table, ids[i], sc.Name, err)
+			}
+			b[ci].add(v)
+			img = img[w:]
+		}
+		if img != "" {
+			return nil, fmt.Errorf("columnar: table %q row %d: %d bytes past its values", table, ids[i], len(img))
+		}
+	}
+	s := &Segment{table: table, schema: schema, rows: n, cols: make([]column, len(b))}
+	for ci := range b {
+		col, err := encodeColumn(&b[ci].vec)
 		if err != nil {
-			return nil, fmt.Errorf("columnar: table %q column %q: %w", view.table, view.schema.Columns[ci].Name, err)
+			return nil, fmt.Errorf("columnar: table %q column %q: %w", table, schema.Columns[ci].Name, err)
 		}
 		s.cols[ci] = col
 		s.bytes += col.memBytes()
 	}
-	if s.first = view.ids[0]; view.ids[n-1]-s.first != storage.RowID(n-1) {
-		s.ids = append(view.ids[:0:0], view.ids...)
+	if s.first = ids[0]; ids[n-1]-s.first != storage.RowID(n-1) {
+		s.ids = append([]storage.RowID(nil), ids...)
 		s.bytes += n * 8
 	}
 	return s, nil
@@ -53,7 +139,7 @@ func encodeColumn(v *Vector) (column, error) {
 	case val.KindFloat:
 		return encodeFloats(v.F64, v.Null, nulls, z), nil
 	case val.KindString:
-		return encodeStrings(v.Code, v.Dict, v.Null, nulls, z), nil
+		return encodeStrings(v.Code, v.Dict, nulls, z), nil
 	case val.KindBytes:
 		return encodeBytes(v.Bytes, v.Null, nulls, z)
 	default:
@@ -145,7 +231,7 @@ func encodeBools(vals []int64, null []bool, nulls []uint64, z storage.Zone) *boo
 }
 
 func encodeFloats(vals []float64, null []bool, nulls []uint64, z storage.Zone) *floatColumn {
-	c := &floatColumn{vals: append([]float64(nil), vals...), nulls: nulls}
+	c := &floatColumn{vals: vals, nulls: nulls}
 	var lo, hi float64
 	for i, f := range vals {
 		if null[i] {
@@ -170,58 +256,41 @@ func encodeFloats(vals []float64, null []bool, nulls []uint64, z storage.Zone) *
 	return c
 }
 
-// encodeStrings re-codes the range against a dictionary of its own,
-// in first-appearance order: the tail's dictionary also covers rows
-// outside the range.
-func encodeStrings(codes []uint32, dict []string, null []bool, nulls []uint64, z storage.Zone) *strColumn {
-	c := &strColumn{codes: make([]uint32, len(codes)), nulls: nulls}
-	recode := make([]int64, len(dict))
-	for i := range recode {
-		recode[i] = -1
-	}
-	for i, old := range codes {
-		if null[i] {
-			continue
+// encodeStrings keeps a colBuilder's codes and dictionary, which holds
+// exactly the column's non-NULL values, in first-appearance order.
+func encodeStrings(codes []uint32, dict []string, nulls []uint64, z storage.Zone) *strColumn {
+	for i, s := range dict {
+		if i == 0 {
+			z.Min, z.Max, z.OK = val.String(s), val.String(s), true
+		} else if lo, _ := z.Min.AsString(); s < lo {
+			z.Min = val.String(s)
+		} else if hi, _ := z.Max.AsString(); s > hi {
+			z.Max = val.String(s)
 		}
-		if recode[old] < 0 {
-			recode[old] = int64(len(c.dict))
-			s := dict[old]
-			c.dict = append(c.dict, s)
-			if !z.OK {
-				z.Min, z.Max, z.OK = val.String(s), val.String(s), true
-			} else if lo, _ := z.Min.AsString(); s < lo {
-				z.Min = val.String(s)
-			} else if hi, _ := z.Max.AsString(); s > hi {
-				z.Max = val.String(s)
-			}
-		}
-		c.codes[i] = uint32(recode[old])
 	}
-	c.z = z
-	return c
+	return &strColumn{codes: codes, dict: dict, nulls: nulls, z: z}
 }
 
 func encodeBytes(vals [][]byte, null []bool, nulls []uint64, z storage.Zone) (*bytesColumn, error) {
 	c := &bytesColumn{offs: make([]uint32, len(vals)+1), nulls: nulls}
-	var lo, hi []byte
+	lo, hi := -1, -1 // rows of the zone's bounds
 	for i, b := range vals {
 		if !null[i] {
 			if len(c.blob)+len(b) > math.MaxUint32 {
 				return nil, fmt.Errorf("blob overflow")
 			}
 			c.blob = append(c.blob, b...)
-			if !z.OK || bytes.Compare(b, lo) < 0 {
-				lo = b
+			if lo < 0 || bytes.Compare(b, vals[lo]) < 0 {
+				lo = i
 			}
-			if !z.OK || bytes.Compare(b, hi) > 0 {
-				hi = b
+			if hi < 0 || bytes.Compare(b, vals[hi]) > 0 {
+				hi = i
 			}
-			z.OK = true
 		}
 		c.offs[i+1] = uint32(len(c.blob))
 	}
-	if z.OK {
-		z.Min, z.Max = val.Bytes(lo), val.Bytes(hi)
+	if lo >= 0 { // the bounds are the blob's, not the images'
+		z.Min, z.Max, z.OK = c.at(lo), c.at(hi), true
 	}
 	c.z = z
 	return c, nil

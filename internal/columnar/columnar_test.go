@@ -190,7 +190,7 @@ func TestZoneMaps(t *testing.T) {
 		{val.Int(2), val.Null, val.Null, val.Float(7.25), val.Int(9), val.Bool(false), val.Null},
 		{val.Int(3), val.Null, val.String("a"), val.Null, val.Int(4), val.Null, val.Null},
 	}
-	seg, err := buildSegment("events", schema, []storage.RowID{1, 2, 3}, []uint64{1, 2, 3}, rows)
+	seg, err := buildSegment("events", schema, []storage.RowID{1, 2, 3}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,15 +244,15 @@ func TestBatchZonesPrune(t *testing.T) {
 	schema := eventsSchema(t)
 	rng := rand.New(rand.NewSource(23))
 	n := 4*BatchSize + 100
-	rows, ids, lsns := make([]storage.Row, n), make([]storage.RowID, n), make([]uint64, n)
+	rows, ids := make([]storage.Row, n), make([]storage.RowID, n)
 	for i := range rows {
 		r, err := schema.RowFromMap(randEvent(rng, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows[i], ids[i], lsns[i] = r, storage.RowID(i+1), uint64(i+1)
+		rows[i], ids[i] = r, storage.RowID(i+1)
 	}
-	seg, err := buildSegment("events", schema, ids, lsns, rows)
+	seg, err := buildSegment("events", schema, ids, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestNaNPoisonsZone(t *testing.T) {
 		{val.Int(1), val.Null, val.Null, val.Float(mathNaN()), val.Null, val.Null, val.Null},
 		{val.Int(2), val.Null, val.Null, val.Float(1), val.Null, val.Null, val.Null},
 	}
-	seg, err := buildSegment("events", schema, []storage.RowID{1, 2}, []uint64{1, 2}, rows)
+	seg, err := buildSegment("events", schema, []storage.RowID{1, 2}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,6 @@ func TestFilterDifferential(t *testing.T) {
 	n := 3000
 	rows := make([]storage.Row, n)
 	ids := make([]storage.RowID, n)
-	lsns := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		r, err := schema.RowFromMap(randEvent(rng, i))
 		if err != nil {
@@ -360,9 +359,8 @@ func TestFilterDifferential(t *testing.T) {
 		}
 		rows[i] = r
 		ids[i] = storage.RowID(i + 1)
-		lsns[i] = uint64(i + 1)
 	}
-	seg, err := buildSegment("events", schema, ids, lsns, rows)
+	seg, err := buildSegment("events", schema, ids, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,38 +433,6 @@ func TestDeadMarkingAndModified(t *testing.T) {
 	stats := st.Stats()
 	if stats.SealedRows != 200 || stats.DeadRows != 2 || stats.ColdRows != 198 {
 		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestWholeCommitSealing(t *testing.T) {
-	db := openVolatile(t)
-	m := attach(t, db, Config{SealRows: 64})
-	// One transaction with 100 inserts: a seal triggered at 64 pending
-	// rows must extend the cut to the commit boundary.
-	txn := db.Begin()
-	for i := 0; i < 100; i++ {
-		if err := txn.Insert("events", map[string]val.Value{"id": val.Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 100; i < 120; i++ {
-		if _, err := db.Insert("events", map[string]val.Value{"id": val.Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := m.Compact("events"); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Table("events")
-	first := runs(tbl)[0]
-	if first.Rows() < 100 {
-		t.Fatalf("first segment has %d rows; the 100-row commit was split", first.Rows())
-	}
-	if n := m.Table("events").Stats().SealedRows; n != 120 {
-		t.Fatalf("sealed rows = %d", n)
 	}
 }
 
@@ -555,8 +521,8 @@ func TestPersistReloadAndCrashRecovery(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Error("leftover temp file should be deleted")
 	}
-	// The corrupted segment's rows (and any dropped suffix) are pending
-	// again; force a seal and verify full history is intact.
+	// The corrupted segment's range is pending again; force a seal and
+	// verify full history is intact.
 	if _, err := m.Compact("events"); err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +550,7 @@ func TestVolatileBootstrapSnapshots(t *testing.T) {
 	if n := m.Table("events").Stats().SealedRows; n != 100 {
 		t.Fatalf("sealed %d rows from pre-attach state, want 100", n)
 	}
-	// Post-attach inserts keep flowing through the hook.
+	// Post-attach inserts are pending in turn.
 	rng := rand.New(rand.NewSource(12))
 	for i := 100; i < 150; i++ {
 		if _, err := db.Insert("events", randEvent(rng, i)); err != nil {
@@ -658,7 +624,6 @@ func TestAllocsFilterScan(t *testing.T) {
 	n := 4 * BatchSize
 	rows := make([]storage.Row, n)
 	ids := make([]storage.RowID, n)
-	lsns := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		r, err := schema.RowFromMap(randEvent(rng, i))
 		if err != nil {
@@ -666,9 +631,8 @@ func TestAllocsFilterScan(t *testing.T) {
 		}
 		rows[i] = r
 		ids[i] = storage.RowID(i + 1)
-		lsns[i] = uint64(i + 1)
 	}
-	seg, err := buildSegment("events", schema, ids, lsns, rows)
+	seg, err := buildSegment("events", schema, ids, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,68 +26,52 @@ func readFile(fsys vfs.FS, path string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// Segment files make restart cheap: instead of re-mining the whole
-// WAL into the tail and re-sealing, Attach reloads sealed history
-// directly. The file carries the raw row values (ids, LSNs, and each
-// value in the WAL's binary value encoding) plus a whole-file CRC;
-// loading appends them to a scratch tail and seals it with
-// encodeSegment, as a live seal does, so the on-disk format can never
-// drift from the in-memory one. A
-// file that fails any check — magic, CRC, schema fingerprint, LSN/ID
-// contiguity, an LSN the WAL has not reached — is deleted and its rows
-// are rebuilt from the WAL by the normal bootstrap path. The WAL stays
+// A segment file is one cut: the rows a cut took from its table's id
+// range [lo, hi), as the row store keeps them — ids and packed row
+// images, each value in the WAL's binary value encoding — plus a
+// whole-file CRC. Attach hands the images to the replayed table
+// (storage.Table.Evict) as the cut did, after encoding them with
+// encodeSegment, so the on-disk format can never drift from the
+// in-memory one, and the range is not cut again. A file that fails any
+// check — magic, CRC, schema fingerprint, an id the table never issued
+// — is deleted, and its range cut again from the rows. The WAL stays
 // the source of truth, and a file is read only at restart.
 
-const segMagic = "EDBSEG1\n"
+const segMagic = "EDBSEG2\n"
 
-func segFileName(table string, firstLSN uint64) string {
+func segFileName(table string, lo storage.RowID) string {
 	// Hex-encode the table name so arbitrary names are filesystem-safe.
-	return fmt.Sprintf("%x-%016x.seg", table, firstLSN)
+	return fmt.Sprintf("%x-%016x.seg", table, lo)
 }
 
-// writeSegmentFile serializes a sealed segment to w. Layout:
+// writeSegmentFile serializes a cut of table to w. Layout:
 //
-//	magic | table | ncols (name, kind)* | nrows | id deltas |
-//	lsn deltas | row values | crc32(everything before)
+//	magic | table | ncols (name, kind)* | lo | hi | nrows |
+//	id deltas (the first from lo) | row images | crc32(everything before)
 //
 // It streams: the file is never whole in memory, so writing one costs a
-// write buffer, not a copy of the segment.
-func writeSegmentFile(w io.Writer, seg *Segment) error {
+// write buffer, not a copy of the cut.
+func writeSegmentFile(w io.Writer, table string, schema *storage.Schema, c *cut) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
-	buf := []byte(segMagic) // scratch: handed to bw piece by piece
-	buf = appendStr(buf, seg.table)
-	buf = binary.AppendUvarint(buf, uint64(len(seg.schema.Columns)))
-	for _, c := range seg.schema.Columns {
-		buf = appendStr(buf, c.Name)
-		buf = append(buf, byte(c.Kind))
+	buf := []byte(segMagic)
+	buf = appendStr(buf, table)
+	buf = binary.AppendUvarint(buf, uint64(len(schema.Columns)))
+	for _, col := range schema.Columns {
+		buf = appendStr(buf, col.Name)
+		buf = append(buf, byte(col.Kind))
 	}
-	buf = binary.AppendUvarint(buf, uint64(seg.rows))
-	var prevID, prevLSN uint64
-	for i := 0; i < seg.rows; i++ {
-		id := uint64(seg.RowID(i))
-		buf = binary.AppendUvarint(buf, id-prevID)
-		prevID = id
-	}
-	for _, lsn := range seg.lsns {
-		buf = binary.AppendUvarint(buf, lsn-prevLSN)
-		prevLSN = lsn
+	buf = binary.AppendUvarint(buf, uint64(c.lo))
+	buf = binary.AppendUvarint(buf, uint64(c.hi))
+	buf = binary.AppendUvarint(buf, uint64(len(c.ids)))
+	prev := c.lo
+	for _, id := range c.ids {
+		buf = binary.AppendUvarint(buf, uint64(id-prev))
+		prev = id
 	}
 	bw.Write(buf) // bw keeps the first error for Flush to report
-	// Row values, read back out of the columns. One reusable row
-	// buffer: AppendBinary copies what it needs.
-	r := seg.NewReader(nil)
-	var b Batch
-	row := make(storage.Row, len(seg.schema.Columns))
-	for r.Next(&b) {
-		for i := 0; i < b.Len; i++ {
-			b.MaterializeRow(row, i)
-			buf = buf[:0]
-			for _, v := range row {
-				buf = val.AppendBinary(buf, v)
-			}
-			bw.Write(buf)
-		}
+	for _, img := range c.imgs {
+		bw.WriteString(img)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -109,12 +93,12 @@ func badSeg(format string, args ...any) error {
 	return &segDecodeError{msg: fmt.Sprintf(format, args...)}
 }
 
-// decodeSegmentFile parses and validates a segment file, returning
-// its rows as a tail ready to seal. The schema fingerprint (column
-// names and kinds, in order) must match the live schema exactly. With
-// a nil schema it only checks the file's integrity and returns the
-// table name, which is how the caller finds the schema.
-func decodeSegmentFile(data []byte, schema *storage.Schema) (table string, rows *tail, err error) {
+// decodeSegmentFile parses and validates a segment file, returning the
+// cut it holds, whose images are parts of one copy of data. The schema
+// fingerprint (column names and kinds, in order) must match the live
+// schema exactly. With a nil schema it only checks the file's integrity
+// and returns the table name, which is how the caller finds the schema.
+func decodeSegmentFile(data []byte, schema *storage.Schema) (table string, c *cut, err error) {
 	if len(data) < len(segMagic)+4 || string(data[:len(segMagic)]) != segMagic {
 		return "", nil, badSeg("bad magic")
 	}
@@ -149,54 +133,44 @@ func decodeSegmentFile(data []byte, schema *storage.Schema) (table string, rows 
 			return "", nil, badSeg("schema drift on column %d (%s %s)", i, name, kind)
 		}
 	}
-	nrows, pos, err := readUvarint(body, pos)
-	if err != nil {
-		return "", nil, err
-	}
-	if nrows == 0 || nrows > uint64(len(body)) {
-		return "", nil, badSeg("implausible row count %d", nrows)
-	}
-	ids := make([]storage.RowID, nrows)
-	var prev uint64
-	for i := range ids {
-		var d uint64
-		d, pos, err = readUvarint(body, pos)
-		if err != nil {
+	var head [3]uint64 // lo, hi, nrows
+	for i := range head {
+		if head[i], pos, err = readUvarint(body, pos); err != nil {
 			return "", nil, err
 		}
-		prev += d
-		ids[i] = storage.RowID(prev)
 	}
-	lsns := make([]uint64, nrows)
-	prev = 0
-	for i := range lsns {
+	lo, hi, nrows := head[0], head[1], head[2]
+	if lo == 0 || hi <= lo || nrows > hi-lo {
+		return "", nil, badSeg("implausible range [%d, %d) of %d rows", lo, hi, nrows)
+	}
+	c = &cut{lo: storage.RowID(lo), hi: storage.RowID(hi), ids: make([]storage.RowID, nrows), imgs: make([]string, nrows)}
+	prev := lo
+	for i := range c.ids {
 		var d uint64
-		d, pos, err = readUvarint(body, pos)
-		if err != nil {
+		if d, pos, err = readUvarint(body, pos); err != nil {
 			return "", nil, err
 		}
-		prev += d
-		lsns[i] = prev
+		if prev += d; (i > 0 && d == 0) || prev >= hi {
+			return "", nil, badSeg("row %d: id %d out of order or out of [%d, %d)", i, prev, lo, hi)
+		}
+		c.ids[i] = storage.RowID(prev)
 	}
-	rows = newTail(schema)
-	row := make(storage.Row, ncols)
-	for i := range ids {
-		for c := range row {
-			v, n, verr := val.DecodeBinary(body[pos:])
-			if verr != nil {
-				return "", nil, badSeg("row %d: %v", i, verr)
+	imgs := string(body[pos:])
+	for i := range c.imgs {
+		end := 0
+		for k := uint64(0); k < ncols; k++ {
+			_, n, err := val.DecodeBinary(imgs[end:])
+			if err != nil {
+				return "", nil, badSeg("row %d: %v", i, err)
 			}
-			row[c] = v
-			pos += n
+			end += n
 		}
-		if err := rows.append(ids[i], lsns[i], lsns[i], row); err != nil {
-			return "", nil, badSeg("row %d: %v", i, err)
-		}
+		c.imgs[i], imgs = imgs[:end], imgs[end:]
 	}
-	if pos != len(body) {
-		return "", nil, badSeg("%d trailing bytes", len(body)-pos)
+	if imgs != "" {
+		return "", nil, badSeg("%d trailing bytes", len(imgs))
 	}
-	return table, rows, nil
+	return table, c, nil
 }
 
 func readStr(buf []byte, pos int) (string, int, error) {
@@ -218,24 +192,24 @@ func readUvarint(buf []byte, pos int) (uint64, int, error) {
 	return v, pos + n, nil
 }
 
-// persistSegment writes a sealed segment to disk: temp file, fsync,
+// persistSegment writes a cut of st's table to disk: temp file, fsync,
 // atomic rename. A crash at any point leaves either no file or a
-// complete one; partial temp files fail the CRC or magic check and
-// are deleted at the next load. The WAL is flushed first: the commit
-// records of the segment's rows may still be in its user-space buffer,
-// and a file must never be ahead of the log that makes it recoverable.
-func (m *Manager) persistSegment(seg *Segment) error {
+// complete one; partial temp files fail the CRC or magic check and are
+// deleted at the next load. The WAL is flushed first: the commit
+// records of the cut's rows may still be in its user-space buffer, and
+// a file must never be ahead of the log that makes it recoverable.
+func (m *Manager) persistSegment(st *TableStore, c *cut) error {
 	if err := m.db.Flush(); err != nil {
 		return err
 	}
-	final := filepath.Join(m.cfg.Dir, segFileName(seg.table, seg.firstLSN))
+	final := filepath.Join(m.cfg.Dir, segFileName(st.table, c.lo))
 	tmp := final + ".tmp"
 	fsys := m.cfg.FS
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	err = writeSegmentFile(f, seg)
+	err = writeSegmentFile(f, st.table, st.tbl.Schema(), c)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -249,13 +223,13 @@ func (m *Manager) persistSegment(seg *Segment) error {
 	return fsys.Rename(tmp, final)
 }
 
-// loadSegments reloads persisted segments at attach time and hands each
-// to its table, which the WAL replay filled (storage.Table.Evict): the
-// table takes the rows still live, or declines the segment, which is
-// then dropped. Invalid files (partial writes, CRC mismatches, schema
-// drift), files ahead of the WAL and any file breaking per-table
-// LSN/ID contiguity are deleted; their rows come back through the WAL
-// bootstrap instead.
+// loadSegments reloads persisted cuts at attach time and hands each to
+// its table, which the WAL replay filled, as the cut did (install): the
+// table takes the rows still live, or declines the segment. Invalid
+// files (partial writes, CRC mismatches, schema drift), files naming an
+// id the table never issued (ahead of the WAL) and files overlapping an
+// earlier one are deleted; their ranges, like those of missing files,
+// are left for the sealer to cut again.
 func (m *Manager) loadSegments() error {
 	fsys := m.cfg.FS
 	if err := fsys.MkdirAll(m.cfg.Dir, 0o755); err != nil {
@@ -267,10 +241,9 @@ func (m *Manager) loadSegments() error {
 	}
 	type loaded struct {
 		path string
-		seg  *Segment
+		c    *cut
 	}
 	byTable := make(map[string][]loaded)
-	nextLSN := m.db.WAL().NextLSN()
 	var firstErr error
 	drop := func(path string, err error) {
 		if firstErr == nil && err != nil {
@@ -306,60 +279,39 @@ func (m *Manager) loadSegments() error {
 			drop(path, badSeg("unknown table %q", table))
 			continue
 		}
-		_, rows, err := decodeSegmentFile(data, tbl.Schema())
+		_, c, err := decodeSegmentFile(data, tbl.Schema())
 		if err != nil {
 			drop(path, err)
 			continue
 		}
-		if last := rows.lsns[rows.len()-1]; last >= nextLSN {
+		if next := tbl.NextID(); c.hi > next {
 			// Written before its rows' commit records reached the log (a
 			// crash between the two, or a directory copied mid-write):
-			// the WAL will hand these LSNs and row ids out again.
-			drop(path, badSeg("%s ends at lsn %d, the WAL at %d", path, last, nextLSN-1))
+			// the table will hand these ids out again.
+			drop(path, badSeg("%s ends at id %d, the table at %d", path, c.hi-1, next-1))
 			continue
 		}
-		seg, err := encodeSegment(rows.view(table))
-		if err != nil {
-			drop(path, err)
-			continue
-		}
-		byTable[table] = append(byTable[table], loaded{path: path, seg: seg})
+		byTable[table] = append(byTable[table], loaded{path: path, c: c})
 	}
-	for table, segs := range byTable {
-		sort.Slice(segs, func(a, b int) bool { return segs[a].seg.firstLSN < segs[b].seg.firstLSN })
-		st := m.store(table)
-		if st == nil {
-			continue
-		}
-		st.mu.Lock()
-		var lastID storage.RowID
-		var lastLSN uint64
-		kept := segs[:0]
-		for i, l := range segs {
-			seg := l.seg
-			if seg.RowID(0) != lastID+1 || (i > 0 && seg.firstLSN <= lastLSN) {
-				// Contiguity broken — a table's row ids are handed out
-				// without gaps, so a missing file shows here: drop this
-				// and everything after; the WAL bootstrap recovers the
-				// rows.
-				for _, rest := range segs[i:] {
-					drop(rest.path, badSeg("non-contiguous segment %s", rest.path))
-				}
-				break
+	lsn := m.db.LastApplied()
+	for table, cuts := range byTable {
+		sort.Slice(cuts, func(a, b int) bool { return cuts[a].c.lo < cuts[b].c.lo })
+		st := m.Table(table)
+		st.sealMu.Lock()
+		end := storage.RowID(1)
+		for _, l := range cuts {
+			if l.c.lo < end {
+				drop(l.path, badSeg("%s overlaps the range before it", l.path))
+				continue
 			}
-			kept = append(kept, l)
-			st.segments++
-			st.sealedRows += seg.rows
-			st.maxSealedID = seg.RowID(seg.rows - 1)
-			st.maxSealedLSN = max(st.maxSealedLSN, seg.lastLSN)
-			st.maxGrp = max(st.maxGrp, seg.lastLSN)
-			lastID = seg.RowID(seg.rows - 1)
-			lastLSN = seg.lastLSN
+			if err := m.install(st, l.c); err != nil {
+				drop(l.path, err)
+				continue
+			}
+			st.adopt(l.c, lsn)
+			end = l.c.hi
 		}
-		st.mu.Unlock()
-		for _, l := range kept {
-			st.tbl.Evict(l.seg)
-		}
+		st.sealMu.Unlock()
 	}
 	return firstErr
 }

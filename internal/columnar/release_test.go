@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"eventdb/internal/raceflag"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -94,13 +93,7 @@ func TestDeadHistoryBounded(t *testing.T) {
 			}
 			m := attach(t, db, cfg)
 			kept, inFlight := churn(t, db, rows, window, tc.keepEvery, 31)
-			// Seal what the background sealer owes: on a loaded machine
-			// it lags the churn, and Compact would put its whole backlog
-			// in one segment.
 			st := m.Table("events")
-			for st.tailLen() >= sealRows {
-				m.seal(st, sealRows)
-			}
 			stats, err := m.Compact("events")
 			if err != nil {
 				t.Fatal(err)
@@ -254,37 +247,5 @@ func TestSegmentAheadOfWAL(t *testing.T) {
 		if !rowsEqual(got[id], stored[k]) {
 			t.Fatalf("row %d: history %v, table %v", id, got[id], stored[k])
 		}
-	}
-}
-
-// TestAllocsObserve guards the commit hook: a commit that names one
-// table — every ACK of a durable subscription is one — is folded in
-// without an allocation of the hook's own. (An insert grows the tail's
-// vectors, which is the tail's to pay, so the commits here rewrite and
-// delete.)
-func TestAllocsObserve(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are unreliable under -race")
-	}
-	db := openVolatile(t)
-	m := idleManager(t, db)
-	fillEvents(t, db, 600, 51)
-	m.seal(m.Table("events"), 200)
-	tbl, _ := db.Table("events")
-	if n := len(runs(tbl)); n != 3 {
-		t.Fatalf("want 3 resident segments, have %d", n)
-	}
-	ids, _ := tbl.ScanRows()
-	id := ids[0]
-	for _, other := range ids {
-		id = max(id, other) // a row of the last segment
-	}
-	claim := &storage.CommitInfo{Seq: db.Seq(), Changes: []storage.Change{{Table: "events", Kind: storage.Update, ID: id}}}
-	ack := &storage.CommitInfo{Seq: db.Seq(), Changes: []storage.Change{{Table: "events", Kind: storage.Delete, ID: id}}}
-	if a := testing.AllocsPerRun(200, func() {
-		m.observe(claim)
-		m.observe(ack)
-	}); a != 0 {
-		t.Errorf("observing a one-table commit allocates %v per claim+ack, want 0", a)
 	}
 }

@@ -5,18 +5,20 @@
 // (min/max/null-count per column) for scan pruning, and per-batch ones
 // on int and time columns, whose frames are their zones.
 //
-// Committed inserts are staged in an append-only columnar tail
-// (tail.go): the same typed vectors, unencoded. A background sealer
-// encodes them into segments (store.go, build.go) and hands each to its
-// storage.Table, which takes the rows the segment holds out of its row
-// store and serves them from it (Segment.At, Segment.DecodeRows):
-// the segment becomes one of the table's sealed runs, with the table's
-// liveness bits. A SELECT reads the table (storage.Table.View): the
-// query processor runs its vectorized filter+aggregate loop over the
-// runs (filter.go, internal/query), and the table's hot rows through the
-// row predicate. A run whose rows are mostly dead goes back to the
-// table, and its file stays for restart (persist.go). History is the
-// WAL's: REPLAY reads the log.
+// The background sealer cuts each table's history by row id (store.go):
+// once a table has issued every id of a SealRows-wide range, the range's
+// rows that hold what their insert wrote are taken from the row store as
+// packed images (storage.Table.Images), encoded column by column
+// (build.go) and handed back to the storage.Table as one segment, which
+// takes the rows out of its row store and serves them from it
+// (Segment.At, Segment.DecodeRows): the segment becomes one of the
+// table's sealed runs, with the table's liveness bits. A SELECT reads
+// the table (storage.Table.View): the query processor runs its
+// vectorized filter+aggregate loop over the runs (filter.go,
+// internal/query), and the table's hot rows through the row predicate.
+// A run whose rows are mostly dead goes back to the table, and its file
+// stays for restart (persist.go). History is the WAL's: REPLAY reads
+// the log.
 package columnar
 
 import (
@@ -35,27 +37,19 @@ import (
 // nanoseconds.
 const BatchSize = 1024
 
-// Segment is one immutable sealed batch of table history: rows
-// [FirstID..LastID] committed at LSNs [FirstLSN..LastLSN], stored
-// column-wise. Which of its rows are still live is its table's to know
-// (storage.Table.Evict).
+// Segment is one immutable sealed batch of table history: the rows a
+// cut took from one range of row ids, stored column-wise. Which of its
+// rows are still live is its table's to know (storage.Table.Evict).
 type Segment struct {
 	table  string
 	schema *storage.Schema
 	rows   int
 
-	// ids holds each row's RowID, strictly increasing (IDs are
-	// allocated monotonically and commits deliver in order), so row
-	// position is a binary search away. A sealed segment whose ids are
-	// first … first+rows-1 keeps first alone, and ids is nil.
+	// ids holds each row's RowID, strictly increasing, so row position is
+	// a binary search away. A segment whose ids are first …
+	// first+rows-1 keeps first alone, and ids is nil.
 	ids   []storage.RowID
 	first storage.RowID
-	// lsns holds each row's commit LSN, non-decreasing (zero throughout
-	// on a volatile database): what a segment file records. Only a tail
-	// view and its slices carry it; a sealed segment keeps the bounds.
-	lsns []uint64
-
-	firstLSN, lastLSN uint64
 
 	cols []column
 
@@ -84,8 +78,7 @@ func bitSet(bits []uint64, i int) bool {
 // Zone returns the zone map for schema column ci.
 func (s *Segment) Zone(ci int) storage.Zone { return s.cols[ci].zone() }
 
-// column is one column's storage: encoded in a sealed segment, raw in
-// a view of the tail.
+// column is one column's encoded storage.
 type column interface {
 	zone() storage.Zone
 	// at boxes row i, read where the column keeps it: no batch is set
@@ -557,40 +550,6 @@ func (c *bytesColumn) read(dst, own *Vector, row, n int, sel []int32) {
 		out[i] = c.blob[c.offs[p]:c.offs[p+1]]
 	}
 	dst.Bytes, dst.Null = out, nullsOf(own, c.nulls, row, n, sel)
-}
-
-// rawColumn is an unencoded column: full-length vectors in exactly the
-// layout a Vector hands to the kernels, so reading a batch is slicing.
-// The tail stores its columns this way, and the sealer's view of the
-// tail is a Segment of rawColumns (see tail.go). It keeps no zone.
-type rawColumn struct{ vec Vector }
-
-func (c *rawColumn) zone() storage.Zone { return storage.Zone{} }
-func (c *rawColumn) memBytes() int {
-	v := &c.vec
-	return len(v.I64)*8 + len(v.F64)*8 + len(v.Code)*4 + len(v.Bytes)*24 + len(v.Null)
-}
-
-func (c *rawColumn) at(i int) val.Value { return c.vec.Value(i) }
-
-func (c *rawColumn) read(dst, own *Vector, row, n int, sel []int32) {
-	*dst = c.vec.window(row, row+n)
-}
-
-// window returns rows [from, to) of a full-length vector.
-func (v *Vector) window(from, to int) Vector {
-	w := Vector{Kind: v.Kind, Dict: v.Dict, Null: v.Null[from:to]}
-	switch v.Kind {
-	case val.KindInt, val.KindTime, val.KindBool:
-		w.I64 = v.I64[from:to]
-	case val.KindFloat:
-		w.F64 = v.F64[from:to]
-	case val.KindString:
-		w.Code = v.Code[from:to]
-	case val.KindBytes:
-		w.Bytes = v.Bytes[from:to]
-	}
-	return w
 }
 
 // ---- zone-map pruning ----

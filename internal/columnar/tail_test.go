@@ -2,7 +2,6 @@ package columnar
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -12,20 +11,17 @@ import (
 	"eventdb/internal/val"
 )
 
-// buildSegment seals rows (parallel slices, already in RowID order)
-// the way the store does: append to a tail, encode its vectors.
-func buildSegment(table string, schema *storage.Schema, ids []storage.RowID, lsns []uint64, rows []storage.Row) (*Segment, error) {
-	t := newTail(schema)
-	for i, row := range rows {
-		if err := t.append(ids[i], lsns[i], lsns[i], row); err != nil {
-			return nil, err
-		}
+// buildSegment seals rows (parallel to ids, ascending) the way a cut
+// does: from their images.
+func buildSegment(table string, schema *storage.Schema, ids []storage.RowID, rows []storage.Row) (*Segment, error) {
+	imgs := make([]string, len(rows))
+	for i, r := range rows {
+		imgs[i] = enc(r)
 	}
-	return encodeSegment(t.view(table))
+	return encodeSegment(table, schema, ids, imgs)
 }
 
-// viewRows materializes every row of a segment or tail view, dead or
-// not.
+// viewRows materializes every row of a segment, dead or not.
 func viewRows(seg *Segment) []storage.Row {
 	var out []storage.Row
 	r := seg.NewReader(nil)
@@ -40,15 +36,16 @@ func viewRows(seg *Segment) []storage.Row {
 	return out
 }
 
-// idleManager attaches a manager whose background sealer never fires,
-// so the test decides when and where the tail is cut.
+// idleManager attaches a manager whose background sealer never fires
+// and whose ranges are wider than any test's table, so the test decides
+// when the history is cut, by Compact.
 func idleManager(t *testing.T, db *storage.DB) *Manager {
 	return attach(t, db, Config{SealRows: 1 << 30, SealInterval: time.Hour})
 }
 
 // TestTailServedWithoutSegments: a table that has never been sealed is
 // read whole from its hot rows, behind one zone per column that prunes
-// like a segment's, and its inserts are staged for the sealer.
+// like a segment's, and its ids are pending for the sealer.
 func TestTailServedWithoutSegments(t *testing.T) {
 	db := openVolatile(t)
 	m := idleManager(t, db)
@@ -98,153 +95,6 @@ func TestTailServedWithoutSegments(t *testing.T) {
 	}
 }
 
-// TestTailSnapshotIsStable: appends — including ones that reallocate
-// every vector — a delete and a seal after a view was taken change
-// nothing the view shows: neither a table's View nor the sealer's view
-// of its tail.
-func TestTailSnapshotIsStable(t *testing.T) {
-	db := openVolatile(t)
-	m := idleManager(t, db)
-	fillEvents(t, db, 100, 6)
-	st := m.Table("events")
-	tbl, _ := db.Table("events")
-	hot := func(v *storage.View) (ids []storage.RowID, rows []storage.Row) {
-		v.Hot(func(id storage.RowID, r storage.Row) bool {
-			ids, rows = append(ids, id), append(rows, slices.Clone(r))
-			return true
-		})
-		return ids, rows
-	}
-	v := tbl.View(nil)
-	ids, before := hot(v)
-	st.mu.RLock()
-	staged := st.tail.view(st.table)
-	st.mu.RUnlock()
-	stagedBefore := viewRows(staged)
-
-	rng := rand.New(rand.NewSource(8))
-	for i := 100; i < 5000; i++ {
-		if _, err := db.Insert("events", randEvent(rng, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.DeleteRow("events", ids[7]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Compact("events"); err != nil {
-		t.Fatal(err)
-	}
-
-	if gotIDs, got := hot(v); !slices.Equal(gotIDs, ids) || len(got) != 100 {
-		t.Fatalf("view changed: %d hot rows", len(got))
-	} else {
-		for i, row := range got {
-			if !rowsEqual(row, before[i]) {
-				t.Fatalf("row %d changed under the view: %v, was %v", ids[i], row, before[i])
-			}
-		}
-	}
-	if staged.Rows() != 100 {
-		t.Fatalf("staged view changed: %d rows", staged.Rows())
-	}
-	for i, row := range viewRows(staged) {
-		if !rowsEqual(row, stagedBefore[i]) {
-			t.Fatalf("staged row %d changed under the view: %v, was %v", i, row, stagedBefore[i])
-		}
-	}
-	if s := st.Stats(); s.PendingRows != 0 || s.SealedRows != 5000 || s.ColdRows != 4999 || len(hotIDs(tbl)) != 0 {
-		t.Fatalf("after compact: %+v, %d hot rows", s, len(hotIDs(tbl)))
-	}
-}
-
-// TestSealCutsWholeCommitsAndKeepsSuffix drives the sealer by hand: a
-// target that lands inside a commit extends to its end, several
-// segments come out of one pass, and what stays in the tail keeps its
-// rows.
-func TestSealCutsWholeCommitsAndKeepsSuffix(t *testing.T) {
-	db := openVolatile(t)
-	m := idleManager(t, db)
-	next := 0
-	commit := func(n int) {
-		txn := db.Begin()
-		for i := 0; i < n; i++ {
-			if err := txn.Insert("events", map[string]val.Value{"id": val.Int(int64(next)), "sym": val.String(testSyms[next%5])}); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-		if _, err := txn.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit(100) // ids 0..99
-	commit(100) // ids 100..199
-	commit(30)  // ids 200..229
-	st := m.Table("events")
-
-	if !m.seal(st, 64) {
-		t.Fatal("nothing sealed")
-	}
-	tbl, _ := db.Table("events")
-	segs := runs(tbl)
-	if len(segs) != 2 || segs[0].Rows() != 100 || segs[1].Rows() != 100 {
-		t.Fatalf("want two whole-commit segments of 100 rows, got %d segments (%d sealed rows)", len(segs), st.Stats().SealedRows)
-	}
-	if n := st.tail.len(); n != 30 {
-		t.Fatalf("tail after seal holds %d rows, want the 30-row commit", n)
-	}
-	if first := st.tail.ids[0]; first != segs[1].RowID(99)+1 {
-		t.Errorf("tail starts at row id %d, right after the sealed rows is %d", first, segs[1].RowID(99)+1)
-	}
-	for i, row := range viewRows(st.tail.view(st.table)) {
-		if id, _ := row[0].AsInt(); id != int64(200+i) {
-			t.Fatalf("tail row %d has id %d, want %d", i, id, 200+i)
-		}
-	}
-}
-
-// TestSuffixMatchesAppends: the suffix a seal leaves behind is copied
-// as vector ranges; it must be the tail that appending the same rows
-// one by one builds — vectors and dictionary — for every kind, with
-// NULLs, and from any cut.
-func TestSuffixMatchesAppends(t *testing.T) {
-	schema := eventsSchema(t)
-	rng := rand.New(rand.NewSource(11))
-	const n = 500
-	full := newTail(schema)
-	rows := make([]storage.Row, n)
-	for i := range rows {
-		ev := randEvent(rng, i)
-		rows[i] = make(storage.Row, len(schema.Columns))
-		for ci, c := range schema.Columns {
-			rows[i][ci] = ev[c.Name] // a missing key is NULL
-		}
-		if i >= 300 && i < 340 {
-			rows[i] = storage.Row{val.Int(int64(i)), val.Null, val.Null, val.Null, val.Null, val.Null, val.Null}
-		}
-		if err := full.append(storage.RowID(i+1), uint64(i/7+1), uint64(i/7+1), rows[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, from := range []int{0, 1, 250, 300, 340, n - 1, n} {
-		want := newTail(schema)
-		for i := from; i < n; i++ {
-			if err := want.append(storage.RowID(i+1), uint64(i/7+1), uint64(i/7+1), rows[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := full.suffix(from); !reflect.DeepEqual(got, want) {
-			t.Errorf("suffix(%d) differs from the tail its rows build when appended", from)
-			for ci := range got.cols {
-				if !reflect.DeepEqual(got.cols[ci], want.cols[ci]) {
-					t.Logf("column %s:\n got %+v\nwant %+v", schema.Columns[ci].Name, got.cols[ci], want.cols[ci])
-				}
-			}
-		}
-	}
-
-}
-
 // TestModifiedSpansTailAndSegments: an updated row is hot, and no
 // segment serves it, whether its insert was sealed before the update or
 // after; a delete removes it.
@@ -254,7 +104,7 @@ func TestModifiedSpansTailAndSegments(t *testing.T) {
 	fillEvents(t, db, 100, 5)
 	st := m.Table("events")
 	tbl, _ := db.Table("events")
-	staged := st.tail.ids
+	staged := hotIDs(tbl)
 	upTail, delTail, upThenDel := staged[10], staged[20], staged[30]
 	update := func(id storage.RowID) {
 		t.Helper()
@@ -313,15 +163,14 @@ func TestReaderFillMatchesEager(t *testing.T) {
 	n := 3*BatchSize + 77
 	rows := make([]storage.Row, n)
 	ids := make([]storage.RowID, n)
-	lsns := make([]uint64, n)
 	for i := range rows {
 		r, err := schema.RowFromMap(randEvent(rng, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows[i], ids[i], lsns[i] = r, storage.RowID(i+1), uint64(i+1)
+		rows[i], ids[i] = r, storage.RowID(i+1)
 	}
-	seg, err := buildSegment("events", schema, ids, lsns, rows)
+	seg, err := buildSegment("events", schema, ids, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

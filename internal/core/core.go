@@ -52,8 +52,8 @@ type Config struct {
 	// every engine seals committed table history into immutable column
 	// segments that serve full-scan queries.
 	ColumnarDisabled bool
-	// ColumnarSealRows overrides the pending-row threshold at which a
-	// table's history is sealed into a segment (default 8192).
+	// ColumnarSealRows overrides the width of the row-id ranges a
+	// table's history is cut into segments by (default 8192).
 	ColumnarSealRows int
 	// ColumnarSealInterval overrides the background sealer cadence
 	// (default 200ms).

@@ -480,11 +480,9 @@ func TestReplayQueueNotDurable(t *testing.T) {
 func TestRestartLeavesDeadHistoryOnDisk(t *testing.T) {
 	const sealRows, msgs, left = 64, 20 * 64, 10
 	dir := t.TempDir()
-	// The Compact calls below cut every segment: the background sealer
-	// never fires. Kicked by the row that fills a cut, it can find the
-	// tail full, lose it to the Compact, and then seal the rows that
-	// arrived meanwhile as one more, shorter segment; in the last cut
-	// that can leave the live messages in two segments.
+	// The Compact calls below cut every segment, while its messages are
+	// queued: the background sealer never fires, and left to cut the
+	// ranges after the acks it would find no row to put in a file.
 	cfg := Config{Dir: dir, ColumnarSealRows: 2 * msgs, ColumnarSealInterval: time.Hour}
 	eng, err := Open(cfg)
 	if err != nil {

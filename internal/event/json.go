@@ -227,8 +227,16 @@ func appendJSONString(dst []byte, s string) []byte {
 // also becomes the event's EncodedJSON, so an event published in that
 // form is pushed in the bytes it arrived in and never encoded again.
 func UnmarshalJSONEvent(data []byte) (*Event, error) {
+	return UnmarshalJSONEventString(string(data))
+}
+
+// UnmarshalJSONEventString is UnmarshalJSONEvent of data held in a
+// string, which is immutable: the event keeps data itself as its copy,
+// so an event that arrived in a text line is not copied out of it again.
+func UnmarshalJSONEventString(data string) (*Event, error) {
 	var scratch [128]byte // keeps short escaped strings off the heap
-	own := bytes.Clone(data)
+	// The scanner never writes own.
+	own := unsafe.Slice(unsafe.StringData(data), len(data))
 	s := jsonScanner{data: own, buf: scratch[:0], canonical: true}
 	e, err := s.event(own)
 	if err == nil && s.canonical {

@@ -186,7 +186,7 @@ func (a *Accumulator) addVec(v *columnar.Vector, sel []int32) error {
 // rowSink consumes the rows a query selects and shapes its result.
 // Rows arrive one at a time from the row path (joins, NoColumnar) and
 // from the row store side of a columnar scan, and as column vectors
-// plus a selection from segments and the tail; a sink
+// plus a selection from sealed runs and the hot rows; a sink
 // gives the same result whichever way a row reaches it.
 type rowSink interface {
 	addRow(r expr.Resolver) error

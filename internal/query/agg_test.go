@@ -177,7 +177,7 @@ func TestAllocsTailPruned(t *testing.T) {
 // goroutine commits multi-row transactions and another keeps forcing
 // seals. Whatever moment a query's snapshot falls on, its result must
 // be exactly the first N commits for some N: no commit torn, no row
-// twice, none lost on its way from the tail into a segment.
+// twice, none lost on its way from the hot rows into a segment.
 func TestColumnarConcurrentPrefix(t *testing.T) {
 	const perCommit, groups = 37, 7
 	commits := 300

@@ -516,10 +516,9 @@ func hotEdgeQueries() map[string]func() *Query {
 const (
 	layoutSealed = "all sealed"
 	layoutTail   = "all in the tail"
-	// layoutSplit inserts in 150-row commits against a 64-row seal
-	// threshold, so every cut the background sealer picks lands inside
-	// a commit and must extend to its end; a run of single-row commits
-	// too short to seal stays in the tail.
+	// layoutSplit inserts in 150-row commits against 75-row ranges, so
+	// every other cut the background sealer takes ends inside a commit;
+	// a run of single-row commits too short to fill a range stays hot.
 	layoutSplit = "split mid-commit-group"
 	// layoutReleased seals every 150-row commit on its own, then moves
 	// every row of the first two segments and four in five of the
@@ -547,7 +546,7 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 	}
 	cfg := columnar.Config{SealRows: 1 << 30, SealInterval: time.Hour} // sealer idle
 	if layout == layoutSplit {
-		cfg.SealRows = 64
+		cfg = columnar.Config{SealRows: 75, SealInterval: time.Millisecond}
 	}
 	m, err := columnar.Attach(db, cfg)
 	if err != nil {
@@ -573,8 +572,8 @@ func colDBLayout(t *testing.T, layout string) *storage.DB {
 		}
 	}
 	if layout == layoutSplit {
-		// Every commit kicked the sealer; wait for it to drain the tail
-		// below its threshold before adding the rows that must stay.
+		// Wait for the sealer to cut every full range before adding the
+		// rows that must stay hot.
 		for deadline := time.Now().Add(10 * time.Second); m.Stats()[0].PendingRows >= cfg.SealRows; {
 			if time.Now().After(deadline) {
 				t.Fatal("background sealer never caught up")

@@ -17,7 +17,7 @@ import (
 // through dispatch.
 
 func handleMatch(c *conn, req *request) bool {
-	ev, err := event.UnmarshalJSONEvent([]byte(req.tail))
+	ev, err := event.UnmarshalJSONEventString(req.tail)
 	if err != nil {
 		c.errf(codeBadJSON, "%v", err)
 		return true

@@ -15,18 +15,20 @@ import (
 // bodies are decoded here and nowhere else, ingested here and nowhere
 // else, and every outcome has one reply site. The request is either the
 // event that came with the command (body, bodies == 0) or that many
-// body units still on the wire (PUBB). body is only read, and not after
-// publish returns, so the binary fast path passes the frame reader's
-// own buffer. commit, if set, runs between a successful ingest (one
-// whose commits the OS has, see flushed) and its reply. publish returns
-// false only when framing is lost.
+// body units still on the wire (PUBB). The event decoded from body
+// keeps it as its one copy of the bytes, so a text PUB's body is the
+// command line's, and a body read in place (a frame, a PUBB line) is
+// copied out of the reader's buffer as it is decoded. commit, if set,
+// runs between a successful ingest (one whose commits the OS has, see
+// flushed) and its reply. publish returns false only when framing is
+// lost.
 //
 // A request that is complete on its command line passed its verb's
 // gates before it got here. PUBB passes them here, once its bodies are
 // off the wire — a refusal sent ahead of them would leave the client's
 // events to be read as commands — and all of them are read even when
 // the batch is refused or one is bad.
-func publish(c *conn, body []byte, bodies int, commit func()) bool {
+func publish(c *conn, body string, bodies int, commit func()) bool {
 	batch := bodies > 0
 	var one [1]*event.Event
 	evs := one[:0]
@@ -35,19 +37,23 @@ func publish(c *conn, body []byte, bodies int, commit func()) bool {
 	}
 	var bad error
 	for i := 0; i < max(bodies, 1); i++ {
+		var ev *event.Event
+		var err error
 		if batch {
-			var ok bool
-			if body, ok = c.readBody(); !ok {
+			raw, ok := c.readBody()
+			if !ok {
 				return false
 			}
+			if bad != nil {
+				continue
+			}
+			// UnmarshalJSONEvent copies everything out of raw, so the
+			// reader may reuse the buffer for the next frame or line
+			// (TestUnmarshalJSONEventCopiesInput holds the scanner to that).
+			ev, err = event.UnmarshalJSONEvent(raw)
+		} else {
+			ev, err = event.UnmarshalJSONEventString(body)
 		}
-		if bad != nil {
-			continue
-		}
-		// UnmarshalJSONEvent copies everything out of body, so the reader
-		// may reuse the buffer for the next frame or line
-		// (TestUnmarshalJSONEventCopiesInput holds the scanner to that).
-		ev, err := event.UnmarshalJSONEvent(body)
 		if err != nil {
 			bad = err
 			if batch {
@@ -103,15 +109,16 @@ func (c *conn) flushed() bool {
 }
 
 func handlePub(c *conn, req *request) bool {
-	return publish(c, []byte(req.tail), 0, nil)
+	return publish(c, req.tail, 0, nil)
 }
 
 // publishFrame is the binary fast path: a Pub frame's payload is the
-// JSON event itself, so there is no verb to parse and no copy of the
-// body. It is PUB in everything else — PUB's gates, then the same door.
+// JSON event itself, so there is no verb to parse, and the one copy of
+// the body is the one made out of the frame reader's buffer. It is PUB
+// in everything else — PUB's gates, then the same door.
 func publishFrame(c *conn, payload []byte) {
 	if admit(c, commands["PUB"], "PUB") {
-		publish(c, payload, 0, nil)
+		publish(c, string(payload), 0, nil)
 	}
 }
 
@@ -137,7 +144,7 @@ func handlePubBatch(c *conn, req *request) bool {
 		c.errf(codeTooBig, "batch size %d out of range (want 1..%d)", n, maxBatch)
 		return true
 	}
-	return publish(c, nil, n, nil)
+	return publish(c, "", n, nil)
 }
 
 // handlePubT is PUB with an idempotency token — the server-side half of
@@ -161,7 +168,7 @@ func handlePubT(c *conn, req *request) bool {
 		c.reply("OK 0 dup")
 		return true
 	}
-	return publish(c, []byte(req.tail), 0, func() { ledger.record(session, seq) })
+	return publish(c, req.tail, 0, func() { ledger.record(session, seq) })
 }
 
 // maxPubTSessions bounds the publish-session ledger so clients cannot

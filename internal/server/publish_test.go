@@ -280,6 +280,40 @@ func TestLongTextLines(t *testing.T) {
 	}
 }
 
+// TestAllocsTextPub: a text PUB of E23's tick, from its command line to
+// its reply, allocates the event (four, see
+// TestAllocsUnmarshalJSONEvent), the command line and the reply: the
+// decoder's copy of the body is the one copy made of it.
+func TestAllocsTextPub(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	_, srv := startServer(t, core.Config{}, Config{})
+	r := rawDial(t, srv)
+	payload, err := tick().EncodedJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := append(append([]byte("PUB "), payload...), '\n')
+	want := []byte("OK 0\n")
+	got := make([]byte, len(want))
+	pub := func() {
+		if _, err := r.nc.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r.br, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("PUB → %q, %v", got, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		pub()
+	}
+	// 5; 6 while the body was copied for the decoder to copy again.
+	if allocs, want := testing.AllocsPerRun(200, pub), 4+1; allocs > float64(want) {
+		t.Errorf("a text PUB allocates %v, want <= %d", allocs, want)
+	}
+}
+
 // TestAllocsTextPubBatch: a text PUBB of 64 events, from its command
 // line to its reply, allocates the events (four each, see
 // TestAllocsUnmarshalJSONEvent), the batch, the command line and the

@@ -568,6 +568,7 @@ func (db *DB) deliverPending() {
 	db.delivering = true
 	for len(db.pending) > 0 {
 		next := db.pending[0]
+		db.pending[0] = nil // the array outlives the slice: pin no commit's rows
 		db.pending = db.pending[1:]
 		db.pendingMu.Unlock()
 		db.hookMu.RLock()

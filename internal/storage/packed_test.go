@@ -355,7 +355,7 @@ func TestAllocsOneOpCommit(t *testing.T) {
 		keyed.ids = append(keyed.ids, id)
 	}
 	tbl, _ := db.Table("p")
-	if n := tbl.Evict(keyed); n != 2 || tbl.runs[0].order == nil {
+	if n := tbl.Evict(keyed, keyed.images(t, tbl)); n != 2 || tbl.runs[0].order == nil {
 		t.Fatalf("Evict = %d, key order %v; want 2 rows and a run keyed out of order", n, tbl.runs[0].order)
 	}
 	ids := make([]RowID, 0, runs+1)

@@ -62,42 +62,18 @@ type coldRun struct {
 
 func (r *coldRun) isLive(i int) bool { return r.live[i/64]&(1<<uint(i%64)) != 0 }
 
-// Evict hands seg the table's rows that it holds: each row whose stored
-// image equals seg's copy, re-packed, leaves the row store, and reads
-// serve it from seg until an update or a delete takes it back. A row
-// whose image differs — rewritten by a commit seg's maker has not seen
-// yet — stays, so any cut of the table's history is safe to hand over.
-// Rows that leave for a keyed run (keyOrder) leave pk too. It returns
-// how many rows left the row store: none when no more than 1/SparseDiv
-// of seg's rows would (the run would be given back at once), or when
-// seg's rows overlap a run already handed over. The hot zones are then
-// recomputed over the rows left hot.
-func (t *Table) Evict(seg Sealed) int {
+// Evict hands seg the table's rows that it holds: row i of seg, cut
+// from the table with image imgs[i] (Images) or reloaded with it, leaves
+// the row store if that is still its stored image, and reads serve it
+// from seg until an update or a delete takes it back. A row rewritten
+// meanwhile stays, so any cut of the table's history is safe to hand
+// over. Rows that leave for a keyed run (keyOrder) leave pk too. It
+// returns how many rows left the row store: none when no more than
+// 1/SparseDiv of seg's rows would (the run would be given back at once),
+// or when seg's rows overlap a run already handed over. The hot zones
+// are then recomputed over the rows left hot.
+func (t *Table) Evict(seg Sealed, imgs []string) int {
 	n := seg.Rows()
-	// Rows are compared one at a time under the read lock, so neither a
-	// packed copy of seg nor a long write lock is needed: a match keeps
-	// the image it matched, and the write lock below evicts the row only
-	// if that image is still the stored one. No image is empty.
-	matched := make([]string, n)
-	count := 0
-	var img []byte
-	seg.DecodeRows(nil, func(i int, r Row) bool {
-		img = img[:0]
-		for _, v := range r {
-			img = val.AppendBinary(img, v)
-		}
-		t.mu.RLock()
-		cur, ok := t.rows[seg.RowID(i)]
-		t.mu.RUnlock()
-		if ok && cur == string(img) {
-			matched[i] = cur
-			count++
-		}
-		return true
-	})
-	if count*SparseDiv <= n {
-		return 0
-	}
 	run := &coldRun{seg: seg, first: seg.RowID(0), last: seg.RowID(n - 1), live: make([]uint64, (n+63)/64)}
 	t.keyOrder(run)
 
@@ -107,8 +83,8 @@ func (t *Table) Evict(seg Sealed) int {
 	if at < len(t.runs) && t.runs[at].first <= run.last {
 		return 0
 	}
-	for i, img := range matched {
-		if img != "" && t.rows[seg.RowID(i)] == img {
+	for i, img := range imgs {
+		if t.rows[seg.RowID(i)] == img { // no image is empty
 			run.live[i/64] |= 1 << uint(i%64)
 			run.n++
 		}
@@ -120,6 +96,7 @@ func (t *Table) Evict(seg Sealed) int {
 	for i := 0; i < n; i++ {
 		if run.isLive(i) {
 			delete(t.rows, seg.RowID(i))
+			delete(t.rewritten, seg.RowID(i))
 			if run.keyed {
 				delete(t.pk, string(val.AppendKey(key[:0], seg.At(t.schema.pkCols[0], i))))
 			}
@@ -130,6 +107,28 @@ func (t *Table) Evict(seg Sealed) int {
 	t.shrink()
 	t.rezone()
 	return run.n
+}
+
+// Images returns the ids of the table's hot rows in [lo, hi) that hold
+// what their insert wrote, ascending, and their images: the rows a cut
+// of the table's history takes (see Evict). A row an update rewrote is
+// passed by, so that history holds rows as they were inserted and a row
+// in use stays hot. The read lock is taken for a chunk of ids at a time,
+// so a writer never waits for a whole cut.
+func (t *Table) Images(lo, hi RowID) (ids []RowID, imgs []string) {
+	const chunk = 1024
+	for from := lo; from < hi; from += chunk {
+		t.mu.RLock()
+		for id := from; id < min(from+chunk, hi); id++ {
+			if img, ok := t.rows[id]; ok {
+				if _, moved := t.rewritten[id]; !moved {
+					ids, imgs = append(ids, id), append(imgs, img)
+				}
+			}
+		}
+		t.mu.RUnlock()
+	}
+	return ids, imgs
 }
 
 // keyOrder keys run when the table's key is one int column with no NULL
@@ -207,22 +206,6 @@ func keyInt(key string) (int64, bool) {
 	k := int64(binary.BigEndian.Uint64([]byte(key[9:])) ^ 1<<63)
 	var buf [17]byte
 	return k, string(val.AppendKey(buf[:0], val.Int(k))) == key
-}
-
-// Holds returns how many of ids are hot rows of the table: no fewer
-// than Evict would take from a run of them, so a run of ids of which it
-// finds no more than 1/SparseDiv is one Evict would decline.
-func (t *Table) Holds(ids []RowID) int {
-	n := 0
-	for _, id := range ids {
-		t.mu.RLock()
-		_, hot := t.rows[id]
-		t.mu.RUnlock()
-		if hot {
-			n++
-		}
-	}
-	return n
 }
 
 // Runs returns the table's sealed runs, ascending by row id, how many

@@ -7,12 +7,10 @@ import (
 	"eventdb/internal/val"
 )
 
-// fakeRun is a Sealed over rows held as they are; meanwhile runs after
-// DecodeRows has handed out its last row, before it returns.
+// fakeRun is a Sealed over rows held as they are.
 type fakeRun struct {
-	ids       []RowID
-	rows      []Row
-	meanwhile func()
+	ids  []RowID
+	rows []Row
 }
 
 func (f *fakeRun) Rows() int               { return len(f.rows) }
@@ -26,16 +24,24 @@ func (f *fakeRun) DecodeRows(want []uint64, fn func(i int, r Row) bool) bool {
 			return false
 		}
 	}
-	if f.meanwhile != nil {
-		f.meanwhile()
-	}
 	return true
 }
 
-// TestEvictKeepsARowRewrittenMeanwhile hands a table a run whose rows
-// all match, and updates one of them after Evict has compared it but
-// before it evicts: that row must stay in the row store with its new
-// image, and the others leave it.
+// images returns the images a cut takes of run's rows, every one of
+// them hot and as inserted.
+func (f *fakeRun) images(t *testing.T, tbl *Table) []string {
+	t.Helper()
+	ids, imgs := tbl.Images(f.ids[0], f.ids[len(f.ids)-1]+1)
+	if len(ids) != len(f.ids) {
+		t.Fatalf("a cut takes %d of the run's %d rows", len(ids), len(f.ids))
+	}
+	return imgs
+}
+
+// TestEvictKeepsARowRewrittenMeanwhile cuts a table's rows, updates
+// one of them, and then hands the table the run of what the cut took:
+// that row must stay in the row store with its new image, and the
+// others leave it.
 func TestEvictKeepsARowRewrittenMeanwhile(t *testing.T) {
 	db := openVolatile(t)
 	s, err := NewSchema("e", []Column{{Name: "k", Kind: val.KindInt}, {Name: "v", Kind: val.KindString}}, "k")
@@ -54,13 +60,12 @@ func TestEvictKeepsARowRewrittenMeanwhile(t *testing.T) {
 		}
 		run.ids, run.rows = append(run.ids, id), append(run.rows, r)
 	}
-	run.meanwhile = func() {
-		if err := db.UpdateRow("e", run.ids[1], map[string]val.Value{"v": val.String("new")}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	tbl, _ := db.Table("e")
-	if n := tbl.Evict(run); n != 3 {
+	imgs := run.images(t, tbl)
+	if err := db.UpdateRow("e", run.ids[1], map[string]val.Value{"v": val.String("new")}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl.Evict(run, imgs); n != 3 {
 		t.Fatalf("Evict = %d, want 3", n)
 	}
 	if n, c := tbl.Len(), tbl.cold; n != 4 || c != 3 {
@@ -98,7 +103,7 @@ func TestSparseRunGoesBack(t *testing.T) {
 		run.ids, run.rows = append(run.ids, id), append(run.rows, Row{val.Int(k)})
 	}
 	tbl, _ := db.Table("e")
-	if n := tbl.Evict(run); n != 8 {
+	if n := tbl.Evict(run, run.images(t, tbl)); n != 8 {
 		t.Fatalf("Evict = %d, want 8", n)
 	}
 	for i, id := range run.ids[:6] {
@@ -166,7 +171,7 @@ func TestKeyedRunIsItsKeyIndex(t *testing.T) {
 		"shuffled":  {val.Int(5), val.Int(2), val.Int(8), val.Int(1), val.Int(7), val.Int(3), val.Int(6), val.Int(4)},
 	} {
 		db, tbl, run := keyedTable(t, keys...)
-		if n := tbl.Evict(run); n != 8 || len(tbl.pk) != 0 || (tbl.runs[0].order == nil) != (name == "ascending") {
+		if n := tbl.Evict(run, run.images(t, tbl)); n != 8 || len(tbl.pk) != 0 || (tbl.runs[0].order == nil) != (name == "ascending") {
 			t.Fatalf("%s: Evict = %d with %d key entries left, key order %v; want 8, none and an order only when shuffled", name, n, len(tbl.pk), tbl.runs[0].order)
 		}
 		idOf := map[int64]RowID{}
@@ -227,7 +232,7 @@ func TestKeyedRunIsItsKeyIndex(t *testing.T) {
 func TestNullKeyRunKeepsItsEntries(t *testing.T) {
 	keys := []val.Value{val.Int(1), val.Int(2), val.Null, val.Int(4)}
 	db, tbl, run := keyedTable(t, keys...)
-	if n := tbl.Evict(run); n != 4 || len(tbl.pk) != 4 || tbl.runs[0].keyed {
+	if n := tbl.Evict(run, run.images(t, tbl)); n != 4 || len(tbl.pk) != 4 || tbl.runs[0].keyed {
 		t.Fatalf("Evict = %d with %d key entries; want 4 and 4, unkeyed", n, len(tbl.pk))
 	}
 	for i, k := range keys {
@@ -246,7 +251,7 @@ func TestNullKeyRunKeepsItsEntries(t *testing.T) {
 // still handed the update.
 func TestNoOpRewriteStaysSealed(t *testing.T) {
 	db, tbl, run := keyedTable(t, ints(1, 8)...)
-	if n := tbl.Evict(run); n != 8 {
+	if n := tbl.Evict(run, run.images(t, tbl)); n != 8 {
 		t.Fatalf("Evict = %d, want 8", n)
 	}
 	var seen []Change

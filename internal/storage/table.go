@@ -39,6 +39,10 @@ type Table struct {
 	cold int
 	// hot covers the hot rows' values (see hotZones).
 	hot hotZones
+	// rewritten holds the hot rows an update has rewritten since their
+	// insert: a cut of the table's history passes them by (Images). Nil
+	// while there are none.
+	rewritten map[RowID]struct{}
 	// rowsMax and pkMax are the most entries rows and pk have held
 	// since they were built (see shrink).
 	rowsMax, pkMax int
@@ -66,6 +70,15 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.rows) + t.cold
+}
+
+// NextID returns the id the table's next insert takes. Ids are handed
+// out gap-free, in commit order under the table lock, so every id below
+// it belongs to a committed row, live or deleted.
+func (t *Table) NextID() RowID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.nextID
 }
 
 // Version returns the commit version; it changes whenever the table's
@@ -229,15 +242,20 @@ func (t *Table) applyInsert(id RowID, r Row) {
 // evicted row leaves its sealed run, unless newRow is the row it holds
 // there (equal values pack to equal images). Caller holds t.mu.
 func (t *Table) applyUpdate(id RowID, old, newRow Row) {
-	if t.cold > 0 {
-		if _, hot := t.rows[id]; !hot {
-			if slices.Equal(old, newRow) {
-				return
-			}
-			t.unevict(id)
+	img, hot := t.rows[id]
+	if !hot && t.cold > 0 {
+		if slices.Equal(old, newRow) {
+			return
 		}
+		t.unevict(id)
 	}
-	t.rows[id] = t.packRow(newRow)
+	if packed := t.packRow(newRow); packed != img {
+		if t.rewritten == nil {
+			t.rewritten = make(map[RowID]struct{})
+		}
+		t.rewritten[id] = struct{}{}
+		t.rows[id] = packed
+	}
 	t.hot.widen(newRow)
 	t.rowsMax = max(t.rowsMax, len(t.rows))
 	if t.pk != nil {
@@ -252,6 +270,9 @@ func (t *Table) applyDelete(id RowID, old Row) {
 	delete(t.rows, id)
 	if len(t.rows) == n {
 		t.unevict(id)
+	}
+	if delete(t.rewritten, id); len(t.rewritten) == 0 {
+		t.rewritten = nil // a drained queue's map goes with it
 	}
 	if t.pk != nil {
 		delete(t.pk, t.schema.pkKey(old))
