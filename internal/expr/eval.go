@@ -2,6 +2,8 @@ package expr
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"eventdb/internal/val"
 )
@@ -322,6 +324,36 @@ func (p *Predicate) Standing() *Predicate {
 		return p
 	}
 	return &Predicate{Source: p.Source, Atoms: p.Atoms}
+}
+
+// Detach returns the standing form of p with nothing of the text p was
+// compiled from, so that a caller may keep it and drop the text. With no
+// tree that is its atoms with copies of their field names and string
+// literals, all in one string, and no source. A tree names parts of its
+// text, so one is compiled again from a copy of p's source.
+func (p *Predicate) Detach() *Predicate {
+	s := p.Standing()
+	if s.Root != nil {
+		if d, err := Compile(strings.Clone(p.Source)); err == nil {
+			return d
+		}
+		return s // only the empty source fails again, and it has no text
+	}
+	var text []byte
+	for i := range s.Atoms {
+		str, _ := s.Atoms[i].Lit.AsString()
+		text = append(append(text, s.Atoms[i].Field...), str...)
+	}
+	rest := string(text)
+	atoms := slices.Clone(s.Atoms)
+	for i := range atoms {
+		a := &atoms[i]
+		a.Field, rest = rest[:len(a.Field)], rest[len(a.Field):]
+		if str, ok := a.Lit.AsString(); ok {
+			a.Lit, rest = val.String(rest[:len(str)]), rest[len(str):]
+		}
+	}
+	return &Predicate{Atoms: atoms}
 }
 
 // Match evaluates the predicate; only a definite boolean true matches

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"eventdb/internal/val"
 )
@@ -33,8 +34,43 @@ func TestStandingKeepsOnlyAtoms(t *testing.T) {
 	}
 }
 
-// FuzzStandingMatchesTree holds a standing condition's atoms to its
-// parse tree: on every condition and every value of x (missing, NULL,
+// TestDetachKeepsNoText: a detached condition matches as its tree does
+// after the text it was compiled from is overwritten, keeps no source
+// where its atoms are all of it, and is its source's again otherwise.
+func TestDetachKeepsNoText(t *testing.T) {
+	events := []MapResolver{
+		{"sym": val.String("SYM0042"), "qty": val.Int(400), "x": val.Int(3), "y": val.Int(2)},
+		{"sym": val.String("SYM0043"), "qty": val.Int(1017), "x": val.String("b")},
+		{},
+	}
+	for src, flat := range map[string]bool{
+		"sym = 'SYM0042' AND qty >= 400": true,
+		"qty >= 1017 AND qty < 1018":     true,
+		"'a' < x AND y BETWEEN 1 AND 5":  true,
+		"sym = 'SYM0043' OR x = 'b'":     false,
+		"lower(sym) = 'sym0042'":         false,
+	} {
+		buf := []byte(src)
+		d := MustCompile(unsafe.String(&buf[0], len(buf))).Detach()
+		for i := range buf {
+			buf[i] = '#'
+		}
+		if (d.Root == nil) != flat || flat && d.Source != "" || !flat && d.Source != src {
+			t.Errorf("%q: detached = %+v", src, d)
+		}
+		tree := MustCompile(src)
+		for _, ev := range events {
+			want, wantErr := tree.Match(ev)
+			got, gotErr := d.Match(ev)
+			if got != want || errText(gotErr) != errText(wantErr) {
+				t.Errorf("%q on %v: detached (%v, %v), tree (%v, %v)", src, ev, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// FuzzStandingMatchesTree holds a standing condition's atoms, and its
+// detached form, to its parse tree: on every condition and every value of x (missing, NULL,
 // or one of each kind), both match alike and fail with the same error.
 func FuzzStandingMatchesTree(f *testing.F) {
 	negZero := math.Copysign(0, -1)
@@ -92,6 +128,10 @@ func FuzzStandingMatchesTree(f *testing.F) {
 		got, gotErr := p.Standing().Match(r)
 		if got != want || errText(gotErr) != errText(wantErr) {
 			t.Fatalf("%q with x=%v: standing (%v, %v), tree (%v, %v)", src, r["x"], got, gotErr, want, wantErr)
+		}
+		got, gotErr = p.Detach().Match(r)
+		if got != want || errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%q with x=%v: detached (%v, %v), tree (%v, %v)", src, r["x"], got, gotErr, want, wantErr)
 		}
 	})
 }

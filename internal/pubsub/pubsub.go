@@ -99,7 +99,8 @@ func Compile(filter string) (*expr.Predicate, error) {
 
 // FilterOf reports the filter of an active subscription.
 func (b *Broker) FilterOf(id string) (filter string, ok bool) {
-	return b.engine.Condition(id)
+	filter, _, ok = b.engine.Lookup(id)
+	return filter, ok
 }
 
 // Len returns the number of active subscriptions.
@@ -115,9 +116,21 @@ func (b *Broker) Subscribe(id, subscriber, filter string, h Handler) error {
 }
 
 // SubscribeTarget registers a subscription under a filter (see Compile)
-// whose matches go to t.
+// whose matches go to t. It keeps no part of filter (see
+// expr.Predicate.Detach), and FilterOf may report "" for it.
 func (b *Broker) SubscribeTarget(id, filter string, t Target) error {
-	return b.subscribe(id, filter, t)
+	f, err := Compile(filter)
+	if err != nil {
+		return err
+	}
+	return b.engine.Install(id, f.Detach(), t)
+}
+
+// TargetOf reports where a callback subscription's matches go.
+func (b *Broker) TargetOf(id string) (Target, bool) {
+	_, h, _ := b.engine.Lookup(id)
+	t, ok := h.(Target)
+	return t, ok
 }
 
 // SubscribeQueue registers a subscription delivering into a staging
@@ -163,6 +176,9 @@ func (b *Broker) Rebind(id, filter string) error {
 // Unsubscribe removes a subscription. Once it returns, a match taken
 // before it delivers nothing (see rules.Rule.Handle).
 func (b *Broker) Unsubscribe(id string) error { return b.engine.Remove(id) }
+
+// UnsubscribePrefix removes every subscription whose id has prefix.
+func (b *Broker) UnsubscribePrefix(prefix string) { b.engine.RemovePrefix(prefix) }
 
 // Publish matches the event against all subscriptions and delivers to
 // each match, returning the number of deliveries. Callback handlers run

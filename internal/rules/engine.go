@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -36,17 +37,16 @@ type Action func(ev *event.Event, r *Rule)
 
 // Rule is one condition→action rule.
 type Rule struct {
-	Name     string
-	Priority int // higher runs first
-	Action   Action
+	Name string
 
-	pred    expr.Predicate // standing form, held by value; guarded by the engine's lock: Replace swaps it
-	handle  any
-	removed atomic.Bool
+	pred     expr.Predicate // standing form, held by value; guarded by the engine's lock: Replace swaps it
+	handle   any            // Add's Action, or Install's handle
+	Priority int32          // higher runs first
+	removed  atomic.Bool
 }
 
-// Handle returns the value Install gave the rule: nil for a rule made by
-// Add, and nil again once the rule is removed, so that a match taken
+// Handle returns the value Install gave the rule, or the Action Add
+// gave it, and nil once the rule is removed, so that a match taken
 // before a Remove reaches nothing through it after.
 func (r *Rule) Handle() any {
 	if r.removed.Load() {
@@ -88,18 +88,21 @@ func (e *Engine) Len() int {
 }
 
 // Add compiles and installs a rule. Adding an existing name is an error;
-// Remove it first, or Replace its condition.
+// Remove it first, or Replace its condition. A priority is an int32.
 func (e *Engine) Add(name, condition string, priority int, action Action) (*Rule, error) {
 	pred, err := expr.Compile(condition)
+	if err == nil && int(int32(priority)) != priority {
+		err = fmt.Errorf("priority %d out of range", priority)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("rules: %q: %w", name, err)
 	}
-	return e.add(&Rule{Name: name, Priority: priority, Action: action}, pred)
+	return e.add(&Rule{Name: name, Priority: int32(priority), handle: action}, pred)
 }
 
-// Install adds a rule with a compiled condition, no action and priority
-// 0, carrying handle: its installer's own value, which a match hands
-// back with no lookup by name (pubsub's is where the match goes).
+// Install adds a rule with a compiled condition and priority 0,
+// carrying handle: its installer's own value, which a match hands back
+// with no lookup by name (pubsub's is where the match goes).
 func (e *Engine) Install(name string, cond *expr.Predicate, handle any) error {
 	_, err := e.add(&Rule{Name: name, handle: handle}, cond)
 	return err
@@ -139,15 +142,15 @@ func (e *Engine) Replace(name string, cond *expr.Predicate) error {
 	return nil
 }
 
-// Condition returns the source of a rule's condition.
-func (e *Engine) Condition(name string) (string, bool) {
+// Lookup returns the source of a rule's condition and its handle.
+func (e *Engine) Lookup(name string) (cond string, handle any, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	r, ok := e.rules[name]
 	if !ok {
-		return "", false
+		return "", nil, false
 	}
-	return r.pred.Source, true
+	return r.pred.Source, r.handle, true
 }
 
 // Remove uninstalls a rule; from then on its Handle is nil.
@@ -158,10 +161,25 @@ func (e *Engine) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
-	delete(e.rules, name)
+	e.removeLocked(r)
+	return nil
+}
+
+// RemovePrefix removes, as Remove does, every rule named with prefix.
+func (e *Engine) RemovePrefix(prefix string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for name, r := range e.rules {
+		if strings.HasPrefix(name, prefix) {
+			e.removeLocked(r)
+		}
+	}
+}
+
+func (e *Engine) removeLocked(r *Rule) {
+	delete(e.rules, r.Name)
 	e.unfileLocked(r)
 	r.removed.Store(true)
-	return nil
 }
 
 // Rules returns rule names sorted by (priority desc, name).
@@ -292,8 +310,8 @@ func (m *Matcher) Eval(ev *event.Event) (int, error) {
 		return 0, err
 	}
 	for _, r := range matched {
-		if r.Action != nil {
-			r.Action(ev, r)
+		if a, ok := r.Handle().(Action); ok && a != nil {
+			a(ev, r)
 		}
 	}
 	return len(matched), nil

@@ -337,7 +337,7 @@ func TestChurnKeepsIndexConsistent(t *testing.T) {
 		}
 		want := make([]*Rule, 0, len(live))
 		for n, pri := range live {
-			want = append(want, &Rule{Name: n, Priority: pri})
+			want = append(want, &Rule{Name: n, Priority: int32(pri)})
 		}
 		sortRules(want)
 		if got := e.Rules(); fmt.Sprint(got) != fmt.Sprint(names(want)) {

@@ -25,12 +25,12 @@ const (
 	requiredTail
 )
 
-// request is one parsed command: the fixed arguments and the
-// free-form tail. Body-consuming commands (PUBB) read their batch
-// through conn.readBody, which speaks whichever wire mode the
-// connection negotiated.
+// request is one parsed command, its connection's own (conn.req): the
+// fixed arguments and the free-form tail. Body-consuming commands
+// (PUBB) read their batch through conn.readBody, which speaks whichever
+// wire mode the connection negotiated.
 type request struct {
-	args []string
+	args [3]string // the first cmdSpec.args of them
 	tail string
 }
 
@@ -73,36 +73,32 @@ type cmdSpec struct {
 	handle handler
 }
 
-// parse splits the post-verb remainder into fixed arguments and tail.
-// It returns a human-readable problem ("" on success) so the dispatch
-// loop stays verb-agnostic.
-func (s *cmdSpec) parse(rest string) (*request, string) {
-	req := &request{}
-	if s.args > 0 {
-		req.args = make([]string, 0, s.args)
-		for i := 0; i < s.args; i++ {
-			tok, remainder, _ := strings.Cut(rest, " ")
-			if tok == "" {
-				return nil, "missing arguments"
-			}
-			req.args = append(req.args, tok)
-			rest = remainder
+// parse splits the post-verb remainder into the fixed arguments and
+// tail of req, which is zero. It returns a human-readable problem (""
+// on success) so the dispatch loop stays verb-agnostic.
+func (s *cmdSpec) parse(req *request, rest string) string {
+	for i := 0; i < s.args; i++ {
+		tok, remainder, _ := strings.Cut(rest, " ")
+		if tok == "" {
+			return "missing arguments"
 		}
+		req.args[i] = tok
+		rest = remainder
 	}
 	switch s.tail {
 	case noTail:
 		if strings.TrimSpace(rest) != "" {
-			return nil, "unexpected trailing arguments"
+			return "unexpected trailing arguments"
 		}
 	case requiredTail:
 		if strings.TrimSpace(rest) == "" {
-			return nil, "missing payload"
+			return "missing payload"
 		}
 		req.tail = rest
 	case optionalTail:
 		req.tail = rest
 	}
-	return req, ""
+	return ""
 }
 
 // commands is the verb table. Populated by init so the entries can live
@@ -112,8 +108,8 @@ var commands = make(map[string]*cmdSpec)
 // register installs one verb; duplicate registration is a programming
 // error caught at startup.
 func register(verb string, spec cmdSpec) {
-	if _, dup := commands[verb]; dup {
-		panic("server: duplicate command " + verb)
+	if _, dup := commands[verb]; dup || spec.args > len(request{}.args) {
+		panic("server: duplicate command, or too many arguments: " + verb)
 	}
 	commands[verb] = &spec
 }
@@ -186,8 +182,9 @@ func dispatch(c *conn, line string) bool {
 		c.errf(codeUnknown, "unknown command %q", verb)
 		return true
 	}
-	req, problem := spec.parse(rest)
-	if problem != "" {
+	req := &c.req
+	defer func() { *req = request{} }() // keeps the line no longer than its command
+	if problem := spec.parse(req, rest); problem != "" {
 		c.errf(codeBadArgs, "%s (usage: %s)", problem, spec.usage)
 		return true
 	}

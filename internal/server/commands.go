@@ -31,10 +31,10 @@ func handleMatch(c *conn, req *request) bool {
 	return true
 }
 
-// The handlers copy what a registration keeps of its command line (a
-// SUB's filter, a CQ's id), so that it does not keep the line alive.
+// A SUB keeps nothing of its command line (pubsub.SubscribeTarget), and
+// a CQ copies the id its spec keeps, so that neither pins the line.
 func handleSub(c *conn, req *request) bool {
-	c.subscribe(req.args[0], strings.Clone(req.tail), nil)
+	c.subscribe(req.args[0], req.tail, nil)
 	return true
 }
 
@@ -55,51 +55,55 @@ func handleCQ(c *conn, req *request) bool {
 	return true
 }
 
-// subscribe registers a broker subscription under localID and replies
-// to the command that asked for it: a SUB's (q nil), which pushes each
-// event that matches filter, or a CQ's, which pushes what q folds the
-// event into.
+// subscribe registers the broker rule of a SUB (q nil), which pushes
+// each event that matches filter, or of a CQ, which pushes what q folds
+// the event into, and replies to the command that asked for it.
 func (c *conn) subscribe(localID, filter string, q *cq.CQ) {
 	if c.hasSink(localID) {
 		c.errf(codeDup, "id %q already in use", localID)
 		return
 	}
-	name := c.subs + localID
-	var s interface {
-		sink
-		pubsub.Target
+	var t pubsub.Target = c
+	if q != nil {
+		t = &cqSink{c: c, q: q}
 	}
-	if q == nil {
-		s = &brokerSink{c: c, name: name}
-	} else {
-		s = &cqSink{brokerSink: brokerSink{c: c, name: name}, q: q}
-	}
-	if err := c.srv.eng.Broker.SubscribeTarget(name, filter, s); err != nil {
+	if err := c.srv.eng.Broker.SubscribeTarget(c.subs+localID, filter, t); err != nil {
 		c.errf(codeBadSpec, "%v", err)
 		return
 	}
-	if !c.addSink(name[len(c.subs):], s) {
-		c.srv.eng.Broker.Unsubscribe(name)
-		c.errf(codeDup, "id %q already in use", localID)
-		return
+	if q == nil {
+		c.nsubs++
+	} else {
+		c.ncqs++
 	}
+	c.everSink = true
 	c.reply("OK")
 }
 
 func handleUnsub(c *conn, req *request) bool {
-	localID := req.args[0]
+	localID, name := req.args[0], c.subs+req.args[0]
 	c.mu.Lock()
 	s, ok := c.sinks[localID]
 	delete(c.sinks, localID)
 	c.mu.Unlock()
-	if !ok {
+	t, isRule := c.srv.eng.Broker.TargetOf(name)
+	switch {
+	case ok:
+		// For a durable consumer this stops delivery to this connection
+		// and releases its unacked messages; the queue, its staged
+		// events, and the broker binding all survive for the next attach.
+		s.detach()
+	case isRule:
+		c.srv.eng.Broker.Unsubscribe(name)
+		if _, cq := t.(*cqSink); cq {
+			c.ncqs--
+		} else {
+			c.nsubs--
+		}
+	default:
 		c.errf(codeNoSub, "no subscription %q", localID)
 		return true
 	}
-	// For a durable consumer this stops delivery to this connection and
-	// releases its unacked messages; the queue, its staged events, and
-	// the broker binding all survive for the next attach.
-	s.detach()
 	c.reply("OK")
 	return true
 }
@@ -114,15 +118,10 @@ func handleStats(c *conn, req *request) bool {
 	if !ok {
 		return true
 	}
-	var subs, cqs, qsubs int
+	subs, cqs, qsubs := c.nsubs, c.ncqs, 0
 	c.mu.Lock()
 	for _, s := range c.sinks {
-		switch s.kind() {
-		case "sub":
-			subs++
-		case "cq":
-			cqs++
-		case "qsub":
+		if _, ok := s.(*queueSink); ok {
 			qsubs++
 		}
 	}

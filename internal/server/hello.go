@@ -36,10 +36,7 @@ func handleHello(c *conn, req *request) bool {
 		c.errf(codeBadArgs, "HELLO needs a protocol version >= 1, got %q", req.args[0])
 		return true
 	}
-	c.mu.Lock()
-	locked := c.everSink
-	c.mu.Unlock()
-	if locked {
+	if c.everSink {
 		c.errf(codeConflict, "HELLO must precede any subscription or stream on the connection")
 		return true
 	}

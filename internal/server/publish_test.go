@@ -281,9 +281,10 @@ func TestLongTextLines(t *testing.T) {
 }
 
 // TestAllocsTextPub: a text PUB of E23's tick, from its command line to
-// its reply, allocates the event (four, see
-// TestAllocsUnmarshalJSONEvent), the command line and the reply: the
-// decoder's copy of the body is the one copy made of it.
+// its reply, allocates the command line and the event
+// (TestAllocsUnmarshalJSONEvent's four less its copy of the body, which
+// is the line): the command is parsed into its connection's request and
+// the reply allocates nothing.
 func TestAllocsTextPub(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -308,17 +309,18 @@ func TestAllocsTextPub(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pub()
 	}
-	// 5; 6 while the body was copied for the decoder to copy again.
-	if allocs, want := testing.AllocsPerRun(200, pub), 4+1; allocs > float64(want) {
+	// 4: the event's and the line; 5 while each command allocated its
+	// request, 6 while the body was also copied for the decoder to copy
+	// again.
+	if allocs, want := testing.AllocsPerRun(200, pub), 4; allocs > float64(want) {
 		t.Errorf("a text PUB allocates %v, want <= %d", allocs, want)
 	}
 }
 
 // TestAllocsTextPubBatch: a text PUBB of 64 events, from its command
 // line to its reply, allocates the events (four each, see
-// TestAllocsUnmarshalJSONEvent), the batch, the command line and the
-// reply, and nothing per body line for reading it: the lines are read
-// in place.
+// TestAllocsUnmarshalJSONEvent), the batch and the command line, and
+// nothing per body line for reading it: the lines are read in place.
 func TestAllocsTextPubBatch(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -346,8 +348,9 @@ func TestAllocsTextPubBatch(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pub()
 	}
-	// 259; 389 while each line was read into a string and copied.
-	if allocs, want := testing.AllocsPerRun(100, pub), 64*4+3; allocs > float64(want) {
+	// 258; 259 while each command allocated its request, 389 while each
+	// line was read into a string and copied.
+	if allocs, want := testing.AllocsPerRun(100, pub), 64*4+2; allocs > float64(want) {
 		t.Errorf("a text PUBB of 64 events allocates %v, want <= %d", allocs, want)
 	}
 }

@@ -52,10 +52,7 @@ func handleQSub(c *conn, req *request) bool {
 		bursts:    c.srv.eng.Metrics.Counter("server.qsub.bursts"),
 		claims:    c.srv.eng.Metrics.Counter("queue.claim.commits"),
 	}
-	if !c.addSink(name, qs) {
-		c.errf(codeDup, "id %q already in use", name)
-		return true
-	}
+	c.addSink(name, qs)
 	go qs.run()
 	c.reply("OK")
 	return true

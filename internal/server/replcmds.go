@@ -36,8 +36,6 @@ type replSink struct {
 	done chan struct{}
 }
 
-func (s *replSink) kind() string { return "repl" }
-
 func (s *replSink) detach() {
 	close(s.stop)
 	<-s.done
@@ -108,11 +106,12 @@ func handleReplicate(c *conn, req *request) bool {
 		c.errf(codeConflict, "from-lsn %d is beyond the log end (next lsn %d)", fromLSN, next)
 		return true
 	}
-	rs := &replSink{c: c, from: fromLSN, stop: make(chan struct{}), done: make(chan struct{})}
-	if !c.addSink(replSinkID, rs) {
+	if c.hasSink(replSinkID) {
 		c.errf(codeDup, "a replication stream is already active on this connection")
 		return true
 	}
+	rs := &replSink{c: c, from: fromLSN, stop: make(chan struct{}), done: make(chan struct{})}
+	c.addSink(replSinkID, rs)
 	// Reply before the stream starts so the follower's handshake read
 	// sees "OK" ahead of any REPL line (both ride the outbound queue
 	// in FIFO order).

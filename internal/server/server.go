@@ -573,22 +573,26 @@ type conn struct {
 	// connection's sinks; surfaced by STATS format=json.
 	lat metrics.LatencyHistogram
 
-	mu       sync.Mutex
-	sinks    map[string]sink // local id → registered delivery sink
-	everSink bool            // a sink was registered at least once (locks HELLO)
+	mu    sync.Mutex
+	sinks map[string]sink // local id → QSUB consumer or replication stream
 
 	// The holders of its queue claims: pull for CONSUMEs, push for its
 	// QSUB sinks' deliveries, so an UNSUB releases only what it pushed.
 	pull, push string
 	// subs prefixes the broker name of each of its SUBs and CQs, so
-	// concurrent connections cannot collide in the shared broker.
+	// concurrent connections cannot collide in the shared broker, and
+	// teardown removes them by it.
 	subs string
 
-	// The reader goroutine's own: the working memory of this connection's
-	// SELECTs (made by the first), and the buffer its longer replies are
-	// built in.
-	qs   *query.Scratch
-	rbuf []byte
+	// The reader goroutine's own (teardown runs after it): its SUBs and
+	// CQs, whether it ever registered a sink or rule (locks HELLO), the
+	// command it runs, its SELECTs' working memory (made by the first),
+	// and the buffer its longer replies are built in.
+	nsubs, ncqs int
+	everSink    bool
+	req         request
+	qs          *query.Scratch
+	rbuf        []byte
 }
 
 // maxRecycledLine is the most an outbound buffer may have carried and
@@ -1150,10 +1154,10 @@ func (c *conn) unpark() {
 	}
 }
 
-// teardown closes one connection exactly once: detach every sink
-// (broker subscriptions stop pushing, durable consumers halt and hand
-// back their unacked deliveries), release producers, take the writer
-// slot for a final bounded drain, close the socket, deregister.
+// teardown closes one connection exactly once: remove its broker rules
+// and detach every sink (durable consumers halt and hand back their
+// unacked deliveries), release producers, take the writer slot for a
+// final bounded drain, close the socket, deregister.
 func (c *conn) teardown() {
 	if !c.torn.CompareAndSwap(false, true) {
 		return
@@ -1166,12 +1170,12 @@ func (c *conn) teardown() {
 	// away without reading cannot stall the drain below.
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.DrainTimeout))
 	c.mu.Lock()
-	sinks := make([]sink, 0, len(c.sinks))
-	for _, s := range c.sinks {
-		sinks = append(sinks, s)
-	}
-	c.sinks = map[string]sink{}
+	sinks := c.sinks
+	c.sinks = nil
 	c.mu.Unlock()
+	if c.nsubs+c.ncqs > 0 {
+		c.srv.eng.Broker.UnsubscribePrefix(c.subs)
+	}
 	for _, s := range sinks {
 		s.detach()
 	}
@@ -1199,26 +1203,23 @@ func (c *conn) teardown() {
 	c.srv.mu.Unlock()
 }
 
-// addSink registers a sink under a connection-local id, refusing
-// duplicates. Only the reader goroutine adds sinks, so the check-and-
-// insert is race-free; the lock covers concurrent readers (STATS is
-// also reader-driven, but teardown swaps the map). Registration also
+// addSink registers a sink under a local id that hasSink found free;
+// only the reader adds sinks and rules, and the lock covers the map's
+// other users (a failed replication stream, teardown). Registration
 // permanently locks the wire mode: HELLO is refused once everSink is
 // set, which is what makes the unsynchronized mode flags safe.
-func (c *conn) addSink(localID string, s sink) bool {
+func (c *conn) addSink(localID string, s sink) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.sinks[localID]; dup {
-		return false
-	}
 	c.sinks[localID] = s
 	c.everSink = true
-	return true
 }
 
+// hasSink reports whether localID names a sink, SUB or CQ of c.
 func (c *conn) hasSink(localID string) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	_, ok := c.sinks[localID]
-	return ok
+	c.mu.Unlock()
+	_, rule := c.srv.eng.Broker.TargetOf(c.subs + localID)
+	return ok || rule
 }

@@ -10,44 +10,24 @@ import (
 	"eventdb/internal/queue"
 )
 
-// sink is one delivery target registered under a connection-local id.
-// Ephemeral push subscriptions (SUB) and continuous queries (CQ), both
-// a brokerSink, and durable queue consumers (QSUB) share one
-// registration/push/teardown lifecycle: a command registers the sink,
-// matched events flow out through the connection's bounded outbound
-// queue, and UNSUB or connection teardown detaches it exactly once.
+// sink is a delivery target the broker does not know, a durable queue
+// consumer (QSUB) or a replication stream, under a connection-local id;
+// UNSUB or teardown detaches it exactly once. A SUB or CQ is only its
+// broker rule, named by the connection's prefix and the same local ids.
 type sink interface {
-	// kind names the sink class for STATS ("sub", "cq", "qsub").
-	kind() string
 	// detach stops delivery and releases everything the sink holds
-	// (broker registrations, consumer goroutines, unacked receipts).
-	// Called exactly once, by UNSUB or by connection teardown.
+	// (consumer goroutines, unacked receipts).
 	detach()
 }
 
-// brokerSink is a SUB: an ephemeral broker subscription that pushes
-// its matches as they happen and dies with the connection. It is the
-// Target of its broker rule, so the rule, its condition and this are
-// the whole subscription.
-type brokerSink struct {
-	c    *conn
-	name string // the broker rule's: the connection's prefix, then the local id
-}
+// Deliver pushes a SUB's match: a connection is the Target of its SUBs'
+// broker rules, each named by its prefix, then the local id.
+func (c *conn) Deliver(name string, ev *event.Event) { c.pushEvent(name[len(c.subs):], ev) }
 
-func (s *brokerSink) kind() string { return "sub" }
-
-func (s *brokerSink) detach() { s.c.srv.eng.Broker.Unsubscribe(s.name) }
-
-// localID is the id the client gave the subscription, the tail of its
-// broker name.
-func (s *brokerSink) localID() string { return s.name[len(s.c.subs):] }
-
-func (s *brokerSink) Deliver(_ string, ev *event.Event) { s.c.pushEvent(s.localID(), ev) }
-
-// cqSink is a CQ: a brokerSink that pushes what q folds its matches
-// into.
+// cqSink is the Target of a CQ's broker rule: it pushes what q folds
+// the rule's matches into.
 type cqSink struct {
-	brokerSink
+	c *conn
 	// Engine handlers run concurrently, one per publishing connection,
 	// and a cq.CQ is not safe for concurrent use. The lock covers the
 	// pushes too: two publishing connections can feed this CQ back to
@@ -58,13 +38,11 @@ type cqSink struct {
 	q  *cq.CQ
 }
 
-func (s *cqSink) kind() string { return "cq" }
-
-func (s *cqSink) Deliver(_ string, ev *event.Event) {
+func (s *cqSink) Deliver(name string, ev *event.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, out := range s.q.Feed(ev) {
-		s.c.pushEvent(s.localID(), out)
+		s.c.pushEvent(name[len(s.c.subs):], out)
 	}
 }
 
@@ -104,8 +82,6 @@ type queueSink struct {
 	// Resolved once: the registry lookup is a map access under a lock.
 	delivered, bursts, claims *metrics.Counter
 }
-
-func (s *queueSink) kind() string { return "qsub" }
 
 func (s *queueSink) detach() {
 	close(s.stop)
