@@ -17,7 +17,7 @@ import (
 )
 
 // eventsSchema covers every column kind, including a nullable column.
-func eventsSchema(t *testing.T) *storage.Schema {
+func eventsSchema(t testing.TB) *storage.Schema {
 	t.Helper()
 	s, err := storage.NewSchema("events", []storage.Column{
 		{Name: "id", Kind: val.KindInt, NotNull: true},
@@ -136,8 +136,7 @@ func coldRows(tbl *storage.Table) int {
 
 // canMatch is the zone test a scan applies to a whole segment.
 func canMatch(seg *Segment, p *expr.Predicate) bool {
-	eqs, ranges := p.Indexable()
-	return Admits(seg.schema, seg, seg.rows, eqs, ranges)
+	return Admits(seg.schema, seg, seg.rows, p.Atoms)
 }
 
 func rowsEqual(a, b storage.Row) bool {
@@ -258,7 +257,7 @@ func TestBatchZonesPrune(t *testing.T) {
 	}
 	ts := func(i int) val.Value { return val.Time(time.Unix(1700000000+int64(i), 0).UTC()) }
 	rd := seg.NewReader(nil)
-	rd.Prune(nil, []expr.RangePred{{Field: "ts", Lo: ts(1100), Hi: ts(2*BatchSize - 1)}})
+	rd.Prune([]expr.Atom{{Field: "ts", Op: expr.OpGe, Lit: ts(1100)}, {Field: "ts", Op: expr.OpLe, Lit: ts(2*BatchSize - 1)}})
 	var b Batch
 	got := 0
 	for rd.Next(&b) {
@@ -300,8 +299,8 @@ func mathNaN() float64 {
 	return z / z
 }
 
-// filterExprs is the differential corpus: everything the kernel
-// compiler claims to support, plus shapes that must fall back.
+// filterExprs is the differential corpus: every atom shape the kernel
+// compiler accepts, plus shapes that must take the row path.
 var filterExprs = []struct {
 	src     string
 	compile bool // CompileFilter must accept (true) or reject (false)
@@ -311,45 +310,48 @@ var filterExprs = []struct {
 	{"qty < 0", true},
 	{"qty <= 0", true},
 	{"qty = 42", true},
-	{"qty != 42", true},
+	{"qty != 42", false},
 	{"price > 50", true},
 	{"price <= 12.5", true},
 	{"qty > 12.5", true},
 	{"price = 31.41", true},
 	{"sym = 'ACME'", true},
-	{"sym != 'ACME'", true},
+	{"sym != 'ACME'", false},
 	{"sym > 'BETA'", true},
 	{"sym <= 'DELT'", true},
-	{"flag", true},
-	{"NOT flag", true},
+	{"flag", false},
+	{"NOT flag", false},
 	{"flag = true", true},
-	{"sym IS NULL", true},
-	{"price IS NOT NULL", true},
+	{"sym IS NULL", false},
+	{"price IS NOT NULL", false},
 	{"qty BETWEEN -100 AND 100", true},
-	{"qty NOT BETWEEN 0 AND 250", true},
-	{"sym IN ('ACME', 'GAMA')", true},
-	{"sym NOT IN ('ACME', 'BETA', 'nosuch')", true},
-	{"qty IN (1, 2, 3, 250)", true},
-	{"qty IN (1, 2.0, 3)", true},
+	{"qty NOT BETWEEN 0 AND 250", false},
+	{"sym IN ('ACME', 'GAMA')", false},
+	{"sym NOT IN ('ACME', 'BETA', 'nosuch')", false},
+	{"qty IN (1, 2, 3, 250)", false},
+	{"qty IN (1, 2.0, 3)", false},
 	{"sym = 'ACME' AND qty > 0", true},
-	{"sym = 'ACME' OR price > 90", true},
-	{"NOT (sym = 'ACME' AND qty > 0)", true},
-	{"qty > 0 AND price > 0 AND flag", true},
-	{"missing = 1", true},     // unknown field → NULL
-	{"missing IS NULL", true}, // unknown field in IS NULL
-	{"sym = 3", true},         // incomparable eq → never true
-	{"sym != 3", true},        // incomparable ne → true for non-null
-	{"1 = 1", true},           // const-folds
+	{"sym = 'ACME' OR price > 90", false},
+	{"NOT (sym = 'ACME' AND qty > 0)", false},
+	{"qty > 0 AND price > 0 AND flag", false},
+	{"missing = 1", true},      // unknown field → NULL
+	{"missing IS NULL", false}, // IS NULL is not an atom
+	{"sym = 3", true},          // incomparable eq → never true
+	{"sym != 3", false},        // != is not an atom
+	{"1 = 1", false},           // no field: not an atom
+	{"5 < qty", true},          // literal op field
+	{"qty = NULL", true},       // NULL for every row
+	{"qty BETWEEN NULL AND 5", true},
 	{"qty + 1 > 2", false},    // arithmetic → row path
 	{"sym LIKE 'AC%'", false}, // LIKE → row path
 	{"sym > 3", false},        // incomparable ordering errors row-side
 	{"qty = price", false},    // field vs field → row path
 }
 
-func TestFilterDifferential(t *testing.T) {
-	schema := eventsSchema(t)
-	rng := rand.New(rand.NewSource(7))
-	n := 3000
+// eventsSegment seals n rows of randEvent(seed) into one segment.
+func eventsSegment(t testing.TB, schema *storage.Schema, n int, seed int64) ([]storage.Row, *Segment) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	rows := make([]storage.Row, n)
 	ids := make([]storage.RowID, n)
 	for i := 0; i < n; i++ {
@@ -364,14 +366,19 @@ func TestFilterDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rows, seg
+}
 
-	mask := make([]int8, BatchSize)
+func TestFilterDifferential(t *testing.T) {
+	schema := eventsSchema(t)
+	rows, seg := eventsSegment(t, schema, 3000, 7)
+	sel := make([]int32, 0, BatchSize)
 	for _, tc := range filterExprs {
 		pred, err := expr.Compile(tc.src)
 		if err != nil {
 			t.Fatalf("compile %q: %v", tc.src, err)
 		}
-		prog, ok := CompileFilter(pred.Root, schema)
+		prog, ok := CompileFilter(pred, schema)
 		if ok != tc.compile {
 			t.Errorf("CompileFilter(%q) ok = %v, want %v", tc.src, ok, tc.compile)
 			continue
@@ -382,14 +389,17 @@ func TestFilterDifferential(t *testing.T) {
 		rd := seg.NewReader(prog.NeedCols())
 		var b Batch
 		for rd.Next(&b) {
-			prog.Eval(&b, mask)
-			for i := 0; i < b.Len; i++ {
+			sel = prog.Filter(&b, append(sel[:0], allRows[:b.Len]...))
+			for i, j := 0, 0; i < b.Len; i++ {
 				row := rows[b.Start+i]
 				want, err := pred.Match(storage.RowResolver{Schema: schema, Row: row})
 				if err != nil {
 					t.Fatalf("%q row %d: row-path error %v", tc.src, b.Start+i, err)
 				}
-				got := mask[i] == 1
+				got := j < len(sel) && sel[j] == int32(i)
+				if got {
+					j++
+				}
 				if got != want {
 					t.Fatalf("%q row %d (%v): columnar=%v row=%v",
 						tc.src, b.Start+i, row, got, want)
@@ -397,6 +407,132 @@ func TestFilterDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFilterMatchesRow holds the scan's form of a predicate, its atoms,
+// to the row path. On every source CompileFilter accepts and every
+// segment of eventsSchema rows, NULLs among them: Match errs on no row,
+// Filter selects exactly the rows Match accepts, and neither Admits nor
+// a Reader's Prune skips a segment or batch that holds one. The zones
+// of a one-row segment are its row's values, so there Admits and Prune
+// answer what Match does, but where a NaN proves nothing. fl is written
+// into every fifth row's price and q into every seventh row's qty, so
+// NaN, −0 and a literal's own value meet the kernels and the zones.
+func FuzzFilterMatchesRow(f *testing.F) {
+	for _, tc := range filterExprs {
+		f.Add(tc.src, int64(1), uint16(2500), 1.5, int64(42))
+	}
+	negZero := math.Copysign(0, -1)
+	for _, seed := range []struct {
+		src string
+		fl  float64
+		q   int64
+	}{
+		{"price = 0 AND price <= 0", negZero, 0},      // −0
+		{"price = 5 AND price >= 0", math.NaN(), 0},   // NaN
+		{"price < 50 AND qty > 12.5", math.NaN(), 13}, // NaN, int against a float
+		{"qty > 100", 0, 100},                         // the literal's own value
+		{"qty >= 100 AND qty <= 100", 0, 100},
+		{"price >= 12.5 AND price <= 12.5 AND sym >= 'BETA' AND sym <= 'BETA'", 12.5, 0},
+		{"qty < 0 AND qty <= 3", 0, 0},
+		{"qty >= 3 AND qty < 5", 0, 4},
+		{"5 < qty AND 'a' <= sym", 0, 5},              // literal op field
+		{"qty BETWEEN 1 AND 'z'", 0, 2},               // BETWEEN, incomparable high bound
+		{"qty BETWEEN NULL AND 'z'", 0, 2},            // BETWEEN, NULL bound
+		{"qty = NULL AND qty > 1", 0, 2},              // qty = NULL
+		{"qty = 1 AND missing = 2 AND qty < 0", 0, 1}, // unknown field
+		{"missing = 1 AND qty > 'a'", 0, 1},           // NULL, then an error
+		{"sym = 'ACME' AND sym < 'B' AND flag = false", 0, 0},
+		{"flag >= true AND blob > 'a'", 0, 0}, // bool; bytes against a string
+		{"ts > 5", 0, 0},                      // time against an int
+		{"qty < -9223372036854775807", 0, math.MinInt64},
+	} {
+		f.Add(seed.src, int64(3), uint16(2100), seed.fl, seed.q)
+	}
+	schema := eventsSchema(f)
+	price, qty := schema.ColIndex("price"), schema.ColIndex("qty")
+	f.Fuzz(func(t *testing.T, src string, seed int64, n uint16, fl float64, q int64) {
+		pred, err := expr.Compile(src)
+		if err != nil {
+			return
+		}
+		prog, ok := CompileFilter(pred, schema)
+		if !ok {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([]storage.Row, 1+int(n)%(3*BatchSize))
+		ids := make([]storage.RowID, len(rows))
+		accepted := make([]bool, len(rows))
+		hits := 0
+		for i := range rows {
+			r, err := schema.RowFromMap(randEvent(rng, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%5 == 0 {
+				r[price] = val.Float(fl)
+			}
+			if i%7 == 0 {
+				r[qty] = val.Int(q)
+			}
+			rows[i], ids[i] = r, storage.RowID(i+1)
+			if accepted[i], err = pred.Match(storage.RowResolver{Schema: schema, Row: r}); err != nil {
+				t.Fatalf("%q compiles, yet row %v errs: %v", src, r, err)
+			}
+			if accepted[i] {
+				hits++
+			}
+		}
+		seg, err := buildSegment("events", schema, ids, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits > 0 && !Admits(schema, seg, seg.rows, pred.Atoms) {
+			t.Fatalf("%q: the zones skip a segment holding %d accepted rows", src, hits)
+		}
+		sel := make([]int32, 0, BatchSize)
+		rd := seg.NewReader(prog.NeedCols())
+		rd.Prune(pred.Atoms)
+		var b Batch
+		next := 0 // rows before it have been checked
+		skipped := func(end int) {
+			for ; next < end; next++ {
+				if accepted[next] {
+					t.Fatalf("%q: batch zones skip accepted row %d (%v)", src, next, rows[next])
+				}
+			}
+		}
+		for rd.Next(&b) {
+			skipped(b.Start)
+			sel = prog.Filter(&b, append(sel[:0], allRows[:b.Len]...))
+			for i, j := 0, 0; i < b.Len; i++ {
+				got := j < len(sel) && sel[j] == int32(i)
+				if got {
+					j++
+				}
+				if got != accepted[b.Start+i] {
+					t.Fatalf("%q row %d (%v): Filter %v, Match %v", src, b.Start+i, rows[b.Start+i], got, accepted[b.Start+i])
+				}
+			}
+			next = b.Start + b.Len
+		}
+		skipped(len(rows))
+
+		for i := 0; i < min(len(rows), 8); i++ {
+			one, err := buildSegment("events", schema, ids[i:i+1], rows[i:i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := one.NewReader(prog.NeedCols())
+			rd.Prune(pred.Atoms)
+			admitted, entered := Admits(schema, one, 1, pred.Atoms), rd.Next(&b)
+			nan := math.IsNaN(fl) && i%5 == 0
+			if admitted != entered || admitted != accepted[i] && !(admitted && nan) {
+				t.Fatalf("%q on the one row %v: Admits %v, Prune enters %v, Match %v", src, rows[i], admitted, entered, accepted[i])
+			}
+		}
+	})
 }
 
 // TestDeadMarkingAndModified: a sealed row that is updated leaves its
@@ -620,34 +756,18 @@ func TestAllocsFilterScan(t *testing.T) {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	schema := eventsSchema(t)
-	rng := rand.New(rand.NewSource(21))
-	n := 4 * BatchSize
-	rows := make([]storage.Row, n)
-	ids := make([]storage.RowID, n)
-	for i := 0; i < n; i++ {
-		r, err := schema.RowFromMap(randEvent(rng, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows[i] = r
-		ids[i] = storage.RowID(i + 1)
-	}
-	seg, err := buildSegment("events", schema, ids, rows)
+	_, seg := eventsSegment(t, schema, 4*BatchSize, 21)
+	pred, err := expr.Compile("sym = 'ACME' AND qty > 0 AND price >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := expr.Compile("sym = 'ACME' AND qty > 0 AND price IS NOT NULL")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, ok := CompileFilter(pred.Root, schema)
+	prog, ok := CompileFilter(pred, schema)
 	if !ok {
 		t.Fatal("filter should compile")
 	}
-	eqs, ranges := pred.Indexable()
 
 	if a := testing.AllocsPerRun(100, func() {
-		if !Admits(schema, seg, seg.rows, eqs, ranges) {
+		if !Admits(schema, seg, seg.rows, pred.Atoms) {
 			t.Fatal("segment should survive the zone probe")
 		}
 	}); a != 0 {
@@ -655,15 +775,15 @@ func TestAllocsFilterScan(t *testing.T) {
 	}
 
 	rd := seg.NewReader(prog.NeedCols())
-	mask := make([]int8, BatchSize)
+	sel := make([]int32, 0, BatchSize)
 	var b Batch
 	if !rd.Next(&b) {
 		t.Fatal("no batch")
 	}
 	// Warm up per-segment caches (string dictionary binding).
-	prog.Eval(&b, mask)
+	prog.Filter(&b, append(sel[:0], allRows[:b.Len]...))
 	if a := testing.AllocsPerRun(100, func() {
-		prog.Eval(&b, mask)
+		prog.Filter(&b, append(sel[:0], allRows[:b.Len]...))
 	}); a != 0 {
 		t.Errorf("filter eval allocates %v/batch, want 0", a)
 	}
@@ -675,7 +795,7 @@ func TestAllocsFilterScan(t *testing.T) {
 	rd2.Next(&b2)
 	if a := testing.AllocsPerRun(2, func() {
 		for rd2.Next(&b2) {
-			prog.Eval(&b2, mask)
+			prog.Filter(&b2, append(sel[:0], allRows[:b2.Len]...))
 		}
 	}); a != 0 {
 		t.Errorf("segment scan allocates %v/pass, want 0", a)

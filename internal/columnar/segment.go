@@ -195,10 +195,9 @@ type Reader struct {
 	own  []Vector // per column, the decode buffers behind vecs
 	pos  int
 
-	// Conjuncts every batch's zones must admit (Prune), and the batches
+	// Atoms every batch's zones must admit (Prune), and the batches
 	// entered and skipped so far.
-	eqs             []expr.EqPred
-	ranges          []expr.RangePred
+	atoms           []expr.Atom
 	batches, pruned int
 }
 
@@ -212,7 +211,7 @@ func (s *Segment) NewReader(need []bool) *Reader {
 }
 
 // Reuse makes r what s.NewReader(need) returns — a reader over s, of
-// any table, with no conjuncts and no batches counted — but keeps the
+// any table, with no atoms and no batches counted — but keeps the
 // decode buffers r already has, so a reader kept from query to query
 // decodes every one into the same memory.
 func (r *Reader) Reuse(s *Segment, need []bool) {
@@ -223,7 +222,7 @@ func (r *Reader) Reuse(s *Segment, need []bool) {
 	for ci, c := range s.schema.Columns {
 		r.vecs[ci].Kind = c.Kind
 	}
-	r.need, r.eqs, r.ranges, r.batches, r.pruned = need, nil, nil, 0, 0
+	r.need, r.atoms, r.batches, r.pruned = need, nil, 0, 0
 	r.Reset(s)
 }
 
@@ -232,13 +231,11 @@ func (r *Reader) Reuse(s *Segment, need []bool) {
 func (r *Reader) Reset(s *Segment) { r.seg, r.pos = s, 0 }
 
 // Prune makes Next skip every batch whose zones exclude one of the
-// conjuncts — the test Admits applies to a whole run.
-func (r *Reader) Prune(eqs []expr.EqPred, ranges []expr.RangePred) {
-	r.eqs, r.ranges = eqs, ranges
-}
+// atoms — the test Admits applies to a whole run.
+func (r *Reader) Prune(atoms []expr.Atom) { r.atoms = atoms }
 
 // Batches reports how many batches the reader has entered, and how
-// many of those Prune's conjuncts let it skip.
+// many of those Prune's atoms let it skip.
 func (r *Reader) Batches() (entered, pruned int) { return r.batches, r.pruned }
 
 // Next decodes the next batch the zones admit into b, returning false
@@ -249,7 +246,7 @@ func (r *Reader) Next(b *Batch) bool {
 		start, n := r.pos, min(r.seg.rows-r.pos, BatchSize)
 		r.pos += n
 		r.batches++
-		if !r.seg.admits(start/BatchSize, r.eqs, r.ranges) {
+		if !r.seg.admits(start/BatchSize, r.atoms) {
 			r.pruned++
 			continue
 		}
@@ -484,7 +481,7 @@ func (c *boolColumn) read(dst, own *Vector, row, n int, sel []int32) {
 // strColumn dictionary-encodes strings: distinct values live once in
 // dict (first-appearance order) and rows store uint32 codes. Equality
 // filters against a literal become integer compares after one dict
-// probe per segment.
+// probe per segment (filter.go).
 type strColumn struct {
 	dict  []string
 	codes []uint32
@@ -499,18 +496,6 @@ func (c *strColumn) memBytes() int {
 		n += len(s) + 16
 	}
 	return n
-}
-
-// code returns the dictionary code for s, or -1 if s is not in the
-// segment. Used by filter kernels to turn string equality into code
-// equality.
-func (c *strColumn) code(s string) int {
-	for i, d := range c.dict {
-		if d == s {
-			return i
-		}
-	}
-	return -1
 }
 
 func (c *strColumn) at(i int) val.Value {
@@ -555,96 +540,67 @@ func (c *bytesColumn) read(dst, own *Vector, row, n int, sel []int32) {
 // ---- zone-map pruning ----
 
 // Admits reports whether zones over rows rows, one per column of
-// schema, leave every equality and range conjunct satisfiable: the test
-// that skips a sealed run, or a table's hot rows, before any row is
-// read. The conjuncts are necessary conditions of the full predicate,
-// so a run it refuses holds no row the predicate accepts.
-func Admits(schema *storage.Schema, zones storage.Zones, rows int, eqs []expr.EqPred, ranges []expr.RangePred) bool {
-	return admits(schema, eqs, ranges, func(ci int) (storage.Zone, int) { return zones.Zone(ci), rows })
+// schema, leave every atom satisfiable: the test that skips a sealed
+// run, or a table's hot rows, before any row is read. The atoms are
+// conjuncts of the full predicate, so a run it refuses holds no row the
+// predicate accepts.
+func Admits(schema *storage.Schema, zones storage.Zones, rows int, atoms []expr.Atom) bool {
+	return admits(schema, atoms, func(ci int) (storage.Zone, int) { return zones.Zone(ci), rows })
 }
 
-// admits is Admits of the batch b's zones (b < 0: the segment's), the
-// test behind a Reader's skipping of batches. Only int and time columns
-// keep batch zones; for the others the segment's zone stands in for
-// each of its batches.
-func (s *Segment) admits(b int, eqs []expr.EqPred, ranges []expr.RangePred) bool {
-	return admits(s.schema, eqs, ranges, func(ci int) (storage.Zone, int) {
-		if c, ok := s.cols[ci].(*intColumn); ok && b >= 0 {
+// admits is Admits of the batch b's zones, the test behind a Reader's
+// skipping of batches. Only int and time columns keep batch zones; for
+// the others the segment's zone stands in for each of its batches.
+func (s *Segment) admits(b int, atoms []expr.Atom) bool {
+	return admits(s.schema, atoms, func(ci int) (storage.Zone, int) {
+		if c, ok := s.cols[ci].(*intColumn); ok {
 			return c.batchZone(b)
 		}
 		return s.cols[ci].zone(), s.rows
 	})
 }
 
-// admits runs the conjuncts against the zone and row count zoneOf
-// gives a column.
-func admits(schema *storage.Schema, eqs []expr.EqPred, ranges []expr.RangePred, zoneOf func(ci int) (storage.Zone, int)) bool {
-	for i := range eqs {
-		// An unknown field evaluates NULL for every row, so nothing
-		// here (or anywhere) matches it.
-		ci := schema.ColIndex(eqs[i].Field)
+// admits runs the atoms against the zone and row count zoneOf gives a
+// column.
+func admits(schema *storage.Schema, atoms []expr.Atom, zoneOf func(ci int) (storage.Zone, int)) bool {
+	for i := range atoms {
+		ci := schema.ColIndex(atoms[i].Field)
 		if ci < 0 {
-			return false
+			return false // an unknown field is NULL in every row
 		}
-		if z, n := zoneOf(ci); zoneExcludesEq(z, n, eqs[i].Value) {
-			return false
-		}
-	}
-	for i := range ranges {
-		r := &ranges[i]
-		ci := schema.ColIndex(r.Field)
-		if ci < 0 {
-			return false
-		}
-		if z, n := zoneOf(ci); zoneExcludesRange(z, n, r.Lo, r.Hi, r.LoOpen, r.HiOpen, r.LoUnbounded, r.HiUnbounded) {
+		if z, n := zoneOf(ci); excludes(z, n, &atoms[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// zoneExcludesEq reports whether the zone map proves no row of the
-// column can equal v.
-func zoneExcludesEq(z storage.Zone, rows int, v val.Value) bool {
-	if v.IsNull() {
-		// field = NULL never matches any row (SQL), but that is the
-		// filter's job; the zone map only prunes on values.
-		return false
-	}
-	if z.Nulls == rows {
-		return true // all null: no value can match
-	}
-	if !z.OK {
-		return false
-	}
-	if c, err := val.Compare(v, z.Min); err == nil && c < 0 {
-		return true
-	}
-	if c, err := val.Compare(v, z.Max); err == nil && c > 0 {
-		return true
-	}
-	return false
-}
-
-// zoneExcludesRange reports whether the zone map proves no row can
-// fall in [lo, hi] (either bound may be unbounded; open flags make a
-// bound strict).
-func zoneExcludesRange(z storage.Zone, rows int, lo, hi val.Value, loOpen, hiOpen, loUnbounded, hiUnbounded bool) bool {
-	if z.Nulls == rows {
+// excludes reports whether the zone of a column over rows rows proves
+// that a holds for none of them: each is NULL, a's literal is, the
+// column's values never equal it (= across kinds), or the zone's bounds
+// lie on the far side of it. An ordering across kinds is an error
+// row-side, so the zone proves nothing of it.
+func excludes(z storage.Zone, rows int, a *expr.Atom) bool {
+	if z.Nulls == rows || a.Lit.IsNull() {
 		return true
 	}
 	if !z.OK {
 		return false
 	}
-	if !loUnbounded && !lo.IsNull() {
-		if c, err := val.Compare(z.Max, lo); err == nil && (c < 0 || (c == 0 && loOpen)) {
-			return true
-		}
+	lo, errLo := val.Compare(z.Min, a.Lit)
+	hi, errHi := val.Compare(z.Max, a.Lit)
+	if errLo != nil || errHi != nil {
+		return a.Op == expr.OpEq
 	}
-	if !hiUnbounded && !hi.IsNull() {
-		if c, err := val.Compare(z.Min, hi); err == nil && (c > 0 || (c == 0 && hiOpen)) {
-			return true
-		}
+	switch a.Op {
+	case expr.OpEq:
+		return lo > 0 || hi < 0
+	case expr.OpLt:
+		return lo >= 0
+	case expr.OpLe:
+		return lo > 0
+	case expr.OpGt:
+		return hi <= 0
 	}
-	return false
+	return hi < 0 // OpGe
 }

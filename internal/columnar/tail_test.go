@@ -84,8 +84,7 @@ func TestTailServedWithoutSegments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eqs, ranges := p.Indexable()
-		return Admits(tbl.Schema(), z, rows, eqs, ranges)
+		return Admits(tbl.Schema(), z, rows, p.Atoms)
 	}).Hot(func(storage.RowID, storage.Row) bool { pruned++; return true })
 	if pruned != 0 {
 		t.Fatalf("id > 299 read %d hot rows, want the zone to exclude all", pruned)

@@ -89,10 +89,12 @@ func atoms(root Node) []Atom {
 	return slices.Clone(out)
 }
 
-// Indexable derives the predicate's index views from its atoms: the
-// equalities in source order, and one range per field, merged over its
-// range atoms in first-appearance order (a later bound replaces an
-// earlier one on the same side: each must hold, so either pre-filters).
+// Indexable derives the rules index's views from the predicate's
+// atoms: the equalities in source order, and one range per field,
+// merged over its range atoms in first-appearance order (a later bound
+// replaces an earlier one on the same side: each must hold, so either
+// pre-filters). Scan filters and zone pruning read the atoms
+// themselves.
 func (p *Predicate) Indexable() ([]EqPred, []RangePred) {
 	var eqs []EqPred
 	var rs []RangePred

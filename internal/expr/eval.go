@@ -27,10 +27,6 @@ func (m MapResolver) Get(name string) (val.Value, bool) {
 	return v, ok
 }
 
-// EmptyResolver resolves nothing; useful for evaluating constant
-// expressions.
-var EmptyResolver Resolver = MapResolver(nil)
-
 // Eval evaluates the expression against r. Comparisons involving NULL
 // yield NULL; AND/OR/NOT use Kleene three-valued logic. Type errors
 // (e.g. 1 + 'x') return an error.

@@ -9,11 +9,13 @@ import (
 
 // Columnar execution: a query that would otherwise scan the whole
 // table reads what the table holds, taken at one instant under its read
-// lock (storage.Table.View). Its sealed runs are columnar segments: a
-// zone-map test skips a run outright; otherwise the predicate's columns
-// are decoded a 1k-row batch at a time — a batch whose own zones
-// exclude the predicate is skipped — and the predicate runs as compiled
-// vector kernels into a selection vector, less the rows the table no
+// lock (storage.Table.View). It serves a predicate whose top-level
+// conjuncts are all atoms (field op literal, expr.Atom); any other takes
+// the row path. Its sealed runs are columnar segments: a zone test of
+// the atoms skips a run outright; otherwise the atoms' columns are
+// decoded a 1k-row batch at a time — a batch whose own zones exclude an
+// atom is skipped — and each atom's kernel narrows the batch's
+// selection vector in turn, which then loses the rows the table no
 // longer holds in the run (its live bits); only batches with a selected
 // row have their other columns decoded, at the selected rows, and only
 // those rows are boxed, by the sink that aggregates or projects them.
@@ -31,8 +33,8 @@ type colStats struct {
 }
 
 // colExec attempts columnar execution of a full-table scan into sink.
-// ok=false means "not servable columnar" (uncompilable filter, joins,
-// forced row scan): nothing was fed and the caller must run the row
+// ok=false means "not servable columnar" (a conjunct that is not an
+// atom, joins, forced row scan): nothing was fed and the caller must run the row
 // path. ok=true with err set means the query failed in a way the row
 // path would also fail.
 func (q *Query) colExec(tbl *storage.Table, schema *storage.Schema, pred *expr.Predicate, sink rowSink, sc *Scratch) (stats colStats, ok bool, err error) {
@@ -40,17 +42,15 @@ func (q *Query) colExec(tbl *storage.Table, schema *storage.Schema, pred *expr.P
 		return stats, false, nil
 	}
 	var prog *columnar.FilterProg
-	var eqs []expr.EqPred // the zone maps' views of the predicate
-	var ranges []expr.RangePred
+	var atoms []expr.Atom // what the zone maps test
 	var admits func(storage.Zones, int) bool
 	if pred != nil {
-		p, compilable := columnar.CompileFilter(pred.Root, schema)
+		p, compilable := columnar.CompileFilter(pred, schema)
 		if !compilable {
 			return stats, false, nil
 		}
-		prog = p
-		eqs, ranges = pred.Indexable()
-		admits = func(z storage.Zones, rows int) bool { return columnar.Admits(schema, z, rows, eqs, ranges) }
+		prog, atoms = p, pred.Atoms
+		admits = func(z storage.Zones, rows int) bool { return columnar.Admits(schema, z, rows, atoms) }
 	}
 	view := tbl.View(admits)
 	stats.segments, stats.pruned = len(view.Runs)+view.Pruned, view.Pruned
@@ -63,31 +63,25 @@ func (q *Query) colExec(tbl *storage.Table, schema *storage.Schema, pred *expr.P
 		first, rest = prog.NeedCols(), first
 	}
 
-	if sc.mask == nil {
-		sc.mask, sc.sel = make([]int8, columnar.BatchSize), make([]int32, 0, columnar.BatchSize)
+	if sc.sel == nil {
+		sc.sel = make([]int32, 0, columnar.BatchSize)
 	}
-	mask, sel := sc.mask, sc.sel
+	sel := sc.sel
 	rd, b := &sc.rd, &sc.b // one reader for the whole scan
 	for k, run := range view.Runs {
 		seg := run.Seg.(*columnar.Segment)
 		if k == 0 {
 			rd.Reuse(seg, first)
-			rd.Prune(eqs, ranges)
+			rd.Prune(atoms)
 		}
 		rd.Reset(seg)
 		for rd.Next(b) {
 			sel = sel[:0]
+			for i := 0; i < b.Len; i++ {
+				sel = append(sel, int32(i))
+			}
 			if prog != nil {
-				prog.Eval(b, mask)
-				for i := 0; i < b.Len; i++ {
-					if mask[i] == 1 {
-						sel = append(sel, int32(i))
-					}
-				}
-			} else {
-				for i := 0; i < b.Len; i++ {
-					sel = append(sel, int32(i))
-				}
+				sel = prog.Filter(b, sel)
 			}
 			if run.Live != nil {
 				live := sel[:0]

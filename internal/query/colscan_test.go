@@ -390,10 +390,9 @@ func hotRead(t *testing.T, db *storage.DB, src string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eqs, ranges := p.Indexable()
 	n := 0
 	tbl.View(func(z storage.Zones, rows int) bool {
-		return columnar.Admits(tbl.Schema(), z, rows, eqs, ranges)
+		return columnar.Admits(tbl.Schema(), z, rows, p.Atoms)
 	}).Hot(func(storage.RowID, storage.Row) bool { n++; return true })
 	return n
 }
@@ -672,11 +671,13 @@ func TestColumnarLayouts(t *testing.T) {
 			resultEqual(t, label, got.res, want.res)
 		}
 	}
-	// LIKE and arithmetic predicates have no kernels, and an ordering of
-	// time against an int literal must surface an error, not a mask:
-	// those take the row path. Everything else is served columnar, with
-	// or without a sealed segment.
-	rowOnly := map[string]bool{"where-like": true, "where-arith": true, "group-like": true, "where-time": true}
+	// A predicate with a conjunct that is not an atom (OR, NOT, IN,
+	// IS [NOT] NULL, LIKE, arithmetic) has no kernels, and an ordering
+	// of time against an int literal must surface an error: those take
+	// the row path. Everything else is served columnar, with or without
+	// a sealed segment.
+	rowOnly := map[string]bool{"where-like": true, "where-arith": true, "group-like": true, "where-time": true,
+		"where-or": true, "where-not": true, "where-in": true, "where-null": true, "where-notnull": true}
 
 	want := make(map[string]outcome)
 	oracle := colDBLayout(t, layoutSealed)

@@ -323,9 +323,11 @@ func (q *Query) run(db *storage.DB, sc *Scratch) (*Result, Plan, error) {
 	sc.cols = cols
 
 	// Filter (and join) pass. The scan tries the columnar path first:
-	// the table's sealed runs are filtered with vector kernels and feed
-	// the sink batch-wise, its hot rows row by row. Everything else —
-	// joins, predicates the kernels cannot express — takes the row path.
+	// the table's sealed runs are filtered by one vector kernel per atom
+	// of the predicate and feed the sink batch-wise, its hot rows row by
+	// row. Everything else — joins, a predicate with a conjunct that is
+	// not an atom (OR, NOT, IN, IS NULL, LIKE, arithmetic) — takes the
+	// row path.
 	plan.Access = "scan"
 	var rows []storage.Row
 	cs, served, err := q.colExec(tbl, schema, pred, sink, sc)

@@ -8,15 +8,14 @@ import (
 )
 
 // Scratch is the working memory of query runs, kept from one run to
-// the next: the columnar reader's decode buffers, the mask and
-// selection, the sinks (the group table's map, keys and accumulators
-// among them) and the arena the result rows are cut from. A wire
+// the next: the columnar reader's decode buffers, the selection, the
+// sinks (the group table's map, keys and accumulators among them) and
+// the arena the result rows are cut from. A wire
 // connection keeps one for its SELECTs (RunIn); Run and Explain use a
 // fresh one. The zero value is ready; it serves one run at a time.
 type Scratch struct {
 	rd   columnar.Reader
 	b    columnar.Batch
-	mask []int8
 	sel  []int32
 	need []bool
 	cols []string
