@@ -250,3 +250,40 @@ func TestRefusalThenCloseReportsRefusal(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestDeliveredEventsCarryAttrs: the daemon keeps a published event's
+// attributes as offsets into its bytes and builds no map, but an event
+// the client delivers has its Attrs filled, over either wire, for code
+// that reads the map directly.
+func TestDeliveredEventsCarryAttrs(t *testing.T) {
+	srv := startServer(t)
+	for _, wire := range []struct {
+		name string
+		opts []client.Option
+	}{{"text", nil}, {"binary", []client.Option{client.WithBinary()}}} {
+		c, err := client.Dial(srv.Addr(), wire.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := c.Subscribe("s-"+wire.name, "qty > 5", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Publish(client.NewEvent("tick", map[string]any{"sym": "ACME", "qty": 9, "neg": -3, "ok": true})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ev := <-sub.C:
+			sym, _ := ev.Attrs["sym"].AsString()
+			qty, _ := ev.Attrs["qty"].AsInt()
+			neg, _ := ev.Attrs["neg"].AsInt()
+			ok, _ := ev.Attrs["ok"].AsBool()
+			if len(ev.Attrs) != 4 || sym != "ACME" || qty != 9 || neg != -3 || !ok {
+				t.Errorf("%s: delivered Attrs = %v", wire.name, ev.Attrs)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no delivery", wire.name)
+		}
+		c.Close()
+	}
+}

@@ -108,7 +108,7 @@ func main() {
 		func(ev *eventdb.Event, _ *eventdb.Rule) {
 			alert := eventdb.NewEvent("hazmat.alert", nil)
 			alert.Source = "chemsecure"
-			alert.Attrs = ev.Attrs
+			alert.Attrs = ev.Fields()
 			if err := eng.Ingest(alert); err != nil {
 				log.Print(err)
 			}

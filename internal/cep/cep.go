@@ -187,7 +187,7 @@ func (m *Match) Event() *event.Event {
 	for alias, ev := range m.Bindings {
 		attrs[alias+"_type"] = val.String(ev.Type)
 		attrs[alias+"_id"] = val.Int(int64(ev.ID))
-		for k, v := range ev.Attrs {
+		for k, v := range ev.Fields() {
 			attrs[alias+"_"+k] = v
 		}
 	}

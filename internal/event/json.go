@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -29,11 +30,13 @@ import (
 // attribute keys in sorted order so the encoding is canonical, and
 // Event.EncodedJSON caches it, so an event is rendered once however
 // many sinks it reaches. Decoding is a single forward scan that fills
-// the Event and its attribute map as it reads (UnmarshalJSONEvent); it
-// runs once per published message on the server, and once per distinct
-// pushed body on a client connection — the client decodes per body, not
-// per subscription. The encoding/json decoder it replaced lives on in
-// the tests as the oracle the scanner is fuzzed against.
+// the Event as it reads. It runs once per published message on the
+// server (UnmarshalJSONEventString), where the attributes of canonical
+// input stay offsets into its bytes and no map is built, and once per
+// distinct pushed body on a client connection (UnmarshalJSONEvent, which
+// fills the map) — the client decodes per body, not per subscription.
+// The encoding/json decoder it replaced lives on in the tests as the
+// oracle the scanner is fuzzed against.
 
 // encodeScratch is the pooled per-encode working set: the sorted-key
 // slice that makes attribute order canonical without a per-call
@@ -78,6 +81,9 @@ const maxPooledEncode = 64 << 10
 // emitted in sorted order, so the encoding is deterministic for a given
 // event.
 func appendJSONEvent(dst []byte, e *Event, sc *encodeScratch) ([]byte, error) {
+	if e.end != 0 { // its attributes are in the encoding it was decoded from
+		return append(dst, e.kept...), nil
+	}
 	dst = append(dst, '{')
 	if e.ID != 0 {
 		dst = append(dst, `"id":`...)
@@ -208,8 +214,9 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// UnmarshalJSONEvent parses a JSON event produced by a foreign system.
-// JSON numbers that are integral become int values; others become floats.
+// UnmarshalJSONEvent parses a JSON event produced by a foreign system
+// into an event with its Attrs filled, as a client hands them out. JSON
+// numbers that are integral become int values; others become floats.
 // Missing IDs are assigned; missing times default to now. Nothing in the
 // returned event aliases data, so the caller may reuse the buffer at
 // once.
@@ -227,17 +234,27 @@ func appendJSONString(dst []byte, s string) []byte {
 // also becomes the event's EncodedJSON, so an event published in that
 // form is pushed in the bytes it arrived in and never encoded again.
 func UnmarshalJSONEvent(data []byte) (*Event, error) {
-	return UnmarshalJSONEventString(string(data))
+	return unmarshalJSONEvent(string(data), false)
 }
 
-// UnmarshalJSONEventString is UnmarshalJSONEvent of data held in a
-// string, which is immutable: the event keeps data itself as its copy,
-// so an event that arrived in a text line is not copied out of it again.
+// UnmarshalJSONEventString is the engine's decode of a published event:
+// UnmarshalJSONEvent of data held in a string, which is immutable, so
+// the event keeps data itself as its copy and an event that arrived in a
+// text line is not copied out of it again. When data is canonical and
+// has at most maxTableAttrs attributes within its first 64 KiB, no map
+// is built either: the event keeps where each attribute is in data, Get
+// reads it there, and Attrs stays nil until Fields. Any other input is
+// decoded into Attrs as UnmarshalJSONEvent decodes it.
 func UnmarshalJSONEventString(data string) (*Event, error) {
+	return unmarshalJSONEvent(data, true)
+}
+
+func unmarshalJSONEvent(data string, table bool) (*Event, error) {
 	var scratch [128]byte // keeps short escaped strings off the heap
 	// The scanner never writes own.
 	own := unsafe.Slice(unsafe.StringData(data), len(data))
-	s := jsonScanner{data: own, buf: scratch[:0], canonical: true}
+	var s jsonScanner // assigned field by field: a literal is built aside and copied in
+	s.data, s.buf, s.canonical, s.table = own, scratch[:0], true, table
 	e, err := s.event(own)
 	if err == nil && s.canonical {
 		e.kept = own
@@ -407,6 +424,14 @@ type jsonScanner struct {
 	// keys in its order and each once, attribute keys strictly
 	// ascending, numbers only as it renders them (see event).
 	canonical bool
+	// With table set, attrs records where each attribute of canonical
+	// input is (at, n) instead of filling the map, and attrsEnd where
+	// the attrs object closes; event turns that into the event's offset
+	// table, or into its map once the input turns out not to fit one.
+	table    bool
+	at       [maxTableAttrs]struct{ key, val, end int }
+	n        int
+	attrsEnd int
 }
 
 // maxJSONDepth is encoding/json's nesting limit, kept so that the two
@@ -418,7 +443,9 @@ func (s *jsonScanner) errf(format string, args ...any) error {
 }
 
 func (s *jsonScanner) skipSpace() {
-	for s.pos < len(s.data) {
+	// One compare settles the usual case, a token next: white space is
+	// below '!'.
+	for s.pos < len(s.data) && s.data[s.pos] <= ' ' {
 		switch s.data[s.pos] {
 		case ' ', '\t', '\r', '\n':
 			s.pos++
@@ -527,7 +554,7 @@ func (s *jsonScanner) event(own []byte) (*Event, error) {
 		switch {
 		case null:
 			if bit == seenAttrs {
-				e.Attrs = nil
+				e.Attrs, s.n = nil, 0
 			}
 		case bit == 0:
 			if err := s.skipValue(1); err != nil {
@@ -538,11 +565,14 @@ func (s *jsonScanner) event(own []byte) (*Event, error) {
 			if err != nil {
 				return nil, err
 			}
-			id, err := strconv.ParseUint(string(lit), 10, 64)
-			if !plain || err != nil {
+			if plain && lit[0] != '-' && len(lit) < 20 {
+				n, _ := digits(lit) // below 10^19, so an int holds it
+				e.ID = ID(n)
+			} else if id, err := strconv.ParseUint(string(lit), 10, 64); plain && err == nil {
+				e.ID = ID(id)
+			} else {
 				return nil, fmt.Errorf("event: id %s is not an unsigned 64-bit integer", string(lit))
 			}
-			e.ID = ID(id)
 		case bit == seenAttrs:
 			if err := s.attrs(e, own); err != nil {
 				return nil, err
@@ -593,39 +623,65 @@ func (s *jsonScanner) event(own []byte) (*Event, error) {
 		e.Time = time.Now().UTC()
 	}
 	if e.Attrs == nil {
-		e.Attrs = map[string]val.Value{}
+		if s.table && s.canonical && s.attrsEnd < 1<<16 {
+			for i, a := range s.at[:s.n] {
+				e.at[i] = attrAt{key: uint16(a.key), val: uint16(a.val)}
+			}
+			e.n, e.end = uint8(s.n), uint16(s.attrsEnd)
+		} else {
+			s.spill(e, own)
+		}
 	}
 	return e, nil
 }
 
 // attrs reads an attrs object into e.Attrs, on top of what an earlier
 // attrs object put there. Keys not strictly ascending are not canonical.
+// With the scanner's table set, the attributes of canonical input are
+// recorded in it instead, until one is not canonical or does not fit.
 func (s *jsonScanner) attrs(e *Event, own []byte) error {
 	if s.peek() != '{' {
 		return fmt.Errorf("event: attrs must be an object")
-	}
-	if e.Attrs == nil {
-		// A comma per further attribute: exact unless a string holds
-		// one, and capped so that garbage cannot size the map.
-		e.Attrs = make(map[string]val.Value, min(bytes.Count(s.data[s.pos:], []byte{','})+1, 64))
 	}
 	prev := ""
 	for first := true; ; first = false {
 		key, more, err := s.member(first)
 		if err != nil || !more {
+			s.attrsEnd = s.pos - 1
 			return err
 		}
+		keyAt := s.strAt
 		name := s.text(own, key)
 		if !first && name <= prev {
 			s.canonical = false
 		}
 		prev = name
+		valAt := s.pos
 		v, err := s.scalar(own)
 		if err != nil {
 			return fmt.Errorf("event: attr %q: %w", name, err)
 		}
+		if e.Attrs == nil && s.table && s.canonical && s.n < len(s.at) {
+			s.at[s.n].key, s.at[s.n].val, s.at[s.n].end = keyAt, valAt, s.pos
+			s.n++
+			continue
+		}
+		if e.Attrs == nil {
+			s.spill(e, own)
+		}
 		e.Attrs[name] = v
 	}
+}
+
+// spill makes e.Attrs and moves the attributes recorded in the table
+// into it. A comma per further attribute sizes it: exact unless a
+// string holds one, and capped so that garbage cannot size the map.
+func (s *jsonScanner) spill(e *Event, own []byte) {
+	e.Attrs = make(map[string]val.Value, min(s.n+bytes.Count(s.data[s.pos:], []byte{','})+1, 64))
+	for _, a := range s.at[:s.n] {
+		e.Attrs[keptText(own, a.key, a.val-2)] = canonicalValue(own, a.val, a.end)
+	}
+	s.n = 0
 }
 
 // text returns b, the string str last read: its bytes in own, the
@@ -647,27 +703,39 @@ func parseTime(b []byte) (t time.Time, canonical bool, err error) {
 	n := len(b)
 	if (n == 20 || 22 <= n && n <= 30 && b[19] == '.') && b[n-1] == 'Z' &&
 		b[4] == '-' && b[7] == '-' && b[10] == 'T' && b[13] == ':' && b[16] == ':' {
-		var f [7]int // year, month, day, hour, minute, second, nanosecond
-		i, ok := 0, true
-		for at, c := range b[:n-1] {
-			if d := c - '0'; d <= 9 {
-				f[i] = f[i]*10 + int(d)
-			} else if at == 4 || at == 7 || at == 10 || at == 13 || at == 16 || at == 19 {
-				i++
-			} else {
-				ok = false
+		year, ok1 := digits(b[0:4])
+		month, ok2 := digits(b[5:7])
+		day, ok3 := digits(b[8:10])
+		hour, ok4 := digits(b[11:13])
+		minute, ok5 := digits(b[14:16])
+		sec, ok6 := digits(b[17:19])
+		nsec, ok7 := 0, true
+		if n > 20 {
+			nsec, ok7 = digits(b[20 : n-1])
+			for ; n < 30; n++ { // pad the fraction to nine digits
+				nsec *= 10
 			}
 		}
-		for ; n < 30; n++ { // pad the fraction to nine digits
-			f[6] *= 10
-		}
-		if ok && 1 <= f[1] && f[1] <= 12 && 1 <= f[2] && f[2] <= daysIn(f[1], f[0]) && f[3] < 24 && f[4] < 60 && f[5] < 60 {
+		if ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7 &&
+			1 <= month && month <= 12 && 1 <= day && day <= daysIn(month, year) && hour < 24 && minute < 60 && sec < 60 {
 			// The encoder drops a trailing zero of the fraction.
-			return time.Date(f[0], time.Month(f[1]), f[2], f[3], f[4], f[5], f[6], time.UTC), len(b) == 20 || b[len(b)-2] != '0', nil
+			return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), len(b) == 20 || b[len(b)-2] != '0', nil
 		}
 	}
 	t, err = time.Parse(time.RFC3339Nano, string(b))
 	return t.UTC(), false, err
+}
+
+// digits reads b, decimal digits alone, as a number.
+func digits(b []byte) (n int, ok bool) {
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int(d)
+	}
+	return n, true
 }
 
 // daysIn is the number of days of the month in the year.
@@ -806,24 +874,25 @@ func (s *jsonScanner) array(elem func() error) (null bool, err error) {
 // leading minus (no fraction, no exponent).
 func (s *jsonScanner) number() (lit []byte, plain bool, err error) {
 	start := s.pos
-	digits := func() bool {
-		from := s.pos
-		for s.pos < len(s.data) && '0' <= s.data[s.pos] && s.data[s.pos] <= '9' {
-			s.pos++
+	run := func() bool { // a run of digits, read in a local
+		from, i := s.pos, s.pos
+		for i < len(s.data) && s.data[i]-'0' <= 9 {
+			i++
 		}
-		return s.pos > from
+		s.pos = i
+		return i > from
 	}
 	if s.pos < len(s.data) && s.data[s.pos] == '-' {
 		s.pos++
 	}
 	intStart := s.pos
-	if !digits() || s.data[intStart] == '0' && s.pos > intStart+1 {
+	if !run() || s.data[intStart] == '0' && s.pos > intStart+1 {
 		return nil, false, s.errf("bad number")
 	}
 	plain = true
 	if s.pos < len(s.data) && s.data[s.pos] == '.' {
 		s.pos++
-		if plain = false; !digits() {
+		if plain = false; !run() {
 			return nil, false, s.errf("bad number")
 		}
 	}
@@ -832,7 +901,7 @@ func (s *jsonScanner) number() (lit []byte, plain bool, err error) {
 		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
 			s.pos++
 		}
-		if plain = false; !digits() {
+		if plain = false; !run() {
 			return nil, false, s.errf("bad number")
 		}
 	}
@@ -850,12 +919,15 @@ func (s *jsonScanner) str() ([]byte, error) {
 	i, ascii := start, true
 	// Eight bytes at a time while none of them ends a run of plain
 	// ASCII: the flag byte of each test is set for a '"', a '\\', a
-	// control character, or (w itself) a byte beyond ASCII.
+	// control character, or (w itself) a byte beyond ASCII. A borrow can
+	// flag bytes above a flagged one, never below it, so the lowest flag
+	// is the first byte that ends the run.
 	for ; i+8 <= len(s.data); i += 8 {
 		const lo, hi = 0x0101010101010101, 0x8080808080808080
 		w := binary.LittleEndian.Uint64(s.data[i:])
 		quote, slash := w^(lo*'"'), w^(lo*'\\')
-		if (w|(w-lo*0x20)&^w|(quote-lo)&^quote|(slash-lo)&^slash)&hi != 0 {
+		if f := (w | (w-lo*0x20)&^w | (quote-lo)&^quote | (slash-lo)&^slash) & hi; f != 0 {
+			i += bits.TrailingZeros64(f) >> 3
 			break
 		}
 	}

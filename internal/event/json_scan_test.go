@@ -126,6 +126,69 @@ func sameDecode(t *testing.T, data []byte) {
 			t.Errorf("%q: kept as its JSON, but the encoder writes %q (%v)", data, enc, err)
 		}
 	}
+	sameTable(t, data, got)
+}
+
+// sameTable holds the engine's decode (UnmarshalJSONEventString), which
+// keeps a canonical input's attributes as offsets into it, to the map
+// decode of the same input, eager: the same accept, and the same answer
+// from every reader of the attributes — Get of each key, of keys beside
+// it and of a missing one, Fields, Encode, Clone and String — and a kept
+// input marshals back to itself. The table is used exactly when the
+// input is kept and fits it.
+func sameTable(t *testing.T, data []byte, eager *Event) {
+	t.Helper()
+	e, err := UnmarshalJSONEventString(string(data))
+	if err != nil {
+		t.Fatalf("%q: the table decode refused what the map decode took: %v", data, err)
+	}
+	kept := e.enc.Load() != nil
+	fits := kept && len(eager.Attrs) <= maxTableAttrs && len(data)-2 < 1<<16
+	if table := e.end != 0; table != fits || table != (e.Attrs == nil) {
+		t.Fatalf("%q: table = %v with Attrs %v, want a table exactly when kept (%v) and it fits (%v)", data, table, e.Attrs, kept, fits)
+	}
+	// An absent id or time is invented by each decode; make them agree.
+	e.ID, e.Time = eager.ID, eager.Time
+	same := func(what string, g, w val.Value, gok, wok bool) {
+		if gok != wok || g.Kind() != w.Kind() || !val.Equal(g, w) && !(g.IsNull() && w.IsNull()) {
+			t.Errorf("%q: %s = %v (%s, %v), map decode %v (%s, %v)", data, what, g, g.Kind(), gok, w, w.Kind(), wok)
+		}
+	}
+	probe := func(name string) {
+		g, gok := e.Get(name)
+		w, wok := eager.Get(name)
+		same(fmt.Sprintf("Get(%q)", name), g, w, gok, wok)
+	}
+	probe("\x7f missing")
+	probe("")
+	for k := range eager.Attrs {
+		probe(k)
+		probe(k + "\x00")
+		if k != "" {
+			probe(k[:len(k)-1])
+		}
+	}
+	fields := e.Fields()
+	if len(fields) != len(eager.Attrs) || fields == nil {
+		t.Errorf("%q: Fields = %v, map decode %v", data, fields, eager.Attrs)
+	}
+	for k, w := range eager.Attrs {
+		g, ok := fields[k]
+		same(fmt.Sprintf("Fields()[%q]", k), g, w, ok, true)
+	}
+	if enc, err := MarshalJSONEvent(e); kept && (err != nil || !bytes.Equal(enc, data)) {
+		t.Errorf("%q: the table decode marshals to %q (%v)", data, enc, err)
+	}
+	if g, w := Encode(nil, e), Encode(nil, eager); !bytes.Equal(g, w) {
+		t.Errorf("%q: Encode = %x, map decode %x", data, g, w)
+	}
+	if g, w := e.Clone(), eager.Clone(); g.ID != w.ID || g.Type != w.Type || g.Source != w.Source ||
+		!g.Time.Equal(w.Time) || len(g.Attrs) != len(w.Attrs) || g.String() != w.String() {
+		t.Errorf("%q: Clone = %v, map decode %v", data, g, w)
+	}
+	if g, w := e.String(), eager.String(); g != w {
+		t.Errorf("%q: String = %s, map decode %s", data, g, w)
+	}
 }
 
 // protocolExamples returns every example event of PROTOCOL.md: the
@@ -301,6 +364,9 @@ func FuzzUnmarshalJSONEvent(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	for _, c := range keepCases {
+		f.Add([]byte(c.in))
+	}
+	for _, c := range tableCases {
 		f.Add([]byte(c.in))
 	}
 	f.Add(tickJSON(f))

@@ -11,7 +11,8 @@
 // of standing conditions: pubsub's subscriptions are rules of an
 // Engine, and cep files its automaton's edges in it too.
 //
-// A rule stores its condition's standing form (expr.Predicate.Standing).
+// A rule stores its condition's standing form (expr.Predicate.Standing):
+// its atoms, and its tree only where the atoms are not all of it.
 // Matching uses the classic counting algorithm; its candidates (plus
 // rules with no indexable conjunct) are confirmed against the
 // condition's atoms, or its tree where atoms do not decide it, so
@@ -39,10 +40,50 @@ type Action func(ev *event.Event, r *Rule)
 type Rule struct {
 	Name string
 
-	pred     expr.Predicate // standing form, held by value; guarded by the engine's lock: Replace swaps it
-	handle   any            // Add's Action, or Install's handle
-	Priority int32          // higher runs first
+	// The condition's standing form, guarded by the engine's lock
+	// (Replace swaps it): its atoms; the predicate itself only when it
+	// has a tree, which the atoms are not all of; and otherwise its
+	// source, unless it kept none. A detached atoms-only condition, every
+	// wire SUB's (expr.Predicate.Detach), is its atoms alone.
+	atoms    []expr.Atom
+	tree     *expr.Predicate
+	src      *string
+	handle   any   // Add's Action, or Install's handle
+	Priority int32 // higher runs first
 	removed  atomic.Bool
+}
+
+// setCond stores cond's standing form in r.
+func (r *Rule) setCond(cond *expr.Predicate) {
+	s := cond.Standing()
+	r.atoms, r.tree, r.src = s.Atoms, nil, nil
+	if s.Root != nil {
+		r.tree = s
+	} else if s.Source != "" {
+		src := s.Source
+		r.src = &src
+	}
+}
+
+// source is the source of r's condition, "" when it kept none.
+func (r *Rule) source() string {
+	switch {
+	case r.tree != nil:
+		return r.tree.Source
+	case r.src != nil:
+		return *r.src
+	}
+	return ""
+}
+
+// cond returns r's condition as a predicate: its tree, or its atoms in
+// the caller's scratch p.
+func (r *Rule) cond(p *expr.Predicate) *expr.Predicate {
+	if r.tree != nil {
+		return r.tree
+	}
+	*p = expr.Predicate{Atoms: r.atoms}
+	return p
 }
 
 // Handle returns the value Install gave the rule, or the Action Add
@@ -118,7 +159,7 @@ func (e *Engine) add(r *Rule, pred *expr.Predicate) (*Rule, error) {
 		return nil, fmt.Errorf("rules: %q already exists", r.Name)
 	}
 	e.rules[r.Name] = r
-	r.pred = *pred.Standing()
+	r.setCond(pred)
 	e.fileLocked(r)
 	return r, nil
 }
@@ -133,11 +174,11 @@ func (e *Engine) Replace(name string, cond *expr.Predicate) error {
 	if !ok {
 		return fmt.Errorf("rules: no rule %q", name)
 	}
-	if r.pred.Source == cond.Source {
+	if r.source() == cond.Source {
 		return nil
 	}
 	e.unfileLocked(r)
-	r.pred = *cond.Standing()
+	r.setCond(cond)
 	e.fileLocked(r)
 	return nil
 }
@@ -150,7 +191,7 @@ func (e *Engine) Lookup(name string) (cond string, handle any, ok bool) {
 	if !ok {
 		return "", nil, false
 	}
-	return r.pred.Source, r.handle, true
+	return r.source(), r.handle, true
 }
 
 // Remove uninstalls a rule; from then on its Handle is nil.
@@ -215,7 +256,8 @@ func compareRules(a, b *Rule) int {
 // fileLocked files a rule in the index, or among the residual rules if
 // the index files none of its conjuncts.
 func (e *Engine) fileLocked(r *Rule) {
-	if e.index.Add(r, &r.pred) == 0 {
+	var p expr.Predicate
+	if e.index.Add(r, r.cond(&p)) == 0 {
 		i, _ := slices.BinarySearchFunc(e.residual, r, compareRules)
 		e.residual = slices.Insert(e.residual, i, r)
 	}
@@ -223,7 +265,8 @@ func (e *Engine) fileLocked(r *Rule) {
 
 // unfileLocked undoes fileLocked.
 func (e *Engine) unfileLocked(r *Rule) {
-	if e.index.Remove(r, &r.pred) > 0 {
+	var p expr.Predicate
+	if e.index.Remove(r, r.cond(&p)) > 0 {
 		return
 	}
 	if i, ok := slices.BinarySearchFunc(e.residual, r, compareRules); ok {
@@ -245,7 +288,8 @@ func (e *Engine) Match(r expr.Resolver) ([]*Rule, error) {
 
 // holds evaluates the rule's whole condition against r.
 func (rule *Rule) holds(r expr.Resolver) (bool, error) {
-	ok, err := rule.pred.Match(r)
+	var p expr.Predicate
+	ok, err := rule.cond(&p).Match(r)
 	if err != nil {
 		return false, fmt.Errorf("rules: %q: %w", rule.Name, err)
 	}

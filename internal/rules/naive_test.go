@@ -19,7 +19,7 @@ func naiveMatch(e *Engine, r expr.Resolver) ([]*Rule, error) {
 	defer e.mu.RUnlock()
 	var out []*Rule
 	for _, rule := range e.rules {
-		ok, err := tree(rule.pred.Source).Match(r)
+		ok, err := tree(rule.source()).Match(r)
 		if err != nil {
 			return nil, fmt.Errorf("rules: %q: %w", rule.Name, err)
 		}

@@ -18,7 +18,9 @@ import (
 // body units still on the wire (PUBB). The event decoded from body
 // keeps it as its one copy of the bytes, so a text PUB's body is the
 // command line's, and a body read in place (a frame, a PUBB line) is
-// copied out of the reader's buffer as it is decoded. commit, if set,
+// copied out of the reader's buffer as it is decoded; a canonical
+// body's attributes stay offsets into that copy, with no map
+// (event.UnmarshalJSONEventString). commit, if set,
 // runs between a successful ingest (one whose commits the OS has, see
 // flushed) and its reply. publish returns false only when framing is
 // lost.
@@ -47,10 +49,10 @@ func publish(c *conn, body string, bodies int, commit func()) bool {
 			if bad != nil {
 				continue
 			}
-			// UnmarshalJSONEvent copies everything out of raw, so the
-			// reader may reuse the buffer for the next frame or line
-			// (TestUnmarshalJSONEventCopiesInput holds the scanner to that).
-			ev, err = event.UnmarshalJSONEvent(raw)
+			// The event's one copy of the body is made out of raw here,
+			// so the reader may reuse the buffer for the next frame or
+			// line.
+			ev, err = event.UnmarshalJSONEventString(string(raw))
 		} else {
 			ev, err = event.UnmarshalJSONEventString(body)
 		}

@@ -186,9 +186,10 @@ func TestPublishDoorsAgree(t *testing.T) {
 }
 
 // TestAllocsPubFrame: a Pub frame through publish — decode, match, 16
-// pushes, the reply — allocates the event's four and nothing else (see
-// TestAllocsUnmarshalJSONEvent): the payload the 16 pushes share is the
-// frame's own bytes, kept by the decoder, and is never encoded again.
+// pushes, the reply — allocates the event and its copy of the payload
+// and nothing else: the event's attributes are offsets into that copy
+// (no map; see TestAllocsDecodedTickGet), and the payload the 16 pushes
+// share is that copy, which is never encoded again.
 func TestAllocsPubFrame(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -202,8 +203,9 @@ func TestAllocsPubFrame(t *testing.T) {
 	for i := 0; i < 100; i++ { // grow the outbound buffers to their working size
 		pub()
 	}
-	if allocs := testing.AllocsPerRun(500, pub); allocs > 4 {
-		t.Errorf("a Pub frame to %d sinks allocates %v, want <= 4", fanSubs, allocs)
+	// 2; 4 while the decoder built each event's attribute map.
+	if allocs := testing.AllocsPerRun(500, pub); allocs > 2 {
+		t.Errorf("a Pub frame to %d sinks allocates %v, want <= 2", fanSubs, allocs)
 	}
 }
 
@@ -281,10 +283,10 @@ func TestLongTextLines(t *testing.T) {
 }
 
 // TestAllocsTextPub: a text PUB of E23's tick, from its command line to
-// its reply, allocates the command line and the event
-// (TestAllocsUnmarshalJSONEvent's four less its copy of the body, which
-// is the line): the command is parsed into its connection's request and
-// the reply allocates nothing.
+// its reply, allocates the command line and the event, and nothing
+// else: the event's copy of its body is the line, its attributes are
+// offsets into it, the command is parsed into its connection's request
+// and the reply allocates nothing.
 func TestAllocsTextPub(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -309,18 +311,19 @@ func TestAllocsTextPub(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pub()
 	}
-	// 4: the event's and the line; 5 while each command allocated its
-	// request, 6 while the body was also copied for the decoder to copy
-	// again.
-	if allocs, want := testing.AllocsPerRun(200, pub), 4; allocs > float64(want) {
+	// 2: the event and the line; 4 while the decoder built the event's
+	// attribute map, 5 while each command allocated its request, 6 while
+	// the body was also copied for the decoder to copy again.
+	if allocs, want := testing.AllocsPerRun(200, pub), 2; allocs > float64(want) {
 		t.Errorf("a text PUB allocates %v, want <= %d", allocs, want)
 	}
 }
 
 // TestAllocsTextPubBatch: a text PUBB of 64 events, from its command
-// line to its reply, allocates the events (four each, see
-// TestAllocsUnmarshalJSONEvent), the batch and the command line, and
-// nothing per body line for reading it: the lines are read in place.
+// line to its reply, allocates the events (two each: the event and its
+// copy of its line, into which its attributes are offsets), the batch
+// and the command line, and nothing per body line for reading it: the
+// lines are read in place.
 func TestAllocsTextPubBatch(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -348,9 +351,10 @@ func TestAllocsTextPubBatch(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pub()
 	}
-	// 258; 259 while each command allocated its request, 389 while each
-	// line was read into a string and copied.
-	if allocs, want := testing.AllocsPerRun(100, pub), 64*4+2; allocs > float64(want) {
+	// 130; 258 while the decoder built each event's attribute map, 259
+	// while each command allocated its request, 389 while each line was
+	// read into a string and copied.
+	if allocs, want := testing.AllocsPerRun(100, pub), 64*2+2; allocs > float64(want) {
 		t.Errorf("a text PUBB of 64 events allocates %v, want <= %d", allocs, want)
 	}
 }
