@@ -46,17 +46,15 @@
 // every server version understands. WithBinary negotiates the
 // length-prefixed binary frame protocol (HELLO 2, see PROTOCOL.md)
 // during Dial — pushed events then skip line formatting and prefix
-// scanning on both sides — and WithPark additionally asks the server
-// to park the connection's reader goroutine while it idles. Both
-// degrade gracefully: against a server that predates HELLO the
-// connection silently stays on the text protocol (check Conn.Binary
-// when it matters).
+// scanning on both sides. It degrades gracefully: against a server
+// that predates HELLO the connection silently stays on the text
+// protocol (check Conn.Binary when it matters).
 //
 // # Dial options
 //
 // Dial is configured with functional options of type Option
-// (WithFallbacks, RequireLeader, WithNetDial, WithBinary, WithPark,
-// WithSubBuffer).
+// (WithFallbacks, RequireLeader, WithNetDial, WithBinary,
+// WithLowPriority, WithSubBuffer).
 package client
 
 import (
@@ -160,7 +158,6 @@ func serverError(payload string) *Error {
 type Conn struct {
 	nc      net.Conn
 	binary  bool // negotiated binary frame mode (HELLO 2)
-	parked  bool // server granted the park flag
 	lowprio bool // server granted the lowprio (sheddable) flag
 	subBuf  int  // default subscription channel buffer (WithSubBuffer)
 
@@ -188,7 +185,6 @@ type dialConfig struct {
 	requireLeader bool
 	netDial       func(addr string) (net.Conn, error)
 	binary        bool
-	park          bool
 	lowprio       bool
 	subBuffer     int
 }
@@ -218,19 +214,10 @@ func WithBinary() Option {
 	return func(d *dialConfig) { d.binary = true }
 }
 
-// WithPark asks the server to park this connection's reader goroutine
-// while the connection idles (implies the HELLO handshake). The server
-// grants it only where supported; Conn.Parked reports the outcome.
-// Parking is invisible to the API — it only changes what an idle
-// connection costs the server.
-func WithPark() Option {
-	return func(d *dialConfig) { d.park = true }
-}
-
 // WithLowPriority declares this connection's publishes sheddable: while
 // the server is over an overload watermark they are refused with the
 // coded "limit" error instead of blocking, so high-priority producers
-// keep their throughput. Implies the HELLO handshake (like WithPark);
+// keep their throughput. Implies the HELLO handshake (like WithBinary);
 // servers that predate the flag silently ignore it.
 func WithLowPriority() Option {
 	return func(d *dialConfig) { d.lowprio = true }
@@ -303,12 +290,12 @@ func newConn(nc net.Conn, cfg *dialConfig) (*Conn, error) {
 	// Mode negotiation happens synchronously, before the read loop owns
 	// the socket: one HELLO round trip, only when an option asked for
 	// something the legacy protocol lacks.
-	if cfg.binary || cfg.park || cfg.lowprio {
-		binary, park, lowprio, err := negotiate(nc, br, w, cfg.park, cfg.lowprio)
+	if cfg.binary || cfg.lowprio {
+		binary, lowprio, err := negotiate(nc, br, w, cfg.lowprio)
 		if err != nil {
 			return nil, err
 		}
-		c.binary, c.parked, c.lowprio = binary, park, lowprio
+		c.binary, c.lowprio = binary, lowprio
 	}
 	if c.binary {
 		c.tr = &binTransport{w: w, fr: frame.NewReader(br)}
@@ -323,9 +310,6 @@ func newConn(nc net.Conn, cfg *dialConfig) (*Conn, error) {
 // protocol (false means the legacy text protocol, including after a
 // silent fallback against an older server).
 func (c *Conn) Binary() bool { return c.binary }
-
-// Parked reports whether the server granted the WithPark flag.
-func (c *Conn) Parked() bool { return c.parked }
 
 // LowPriority reports whether the server granted the WithLowPriority
 // flag (publishes may be shed with "ERR limit" under overload).

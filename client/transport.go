@@ -173,56 +173,46 @@ func (t *binTransport) recv() (wmsg, error) {
 // flags and interprets the server's answer. A pre-HELLO server answers
 // "ERR unknown ..." — that is a silent fallback to text, not a
 // failure, so new clients keep working against old servers.
-func negotiate(nc net.Conn, br *bufio.Reader, w *bufio.Writer, wantPark, wantLowprio bool) (binary, park, lowprio bool, err error) {
+func negotiate(nc net.Conn, br *bufio.Reader, w *bufio.Writer, wantLowprio bool) (binary, lowprio bool, err error) {
 	cmd := "HELLO 2"
-	var flags []string
-	if wantPark {
-		flags = append(flags, "park")
-	}
 	if wantLowprio {
-		flags = append(flags, "lowprio")
-	}
-	if len(flags) > 0 {
-		cmd += " " + strings.Join(flags, ",")
+		cmd += " lowprio"
 	}
 	w.WriteString(cmd)
 	w.WriteByte('\n')
 	if err := w.Flush(); err != nil {
-		return false, false, false, fmt.Errorf("client: hello: %w", err)
+		return false, false, fmt.Errorf("client: hello: %w", err)
 	}
 	line, err := br.ReadString('\n')
 	if err != nil {
-		return false, false, false, fmt.Errorf("client: hello: %w", err)
+		return false, false, fmt.Errorf("client: hello: %w", err)
 	}
 	line = strings.TrimRight(line, "\r\n")
 	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
 		serr := serverError(msg)
 		if serr.Code == "unknown" {
-			return false, false, false, nil // pre-HELLO server: stay on text
+			return false, false, nil // pre-HELLO server: stay on text
 		}
-		return false, false, false, serr
+		return false, false, serr
 	}
 	rest, ok := strings.CutPrefix(line, "OK ")
 	if !ok {
-		return false, false, false, fmt.Errorf("client: bad HELLO reply %q", line)
+		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
 	}
 	fields := strings.Fields(rest)
 	if len(fields) == 0 {
-		return false, false, false, fmt.Errorf("client: bad HELLO reply %q", line)
+		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
 	}
 	ver, err := strconv.Atoi(fields[0])
 	if err != nil {
-		return false, false, false, fmt.Errorf("client: bad HELLO reply %q", line)
+		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
 	}
 	if len(fields) > 1 {
 		for _, f := range strings.Split(fields[1], ",") {
-			switch f {
-			case "park":
-				park = true
-			case "lowprio":
+			if f == "lowprio" {
 				lowprio = true
 			}
 		}
 	}
-	return ver >= 2, park, lowprio, nil
+	return ver >= 2, lowprio, nil
 }

@@ -4,7 +4,7 @@
 //
 //	eventdbd [-addr host:port] [-dir path]
 //	         [-drop-on-full] [-max-conns n] [-sub-buffer n]
-//	         [-read-timeout d] [-write-timeout d] [-park-after d]
+//	         [-read-timeout d] [-write-timeout d]
 //	         [-visibility d] [-queue-max-attempts n] [-queue-prefetch n]
 //	         [-watch-interval d] [-rule name=condition]...
 //	         [-follow leader-addr] [-rack-every n] [-promote-after d]
@@ -106,6 +106,25 @@ func validate(dir, follow string, dropOnFull bool, evictAfterDrops int) error {
 	return nil
 }
 
+// addRules installs each -rule name=condition on eng; its matches are
+// logged.
+func addRules(eng *core.Engine, defs []string) error {
+	for _, def := range defs {
+		name, cond, ok := strings.Cut(def, "=")
+		if !ok {
+			return fmt.Errorf("bad -rule %q: want name=condition", def)
+		}
+		err := eng.AddRule(name, cond, 0, func(ev *eventdb.Event, r *eventdb.Rule) {
+			log.Printf("rule %s matched %s", r.Name, ev)
+		})
+		if err != nil {
+			return err
+		}
+		log.Printf("rule %s: %s", name, cond)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	dir := flag.String("dir", "", "data directory (empty = in-memory)")
@@ -114,7 +133,6 @@ func main() {
 	subBuffer := flag.Int("sub-buffer", 256, "per-connection outbound push queue capacity in lines")
 	readTimeout := flag.Duration("read-timeout", 0, "time a client may take to finish sending a started command; idle connections are never killed (0 = unbounded)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-flush bound on outbound socket writes, tearing down half-open clients (0 = unbounded)")
-	parkAfter := flag.Duration("park-after", 100*time.Millisecond, "idle threshold before a park-negotiated connection releases its reader goroutine to the shared poller")
 	visibility := flag.Duration("visibility", 30*time.Second, "durable queue visibility timeout before unacked deliveries retry")
 	queueMaxAttempts := flag.Int("queue-max-attempts", 5, "durable queue delivery attempts before dead-lettering")
 	queuePrefetch := flag.Int("queue-prefetch", 256, "unacknowledged deliveries allowed per durable consumer")
@@ -153,18 +171,8 @@ func main() {
 		restore()
 	}
 
-	for _, def := range ruleDefs {
-		name, cond, ok := strings.Cut(def, "=")
-		if !ok {
-			log.Fatalf("bad -rule %q: want name=condition", def)
-		}
-		err := eng.AddRule(name, cond, 0, func(ev *eventdb.Event, r *eventdb.Rule) {
-			log.Printf("rule %s matched %s", r.Name, ev)
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("rule %s: %s", name, cond)
+	if err := addRules(eng, ruleDefs); err != nil {
+		log.Fatal(err)
 	}
 
 	srvCfg := server.Config{
@@ -172,7 +180,6 @@ func main() {
 		SubBuffer:       *subBuffer,
 		ReadTimeout:     *readTimeout,
 		WriteTimeout:    *writeTimeout,
-		ParkAfter:       *parkAfter,
 		Queue:           qcfg,
 		QueuePrefetch:   *queuePrefetch,
 		WatchInterval:   *watchInterval,

@@ -37,7 +37,11 @@ func newOracle(p *Pattern) *oracle {
 	m := &oracle{p: p, guards: make([]*expr.Predicate, len(p.Steps))}
 	for i, s := range p.Steps {
 		if s.Guard != "" {
-			m.guards[i] = expr.MustCompile(s.Guard)
+			g, err := expr.Compile(s.Guard)
+			if err != nil {
+				panic(err)
+			}
+			m.guards[i] = g
 		}
 	}
 	return m

@@ -68,9 +68,6 @@ func newCEPRegistry(e *Engine, cfg Config) *cepRegistry {
 	if c.gcInterval <= 0 {
 		c.gcInterval = defaultCEPGCInterval
 	}
-	if cfg.CEPMaxInstances > 0 {
-		c.nfa.MaxInstances = cfg.CEPMaxInstances
-	}
 	return c
 }
 

@@ -62,9 +62,6 @@ type Config struct {
 	// CEPAdvanceInterval is the cadence of the clock that expires
 	// partial pattern matches on quiet streams (default 500ms).
 	CEPAdvanceInterval time.Duration
-	// CEPMaxInstances caps live partial pattern matches across all
-	// registered patterns (default 1<<20); oldest are dropped beyond it.
-	CEPMaxInstances int
 }
 
 // Engine is the assembled event-processing platform.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAnalyzeEqualityExtraction(t *testing.T) {
-	eqs, _ := MustCompile("sym = 'ACME' AND price > 100 AND venue = 'NYSE'").Indexable()
+	eqs, _ := mustCompile("sym = 'ACME' AND price > 100 AND venue = 'NYSE'").Indexable()
 	if len(eqs) != 2 {
 		t.Fatalf("eqs = %v, want 2", eqs)
 	}
@@ -25,7 +25,7 @@ func TestAnalyzeEqualityExtraction(t *testing.T) {
 }
 
 func TestAnalyzeLiteralOnLeft(t *testing.T) {
-	eqs, rs := MustCompile("'ACME' = sym AND 100 < price").Indexable()
+	eqs, rs := mustCompile("'ACME' = sym AND 100 < price").Indexable()
 	if len(eqs) != 1 || eqs[0].Field != "sym" {
 		t.Fatalf("eqs = %v", eqs)
 	}
@@ -42,7 +42,7 @@ func TestAnalyzeLiteralOnLeft(t *testing.T) {
 }
 
 func TestAnalyzeRangeMerging(t *testing.T) {
-	_, rs := MustCompile("price >= 10 AND price < 20").Indexable()
+	_, rs := mustCompile("price >= 10 AND price < 20").Indexable()
 	if len(rs) != 1 {
 		t.Fatalf("ranges = %+v, want merged single", rs)
 	}
@@ -57,7 +57,7 @@ func TestAnalyzeRangeMerging(t *testing.T) {
 }
 
 func TestAnalyzeBetween(t *testing.T) {
-	_, rs := MustCompile("x BETWEEN 1 AND 5").Indexable()
+	_, rs := mustCompile("x BETWEEN 1 AND 5").Indexable()
 	if len(rs) != 1 {
 		t.Fatalf("ranges = %+v", rs)
 	}
@@ -66,7 +66,7 @@ func TestAnalyzeBetween(t *testing.T) {
 		t.Errorf("between bounds wrong: %+v", r)
 	}
 	// NOT BETWEEN must not be extracted.
-	if p2 := MustCompile("x NOT BETWEEN 1 AND 5"); len(p2.Atoms) != 0 {
+	if p2 := mustCompile("x NOT BETWEEN 1 AND 5"); len(p2.Atoms) != 0 {
 		t.Errorf("NOT BETWEEN extracted: %+v", p2.Atoms)
 	}
 }
@@ -81,7 +81,7 @@ func TestAnalyzeConservative(t *testing.T) {
 		"NOT (sym = 'A')",
 		"sym != 'A'",
 	} {
-		if p := MustCompile(src); len(p.Atoms) != 0 {
+		if p := mustCompile(src); len(p.Atoms) != 0 {
 			t.Errorf("%q: extracted atoms %v", src, p.Atoms)
 		}
 	}
@@ -90,7 +90,7 @@ func TestAnalyzeConservative(t *testing.T) {
 func TestAnalyzeMixedConjunction(t *testing.T) {
 	// Indexable and non-indexable conjuncts mix; extraction keeps only
 	// the indexable ones and the full predicate still works.
-	p := MustCompile("sym = 'A' AND lower(venue) = 'nyse' AND price >= 5")
+	p := mustCompile("sym = 'A' AND lower(venue) = 'nyse' AND price >= 5")
 	if eqs, rs := p.Indexable(); len(eqs) != 1 || len(rs) != 1 {
 		t.Fatalf("extraction = %v / %v", eqs, rs)
 	}
@@ -116,7 +116,7 @@ func TestConjuncts(t *testing.T) {
 }
 
 func TestNumericBoundsNonNumeric(t *testing.T) {
-	_, rs := MustCompile("x >= 'a'").Indexable()
+	_, rs := mustCompile("x >= 'a'").Indexable()
 	r := rs[0]
 	if _, _, ok := r.NumericBounds(); ok {
 		t.Error("string bounds should not be numeric")

@@ -297,15 +297,6 @@ func Compile(src string) (*Predicate, error) {
 	return &Predicate{Source: src, Root: root, Atoms: atoms(root)}, nil
 }
 
-// MustCompile is Compile that panics on error.
-func MustCompile(src string) *Predicate {
-	p, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Standing returns the form of p to store as a standing condition: its
 // source and atoms with no tree when the atoms are every top-level
 // conjunct, and p itself otherwise. Both match exactly alike.

@@ -267,7 +267,7 @@ func TestLikeMatchQuickAgainstOracle(t *testing.T) {
 }
 
 func TestPredicateMatch(t *testing.T) {
-	p := MustCompile("price > 100 AND sym = 'ACME'")
+	p := mustCompile("price > 100 AND sym = 'ACME'")
 	ok, err := p.Match(ctx("price", 101, "sym", "ACME"))
 	if err != nil || !ok {
 		t.Errorf("Match = %v, %v; want true", ok, err)
@@ -282,7 +282,7 @@ func TestPredicateMatch(t *testing.T) {
 		t.Errorf("Match with missing field = %v, %v; want false", ok, err)
 	}
 	// Non-boolean predicate doesn't match but is not an error either.
-	p2 := MustCompile("price + 1")
+	p2 := mustCompile("price + 1")
 	ok, err = p2.Match(ctx("price", 1))
 	if err != nil || ok {
 		t.Errorf("non-boolean Match = %v, %v; want false, nil", ok, err)
@@ -290,7 +290,7 @@ func TestPredicateMatch(t *testing.T) {
 }
 
 func TestEvalDeterministicQuick(t *testing.T) {
-	p := MustCompile("a * 3 + b > 10 AND (s LIKE 'x%' OR a IN (1, 2, 3))")
+	p := mustCompile("a * 3 + b > 10 AND (s LIKE 'x%' OR a IN (1, 2, 3))")
 	f := func(a, b int16, pick bool) bool {
 		s := "y"
 		if pick {
@@ -319,8 +319,17 @@ func TestEvalAgainstEventResolver(t *testing.T) {
 		"$type": val.String("trade"),
 		"price": val.Float(10),
 	}
-	ok, err := MustCompile("$type = 'trade' AND price >= 10").Match(r)
+	ok, err := mustCompile("$type = 'trade' AND price >= 10").Match(r)
 	if err != nil || !ok {
 		t.Errorf("envelope predicate = %v, %v", ok, err)
 	}
+}
+
+// mustCompile is Compile that panics on error.
+func mustCompile(src string) *Predicate {
+	p, err := Compile(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

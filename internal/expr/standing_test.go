@@ -20,7 +20,7 @@ func TestStandingKeepsOnlyAtoms(t *testing.T) {
 		"x NOT BETWEEN 1 AND 5":          false,
 		"true":                           false,
 	} {
-		p := MustCompile(src)
+		p := mustCompile(src)
 		st := p.Standing()
 		if got := st.Root == nil; got != flat {
 			t.Errorf("%q: standing without a tree = %v, want %v", src, got, flat)
@@ -51,14 +51,14 @@ func TestDetachKeepsNoText(t *testing.T) {
 		"lower(sym) = 'sym0042'":         false,
 	} {
 		buf := []byte(src)
-		d := MustCompile(unsafe.String(&buf[0], len(buf))).Detach()
+		d := mustCompile(unsafe.String(&buf[0], len(buf))).Detach()
 		for i := range buf {
 			buf[i] = '#'
 		}
 		if (d.Root == nil) != flat || flat && d.Source != "" || !flat && d.Source != src {
 			t.Errorf("%q: detached = %+v", src, d)
 		}
-		tree := MustCompile(src)
+		tree := mustCompile(src)
 		for _, ev := range events {
 			want, wantErr := tree.Match(ev)
 			got, gotErr := d.Match(ev)

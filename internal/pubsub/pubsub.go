@@ -80,12 +80,9 @@ func NewBroker() *Broker {
 	return b
 }
 
-// matchAll is the compiled empty filter.
-var matchAll = func() *expr.Predicate {
-	p := expr.MustCompile("true")
-	p.Source = ""
-	return p
-}()
+// matchAll is the compiled empty filter: the predicate with no
+// conjuncts, which matches every event without evaluating anything.
+var matchAll = &expr.Predicate{}
 
 // Compile compiles a filter: a predicate over event attributes
 // (including $type/$source envelope fields). The empty filter matches

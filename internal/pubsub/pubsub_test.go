@@ -207,7 +207,11 @@ func BenchmarkE3MatchNaive(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
 			preds := make([]*expr.Predicate, n)
 			for i := range preds {
-				preds[i] = expr.MustCompile(fmt.Sprintf("sym = 'S%d' AND price > %d", i%1000, i%500))
+				p, err := expr.Compile(fmt.Sprintf("sym = 'S%d' AND price > %d", i%1000, i%500))
+				if err != nil {
+					b.Fatal(err)
+				}
+				preds[i] = p
 			}
 			ev := event.New("trade", map[string]any{"sym": "S7", "price": 600})
 			b.ResetTimer()

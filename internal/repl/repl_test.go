@@ -302,3 +302,56 @@ func TestStartRequiresDurableEngine(t *testing.T) {
 		t.Fatalf("Start on volatile engine = %v, want durable error", err)
 	}
 }
+
+// rackCounter counts the RACK lines a follower writes to its leader.
+type rackCounter struct {
+	net.Conn
+	racks *atomic.Int64
+}
+
+func (c rackCounter) Write(p []byte) (int, error) {
+	c.racks.Add(int64(bytes.Count(p, []byte("RACK "))))
+	return c.Conn.Write(p)
+}
+
+// TestRackEvery: with RackEvery 1 the follower acknowledges its cursor
+// after every record it applies. At the default cadence of 64 the same
+// records would draw a handful of acks, plus one per 500ms tick.
+func TestRackEvery(t *testing.T) {
+	leader, srv := startLeader(t)
+	if err := leader.DB.CreateTable(tradesSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 1; i <= n; i++ {
+		insertTrade(t, leader, i, "A")
+	}
+	var racks atomic.Int64
+	f, err := repl.Start(repl.Config{
+		Addr:      srv.Addr(),
+		Engine:    followerEngine(t),
+		RackEvery: 1,
+		Dial: func(addr string) (net.Conn, error) {
+			nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+			if err != nil {
+				return nil, err
+			}
+			return rackCounter{nc, &racks}, nil
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if !f.WaitCursor(leader.DB.WAL().NextLSN(), 5*time.Second) {
+		t.Fatalf("follower cursor %d never caught up", f.Cursor())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for racks.Load() < n && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := racks.Load(); got < n {
+		t.Fatalf("follower sent %d RACKs for %d records, want one per record", got, f.Applied())
+	}
+}

@@ -39,7 +39,10 @@ func tree(src string) *expr.Predicate {
 	if p, ok := trees.Load(src); ok {
 		return p.(*expr.Predicate)
 	}
-	p := expr.MustCompile(src)
+	p, err := expr.Compile(src)
+	if err != nil {
+		panic(err)
+	}
 	trees.Store(src, p)
 	return p
 }

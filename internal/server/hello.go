@@ -19,12 +19,9 @@ import (
 // been registered: flipping the wire encoding under a live push
 // producer would interleave modes mid-stream.
 //
-// Flags:
+// Flags (one is defined; an unknown flag gets no echo, so clients
+// treat the echo as the truth):
 //
-//	park    — the server may release this connection's reader goroutine
-//	          to a shared epoll poller while it idles. Granted only where
-//	          parking is supported (linux, real TCP socket); silently
-//	          dropped elsewhere, so clients treat the echo as the truth.
 //	lowprio — the connection volunteers as sheddable: while an overload
 //	          watermark is exceeded its publishes are refused with
 //	          "ERR limit" instead of blocking, protecting high-priority
@@ -43,29 +40,21 @@ func handleHello(c *conn, req *request) bool {
 	if ver > protocolVersion {
 		ver = protocolVersion
 	}
-	var granted []string
-	park, lowprio := false, false
+	lowprio := false
 	for _, flag := range strings.Split(req.tail, ",") {
 		switch strings.TrimSpace(flag) {
-		case "park":
-			if c.parkable() {
-				park = true
-				granted = append(granted, "park")
-			}
 		case "lowprio":
 			lowprio = true
-			granted = append(granted, "lowprio")
 		}
 	}
 	line := "OK " + strconv.Itoa(ver)
-	if len(granted) > 0 {
-		line += " " + strings.Join(granted, ",")
+	if lowprio {
+		line += " lowprio"
 	}
 	// Reply in the current mode, then flip: the next frame or line —
 	// either direction — is in the negotiated mode. No producer can
 	// race the flip (no sink exists, and replies are reader-driven).
 	c.reply(line)
-	c.parkOK = park
 	c.lowprio = lowprio
 	c.binary = ver >= 2
 	if c.binary && c.fr == nil {

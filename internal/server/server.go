@@ -26,11 +26,10 @@
 // travel as CMD/REPLY frames carrying the exact text-protocol lines,
 // while the hot paths get typed frames — PUB carries a bare JSON event
 // (no verb parse), EVT/QEVT carry the cached Event.EncodedJSON bytes
-// behind a tiny binary header (no line scanning on either side). The
-// "park" flag additionally lets an idle connection's reader goroutine
-// be released to a shared epoll poller (park_linux.go) until bytes
-// arrive — the difference between 2 goroutines per subscriber and ~0.
-// The full wire contract, both modes, lives in PROTOCOL.md.
+// behind a tiny binary header (no line scanning on either side). Every
+// connection keeps one reader goroutine for its lifetime; an idle one
+// holds no writer goroutine. The full wire contract, both modes, lives
+// in PROTOCOL.md.
 //
 // Message plane (one request per line; <id> is any token without
 // spaces):
@@ -200,7 +199,7 @@ type Config struct {
 	// binary frame whose header arrived). An idle connection — nothing
 	// sent at all — is never killed by it: push subscribers legitimately
 	// go quiet forever. 0 disables the bound (no read deadlines are
-	// armed at all unless parking needs them).
+	// armed at all).
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each socket flush of the outbound queue, so a
 	// half-open or wedged client cannot pin a writer goroutine forever —
@@ -219,11 +218,6 @@ type Config struct {
 	// for good, not one having a bad moment. The eviction closes only
 	// that connection (counted in server.evicted). 0 disables eviction.
 	EvictAfterDrops int
-	// ParkAfter is how long a connection that negotiated the "park"
-	// flag must stay idle before its reader goroutine is released to
-	// the shared poller (default 100ms). Only meaningful where parking
-	// is supported (linux).
-	ParkAfter time.Duration
 	// Queue tunes the durable queues QSUB creates (visibility timeout,
 	// max delivery attempts). Zero values take queue.Config defaults.
 	Queue queue.Config
@@ -247,9 +241,6 @@ const (
 	// defaultQueuePrefetch bounds unacked deliveries per durable
 	// consumer.
 	defaultQueuePrefetch = 256
-	// defaultParkAfter is the idle threshold before a park-negotiated
-	// connection releases its reader goroutine.
-	defaultParkAfter = 100 * time.Millisecond
 	// maxBatch caps PUBB so a client cannot make the server buffer an
 	// unbounded batch.
 	maxBatch = 65536
@@ -308,9 +299,6 @@ func serve(eng *core.Engine, ln net.Listener, cfg Config) *Server {
 	if cfg.QueuePrefetch <= 0 {
 		cfg.QueuePrefetch = defaultQueuePrefetch
 	}
-	if cfg.ParkAfter <= 0 {
-		cfg.ParkAfter = defaultParkAfter
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = defaultDrainTimeout
 	}
@@ -346,11 +334,9 @@ func (s *Server) Close() error {
 	// accepting: no new connection can slip in after the drain below.
 	close(s.done)
 	err := s.ln.Close()
-	// Snapshot, then interrupt OUTSIDE the lock: interrupt takes each
-	// connection's pmu, and the poller's unpark path holds pmu while
-	// acquiring s.mu (via goGo) — interrupting under s.mu would be the
-	// classic AB/BA deadlock at exactly the worst moment (thousands of
-	// connections hanging up at once).
+	// Closing a socket wakes its reader, which tears the connection
+	// down. Close them outside s.mu: a listener given to ServeListener
+	// may wrap the sockets, and their Close is not this package's code.
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -358,7 +344,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		c.interrupt()
+		c.nc.Close()
 	}
 	s.wg.Wait()
 	return err
@@ -469,22 +455,12 @@ func (s *Server) acceptLoop() {
 			srv:   s,
 			id:    id,
 			nc:    nc,
-			fd:    -1,
 			stop:  make(chan struct{}),
 			sinks: make(map[string]sink),
 			pull:  fmt.Sprintf("conn%d", id),
 			subs:  fmt.Sprintf("wire.%d.", id),
 		}
 		c.push = c.pull + "/qsub"
-		// Capture the raw fd for the parking poller. Holding the integer
-		// past the Control callback is safe here: it is only ever used
-		// to arm epoll while the conn is registered, and a stale arm on
-		// a recycled fd at worst produces a harmless spurious unpark.
-		if tc, ok := nc.(*net.TCPConn); ok {
-			if sc, err := tc.SyscallConn(); err == nil {
-				sc.Control(func(fd uintptr) { c.fd = int(fd) })
-			}
-		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.eng.Metrics.Counter("server.accepted").Inc()
@@ -508,11 +484,11 @@ const (
 	wClosed         // teardown owns the socket; nothing is queued ever again
 )
 
-// conn is one client connection. A reader goroutine parses commands
-// (and may be parked away entirely while the connection idles, see
-// park_linux.go) and writes the replies its client is waiting on;
-// everything else drains through on-demand writer bursts. It is the
-// per-connection session state threaded through every handler.
+// conn is one client connection. A reader goroutine parses commands,
+// writes the replies its client is waiting on and, when the connection
+// ends, tears it down; everything else drains through on-demand writer
+// bursts. It is the per-connection session state threaded through
+// every handler.
 //
 // The outbound queue is a byte buffer, not a queue of messages: a
 // producer calls begin, appends its message's complete wire form (text
@@ -525,7 +501,6 @@ type conn struct {
 	srv  *Server
 	id   uint64
 	nc   net.Conn
-	fd   int           // raw socket fd for epoll parking; -1 if unavailable
 	br   *bufio.Reader // owned by the reader goroutine
 	fr   *frame.Reader // binary-mode decoder over br (reader goroutine)
 	stop chan struct{} // closed at teardown; unblocks producers
@@ -542,20 +517,15 @@ type conn struct {
 	spare []byte // the buffer written last, pending's next backing store
 	wfail bool   // a socket write failed; bursts keep draining, not writing
 
-	// binary, parkOK, and lowprio are written only by the reader
-	// goroutine while handling HELLO, which is refused once any sink
-	// exists — so every concurrent producer (broker callbacks, queue
-	// consumers, repl streams) is registered strictly after the flip and
-	// observes it through its own registration's synchronization.
+	// binary and lowprio are written only by the reader goroutine while
+	// handling HELLO, which is refused once any sink exists — so every
+	// concurrent producer (broker callbacks, queue consumers, repl
+	// streams) is registered strictly after the flip and observes it
+	// through its own registration's synchronization.
 	binary  bool
-	parkOK  bool
 	lowprio bool // sheddable under overload (HELLO flag "lowprio")
 
-	torn       atomic.Bool // teardown has begun (it runs once)
-	pmu        sync.Mutex
-	parked     bool // reader released; the poller owns wake-up
-	closing    bool // interrupt ran; never park or respawn again
-	readerDead bool // reader exited for good (not parked)
+	torn atomic.Bool // teardown has begun
 
 	sent         atomic.Uint64 // messages handed to the socket (lines or frames)
 	writeCalls   atomic.Uint64 // write(2) calls that carried them
@@ -860,36 +830,15 @@ func (c *conn) burst() {
 	}
 }
 
-// step is a read-loop verdict: keep reading, park the reader, or tear
-// the connection down.
-type step int
-
-const (
-	stepContinue step = iota
-	stepPark
-	stepClose
-)
-
 // readLoop reads commands — text lines or binary frames, depending on
 // the negotiated mode — and dispatches each through the command
-// registry until the connection errors, a handler asks to close (QUIT,
-// loss of framing), or an idle park-negotiated connection hands its
-// socket to the shared poller and returns without tearing down.
+// registry until the connection errors or a handler asks to close
+// (QUIT, loss of framing); then it tears the connection down.
 func (c *conn) readLoop() {
-	if c.br == nil {
-		c.br = bufio.NewReaderSize(c.nc, 1<<16)
+	c.br = bufio.NewReaderSize(c.nc, 1<<16)
+	for c.safeStep() {
 	}
-	for {
-		switch c.safeStep() {
-		case stepPark:
-			if c.tryPark() {
-				return // the poller now owns wake-up; no teardown
-			}
-		case stepClose:
-			c.teardown()
-			return
-		}
-	}
+	c.teardown()
 }
 
 // safeStep runs one read-loop step — a command in the negotiated wire
@@ -897,14 +846,14 @@ func (c *conn) readLoop() {
 // request, not grounds to kill the process and every other connection.
 // The panic is logged with its stack, counted (server.panics, surfaced
 // by HEALTH), and converted into a close of this connection alone; the
-// deferred teardown releases its sinks and queued deliveries like any
-// other disconnect.
-func (c *conn) safeStep() (s step) {
+// teardown releases its sinks and queued deliveries like any other
+// disconnect. False closes the connection.
+func (c *conn) safeStep() (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.srv.eng.Metrics.Counter("server.panics").Inc()
 			log.Printf("server: conn %d: panic in command handler: %v\n%s", c.id, r, debug.Stack())
-			s = stepClose
+			ok = false
 		}
 	}()
 	if c.binary {
@@ -913,35 +862,14 @@ func (c *conn) safeStep() (s step) {
 	return c.textStep()
 }
 
-// armIdle sets the read deadline for waiting on a new command: the
-// park threshold when parking is on, else the read timeout (so
-// progress is still observed), else none. Idle timeouts never kill the
-// connection — they only re-arm or park.
-func (c *conn) armIdle() {
-	switch {
-	case c.parkOK:
-		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ParkAfter))
-	case c.srv.cfg.ReadTimeout > 0:
-		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
-	}
-}
-
-// armBody sets the read deadline once a command has begun arriving:
-// the client now owes the rest within ReadTimeout, or — with no
-// timeout configured — forever (clearing any park deadline so a slow
-// sender is not mistaken for an idle one).
-func (c *conn) armBody() {
+// armRead sets the read deadline ReadTimeout ahead, before waiting on
+// a command and again once one has begun arriving; with no timeout the
+// read path never touches SetReadDeadline. A deadline that expires
+// before a command began never kills the connection — it only re-arms.
+func (c *conn) armRead() {
 	if rt := c.srv.cfg.ReadTimeout; rt > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(rt))
-	} else if c.parkOK {
-		c.nc.SetReadDeadline(time.Time{})
 	}
-}
-
-// deadlines reports whether this connection ever arms read deadlines;
-// when false the read path never touches SetReadDeadline at all.
-func (c *conn) deadlines() bool {
-	return c.parkOK || c.srv.cfg.ReadTimeout > 0
 }
 
 func isTimeout(err error) bool {
@@ -950,36 +878,18 @@ func isTimeout(err error) bool {
 }
 
 // textStep reads and dispatches one text command line, as one string.
-func (c *conn) textStep() step {
-	var partial []byte
+func (c *conn) textStep() bool {
 	for {
-		if c.deadlines() {
-			if len(partial) == 0 {
-				c.armIdle()
-			} else {
-				c.armBody()
-			}
-		}
+		c.armRead()
+		var partial []byte
 		line, err := c.readLine(&partial)
 		if err != nil {
-			if isTimeout(err) {
-				if len(partial) == 0 {
-					if c.parkOK && c.br.Buffered() == 0 {
-						return stepPark
-					}
-					continue // idle is allowed; re-arm and keep waiting
-				}
-				if c.srv.cfg.ReadTimeout > 0 {
-					return stepClose // mid-command stall
-				}
-				continue
+			if isTimeout(err) && len(partial) == 0 {
+				continue // idle is allowed; re-arm and keep waiting
 			}
-			return stepClose
+			return false // a mid-command stall, or the connection ended
 		}
-		if !dispatch(c, string(line)) {
-			return stepClose
-		}
-		return stepContinue
+		return dispatch(c, string(line))
 	}
 }
 
@@ -1004,29 +914,19 @@ func (c *conn) readLine(partial *[]byte) ([]byte, error) {
 }
 
 // binaryStep reads and dispatches one binary frame.
-func (c *conn) binaryStep() step {
+func (c *conn) binaryStep() bool {
 	for {
-		if c.deadlines() {
-			c.armIdle()
-		}
+		c.armRead()
 		t, payload, err := c.fr.Next()
 		if err != nil {
-			if isTimeout(err) {
-				if !c.fr.Midframe() {
-					if c.parkOK && c.br.Buffered() == 0 {
-						return stepPark
-					}
-					continue
-				}
-				return stepClose // stalled mid-frame
+			if isTimeout(err) && !c.fr.Midframe() {
+				continue
 			}
-			return stepClose
+			return false // stalled mid-frame, or the connection ended
 		}
 		switch t {
 		case frame.Cmd:
-			if !dispatch(c, string(payload)) {
-				return stepClose
-			}
+			return dispatch(c, string(payload))
 		case frame.Pub:
 			publishFrame(c, payload)
 		case frame.Data:
@@ -1034,21 +934,23 @@ func (c *conn) binaryStep() step {
 			// intact (the length was honored) but the stream is
 			// confused enough to drop.
 			c.errf(codeBadArgs, "DATA frame outside a command body")
-			return stepClose
+			return false
 		default:
 			c.errf(codeUnknown, "unexpected frame type %s", t)
-			return stepClose
+			return false
 		}
-		return stepContinue
+		return true
 	}
 }
 
-// newFrameReader builds the connection's binary decoder, wiring the
-// OnHeader hook so the read deadline widens to cover a frame's body as
-// soon as its header begins arriving.
+// newFrameReader builds the connection's binary decoder; under a read
+// timeout its OnHeader hook widens the read deadline to cover a frame's
+// body as soon as its header begins arriving.
 func newFrameReader(c *conn) *frame.Reader {
 	fr := frame.NewReader(c.br)
-	fr.OnHeader = c.armBody
+	if c.srv.cfg.ReadTimeout > 0 {
+		fr.OnHeader = c.armRead
+	}
 	return fr
 }
 
@@ -1056,9 +958,7 @@ func newFrameReader(c *conn) *frame.Reader {
 // frame in binary mode (PUBB batches). The returned bytes are only
 // valid until the next read; callers must consume or copy immediately.
 func (c *conn) readBody() ([]byte, bool) {
-	if c.deadlines() {
-		c.armBody()
-	}
+	c.armRead()
 	if c.binary {
 		t, payload, err := c.fr.Next()
 		if err != nil || t != frame.Data {
@@ -1070,102 +970,23 @@ func (c *conn) readBody() ([]byte, bool) {
 	return line, err == nil
 }
 
-// interrupt begins shutdown of one connection from outside its reader
-// (the Server.Close path). A live reader is woken by closing the
-// socket and tears down itself; a parked or already-dead reader has
-// nobody to do that, so teardown runs on a fresh tracked goroutine.
-func (c *conn) interrupt() {
-	c.pmu.Lock()
-	c.closing = true
-	wasParked := c.parked
-	c.parked = false
-	dead := c.readerDead
-	c.pmu.Unlock()
-	if wasParked {
-		forgetParked(c)
-	}
-	if wasParked || dead {
-		// The server is already marked closed, so goGo would refuse;
-		// track by hand — Close interrupts before it waits on s.wg, so
-		// the Add is ordered before the Wait.
-		c.srv.wg.Add(1)
-		go func() {
-			defer c.srv.wg.Done()
-			c.teardown()
-		}()
-		return
-	}
-	c.nc.Close()
-}
-
-// evict force-closes one slow consumer from a producer goroutine
-// (the push path, under sustained DropOnFull overflow). A live reader
-// is woken by closing the socket and tears down itself, exactly like
-// interrupt; a parked reader has nobody to do that, so teardown runs
-// on a tracked goroutine. When Server.Close already owns the
-// connection (closing is set, or goGo refuses) eviction stands down —
-// the close path tears everything down anyway.
+// evict force-closes one slow consumer from a producer goroutine (the
+// push path, under sustained DropOnFull overflow), once: closing the
+// socket wakes the reader, which tears the connection down.
 func (c *conn) evict() {
 	if !c.evicted.CompareAndSwap(false, true) {
 		return
 	}
 	c.srv.eng.Metrics.Counter("server.evicted").Inc()
-	c.pmu.Lock()
-	if c.closing {
-		c.pmu.Unlock()
-		return
-	}
-	c.closing = true
-	wasParked := c.parked
-	c.parked = false
-	dead := c.readerDead
-	if wasParked || dead {
-		// goGo under pmu follows the unpark path's established pmu→s.mu
-		// order. If it refuses, the server is closing: marking the
-		// reader dead (still under pmu) guarantees the Close interrupt
-		// pass — which runs after closed=true — spawns the teardown.
-		if !c.srv.goGo(c.teardown) {
-			c.readerDead = true
-		}
-		c.pmu.Unlock()
-		if wasParked {
-			forgetParked(c)
-		}
-		return
-	}
-	c.pmu.Unlock()
 	c.nc.Close()
 }
 
-// unpark revives a parked connection when the poller sees readable
-// bytes (or EOF). Spurious wakes are fine: the revived reader just
-// finds nothing and parks again.
-func (c *conn) unpark() {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if !c.parked || c.closing {
-		return
-	}
-	c.parked = false
-	if !c.srv.goGo(c.readLoop) {
-		// Server is closing; its Close pass will (or did) see
-		// parked=false and needs a teardown it can wait on.
-		c.readerDead = true
-	}
-}
-
-// teardown closes one connection exactly once: remove its broker rules
-// and detach every sink (durable consumers halt and hand back their
-// unacked deliveries), release producers, take the writer slot for a
-// final bounded drain, close the socket, deregister.
+// teardown closes the connection, run once by its reader as it exits:
+// remove its broker rules and detach every sink (durable consumers halt
+// and hand back their unacked deliveries), release producers, take the
+// writer slot for a final bounded drain, close the socket, deregister.
 func (c *conn) teardown() {
-	if !c.torn.CompareAndSwap(false, true) {
-		return
-	}
-	c.pmu.Lock()
-	c.closing = true
-	c.readerDead = true
-	c.pmu.Unlock()
+	c.torn.Store(true)
 	// Bound all remaining socket writes first, so a consumer that went
 	// away without reading cannot stall the drain below.
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.DrainTimeout))

@@ -6,7 +6,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -19,31 +18,21 @@ import (
 	"eventdb/internal/raceflag"
 )
 
-// TestParkedSubscriberSoak is the million-connection plane's scale
-// proof at CI size: thousands of concurrent parked subscribers held by
-// one server with a bounded goroutine count — far fewer goroutines
-// than connections — while pushes still reach every one of them.
-func TestParkedSubscriberSoak(t *testing.T) {
+// TestIdleSubscriberSoak holds thousands of concurrent idle binary
+// subscribers on one server, each with its own reader goroutine, and
+// checks that a push still reaches them.
+func TestIdleSubscriberSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
 	want := 10000
 	if raceflag.Enabled {
-		// The race detector multiplies per-goroutine cost; the property
-		// (goroutines ≪ connections) is scale-invariant.
+		// The race detector multiplies per-goroutine cost.
 		want = 2000
 	}
 	n := maxSoakConns(t, want)
 
-	_, srv := startServer(t, core.Config{}, Config{ParkAfter: 20 * time.Millisecond})
-
-	// Probe: is parking available here at all?
-	probe, pbr := wireDial(t, srv)
-	sendLine(t, probe, "HELLO 2 park")
-	if got := readLine(t, pbr); got != "OK 2 park" {
-		t.Skipf("parking unsupported on this platform/kernel (reply %q)", got)
-	}
-	probe.Close()
+	_, srv := startServer(t, core.Config{}, Config{})
 
 	type subConn struct {
 		nc net.Conn
@@ -65,12 +54,12 @@ func TestParkedSubscriberSoak(t *testing.T) {
 				return
 			}
 			br := bufio.NewReader(nc)
-			if _, err := nc.Write([]byte("HELLO 2 park\n")); err != nil {
+			if _, err := nc.Write([]byte("HELLO 2\n")); err != nil {
 				errs <- fmt.Errorf("conn %d hello: %w", i, err)
 				return
 			}
 			line, err := br.ReadString('\n')
-			if err != nil || strings.TrimSpace(line) != "OK 2 park" {
+			if err != nil || strings.TrimSpace(line) != "OK 2" {
 				errs <- fmt.Errorf("conn %d hello reply %q err %v", i, line, err)
 				return
 			}
@@ -100,25 +89,7 @@ func TestParkedSubscriberSoak(t *testing.T) {
 		}
 	}()
 
-	// Every connection now idles; readers park. The goroutine count
-	// must fall far below the connection count — that is the entire
-	// point of the multiplexer.
-	bound := n / 4
-	deadline := time.Now().Add(60 * time.Second)
-	var g int
-	for {
-		g = runtime.NumGoroutine()
-		if g < bound {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines never settled: %d running for %d connections (bound %d)", g, n, bound)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	t.Logf("%d connections held by %d goroutines", n, g)
-
-	// Parked is not dead: a push must still reach every subscriber.
+	// Idle is not dead: a push must still reach every subscriber.
 	// Publishing wakes each connection's writer; spot-check a sample.
 	pub := dial(t, srv)
 	if _, err := pub.Publish(event.New("tick", map[string]any{"n": 1})); err != nil {

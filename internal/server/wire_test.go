@@ -113,21 +113,20 @@ func TestHelloRefusedAfterSubscription(t *testing.T) {
 	}
 }
 
+// TestHelloParkFlagEcho: the retired park flag, like any unknown flag,
+// is ignored, not echoed, and does not hide a flag granted beside it.
 func TestHelloParkFlagEcho(t *testing.T) {
 	_, srv := startServer(t, core.Config{}, Config{})
-	nc, br := wireDial(t, srv)
-	sendLine(t, nc, "HELLO 2 park")
-	got := readLine(t, br)
-	// Parking depends on platform support; both answers are legal, but
-	// the version must be present either way.
-	if got != "OK 2" && got != "OK 2 park" {
-		t.Fatalf("HELLO 2 park → %q", got)
-	}
-	// An unknown flag is ignored, not echoed.
-	nc2, br2 := wireDial(t, srv)
-	sendLine(t, nc2, "HELLO 2 sparkle")
-	if got := readLine(t, br2); got != "OK 2" {
-		t.Fatalf("HELLO 2 sparkle → %q", got)
+	for _, tc := range []struct{ hello, want string }{
+		{"HELLO 2 park", "OK 2"},
+		{"HELLO 2 park,lowprio", "OK 2 lowprio"},
+		{"HELLO 2 sparkle", "OK 2"},
+	} {
+		nc, br := wireDial(t, srv)
+		sendLine(t, nc, tc.hello)
+		if got := readLine(t, br); got != tc.want {
+			t.Fatalf("%s → %q, want %q", tc.hello, got, tc.want)
+		}
 	}
 }
 
@@ -439,66 +438,6 @@ func TestWriteTimeoutUnsticksWriter(t *testing.T) {
 		}
 	}
 	t.Fatal("write-timeout never tore down the unread subscriber")
-}
-
-func TestParkedConnectionStillServes(t *testing.T) {
-	_, srv := startServer(t, core.Config{}, Config{ParkAfter: 50 * time.Millisecond})
-	nc, br := wireDial(t, srv)
-	sendLine(t, nc, "HELLO 2 park")
-	got := readLine(t, br)
-	if got != "OK 2 park" {
-		t.Skipf("parking not supported here (reply %q)", got)
-	}
-	if _, err := nc.Write(frame.AppendFrameString(nil, frame.Cmd, "SUB parked")); err != nil {
-		t.Fatal(err)
-	}
-	fr := frame.NewReader(br)
-	typ, payload, err := fr.Next()
-	if err != nil || typ != frame.Reply || string(payload) != "OK" {
-		t.Fatalf("SUB → %s %q err=%v", typ, payload, err)
-	}
-	// Let it idle past ParkAfter so the reader parks, then prove both
-	// directions still work: a push wakes the writer, and a command
-	// revives the reader.
-	time.Sleep(300 * time.Millisecond)
-	pub := dial(t, srv)
-	if _, err := pub.Publish(event.New("tick", map[string]any{"n": 1})); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err = fr.Next()
-	if err != nil || typ != frame.Evt {
-		t.Fatalf("push to parked conn: %s err=%v", typ, err)
-	}
-	if id, _, ok := frame.DecodeEvt(payload); !ok || id != "parked" {
-		t.Fatalf("push decode id=%q ok=%v", id, ok)
-	}
-	time.Sleep(200 * time.Millisecond) // re-park
-	if _, err := nc.Write(frame.AppendFrameString(nil, frame.Cmd, "PING")); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err = fr.Next()
-	if err != nil || typ != frame.Reply || string(payload) != "PONG" {
-		t.Fatalf("PING after park: %s %q err=%v", typ, payload, err)
-	}
-}
-
-// TestClientParkFallback: WithPark against a server that cannot park
-// still yields a working connection.
-func TestClientParkFallback(t *testing.T) {
-	_, srv := startServer(t, core.Config{}, Config{})
-	c, err := client.Dial(srv.Addr(), client.WithBinary(), client.WithPark())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	_ = c.Parked() // either answer is fine; the API must just not lie
-	if !c.Binary() {
-		t.Fatal("binary lost in park negotiation")
-	}
 }
 
 func TestLegacyTextPathUnchanged(t *testing.T) {
