@@ -25,22 +25,8 @@ type PatternStep = cep.StepSpec
 // connection closes, and their composite events reach subscribers on
 // every connection.
 func (c *Conn) Pattern(name string, spec PatternSpec) error {
-	if err := checkName("pattern name", name); err != nil {
-		return err
-	}
-	arg, err := jsonArg(spec)
-	if err != nil {
-		return err
-	}
-	_, err = c.call("PATTERN " + name + " " + arg)
-	return err
+	return c.named("PATTERN", "pattern", name, spec)
 }
 
 // Unpattern removes a registered pattern by name.
-func (c *Conn) Unpattern(name string) error {
-	if err := checkName("pattern name", name); err != nil {
-		return err
-	}
-	_, err := c.call("UNPATTERN " + name)
-	return err
-}
+func (c *Conn) Unpattern(name string) error { return c.named("UNPATTERN", "pattern", name, nil) }

@@ -173,25 +173,11 @@ func (c *Conn) SelectRaw(spec []byte) ([]byte, error) {
 // engine-global: they keep capturing after this connection closes, and
 // their change events reach subscribers on every connection.
 func (c *Conn) Trigger(name string, spec TriggerSpec) error {
-	if err := checkName("trigger name", name); err != nil {
-		return err
-	}
-	arg, err := jsonArg(spec)
-	if err != nil {
-		return err
-	}
-	_, err = c.call("TRIG " + name + " " + arg)
-	return err
+	return c.named("TRIG", "trigger", name, spec)
 }
 
 // DropTrigger removes a trigger by name.
-func (c *Conn) DropTrigger(name string) error {
-	if err := checkName("trigger name", name); err != nil {
-		return err
-	}
-	_, err := c.call("UNTRIG " + name)
-	return err
-}
+func (c *Conn) DropTrigger(name string) error { return c.named("UNTRIG", "trigger", name, nil) }
 
 // Watch schedules a server-side watched query: the query is polled on
 // an interval and result-set diffs are ingested as
@@ -199,22 +185,26 @@ func (c *Conn) DropTrigger(name string) error {
 // "query.<name>." types to receive them. Like triggers, watches are
 // engine-global until Unwatch.
 func (c *Conn) Watch(name string, spec WatchSpec) error {
-	if err := checkName("watch name", name); err != nil {
-		return err
-	}
-	arg, err := jsonArg(spec)
-	if err != nil {
-		return err
-	}
-	_, err = c.call("WATCH " + name + " " + arg)
-	return err
+	return c.named("WATCH", "watch", name, spec)
 }
 
 // Unwatch stops a watched query.
-func (c *Conn) Unwatch(name string) error {
-	if err := checkName("watch name", name); err != nil {
+func (c *Conn) Unwatch(name string) error { return c.named("UNWATCH", "watch", name, nil) }
+
+// named sends a TRIG, WATCH or PATTERN verb or its UN-verb: the name,
+// then the spec as JSON unless it is nil.
+func (c *Conn) named(verb, kind, name string, spec any) error {
+	if err := checkName(kind+" name", name); err != nil {
 		return err
 	}
-	_, err := c.call("UNWATCH " + name)
+	line := verb + " " + name
+	if spec != nil {
+		arg, err := jsonArg(spec)
+		if err != nil {
+			return err
+		}
+		line += " " + arg
+	}
+	_, err := c.call(line)
 	return err
 }

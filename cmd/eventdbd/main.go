@@ -136,7 +136,7 @@ func main() {
 	visibility := flag.Duration("visibility", 30*time.Second, "durable queue visibility timeout before unacked deliveries retry")
 	queueMaxAttempts := flag.Int("queue-max-attempts", 5, "durable queue delivery attempts before dead-lettering")
 	queuePrefetch := flag.Int("queue-prefetch", 256, "unacknowledged deliveries allowed per durable consumer")
-	watchInterval := flag.Duration("watch-interval", 100*time.Millisecond, "default poll cadence for WATCHed queries without an explicit interval")
+	watchInterval := flag.Duration("watch-interval", 0, "poll cadence for WATCHed queries without an explicit interval (0 = the engine's 100ms)")
 	follow := flag.String("follow", "", "run as a read-only follower replicating from this leader address (requires -dir)")
 	rackEvery := flag.Int("rack-every", 64, "follower: acknowledge the replication cursor every n records")
 	promoteAfter := flag.Duration("promote-after", 0, "follower: self-promote to leader after this much leader silence (0 = manual PROMOTE only)")
@@ -151,14 +151,15 @@ func main() {
 	}
 
 	qcfg := queue.Config{VisibilityTimeout: *visibility, MaxAttempts: *queueMaxAttempts}
-	eng, err := core.Open(core.Config{Dir: *dir, ShedMemoryBytes: *shedMemoryBytes})
+	eng, err := core.Open(core.Config{Dir: *dir, ShedMemoryBytes: *shedMemoryBytes, WatchInterval: *watchInterval})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	// Durable registrations: QSUB filter bindings and PATTERNs come back
-	// from the engine's catalogue, their queues reopened, so a bound
-	// queue keeps accumulating matches before its consumer reconnects.
+	// Durable registrations: TRIGs, QSUB filter bindings, PATTERNs and
+	// WATCHes come back from the engine's catalogue, their queues
+	// reopened, so a bound queue keeps accumulating matches before its
+	// consumer reconnects.
 	// SUB and CQ stay out of it: they die with their connections. On a
 	// follower this waits for promotion: restoring mutates queue state,
 	// and the leader's own staging replicates over the wire anyway.
@@ -182,7 +183,6 @@ func main() {
 		WriteTimeout:    *writeTimeout,
 		Queue:           qcfg,
 		QueuePrefetch:   *queuePrefetch,
-		WatchInterval:   *watchInterval,
 		DrainTimeout:    *drainTimeout,
 		EvictAfterDrops: *evictAfterDrops,
 	}

@@ -57,15 +57,11 @@ func main() {
 	flag.Parse()
 
 	if *tokenFile != "" {
-		data, err := os.ReadFile(*tokenFile)
+		more, err := readTokens(*tokenFile)
 		if err != nil {
 			log.Fatalf("read -token-file: %v", err)
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" {
-				tokens = append(tokens, line)
-			}
-		}
+		tokens = append(tokens, more...)
 	}
 	gw := gateway.New(gateway.Config{
 		Backend:   *backend,
@@ -79,4 +75,17 @@ func main() {
 	}
 	fmt.Printf("eventgw listening on %s → backend %s, %s\n", *addr, *backend, mode)
 	log.Fatal(http.ListenAndServe(*addr, gw))
+}
+
+// readTokens reads a -token-file: one token a line, trimmed of white
+// space (a CRLF's CR too); blank lines hold none.
+func readTokens(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	var tokens []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			tokens = append(tokens, line)
+		}
+	}
+	return tokens, err
 }

@@ -27,14 +27,12 @@ import (
 )
 
 func main() {
-	eng, err := core.Open(core.Config{})
+	eng, err := core.Open(core.Config{WatchInterval: 10 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{
-		WatchInterval: 10 * time.Millisecond,
-	})
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,8 +13,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,23 +22,10 @@ import (
 	"eventdb/internal/event"
 )
 
-// Pattern registry errors, distinguished so the wire layer can answer
-// with its stable dup/nopattern codes.
-var (
-	ErrPatternExists = errors.New("core: pattern already registered")
-	ErrNoPattern     = errors.New("core: no such pattern")
-)
-
 const defaultCEPGCInterval = 500 * time.Millisecond
 
 // PatternStats is a snapshot of the pattern registry's counters.
-type PatternStats struct {
-	Registered int    // registered patterns
-	Instances  int    // live partial matches
-	Matches    uint64 // composite events emitted
-	Pruned     uint64 // partials expired by the WITHIN horizon
-	Dropped    uint64 // partials evicted by the instance cap
-}
+type PatternStats = cep.SharedStats
 
 // cepRegistry owns the shared automaton and its horizon clock.
 type cepRegistry struct {
@@ -134,38 +119,17 @@ func (c *cepRegistry) runGC() {
 	}
 }
 
-// RegisterPattern compiles a JSON pattern spec (see cep.ParseSpec) and
-// registers it in the shared automaton, and in the catalogue once
-// RestoreRegistrations has run, so it survives restarts. Returns
-// ErrPatternExists for duplicate names.
+// RegisterPattern is Register of a KindPattern: it compiles a JSON
+// pattern spec (see cep.ParseSpec) into the shared automaton.
 func (e *Engine) RegisterPattern(name string, spec []byte) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	return e.registerPattern(name, spec)
+	return e.Register(KindPattern, name, spec)
 }
 
-// registerPattern is RegisterPattern under regMu. The name is copied,
-// so the pattern keeps no caller's buffer alive. The catalogue row is
-// written before c.mu is taken: a commit can deliver trigger-captured
-// events inline, and those reach observe, which takes c.mu.
-func (e *Engine) registerPattern(name string, spec []byte) error {
-	p, err := cep.ParseSpec(strings.Clone(name), spec)
-	if err != nil {
-		return err
-	}
-	if e.hasPattern(name) {
-		return fmt.Errorf("%w: %q", ErrPatternExists, name)
-	}
-	if err := e.putRegistration(kindPattern, name, string(spec)); err != nil {
-		return err
-	}
+// addPattern installs a compiled pattern. Caller holds regMu.
+func (e *Engine) addPattern(p *cep.Pattern) error {
 	c := e.cep
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Cannot fail: ParseSpec built p, and regMu holds the name free.
 	if err := c.nfa.Add(p); err != nil {
 		return err
 	}
@@ -174,25 +138,14 @@ func (e *Engine) registerPattern(name string, spec []byte) error {
 	return nil
 }
 
-// UnregisterPattern removes a registered pattern and its catalogue row.
-// Returns ErrNoPattern for unknown names.
-func (e *Engine) UnregisterPattern(name string) error {
-	e.regMu.Lock()
-	defer e.regMu.Unlock()
-	if !e.hasPattern(name) {
-		return fmt.Errorf("%w: %q", ErrNoPattern, name)
-	}
-	if err := e.dropRegistration(kindPattern, name); err != nil {
-		return err
-	}
+// dropPattern removes a registered pattern. Caller holds regMu.
+func (e *Engine) dropPattern(name string) {
 	c := e.cep
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.nfa.Remove(name); err != nil {
-		return err
+	if c.nfa.Remove(name) == nil {
+		c.active.Add(-1)
 	}
-	c.active.Add(-1)
-	return nil
 }
 
 // Patterns returns the registered pattern names, sorted.
@@ -216,15 +169,8 @@ func (e *Engine) hasPattern(name string) bool {
 func (e *Engine) PatternStats() PatternStats {
 	c := e.cep
 	c.mu.Lock()
-	st := c.nfa.Stats()
-	c.mu.Unlock()
-	return PatternStats{
-		Registered: st.Patterns,
-		Instances:  st.Instances,
-		Matches:    st.Matches,
-		Pruned:     st.Pruned,
-		Dropped:    st.Dropped,
-	}
+	defer c.mu.Unlock()
+	return c.nfa.Stats()
 }
 
 // AdvancePatternHorizon prunes partial matches whose WITHIN window has

@@ -69,7 +69,7 @@ func TestRegisterPatternEmitsComposite(t *testing.T) {
 		t.Errorf("b_amount missing: %v", ev)
 	}
 	st := e.PatternStats()
-	if st.Registered != 1 || st.Matches != 1 {
+	if st.Patterns != 1 || st.Matches != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -85,13 +85,13 @@ func TestRegisterPatternErrors(t *testing.T) {
 	if err := e.RegisterPattern("p", fraudSpec); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPattern("p", fraudSpec); !errors.Is(err, ErrPatternExists) {
-		t.Errorf("dup register err = %v, want ErrPatternExists", err)
+	if err := e.RegisterPattern("p", fraudSpec); !errors.Is(err, ErrExists) {
+		t.Errorf("dup register err = %v, want ErrExists", err)
 	}
-	if err := e.UnregisterPattern("nope"); !errors.Is(err, ErrNoPattern) {
-		t.Errorf("unknown unregister err = %v, want ErrNoPattern", err)
+	if err := e.Unregister(KindPattern, "nope"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown unregister err = %v, want ErrNotFound", err)
 	}
-	if err := e.UnregisterPattern("p"); err != nil {
+	if err := e.Unregister(KindPattern, "p"); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Patterns(); len(got) != 0 {

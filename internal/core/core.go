@@ -62,6 +62,9 @@ type Config struct {
 	// CEPAdvanceInterval is the cadence of the clock that expires
 	// partial pattern matches on quiet streams (default 500ms).
 	CEPAdvanceInterval time.Duration
+	// WatchInterval is the poll cadence of watched queries whose spec
+	// does not set interval_ms (default 100ms).
+	WatchInterval time.Duration
 }
 
 // Engine is the assembled event-processing platform.
@@ -79,21 +82,18 @@ type Engine struct {
 	ingestCount atomic.Uint64
 	closed      atomic.Bool
 
-	// regMu serialises the durable registrations — QSUB bindings and
-	// patterns — so that a catalogue row and the registration it stands
-	// for change together; catalogue is nil until RestoreRegistrations
-	// (see registrations.go).
-	regMu     sync.Mutex
-	catalogue *storage.Table
+	// regMu serialises the registrations, so that a catalogue row and
+	// the registration it stands for change together, and guards
+	// watches (watch.go); catalogue is nil until RestoreRegistrations.
+	regMu         sync.Mutex
+	catalogue     *storage.Table
+	watches       map[string]*watchEntry
+	watchInterval time.Duration
 
 	// cep is the shared-automaton pattern registry (see cep.go).
 	cep *cepRegistry
 	// scratch pools the (matcher, publisher) pairs evaluation runs with.
 	scratch sync.Pool
-
-	// watches is the scheduled watched-query registry (see watch.go).
-	watchMu sync.Mutex
-	watches map[string]*watchEntry
 
 	// Overload watermark (see health.go).
 	shedMemBytes uint64
@@ -108,13 +108,17 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		shedMemBytes: cfg.ShedMemoryBytes,
-		DB:           db,
-		Queues:       queue.NewManager(db),
-		Miner:        journal.NewMiner(db),
-		Broker:       pubsub.NewBroker(),
-		Rules:        rules.NewEngine(),
-		Metrics:      metrics.NewRegistry(),
+		shedMemBytes:  cfg.ShedMemoryBytes,
+		watchInterval: cfg.WatchInterval,
+		DB:            db,
+		Queues:        queue.NewManager(db),
+		Miner:         journal.NewMiner(db),
+		Broker:        pubsub.NewBroker(),
+		Rules:         rules.NewEngine(),
+		Metrics:       metrics.NewRegistry(),
+	}
+	if e.watchInterval <= 0 {
+		e.watchInterval = defaultWatchInterval
 	}
 	if !cfg.ColumnarDisabled {
 		ccfg := columnar.Config{

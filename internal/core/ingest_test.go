@@ -10,7 +10,6 @@ import (
 
 	"eventdb/internal/event"
 	"eventdb/internal/pubsub"
-	"eventdb/internal/query"
 	"eventdb/internal/rules"
 	"eventdb/internal/val"
 )
@@ -274,7 +273,7 @@ func TestCloseDrainPreservesCaptureCascades(t *testing.T) {
 	})
 	// The baseline poll runs whatever happens next, so Close right away
 	// waits for it: n "added" events, each cascading into one capture.
-	if err := e.StartWatch("w", query.New("stock").Select("sku", "qty"), time.Hour, "sku"); err != nil {
+	if err := e.Register(KindWatch, "w", []byte(`{"query":{"table":"stock","select":["sku","qty"]},"key":["sku"],"interval_ms":3600000}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {

@@ -1,34 +1,206 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"time"
 
+	"eventdb/internal/cep"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/queue"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
+	"eventdb/internal/wiredb"
 )
 
-// The catalogue of durable registrations: one table decides which
-// standing registrations outlive the process. A row is a registration's
-// kind, its name and its spec as it arrived — a QSUB binding's filter, a
-// PATTERN's JSON — so conditions are data in the database (§2.2.c).
-// A row and the in-memory registration it stands for change together
-// under Engine.regMu. Nothing is written until RestoreRegistrations has
-// attached the catalogue: an in-memory engine, or a follower before its
-// promotion, keeps its registrations in memory only.
+// The registry of engine-scoped registrations: triggers, patterns and
+// watches by Register, QSUB bindings by BindQueue. The catalogue keeps
+// each as one row of kind, name and spec as it arrived, so conditions
+// are data in the database (§2.2.c), and a row changes with its
+// registration under Engine.regMu. Until RestoreRegistrations attaches
+// the catalogue (an in-memory engine, a follower before its promotion)
+// registrations live in memory only.
+
+// The kinds of registration, as the catalogue names them.
+const (
+	KindTrig    = "trig"    // spec: the TRIG JSON (wiredb.ParseTrigger)
+	KindPattern = "pattern" // spec: the PATTERN JSON (cep.ParseSpec)
+	KindWatch   = "watch"   // spec: the WATCH JSON (wiredb.WatchSpec)
+	kindQSub    = "qsub"    // spec: the filter (BindQueue)
+)
 
 const (
 	registrationsTable = "wire_registrations"
-	kindQSub           = "qsub"    // spec: the filter
-	kindPattern        = "pattern" // spec: the JSON pattern spec
 
 	// The two stores the catalogue replaced; RestoreRegistrations moves
 	// their rows in.
 	legacySubsTable     = "wire_subs"
 	legacyPatternsTable = "wire_patterns"
 )
+
+// Register refuses a name its kind already holds with ErrExists, and
+// Unregister one it does not hold with ErrNotFound, in the kind's words.
+var (
+	ErrExists   = errors.New("core: registration exists")
+	ErrNotFound = errors.New("core: no such registration")
+)
+
+// regError is an error that reads as text and matches is.
+type regError struct {
+	is   error
+	text string
+}
+
+func (e *regError) Error() string { return e.text }
+func (e *regError) Unwrap() error { return e.is }
+
+// regKind is how one kind registers and drops. prepare decodes and
+// validates a spec and returns its install, which can fail only where a
+// caller outside regMu took the name; exists and missing are the texts
+// of ErrExists and ErrNotFound.
+type regKind struct {
+	prepare         func(e *Engine, name string, spec []byte) (install func() error, err error)
+	has             func(e *Engine, name string) bool
+	drop            func(e *Engine, name string)
+	exists, missing string
+}
+
+var regKinds = map[string]*regKind{
+	KindTrig: {
+		prepare: (*Engine).prepareTrig,
+		has:     func(e *Engine, name string) bool { _, ok := e.Triggers.Lookup(name); return ok },
+		drop:    func(e *Engine, name string) { _ = e.Triggers.Drop(name) }, // has found it
+		exists:  "trigger: already registered: %q",
+		missing: "trigger: no trigger %q",
+	},
+	KindPattern: {
+		prepare: (*Engine).preparePattern,
+		has:     (*Engine).hasPattern,
+		drop:    (*Engine).dropPattern,
+		exists:  "core: pattern already registered: %q",
+		missing: "core: no such pattern: %q",
+	},
+	KindWatch: {
+		prepare: (*Engine).prepareWatch,
+		has:     func(e *Engine, name string) bool { return e.watches[name] != nil },
+		drop:    (*Engine).stopWatch,
+		exists:  "core: watch already registered: %q",
+		missing: "core: no such watch: %q",
+	},
+}
+
+// Register decodes a spec by its kind, writes its catalogue row and
+// installs it; an error leaves neither. The name is copied.
+func (e *Engine) Register(kind, name string, spec []byte) error {
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	if name == "" {
+		return errors.New("core: registration needs a name")
+	}
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	return e.register(kind, name, spec)
+}
+
+// register is Register under regMu. The row is written before the
+// install takes any lock of its own: its commit can deliver
+// trigger-captured events inline, and those reach the pattern automaton.
+func (e *Engine) register(kind, name string, spec []byte) error {
+	k, ok := regKinds[kind]
+	if !ok {
+		return fmt.Errorf("core: no registration kind %q", kind)
+	}
+	name = strings.Clone(name) // a wire line's or a catalogue row's
+	install, err := k.prepare(e, name, spec)
+	if err != nil {
+		return err
+	}
+	if k.has(e, name) {
+		return &regError{ErrExists, fmt.Sprintf(k.exists, name)}
+	}
+	if err := e.putRegistration(kind, name, string(spec)); err != nil {
+		return err
+	}
+	if err := install(); err != nil {
+		_ = e.dropRegistration(kind, name) // best effort; the install's error is the one to report
+		return err
+	}
+	return nil
+}
+
+// Unregister drops a registration and its catalogue row; a watch's poll
+// in flight finishes first.
+func (e *Engine) Unregister(kind, name string) error {
+	k, ok := regKinds[kind]
+	if !ok {
+		return fmt.Errorf("core: no registration kind %q", kind)
+	}
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	if !k.has(e, name) {
+		return &regError{ErrNotFound, fmt.Sprintf(k.missing, name)}
+	}
+	if err := e.dropRegistration(kind, name); err != nil {
+		return err
+	}
+	k.drop(e, name)
+	return nil
+}
+
+func (e *Engine) prepareTrig(name string, spec []byte) (func() error, error) {
+	def, err := wiredb.ParseTrigger(name, spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.dataTable(def.Table); err != nil {
+		return nil, err
+	}
+	tr, err := e.Triggers.Compile(def)
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return e.Triggers.Install(tr) }, nil
+}
+
+func (e *Engine) preparePattern(name string, spec []byte) (func() error, error) {
+	p, err := cep.ParseSpec(name, spec)
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return e.addPattern(p) }, nil
+}
+
+// prepareWatch polls at Config.WatchInterval unless the spec sets
+// interval_ms (and it does not overflow).
+func (e *Engine) prepareWatch(name string, spec []byte) (func() error, error) {
+	s, err := wiredb.ParseWatchSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.dataTable(s.Query.Table); err != nil {
+		return nil, err
+	}
+	q, err := s.Query.Build()
+	if err != nil {
+		return nil, err
+	}
+	interval := e.watchInterval
+	if d := time.Duration(s.IntervalMS) * time.Millisecond; d > 0 {
+		interval = d
+	}
+	return func() error { e.startWatch(name, q, s.Key, interval); return nil }, nil
+}
+
+// dataTable refuses a TRIG or WATCH target that is missing or not data:
+// a trigger on a catalogue or queue table could veto its own drop.
+func (e *Engine) dataTable(name string) error {
+	if _, ok := e.DB.Table(name); !ok || IsRegistrationTable(name) || queue.IsQueueTable(name) {
+		return &regError{wiredb.ErrNoTable, fmt.Sprintf("no table %q", name)}
+	}
+	return nil
+}
 
 // IsRegistrationTable reports whether a table holds registrations — the
 // catalogue or a store it replaced — rather than data: its changes are
@@ -39,10 +211,10 @@ func IsRegistrationTable(name string) bool {
 
 // RestoreRegistrations attaches the catalogue, creating it when missing
 // and moving the rows of the stores it replaced in, then re-registers
-// what it holds: queue bindings (reopening each queue with qcfg) before
-// patterns, whose composite events those bindings may stage. From then
-// on every QSUB binding and pattern registration writes its row. A
-// durable leader calls it at start, a follower at its promotion.
+// what it holds over the tables the WAL brought back (each queue
+// reopened with qcfg; a name already registered is left as it is). From
+// then on every registration writes its row. A durable leader calls it
+// at start, a follower at its promotion.
 func (e *Engine) RestoreRegistrations(qcfg queue.Config) error {
 	e.regMu.Lock()
 	defer e.regMu.Unlock()
@@ -64,7 +236,10 @@ func (e *Engine) RestoreRegistrations(qcfg queue.Config) error {
 	}
 	cat, _ := e.DB.Table(registrationsTable)
 	_, rows := cat.ScanRows()
-	for _, kind := range [...]string{kindQSub, kindPattern} {
+	// Triggers first, so every commit after them is captured; then QSUB
+	// bindings, so they stage what a pattern completes or a watch's
+	// baseline poll (on its own goroutine) emits from the start.
+	for _, kind := range [...]string{KindTrig, kindQSub, KindPattern, KindWatch} {
 		for _, r := range rows {
 			if k, _ := r[0].AsString(); k != kind {
 				continue
@@ -74,8 +249,8 @@ func (e *Engine) RestoreRegistrations(qcfg queue.Config) error {
 			var err error
 			if kind == kindQSub {
 				_, err = e.bindQueue(name, spec, qcfg)
-			} else if !e.hasPattern(name) {
-				err = e.registerPattern(name, []byte(spec))
+			} else if !regKinds[kind].has(e, name) {
+				err = e.register(kind, name, []byte(spec))
 			}
 			if err != nil {
 				return fmt.Errorf("core: restoring %s %q: %w", kind, name, err)
@@ -98,7 +273,7 @@ func (e *Engine) moveLegacyRegistrations() error {
 		name, spec  int // column positions
 	}{
 		{legacySubsTable, kindQSub, 3, 2}, // id, subscriber, filter, queue, priority
-		{legacyPatternsTable, kindPattern, 0, 1},
+		{legacyPatternsTable, KindPattern, 0, 1},
 	} {
 		tbl, ok := e.DB.Table(legacy.table)
 		if !ok {

@@ -75,6 +75,16 @@ func emitsFraud(t *testing.T, e *Engine, user string) bool {
 	return len(got.events()) == 1
 }
 
+// patternShape renders what a pattern says: its WITHIN, its strategy
+// and its steps.
+func patternShape(p *cep.Pattern) string {
+	out := fmt.Sprintf("within %v, %v:", p.Within, p.Strategy)
+	for _, st := range p.Steps {
+		out += fmt.Sprintf(" %s %s %q %v;", st.Alias, st.EventType, st.Guard, st.Negated)
+	}
+	return out
+}
+
 // TestRegistrationCatalogue pins what the catalogue holds: one row per
 // QSUB binding and per pattern, written with the registration and
 // removed with it; nothing for process-bound subscriptions; nothing
@@ -144,13 +154,13 @@ func TestRegistrationCatalogue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.UnregisterPattern("gone"); err != nil {
+	if err := e.Unregister(KindPattern, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if spec, ok := catalogueRow(t, e, kindPattern, "fraud"); !ok || spec != string(fraudSpec) {
+	if spec, ok := catalogueRow(t, e, KindPattern, "fraud"); !ok || spec != string(fraudSpec) {
 		t.Fatalf("fraud row = %q, %v", spec, ok)
 	}
-	if _, ok := catalogueRow(t, e, kindPattern, "gone"); ok {
+	if _, ok := catalogueRow(t, e, KindPattern, "gone"); ok {
 		t.Fatal("unregistered pattern kept its row")
 	}
 	want := catalogueRows(t, e)
@@ -181,14 +191,7 @@ func TestRegistrationCatalogue(t *testing.T) {
 	if !ok {
 		t.Fatal("no pattern fraud after restart")
 	}
-	spec := func(p *cep.Pattern) string {
-		out := fmt.Sprintf("within %v, %v:", p.Within, p.Strategy)
-		for _, st := range p.Steps {
-			out += fmt.Sprintf(" %s %s %q %v;", st.Alias, st.EventType, st.Guard, st.Negated)
-		}
-		return out
-	}
-	if got, want := spec(p), spec(parsed); got != want {
+	if got, want := patternShape(p), patternShape(parsed); got != want {
 		t.Fatalf("spec after restart = %s, want %s", got, want)
 	}
 	// Both registrations work again.
@@ -219,13 +222,13 @@ func TestRegistrationRaceAgreesWithCatalogue(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); e.RegisterPattern("p", spec) }()
-		go func() { defer wg.Done(); e.UnregisterPattern("p") }()
+		go func() { defer wg.Done(); e.Unregister(KindPattern, "p") }()
 		wg.Wait()
 		registered := e.hasPattern("p")
-		if _, stored := catalogueRow(t, e, kindPattern, "p"); registered != stored {
+		if _, stored := catalogueRow(t, e, KindPattern, "p"); registered != stored {
 			t.Fatalf("pair %d: registered %v, catalogue row %v", i, registered, stored)
 		}
-		e.UnregisterPattern("p")
+		e.Unregister(KindPattern, "p")
 	}
 	if got := e.cep.active.Load(); got != 1 {
 		t.Fatalf("active patterns = %d after the pairs, want 1", got)
@@ -241,6 +244,68 @@ func TestRegistrationRaceAgreesWithCatalogue(t *testing.T) {
 	}
 	if !emitsFraud(t, e2, "u") {
 		t.Fatal("remaining pattern emits no composite after restart")
+	}
+}
+
+// TestRegistrationRaceEveryKind races a register against an unregister
+// of one trigger name and of one watch name, pair after pair, while a
+// writer keeps committing to the table both read, so commits read the
+// AFTER triggers as they are filed and polls run as watches stop: the
+// registry and the catalogue must agree after every pair.
+func TestRegistrationRaceEveryKind(t *testing.T) {
+	pairs := 500
+	if testing.Short() {
+		pairs = 100
+	}
+	e := openRestored(t, t.TempDir())
+	defer e.Close()
+	schema, err := storage.NewSchema("t", []storage.Column{{Name: "a", Kind: val.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DB.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.DB.Insert("t", map[string]val.Value{"a": val.Int(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.DB.UpdateRow("t", id, map[string]val.Value{"a": val.Int(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); writer.Wait() }()
+	for kind, spec := range map[string]string{
+		KindTrig:  `{"table":"t"}`,
+		KindWatch: `{"query":{"table":"t"},"key":["a"],"interval_ms":1}`,
+	} {
+		for i := 0; i < pairs; i++ {
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); e.Register(kind, "r", []byte(spec)) }()
+			go func() { defer wg.Done(); e.Unregister(kind, "r") }()
+			wg.Wait()
+			e.regMu.Lock()
+			registered := regKinds[kind].has(e, "r")
+			e.regMu.Unlock()
+			if _, stored := catalogueRow(t, e, kind, "r"); registered != stored {
+				t.Fatalf("%s pair %d: registered %v, catalogue row %v", kind, i, registered, stored)
+			}
+			e.Unregister(kind, "r")
+		}
 	}
 }
 

@@ -1,71 +1,49 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"eventdb/internal/query"
 )
 
 // The watch scheduler drives capture path 3 (§2.2.a.iii) on a clock:
-// each registered watch polls its query differ on an interval, and
-// result-set changes enter the ingest path as
-// "query.<name>.<added|removed|changed>" events — the server's WATCH
-// verb and any embedded caller share this one scheduler.
+// each registered watch (Register of a KindWatch) polls its query differ
+// on an interval, and result-set changes enter the ingest path as
+// "query.<name>.<added|removed|changed>" events.
 
-// Watch registry errors, distinguishable so the wire layer can map them
-// to stable error codes.
-var (
-	ErrWatchExists = errors.New("core: watch already registered")
-	ErrNoWatch     = errors.New("core: no such watch")
-)
-
-// defaultWatchInterval paces watches registered with no interval.
+// defaultWatchInterval paces watches when Config.WatchInterval is zero.
 const defaultWatchInterval = 100 * time.Millisecond
 
 // watchEntry is one scheduled watched query.
 type watchEntry struct {
-	wq   *WatchedQuery
-	stop chan struct{}
-	done chan struct{}
+	wq         *WatchedQuery
+	interval   time.Duration
+	stop, done chan struct{}
 }
 
-// StartWatch registers a watched query polled every interval (a default
-// cadence when interval is zero). The first poll runs immediately and
-// reports the query's current rows as "added" events — the baseline a
-// subscriber can reconcile against — and every later poll emits only
-// the diffs. The name is a global registry key; StopWatch cancels it.
-func (e *Engine) StartWatch(name string, q *query.Query, interval time.Duration, keyCols ...string) error {
-	if name == "" {
-		return errors.New("core: watch needs a name")
-	}
-	if interval <= 0 {
-		interval = defaultWatchInterval
-	}
+// startWatch installs a watch and starts its poll loop. Caller holds
+// regMu.
+func (e *Engine) startWatch(name string, q *query.Query, key []string, interval time.Duration) {
 	w := &watchEntry{
-		wq:   e.WatchQuery(name, q, keyCols...),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		wq:       e.WatchQuery(name, q, key...),
+		interval: interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	e.watchMu.Lock()
 	if e.watches == nil {
 		e.watches = make(map[string]*watchEntry)
 	}
-	if _, dup := e.watches[name]; dup {
-		e.watchMu.Unlock()
-		return fmt.Errorf("%w: %q", ErrWatchExists, name)
-	}
 	e.watches[name] = w
-	e.watchMu.Unlock()
-	go e.runWatch(w, interval)
-	return nil
+	go e.runWatch(w)
 }
 
-// runWatch is the per-watch poll loop. Poll errors (a dropped table, a
-// broken predicate) are counted, not fatal: the watch keeps polling so
-// a transiently missing table resumes capture when it reappears.
-func (e *Engine) runWatch(w *watchEntry, interval time.Duration) {
+// runWatch is the per-watch poll loop. The first poll runs at once and
+// reports the query's current rows as "added" events — the baseline a
+// subscriber can reconcile against — and every later poll emits only
+// the diffs. Poll errors (a dropped table, a broken predicate) are
+// counted, not fatal: the watch keeps polling so a transiently missing
+// table resumes capture when it reappears.
+func (e *Engine) runWatch(w *watchEntry) {
 	defer close(w.done)
 	poll := func() {
 		if _, err := w.wq.Poll(); err != nil {
@@ -73,7 +51,7 @@ func (e *Engine) runWatch(w *watchEntry, interval time.Duration) {
 		}
 	}
 	poll() // baseline
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(w.interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -85,27 +63,22 @@ func (e *Engine) runWatch(w *watchEntry, interval time.Duration) {
 	}
 }
 
-// StopWatch cancels a watch and waits for its poll loop to exit, so no
-// poll can be in flight once it returns.
-func (e *Engine) StopWatch(name string) error {
-	e.watchMu.Lock()
-	w, ok := e.watches[name]
-	if ok {
-		delete(e.watches, name)
-	}
-	e.watchMu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoWatch, name)
-	}
+// stopWatch cancels a watch and waits for its poll loop to exit, so no
+// poll is in flight once it returns. Caller holds regMu, which it lets
+// go while it waits: a poll's rule actions may register.
+func (e *Engine) stopWatch(name string) {
+	w := e.watches[name]
+	delete(e.watches, name)
 	close(w.stop)
+	e.regMu.Unlock()
+	defer e.regMu.Lock()
 	<-w.done
-	return nil
 }
 
 // Watches returns the names of registered watches.
 func (e *Engine) Watches() []string {
-	e.watchMu.Lock()
-	defer e.watchMu.Unlock()
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
 	out := make([]string, 0, len(e.watches))
 	for n := range e.watches {
 		out = append(out, n)
@@ -115,12 +88,9 @@ func (e *Engine) Watches() []string {
 
 // stopAllWatches cancels every watch (the Close path).
 func (e *Engine) stopAllWatches() {
-	e.watchMu.Lock()
-	watches := e.watches
-	e.watches = nil
-	e.watchMu.Unlock()
-	for _, w := range watches {
-		close(w.stop)
-		<-w.done
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	for name := range e.watches {
+		e.stopWatch(name)
 	}
 }

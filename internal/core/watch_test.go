@@ -7,7 +7,6 @@ import (
 
 	"eventdb/internal/event"
 	"eventdb/internal/pubsub"
-	"eventdb/internal/query"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 )
@@ -50,11 +49,11 @@ func TestWatchScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q := query.New("stock").Where("qty < 5").Select("sku", "qty")
-	if err := eng.StartWatch("low", q, time.Millisecond, "sku"); err != nil {
+	spec := []byte(`{"query":{"table":"stock","where":"qty < 5","select":["sku","qty"]},"key":["sku"],"interval_ms":1}`)
+	if err := eng.Register(KindWatch, "low", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.StartWatch("low", q, time.Millisecond, "sku"); !errors.Is(err, ErrWatchExists) {
+	if err := eng.Register(KindWatch, "low", spec); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate watch error = %v", err)
 	}
 	if got := eng.Watches(); len(got) != 1 || got[0] != "low" {
@@ -81,11 +80,11 @@ func TestWatchScheduler(t *testing.T) {
 		t.Fatalf("diff sku = %s", sku)
 	}
 
-	// StopWatch halts polling: no event for a change made after it.
-	if err := eng.StopWatch("low"); err != nil {
+	// Unregister halts polling: no event for a change made after it.
+	if err := eng.Unregister(KindWatch, "low"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.StopWatch("low"); !errors.Is(err, ErrNoWatch) {
+	if err := eng.Unregister(KindWatch, "low"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double stop error = %v", err)
 	}
 	if _, err := eng.DB.Insert("stock", map[string]val.Value{
@@ -95,7 +94,7 @@ func TestWatchScheduler(t *testing.T) {
 	}
 	select {
 	case ev := <-events:
-		t.Fatalf("event after StopWatch: %s", ev.Type)
+		t.Fatalf("event after Unregister: %s", ev.Type)
 	case <-time.After(20 * time.Millisecond):
 	}
 }
@@ -104,9 +103,8 @@ func TestWatchScheduler(t *testing.T) {
 // goroutine may outlive the engine it ingests into.
 func TestWatchStopsOnClose(t *testing.T) {
 	eng := watchEngine(t)
-	q := query.New("stock").Select("sku")
 	for _, name := range []string{"w1", "w2"} {
-		if err := eng.StartWatch(name, q, time.Millisecond, "sku"); err != nil {
+		if err := eng.Register(KindWatch, name, []byte(`{"query":{"table":"stock","select":["sku"]},"key":["sku"],"interval_ms":1}`)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,12 +3,15 @@ package gateway
 import (
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"eventdb/client"
 	"eventdb/internal/core"
 	"eventdb/internal/event"
 	"eventdb/internal/server"
@@ -275,6 +278,119 @@ func TestWebSocketSubscribedAtHandshake(t *testing.T) {
 	if !strings.Contains(string(p), `"tick"`) {
 		t.Fatalf("pushed %s", p)
 	}
+}
+
+// TestWebSocketSubBuffer sets Config.SubBuffer (eventgw -sub-buffer)
+// and observes what it bounds. While a WebSocket client's socket takes
+// no writes, its backend subscription holds SubBuffer events and the
+// gateway one more, waiting to be written; the rest are dropped rather
+// than stall the backend connection. With room for every event, the
+// same stream arrives whole.
+func TestWebSocketSubBuffer(t *testing.T) {
+	const n = 50
+	received := func(buffer int) int {
+		var (
+			mu sync.Mutex
+			bc *client.Conn // the subscription's backend connection
+		)
+		hs, gl, eng := startGated(t, Config{SubBuffer: buffer})
+		gl.dial = func(c *client.Conn) { mu.Lock(); bc = c; mu.Unlock() }
+		wc, err := ws.Dial("ws"+strings.TrimPrefix(hs.URL, "http")+"/v1/sub?id=s1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wc.Close()
+		gl.gate.Lock()
+		for i := 0; i < n; i++ {
+			if err := eng.Ingest(event.New("tick", map[string]any{"i": i})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The reply comes behind every push, so once it is in, each event
+		// has reached the subscription or been dropped there.
+		mu.Lock()
+		err = bc.Ping()
+		mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gl.gate.Unlock()
+		got := 0
+		for {
+			wc.NetConn().SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+			if _, _, err := wc.ReadMessage(); err != nil {
+				return got
+			}
+			got++
+		}
+	}
+	if got := received(n); got != n {
+		t.Errorf("SubBuffer %d: %d of %d events arrived, want all", n, got, n)
+	}
+	if got := received(1); got < 1 || got > 2 {
+		t.Errorf("SubBuffer 1: %d of %d events arrived at a client that took none while they were published, want 1 or 2", got, n)
+	}
+}
+
+// gatedListener is the gateway's listener in TestWebSocketSubBuffer.
+// Writes to its connections wait while gate is held — a client that
+// reads nothing, with no socket buffer to hide it — and dial is told of
+// each backend connection the gateway makes.
+type gatedListener struct {
+	net.Listener
+	gate sync.RWMutex
+	dial func(*client.Conn)
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, gate: &l.gate}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	gate *sync.RWMutex
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.gate.RLock()
+	defer c.gate.RUnlock()
+	return c.Conn.Write(p)
+}
+
+// startGated is startStackEngine with cfg and the gateway served from a
+// gatedListener.
+func startGated(t *testing.T, cfg Config) (*httptest.Server, *gatedListener, *core.Engine) {
+	t.Helper()
+	eng, err := core.Open(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv, err := server.StartConfig(eng, "127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	hs := httptest.NewUnstartedServer(nil)
+	gl := &gatedListener{Listener: hs.Listener}
+	cfg.Dial = func() (*client.Conn, error) {
+		c, err := client.Dial(srv.Addr(), client.WithBinary())
+		if err == nil && gl.dial != nil {
+			gl.dial(c)
+		}
+		return c, err
+	}
+	gw := New(cfg)
+	t.Cleanup(func() { gw.Close() })
+	hs.Config.Handler = gw
+	hs.Listener = gl
+	hs.Start()
+	t.Cleanup(hs.Close)
+	return hs, gl, eng
 }
 
 // escape is a minimal query-escaper for test filters.

@@ -3,6 +3,8 @@ package server
 import (
 	"strconv"
 	"strings"
+
+	"eventdb/internal/core"
 )
 
 // The command registry. Every wire verb — old pub/sub plane and new
@@ -145,16 +147,24 @@ func init() {
 	register("REPLAY", cmdSpec{args: 2, usage: "REPLAY <name> <from-lsn>", handle: handleReplay})
 
 	// Database plane: DDL, DML, one-shot reads, triggers, watched
-	// queries (see dbcmds.go).
+	// queries, patterns (see dbcmds.go).
 	register("TABLE", cmdSpec{tail: requiredTail, usage: "TABLE <json-spec>", mutating: true, handle: handleTable})
 	register("INSERT", cmdSpec{args: 1, tail: requiredTail, usage: "INSERT <table> <json-values>", mutating: true, handle: handleInsert})
 	register("UPDATE", cmdSpec{args: 1, tail: requiredTail, usage: "UPDATE <table> <json: where/set>", mutating: true, handle: handleUpdate})
 	register("DELETE", cmdSpec{args: 1, tail: requiredTail, usage: "DELETE <table> <json: where>", mutating: true, handle: handleDelete})
 	register("SELECT", cmdSpec{tail: requiredTail, usage: "SELECT <json-spec>", handle: handleSelect})
-	register("TRIG", cmdSpec{args: 1, tail: requiredTail, usage: "TRIG <name> <json-spec>", mutating: true, handle: handleTrig})
-	register("UNTRIG", cmdSpec{args: 1, usage: "UNTRIG <name>", mutating: true, handle: handleUntrig})
-	register("WATCH", cmdSpec{args: 1, tail: requiredTail, usage: "WATCH <name> <json-spec>", mutating: true, handle: handleWatch})
-	register("UNWATCH", cmdSpec{args: 1, usage: "UNWATCH <name>", mutating: true, handle: handleUnwatch})
+	// Named registrations (core.Register): kind and not-found code by verb.
+	for _, r := range [...]struct{ verb, kind, missing string }{
+		{"TRIG", core.KindTrig, codeNoTrigger},
+		{"WATCH", core.KindWatch, codeNoWatch},
+		{"PATTERN", core.KindPattern, codeNoPattern},
+	} {
+		r := r // go.mod's language version shares a loop variable
+		register(r.verb, cmdSpec{args: 1, tail: requiredTail, usage: r.verb + " <name> <json-spec>", mutating: true,
+			handle: func(c *conn, req *request) bool { return handleRegister(c, req, r.kind) }})
+		register("UN"+r.verb, cmdSpec{args: 1, usage: "UN" + r.verb + " <name>", mutating: true,
+			handle: func(c *conn, req *request) bool { return handleUnregister(c, req, r.kind, r.missing) }})
+	}
 	// COMPACT only reorganizes the rebuildable columnar cache, so it is
 	// not a mutating verb and stays available on followers.
 	register("COMPACT", cmdSpec{tail: optionalTail, usage: "COMPACT [table] [format=json]", handle: handleCompact})

@@ -144,7 +144,7 @@ func handleStats(c *conn, req *request) bool {
 // partials evicted by the instance cap.
 func patternsJSON(st core.PatternStats) string {
 	return fmt.Sprintf(`{"registered":%d,"instances":%d,"matches":%d,"pruned":%d,"dropped":%d}`,
-		st.Registered, st.Instances, st.Matches, st.Pruned, st.Dropped)
+		st.Patterns, st.Instances, st.Matches, st.Pruned, st.Dropped)
 }
 
 // qsubJSON renders the engine-wide durable-consumer counters for the

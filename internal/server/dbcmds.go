@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 	"unsafe"
 
 	"eventdb/internal/core"
 	"eventdb/internal/query"
 	"eventdb/internal/storage"
-	"eventdb/internal/trigger"
 	"eventdb/internal/wiredb"
 )
 
@@ -20,10 +18,11 @@ import (
 // mechanisms made reachable over one connection. TABLE declares state,
 // INSERT/UPDATE/DELETE mutate it through the storage engine so
 // BEFORE/AFTER triggers fire (capture path i), SELECT reads it back,
-// TRIG registers the triggers themselves, and WATCH schedules
+// TRIG registers the triggers themselves, WATCH schedules
 // repeatedly-evaluated queries whose result-set diffs become events
-// (capture path iii). Captured events enter the same ingest path as
-// PUB, so they fan out to every SUB, CQ and QSUB on any connection.
+// (capture path iii), and PATTERN compiles temporal patterns. Captured
+// and composite events enter the same ingest path as PUB, so they fan
+// out to every SUB, CQ and QSUB on any connection.
 // REPLAY (queuecmds.go) covers journal mining, capture path ii.
 
 // dmlFail maps a commit-path error to its wire code: a BEFORE-trigger
@@ -204,87 +203,32 @@ func handleSelect(c *conn, req *request) bool {
 	return true
 }
 
-func handleTrig(c *conn, req *request) bool {
-	name := req.args[0]
-	var spec wiredb.TriggerSpec
-	if !parsePayload(c, []byte(req.tail), func() (err error) {
-		spec, err = wiredb.ParseTriggerSpec([]byte(req.tail))
-		return err
-	}) {
+// handleRegister answers TRIG, WATCH and PATTERN, whose registrations
+// are engine-global and outlive the connection; core.Register decodes
+// the spec by its kind.
+func handleRegister(c *conn, req *request, kind string) bool {
+	if !json.Valid([]byte(req.tail)) {
+		c.errf(codeBadJSON, "payload is not valid JSON")
 		return true
 	}
-	def, err := spec.Def(name)
-	if err != nil {
+	switch err := c.srv.eng.Register(kind, req.args[0], []byte(req.tail)); {
+	case err == nil:
+		c.reply("OK")
+	case errors.Is(err, core.ErrExists):
+		c.errf(codeDup, "%v", err)
+	case errors.Is(err, wiredb.ErrNoTable):
+		c.errf(codeNoTable, "%v", err)
+	default:
 		c.errf(codeBadSpec, "%v", err)
-		return true
 	}
-	if _, ok := c.srv.eng.DB.Table(def.Table); !ok {
-		c.errf(codeNoTable, "no table %q", def.Table)
-		return true
-	}
-	// Triggers are engine-global, like QSUB queue bindings: the capture
-	// they establish outlives the registering connection.
-	if _, err := c.srv.eng.Triggers.Register(def); err != nil {
-		if errors.Is(err, trigger.ErrExists) {
-			c.errf(codeDup, "%v", err)
-		} else {
-			// Register also compiles the WHEN predicate.
-			c.errf(codeBadSpec, "%v", err)
-		}
-		return true
-	}
-	c.reply("OK")
 	return true
 }
 
-func handleUntrig(c *conn, req *request) bool {
-	if err := c.srv.eng.Triggers.Drop(req.args[0]); err != nil {
-		c.errf(codeNoTrigger, "%v", err)
-		return true
-	}
-	c.reply("OK")
-	return true
-}
-
-func handleWatch(c *conn, req *request) bool {
-	name := req.args[0]
-	var spec wiredb.WatchSpec
-	if !parsePayload(c, []byte(req.tail), func() (err error) {
-		spec, err = wiredb.ParseWatchSpec([]byte(req.tail))
-		return err
-	}) {
-		return true
-	}
-	if _, ok := c.srv.eng.DB.Table(spec.Query.Table); !ok {
-		c.errf(codeNoTable, "no table %q", spec.Query.Table)
-		return true
-	}
-	q, err := spec.Query.Build()
-	if err != nil {
-		c.errf(codeBadSpec, "%v", err)
-		return true
-	}
-	interval := c.srv.cfg.WatchInterval
-	if spec.IntervalMS > 0 {
-		interval = time.Duration(spec.IntervalMS) * time.Millisecond
-	}
-	// Watches are engine-global and survive the connection; the diff
-	// events they capture fan out through the shared ingest path.
-	if err := c.srv.eng.StartWatch(name, q, interval, spec.Key...); err != nil {
-		if errors.Is(err, core.ErrWatchExists) {
-			c.errf(codeDup, "%v", err)
-		} else {
-			c.errf(codeBadSpec, "%v", err)
-		}
-		return true
-	}
-	c.reply("OK")
-	return true
-}
-
-func handleUnwatch(c *conn, req *request) bool {
-	if err := c.srv.eng.StopWatch(req.args[0]); err != nil {
-		c.errf(codeNoWatch, "%v", err)
+// handleUnregister answers UNTRIG, UNWATCH and UNPATTERN; an unknown
+// name gets its verb's code.
+func handleUnregister(c *conn, req *request, kind, missing string) bool {
+	if err := c.srv.eng.Unregister(kind, req.args[0]); err != nil {
+		c.errf(missing, "%v", err)
 		return true
 	}
 	c.reply("OK")

@@ -16,7 +16,7 @@ import (
 // WATCHed query pushes a diff event after an UPDATE. All three of the
 // paper's §2.2.a capture flavors ride the same connection.
 func TestWireDatabaseRoundTrip(t *testing.T) {
-	_, srv := startServer(t, core.Config{}, Config{WatchInterval: 5 * time.Millisecond})
+	_, srv := startServer(t, core.Config{WatchInterval: 5 * time.Millisecond}, Config{})
 	c := dial(t, srv)
 
 	if err := c.CreateTable(client.TableSpec{
@@ -133,7 +133,7 @@ func TestWireDatabaseRoundTrip(t *testing.T) {
 // events, whose old_* and new_* attributes carry both states. A +20%
 // update matches nothing; a doubling matches exactly once.
 func TestWatchPatternAcrossStates(t *testing.T) {
-	_, srv := startServer(t, core.Config{}, Config{WatchInterval: 5 * time.Millisecond})
+	_, srv := startServer(t, core.Config{WatchInterval: 5 * time.Millisecond}, Config{})
 	c := dial(t, srv)
 	if err := c.CreateTable(client.TableSpec{Name: "positions", Key: []string{"acct"}, Columns: []client.ColumnSpec{
 		{Name: "acct", Kind: "string", NotNull: true}, {Name: "qty", Kind: "int", NotNull: true},

@@ -225,9 +225,6 @@ type Config struct {
 	// durable consumer; delivery pauses until the client acks (default
 	// 256).
 	QueuePrefetch int
-	// WatchInterval is the default poll cadence for WATCHed queries
-	// whose spec does not set interval_ms (default 100ms).
-	WatchInterval time.Duration
 	// Promote is the follower-promotion hook wired by the process that
 	// owns the replication follower (cmd/eventdbd -follow). It performs
 	// the leader transition and returns the node's new role. Nil means

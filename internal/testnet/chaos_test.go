@@ -286,8 +286,8 @@ func TestChaosKillReconnectResume(t *testing.T) {
 	})
 
 	// The pattern survived too: still registered engine-side.
-	if st := eng.PatternStats(); st.Registered != 1 {
-		t.Errorf("patterns registered after reconnects = %d, want 1", st.Registered)
+	if st := eng.PatternStats(); st.Patterns != 1 {
+		t.Errorf("patterns registered after reconnects = %d, want 1", st.Patterns)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
@@ -73,8 +74,9 @@ type Def struct {
 // Trigger is a registered trigger.
 type Trigger struct {
 	Def
-	when *expr.Predicate
-	ops  map[storage.ChangeKind]bool
+	when   *expr.Predicate
+	ops    map[storage.ChangeKind]bool
+	remove func() // detaches a BEFORE trigger's hook
 }
 
 // Manager registers triggers against a storage.DB and routes emitted
@@ -85,7 +87,10 @@ type Manager struct {
 
 	mu       sync.RWMutex
 	triggers map[string]*Trigger
-	removers map[string]func()
+	// after holds each table's AFTER triggers. It is rebuilt whole on
+	// Install and Drop and never changed in place, so a commit reads its
+	// changed tables' slices without a lock and copies nothing.
+	after atomic.Pointer[map[string][]*Trigger]
 
 	removeCommitHook func()
 }
@@ -97,8 +102,8 @@ func NewManager(db *storage.DB, sink func(*event.Event)) *Manager {
 		db:       db,
 		sink:     sink,
 		triggers: make(map[string]*Trigger),
-		removers: make(map[string]func()),
 	}
+	m.fileAfter()
 	m.removeCommitHook = db.OnCommit(m.afterCommit)
 	return m
 }
@@ -107,9 +112,10 @@ func NewManager(db *storage.DB, sink func(*event.Event)) *Manager {
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for name, rm := range m.removers {
-		rm()
-		delete(m.removers, name)
+	for _, tr := range m.triggers {
+		if tr.remove != nil {
+			tr.remove() // a no-op the second time
+		}
 	}
 	if m.removeCommitHook != nil {
 		m.removeCommitHook()
@@ -117,12 +123,18 @@ func (m *Manager) Close() {
 	}
 }
 
-// ErrExists wraps registration under a name already in use, so
-// callers can distinguish the collision from spec failures.
-var ErrExists = errors.New("trigger: already registered")
-
-// Register installs a trigger.
+// Register installs a trigger: Compile, then Install.
 func (m *Manager) Register(def Def) (*Trigger, error) {
+	tr, err := m.Compile(def)
+	if err != nil {
+		return nil, err
+	}
+	return tr, m.Install(tr)
+}
+
+// Compile validates a definition against the database and compiles its
+// WHEN guard, installing nothing.
+func (m *Manager) Compile(def Def) (*Trigger, error) {
 	if def.Name == "" || def.Table == "" {
 		return nil, errors.New("trigger: name and table are required")
 	}
@@ -146,45 +158,59 @@ func (m *Manager) Register(def Def) (*Trigger, error) {
 	if tr.Action == nil {
 		tr.Action = EmitChangeEvent
 	}
+	return tr, nil
+}
 
+// Install adds a compiled trigger under its name, which must be free.
+func (m *Manager) Install(tr *Trigger) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.triggers[def.Name]; dup {
-		return nil, fmt.Errorf("%w: %q", ErrExists, def.Name)
+	if _, dup := m.triggers[tr.Name]; dup {
+		return fmt.Errorf("trigger: already registered: %q", tr.Name)
 	}
-	m.triggers[def.Name] = tr
-	if def.Timing == Before {
-		m.removers[def.Name] = m.db.OnBefore(def.Table, func(c *storage.Change) error {
+	m.triggers[tr.Name] = tr
+	if tr.Timing == Before {
+		tr.remove = m.db.OnBefore(tr.Table, func(c *storage.Change) error {
 			return m.fireBefore(tr, c)
 		})
 	}
-	return tr, nil
+	m.fileAfter()
+	return nil
 }
 
 // Drop removes a trigger by name.
 func (m *Manager) Drop(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.triggers[name]; !ok {
+	tr, ok := m.triggers[name]
+	if !ok {
 		return fmt.Errorf("trigger: no trigger %q", name)
 	}
 	delete(m.triggers, name)
-	if rm, ok := m.removers[name]; ok {
-		rm()
-		delete(m.removers, name)
+	if tr.remove != nil {
+		tr.remove()
 	}
+	m.fileAfter()
 	return nil
 }
 
-// Triggers returns the names of registered triggers.
-func (m *Manager) Triggers() []string {
+// fileAfter rebuilds the per-table AFTER trigger map. Caller holds mu.
+func (m *Manager) fileAfter() {
+	after := make(map[string][]*Trigger)
+	for _, tr := range m.triggers {
+		if tr.Timing == After {
+			after[tr.Table] = append(after[tr.Table], tr)
+		}
+	}
+	m.after.Store(&after)
+}
+
+// Lookup returns the trigger registered under name.
+func (m *Manager) Lookup(name string) (*Trigger, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.triggers))
-	for n := range m.triggers {
-		out = append(out, n)
-	}
-	return out
+	tr, ok := m.triggers[name]
+	return tr, ok
 }
 
 func (m *Manager) fireBefore(tr *Trigger, c *storage.Change) error {
@@ -209,31 +235,22 @@ func (m *Manager) fireBefore(tr *Trigger, c *storage.Change) error {
 }
 
 func (m *Manager) afterCommit(ci *storage.CommitInfo) {
-	m.mu.RLock()
-	var fired []*Trigger
-	for _, tr := range m.triggers {
-		if tr.Timing == After {
-			fired = append(fired, tr)
-		}
-	}
-	m.mu.RUnlock()
-	if len(fired) == 0 {
-		return
-	}
+	after := *m.after.Load()
 	for i := range ci.Changes {
 		c := &ci.Changes[i]
+		fired := after[c.Table]
+		if len(fired) == 0 {
+			continue
+		}
+		tbl, ok := m.db.Table(c.Table)
+		if !ok {
+			continue
+		}
+		schema := tbl.Schema()
 		for _, tr := range fired {
-			if tr.Table != c.Table {
-				continue
-			}
 			if tr.ops != nil && !tr.ops[c.Kind] {
 				continue
 			}
-			tbl, ok := m.db.Table(c.Table)
-			if !ok {
-				continue
-			}
-			schema := tbl.Schema()
 			if tr.when != nil {
 				// An AFTER trigger cannot veto a committed transaction,
 				// and nothing reads its errors: a WHEN that fails to

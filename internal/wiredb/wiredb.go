@@ -197,13 +197,14 @@ type TriggerSpec struct {
 	Veto string `json:"veto,omitempty"`
 }
 
-// ParseTriggerSpec decodes a TRIG payload.
-func ParseTriggerSpec(data []byte) (TriggerSpec, error) {
+// ParseTrigger decodes a TRIG payload into the named trigger's
+// definition.
+func ParseTrigger(name string, data []byte) (trigger.Def, error) {
 	var spec TriggerSpec
 	if err := decodeStrict(data, &spec); err != nil {
-		return TriggerSpec{}, fmt.Errorf("wiredb: trigger spec: %w", err)
+		return trigger.Def{}, fmt.Errorf("wiredb: trigger spec: %w", err)
 	}
-	return spec, nil
+	return spec.Def(name)
 }
 
 // Def converts the spec into a registrable trigger definition.
@@ -254,7 +255,7 @@ type WatchSpec struct {
 	// Key lists result columns that uniquely identify a logical row;
 	// the differ keys diffs on them.
 	Key []string `json:"key"`
-	// IntervalMS overrides the server's default poll interval.
+	// IntervalMS overrides the engine's default (its WatchInterval).
 	IntervalMS int `json:"interval_ms,omitempty"`
 }
 

@@ -198,11 +198,7 @@ func TestQuerySpecAndResultRoundTrip(t *testing.T) {
 }
 
 func TestTriggerSpec(t *testing.T) {
-	spec, err := ParseTriggerSpec([]byte(`{"table":"t","timing":"before","ops":["update"],"when":"new.a < old.a","veto":"shrinking"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := spec.Def("guard")
+	def, err := ParseTrigger("guard", []byte(`{"table":"t","timing":"before","ops":["update"],"when":"new.a < old.a","veto":"shrinking"}`))
 	if err != nil {
 		t.Fatal(err)
 	}

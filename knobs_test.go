@@ -58,9 +58,9 @@ var knobTable = map[string]knob{
 
 	"eventgw -addr":       {[]string{"TestPubAndStats"}, "deployment setting: listen address"},
 	"eventgw -backend":    {[]string{"TestPubAndStats", "TestReadyz"}, "deployment setting: the eventdbd it fronts"},
-	"eventgw -sub-buffer": {[]string{"TestWebSocketSubscription"}, "deployment setting: events buffered per WebSocket"},
+	"eventgw -sub-buffer": {[]string{"TestWebSocketSubBuffer"}, "deployment setting: events buffered per WebSocket"},
 	"eventgw -token":      {[]string{"TestAuth"}, "deployment setting: bearer auth"},
-	"eventgw -token-file": {[]string{"TestAuth"}, "deployment setting: bearer auth"},
+	"eventgw -token-file": {[]string{"TestReadTokenFile"}, "deployment setting: bearer auth"},
 
 	"server.Config.MaxConns":        {[]string{"TestMaxConns"}, "safety bound: -max-conns"},
 	"server.Config.SubBuffer":       {[]string{"TestSlowConsumerOverflow", "TestAllocsPush"}, "safety bound: -sub-buffer"},
@@ -71,7 +71,6 @@ var knobTable = map[string]knob{
 	"server.Config.EvictAfterDrops": {[]string{"TestSlowConsumerEviction"}, "safety bound: -evict-after-drops"},
 	"server.Config.Queue":           {[]string{"TestPoisonMessageDeadLettersInsteadOfLooping", "TestStaleReceiptEvictionUnparksConsumer"}, "safety bound: -visibility and -queue-max-attempts"},
 	"server.Config.QueuePrefetch":   {[]string{"TestQSubPrefetchPausesDelivery"}, "safety bound: -queue-prefetch"},
-	"server.Config.WatchInterval":   {[]string{"TestWatchPatternAcrossStates"}, "deployment setting: -watch-interval"},
 	"server.Config.Promote":         {[]string{"TestPromoteAndRoleVerbs", "TestFailoverPromoteResumesDurableConsumer"}, "deployment setting: -follow's PROMOTE"},
 
 	"core.Config.Dir":                  {[]string{"TestRegistrationsAcrossRestart"}, "E23 workload: durable (-dir)"},
@@ -82,6 +81,7 @@ var knobTable = map[string]knob{
 	"core.Config.ColumnarSealRows":     {[]string{"TestCompactVerb", "TestConcurrentSelects"}, "test seam: small segments"},
 	"core.Config.ColumnarSealInterval": {[]string{"TestRestartLeavesDeadHistoryOnDisk"}, "test seam: a sealer that waits"},
 	"core.Config.CEPAdvanceInterval":   {[]string{"TestPatternHorizonTicker"}, "test seam: a fast pattern clock"},
+	"core.Config.WatchInterval":        {[]string{"TestWatchPatternAcrossStates"}, "deployment setting: -watch-interval"},
 
 	"HELLO lowprio": {[]string{"TestLowPrioShedding", "TestHelloParkFlagEcho"}, "safety bound: -shed-memory-bytes sheds these publishers"},
 }

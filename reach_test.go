@@ -21,7 +21,7 @@ var unreachedAllowed = map[string]string{
 	"val.MustFromAny":          "a helper of other packages' tests",
 	"repl.Follower.WaitCursor": "a probe of the root package's replication tests",
 	"journal.Miner.Mine":       "used by the root bench_test.go experiment",
-	"core.Engine.Watches":      "a probe of TestRegistrationsAcrossRestart (ROADMAP item 11)",
+	"core.Engine.Watches":      "the tests' probe of the watch registry, which Register and Unregister keep (TestRegistrationsAcrossRestart, TestWatchScheduler)",
 	"ws.Conn.NetConn":          "used by the gateway's tests",
 	"ws.Dial":                  "the client side of the gateway's and ws's own WebSocket tests",
 	"wal.WAL.Checkpoint":       "ROADMAP item 10 wires it",

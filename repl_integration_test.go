@@ -230,8 +230,10 @@ func TestFailoverPromoteResumesDurableConsumer(t *testing.T) {
 // TestFollowerPublishesNoRegistrationEvents pins that a follower's
 // fan-out republishes data, not bookkeeping: while the leader binds,
 // rebinds, registers and unregisters, a follower subscriber matching
-// everything sees nothing; a row in an ordinary table then reaches it.
-// Promoted, the follower has the leader's registrations.
+// everything sees nothing; a row in an ordinary table then reaches it,
+// and a trigger and a watch registered on that table add nothing more.
+// Promoted, the follower has the leader's registrations: the binding,
+// the pattern, the trigger and the watch.
 func TestFollowerPublishesNoRegistrationEvents(t *testing.T) {
 	leng, err := core.Open(core.Config{Dir: t.TempDir()})
 	if err != nil {
@@ -292,7 +294,7 @@ func TestFollowerPublishesNoRegistrationEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := leng.UnregisterPattern("gone"); err != nil {
+	if err := leng.Unregister(core.KindPattern, "gone"); err != nil {
 		t.Fatal(err)
 	}
 	if got := caughtUp(); len(got) != 0 {
@@ -312,6 +314,15 @@ func TestFollowerPublishesNoRegistrationEvents(t *testing.T) {
 	if got := caughtUp(); len(got) != 1 || got[0] != "db.orders.insert" {
 		t.Fatalf("follower published %v, want [db.orders.insert]", got)
 	}
+	if err := leng.Register(core.KindTrig, "cap", []byte(`{"table":"orders","ops":["insert"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := leng.Register(core.KindWatch, "w", []byte(`{"query":{"table":"orders"},"key":["id"]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got := caughtUp(); len(got) != 1 {
+		t.Fatalf("follower published %v after TRIG and WATCH, want [db.orders.insert]", got)
+	}
 
 	if _, err := f.Promote(); err != nil {
 		t.Fatal(err)
@@ -321,5 +332,11 @@ func TestFollowerPublishesNoRegistrationEvents(t *testing.T) {
 	}
 	if got := feng.Patterns(); len(got) != 1 || got[0] != "pair" {
 		t.Errorf("patterns after promotion = %v, want [pair]", got)
+	}
+	if _, ok := feng.Triggers.Lookup("cap"); !ok {
+		t.Error("no trigger cap after promotion, want the leader's")
+	}
+	if got := feng.Watches(); len(got) != 1 || got[0] != "w" {
+		t.Errorf("watches after promotion = %v, want [w]", got)
 	}
 }
