@@ -7,10 +7,13 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"eventdb/internal/core"
+	"eventdb/internal/event"
+	"eventdb/internal/frame"
 	"eventdb/internal/pubsub"
 	"eventdb/internal/raceflag"
 	"eventdb/internal/server"
@@ -39,6 +42,7 @@ import (
 // through core, adds it back in 16 bytes). Each ceiling is
 // the measured cost plus 5%; a change that lowers a cost lowers its
 // ceiling with it, and raising one is a check change with its reason.
+// Beside them, one byte budget: what a fanout event puts on the wire.
 func TestBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap sizes are inflated under -race")
@@ -85,6 +89,18 @@ func TestBudget(t *testing.T) {
 		if per > tc.ceiling {
 			t.Errorf("%s costs %.0f B each, over its ceiling of %.0f", tc.name, per, tc.ceiling)
 		}
+	}
+
+	// What E23 fanout's receiving connection (bench/fanout.go: 16
+	// match-all SUBs, binary wire) is sent for one of its ticks: one Evts
+	// frame under HELLO 3 (284 B, a 226-byte JSON), where HELLO 2 sends
+	// the JSON once per SUB (3,716 B). Bytes on the wire do not drift with
+	// the host, so the ceiling is the measured 284 B plus 2%.
+	const fanoutCeiling = 290
+	wire2, wire3 := fanoutWireBytes(t, 2), fanoutWireBytes(t, 3)
+	t.Logf("wire bytes per fanout event: %.0f B on HELLO 3 (ceiling %d), %.0f B on HELLO 2", wire3, fanoutCeiling, wire2)
+	if wire3 > fanoutCeiling {
+		t.Errorf("a fanout event costs %.0f B on the wire, over its ceiling of %d", wire3, fanoutCeiling)
 	}
 
 	// A row of E23 dbmix's table (bench/dbmix.go) once its history is
@@ -155,6 +171,81 @@ func wireHeap(t *testing.T, n int, line func(i int) string) float64 {
 	per := float64(liveHeap()-before) / float64(n)
 	runtime.KeepAlive(srv)
 	return per
+}
+
+// fanoutWireBytes returns the bytes an in-process server writes, per
+// tick of E23's shape (bench/ticks.go) published on another connection,
+// to a connection that negotiated HELLO version and holds 16 match-all
+// SUBs: every frame it reads before the reply to a PING sent after the
+// ticks.
+func fanoutWireBytes(t *testing.T, version int) float64 {
+	const ticks, subs = 20, 16
+	e, err := core.Open(core.Config{ColumnarDisabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	srv, err := server.StartConfig(e, "127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() (net.Conn, *bufio.Reader) {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(30 * time.Second))
+		return nc, bufio.NewReader(nc)
+	}
+	line := func(nc net.Conn, br *bufio.Reader, l, want string) {
+		io.WriteString(nc, l+"\n")
+		if got, err := br.ReadString('\n'); err != nil || got != want+"\n" {
+			t.Fatalf("%.40s: reply %q (%v), want %s", l, got, err, want)
+		}
+	}
+	sub, sbr := dial()
+	defer sub.Close()
+	line(sub, sbr, fmt.Sprintf("HELLO %d", version), fmt.Sprintf("OK %d", version))
+	fr := frame.NewReader(sbr)
+	// wire reads frames up to the reply to cmd and returns that reply
+	// and the bytes of the frames before it.
+	wire := func(cmd string) (reply string, bytes int) {
+		sub.Write(frame.AppendFrameString(nil, frame.Cmd, cmd))
+		for {
+			typ, p, err := fr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ == frame.Reply {
+				return string(p), bytes
+			}
+			bytes += len(frame.AppendFrame(nil, typ, p))
+		}
+	}
+	for i := 0; i < subs; i++ {
+		if reply, _ := wire(fmt.Sprintf("SUB f%d", i)); reply != "OK" {
+			t.Fatalf("SUB f%d: %q", i, reply)
+		}
+	}
+	pub, pbr := dial()
+	defer pub.Close()
+	pad := strings.Repeat("p", 100)
+	for k := 0; k < ticks; k++ {
+		ev := &event.Event{ID: event.ID(k + 1), Type: "tick", Time: time.Date(2026, 10, 21, 12, 0, 0, 123456789, time.UTC),
+			Attrs: map[string]val.Value{"seq": val.Int(int64(k)), "sym": val.String(fmt.Sprintf("SYM%04d", k*37%6000)),
+				"qty": val.Int(int64(k * 7 % 1000)), "px": val.Int(int64(k * 9973 % 100000)), "pad": val.String(pad)}}
+		body, err := ev.EncodedJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(pub, pbr, "PUB "+string(body), fmt.Sprintf("OK %d", subs))
+	}
+	reply, n := wire("PING")
+	if reply != "PONG" {
+		t.Fatalf("PING: %q", reply)
+	}
+	return float64(n) / ticks
 }
 
 // dbmixRowHeap inserts 100 k rows of dbmix's shape through core, 1,000

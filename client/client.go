@@ -28,11 +28,12 @@
 //
 // One goroutine owns the socket's read side and demultiplexes; any
 // number of goroutines may issue requests concurrently. The server
-// pushes one event to N matching subscriptions of a connection as N
-// messages with the same body, and the read loop decodes that body
-// once: the *Event a subscription (or a Delivery) hands out may be the
-// very one its sibling subscriptions on the same Conn received, so
-// treat it as read-only and Clone it before changing anything.
+// pushes one event to N matching subscriptions of a connection as one
+// frame naming all N (HELLO 3) or as N messages with the same body, and
+// the read loop decodes that body once: the *Event a subscription (or
+// a Delivery) hands out may be the very one its sibling subscriptions
+// on the same Conn received, so treat it as read-only and Clone it
+// before changing anything.
 //
 // If a pushed event arrives for a subscription whose channel is full,
 // the event is dropped client-side and counted (Subscription.Dropped)
@@ -44,11 +45,11 @@
 //
 // By default the client speaks the legacy text line protocol, which
 // every server version understands. WithBinary negotiates the
-// length-prefixed binary frame protocol (HELLO 2, see PROTOCOL.md)
+// length-prefixed binary frame protocol (HELLO 3, see PROTOCOL.md)
 // during Dial — pushed events then skip line formatting and prefix
-// scanning on both sides. It degrades gracefully: against a server
-// that predates HELLO the connection silently stays on the text
-// protocol (check Conn.Binary when it matters).
+// scanning on both sides. It degrades gracefully: a version-2 server
+// sends one frame per subscription, and against one that predates
+// HELLO the connection silently stays on text (see Conn.Binary).
 //
 // # Dial options
 //
@@ -157,7 +158,7 @@ func serverError(payload string) *Error {
 // Conn is a connection to an eventdb server. Safe for concurrent use.
 type Conn struct {
 	nc      net.Conn
-	binary  bool // negotiated binary frame mode (HELLO 2)
+	binary  bool // negotiated binary frame mode (HELLO 2 or 3)
 	lowprio bool // server granted the lowprio (sheddable) flag
 	subBuf  int  // default subscription channel buffer (WithSubBuffer)
 
@@ -207,9 +208,9 @@ func WithNetDial(dial func(addr string) (net.Conn, error)) Option {
 	return func(d *dialConfig) { d.netDial = dial }
 }
 
-// WithBinary negotiates the binary frame protocol (HELLO 2) during
-// Dial. Against a server that predates HELLO the connection silently
-// falls back to the text protocol; Conn.Binary reports the outcome.
+// WithBinary negotiates the binary frame protocol (HELLO 3, or 2 with
+// a version-2 server) during Dial. Against a server that predates HELLO
+// the connection silently stays on text; Conn.Binary reports which.
 func WithBinary() Option {
 	return func(d *dialConfig) { d.binary = true }
 }
@@ -411,18 +412,17 @@ func (c *Conn) readLoop() {
 		case wSkip:
 			// A malformed push must not kill the connection.
 			continue
-		case wEvt:
+		case wEvt, wEvts:
 			ev := memo.decode(m.body)
 			if ev == nil {
 				continue
 			}
 			c.mu.Lock()
-			if s, ok := c.subs[m.id]; ok {
-				select {
-				case s.ch <- ev:
-				default:
-					s.dropped.Add(1)
-				}
+			if m.kind == wEvt {
+				c.subs[m.id].offer(ev)
+			}
+			for _, id := range m.ids {
+				c.subs[string(id)].offer(ev)
 			}
 			c.mu.Unlock()
 			continue
@@ -788,6 +788,19 @@ func (s *Subscription) ID() string { return s.id }
 // Dropped reports pushes discarded client-side because C's buffer was
 // full when they arrived.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
+
+// offer hands s, nil for an id with no subscription, one pushed event,
+// dropping it when C is full. The caller holds Conn.mu.
+func (s *Subscription) offer(ev *Event) {
+	if s == nil {
+		return
+	}
+	select {
+	case s.ch <- ev:
+	default:
+		s.dropped.Add(1)
+	}
+}
 
 // Close detaches the subscription from the server and closes C.
 func (s *Subscription) Close() error {

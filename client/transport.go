@@ -17,8 +17,8 @@ import (
 //
 // textTransport speaks the legacy line protocol every server
 // understands; binTransport speaks the length-prefixed frame protocol
-// negotiated by HELLO 2 (internal/frame, PROTOCOL.md). Dial picks one
-// during the synchronous handshake, before the read loop starts.
+// negotiated by HELLO 2 or 3 (internal/frame, PROTOCOL.md). Dial picks
+// one during the synchronous handshake, before the read loop starts.
 
 // wkind classifies one inbound wire message.
 type wkind int
@@ -29,6 +29,8 @@ const (
 	wReply wkind = iota
 	// wEvt is a pushed subscription event.
 	wEvt
+	// wEvts is one pushed event for several subscriptions (HELLO 3).
+	wEvts
 	// wQEvt is a pushed durable queue delivery.
 	wQEvt
 	// wSkip is a malformed push: ignored, never fatal (matching the
@@ -40,12 +42,13 @@ const (
 // memory and is only valid until the next recv call.
 type wmsg struct {
 	kind    wkind
-	line    string // wReply
-	id      string // wEvt subscription id
-	queue   string // wQEvt
-	token   string // wQEvt
-	attempt int    // wQEvt
-	body    []byte // wEvt/wQEvt event JSON
+	line    string   // wReply
+	id      string   // wEvt subscription id
+	ids     [][]byte // wEvts subscription ids
+	queue   string   // wQEvt
+	token   string   // wQEvt
+	attempt int      // wQEvt
+	body    []byte   // wEvt/wEvts/wQEvt event JSON
 }
 
 // transport encodes requests and decodes inbound traffic for one wire
@@ -114,7 +117,8 @@ func (t *textTransport) recv() (wmsg, error) {
 type binTransport struct {
 	w   *bufio.Writer
 	fr  *frame.Reader
-	buf []byte // scratch for outbound frames (guarded by Conn.sendMu)
+	buf []byte   // scratch for outbound frames (guarded by Conn.sendMu)
+	ids [][]byte // the last Evts frame's ids (read loop)
 }
 
 func (t *binTransport) send(cmd string, body ...string) error {
@@ -153,6 +157,13 @@ func (t *binTransport) recv() (wmsg, error) {
 			return wmsg{kind: wSkip}, nil
 		}
 		return wmsg{kind: wEvt, id: id, body: body}, nil
+	case frame.Evts:
+		ids, body, ok := frame.DecodeEvts(payload, t.ids[:0])
+		if !ok {
+			return wmsg{kind: wSkip}, nil
+		}
+		t.ids = ids
+		return wmsg{kind: wEvts, ids: ids, body: body}, nil
 	case frame.QEvt:
 		queue, token, attempt, body, ok := frame.DecodeQEvt(payload)
 		if !ok {
@@ -169,12 +180,12 @@ func (t *binTransport) recv() (wmsg, error) {
 // --- negotiation ------------------------------------------------------
 
 // negotiate runs the HELLO handshake synchronously (before the read
-// loop exists): it asks for protocol version 2 plus the requested
-// flags and interprets the server's answer. A pre-HELLO server answers
-// "ERR unknown ..." — that is a silent fallback to text, not a
-// failure, so new clients keep working against old servers.
+// loop exists): it asks for protocol version 3 (2 and 3 are both
+// binary) plus the requested flags and interprets the server's answer.
+// A pre-HELLO server answers "ERR unknown ..." — a silent fallback to
+// text, not a failure, so new clients keep working against old servers.
 func negotiate(nc net.Conn, br *bufio.Reader, w *bufio.Writer, wantLowprio bool) (binary, lowprio bool, err error) {
-	cmd := "HELLO 2"
+	cmd := "HELLO 3"
 	if wantLowprio {
 		cmd += " lowprio"
 	}

@@ -2,7 +2,7 @@
 // server: the edge tier of the million-connection plane. Browsers and
 // curl-class clients speak commodity HTTP POST (publish, select,
 // stats) and WebSocket (subscriptions) to the gateway; the gateway
-// speaks the negotiated binary frame protocol (HELLO 2, PROTOCOL.md)
+// speaks the negotiated binary frame protocol (HELLO 3, PROTOCOL.md)
 // to the backend.
 //
 // Usage:

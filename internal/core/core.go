@@ -87,6 +87,7 @@ type Engine struct {
 	// watches (watch.go); catalogue is nil until RestoreRegistrations.
 	regMu         sync.Mutex
 	catalogue     *storage.Table
+	restoring     bool // RestoreRegistrations is re-registering its rows
 	watches       map[string]*watchEntry
 	watchInterval time.Duration
 

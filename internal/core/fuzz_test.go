@@ -28,6 +28,8 @@ var (
 			`{"table":"t","veto":"nope"}`,
 			`{"table":"wire_registrations","timing":"before","veto":"no"}`,
 			`{"table":"q_q"}`,
+			`{}`,
+			`{"table":""}`,
 			`{not json`,
 		},
 		KindWatch: {
@@ -37,6 +39,9 @@ var (
 			`{"query":{"table":"missing"},"key":["a"]}`,
 			`{"query":{"table":"t"},"key":["a"],"interval_ms":-1}`,
 			`{"query":{"table":"wire_registrations"},"key":["kind","name"]}`,
+			`{"query":{},"key":["a"]}`,
+			`{"query":{"table":"t"},"key":["a"],"interval_ms":99999999999999999}`,
+			`{"query":{"table":"t"},"key":["a"],"interval_ms":9223372036854}`,
 		},
 		KindPattern: {
 			string(fraudSpec),

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"eventdb/internal/cep"
 	"eventdb/internal/pubsub"
@@ -173,9 +172,14 @@ func (e *Engine) preparePattern(name string, spec []byte) (func() error, error) 
 }
 
 // prepareWatch polls at Config.WatchInterval unless the spec sets
-// interval_ms (and it does not overflow).
+// interval_ms; a catalogue row restores even where a new spec is
+// refused for one no Duration holds, so the engine still starts.
 func (e *Engine) prepareWatch(name string, spec []byte) (func() error, error) {
-	s, err := wiredb.ParseWatchSpec(spec)
+	parse := wiredb.ParseWatchSpec
+	if e.restoring {
+		parse = wiredb.DecodeWatchSpec
+	}
+	s, err := parse(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +191,7 @@ func (e *Engine) prepareWatch(name string, spec []byte) (func() error, error) {
 		return nil, err
 	}
 	interval := e.watchInterval
-	if d := time.Duration(s.IntervalMS) * time.Millisecond; d > 0 {
+	if d := s.Interval(); d > 0 {
 		interval = d
 	}
 	return func() error { e.startWatch(name, q, s.Key, interval); return nil }, nil
@@ -236,6 +240,8 @@ func (e *Engine) RestoreRegistrations(qcfg queue.Config) error {
 	}
 	cat, _ := e.DB.Table(registrationsTable)
 	_, rows := cat.ScanRows()
+	e.restoring = true
+	defer func() { e.restoring = false }()
 	// Triggers first, so every commit after them is captured; then QSUB
 	// bindings, so they stage what a pattern completes or a watch's
 	// baseline poll (on its own goroutine) emits from the start.

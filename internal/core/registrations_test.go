@@ -389,3 +389,43 @@ func TestRegistrationsMoveLegacyStores(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreWatchIntervalOverflow: a WATCH whose interval_ms no
+// Duration holds is refused as a new registration, but a catalogue row
+// that holds one — written before that bound — still restores, polling
+// at the default interval, so the engine starts.
+func TestRestoreWatchIntervalOverflow(t *testing.T) {
+	dir := t.TempDir()
+	e := openRestored(t, dir)
+	schema, err := storage.NewSchema("t", []storage.Column{{Name: "a", Kind: val.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DB.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"query":{"table":"t"},"key":["a"],"interval_ms":99999999999999999}`
+	if err := e.Register(KindWatch, "w", []byte(spec)); err == nil {
+		t.Fatal("a new watch with an overflowing interval_ms was registered")
+	}
+	if _, err := e.DB.InsertRow(registrationsTable, storage.Row{val.String(KindWatch), val.String("w"), val.String(spec)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := openRestored(t, dir)
+	defer e2.Close()
+	e2.regMu.Lock()
+	w, ok := e2.watches["w"]
+	e2.regMu.Unlock()
+	if !ok || w.interval != e2.watchInterval {
+		t.Fatalf("restored watch %v (present %v), want it at the default interval %v", w, ok, e2.watchInterval)
+	}
+	if row, _ := catalogueRow(t, e2, KindWatch, "w"); row != spec {
+		t.Fatalf("catalogue row %q, want it as written: %q", row, spec)
+	}
+	if err := e2.Register(KindWatch, "w2", []byte(spec)); err == nil {
+		t.Fatal("after a restore, a new watch with an overflowing interval_ms was registered")
+	}
+}

@@ -1,13 +1,13 @@
 // Package frame is the binary wire framing negotiated by HELLO
-// (protocol version 2, see PROTOCOL.md). A frame is
+// (protocol versions 2 and 3, see PROTOCOL.md). A frame is
 //
 //	type byte | uvarint payload length | payload
 //
 // — nothing else. The frame types split by direction: clients send
-// Cmd/Data/Pub frames, servers send Reply/Evt/QEvt frames. Cmd and
+// Cmd/Data/Pub frames, servers send Reply/Evt/Evts/QEvt frames. Cmd and
 // Reply carry exactly the text protocol's lines (minus the newline),
 // so every verb, reply, and error code works identically in both
-// modes; the typed Evt/QEvt/Pub frames exist for the hot paths, where
+// modes; the typed Evt/Evts/QEvt/Pub frames exist for the hot paths, where
 // the event JSON — the cached Event.EncodedJSON bytes — is embedded
 // verbatim with no prefix parsing, no line scanning, and no per-sink
 // re-encoding between the encode-once cache and the socket.
@@ -55,6 +55,10 @@ const (
 	// uvarint(len queue) | queue | uvarint(len receipt) | receipt |
 	// uvarint(attempt) | event JSON.
 	QEvt Type = 6
+	// Evts (server→client, version 3) is one event pushed to several
+	// subscriptions of a connection, its JSON sent once:
+	// uvarint(n) | n × (uvarint(len id) | id) | event JSON.
+	Evts Type = 7
 )
 
 // String names the frame type for errors and logs.
@@ -72,6 +76,8 @@ func (t Type) String() string {
 		return "EVT"
 	case QEvt:
 		return "QEVT"
+	case Evts:
+		return "EVTS"
 	}
 	return fmt.Sprintf("frame(0x%02x)", byte(t))
 }
@@ -120,6 +126,28 @@ func AppendEvt(dst []byte, id string, json []byte) []byte {
 	return append(dst, json...)
 }
 
+// AppendEvts appends a complete Evts frame: the ids, each less its
+// first cut bytes (a server's subscription names carry the connection's
+// prefix), and the event JSON once. A payload over MaxPayload, which a
+// Reader refuses, is not appended: dst comes back as it was, !ok.
+func AppendEvts(dst []byte, ids []string, cut int, json []byte) (_ []byte, ok bool) {
+	sub := uvarintLen(uint64(len(ids))) + len(json)
+	for _, id := range ids {
+		sub += uvarintLen(uint64(len(id)-cut)) + len(id) - cut
+	}
+	if sub > MaxPayload {
+		return dst, false
+	}
+	dst = append(dst, byte(Evts))
+	dst = binary.AppendUvarint(dst, uint64(sub))
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, uint64(len(id)-cut))
+		dst = append(dst, id[cut:]...)
+	}
+	return append(dst, json...), true
+}
+
 // AppendQEvt appends a complete QEvt frame: queue name, receipt token,
 // delivery attempt, and the event JSON verbatim.
 func AppendQEvt(dst []byte, queue, token string, attempt int, json []byte) []byte {
@@ -156,6 +184,25 @@ func DecodeEvt(payload []byte) (id string, json []byte, ok bool) {
 		return "", nil, false
 	}
 	return string(s), rest, true
+}
+
+// DecodeEvts splits an Evts frame payload into its subscription ids,
+// appended to ids, and the event JSON. Both alias payload, so a caller
+// that passes back the ids it got decodes without allocating.
+func DecodeEvts(payload []byte, ids [][]byte) (_ [][]byte, json []byte, ok bool) {
+	n, sz := binary.Uvarint(payload)
+	if sz <= 0 || n > uint64(len(payload)) { // an id takes at least its length byte
+		return ids, nil, false
+	}
+	rest := payload[sz:]
+	for ; n > 0; n-- {
+		var id []byte
+		if id, rest, ok = cutString(rest); !ok {
+			return ids, nil, false
+		}
+		ids = append(ids, id)
+	}
+	return ids, rest, true
 }
 
 // DecodeQEvt splits a QEvt frame payload. The JSON slice aliases

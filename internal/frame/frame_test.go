@@ -12,6 +12,15 @@ import (
 	"eventdb/internal/raceflag"
 )
 
+// evts is AppendEvts for a frame that fits.
+func evts(dst []byte, ids []string, cut int, json []byte) []byte {
+	dst, ok := AppendEvts(dst, ids, cut, json)
+	if !ok {
+		panic("frame: an Evts frame under test exceeds MaxPayload")
+	}
+	return dst
+}
+
 func readAll(t *testing.T, stream []byte) (types []Type, payloads [][]byte) {
 	t.Helper()
 	fr := NewReader(bufio.NewReader(bytes.NewReader(stream)))
@@ -58,6 +67,62 @@ func TestEvtRoundTrip(t *testing.T) {
 	id, got, ok := DecodeEvt(payloads[0])
 	if !ok || id != "sub-7" || !bytes.Equal(got, json) {
 		t.Fatalf("DecodeEvt = (%q, %q, %v)", id, got, ok)
+	}
+}
+
+func TestEvtsRoundTrip(t *testing.T) {
+	json := []byte(`{"kind":"trade","px":101.5}`)
+	names := []string{"wire.1.a", "wire.1.sub-7", "wire.1." + strings.Repeat("x", 200)}
+	types, payloads := readAll(t, evts(nil, names, len("wire.1."), json))
+	if len(types) != 1 || types[0] != Evts {
+		t.Fatalf("got %v, want one Evts frame", types)
+	}
+	ids, got, ok := DecodeEvts(payloads[0], nil)
+	if !ok || len(ids) != len(names) || !bytes.Equal(got, json) {
+		t.Fatalf("DecodeEvts = (%q, %q, %v)", ids, got, ok)
+	}
+	for i, id := range ids {
+		if string(id) != names[i][len("wire.1."):] {
+			t.Fatalf("id %d = %q, want %q", i, id, names[i][len("wire.1."):])
+		}
+	}
+}
+
+// TestEvtsMaxPayload: an Evts frame is built only when its payload fits
+// MaxPayload, which a Reader accepts; one byte more and nothing is
+// appended, so the sender can fall back to one Evt frame per id.
+func TestEvtsMaxPayload(t *testing.T) {
+	ids := []string{"wire.1.a", "wire.1.bc"}
+	head := 1 + (1 + 1) + (1 + 2) // count, then each id's length and bytes
+	json := make([]byte, MaxPayload-head)
+	stream, ok := AppendEvts(nil, ids, len("wire.1."), json)
+	if !ok {
+		t.Fatal("a payload of exactly MaxPayload was refused")
+	}
+	if _, payloads := readAll(t, stream); len(payloads) != 1 || len(payloads[0]) != MaxPayload {
+		t.Fatalf("read %d frames, want one of MaxPayload bytes", len(payloads))
+	}
+	dst := []byte("kept")
+	if got, ok := AppendEvts(dst, ids, len("wire.1."), append(json, 0)); ok || string(got) != "kept" {
+		t.Fatalf("a payload of MaxPayload+1: ok=%v, dst %d bytes; want refused, dst as it was", ok, len(got))
+	}
+}
+
+func TestDecodeEvtsMalformed(t *testing.T) {
+	payload := evts(nil, []string{"a", "bc"}, 0, []byte(`{}`))[2:] // type and length bytes
+	// A prefix that cuts into the id list is malformed; one that ends
+	// after the last id decodes with the JSON that is left.
+	for cut := 0; cut < len(payload); cut++ {
+		ids, _, ok := DecodeEvts(payload[:cut], nil)
+		if ok != (cut >= 1+2+3) {
+			t.Fatalf("cut=%d: ok=%v", cut, ok)
+		}
+		if ok && (len(ids) != 2 || string(ids[0]) != "a" || string(ids[1]) != "bc") {
+			t.Fatalf("cut=%d: decoded %q", cut, ids)
+		}
+	}
+	if _, _, ok := DecodeEvts([]byte{0x80, 0x80, 0x80, 0x80, 0x01}, nil); ok {
+		t.Fatal("a count larger than the payload decoded")
 	}
 }
 
@@ -181,9 +246,31 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrameString(nil, Cmd, `PUBT s1 7 {"type":"t","attrs":{"a":1}}`))
 	f.Add(AppendEvt(nil, "s1", []byte(`{"a":1}`)))
 	f.Add(AppendQEvt(nil, "q", "h9", 2, []byte(`{"b":2}`)))
+	f.Add(evts(nil, []string{"wire.3.f0", "wire.3.f1"}, len("wire.3."), []byte(`{"c":3}`)))
+	f.Add(evts(nil, []string{"", "x\xff", "s1"}, 0, nil))
+	f.Add([]byte{byte(Evts), 0x03, 0x02, 0x01, 'a'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{byte(Evt), 0x02, 0x05, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Any ids and JSON round-trip: the ids are data cut at 0xff
+		// bytes, each under a prefix the encoder drops, and the JSON is
+		// data itself.
+		ids := strings.Split(string(data), "\xff")
+		names := make([]string, len(ids))
+		for i, id := range ids {
+			names[i] = "wire.9." + id
+		}
+		_, payloads := readAll(t, evts(nil, names, len("wire.9."), data))
+		got, json, ok := DecodeEvts(payloads[0], nil)
+		if !ok || len(got) != len(ids) || !bytes.Equal(json, data) {
+			t.Fatalf("Evts of %q: decoded (%q, %q, %v)", ids, got, json, ok)
+		}
+		for i := range ids {
+			if string(got[i]) != ids[i] {
+				t.Fatalf("Evts id %d: %q, want %q", i, got[i], ids[i])
+			}
+		}
+
 		fr := NewReader(bufio.NewReader(bytes.NewReader(data)))
 		for {
 			typ, payload, err := fr.Next()
@@ -201,6 +288,33 @@ func FuzzFrameDecode(f *testing.F) {
 						t.Fatal("DecodeEvt over-read")
 					}
 				}
+			case Evts:
+				ids, json, ok := DecodeEvts(payload, nil)
+				if !ok {
+					break
+				}
+				n := len(json)
+				for _, id := range ids {
+					n += len(id)
+				}
+				if n > len(payload) {
+					t.Fatal("DecodeEvts over-read")
+				}
+				// What it decodes encodes back to the same ids and JSON.
+				strs := make([]string, len(ids))
+				for i, id := range ids {
+					strs[i] = string(id)
+				}
+				_, again := readAll(t, evts(nil, strs, 0, json))
+				ids2, json2, ok := DecodeEvts(again[0], nil)
+				if !ok || len(ids2) != len(ids) || !bytes.Equal(json2, json) {
+					t.Fatalf("Evts re-encode: (%q, %q, %v), want (%q, %q)", ids2, json2, ok, ids, json)
+				}
+				for i := range ids {
+					if !bytes.Equal(ids[i], ids2[i]) {
+						t.Fatalf("Evts re-encode id %d: %q, want %q", i, ids2[i], ids[i])
+					}
+				}
 			case QEvt:
 				if q, tok, _, json, ok := DecodeQEvt(payload); ok {
 					if len(q)+len(tok)+len(json) > len(payload) {
@@ -215,14 +329,19 @@ func FuzzFrameDecode(f *testing.F) {
 // TestAllocsFrameAppend is the CI guard for the binary fan-out path:
 // framing a cached payload into a preallocated buffer must not
 // allocate, so the encode-once pipeline stays allocation-free from
-// the EncodedJSON cache to the socket.
+// the EncodedJSON cache to the socket; and an Evts frame's ids decode
+// into a reused slice without allocating.
 func TestAllocsFrameAppend(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	json := []byte(`{"kind":"trade","px":101.5,"qty":300}`)
 	buf := make([]byte, 0, 4096)
+	names := []string{"wire.1.s0", "wire.1.s1", "wire.1.s2"}
+	ids := make([][]byte, 0, len(names))
 	if n := testing.AllocsPerRun(200, func() {
+		buf = evts(buf[:0], names, len("wire.1."), json)
+		ids, _, _ = DecodeEvts(buf[2:], ids[:0])
 		buf = AppendEvt(buf[:0], "wire.1.s0", json)
 		buf = AppendQEvt(buf[:0], "orders", "h123", 1, json)
 		buf = AppendFrameString(buf[:0], Reply, "OK 1")
@@ -238,7 +357,7 @@ func TestTypeString(t *testing.T) {
 		want string
 	}{
 		{Cmd, "CMD"}, {Data, "DATA"}, {Pub, "PUB"},
-		{Reply, "REPLY"}, {Evt, "EVT"}, {QEvt, "QEVT"},
+		{Reply, "REPLY"}, {Evt, "EVT"}, {QEvt, "QEVT"}, {Evts, "EVTS"},
 		{Type(0x7f), "frame(0x7f)"},
 	} {
 		if got := tc.t.String(); got != tc.want {

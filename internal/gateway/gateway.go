@@ -4,7 +4,7 @@
 // It is the million-connection story's edge tier — browsers and
 // curl-class clients speak commodity HTTP/WebSocket to the gateway,
 // and the gateway speaks the negotiated binary frame protocol
-// (HELLO 2) to the backend over a small number of multiplexed TCP
+// (HELLO 3) to the backend over a small number of multiplexed TCP
 // connections.
 //
 //	POST /v1/pub     body: one event JSON object, or an array of them

@@ -17,6 +17,7 @@ package pubsub
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"eventdb/internal/event"
@@ -44,11 +45,13 @@ type Broker struct {
 	scratchPool sync.Pool
 }
 
-// Target receives the matches of a callback subscription, on the
-// publishing goroutine; id is the subscription's. It is the handle of
-// the subscription's rule, so delivery needs no lookup by name.
+// Target receives the matches of callback subscriptions, on the
+// publishing goroutine: one call per event with the ids of all of its
+// subscriptions the event matched, in match order. It is the handle of
+// each such subscription's rule, so delivery needs no lookup by name.
+// ids is the broker's scratch, valid only during the call.
 type Target interface {
-	Deliver(id string, ev *event.Event)
+	Deliver(ids []string, ev *event.Event)
 }
 
 // handlerTarget is the Target of a subscription made by Subscribe.
@@ -57,8 +60,10 @@ type handlerTarget struct {
 	h          Handler
 }
 
-func (t *handlerTarget) Deliver(id string, ev *event.Event) {
-	t.h(Delivery{SubID: id, Subscriber: t.subscriber, Event: ev})
+func (t *handlerTarget) Deliver(ids []string, ev *event.Event) {
+	for _, id := range ids {
+		t.h(Delivery{SubID: id, Subscriber: t.subscriber, Event: ev})
+	}
 }
 
 // queueSub is the handle of a subscription that stages into a queue.
@@ -193,9 +198,14 @@ func (b *Broker) Publish(ev *event.Event) (int, error) {
 }
 
 // deliverScratch is the reusable fan-out working set: the matched
+// callback subscriptions grouped by target, and the matched
 // queue-backed subscriptions and their staging targets, reused across
 // publishes so the steady-state delivery path allocates nothing.
 type deliverScratch struct {
+	groups []targetGroup
+	index  map[Target]int // a target's place in groups, once an event has two
+	ids    []string       // the ids handed to one target's Deliver
+
 	qsubs   []queueMatch
 	targets []queue.Target
 
@@ -207,6 +217,13 @@ type deliverScratch struct {
 	group      queue.Group
 	staged     []stagedEvent
 	stagedSubs []queueMatch // the staged events' queue subscriptions, back to back
+}
+
+// targetGroup is one target of an event and where its subscriptions'
+// rules are in the event's matches; at keeps its capacity across events.
+type targetGroup struct {
+	t  Target
+	at []int
 }
 
 // stagedEvent is one event buffered in a deliverScratch's group, with
@@ -221,7 +238,8 @@ type stagedEvent struct {
 const maxStaged = 256
 
 // deliver routes one matched event to every matching subscription:
-// callback handlers run inline in match order, and queue-backed
+// each callback target runs inline once, with its subscriptions' ids in
+// match order (a connection's SUBs are one target), and queue-backed
 // deliveries for the event are staged together through
 // queue.EnqueueGroup — one transaction, one WAL append, one fsync,
 // payload encoded once — instead of one commit per queue. In a batch
@@ -236,25 +254,53 @@ const maxStaged = 256
 // and the per-subscription failures come back as one aggregated error
 // alongside the count of deliveries that did land.
 func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScratch) (int, error) {
-	// Each matched rule carries its target; one unsubscribed since the
-	// match was taken carries none and receives nothing.
-	delivered := 0
-	qsubs := sc.qsubs[:0]
-	for _, r := range matched {
+	sc.groups = sc.groups[:0]
+	queued := false
+	for i, r := range matched {
 		switch h := r.Handle().(type) {
 		case *queueSub:
-			qsubs = append(qsubs, queueMatch{r.Name, h})
+			queued = true
 		case Target:
-			h.Deliver(r.Name, ev)
-			delivered++
+			g := sc.groupOf(h)
+			g.at = append(g.at, i)
+		}
+	}
+	// A rule unsubscribed since the match was taken carries no handle
+	// and receives nothing, so each is read again just before its
+	// delivery: a target's Deliver may unsubscribe a later one. The
+	// scratch outlives this publish, so it keeps no target or id.
+	delivered := 0
+	for i := range sc.groups {
+		g := &sc.groups[i]
+		ids := sc.ids[:0]
+		for _, at := range g.at {
+			if r := matched[at]; r.Handle() != nil {
+				ids = append(ids, r.Name)
+			}
+		}
+		if len(ids) > 0 {
+			g.t.Deliver(ids, ev)
+			delivered += len(ids)
+		}
+		delete(sc.index, g.t)
+		clear(ids)
+		sc.ids = ids
+		g.t = nil
+	}
+	if !queued {
+		return delivered, nil
+	}
+	qsubs := sc.qsubs[:0]
+	for _, r := range matched {
+		if h, ok := r.Handle().(*queueSub); ok {
+			qsubs = append(qsubs, queueMatch{r.Name, h})
 		}
 	}
 	if len(qsubs) == 0 {
 		return delivered, nil
 	}
-	// The scratch outlives this publish (pool, pooled Publisher); zero
-	// the retained slots on the way out so it cannot pin since-
-	// unsubscribed queues until some later fan-out overwrites them.
+	// Zero the retained slots on the way out so the scratch cannot pin
+	// since-unsubscribed queues until some later fan-out overwrites them.
 	sc.qsubs = qsubs
 	defer func() {
 		clear(qsubs)
@@ -268,6 +314,33 @@ func (b *Broker) deliver(matched []*rules.Rule, ev *event.Event, sc *deliverScra
 		n, err = sc.enqueue(ev, qsubs)
 	}
 	return delivered + n, err
+}
+
+// groupOf returns t's group among this event's targets, adding one for
+// a new target. A target's subscriptions usually match back to back, so
+// the last group is tried first, and the map only once the event has a
+// second target: O(1) per match, however many targets.
+func (sc *deliverScratch) groupOf(t Target) *targetGroup {
+	n := len(sc.groups)
+	if n > 0 && sc.groups[n-1].t == t {
+		return &sc.groups[n-1]
+	}
+	if i, ok := sc.index[t]; ok {
+		return &sc.groups[i]
+	}
+	if n > 0 {
+		if sc.index == nil {
+			sc.index = make(map[Target]int)
+		}
+		if n == 1 {
+			sc.index[sc.groups[0].t] = 0
+		}
+		sc.index[t] = n
+	}
+	sc.groups = slices.Grow(sc.groups, 1)[:n+1] // keeps each group's at
+	g := &sc.groups[n]
+	g.t, g.at = t, g.at[:0]
+	return g
 }
 
 // targetsOf lists the queues of qsubs in sc.targets.

@@ -2,12 +2,14 @@ package pubsub
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"eventdb/internal/event"
 	"eventdb/internal/expr"
@@ -753,5 +755,170 @@ func TestRebindNeverDropsAMatch(t *testing.T) {
 	n := <-rebinds
 	if delivered != events {
 		t.Errorf("%d of %d events delivered across %d rebinds", delivered, events, n)
+	}
+}
+
+// --- one call per target ------------------------------------------------
+
+// recTarget records each call it gets: the ids it was handed.
+type recTarget struct{ calls [][]string }
+
+func (t *recTarget) Deliver(ids []string, _ *event.Event) {
+	t.calls = append(t.calls, append([]string(nil), ids...))
+}
+
+// TestDeliverGroupsByTarget: an event reaches each target once, with
+// the ids of all of its subscriptions that matched in match order,
+// however the targets' subscriptions interleave, and Publish still
+// counts one delivery per subscription.
+func TestDeliverGroupsByTarget(t *testing.T) {
+	b := NewBroker()
+	targets := []*recTarget{{}, {}, {}}
+	for i := 0; i < 12; i++ {
+		filter := ""
+		if i%5 == 4 {
+			filter = "price > 1000"
+		}
+		if err := b.SubscribeTarget(fmt.Sprintf("%c%d", 'a'+i%3, i), filter, targets[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev := trade("X", 5)
+	order, err := b.MatchOnly(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]string, len(targets))
+	for _, id := range order {
+		k := id[0] - 'a'
+		want[k] = append(want[k], id)
+	}
+	n, err := b.Publish(ev)
+	if err != nil || n != len(order) || n != 10 {
+		t.Fatalf("Publish = %d, %v; want %d", n, err, len(order))
+	}
+	for k, tg := range targets {
+		if len(tg.calls) != 1 || !reflect.DeepEqual(tg.calls[0], want[k]) {
+			t.Errorf("target %c got %v, want one call with %v", 'a'+k, tg.calls, want[k])
+		}
+	}
+}
+
+// countTarget counts its calls and the ids it was handed, and keeps
+// the last one, without allocating.
+type countTarget struct {
+	calls, ids int
+	last       string
+}
+
+func (t *countTarget) Deliver(ids []string, _ *event.Event) {
+	t.calls++
+	t.ids += len(ids)
+	t.last = ids[len(ids)-1]
+}
+
+// TestDeliverManyTargets: 2,000 targets holding one subscription each,
+// as a server with 2,000 connections holding one SUB, each get one call
+// with their one id, a warm publish allocates nothing, and grouping adds
+// no scan per target: publishing to them costs about what publishing to
+// one target holding 2,000 subscriptions does — a linear grouping pays
+// one map step per match on top, a scan of the targets seen so far
+// would pay about a thousand comparisons per match.
+func TestDeliverManyTargets(t *testing.T) {
+	const n = 2000
+	many, one := NewBroker(), NewBroker()
+	targets := make([]countTarget, n)
+	shared := &countTarget{}
+	for i := range targets {
+		if err := many.SubscribeTarget(fmt.Sprintf("c%d", i), "", &targets[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := one.SubscribeTarget(fmt.Sprintf("c%d", i), "", shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pm, po := many.NewPublisher(), one.NewPublisher()
+	ev := trade("X", 5)
+	if got, err := pm.Publish(ev); got != n || err != nil {
+		t.Fatalf("Publish = %d, %v; want %d", got, err, n)
+	}
+	for i, tg := range targets {
+		if tg.calls != 1 || tg.ids != 1 || tg.last != fmt.Sprintf("c%d", i) {
+			t.Fatalf("target %d got %+v, want one call with c%d", i, tg, i)
+		}
+	}
+	if _, err := po.Publish(ev); err != nil || shared.calls != 1 || shared.ids != n {
+		t.Fatalf("one target of %d subscriptions got %+v (%v)", n, *shared, err)
+	}
+	toMany := func() { pm.Publish(ev) }
+	toOne := func() { po.Publish(ev) }
+	if !raceflag.Enabled {
+		if allocs := testing.AllocsPerRun(20, toMany); allocs != 0 {
+			t.Errorf("a publish to %d targets allocates %v, want 0", n, allocs)
+		}
+	}
+	// The fastest of several rounds, so a busy host slows both sides
+	// rather than one.
+	fastest := func(f func()) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for r := 0; r < 7; r++ {
+			start := time.Now()
+			for i := 0; i < 20; i++ {
+				f()
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	tMany, tOne := fastest(toMany), fastest(toOne)
+	t.Logf("20 publishes: %v to %d targets, %v to one target", tMany, n, tOne)
+	if tMany > 10*tOne {
+		t.Errorf("publishing to %d targets took %v, over 10 × the %v to one target of %d subscriptions", n, tMany, tOne, n)
+	}
+}
+
+// unsubTarget unsubscribes ids when it is delivered to.
+type unsubTarget struct {
+	recTarget
+	b     *Broker
+	unsub []string
+}
+
+func (t *unsubTarget) Deliver(ids []string, ev *event.Event) {
+	t.recTarget.Deliver(ids, ev)
+	for _, id := range t.unsub {
+		t.b.Unsubscribe(id)
+	}
+}
+
+// TestDeliverAfterUnsubscribe: a target that unsubscribes another's
+// subscriptions while the event is being delivered stops their delivery
+// of that event, as Unsubscribe promises — the handles are read just
+// before each target's call, not when the matches are grouped — and
+// Publish counts only what was delivered.
+func TestDeliverAfterUnsubscribe(t *testing.T) {
+	b := NewBroker()
+	a := &unsubTarget{b: b, unsub: []string{"b0", "c1"}}
+	bt, ct := &recTarget{}, &recTarget{}
+	for _, s := range []struct {
+		id string
+		t  Target
+	}{{"a0", a}, {"b0", bt}, {"c0", ct}, {"c1", ct}} {
+		if err := b.SubscribeTarget(s.id, "", s.t); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev := trade("X", 5)
+	if order, err := b.MatchOnly(ev); err != nil || order[0] != "a0" {
+		t.Fatalf("match order %v (%v): the test needs a0 first", order, err)
+	}
+	if n, err := b.Publish(ev); n != 2 || err != nil {
+		t.Fatalf("Publish = %d, %v; want 2 (a0, c0)", n, err)
+	}
+	if len(bt.calls) != 0 {
+		t.Errorf("unsubscribed b0 got %v", bt.calls)
+	}
+	if want := [][]string{{"c0"}}; !reflect.DeepEqual(ct.calls, want) {
+		t.Errorf("c got %v, want %v", ct.calls, want)
 	}
 }

@@ -328,6 +328,12 @@ func TestWireDBErrors(t *testing.T) {
 		`TRIG x {"table":"t","veto":"nope"}`:                "ERR badspec ",
 		`WATCH w {"query":{"table":"t"}}`:                   "ERR badspec ",
 		`WATCH w {"query":{"table":"missing"},"key":["a"]}`: "ERR notable ",
+		// A spec that names no table misses a field; an interval_ms a
+		// Duration cannot hold is out of range.
+		`TRIG x {}`:                        "ERR badspec ",
+		`TRIG x {"table":""}`:              "ERR badspec ",
+		`WATCH w {"query":{},"key":["a"]}`: "ERR badspec ",
+		`WATCH w {"query":{"table":"t"},"key":["a"],"interval_ms":99999999999999999}`: "ERR badspec ",
 	} {
 		if resp := c.ask(req); !strings.HasPrefix(resp, want) {
 			t.Errorf("%s → %q, want prefix %q", req, resp, want)

@@ -273,9 +273,21 @@ func TestWireGolden(t *testing.T) {
 }
 
 // pushConn is a connection with fanSubs match-all subscriptions whose
-// peer reads and discards, plus the server-side conn to push on.
+// peer reads and discards, plus the server-side conn to push on and the
+// subscriptions' local ids; binary negotiates HELLO 2.
 func pushConn(tb testing.TB, binary bool, cfg Config) (*conn, []string) {
 	tb.Helper()
+	if binary {
+		return helloConn(tb, 2, cfg)
+	}
+	return helloConn(tb, 1, cfg)
+}
+
+// helloConn is pushConn at a protocol version: 1 speaks text without a
+// HELLO, 2 and 3 negotiate theirs.
+func helloConn(tb testing.TB, version int, cfg Config) (*conn, []string) {
+	tb.Helper()
+	binary, hello := version >= 2, fmt.Sprintf("HELLO %d", version)
 	eng, err := core.Open(core.Config{})
 	if err != nil {
 		tb.Fatal(err)
@@ -293,7 +305,7 @@ func pushConn(tb testing.TB, binary bool, cfg Config) (*conn, []string) {
 	tb.Cleanup(func() { nc.Close() })
 	br := bufio.NewReader(nc)
 	ask := func(line, want string) {
-		if binary && line != "HELLO 2" {
+		if binary && line != hello {
 			nc.Write(frame.AppendFrameString(nil, frame.Cmd, line))
 			want = string(frame.AppendFrameString(nil, frame.Reply, want))
 		} else {
@@ -306,7 +318,7 @@ func pushConn(tb testing.TB, binary bool, cfg Config) (*conn, []string) {
 		}
 	}
 	if binary {
-		ask("HELLO 2", "OK 2")
+		ask(hello, fmt.Sprintf("OK %d", version))
 	}
 	ids := make([]string, fanSubs)
 	for i := range ids {
@@ -331,28 +343,35 @@ func tick() *event.Event {
 
 // TestAllocsPush: in the steady state, pushing one event to the 16
 // sinks of one connection allocates nothing — no per-message buffer,
-// no per-burst closure — in either wire mode.
+// no per-burst closure — in either wire mode, nor as HELLO 3's one
+// Evts frame.
 func TestAllocsPush(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	for _, binary := range []bool{false, true} {
+	for version := 1; version <= protocolVersion; version++ {
 		// Room for every message of the measurement: a full queue would
 		// make the producer wait, and allocate the channel it waits on.
-		c, ids := pushConn(t, binary, Config{SubBuffer: 1 << 20})
+		c, ids := helloConn(t, version, Config{SubBuffer: 1 << 20})
+		names := brokerNames(c, ids)
 		ev := tick()
-		push := func() {
-			for _, id := range ids {
-				c.pushEvent(id, ev)
-			}
-		}
+		push := func() { c.pushEvent(names, ev) }
 		for i := 0; i < 100; i++ { // grow both outbound buffers to their working size
 			push()
 		}
 		if allocs := testing.AllocsPerRun(500, push); allocs != 0 {
-			t.Errorf("binary=%v: pushing one event to %d sinks allocates %v, want 0", binary, fanSubs, allocs)
+			t.Errorf("HELLO %d: pushing one event to %d sinks allocates %v, want 0", version, fanSubs, allocs)
 		}
 	}
+}
+
+// brokerNames returns the broker names of c's SUBs with local ids ids.
+func brokerNames(c *conn, ids []string) []string {
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = c.subs + id
+	}
+	return names
 }
 
 // TestAllocsReply: a reply to a connection whose writer is idle, with
@@ -417,11 +436,13 @@ func BenchmarkConnPush(b *testing.B) {
 	for _, binary := range []bool{false, true} {
 		b.Run(fmt.Sprintf("binary=%v", binary), func(b *testing.B) {
 			c, ids := pushConn(b, binary, Config{})
+			names := brokerNames(c, ids)
 			ev := tick()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.pushEvent(ids[i%len(ids)], ev)
+				k := i % len(names)
+				c.pushEvent(names[k:k+1], ev)
 			}
 		})
 	}

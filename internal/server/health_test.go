@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"regexp"
 	"runtime"
 	"strings"
@@ -76,6 +77,63 @@ func TestHealthWire(t *testing.T) {
 		if !strings.Contains(line, zero) {
 			t.Errorf("durable HEALTH json lacks %s: %q", zero, line)
 		}
+	}
+}
+
+// TestHealthDropped: HEALTH format=json's dropped is the server-wide
+// count of push deliveries lost to DropOnFull, each subscription of a
+// dropped grouped frame counted once. A HELLO 3 connection holding three
+// match-all SUBs stops reading: its drops come in threes, they are its
+// STATS dropped, and with what did arrive they account for every
+// delivery.
+func TestHealthDropped(t *testing.T) {
+	_, srv := startServer(t, core.Config{}, Config{SubBuffer: 8, Overflow: DropOnFull})
+	slow := frameDial(t, srv, 3)
+	ids := []string{"a", "b", "c"}
+	for _, id := range ids {
+		if got := slow.ask("SUB " + id); got != "OK" {
+			t.Fatalf("SUB %s → %q", id, got)
+		}
+	}
+	// ...and now it stops reading, while events outgrow the socket's
+	// buffers.
+	pub := dial(t, srv)
+	pad := strings.Repeat("x", 1024)
+	published := 0
+	var h client.Health
+	for deadline := time.Now().Add(30 * time.Second); h.Dropped == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no push dropped; the overflow never engaged")
+		}
+		batch := make([]*client.Event, 500)
+		for j := range batch {
+			batch[j] = event.New("e", map[string]any{"seq": published + j, "pad": pad})
+		}
+		if _, err := pub.PublishBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		published += len(batch)
+		var err error
+		if h, err = pub.Health(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.Dropped%3 != 0 {
+		t.Errorf("dropped %d deliveries of %d events, want a multiple of 3", h.Dropped, published)
+	}
+	var sent, dropped uint64
+	stats := slow.ask("STATS")
+	if _, err := fmt.Sscanf(stats, "OK sent=%d dropped=%d", &sent, &dropped); err != nil || dropped != h.Dropped {
+		t.Errorf("STATS %q (%v), want dropped=%d", stats, err, h.Dropped)
+	}
+	got := len(slow.got["a"])
+	for _, id := range ids {
+		if len(slow.got[id]) != got {
+			t.Errorf("SUB %s received %d events, SUB a %d", id, len(slow.got[id]), got)
+		}
+	}
+	if uint64(3*got)+h.Dropped != uint64(3*published) {
+		t.Errorf("received 3 × %d + dropped %d != 3 × %d published", got, h.Dropped, published)
 	}
 }
 

@@ -24,7 +24,8 @@ type healthSnapshot struct {
 	core.Health
 	role    string
 	conns   int
-	slow    int // live connections that have dropped pushes
+	slow    int    // live connections that have dropped pushes
+	dropped uint64 // push deliveries lost to DropOnFull, server-wide
 	evicted uint64
 	shed    uint64
 	panics  uint64
@@ -43,6 +44,7 @@ func (s *Server) healthSnapshot() healthSnapshot {
 		}
 	}
 	s.mu.Unlock()
+	h.dropped = s.eng.Metrics.Counter("server.push.dropped").Value()
 	h.evicted = s.eng.Metrics.Counter("server.evicted").Value()
 	h.shed = s.eng.Metrics.Counter("server.shed").Value()
 	h.panics = s.eng.Metrics.Counter("server.panics").Value()
@@ -71,9 +73,9 @@ func b01(v bool) string {
 // of the wire contract (PROTOCOL.md §9); format=json returns the same
 // fields plus the human-readable degraded cause and overload reason,
 // the ingest counters, the columnar store's totals and the Go runtime's
-// allocation, collector and heap figures. queued, qcap, queue_depths,
-// queue_cap and dropped are always 0 (or []): the engine has no ingest
-// buffer to report, and the fields stay only to keep the order.
+// allocation, collector and heap figures. queued, qcap, queue_depths
+// and queue_cap are always 0 (or []): the engine has no ingest buffer
+// to report, and the fields stay only to keep the order.
 func handleHealth(c *conn, req *request) bool {
 	format, ok := statsFormat(c, req.tail)
 	if !ok {
@@ -83,12 +85,12 @@ func handleHealth(c *conn, req *request) bool {
 	if format == "json" {
 		c.reply(fmt.Sprintf(`OK {"role":%q,"degraded":%v,"degraded_cause":%q,"overloaded":%v,"overload_reason":%q,`+
 			`"durable":%v,"conns":%d,"slow_consumers":%d,"evicted":%d,"shed":%d,"panics":%d,`+
-			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[],"queue_cap":0,"ingested":%d,"dropped":0,`+
+			`"last_applied":%d,"next_lsn":%d,"wal_lag":%d,"queue_depths":[],"queue_cap":0,"ingested":%d,"dropped":%d,`+
 			`"qsub":%s,"columnar":{"segments":%d,"sealed_rows":%d,"tail_rows":%d,"resident_segments":%d,"cold_rows":%d},`+
 			`"runtime":%s}`,
 			h.role, h.Degraded, h.DegradedCause, h.Overloaded, h.OverloadReason,
 			h.Durable, h.conns, h.slow, h.evicted, h.shed, h.panics,
-			h.LastApplied, h.NextLSN, h.walLag(), h.Ingested,
+			h.LastApplied, h.NextLSN, h.walLag(), h.Ingested, h.dropped,
 			qsubJSON(c.srv.eng.Metrics), h.Columnar.Segments, h.Columnar.SealedRows, h.Columnar.TailRows, h.Columnar.ResidentSegments,
 			h.Columnar.ColdRows, runtimeJSON()))
 		return true

@@ -12,12 +12,13 @@ import (
 // The client names the highest protocol version it speaks and the
 // optional features it wants; the server replies with the version the
 // connection will use (min of both sides, never above
-// protocolVersion) and the subset of flags it grants. The reply goes
-// out in the mode in effect *before* the HELLO; everything after it —
-// both directions — uses the negotiated mode. Negotiation is refused
-// with "ERR conflict" once any sink (SUB/CQ/QSUB/REPLICATE) has ever
-// been registered: flipping the wire encoding under a live push
-// producer would interleave modes mid-stream.
+// protocolVersion) and the subset of flags it grants; 2 and 3 are
+// binary, and 3 adds the Evts frame. The reply goes out in the mode in
+// effect *before* the HELLO; everything after it — both directions —
+// uses the negotiated mode. Negotiation is refused with "ERR conflict"
+// once any sink (SUB/CQ/QSUB/REPLICATE) has ever been registered:
+// flipping the wire encoding under a live push producer would
+// interleave modes mid-stream.
 //
 // Flags (one is defined; an unknown flag gets no echo, so clients
 // treat the echo as the truth):
@@ -57,6 +58,7 @@ func handleHello(c *conn, req *request) bool {
 	c.reply(line)
 	c.lowprio = lowprio
 	c.binary = ver >= 2
+	c.evts = ver >= 3
 	if c.binary && c.fr == nil {
 		c.fr = newFrameReader(c)
 	}

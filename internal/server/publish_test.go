@@ -189,23 +189,26 @@ func TestPublishDoorsAgree(t *testing.T) {
 // pushes, the reply — allocates the event and its copy of the payload
 // and nothing else: the event's attributes are offsets into that copy
 // (no map; see TestAllocsDecodedTickGet), and the payload the 16 pushes
-// share is that copy, which is never encoded again.
+// share is that copy, which is never encoded again. The same holds on
+// HELLO 3, where the 16 pushes are one Evts frame.
 func TestAllocsPubFrame(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	c, _ := pushConn(t, true, Config{SubBuffer: 1 << 20})
-	payload, err := tick().EncodedJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := func() { publishFrame(c, payload) }
-	for i := 0; i < 100; i++ { // grow the outbound buffers to their working size
-		pub()
-	}
-	// 2; 4 while the decoder built each event's attribute map.
-	if allocs := testing.AllocsPerRun(500, pub); allocs > 2 {
-		t.Errorf("a Pub frame to %d sinks allocates %v, want <= 2", fanSubs, allocs)
+	for _, version := range []int{2, 3} {
+		c, _ := helloConn(t, version, Config{SubBuffer: 1 << 20})
+		payload, err := tick().EncodedJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub := func() { publishFrame(c, payload) }
+		for i := 0; i < 100; i++ { // grow the outbound buffers to their working size
+			pub()
+		}
+		// 2; 4 while the decoder built each event's attribute map.
+		if allocs := testing.AllocsPerRun(500, pub); allocs > 2 {
+			t.Errorf("HELLO %d: a Pub frame to %d sinks allocates %v, want <= 2", version, fanSubs, allocs)
+		}
 	}
 }
 

@@ -26,7 +26,8 @@
 // travel as CMD/REPLY frames carrying the exact text-protocol lines,
 // while the hot paths get typed frames — PUB carries a bare JSON event
 // (no verb parse), EVT/QEVT carry the cached Event.EncodedJSON bytes
-// behind a tiny binary header (no line scanning on either side). Every
+// behind a tiny binary header (no line scanning on either side), and
+// version 3's EVTS one event for several SUBs of the connection. Every
 // connection keeps one reader goroutine for its lifetime; an idle one
 // holds no writer goroutine. The full wire contract, both modes, lives
 // in PROTOCOL.md.
@@ -246,8 +247,8 @@ const (
 	// Config.DrainTimeout is unset.
 	defaultDrainTimeout = 2 * time.Second
 	// protocolVersion is the highest wire version this server speaks:
-	// 1 = text lines, 2 = binary frames (PROTOCOL.md).
-	protocolVersion = 2
+	// 1 = text lines, 2 = binary frames, 3 = 2 and Evts (PROTOCOL.md).
+	protocolVersion = 3
 )
 
 // Server serves one engine over TCP.
@@ -507,19 +508,19 @@ type conn struct {
 	queued  int           // messages in pending, at most Config.SubBuffer
 	room    chan struct{} // made by a producer that found the queue full; closed when the writer empties it
 	wstate  int           // wIdle/wRunning/wClosed burst ownership
-	latEv   *event.Event  // the event whose push delay was observed last
 
 	// spare and wfail belong to whoever owns the socket (the running
 	// burst, or teardown once it holds wClosed).
 	spare []byte // the buffer written last, pending's next backing store
 	wfail bool   // a socket write failed; bursts keep draining, not writing
 
-	// binary and lowprio are written only by the reader goroutine while
-	// handling HELLO, which is refused once any sink exists — so every
-	// concurrent producer (broker callbacks, queue consumers, repl
+	// binary, evts and lowprio are written only by the reader goroutine
+	// while handling HELLO, which is refused once any sink exists — so
+	// every concurrent producer (broker callbacks, queue consumers, repl
 	// streams) is registered strictly after the flip and observes it
 	// through its own registration's synchronization.
 	binary  bool
+	evts    bool // HELLO 3: one Evts frame for an event's matching SUBs
 	lowprio bool // sheddable under overload (HELLO flag "lowprio")
 
 	torn atomic.Bool // teardown has begun
@@ -698,54 +699,65 @@ func (c *conn) queueQEvts(stop <-chan struct{}, name string, evts []qline) int {
 	return queued
 }
 
-// pushEvent queues one pushed event for a subscription or continuous
-// query under the configured overflow policy. The payload comes from
-// the event's encode-once cache: an event fanned out to M sinks across
-// any number of connections is marshaled exactly once, and each sink
-// pays a header and a copy into its connection's outbound buffer.
-// (A derived event — Clone — carries a fresh cache, so a cached payload
-// can never go stale.)
-func (c *conn) pushEvent(localID string, ev *event.Event) {
+// pushEvent queues one pushed event for the SUBs or CQ of this
+// connection that names (their broker names) lists, under the
+// configured overflow policy: on HELLO 3 as one Evts frame for two or
+// more names, otherwise one message per name, as many under one hold of
+// the outbound queue as fit. A dropped message loses one delivery per
+// name it carries. The payload is the event's encode-once cache (a
+// derived event — Clone — carries a fresh one, so it never goes stale).
+func (c *conn) pushEvent(names []string, ev *event.Event) {
 	data, err := ev.EncodedJSON()
 	if err != nil {
 		c.srv.eng.Metrics.Counter("server.push.encode_errors").Inc()
 		return
 	}
-	drop := c.srv.cfg.Overflow == DropOnFull
-	if !c.begin(nil, !drop) {
-		if drop && !c.torn.Load() {
-			c.dropped.Add(1)
-			c.srv.eng.Metrics.Counter("server.push.dropped").Inc()
-			// Sustained overflow with no drain in between is a consumer
-			// that went away without hanging up; cut it loose so its
-			// queue, buffers, and subscriptions stop costing the engine.
-			// The == keeps racing producers from evicting twice.
-			if ea := c.srv.cfg.EvictAfterDrops; ea > 0 && c.consecDrops.Add(1) == uint64(ea) {
+	drop, all := c.srv.cfg.Overflow == DropOnFull, len(names)
+	for len(names) > 0 && c.begin(nil, !drop) {
+		n, grouped := 1, false
+		if c.evts && len(names) > 1 {
+			// One too big for a frame goes as an Evt per name, as on v2.
+			c.pending, grouped = frame.AppendEvts(c.pending, names, len(c.subs), data)
+		}
+		if grouped {
+			names = nil
+		} else {
+			n = min(len(names), c.srv.cfg.SubBuffer-c.queued)
+			for _, name := range names[:n] {
+				id := name[len(c.subs):]
+				if c.binary {
+					c.pending = frame.AppendEvt(c.pending, id, data)
+					continue
+				}
+				c.pending = append(c.pending, "EVT "...)
+				c.pending = append(c.pending, id...)
+				c.pending = append(c.pending, ' ')
+				c.pending = append(append(c.pending, data...), '\n')
+			}
+			names = names[n:]
+		}
+		c.commit(n)
+		if drop && c.srv.cfg.EvictAfterDrops > 0 {
+			c.consecDrops.Store(0)
+		}
+	}
+	if n := uint64(len(names)); n > 0 && drop && !c.torn.Load() {
+		c.dropped.Add(n)
+		c.srv.eng.Metrics.Counter("server.push.dropped").Add(n)
+		// Sustained overflow with no drain in between is a consumer
+		// that went away without hanging up; cut it loose so its
+		// queue, buffers, and subscriptions stop costing the engine.
+		// Only the producer that crosses the bound evicts.
+		if ea := uint64(c.srv.cfg.EvictAfterDrops); ea > 0 {
+			if d := c.consecDrops.Add(n); d >= ea && d-n < ea {
 				c.evict()
 			}
 		}
-		return
-	}
-	if c.binary {
-		c.pending = frame.AppendEvt(c.pending, localID, data)
-	} else {
-		c.pending = append(c.pending, "EVT "...)
-		c.pending = append(c.pending, localID...)
-		c.pending = append(c.pending, ' ')
-		c.pending = append(append(c.pending, data...), '\n')
-	}
-	// One clock read per (connection, event), not per sink: the sinks of
-	// one connection see an event back to back.
-	first := c.latEv != ev
-	c.latEv = ev
-	c.commit(1)
-	if drop && c.srv.cfg.EvictAfterDrops > 0 {
-		c.consecDrops.Store(0)
 	}
 	// Delivery latency: event timestamp to push. Events carrying no
 	// timestamp, a future one, or one older than an hour (historical
 	// REPLAY backfill) would only distort the histogram.
-	if first && !ev.Time.IsZero() {
+	if len(names) < all && !ev.Time.IsZero() {
 		if d := time.Since(ev.Time); d >= 0 && d <= time.Hour {
 			c.lat.Observe(d)
 		}

@@ -20,9 +20,10 @@ type sink interface {
 	detach()
 }
 
-// Deliver pushes a SUB's match: a connection is the Target of its SUBs'
-// broker rules, each named by its prefix, then the local id.
-func (c *conn) Deliver(name string, ev *event.Event) { c.pushEvent(name[len(c.subs):], ev) }
+// Deliver pushes one event to the SUBs it matched: a connection is the
+// Target of its SUBs' broker rules, each named by its prefix, then the
+// local id.
+func (c *conn) Deliver(names []string, ev *event.Event) { c.pushEvent(names, ev) }
 
 // cqSink is the Target of a CQ's broker rule: it pushes what q folds
 // the rule's matches into.
@@ -38,11 +39,11 @@ type cqSink struct {
 	q  *cq.CQ
 }
 
-func (s *cqSink) Deliver(name string, ev *event.Event) {
+func (s *cqSink) Deliver(names []string, ev *event.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, out := range s.q.Feed(ev) {
-		s.c.pushEvent(name[len(s.c.subs):], out)
+		s.c.pushEvent(names, out)
 	}
 }
 

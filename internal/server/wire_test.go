@@ -49,10 +49,10 @@ func TestHelloNegotiation(t *testing.T) {
 	nc, br := wireDial(t, srv)
 
 	// Ask for a higher version than the server speaks: it caps at its
-	// own (2), never echoes something it cannot honor.
+	// own (3), never echoes something it cannot honor.
 	sendLine(t, nc, "HELLO 7")
-	if got := readLine(t, br); got != "OK 2" {
-		t.Fatalf("HELLO 7 → %q, want OK 2", got)
+	if got := readLine(t, br); got != "OK 3" {
+		t.Fatalf("HELLO 7 → %q, want OK 3", got)
 	}
 	// The reply to HELLO was still a text line; everything after it is
 	// framed. PING must now come back as a Reply frame.

@@ -204,6 +204,9 @@ func ParseTrigger(name string, data []byte) (trigger.Def, error) {
 	if err := decodeStrict(data, &spec); err != nil {
 		return trigger.Def{}, fmt.Errorf("wiredb: trigger spec: %w", err)
 	}
+	if spec.Table == "" {
+		return trigger.Def{}, errors.New("wiredb: trigger spec needs a table")
+	}
 	return spec.Def(name)
 }
 
@@ -259,8 +262,19 @@ type WatchSpec struct {
 	IntervalMS int `json:"interval_ms,omitempty"`
 }
 
-// ParseWatchSpec decodes and validates a WATCH payload.
+// ParseWatchSpec decodes and validates a new WATCH payload: unlike
+// DecodeWatchSpec it refuses an interval_ms no Duration holds.
 func ParseWatchSpec(data []byte) (WatchSpec, error) {
+	spec, err := DecodeWatchSpec(data)
+	if err == nil && spec.IntervalMS > 0 && spec.Interval() == 0 {
+		return WatchSpec{}, errors.New("wiredb: watch interval_ms does not fit a duration")
+	}
+	return spec, err
+}
+
+// DecodeWatchSpec decodes and validates a stored WATCH payload, whose
+// interval_ms may be one written before ParseWatchSpec bounded it.
+func DecodeWatchSpec(data []byte) (WatchSpec, error) {
 	var spec WatchSpec
 	if err := decodeStrict(data, &spec); err != nil {
 		return WatchSpec{}, fmt.Errorf("wiredb: watch spec: %w", err)
@@ -270,10 +284,22 @@ func ParseWatchSpec(data []byte) (WatchSpec, error) {
 		// diff key and updates would shadow each other.
 		return WatchSpec{}, errors.New("wiredb: watch spec needs key columns")
 	}
+	if spec.Query.Table == "" {
+		return WatchSpec{}, errors.New("wiredb: watch spec needs a query table")
+	}
 	if spec.IntervalMS < 0 {
 		return WatchSpec{}, errors.New("wiredb: watch interval must be non-negative")
 	}
 	return spec, nil
+}
+
+// Interval is interval_ms as a Duration, or 0 for the engine's default:
+// unset, or more than a Duration holds.
+func (s WatchSpec) Interval() time.Duration {
+	if d := time.Duration(s.IntervalMS) * time.Millisecond; d > 0 && d/time.Millisecond == time.Duration(s.IntervalMS) {
+		return d
+	}
+	return 0
 }
 
 // --- values -------------------------------------------------------------

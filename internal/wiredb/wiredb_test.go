@@ -231,10 +231,20 @@ func TestWatchSpecValidation(t *testing.T) {
 		`{"query":{"table":"t"}}`,
 		`{"query":{"table":"t"},"key":[],"interval_ms":5}`,
 		`{"query":{"table":"t"},"key":["a"],"interval_ms":-1}`,
+		`{"query":{},"key":["a"]}`,
 	} {
 		if _, err := ParseWatchSpec([]byte(bad)); err == nil {
 			t.Errorf("accepted %s", bad)
 		}
+	}
+	// An interval_ms too long for a Duration is refused in a new spec;
+	// a stored one decodes, and polls at the default.
+	long := []byte(`{"query":{"table":"t"},"key":["a"],"interval_ms":99999999999999999}`)
+	if _, err := ParseWatchSpec(long); err == nil {
+		t.Errorf("accepted %s", long)
+	}
+	if s, err := DecodeWatchSpec(long); err != nil || s.Interval() != 0 {
+		t.Errorf("DecodeWatchSpec(%s) = interval %v, %v; want 0, nil", long, s.Interval(), err)
 	}
 }
 
