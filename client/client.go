@@ -54,8 +54,7 @@
 // # Dial options
 //
 // Dial is configured with functional options of type Option
-// (WithFallbacks, RequireLeader, WithNetDial, WithBinary,
-// WithLowPriority, WithSubBuffer).
+// (WithFallbacks, RequireLeader, WithBinary, WithSubBuffer).
 package client
 
 import (
@@ -132,9 +131,9 @@ func (e *Error) Error() string {
 	return e.Code + ": " + e.Msg
 }
 
-// knownCodes mirrors the server's taxonomy (internal/server/errors.go)
-// so free-text errors from pre-taxonomy servers are never mistaken for
-// coded ones.
+// knownCodes mirrors the server's taxonomy (internal/server/errors.go;
+// TestKnownCodesMatchServer holds the two equal) so free-text errors
+// from pre-taxonomy servers are never mistaken for coded ones.
 var knownCodes = map[string]bool{
 	"unknown": true, "badargs": true, "badjson": true, "badspec": true,
 	"toobig": true, "dup": true, "nosub": true, "noreceipt": true,
@@ -157,10 +156,9 @@ func serverError(payload string) *Error {
 
 // Conn is a connection to an eventdb server. Safe for concurrent use.
 type Conn struct {
-	nc      net.Conn
-	binary  bool // negotiated binary frame mode (HELLO 2 or 3)
-	lowprio bool // server granted the lowprio (sheddable) flag
-	subBuf  int  // default subscription channel buffer (WithSubBuffer)
+	nc     net.Conn
+	binary bool // negotiated binary frame mode (HELLO 2 or 3)
+	subBuf int  // default subscription channel buffer (WithSubBuffer)
 
 	sendMu  sync.Mutex       // serializes request writes with waiter order
 	tr      transport        // guarded by sendMu for sends; recv is readLoop-only
@@ -172,7 +170,6 @@ type Conn struct {
 	consumers map[string]chan Delivery // active Consume collectors
 	closed    bool
 	err       error
-	repl      *ReplStream // active replication stream, if any
 
 	done chan struct{} // closed when the connection dies
 }
@@ -184,9 +181,7 @@ type Option func(*dialConfig)
 type dialConfig struct {
 	fallbacks     []string
 	requireLeader bool
-	netDial       func(addr string) (net.Conn, error)
 	binary        bool
-	lowprio       bool
 	subBuffer     int
 }
 
@@ -203,11 +198,6 @@ func RequireLeader() Option {
 	return func(d *dialConfig) { d.requireLeader = true }
 }
 
-// WithNetDial substitutes the transport dialer (testing, proxies).
-func WithNetDial(dial func(addr string) (net.Conn, error)) Option {
-	return func(d *dialConfig) { d.netDial = dial }
-}
-
 // WithBinary negotiates the binary frame protocol (HELLO 3, or 2 with
 // a version-2 server) during Dial. Against a server that predates HELLO
 // the connection silently stays on text; Conn.Binary reports which.
@@ -215,19 +205,9 @@ func WithBinary() Option {
 	return func(d *dialConfig) { d.binary = true }
 }
 
-// WithLowPriority declares this connection's publishes sheddable: while
-// the server is over an overload watermark they are refused with the
-// coded "limit" error instead of blocking, so high-priority producers
-// keep their throughput. Implies the HELLO handshake (like WithBinary);
-// servers that predate the flag silently ignore it.
-func WithLowPriority() Option {
-	return func(d *dialConfig) { d.lowprio = true }
-}
-
 // WithSubBuffer sets the default channel buffer used when Subscribe,
-// ContinuousQuery, DurableSubscribe, or Replicate is called with a
-// non-positive buffer (instead of their built-in defaults of 64 or
-// 256).
+// ContinuousQuery or DurableSubscribe is called with a non-positive
+// buffer (instead of their built-in defaults of 64 or 256).
 func WithSubBuffer(n int) Option {
 	return func(d *dialConfig) { d.subBuffer = n }
 }
@@ -241,13 +221,10 @@ func Dial(addr string, opts ...Option) (*Conn, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.netDial == nil {
-		cfg.netDial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
 	candidates := append([]string{addr}, cfg.fallbacks...)
 	var lastErr error
 	for _, cand := range candidates {
-		nc, err := cfg.netDial(cand)
+		nc, err := net.Dial("tcp", cand)
 		if err != nil {
 			lastErr = fmt.Errorf("client: dial %s: %w", cand, err)
 			continue
@@ -289,14 +266,14 @@ func newConn(nc net.Conn, cfg *dialConfig) (*Conn, error) {
 		done:      make(chan struct{}),
 	}
 	// Mode negotiation happens synchronously, before the read loop owns
-	// the socket: one HELLO round trip, only when an option asked for
-	// something the legacy protocol lacks.
-	if cfg.binary || cfg.lowprio {
-		binary, lowprio, err := negotiate(nc, br, w, cfg.lowprio)
+	// the socket: one HELLO round trip, only when WithBinary asked for
+	// what the legacy protocol lacks.
+	if cfg.binary {
+		binary, err := negotiate(br, w)
 		if err != nil {
 			return nil, err
 		}
-		c.binary, c.lowprio = binary, lowprio
+		c.binary = binary
 	}
 	if c.binary {
 		c.tr = &binTransport{w: w, fr: frame.NewReader(br)}
@@ -311,10 +288,6 @@ func newConn(nc net.Conn, cfg *dialConfig) (*Conn, error) {
 // protocol (false means the legacy text protocol, including after a
 // silent fallback against an older server).
 func (c *Conn) Binary() bool { return c.binary }
-
-// LowPriority reports whether the server granted the WithLowPriority
-// flag (publishes may be shed with "ERR limit" under overload).
-func (c *Conn) LowPriority() bool { return c.lowprio }
 
 // Close tears the connection down. Subscription channels close; blocked
 // calls fail with ErrClosed.
@@ -356,10 +329,6 @@ func (c *Conn) fail(cause error) {
 		close(s.ch)
 	}
 	c.durables = map[string]*DurableSub{}
-	if c.repl != nil {
-		close(c.repl.ch)
-		c.repl = nil
-	}
 	c.mu.Unlock()
 	close(c.done) // wakes reply waiters
 	c.nc.Close()
@@ -445,10 +414,6 @@ func (c *Conn) readLoop() {
 			continue
 		}
 		line := m.line
-		if rest, ok := strings.CutPrefix(line, "REPL "); ok {
-			c.routeRepl(rest)
-			continue
-		}
 		select {
 		case w := <-c.pending:
 			w <- line

@@ -161,9 +161,6 @@ func WithRetry(addr string, policy RetryPolicy, opts ...Option) (*Retry, error) 
 	return r, nil
 }
 
-// Session returns the PUBT idempotency session token (diagnostics).
-func (r *Retry) Session() string { return r.session }
-
 // Reconnects reports how many times the supervisor has replaced the
 // underlying connection.
 func (r *Retry) Reconnects() uint64 { return r.reconnects.Load() }

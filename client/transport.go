@@ -3,7 +3,6 @@ package client
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
 
@@ -25,7 +24,7 @@ type wkind int
 
 const (
 	// wReply is a request reply or connection-level line ("OK ...",
-	// "ERR ...", "PONG", "REPL ..." records).
+	// "ERR ...", "PONG").
 	wReply wkind = iota
 	// wEvt is a pushed subscription event.
 	wEvt
@@ -181,49 +180,34 @@ func (t *binTransport) recv() (wmsg, error) {
 
 // negotiate runs the HELLO handshake synchronously (before the read
 // loop exists): it asks for protocol version 3 (2 and 3 are both
-// binary) plus the requested flags and interprets the server's answer.
-// A pre-HELLO server answers "ERR unknown ..." — a silent fallback to
+// binary) and reports whether the server's answer is binary. A
+// pre-HELLO server answers "ERR unknown ..." — a silent fallback to
 // text, not a failure, so new clients keep working against old servers.
-func negotiate(nc net.Conn, br *bufio.Reader, w *bufio.Writer, wantLowprio bool) (binary, lowprio bool, err error) {
-	cmd := "HELLO 3"
-	if wantLowprio {
-		cmd += " lowprio"
-	}
-	w.WriteString(cmd)
-	w.WriteByte('\n')
+func negotiate(br *bufio.Reader, w *bufio.Writer) (binary bool, err error) {
+	w.WriteString("HELLO 3\n")
 	if err := w.Flush(); err != nil {
-		return false, false, fmt.Errorf("client: hello: %w", err)
+		return false, fmt.Errorf("client: hello: %w", err)
 	}
 	line, err := br.ReadString('\n')
 	if err != nil {
-		return false, false, fmt.Errorf("client: hello: %w", err)
+		return false, fmt.Errorf("client: hello: %w", err)
 	}
 	line = strings.TrimRight(line, "\r\n")
 	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
 		serr := serverError(msg)
 		if serr.Code == "unknown" {
-			return false, false, nil // pre-HELLO server: stay on text
+			return false, nil // pre-HELLO server: stay on text
 		}
-		return false, false, serr
+		return false, serr
 	}
 	rest, ok := strings.CutPrefix(line, "OK ")
 	if !ok {
-		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
+		return false, fmt.Errorf("client: bad HELLO reply %q", line)
 	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
-	}
-	ver, err := strconv.Atoi(fields[0])
+	v, _, _ := strings.Cut(rest, " ") // a flag list may follow
+	ver, err := strconv.Atoi(v)
 	if err != nil {
-		return false, false, fmt.Errorf("client: bad HELLO reply %q", line)
+		return false, fmt.Errorf("client: bad HELLO reply %q", line)
 	}
-	if len(fields) > 1 {
-		for _, f := range strings.Split(fields[1], ",") {
-			if f == "lowprio" {
-				lowprio = true
-			}
-		}
-	}
-	return ver >= 2, lowprio, nil
+	return ver >= 2, nil
 }

@@ -175,6 +175,10 @@ func handleSelect(c *conn, req *request) bool {
 	}) {
 		return true
 	}
+	if spec.Table == "" {
+		c.errf(codeBadSpec, "query spec needs a table")
+		return true
+	}
 	if _, ok := c.srv.eng.DB.Table(spec.Table); !ok {
 		c.errf(codeNoTable, "no table %q", spec.Table)
 		return true

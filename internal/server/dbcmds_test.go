@@ -330,6 +330,8 @@ func TestWireDBErrors(t *testing.T) {
 		`WATCH w {"query":{"table":"missing"},"key":["a"]}`: "ERR notable ",
 		// A spec that names no table misses a field; an interval_ms a
 		// Duration cannot hold is out of range.
+		`SELECT {}`:                        "ERR badspec ",
+		`SELECT {"table":""}`:              "ERR badspec ",
 		`TRIG x {}`:                        "ERR badspec ",
 		`TRIG x {"table":""}`:              "ERR badspec ",
 		`WATCH w {"query":{},"key":["a"]}`: "ERR badspec ",

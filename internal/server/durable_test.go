@@ -23,7 +23,7 @@ type raw struct {
 	t      *testing.T
 	nc     net.Conn
 	br     *bufio.Reader
-	pushes []string // QEVT/EVT lines read while waiting for a reply
+	pushes []string // QEVT/EVT/REPL lines read while waiting for a reply
 }
 
 func rawDial(t *testing.T, srv *Server) *raw {
@@ -58,7 +58,7 @@ func (r *raw) reply() string {
 	r.t.Helper()
 	for {
 		line := r.readLine()
-		if strings.HasPrefix(line, "QEVT ") || strings.HasPrefix(line, "EVT ") {
+		if strings.HasPrefix(line, "QEVT ") || strings.HasPrefix(line, "EVT ") || strings.HasPrefix(line, "REPL ") {
 			r.pushes = append(r.pushes, line)
 			continue
 		}

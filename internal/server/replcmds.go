@@ -18,7 +18,8 @@ import (
 //	                       record from from-lsn onward, live-tailed
 //	ROLE                 → "OK leader" | "OK follower"
 //	RACK <cursor>        → "OK"; follower progress report (next LSN it
-//	                       expects), surfaced via Server.ReplicaCursors
+//	                       expects), kept per connection for the log's
+//	                       floor (ROADMAP item 10); not surfaced yet
 //	PROMOTE              → "OK leader"; flips a follower into a leader
 //	                       via the Config.Promote hook
 

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,9 +12,11 @@ import (
 
 	"eventdb/client"
 	"eventdb/internal/core"
+	"eventdb/internal/repl"
 	"eventdb/internal/storage"
 	"eventdb/internal/val"
 	"eventdb/internal/vfs"
+	"eventdb/internal/wal"
 )
 
 func durableServer(t *testing.T) (*core.Engine, *Server) {
@@ -45,80 +49,110 @@ func insertN(t *testing.T, eng *core.Engine, from, to int) {
 	}
 }
 
+// replicate sends REPLICATE <from> and returns the next LSN of its
+// "OK <next>" reply.
+func (r *raw) replicate(from uint64) uint64 {
+	r.t.Helper()
+	reply := r.ask("REPLICATE " + strconv.FormatUint(from, 10))
+	next, err := strconv.ParseUint(strings.TrimPrefix(reply, "OK "), 10, 64)
+	if !strings.HasPrefix(reply, "OK ") || err != nil {
+		r.t.Fatalf("REPLICATE %d → %q, want OK <next-lsn>", from, reply)
+	}
+	return next
+}
+
+// record reads the stream's next line and decodes it with repl's
+// codec, the one the follower uses.
+func (r *raw) record() wal.Record {
+	r.t.Helper()
+	line := r.readLine()
+	rest, ok := strings.CutPrefix(line, "REPL ")
+	if !ok {
+		r.t.Fatalf("stream line = %q, want a REPL record", line)
+	}
+	rec, err := repl.ParseRecord(rest)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return rec
+}
+
+// sameAsLeader fails unless each of got, in LSN order from got[0],
+// has the type and bytes of the leader's record at its LSN, read with
+// storage.DB.Follow as the stream's sink reads it.
+func sameAsLeader(t *testing.T, eng *core.Engine, got []wal.Record) {
+	t.Helper()
+	errDone := errors.New("read enough")
+	i := 0
+	err := eng.DB.Follow(got[0].LSN, make(chan struct{}), func(recs []wal.Record) error {
+		for _, want := range recs {
+			r := got[i]
+			if r.LSN != want.LSN || r.Type != want.Type || !bytes.Equal(r.Data, want.Data) {
+				t.Fatalf("streamed record (lsn %d, type %d, %x), leader's (lsn %d, type %d, %x)",
+					r.LSN, r.Type, r.Data, want.LSN, want.Type, want.Data)
+			}
+			if i++; i == len(got) {
+				return errDone
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, errDone) {
+		t.Fatalf("reading the leader's log: %v", err)
+	}
+}
+
 func TestReplicateStreamsHistoryAndLiveTail(t *testing.T) {
 	eng, srv := durableServer(t)
 	mkTrades(t, eng)
 	insertN(t, eng, 1, 5)
 
-	c := dial(t, srv)
-	stream, err := c.Replicate(0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.NextLSN != eng.DB.WAL().NextLSN() {
-		t.Fatalf("stream.NextLSN = %d, want %d", stream.NextLSN, eng.DB.WAL().NextLSN())
-	}
-	recvRec := func() client.RawRecord {
-		t.Helper()
-		select {
-		case r, ok := <-stream.C:
-			if !ok {
-				t.Fatal("stream channel closed")
-			}
-			return r
-		case <-time.After(5 * time.Second):
-			t.Fatal("timed out waiting for replication record")
-		}
-		panic("unreachable")
+	rc := rawDial(t, srv)
+	next := rc.replicate(0)
+	if next != eng.DB.WAL().NextLSN() {
+		t.Fatalf("OK %d, want the WAL's next LSN %d", next, eng.DB.WAL().NextLSN())
 	}
 	// History: every record from LSN 1 (CreateTable) onward, in order.
-	var last uint64
-	for lsn := uint64(1); lsn < stream.NextLSN; lsn++ {
-		r := recvRec()
+	var got []wal.Record
+	for lsn := uint64(1); lsn < next; lsn++ {
+		r := rc.record()
 		if r.LSN != lsn {
 			t.Fatalf("history record LSN = %d, want %d", r.LSN, lsn)
 		}
-		last = r.LSN
+		got = append(got, r)
 	}
 	// Live tail: new commits arrive without re-requesting.
 	insertN(t, eng, 6, 8)
+	last := next - 1
 	for i := 0; i < 3; i++ {
-		r := recvRec()
+		r := rc.record()
 		if r.LSN != last+1 {
 			t.Fatalf("live record LSN = %d, want %d", r.LSN, last+1)
 		}
 		last = r.LSN
+		got = append(got, r)
 	}
-	// RACK surfaces per-connection cursors on the server.
-	if err := stream.Ack(last + 1); err != nil {
-		t.Fatal(err)
+	sameAsLeader(t, eng, got)
+	// RACK stores the connection's cursor before it replies.
+	if reply := rc.ask("RACK " + strconv.FormatUint(last+1, 10)); reply != "OK" {
+		t.Fatalf("RACK → %q", reply)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cursors := srv.ReplicaCursors()
-		if len(cursors) == 1 {
-			for _, cur := range cursors {
-				if cur == last+1 {
-					goto acked
-				}
-			}
-		}
-		if time.Now().After(deadline) {
+	cursors := srv.ReplicaCursors()
+	if len(cursors) != 1 {
+		t.Fatalf("ReplicaCursors = %v, want one cursor at %d", cursors, last+1)
+	}
+	for _, cur := range cursors {
+		if cur != last+1 {
 			t.Fatalf("ReplicaCursors = %v, want one cursor at %d", cursors, last+1)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-acked:
-	// Detach: the sink goes away and cursors empty out.
-	if err := stream.Close(); err != nil {
-		t.Fatal(err)
+	// Detach: UNSUB takes the sink away before it replies, and the
+	// cursors empty out.
+	if reply := rc.ask("UNSUB repl"); reply != "OK" {
+		t.Fatalf("UNSUB repl → %q", reply)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for len(srv.ReplicaCursors()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replica cursor survived stream close")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if cursors := srv.ReplicaCursors(); len(cursors) != 0 {
+		t.Fatalf("ReplicaCursors after UNSUB repl = %v, want none", cursors)
 	}
 }
 
@@ -128,31 +162,25 @@ func TestReplicateResumesFromLSN(t *testing.T) {
 	insertN(t, eng, 1, 9)
 	next := eng.DB.WAL().NextLSN()
 
-	c := dial(t, srv)
-	stream, err := c.Replicate(next-3, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := rawDial(t, srv)
+	rc.replicate(next - 3)
+	var got []wal.Record
 	for want := next - 3; want < next; want++ {
-		select {
-		case r := <-stream.C:
-			if r.LSN != want {
-				t.Fatalf("resumed record LSN = %d, want %d", r.LSN, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("timed out on resumed stream")
+		r := rc.record()
+		if r.LSN != want {
+			t.Fatalf("resumed record LSN = %d, want %d", r.LSN, want)
 		}
+		got = append(got, r)
 	}
+	sameAsLeader(t, eng, got)
 }
 
 func TestReplicateRefusals(t *testing.T) {
 	t.Run("notdurable", func(t *testing.T) {
 		_, srv := startServer(t, core.Config{}, Config{})
-		c := dial(t, srv)
-		_, err := c.Replicate(0, 0)
-		var serr *client.Error
-		if !asClientError(err, &serr) || serr.Code != "notdurable" {
-			t.Fatalf("Replicate on volatile server = %v, want notdurable", err)
+		rc := rawDial(t, srv)
+		if reply := rc.ask("REPLICATE 0"); !strings.HasPrefix(reply, "ERR notdurable") {
+			t.Fatalf("REPLICATE on volatile server → %q, want ERR notdurable", reply)
 		}
 	})
 	t.Run("badargs", func(t *testing.T) {
@@ -165,34 +193,19 @@ func TestReplicateRefusals(t *testing.T) {
 	})
 	t.Run("conflict-beyond-end", func(t *testing.T) {
 		eng, srv := durableServer(t)
-		c := dial(t, srv)
-		_, err := c.Replicate(eng.DB.WAL().NextLSN()+100, 0)
-		var serr *client.Error
-		if !asClientError(err, &serr) || serr.Code != "conflict" {
-			t.Fatalf("Replicate past log end = %v, want conflict", err)
+		rc := rawDial(t, srv)
+		req := "REPLICATE " + strconv.FormatUint(eng.DB.WAL().NextLSN()+100, 10)
+		if reply := rc.ask(req); !strings.HasPrefix(reply, "ERR conflict") {
+			t.Fatalf("REPLICATE past log end → %q, want ERR conflict", reply)
 		}
 	})
 	t.Run("dup-stream", func(t *testing.T) {
 		_, srv := durableServer(t)
 		rc := rawDial(t, srv)
-		rc.send("REPLICATE 1")
-		if reply := rc.readLine(); !strings.HasPrefix(reply, "OK ") {
-			t.Fatalf("first REPLICATE → %q", reply)
-		}
-		rc.send("REPLICATE 1")
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if time.Now().After(deadline) {
-				t.Fatal("no ERR dup for second REPLICATE")
-			}
-			reply := rc.readLine()
-			if strings.HasPrefix(reply, "REPL ") {
-				continue // interleaved stream records are fine
-			}
-			if !strings.HasPrefix(reply, "ERR dup") {
-				t.Fatalf("second REPLICATE → %q, want ERR dup", reply)
-			}
-			break
+		rc.replicate(1)
+		// Interleaved stream records are fine.
+		if reply := rc.ask("REPLICATE 1"); !strings.HasPrefix(reply, "ERR dup") {
+			t.Fatalf("second REPLICATE → %q, want ERR dup", reply)
 		}
 	})
 }
@@ -237,17 +250,6 @@ func TestReplicateStreamFailsOnSegmentOpenFault(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-func asClientError(err error, target **client.Error) bool {
-	if err == nil {
-		return false
-	}
-	e, ok := err.(*client.Error)
-	if ok {
-		*target = e
-	}
-	return ok
 }
 
 // TestReadOnlyFollowerGating drives every mutating verb against a

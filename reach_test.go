@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// unreachedAllowed names the exported declarations under internal/ that
-// no non-test file uses and that stay anyway, each with its reason. A
-// key is "pkg.Name" or "pkg.Type.Method"; a type's key also covers its
-// methods and its New<Type> constructor.
+// unreachedAllowed names the exported declarations under internal/ and
+// client/ that no non-test file uses and that stay anyway, each with its
+// reason. A key is "pkg.Name" or "pkg.Type.Method"; a type's key also
+// covers its methods and its New<Type> constructor. A client entry names
+// the product use that keeps it and the test that covers it.
 var unreachedAllowed = map[string]string{
 	"vfs.Faulty":               "the disk fault seam of seven packages' tests",
 	"server.ServeListener":     "testnet's connection seam",
@@ -27,6 +28,19 @@ var unreachedAllowed = map[string]string{
 	"wal.WAL.Checkpoint":       "ROADMAP item 10 wires it",
 	"server.BlockOnFull":       "the named zero value of Overflow",
 	"pubsub.Broker.Rebind":     "the string form of Bind's filter swap, which the rebind tests pin",
+	"client.Conn.Consume":      "the polling form of DurableSubscribe, the client half of CONSUME (TestConsumePull)",
+	"client.Conn.DropTrigger":  "the inverse of Trigger, which examples call (TestWireDatabaseRoundTrip, TestDatabaseVerbs)",
+	"client.Conn.Unwatch":      "the inverse of Watch, which examples call (TestWireDatabaseRoundTrip, TestDatabaseVerbs)",
+	"client.RequireLeader":     "routes a writer to the leader of a replicated pair (TestDialRequireLeaderRoutesToLeader)",
+	"client.WithFallbacks":     "the candidate list RequireLeader routes over (TestDialRequireLeaderRoutesToLeader)",
+	"client.WithRetry":         "the reconnecting PUBT-dedupe client (TestChaosDiskFaultDegradedRecover, TestChaosKillReconnectResume)",
+	"client.Retry.Reconnects":  "the reconnect count of WithRetry's supervisor (TestChaosKillReconnectResume)",
+	"client.JoinSpec":          "the type of QuerySpec's Join field, a SELECT join (TestSelectRepliesReuse)",
+	"client.OrderSpec":         "the type of QuerySpec's Order field (TestSelectWireRoundTrip)",
+	"client.Sum":               "a CQ aggregate kind beside Count and Avg, which examples use (TestIncrementalMatchesRecompute)",
+	"client.Min":               "a CQ aggregate kind beside Count and Avg, which examples use (TestIncrementalMatchesRecompute)",
+	"client.Max":               "a CQ aggregate kind beside Count and Avg, which examples use (TestIncrementalMatchesRecompute)",
+	"client.TimeWindow":        "the CQ window kind beside CountWindow, which examples use (TestTimeWindow)",
 }
 
 // testHarnesses are the internal/ packages that exist for tests alone;
@@ -37,21 +51,21 @@ var testHarnesses = map[string]bool{
 	"internal/testnet":  true,
 }
 
-// exportedDecl is one exported declaration under internal/.
+// exportedDecl is one exported declaration under internal/ or client/.
 type exportedDecl struct {
 	key    string     // pkg.Name or pkg.Type.Method
 	name   string     // the identifier a caller would write
 	typ    string     // the receiver type, or for a type its own name
 	method bool       // a method, matched by name
-	dir    string     // its package's directory, as "internal/x"
+	dir    string     // its package's directory, as "internal/x" or "client"
 	ident  *ast.Ident // the declaring identifier
 	pos    token.Position
 }
 
 // TestProductReachBySymbol fails on any exported top-level func, var,
 // const or type, or exported method of an exported type, declared in a
-// non-test file under internal/ (test harnesses aside), that no
-// non-test .go file of the module uses. A package-level declaration is
+// non-test file under internal/ (test harnesses aside) or client/, that
+// no non-test .go file of the module uses. A package-level declaration is
 // used through a selector on an import of its own package (x.Name), or
 // by its bare name in a file of that package; a method by its name
 // anywhere. examples/ and bench/ count as callers: the root package
@@ -91,7 +105,7 @@ func TestProductReachBySymbol(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		files = append(files, file{f, dir})
 		pkgName[dir] = f.Name.Name
-		if strings.HasPrefix(dir, "internal/") {
+		if strings.HasPrefix(dir, "internal/") || dir == "client" {
 			for _, d := range exportedDecls(fset, f, dir) {
 				declared[d.ident] = true
 				if !testHarnesses[dir] {
@@ -105,7 +119,7 @@ func TestProductReachBySymbol(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(decls) == 0 {
-		t.Fatal("found no exported declarations under internal/")
+		t.Fatal("found no exported declarations under internal/ or client/")
 	}
 
 	named := make(map[string]bool) // every identifier, for methods
